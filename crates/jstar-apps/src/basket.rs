@@ -188,8 +188,8 @@ pub fn build_program(spec: BasketSpec) -> BasketApp {
 
 /// Runs the program and returns the total score weight (each Score
 /// tuple counted once — `Score` is a set, so duplicate orders collapse;
-/// the baseline is compared per distinct chain via [`run_total`]'s
-/// caller using matching dedup).
+/// the baseline is compared per distinct chain by the caller, using
+/// matching dedup).
 pub fn run_report(spec: BasketSpec, config: EngineConfig) -> Result<(i64, RunReport)> {
     let app = build_program(spec);
     let mut engine = Engine::new(Arc::clone(&app.program), config);
@@ -244,26 +244,21 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_and_leapfrog_searches_less() {
+    fn batched_walk_agrees_with_per_tuple_and_searches_less() {
         let spec = small_spec();
         let want = baseline_distinct_total(&spec);
-        let (lf, lf_r) = run_report(spec, EngineConfig::sequential().delta_join_from(4)).unwrap();
-        let (hp, hp_r) = run_report(
-            spec,
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(4),
-        )
-        .unwrap();
-        assert_eq!(lf, want);
-        assert_eq!(hp, want);
-        assert!(lf_r.delta_join_classes > 0 && hp_r.delta_join_classes > 0);
+        let (dj, dj_r) = run_report(spec, EngineConfig::sequential().delta_join_from(4)).unwrap();
+        let (pt, pt_r) =
+            run_report(spec, EngineConfig::sequential().delta_join_from(usize::MAX)).unwrap();
+        assert_eq!(dj, want);
+        assert_eq!(pt, want);
+        assert!(dj_r.delta_join_classes > 0 && pt_r.delta_join_classes == 0);
         assert!(
-            lf_r.gamma_probes + lf_r.join_seeks < hp_r.gamma_probes,
-            "lf probes={} seeks={} vs hp probes={}",
-            lf_r.gamma_probes,
-            lf_r.join_seeks,
-            hp_r.gamma_probes
+            dj_r.gamma_probes + dj_r.join_seeks < pt_r.gamma_probes,
+            "dj probes={} seeks={} vs pt probes={}",
+            dj_r.gamma_probes,
+            dj_r.join_seeks,
+            pt_r.gamma_probes
         );
     }
 

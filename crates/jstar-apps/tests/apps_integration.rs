@@ -1,40 +1,11 @@
 //! Cross-feature integration for the case-study programs: the apps must
-//! stay correct under every engine knob combination (Delta structure
-//! ablation, lifetime hints, shared pools, strict validation).
+//! stay correct under every engine knob combination (lifetime hints,
+//! shared pools, strict validation).
 
 use jstar_apps::pvwatts::{self, InputOrder, Variant};
 use jstar_apps::{matmul, median, shortest_path};
-use jstar_core::delta::DeltaKind;
 use jstar_core::prelude::*;
 use std::sync::Arc;
-
-#[test]
-fn dijkstra_correct_under_flat_delta_ablation() {
-    let spec = shortest_path::GraphSpec::new(1_000, 1_000, 4, 21);
-    let want = shortest_path::dijkstra_baseline(&shortest_path::adjacency(&spec), 0);
-    for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-        let got =
-            shortest_path::run_jstar(spec, EngineConfig::parallel(4).delta_kind(kind)).unwrap();
-        assert_eq!(got, want, "{kind:?}");
-    }
-}
-
-#[test]
-fn pvwatts_correct_under_flat_delta_ablation() {
-    let recs = pvwatts::generate_records(4_000, InputOrder::Chronological);
-    let csv = Arc::new(pvwatts::render_csv(&recs));
-    let want = pvwatts::data::expected_means(&recs);
-    for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-        let (got, _) = pvwatts::run_jstar(
-            Arc::clone(&csv),
-            2,
-            Variant::Naive,
-            EngineConfig::sequential().delta_kind(kind),
-        )
-        .unwrap();
-        assert_eq!(got, want, "{kind:?}");
-    }
-}
 
 #[test]
 fn apps_share_one_pool_safely() {

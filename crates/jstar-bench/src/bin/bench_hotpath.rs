@@ -18,15 +18,8 @@
 //! artifact per commit, and `--check-drain <ceiling>` turns the run
 //! into a regression gate: non-zero exit when the fig12 drain fraction
 //! exceeds the ceiling (the coordinator has become the bottleneck
-//! again) **or** when any pipelined depth in the `depth_sweep` section
-//! (fig12 at 1 thread, `pipeline_depth` 0/1/2/4, interleaved) regresses
-//! beyond a noise allowance vs. the alternating loop (depth 0) — at one
-//! thread there is nothing to overlap with and no join to hide the
-//! lookahead behind, so every depth must be ≥ parity: the pipeline and
-//! speculation machinery must not cost when they cannot pay. The
-//! instrumented rows also report `overlap_fraction` (the share of drain
-//! work hidden behind class execution) and the sweep rows the lookahead
-//! hit/miss counts of an instrumented run per depth.
+//! again). The instrumented rows also report `overlap_fraction` (the
+//! share of drain work hidden behind class execution).
 //!
 //! The `checkpoint_overhead` section times fig8 (PvWatts) with one
 //! real full-Gamma checkpoint per run vs. off, interleaved; under
@@ -35,41 +28,19 @@
 //! serialize + rename cycle failing that bound is a regression, not a
 //! tuning choice.
 //!
-//! The `delta_join` and `wco_join` sections share one three-arm
+//! The `delta_join` and `wco_join` sections share one two-arm
 //! triangle-counting measurement, interleaved per round at 1/4/8
-//! threads: per-tuple nested-loop firing, batched delta-join with hash
-//! probes (the PR 8 path), and batched delta-join lowered onto the
-//! leapfrog merged-cursor walk (the default). `delta_join` keeps its
-//! v3 shape from the per-tuple and hash arms; `wco_join` reports all
-//! three arms with the Gamma probe / join seek / cursor-open counters,
-//! so the "coordinated walk searches less than per-key probing" claim
-//! is measured, not asserted — under `--check-drain` the leapfrog
-//! arm's `gamma_probes + join_seeks` must stay strictly below the hash
-//! arm's `gamma_probes` at every thread count. The `delta_join_parity`
-//! section runs pairwise per-tuple vs. delta-join A/B on
-//! fig8/fig11/fig12 — programs with *no* join rules, where mode
-//! selection must be free; `wco_join_parity` does the same for the
-//! join-strategy knob (hash vs. leapfrog on join-free programs); under
-//! `--check-drain`, any parity median beyond 1.10x fails the run. The
-//! `depth2_soak` section runs the full app suite once at
-//! `pipeline_depth = 2`, recording per-app lookahead hit rates — the
-//! data the ROADMAP wants before flipping the default depth.
-//!
-//! The `index_cache` section A/Bs the cached column indexes on the two
-//! join exhibits: cold (`IndexCachePolicy::Off`, every cursor open
-//! rebuilds) vs warm (`EagerRefresh`, generation-stamped entries
-//! caught up from the claim-journal suffix), interleaved per round at
-//! 1/4/8 threads, with the hit/miss/catch-up/build counters of one
-//! instrumented run per cell in the JSON. Triangles re-opens the
-//! `Edge` index across strata, so warm must hit and build strictly
-//! fewer tuples; basket opens each dimension index exactly once, so
-//! warm must merely never build more. `index_cache_parity` runs the
-//! same cold/warm pairs on the join-free exhibits, where no cursor is
-//! ever opened and the cache must be free: under `--check-drain` any
-//! warm pair-ratio median beyond 1.05x cold fails the run.
+//! threads: per-tuple nested-loop firing vs. batched delta-join on the
+//! leapfrog merged-cursor walk (the default). `delta_join` reports the
+//! timing ratio and batching counters; `wco_join` the Gamma probe /
+//! join seek / cursor-open counters, so the "coordinated walk searches
+//! less than per-tuple probing" claim is measured, not asserted. The
+//! `delta_join_parity` section runs pairwise per-tuple vs. delta-join
+//! A/B on fig8/fig11/fig12 — programs with *no* join rules, where mode
+//! selection must be free; under `--check-drain`, any parity median
+//! beyond 1.10x fails the run.
 
 use jstar_apps::matmul;
-use jstar_apps::median;
 use jstar_apps::pvwatts::{InputOrder, Variant};
 use jstar_apps::shortest_path;
 use jstar_apps::triangles;
@@ -201,202 +172,81 @@ fn main() {
         })
         .collect();
 
-    // Depth sweep: fig12 at 1 thread, pipeline_depth 0/1/2/4,
-    // interleaved so noise lands on every arm evenly. At one thread
-    // there is nothing to overlap with and no join to hide the
-    // lookahead behind, so every pipelined depth must be ≥ parity with
-    // the alternating loop — this is the gate that catches the
-    // pipeline/speculation machinery itself becoming overhead.
-    const SWEEP_DEPTHS: [usize; 4] = [0, 1, 2, 4];
-    let sweep_config = |depth: usize| {
-        let mut c = EngineConfig::parallel(1).pipeline_depth(depth);
-        c.pool = Some(Arc::clone(&pools[0]));
-        c
-    };
-    let mut sweep_cells: Vec<Vec<Duration>> = vec![Vec::with_capacity(runs); SWEEP_DEPTHS.len()];
-    for &depth in &SWEEP_DEPTHS {
-        run_dijkstra(spec, sweep_config(depth)); // warm-up, discarded
-    }
-    for _round in 0..runs {
-        for (di, &depth) in SWEEP_DEPTHS.iter().enumerate() {
-            sweep_cells[di].push(run_dijkstra(spec, sweep_config(depth)));
-        }
-    }
-    struct SweepRow {
-        depth: usize,
-        median: Duration,
-        ratio_vs_depth0: f64,
-        effective_depth: usize,
-        lookahead_hits: u64,
-        lookahead_misses: u64,
-    }
-    let sweep_base = median(&sweep_cells[0]).as_secs_f64();
-    let sweep_rows: Vec<SweepRow> = SWEEP_DEPTHS
-        .iter()
-        .zip(&sweep_cells)
-        .map(|(&depth, samples)| {
-            // One instrumented run per *lookahead-armed* depth for the
-            // hit/miss counters (outside the timing cells —
-            // record_steps is not free). Below depth 2 the lookahead
-            // is disarmed, the counters are zero by construction and
-            // the effective depth is the configured one, so the extra
-            // run would buy nothing.
-            let (effective_depth, hits, misses) = if depth >= 2 {
-                let (_, report) =
-                    shortest_path::run_jstar_report(spec, sweep_config(depth).record_steps())
-                        .expect("dijkstra runs");
-                (
-                    report.pipeline_depth,
-                    report.lookahead_hits,
-                    report.lookahead_misses,
-                )
-            } else {
-                (depth, 0, 0)
-            };
-            let med = median(samples);
-            SweepRow {
-                depth,
-                median: med,
-                ratio_vs_depth0: if sweep_base > 0.0 {
-                    med.as_secs_f64() / sweep_base
-                } else {
-                    1.0
-                },
-                effective_depth,
-                lookahead_hits: hits,
-                lookahead_misses: misses,
-            }
-        })
-        .collect();
-
-    // Three-arm triangle A/B: the app's Probe stratum pops as one wide
+    // Two-arm triangle A/B: the app's Probe stratum pops as one wide
     // class over a two-stage join rule, so the arms differ only in how
     // that class meets Gamma — per-tuple nested-loop firing (one
-    // indexed probe per tuple per stage), batched delta-join with one
-    // hash probe per distinct key (the PR 8 path), and the batched
-    // class lowered onto the leapfrog merged-cursor walk (one
-    // coordinated index walk per class, the default). Arms are
-    // interleaved within each round so all three see the same ambient
-    // noise; the `delta_join` section keeps its v3 shape from the
-    // first two arms, `wco_join` reports all three.
-    #[derive(Clone, Copy, PartialEq)]
-    enum TriArm {
-        PerTuple,
-        HashDj,
-        LeapfrogDj,
-    }
-    const TRI_ARMS: [TriArm; 3] = [TriArm::PerTuple, TriArm::HashDj, TriArm::LeapfrogDj];
+    // indexed probe per tuple per stage) vs. the batched class lowered
+    // onto the leapfrog merged-cursor walk (one coordinated index walk
+    // per class, the default). Arms are interleaved within each round
+    // so both see the same ambient noise.
     let tri_spec = triangles_spec();
-    let tri_config = |ti: usize, arm: TriArm| {
-        let mut c = config(ti);
-        match arm {
-            TriArm::PerTuple => c = c.delta_join_from(usize::MAX),
-            TriArm::HashDj => c = c.join_strategy(JoinStrategy::HashProbe),
-            TriArm::LeapfrogDj => {} // delta-join + leapfrog are the defaults
+    let tri_config = |ti: usize, delta_join: bool| {
+        let c = config(ti);
+        if delta_join {
+            c
+        } else {
+            c.delta_join_from(usize::MAX)
         }
-        c
     };
-    for &arm in &TRI_ARMS {
-        run_triangles(tri_spec, tri_config(0, arm)); // warm-up, discarded
+    for delta_join in [false, true] {
+        run_triangles(tri_spec, tri_config(0, delta_join)); // warm-up, discarded
     }
-    // tri_cells[threads][arm]: the arm loop is innermost so each
-    // cell's three arms run back-to-back under the same ambient
-    // conditions.
-    let mut tri_cells: Vec<Vec<Vec<Duration>>> =
-        vec![vec![Vec::with_capacity(runs); TRI_ARMS.len()]; THREADS.len()];
+    // tri_cells[threads] = (per-tuple, delta-join) samples: the arms
+    // run back-to-back under the same ambient conditions.
+    let mut tri_cells: Vec<(Vec<Duration>, Vec<Duration>)> =
+        vec![(Vec::with_capacity(runs), Vec::with_capacity(runs)); THREADS.len()];
     for _round in 0..runs {
-        for (ti, row) in tri_cells.iter_mut().enumerate() {
-            for (cell, &arm) in row.iter_mut().zip(&TRI_ARMS) {
-                cell.push(run_triangles(tri_spec, tri_config(ti, arm)));
-            }
+        for (ti, (pt, dj)) in tri_cells.iter_mut().enumerate() {
+            pt.push(run_triangles(tri_spec, tri_config(ti, false)));
+            dj.push(run_triangles(tri_spec, tri_config(ti, true)));
         }
     }
     // One counter run per (threads, arm): the probe/seek counters are
     // plain stats, always collected, so these runs are cheap and stay
     // outside the timing cells.
-    struct DjRow {
+    struct TriRow {
         threads: usize,
         median_per_tuple: Duration,
         median_delta_join: Duration,
         ratio_dj_vs_pt: f64,
         pt_gamma_probes: u64,
         dj_gamma_probes: u64,
-        dj_probes: u64,
+        dj_join_seeks: u64,
+        dj_cursor_opens: u64,
         dj_classes: u64,
         dj_build_tuples: u64,
     }
-    struct WcoRow {
-        threads: usize,
-        median_per_tuple: Duration,
-        median_hash: Duration,
-        median_leapfrog: Duration,
-        ratio_lf_vs_pt: f64,
-        ratio_lf_vs_hash: f64,
-        pt_gamma_probes: u64,
-        hash_gamma_probes: u64,
-        hash_dj_probes: u64,
-        lf_gamma_probes: u64,
-        lf_join_seeks: u64,
-        lf_cursor_opens: u64,
-    }
-    let mut dj_rows: Vec<DjRow> = Vec::with_capacity(THREADS.len());
-    let mut wco_rows: Vec<WcoRow> = Vec::with_capacity(THREADS.len());
+    let mut tri_rows: Vec<TriRow> = Vec::with_capacity(THREADS.len());
     for (ti, &tri_threads) in THREADS.iter().enumerate() {
         let (_, pt_report) =
-            triangles::run_jstar_report(tri_spec, tri_config(ti, TriArm::PerTuple))
-                .expect("triangles");
-        let (_, hash_report) =
-            triangles::run_jstar_report(tri_spec, tri_config(ti, TriArm::HashDj))
-                .expect("triangles");
-        let (_, lf_report) =
-            triangles::run_jstar_report(tri_spec, tri_config(ti, TriArm::LeapfrogDj))
-                .expect("triangles");
+            triangles::run_jstar_report(tri_spec, tri_config(ti, false)).expect("triangles");
+        let (_, dj_report) =
+            triangles::run_jstar_report(tri_spec, tri_config(ti, true)).expect("triangles");
         assert_eq!(
             pt_report.delta_join_classes, 0,
             "per-tuple arm must not batch"
         );
         assert!(
-            hash_report.delta_join_classes > 0 && lf_report.delta_join_classes > 0,
-            "delta-join arms must batch"
+            dj_report.delta_join_classes > 0,
+            "delta-join arm must batch"
         );
-        assert_eq!(
-            lf_report.delta_join_probes, 0,
-            "the leapfrog walk must not hash-probe"
-        );
-        let med_pt = median(&tri_cells[ti][0]);
-        let med_hash = median(&tri_cells[ti][1]);
-        let med_lf = median(&tri_cells[ti][2]);
-        let ratio = |num: Duration, den: Duration| {
-            if den.as_secs_f64() > 0.0 {
-                num.as_secs_f64() / den.as_secs_f64()
+        let med_pt = median(&tri_cells[ti].0);
+        let med_dj = median(&tri_cells[ti].1);
+        tri_rows.push(TriRow {
+            threads: tri_threads,
+            median_per_tuple: med_pt,
+            median_delta_join: med_dj,
+            ratio_dj_vs_pt: if med_pt.as_secs_f64() > 0.0 {
+                med_dj.as_secs_f64() / med_pt.as_secs_f64()
             } else {
                 1.0
-            }
-        };
-        dj_rows.push(DjRow {
-            threads: tri_threads,
-            median_per_tuple: med_pt,
-            median_delta_join: med_hash,
-            ratio_dj_vs_pt: ratio(med_hash, med_pt),
+            },
             pt_gamma_probes: pt_report.gamma_probes,
-            dj_gamma_probes: hash_report.gamma_probes,
-            dj_probes: hash_report.delta_join_probes,
-            dj_classes: hash_report.delta_join_classes,
-            dj_build_tuples: hash_report.delta_join_build_tuples,
-        });
-        wco_rows.push(WcoRow {
-            threads: tri_threads,
-            median_per_tuple: med_pt,
-            median_hash: med_hash,
-            median_leapfrog: med_lf,
-            ratio_lf_vs_pt: ratio(med_lf, med_pt),
-            ratio_lf_vs_hash: ratio(med_lf, med_hash),
-            pt_gamma_probes: pt_report.gamma_probes,
-            hash_gamma_probes: hash_report.gamma_probes,
-            hash_dj_probes: hash_report.delta_join_probes,
-            lf_gamma_probes: lf_report.gamma_probes,
-            lf_join_seeks: lf_report.join_seeks,
-            lf_cursor_opens: lf_report.join_cursor_opens,
+            dj_gamma_probes: dj_report.gamma_probes,
+            dj_join_seeks: dj_report.join_seeks,
+            dj_cursor_opens: dj_report.join_cursor_opens,
+            dj_classes: dj_report.delta_join_classes,
+            dj_build_tuples: dj_report.delta_join_build_tuples,
         });
     }
 
@@ -448,244 +298,6 @@ fn main() {
         measure("fig11_matmul", &mut |c| run_matmul(n, &a, &b, c));
         measure("fig12_dijkstra", &mut |c| run_dijkstra(spec, c));
     }
-
-    // Join-strategy parity on the same join-free exhibits: the
-    // leapfrog default only changes how *join-plan* classes execute,
-    // so on programs with no join rules the strategy knob must be
-    // invisible. Matched interleaved pairs (hash then leapfrog within
-    // each round), gated on the median pair ratio like the delta-join
-    // section above.
-    struct WcoParityRow {
-        workload: &'static str,
-        median_hash: Duration,
-        median_leapfrog: Duration,
-        ratio: f64,
-    }
-    let mut wco_parity_rows: Vec<WcoParityRow> = Vec::new();
-    {
-        let strategy_config = |lf: bool| {
-            config(parity_ti).join_strategy(if lf {
-                JoinStrategy::Leapfrog
-            } else {
-                JoinStrategy::HashProbe
-            })
-        };
-        let mut measure = |workload: &'static str, f: &mut dyn FnMut(EngineConfig) -> Duration| {
-            let mut hash: Vec<Duration> = Vec::with_capacity(runs);
-            let mut lf: Vec<Duration> = Vec::with_capacity(runs);
-            for _round in 0..runs {
-                hash.push(f(strategy_config(false)));
-                lf.push(f(strategy_config(true)));
-            }
-            let mut ratios: Vec<f64> = hash
-                .iter()
-                .zip(&lf)
-                .filter(|(h, _)| h.as_secs_f64() > 0.0)
-                .map(|(h, l)| l.as_secs_f64() / h.as_secs_f64())
-                .collect();
-            ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-            wco_parity_rows.push(WcoParityRow {
-                workload,
-                median_hash: median(&hash),
-                median_leapfrog: median(&lf),
-                ratio: ratios.get(ratios.len() / 2).copied().unwrap_or(1.0),
-            });
-        };
-        measure("fig8_pvwatts", &mut |c| {
-            run_pvwatts(&csv, THREADS[parity_ti].max(2), Variant::HashStore, c)
-        });
-        measure("fig11_matmul", &mut |c| run_matmul(n, &a, &b, c));
-        measure("fig12_dijkstra", &mut |c| run_dijkstra(spec, c));
-    }
-
-    // Index-cache A/B on the join exhibits: cold (`Off`) rebuilds every
-    // column index at every cursor open; warm (`EagerRefresh`) reuses
-    // generation-stamped entries and catches up from the claim-journal
-    // suffix, with refresh jobs overlapping the maintain phase. Arms
-    // interleave within each round; one instrumented run per cell
-    // (outside the timing cells) records the hit/catch-up counters the
-    // claim rests on.
-    #[derive(Clone, Copy)]
-    enum CacheArm {
-        Cold,
-        Warm,
-    }
-    const CACHE_ARMS: [CacheArm; 2] = [CacheArm::Cold, CacheArm::Warm];
-    const CACHE_WORKLOADS: [&str; 2] = ["triangles", "basket"];
-    let basket = basket_spec();
-    let cache_config = |ti: usize, arm: CacheArm| {
-        config(ti).index_cache(match arm {
-            CacheArm::Cold => IndexCachePolicy::Off,
-            CacheArm::Warm => IndexCachePolicy::EagerRefresh,
-        })
-    };
-    let cache_run = |wi: usize, ti: usize, arm: CacheArm| match wi {
-        0 => run_triangles(tri_spec, cache_config(ti, arm)),
-        _ => run_basket(basket, cache_config(ti, arm)),
-    };
-    for wi in 0..CACHE_WORKLOADS.len() {
-        for &arm in &CACHE_ARMS {
-            cache_run(wi, 0, arm); // warm-up, discarded
-        }
-    }
-    // cache_cells[workload][threads][arm], arms innermost so each pair
-    // runs back-to-back under the same ambient conditions.
-    let mut cache_cells: Vec<Vec<Vec<Vec<Duration>>>> =
-        vec![vec![vec![Vec::with_capacity(runs); CACHE_ARMS.len()]; THREADS.len()]; 2];
-    for _round in 0..runs {
-        for (wi, table) in cache_cells.iter_mut().enumerate() {
-            for (ti, row) in table.iter_mut().enumerate() {
-                for (cell, &arm) in row.iter_mut().zip(&CACHE_ARMS) {
-                    cell.push(cache_run(wi, ti, arm));
-                }
-            }
-        }
-    }
-    struct CacheRow {
-        workload: &'static str,
-        threads: usize,
-        median_cold: Duration,
-        median_warm: Duration,
-        ratio_warm_vs_cold: f64,
-        cold_build_tuples: u64,
-        warm_hits: u64,
-        warm_misses: u64,
-        warm_catchup_tuples: u64,
-        warm_build_tuples: u64,
-        warm_hit_rate: f64,
-    }
-    let mut cache_rows: Vec<CacheRow> = Vec::with_capacity(CACHE_WORKLOADS.len() * THREADS.len());
-    for (wi, &workload) in CACHE_WORKLOADS.iter().enumerate() {
-        for (ti, &threads) in THREADS.iter().enumerate() {
-            let report_of = |arm: CacheArm| match wi {
-                0 => {
-                    triangles::run_jstar_report(tri_spec, cache_config(ti, arm))
-                        .expect("triangles")
-                        .1
-                }
-                _ => {
-                    jstar_apps::basket::run_report(basket, cache_config(ti, arm))
-                        .expect("basket")
-                        .1
-                }
-            };
-            let cold_report = report_of(CacheArm::Cold);
-            let warm_report = report_of(CacheArm::Warm);
-            assert_eq!(
-                cold_report.index_cache_hits, 0,
-                "the Off policy must never hit"
-            );
-            let med_cold = median(&cache_cells[wi][ti][0]);
-            let med_warm = median(&cache_cells[wi][ti][1]);
-            cache_rows.push(CacheRow {
-                workload,
-                threads,
-                median_cold: med_cold,
-                median_warm: med_warm,
-                ratio_warm_vs_cold: if med_cold.as_secs_f64() > 0.0 {
-                    med_warm.as_secs_f64() / med_cold.as_secs_f64()
-                } else {
-                    1.0
-                },
-                cold_build_tuples: cold_report.index_build_tuples,
-                warm_hits: warm_report.index_cache_hits,
-                warm_misses: warm_report.index_cache_misses,
-                warm_catchup_tuples: warm_report.index_catchup_tuples,
-                warm_build_tuples: warm_report.index_build_tuples,
-                warm_hit_rate: warm_report.index_cache_hit_rate(),
-            });
-        }
-    }
-
-    // Index-cache parity on the join-free exhibits: fig8/fig11/fig12
-    // never open a column cursor, so the cache — stamping, the
-    // maintain-phase refresh hook, the eager policy's empty job batches
-    // — must cost nothing. Matched interleaved pairs at the mid thread
-    // count, gated on the median pair ratio like the delta-join
-    // section.
-    struct CacheParityRow {
-        workload: &'static str,
-        median_cold: Duration,
-        median_warm: Duration,
-        ratio: f64,
-    }
-    let mut cache_parity_rows: Vec<CacheParityRow> = Vec::new();
-    {
-        let parity_cache_config = |warm: bool| {
-            config(parity_ti).index_cache(if warm {
-                IndexCachePolicy::EagerRefresh
-            } else {
-                IndexCachePolicy::Off
-            })
-        };
-        let mut measure = |workload: &'static str, f: &mut dyn FnMut(EngineConfig) -> Duration| {
-            let mut cold: Vec<Duration> = Vec::with_capacity(runs);
-            let mut warm: Vec<Duration> = Vec::with_capacity(runs);
-            for _round in 0..runs {
-                cold.push(f(parity_cache_config(false)));
-                warm.push(f(parity_cache_config(true)));
-            }
-            let mut ratios: Vec<f64> = cold
-                .iter()
-                .zip(&warm)
-                .filter(|(c, _)| c.as_secs_f64() > 0.0)
-                .map(|(c, w)| w.as_secs_f64() / c.as_secs_f64())
-                .collect();
-            ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
-            cache_parity_rows.push(CacheParityRow {
-                workload,
-                median_cold: median(&cold),
-                median_warm: median(&warm),
-                ratio: ratios.get(ratios.len() / 2).copied().unwrap_or(1.0),
-            });
-        };
-        measure("fig8_pvwatts", &mut |c| {
-            run_pvwatts(&csv, THREADS[parity_ti].max(2), Variant::HashStore, c)
-        });
-        measure("fig11_matmul", &mut |c| run_matmul(n, &a, &b, c));
-        measure("fig12_dijkstra", &mut |c| run_dijkstra(spec, c));
-    }
-
-    // Depth-2 soak: every app once at pipeline_depth 2 with the
-    // lookahead armed, recording per-app hit rates. Hit/miss counters
-    // need record_steps, so these runs stay out of the timing cells.
-    struct SoakRow {
-        app: &'static str,
-        steps: u64,
-        lookahead_hits: u64,
-        lookahead_misses: u64,
-        hit_rate: f64,
-    }
-    let soak_config = || config(1).pipeline_depth(2).record_steps();
-    let soak_rows: Vec<SoakRow> = {
-        let soak = |app: &'static str, report: &jstar_core::engine::RunReport| SoakRow {
-            app,
-            steps: report.steps,
-            lookahead_hits: report.lookahead_hits,
-            lookahead_misses: report.lookahead_misses,
-            hit_rate: report.lookahead_hit_rate(),
-        };
-        let (_, r8) = jstar_apps::pvwatts::run_jstar(
-            Arc::clone(&csv),
-            THREADS[1].max(2),
-            Variant::HashStore,
-            soak_config(),
-        )
-        .expect("pvwatts runs");
-        let (_, r11) = matmul::run_jstar_report(n, Arc::clone(&a), Arc::clone(&b), soak_config())
-            .expect("matmul runs");
-        let (_, r12) = shortest_path::run_jstar_report(spec, soak_config()).expect("dijkstra runs");
-        let med_data = Arc::new(median::gen_data(median_len(), 99));
-        let (_, r13) = median::run_jstar_report(med_data, 24, soak_config()).expect("median runs");
-        let (_, rtri) = triangles::run_jstar_report(tri_spec, soak_config()).expect("triangles");
-        vec![
-            soak("fig8_pvwatts", &r8),
-            soak("fig11_matmul", &r11),
-            soak("fig12_dijkstra", &r12),
-            soak("fig13_median", &r13),
-            soak("triangles", &rtri),
-        ]
-    };
 
     // Checkpoint overhead: fig8 with periodic checkpointing on vs. off,
     // interleaved. The checkpoint path quiesces the Delta queue,
@@ -771,7 +383,7 @@ fn main() {
     // Hand-rolled JSON (the workspace deliberately vendors no serde).
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"jstar-hotpath/v5\",\n");
+    out.push_str("  \"schema\": \"jstar-hotpath/v6\",\n");
     out.push_str(&format!("  \"scale\": {},\n", json_f(scale())));
     out.push_str(&format!(
         "  \"hardware_threads\": {},\n",
@@ -817,84 +429,35 @@ fn main() {
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"depth_sweep\": [\n");
-    for (i, row) in sweep_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"fig12_dijkstra\", \"threads\": 1, \"depth\": {}, \
-             \"effective_depth\": {}, \"median_secs\": {}, \"ratio_vs_depth0\": {}, \
-             \"lookahead_hits\": {}, \"lookahead_misses\": {}}}{}\n",
-            row.depth,
-            row.effective_depth,
-            json_f(row.median.as_secs_f64()),
-            json_f(row.ratio_vs_depth0),
-            row.lookahead_hits,
-            row.lookahead_misses,
-            if i + 1 < sweep_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
     out.push_str("  \"delta_join\": [\n");
-    for (i, row) in dj_rows.iter().enumerate() {
+    for (i, row) in tri_rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"triangles\", \"threads\": {}, \
              \"median_per_tuple_secs\": {}, \"median_delta_join_secs\": {}, \
-             \"ratio_dj_vs_pt\": {}, \"per_tuple_gamma_probes\": {}, \
-             \"delta_join_gamma_probes\": {}, \"delta_join_probes\": {}, \
-             \"delta_join_classes\": {}, \"delta_join_build_tuples\": {}}}{}\n",
+             \"ratio_dj_vs_pt\": {}, \"delta_join_classes\": {}, \
+             \"delta_join_build_tuples\": {}}}{}\n",
             row.threads,
             json_f(row.median_per_tuple.as_secs_f64()),
             json_f(row.median_delta_join.as_secs_f64()),
             json_f(row.ratio_dj_vs_pt),
-            row.pt_gamma_probes,
-            row.dj_gamma_probes,
-            row.dj_probes,
             row.dj_classes,
             row.dj_build_tuples,
-            if i + 1 < dj_rows.len() { "," } else { "" }
+            if i + 1 < tri_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
     out.push_str("  \"wco_join\": [\n");
-    for (i, row) in wco_rows.iter().enumerate() {
+    for (i, row) in tri_rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"triangles\", \"threads\": {}, \
-             \"median_per_tuple_secs\": {}, \"median_hash_secs\": {}, \
-             \"median_leapfrog_secs\": {}, \"ratio_lf_vs_pt\": {}, \
-             \"ratio_lf_vs_hash\": {}, \"per_tuple_gamma_probes\": {}, \
-             \"hash_gamma_probes\": {}, \"hash_delta_join_probes\": {}, \
-             \"leapfrog_gamma_probes\": {}, \"leapfrog_join_seeks\": {}, \
-             \"leapfrog_cursor_opens\": {}}}{}\n",
+             \"per_tuple_gamma_probes\": {}, \"leapfrog_gamma_probes\": {}, \
+             \"leapfrog_join_seeks\": {}, \"leapfrog_cursor_opens\": {}}}{}\n",
             row.threads,
-            json_f(row.median_per_tuple.as_secs_f64()),
-            json_f(row.median_hash.as_secs_f64()),
-            json_f(row.median_leapfrog.as_secs_f64()),
-            json_f(row.ratio_lf_vs_pt),
-            json_f(row.ratio_lf_vs_hash),
             row.pt_gamma_probes,
-            row.hash_gamma_probes,
-            row.hash_dj_probes,
-            row.lf_gamma_probes,
-            row.lf_join_seeks,
-            row.lf_cursor_opens,
-            if i + 1 < wco_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"wco_join_parity\": [\n");
-    for (i, row) in wco_parity_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"median_hash_secs\": {}, \
-             \"median_leapfrog_secs\": {}, \"ratio_lf_vs_hash\": {}}}{}\n",
-            row.workload,
-            THREADS[parity_ti],
-            json_f(row.median_hash.as_secs_f64()),
-            json_f(row.median_leapfrog.as_secs_f64()),
-            json_f(row.ratio),
-            if i + 1 < wco_parity_rows.len() {
-                ","
-            } else {
-                ""
-            }
+            row.dj_gamma_probes,
+            row.dj_join_seeks,
+            row.dj_cursor_opens,
+            if i + 1 < tri_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
@@ -909,62 +472,6 @@ fn main() {
             json_f(row.median_delta_join.as_secs_f64()),
             json_f(row.ratio),
             if i + 1 < parity_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"index_cache\": [\n");
-    for (i, row) in cache_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"median_cold_secs\": {}, \
-             \"median_warm_secs\": {}, \"ratio_warm_vs_cold\": {}, \
-             \"cold_index_build_tuples\": {}, \"warm_index_cache_hits\": {}, \
-             \"warm_index_cache_misses\": {}, \"warm_index_catchup_tuples\": {}, \
-             \"warm_index_build_tuples\": {}, \"warm_hit_rate\": {}}}{}\n",
-            row.workload,
-            row.threads,
-            json_f(row.median_cold.as_secs_f64()),
-            json_f(row.median_warm.as_secs_f64()),
-            json_f(row.ratio_warm_vs_cold),
-            row.cold_build_tuples,
-            row.warm_hits,
-            row.warm_misses,
-            row.warm_catchup_tuples,
-            row.warm_build_tuples,
-            json_f(row.warm_hit_rate),
-            if i + 1 < cache_rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"index_cache_parity\": [\n");
-    for (i, row) in cache_parity_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"median_cold_secs\": {}, \
-             \"median_warm_secs\": {}, \"ratio_warm_vs_cold\": {}}}{}\n",
-            row.workload,
-            THREADS[parity_ti],
-            json_f(row.median_cold.as_secs_f64()),
-            json_f(row.median_warm.as_secs_f64()),
-            json_f(row.ratio),
-            if i + 1 < cache_parity_rows.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"depth2_soak\": [\n");
-    for (i, row) in soak_rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"threads\": {}, \"depth\": 2, \"steps\": {}, \
-             \"lookahead_hits\": {}, \"lookahead_misses\": {}, \"hit_rate\": {}}}{}\n",
-            row.app,
-            THREADS[1],
-            row.steps,
-            row.lookahead_hits,
-            row.lookahead_misses,
-            json_f(row.hit_rate),
-            if i + 1 < soak_rows.len() { "," } else { "" }
         ));
     }
     out.push_str("  ],\n");
@@ -1009,35 +516,6 @@ fn main() {
         }
         println!("drain check ok: worst fig12 drain fraction {worst:.3} <= {ceiling:.3}");
 
-        // Depth-sweep parity gate: at 1 thread the pipelined
-        // coordinator has no idle workers to exploit and no join to
-        // hide speculation behind, so anything beyond a noise allowance
-        // over the alternating loop — at *any* depth — is pure
-        // pipeline/lookahead overhead. Fail before it ships.
-        const SWEEP_TOLERANCE: f64 = 1.30;
-        for row in sweep_rows.iter().filter(|r| r.depth > 0) {
-            if row.ratio_vs_depth0 > SWEEP_TOLERANCE {
-                eprintln!(
-                    "FAIL: fig12 single-thread depth{} median {:.4}s is {:.2}x the alternating \
-                     loop's {sweep_base:.4}s (tolerance {SWEEP_TOLERANCE:.2}x) — \
-                     pipeline_depth={} regressed the no-overlap case",
-                    row.depth,
-                    row.median.as_secs_f64(),
-                    row.ratio_vs_depth0,
-                    row.depth,
-                );
-                std::process::exit(1);
-            }
-        }
-        let ratios: Vec<String> = sweep_rows
-            .iter()
-            .map(|r| format!("depth{} {:.3}", r.depth, r.ratio_vs_depth0))
-            .collect();
-        println!(
-            "depth sweep ok: fig12 1-thread medians vs depth0 — {}",
-            ratios.join(", ")
-        );
-
         // Delta-join parity gate: on programs with no join rules, the
         // batched mode must be indistinguishable from per-tuple firing
         // — the scheduler's eligibility check is the only code the mode
@@ -1064,138 +542,6 @@ fn main() {
         println!(
             "delta-join parity ok (pair-ratio medians vs per-tuple): {}",
             parity.join(", ")
-        );
-
-        // WCO-join search gate: the leapfrog walk's whole claim is
-        // that one coordinated index walk per class searches less than
-        // one hash probe per distinct key. The counters are
-        // deterministic, so this is exact: at every thread count the
-        // leapfrog arm's probes + counted seeks must stay strictly
-        // below the hash arm's probes.
-        for row in &wco_rows {
-            if row.lf_gamma_probes + row.lf_join_seeks >= row.hash_gamma_probes {
-                eprintln!(
-                    "FAIL: triangles at {} threads — leapfrog gamma_probes {} + join_seeks {} \
-                     is not below the hash arm's gamma_probes {} — the merged-cursor walk no \
-                     longer searches less than per-key probing",
-                    row.threads, row.lf_gamma_probes, row.lf_join_seeks, row.hash_gamma_probes,
-                );
-                std::process::exit(1);
-            }
-        }
-        let searches: Vec<String> = wco_rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{}t {}+{} < {}",
-                    r.threads, r.lf_gamma_probes, r.lf_join_seeks, r.hash_gamma_probes
-                )
-            })
-            .collect();
-        println!(
-            "wco-join search ok (leapfrog probes+seeks vs hash probes): {}",
-            searches.join(", ")
-        );
-
-        // Join-strategy parity gate: on programs with no join rules
-        // the leapfrog default must be indistinguishable from hash
-        // probing — the strategy only selects how join-plan classes
-        // execute, and these programs have none.
-        for row in &wco_parity_rows {
-            if row.ratio > DJ_TOLERANCE {
-                eprintln!(
-                    "FAIL: {} under the leapfrog strategy is {:.3}x the hash strategy (medians \
-                     {:.4}s vs {:.4}s, tolerance {DJ_TOLERANCE:.2}x) — strategy selection is no \
-                     longer free on join-free programs",
-                    row.workload,
-                    row.ratio,
-                    row.median_leapfrog.as_secs_f64(),
-                    row.median_hash.as_secs_f64(),
-                );
-                std::process::exit(1);
-            }
-        }
-        let wco_parity: Vec<String> = wco_parity_rows
-            .iter()
-            .map(|r| format!("{} {:.3}", r.workload, r.ratio))
-            .collect();
-        println!(
-            "wco-join strategy parity ok (pair-ratio medians vs hash): {}",
-            wco_parity.join(", ")
-        );
-
-        // Index-cache parity gate: on programs that never open a column
-        // cursor the cache must be free — generation stamping, the
-        // maintain-phase refresh hook and the eager policy's empty job
-        // batches are the only code it adds to their hot path.
-        const CACHE_TOLERANCE: f64 = 1.05;
-        for row in &cache_parity_rows {
-            if row.ratio > CACHE_TOLERANCE {
-                eprintln!(
-                    "FAIL: {} with the warm index cache is {:.3}x the cold run (medians {:.4}s \
-                     vs {:.4}s, tolerance {CACHE_TOLERANCE:.2}x) — the index cache is no longer \
-                     free on join-free programs",
-                    row.workload,
-                    row.ratio,
-                    row.median_warm.as_secs_f64(),
-                    row.median_cold.as_secs_f64(),
-                );
-                std::process::exit(1);
-            }
-        }
-        let cache_parity: Vec<String> = cache_parity_rows
-            .iter()
-            .map(|r| format!("{} {:.3}", r.workload, r.ratio))
-            .collect();
-        println!(
-            "index-cache parity ok (pair-ratio medians warm vs cold): {}",
-            cache_parity.join(", ")
-        );
-
-        // Index-cache effectiveness: the warm arm's whole claim is that
-        // cached entries replace rebuilds. Triangles re-opens the Edge
-        // index across the Wedge and Probe strata, so its warm run must
-        // hit and sort strictly fewer tuples from scratch than cold at
-        // every thread count; basket's single wide Order class opens
-        // each dimension index exactly once, so the exact bound there
-        // is parity — warm must never build *more*. Counters, not
-        // wall-clock — deterministic, so the bounds are exact.
-        for row in &cache_rows {
-            let reopens = row.workload == "triangles";
-            let ok = if reopens {
-                row.warm_hits > 0 && row.warm_build_tuples < row.cold_build_tuples
-            } else {
-                row.warm_build_tuples <= row.cold_build_tuples
-            };
-            if !ok {
-                eprintln!(
-                    "FAIL: {} at {} threads — warm cache built {} tuples (hits {}) vs the cold \
-                     arm's {} — the cache is not replacing index rebuilds",
-                    row.workload,
-                    row.threads,
-                    row.warm_build_tuples,
-                    row.warm_hits,
-                    row.cold_build_tuples,
-                );
-                std::process::exit(1);
-            }
-        }
-        let cache_effect: Vec<String> = cache_rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "{} {}t {}b vs {}b hit {:.0}%",
-                    r.workload,
-                    r.threads,
-                    r.warm_build_tuples,
-                    r.cold_build_tuples,
-                    100.0 * r.warm_hit_rate
-                )
-            })
-            .collect();
-        println!(
-            "index-cache effectiveness ok (warm vs cold build tuples): {}",
-            cache_effect.join(", ")
         );
 
         // Checkpoint-overhead gate: periodic durability must stay a

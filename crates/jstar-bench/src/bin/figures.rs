@@ -76,11 +76,6 @@ fn hotpath() {
         let (drain_step, exec_step) = report.per_step();
         let steps = report.steps.max(1) as f64;
         let per_step_us = |d: std::time::Duration| d.as_nanos() as f64 / steps / 1000.0;
-        let lookahead = if report.lookahead_hits + report.lookahead_misses > 0 {
-            format!("{:.1}%", 100.0 * report.lookahead_hit_rate())
-        } else {
-            "-".into()
-        };
         // Execution mode: how many popped classes took the batched
         // delta-join pass instead of per-tuple firing, plus the Gamma
         // probe counters the pass exists to shrink.
@@ -96,13 +91,11 @@ fn hotpath() {
         };
         vec![
             name,
-            format!("{}", report.pipeline_depth),
             report.steps.to_string(),
             report.tuples_processed.to_string(),
             format!("{:.0}", report.tuples_per_sec()),
             format!("{:.1}%", 100.0 * report.drain_fraction()),
             format!("{:.1}%", 100.0 * report.overlap_fraction()),
-            lookahead,
             format!("{:.1}", drain_step.as_nanos() as f64 / 1000.0),
             format!("{:.1}", per_step_us(report.partition_time)),
             format!("{:.1}", per_step_us(report.merge_time)),
@@ -111,7 +104,6 @@ fn hotpath() {
             format!("{}/{}", report.inline_classes, report.forked_classes),
             exec_mode,
             report.gamma_probes.to_string(),
-            report.delta_join_probes.to_string(),
             report.join_seeks.to_string(),
             report.join_cursor_opens.to_string(),
             cache_hit_rate,
@@ -145,27 +137,11 @@ fn hotpath() {
             .expect("dijkstra runs");
         rows.push(row(format!("dijkstra parallel({threads})"), &report));
     }
-    // One lookahead row per workload: pipeline_depth 2 arms the
-    // speculative next-class extraction, whose hit rate lands in the
-    // "lookahead hits" column.
     let threads = 4usize;
-    let (_, report) = jstar_apps::pvwatts::run_jstar(
-        Arc::clone(&csv),
-        threads.max(2),
-        jstar_apps::pvwatts::Variant::HashStore,
-        par_config(threads).pipeline_depth(2).record_steps(),
-    )
-    .expect("pvwatts runs");
-    rows.push(row(format!("pvwatts parallel({threads}) depth2"), &report));
-    let (_, report) =
-        shortest_path::run_jstar_report(spec, par_config(threads).pipeline_depth(2).record_steps())
-            .expect("dijkstra runs");
-    rows.push(row(format!("dijkstra parallel({threads}) depth2"), &report));
-    // Triangle counting in all three execution modes: per-tuple
-    // nested-loop firing, batched delta-join with hash probes, and the
-    // batched class on the leapfrog merged-cursor walk. The gamma
-    // probe / join seek / cursor-open columns put the search-count
-    // reduction of each step on record.
+    // Triangle counting in both execution modes: per-tuple nested-loop
+    // firing and the batched class on the leapfrog merged-cursor walk.
+    // The gamma probe / join seek / cursor-open columns put the
+    // search-count reduction on record.
     let tri_spec = triangles_spec();
     let (_, report) = jstar_apps::triangles::run_jstar_report(
         tri_spec,
@@ -178,36 +154,23 @@ fn hotpath() {
         format!("triangles parallel({threads}) per-tuple"),
         &report,
     ));
-    let (_, report) = jstar_apps::triangles::run_jstar_report(
-        tri_spec,
-        par_config(threads)
-            .join_strategy(JoinStrategy::HashProbe)
-            .record_steps(),
-    )
-    .expect("triangles runs");
-    rows.push(row(
-        format!("triangles parallel({threads}) delta-join hash"),
-        &report,
-    ));
     let (_, report) =
         jstar_apps::triangles::run_jstar_report(tri_spec, par_config(threads).record_steps())
             .expect("triangles runs");
     rows.push(row(
-        format!("triangles parallel({threads}) delta-join leapfrog"),
+        format!("triangles parallel({threads}) delta-join"),
         &report,
     ));
     print_table(
-        "Hot path — Delta throughput, coordinator drain/execute split, pipeline overlap, \
-         lookahead and execution mode (PvWatts hash store; Dijkstra; Triangles)",
+        "Hot path — Delta throughput, coordinator drain/execute split, overlap and \
+         execution mode (PvWatts hash store; Dijkstra; Triangles)",
         &[
             "engine",
-            "depth",
             "steps",
             "tuples",
             "tuples/sec",
             "drain share",
             "overlap share",
-            "lookahead hit rate",
             "drain µs/step",
             "partition µs/step",
             "merge µs/step",
@@ -216,7 +179,6 @@ fn hotpath() {
             "inline/forked classes",
             "exec mode",
             "gamma probes",
-            "delta-join probes",
             "join seeks",
             "cursor opens",
             "cache hit rate",

@@ -104,6 +104,16 @@ macro_rules! int_atomic {
             }
 
             #[track_caller]
+            pub fn fetch_max(&self, val: $prim, order: Ordering) -> $prim {
+                match current() {
+                    Some((e, me)) => e.atomic_op(me, &self.loc, || {
+                        (self.v.fetch_max(val, StdOrdering::Relaxed), AtomicKind::Rmw(order))
+                    }),
+                    None => self.v.fetch_max(val, order),
+                }
+            }
+
+            #[track_caller]
             pub fn compare_exchange(
                 &self,
                 currentv: $prim,

@@ -17,7 +17,7 @@
 //!   worker owns one shard (routed by its stable
 //!   [`jstar_pool::ThreadPool::current_worker_index`]), so staging a tuple
 //!   is an uncontended `Vec::push`; the coordinator swaps all shards out in
-//!   bulk between steps ([`ShardedInbox::drain_batch`]). The Law of
+//!   bulk, one epoch at a time ([`ShardedInbox::swap_epoch`]). The Law of
 //!   Causality guarantees staged tuples never belong to the *current* step,
 //!   so draining at the step boundary is semantically exact. (The paper's
 //!   implementation used a `ConcurrentSkipListMap` tree, which all workers
@@ -124,23 +124,6 @@ impl DeltaNode {
         }
     }
 
-    /// Non-destructive twin of [`DeltaNode::pop_min`]: finds the minimal
-    /// equivalence class below this node, appending its path to `path`,
-    /// without removing anything.
-    fn peek_min<'a>(&'a self, path: &mut Vec<KeyPart>) -> Option<&'a TupleSet> {
-        if !self.here.is_empty() {
-            return Some(&self.here);
-        }
-        for (part, child) in &self.children {
-            path.push(part.clone());
-            if let Some(set) = child.peek_min(path) {
-                return Some(set);
-            }
-            path.pop();
-        }
-        None
-    }
-
     /// Structurally merges `other` into `self`, calling `on_dup(table
     /// index)` for every tuple of `other` that was already present at the
     /// same position. Subtrees that exist only in `other` are spliced in
@@ -174,172 +157,34 @@ impl DeltaNode {
     }
 }
 
-/// The pieces a Delta structure contributes to the shared
-/// [`merge_partitioned_impl`] scaffold: a sequential insert, an
-/// off-thread partial build, and a coordinator-side graft.
-trait PartitionMerge {
-    /// The structure a pool worker builds from one partition run.
-    type Partial: Send;
-
-    /// Sequential-fallback insert (identical to the public `insert`).
-    fn insert_one(&mut self, key: &OrderKey, t: Tuple) -> bool;
-
-    /// Builds a partial from a run, counting fresh inserts per table in
-    /// `per_table`; returns the partial and its fresh-insert total. Runs
-    /// on pool workers — no access to the main structure.
-    fn build_partial(
-        run: &mut Vec<(OrderKey, Tuple)>,
-        per_table: &mut [u64],
-    ) -> (Self::Partial, usize);
-
-    /// Merges a partial into the main structure, calling `on_dup(table
-    /// index)` for every tuple that was already present.
-    fn graft(&mut self, partial: Self::Partial, on_dup: &mut dyn FnMut(usize));
-
-    /// Adjusts the structure's cached length after a graft round (the
-    /// sequential path goes through `insert_one`, which already counts).
-    fn add_len(&mut self, n: usize);
-}
-
-/// Shared scaffold for the partitioned merges of [`DeltaTree`] and
-/// [`FlatDelta`]: decides sequential-vs-parallel, runs the per-partition
-/// partial builds on the pool (handing the emptied run buffers back so
-/// staging allocations survive the round trip — the next drain
-/// swap-steals them into the shard bins instead of re-growing every
-/// buffer from zero), and settles the per-table dedup accounting around
-/// the caller's graft.
-fn merge_partitioned_impl<M: PartitionMerge>(
-    m: &mut M,
-    partitions: &mut [Vec<(OrderKey, Tuple)>],
-    pool: Option<&ThreadPool>,
-    inserted_by_table: &mut [u64],
+/// True when a staged batch should be merged by pool workers: a
+/// multi-thread pool, at least `seq_threshold` staged tuples and more
+/// than one busy partition. Otherwise the sequential insert loop is
+/// cheaper than the fork/join round trip.
+fn merge_pool<'p>(
+    partitions: &[Vec<(OrderKey, Tuple)>],
+    pool: Option<&'p ThreadPool>,
     seq_threshold: usize,
-) -> usize {
+) -> Option<&'p ThreadPool> {
     let total: usize = partitions.iter().map(Vec::len).sum();
-    if total == 0 {
-        return 0;
-    }
     let busy = partitions.iter().filter(|p| !p.is_empty()).count();
-    let pool = match pool {
-        Some(p) if total >= seq_threshold.max(1) && busy > 1 && p.num_threads() > 1 => p,
-        _ => {
-            let mut inserted = 0usize;
-            for part in partitions.iter_mut() {
-                for (key, t) in part.drain(..) {
-                    let ti = t.table().index();
-                    if m.insert_one(&key, t) {
-                        inserted_by_table[ti] += 1;
-                        inserted += 1;
-                    }
-                }
-            }
-            return inserted;
-        }
-    };
-
-    let n_tables = inserted_by_table.len();
-    let busy_idx: Vec<usize> = (0..partitions.len())
-        .filter(|&i| !partitions[i].is_empty())
-        .collect();
-    let mut tasks = Vec::with_capacity(busy_idx.len());
-    for &i in &busy_idx {
-        let mut run: Vec<(OrderKey, Tuple)> = std::mem::take(&mut partitions[i]);
-        tasks.push(move || {
-            let mut per_table = vec![0u64; n_tables];
-            let (partial, len) = M::build_partial(&mut run, &mut per_table);
-            (partial, len, per_table, run)
-        });
-    }
-    let partials = jstar_pool::parallel_tasks(pool, tasks);
-
-    let mut inserted = 0usize;
-    for (&i, (partial, len, per_table, run)) in busy_idx.iter().zip(partials) {
-        partitions[i] = run;
-        inserted += len;
-        for (ti, c) in per_table.iter().enumerate() {
-            inserted_by_table[ti] += c;
-        }
-        // Tuples the main structure already queues at the same position
-        // are duplicates after all: take their counts back.
-        let mut dropped = 0usize;
-        m.graft(partial, &mut |ti| {
-            inserted_by_table[ti] -= 1;
-            dropped += 1;
-        });
-        inserted -= dropped;
-    }
-    m.add_len(inserted);
-    inserted
+    pool.filter(|p| total >= seq_threshold.max(1) && busy > 1 && p.num_threads() > 1)
 }
 
-/// The minimal equivalence class, extracted from a Delta queue ahead of
-/// its execution slot by the lookahead step machine.
-///
-/// [`DeltaQueue::prepare_min_class`] removes the minimal class exactly
-/// like [`DeltaQueue::pop_min_class`] would, but wraps it so the engine
-/// can hold it *speculatively* while later epoch merges land:
-///
-/// * a merge whose minimum key orders **after** `key` cannot touch the
-///   class (no new tuple can join it or precede it) — the preparation
-///   stays valid and the next step starts from it with zero extraction
-///   work on the critical path;
-/// * a merge whose minimum orders **at or below** `key` invalidates it:
-///   [`DeltaQueue::restore_prepared`] returns the tuples to the queue,
-///   where canonical-set semantics collapse any duplicates the merge
-///   introduced, so the subsequent pop yields exactly the class the
-///   non-lookahead engine would have extracted. The pop *schedule* is
-///   therefore bit-identical whether or not classes are ever prepared.
-#[derive(Debug)]
-pub struct PreparedClass {
-    /// The class's order key (the minimum at preparation time).
-    pub key: OrderKey,
-    /// The class members.
-    pub tuples: Vec<Tuple>,
-    /// The epoch sequence number current at preparation time: merges up
-    /// to and including this epoch are already reflected in the class,
-    /// later ones must be validated against `key`.
-    pub epoch_mark: u64,
-}
-
-impl PreparedClass {
-    /// True when a merged epoch with minimal key `merged_min` leaves
-    /// this preparation valid (every merged tuple orders strictly after
-    /// the prepared class, so none can join or precede it).
-    pub fn survives(&self, merged_min: Option<&OrderKey>) -> bool {
-        match merged_min {
-            None => true,
-            Some(min) => *min > self.key,
-        }
-    }
-}
-
-/// One closed staging epoch on its way into the Delta queue: the
+/// One closed staging epoch on its way into the Delta tree: the
 /// per-partition runs taken by [`ShardedInbox::swap_epoch`], with their
 /// subtree builds possibly still in flight on the pool's background
-/// lane.
-///
-/// This is the unit the pipelined engine's epoch *ring* holds: with
-/// `pipeline_depth` ≥ 2 the coordinator closes up to `depth` epochs and
-/// lets their builds proceed while it does other work, absorbing each
-/// epoch **in order** via [`DeltaQueue::absorb_epoch`] once its builds
-/// complete (or blocking on the oldest when the ring is full). Absorb
-/// order does not affect the queue contents — the Delta structures are
-/// canonical sets — but in-order absorption keeps the per-epoch minimum
-/// keys meaningful for lookahead invalidation.
+/// lane. Absorbed by [`DeltaTree::absorb_epoch`].
 pub struct EpochBuild {
     inner: EpochInner,
     staged: usize,
-    seq: u64,
 }
 
-/// One partition's finished background build.
-struct Built<P> {
-    partial: P,
+/// One partition's subtree, built off the coordinator thread.
+struct Built {
+    subtree: DeltaNode,
     len: usize,
     per_table: Vec<u64>,
-    /// Minimum staged key of the partition (pre-dedup — conservative
-    /// for invalidation checks).
-    min_key: Option<OrderKey>,
     /// The emptied run buffer, recycled to the caller.
     run: Vec<(OrderKey, Tuple)>,
 }
@@ -348,31 +193,31 @@ enum EpochInner {
     /// Below the parallel-merge threshold (or no usable pool): the raw
     /// runs, inserted sequentially at absorb time.
     Sequential(Vec<Vec<(OrderKey, Tuple)>>),
-    /// Per-partition tree builds in flight; `spare` keeps the empty
+    /// Per-partition subtree builds in flight; `spare` keeps the empty
     /// partition buffers for recycling.
-    Tree {
-        batch: TaskBatch<Built<DeltaNode>>,
-        spare: Vec<Vec<(OrderKey, Tuple)>>,
-    },
-    /// Flat-map twin of `Tree`.
-    Flat {
-        batch: TaskBatch<Built<BTreeMap<OrderKey, TupleSet>>>,
+    Parallel {
+        batch: TaskBatch<Built>,
         spare: Vec<Vec<(OrderKey, Tuple)>>,
     },
 }
 
-fn build_task<M: PartitionMerge>(
-    mut run: Vec<(OrderKey, Tuple)>,
-    n_tables: usize,
-) -> Built<M::Partial> {
-    let min_key = run.iter().map(|(k, _)| k).min().cloned();
+/// Builds one partition's subtree from its run, counting fresh inserts
+/// per table. Runs on pool workers — no access to the main tree.
+fn build_subtree(mut run: Vec<(OrderKey, Tuple)>, n_tables: usize) -> Built {
     let mut per_table = vec![0u64; n_tables];
-    let (partial, len) = M::build_partial(&mut run, &mut per_table);
+    let mut subtree = DeltaNode::default();
+    let mut len = 0usize;
+    for (key, t) in run.drain(..) {
+        let ti = t.table().index();
+        if subtree.insert(&key.0, t) {
+            per_table[ti] += 1;
+            len += 1;
+        }
+    }
     Built {
-        partial,
+        subtree,
         len,
         per_table,
-        min_key,
         run,
     }
 }
@@ -386,59 +231,32 @@ impl EpochBuild {
     /// partition, the per-partition subtree builds are submitted on the
     /// pool's **background lane** (via [`jstar_pool::submit_background`])
     /// and run while the caller does other work; otherwise the runs are
-    /// kept raw and inserted sequentially at absorb time. `seq` is the
-    /// epoch's sequence number (the [`PreparedClass::epoch_mark`]
-    /// domain); `n_tables` sizes the per-table insert counters.
+    /// kept raw and inserted sequentially at absorb time. `n_tables`
+    /// sizes the per-table insert counters.
     pub fn start(
-        kind: DeltaKind,
-        seq: u64,
         partitions: Vec<Vec<(OrderKey, Tuple)>>,
         pool: Option<&ThreadPool>,
         n_tables: usize,
         seq_threshold: usize,
     ) -> EpochBuild {
         let staged: usize = partitions.iter().map(Vec::len).sum();
-        let busy = partitions.iter().filter(|p| !p.is_empty()).count();
-        let pool = match pool {
-            Some(p) if staged >= seq_threshold.max(1) && busy > 1 && p.num_threads() > 1 => p,
-            _ => {
-                return EpochBuild {
-                    inner: EpochInner::Sequential(partitions),
-                    staged,
-                    seq,
-                }
-            }
+        let Some(pool) = merge_pool(&partitions, pool, seq_threshold) else {
+            return EpochBuild {
+                inner: EpochInner::Sequential(partitions),
+                staged,
+            };
         };
-        let mut spare = Vec::with_capacity(partitions.len() - busy);
-        let mut runs = Vec::with_capacity(busy);
-        for run in partitions {
-            if run.is_empty() {
-                spare.push(run);
-            } else {
-                runs.push(run);
-            }
+        let (spare, runs): (Vec<_>, Vec<_>) = partitions.into_iter().partition(Vec::is_empty);
+        let batch = jstar_pool::submit_background(
+            pool,
+            runs.into_iter()
+                .map(|run| move || build_subtree(run, n_tables))
+                .collect(),
+        );
+        EpochBuild {
+            inner: EpochInner::Parallel { batch, spare },
+            staged,
         }
-        let inner = match kind {
-            DeltaKind::Tree => EpochInner::Tree {
-                batch: jstar_pool::submit_background(
-                    pool,
-                    runs.into_iter()
-                        .map(|run| move || build_task::<DeltaTree>(run, n_tables))
-                        .collect(),
-                ),
-                spare,
-            },
-            DeltaKind::Flat => EpochInner::Flat {
-                batch: jstar_pool::submit_background(
-                    pool,
-                    runs.into_iter()
-                        .map(|run| move || build_task::<FlatDelta>(run, n_tables))
-                        .collect(),
-                ),
-                spare,
-            },
-        };
-        EpochBuild { inner, staged, seq }
     }
 
     /// Number of staged entries in the epoch (pre-dedup).
@@ -446,18 +264,12 @@ impl EpochBuild {
         self.staged
     }
 
-    /// The epoch's sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
     /// True once the epoch can be absorbed without waiting: its
     /// background builds (if any) have all completed.
     pub fn is_ready(&self) -> bool {
         match &self.inner {
             EpochInner::Sequential(_) => true,
-            EpochInner::Tree { batch, .. } => batch.is_complete(),
-            EpochInner::Flat { batch, .. } => batch.is_complete(),
+            EpochInner::Parallel { batch, .. } => batch.is_complete(),
         }
     }
 }
@@ -466,41 +278,8 @@ impl EpochBuild {
 pub struct EpochAbsorbed {
     /// Tuples actually inserted (duplicates dropped).
     pub inserted: usize,
-    /// Minimum staged key of the epoch (pre-dedup) — the lookahead
-    /// invalidation probe. `None` for an empty epoch.
-    pub min_key: Option<OrderKey>,
     /// The emptied run buffers, recycled for the next swap.
     pub buffers: Vec<Vec<(OrderKey, Tuple)>>,
-}
-
-fn absorb_built<M: PartitionMerge>(
-    m: &mut M,
-    builts: Vec<Built<M::Partial>>,
-    inserted_by_table: &mut [u64],
-    buffers: &mut Vec<Vec<(OrderKey, Tuple)>>,
-) -> (usize, Option<OrderKey>) {
-    let mut inserted = 0usize;
-    let mut min_key: Option<OrderKey> = None;
-    for built in builts {
-        inserted += built.len;
-        for (ti, c) in built.per_table.iter().enumerate() {
-            inserted_by_table[ti] += c;
-        }
-        if let Some(k) = built.min_key {
-            if min_key.as_ref().is_none_or(|m| k < *m) {
-                min_key = Some(k);
-            }
-        }
-        let mut dropped = 0usize;
-        m.graft(built.partial, &mut |ti| {
-            inserted_by_table[ti] -= 1;
-            dropped += 1;
-        });
-        inserted -= dropped;
-        buffers.push(built.run);
-    }
-    m.add_len(inserted);
-    (inserted, min_key)
 }
 
 /// The single-threaded Delta tree.
@@ -543,54 +322,6 @@ impl DeltaTree {
         let class = self.root.pop_min(&mut path)?;
         self.len -= class.len();
         Some((OrderKey(path), class))
-    }
-
-    /// Non-destructive [`DeltaTree::pop_min_class`]: the minimal key and
-    /// borrowed views of the class members, leaving the tree untouched.
-    pub fn peek_min_class(&self) -> Option<(OrderKey, Vec<&Tuple>)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut path = Vec::new();
-        let set = self.root.peek_min(&mut path)?;
-        Some((OrderKey(path), set.iter().collect()))
-    }
-
-    /// The minimal queued order key, without removing anything.
-    pub fn peek_min_key(&self) -> Option<OrderKey> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut path = Vec::new();
-        self.root.peek_min(&mut path)?;
-        Some(OrderKey(path))
-    }
-
-    /// Extracts the minimal equivalence class into a [`PreparedClass`]
-    /// stamped with `epoch_mark`. Exactly [`DeltaTree::pop_min_class`]
-    /// plus the speculation wrapper — see [`PreparedClass`] for the
-    /// validity contract.
-    pub fn prepare_min_class(&mut self, epoch_mark: u64) -> Option<PreparedClass> {
-        let (key, tuples) = self.pop_min_class()?;
-        Some(PreparedClass {
-            key,
-            tuples,
-            epoch_mark,
-        })
-    }
-
-    /// Returns an invalidated [`PreparedClass`] to the tree. Canonical
-    /// set semantics collapse any duplicates that merged in at the same
-    /// position while the class was extracted; `on_dup(table index)` is
-    /// called for each such collapse so the caller can unwind the
-    /// insert accounting the duplicate's merge already recorded.
-    pub fn restore_prepared(&mut self, prepared: PreparedClass, on_dup: &mut dyn FnMut(usize)) {
-        for t in prepared.tuples {
-            let ti = t.table().index();
-            if !self.insert(&prepared.key, t) {
-                on_dup(ti);
-            }
-        }
     }
 
     /// Visits every queued tuple non-destructively, in no particular
@@ -640,382 +371,120 @@ impl DeltaTree {
         inserted_by_table: &mut [u64],
         seq_threshold: usize,
     ) -> usize {
-        merge_partitioned_impl(self, partitions, pool, inserted_by_table, seq_threshold)
-    }
-
-    #[cfg(test)]
-    fn deep_count(&self) -> usize {
-        self.root.count()
-    }
-}
-
-impl PartitionMerge for DeltaTree {
-    type Partial = DeltaNode;
-
-    fn insert_one(&mut self, key: &OrderKey, t: Tuple) -> bool {
-        self.insert(key, t)
-    }
-
-    fn build_partial(
-        run: &mut Vec<(OrderKey, Tuple)>,
-        per_table: &mut [u64],
-    ) -> (DeltaNode, usize) {
-        let mut node = DeltaNode::default();
-        let mut len = 0usize;
-        for (key, t) in run.drain(..) {
-            let ti = t.table().index();
-            if node.insert(&key.0, t) {
-                per_table[ti] += 1;
-                len += 1;
+        let Some(pool) = merge_pool(partitions, pool, seq_threshold) else {
+            let mut inserted = 0usize;
+            for part in partitions.iter_mut() {
+                inserted += self.insert_run(part, inserted_by_table);
             }
-        }
-        (node, len)
-    }
-
-    fn graft(&mut self, partial: DeltaNode, on_dup: &mut dyn FnMut(usize)) {
-        self.root.merge_from(partial, on_dup);
-    }
-
-    fn add_len(&mut self, n: usize) {
-        self.len += n;
-    }
-}
-
-/// A flat alternative Delta structure: one ordered map from complete
-/// [`OrderKey`]s to tuple sets, instead of a tree of key components.
-///
-/// Functionally interchangeable with [`DeltaTree`] (same dedup, same
-/// extraction order) — kept as an **ablation** of the paper's tree design:
-/// the tree shares key prefixes across tables and levels, the flat map
-/// clones and compares whole keys on every operation. The
-/// `ablation_delta` bench measures the difference on a Dijkstra-shaped
-/// workload; [`DeltaKind`] lets the engine switch between them at
-/// configuration time (another "late commitment" knob).
-#[derive(Debug, Default)]
-pub struct FlatDelta {
-    map: BTreeMap<OrderKey, TupleSet>,
-    len: usize,
-}
-
-impl FlatDelta {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Inserts a tuple; false when it is a duplicate at the same key.
-    pub fn insert(&mut self, key: &OrderKey, tuple: Tuple) -> bool {
-        // Borrow-first lookup avoids cloning the whole key when the class
-        // already exists (the common case for wide classes).
-        let fresh = match self.map.get_mut(key) {
-            Some(set) => set.insert(tuple),
-            None => self.map.entry(key.clone()).or_default().insert(tuple),
+            return inserted;
         };
-        if fresh {
-            self.len += 1;
+        // Hand the emptied run buffers back so staging allocations
+        // survive the round trip: the next swap steals them into the
+        // shard bins instead of re-growing every buffer from zero.
+        let n_tables = inserted_by_table.len();
+        let busy_idx: Vec<usize> = (0..partitions.len())
+            .filter(|&i| !partitions[i].is_empty())
+            .collect();
+        let tasks: Vec<_> = busy_idx
+            .iter()
+            .map(|&i| {
+                let run = std::mem::take(&mut partitions[i]);
+                move || build_subtree(run, n_tables)
+            })
+            .collect();
+        let mut buffers = Vec::with_capacity(busy_idx.len());
+        let inserted = self.graft_built(
+            jstar_pool::parallel_tasks(pool, tasks),
+            inserted_by_table,
+            &mut buffers,
+        );
+        for (i, run) in busy_idx.into_iter().zip(buffers) {
+            partitions[i] = run;
         }
-        fresh
-    }
-
-    /// True if the identical tuple waits at `key`.
-    pub fn contains(&self, key: &OrderKey, tuple: &Tuple) -> bool {
-        self.map.get(key).is_some_and(|s| s.contains(tuple))
-    }
-
-    /// Removes and returns the minimal equivalence class.
-    pub fn pop_min_class(&mut self) -> Option<(OrderKey, Vec<Tuple>)> {
-        let (key, set) = self.map.pop_first()?;
-        self.len -= set.len();
-        Some((key, set.into_iter().collect()))
-    }
-
-    /// Non-destructive [`FlatDelta::pop_min_class`].
-    pub fn peek_min_class(&self) -> Option<(OrderKey, Vec<&Tuple>)> {
-        let (key, set) = self.map.first_key_value()?;
-        Some((key.clone(), set.iter().collect()))
-    }
-
-    /// The minimal queued order key, without removing anything.
-    pub fn peek_min_key(&self) -> Option<OrderKey> {
-        self.map.first_key_value().map(|(k, _)| k.clone())
-    }
-
-    /// Flat-map twin of [`DeltaTree::prepare_min_class`].
-    pub fn prepare_min_class(&mut self, epoch_mark: u64) -> Option<PreparedClass> {
-        let (key, tuples) = self.pop_min_class()?;
-        Some(PreparedClass {
-            key,
-            tuples,
-            epoch_mark,
-        })
-    }
-
-    /// Flat-map twin of [`DeltaTree::restore_prepared`].
-    pub fn restore_prepared(&mut self, prepared: PreparedClass, on_dup: &mut dyn FnMut(usize)) {
-        for t in prepared.tuples {
-            let ti = t.table().index();
-            if !self.insert(&prepared.key, t) {
-                on_dup(ti);
-            }
-        }
-    }
-
-    /// Flat-map twin of [`DeltaTree::for_each_pending`].
-    pub fn for_each_pending(&self, f: &mut dyn FnMut(&Tuple)) {
-        for set in self.map.values() {
-            for t in set {
-                f(t);
-            }
-        }
-    }
-
-    /// Number of queued tuples.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Flat-map twin of [`DeltaTree::merge_partitioned`]: workers build
-    /// one ordered sub-map per partition, the coordinator merges them
-    /// key-wise (whole tuple sets move when the key is new). Same
-    /// contract: contents identical to sequential insertion, counts
-    /// reported through `inserted_by_table`, total returned.
-    pub fn merge_partitioned(
-        &mut self,
-        partitions: &mut [Vec<(OrderKey, Tuple)>],
-        pool: Option<&ThreadPool>,
-        inserted_by_table: &mut [u64],
-        seq_threshold: usize,
-    ) -> usize {
-        merge_partitioned_impl(self, partitions, pool, inserted_by_table, seq_threshold)
-    }
-}
-
-impl PartitionMerge for FlatDelta {
-    type Partial = BTreeMap<OrderKey, TupleSet>;
-
-    fn insert_one(&mut self, key: &OrderKey, t: Tuple) -> bool {
-        self.insert(key, t)
-    }
-
-    fn build_partial(
-        run: &mut Vec<(OrderKey, Tuple)>,
-        per_table: &mut [u64],
-    ) -> (Self::Partial, usize) {
-        let mut map: BTreeMap<OrderKey, TupleSet> = BTreeMap::new();
-        let mut len = 0usize;
-        for (key, t) in run.drain(..) {
-            let ti = t.table().index();
-            let fresh = match map.get_mut(&key) {
-                Some(set) => set.insert(t),
-                None => map.entry(key).or_default().insert(t),
-            };
-            if fresh {
-                per_table[ti] += 1;
-                len += 1;
-            }
-        }
-        (map, len)
-    }
-
-    fn graft(&mut self, partial: Self::Partial, on_dup: &mut dyn FnMut(usize)) {
-        for (key, set) in partial {
-            match self.map.entry(key) {
-                Entry::Vacant(e) => {
-                    e.insert(set);
-                }
-                Entry::Occupied(mut e) => {
-                    for t in set {
-                        let ti = t.table().index();
-                        if !e.get_mut().insert(t) {
-                            on_dup(ti);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn add_len(&mut self, n: usize) {
-        self.len += n;
-    }
-}
-
-/// Which Delta structure the engine should use (ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DeltaKind {
-    /// The paper's multi-level tree.
-    #[default]
-    Tree,
-    /// The flat whole-key ordered map.
-    Flat,
-}
-
-/// Engine-facing wrapper over the two Delta structures.
-#[derive(Debug)]
-pub enum DeltaQueue {
-    Tree(DeltaTree),
-    Flat(FlatDelta),
-}
-
-impl DeltaQueue {
-    pub fn new(kind: DeltaKind) -> Self {
-        match kind {
-            DeltaKind::Tree => DeltaQueue::Tree(DeltaTree::new()),
-            DeltaKind::Flat => DeltaQueue::Flat(FlatDelta::new()),
-        }
-    }
-
-    pub fn insert(&mut self, key: &OrderKey, tuple: Tuple) -> bool {
-        match self {
-            DeltaQueue::Tree(t) => t.insert(key, tuple),
-            DeltaQueue::Flat(f) => f.insert(key, tuple),
-        }
-    }
-
-    pub fn pop_min_class(&mut self) -> Option<(OrderKey, Vec<Tuple>)> {
-        match self {
-            DeltaQueue::Tree(t) => t.pop_min_class(),
-            DeltaQueue::Flat(f) => f.pop_min_class(),
-        }
-    }
-
-    /// The structure this queue was configured with.
-    pub fn kind(&self) -> DeltaKind {
-        match self {
-            DeltaQueue::Tree(_) => DeltaKind::Tree,
-            DeltaQueue::Flat(_) => DeltaKind::Flat,
-        }
-    }
-
-    /// Non-destructive [`DeltaQueue::pop_min_class`].
-    pub fn peek_min_class(&self) -> Option<(OrderKey, Vec<&Tuple>)> {
-        match self {
-            DeltaQueue::Tree(t) => t.peek_min_class(),
-            DeltaQueue::Flat(f) => f.peek_min_class(),
-        }
-    }
-
-    /// The minimal queued order key, without removing anything.
-    pub fn peek_min_key(&self) -> Option<OrderKey> {
-        match self {
-            DeltaQueue::Tree(t) => t.peek_min_key(),
-            DeltaQueue::Flat(f) => f.peek_min_key(),
-        }
-    }
-
-    /// Extracts the minimal class speculatively (see [`PreparedClass`]).
-    pub fn prepare_min_class(&mut self, epoch_mark: u64) -> Option<PreparedClass> {
-        match self {
-            DeltaQueue::Tree(t) => t.prepare_min_class(epoch_mark),
-            DeltaQueue::Flat(f) => f.prepare_min_class(epoch_mark),
-        }
-    }
-
-    /// Returns an invalidated [`PreparedClass`] to the queue (see
-    /// [`DeltaTree::restore_prepared`]).
-    pub fn restore_prepared(&mut self, prepared: PreparedClass, on_dup: &mut dyn FnMut(usize)) {
-        match self {
-            DeltaQueue::Tree(t) => t.restore_prepared(prepared, on_dup),
-            DeltaQueue::Flat(f) => f.restore_prepared(prepared, on_dup),
-        }
+        inserted
     }
 
     /// Absorbs one closed epoch: joins its background subtree builds
     /// (helping execute queued pool work while anything is outstanding)
-    /// and merges the contents into the queue. Contents — and therefore
-    /// the [`DeltaQueue::pop_min_class`] sequence — are identical to
+    /// and merges the contents into the tree. Contents — and therefore
+    /// the [`DeltaTree::pop_min_class`] sequence — are identical to
     /// inserting every staged `(key, tuple)` sequentially, exactly as
-    /// for [`DeltaQueue::merge_partitioned`].
-    ///
-    /// The epoch must have been started with this queue's
-    /// [`DeltaQueue::kind`]; mixing kinds is a programming error and
-    /// panics.
+    /// for [`DeltaTree::merge_partitioned`].
     pub fn absorb_epoch(
         &mut self,
         epoch: EpochBuild,
         pool: Option<&ThreadPool>,
         inserted_by_table: &mut [u64],
     ) -> EpochAbsorbed {
-        let mut buffers;
-        let (inserted, min_key) = match (epoch.inner, self) {
-            (EpochInner::Sequential(mut runs), queue) => {
+        match epoch.inner {
+            EpochInner::Sequential(mut buffers) => {
                 let mut inserted = 0usize;
-                let mut min_key: Option<OrderKey> = None;
-                for run in runs.iter_mut() {
-                    for (key, t) in run.drain(..) {
-                        if min_key.as_ref().is_none_or(|m| key < *m) {
-                            min_key = Some(key.clone());
-                        }
-                        let ti = t.table().index();
-                        if queue.insert(&key, t) {
-                            inserted_by_table[ti] += 1;
-                            inserted += 1;
-                        }
-                    }
+                for run in buffers.iter_mut() {
+                    inserted += self.insert_run(run, inserted_by_table);
                 }
-                buffers = runs;
-                (inserted, min_key)
+                EpochAbsorbed { inserted, buffers }
             }
-            (EpochInner::Tree { batch, spare }, DeltaQueue::Tree(tree)) => {
-                buffers = spare;
+            EpochInner::Parallel {
+                batch,
+                spare: mut buffers,
+            } => {
                 let pool = pool.expect("a parallel epoch build implies a pool");
-                absorb_built(tree, batch.join(pool), inserted_by_table, &mut buffers)
+                let inserted = self.graft_built(batch.join(pool), inserted_by_table, &mut buffers);
+                EpochAbsorbed { inserted, buffers }
             }
-            (EpochInner::Flat { batch, spare }, DeltaQueue::Flat(flat)) => {
-                buffers = spare;
-                let pool = pool.expect("a parallel epoch build implies a pool");
-                absorb_built(flat, batch.join(pool), inserted_by_table, &mut buffers)
-            }
-            _ => panic!("EpochBuild kind does not match the DeltaQueue it is absorbed into"),
-        };
-        EpochAbsorbed {
-            inserted,
-            min_key,
-            buffers,
         }
     }
 
-    /// Dispatches to the structure's partitioned merge (see
-    /// [`DeltaTree::merge_partitioned`]).
-    pub fn merge_partitioned(
+    /// The sequential merge: drains one run into the tree, counting
+    /// fresh inserts per table.
+    fn insert_run(
         &mut self,
-        partitions: &mut [Vec<(OrderKey, Tuple)>],
-        pool: Option<&ThreadPool>,
+        run: &mut Vec<(OrderKey, Tuple)>,
         inserted_by_table: &mut [u64],
-        seq_threshold: usize,
     ) -> usize {
-        match self {
-            DeltaQueue::Tree(t) => {
-                t.merge_partitioned(partitions, pool, inserted_by_table, seq_threshold)
+        let mut inserted = 0usize;
+        for (key, t) in run.drain(..) {
+            let ti = t.table().index();
+            if self.insert(&key, t) {
+                inserted_by_table[ti] += 1;
+                inserted += 1;
             }
-            DeltaQueue::Flat(f) => {
-                f.merge_partitioned(partitions, pool, inserted_by_table, seq_threshold)
+        }
+        inserted
+    }
+
+    /// Grafts worker-built partition subtrees into the tree and settles
+    /// the per-table dedup accounting; the emptied run buffers are
+    /// pushed onto `buffers` in `builts` order.
+    fn graft_built(
+        &mut self,
+        builts: Vec<Built>,
+        inserted_by_table: &mut [u64],
+        buffers: &mut Vec<Vec<(OrderKey, Tuple)>>,
+    ) -> usize {
+        let mut inserted = 0usize;
+        for built in builts {
+            inserted += built.len;
+            for (ti, c) in built.per_table.iter().enumerate() {
+                inserted_by_table[ti] += c;
             }
+            // Tuples the tree already queues at the same position are
+            // duplicates after all: take their counts back.
+            let mut dropped = 0usize;
+            self.root.merge_from(built.subtree, &mut |ti| {
+                inserted_by_table[ti] -= 1;
+                dropped += 1;
+            });
+            inserted -= dropped;
+            buffers.push(built.run);
         }
+        self.len += inserted;
+        inserted
     }
 
-    /// Visits every queued tuple non-destructively (see
-    /// [`DeltaTree::for_each_pending`]).
-    pub fn for_each_pending(&self, f: &mut dyn FnMut(&Tuple)) {
-        match self {
-            DeltaQueue::Tree(t) => t.for_each_pending(f),
-            DeltaQueue::Flat(fl) => fl.for_each_pending(f),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        match self {
-            DeltaQueue::Tree(t) => t.len(),
-            DeltaQueue::Flat(f) => f.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    #[cfg(test)]
+    fn deep_count(&self) -> usize {
+        self.root.count()
     }
 }
 
@@ -1130,38 +599,6 @@ impl ShardedInbox {
         sh.len.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Swaps every shard's buffers out into `out` (appending, partitions
-    /// flattened), leaving the inbox empty. One mutex acquire per shard
-    /// per step (shards = workers + 1) — the per-tuple queue traffic of
-    /// the old single-queue design is gone.
-    pub fn drain_batch(&self, out: &mut Vec<(OrderKey, Tuple)>) {
-        for shard in &self.shards {
-            let mut bins = shard.bins.lock();
-            let mut drained = 0usize;
-            for buf in bins.iter_mut() {
-                drained += buf.len();
-                if out.is_empty() && buf.len() > out.capacity() {
-                    // Steal the biggest allocation wholesale instead of
-                    // copying.
-                    std::mem::swap(buf, out);
-                } else {
-                    out.append(buf);
-                }
-            }
-            // ord: Relaxed — under the shard mutex; see `push`.
-            shard.len.fetch_sub(drained, Ordering::Relaxed);
-        }
-    }
-
-    /// Swaps every shard's buffers out into the per-partition runs of
-    /// `out` (appending; `out` must have at least [`Self::partitions`]
-    /// entries), leaving the inbox empty. This is the coordinator's
-    /// partitioned drain: per-partition runs feed
-    /// [`DeltaTree::merge_partitioned`] directly, no re-binning pass.
-    pub fn drain_partitions(&self, out: &mut [Vec<(OrderKey, Tuple)>]) {
-        self.swap_epoch(out);
-    }
-
     /// Closes the current staging **epoch**: swaps every shard's bins
     /// out into the per-partition runs of `out` (appending; `out` must
     /// have at least [`Self::partitions`] entries) and leaves fresh
@@ -1196,20 +633,6 @@ impl ShardedInbox {
             total += drained;
         }
         total
-    }
-
-    /// Drains everything staged so far into the tree. Returns the number
-    /// of tuples actually inserted (duplicates are dropped by the tree).
-    pub fn drain_into(&self, tree: &mut DeltaTree) -> usize {
-        let mut staged = Vec::new();
-        self.drain_batch(&mut staged);
-        let mut inserted = 0;
-        for (key, tuple) in staged {
-            if tree.insert(&key, tuple) {
-                inserted += 1;
-            }
-        }
-        inserted
     }
 
     /// Number of staged tuples (relaxed sum of the per-shard counters).
@@ -1262,6 +685,18 @@ mod tests {
 
     fn skey(strat: u32, s: i64) -> OrderKey {
         key(&[KeyPart::Strat(strat), KeyPart::Seq(Value::Int(s))])
+    }
+
+    fn empty_runs(inbox: &ShardedInbox) -> Vec<Vec<(OrderKey, Tuple)>> {
+        (0..inbox.partitions()).map(|_| Vec::new()).collect()
+    }
+
+    /// Closes the staged epoch and inserts it sequentially; returns the
+    /// number of tuples actually inserted.
+    fn absorb_staged(inbox: &ShardedInbox, tree: &mut DeltaTree) -> usize {
+        let mut runs = empty_runs(inbox);
+        inbox.swap_epoch(&mut runs);
+        tree.merge_partitioned(&mut runs, None, &mut [0u64; 4], usize::MAX)
     }
 
     #[test]
@@ -1374,53 +809,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_delta_matches_tree_behaviour() {
-        let mut tree = DeltaTree::new();
-        let mut flat = FlatDelta::new();
-        let inserts = [
-            (skey(0, 5), tup(0, 5)),
-            (skey(0, 1), tup(0, 1)),
-            (skey(0, 1), tup(0, 1)), // duplicate
-            (skey(1, 0), tup(1, 0)),
-            (skey(0, 1), tup(0, 99)),
-        ];
-        for (k, t) in &inserts {
-            assert_eq!(tree.insert(k, t.clone()), flat.insert(k, t.clone()));
-        }
-        assert_eq!(tree.len(), flat.len());
-        assert_eq!(
-            flat.contains(&skey(0, 1), &tup(0, 1)),
-            tree.contains(&skey(0, 1), &tup(0, 1))
-        );
-        loop {
-            match (tree.pop_min_class(), flat.pop_min_class()) {
-                (None, None) => break,
-                (Some((kt, mut ct)), Some((kf, mut cf))) => {
-                    assert_eq!(kt, kf);
-                    ct.sort();
-                    cf.sort();
-                    assert_eq!(ct, cf);
-                }
-                other => panic!("structures disagree: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn delta_queue_dispatches_both_kinds() {
-        for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-            let mut q = DeltaQueue::new(kind);
-            assert!(q.is_empty());
-            assert!(q.insert(&skey(0, 2), tup(0, 2)));
-            assert!(q.insert(&skey(0, 1), tup(0, 1)));
-            assert!(!q.insert(&skey(0, 1), tup(0, 1)));
-            assert_eq!(q.len(), 2);
-            let (k, _) = q.pop_min_class().unwrap();
-            assert_eq!(k, skey(0, 1), "{kind:?}");
-        }
-    }
-
-    #[test]
     fn inbox_drains_to_tree_with_dedup() {
         let inbox = ShardedInbox::new(2);
         let ext = inbox.external_shard();
@@ -1428,27 +816,27 @@ mod tests {
         inbox.push(0, skey(0, 1), tup(0, 1)); // duplicate, different shard
         inbox.push(1, skey(0, 2), tup(0, 2));
         let mut tree = DeltaTree::new();
-        let inserted = inbox.drain_into(&mut tree);
+        let inserted = absorb_staged(&inbox, &mut tree);
         assert_eq!(inserted, 2);
         assert!(inbox.is_empty());
         assert_eq!(tree.len(), 2);
     }
 
     #[test]
-    fn inbox_drain_batch_collects_all_shards() {
+    fn swap_epoch_collects_all_shards() {
         let inbox = ShardedInbox::new(3);
         for shard in 0..4 {
             for i in 0..10 {
                 inbox.push(shard, skey(0, i), tup(0, (shard as i64) * 100 + i));
             }
         }
-        let mut out = Vec::new();
-        inbox.drain_batch(&mut out);
-        assert_eq!(out.len(), 40);
+        let mut out = empty_runs(&inbox);
+        assert_eq!(inbox.swap_epoch(&mut out), 40);
+        assert_eq!(out[0].len(), 40);
         assert!(inbox.is_empty());
-        // Second drain is a no-op.
-        inbox.drain_batch(&mut out);
-        assert_eq!(out.len(), 40);
+        // Second swap is a no-op.
+        assert_eq!(inbox.swap_epoch(&mut out), 0);
+        assert_eq!(out[0].len(), 40);
     }
 
     #[test]
@@ -1460,23 +848,21 @@ mod tests {
         }
         assert_eq!(inbox.len(), 10);
         assert!(!inbox.is_empty());
-        let mut out = Vec::new();
-        inbox.drain_batch(&mut out);
-        assert_eq!(out.len(), 10);
+        let mut out = empty_runs(&inbox);
+        assert_eq!(inbox.swap_epoch(&mut out), 10);
         assert!(inbox.is_empty());
     }
 
     #[test]
-    fn drain_partitions_keeps_equal_keys_together() {
+    fn swap_epoch_keeps_equal_keys_together() {
         let inbox = ShardedInbox::with_partitioning(2, 8, 2);
         for shard in 0..3 {
             for i in 0..40 {
                 inbox.push(shard, skey(0, i % 10), tup(0, shard as i64 * 1000 + i));
             }
         }
-        let mut parts: Vec<Vec<(OrderKey, Tuple)>> =
-            (0..inbox.partitions()).map(|_| Vec::new()).collect();
-        inbox.drain_partitions(&mut parts);
+        let mut parts = empty_runs(&inbox);
+        inbox.swap_epoch(&mut parts);
         assert!(inbox.is_empty());
         assert_eq!(parts.iter().map(Vec::len).sum::<usize>(), 120);
         // Every distinct key lands in exactly one partition.
@@ -1509,9 +895,8 @@ mod tests {
         for (i, (k, t)) in entries.iter().enumerate() {
             inbox.push(i % 5, k.clone(), t.clone());
         }
-        let mut parts: Vec<Vec<(OrderKey, Tuple)>> =
-            (0..inbox.partitions()).map(|_| Vec::new()).collect();
-        inbox.drain_partitions(&mut parts);
+        let mut parts = empty_runs(&inbox);
+        inbox.swap_epoch(&mut parts);
         let mut par_tree = DeltaTree::new();
         let mut by_table = vec![0u64; 2];
         let inserted = par_tree.merge_partitioned(&mut parts, Some(&pool), &mut by_table, 1);
@@ -1575,42 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_merge_partitioned_matches_tree_merge() {
-        let pool = jstar_pool::ThreadPool::new(3);
-        let entries: Vec<(OrderKey, Tuple)> = (0..1500)
-            .map(|i| (skey((i % 2) as u32, i % 30), tup(1, i % 100)))
-            .collect();
-        let mut parts_t: Vec<Vec<(OrderKey, Tuple)>> = (0..8).map(|_| Vec::new()).collect();
-        let mut parts_f: Vec<Vec<(OrderKey, Tuple)>> = (0..8).map(|_| Vec::new()).collect();
-        let probe = ShardedInbox::with_partitioning(0, 8, 2);
-        for (k, t) in entries {
-            let p = probe.partition_of(&k);
-            parts_t[p].push((k.clone(), t.clone()));
-            parts_f[p].push((k, t));
-        }
-        let mut tree = DeltaTree::new();
-        let mut flat = FlatDelta::new();
-        let mut bt = vec![0u64; 2];
-        let mut bf = vec![0u64; 2];
-        let it = tree.merge_partitioned(&mut parts_t, Some(&pool), &mut bt, 1);
-        let if_ = flat.merge_partitioned(&mut parts_f, Some(&pool), &mut bf, 1);
-        assert_eq!(it, if_);
-        assert_eq!(bt, bf);
-        loop {
-            match (tree.pop_min_class(), flat.pop_min_class()) {
-                (None, None) => break,
-                (Some((kt, mut ct)), Some((kf, mut cf))) => {
-                    assert_eq!(kt, kf);
-                    ct.sort();
-                    cf.sort();
-                    assert_eq!(ct, cf);
-                }
-                other => panic!("structures disagree: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn swap_epoch_under_concurrent_pushes_loses_nothing() {
         // Pushers race a swapper: every entry must land in exactly one
         // epoch, and each epoch's runs must keep key groups intact.
@@ -1652,150 +1001,41 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_pop_without_mutating() {
-        let mut tree = DeltaTree::new();
-        assert!(tree.peek_min_class().is_none());
-        assert!(tree.peek_min_key().is_none());
-        tree.insert(&skey(0, 5), tup(0, 5));
-        tree.insert(&skey(0, 2), tup(0, 2));
-        tree.insert(&skey(0, 2), tup(0, 22));
-        let mut flat = FlatDelta::new();
-        flat.insert(&skey(0, 5), tup(0, 5));
-        flat.insert(&skey(0, 2), tup(0, 2));
-        flat.insert(&skey(0, 2), tup(0, 22));
-        for _ in 0..2 {
-            // Peeking twice returns the same answer: nothing moved.
-            assert_eq!(tree.peek_min_key(), Some(skey(0, 2)));
-            assert_eq!(flat.peek_min_key(), Some(skey(0, 2)));
-            let (k, members) = tree.peek_min_class().unwrap();
-            assert_eq!(k, skey(0, 2));
-            assert_eq!(members.len(), 2);
-            let (kf, mf) = flat.peek_min_class().unwrap();
-            assert_eq!(kf, skey(0, 2));
-            assert_eq!(mf.len(), 2);
-        }
-        assert_eq!(tree.len(), 3);
-        let (k, class) = tree.pop_min_class().unwrap();
-        assert_eq!(k, skey(0, 2));
-        assert_eq!(class.len(), 2);
-    }
-
-    #[test]
-    fn prepare_then_restore_is_identity() {
-        for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-            let mut q = DeltaQueue::new(kind);
-            let mut control = DeltaQueue::new(kind);
-            for i in 0..30 {
-                q.insert(&skey(0, i % 6), tup(0, i));
-                control.insert(&skey(0, i % 6), tup(0, i));
-            }
-            let prepared = q.prepare_min_class(7).unwrap();
-            assert_eq!(prepared.key, skey(0, 0));
-            assert_eq!(prepared.epoch_mark, 7);
-            assert_eq!(q.len() + prepared.tuples.len(), control.len());
-            let mut dups = 0;
-            q.restore_prepared(prepared, &mut |_| dups += 1);
-            assert_eq!(dups, 0, "nothing merged meanwhile, nothing to dedup");
-            assert_eq!(q.len(), control.len());
-            loop {
-                match (q.pop_min_class(), control.pop_min_class()) {
-                    (None, None) => break,
-                    (Some((ka, mut ca)), Some((kb, mut cb))) => {
-                        assert_eq!(ka, kb);
-                        ca.sort();
-                        cb.sort();
-                        assert_eq!(ca, cb);
-                    }
-                    other => panic!("queues disagree: {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn restore_after_duplicate_merge_collapses_and_reports() {
-        // A merge lands a duplicate of a prepared tuple (same key, same
-        // tuple) while the class is extracted; restoring must collapse
-        // it and report the dedup so insert accounting can unwind.
-        let mut q = DeltaQueue::new(DeltaKind::Tree);
-        q.insert(&skey(0, 1), tup(0, 10));
-        q.insert(&skey(0, 1), tup(0, 11));
-        q.insert(&skey(0, 9), tup(0, 90));
-        let prepared = q.prepare_min_class(0).unwrap();
-        assert_eq!(prepared.tuples.len(), 2);
-        // The adversarial merge: one duplicate of a prepared tuple, one
-        // fresh tuple in the same class.
-        q.insert(&skey(0, 1), tup(0, 10));
-        q.insert(&skey(0, 1), tup(0, 12));
-        assert!(!prepared.survives(Some(&skey(0, 1))));
-        let mut dup_tables = Vec::new();
-        q.restore_prepared(prepared, &mut |ti| dup_tables.push(ti));
-        assert_eq!(dup_tables, vec![0], "exactly the duplicate reported");
-        let (k, mut class) = q.pop_min_class().unwrap();
-        assert_eq!(k, skey(0, 1));
-        class.sort();
-        let mut want = vec![tup(0, 10), tup(0, 11), tup(0, 12)];
-        want.sort();
-        assert_eq!(class, want, "restored ∪ merged, duplicates collapsed");
-    }
-
-    #[test]
-    fn prepared_survives_only_strictly_later_merges() {
-        let p = PreparedClass {
-            key: skey(0, 5),
-            tuples: vec![tup(0, 5)],
-            epoch_mark: 3,
-        };
-        assert!(p.survives(None), "an empty epoch never invalidates");
-        assert!(p.survives(Some(&skey(0, 6))));
-        assert!(p.survives(Some(&skey(1, 0))));
-        assert!(
-            !p.survives(Some(&skey(0, 5))),
-            "equal keys extend the class"
-        );
-        assert!(!p.survives(Some(&skey(0, 4))), "earlier keys preempt it");
-    }
-
-    #[test]
     fn epoch_build_absorb_matches_merge_partitioned() {
         let pool = jstar_pool::ThreadPool::new(4);
-        for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-            let entries: Vec<(OrderKey, Tuple)> = (0..2500)
-                .map(|i| (skey((i % 3) as u32, i % 50), tup((i % 2) as u32, i % 250)))
-                .collect();
-            let probe = ShardedInbox::with_partitioning(0, 8, 2);
-            let mut parts_a: Vec<Vec<(OrderKey, Tuple)>> = (0..8).map(|_| Vec::new()).collect();
-            let mut parts_b: Vec<Vec<(OrderKey, Tuple)>> = (0..8).map(|_| Vec::new()).collect();
-            for (k, t) in entries {
-                let p = probe.partition_of(&k);
-                parts_a[p].push((k.clone(), t.clone()));
-                parts_b[p].push((k, t));
-            }
-            let mut direct = DeltaQueue::new(kind);
-            let mut ca = vec![0u64; 2];
-            let na = direct.merge_partitioned(&mut parts_a, Some(&pool), &mut ca, 1);
+        let entries: Vec<(OrderKey, Tuple)> = (0..2500)
+            .map(|i| (skey((i % 3) as u32, i % 50), tup((i % 2) as u32, i % 250)))
+            .collect();
+        let probe = ShardedInbox::with_partitioning(0, 8, 2);
+        let mut parts_a = empty_runs(&probe);
+        let mut parts_b = empty_runs(&probe);
+        for (k, t) in entries {
+            let p = probe.partition_of(&k);
+            parts_a[p].push((k.clone(), t.clone()));
+            parts_b[p].push((k, t));
+        }
+        let mut direct = DeltaTree::new();
+        let mut ca = vec![0u64; 2];
+        let na = direct.merge_partitioned(&mut parts_a, Some(&pool), &mut ca, 1);
 
-            let mut ringed = DeltaQueue::new(kind);
-            let build = EpochBuild::start(kind, 1, parts_b, Some(&pool), 2, 1);
-            assert_eq!(build.staged(), 2500);
-            assert_eq!(build.seq(), 1);
-            let mut cb = vec![0u64; 2];
-            let absorbed = ringed.absorb_epoch(build, Some(&pool), &mut cb);
-            assert_eq!(absorbed.inserted, na);
-            assert_eq!(cb, ca);
-            assert_eq!(absorbed.min_key, Some(skey(0, 0)));
-            assert_eq!(absorbed.buffers.len(), 8, "all run buffers recycled");
-            loop {
-                match (direct.pop_min_class(), ringed.pop_min_class()) {
-                    (None, None) => break,
-                    (Some((ka, mut xa)), Some((kb, mut xb))) => {
-                        assert_eq!(ka, kb);
-                        xa.sort();
-                        xb.sort();
-                        assert_eq!(xa, xb);
-                    }
-                    other => panic!("queues disagree ({kind:?}): {other:?}"),
+        let mut epoch = DeltaTree::new();
+        let build = EpochBuild::start(parts_b, Some(&pool), 2, 1);
+        assert_eq!(build.staged(), 2500);
+        let mut cb = vec![0u64; 2];
+        let absorbed = epoch.absorb_epoch(build, Some(&pool), &mut cb);
+        assert_eq!(absorbed.inserted, na);
+        assert_eq!(cb, ca);
+        assert_eq!(absorbed.buffers.len(), 8, "all run buffers recycled");
+        loop {
+            match (direct.pop_min_class(), epoch.pop_min_class()) {
+                (None, None) => break,
+                (Some((ka, mut xa)), Some((kb, mut xb))) => {
+                    assert_eq!(ka, kb);
+                    xa.sort();
+                    xb.sort();
+                    assert_eq!(xa, xb);
                 }
+                other => panic!("trees disagree: {other:?}"),
             }
         }
     }
@@ -1807,13 +1047,12 @@ mod tests {
         for i in 0..20 {
             parts[(i % 4) as usize].push((skey(0, i), tup(0, i)));
         }
-        let build = EpochBuild::start(DeltaKind::Tree, 0, parts, None, 1, usize::MAX);
+        let build = EpochBuild::start(parts, None, 1, usize::MAX);
         assert!(build.is_ready(), "sequential epochs are always ready");
-        let mut q = DeltaQueue::new(DeltaKind::Tree);
+        let mut q = DeltaTree::new();
         let mut by_table = vec![0u64; 1];
         let absorbed = q.absorb_epoch(build, None, &mut by_table);
         assert_eq!(absorbed.inserted, 20);
-        assert_eq!(absorbed.min_key, Some(skey(0, 0)));
         assert_eq!(absorbed.buffers.len(), 4);
         assert!(absorbed.buffers.iter().all(Vec::is_empty));
         assert_eq!(q.len(), 20);
@@ -1838,7 +1077,7 @@ mod tests {
             }
         });
         let mut tree = DeltaTree::new();
-        let inserted = inbox.drain_into(&mut tree);
+        let inserted = absorb_staged(&inbox, &mut tree);
         assert_eq!(inserted, 2000, "all distinct tuples arrive");
         // 50 classes of 40 tuples each.
         let (_, first) = tree.pop_min_class().unwrap();
@@ -1847,20 +1086,18 @@ mod tests {
 
     #[test]
     fn for_each_pending_visits_everything_without_disturbing_the_queue() {
-        for kind in [DeltaKind::Tree, DeltaKind::Flat] {
-            let mut q = DeltaQueue::new(kind);
-            for i in 0..30i64 {
-                q.insert(&skey(0, i % 3), tup(0, i));
-            }
-            let mut seen = Vec::new();
-            q.for_each_pending(&mut |t| seen.push(t.int(0)));
-            seen.sort_unstable();
-            assert_eq!(seen, (0..30).collect::<Vec<_>>());
-            assert_eq!(q.len(), 30, "walk is non-destructive ({kind:?})");
-            // Pop order is unaffected by the walk.
-            let (_, class) = q.pop_min_class().unwrap();
-            assert_eq!(class.len(), 10);
+        let mut q = DeltaTree::new();
+        for i in 0..30i64 {
+            q.insert(&skey(0, i % 3), tup(0, i));
         }
+        let mut seen = Vec::new();
+        q.for_each_pending(&mut |t| seen.push(t.int(0)));
+        seen.sort_unstable();
+        assert_eq!(seen, (0..30).collect::<Vec<_>>());
+        assert_eq!(q.len(), 30, "walk is non-destructive");
+        // Pop order is unaffected by the walk.
+        let (_, class) = q.pop_min_class().unwrap();
+        assert_eq!(class.len(), 10);
     }
 
     #[test]

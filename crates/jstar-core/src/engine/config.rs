@@ -1,8 +1,7 @@
 //! Engine configuration — the paper's compiler flags and runtime
 //! options, kept *outside* the program source (workflow stages 3–4).
 
-use crate::delta::DeltaKind;
-use crate::gamma::{IndexCachePolicy, StoreKind, DEFAULT_INDEX_CACHE_MAX_BYTES};
+use crate::gamma::StoreKind;
 use crate::schema::TableId;
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
@@ -11,13 +10,6 @@ use std::sync::Arc;
 
 /// A tuple-lifetime predicate (§5 step 4): returns true to keep a tuple.
 pub type LifetimeHint = Arc<dyn Fn(&Tuple) -> bool + Send + Sync>;
-
-/// The deepest supported [`EngineConfig::pipeline_depth`]: the epoch
-/// ring holds at most this many closed staging epochs in flight.
-/// Requested depths above it are clamped (and the effective depth is
-/// reported in [`super::RunReport::pipeline_depth`]) — a configuration
-/// lie is made visible instead of silently honoured.
-pub const MAX_PIPELINE_DEPTH: usize = 8;
 
 /// Engine configuration — the paper's compiler flags and runtime options,
 /// kept *outside* the program source (workflow stages 3–4).
@@ -44,16 +36,12 @@ pub struct EngineConfig {
     pub max_steps: Option<u64>,
     /// Share an existing pool instead of creating one per engine.
     pub pool: Option<Arc<ThreadPool>>,
-    /// Which Delta structure to use (the tree of the paper, or the flat
-    /// ordered map kept as an ablation).
-    pub delta: DeltaKind,
-    /// Tuple-lifetime hints (§5 step 4): after every `hint_interval` steps
-    /// the engine drops tuples the hook rejects from the table's Gamma
-    /// store. "We simply retain all tuples, or use manual lifetime hints
-    /// from the user to determine when tuples can be discarded."
-    pub lifetime_hints: Vec<(TableId, LifetimeHint)>,
-    /// How often (in steps) lifetime hints run; 0 disables them.
-    pub hint_interval: u64,
+    /// Tuple-lifetime hints (§5 step 4) as `(table, interval, keep)`:
+    /// every `interval` steps the engine drops tuples the hook rejects
+    /// from the table's Gamma store. "We simply retain all tuples, or use
+    /// manual lifetime hints from the user to determine when tuples can
+    /// be discarded."
+    pub lifetime_hints: Vec<(TableId, u64, LifetimeHint)>,
     /// Classes of at most this many tuples execute inline on the
     /// coordinator instead of being forked to the pool: below this width
     /// the fork/join round trip costs more than the work. Ignored in
@@ -65,38 +53,6 @@ pub struct EngineConfig {
     /// sequential insert loop, whose per-tuple cost is below the
     /// fork/join round trip at that size. Ignored in sequential mode.
     pub parallel_merge_threshold: usize,
-    /// Drain/execute pipelining depth — how many step artifacts the
-    /// lookahead step machine keeps in flight:
-    ///
-    /// * `0` — the strictly alternating loop (absorb, then execute;
-    ///   workers idle during each other's phase);
-    /// * `1` (the default) — the coordinator closes staging epochs and
-    ///   merges their Delta subtrees *while* a forked class executes,
-    ///   with the subtree builds on the pool's background lane so
-    ///   execute chunks always preempt them; one epoch in flight;
-    /// * `≥ 2` — a ring of up to `pipeline_depth` closed epochs, each
-    ///   with its subtree builds in flight, **plus** the lookahead:
-    ///   while step N executes the next minimal class is pre-extracted
-    ///   and its execution plan built speculatively, so step N+1's
-    ///   fan-out launches the instant step N joins (or the speculation
-    ///   is rolled back when a merge orders at or below it — see
-    ///   [`super::RunReport::lookahead_hits`]).
-    ///
-    /// Values above [`MAX_PIPELINE_DEPTH`] are clamped; the effective
-    /// depth is reported in [`super::RunReport::pipeline_depth`].
-    /// Results are bit-identical at every depth (the Delta structures
-    /// are canonical sets, and invalidated speculations are returned to
-    /// them before anything observable happens); ignored in sequential
-    /// mode.
-    pub pipeline_depth: usize,
-    /// Feedback-driven overlap batch sizing (default on). The pipelined
-    /// coordinator triggers a mid-step epoch swap once "enough" tuples
-    /// are staged; with this flag set the swap point is chosen per step
-    /// by a controller that tracks recent epoch-merge cost against the
-    /// executing class's window, instead of the fixed
-    /// `max(64, parallel_merge_threshold / 4)` fallback. Costs a few
-    /// clock reads per step. Ignored when `pipeline_depth` is 0.
-    pub adaptive_overlap: bool,
     /// Quiescent-point store compaction threshold: at the coordinator's
     /// maintain phase (right after lifetime hints run), a hinted table
     /// whose store reports more than this fraction of tombstoned slots
@@ -130,38 +86,6 @@ pub struct EngineConfig {
     /// Results are identical in both modes — set semantics and the Law
     /// of Causality make intra-class execution order unobservable.
     pub delta_join_threshold: usize,
-    /// How delta-join classes probe Gamma — see [`JoinStrategy`]. The
-    /// default is the leapfrog cursor walk; [`JoinStrategy::HashProbe`]
-    /// keeps the PR 8 one-probe-per-distinct-key pass (the A/B knob the
-    /// benches use). Emissions are identical under either strategy.
-    pub join_strategy: JoinStrategy,
-    /// Column-index caching policy for join walks — see
-    /// [`IndexCachePolicy`]. Under the default (`OnDemand`) every built
-    /// sorted column view is kept, stamped with its store's claim-journal
-    /// generation, and caught up incrementally (sort the journal suffix,
-    /// merge) instead of rebuilt from a full scan-and-sort;
-    /// `EagerRefresh` additionally catches stale entries up on the
-    /// pool's background lane at the maintain phase, hiding the work
-    /// behind the execute window; `Off` restores the PR 9 per-walk
-    /// throwaway build. Join *results* are identical under every policy
-    /// — only where the sort cost lands changes.
-    pub index_cache: IndexCachePolicy,
-    /// Per-table byte bound on cached column views; least-recently-used
-    /// entries are evicted past it (the most recently built view always
-    /// survives). See [`EngineConfig::index_cache`].
-    pub index_cache_max_bytes: usize,
-}
-
-/// The probe strategy of batched delta-join execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinStrategy {
-    /// One hash/indexed Gamma probe per distinct join key (PR 8).
-    HashProbe,
-    /// One coordinated sorted-merge walk per class: open a column
-    /// cursor on each probe table once, then leapfrog the class's
-    /// sorted key groups against it with seek/next motions. Fewer
-    /// store probes on wide classes; identical emissions.
-    Leapfrog,
 }
 
 impl Default for EngineConfig {
@@ -179,21 +103,14 @@ impl Default for EngineConfig {
             record_steps: false,
             max_steps: None,
             pool: None,
-            delta: DeltaKind::Tree,
             lifetime_hints: Vec::new(),
-            hint_interval: 0,
             inline_class_threshold: 4,
             parallel_merge_threshold: 1024,
-            pipeline_depth: 1,
-            adaptive_overlap: true,
             compact_tombstones_above: 0.5,
             checkpoint_every: 0,
             checkpoint_path: None,
             checkpoint_keep: 2,
             delta_join_threshold: 32,
-            join_strategy: JoinStrategy::Leapfrog,
-            index_cache: IndexCachePolicy::default(),
-            index_cache_max_bytes: DEFAULT_INDEX_CACHE_MAX_BYTES,
         }
     }
 }
@@ -247,12 +164,6 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the Delta structure (ablation knob).
-    pub fn delta_kind(mut self, kind: DeltaKind) -> Self {
-        self.delta = kind;
-        self
-    }
-
     /// Sets the maximum class width executed inline on the coordinator.
     /// 0 forks every multi-tuple class (the pre-adaptive behaviour).
     pub fn inline_classes_up_to(mut self, width: usize) -> Self {
@@ -266,26 +177,6 @@ impl EngineConfig {
     /// every multi-partition batch.
     pub fn parallel_merge_from(mut self, batch: usize) -> Self {
         self.parallel_merge_threshold = batch;
-        self
-    }
-
-    /// Sets the drain/execute pipelining depth: `0` for the strictly
-    /// alternating loop, `1` (default) to overlap the Delta merge with
-    /// class execution, `≥ 2` for the epoch ring plus the pre-extracted
-    /// next class. Clamped to [`MAX_PIPELINE_DEPTH`]; the effective
-    /// depth lands in [`super::RunReport::pipeline_depth`]. See
-    /// [`EngineConfig::pipeline_depth`].
-    pub fn pipeline_depth(mut self, depth: usize) -> Self {
-        self.pipeline_depth = depth;
-        self
-    }
-
-    /// Enables or disables the feedback-driven overlap controller (on
-    /// by default); off restores the fixed
-    /// `max(64, parallel_merge_threshold / 4)` swap trigger. See
-    /// [`EngineConfig::adaptive_overlap`].
-    pub fn adaptive_overlap(mut self, on: bool) -> Self {
-        self.adaptive_overlap = on;
         self
     }
 
@@ -324,27 +215,6 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the delta-join probe strategy (leapfrog cursor walk vs
-    /// per-key hash probing). See [`JoinStrategy`].
-    pub fn join_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.join_strategy = strategy;
-        self
-    }
-
-    /// Selects the column-index caching policy (off / on-demand /
-    /// eager-refresh). See [`EngineConfig::index_cache`].
-    pub fn index_cache(mut self, policy: IndexCachePolicy) -> Self {
-        self.index_cache = policy;
-        self
-    }
-
-    /// Sets the per-table byte bound for cached column views. See
-    /// [`EngineConfig::index_cache_max_bytes`].
-    pub fn index_cache_max_bytes(mut self, bytes: usize) -> Self {
-        self.index_cache_max_bytes = bytes;
-        self
-    }
-
     /// Registers a tuple-lifetime hint for `table`: every `interval` steps,
     /// tuples the hook rejects are discarded from Gamma (§5 step 4 — the
     /// manual garbage-collection hints).
@@ -354,8 +224,8 @@ impl EngineConfig {
         interval: u64,
         keep: impl Fn(&Tuple) -> bool + Send + Sync + 'static,
     ) -> Self {
-        self.lifetime_hints.push((table, Arc::new(keep)));
-        self.hint_interval = interval.max(1);
+        self.lifetime_hints
+            .push((table, interval.max(1), Arc::new(keep)));
         self
     }
 }

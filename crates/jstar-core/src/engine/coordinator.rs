@@ -1,10 +1,9 @@
 //! The coordinator: a configured engine instance and its step loop,
 //! written as the explicit phase state machine described in the
-//! [module docs](super) — absorb → extract (committing a surviving
-//! lookahead speculation for free) → execute (∥ absorb + next-class
-//! prepare when pipelined) → maintain.
+//! [module docs](super) — absorb → extract → execute (∥ absorb while a
+//! forked class runs) → maintain.
 
-use crate::delta::{DeltaQueue, ShardedInbox};
+use crate::delta::{DeltaTree, ShardedInbox};
 use crate::error::Result;
 use crate::gamma::{Gamma, StoreKind};
 use crate::orderby::OrderKey;
@@ -25,7 +24,7 @@ use super::report::RunReport;
 use super::runtime::{
     process_class_chunk, process_class_delta_join, process_tuple, put_tuple, QueryPlan, RunState,
 };
-use super::schedule::{slice_pieces, ClassPlan, Lookahead, PreparedExec, Scheduler};
+use super::schedule::{ClassPlan, Scheduler};
 use crate::error::JStarError;
 
 /// A configured instance of a JStar program, ready to run.
@@ -70,11 +69,7 @@ impl Engine {
                     .unwrap_or_else(|| StoreKind::default_for(!config.sequential))
             })
             .collect();
-        let mut gamma = Gamma::new(program.defs(), &kinds);
-        // Apply the join-index cache policy while the engine is still
-        // single-threaded (swapping the cache later would race workers
-        // and discard counters).
-        gamma.configure_index_cache(config.index_cache, config.index_cache_max_bytes);
+        let gamma = Gamma::new(program.defs(), &kinds);
         let pool = if config.sequential {
             None
         } else {
@@ -134,7 +129,6 @@ impl Engine {
             errors: Mutex::new(Vec::new()),
             stats: EngineStats::new(n),
             pool: pool.clone(),
-            join_strategy: config.join_strategy,
         });
         Engine {
             state,
@@ -162,11 +156,9 @@ impl Engine {
     ///
     /// The step loop is the four-phase machine of the
     /// [module docs](super): each iteration **absorbs** staged tuples
-    /// into the Delta queue, **extracts** the minimal equivalence
-    /// class — taken for free from the lookahead when a speculation
-    /// survived ([`EngineConfig::pipeline_depth`] ≥ 2) — **executes**
-    /// it (overlapping the next absorb and the next extraction when
-    /// pipelined), then **maintains** the stores at the quiescent
+    /// into the Delta tree, **extracts** the minimal equivalence class,
+    /// **executes** it (overlapping the next absorb while a forked
+    /// class runs), then **maintains** the stores at the quiescent
     /// point.
     pub fn run(&mut self) -> Result<RunReport> {
         let start = Instant::now();
@@ -187,7 +179,7 @@ impl Engine {
             put_tuple(state, &min, "<inject>", t);
         }
 
-        let mut tree = DeltaQueue::new(self.config.delta);
+        let mut tree = DeltaTree::new();
         let mut pipeline = Pipeline::new(state, &self.config);
         // Which tables trigger at least one join-plan rule — the static
         // half of the delta-join eligibility check (the dynamic half is
@@ -201,17 +193,6 @@ impl Engine {
             .collect();
         let scheduler = Scheduler::new(self.config.inline_class_threshold)
             .with_delta_join(self.config.delta_join_threshold, join_tables);
-        let mut lookahead = Lookahead::new(pipeline.lookahead_enabled());
-        // Eager index refresh: one background-lane batch in flight at a
-        // time, submitted at the end of each maintain phase so catch-up
-        // hides behind the next step's execute window, and joined at the
-        // start of the next maintain phase — before any store surgery
-        // (retain/compact) that requires the quiescent point.
-        let eager_refresh = matches!(
-            self.config.index_cache,
-            crate::gamma::IndexCachePolicy::EagerRefresh
-        );
-        let mut pending_refresh: Option<jstar_pool::TaskBatch<()>> = None;
         let mut steps: u64 = 0;
         let mut checkpoints: u64 = 0;
         let mut checkpoint_time = Duration::ZERO;
@@ -222,7 +203,7 @@ impl Engine {
         // The per-step phase timers share the record_steps gate:
         // profiling runs get the split; production runs pay no clock
         // reads in the coordinator loop beyond the few per step the
-        // adaptive overlap controller needs.
+        // overlap controller needs.
         let timing = self.config.record_steps;
         loop {
             if state.has_errors() {
@@ -230,27 +211,16 @@ impl Engine {
             }
 
             // ── Phase 1: absorb ─────────────────────────────────────
-            // Everything staged by earlier steps must be queued (and
-            // checked against the speculation) before the next extract
-            // — a staged key may order before the current tree minimum.
-            // Under pipelining most of this already happened during the
-            // previous execute phase; this drains the epoch ring and
+            // Everything staged by earlier steps must be queued before
+            // the next extract — a staged key may order before the
+            // current tree minimum. After a forked step most of this
+            // already happened during its execute phase; this absorbs
             // the remainder.
-            pipeline.absorb(state, &mut tree, self.pool.as_deref(), &mut lookahead);
+            pipeline.absorb(state, &mut tree, self.pool.as_deref());
 
             // ── Phase 2: extract ────────────────────────────────────
-            // A surviving speculation *is* the minimal class (every
-            // merge since it was prepared ordered strictly after it),
-            // with its execution shape already built — forked classes
-            // arrive pre-sliced into chunk jobs, so the fan-out
-            // launches with zero extraction, planning, or boundary
-            // work. Otherwise pop.
-            let (key, mut class, speculative_exec) = match lookahead.take(&state.stats) {
-                Some((prepared, exec)) => (prepared.key, prepared.tuples, Some(exec)),
-                None => match tree.pop_min_class() {
-                    Some((key, class)) => (key, class, None),
-                    None => break,
-                },
+            let Some((key, mut class)) = tree.pop_min_class() else {
+                break;
             };
             steps += 1;
             if let Some(max) = self.config.max_steps {
@@ -261,84 +231,58 @@ impl Engine {
                     break;
                 }
             }
-            // A pre-sliced speculation's tuples live in its pieces.
-            let class_size = class.len()
-                + speculative_exec
-                    .as_ref()
-                    .map_or(0, PreparedExec::sliced_len);
+            let class_size = class.len();
             state.stats.record_step(class_size);
             let exec_start = timing.then(Instant::now);
 
-            // ── Phase 3: execute (∥ absorb + next extract when pipelined) ──
-            // Fresh pops decide their shape here; a speculation decided
-            // (and pre-sliced) it inside the previous execute window.
-            let exec = match speculative_exec {
-                Some(exec) => exec,
-                None if scheduler.delta_join(&class) => PreparedExec::DeltaJoin,
-                None => match scheduler.plan(self.pool.as_deref(), class_size) {
-                    ClassPlan::Inline { sort } => PreparedExec::Inline { sort },
-                    ClassPlan::Forked { chunk } => PreparedExec::Forked {
-                        pieces: slice_pieces(std::mem::take(&mut class), chunk),
-                    },
-                },
-            };
-            match exec {
-                PreparedExec::DeltaJoin => {
-                    // Batched semi-naive execution: the whole class is the
-                    // delta, and join-plan rules walk Gamma once per
-                    // class instead of once per tuple. Like the inline
-                    // arm this runs without the pipeline overlap window —
-                    // the join fan-out keeps the pool busy itself.
-                    state
-                        .stats
-                        .delta_join_classes
-                        .fetch_add(1, Ordering::Relaxed);
-                    process_class_delta_join(state, &key, &class, self.pool.as_deref());
-                }
-                PreparedExec::Forked { pieces } => {
-                    state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
-                    // lint: allow(expect): the planner only emits Forked when a pool exists.
-                    let pool = self.pool.as_ref().expect("forked plan implies a pool");
-                    let key = &key;
-                    let pieces = &pieces;
-                    let pipeline = &mut pipeline;
-                    let tree = &mut tree;
-                    let lookahead = &mut lookahead;
-                    pool.scope(|s| {
-                        // All chunks submitted as one batch: a single
-                        // wakeup, no per-task notify storm.
-                        s.spawn_batch(pieces.iter().map(|piece| {
-                            move |_: &jstar_pool::Scope<'_>| {
-                                process_class_chunk(state, key, piece);
-                            }
-                        }));
-                        if pipeline.pipelined() {
-                            // Speculate on the next step while this one
-                            // runs (no-op below depth 2), then join the
-                            // class from inside the scope, interleaving
-                            // epoch absorption with helping — the
-                            // drain/execute overlap.
-                            lookahead.prepare(
-                                tree,
-                                &scheduler,
-                                Some(pool),
-                                pipeline.absorbed_seq(),
-                            );
-                            pipeline.overlap(s, state, tree, pool, lookahead, &scheduler);
-                        }
-                    });
-                }
-                PreparedExec::Inline { sort } => {
-                    // Narrow class or sequential engine: fork/join
-                    // overhead exceeds the work, execute on the
-                    // coordinator. The sequential engine additionally
-                    // sorts for a deterministic intra-class order.
-                    state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
-                    if sort {
-                        class.sort();
+            // ── Phase 3: execute (∥ absorb while a forked class runs) ──
+            if scheduler.delta_join(&class) {
+                // Batched semi-naive execution: the whole class is the
+                // delta, and join-plan rules walk Gamma once per class
+                // instead of once per tuple. Like the inline arm this
+                // runs without the overlap window — the join fan-out
+                // keeps the pool busy itself.
+                state
+                    .stats
+                    .delta_join_classes
+                    .fetch_add(1, Ordering::Relaxed);
+                process_class_delta_join(state, &key, &class, self.pool.as_deref());
+            } else {
+                match scheduler.plan(self.pool.as_deref(), class_size) {
+                    ClassPlan::Forked { chunk } => {
+                        state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
+                        // lint: allow(expect): the planner only emits Forked when a pool exists.
+                        let pool = self.pool.as_ref().expect("forked plan implies a pool");
+                        let key = &key;
+                        let class = &class;
+                        let pipeline = &mut pipeline;
+                        let tree = &mut tree;
+                        pool.scope(|s| {
+                            // All chunks submitted as one batch: a single
+                            // wakeup, no per-task notify storm.
+                            s.spawn_batch(class.chunks(chunk).map(|piece| {
+                                move |_: &jstar_pool::Scope<'_>| {
+                                    process_class_chunk(state, key, piece);
+                                }
+                            }));
+                            // Join the class from inside the scope,
+                            // interleaving epoch absorption with helping
+                            // — the drain/execute overlap.
+                            pipeline.overlap(s, state, tree, pool);
+                        });
                     }
-                    for t in class {
-                        process_tuple(state, &key, t);
+                    ClassPlan::Inline { sort } => {
+                        // Narrow class or sequential engine: fork/join
+                        // overhead exceeds the work, execute on the
+                        // coordinator. The sequential engine additionally
+                        // sorts for a deterministic intra-class order.
+                        state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
+                        if sort {
+                            class.sort();
+                        }
+                        for t in class {
+                            process_tuple(state, &key, t);
+                        }
                     }
                 }
             }
@@ -362,29 +306,23 @@ impl Engine {
             // manual tuple-lifetime hints run here, followed by
             // tombstone compaction for stores the hints have hollowed
             // out.
-            //
-            // The previous step's index-refresh batch is joined first:
-            // its jobs read the Gamma stores, and the retain/compact
-            // surgery below requires that no such reader remains.
-            if let (Some(batch), Some(pool)) = (pending_refresh.take(), self.pool.as_deref()) {
-                batch.join(pool);
-            }
-            if self.config.hint_interval > 0 && steps.is_multiple_of(self.config.hint_interval) {
-                for (table, keep) in &self.config.lifetime_hints {
-                    let store = state.gamma.store(*table);
-                    store.retain(&**keep);
-                    if store.maybe_compact(self.config.compact_tombstones_above) {
-                        state.stats.tables[table.index()]
-                            .compactions
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+            for (table, interval, keep) in &self.config.lifetime_hints {
+                if !steps.is_multiple_of(*interval) {
+                    continue;
+                }
+                let store = state.gamma.store(*table);
+                store.retain(&**keep);
+                if store.maybe_compact(self.config.compact_tombstones_above) {
+                    state.stats.tables[table.index()]
+                        .compactions
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
 
             // Periodic checkpointing shares the quiescent point: the
-            // Delta queue is forced fully current (every staged epoch
-            // absorbed, any lookahead speculation returned), then the
-            // Gamma stores and pending tuples stream out atomically.
+            // Delta tree is forced fully current (everything staged is
+            // absorbed), then the Gamma stores and pending tuples
+            // stream out atomically.
             // A failed write fails the run — the harness's injected
             // crashes rely on that behaving exactly like process death,
             // and a real I/O error silently skipped would leave the
@@ -396,8 +334,7 @@ impl Engine {
                 // lint: allow(expect): is_some() is part of the guard condition above.
                 let dir = self.config.checkpoint_path.as_deref().expect("checked");
                 let t0 = Instant::now();
-                pipeline.absorb(state, &mut tree, self.pool.as_deref(), &mut lookahead);
-                lookahead.flush(&mut tree, &state.stats);
+                pipeline.absorb(state, &mut tree, self.pool.as_deref());
                 state.inbox.assert_quiescent();
                 let written = std::fs::create_dir_all(dir)
                     .map_err(|e| JStarError::Io(format!("{}: {e}", dir.display())))
@@ -434,41 +371,6 @@ impl Engine {
                     }
                 }
             }
-
-            // Eager index refresh: catch every cached column view up to
-            // the journal generation this step's inserts reached, so the
-            // next join-heavy class finds warm indexes at extract time.
-            // Parallel runs submit the catch-ups on the pool's
-            // background lane — only workers with no class chunk left
-            // pick them up, the same overlap trick as the Delta merge —
-            // and the batch is joined at the top of the next maintain
-            // phase. Sequential runs refresh inline.
-            if eager_refresh {
-                let tables = state.gamma.index_cache().cached_tables();
-                if !tables.is_empty() {
-                    match &self.pool {
-                        Some(pool) => {
-                            let jobs: Vec<_> = tables
-                                .into_iter()
-                                .map(|ti| {
-                                    let st = Arc::clone(&self.state);
-                                    move || st.gamma.refresh_indexes(TableId(ti as u32))
-                                })
-                                .collect();
-                            pending_refresh = Some(jstar_pool::submit_background(pool, jobs));
-                        }
-                        None => {
-                            for ti in tables {
-                                state.gamma.refresh_indexes(TableId(ti as u32));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if let (Some(batch), Some(pool)) = (pending_refresh.take(), self.pool.as_deref()) {
-            batch.join(pool);
         }
 
         let errors = state.errors.lock();
@@ -491,13 +393,9 @@ impl Engine {
             execute_time: Duration::from_nanos(state.stats.execute_nanos.load(Ordering::Relaxed)),
             inline_classes: state.stats.inline_classes.load(Ordering::Relaxed),
             forked_classes: state.stats.forked_classes.load(Ordering::Relaxed),
-            pipeline_depth: pipeline.effective_depth(),
-            lookahead_hits: state.stats.lookahead_hits.load(Ordering::Relaxed),
-            lookahead_misses: state.stats.lookahead_misses.load(Ordering::Relaxed),
             checkpoints,
             checkpoint_time,
             delta_join_classes: state.stats.delta_join_classes.load(Ordering::Relaxed),
-            delta_join_probes: state.stats.delta_join_probes.load(Ordering::Relaxed),
             delta_join_build_tuples: state.stats.delta_join_build_tuples.load(Ordering::Relaxed),
             gamma_probes: state
                 .stats
@@ -538,8 +436,8 @@ impl Engine {
 
     /// The order-independent digest of the live Gamma database (see
     /// [`crate::persist::gamma_digest`]). Equal logical states produce
-    /// equal digests across thread counts, pipeline depths and
-    /// checkpoint/restore cycles — determinism and recovery checks are
+    /// equal digests across thread counts and checkpoint/restore
+    /// cycles — determinism and recovery checks are
     /// one `u64` comparison.
     pub fn content_hash(&self) -> u64 {
         crate::persist::gamma_digest(self.state.program.defs(), &self.state.gamma)

@@ -18,116 +18,80 @@
 //! `T`'s tuples straight to Gamma and fires their rules immediately;
 //! `-noGamma T` skips storing `T`'s tuples (they act as pure triggers).
 //!
-//! ## The lookahead step machine
+//! ## The step machine
 //!
 //! The step loop (the `coordinator` module) is a four-phase state
-//! machine. [`EngineConfig::pipeline_depth`] selects how much of the
-//! *next* step's work rides inside the current step's execute phase:
-//! `0` is the strictly alternating loop, `1` (the default) overlaps the
-//! Delta merge with rule execution, and `≥ 2` adds the epoch **ring**
-//! and the **lookahead** — the next minimal class is extracted and
-//! planned speculatively while the current one runs:
+//! machine. How much of the *next* step's drain rides inside the
+//! current step's execute phase follows from how the class executes: a
+//! forked class (which implies a pool) opens the overlap window, inline
+//! and delta-join classes and every `-sequential` run absorb at the
+//! step boundary only:
 //!
 //! ```text
 //!            workers: put → ShardedInbox (epoch E+1, binned by key prefix)
 //!                                │
 //!   ┌──── ABSORB ────┐   ┌─── EXTRACT ───┐   ┌─────────── EXECUTE ───────────┐
-//!   │ graft ring     │ → │ commit looka- │ → │ class chunks on the pool      │
-//!   │ epochs in      │   │ head hit, or  │   │  ∥ prepare: pop next class,   │
-//!   │ order, then    │   │ pop_min_class │   │    build its plan (depth ≥ 2) │
-//!   │ the remainder  │   └───────────────┘   │  ∥ overlap: close epochs into │
-//!   └────────────────┘                       │    the ring (≤ depth), builds │
-//!            ▲                               │    on the background lane,    │
-//!            │                               │    graft the completed ones — │
-//!            │                               │    each graft validates the   │
-//!            │                               │    prepared class and rolls   │
-//!            │                               │    it back if preempted       │
-//!            │                               └───────────────────────────────┘
+//!   │ swap out and   │ → │ pop_min_class │ → │ class chunks on the pool      │
+//!   │ merge whatever │   └───────────────┘   │  ∥ overlap: close the staged  │
+//!   │ is still       │                       │    epoch at the swap point,   │
+//!   │ staged         │                       │    builds on the background   │
+//!   └────────────────┘                       │    lane, graft, help          │
+//!            ▲                               └───────────────────────────────┘
 //!            │                ┌── MAINTAIN ──┐                 │
 //!            └────────────────│ hints,       │◀────────────────┘
-//!                             │ compaction   │
+//!                             │ compaction,  │
+//!                             │ checkpoint   │
 //!                             └──────────────┘
 //! ```
 //!
-//! * **Absorb** (`pipeline::Pipeline::absorb`) — the coordinator grafts
-//!   every epoch still in the ring (oldest first), then swaps the
-//!   staged remainder out of the [`crate::delta::ShardedInbox`] and
-//!   merges it. With pipelining on, most of this already happened
-//!   during the previous execute phase and only a small remainder is
-//!   left here.
-//! * **Extract** — the unit of parallelism of the all-minimums
-//!   strategy. A speculation that survived every merge since it was
-//!   prepared ([`crate::delta::PreparedClass`]) **is** the minimal
-//!   class, with its plan already built: the fan-out launches
-//!   immediately and [`RunReport::lookahead_hits`] counts one.
-//!   Otherwise `pop_min_class` pays the extraction here. The extract
-//!   must reflect *every* tuple staged by earlier steps (a staged key
-//!   may order before the current minimum) — which is why absorb
-//!   completes first, and why every absorbed epoch is checked against
-//!   the prepared key.
+//! * **Absorb** (`pipeline::Pipeline::absorb`) — the coordinator swaps
+//!   whatever is still staged out of the
+//!   [`crate::delta::ShardedInbox`] and merges it. After a forked step
+//!   most of this already happened during its execute phase and only a
+//!   small remainder is left here.
+//! * **Extract** — `pop_min_class`: the unit of parallelism of the
+//!   all-minimums strategy. The extract must reflect *every* tuple
+//!   staged by earlier steps (a staged key may order before the current
+//!   minimum) — which is why absorb completes first.
 //! * **Execute** (`schedule::Scheduler` decides the shape) — classes
 //!   at or below [`EngineConfig::inline_class_threshold`] run inline on
 //!   the coordinator; wider classes are chunked by measured width and
 //!   pool occupancy and submitted as one batch
 //!   ([`jstar_pool::Scope::spawn_batch`], a single wakeup). While a
-//!   forked class runs, the pipelined coordinator loops
-//!   (`pipeline::Pipeline::overlap`):
-//!   1. **prepare** (depth ≥ 2, `schedule::Lookahead`) — extract the
-//!      next minimal class and build its `ClassPlan` speculatively
-//!      (chunked for the idle pool the launch will actually see);
-//!   2. **close** — once the controller's swap point of staged tuples
-//!      accumulates, swap the epoch out
-//!      ([`crate::delta::ShardedInbox::swap_epoch`]) into the ring (at
-//!      most `pipeline_depth` in flight), its per-partition subtree
-//!      builds submitted on the pool's **background lane**
-//!      ([`jstar_pool::submit_background`]) so only otherwise-idle
-//!      workers build subtrees — class chunks always preempt them;
-//!   3. **invalidate/commit** — graft completed epochs in order; an
-//!      epoch whose minimal key orders at or below the prepared class
-//!      returns the speculation to the queue (canonical-set semantics
-//!      collapse any duplicates — [`RunReport::lookahead_misses`]
-//!      counts one) and the lookahead re-prepares from the updated
-//!      queue; an epoch ordering strictly after leaves it standing,
-//!      to be committed at the next extract.
+//!   forked class runs, the coordinator loops
+//!   (`pipeline::Pipeline::overlap`): once the controller's swap point
+//!   of staged tuples accumulates it swaps the epoch out
+//!   ([`crate::delta::ShardedInbox::swap_epoch`]), its per-partition
+//!   subtree builds submitted on the pool's **background lane**
+//!   ([`jstar_pool::submit_background`]) when that lane is idle — class
+//!   chunks always preempt them — and grafts it; otherwise it helps
+//!   execute queued chunks.
 //!
-//!   Since the Delta structures are canonical sets keyed by position,
-//!   early-merged epochs and rolled-back speculations reproduce exactly
-//!   the state the step-boundary drain would have: the pop sequence —
-//!   and therefore the run — is bit-identical at every depth
-//!   (property-tested across depths 0/1/2/4 in
-//!   `tests/prop_engine.rs::lookahead_matches_alternating`).
+//!   Since the Delta tree is a canonical set keyed by position,
+//!   early-merged epochs reproduce exactly the state the step-boundary
+//!   drain would have: the pop sequence — and therefore the run — is
+//!   bit-identical to the sequential engine's (property-tested in
+//!   `tests/prop_engine.rs::sharded_parallel_matches_sequential`).
 //! * **Maintain** — the coordinator's single-threaded quiescent point:
 //!   tuple-lifetime hints run (§5 step 4), stores whose tombstone
 //!   fraction exceeds [`EngineConfig::compact_tombstones_above`] are
 //!   compacted ([`crate::gamma::TableStore::maybe_compact`]), and —
 //!   every [`EngineConfig::checkpoint_every`] steps — a checkpoint is
-//!   written atomically (the Delta queue is forced fully current
+//!   written atomically (the Delta tree is forced fully current
 //!   first; see [`crate::persist`] and [`Engine::restore_latest`]).
 //!
-//! The mid-step swap point is chosen per step by a feedback controller
-//! ([`EngineConfig::adaptive_overlap`], default on): it tracks recent
-//! epoch-absorb cost per staged tuple against the execute-window
-//! length and sizes batches so one absorb costs about a quarter of the
-//! window — falling back to the fixed
-//! `max(64, parallel_merge_threshold / 4)` trigger when disabled or
-//! before measurements exist.
+//! The mid-step swap point is chosen per step by a feedback controller:
+//! it tracks recent epoch-absorb cost per staged tuple against the
+//! execute-window length and sizes batches so one absorb costs about a
+//! quarter of the window — starting from the fixed
+//! `max(64, parallel_merge_threshold / 4)` trigger before measurements
+//! exist.
 //!
 //! **Reading the metrics.** Time spent on overlapped drain work is
 //! accounted separately ([`RunReport::overlap_time`],
 //! [`RunReport::overlap_fraction`]): it is hidden under the execute
 //! phase's wall clock instead of stalling the coordinator, so a rising
-//! overlap fraction means the pipeline is doing its job.
-//! [`RunReport::lookahead_hit_rate`] is the fraction of speculations
-//! that survived to launch; a persistently low rate (common on
-//! priority-queue workloads like Dijkstra, whose merges routinely
-//! order below the next class) means the speculation is churn — the
-//! lookahead pauses itself after a miss streak and re-probes
-//! periodically, but such workloads still do best at
-//! `pipeline_depth = 1`. Set `pipeline_depth = 0`
-//! when diagnosing the engine (strictly alternating phases are easier
-//! to reason about in a profile) or as the baseline arm of an A/B
-//! measurement; the effective (clamped) depth of a run is reported in
-//! [`RunReport::pipeline_depth`].
+//! overlap fraction means the overlap is doing its job.
 //!
 //! ## Execution modes: per-tuple vs batched delta-join
 //!
@@ -143,12 +107,12 @@
 //!   fields equate to which probe-table fields — and the class has at
 //!   least [`EngineConfig::delta_join_threshold`] tuples, the whole
 //!   class is treated as the semi-naive *delta*: fresh tuples are
-//!   grouped by their join-key values in one deterministic pass, Gamma
-//!   is probed **once per distinct key**, and each match is filtered
-//!   and emitted against every group member. Distinct-key groups fan
-//!   out across the pool like class chunks do. Rules without plans in
-//!   an otherwise-eligible class still run per-tuple after the batched
-//!   rules.
+//!   grouped by their join-key values in one deterministic pass, the
+//!   sorted groups leapfrog one shared Gamma column cursor per stage,
+//!   and each match is filtered and emitted against every group member.
+//!   Distinct-key groups fan out across the pool like class chunks do.
+//!   Rules without plans in an otherwise-eligible class — and plans
+//!   with a keyless (cross-join) stage — still run per-tuple.
 //!
 //! The static half of the choice (does every rule on this table have a
 //! plan?) is computed once per run; the dynamic half (is this class
@@ -158,9 +122,9 @@
 //! by set semantics the staged tuple set — and therefore the pop
 //! schedule — is bit-identical (property-tested in
 //! `tests/prop_engine.rs::delta_join_matches_per_tuple`).
-//! [`RunReport::delta_join_classes`], [`RunReport::delta_join_probes`],
-//! [`RunReport::delta_join_build_tuples`] and
-//! [`RunReport::gamma_probes`] put the probe-count reduction on record;
+//! [`RunReport::delta_join_classes`],
+//! [`RunReport::delta_join_build_tuples`], [`RunReport::gamma_probes`]
+//! and [`RunReport::join_seeks`] put the search-count reduction on record;
 //! `bench_hotpath`'s `delta_join` section A/B-measures it and gates
 //! that the mode costs nothing on join-free programs.
 //!
@@ -169,28 +133,22 @@
 //! Leapfrog join walks open sorted per-column views
 //! ([`crate::gamma::TableStore::open_cursor`]); iterative programs
 //! reopen the same columns step after step over largely-unchanged
-//! tables. [`EngineConfig::index_cache`] keeps each built view in a
-//! per-table cache ([`crate::gamma::IndexCache`]) stamped with the
-//! store's claim-journal **generation**: a warm open sorts only the
+//! tables. Each built view is kept in a per-table cache
+//! ([`crate::gamma::IndexCache`]) stamped with the store's
+//! claim-journal **generation**: a warm open sorts only the
 //! journal suffix appended since the stamp and two-way merges it into
 //! the cached groups, so its cost tracks the *new* tuples per step
 //! instead of the live table. Lifetime-hint `retain`s (a changed
 //! tombstone count) and quiescent rebuilds — compaction, snapshot
 //! import, both of which bump the store's epoch — invalidate wholesale;
-//! both happen only in the maintain phase, which is also where
-//! `EagerRefresh` submits background-lane catch-up jobs (joined at the
-//! top of the next maintain phase, before any retain or compact, so
-//! refresh never races a table replacement). Policy choice:
-//! `OnDemand` (the default) is right for almost everything — pure wins,
-//! catch-up cost on the opening walk; `EagerRefresh` moves that cost
-//! behind the execute window when join-heavy steps dominate and idle
-//! workers exist; `Off` is the A/B baseline and the fallback for
-//! memory-constrained runs (though the per-table LRU bound
-//! [`EngineConfig::index_cache_max_bytes`] usually suffices).
+//! both happen only in the maintain phase. Stores without a claim
+//! journal (the `-sequential` engine's `BTreeStore`, custom stores)
+//! build cold on every open, and a per-table LRU byte bound
+//! ([`crate::gamma::DEFAULT_INDEX_CACHE_MAX_BYTES`]) caps the memory.
 //! [`RunReport::index_cache_hits`]/[`RunReport::index_cache_misses`]/
 //! [`RunReport::index_catchup_tuples`]/[`RunReport::index_build_tuples`]
-//! put the rebuild-work reduction on record, and every policy is
-//! property-tested to produce bit-identical pop schedules
+//! put the rebuild-work reduction on record, and the cached views are
+//! property-tested against the cold-building sequential engine
 //! (`tests/prop_engine.rs::cached_index_matches_cold_build`).
 //!
 //! ## Hot-path architecture
@@ -205,9 +163,8 @@
 //!    hash of the key's leading components at push time.
 //! 2. **Partitioned, overlapped parallel drain** — pool workers build
 //!    one independent subtree per key-prefix partition; the coordinator
-//!    grafts them, splicing disjoint subtrees wholesale. Under
-//!    pipelining the builds run on the background lane during the
-//!    previous class's execution.
+//!    grafts them, splicing disjoint subtrees wholesale. While a
+//!    forked class executes the builds run on the background lane.
 //! 3. **Reservation-based Gamma inserts** — the parallel store defaults
 //!    ([`crate::gamma::ConcurrentOrderedStore`],
 //!    [`crate::gamma::HashStore`]) publish tuples via CAS slot
@@ -225,8 +182,8 @@
 //!
 //! The module family: `config` (the paper's flags), `runtime` (the
 //! shared put/trigger core), `ctx` (the rule window onto the
-//! database), `schedule` (class execution planning and the lookahead),
-//! `pipeline` (the epoch ring and overlap controller), `report` (run
+//! database), `schedule` (class execution planning),
+//! `pipeline` (epoch absorption and the overlap controller), `report` (run
 //! results), and `coordinator` (the step loop itself). The public API
 //! — [`Engine`], [`EngineConfig`], [`RuleCtx`], [`RunReport`],
 //! [`QueryPlan`], [`LifetimeHint`] — is re-exported here unchanged
@@ -242,7 +199,7 @@ mod schedule;
 #[cfg(test)]
 mod tests;
 
-pub use config::{EngineConfig, JoinStrategy, LifetimeHint, MAX_PIPELINE_DEPTH};
+pub use config::{EngineConfig, LifetimeHint};
 pub use coordinator::{Engine, RestoreOutcome};
 pub use ctx::RuleCtx;
 pub use report::RunReport;

@@ -1,7 +1,5 @@
-//! The epoch ring: moving staged tuples into the Delta queue, either
-//! serially at the step boundary or overlapped with class execution —
-//! with up to [`super::EngineConfig::pipeline_depth`] closed epochs in
-//! flight at once.
+//! Moving staged tuples into the Delta tree, either serially at the
+//! step boundary or overlapped with class execution.
 //!
 //! Tuples a step's workers `put` are staged in the
 //! [`crate::delta::ShardedInbox`], binned by key prefix at push time.
@@ -10,66 +8,55 @@
 //! **build** (one Delta subtree per partition, on the pool's
 //! **background lane** so only otherwise-idle workers touch them —
 //! [`crate::delta::EpochBuild`]), and **graft** (the coordinator merges
-//! the built subtrees in epoch order —
-//! [`crate::delta::DeltaQueue::absorb_epoch`]).
+//! the built subtrees — [`crate::delta::DeltaTree::absorb_epoch`]).
 //!
-//! With `pipeline_depth` = 1 the ring holds one epoch: the coordinator
-//! closes it mid-step and grafts it immediately (blocking on its builds
-//! while helping execute queued work) — the PR 4 overlap. With depth
-//! ≥ 2 the coordinator keeps closing epochs while earlier builds are
-//! still in flight, grafting each the moment its builds complete; a
-//! straggling build never stalls the swap cadence, and at the step
-//! boundary most grafts are a splice of already-built subtrees. Depth
-//! ≥ 2 also arms the [`super::schedule::Lookahead`]: each absorbed
-//! epoch's minimal key is checked against the speculatively extracted
-//! next class.
+//! Which of the two it is follows from how the class executes: a forked
+//! class (which implies a pool) is the overlap window — while its chunks
+//! run, the coordinator closes epochs mid-step and grafts each one
+//! immediately, helping execute queued work while it waits on the
+//! builds. Inline and delta-join classes, and every `-sequential` run,
+//! absorb at the step boundary only.
 //!
 //! The Law of Causality guarantees staged tuples never belong to the
-//! *current* step, and the Delta structures are canonical sets keyed by
+//! *current* step, and the Delta tree is a canonical set keyed by
 //! position — so absorbing epochs early (in any interleaving with
 //! execution) produces exactly the queue state the step-boundary drain
-//! would have, and the pop sequence is unchanged at every depth.
+//! would have, and the pop sequence is unchanged.
 //!
 //! ## The overlap controller
 //!
 //! A mid-step epoch swap only pays once enough tuples are staged (a
 //! near-empty swap is a mutex round over every shard for nothing). The
-//! swap point is chosen per step by [`OverlapController`]: with
-//! [`super::EngineConfig::adaptive_overlap`] (default on) it tracks an
+//! swap point is chosen per step by [`OverlapController`]: it tracks an
 //! EWMA of the coordinator-side absorb cost per staged tuple and of the
 //! execute-window length, and sizes the batch so one absorb costs about
 //! a quarter of the window — big enough to amortise the swap, small
-//! enough that the final absorb does not spill past the join. With the
-//! flag off (or before any measurements exist) the fixed
-//! `max(64, parallel_merge_threshold / 4)` trigger of the pre-feedback
-//! engine applies.
+//! enough that the final absorb does not spill past the join. Before
+//! any measurements exist the fixed
+//! `max(64, parallel_merge_threshold / 4)` trigger applies.
 
-use crate::delta::{DeltaQueue, EpochBuild};
+use crate::delta::{DeltaTree, EpochBuild};
 use jstar_pool::{Scope, ThreadPool};
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use super::config::{EngineConfig, MAX_PIPELINE_DEPTH};
+use super::config::EngineConfig;
 use super::runtime::RunState;
-use super::schedule::{Lookahead, Scheduler};
 use crate::orderby::OrderKey;
 use crate::tuple::Tuple;
 
-/// How many overlapped absorbs the adaptive controller aims to fit in
-/// one execute window.
+/// How many overlapped absorbs the controller aims to fit in one
+/// execute window.
 const TARGET_OVERLAP_ROUNDS: f64 = 4.0;
 /// EWMA smoothing factor for the controller's two signals.
 const EWMA_ALPHA: f64 = 0.3;
-/// Bounds on the adaptive swap point, in staged tuples.
+/// Bounds on the swap point, in staged tuples.
 const MIN_SWAP_POINT: usize = 64;
 const MAX_SWAP_POINT: usize = 1 << 16;
 
-/// Feedback-driven sizing of the overlapped absorb batches (the
-/// "adaptive overlap batch size" of the module docs).
+/// Feedback-driven sizing of the overlapped absorb batches.
 pub(super) struct OverlapController {
-    adaptive: bool,
-    /// The pre-feedback trigger, also the fallback before measurements.
+    /// The trigger used before the first measurements.
     fixed: usize,
     /// EWMA of coordinator-side absorb nanoseconds per staged tuple;
     /// 0.0 until the first measurement.
@@ -81,10 +68,9 @@ pub(super) struct OverlapController {
 }
 
 impl OverlapController {
-    fn new(adaptive: bool, merge_threshold: usize) -> OverlapController {
+    fn new(merge_threshold: usize) -> OverlapController {
         let fixed = (merge_threshold / 4).max(MIN_SWAP_POINT);
         OverlapController {
-            adaptive,
             fixed,
             absorb_ns_per_tuple: 0.0,
             window_ns: 0.0,
@@ -98,17 +84,10 @@ impl OverlapController {
         self.swap_point
     }
 
-    /// True when the controller wants absorb/window timings even though
-    /// the stats timers are off.
-    fn needs_clock(&self) -> bool {
-        self.adaptive
-    }
-
     /// Feeds one absorbed epoch: `staged` tuples took `dur` of
-    /// coordinator time (swap + graft, plus build wait if the epoch was
-    /// not ready).
+    /// coordinator time (swap + graft).
     fn record_absorb(&mut self, staged: usize, dur: Duration) {
-        if !self.adaptive || staged == 0 {
+        if staged == 0 {
             return;
         }
         let per = dur.as_nanos() as f64 / staged as f64;
@@ -118,9 +97,6 @@ impl OverlapController {
     /// Feeds one closed execute window and recomputes the swap point
     /// for the next step.
     fn record_window(&mut self, dur: Duration) {
-        if !self.adaptive {
-            return;
-        }
         self.window_ns = ewma(self.window_ns, dur.as_nanos() as f64);
         if self.absorb_ns_per_tuple > 0.0 && self.window_ns > 0.0 {
             let batch = self.window_ns / TARGET_OVERLAP_ROUNDS / self.absorb_ns_per_tuple;
@@ -139,193 +115,105 @@ fn ewma(prev: f64, sample: f64) -> f64 {
     }
 }
 
-/// Reusable absorption state: the epoch ring, the recycled
-/// per-partition run buffers, the per-table insert counters (flushed as
-/// **one** stats update per touched table per epoch) and the overlap
-/// controller.
+/// Reusable absorption state: the recycled per-partition run buffers,
+/// the per-table insert counters (flushed as **one** stats update per
+/// touched table per epoch) and the overlap controller.
 pub(super) struct Pipeline {
-    /// Closed epochs in flight, oldest first; absorbed strictly in
-    /// order. Never longer than `depth`.
-    ring: VecDeque<EpochBuild>,
-    /// Spare run-buffer sets, recycled through the ring so staging
+    /// Spare run-buffer sets, recycled through each epoch so staging
     /// allocations survive the round trip.
     spare: Vec<Vec<Vec<(OrderKey, Tuple)>>>,
     inserted_by_table: Vec<u64>,
     merge_threshold: usize,
-    depth: usize,
-    /// Sequence number of the most recently *closed* epoch.
-    epoch_seq: u64,
-    /// Sequence number of the most recently *absorbed* epoch — the
-    /// [`crate::delta::PreparedClass::epoch_mark`] a speculation
-    /// prepared now can truthfully carry (every epoch up to and
-    /// including it is reflected in the queue; later ones validate on
-    /// absorb).
-    absorbed_seq: u64,
     controller: OverlapController,
-    partitions: usize,
     timing: bool,
 }
 
 impl Pipeline {
     pub(super) fn new(state: &RunState, config: &EngineConfig) -> Pipeline {
         let merge_threshold = config.parallel_merge_threshold;
-        let depth = if config.sequential {
-            0
-        } else {
-            config.pipeline_depth.min(MAX_PIPELINE_DEPTH)
-        };
         Pipeline {
-            ring: VecDeque::with_capacity(depth),
-            spare: vec![(0..state.inbox.partitions()).map(|_| Vec::new()).collect()],
+            spare: Vec::new(),
             inserted_by_table: vec![0; state.program.defs().len()],
             merge_threshold,
-            depth,
-            epoch_seq: 0,
-            absorbed_seq: 0,
-            controller: OverlapController::new(config.adaptive_overlap, merge_threshold),
-            partitions: state.inbox.partitions(),
+            controller: OverlapController::new(merge_threshold),
             timing: config.record_steps,
         }
     }
 
-    /// True when the drain/execute overlap is active.
-    pub(super) fn pipelined(&self) -> bool {
-        self.depth > 0
-    }
-
-    /// True when the lookahead machine is armed (depth ≥ 2).
-    pub(super) fn lookahead_enabled(&self) -> bool {
-        self.depth >= 2
-    }
-
-    /// The clamped depth the run actually executes with (0 in
-    /// sequential mode) — reported in
-    /// [`super::RunReport::pipeline_depth`].
-    pub(super) fn effective_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The sequence number of the most recently absorbed epoch — the
-    /// [`crate::delta::PreparedClass::epoch_mark`] a speculation
-    /// prepared now should carry.
-    pub(super) fn absorbed_seq(&self) -> u64 {
-        self.absorbed_seq
-    }
-
-    fn take_buffers(&mut self) -> Vec<Vec<(OrderKey, Tuple)>> {
-        self.spare
-            .pop()
-            .unwrap_or_else(|| (0..self.partitions).map(|_| Vec::new()).collect())
-    }
-
-    /// Closes the current staging epoch into the ring. Returns false
-    /// (and recycles the buffers) when nothing was staged.
+    /// Closes the current staging epoch. Returns `None` (and recycles
+    /// the buffers) when nothing was staged.
     fn close_epoch(
         &mut self,
         state: &RunState,
-        tree: &DeltaQueue,
         build_pool: Option<&ThreadPool>,
-    ) -> bool {
-        let mut runs = self.take_buffers();
+    ) -> Option<EpochBuild> {
+        let mut runs = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| vec![Vec::new(); state.inbox.partitions()]);
         if state.inbox.swap_epoch(&mut runs) == 0 {
             self.spare.push(runs);
-            return false;
+            return None;
         }
-        self.epoch_seq += 1;
-        self.ring.push_back(EpochBuild::start(
-            tree.kind(),
-            self.epoch_seq,
+        Some(EpochBuild::start(
             runs,
             build_pool,
             self.inserted_by_table.len(),
             self.merge_threshold,
-        ));
-        true
+        ))
     }
 
-    /// Grafts one epoch into the queue (joining its builds if still in
-    /// flight — helping the pool meanwhile), validates the lookahead
-    /// against its minimal key, and recycles the buffers. Returns the
-    /// coordinator time spent.
+    /// Grafts one epoch into the tree (joining its builds if still in
+    /// flight — helping the pool meanwhile) and recycles the buffers.
     ///
-    /// `clean_timing` marks a duration that measures only absorb work:
-    /// a blocking join on a *not-ready* epoch executes queued foreground
-    /// class chunks while it waits, so its duration would poison the
-    /// controller's absorb-cost EWMA — such absorbs pass false and are
-    /// excluded from the feedback signal.
+    /// `clean_timing` marks a graft whose duration measures only absorb
+    /// work and so feeds the controller's absorb-cost EWMA: a blocking
+    /// join on a *not-ready* epoch executes queued foreground class
+    /// chunks while it waits, which would poison the signal — such
+    /// absorbs pass false.
     fn absorb_one(
         &mut self,
         epoch: EpochBuild,
         state: &RunState,
-        tree: &mut DeltaQueue,
+        tree: &mut DeltaTree,
         pool: Option<&ThreadPool>,
-        lookahead: &mut Lookahead,
         clean_timing: bool,
-    ) -> Option<Duration> {
-        let t0 = (self.timing || self.controller.needs_clock()).then(Instant::now);
+    ) {
+        let t0 = clean_timing.then(Instant::now);
         let staged = epoch.staged();
-        self.absorbed_seq = epoch.seq();
         let absorbed = tree.absorb_epoch(epoch, pool, &mut self.inserted_by_table);
         self.flush_counts(state);
-        lookahead.validate(
-            self.absorbed_seq,
-            absorbed.min_key.as_ref(),
-            tree,
-            &state.stats,
-        );
         self.spare.push(absorbed.buffers);
-        let elapsed = t0.map(|t| t.elapsed());
-        if clean_timing {
-            if let Some(d) = elapsed {
-                self.controller.record_absorb(staged, d);
-            }
+        if let Some(t0) = t0 {
+            self.controller.record_absorb(staged, t0.elapsed());
         }
-        elapsed
     }
 
     /// Serial absorb at the step boundary (the **absorb** phase):
-    /// drains the ring in order, then whatever is still staged —
-    /// everything, when pipelining is off; the sub-swap-point remainder
-    /// otherwise — so the following extract sees every tuple put by
-    /// earlier steps.
+    /// everything still staged — all of it after an inline step, the
+    /// sub-swap-point remainder after an overlapped one — so the
+    /// following extract sees every tuple put by earlier steps.
     pub(super) fn absorb(
         &mut self,
         state: &RunState,
-        tree: &mut DeltaQueue,
+        tree: &mut DeltaTree,
         pool: Option<&ThreadPool>,
-        lookahead: &mut Lookahead,
     ) {
-        // In-flight epochs from the previous execute window, in order.
-        // Clean timing: the class has joined, so nothing foreign rides
-        // inside the join.
-        while let Some(epoch) = self.ring.pop_front() {
-            let spent = self.absorb_one(epoch, state, tree, pool, lookahead, true);
-            if self.timing {
-                if let Some(d) = spent {
-                    let nanos = d.as_nanos() as u64;
-                    state.stats.merge_nanos.fetch_add(nanos, Ordering::Relaxed);
-                    state.stats.drain_nanos.fetch_add(nanos, Ordering::Relaxed);
-                }
-            }
-        }
         if state.inbox.is_empty() {
             return;
         }
-
-        // The staged remainder: one final epoch, closed (into the
-        // just-drained ring) and absorbed here. `swap_epoch` is exact
-        // at the boundary — the scope join ordered every worker push
-        // before this read.
+        // `swap_epoch` is exact at the boundary — the scope join ordered
+        // every worker push before this read.
         let partition_start = self.timing.then(Instant::now);
-        let closed = self.close_epoch(state, tree, pool);
+        let epoch = self.close_epoch(state, pool);
         let partition_elapsed = partition_start.map(|t0| t0.elapsed());
-        if !closed {
+        let Some(epoch) = epoch else {
             return;
-        }
+        };
+        // Clean timing: the class has joined, so nothing foreign rides
+        // inside the build join.
         let merge_start = self.timing.then(Instant::now);
-        // lint: allow(expect): the early-return above guarantees a queued epoch.
-        let epoch = self.ring.pop_front().expect("epoch closed above");
-        self.absorb_one(epoch, state, tree, pool, lookahead, true);
+        self.absorb_one(epoch, state, tree, pool, true);
         let merge_elapsed = merge_start.map(|t0| t0.elapsed());
 
         if let (Some(p), Some(m)) = (partition_elapsed, merge_elapsed) {
@@ -344,75 +232,47 @@ impl Pipeline {
         }
     }
 
-    /// Overlapped absorb (the pipelined half of the **execute** phase):
-    /// runs on the coordinator inside the class's fork/join scope.
-    /// Cycles through (a) closing staged epochs into the ring once they
-    /// reach the controller's swap point, (b) grafting epochs whose
-    /// background builds have completed — blocking on the oldest when
-    /// the ring is full — and (c) helping execute queued pool work,
-    /// until every spawned chunk of the class has finished. With the
-    /// lookahead armed, an invalidated speculation is re-prepared right
-    /// after the absorb that killed it.
-    #[allow(clippy::too_many_arguments)]
+    /// Overlapped absorb (the other half of a forked **execute**
+    /// phase): runs on the coordinator inside the class's fork/join
+    /// scope. Cycles through (a) closing the staged epoch once it
+    /// reaches the controller's swap point and grafting it, and (b)
+    /// helping execute queued pool work, until every spawned chunk of
+    /// the class has finished.
     pub(super) fn overlap(
         &mut self,
         scope: &Scope<'_>,
         state: &RunState,
-        tree: &mut DeltaQueue,
+        tree: &mut DeltaTree,
         pool: &ThreadPool,
-        lookahead: &mut Lookahead,
-        scheduler: &Scheduler,
     ) {
-        let window_start = self.controller.needs_clock().then(Instant::now);
+        let window_start = Instant::now();
         loop {
             let mut progressed = false;
-            if self.ring.len() < self.depth && state.inbox.len() >= self.controller.swap_point() {
-                // At depth 1 the graft follows immediately, so a busy
-                // pool gains nothing from parallel builds — the
-                // sequential insert loop on the otherwise-waiting
-                // coordinator *is* the overlap (and it keeps execute
-                // help out of the overlap timer). Deeper rings never
-                // block here, so background builds always pay.
-                let build_pool = if self.depth >= 2 || pool.pending_jobs() == 0 {
-                    Some(pool)
-                } else {
-                    None
-                };
+            if state.inbox.len() >= self.controller.swap_point() {
+                // The graft follows immediately, so a busy pool gains
+                // nothing from parallel builds — the sequential insert
+                // loop on the otherwise-waiting coordinator *is* the
+                // overlap (and it keeps execute help out of the overlap
+                // timer). Background builds pay only on an idle lane.
+                let build_pool = (pool.pending_jobs() == 0).then_some(pool);
                 let t0 = self.timing.then(Instant::now);
-                progressed |= self.close_epoch(state, tree, build_pool);
+                if let Some(epoch) = self.close_epoch(state, build_pool) {
+                    // A graft that has to wait on unfinished builds
+                    // helps execute class chunks meanwhile: it is
+                    // excluded from the controller's absorb-cost
+                    // signal, and the help share it bills to the
+                    // overlap timer is the caveat noted on
+                    // [`super::RunReport::overlap_time`].
+                    let ready = epoch.is_ready();
+                    self.absorb_one(epoch, state, tree, Some(pool), ready);
+                    progressed = true;
+                }
                 if let Some(t0) = t0 {
                     state
                         .stats
                         .overlap_nanos
                         .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 }
-            }
-            // Graft whatever the background lane has finished, oldest
-            // first; when the ring is full, block on the oldest to keep
-            // the swap cadence (the join helps execute class chunks —
-            // such forced absorbs are excluded from the controller's
-            // absorb-cost signal, and the help share they bill to the
-            // overlap timer is the caveat noted on
-            // [`super::RunReport::overlap_time`]).
-            while self
-                .ring
-                .front()
-                .is_some_and(|e| e.is_ready() || self.ring.len() >= self.depth)
-            {
-                let ready = self.ring.front().is_some_and(|e| e.is_ready());
-                // lint: allow(expect): the while-let condition proved front() is Some.
-                let epoch = self.ring.pop_front().expect("front checked");
-                let spent = self.absorb_one(epoch, state, tree, Some(pool), lookahead, ready);
-                if self.timing {
-                    if let Some(d) = spent {
-                        state
-                            .stats
-                            .overlap_nanos
-                            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
-                    }
-                }
-                lookahead.prepare(tree, scheduler, Some(pool), self.absorbed_seq);
-                progressed = true;
             }
             if scope.completed() {
                 break;
@@ -424,9 +284,7 @@ impl Pipeline {
                 scope.wait_timeout(Duration::from_micros(200));
             }
         }
-        if let Some(t0) = window_start {
-            self.controller.record_window(t0.elapsed());
-        }
+        self.controller.record_window(window_start.elapsed());
     }
 
     /// Publishes the epoch's per-table Delta-insert counts — one atomic

@@ -1,5 +1,5 @@
 //! The result of one engine run: counters, phase timers, and the
-//! derived pipeline metrics.
+//! derived overlap metrics.
 
 use std::time::Duration;
 
@@ -14,8 +14,8 @@ pub struct RunReport {
     pub elapsed: Duration,
     /// Coordinator time spent draining staged tuples into the Delta queue
     /// *serially* — i.e. while execution waited (the sum of
-    /// `partition_time` and `merge_time`). Drain work the pipelined
-    /// coordinator performed during class execution is counted in
+    /// `partition_time` and `merge_time`). Drain work the coordinator
+    /// performed during class execution is counted in
     /// [`RunReport::overlap_time`] instead. Zero unless
     /// [`super::EngineConfig::record_steps`] is set — the per-step
     /// timers are profiling instrumentation, not free.
@@ -30,16 +30,15 @@ pub struct RunReport {
     /// [`super::EngineConfig::record_steps`] is set.
     pub merge_time: Duration,
     /// Drain work (epoch swaps + background-lane merges) performed by
-    /// the pipelined coordinator **while a class was executing** — time
+    /// the coordinator **while a forked class was executing** — time
     /// hidden under [`RunReport::execute_time`]'s wall clock instead of
-    /// stalling the step loop. Zero when
-    /// [`super::EngineConfig::pipeline_depth`] is 0, and zero unless
-    /// [`super::EngineConfig::record_steps`] is set. Caveat at depths
-    /// ≥ 2: when the epoch ring is full the coordinator blocks on the
-    /// oldest epoch's builds and helps execute class chunks while it
-    /// waits, so a small share of this timer can be execute help
-    /// rather than drain work (such absorbs are excluded from the
-    /// adaptive controller's feedback signal for the same reason).
+    /// stalling the step loop. Zero in sequential mode, and zero unless
+    /// [`super::EngineConfig::record_steps`] is set. Caveat: a graft
+    /// whose background builds are still running blocks on them and
+    /// helps execute class chunks while it waits, so a small share of
+    /// this timer can be execute help rather than drain work (such
+    /// absorbs are excluded from the overlap controller's feedback
+    /// signal for the same reason).
     pub overlap_time: Duration,
     /// Time spent executing equivalence classes (Gamma inserts + rules).
     /// Zero unless [`super::EngineConfig::record_steps`] is set.
@@ -48,27 +47,6 @@ pub struct RunReport {
     pub inline_classes: u64,
     /// Classes fanned out to the fork/join pool.
     pub forked_classes: u64,
-    /// The **effective** pipeline depth the run executed with:
-    /// [`super::EngineConfig::pipeline_depth`] clamped to
-    /// [`super::MAX_PIPELINE_DEPTH`], and 0 in sequential mode. A
-    /// configured depth the engine cannot honour is visible here
-    /// instead of being silently downgraded.
-    pub pipeline_depth: usize,
-    /// Steps that started from a pre-extracted class: the lookahead
-    /// machine (`pipeline_depth ≥ 2`) popped the next minimal class and
-    /// built its execution plan during the *previous* step's execution,
-    /// and no later epoch merge ordered at or below it — the extract
-    /// phase cost nothing on the critical path.
-    pub lookahead_hits: u64,
-    /// Speculative extractions rolled back because a merged epoch's
-    /// minimum ordered at or below the prepared class (its tuples were
-    /// returned to the Delta queue; the step then popped normally). A
-    /// miss costs roughly one extra insert+extract of the class; after
-    /// a streak of consecutive misses the lookahead pauses itself and
-    /// only probes the workload periodically, so a persistently
-    /// adversarial workload pays the churn on a small fraction of
-    /// steps rather than all of them.
-    pub lookahead_misses: u64,
     /// Checkpoints written during the run (see
     /// [`super::EngineConfig::checkpoint`]).
     pub checkpoints: u64,
@@ -82,27 +60,21 @@ pub struct RunReport {
     /// Classes executed in batched **delta-join** mode: the class
     /// cleared [`super::EngineConfig::delta_join_threshold`] and its
     /// trigger table had at least one join-plan rule, so those rules
-    /// ran as one grouped Gamma pass instead of one probe per tuple.
+    /// ran as one grouped cursor walk instead of one probe per tuple.
     pub delta_join_classes: u64,
-    /// Batched Gamma probes issued by delta-join execution — one per
-    /// (rule × distinct join-key group). Compare against
-    /// [`RunReport::delta_join_build_tuples`]: per-tuple mode would
-    /// have issued one probe per build tuple instead.
-    pub delta_join_probes: u64,
     /// Trigger tuples folded into delta-join build tables (the
     /// "delta" side of the semi-naive join).
     pub delta_join_build_tuples: u64,
     /// Total Gamma queries issued by rule bodies across all tables —
-    /// per-tuple probes, batched delta-join probes and leapfrog cursor
-    /// opens alike, so an A/B run shows the probe-count reduction
-    /// directly.
+    /// per-tuple probes and leapfrog cursor opens alike, so an A/B run
+    /// against `delta_join_from(usize::MAX)` shows the probe-count
+    /// reduction directly.
     pub gamma_probes: u64,
     /// Galloping cursor repositionings performed by leapfrog join
-    /// walks (`join::<..>()` reads and delta-join classes under
-    /// [`super::JoinStrategy::Leapfrog`]). Single-step `next` advances
-    /// are free and not counted, so `gamma_probes + join_seeks` is the
-    /// walk's total store-search cost — the number to compare against
-    /// the hash-probe strategy's `gamma_probes`.
+    /// walks (`join::<..>()` reads and delta-join classes).
+    /// Single-step `next` advances are free and not counted, so
+    /// `gamma_probes + join_seeks` is the walk's total store-search
+    /// cost.
     pub join_seeks: u64,
     /// Sorted column views opened for leapfrog join walks — one per
     /// (walk × relation), each also counted in
@@ -110,20 +82,19 @@ pub struct RunReport {
     pub join_cursor_opens: u64,
     /// Cursor opens served from the generation-stamped index cache
     /// (including after a journal-suffix catch-up) — see
-    /// [`super::EngineConfig::index_cache`].
+    /// [`crate::gamma::IndexCache`].
     pub index_cache_hits: u64,
-    /// Cursor opens that built a column view from scratch: cache off,
-    /// store without a claim journal, first open of a column, or
+    /// Cursor opens that built a column view from scratch: store
+    /// without a claim journal, first open of a column, or
     /// wholesale invalidation (compaction epoch / tombstone change).
     pub index_cache_misses: u64,
     /// Tuples sorted and merged by incremental journal-suffix catch-ups
-    /// (warm opens plus eager-refresh jobs). The cache's point is that
-    /// this grows with the *new* tuples per step, while…
+    /// on warm opens. The cache's point is that this grows with the
+    /// *new* tuples per step, while…
     pub index_catchup_tuples: u64,
-    /// …tuples sorted by full cold builds — under `Off` this re-counts
-    /// every live tuple on every walk, which is exactly the repeated
-    /// work the cache removes (the bench gate demands a ≥ 5× reduction
-    /// on warm triangles).
+    /// …tuples sorted by full cold builds — a store without a claim
+    /// journal re-counts every live tuple on every walk, which is
+    /// exactly the repeated work the cache removes.
     pub index_build_tuples: u64,
     /// Collected `println` output (order not significant).
     pub output: Vec<String>,
@@ -142,7 +113,7 @@ impl RunReport {
 
     /// Fraction of accounted step time the coordinator spent draining
     /// serially (vs. executing). A high value means the drain, not the
-    /// hardware, sets the speed limit; the pipeline's job is to move
+    /// hardware, sets the speed limit; the overlap's job is to move
     /// drain work out of this number and into
     /// [`RunReport::overlap_fraction`].
     pub fn drain_fraction(&self) -> f64 {
@@ -155,8 +126,8 @@ impl RunReport {
     }
 
     /// Fraction of the run's total drain work that was overlapped with
-    /// class execution: `overlap / (overlap + serial drain)`. 0.0 with
-    /// pipelining off (or nothing drained); approaching 1.0 means the
+    /// class execution: `overlap / (overlap + serial drain)`. 0.0 when
+    /// no class forked (or nothing drained); approaching 1.0 means the
     /// merge is fully hidden behind execution.
     pub fn overlap_fraction(&self) -> f64 {
         let total = self.overlap_time.as_secs_f64() + self.drain_time.as_secs_f64();
@@ -173,23 +144,8 @@ impl RunReport {
         (self.drain_time / steps, self.execute_time / steps)
     }
 
-    /// Fraction of speculative extractions that survived to execution:
-    /// `hits / (hits + misses)`. 0.0 when the lookahead never engaged
-    /// (`pipeline_depth < 2`, or no forked class opened a window).
-    /// Approaching 1.0 means step N+1's fan-out almost always launched
-    /// the instant step N joined.
-    pub fn lookahead_hit_rate(&self) -> f64 {
-        let total = self.lookahead_hits + self.lookahead_misses;
-        if total > 0 {
-            self.lookahead_hits as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of cursor opens served from the index cache:
-    /// `hits / (hits + misses)`. 0.0 when no join walk opened a cursor
-    /// (or the cache is off — every open is then a miss).
+    /// `hits / (hits + misses)`. 0.0 when no join walk opened a cursor.
     pub fn index_cache_hit_rate(&self) -> f64 {
         let total = self.index_cache_hits + self.index_cache_misses;
         if total > 0 {

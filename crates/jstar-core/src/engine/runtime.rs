@@ -2,7 +2,6 @@
 //! worker thread sees, and the put → Delta / Gamma → trigger path that
 //! both the coordinator and the rule contexts drive.
 
-use super::config::JoinStrategy;
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
 use crate::gamma::{ColumnCursor, ColumnIndex, Gamma, InsertOutcome};
@@ -103,7 +102,6 @@ pub(crate) struct RunState {
     pub(super) errors: Mutex<Vec<JStarError>>,
     pub(super) stats: EngineStats,
     pub(super) pool: Option<Arc<ThreadPool>>,
-    pub(super) join_strategy: JoinStrategy,
 }
 
 impl RunState {
@@ -275,9 +273,11 @@ pub(super) fn process_class_chunk(state: &RunState, key: &OrderKey, chunk: &[Tup
 /// tuples (in class order). Phase B runs each triggered rule over the
 /// fresh set: rules carrying a [`JoinPlan`] are executed as one batched
 /// join — the fresh tuples are grouped by their join-key values and
-/// Gamma is probed **once per distinct key** instead of once per tuple,
-/// with the distinct-key groups fanned out across pool workers — while
-/// opaque rules fall back to per-tuple firing over the same fresh set.
+/// the sorted groups are walked against one Gamma column cursor per
+/// stage instead of probing once per tuple, with the distinct-key
+/// groups fanned out across pool workers — while opaque rules (and
+/// plans with a keyless stage) fall back to per-tuple firing over the
+/// same fresh set.
 ///
 /// This is a valid serialization of the per-tuple schedule: parallel
 /// per-tuple execution already inserts each chunk before firing its
@@ -339,8 +339,13 @@ pub(super) fn process_class_delta_join(
     for &ri in rules_here {
         let rule = &state.program.rules()[ri];
         match &rule.plan {
-            Some(plan) => run_join_rule(state, key, rule, plan, &fresh, pool),
-            None => {
+            // A keyless stage is a cross join — nothing for a cursor to
+            // seek on — so such a plan fires through its synthesised
+            // per-tuple body like an opaque rule.
+            Some(plan) if plan.stages.iter().all(|s| !s.keys.is_empty()) => {
+                run_join_rule(state, key, rule, plan, &fresh, pool)
+            }
+            _ => {
                 // Opaque body: per-tuple firing is its only defined
                 // execution (same context reuse as `fire_rules`).
                 let ctx = RuleCtx::new(state, key, &rule.name);
@@ -352,26 +357,16 @@ pub(super) fn process_class_delta_join(
     }
 }
 
-/// One join-plan rule over a class's fresh tuples.
+/// One join-plan rule over a class's fresh tuples, every stage keyed.
 ///
-/// The build side is always the same: the delta is grouped by its
-/// stage-0 join-key values (a BTreeMap — `Value` is `Ord` but not
-/// `Hash`, and **sorted** group order is what the leapfrog walk
-/// leapfrogs over). The probe side follows
-/// [`super::EngineConfig::join_strategy`]:
-///
-/// * [`JoinStrategy::Leapfrog`] — open one sorted column cursor per
-///   stage (one store pass each), then walk the sorted groups against
-///   the stage-0 cursor with seek/next motions, descending through
-///   later stages with per-row cursor seeks. Store work per class is
-///   `stages` cursor opens plus the counted gallops, instead of one
-///   probe per distinct key.
-/// * [`JoinStrategy::HashProbe`] — the PR 8 pass: one indexed Gamma
-///   probe per distinct stage-0 key, later stages probed per row
-///   combination.
-///
-/// Emissions are identical; set semantics and the Law of Causality make
-/// the difference unobservable downstream (prop-tested).
+/// The delta is grouped by its stage-0 join-key values (a BTreeMap —
+/// `Value` is `Ord` but not `Hash`, and **sorted** group order is what
+/// the walk leapfrogs over). One sorted column cursor is opened per
+/// stage (one store pass each, shared by every worker with private
+/// positions); the sorted groups are walked against the stage-0 cursor
+/// with seek/next motions, descending through later stages with per-row
+/// cursor seeks. Store work per class is `stages` cursor opens plus the
+/// counted gallops, instead of one probe per tuple.
 fn run_join_rule(
     state: &RunState,
     key: &OrderKey,
@@ -397,26 +392,6 @@ fn run_join_rule(
     }
     let groups: Vec<(Vec<Value>, Vec<&Tuple>)> = grouped.into_iter().collect();
 
-    // A keyless stage is a cross join — nothing for a cursor to seek on.
-    let leapfrog = state.join_strategy == JoinStrategy::Leapfrog
-        && plan.stages.iter().all(|s| !s.keys.is_empty());
-    if leapfrog {
-        run_join_rule_leapfrog(state, key, rule, plan, &groups, pool);
-    } else {
-        run_join_rule_hash(state, key, rule, plan, &groups, pool);
-    }
-}
-
-/// Leapfrog probe side: one shared sorted cursor per stage, walked by
-/// every worker with private positions.
-fn run_join_rule_leapfrog(
-    state: &RunState,
-    key: &OrderKey,
-    rule: &Rule,
-    plan: &JoinPlan,
-    groups: &[(Vec<Value>, Vec<&Tuple>)],
-    pool: Option<&ThreadPool>,
-) {
     // One column view per stage, opened once per (rule × class) and
     // shared by every worker. Each open is one store pass, counted as a
     // query against the probed table so `gamma_probes` stays honest.
@@ -486,7 +461,7 @@ fn run_join_rule_leapfrog(
                 );
             });
         }
-        _ => walk(groups),
+        _ => walk(&groups),
     }
 }
 
@@ -538,117 +513,6 @@ fn leapfrog_descend(
     for p in candidates {
         rows.push(p);
         leapfrog_descend(plan, cursors, stage_idx + 1, rows, ctx);
-        rows.pop();
-    }
-}
-
-/// Hash probe side (PR 8): one indexed Gamma probe per distinct
-/// stage-0 key, later stages probed once per partial row combination.
-fn run_join_rule_hash(
-    state: &RunState,
-    key: &OrderKey,
-    rule: &Rule,
-    plan: &JoinPlan,
-    groups: &[(Vec<Value>, Vec<&Tuple>)],
-    pool: Option<&ThreadPool>,
-) {
-    let stage0 = plan.first_stage();
-    let probe_one = |group_key: &[Value], members: &[&Tuple]| {
-        let mut q = Query::on(stage0.probe_table);
-        for (&(_, pf), v) in stage0.keys.iter().zip(group_key) {
-            q.add_eq(pf, v.clone());
-        }
-        // Same accounting as the per-tuple query path, but once per
-        // distinct key instead of once per trigger tuple — the probe
-        // reduction the RunReport counters expose.
-        let ctx = RuleCtx::new(state, key, &rule.name);
-        if plan.stages.len() == 1 {
-            hash_probe(state, &q, &mut |p| {
-                for &t in members {
-                    let rows = [t, p];
-                    if (plan.filter)(&rows) {
-                        (plan.emit)(&ctx, &rows);
-                    }
-                }
-            });
-        } else {
-            let mut candidates = Vec::new();
-            hash_probe(state, &q, &mut |p| candidates.push(p.clone()));
-            for &t in members {
-                for p in &candidates {
-                    let mut rows = vec![t.clone(), p.clone()];
-                    hash_descend(state, plan, 1, &mut rows, &ctx);
-                }
-            }
-        }
-    };
-
-    match pool {
-        Some(pool) if groups.len() > 1 => {
-            let chunk = jstar_pool::adaptive_chunk(pool, groups.len()).max(1);
-            let probe_one = &probe_one;
-            pool.scope(|s| {
-                s.spawn_batch(groups.chunks(chunk).map(|piece| {
-                    move |_: &jstar_pool::Scope<'_>| {
-                        for (k, members) in piece {
-                            probe_one(k, members);
-                        }
-                    }
-                }));
-            });
-        }
-        _ => {
-            for (k, members) in groups {
-                probe_one(k, members);
-            }
-        }
-    }
-}
-
-/// One counted, index-hinted Gamma probe.
-fn hash_probe(state: &RunState, q: &Query, f: &mut dyn FnMut(&Tuple)) {
-    let ti = q.table.index();
-    let use_index = state.plans[ti].query_uses_index(q);
-    let pstats = &state.stats.tables[ti];
-    pstats.queries.fetch_add(1, Ordering::Relaxed);
-    if use_index {
-        pstats.queries_indexed.fetch_add(1, Ordering::Relaxed);
-    }
-    state
-        .stats
-        .delta_join_probes
-        .fetch_add(1, Ordering::Relaxed);
-    state.gamma.query_hinted(q, use_index, &mut |p| {
-        f(p);
-        true
-    });
-}
-
-/// Stages ≥ 1 of the hash strategy: one probe per partial row.
-fn hash_descend(
-    state: &RunState,
-    plan: &JoinPlan,
-    stage_idx: usize,
-    rows: &mut Vec<Tuple>,
-    ctx: &RuleCtx<'_>,
-) {
-    if stage_idx == plan.stages.len() {
-        let refs: Vec<&Tuple> = rows.iter().collect();
-        if (plan.filter)(&refs) {
-            (plan.emit)(ctx, &refs);
-        }
-        return;
-    }
-    let stage = &plan.stages[stage_idx];
-    let mut q = Query::on(stage.probe_table);
-    for &((row, f), pf) in &stage.keys {
-        q.add_eq(pf, rows[row].get(f).clone());
-    }
-    let mut candidates = Vec::new();
-    hash_probe(state, &q, &mut |p| candidates.push(p.clone()));
-    for p in candidates {
-        rows.push(p);
-        hash_descend(state, plan, stage_idx + 1, rows, ctx);
         rows.pop();
     }
 }

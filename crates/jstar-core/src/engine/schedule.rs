@@ -1,5 +1,5 @@
 //! Adaptive all-minimums scheduling: how one extracted equivalence
-//! class is executed — and the **lookahead** over the next one.
+//! class is executed.
 //!
 //! The paper's "simple all-minimums parallelisation strategy" makes
 //! every tuple of the minimal class a fork/join task. That is the right
@@ -18,29 +18,9 @@
 //!   batch (single wakeup). A forked class is also the pipeline's
 //!   overlap window: while its chunks run, the coordinator absorbs
 //!   staged epochs (see [`super::pipeline`]).
-//!
-//! With [`super::EngineConfig::pipeline_depth`] ≥ 2 the coordinator
-//! additionally runs the [`Lookahead`] inside that window: the *next*
-//! minimal class is extracted from the Delta queue and planned
-//! speculatively ([`Scheduler::plan_speculative`] — chunked for the
-//! idle pool the fan-out will actually see at launch). The plan is
-//! carried all the way to execution shape ([`PreparedExec`]): the
-//! delta-join gate is decided and a forked class's tuples are
-//! **pre-sliced into chunk jobs** during the window, so a committed
-//! speculation submits its batch with zero extraction, planning, or
-//! chunking work at the step boundary. Every epoch merged meanwhile is
-//! validated against the prepared key; a merge ordering at or below it
-//! rolls the speculation back — the pieces are reassembled in order
-//! and returned to the queue (see [`crate::delta::PreparedClass`]) —
-//! which keeps the pop schedule bit-identical to the non-speculating
-//! engine.
 
-use crate::delta::{DeltaQueue, PreparedClass};
-use crate::orderby::OrderKey;
-use crate::stats::EngineStats;
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
-use std::sync::atomic::Ordering;
 
 /// How one equivalence class should execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,261 +94,6 @@ impl Scheduler {
             None => ClassPlan::Inline { sort: true },
         }
     }
-
-    /// Plans a class **speculatively**, for a fan-out that will launch
-    /// at the *next* step boundary. Differs from [`Scheduler::plan`]
-    /// only in the chunking input: the pool is busy *now* (the current
-    /// class is still executing), but by launch time its chunks will
-    /// have drained — so the chunk size assumes the idle pool the
-    /// fan-out will actually see, rather than reading the transient
-    /// backlog.
-    pub(super) fn plan_speculative(
-        &self,
-        pool: Option<&ThreadPool>,
-        class_size: usize,
-    ) -> ClassPlan {
-        match pool {
-            Some(pool) if class_size > self.inline_threshold => ClassPlan::Forked {
-                chunk: jstar_pool::idle_chunk(pool.num_threads(), class_size),
-            },
-            Some(_) => ClassPlan::Inline { sort: false },
-            None => ClassPlan::Inline { sort: true },
-        }
-    }
-}
-
-/// How an extracted class will execute, with the tuples staged in the
-/// shape execution wants — the commit-side counterpart of
-/// [`ClassPlan`]. For speculative classes the whole shape is built
-/// inside the previous execute window; for fresh pops the coordinator
-/// builds it at the step boundary from [`Scheduler::plan`].
-#[derive(Debug)]
-pub(super) enum PreparedExec {
-    /// Batched delta-join pass over the whole class (the tuples stay in
-    /// the class vector).
-    DeltaJoin,
-    /// Run on the coordinator; `sort` requests the sequential engine's
-    /// deterministic intra-class order (the tuples stay in the class
-    /// vector).
-    Inline { sort: bool },
-    /// Pre-sliced chunk jobs, ready to submit to the pool as one batch.
-    /// The tuples live **here** (the class vector is empty); an
-    /// invalidated speculation reassembles them in order before
-    /// restoring the queue.
-    Forked { pieces: Vec<Vec<Tuple>> },
-}
-
-impl PreparedExec {
-    /// Tuples held in pre-sliced pieces (zero for the shapes that keep
-    /// the class vector intact) — added to the class vector's length to
-    /// recover the class width.
-    pub(super) fn sliced_len(&self) -> usize {
-        match self {
-            PreparedExec::Forked { pieces } => pieces.iter().map(Vec::len).sum(),
-            _ => 0,
-        }
-    }
-}
-
-/// Slices a class into owned chunk jobs of `chunk` tuples (the last
-/// piece takes the remainder), preserving order — concatenating the
-/// pieces reproduces the class exactly, which is what returns an
-/// invalidated speculation to the queue. Splits from the tail so each
-/// piece is one short pointer memcpy, not a quadratic shuffle.
-pub(super) fn slice_pieces(mut tuples: Vec<Tuple>, chunk: usize) -> Vec<Vec<Tuple>> {
-    let chunk = chunk.max(1);
-    let mut pieces = Vec::with_capacity(tuples.len().div_ceil(chunk));
-    while tuples.len() > chunk {
-        let boundary = ((tuples.len() - 1) / chunk) * chunk;
-        pieces.push(tuples.split_off(boundary));
-    }
-    if !tuples.is_empty() {
-        pieces.push(tuples);
-    }
-    pieces.reverse();
-    pieces
-}
-
-/// After this many consecutive misses the lookahead pauses: the
-/// workload is invalidating every speculation (a priority-queue shape
-/// whose merges keep ordering below the next class), so each prepare
-/// is pure churn — one extra insert+extract of the class per step.
-const MISS_STREAK_PAUSE: u32 = 4;
-/// How many prepare opportunities a paused lookahead skips before
-/// probing the workload again (a phase change — e.g. a program moving
-/// from a relaxation stratum into a fan-out stratum — re-arms it).
-const PAUSE_PREPARES: u32 = 16;
-
-/// The speculative half of the lookahead step machine: the
-/// pre-extracted next class and its pre-built plan, with the
-/// hit/miss bookkeeping.
-///
-/// Lifecycle per step window: [`Lookahead::prepare`] extracts the
-/// minimal class and plans it; each merged epoch is checked through
-/// [`Lookahead::validate`], which rolls the speculation back (restoring
-/// the tuples to the queue — a **miss**) when the epoch's minimum
-/// orders at or below the prepared key; at the step boundary
-/// [`Lookahead::take`] either commits the surviving speculation (a
-/// **hit** — the next fan-out launches immediately) or reports `None`
-/// and the coordinator pops normally.
-///
-/// A run of [`MISS_STREAK_PAUSE`] consecutive misses pauses the
-/// speculation for the next [`PAUSE_PREPARES`] opportunities: on
-/// workloads that invalidate every lookahead, pausing converts the
-/// per-step churn into a periodic probe, which is what keeps deeper
-/// pipeline depths at parity with depth 1 where speculation cannot pay
-/// (the `depth_sweep` bench gate). Pausing only skips *preparing* —
-/// it never affects what executes, so results stay bit-identical.
-pub(super) struct Lookahead {
-    /// False below `pipeline_depth` 2: every method is a no-op and the
-    /// engine behaves exactly like the non-speculating pipeline.
-    enabled: bool,
-    prepared: Option<(PreparedClass, PreparedExec)>,
-    /// Consecutive misses since the last hit (or unpause).
-    miss_streak: u32,
-    /// Remaining prepare opportunities to skip while paused.
-    paused_for: u32,
-}
-
-impl Lookahead {
-    pub(super) fn new(enabled: bool) -> Lookahead {
-        Lookahead {
-            enabled,
-            prepared: None,
-            miss_streak: 0,
-            paused_for: 0,
-        }
-    }
-
-    /// Speculatively extracts the next minimal class and builds its
-    /// full execution shape, if none is already prepared (and the
-    /// lookahead is not pausing after a miss streak): the delta-join
-    /// gate is decided here, and a forked class's tuples are pre-sliced
-    /// into chunk jobs — all inside the execute window, so committing
-    /// the speculation costs the step boundary nothing. Called right
-    /// after the current class's chunks are spawned, and again after
-    /// every absorbed epoch, so an invalidated speculation is
-    /// immediately rebuilt from the updated queue.
-    pub(super) fn prepare(
-        &mut self,
-        tree: &mut DeltaQueue,
-        scheduler: &Scheduler,
-        pool: Option<&ThreadPool>,
-        epoch_mark: u64,
-    ) {
-        if !self.enabled || self.prepared.is_some() {
-            return;
-        }
-        if self.paused_for > 0 {
-            self.paused_for -= 1;
-            if self.paused_for > 0 {
-                return;
-            }
-            // Pause over: probe the workload again with a fresh streak.
-            self.miss_streak = 0;
-        }
-        if let Some(mut prepared) = tree.prepare_min_class(epoch_mark) {
-            let exec = if scheduler.delta_join(&prepared.tuples) {
-                PreparedExec::DeltaJoin
-            } else {
-                match scheduler.plan_speculative(pool, prepared.tuples.len()) {
-                    ClassPlan::Inline { sort } => PreparedExec::Inline { sort },
-                    ClassPlan::Forked { chunk } => PreparedExec::Forked {
-                        pieces: slice_pieces(std::mem::take(&mut prepared.tuples), chunk),
-                    },
-                }
-            };
-            self.prepared = Some((prepared, exec));
-        }
-    }
-
-    /// Checks a merged epoch (its sequence number and minimal staged
-    /// key) against the speculation. An epoch ordering at or below the
-    /// prepared class invalidates it: the tuples go back into the
-    /// queue, where canonical-set semantics collapse any duplicates the
-    /// merge introduced (their already-counted Delta inserts are
-    /// unwound via `stats`), and a miss is recorded.
-    pub(super) fn validate(
-        &mut self,
-        epoch_seq: u64,
-        merged_min: Option<&OrderKey>,
-        tree: &mut DeltaQueue,
-        stats: &EngineStats,
-    ) {
-        let invalidated = match &self.prepared {
-            Some((prepared, _)) => {
-                // The epoch_mark contract: a speculation reflects every
-                // epoch up to and including its mark, so only strictly
-                // later epochs may reach this check.
-                debug_assert!(
-                    prepared.epoch_mark < epoch_seq,
-                    "epoch {epoch_seq} validated against a speculation already marked {}",
-                    prepared.epoch_mark
-                );
-                !prepared.survives(merged_min)
-            }
-            None => false,
-        };
-        if invalidated {
-            // lint: allow(expect): `invalidated` is only true when prepared is Some.
-            let (prepared, exec) = self.prepared.take().expect("checked above");
-            restore(tree, stats, prepared, exec);
-            stats.lookahead_misses.fetch_add(1, Ordering::Relaxed);
-            self.miss_streak += 1;
-            if self.miss_streak >= MISS_STREAK_PAUSE {
-                self.paused_for = PAUSE_PREPARES;
-            }
-        }
-    }
-
-    /// Returns any prepared speculation to the queue **without**
-    /// counting a miss — the checkpoint path. A snapshot must see the
-    /// complete pending set, so the speculatively extracted class is
-    /// put back (canonical-set semantics collapse duplicates, unwinding
-    /// their counted Delta inserts exactly as [`Lookahead::validate`]
-    /// does); the hit/miss bookkeeping is untouched because nothing was
-    /// learned about the workload.
-    pub(super) fn flush(&mut self, tree: &mut DeltaQueue, stats: &EngineStats) {
-        if let Some((prepared, exec)) = self.prepared.take() {
-            restore(tree, stats, prepared, exec);
-        }
-    }
-
-    /// Commits the surviving speculation at the step boundary, counting
-    /// a hit (which also clears any miss streak). `None` when nothing
-    /// is prepared (lookahead disabled, pausing, no window opened, or
-    /// the speculation was invalidated).
-    pub(super) fn take(&mut self, stats: &EngineStats) -> Option<(PreparedClass, PreparedExec)> {
-        let taken = self.prepared.take();
-        if taken.is_some() {
-            stats.lookahead_hits.fetch_add(1, Ordering::Relaxed);
-            self.miss_streak = 0;
-        }
-        taken
-    }
-}
-
-/// Returns a dead speculation's tuples to the queue. A pre-sliced
-/// forked shape is reassembled in order first, so the restore (and the
-/// subsequent pop) sees exactly the class that was extracted.
-fn restore(
-    tree: &mut DeltaQueue,
-    stats: &EngineStats,
-    mut prepared: PreparedClass,
-    exec: PreparedExec,
-) {
-    if let PreparedExec::Forked { pieces } = exec {
-        debug_assert!(
-            prepared.tuples.is_empty(),
-            "forked speculation keeps its tuples in the pieces"
-        );
-        prepared.tuples = pieces.into_iter().flatten().collect();
-    }
-    tree.restore_prepared(prepared, &mut |ti| {
-        stats.tables[ti]
-            .delta_inserts
-            .fetch_sub(1, Ordering::Relaxed);
-    });
 }
 
 #[cfg(test)]
@@ -429,39 +154,5 @@ mod tests {
         assert!(!s.delta_join(&[]), "empty class");
         // Unarmed scheduler (usize::MAX threshold) never batches.
         assert!(!Scheduler::new(4).delta_join(&wide));
-    }
-
-    #[test]
-    fn slice_pieces_respects_chunk_boundaries_and_reassembles() {
-        use crate::schema::TableId;
-        use crate::value::Value;
-        let tuples: Vec<Tuple> = (0..10)
-            .map(|v| Tuple::new(TableId(0), vec![Value::Int(v)]))
-            .collect();
-        let pieces = slice_pieces(tuples.clone(), 4);
-        assert_eq!(
-            pieces.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![4, 4, 2],
-            "same boundaries as slice::chunks"
-        );
-        let reassembled: Vec<Tuple> = pieces.into_iter().flatten().collect();
-        assert_eq!(reassembled, tuples, "order-preserving round trip");
-
-        assert!(slice_pieces(Vec::new(), 4).is_empty());
-        assert_eq!(slice_pieces(tuples.clone(), 100).len(), 1, "one wide piece");
-        assert_eq!(slice_pieces(tuples, 0).len(), 10, "chunk clamps to 1");
-    }
-
-    #[test]
-    fn prepared_exec_sliced_len_counts_only_pieces() {
-        use crate::schema::TableId;
-        use crate::value::Value;
-        let t = |v| Tuple::new(TableId(0), vec![Value::Int(v)]);
-        assert_eq!(PreparedExec::DeltaJoin.sliced_len(), 0);
-        assert_eq!(PreparedExec::Inline { sort: true }.sliced_len(), 0);
-        let forked = PreparedExec::Forked {
-            pieces: vec![vec![t(0), t(1)], vec![t(2)]],
-        };
-        assert_eq!(forked.sliced_len(), 3);
     }
 }

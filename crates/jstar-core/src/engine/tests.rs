@@ -77,122 +77,6 @@ fn parallel_and_sequential_agree() {
 }
 
 #[test]
-fn pipeline_depths_agree() {
-    // The pipelined coordinator must be observationally identical to the
-    // alternating loop (the prop tests in tests/prop_engine.rs cover
-    // random programs; this is the smoke check).
-    let prog = ship_program();
-    let ship = prog.table_id("Ship").unwrap();
-    let mut off = Engine::new(
-        Arc::clone(&prog),
-        EngineConfig::parallel(4).pipeline_depth(0),
-    );
-    let off_report = off.run().unwrap();
-    let mut on = Engine::new(
-        Arc::clone(&prog),
-        EngineConfig::parallel(4)
-            .pipeline_depth(1)
-            .inline_classes_up_to(0)
-            .parallel_merge_from(1),
-    );
-    let on_report = on.run().unwrap();
-    let mut a = off.gamma().collect(&Query::on(ship));
-    let mut b = on.gamma().collect(&Query::on(ship));
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-    assert_eq!(off_report.tuples_processed, on_report.tuples_processed);
-    assert_eq!(off_report.steps, on_report.steps);
-}
-
-#[test]
-fn unpipelined_runs_report_zero_overlap() {
-    let prog = ship_program();
-    let mut eng = Engine::new(
-        Arc::clone(&prog),
-        EngineConfig::parallel(2).pipeline_depth(0).record_steps(),
-    );
-    let report = eng.run().unwrap();
-    assert_eq!(report.overlap_time, std::time::Duration::ZERO);
-    assert_eq!(report.overlap_fraction(), 0.0);
-}
-
-#[test]
-fn pipeline_depth_is_clamped_and_reported() {
-    // A configured depth the ring cannot honour is clamped to
-    // MAX_PIPELINE_DEPTH and the *effective* depth lands in the report
-    // — the config lie is visible instead of silently downgraded.
-    let prog = ship_program();
-    for (configured, effective) in [
-        (0usize, 0usize),
-        (1, 1),
-        (4, 4),
-        (MAX_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH),
-        (MAX_PIPELINE_DEPTH + 1, MAX_PIPELINE_DEPTH),
-        (usize::MAX, MAX_PIPELINE_DEPTH),
-    ] {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(2).pipeline_depth(configured),
-        );
-        let report = eng.run().unwrap();
-        assert_eq!(
-            report.pipeline_depth, effective,
-            "configured {configured} must run at {effective}"
-        );
-    }
-    // Sequential mode has no pipeline regardless of the setting.
-    let mut eng = Engine::new(Arc::clone(&prog), {
-        let mut c = EngineConfig::sequential();
-        c.pipeline_depth = 4;
-        c
-    });
-    assert_eq!(eng.run().unwrap().pipeline_depth, 0);
-}
-
-#[test]
-fn lookahead_stays_disarmed_below_depth_two() {
-    let prog = ship_program();
-    for depth in [0usize, 1] {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(4)
-                .pipeline_depth(depth)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1),
-        );
-        let report = eng.run().unwrap();
-        assert_eq!(report.lookahead_hits, 0, "depth {depth}");
-        assert_eq!(report.lookahead_misses, 0, "depth {depth}");
-        assert_eq!(report.lookahead_hit_rate(), 0.0, "depth {depth}");
-    }
-}
-
-#[test]
-fn adaptive_overlap_toggle_produces_identical_results() {
-    let prog = ship_program();
-    let ship = prog.table_id("Ship").unwrap();
-    let mut reference: Option<Vec<Tuple>> = None;
-    for adaptive in [true, false] {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(4)
-                .pipeline_depth(2)
-                .adaptive_overlap(adaptive)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1),
-        );
-        eng.run().unwrap();
-        let mut got = eng.gamma().collect(&Query::on(ship));
-        got.sort();
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "controller choice must be unobservable"),
-        }
-    }
-}
-
-#[test]
 fn unbounded_rule_hits_step_limit() {
     // §3's first rule: "effectively creates an infinite loop that keeps
     // moving the Ship infinitely far to the right!"
@@ -342,24 +226,6 @@ fn injected_events_trigger_rules() {
 }
 
 #[test]
-fn flat_delta_kind_produces_identical_results() {
-    let prog = ship_program();
-    let ship = prog.table_id("Ship").unwrap();
-    let mut tree_eng = Engine::new(Arc::clone(&prog), EngineConfig::sequential());
-    tree_eng.run().unwrap();
-    let mut flat_eng = Engine::new(
-        Arc::clone(&prog),
-        EngineConfig::sequential().delta_kind(crate::delta::DeltaKind::Flat),
-    );
-    flat_eng.run().unwrap();
-    let mut a = tree_eng.gamma().collect(&Query::on(ship));
-    let mut b = flat_eng.gamma().collect(&Query::on(ship));
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-}
-
-#[test]
 fn lifetime_hints_discard_old_tuples() {
     let prog = ship_program();
     let ship = prog.table_id("Ship").unwrap();
@@ -370,6 +236,41 @@ fn lifetime_hints_discard_old_tuples() {
     let left = eng.gamma().collect(&Query::on(ship));
     assert!(left.len() < 4, "hints discarded early frames: {left:?}");
     assert!(left.iter().all(|t| t.int(0) >= 2));
+}
+
+#[test]
+fn lifetime_hints_keep_their_own_intervals() {
+    // T and U advance in lockstep, one class per step (41 steps); both
+    // hooks drop everything, T's every 3 steps and U's every 10. What
+    // survives is what each table inserted after its own last firing.
+    let mut p = ProgramBuilder::new();
+    let t = p.table("T", |b| b.col_int("i").orderby(&[seq("i")]));
+    let u = p.table("U", |b| b.col_int("i").orderby(&[seq("i")]));
+    p.rule("advance", t, move |ctx, tr| {
+        if tr.int(0) < 40 {
+            ctx.put(Tuple::new(t, vec![Value::Int(tr.int(0) + 1)]));
+            ctx.put(Tuple::new(u, vec![Value::Int(tr.int(0) + 1)]));
+        }
+    });
+    p.put(Tuple::new(t, vec![Value::Int(0)]));
+    let prog = Arc::new(p.build().unwrap());
+    let config = EngineConfig::sequential()
+        .lifetime_hint(t, 3, |_| false)
+        .lifetime_hint(u, 10, |_| false);
+    let mut eng = Engine::new(Arc::clone(&prog), config);
+    assert_eq!(eng.run().unwrap().steps, 41);
+    let ints = |table| {
+        let mut v: Vec<i64> = eng
+            .gamma()
+            .collect(&Query::on(table))
+            .iter()
+            .map(|t| t.int(0))
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(ints(t), vec![39, 40], "T's hook last ran after step 39");
+    assert_eq!(ints(u), vec![40], "U's hook last ran after step 40");
 }
 
 #[test]

@@ -20,9 +20,7 @@ mod hash;
 mod reservation;
 
 pub use btree::BTreeStore;
-pub use cache::{
-    IndexCache, IndexCachePolicy, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES,
-};
+pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
 pub use cursor::{ColumnCursor, ColumnIndex};
 
 /// Factory closure for [`StoreKind::Custom`].
@@ -361,35 +359,16 @@ impl Gamma {
         for (d, k) in defs.iter().zip(kinds) {
             stores.push(k.try_build(Arc::clone(d))?);
         }
-        let index_cache = IndexCache::new(
-            stores.len(),
-            IndexCachePolicy::default(),
-            DEFAULT_INDEX_CACHE_MAX_BYTES,
-        );
+        let index_cache = IndexCache::new(stores.len(), DEFAULT_INDEX_CACHE_MAX_BYTES);
         Ok(Gamma {
             stores,
             index_cache,
         })
     }
 
-    /// Replaces the index-cache policy and byte bound. Construction-time
-    /// only (the engine applies [`crate::engine::EngineConfig`] before
-    /// any worker exists); swapping the cache mid-run would discard the
-    /// counters a report in flight is about to read.
-    pub fn configure_index_cache(&mut self, policy: IndexCachePolicy, max_bytes: usize) {
-        self.index_cache = IndexCache::new(self.stores.len(), policy, max_bytes);
-    }
-
-    /// The column-view cache (counter snapshots, refresh fan-out).
+    /// The column-view cache (counter snapshots).
     pub fn index_cache(&self) -> &IndexCache {
         &self.index_cache
-    }
-
-    /// Catches up every cached column view of `table` — the body of one
-    /// eager-refresh job (see [`IndexCache::refresh`]).
-    pub fn refresh_indexes(&self, table: TableId) {
-        self.index_cache
-            .refresh(table.index(), self.stores[table.index()].as_ref());
     }
 
     /// Builds Gamma from per-table store kinds (indexed by `TableId`).

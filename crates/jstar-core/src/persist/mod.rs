@@ -45,8 +45,7 @@
 //! set [`crate::engine::EngineConfig::checkpoint`] with a directory
 //! and a step interval. Every `checkpoint_every` steps the coordinator
 //! absorbs all staged tuples (reaching a fully quiescent Delta
-//! queue), flushes any lookahead speculation back, and writes
-//! `ckpt-<seq>.jsnap` atomically, keeping the newest
+//! queue) and writes `ckpt-<seq>.jsnap` atomically, keeping the newest
 //! [`crate::engine::EngineConfig::checkpoint_keep`] files.
 //!
 //! Guidance:
@@ -106,7 +105,7 @@ pub(crate) fn combine_digest<'a>(tables: impl Iterator<Item = (&'a str, u64)>) -
 /// The order-independent digest of a live Gamma database: per-table
 /// [`ContentHash`]es over the canonical tuple encoding, combined in
 /// table order. Equal logical states produce equal digests across
-/// thread counts, pipeline depths and checkpoint/restore cycles.
+/// thread counts and checkpoint/restore cycles.
 pub fn gamma_digest(defs: &[Arc<TableDef>], gamma: &Gamma) -> u64 {
     combine_digest(defs.iter().map(|def| {
         let mut ch = ContentHash::new();

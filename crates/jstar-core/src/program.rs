@@ -236,13 +236,14 @@ impl ProgramBuilder {
     /// Unlike [`ProgramBuilder::rule_rel`], the registered rule carries
     /// an inspectable [`crate::rule::JoinPlan`] alongside the
     /// synthesized per-tuple body. That shape is what lets the engine
-    /// execute a whole extracted class as **one batched hash join**
-    /// against Gamma (grouping the class by its join-key values and
-    /// probing once per distinct key) when the class clears
+    /// execute a whole extracted class as **one batched join** against
+    /// Gamma (grouping the class by its join-key values and walking the
+    /// sorted groups against a column cursor) when the class clears
     /// [`crate::engine::EngineConfig::delta_join_threshold`]; below the
-    /// threshold, or wherever batching is disabled, the per-tuple body
-    /// runs instead. Both paths are built from the same plan parts, so
-    /// they emit identical tuples.
+    /// threshold, wherever batching is disabled, or when `on` names no
+    /// key pair (a cross join), the per-tuple body runs instead. Both
+    /// paths are built from the same plan parts, so they emit identical
+    /// tuples.
     ///
     /// Strict validation flags the missing causality model; use
     /// [`ProgramBuilder::rule_rel_join_with_model`] to attach one.

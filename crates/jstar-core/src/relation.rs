@@ -567,7 +567,7 @@ impl<R> PreparedQuery<R> {
     ///
     /// This is the introspection surface the delta-join planner builds
     /// on: a rule whose probe query is *shaped* as equalities bound to
-    /// trigger fields can be executed as a batched hash join over a
+    /// trigger fields can be executed as one batched join walk over a
     /// whole extracted class instead of one indexed probe per tuple
     /// (see [`crate::program::ProgramBuilder::rule_rel_join`]). Note a
     /// residual [`TypedQuery::filter`] predicate is invisible here by

@@ -69,10 +69,10 @@ impl JoinStage {
 /// **delta-join execution** when the class clears
 /// [`crate::engine::EngineConfig::delta_join_threshold`]: one
 /// coordinated leapfrog walk over sorted column cursors per class
-/// (or one batched hash probe per distinct key under the
-/// `JoinStrategy::HashProbe` fallback) instead of one indexed probe per
-/// tuple. The synthesized per-tuple body remains the below-threshold
-/// fallback, and every mode produces the same emissions.
+/// instead of one indexed probe per tuple. The synthesized per-tuple
+/// body remains the fallback below the threshold — and for a plan with
+/// a keyless stage (a cross join), which gives a cursor nothing to seek
+/// on — and both modes produce the same emissions.
 pub struct JoinPlan {
     /// The probe stages, in fixed variable order.
     pub stages: Vec<JoinStage>,

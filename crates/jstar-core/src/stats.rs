@@ -95,7 +95,7 @@ pub struct EngineStats {
     /// threshold (nanoseconds, summed over all steps).
     pub merge_nanos: AtomicU64,
     /// Drain work performed **concurrently with class execution** by the
-    /// pipelined coordinator (epoch swaps plus background-lane merges,
+    /// coordinator (epoch swaps plus background-lane merges,
     /// nanoseconds). This time is hidden under `execute_nanos`' wall
     /// clock rather than adding coordinator stall; `drain_nanos` keeps
     /// counting only the serial (execution-blocking) drain.
@@ -109,21 +109,10 @@ pub struct EngineStats {
     pub inline_classes: AtomicU64,
     /// Classes fanned out to the fork/join pool.
     pub forked_classes: AtomicU64,
-    /// Steps whose equivalence class was pre-extracted by the lookahead
-    /// machine and survived every later epoch merge: the step's extract
-    /// phase cost nothing on the critical path.
-    pub lookahead_hits: AtomicU64,
-    /// Speculative extractions invalidated by a merge whose minimum key
-    /// ordered at or below the prepared class (the tuples were returned
-    /// to the Delta queue and re-extracted).
-    pub lookahead_misses: AtomicU64,
     /// Classes executed in batched delta-join mode (class size cleared
     /// [`crate::engine::EngineConfig::delta_join_threshold`] and the
     /// trigger table had a join-plan rule).
     pub delta_join_classes: AtomicU64,
-    /// Batched Gamma probes issued by delta-join execution — one per
-    /// (rule × distinct join-key group).
-    pub delta_join_probes: AtomicU64,
     /// Trigger tuples folded into delta-join build tables (the delta
     /// side of the semi-naive join).
     pub delta_join_build_tuples: AtomicU64,
@@ -153,10 +142,7 @@ impl EngineStats {
             execute_nanos: AtomicU64::new(0),
             inline_classes: AtomicU64::new(0),
             forked_classes: AtomicU64::new(0),
-            lookahead_hits: AtomicU64::new(0),
-            lookahead_misses: AtomicU64::new(0),
             delta_join_classes: AtomicU64::new(0),
-            delta_join_probes: AtomicU64::new(0),
             delta_join_build_tuples: AtomicU64::new(0),
             join_seeks: AtomicU64::new(0),
             join_cursor_opens: AtomicU64::new(0),

@@ -1,8 +1,6 @@
-//! Stress tests for the pipelined coordinator's epoch machinery: 8
-//! worker threads staging at full rate while the coordinator closes
-//! epochs mid-execution, rides their subtree builds on the background
-//! lane, and (at depth ≥ 2) speculatively extracts the next class and
-//! rolls it back under adversarial merges.
+//! Stress tests for the coordinator's epoch machinery: 8 worker threads
+//! staging at full rate while the coordinator closes epochs
+//! mid-execution and rides their subtree builds on the background lane.
 //!
 //! The determinism *properties* live in `prop_engine.rs`; these tests
 //! hammer one adversarial configuration — every class forked
@@ -50,52 +48,15 @@ fn canonical(eng: &Engine, table: TableId) -> Vec<Tuple> {
     all
 }
 
-#[test]
-fn eight_thread_epoch_swap_stress() {
-    let prog = fanout_program(6, 500, 40, 4);
-    let table = prog.table_id("T").unwrap();
-
-    let mut seq_eng = Engine::new(Arc::clone(&prog), EngineConfig::sequential());
-    let seq_report = seq_eng.run().unwrap();
-    let want = canonical(&seq_eng, table);
-    assert!(want.len() > 1000, "the stress load must be non-trivial");
-
-    // Repeated runs: epoch-swap/merge interleavings differ every time;
-    // the result must not.
-    for round in 0..5 {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(8)
-                .pipeline_depth(1)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1),
-        );
-        let report = eng.run().unwrap();
-        assert_eq!(
-            canonical(&eng, table),
-            want,
-            "round {round}: gamma diverged from sequential"
-        );
-        assert_eq!(
-            report.tuples_processed, seq_report.tuples_processed,
-            "round {round}: tuple counts diverged"
-        );
-        assert_eq!(
-            report.steps, seq_report.steps,
-            "round {round}: pop schedule diverged"
-        );
-    }
-}
-
-/// A two-horizon fan-out built to ambush the lookahead: every `(t, v)`
-/// tuple puts `fanout` tuples at `t + 2` (wide far classes) and, for a
-/// third of values, one tuple at `t + 1` (a sparse near class). The
-/// class prepared at a step's window start is therefore the `t + 1` or
-/// `t + 2` class, and the step's own staging always includes keys at or
-/// below it — every non-final forked step deterministically invalidates
-/// its speculation at *some* absorb (mid-window or at the boundary),
-/// whatever the thread interleaving. Staging is pure puts (no queries),
-/// so the pop schedule itself is deterministic and comparable across
+/// A two-horizon fan-out built to ambush the mid-step absorb: every
+/// `(t, v)` tuple puts `fanout` tuples at `t + 2` (wide far classes)
+/// and, for a third of values, one tuple at `t + 1` (a sparse near
+/// class). The tree's minimum while a step executes is therefore the
+/// `t + 1` or `t + 2` class, and the step's own staging always includes
+/// keys at or below it — every non-final forked step grafts an epoch
+/// that extends or precedes the class about to be popped, whatever the
+/// thread interleaving. Staging is pure puts (no queries), so the pop
+/// schedule itself is deterministic and comparable across
 /// configurations.
 fn ambush_program(fanout: i64, modp: i64, horizon: i64, seeds: i64) -> Arc<Program> {
     let mut p = ProgramBuilder::new();
@@ -128,52 +89,40 @@ fn ambush_program(fanout: i64, modp: i64, horizon: i64, seeds: i64) -> Arc<Progr
 }
 
 #[test]
-fn eight_thread_lookahead_invalidation_stress() {
-    let prog = ambush_program(6, 400, 40, 4);
-    let table = prog.table_id("T").unwrap();
+fn eight_thread_epoch_swap_stress() {
+    for (name, prog) in [
+        ("fanout", fanout_program(6, 500, 40, 4)),
+        ("ambush", ambush_program(6, 400, 40, 4)),
+    ] {
+        let table = prog.table_id("T").unwrap();
 
-    let mut seq_eng = Engine::new(Arc::clone(&prog), EngineConfig::sequential());
-    let seq_report = seq_eng.run().unwrap();
-    let want = canonical(&seq_eng, table);
-    assert!(want.len() > 1000, "the stress load must be non-trivial");
+        let mut seq_eng = Engine::new(Arc::clone(&prog), EngineConfig::sequential());
+        let seq_report = seq_eng.run().unwrap();
+        let want = canonical(&seq_eng, table);
+        assert!(want.len() > 1000, "the stress load must be non-trivial");
 
-    // Repeated runs at both lookahead depths: the speculation /
-    // invalidation interleavings differ every time; the pop schedule
-    // and fixpoint must not.
-    for round in 0..3 {
-        for depth in [2usize, 4] {
+        // Repeated runs: epoch-swap/merge interleavings differ every
+        // time; the result must not.
+        for round in 0..5 {
             let mut eng = Engine::new(
                 Arc::clone(&prog),
                 EngineConfig::parallel(8)
-                    .pipeline_depth(depth)
                     .inline_classes_up_to(0)
                     .parallel_merge_from(1),
             );
             let report = eng.run().unwrap();
-            assert_eq!(report.pipeline_depth, depth);
             assert_eq!(
                 canonical(&eng, table),
                 want,
-                "round {round} depth {depth}: gamma diverged from sequential"
+                "{name} round {round}: gamma diverged from sequential"
             );
             assert_eq!(
                 report.tuples_processed, seq_report.tuples_processed,
-                "round {round} depth {depth}: tuple counts diverged"
+                "{name} round {round}: tuple counts diverged"
             );
             assert_eq!(
                 report.steps, seq_report.steps,
-                "round {round} depth {depth}: pop schedule diverged"
-            );
-            assert!(
-                report.lookahead_hits + report.lookahead_misses > 0,
-                "round {round} depth {depth}: the lookahead never engaged"
-            );
-            // Every non-final forked step stages keys at or below its
-            // window-start speculation, so invalidations are a
-            // certainty of the program shape, not of thread timing.
-            assert!(
-                report.lookahead_misses > 0,
-                "round {round} depth {depth}: the ambush produced no invalidations"
+                "{name} round {round}: pop schedule diverged"
             );
         }
     }
@@ -182,25 +131,24 @@ fn eight_thread_lookahead_invalidation_stress() {
 #[test]
 fn pipelined_run_accounts_overlap_consistently() {
     // With record_steps on, the timers must partition cleanly: serial
-    // drain = partition + merge, and overlap only ever accrues when
-    // pipelining is on.
+    // drain = partition + merge, and overlap only ever accrues when a
+    // class forks — never in sequential mode.
     let prog = fanout_program(6, 400, 30, 4);
-    for depth in [0usize, 1] {
-        let mut eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(8)
-                .pipeline_depth(depth)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1)
-                .record_steps(),
-        );
+    for config in [
+        EngineConfig::sequential(),
+        EngineConfig::parallel(8)
+            .inline_classes_up_to(0)
+            .parallel_merge_from(1),
+    ] {
+        let sequential = config.sequential;
+        let mut eng = Engine::new(Arc::clone(&prog), config.record_steps());
         let report = eng.run().unwrap();
         assert_eq!(
             report.drain_time,
             report.partition_time + report.merge_time,
             "serial drain must be the sum of its phases"
         );
-        if depth == 0 {
+        if sequential {
             assert_eq!(report.overlap_time, std::time::Duration::ZERO);
         }
         assert!((0.0..=1.0).contains(&report.overlap_fraction()));
@@ -211,7 +159,7 @@ fn pipelined_run_accounts_overlap_consistently() {
 #[test]
 fn pipelining_composes_with_lifetime_hints_and_compaction() {
     // The maintain phase (hints + quiescent compaction) runs between
-    // pipelined steps; surviving tuples must match the sequential
+    // overlapped steps; surviving tuples must match the sequential
     // engine's under the same hint.
     let prog = fanout_program(5, 300, 30, 3);
     let table = prog.table_id("T").unwrap();
@@ -228,7 +176,6 @@ fn pipelining_composes_with_lifetime_hints_and_compaction() {
         Arc::clone(&prog),
         configure(
             EngineConfig::parallel(8)
-                .pipeline_depth(1)
                 .inline_classes_up_to(0)
                 .parallel_merge_from(1),
         ),

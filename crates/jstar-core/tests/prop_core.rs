@@ -1,7 +1,7 @@
 //! Property-based tests for the core runtime data structures.
 
 use jstar_core::causality::linear::{satisfiable, Constraint, LinExpr, Rational};
-use jstar_core::delta::{DeltaTree, FlatDelta, ShardedInbox};
+use jstar_core::delta::{DeltaTree, ShardedInbox};
 use jstar_core::gamma::{BTreeStore, ConcurrentOrderedStore, HashStore, InsertOutcome, TableStore};
 use jstar_core::orderby::{KeyPart, OrderKey};
 use jstar_core::schema::{TableDefBuilder, TableId};
@@ -9,8 +9,8 @@ use jstar_core::tuple::Tuple;
 use jstar_core::value::Value;
 use proptest::prelude::*;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::sync::OnceLock;
 
@@ -102,15 +102,15 @@ proptest! {
             })
             .collect();
 
-        // Reference: plain sequential inserts in arrival order.
+        // Reference: plain sequential inserts in arrival order, into the
+        // tree and into a dumb model (an ordered map of ordered sets).
         let mut seq_tree = DeltaTree::new();
-        let mut seq_flat = FlatDelta::new();
+        let mut model: BTreeMap<OrderKey, BTreeSet<Tuple>> = BTreeMap::new();
         let mut seq_inserted = 0u64;
         for (k, t) in &entries {
-            if seq_tree.insert(k, t.clone()) {
-                seq_inserted += 1;
-            }
-            seq_flat.insert(k, t.clone());
+            let fresh = seq_tree.insert(k, t.clone());
+            prop_assert_eq!(fresh, model.entry(k.clone()).or_default().insert(t.clone()));
+            seq_inserted += fresh as u64;
         }
 
         // Partitioned path: stage through the inbox (binning at push
@@ -121,8 +121,7 @@ proptest! {
         }
         let mut runs: Vec<Vec<(OrderKey, Tuple)>> =
             (0..inbox.partitions()).map(|_| Vec::new()).collect();
-        inbox.drain_partitions(&mut runs);
-        let mut runs_flat = runs.clone();
+        inbox.swap_epoch(&mut runs);
 
         let mut by_table = vec![0u64; 2];
         let mut par_tree = DeltaTree::new();
@@ -132,39 +131,18 @@ proptest! {
         prop_assert_eq!(by_table.iter().sum::<u64>(), seq_inserted);
         prop_assert_eq!(par_tree.len(), seq_tree.len());
 
-        let mut by_table_flat = vec![0u64; 2];
-        let mut par_flat = FlatDelta::new();
-        par_flat.merge_partitioned(
-            &mut runs_flat,
-            Some(merge_pool()),
-            &mut by_table_flat,
-            threshold,
-        );
-
-        // Identical extraction sequence across all four structures.
-        loop {
-            match (
-                seq_tree.pop_min_class(),
-                par_tree.pop_min_class(),
-                seq_flat.pop_min_class(),
-                par_flat.pop_min_class(),
-            ) {
-                (None, None, None, None) => break,
-                (Some((k0, mut c0)), Some((k1, mut c1)), Some((k2, mut c2)), Some((k3, mut c3))) => {
-                    prop_assert_eq!(&k0, &k1);
-                    prop_assert_eq!(&k0, &k2);
-                    prop_assert_eq!(&k0, &k3);
-                    c0.sort();
-                    c1.sort();
-                    c2.sort();
-                    c3.sort();
-                    prop_assert_eq!(&c0, &c1);
-                    prop_assert_eq!(&c0, &c2);
-                    prop_assert_eq!(&c0, &c3);
-                }
-                other => prop_assert!(false, "structures disagree on emptiness: {other:?}"),
+        // Identical extraction sequence: the model's, in key order.
+        for (key, set) in model {
+            let want: Vec<Tuple> = set.into_iter().collect();
+            for tree in [&mut seq_tree, &mut par_tree] {
+                let (k, mut class) = tree.pop_min_class().expect("model non-empty");
+                prop_assert_eq!(&k, &key);
+                class.sort();
+                prop_assert_eq!(&class, &want);
             }
         }
+        prop_assert!(seq_tree.pop_min_class().is_none());
+        prop_assert!(par_tree.pop_min_class().is_none());
     }
 
     /// All three generic stores agree with a reference set under random

@@ -7,7 +7,6 @@
 //! decisions, or shard interleavings. This is the paper's core promise —
 //! "parallel execution is deterministic" (§4–5) — restated as a property.
 
-use jstar_core::delta::DeltaKind;
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
 use proptest::prelude::*;
@@ -296,21 +295,36 @@ fn cursor_groups(engine: &Engine) -> Vec<(Value, Vec<Tuple>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sharded-inbox parallel engine produces exactly the sequential
-    /// engine's fixpoint for random programs, thread counts, and inline
-    /// thresholds.
+    /// The sharded-inbox parallel engine — including the mid-step absorb
+    /// that overlaps a forked class's execution — produces exactly the
+    /// sequential engine's fixpoint and pop schedule, for random thread
+    /// counts and inline thresholds, on two program shapes:
+    ///
+    /// * random layered fan-out programs (fig8's request→fan→summarise
+    ///   shape and fig11's wide single-key classes both arise from the
+    ///   generator), once with default merging and once with the merge
+    ///   threshold dropped to 1 so even small epochs take the parallel
+    ///   subtree path;
+    /// * the fig12 (Dijkstra) shape: a self-feeding relaxation whose
+    ///   orderby makes the Delta tree the priority queue, with
+    ///   `-noDelta`/hash-indexed Done and `-noGamma` Estimate exactly
+    ///   like the real app, every multi-tuple class forked so the
+    ///   overlap window opens on small programs.
     #[test]
     fn sharded_parallel_matches_sequential(
         layers in 1usize..4,
-        fanout in 1i64..4,
+        fanout in 1i64..5,
         mul in 1i64..7,
         add in 0i64..5,
         modp in 2i64..40,
         dt in 0i64..3,
         horizon in 0i64..12,
         seeds in 1i64..6,
-        threads in 1usize..5,
+        threads in 1usize..6,
         inline_threshold in 0usize..8,
+        n in 20i64..120,
+        degree in 1i64..4,
+        weight_mod in 1i64..9,
     ) {
         let prog = build_program(layers, fanout, mul, add, modp, dt, horizon, seeds);
 
@@ -319,222 +333,29 @@ proptest! {
         let want = canonical_gamma(&seq_eng);
 
         let par_config = EngineConfig::parallel(threads).inline_classes_up_to(inline_threshold);
-        let mut par_eng = Engine::new(Arc::clone(&prog), par_config);
-        let par_report = par_eng.run().unwrap();
-        let got = canonical_gamma(&par_eng);
+        for (arm, config) in [par_config.clone(), par_config.parallel_merge_from(1)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut par_eng = Engine::new(Arc::clone(&prog), config);
+            let par_report = par_eng.run().unwrap();
+            let got = canonical_gamma(&par_eng);
 
-        prop_assert_eq!(&got, &want, "gamma contents diverged");
-        prop_assert_eq!(
-            par_report.tuples_processed,
-            seq_report.tuples_processed,
-            "tuple counts diverged"
-        );
-    }
-
-    /// The pipelined coordinator (`pipeline_depth = 1`: epoch swaps and
-    /// background-lane merges overlapped with class execution) reaches
-    /// exactly the fixpoint of the alternating loop (`pipeline_depth =
-    /// 0`): identical Gamma contents, tuple counts and step counts, for
-    /// random fan-out programs (fig8's request→fan→summarise shape and
-    /// fig11's wide single-key classes both arise from the generator),
-    /// thread counts and scheduling knobs. The merge threshold is
-    /// dropped to 1 so even small epochs take the parallel subtree
-    /// path, and the inline threshold varies so wide classes actually
-    /// open the overlap window.
-    #[test]
-    fn pipelined_matches_alternating(
-        layers in 1usize..4,
-        fanout in 1i64..5,
-        mul in 1i64..7,
-        add in 0i64..5,
-        modp in 2i64..40,
-        dt in 0i64..3,
-        horizon in 0i64..12,
-        seeds in 1i64..6,
-        threads in 2usize..6,
-        inline_threshold in 0usize..4,
-    ) {
-        let prog = build_program(layers, fanout, mul, add, modp, dt, horizon, seeds);
-
-        let mut off = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(threads)
-                .pipeline_depth(0)
-                .inline_classes_up_to(inline_threshold),
-        );
-        let off_report = off.run().unwrap();
-        let want = canonical_gamma(&off);
-
-        let mut on = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(threads)
-                .pipeline_depth(1)
-                .inline_classes_up_to(inline_threshold)
-                .parallel_merge_from(1),
-        );
-        let on_report = on.run().unwrap();
-        let got = canonical_gamma(&on);
-
-        prop_assert_eq!(&got, &want, "gamma contents diverged across pipeline depths");
-        prop_assert_eq!(
-            on_report.tuples_processed,
-            off_report.tuples_processed,
-            "tuple counts diverged across pipeline depths"
-        );
-        prop_assert_eq!(
-            on_report.steps,
-            off_report.steps,
-            "pop schedules diverged across pipeline depths"
-        );
-    }
-
-    /// The lookahead step machine (`pipeline_depth ≥ 2`: epoch ring,
-    /// pre-extracted next class, speculative plans) produces
-    /// **bit-identical pop schedules** to the alternating loop: same
-    /// step count, same tuple count, same Gamma fixpoint, at depths 0,
-    /// 1, 2 and 4 — for random layered fan-out programs whose `dt = 0`
-    /// arms stage tuples *at the prepared class's own key* (the extend
-    /// case) and whose same-layer advance rule stages keys that order
-    /// below later layers' prepared classes (the invalidate case).
-    /// Inline thresholds vary so wide classes actually open the
-    /// speculation window.
-    #[test]
-    fn lookahead_matches_alternating(
-        layers in 1usize..4,
-        fanout in 1i64..5,
-        mul in 1i64..7,
-        add in 0i64..5,
-        modp in 2i64..40,
-        dt in 0i64..3,
-        horizon in 0i64..12,
-        seeds in 1i64..6,
-        threads in 2usize..6,
-        inline_threshold in 0usize..4,
-    ) {
-        let prog = build_program(layers, fanout, mul, add, modp, dt, horizon, seeds);
-
-        let mut base = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(threads)
-                .pipeline_depth(0)
-                .inline_classes_up_to(inline_threshold),
-        );
-        let base_report = base.run().unwrap();
-        let want = canonical_gamma(&base);
-
-        for depth in [1usize, 2, 4] {
-            let mut eng = Engine::new(
-                Arc::clone(&prog),
-                EngineConfig::parallel(threads)
-                    .pipeline_depth(depth)
-                    .inline_classes_up_to(inline_threshold)
-                    .parallel_merge_from(1),
-            );
-            let report = eng.run().unwrap();
+            prop_assert_eq!(&got, &want, "gamma contents diverged (arm {})", arm);
             prop_assert_eq!(
-                report.pipeline_depth,
-                depth,
-                "effective depth must report the configured depth"
-            );
-            let got = canonical_gamma(&eng);
-            prop_assert_eq!(&got, &want, "gamma contents diverged at depth {}", depth);
-            prop_assert_eq!(
-                report.tuples_processed,
-                base_report.tuples_processed,
-                "tuple counts diverged at depth {}",
-                depth
+                par_report.tuples_processed,
+                seq_report.tuples_processed,
+                "tuple counts diverged (arm {})",
+                arm
             );
             prop_assert_eq!(
-                report.steps,
-                base_report.steps,
-                "pop schedules diverged at depth {}",
-                depth
+                par_report.steps,
+                seq_report.steps,
+                "pop schedules diverged (arm {})",
+                arm
             );
         }
-    }
 
-    /// Lookahead determinism under adversarial merges: the fig12
-    /// relaxation shape, where popping distance `d` stages Estimates at
-    /// `d + w` — keys that routinely order **below** the prepared next
-    /// class (invalidating it) or **at** it (extending it). The Done
-    /// set must be identical at depths 0/1/2/4 and equal to the
-    /// sequential run's, with both the adaptive and the fixed overlap
-    /// controller.
-    #[test]
-    fn lookahead_survives_adversarial_relaxation(
-        n in 20i64..120,
-        degree in 1i64..4,
-        weight_mod in 1i64..9,
-        threads in 2usize..6,
-        adaptive_arm in 0usize..2,
-    ) {
-        let adaptive = adaptive_arm == 1;
-        let prog = relaxation_program(n, degree, weight_mod);
-        let done = prog.table_id("Done").unwrap();
-        let estimate = prog.table_id("Estimate").unwrap();
-        let configure = |c: EngineConfig| {
-            c.no_delta(done).no_gamma(estimate).store(
-                done,
-                StoreKind::Hash {
-                    index_fields: vec!["vertex".into()],
-                    shards: 8,
-                },
-            )
-        };
-
-        let mut seq_eng = Engine::new(
-            Arc::clone(&prog),
-            configure(EngineConfig::sequential()),
-        );
-        let seq_report = seq_eng.run().unwrap();
-        prop_assert_eq!(seq_report.pipeline_depth, 0, "sequential mode has no pipeline");
-        let mut want = seq_eng.gamma().collect(&Query::on(done));
-        want.sort();
-
-        for depth in [0usize, 1, 2, 4] {
-            let mut eng = Engine::new(
-                Arc::clone(&prog),
-                configure(
-                    EngineConfig::parallel(threads)
-                        .pipeline_depth(depth)
-                        .adaptive_overlap(adaptive)
-                        .inline_classes_up_to(0)
-                        .parallel_merge_from(1),
-                ),
-            );
-            let report = eng.run().unwrap();
-            let mut got = eng.gamma().collect(&Query::on(done));
-            got.sort();
-            // Step counts are not compared here: the relax rule *queries*
-            // Done mid-class, so which Estimates get staged is timing-
-            // dependent in every parallel configuration (the fixpoint is
-            // not). The bit-identical pop schedule proof lives in
-            // `lookahead_matches_alternating`, whose programs stage
-            // deterministically.
-            prop_assert_eq!(&got, &want, "Done set diverged at depth {}", depth);
-            if depth < 2 {
-                prop_assert_eq!(
-                    report.lookahead_hits + report.lookahead_misses,
-                    0,
-                    "lookahead must stay disarmed below depth 2"
-                );
-            }
-        }
-    }
-
-    /// Pipeline determinism on the fig12 (Dijkstra) shape: a
-    /// self-feeding relaxation whose orderby makes the Delta tree the
-    /// priority queue, with `-noDelta`/hash-indexed Done and `-noGamma`
-    /// Estimate exactly like the real app. The final Done set must be
-    /// identical at both pipeline depths and equal to the sequential
-    /// run's.
-    #[test]
-    fn pipelined_dijkstra_shape_is_deterministic(
-        n in 20i64..120,
-        degree in 1i64..4,
-        weight_mod in 1i64..9,
-        threads in 2usize..6,
-    ) {
         let prog = relaxation_program(n, degree, weight_mod);
         let done = prog.table_id("Done").unwrap();
         let estimate = prog.table_id("Estimate").unwrap();
@@ -556,30 +377,32 @@ proptest! {
         let mut want = seq_eng.gamma().collect(&Query::on(done));
         want.sort();
 
-        for depth in [0usize, 1] {
-            let mut eng = Engine::new(
-                Arc::clone(&prog),
-                configure(
-                    EngineConfig::parallel(threads)
-                        .pipeline_depth(depth)
-                        .inline_classes_up_to(0)
-                        .parallel_merge_from(1),
-                ),
-            );
-            eng.run().unwrap();
-            let mut got = eng.gamma().collect(&Query::on(done));
-            got.sort();
-            prop_assert_eq!(&got, &want, "Done set diverged at depth {}", depth);
-        }
+        let mut eng = Engine::new(
+            Arc::clone(&prog),
+            configure(
+                EngineConfig::parallel(threads)
+                    .inline_classes_up_to(0)
+                    .parallel_merge_from(1),
+            ),
+        );
+        eng.run().unwrap();
+        let mut got = eng.gamma().collect(&Query::on(done));
+        got.sort();
+        // Step counts are not compared here: the relax rule *queries*
+        // Done mid-class, so which Estimates get staged is timing-
+        // dependent in every parallel configuration (the fixpoint is
+        // not).
+        prop_assert_eq!(&got, &want, "Done set diverged");
     }
 
     /// The persisted Gamma digest is a pure function of the logical
     /// fixpoint: for random programs, `Engine::content_hash()` — the
     /// hash a snapshot stores per table and recovery compares against —
-    /// is bit-identical across the sequential engine and every
-    /// (threads × pipeline depth 0/1/2/4) parallel configuration. This
-    /// is what makes crash-recovery checkable: restore + resume must
-    /// land on this exact hash whatever configuration resumes the run.
+    /// is bit-identical across the sequential engine and the parallel
+    /// one at every thread count, with default scheduling and with every
+    /// class forked and every epoch merged on the pool. This is what
+    /// makes crash-recovery checkable: restore + resume must land on
+    /// this exact hash whatever configuration resumes the run.
     #[test]
     fn content_hash_is_identical_across_configurations(
         layers in 1usize..4,
@@ -598,28 +421,28 @@ proptest! {
         seq_eng.run().unwrap();
         let want = seq_eng.content_hash();
 
-        for depth in [0usize, 1, 2, 4] {
-            let mut eng = Engine::new(
-                Arc::clone(&prog),
-                EngineConfig::parallel(threads)
-                    .pipeline_depth(depth)
-                    .inline_classes_up_to(0)
-                    .parallel_merge_from(1),
-            );
+        let configs = [
+            EngineConfig::parallel(threads),
+            EngineConfig::parallel(threads)
+                .inline_classes_up_to(0)
+                .parallel_merge_from(1),
+        ];
+        for (i, config) in configs.into_iter().enumerate() {
+            let mut eng = Engine::new(Arc::clone(&prog), config);
             eng.run().unwrap();
             prop_assert_eq!(
                 eng.content_hash(),
                 want,
-                "content hash diverged at {} threads, depth {}",
+                "content hash diverged at {} threads (config {})",
                 threads,
-                depth
+                i
             );
         }
     }
 
     /// Semi-naive delta-join execution is a pure execution-strategy
     /// change: for random two-stage join programs, the batched mode
-    /// (grouped Gamma probes per class) produces **bit-identical pop
+    /// (one grouped cursor walk per class) produces **bit-identical pop
     /// schedules** to per-tuple firing — same step count, same tuple
     /// count, same Gamma fixpoint, same content hash — sequentially and
     /// at every thread count, with the opaque `mirror` rule riding in
@@ -644,20 +467,10 @@ proptest! {
         let want = canonical_gamma(&base);
         let want_hash = base.content_hash();
 
-        // Both join strategies must be invisible: the leapfrog walk
-        // (default) and the PR 8 hash-probe pass are pure execution-
-        // strategy changes over the same canonical staging.
         let configs = [
             EngineConfig::sequential().delta_join_from(threshold),
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(threshold),
             EngineConfig::parallel(threads).delta_join_from(threshold),
             EngineConfig::parallel(threads)
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(threshold),
-            EngineConfig::parallel(threads)
-                .pipeline_depth(2)
                 .parallel_merge_from(1)
                 .delta_join_from(threshold),
         ];
@@ -701,11 +514,10 @@ proptest! {
 
     /// `join()` lowering equivalence: for random two-stage join
     /// programs, the typed join-rule lowering (two-stage plan, batched
-    /// delta-join eligible, leapfrog or hash strategy) produces exactly
-    /// the hand-written nested-loop lowering's results — same Gamma
-    /// fixpoint, same content hash, and **bit-identical pop schedules**
-    /// — sequentially, in parallel, and under the depth-2 pipelined
-    /// coordinator.
+    /// delta-join eligible) produces exactly the hand-written
+    /// nested-loop lowering's results — same Gamma fixpoint, same
+    /// content hash, and **bit-identical pop schedules** —
+    /// sequentially and in parallel.
     #[test]
     fn typed_join_matches_nested_loop_lowering(
         dims in 1i64..25,
@@ -725,12 +537,8 @@ proptest! {
 
         let configs = [
             EngineConfig::sequential().delta_join_from(threshold),
-            EngineConfig::sequential()
-                .join_strategy(JoinStrategy::HashProbe)
-                .delta_join_from(threshold),
             EngineConfig::parallel(threads).delta_join_from(threshold),
             EngineConfig::parallel(threads)
-                .pipeline_depth(2)
                 .parallel_merge_from(1)
                 .delta_join_from(threshold),
         ];
@@ -763,14 +571,16 @@ proptest! {
     /// The generation-stamped index cache is a pure execution-strategy
     /// change: for random two-stage join programs — with a lifetime hint
     /// on the probe table so retain/compaction interleaves with the join
-    /// walks mid-run — every cache policy (`Off`, `OnDemand`,
-    /// `EagerRefresh`) produces **bit-identical pop schedules** (same
+    /// walks mid-run — the cached, journal-caught-up column views of the
+    /// parallel stores produce **bit-identical pop schedules** (same
     /// step count, same tuple count), the same Gamma fixpoint, the same
-    /// content hash, and the same cursor-visible group sets, at 1/4/8
-    /// threads × pipeline depths 0/1/2. The hint tombstones (and, past
-    /// the compaction threshold, epoch-bumps) the very table whose
-    /// cached views the join keeps reopening, so wholesale invalidation
-    /// and journal-suffix catch-up both run under live traffic.
+    /// content hash, and the same cursor-visible group sets as the
+    /// `-sequential` engine, whose `BTreeStore` has no claim journal and
+    /// so builds every view cold, at 1/4/8 threads. The hint tombstones
+    /// (and, past the compaction threshold, epoch-bumps) the very table
+    /// whose cached views the join keeps reopening, so wholesale
+    /// invalidation and journal-suffix catch-up both run under live
+    /// traffic.
     #[test]
     fn cached_index_matches_cold_build(
         dims in 4i64..30,
@@ -793,88 +603,83 @@ proptest! {
                 .compact_tombstones_above(0.2)
         };
 
-        let mut base = Engine::new(
-            Arc::clone(&prog),
-            configure(EngineConfig::sequential().index_cache(IndexCachePolicy::Off)),
-        );
+        let mut base = Engine::new(Arc::clone(&prog), configure(EngineConfig::sequential()));
         let base_report = base.run().unwrap();
+        prop_assert_eq!(base_report.index_cache_hits, 0, "the reference builds cold");
         let want = canonical_gamma(&base);
         let want_hash = base.content_hash();
         let want_groups = cursor_groups(&base);
 
-        for depth in [0usize, 1, 2] {
-            for policy in [
-                IndexCachePolicy::Off,
-                IndexCachePolicy::OnDemand,
-                IndexCachePolicy::EagerRefresh,
-            ] {
-                let config = if threads == 1 && depth == 0 {
-                    EngineConfig::sequential()
-                } else {
-                    EngineConfig::parallel(threads)
-                        .pipeline_depth(depth)
-                        .parallel_merge_from(1)
-                };
-                let mut eng = Engine::new(
-                    Arc::clone(&prog),
-                    configure(config.index_cache(policy)),
-                );
-                let report = eng.run().unwrap();
-                let got = canonical_gamma(&eng);
-                prop_assert_eq!(
-                    &got, &want,
-                    "gamma diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
-                );
-                prop_assert_eq!(
-                    eng.content_hash(),
-                    want_hash,
-                    "content hash diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
-                );
-                prop_assert_eq!(
-                    (report.steps, report.tuples_processed),
-                    (base_report.steps, base_report.tuples_processed),
-                    "pop schedule diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
-                );
-                let groups = cursor_groups(&eng);
-                prop_assert_eq!(
-                    &groups, &want_groups,
-                    "cursor-visible groups diverged ({:?}, {} threads, depth {})",
-                    policy, threads, depth
-                );
-                if policy == IndexCachePolicy::Off {
-                    prop_assert_eq!(
-                        report.index_cache_hits, 0,
-                        "off policy must never hit"
-                    );
-                }
-            }
-        }
+        let mut eng = Engine::new(
+            Arc::clone(&prog),
+            configure(EngineConfig::parallel(threads).parallel_merge_from(1)),
+        );
+        let report = eng.run().unwrap();
+        let got = canonical_gamma(&eng);
+        prop_assert_eq!(&got, &want, "gamma diverged ({} threads)", threads);
+        prop_assert_eq!(
+            eng.content_hash(),
+            want_hash,
+            "content hash diverged ({} threads)",
+            threads
+        );
+        prop_assert_eq!(
+            (report.steps, report.tuples_processed),
+            (base_report.steps, base_report.tuples_processed),
+            "pop schedule diverged ({} threads)",
+            threads
+        );
+        let groups = cursor_groups(&eng);
+        prop_assert_eq!(
+            &groups, &want_groups,
+            "cursor-visible groups diverged ({} threads)",
+            threads
+        );
     }
+}
 
-    /// Both Delta structures reach the same fixpoint under the batched
-    /// drain (the flat map is the ablation of the tree).
-    #[test]
-    fn delta_kinds_agree_under_parallel_drain(
-        layers in 1usize..3,
-        fanout in 1i64..4,
-        modp in 2i64..25,
-        horizon in 0i64..10,
-        threads in 1usize..4,
-    ) {
-        let prog = build_program(layers, fanout, 3, 1, modp, 1, horizon, 2);
-        let mut tree_eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(threads).delta_kind(DeltaKind::Tree),
-        );
-        tree_eng.run().unwrap();
-        let mut flat_eng = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::parallel(threads).delta_kind(DeltaKind::Flat),
-        );
-        flat_eng.run().unwrap();
-        prop_assert_eq!(canonical_gamma(&tree_eng), canonical_gamma(&flat_eng));
+/// A join rule with no key pair (a cross join) gives the batched walk
+/// nothing to seek on, so a class of any width must fire it through the
+/// synthesised per-tuple body: same Gamma and same pop schedule as with
+/// batching disabled, sequentially and at 4 threads.
+#[test]
+fn keyless_join_class_fires_per_tuple() {
+    let mut p = ProgramBuilder::new();
+    p.relation::<Dim>();
+    p.relation::<Src>();
+    p.relation::<Out>();
+    p.order(&["Dim", "Src", "Out"]);
+    p.rule_rel_join(
+        "cross",
+        JoinOn::new(),
+        |s: &Src, d: &Dim| (s.v + d.w) % 3 != 0,
+        |ctx, s: &Src, d: &Dim| ctx.put_rel(Out { a: s.v, b: d.w }),
+    );
+    for i in 0..7 {
+        p.put_rel(Dim { k: i, w: i * 2 });
+    }
+    for i in 0..40 {
+        p.put_rel(Src { k: i % 5, v: i });
+    }
+    let prog = Arc::new(p.build().unwrap());
+
+    let mut base = Engine::new(
+        Arc::clone(&prog),
+        EngineConfig::sequential().delta_join_from(usize::MAX),
+    );
+    let base_report = base.run().unwrap();
+    let want = canonical_gamma(&base);
+    let out = prog.table_id("Out").unwrap();
+    assert!(!base.gamma().collect(&Query::on(out)).is_empty());
+
+    for config in [
+        EngineConfig::sequential().delta_join_from(8),
+        EngineConfig::parallel(4).delta_join_from(8),
+    ] {
+        let mut eng = Engine::new(Arc::clone(&prog), config);
+        let report = eng.run().unwrap();
+        assert!(report.delta_join_classes > 0, "the Src class is 40 wide");
+        assert_eq!(canonical_gamma(&eng), want);
+        assert_eq!(report.steps, base_report.steps);
     }
 }

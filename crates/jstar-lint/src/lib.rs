@@ -62,7 +62,6 @@ pub const R2_ALLOWLIST: &[&str] = &[
     "crates/jstar-core/src/engine/ctx.rs",
     "crates/jstar-core/src/engine/pipeline.rs",
     "crates/jstar-core/src/engine/runtime.rs",
-    "crates/jstar-core/src/engine/schedule.rs",
     "crates/jstar-pool/src/parfor.rs",
 ];
 

@@ -3,10 +3,10 @@
 //! A blocking submission (a scope over [`crate::Scope::spawn_background_batch`])
 //! holds its caller until the whole batch finishes — the right shape
 //! when the results are needed immediately, and the wrong one for a
-//! *pipeline*: the engine's epoch ring closes a staging epoch, submits
+//! *pipeline*: the engine's coordinator closes a staging epoch, submits
 //! its per-partition Delta subtree builds, and wants to keep
-//! coordinating (closing further epochs, helping execute class chunks)
-//! while those builds ride the background lane.
+//! coordinating (helping execute class chunks) while those builds ride
+//! the background lane.
 //! [`submit_background`] is that submission shape: it enqueues the
 //! batch and returns a [`TaskBatch`] handle immediately; the caller polls
 //! [`TaskBatch::is_complete`] and collects with [`TaskBatch::join`] (which

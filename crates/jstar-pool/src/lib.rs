@@ -39,7 +39,7 @@ mod scope;
 pub use batch::{submit_background, TaskBatch};
 pub use latch::CountLatch;
 pub use parfor::{
-    adaptive_chunk, idle_chunk, parallel_chunks, parallel_for, parallel_for_each, parallel_map,
+    adaptive_chunk, parallel_chunks, parallel_for, parallel_for_each, parallel_map,
     parallel_reduce, parallel_tasks,
 };
 pub use pool::{global, ThreadPool};

@@ -7,17 +7,6 @@
 
 use crate::pool::ThreadPool;
 
-/// The chunk size [`adaptive_chunk`] picks for an **idle** pool of
-/// `threads` workers: four stealable chunks per thread. Exposed so
-/// callers planning work for a *future* launch instant (e.g. the
-/// engine's speculative next-class plans, built while the pool is
-/// transiently busy with the current class) can size chunks for the
-/// occupancy the launch will actually see, without diverging from the
-/// live heuristic.
-pub fn idle_chunk(threads: usize, len: usize) -> usize {
-    len.div_ceil((threads * 4).max(1)).max(1)
-}
-
 /// Occupancy-aware chunk size: gives each thread a few chunks to steal
 /// when the pool is idle, but when the pool already has a backlog of
 /// queued jobs the split is coarsened — extra tasks would only queue
@@ -30,7 +19,7 @@ pub fn adaptive_chunk(pool: &ThreadPool, len: usize) -> usize {
         // Saturated pool: one chunk per thread is plenty.
         len.div_ceil(threads.max(1)).max(1)
     } else {
-        idle_chunk(threads, len)
+        len.div_ceil((threads * 4).max(1)).max(1)
     }
 }
 
