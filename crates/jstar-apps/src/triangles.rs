@@ -14,9 +14,9 @@
 //! probe/seek counters.
 //!
 //! The same count is also available *after* the run as a read-side
-//! query: [`count_via_join3`] evaluates
-//! `join3::<Edge, Edge, Edge>()` with a leapfrog intersection over the
-//! stored half-edges — the query-layer face of the same walk.
+//! query: [`count_via_join3`] folds `join3::<Edge, Edge, Edge>()` over
+//! the stored half-edges — the query-layer face of the same leapfrog
+//! walk, split over the engine's pool like the rule-side one.
 
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
@@ -247,23 +247,30 @@ pub fn run_jstar_report(spec: TriSpec, config: EngineConfig) -> Result<(u64, Run
 
 /// Counts triangles *after* a run as a read-side query: one ternary
 /// `join3::<Edge, Edge, Edge>()` over the stored half-edges, evaluated
-/// by [`Engine::join3_rel`]'s leapfrog walk. Each triangle appears in
-/// six half-edge orientations; the `x < y < z` filter keeps exactly
-/// one.
+/// by [`Engine::join3_fold`] — the engine's leapfrog walk, split over
+/// its pool when it has one, each piece counting into its own total.
+/// Each triangle appears in six half-edge orientations; the
+/// `x < y < z` filter keeps exactly one.
 pub fn count_via_join3(engine: &Engine) -> u64 {
-    let mut count = 0u64;
-    engine.join3_rel(
-        join3::<Edge, Edge, Edge>()
-            .on_ab(Edge::to, Edge::from)
-            .on_bc(Edge::to, Edge::from)
-            .on_ac(Edge::from, Edge::to),
-        |a: Edge, b: Edge, _c: Edge| {
+    engine.join3_fold(
+        triangle_join(),
+        || 0u64,
+        |count, a: Edge, b: Edge, _c: Edge| {
             if a.from < a.to && a.to < b.to {
-                count += 1;
+                *count += 1;
             }
         },
-    );
-    count
+        |x, y| x + y,
+    )
+}
+
+/// `a.to = b.from`, `b.to = c.from`, `c.to = a.from`: a directed
+/// 3-cycle of half-edges.
+fn triangle_join() -> Join3<Edge, Edge, Edge> {
+    join3::<Edge, Edge, Edge>()
+        .on_ab(Edge::to, Edge::from)
+        .on_bc(Edge::to, Edge::from)
+        .on_ac(Edge::from, Edge::to)
 }
 
 #[cfg(test)]
@@ -384,19 +391,32 @@ mod tests {
         let spec = small_spec();
         let want = triangles_baseline(&spec);
         let app = build_program(spec);
-        let config = optimised_config(&app, EngineConfig::sequential());
-        let mut engine = Engine::new(Arc::clone(&app.program), config);
-        engine.run().unwrap();
-        let opens = |e: &Engine| {
-            e.stats()
-                .join_cursor_opens
-                .load(std::sync::atomic::Ordering::Relaxed)
-        };
-        let before = opens(&engine);
-        assert_eq!(count_via_join3(&engine), want);
-        // The read-side walk opened three cursors and charged them to
-        // the same counters the rule-side walk uses.
-        assert_eq!(opens(&engine), before + 3);
+        for base in [
+            EngineConfig::sequential(),
+            EngineConfig::parallel(2),
+            EngineConfig::parallel(4),
+        ] {
+            let threads = base.threads;
+            let config = optimised_config(&app, base);
+            let mut engine = Engine::new(Arc::clone(&app.program), config);
+            engine.run().unwrap();
+            let opens = |e: &Engine| {
+                e.stats()
+                    .join_cursor_opens
+                    .load(std::sync::atomic::Ordering::Relaxed)
+            };
+            let before = opens(&engine);
+            assert_eq!(count_via_join3(&engine), want, "{threads} threads");
+            // The read-side walk opened three cursors and charged them
+            // to the same counters the rule-side walk uses.
+            assert_eq!(opens(&engine), before + 3, "{threads} threads");
+            // The `FnMut` form is the one-piece case of the same walk.
+            let mut walked = 0u64;
+            engine.join3_rel(triangle_join(), |a: Edge, b: Edge, _c: Edge| {
+                walked += (a.from < a.to && a.to < b.to) as u64;
+            });
+            assert_eq!(walked, want, "{threads} threads");
+        }
     }
 
     #[test]

@@ -77,9 +77,10 @@ pub struct EngineConfig {
     pub checkpoint_keep: usize,
     /// Minimum extracted-class size at which rules carrying a
     /// [`crate::rule::JoinPlan`] switch from per-tuple firing to
-    /// **delta-join** execution: the class is grouped by its join-key
-    /// values and Gamma is probed once per distinct key instead of once
-    /// per tuple (semi-naive evaluation with the class as the delta).
+    /// **delta-join** execution: the class is sorted by its join-key
+    /// values and walked against one Gamma column view per stage instead
+    /// of probing once per tuple (semi-naive evaluation with the class
+    /// as the delta).
     /// Below the threshold the batching bookkeeping costs more than the
     /// probes it saves. `usize::MAX` disables delta-join entirely;
     /// opaque (closure-body) rules always run per tuple regardless.

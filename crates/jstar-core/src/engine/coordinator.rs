@@ -5,10 +5,12 @@
 
 use crate::delta::{DeltaTree, ShardedInbox};
 use crate::error::Result;
+use crate::gamma::leapfrog::{self, Root, Stage};
 use crate::gamma::{Gamma, StoreKind};
 use crate::orderby::OrderKey;
 use crate::program::Program;
-use crate::relation::{Join, Join3, Relation, TableHandle, TypedQuery};
+use crate::relation::{Join, Join3, ReadJoin, Relation, TableHandle, TypedQuery};
+use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
 use crate::tuple::Tuple;
@@ -22,7 +24,8 @@ use super::config::EngineConfig;
 use super::pipeline::Pipeline;
 use super::report::RunReport;
 use super::runtime::{
-    process_class_chunk, process_class_delta_join, process_tuple, put_tuple, QueryPlan, RunState,
+    open_views, process_class_chunk, process_class_delta_join, process_tuple, put_tuple,
+    walk_stages, QueryPlan, RunState,
 };
 use super::schedule::{ClassPlan, Scheduler};
 use crate::error::JStarError;
@@ -606,49 +609,32 @@ impl Engine {
     /// order of the typed builder, no optimizer. Further `on` pairs are
     /// residual equality checks inside matched groups. Panics when no
     /// `on` pair was declared (a cross join has nothing to merge on).
+    /// Runs on the calling thread; [`Engine::join_fold`] is the same
+    /// walk split over the pool.
     pub fn join_rel<A: Relation, B: Relation>(&self, j: Join<A, B>, mut f: impl FnMut(A, B)) {
-        assert!(
-            !j.on.is_empty(),
-            "join::<A, B>() requires at least one on() pair"
-        );
-        let ta = self.handle::<A>().id();
-        let tb = self.handle::<B>().id();
-        let (fa, fb) = j.on[0];
-        let stats = &self.state.stats;
-        stats.tables[ta.index()]
-            .queries
-            .fetch_add(1, Ordering::Relaxed);
-        stats.tables[tb.index()]
-            .queries
-            .fetch_add(1, Ordering::Relaxed);
-        stats.join_cursor_opens.fetch_add(2, Ordering::Relaxed);
-        let ia = self.state.gamma.open_cursor(ta, fa);
-        let ib = self.state.gamma.open_cursor(tb, fb);
-        let mut ca = ia.cursor();
-        let mut cb = ib.cursor();
-        while let (Some(ka), Some(kb)) = (ca.key().cloned(), cb.key().cloned()) {
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => ca.seek(&kb),
-                std::cmp::Ordering::Greater => cb.seek(&ka),
-                std::cmp::Ordering::Equal => {
-                    if let (Some(ga), Some(gb)) = (ca.group(), cb.group()) {
-                        for at in ga {
-                            for bt in gb {
-                                if j.on[1..].iter().all(|&(af, bf)| at.get(af) == bt.get(bf)) {
-                                    f(A::from_tuple(at), B::from_tuple(bt));
-                                }
-                            }
-                        }
-                    }
-                    ca.next();
-                    cb.next();
-                }
-            }
-        }
-        let seeks = ca.seeks() + cb.seeks();
-        if seeks > 0 {
-            stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
-        }
+        let lowered = j.lower(&self.state.program);
+        self.read_join(&lowered, |root, stages| {
+            let visit = |rows: &[&Tuple]| f(A::from_tuple(rows[0]), B::from_tuple(rows[1]));
+            ((), leapfrog::walk(root, stages, visit))
+        })
+    }
+
+    /// [`Engine::join_rel`] as a fold: `A`'s distinct keys are split
+    /// into pieces that run on the engine's pool (one piece without
+    /// one), each folding its rows into its own `init()` accumulator;
+    /// `merge` then combines the accumulators in key order.
+    pub fn join_fold<A: Relation, B: Relation, Acc: Send>(
+        &self,
+        j: Join<A, B>,
+        init: impl Fn() -> Acc + Sync,
+        fold: impl Fn(&mut Acc, A, B) + Sync,
+        merge: impl FnMut(Acc, Acc) -> Acc,
+    ) -> Acc {
+        let lowered = j.lower(&self.state.program);
+        let visit = |acc: &mut Acc, rows: &[&Tuple]| {
+            fold(acc, A::from_tuple(rows[0]), B::from_tuple(rows[1]))
+        };
+        self.read_fold(&lowered, init, visit, merge)
     }
 
     /// Evaluates a typed three-relation join over Gamma:
@@ -665,79 +651,73 @@ impl Engine {
         j: Join3<A, B, C>,
         mut f: impl FnMut(A, B, C),
     ) {
-        assert!(!j.ab.is_empty(), "join3 requires at least one on_ab() pair");
-        assert!(
-            !(j.bc.is_empty() && j.ac.is_empty()),
-            "join3 requires an on_bc() or on_ac() pair to key C"
-        );
-        let ta = self.handle::<A>().id();
-        let tb = self.handle::<B>().id();
-        let tc = self.handle::<C>().id();
-        let (fa, fb) = j.ab[0];
-        // C's cursor column: prefer a b-sourced key (available at every
-        // matched pair), else an a-sourced one.
-        let (c_from_b, c_src, fc) = match j.bc.first() {
-            Some(&(bf, cf)) => (true, bf, cf),
-            None => (false, j.ac[0].0, j.ac[0].1),
+        let lowered = j.lower(&self.state.program);
+        self.read_join(&lowered, |root, stages| {
+            let visit = |rows: &[&Tuple]| {
+                f(
+                    A::from_tuple(rows[0]),
+                    B::from_tuple(rows[1]),
+                    C::from_tuple(rows[2]),
+                )
+            };
+            ((), leapfrog::walk(root, stages, visit))
+        })
+    }
+
+    /// [`Engine::join3_rel`] as a fold over the engine's pool (see
+    /// [`Engine::join_fold`]).
+    pub fn join3_fold<A: Relation, B: Relation, C: Relation, Acc: Send>(
+        &self,
+        j: Join3<A, B, C>,
+        init: impl Fn() -> Acc + Sync,
+        fold: impl Fn(&mut Acc, A, B, C) + Sync,
+        merge: impl FnMut(Acc, Acc) -> Acc,
+    ) -> Acc {
+        let lowered = j.lower(&self.state.program);
+        let visit = |acc: &mut Acc, rows: &[&Tuple]| {
+            fold(
+                acc,
+                A::from_tuple(rows[0]),
+                B::from_tuple(rows[1]),
+                C::from_tuple(rows[2]),
+            )
         };
-        let stats = &self.state.stats;
-        for t in [ta, tb, tc] {
-            stats.tables[t.index()]
-                .queries
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        stats.join_cursor_opens.fetch_add(3, Ordering::Relaxed);
-        let ia = self.state.gamma.open_cursor(ta, fa);
-        let ib = self.state.gamma.open_cursor(tb, fb);
-        let ic = self.state.gamma.open_cursor(tc, fc);
-        let mut ca = ia.cursor();
-        let mut cb = ib.cursor();
-        let mut cc = ic.cursor();
-        while let (Some(ka), Some(kb)) = (ca.key().cloned(), cb.key().cloned()) {
-            match ka.cmp(&kb) {
-                std::cmp::Ordering::Less => ca.seek(&kb),
-                std::cmp::Ordering::Greater => cb.seek(&ka),
-                std::cmp::Ordering::Equal => {
-                    // Borrowed group slices stream straight into the
-                    // residual-filter stage — no per-key materialization
-                    // (`cc` is a separate cursor, so seeking it never
-                    // invalidates these borrows).
-                    let (ga, gb) = match (ca.group(), cb.group()) {
-                        (Some(ga), Some(gb)) => (ga, gb),
-                        _ => break,
-                    };
-                    for at in ga {
-                        for bt in gb {
-                            if !j.ab[1..].iter().all(|&(af, bf)| at.get(af) == bt.get(bf)) {
-                                continue;
-                            }
-                            let target = if c_from_b {
-                                bt.get(c_src)
-                            } else {
-                                at.get(c_src)
-                            };
-                            let target = target.clone();
-                            if let Some(gc) = cc.seek_exact(&target) {
-                                for ct in gc {
-                                    let bc_ok =
-                                        j.bc.iter().all(|&(bf, cf)| bt.get(bf) == ct.get(cf));
-                                    let ac_ok =
-                                        j.ac.iter().all(|&(af, cf)| at.get(af) == ct.get(cf));
-                                    if bc_ok && ac_ok {
-                                        f(A::from_tuple(at), B::from_tuple(bt), C::from_tuple(ct));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    ca.next();
-                    cb.next();
-                }
-            }
-        }
-        let seeks = ca.seeks() + cb.seeks() + cc.seeks();
+        self.read_fold(&lowered, init, visit, merge)
+    }
+
+    /// Opens the lowered join's views (root first, then one per stage,
+    /// each counted), hands `body` the walk's root and stages, and
+    /// charges the seeks it reports.
+    fn read_join<R>(
+        &self,
+        lowered: &ReadJoin,
+        body: impl for<'a> FnOnce(&Root<'a>, &[Stage<'a>]) -> (R, u64),
+    ) -> R {
+        let columns = lowered.stages.iter().map(JoinStage::column);
+        let views = open_views(&self.state, std::iter::once(lowered.root).chain(columns));
+        let stages = walk_stages(&lowered.stages, &views[1..]);
+        let (out, seeks) = body(&Root::Index(&views[0]), &stages);
         if seeks > 0 {
+            let stats = &self.state.stats;
             stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
         }
+        out
+    }
+
+    fn read_fold<Acc: Send>(
+        &self,
+        lowered: &ReadJoin,
+        init: impl Fn() -> Acc + Sync,
+        visit: impl Fn(&mut Acc, &[&Tuple]) + Sync,
+        merge: impl FnMut(Acc, Acc) -> Acc,
+    ) -> Acc {
+        let pool = self.pool.as_deref();
+        let mut pieces = self
+            .read_join(lowered, |root, stages| {
+                leapfrog::fan_out(root, stages, pool, &init, visit)
+            })
+            .into_iter();
+        let first = pieces.next().unwrap_or_else(&init);
+        pieces.fold(first, merge)
     }
 }

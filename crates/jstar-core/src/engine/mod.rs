@@ -107,10 +107,12 @@
 //!   fields equate to which probe-table fields — and the class has at
 //!   least [`EngineConfig::delta_join_threshold`] tuples, the whole
 //!   class is treated as the semi-naive *delta*: fresh tuples are
-//!   grouped by their join-key values in one deterministic pass, the
-//!   sorted groups leapfrog one shared Gamma column cursor per stage,
-//!   and each match is filtered and emitted against every group member.
-//!   Distinct-key groups fan out across the pool like class chunks do.
+//!   sorted by their join-key values and become the root of the one
+//!   N-ary leapfrog walk (`gamma::leapfrog`, which the read-side
+//!   `Engine::join_rel`/`join3_rel` and their pool-backed folds call
+//!   too), seeking one shared Gamma column view per stage; each full
+//!   row combination is filtered and emitted. The sorted delta fans
+//!   out across the pool like class chunks do.
 //!   Rules without plans in an otherwise-eligible class — and plans
 //!   with a keyless (cross-join) stage — still run per-tuple.
 //!
@@ -137,8 +139,9 @@
 //! ([`crate::gamma::IndexCache`]) stamped with the store's
 //! claim-journal **generation**: a warm open sorts only the
 //! journal suffix appended since the stamp and two-way merges it into
-//! the cached groups, so its cost tracks the *new* tuples per step
-//! instead of the live table. Lifetime-hint `retain`s (a changed
+//! the cached view's flat arrays (dense integer keys and packed integer
+//! cells included), so its sorting cost tracks the *new* tuples per
+//! step instead of the live table. Lifetime-hint `retain`s (a changed
 //! tombstone count) and quiescent rebuilds — compaction, snapshot
 //! import, both of which bump the store's epoch — invalidate wholesale;
 //! both happen only in the maintain phase. Stores without a claim

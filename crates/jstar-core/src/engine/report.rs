@@ -60,7 +60,7 @@ pub struct RunReport {
     /// Classes executed in batched **delta-join** mode: the class
     /// cleared [`super::EngineConfig::delta_join_threshold`] and its
     /// trigger table had at least one join-plan rule, so those rules
-    /// ran as one grouped cursor walk instead of one probe per tuple.
+    /// ran as one sorted cursor walk instead of one probe per tuple.
     pub delta_join_classes: u64,
     /// Trigger tuples folded into delta-join build tables (the
     /// "delta" side of the semi-naive join).

@@ -4,18 +4,18 @@
 
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
-use crate::gamma::{ColumnCursor, ColumnIndex, Gamma, InsertOutcome};
+use crate::gamma::leapfrog::{self, Root, Stage};
+use crate::gamma::{ColumnIndex, Gamma, InsertOutcome};
 use crate::orderby::{OrderKey, ResolvedComponent, ResolvedOrderBy};
 use crate::program::Program;
 use crate::query::Query;
-use crate::rule::{JoinPlan, Rule};
+use crate::rule::{JoinPlan, JoinStage, Rule};
+use crate::schema::TableId;
 use crate::stats::EngineStats;
 use crate::tuple::Tuple;
-use crate::value::Value;
 use jstar_pool::ThreadPool;
 use parking_lot::Mutex;
 use std::cmp::Ordering as CmpOrdering;
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -272,10 +272,10 @@ pub(super) fn process_class_chunk(state: &RunState, key: &OrderKey, chunk: &[Tup
 /// Phase A inserts the class into Gamma in one batch and keeps the fresh
 /// tuples (in class order). Phase B runs each triggered rule over the
 /// fresh set: rules carrying a [`JoinPlan`] are executed as one batched
-/// join — the fresh tuples are grouped by their join-key values and
-/// the sorted groups are walked against one Gamma column cursor per
-/// stage instead of probing once per tuple, with the distinct-key
-/// groups fanned out across pool workers — while opaque rules (and
+/// join — the fresh tuples are sorted by their join-key values and
+/// walked against one Gamma column cursor per stage instead of probing
+/// once per tuple, with the sorted delta fanned out across pool
+/// workers — while opaque rules (and
 /// plans with a keyless stage) fall back to per-tuple firing over the
 /// same fresh set.
 ///
@@ -357,16 +357,46 @@ pub(super) fn process_class_delta_join(
     }
 }
 
+/// Opens one column view per `(table, field)`, each counted as a query
+/// against its table (so `gamma_probes` stays honest) and as a cursor
+/// open. The one way a join walk — rule-side or read-side — reaches
+/// Gamma.
+pub(super) fn open_views(
+    state: &RunState,
+    columns: impl Iterator<Item = (TableId, usize)>,
+) -> Vec<Arc<ColumnIndex>> {
+    columns
+        .map(|(table, field)| {
+            let stats = &state.stats;
+            stats.tables[table.index()]
+                .queries
+                .fetch_add(1, Ordering::Relaxed);
+            stats.join_cursor_opens.fetch_add(1, Ordering::Relaxed);
+            state.gamma.open_cursor(table, field)
+        })
+        .collect()
+}
+
+/// The walk stages of `stages` over their opened `views`.
+pub(super) fn walk_stages<'a>(
+    stages: &'a [JoinStage],
+    views: &'a [Arc<ColumnIndex>],
+) -> Vec<Stage<'a>> {
+    (stages.iter().zip(views))
+        .map(|(s, view)| Stage::new(view, &s.keys))
+        .collect()
+}
+
 /// One join-plan rule over a class's fresh tuples, every stage keyed.
 ///
-/// The delta is grouped by its stage-0 join-key values (a BTreeMap —
-/// `Value` is `Ord` but not `Hash`, and **sorted** group order is what
-/// the walk leapfrogs over). One sorted column cursor is opened per
-/// stage (one store pass each, shared by every worker with private
-/// positions); the sorted groups are walked against the stage-0 cursor
-/// with seek/next motions, descending through later stages with per-row
-/// cursor seeks. Store work per class is `stages` cursor opens plus the
-/// counted gallops, instead of one probe per tuple.
+/// The delta is sorted by its stage-0 join-key fields (stably, so equal
+/// keys stay in class order) and becomes the root of one
+/// [`leapfrog`] walk: one column view is opened per stage (one store
+/// pass each, or a cache hit; shared by every worker with private
+/// positions), stage 0's cursor follows the sorted delta with seek/next
+/// motions and later stages seek per row. Store work per class is
+/// `stages` cursor opens plus the counted gallops, instead of one probe
+/// per tuple; with a pool the sorted delta is split across workers.
 fn run_join_rule(
     state: &RunState,
     key: &OrderKey,
@@ -380,139 +410,28 @@ fn run_join_rule(
         .delta_join_build_tuples
         .fetch_add(fresh.len() as u64, Ordering::Relaxed);
 
-    let stage0 = plan.first_stage();
-    let mut grouped: BTreeMap<Vec<Value>, Vec<&Tuple>> = BTreeMap::new();
-    for &t in fresh {
-        let k: Vec<Value> = stage0
-            .keys
-            .iter()
-            .map(|&((_, tf), _)| t.get(tf).clone())
-            .collect();
-        grouped.entry(k).or_default().push(t);
-    }
-    let groups: Vec<(Vec<Value>, Vec<&Tuple>)> = grouped.into_iter().collect();
+    let by = &plan.first_stage().keys;
+    let mut delta = fresh.to_vec();
+    delta.sort_by(|x, y| {
+        (by.iter().map(|&((_, f), _)| x.get(f).cmp(y.get(f))))
+            .find(|o| o.is_ne())
+            .unwrap_or(CmpOrdering::Equal)
+    });
 
-    // One column view per stage, opened once per (rule × class) and
-    // shared by every worker. Each open is one store pass, counted as a
-    // query against the probed table so `gamma_probes` stays honest.
-    let stage_indexes: Vec<Arc<ColumnIndex>> = plan
-        .stages
-        .iter()
-        .map(|s| {
-            let sti = s.probe_table.index();
-            state.stats.tables[sti]
-                .queries
-                .fetch_add(1, Ordering::Relaxed);
-            state
-                .stats
-                .join_cursor_opens
-                .fetch_add(1, Ordering::Relaxed);
-            state.gamma.open_cursor(s.probe_table, s.keys[0].1)
-        })
-        .collect();
-
-    let walk = |piece: &[(Vec<Value>, Vec<&Tuple>)]| {
-        let mut cursors: Vec<ColumnCursor> = stage_indexes.iter().map(|i| i.cursor()).collect();
-        let ctx = RuleCtx::new(state, key, &rule.name);
-        for (group_key, members) in piece {
-            // The sorted group keys sweep the stage-0 cursor mostly
-            // with free next()s; only real jumps count as seeks.
-            let candidates: Vec<Tuple> = match cursors[0].seek_exact(&group_key[0]) {
-                Some(g) => g
-                    .iter()
-                    .filter(|p| stage0_residual_ok(&plan.stages[0].keys, p, group_key))
-                    .cloned()
-                    .collect(),
-                None => continue,
-            };
-            if plan.stages.len() == 1 {
-                for p in &candidates {
-                    for &t in members.iter() {
-                        let rows = [t, p];
-                        if (plan.filter)(&rows) {
-                            (plan.emit)(&ctx, &rows);
-                        }
-                    }
-                }
-            } else {
-                for &t in members.iter() {
-                    for p in &candidates {
-                        let mut rows = vec![t.clone(), p.clone()];
-                        leapfrog_descend(plan, &mut cursors, 1, &mut rows, &ctx);
-                    }
-                }
+    let views = open_views(state, plan.stages.iter().map(JoinStage::column));
+    let ctx = RuleCtx::new(state, key, &rule.name);
+    let (_, seeks) = leapfrog::fan_out(
+        &Root::Sorted(&delta),
+        &walk_stages(&plan.stages, &views),
+        pool,
+        || (),
+        |(), rows| {
+            if (plan.filter)(rows) {
+                (plan.emit)(&ctx, rows);
             }
-        }
-        let seeks: u64 = cursors.iter().map(|c| c.seeks()).sum();
-        if seeks > 0 {
-            state.stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
-        }
-    };
-
-    match pool {
-        Some(pool) if groups.len() > 1 => {
-            let chunk = jstar_pool::adaptive_chunk(pool, groups.len()).max(1);
-            let walk = &walk;
-            pool.scope(|s| {
-                s.spawn_batch(
-                    groups
-                        .chunks(chunk)
-                        .map(|piece| move |_: &jstar_pool::Scope<'_>| walk(piece)),
-                );
-            });
-        }
-        _ => walk(&groups),
-    }
-}
-
-/// True when `p` satisfies every stage-0 key pair beyond the first (the
-/// cursor already matched pair 0); the group key holds the source
-/// values in pair order.
-fn stage0_residual_ok(keys: &[((usize, usize), usize)], p: &Tuple, group_key: &[Value]) -> bool {
-    keys.iter()
-        .zip(group_key)
-        .skip(1)
-        .all(|(&(_, pf), v)| p.get(pf) == v)
-}
-
-/// Stages ≥ 1 of a leapfrog walk: seek this stage's shared cursor to
-/// the row-sourced key, check residual pairs by direct field equality
-/// (no store probes), recurse. `rows[k]` is stage `k`'s matched tuple
-/// (row 0 the trigger), so key sources resolve by plain indexing.
-fn leapfrog_descend(
-    plan: &JoinPlan,
-    cursors: &mut [ColumnCursor],
-    stage_idx: usize,
-    rows: &mut Vec<Tuple>,
-    ctx: &RuleCtx<'_>,
-) {
-    if stage_idx == plan.stages.len() {
-        let refs: Vec<&Tuple> = rows.iter().collect();
-        if (plan.filter)(&refs) {
-            (plan.emit)(ctx, &refs);
-        }
-        return;
-    }
-    let stage = &plan.stages[stage_idx];
-    let ((srow, sf), _) = stage.keys[0];
-    let target = rows[srow].get(sf).clone();
-    let candidates: Vec<Tuple> = match cursors[stage_idx].seek_exact(&target) {
-        Some(g) => g
-            .iter()
-            .filter(|p| {
-                stage
-                    .keys
-                    .iter()
-                    .skip(1)
-                    .all(|&((r, f), pf)| p.get(pf) == rows[r].get(f))
-            })
-            .cloned()
-            .collect(),
-        None => return,
-    };
-    for p in candidates {
-        rows.push(p);
-        leapfrog_descend(plan, cursors, stage_idx + 1, rows, ctx);
-        rows.pop();
+        },
+    );
+    if seeks > 0 {
+        state.stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
     }
 }

@@ -91,7 +91,7 @@ impl TableStore for BTreeStore {
     fn open_cursor(&self, field: usize) -> Arc<ColumnIndex> {
         if field != 0 {
             // Non-leading columns are unordered here; fall back to the
-            // grouping pass.
+            // sorting build.
             return Arc::new(ColumnIndex::build(field, &mut |emit| {
                 self.for_each(&mut |t| {
                     emit(t);
@@ -100,22 +100,16 @@ impl TableStore for BTreeStore {
             }));
         }
         // Tuples sort by fields, so one linear pass over the tree yields
-        // the field-0 groups already in ascending order.
-        let set = self.set.lock();
-        let mut groups: Vec<(crate::value::Value, Vec<Tuple>)> = Vec::new();
-        for t in set.iter() {
-            let v = t.get(0);
-            match groups.last_mut() {
-                Some((last, g)) if last == v => g.push(t.clone()),
-                _ => groups.push((v.clone(), vec![t.clone()])),
-            }
-        }
-        drop(set);
-        match ColumnIndex::try_from_sorted(groups) {
+        // the field-0 pairs already in ascending order: no sort, only
+        // the cut (which re-checks the order).
+        let pairs: Vec<(crate::value::Value, Tuple)> = (self.set.lock().iter())
+            .map(|t| (t.get(0).clone(), t.clone()))
+            .collect();
+        match ColumnIndex::try_from_sorted(pairs) {
             Ok(idx) => Arc::new(idx),
             // Unreachable while tree iteration is sorted, but a broken
-            // producer must degrade to the (order-insensitive) grouping
-            // pass rather than silently corrupt every later seek.
+            // producer must degrade to the sorting build rather than
+            // silently corrupt every later seek.
             Err(_) => Arc::new(ColumnIndex::build(0, &mut |emit| {
                 self.for_each(&mut |t| {
                     emit(t);

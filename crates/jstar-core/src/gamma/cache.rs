@@ -13,8 +13,8 @@
 //!   [`super::reservation::ReservationTable::journal_stable_prefix`]).
 //!   The journal is append-only, so a later open catches up by sorting
 //!   only the suffix `[stamp.generation, now)` and two-way merging it
-//!   into the cached groups — O(new·log new + merged) instead of
-//!   O(live·log live).
+//!   into the cached flat arrays — O(new·log new) comparisons plus one
+//!   linear copy, instead of O(live·log live).
 //! * **epoch** — bumped by every quiescent table replacement
 //!   (compaction, snapshot import). Journal positions do not survive a
 //!   rebuild, so an epoch mismatch invalidates wholesale.
@@ -27,9 +27,15 @@
 //! order; suffix tuples carry later journal positions than every cached
 //! tuple, so appending them after the cached group
 //! ([`ColumnIndex::merge_suffix`]) reproduces the order a cold rebuild
-//! over the longer journal would emit. Stores without a claim journal
+//! over the longer journal would emit — and the same dense-key and
+//! packed-cell mirrors, which the merge copies for cached rows and
+//! fills in for new ones. Stores without a claim journal
 //! ([`super::BTreeStore`], custom stores) report no stamp and stay on
 //! the cold path.
+//!
+//! The LRU bound counts what a view owns
+//! ([`ColumnIndex::approx_bytes`]): its five arrays. Tuple payloads
+//! belong to the store and are not charged.
 //!
 //! Concurrency: one mutex per table guards that table's `field → entry`
 //! map, and the build/catch-up runs *under* the lock — racing openers of
@@ -39,7 +45,7 @@
 //! the claim journal's own publish protocol (see CONCURRENCY.md
 //! protocol 6).
 
-use super::cursor::ColumnIndex;
+use super::cursor::{sort_pairs, ColumnIndex};
 use super::TableStore;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -152,11 +158,12 @@ impl IndexCache {
             if valid {
                 if stamp.generation > e.stamp.generation {
                     // Warm but stale: sort only the journal suffix and
-                    // merge it under the cached groups.
-                    let (new_groups, covered, n) =
-                        suffix_groups(store, field, e.stamp.generation, stamp.generation);
+                    // merge it into the cached view.
+                    let (pairs, covered) =
+                        suffix_pairs(store, field, e.stamp.generation, stamp.generation);
+                    let n = pairs.len();
                     if n > 0 {
-                        e.index = Arc::new(e.index.merge_suffix(new_groups));
+                        e.index = Arc::new(e.index.merge_suffix(pairs));
                         e.bytes = e.index.approx_bytes();
                     }
                     e.stamp.generation = covered;
@@ -171,10 +178,11 @@ impl IndexCache {
         }
         // Miss (no entry, or wholesale invalidation): full build off the
         // journal — the same walk a catch-up from generation 0 runs.
-        let (groups, covered, n) = suffix_groups(store, field, 0, stamp.generation);
-        let index = match ColumnIndex::try_from_sorted(groups) {
+        let (pairs, covered) = suffix_pairs(store, field, 0, stamp.generation);
+        let n = pairs.len();
+        let index = match ColumnIndex::try_from_sorted(pairs) {
             Ok(idx) => Arc::new(idx),
-            // Unreachable by construction (suffix_groups sorts), but a
+            // Unreachable by construction (suffix_pairs sorts), but a
             // correctness bug here must degrade to the store's own cold
             // build, not corrupt seeks.
             Err(_) => store.open_cursor(field),
@@ -200,31 +208,22 @@ impl IndexCache {
     }
 }
 
-/// Sorts the live tuples at journal positions `[lo, hi)` of `store` into
-/// strictly-ascending `(value, group)` pairs on `field`. Returns the
-/// groups, the stable bound actually covered (`<= hi` — in-flight
-/// appends clamp it), and the tuple count. The sort is stable, so
-/// group-internal order stays journal order.
-fn suffix_groups(
+/// The live tuples at journal positions `[lo, hi)` of `store` as
+/// `(key, tuple)` pairs sorted ascending on `field`, plus the stable
+/// bound actually covered (`<= hi` — in-flight appends clamp it). The
+/// sort is stable, so equal keys stay in journal order.
+fn suffix_pairs(
     store: &dyn TableStore,
     field: usize,
     lo: usize,
     hi: usize,
-) -> (Vec<(Value, Vec<Tuple>)>, usize, usize) {
+) -> (Vec<(Value, Tuple)>, usize) {
     let mut pairs: Vec<(Value, Tuple)> = Vec::new();
     let covered = store.for_each_journal_suffix(lo, hi, &mut |t| {
         pairs.push((t.get(field).clone(), t.clone()));
     });
-    let n = pairs.len();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut groups: Vec<(Value, Vec<Tuple>)> = Vec::new();
-    for (v, t) in pairs {
-        match groups.last_mut() {
-            Some((last, g)) if *last == v => g.push(t),
-            _ => groups.push((v, vec![t])),
-        }
-    }
-    (groups, covered, n)
+    sort_pairs(&mut pairs);
+    (pairs, covered)
 }
 
 /// Evicts least-recently-used entries until the table's total is within
@@ -249,8 +248,9 @@ fn evict_over_budget(map: &mut HashMap<usize, CacheEntry>, max_bytes: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gamma::testutil::{keyed_def, kt};
+    use crate::gamma::testutil::{keyed_def, kt, set_def};
     use crate::gamma::HashStore;
+    use crate::schema::TableId;
 
     fn store() -> HashStore {
         HashStore::new(keyed_def(), vec![0], 4)
@@ -290,31 +290,46 @@ mod tests {
         assert_eq!(st.catchup_tuples, 20, "only the suffix was sorted");
         assert_eq!(st.build_tuples, 80);
         let cold = s.open_cursor(0);
-        assert_eq!(warm.groups(), cold.groups(), "caught-up == cold rebuild");
+        assert_eq!(warm, cold, "caught-up == cold rebuild");
     }
 
     #[test]
     fn cached_index_equals_cold_build_after_every_catch_up() {
         // The reference is the store's own cold `open_cursor` on the
-        // same store. Field 1 repeats (i % 7), so every round's suffix
-        // lands new tuples *inside* cached groups as well as between
-        // them — group-internal journal order is part of the contract.
-        let s = store();
-        let cache = IndexCache::new(1, usize::MAX);
-        for round in 0..5 {
-            for i in round * 30..(round + 1) * 30 {
-                s.insert(kt(i, (i * 5) % 7, "v"));
+        // same store, compared on every flat array. Field 1 repeats
+        // (i % 7), so every round's suffix lands new tuples *inside*
+        // cached groups as well as between them — group-internal
+        // journal order is part of the contract. Once with a string
+        // column (dense keys, no cells) and once all-integer (cells
+        // merged slice by slice).
+        for packed in [false, true] {
+            let s = if packed {
+                HashStore::new(set_def(), vec![0], 4)
+            } else {
+                store()
+            };
+            let cache = IndexCache::new(1, usize::MAX);
+            for round in 0..5 {
+                for i in round * 30..(round + 1) * 30 {
+                    s.insert(if packed {
+                        Tuple::new(TableId(0), vec![Value::Int(i), Value::Int((i * 5) % 7)])
+                    } else {
+                        kt(i, (i * 5) % 7, "v")
+                    });
+                }
+                let cached = cache.open(0, 1, &s);
+                assert_eq!(
+                    cached,
+                    s.open_cursor(1),
+                    "round {round}: cached view diverged from the cold build"
+                );
+                assert_eq!(cached.cells.is_some(), packed);
+                assert!(cached.int_keys.is_some());
             }
-            let cached = cache.open(0, 1, &s);
-            assert_eq!(
-                cached.groups(),
-                s.open_cursor(1).groups(),
-                "round {round}: cached view diverged from the cold build"
-            );
+            let st = cache.stats();
+            assert_eq!((st.misses, st.hits), (1, 4), "one build, four catch-ups");
+            assert_eq!(st.catchup_tuples, 120);
         }
-        let st = cache.stats();
-        assert_eq!((st.misses, st.hits), (1, 4), "one build, four catch-ups");
-        assert_eq!(st.catchup_tuples, 120);
     }
 
     #[test]
@@ -329,7 +344,7 @@ mod tests {
         let warm = cache.open(0, 0, &s);
         let st = cache.stats();
         assert_eq!(st.misses, 2, "tombstones changed — full rebuild");
-        assert_eq!(warm.groups(), s.open_cursor(0).groups());
+        assert_eq!(warm, s.open_cursor(0));
     }
 
     #[test]
@@ -344,7 +359,7 @@ mod tests {
         assert!(s.maybe_compact(0.1), "compaction must run");
         let warm = cache.open(0, 0, &s);
         assert_eq!(cache.stats().misses, 2);
-        assert_eq!(warm.groups(), s.open_cursor(0).groups());
+        assert_eq!(warm, s.open_cursor(0));
     }
 
     #[test]

@@ -17,6 +17,7 @@ mod cache;
 mod concurrent;
 mod cursor;
 mod hash;
+pub(crate) mod leapfrog;
 mod reservation;
 
 pub use btree::BTreeStore;
@@ -202,9 +203,9 @@ pub trait TableStore: Send + Sync {
     /// result is shared (`Arc`) by all workers of one walk; each opens
     /// its own [`ColumnCursor`] over it.
     ///
-    /// The default groups a full [`TableStore::for_each`] pass through a
-    /// `BTreeMap`; value-ordered stores override it to emit the groups
-    /// straight off their sorted iteration. Opening a cursor is counted
+    /// The default sorts a full [`TableStore::for_each`] pass
+    /// ([`ColumnIndex::build`]); value-ordered stores override it to cut
+    /// the view straight off their sorted iteration. Opening a cursor is counted
     /// by the engine as one query against the table (plus a
     /// `join_cursor_opens` tick), so the probe ledger stays honest.
     fn open_cursor(&self, field: usize) -> Arc<ColumnIndex> {

@@ -237,8 +237,8 @@ impl ProgramBuilder {
     /// an inspectable [`crate::rule::JoinPlan`] alongside the
     /// synthesized per-tuple body. That shape is what lets the engine
     /// execute a whole extracted class as **one batched join** against
-    /// Gamma (grouping the class by its join-key values and walking the
-    /// sorted groups against a column cursor) when the class clears
+    /// Gamma (sorting the class by its join-key values and walking it
+    /// against a column cursor per stage) when the class clears
     /// [`crate::engine::EngineConfig::delta_join_threshold`]; below the
     /// threshold, wherever batching is disabled, or when `on` names no
     /// key pair (a cross join), the per-tuple body runs instead. Both

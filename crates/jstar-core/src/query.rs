@@ -11,16 +11,21 @@
 //! # Multi-relation joins
 //!
 //! A [`crate::relation::TypedQuery`] binds one table; joins across
-//! tables have two typed forms sharing one execution contract:
+//! tables have two typed forms, both thin front-ends of **one** N-ary
+//! leapfrog walk over per-column ordered views of Gamma (each describes
+//! its stages — which view, which earlier row keys it, which pairs are
+//! residual — and the walk does the rest):
 //!
 //! * **read-side**: [`crate::relation::join`]`::<A, B>()` /
 //!   [`crate::relation::join3`] over shared [`crate::relation::Field`]
-//!   tokens, evaluated by [`crate::engine::Engine::join_rel`] /
-//!   `join3_rel` as one leapfrog sorted-merge walk over per-column
-//!   ordered views of Gamma;
+//!   tokens, evaluated on the calling thread by
+//!   [`crate::engine::Engine::join_rel`] / `join3_rel`, or split over
+//!   the engine's pool by the folds
+//!   [`crate::engine::Engine::join_fold`] / `join3_fold`
+//!   (`init` / `fold` / `merge`);
 //! * **rule-side**: [`crate::program::ProgramBuilder::rule_rel_join`]
-//!   and `rule_rel_join2`, whose inspectable plans the engine lowers
-//!   onto the same merged-cursor walk when a wide class executes as a
+//!   and `rule_rel_join2`, whose inspectable plans feed the same walk
+//!   — the sorted delta as its root — when a wide class executes as a
 //!   batched delta-join
 //!   (see [`crate::engine::EngineConfig::delta_join_threshold`]).
 //!

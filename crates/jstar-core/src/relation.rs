@@ -33,7 +33,9 @@
 //! documented low-level escape hatch — custom [`crate::gamma`] stores
 //! and generic tooling still need it.
 
+use crate::program::Program;
 use crate::query::{FieldRange, Predicate, Query};
+use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
@@ -796,7 +798,7 @@ pub struct ConstraintShape {
 /// Each [`JoinOn::eq`] pairs a trigger column with a probe column of
 /// the *same* Rust type, so mismatched join keys (wrong relation, wrong
 /// column type) are compile errors, exactly like [`TypedQuery`]
-/// constraints. The pair list is what the engine groups a delta class
+/// constraints. The pair list is what the engine sorts a delta class
 /// by when it runs the rule as a batched join.
 pub struct JoinOn<R, S> {
     pairs: Vec<(usize, usize)>,
@@ -887,11 +889,13 @@ impl<R, S1, S2> JoinOn2<R, S1, S2> {
 /// worst-case-optimal join builder: `join::<Edge, Edge>()`.
 ///
 /// The variable order is **fixed by declaration order** (`A` then `B`;
-/// no cost-based optimizer): the walk leapfrogs sorted column cursors
-/// opened on the first `on` pair's columns, intersecting `A`'s and
-/// `B`'s value sets in one coordinated seek/next merge, with any
-/// further `on` pairs checked as residual equalities inside matched
-/// groups. Evaluate with [`crate::engine::Engine::join_rel`].
+/// no cost-based optimizer): `A`'s column view is the root of one
+/// leapfrog walk and `B`'s its single stage, both opened on the first
+/// `on` pair's columns and intersected with coordinated seek/next
+/// motions; any further `on` pairs are residual equalities inside
+/// matched groups. Evaluate with [`crate::engine::Engine::join_rel`],
+/// or with [`crate::engine::Engine::join_fold`] to split the walk over
+/// the engine's pool.
 pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
     Join {
         on: Vec::new(),
@@ -901,8 +905,17 @@ pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
 
 /// A typed two-relation equi-join (see [`join`]).
 pub struct Join<A: Relation, B: Relation> {
-    pub(crate) on: Vec<(usize, usize)>,
+    on: Vec<(usize, usize)>,
     _marker: PhantomData<fn(A, B)>,
+}
+
+/// What a read-side join lowers to — the input of the engine's one
+/// leapfrog walk: the root relation's key column, then one
+/// [`JoinStage`] per further relation (row 0 is `A`, row 1 `B`, …;
+/// each stage's first key pair names the column its view is opened on).
+pub(crate) struct ReadJoin {
+    pub(crate) root: (TableId, usize),
+    pub(crate) stages: Vec<JoinStage>,
 }
 
 impl<A: Relation, B: Relation> Join<A, B> {
@@ -912,14 +925,33 @@ impl<A: Relation, B: Relation> Join<A, B> {
         self.on.push((a.index(), b.index()));
         self
     }
+
+    /// Panics when no `on` pair was declared (a cross join has nothing
+    /// to merge on).
+    pub(crate) fn lower(&self, program: &Program) -> ReadJoin {
+        assert!(
+            !self.on.is_empty(),
+            "join::<A, B>() requires at least one on() pair"
+        );
+        ReadJoin {
+            root: (program.handle::<A>().id(), self.on[0].0),
+            stages: vec![JoinStage {
+                probe_table: program.handle::<B>().id(),
+                keys: self.on.iter().map(|&(af, bf)| ((0, af), bf)).collect(),
+            }],
+        }
+    }
 }
 
 /// Starts a typed three-relation join over Gamma:
 /// `join3::<Edge, Edge, Edge>()`. Variable order is fixed as `A`, `B`,
 /// then `C` (declaration order; no optimizer): `A` and `B` leapfrog on
 /// the first [`Join3::on_ab`] pair, then each matched `(a, b)` row
-/// seeks a shared `C` cursor keyed by the first `C`-side constraint.
-/// Evaluate with [`crate::engine::Engine::join3_rel`].
+/// seeks a shared `C` view keyed by the first [`Join3::on_bc`] pair —
+/// or the first [`Join3::on_ac`] pair when no `b`–`c` key exists —
+/// with every remaining pair checked as a residual equality.
+/// Evaluate with [`crate::engine::Engine::join3_rel`] or, over the
+/// engine's pool, [`crate::engine::Engine::join3_fold`].
 pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
     Join3 {
         ab: Vec::new(),
@@ -931,9 +963,9 @@ pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
 
 /// A typed three-relation equi-join (see [`join3`]).
 pub struct Join3<A: Relation, B: Relation, C: Relation> {
-    pub(crate) ab: Vec<(usize, usize)>,
-    pub(crate) bc: Vec<(usize, usize)>,
-    pub(crate) ac: Vec<(usize, usize)>,
+    ab: Vec<(usize, usize)>,
+    bc: Vec<(usize, usize)>,
+    ac: Vec<(usize, usize)>,
     _marker: PhantomData<fn(A, B, C)>,
 }
 
@@ -955,6 +987,38 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
     pub fn on_ac<T: FieldValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
         self.ac.push((a.index(), c.index()));
         self
+    }
+
+    /// Panics without an `on_ab` pair or without any `C`-side
+    /// constraint. `C`'s keys list the `b`-sourced pairs first: a
+    /// `b` key is preferred for the seek, an `a` key is the fallback.
+    pub(crate) fn lower(&self, program: &Program) -> ReadJoin {
+        assert!(
+            !self.ab.is_empty(),
+            "join3 requires at least one on_ab() pair"
+        );
+        assert!(
+            !(self.bc.is_empty() && self.ac.is_empty()),
+            "join3 requires an on_bc() or on_ac() pair to key C"
+        );
+        let from = |row: usize, pairs: &[(usize, usize)]| -> Vec<_> {
+            pairs.iter().map(|&(f, pf)| ((row, f), pf)).collect()
+        };
+        let mut c_keys = from(1, &self.bc);
+        c_keys.extend(from(0, &self.ac));
+        ReadJoin {
+            root: (program.handle::<A>().id(), self.ab[0].0),
+            stages: vec![
+                JoinStage {
+                    probe_table: program.handle::<B>().id(),
+                    keys: from(0, &self.ab),
+                },
+                JoinStage {
+                    probe_table: program.handle::<C>().id(),
+                    keys: c_keys,
+                },
+            ],
+        }
     }
 }
 

@@ -43,6 +43,12 @@ pub struct JoinStage {
 }
 
 impl JoinStage {
+    /// The `(table, field)` this stage's column view is opened on: the
+    /// probe column of its first key pair (the stage must be keyed).
+    pub fn column(&self) -> (TableId, usize) {
+        (self.probe_table, self.keys[0].1)
+    }
+
     /// The key pairs whose source is the trigger row, as plain
     /// `(trigger_field, probe_field)` — the PR 8 single-stage shape.
     pub fn trigger_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {

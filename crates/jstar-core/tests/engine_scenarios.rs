@@ -295,3 +295,91 @@ fn errors_from_parallel_workers_abort_the_run() {
         .unwrap_err();
     assert!(err.to_string().contains("unlucky"));
 }
+
+jstar_core::jstar_table! {
+    /// Left side of the read-side fold join.
+    #[derive(Copy, Eq, PartialOrd, Ord)]
+    pub Emp(int id, int dept, int site) orderby (Emp)
+}
+
+jstar_core::jstar_table! {
+    /// Right side of the read-side fold join.
+    #[derive(Copy, Eq, PartialOrd, Ord)]
+    pub Desk(int dept, int site, int no) orderby (Desk)
+}
+
+/// `join_fold` splits `A`'s distinct keys into pieces: collecting every
+/// row and sorting shows that no row is dropped or duplicated at a
+/// piece boundary — also when the root has fewer distinct keys than the
+/// pool would cut pieces (`depts` = 1, 3) or none at all — and that the
+/// fold, the `FnMut` form and two nested loops agree on every pool.
+#[test]
+fn join_fold_matches_join_rel_and_nested_loops_at_piece_boundaries() {
+    for depts in [0i64, 1, 3, 40] {
+        let mut p = ProgramBuilder::new();
+        p.relation::<Emp>();
+        p.relation::<Desk>();
+        p.order(&["Emp", "Desk"]);
+        let (mut emps, mut desks) = (Vec::new(), Vec::new());
+        for d in 0..depts {
+            // Departments 1 mod 5 have no desk, 2 mod 5 no employee.
+            for i in 0..(d % 5 != 2) as i64 * (1 + d % 3) {
+                emps.push(Emp {
+                    id: d * 10 + i,
+                    dept: d,
+                    site: i % 2,
+                });
+            }
+            for no in 0..(d % 5 != 1) as i64 * (1 + d % 4) {
+                desks.push(Desk {
+                    dept: d,
+                    site: no % 2,
+                    no,
+                });
+            }
+        }
+        emps.iter().for_each(|&e| p.put_rel(e));
+        desks.iter().for_each(|&d| p.put_rel(d));
+        let program = Arc::new(p.build().unwrap());
+
+        let mut want: Vec<(Emp, Desk)> = Vec::new();
+        for e in &emps {
+            for d in &desks {
+                if e.dept == d.dept && e.site == d.site {
+                    want.push((*e, *d));
+                }
+            }
+        }
+        want.sort();
+
+        let on = || {
+            join::<Emp, Desk>()
+                .on(Emp::dept, Desk::dept)
+                .on(Emp::site, Desk::site)
+        };
+        for config in [
+            EngineConfig::sequential(),
+            EngineConfig::parallel(2),
+            EngineConfig::parallel(4),
+        ] {
+            let threads = config.threads;
+            let mut engine = Engine::new(Arc::clone(&program), config);
+            engine.run().unwrap();
+            let mut folded = engine.join_fold(
+                on(),
+                Vec::new,
+                |rows, e, d| rows.push((e, d)),
+                |mut left, right| {
+                    left.extend(right);
+                    left
+                },
+            );
+            folded.sort();
+            assert_eq!(folded, want, "fold, depts={depts} threads={threads}");
+            let mut walked = Vec::new();
+            engine.join_rel(on(), |e, d| walked.push((e, d)));
+            walked.sort();
+            assert_eq!(walked, want, "FnMut form, depts={depts} threads={threads}");
+        }
+    }
+}
