@@ -6,7 +6,15 @@
 //! `order Req < PvWatts < SumMonth`), with the one generalisation the
 //! paper itself describes: the read request is split into N region-reader
 //! requests so "the CSV reader library can run several readers in
-//! parallel, on different parts of the input file".
+//! parallel, on different parts of the input file". The N requests are
+//! the run's first equivalence class (`(Req)`, step 1 of 2); with
+//! `-noDelta=PvWatts` each reader parses its region and batch-inserts its
+//! records into Gamma on the thread that fires it. Whether that is N
+//! threads is the engine's `inline_classes_up_to`: at the default a class
+//! of up to four readers stays on the coordinator (steady; see
+//! `jstar_core::engine`'s scheduling notes), `inline_classes_up_to(0)`
+//! forks it, one reader per worker. Step 2 is the `SumMonth` class, one
+//! reducer per month.
 //!
 //! Four engine variants reproduce the paper's optimisation ladder:
 //!
@@ -306,6 +314,24 @@ mod tests {
             let (got, _) =
                 run_jstar(Arc::clone(&csv), 4, variant, EngineConfig::parallel(4)).unwrap();
             assert_eq!(got, want, "variant {}", variant.name());
+        }
+    }
+
+    /// The class that carries the work is as wide as there are readers.
+    /// By default it stays on the coordinator; forked, each reader stages
+    /// and batch-inserts on its own worker — same means either way.
+    #[test]
+    fn two_readers_run_inline_by_default_and_fork_on_request() {
+        let (recs, csv) = csv_of(8760, InputOrder::Chronological);
+        let forked = EngineConfig::parallel(2).inline_classes_up_to(0);
+        for (config, forked_inline) in [(EngineConfig::parallel(2), (1, 1)), (forked, (2, 0))] {
+            let (got, report) = run_jstar(csv.clone(), 2, Variant::HashStore, config).unwrap();
+            assert_eq!(got, expected_means(&recs));
+            assert_eq!(report.steps, 2, "the requests, then the months");
+            assert_eq!(
+                (report.forked_classes, report.inline_classes),
+                forked_inline
+            );
         }
     }
 

@@ -33,6 +33,7 @@ use jstar_pool::{TaskBatch, ThreadPool};
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
 use jstar_check::sync::{AtomicUsize, Mutex, Ordering};
+use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashSet};
 
@@ -532,6 +533,12 @@ impl Shard {
 /// lets [`DeltaTree::merge_partitioned`] hand the partitions to pool
 /// workers as disjoint merge units. With `partitions == 1` (the
 /// sequential engine) binning is a no-op.
+///
+/// **Run-length combining**: a push that repeats its bin's last entry is
+/// dropped at the shard ([`ShardedInbox::push`]) instead of travelling to
+/// the merge to be deduplicated there. The "memory" is the bin itself,
+/// which every epoch swap leaves empty — nothing to reset, nothing that
+/// outlives an epoch.
 #[derive(Debug)]
 pub struct ShardedInbox {
     shards: Vec<Shard>,
@@ -583,11 +590,30 @@ impl ShardedInbox {
     /// the caller's stable worker index, or [`Self::external_shard`].
     /// Touches *only* the caller's shard (buffer and counter alike) — no
     /// shared cache line, no coordinator pass to bin later.
-    pub fn push(&self, shard: usize, key: OrderKey, tuple: Tuple) {
-        let p = self.partition_of(&key);
+    ///
+    /// **Run-length combining**: a push equal (key and tuple) to the
+    /// bin's last entry is dropped here. The Delta set is a set, so the
+    /// merge would have dropped the copy anyway — after it had been
+    /// counted, swapped, hashed and freed. Rules that put one summary
+    /// tuple per input record over a time-ordered log (Fig. 4's
+    /// `SumMonth(year, month)` per `PvWatts` row) repeat their previous
+    /// put all but a few hundred times in 140,160; an input without such
+    /// runs pays one pointer-and-length compare per put. There is no
+    /// table to reset: [`Self::swap_epoch`] leaves every bin empty, so
+    /// the memory of what was staged never outlives an epoch and a tuple
+    /// re-put in a later step (a `-noGamma` event) is staged again.
+    ///
+    /// `key` may be an [`OrderKey`] or a `Cow` of one (a table's interned
+    /// key, borrowed): it is made owned only when the entry is staged.
+    pub fn push(&self, shard: usize, key: impl Borrow<OrderKey> + Into<OrderKey>, tuple: Tuple) {
+        let p = self.partition_of(key.borrow());
         let sh = &self.shards[shard];
         let mut bins = sh.bins.lock();
-        bins[p].push((key, tuple));
+        let bin = &mut bins[p];
+        if matches!(bin.last(), Some((k, t)) if *t == tuple && k == key.borrow()) {
+            return;
+        }
+        bin.push((key.into(), tuple));
         // Counted while still holding the shard lock: the pipelined
         // coordinator's mid-step [`ShardedInbox::swap_epoch`] subtracts
         // what it drains under the same lock, so an entry can never be
@@ -820,6 +846,53 @@ mod tests {
         assert_eq!(inserted, 2);
         assert!(inbox.is_empty());
         assert_eq!(tree.len(), 2);
+    }
+
+    #[test]
+    fn push_combines_a_run_of_equal_entries_and_nothing_else() {
+        let inbox = ShardedInbox::with_partitioning(1, 4, 2);
+        let ext = inbox.external_shard();
+        // A run: one entry staged, however long the run.
+        for _ in 0..5 {
+            inbox.push(ext, skey(0, 1), tup(0, 1));
+        }
+        assert_eq!(inbox.len(), 1);
+        // Same tuple under another key, another tuple under the same
+        // key, the same pair on another shard: none of them is a repeat.
+        inbox.push(ext, skey(1, 1), tup(0, 1));
+        inbox.push(ext, skey(1, 1), tup(0, 2));
+        inbox.push(0, skey(1, 1), tup(0, 2));
+        assert_eq!(inbox.len(), 4);
+        // a, b, a, b under one key: no two neighbours are equal, so all
+        // four are staged and the merge does the dedup, as ever.
+        let inbox = ShardedInbox::new(0);
+        for v in [1, 2, 1, 2] {
+            inbox.push(0, skey(0, 0), tup(0, v));
+        }
+        assert_eq!(inbox.len(), 4);
+        let mut tree = DeltaTree::new();
+        assert_eq!(absorb_staged(&inbox, &mut tree), 2);
+        // A borrowed key is taken as it is, and kept when staged.
+        let interned = skey(0, 0);
+        inbox.push(0, std::borrow::Cow::Borrowed(&interned), tup(0, 3));
+        inbox.push(0, std::borrow::Cow::Borrowed(&interned), tup(0, 3));
+        let mut out = empty_runs(&inbox);
+        assert_eq!(inbox.swap_epoch(&mut out), 1);
+        assert_eq!(out[0], vec![(interned, tup(0, 3))]);
+    }
+
+    #[test]
+    fn combining_forgets_everything_at_the_epoch_swap() {
+        // The same entry staged in two epochs is staged twice: an event
+        // tuple (`-noGamma`) re-put in a later step must trigger again.
+        let inbox = ShardedInbox::with_partitioning(1, 2, 2);
+        for epoch in 0..3 {
+            inbox.push(0, skey(0, 7), tup(0, 7));
+            inbox.push(0, skey(0, 7), tup(0, 7));
+            let mut out = empty_runs(&inbox);
+            assert_eq!(inbox.swap_epoch(&mut out), 1, "epoch {epoch}");
+            assert!(inbox.is_empty());
+        }
     }
 
     #[test]

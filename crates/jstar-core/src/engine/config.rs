@@ -19,7 +19,9 @@ pub struct EngineConfig {
     pub sequential: bool,
     /// `--threads=N`: fork/join pool size for parallel execution.
     pub threads: usize,
-    /// `-noDelta T` tables: bypass the Delta tree.
+    /// `-noDelta T` tables: bypass the Delta tree. Their puts are staged
+    /// per worker and enter Gamma in batches, each fresh tuple firing its
+    /// rules right after its batch — before the next step in any case.
     pub no_delta: Vec<TableId>,
     /// `-noGamma T` tables: never stored in Gamma.
     pub no_gamma: Vec<TableId>,
@@ -43,9 +45,11 @@ pub struct EngineConfig {
     /// be discarded."
     pub lifetime_hints: Vec<(TableId, u64, LifetimeHint)>,
     /// Classes of at most this many tuples execute inline on the
-    /// coordinator instead of being forked to the pool: below this width
-    /// the fork/join round trip costs more than the work. Ignored in
-    /// sequential mode (everything is inline there).
+    /// coordinator instead of being forked to the pool. A class that
+    /// narrow cannot be balanced — its wall time is its slowest
+    /// thread's — so forking it trades a steady job time for a faster
+    /// but erratic one (measured in the `schedule` module's notes).
+    /// Ignored in sequential mode (everything is inline there).
     pub inline_class_threshold: usize,
     /// Staged batches of at least this many tuples are merged into the
     /// Delta queue by pool workers (one subtree per key-prefix

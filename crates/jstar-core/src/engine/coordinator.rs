@@ -24,8 +24,8 @@ use super::config::EngineConfig;
 use super::pipeline::Pipeline;
 use super::report::RunReport;
 use super::runtime::{
-    open_views, process_class_chunk, process_class_delta_join, process_tuple, put_tuple,
-    walk_stages, QueryPlan, RunState,
+    drain_staged, insert_and_fire, open_views, process_class_delta_join, put_tuple, walk_stages,
+    QueryPlan, RunState, StagingSlot,
 };
 use super::schedule::{ClassPlan, Scheduler};
 use crate::error::JStarError;
@@ -123,6 +123,7 @@ impl Engine {
             program: Arc::clone(&program),
             gamma,
             inbox: ShardedInbox::with_partitioning(workers, partitions, prefix_len),
+            staged: (0..workers + 1).map(|_| StagingSlot::default()).collect(),
             plans,
             no_delta,
             no_gamma,
@@ -130,7 +131,7 @@ impl Engine {
             enforce_causality: config.enforce_causality,
             output: Mutex::new(Vec::new()),
             errors: Mutex::new(Vec::new()),
-            stats: EngineStats::new(n),
+            stats: EngineStats::new(n, workers + 1),
             pool: pool.clone(),
         });
         Engine {
@@ -181,6 +182,7 @@ impl Engine {
         for t in self.injected.drain(..) {
             put_tuple(state, &min, "<inject>", t);
         }
+        drain_staged(state);
 
         let mut tree = DeltaTree::new();
         let mut pipeline = Pipeline::new(state, &self.config);
@@ -265,7 +267,7 @@ impl Engine {
                             // wakeup, no per-task notify storm.
                             s.spawn_batch(class.chunks(chunk).map(|piece| {
                                 move |_: &jstar_pool::Scope<'_>| {
-                                    process_class_chunk(state, key, piece);
+                                    insert_and_fire(state, Some(key), piece);
                                 }
                             }));
                             // Join the class from inside the scope,
@@ -275,20 +277,23 @@ impl Engine {
                         });
                     }
                     ClassPlan::Inline { sort } => {
-                        // Narrow class or sequential engine: fork/join
-                        // overhead exceeds the work, execute on the
-                        // coordinator. The sequential engine additionally
-                        // sorts for a deterministic intra-class order.
+                        // Narrow class or sequential engine: execute on
+                        // the coordinator. The sequential engine
+                        // additionally sorts for a deterministic
+                        // intra-class order.
                         state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
                         if sort {
                             class.sort();
                         }
-                        for t in class {
-                            process_tuple(state, &key, t);
-                        }
+                        insert_and_fire(state, Some(&key), &class);
                     }
                 }
             }
+            // Workers flushed their own staging slots as their firings
+            // returned; what helper threads staged inside a rule's
+            // `par_for_each_match` (or a join fan-out) enters Gamma
+            // here, before the maintain phase and the next extract.
+            drain_staged(state);
 
             if let Some(t0) = exec_start {
                 let exec_elapsed = t0.elapsed();
@@ -400,11 +405,8 @@ impl Engine {
             checkpoint_time,
             delta_join_classes: state.stats.delta_join_classes.load(Ordering::Relaxed),
             delta_join_build_tuples: state.stats.delta_join_build_tuples.load(Ordering::Relaxed),
-            gamma_probes: state
-                .stats
-                .tables
-                .iter()
-                .map(|t| t.queries.load(Ordering::Relaxed))
+            gamma_probes: (state.stats.tables.iter())
+                .map(|t| t.snapshot().queries)
                 .sum(),
             join_seeks: state.stats.join_seeks.load(Ordering::Relaxed),
             join_cursor_opens: state.stats.join_cursor_opens.load(Ordering::Relaxed),

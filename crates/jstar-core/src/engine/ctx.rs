@@ -11,7 +11,7 @@ use jstar_pool::ThreadPool;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use super::runtime::{put_tuple, RunState};
+use super::runtime::{flush_staged, put_tuple, RunState};
 
 /// The context a rule body receives: its window onto the database.
 ///
@@ -54,9 +54,15 @@ impl<'a> RuleCtx<'a> {
     }
 
     /// Puts a new tuple into the database (§3). The tuple is placed in the
-    /// Delta set (or sent straight to Gamma for `-noDelta` tables). The Law
-    /// of Causality is enforced: the tuple's order key must not precede the
-    /// trigger's.
+    /// Delta set, or sent straight to Gamma for `-noDelta` tables. The Law
+    /// of Causality is enforced here, at the put: the tuple's order key
+    /// must not precede the trigger's.
+    ///
+    /// A `-noDelta` put is staged on the calling thread and inserted (and
+    /// its rules fired) in a batch: it is visible to this thread's own
+    /// next query, to every thread no later than the end of the firing
+    /// that put it, and — when put from a helper thread inside
+    /// [`RuleCtx::par_for_each_match`] — before the next step begins.
     pub fn put(&self, t: Tuple) {
         put_tuple(self.state, self.trigger_key, self.rule, t);
     }
@@ -198,6 +204,8 @@ impl<'a> RuleCtx<'a> {
     /// native-array stores (Median's `double[2][N]`, MatrixMult's 2-D
     /// arrays). Downcast with [`crate::gamma::TableStore::as_any`].
     pub fn store(&self, table: TableId) -> &Arc<dyn crate::gamma::TableStore> {
+        // As for queries: this thread's staged `-noDelta` puts first.
+        flush_staged(self.state, self.state.staging_shard(), true);
         self.state.gamma.store(table)
     }
 
@@ -225,7 +233,12 @@ impl<'a> RuleCtx<'a> {
             self.state.record_error(e);
             return None;
         }
-        let stats = &self.state.stats.tables[ti];
+        let shard = self.state.staging_shard();
+        // A rule sees its own `-noDelta` puts: apply what this thread has
+        // staged before reading.
+        flush_staged(self.state, shard, true);
+        // ord: Relaxed ×2 — statistics counters in the caller's own stripe.
+        let stats = self.state.stats.tables[ti].stripe(shard);
         stats.queries.fetch_add(1, Ordering::Relaxed);
         let use_index = self.state.plans[ti].query_uses_index(q);
         if use_index {

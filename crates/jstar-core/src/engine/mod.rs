@@ -15,8 +15,10 @@
 //!   a [`jstar_pool::ThreadPool`] sized by `--threads=N`.
 //!
 //! Per-table optimisation flags are faithful to §5.1: `-noDelta T` sends
-//! `T`'s tuples straight to Gamma and fires their rules immediately;
-//! `-noGamma T` skips storing `T`'s tuples (they act as pure triggers).
+//! `T`'s tuples straight to Gamma and fires their rules on the putting
+//! thread — a staged batch at a time, always within the step (see the
+//! `runtime` module); `-noGamma T` skips storing `T`'s tuples (they act
+//! as pure triggers).
 //!
 //! ## The step machine
 //!
@@ -55,9 +57,13 @@
 //!   minimum) — which is why absorb completes first.
 //! * **Execute** (`schedule::Scheduler` decides the shape) — classes
 //!   at or below [`EngineConfig::inline_class_threshold`] run inline on
-//!   the coordinator; wider classes are chunked by measured width and
-//!   pool occupancy and submitted as one batch
-//!   ([`jstar_pool::Scope::spawn_batch`], a single wakeup). While a
+//!   the coordinator (too narrow to balance: see `schedule`); wider
+//!   classes are chunked by measured width and pool occupancy and
+//!   submitted as one batch ([`jstar_pool::Scope::spawn_batch`], a
+//!   single wakeup). Either way every tuple goes through the one
+//!   insert-and-fire function (`runtime::insert_and_fire`), which also
+//!   flushes the `-noDelta` puts its firings staged; the coordinator
+//!   flushes what helper threads staged once the class has joined. While a
 //!   forked class runs, the coordinator loops
 //!   (`pipeline::Pipeline::overlap`): once the controller's swap point
 //!   of staged tuples accumulates it swaps the epoch out
@@ -168,14 +174,20 @@
 //!    one independent subtree per key-prefix partition; the coordinator
 //!    grafts them, splicing disjoint subtrees wholesale. While a
 //!    forked class executes the builds run on the background lane.
-//! 3. **Reservation-based Gamma inserts** — the parallel store defaults
-//!    ([`crate::gamma::ConcurrentOrderedStore`],
+//! 3. **Reservation-based, batched Gamma inserts** — the parallel store
+//!    defaults ([`crate::gamma::ConcurrentOrderedStore`],
 //!    [`crate::gamma::HashStore`]) publish tuples via CAS slot
 //!    reservation; no lock remains on the tuple hot path, and readers
-//!    never observe partial state.
-//! 4. **Borrowed trigger keys** — `process_tuple` and [`RuleCtx`] borrow
-//!    the equivalence class's `OrderKey`; triggering a rule clones
-//!    nothing.
+//!    never observe partial state. Tuples arrive in batches (class
+//!    chunks, flushed `-noDelta` staging slots), so the stores' shared
+//!    `len` and journal counters are written once per 32 tuples, and
+//!    the per-table statistics ([`crate::stats::TableStripe`]) live in
+//!    the counting worker's own padded stripe.
+//! 4. **Borrowed keys** — `runtime::insert_and_fire` and [`RuleCtx`]
+//!    borrow the equivalence class's `OrderKey`, and a table whose
+//!    orderby is tuple-independent lends its interned key to every put;
+//!    triggering a rule clones nothing, and a put clones a key only
+//!    when it is actually staged for the Delta set.
 //! 5. **Per-table query plans and bind-slot prepared queries** — orderby
 //!    extraction and index selection are cached once per table in a
 //!    [`QueryPlan`]; per-invocation constraint values patch interned

@@ -1,6 +1,22 @@
 //! The shared run-time core: per-table query plans, the state every
 //! worker thread sees, and the put → Delta / Gamma → trigger path that
 //! both the coordinator and the rule contexts drive.
+//!
+//! Tuples enter Gamma through **one** function, [`insert_and_fire`]: a
+//! slice is cut into uniform-table runs, each run is one
+//! [`Gamma::insert_batch`] with its counters added once, and the run's
+//! fresh tuples then fire their rules in order. A chunk of an extracted
+//! class arrives there directly. A `-noDelta` put arrives there *staged*:
+//! [`put_tuple`] appends it to the calling worker's [`StagingSlot`], and
+//! the slot is flushed ([`flush_staged`]) when it holds [`FLUSH_AT`]
+//! tuples, before the putting thread's next query (a rule sees its own
+//! puts), when the firings that filled it return, and — for puts made on
+//! helper threads inside `par_for_each_match` — by the coordinator once
+//! the class has joined ([`drain_staged`]): nothing staged survives into
+//! the next step. Rules fired by a flush put into the slot it just
+//! emptied and the flush loops, so a `-noDelta` cascade costs no stack.
+//! What is deferred is only when *other* threads see the put, and
+//! intra-class visibility across threads was never specified.
 
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
@@ -15,6 +31,7 @@ use crate::stats::EngineStats;
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -67,13 +84,13 @@ impl QueryPlan {
         }
     }
 
-    /// The order key of `t` — a clone of the interned key when the table's
-    /// ordering is tuple-independent, a fresh extraction otherwise.
+    /// The order key of `t` — the interned key, borrowed, when the
+    /// table's ordering is tuple-independent; a fresh extraction otherwise.
     #[inline]
-    pub fn key_for(&self, t: &Tuple) -> OrderKey {
+    pub fn key_for(&self, t: &Tuple) -> Cow<'_, OrderKey> {
         match &self.const_key {
-            Some(k) => k.clone(),
-            None => self.orderby.key_of(t),
+            Some(k) => Cow::Borrowed(k),
+            None => Cow::Owned(self.orderby.key_of(t)),
         }
     }
 
@@ -88,11 +105,33 @@ impl QueryPlan {
     }
 }
 
+/// Staged `-noDelta` puts are flushed once a slot holds this many: enough
+/// to amortise the batch insert's shared writes, few enough to stay cached.
+const FLUSH_AT: usize = 256;
+
+/// One staging shard's `-noDelta` puts awaiting their batch insert — the
+/// [`ShardedInbox`] shard layout, reused: padded to its own cache lines
+/// and written by one worker (the last slot by every non-pool thread), so
+/// the lock is uncontended.
+#[derive(Default)]
+#[repr(align(128))]
+pub(super) struct StagingSlot(Mutex<Staged>);
+
+#[derive(Default)]
+struct Staged {
+    tuples: Vec<Tuple>,
+    /// Flushes of this slot in progress: puts made by the rules a flush
+    /// fires are picked up by its loop instead of starting a nested one.
+    flushes: usize,
+}
+
 /// Shared run-time state, accessible from worker threads.
 pub(crate) struct RunState {
     pub(super) program: Arc<Program>,
     pub(super) gamma: Gamma,
     pub(super) inbox: ShardedInbox,
+    /// One slot per inbox shard, indexed by [`RunState::staging_shard`].
+    pub(super) staged: Vec<StagingSlot>,
     pub(super) plans: Vec<QueryPlan>,
     pub(super) no_delta: Vec<bool>,
     pub(super) no_gamma: Vec<bool>,
@@ -125,15 +164,17 @@ impl RunState {
 }
 
 /// Core put path, shared by `RuleCtx::put`, initial puts and injected
-/// event tuples. The trigger key is borrowed; the computed key for `t`
-/// moves into the staging shard without further copies.
+/// event tuples. Type and causality are checked here, at the put, so an
+/// error names the putting rule; the key is cloned only if the tuple is
+/// actually staged for the Delta set.
 pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t: Tuple) {
-    let table = t.table();
-    let ti = table.index();
-    state.stats.tables[ti].puts.fetch_add(1, Ordering::Relaxed);
+    let ti = t.table().index();
+    let shard = state.staging_shard();
+    let puts = &state.stats.tables[ti].stripe(shard).puts;
+    puts.fetch_add(1, Ordering::Relaxed); // ord: statistic, own stripe
 
     if state.type_check {
-        if let Err(msg) = state.program.def(table).type_check(t.fields()) {
+        if let Err(msg) = state.program.def(t.table()).type_check(t.fields()) {
             state.record_error(JStarError::Type(msg));
             return;
         }
@@ -144,124 +185,138 @@ pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t:
         state.record_error(JStarError::CausalityViolation {
             rule: rule.to_string(),
             trigger_key: trigger_key.clone(),
-            put_key: key,
+            put_key: key.into_owned(),
             tuple: t.to_string(),
         });
         return;
     }
 
     if state.no_delta[ti] {
-        // §5.1: put straight into Gamma and fire triggered rules
-        // immediately on this thread.
-        process_tuple(state, &key, t);
+        // §5.1: straight to Gamma, a batch at a time (module docs).
+        let full = {
+            let mut slot = state.staged[shard].0.lock();
+            slot.tuples.push(t);
+            slot.tuples.len() >= FLUSH_AT
+        };
+        if full {
+            flush_staged(state, shard, false);
+        }
     } else {
-        state.inbox.push(state.staging_shard(), key, t);
+        state.inbox.push(shard, key, t);
     }
 }
 
-/// Moves one tuple out of the Delta set: inserts it into Gamma (unless
-/// `-noGamma`), and if it is fresh, fires every rule it triggers. `key`
-/// is borrowed from the executing class — rule contexts borrow it too,
-/// so triggering N rules performs zero key clones.
-pub(super) fn process_tuple(state: &RunState, key: &OrderKey, t: Tuple) {
-    let table = t.table();
-    let ti = table.index();
-    let fresh = if state.no_gamma[ti] {
-        true
-    } else {
-        match state.gamma.insert(t.clone()) {
-            InsertOutcome::Fresh => {
-                state.stats.tables[ti]
-                    .gamma_fresh
-                    .fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            InsertOutcome::Duplicate => {
-                // Set-oriented semantics: duplicates neither re-trigger
-                // rules nor re-enter Gamma (§6.2's SumMonth dedup).
-                state.stats.tables[ti]
-                    .gamma_dups
-                    .fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            InsertOutcome::KeyConflict => {
-                state.record_error(JStarError::KeyViolation {
-                    table: state.program.def(table).name.clone(),
-                    detail: format!("insert of {t} violates the -> key invariant"),
-                });
-                false
+/// Flushes staging slot `shard` until it is empty, including what the
+/// rules fired here stage meanwhile. Returns false when there was nothing
+/// to do: the slot was empty, or a flush of it is already running (up
+/// this stack, or on another thread sharing the external slot) and will
+/// take what is there. `nest` flushes even then — [`RuleCtx`] asks before
+/// it reads — so only a cascade that queries between puts recurses.
+pub(super) fn flush_staged(state: &RunState, shard: usize, nest: bool) -> bool {
+    let slot = &state.staged[shard].0;
+    {
+        let mut slot = slot.lock();
+        if slot.tuples.is_empty() || (slot.flushes > 0 && !nest) {
+            return false;
+        }
+        slot.flushes += 1;
+    }
+    let mut batch = Vec::new();
+    loop {
+        {
+            let mut slot = slot.lock();
+            // The slot gets the spent buffer back, capacity intact.
+            std::mem::swap(&mut slot.tuples, &mut batch);
+            if batch.is_empty() {
+                slot.flushes -= 1;
+                return true;
             }
         }
-    };
-    if !fresh {
-        return;
-    }
-    state.stats.tables[ti].triggers.fetch_add(
-        state.program.rules_by_trigger()[ti].len() as u64,
-        Ordering::Relaxed,
-    );
-    fire_rules(state, key, &t);
-}
-
-/// Fires every rule triggered by `t` (which must be fresh). Contexts
-/// borrow the class key — zero copies per trigger.
-pub(super) fn fire_rules(state: &RunState, key: &OrderKey, t: &Tuple) {
-    let ti = t.table().index();
-    for &ri in &state.program.rules_by_trigger()[ti] {
-        let rule = &state.program.rules()[ri];
-        let ctx = RuleCtx::new(state, key, &rule.name);
-        (rule.body)(&ctx, t);
+        // Each tuple's own key is its rules' trigger key (`None`).
+        insert_and_fire(state, None, &batch);
+        batch.clear();
     }
 }
 
-/// Executes one chunk of an equivalence class on a worker.
-///
-/// Uniform-table chunks (the overwhelmingly common case — a class is one
-/// key, and most keys belong to one table) take the batch path: a single
-/// [`Gamma::insert_batch`] call amortises store locking, statistics are
-/// published once per chunk, and rules fire afterwards for the fresh
-/// tuples. Mixed-table chunks fall back to the per-tuple path.
-pub(super) fn process_class_chunk(state: &RunState, key: &OrderKey, chunk: &[Tuple]) {
-    let table = chunk[0].table();
+/// The coordinator's step-boundary flush: every slot, until a whole pass
+/// finds them all empty (rules fired here put into the external slot).
+pub(super) fn drain_staged(state: &RunState) {
+    let pass = |any, shard| flush_staged(state, shard, false) | any;
+    while (0..state.staged.len()).fold(false, pass) {}
+}
+
+/// Inserts a uniform-table run into Gamma as one batch (nothing to insert
+/// for a `-noGamma` table: every tuple counts as fresh), records `->`
+/// violations, and adds the run's counters once. `outcomes` is left
+/// holding one outcome per tuple; returns how many were fresh.
+fn insert_run(
+    state: &RunState,
+    shard: usize,
+    run: &[Tuple],
+    outcomes: &mut Vec<InsertOutcome>,
+) -> u64 {
+    let table = run[0].table();
     let ti = table.index();
-    let uniform =
-        chunk.len() > 1 && !state.no_gamma[ti] && chunk.iter().all(|t| t.table() == table);
-    if !uniform {
-        for t in chunk {
-            process_tuple(state, key, t.clone());
-        }
-        return;
+    let stored = !state.no_gamma[ti];
+    outcomes.clear();
+    if stored {
+        state.gamma.insert_batch(table, run, outcomes);
+    } else {
+        outcomes.resize(run.len(), InsertOutcome::Fresh);
     }
-
-    let mut outcomes = Vec::with_capacity(chunk.len());
-    state.gamma.insert_batch(table, chunk, &mut outcomes);
     let (mut fresh, mut dups) = (0u64, 0u64);
-    for (t, outcome) in chunk.iter().zip(&outcomes) {
+    for (t, outcome) in run.iter().zip(outcomes.iter()) {
         match outcome {
             InsertOutcome::Fresh => fresh += 1,
+            // Set-oriented semantics: duplicates neither re-trigger
+            // rules nor re-enter Gamma (§6.2's SumMonth dedup).
             InsertOutcome::Duplicate => dups += 1,
-            InsertOutcome::KeyConflict => {
-                state.record_error(JStarError::KeyViolation {
-                    table: state.program.def(table).name.clone(),
-                    detail: format!("insert of {t} violates the -> key invariant"),
-                });
-            }
+            InsertOutcome::KeyConflict => state.record_error(JStarError::KeyViolation {
+                table: state.program.def(table).name.clone(),
+                detail: format!("insert of {t} violates the -> key invariant"),
+            }),
         }
     }
-    let stats = &state.stats.tables[ti];
+    // ord: Relaxed ×3 — statistics counters in the caller's own stripe.
+    let stripe = state.stats.tables[ti].stripe(shard);
     if fresh > 0 {
-        stats.gamma_fresh.fetch_add(fresh, Ordering::Relaxed);
-        stats.triggers.fetch_add(
-            fresh * state.program.rules_by_trigger()[ti].len() as u64,
-            Ordering::Relaxed,
-        );
+        if stored {
+            stripe.gamma_fresh.fetch_add(fresh, Ordering::Relaxed);
+        }
+        let rules = state.program.rules_by_trigger()[ti].len() as u64;
+        stripe.triggers.fetch_add(fresh * rules, Ordering::Relaxed);
     }
     if dups > 0 {
-        stats.gamma_dups.fetch_add(dups, Ordering::Relaxed);
+        stripe.gamma_dups.fetch_add(dups, Ordering::Relaxed);
     }
-    for (t, outcome) in chunk.iter().zip(&outcomes) {
-        if matches!(outcome, InsertOutcome::Fresh) {
-            fire_rules(state, key, t);
+    fresh
+}
+
+/// Moves `tuples` out of the Delta set (a chunk of a class, `key` its
+/// class key) or out of a staging slot (`key` is `None`: each tuple's
+/// own key) into Gamma, and fires every rule the fresh ones trigger, in
+/// order. Mixed-table slices are cut into uniform runs, each inserted as
+/// one batch before its rules fire. Rule contexts borrow the key — zero
+/// copies per trigger. What a tuple's firings staged is flushed as they
+/// return: the sequential engine's schedule is what it was when a
+/// `-noDelta` put inserted at once.
+pub(super) fn insert_and_fire(state: &RunState, key: Option<&OrderKey>, tuples: &[Tuple]) {
+    let shard = state.staging_shard();
+    let mut outcomes = Vec::new();
+    for run in tuples.chunk_by(|a, b| a.table() == b.table()) {
+        let ti = run[0].table().index();
+        let rules = &state.program.rules_by_trigger()[ti];
+        if insert_run(state, shard, run, &mut outcomes) == 0 || rules.is_empty() {
+            continue;
+        }
+        let fresh = |(_, o): &(&Tuple, &InsertOutcome)| **o == InsertOutcome::Fresh;
+        for (t, _) in run.iter().zip(&outcomes).filter(fresh) {
+            let key = key.map_or_else(|| state.plans[ti].key_for(t), Cow::Borrowed);
+            for &ri in rules {
+                let rule = &state.program.rules()[ri];
+                (rule.body)(&RuleCtx::new(state, &key, &rule.name), t);
+            }
+            flush_staged(state, shard, false);
         }
     }
 }
@@ -291,49 +346,19 @@ pub(super) fn process_class_delta_join(
     class: &[Tuple],
     pool: Option<&ThreadPool>,
 ) {
-    let table = class[0].table();
-    let ti = table.index();
+    let ti = class[0].table().index();
     let rules_here = &state.program.rules_by_trigger()[ti];
 
     // ── Phase A: whole-class Gamma insert, fresh tuples kept in class
     // order (the deterministic build side of the join).
-    let mut fresh: Vec<&Tuple> = Vec::with_capacity(class.len());
-    if state.no_gamma[ti] {
-        fresh.extend(class.iter());
-    } else {
-        let mut outcomes = Vec::with_capacity(class.len());
-        state.gamma.insert_batch(table, class, &mut outcomes);
-        let (mut nf, mut nd) = (0u64, 0u64);
-        for (t, outcome) in class.iter().zip(&outcomes) {
-            match outcome {
-                InsertOutcome::Fresh => {
-                    nf += 1;
-                    fresh.push(t);
-                }
-                InsertOutcome::Duplicate => nd += 1,
-                InsertOutcome::KeyConflict => {
-                    state.record_error(JStarError::KeyViolation {
-                        table: state.program.def(table).name.clone(),
-                        detail: format!("insert of {t} violates the -> key invariant"),
-                    });
-                }
-            }
-        }
-        let stats = &state.stats.tables[ti];
-        if nf > 0 {
-            stats.gamma_fresh.fetch_add(nf, Ordering::Relaxed);
-        }
-        if nd > 0 {
-            stats.gamma_dups.fetch_add(nd, Ordering::Relaxed);
-        }
-    }
-    if fresh.is_empty() {
+    let mut outcomes = Vec::with_capacity(class.len());
+    if insert_run(state, state.staging_shard(), class, &mut outcomes) == 0 {
         return;
     }
-    state.stats.tables[ti].triggers.fetch_add(
-        fresh.len() as u64 * rules_here.len() as u64,
-        Ordering::Relaxed,
-    );
+    let fresh: Vec<&Tuple> = (class.iter().zip(&outcomes))
+        .filter(|(_, o)| **o == InsertOutcome::Fresh)
+        .map(|(t, _)| t)
+        .collect();
 
     // ── Phase B: each triggered rule over the fresh set, in rule order.
     for &ri in rules_here {
@@ -347,7 +372,7 @@ pub(super) fn process_class_delta_join(
             }
             _ => {
                 // Opaque body: per-tuple firing is its only defined
-                // execution (same context reuse as `fire_rules`).
+                // execution (one context for the whole fresh set).
                 let ctx = RuleCtx::new(state, key, &rule.name);
                 for t in &fresh {
                     (rule.body)(&ctx, t);
@@ -367,10 +392,9 @@ pub(super) fn open_views(
 ) -> Vec<Arc<ColumnIndex>> {
     columns
         .map(|(table, field)| {
+            let stripe = state.stats.tables[table.index()].stripe(state.staging_shard());
+            stripe.queries.fetch_add(1, Ordering::Relaxed);
             let stats = &state.stats;
-            stats.tables[table.index()]
-                .queries
-                .fetch_add(1, Ordering::Relaxed);
             stats.join_cursor_opens.fetch_add(1, Ordering::Relaxed);
             state.gamma.open_cursor(table, field)
         })

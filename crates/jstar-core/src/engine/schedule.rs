@@ -3,7 +3,7 @@
 //!
 //! The paper's "simple all-minimums parallelisation strategy" makes
 //! every tuple of the minimal class a fork/join task. That is the right
-//! shape for wide classes and pure overhead for narrow ones, so the
+//! shape for wide classes and an unsteady one for narrow ones, so the
 //! scheduler plans each class adaptively:
 //!
 //! * **sequential engine** — everything runs inline on the coordinator,
@@ -12,7 +12,14 @@
 //!   this arm pays for the sort);
 //! * **narrow class** (at or below
 //!   [`super::EngineConfig::inline_class_threshold`]) — inline on the
-//!   coordinator: the fork/join round trip costs more than the work;
+//!   coordinator. Not because it is cheap — width is not work: each of
+//!   `pvwatts`' two to four reader tuples parses for 30 ms — but because
+//!   it cannot be balanced: one task per tuple, done when the slowest
+//!   thread is, and a worker woken from idle for one burst is that
+//!   thread. Forked on a 2-vCPU VM that job's median is 42 ms against
+//!   63 ms inline, and from process to process it ranges 36–52 ms
+//!   against 62–69 ms. The default keeps the steady side;
+//!   `inline_classes_up_to(0)` forks every class;
 //! * **wide class** — chunked by measured class width and current pool
 //!   occupancy ([`jstar_pool::adaptive_chunk`]) and submitted as one
 //!   batch (single wakeup). A forked class is also the pipeline's

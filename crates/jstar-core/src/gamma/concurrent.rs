@@ -44,24 +44,45 @@ impl ConcurrentOrderedStore {
         }
     }
 
+    /// [`ConcurrentOrderedStore::new`] over a table whose first segment
+    /// has `slots` slots (see `ReservationTable::with_first_segment`).
+    #[cfg(test)]
+    fn with_first_segment(def: Arc<TableDef>, slots: usize) -> Self {
+        let table = ReservationTable::with_first_segment(slots, def.arity() > 0);
+        ConcurrentOrderedStore {
+            table: SwappableTable::new(table),
+            def,
+        }
+    }
+
     fn primary_hash(&self, t: &Tuple) -> u64 {
         hash_values(t.key_fields(&self.def))
     }
 
-    fn secondary_hash(&self, t: &Tuple) -> u64 {
-        if self.def.arity() > 0 {
+    /// The `(primary, secondary)` pair the reservation table places `t`
+    /// by: key fields, and the first column for chain narrowing.
+    fn hashes(&self, t: &Tuple) -> (u64, u64) {
+        let secondary = if self.def.arity() > 0 {
             hash_values([t.get(0)])
         } else {
             0
-        }
+        };
+        (self.primary_hash(t), secondary)
     }
 }
 
 impl TableStore for ConcurrentOrderedStore {
     fn insert(&self, t: Tuple) -> InsertOutcome {
-        let primary = self.primary_hash(&t);
-        let secondary = self.secondary_hash(&t);
+        let (primary, secondary) = self.hashes(&t);
         self.table.get().insert(&self.def, primary, secondary, t)
+    }
+
+    /// The reservation table's batch protocol
+    /// (`ReservationTable::insert_batch`): prefetched probes, one `len`
+    /// and one journal reservation per block instead of per tuple.
+    fn insert_batch(&self, tuples: &[Tuple], outcomes: &mut Vec<InsertOutcome>) {
+        let hashes = |t: &Tuple| self.hashes(t);
+        self.table.insert_batch(&self.def, tuples, hashes, outcomes);
     }
 
     fn contains(&self, t: &Tuple) -> bool {
@@ -141,7 +162,7 @@ impl TableStore for ConcurrentOrderedStore {
             &self.def,
             max_tombstone_fraction,
             self.def.arity() > 0,
-            |t| (self.primary_hash(t), self.secondary_hash(t)),
+            |t| self.hashes(t),
         )
     }
 
@@ -151,9 +172,7 @@ impl TableStore for ConcurrentOrderedStore {
         // replaces the old one wholesale — O(incoming), no per-tuple
         // duplicate scans. Quiescent-point only, like `maybe_compact`.
         self.table
-            .import_quiescent(self.def.arity() > 0, tuples, |t| {
-                (self.primary_hash(t), self.secondary_hash(t))
-            });
+            .import_quiescent(self.def.arity() > 0, tuples, |t| self.hashes(t));
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -171,6 +190,21 @@ mod tests {
     fn satisfies_store_contract() {
         let store = ConcurrentOrderedStore::new(keyed_def(), 8);
         exercise_store_contract(&store);
+    }
+
+    #[test]
+    fn insert_batch_matches_per_tuple_outcomes() {
+        use crate::gamma::testutil::{assert_batch_matches_loop, batch_edge_cases};
+        // 16-slot first segments: the 64-tuple batches cross into
+        // segments 1 and 2. Probes take the key's probe walk (`a` bound)
+        // and the first-column chain (the key is the first column).
+        let small = || ConcurrentOrderedStore::with_first_segment(keyed_def(), 16);
+        let tuples = batch_edge_cases();
+        let by_key = |a: i64| Query::on(TableId(0)).eq(0, a);
+        let probes = [by_key(0), by_key(7), by_key(1003), by_key(999_999)];
+        for batch in [1, 3, 64, tuples.len()] {
+            assert_batch_matches_loop(&small(), &small(), &tuples, batch, &probes);
+        }
     }
 
     #[test]

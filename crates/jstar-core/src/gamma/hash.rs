@@ -64,6 +64,16 @@ impl HashStore {
         }
     }
 
+    /// [`HashStore::new`] over a table whose first segment has `slots`
+    /// slots (see `ReservationTable::with_first_segment`).
+    #[cfg(test)]
+    fn with_first_segment(def: Arc<TableDef>, index_fields: Vec<usize>, slots: usize) -> Self {
+        let mut store = HashStore::new(def, index_fields, 1);
+        let table = ReservationTable::with_first_segment(slots, !store.index_is_primary);
+        store.table = SwappableTable::new(table);
+        store
+    }
+
     /// The fields this store is indexed on.
     pub fn index_fields(&self) -> &[usize] {
         &self.index_fields
@@ -76,17 +86,31 @@ impl HashStore {
     fn index_hash(&self, t: &Tuple) -> u64 {
         hash_values(self.index_fields.iter().map(|&i| t.get(i)))
     }
+
+    /// The `(primary, secondary)` pair the reservation table places `t`
+    /// by (no secondary chain when the index *is* the primary walk).
+    fn hashes(&self, t: &Tuple) -> (u64, u64) {
+        let secondary = if self.index_is_primary {
+            0
+        } else {
+            self.index_hash(t)
+        };
+        (self.primary_hash(t), secondary)
+    }
 }
 
 impl TableStore for HashStore {
     fn insert(&self, t: Tuple) -> InsertOutcome {
-        let primary = self.primary_hash(&t);
-        let secondary = if self.index_is_primary {
-            0
-        } else {
-            self.index_hash(&t)
-        };
+        let (primary, secondary) = self.hashes(&t);
         self.table.get().insert(&self.def, primary, secondary, t)
+    }
+
+    /// The reservation table's batch protocol
+    /// (`ReservationTable::insert_batch`): prefetched probes, one `len`
+    /// and one journal reservation per block instead of per tuple.
+    fn insert_batch(&self, tuples: &[Tuple], outcomes: &mut Vec<InsertOutcome>) {
+        let hashes = |t: &Tuple| self.hashes(t);
+        self.table.insert_batch(&self.def, tuples, hashes, outcomes);
     }
 
     fn contains(&self, t: &Tuple) -> bool {
@@ -162,14 +186,7 @@ impl TableStore for HashStore {
             &self.def,
             max_tombstone_fraction,
             !self.index_is_primary,
-            |t| {
-                let secondary = if self.index_is_primary {
-                    0
-                } else {
-                    self.index_hash(t)
-                };
-                (self.primary_hash(t), secondary)
-            },
+            |t| self.hashes(t),
         )
     }
 
@@ -178,14 +195,7 @@ impl TableStore for HashStore {
         // from trusted (checksum-verified, deduplicated) snapshot input,
         // restoring both the primary probe paths and the index chains.
         self.table
-            .import_quiescent(!self.index_is_primary, tuples, |t| {
-                let secondary = if self.index_is_primary {
-                    0
-                } else {
-                    self.index_hash(t)
-                };
-                (self.primary_hash(t), secondary)
-            });
+            .import_quiescent(!self.index_is_primary, tuples, |t| self.hashes(t));
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -211,25 +221,26 @@ mod tests {
 
     #[test]
     fn insert_batch_matches_per_tuple_outcomes() {
-        let batch_store = indexed_on_key();
-        let loop_store = indexed_on_key();
-        // Duplicates and key conflicts interleaved across buckets.
-        let tuples: Vec<_> = (0..100)
-            .map(|i| match i % 4 {
-                0 => kt(i / 4, i, "v"),
-                1 => kt(i / 4, i - 1, "v"), // key conflict with the 0-arm
-                2 => kt(i / 4, i - 2, "v"), // duplicate of the 0-arm
-                _ => kt(1000 + i, i, "w"),  // fresh, other bucket
-            })
+        use crate::gamma::testutil::{assert_batch_matches_loop, batch_edge_cases, set_def};
+        // Keyed, index = primary key (probe-walk queries): 16-slot first
+        // segments, so the 64-tuple batches cross into segment 1 and 2.
+        let small = || HashStore::with_first_segment(keyed_def(), vec![0], 16);
+        let tuples = batch_edge_cases();
+        let by_key = |a: i64| Query::on(TableId(0)).eq(0, a);
+        let probes = [by_key(0), by_key(7), by_key(1003), by_key(999_999)];
+        for batch in [1, 3, 64, tuples.len()] {
+            assert_batch_matches_loop(&small(), &small(), &tuples, batch, &probes);
+        }
+        // Keyless with a secondary chain index on the first column: the
+        // batch links every fresh slot into its chain.
+        let chained = || HashStore::with_first_segment(set_def(), vec![0], 16);
+        let rows: Vec<Tuple> = (0..150i64)
+            .map(|i| Tuple::new(TableId(0), vec![Value::Int(i % 5), Value::Int(i % 90)]))
             .collect();
-        let want: Vec<InsertOutcome> = tuples
-            .iter()
-            .map(|t| loop_store.insert(t.clone()))
-            .collect();
-        let mut got = Vec::new();
-        batch_store.insert_batch(&tuples, &mut got);
-        assert_eq!(got, want, "batch outcomes match per-tuple order");
-        assert_eq!(batch_store.len(), loop_store.len());
+        let probes = [by_key(0), by_key(3), by_key(9)];
+        for batch in [7, 64, rows.len()] {
+            assert_batch_matches_loop(&chained(), &chained(), &rows, batch, &probes);
+        }
     }
 
     #[test]

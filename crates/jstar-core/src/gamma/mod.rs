@@ -56,12 +56,18 @@ pub trait TableStore: Send + Sync {
     /// `->` and the store supports it) the primary-key invariant.
     fn insert(&self, t: Tuple) -> InsertOutcome;
 
-    /// Inserts a whole batch, appending one outcome per tuple (in order).
+    /// Inserts a whole batch, appending one outcome per tuple (in order;
+    /// a duplicate or `->` conflict *within* the batch is reported on the
+    /// later tuple, as a loop over [`TableStore::insert`] would).
     ///
-    /// This is the engine's wide-class entry point: a worker executing a
-    /// chunk of one equivalence class inserts the chunk in a single call,
-    /// letting lock-based stores amortise acquisition over the batch. The
-    /// default just loops over [`TableStore::insert`].
+    /// This is how the engine inserts: a chunk of an equivalence class
+    /// and a flushed run of staged `-noDelta` puts each arrive in a
+    /// single call. What a batch buys depends on the store:
+    /// [`BTreeStore`] takes its lock once; [`HashStore`] and
+    /// [`ConcurrentOrderedStore`] prefetch the batch's probe lines and
+    /// write their shared `len`/journal counters once per block of 32
+    /// tuples instead of once per tuple. The default — custom stores —
+    /// just loops over [`TableStore::insert`].
     fn insert_batch(&self, tuples: &[Tuple], outcomes: &mut Vec<InsertOutcome>) {
         outcomes.extend(tuples.iter().map(|t| self.insert(t.clone())));
     }
@@ -388,8 +394,8 @@ impl Gamma {
         self.stores[t.table().index()].insert(t)
     }
 
-    /// Batch-inserts same-table tuples (the wide-class fast path); see
-    /// [`TableStore::insert_batch`].
+    /// Batch-inserts same-table tuples (the engine's one insert path);
+    /// see [`TableStore::insert_batch`].
     pub fn insert_batch(
         &self,
         table: TableId,
@@ -541,6 +547,84 @@ pub(crate) mod testutil {
                 crate::value::Value::str(c.to_string()),
             ],
         )
+    }
+
+    /// 100 tuples over [`keyed_def`] with every batch edge case in
+    /// sequence: a fresh tuple, a `->` conflict with it, an exact duplicate
+    /// of it — adjacent, so any batch of three or more holds all of them
+    /// *inside* one batch — and a fresh tuple elsewhere.
+    pub fn batch_edge_cases() -> Vec<Tuple> {
+        (0..100)
+            .map(|i| match i % 4 {
+                0 => kt(i / 4, i, "v"),
+                1 => kt(i / 4, i - 1, "v"), // key conflict with the 0-arm
+                2 => kt(i / 4, i - 2, "v"), // duplicate of the 0-arm
+                _ => kt(1000 + i, i, "w"),  // fresh, other key
+            })
+            .collect()
+    }
+
+    /// Holds a store filled through [`TableStore::insert_batch`] (in
+    /// batches of `batch`) against one filled by a loop over
+    /// [`TableStore::insert`]: per-tuple outcomes in order, `len`, the
+    /// `for_each` contents and the claim journal as multisets — the
+    /// journal walked to its generation, so a reserved cell left zero
+    /// (which stops the stable prefix short) fails here — and each of
+    /// `probes` (the index paths: probe walk, secondary chain).
+    pub fn assert_batch_matches_loop(
+        batched: &dyn TableStore,
+        looped: &dyn TableStore,
+        tuples: &[Tuple],
+        batch: usize,
+        probes: &[Query],
+    ) {
+        let want: Vec<InsertOutcome> = tuples.iter().map(|t| looped.insert(t.clone())).collect();
+        let mut got = Vec::new();
+        for run in tuples.chunks(batch) {
+            batched.insert_batch(run, &mut got);
+        }
+        assert_eq!(got, want, "outcomes in batch order (batches of {batch})");
+        assert!(want.contains(&InsertOutcome::Fresh) && want.contains(&InsertOutcome::Duplicate));
+        assert_eq!(batched.len(), looped.len());
+
+        let sorted = |mut v: Vec<Tuple>| {
+            v.sort();
+            v
+        };
+        let contents = |store: &dyn TableStore| {
+            let mut all = Vec::new();
+            store.for_each(&mut |t| {
+                all.push(t.clone());
+                true
+            });
+            sorted(all)
+        };
+        let journal = |store: &dyn TableStore| {
+            let generation = store.index_stamp().expect("journaled store").generation;
+            let mut entries = Vec::new();
+            let covered =
+                store.for_each_journal_suffix(0, generation, &mut |t| entries.push(t.clone()));
+            assert_eq!(covered, generation, "no journal cell left unfilled");
+            sorted(entries)
+        };
+        assert_eq!(contents(batched), contents(looped));
+        assert_eq!(contents(batched).len(), looped.len());
+        assert_eq!(journal(batched), contents(looped), "journal = contents");
+        assert_eq!(journal(looped), contents(looped));
+        let mut hits = 0;
+        for q in probes {
+            let rows = |store: &dyn TableStore| {
+                let mut rows = Vec::new();
+                store.query(q, &mut |t| {
+                    rows.push(t.clone());
+                    true
+                });
+                sorted(rows)
+            };
+            assert_eq!(rows(batched), rows(looped), "{q:?}");
+            hits += rows(batched).len();
+        }
+        assert!(hits > 0, "the probes must reach stored tuples");
     }
 
     /// Exercises the store contract shared by every implementation.

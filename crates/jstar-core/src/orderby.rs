@@ -175,6 +175,15 @@ impl Ord for KeyPart {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct OrderKey(pub Vec<KeyPart>);
 
+/// Lets a borrowed-or-owned key be handed to consumers that keep it only
+/// sometimes ([`crate::delta::ShardedInbox::push`]): the clone happens
+/// here, at the moment of keeping.
+impl From<std::borrow::Cow<'_, OrderKey>> for OrderKey {
+    fn from(key: std::borrow::Cow<'_, OrderKey>) -> OrderKey {
+        key.into_owned()
+    }
+}
+
 impl OrderKey {
     /// The minimal key: orders before (or equal to) every other key.
     /// Initial `put` commands use this as their implicit trigger position.

@@ -383,3 +383,248 @@ fn join_fold_matches_join_rel_and_nested_loops_at_piece_boundaries() {
         }
     }
 }
+
+// ── `-noDelta` staging and the inbox's run-length combining ─────────────
+
+/// `Src(n)` puts `A(0..n)` (plus one repeat of `A(0)`), `-noDelta` `A`'s
+/// rule puts `-noDelta` `B`, whose rule puts Delta-table `C`.
+fn cascade_program(n: i64) -> (Arc<Program>, [TableId; 4]) {
+    let mut p = ProgramBuilder::new();
+    let src = p.table("Src", |b| b.col_int("n").orderby(&[strat("S")]));
+    let a = p.table("A", |b| b.col_int("i").orderby(&[strat("A")]));
+    let bt = p.table("B", |b| b.col_int("i").orderby(&[strat("B")]));
+    let ct = p.table("C", |b| b.col_int("i").orderby(&[strat("C")]));
+    p.order(&["S", "A", "B", "C"]);
+    p.rule("fan", src, move |ctx, t| {
+        for i in 0..t.int(0) {
+            ctx.put(Tuple::new(a, vec![Value::Int(i)]));
+        }
+        if t.int(0) > 0 {
+            ctx.put(Tuple::new(a, vec![Value::Int(0)]));
+        }
+    });
+    p.rule("ab", a, move |ctx, t| {
+        ctx.put(Tuple::new(bt, vec![Value::Int(t.int(0) * 3)]));
+    });
+    p.rule("bc", bt, move |ctx, t| {
+        ctx.put(Tuple::new(ct, vec![Value::Int(t.int(0) % 50)]));
+    });
+    p.put(Tuple::new(src, vec![Value::Int(n)]));
+    (Arc::new(p.build().unwrap()), [src, a, bt, ct])
+}
+
+/// Scenario (a): one firing putting 0, 1, 255, 256, 257 and 1,000 staged
+/// tuples — below, at and above the flush size, and several flushes —
+/// gives the same database and the same per-table counters on every
+/// engine, with the whole cascade inside the `Src` step.
+#[test]
+fn staged_no_delta_cascade_counts_the_same_on_every_engine() {
+    for n in [0i64, 1, 255, 256, 257, 1000] {
+        let (prog, tables) = cascade_program(n);
+        let [_, a, bt, _] = tables;
+        let run = |config: EngineConfig| {
+            let mut engine = Engine::new(Arc::clone(&prog), config.no_delta(a).no_delta(bt));
+            let report = engine.run().unwrap();
+            let stats: Vec<_> = tables
+                .iter()
+                .map(|t| engine.stats().tables[t.index()].snapshot())
+                .collect();
+            (engine.content_hash(), stats, report.steps)
+        };
+        let (want_hash, want_stats, want_steps) = run(EngineConfig::sequential());
+        let (src_s, a_s, b_s, c_s) = (want_stats[0], want_stats[1], want_stats[2], want_stats[3]);
+        let n = n as u64;
+        assert_eq!((src_s.puts, src_s.triggers), (1, 1));
+        assert_eq!(a_s.puts, if n > 0 { n + 1 } else { 0 });
+        assert_eq!((a_s.gamma_fresh, a_s.gamma_dups), (n, u64::from(n > 0)));
+        assert_eq!((a_s.triggers, a_s.delta_inserts), (n, 0));
+        assert_eq!((b_s.puts, b_s.gamma_fresh, b_s.triggers), (n, n, n));
+        assert_eq!((c_s.puts, c_s.gamma_fresh), (n, n.min(50)));
+        assert_eq!(c_s.delta_inserts, n.min(50), "C alone goes through Delta");
+        assert_eq!(want_steps, if n > 0 { 2 } else { 1 }, "Src, then C");
+        for threads in [2, 4] {
+            let (hash, stats, steps) = run(EngineConfig::parallel(threads));
+            assert_eq!(hash, want_hash, "n={n} threads={threads}");
+            assert_eq!(stats, want_stats, "n={n} threads={threads}");
+            assert_eq!(steps, want_steps);
+        }
+    }
+}
+
+/// Scenario (a), depth: a 100,000-long chain of `-noDelta` puts, each
+/// made by the rule the previous one fired, runs in constant stack — the
+/// flush loops instead of recursing (one stack frame set per link would
+/// overflow the test thread's stack many times over).
+#[test]
+fn a_long_no_delta_chain_does_not_grow_the_stack() {
+    const LINKS: i64 = 100_000;
+    let mut p = ProgramBuilder::new();
+    let a = p.table("A", |b| b.col_int("i").orderby(&[strat("A")]));
+    p.rule("next", a, move |ctx, t| {
+        if t.int(0) < LINKS {
+            ctx.put(Tuple::new(a, vec![Value::Int(t.int(0) + 1)]));
+        }
+    });
+    p.put(Tuple::new(a, vec![Value::Int(0)]));
+    let prog = Arc::new(p.build().unwrap());
+    for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+        let mut engine = Engine::new(Arc::clone(&prog), config.no_delta(a));
+        let report = engine.run().unwrap();
+        assert_eq!(report.steps, 0, "nothing ever reaches the Delta set");
+        let stats = engine.stats().tables[a.index()].snapshot();
+        assert_eq!(stats.gamma_fresh, LINKS as u64 + 1);
+        assert_eq!(stats.triggers, LINKS as u64 + 1);
+    }
+}
+
+/// Scenario (b): `-noDelta` puts made inside `par_for_each_match` are
+/// staged on whichever helper thread ran the closure; those threads are
+/// not inside a chunk of the class, so it is the coordinator's flush
+/// after the step that inserts them and fires their rules — before the
+/// next class (`Check`) is extracted.
+#[test]
+fn helper_thread_no_delta_puts_land_before_the_next_step() {
+    let mut p = ProgramBuilder::new();
+    let data = p.table("D", |b| b.col_int("i").orderby(&[strat("D")]));
+    let go = p.table("Go", |b| b.col_int("x").orderby(&[strat("Go")]));
+    let m = p.table("M", |b| b.col_int("i").orderby(&[strat("M")]));
+    let n = p.table("N", |b| b.col_int("i").orderby(&[strat("N")]));
+    let check = p.table("Check", |b| b.col_int("x").orderby(&[strat("Z")]));
+    p.order(&["D", "Go", "M", "N", "Z"]);
+    p.rule("spread", go, move |ctx, _| {
+        ctx.par_for_each_match(&Query::on(data), |t| {
+            ctx.put(Tuple::new(m, vec![t.get(0).clone()]));
+        });
+        ctx.put(Tuple::new(check, vec![Value::Int(0)]));
+    });
+    p.rule("mn", m, move |ctx, t| {
+        ctx.put(Tuple::new(n, vec![t.get(0).clone()]));
+    });
+    p.rule("check", check, move |ctx, _| {
+        let (ms, ns) = (ctx.count(&Query::on(m)), ctx.count(&Query::on(n)));
+        ctx.println(format!("{ms} {ns}"));
+    });
+    for i in 0..700 {
+        p.put(Tuple::new(data, vec![Value::Int(i)]));
+    }
+    p.put(Tuple::new(go, vec![Value::Int(0)]));
+    let prog = Arc::new(p.build().unwrap());
+    for config in [
+        EngineConfig::sequential(),
+        EngineConfig::parallel(2),
+        EngineConfig::parallel(4),
+    ] {
+        let mut engine = Engine::new(Arc::clone(&prog), config.no_delta(m).no_delta(n));
+        let report = engine.run().unwrap();
+        assert_eq!(report.output, vec!["700 700".to_string()]);
+    }
+}
+
+/// Scenario (c): the staging shard drops a put equal to the one it staged
+/// immediately before; anything else is left to the merge, which dedups
+/// as it always did; and the shard remembers nothing across steps.
+#[test]
+fn equal_consecutive_puts_are_combined_and_counted_as_before() {
+    const N: i64 = 300;
+    let mut p = ProgramBuilder::new();
+    let src = p.table("Src", |b| b.col_int("i").orderby(&[strat("S")]));
+    let runs = p.table("Runs", |b| b.col_int("v").orderby(&[strat("R")]));
+    let mixed = p.table("Mixed", |b| b.col_int("v").orderby(&[strat("X")]));
+    p.order(&["S", "R", "X"]);
+    p.rule("emit", src, move |ctx, _| {
+        for _ in 0..N {
+            ctx.put(Tuple::new(runs, vec![Value::Int(7)]));
+        }
+        for v in [1, 2, 1, 2] {
+            ctx.put(Tuple::new(mixed, vec![Value::Int(v)]));
+        }
+    });
+    p.put(Tuple::new(src, vec![Value::Int(0)]));
+    let prog = Arc::new(p.build().unwrap());
+    for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+        let mut engine = Engine::new(Arc::clone(&prog), config);
+        engine.run().unwrap();
+        let r = engine.stats().tables[runs.index()].snapshot();
+        assert_eq!((r.puts, r.delta_inserts, r.gamma_fresh), (N as u64, 1, 1));
+        let x = engine.stats().tables[mixed.index()].snapshot();
+        assert_eq!((x.puts, x.delta_inserts, x.gamma_fresh), (4, 2, 2));
+    }
+}
+
+/// Scenario (c), epochs: a `-noGamma` tuple put again in a later step is
+/// an event again. `Ping(5)` fires, `Pong(5)` (same order key, stored)
+/// answers by putting `Ping(5)` a second time; the second `Ping` fires
+/// too, and only `Pong`'s Gamma dedup ends the exchange. A combiner that
+/// remembered the first `Ping` across the epoch swap would swallow the
+/// second.
+#[test]
+fn a_no_gamma_tuple_put_in_two_steps_triggers_twice() {
+    let mut p = ProgramBuilder::new();
+    let ping = p.table("Ping", |b| b.col_int("t").orderby(&[seq("t"), strat("P")]));
+    let pong = p.table("Pong", |b| b.col_int("t").orderby(&[seq("t"), strat("P")]));
+    p.rule("ping", ping, move |ctx, t| {
+        ctx.println("ping");
+        ctx.put(Tuple::new(pong, vec![t.get(0).clone()]));
+    });
+    p.rule("pong", pong, move |ctx, t| {
+        ctx.put(Tuple::new(ping, vec![t.get(0).clone()]));
+    });
+    p.put(Tuple::new(ping, vec![Value::Int(5)]));
+    let prog = Arc::new(p.build().unwrap());
+    for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+        let mut engine = Engine::new(Arc::clone(&prog), config.no_gamma(ping));
+        let report = engine.run().unwrap();
+        assert_eq!(report.output, vec!["ping".to_string(); 2]);
+        assert_eq!(report.steps, 4, "Ping, Pong, Ping, Pong (a duplicate)");
+        let s = engine.stats().tables[ping.index()].snapshot();
+        assert_eq!((s.puts, s.delta_inserts, s.triggers), (2, 2, 2));
+    }
+}
+
+/// Scenario (e): a staged put is still checked at the put, so a causality
+/// violation or a type error fails the run under the putting rule's name
+/// (the type error names the offending column).
+#[test]
+fn staged_puts_are_checked_at_the_put() {
+    let build = |bad: Tuple, early: &'static str, late: &'static str| {
+        let mut p = ProgramBuilder::new();
+        let early = p.table("Early", |b| b.col_int("i").orderby(&[strat(early)]));
+        let late = p.table("Late", |b| b.col_int("i").orderby(&[strat(late)]));
+        p.order(&["First", "Second"]);
+        p.rule("backwards", late, move |ctx, _| ctx.put(bad.clone()));
+        p.put(Tuple::new(late, vec![Value::Int(0)]));
+        (Arc::new(p.build().unwrap()), early)
+    };
+    for parallel in [false, true] {
+        let config = || match parallel {
+            true => EngineConfig::parallel(2),
+            false => EngineConfig::sequential(),
+        };
+        // Early orders before its trigger Late: a causality violation.
+        let (prog, early) = build(
+            Tuple::new(TableId(0), vec![Value::Int(1)]),
+            "First",
+            "Second",
+        );
+        let err = Engine::new(prog, config().no_delta(early))
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, JStarError::CausalityViolation { rule, .. } if rule == "backwards"),
+            "{err}"
+        );
+        // Right order, wrong column type.
+        let (prog, early) = build(
+            Tuple::new(TableId(0), vec![Value::str("one".to_string())]),
+            "Second",
+            "First",
+        );
+        let err = Engine::new(prog, config().no_delta(early))
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, JStarError::Type(msg) if msg.contains("Early")),
+            "{err}"
+        );
+    }
+}

@@ -119,6 +119,52 @@ fn no_drops_no_duplicates_under_contention() {
     }
 }
 
+/// Two threads release from a barrier into `insert_batch` calls over the
+/// same tuples (one in reverse, so they collide mid-batch from both
+/// ends): every tuple is `Fresh` in exactly one of the two outcome
+/// vectors, and the two batches' ranged journal appends leave no cell
+/// unfilled and no tuple unjournaled.
+#[test]
+fn racing_insert_batches_yield_one_fresh_each() {
+    let distinct = 3_000i64;
+    for round in 0..8 {
+        for (name, store) in stores() {
+            let forward: Vec<Tuple> = (0..distinct).map(|a| kt(a, a * 2 + round)).collect();
+            let backward: Vec<Tuple> = forward.iter().rev().cloned().collect();
+            let barrier = std::sync::Barrier::new(2);
+            let race = |batch: &[Tuple]| {
+                let mut outcomes = Vec::new();
+                barrier.wait();
+                for run in batch.chunks(257) {
+                    store.insert_batch(run, &mut outcomes);
+                }
+                outcomes
+            };
+            let (fwd, mut bwd) = std::thread::scope(|s| {
+                let other = s.spawn(|| race(&backward));
+                (race(&forward), other.join().expect("racing inserter"))
+            });
+            bwd.reverse();
+            for (a, pair) in fwd.iter().zip(&bwd).enumerate() {
+                assert!(
+                    matches!(
+                        pair,
+                        (InsertOutcome::Fresh, InsertOutcome::Duplicate)
+                            | (InsertOutcome::Duplicate, InsertOutcome::Fresh)
+                    ),
+                    "{name}: tuple {a} came back {pair:?}"
+                );
+            }
+            assert_eq!(store.len(), distinct as usize, "{name}");
+            let generation = store.index_stamp().expect("journaled").generation;
+            assert_eq!(generation, distinct as usize, "{name}: one cell per fresh");
+            let mut journaled = 0;
+            let covered = store.for_each_journal_suffix(0, generation, &mut |_| journaled += 1);
+            assert_eq!((covered, journaled), (generation, generation), "{name}");
+        }
+    }
+}
+
 /// Racing same-key different-value inserts: the `->` invariant admits
 /// exactly one winner per key; everyone else sees `KeyConflict`.
 #[test]

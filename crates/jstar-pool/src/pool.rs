@@ -89,7 +89,10 @@ impl Shared {
         if let Some(job) = pushed_locally {
             self.injector.push(job);
         }
-        // Wake one sleeper; it will wake further sleepers if more work shows up.
+        // Wake every sleeper: a parked worker that finds the job already
+        // taken re-checks `pending` and goes back to sleep, which costs
+        // less than a chain of one-at-a-time wakeups when jobs follow
+        // each other.
         let _guard = self.sleep_lock.lock();
         self.sleep_cond.notify_all();
     }
