@@ -126,7 +126,8 @@ impl ConsumerState {
             .into_values(),
         );
         // SumMonth orderby (SumMonth): a single stratum key.
-        self.delta.insert(&OrderKey(vec![KeyPart::Strat(1)]), sum);
+        self.delta
+            .insert(&OrderKey::from_parts([KeyPart::Strat(1)]), sum);
     }
 
     /// Phase-2 work on the sentinel: pop the SumMonth tuples from the

@@ -163,7 +163,7 @@ pub fn pvwatts_phase_breakdown(csv: &[u8]) -> Vec<(&'static str, f64)> {
             .orderby(&[strat("SumMonth")])
             .build_def(TableId(1)),
     );
-    let key = jstar_core::orderby::OrderKey(vec![jstar_core::orderby::KeyPart::Strat(1)]);
+    let key = jstar_core::orderby::OrderKey::from_parts([jstar_core::orderby::KeyPart::Strat(1)]);
     let (_, t_delta) = time_once(|| {
         let mut tree = DeltaTree::new();
         for t in &tuples {

@@ -10,12 +10,28 @@ use std::sync::atomic::Ordering as StdOrdering;
 
 pub use std::sync::atomic::Ordering;
 
-use crate::exec::{current, AtomicKind};
+use crate::exec::{current, AtomicKind, Execution};
+use std::sync::Arc;
+
+/// The execution an atomic, fence, cell or spin-hint access is routed
+/// through: [`current`], except on a thread that is already unwinding.
+/// Destructors run there (a `Tuple` giving up its reference count), and a
+/// scheduling point in a torn-down execution panics — a second panic,
+/// which would abort the test process and lose the failure report. An
+/// unwinding thread's accesses run the real operation instead; the
+/// execution it belonged to is failing either way.
+fn scheduled() -> Option<(Arc<Execution>, usize)> {
+    if std::thread::panicking() {
+        None
+    } else {
+        current()
+    }
+}
 
 /// See [`std::sync::atomic::fence`].
 #[track_caller]
 pub fn fence(order: Ordering) {
-    match current() {
+    match scheduled() {
         Some((e, me)) => e.fence(me, order),
         None => std::sync::atomic::fence(order),
     }
@@ -24,7 +40,7 @@ pub fn fence(order: Ordering) {
 /// Spin-wait hint: a voluntary-yield schedule point under the model.
 #[track_caller]
 pub fn spin_loop() {
-    match current() {
+    match scheduled() {
         Some((e, me)) => e.yield_op(me),
         None => std::hint::spin_loop(),
     }
@@ -33,7 +49,7 @@ pub fn spin_loop() {
 /// Yield hint: a voluntary-yield schedule point under the model.
 #[track_caller]
 pub fn yield_now() {
-    match current() {
+    match scheduled() {
         Some((e, me)) => e.yield_op(me),
         None => std::thread::yield_now(),
     }
@@ -54,7 +70,7 @@ macro_rules! int_atomic {
 
             #[track_caller]
             pub fn load(&self, order: Ordering) -> $prim {
-                match current() {
+                match scheduled() {
                     Some((e, me)) => e.atomic_op(me, &self.loc, || {
                         (self.v.load(StdOrdering::Relaxed), AtomicKind::Load(order))
                     }),
@@ -64,7 +80,7 @@ macro_rules! int_atomic {
 
             #[track_caller]
             pub fn store(&self, val: $prim, order: Ordering) {
-                match current() {
+                match scheduled() {
                     Some((e, me)) => e.atomic_op(me, &self.loc, || {
                         self.v.store(val, StdOrdering::Relaxed);
                         ((), AtomicKind::Store(order))
@@ -75,7 +91,7 @@ macro_rules! int_atomic {
 
             #[track_caller]
             pub fn swap(&self, val: $prim, order: Ordering) -> $prim {
-                match current() {
+                match scheduled() {
                     Some((e, me)) => e.atomic_op(me, &self.loc, || {
                         (self.v.swap(val, StdOrdering::Relaxed), AtomicKind::Rmw(order))
                     }),
@@ -85,7 +101,7 @@ macro_rules! int_atomic {
 
             #[track_caller]
             pub fn fetch_add(&self, val: $prim, order: Ordering) -> $prim {
-                match current() {
+                match scheduled() {
                     Some((e, me)) => e.atomic_op(me, &self.loc, || {
                         (self.v.fetch_add(val, StdOrdering::Relaxed), AtomicKind::Rmw(order))
                     }),
@@ -95,7 +111,7 @@ macro_rules! int_atomic {
 
             #[track_caller]
             pub fn fetch_sub(&self, val: $prim, order: Ordering) -> $prim {
-                match current() {
+                match scheduled() {
                     Some((e, me)) => e.atomic_op(me, &self.loc, || {
                         (self.v.fetch_sub(val, StdOrdering::Relaxed), AtomicKind::Rmw(order))
                     }),
@@ -105,7 +121,7 @@ macro_rules! int_atomic {
 
             #[track_caller]
             pub fn fetch_max(&self, val: $prim, order: Ordering) -> $prim {
-                match current() {
+                match scheduled() {
                     Some((e, me)) => e.atomic_op(me, &self.loc, || {
                         (self.v.fetch_max(val, StdOrdering::Relaxed), AtomicKind::Rmw(order))
                     }),
@@ -121,7 +137,7 @@ macro_rules! int_atomic {
                 success: Ordering,
                 failure: Ordering,
             ) -> Result<$prim, $prim> {
-                match current() {
+                match scheduled() {
                     Some((e, me)) => e.atomic_op(me, &self.loc, || {
                         let r = self.v.compare_exchange(
                             currentv,
@@ -183,6 +199,10 @@ int_atomic!(
     AtomicUsize, AtomicUsize, usize
 );
 int_atomic!(
+    /// Instrumented [`std::sync::atomic::AtomicU32`].
+    AtomicU32, AtomicU32, u32
+);
+int_atomic!(
     /// Instrumented [`std::sync::atomic::AtomicU64`].
     AtomicU64, AtomicU64, u64
 );
@@ -209,7 +229,7 @@ impl AtomicBool {
 
     #[track_caller]
     pub fn load(&self, order: Ordering) -> bool {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.atomic_op(me, &self.loc, || {
                 (self.v.load(StdOrdering::Relaxed), AtomicKind::Load(order))
             }),
@@ -219,7 +239,7 @@ impl AtomicBool {
 
     #[track_caller]
     pub fn store(&self, val: bool, order: Ordering) {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.atomic_op(me, &self.loc, || {
                 self.v.store(val, StdOrdering::Relaxed);
                 ((), AtomicKind::Store(order))
@@ -230,7 +250,7 @@ impl AtomicBool {
 
     #[track_caller]
     pub fn swap(&self, val: bool, order: Ordering) -> bool {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.atomic_op(me, &self.loc, || {
                 (
                     self.v.swap(val, StdOrdering::Relaxed),
@@ -280,7 +300,7 @@ impl<T> AtomicPtr<T> {
 
     #[track_caller]
     pub fn load(&self, order: Ordering) -> *mut T {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.atomic_op(me, &self.loc, || {
                 (self.v.load(StdOrdering::Relaxed), AtomicKind::Load(order))
             }),
@@ -290,7 +310,7 @@ impl<T> AtomicPtr<T> {
 
     #[track_caller]
     pub fn store(&self, p: *mut T, order: Ordering) {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.atomic_op(me, &self.loc, || {
                 self.v.store(p, StdOrdering::Relaxed);
                 ((), AtomicKind::Store(order))
@@ -301,7 +321,7 @@ impl<T> AtomicPtr<T> {
 
     #[track_caller]
     pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.atomic_op(me, &self.loc, || {
                 (self.v.swap(p, StdOrdering::Relaxed), AtomicKind::Rmw(order))
             }),
@@ -317,7 +337,7 @@ impl<T> AtomicPtr<T> {
         success: Ordering,
         failure: Ordering,
     ) -> Result<*mut T, *mut T> {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.atomic_op(me, &self.loc, || {
                 let r = self.v.compare_exchange(
                     currentv,
@@ -374,7 +394,7 @@ impl<T: ?Sized> UnsafeCell<T> {
     /// shim (the kernels' closures are single dereferences).
     #[track_caller]
     pub fn with<R>(&self, f: impl FnOnce(*const T) -> R) -> R {
-        match current() {
+        match scheduled() {
             Some((e, me)) => {
                 e.cell_op(me, &self.loc, false, Location::caller(), || f(self.v.get()))
             }
@@ -385,7 +405,7 @@ impl<T: ?Sized> UnsafeCell<T> {
     /// Exclusive access, recorded as a write of this location.
     #[track_caller]
     pub fn with_mut<R>(&self, f: impl FnOnce(*mut T) -> R) -> R {
-        match current() {
+        match scheduled() {
             Some((e, me)) => e.cell_op(me, &self.loc, true, Location::caller(), || f(self.v.get())),
             None => f(self.v.get()),
         }
@@ -408,6 +428,11 @@ unsafe impl<T: ?Sized + Send> Send for UnsafeCell<T> {}
 /// for the production fast path).
 pub fn zeroed_atomic_u64_slice(n: usize) -> Box<[AtomicU64]> {
     (0..n).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// A `Box<[AtomicU32]>` of zeros, element-wise like its `u64` twin.
+pub fn zeroed_atomic_u32_slice(n: usize) -> Box<[AtomicU32]> {
+    (0..n).map(|_| AtomicU32::new(0)).collect()
 }
 
 /// Instrumented mutex with the `parking_lot` API surface the kernels

@@ -2,7 +2,7 @@
 //! wrappers that compile to nothing.
 
 pub use std::sync::atomic::{
-    fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicUsize, Ordering,
+    fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering,
 };
 
 pub use parking_lot::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
@@ -76,4 +76,13 @@ pub fn zeroed_atomic_u64_slice(n: usize) -> Box<[AtomicU64]> {
     // be reinterpreted in place; Box ownership transfers via the raw
     // pointer round-trip without double-free.
     unsafe { Box::from_raw(Box::into_raw(plain) as *mut [AtomicU64]) }
+}
+
+/// [`zeroed_atomic_u64_slice`] for `AtomicU32` — the reservation table's
+/// 4-byte chain heads and journal cells.
+pub fn zeroed_atomic_u32_slice(n: usize) -> Box<[AtomicU32]> {
+    let plain: Box<[u32]> = vec![0u32; n].into_boxed_slice();
+    // SAFETY: as above — AtomicU32 has the size and alignment of u32 and
+    // every bit pattern is valid, so the slice is reinterpreted in place.
+    unsafe { Box::from_raw(Box::into_raw(plain) as *mut [AtomicU32]) }
 }

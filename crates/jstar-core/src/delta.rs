@@ -25,7 +25,7 @@
 //!   entirely — the predecessor of this design, a single shared MPMC
 //!   `SegQueue`, serialised every worker `put` on one queue head.)
 
-use crate::fxhash::{hash_seq, FxBuildHasher};
+use crate::fxhash::{FxBuildHasher, FxHasher};
 use crate::orderby::{KeyPart, OrderKey};
 use crate::tuple::Tuple;
 use jstar_pool::{TaskBatch, ThreadPool};
@@ -36,6 +36,7 @@ use jstar_check::sync::{AtomicUsize, Mutex, Ordering};
 use std::borrow::Borrow;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashSet};
+use std::hash::Hasher;
 
 /// Tuple sets throughout the Delta structures use the crate's Fx hasher:
 /// dedup hashes every staged tuple, so SipHash setup cost per insert is
@@ -61,39 +62,37 @@ impl DeltaNode {
         self.here.is_empty() && self.children.is_empty()
     }
 
-    fn insert(&mut self, key: &[KeyPart], tuple: Tuple) -> bool {
-        match key.first() {
+    /// Inserts `tuple` at `key`, this node being `depth` levels down it.
+    fn insert(&mut self, key: &OrderKey, depth: usize, tuple: Tuple) -> bool {
+        match key.part(depth) {
             None => self.here.insert(tuple),
-            Some(part) => {
-                // Look up by reference first: the common case on a hot
-                // workload (Dijkstra re-putting Estimates at an existing
-                // distance) hits an existing child, so the `KeyPart` clone
-                // of the `entry` API would be pure waste.
-                match self.children.get_mut(part) {
-                    Some(child) => child.insert(&key[1..], tuple),
-                    None => self
-                        .children
-                        .entry(part.clone())
-                        .or_default()
-                        .insert(&key[1..], tuple),
-                }
-            }
+            // One descent when the child exists — the common case on a
+            // hot workload (Dijkstra re-putting Estimates at an existing
+            // distance) — and a second, by `entry`, only to create it.
+            Some(part) => match self.children.get_mut(&part) {
+                Some(child) => child.insert(key, depth + 1, tuple),
+                None => self
+                    .children
+                    .entry(part)
+                    .or_default()
+                    .insert(key, depth + 1, tuple),
+            },
         }
     }
 
-    fn contains(&self, key: &[KeyPart], tuple: &Tuple) -> bool {
-        match key.first() {
+    fn contains(&self, key: &OrderKey, depth: usize, tuple: &Tuple) -> bool {
+        match key.part(depth) {
             None => self.here.contains(tuple),
             Some(part) => self
                 .children
-                .get(part)
-                .is_some_and(|c| c.contains(&key[1..], tuple)),
+                .get(&part)
+                .is_some_and(|c| c.contains(key, depth + 1, tuple)),
         }
     }
 
     /// Removes and returns the minimal equivalence class below this node,
     /// appending the path to `path`. Prunes nodes emptied by the removal.
-    fn pop_min(&mut self, path: &mut Vec<KeyPart>) -> Option<Vec<Tuple>> {
+    fn pop_min(&mut self, path: &mut OrderKey) -> Option<Vec<Tuple>> {
         // Tuples ending at this node order before everything in children
         // (a strict prefix is causally earlier).
         if !self.here.is_empty() {
@@ -210,7 +209,7 @@ fn build_subtree(mut run: Vec<(OrderKey, Tuple)>, n_tables: usize) -> Built {
     let mut len = 0usize;
     for (key, t) in run.drain(..) {
         let ti = t.table().index();
-        if subtree.insert(&key.0, t) {
+        if subtree.insert(&key, 0, t) {
             per_table[ti] += 1;
             len += 1;
         }
@@ -298,7 +297,7 @@ impl DeltaTree {
     /// Inserts a tuple at its order key. Returns false when an identical
     /// tuple already waits at the same position (set semantics).
     pub fn insert(&mut self, key: &OrderKey, tuple: Tuple) -> bool {
-        let fresh = self.root.insert(&key.0, tuple);
+        let fresh = self.root.insert(key, 0, tuple);
         if fresh {
             self.len += 1;
         }
@@ -307,7 +306,7 @@ impl DeltaTree {
 
     /// True if the identical tuple is already queued at `key`.
     pub fn contains(&self, key: &OrderKey, tuple: &Tuple) -> bool {
-        self.root.contains(&key.0, tuple)
+        self.root.contains(key, 0, tuple)
     }
 
     /// Removes and returns the minimal equivalence class: the set of all
@@ -319,10 +318,10 @@ impl DeltaTree {
         if self.len == 0 {
             return None;
         }
-        let mut path = Vec::new();
+        let mut path = OrderKey::minimum();
         let class = self.root.pop_min(&mut path)?;
         self.len -= class.len();
-        Some((OrderKey(path), class))
+        Some((path, class))
     }
 
     /// Visits every queued tuple non-destructively, in no particular
@@ -583,7 +582,9 @@ impl ShardedInbox {
         if self.mask == 0 {
             return 0;
         }
-        (hash_seq(key.0.iter().take(self.prefix_len)) as usize) & self.mask
+        let mut h = FxHasher::default();
+        key.hash_prefix(self.prefix_len, &mut h);
+        (h.finish() as usize) & self.mask
     }
 
     /// Stages a tuple produced during the current step. `shard` must be
@@ -702,7 +703,7 @@ mod tests {
     use crate::value::Value;
 
     fn key(parts: &[KeyPart]) -> OrderKey {
-        OrderKey(parts.to_vec())
+        OrderKey::from_parts(parts.iter().cloned())
     }
 
     fn tup(table: u32, v: i64) -> Tuple {
@@ -710,7 +711,7 @@ mod tests {
     }
 
     fn skey(strat: u32, s: i64) -> OrderKey {
-        key(&[KeyPart::Strat(strat), KeyPart::Seq(Value::Int(s))])
+        key(&[KeyPart::Strat(strat), KeyPart::Int(s)])
     }
 
     fn empty_runs(inbox: &ShardedInbox) -> Vec<Vec<(OrderKey, Tuple)>> {
@@ -783,7 +784,7 @@ mod tests {
         // are causally earlier.
         let mut tree = DeltaTree::new();
         let short = key(&[KeyPart::Strat(0)]);
-        let long = key(&[KeyPart::Strat(0), KeyPart::Seq(Value::Int(0))]);
+        let long = key(&[KeyPart::Strat(0), KeyPart::Int(0)]);
         tree.insert(&long, tup(1, 1));
         tree.insert(&short, tup(0, 0));
         let (k1, _) = tree.pop_min_class().unwrap();
@@ -816,8 +817,8 @@ mod tests {
         let mut last = i64::MIN;
         let mut steps = 0;
         while let Some((k, class)) = tree.pop_min_class() {
-            let d = match &k.0[1] {
-                KeyPart::Seq(Value::Int(d)) => *d,
+            let d = match k.part(1) {
+                Some(KeyPart::Int(d)) => d,
                 _ => unreachable!(),
             };
             assert!(d >= last, "keys must be non-decreasing");
@@ -1200,7 +1201,7 @@ mod model_tests {
     }
 
     fn skey(s: i64) -> OrderKey {
-        OrderKey(vec![KeyPart::Strat(0), KeyPart::Seq(Value::Int(s))])
+        OrderKey::from_parts([KeyPart::Strat(0), KeyPart::Int(s)])
     }
 
     /// The pipelined coordinator's mid-step epoch close racing a worker

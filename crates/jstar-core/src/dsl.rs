@@ -223,6 +223,13 @@ macro_rules! jstar_table {
             fn into_values(self) -> ::std::vec::Vec<$crate::value::Value> {
                 ::std::vec![ $( $crate::relation::FieldValue::into_value(self.$n), )* ]
             }
+
+            fn into_tuple(self, table: $crate::schema::TableId) -> $crate::tuple::Tuple {
+                $crate::tuple::Tuple::from_fields(
+                    table,
+                    [ $( $crate::relation::FieldValue::into_value(self.$n), )* ],
+                )
+            }
         }
 
         #[allow(non_upper_case_globals)]
@@ -343,6 +350,13 @@ macro_rules! relation {
 
             fn into_values(self) -> ::std::vec::Vec<$crate::value::Value> {
                 ::std::vec![ $( $crate::relation::FieldValue::into_value(self.$n), )* ]
+            }
+
+            fn into_tuple(self, table: $crate::schema::TableId) -> $crate::tuple::Tuple {
+                $crate::tuple::Tuple::from_fields(
+                    table,
+                    [ $( $crate::relation::FieldValue::into_value(self.$n), )* ],
+                )
             }
         }
 

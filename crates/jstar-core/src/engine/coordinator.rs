@@ -153,7 +153,7 @@ impl Engine {
     /// Typed [`Engine::inject`]: queues an external event relation.
     pub fn inject_rel<R: Relation>(&mut self, row: R) {
         let id = self.state.program.handle::<R>().id();
-        self.injected.push(Tuple::new(id, row.into_values()));
+        self.injected.push(row.into_tuple(id));
     }
 
     /// Runs the program to quiescence (empty Delta set).
@@ -198,6 +198,8 @@ impl Engine {
             .collect();
         let scheduler = Scheduler::new(self.config.inline_class_threshold)
             .with_delta_join(self.config.delta_join_threshold, join_tables);
+        // Insert outcomes of the classes the coordinator runs inline.
+        let mut class_outcomes = Vec::new();
         let mut steps: u64 = 0;
         let mut checkpoints: u64 = 0;
         let mut checkpoint_time = Duration::ZERO;
@@ -267,7 +269,7 @@ impl Engine {
                             // wakeup, no per-task notify storm.
                             s.spawn_batch(class.chunks(chunk).map(|piece| {
                                 move |_: &jstar_pool::Scope<'_>| {
-                                    insert_and_fire(state, Some(key), piece);
+                                    insert_and_fire(state, Some(key), piece, &mut Vec::new());
                                 }
                             }));
                             // Join the class from inside the scope,
@@ -285,7 +287,7 @@ impl Engine {
                         if sort {
                             class.sort();
                         }
-                        insert_and_fire(state, Some(&key), &class);
+                        insert_and_fire(state, Some(&key), &class, &mut class_outcomes);
                     }
                 }
             }

@@ -283,7 +283,7 @@ impl<'a> RuleCtx<'a> {
     /// Typed [`RuleCtx::put`]: encodes `row` and puts it.
     pub fn put_rel<R: Relation>(&self, row: R) {
         let id = self.rel::<R>().id();
-        self.put(Tuple::new(id, row.into_values()));
+        self.put(row.into_tuple(id));
     }
 
     /// Typed [`RuleCtx::query`]: collects and decodes every match.

@@ -17,12 +17,20 @@
 //! emptied and the flush loops, so a `-noDelta` cascade costs no stack.
 //! What is deferred is only when *other* threads see the put, and
 //! intra-class visibility across threads was never specified.
+//!
+//! What a put costs in memory: a typed put builds its row straight from
+//! the struct ([`crate::relation::Relation::into_tuple`] — one allocation,
+//! see [`crate::tuple`]), its order key is a plain value computed in place
+//! ([`QueryPlan::key_for`], [`crate::orderby`]), and a flush's outcome
+//! buffer lives in the staging slot between flushes — so the put that
+//! Fig. 5 makes per finalised vertex, flushed alone because the rule
+//! queries right after it, allocates the row and nothing else.
 
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
 use crate::gamma::leapfrog::{self, Root, Stage};
 use crate::gamma::{ColumnIndex, Gamma, InsertOutcome};
-use crate::orderby::{OrderKey, ResolvedComponent, ResolvedOrderBy};
+use crate::orderby::{KeyPart, OrderKey, ResolvedComponent, ResolvedOrderBy};
 use crate::program::Program;
 use crate::query::Query;
 use crate::rule::{JoinPlan, JoinStage, Rule};
@@ -65,17 +73,12 @@ impl QueryPlan {
             .iter()
             .all(|c| !matches!(c, ResolvedComponent::Seq { .. }));
         let const_key = tuple_independent.then(|| {
-            let mut parts = Vec::new();
-            for c in &orderby.components {
-                match c {
-                    ResolvedComponent::Strat { rank, .. } => {
-                        parts.push(crate::orderby::KeyPart::Strat(*rank))
-                    }
-                    ResolvedComponent::Seq { .. } => unreachable!("tuple-independent"),
-                    ResolvedComponent::Par { .. } => break,
-                }
-            }
-            OrderKey(parts)
+            let strata = orderby.components.iter().map_while(|c| match c {
+                ResolvedComponent::Strat { rank, .. } => Some(KeyPart::Strat(*rank)),
+                ResolvedComponent::Seq { .. } => unreachable!("tuple-independent"),
+                ResolvedComponent::Par { .. } => None,
+            });
+            OrderKey::from_parts(strata)
         });
         QueryPlan {
             orderby: orderby.clone(),
@@ -120,6 +123,10 @@ pub(super) struct StagingSlot(Mutex<Staged>);
 #[derive(Default)]
 struct Staged {
     tuples: Vec<Tuple>,
+    /// The outcome buffer the slot's flushes hand to [`insert_and_fire`]:
+    /// kept here between flushes, so a flush of one `Done` tuple (every
+    /// `dijkstra` firing makes one) allocates nothing.
+    outcomes: Vec<InsertOutcome>,
     /// Flushes of this slot in progress: puts made by the rules a flush
     /// fires are picked up by its loop instead of starting a nested one.
     flushes: usize,
@@ -184,8 +191,8 @@ pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t:
     if state.enforce_causality && trigger_key.cmp(&key) == CmpOrdering::Greater {
         state.record_error(JStarError::CausalityViolation {
             rule: rule.to_string(),
-            trigger_key: trigger_key.clone(),
-            put_key: key.into_owned(),
+            trigger_key: Box::new(trigger_key.clone()),
+            put_key: Box::new(key.into_owned()),
             tuple: t.to_string(),
         });
         return;
@@ -214,13 +221,15 @@ pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t:
 /// it reads — so only a cascade that queries between puts recurses.
 pub(super) fn flush_staged(state: &RunState, shard: usize, nest: bool) -> bool {
     let slot = &state.staged[shard].0;
-    {
+    let mut outcomes = {
         let mut slot = slot.lock();
         if slot.tuples.is_empty() || (slot.flushes > 0 && !nest) {
             return false;
         }
         slot.flushes += 1;
-    }
+        // A nested flush finds the buffer taken and works with a fresh one.
+        std::mem::take(&mut slot.outcomes)
+    };
     let mut batch = Vec::new();
     loop {
         {
@@ -229,11 +238,12 @@ pub(super) fn flush_staged(state: &RunState, shard: usize, nest: bool) -> bool {
             std::mem::swap(&mut slot.tuples, &mut batch);
             if batch.is_empty() {
                 slot.flushes -= 1;
+                slot.outcomes = outcomes;
                 return true;
             }
         }
         // Each tuple's own key is its rules' trigger key (`None`).
-        insert_and_fire(state, None, &batch);
+        insert_and_fire(state, None, &batch, &mut outcomes);
         batch.clear();
     }
 }
@@ -299,18 +309,23 @@ fn insert_run(
 /// one batch before its rules fire. Rule contexts borrow the key — zero
 /// copies per trigger. What a tuple's firings staged is flushed as they
 /// return: the sequential engine's schedule is what it was when a
-/// `-noDelta` put inserted at once.
-pub(super) fn insert_and_fire(state: &RunState, key: Option<&OrderKey>, tuples: &[Tuple]) {
+/// `-noDelta` put inserted at once. `outcomes` is scratch: the caller's
+/// to keep between calls, overwritten by every run.
+pub(super) fn insert_and_fire(
+    state: &RunState,
+    key: Option<&OrderKey>,
+    tuples: &[Tuple],
+    outcomes: &mut Vec<InsertOutcome>,
+) {
     let shard = state.staging_shard();
-    let mut outcomes = Vec::new();
     for run in tuples.chunk_by(|a, b| a.table() == b.table()) {
         let ti = run[0].table().index();
         let rules = &state.program.rules_by_trigger()[ti];
-        if insert_run(state, shard, run, &mut outcomes) == 0 || rules.is_empty() {
+        if insert_run(state, shard, run, outcomes) == 0 || rules.is_empty() {
             continue;
         }
         let fresh = |(_, o): &(&Tuple, &InsertOutcome)| **o == InsertOutcome::Fresh;
-        for (t, _) in run.iter().zip(&outcomes).filter(fresh) {
+        for (t, _) in run.iter().zip(outcomes.iter()).filter(fresh) {
             let key = key.map_or_else(|| state.plans[ti].key_for(t), Cow::Borrowed);
             for &ri in rules {
                 let rule = &state.program.rules()[ri];

@@ -10,10 +10,12 @@ pub enum JStarError {
     Stratification(String),
     /// A rule `put` a tuple into the past at run time — the Law of
     /// Causality was violated (§4).
+    /// (The keys are boxed: an [`OrderKey`] is an inline 72-byte value,
+    /// and two of them would make every `Result` in the crate that wide.)
     CausalityViolation {
         rule: String,
-        trigger_key: OrderKey,
-        put_key: OrderKey,
+        trigger_key: Box<OrderKey>,
+        put_key: Box<OrderKey>,
         tuple: String,
     },
     /// A primary-key (`->`) invariant was violated: two tuples with the
@@ -105,8 +107,8 @@ mod tests {
 
         let e = JStarError::CausalityViolation {
             rule: "move".into(),
-            trigger_key: OrderKey::minimum(),
-            put_key: OrderKey::minimum(),
+            trigger_key: Box::new(OrderKey::minimum()),
+            put_key: Box::new(OrderKey::minimum()),
             tuple: "Ship(0)".into(),
         };
         let msg = e.to_string();

@@ -28,6 +28,12 @@
 //!    matching `RESERVED` slot holds spins for the handful of
 //!    instructions between claim and publish.
 //!
+//! **A slot is 24 bytes in two arrays**: the 8-byte tag, and a 16-byte
+//! [`Payload`] — the tuple (one thin pointer to the row's one allocation,
+//! see [`crate::tuple`]), the high half of its secondary hash and its
+//! chain link — so a probe that matches reaches the row's fields in two
+//! cache lines beyond the tag's.
+//!
 //! **Batches.** Tuples arrive in batches ([`ReservationTable::insert_batch`];
 //! `insert` is the batch of one), and a batch runs the three steps above
 //! per tuple, unchanged, in blocks of 32. What a block does once instead
@@ -44,14 +50,25 @@
 //! ([`Padded`]), away from the pointers and masks every probe reads: a
 //! stand-alone 140,160-tuple insert loop cost 116 ns/tuple on one thread
 //! and 383 ns per thread on two with those writes per tuple on shared
-//! lines, 76 ns/tuple on two threads without them.
+//! lines, 76 ns/tuple on two threads without them. A batch of fewer than
+//! [`SMALL_BATCH`] tuples has nothing to overlap or amortise and takes
+//! the block of one per tuple instead (Fig. 5's rule puts one `Done` and
+//! then queries, so every `Done` is flushed alone).
 //!
-//! An optional **secondary chain index** (one atomic head per hash
-//! bucket, entries linked after publication) gives the stores their
-//! query narrowing — the hash store's index-key buckets and the
-//! concurrent store's first-column narrowing — without reintroducing a
-//! lock: a chain push is one CAS, and a chain link always points at a
-//! fully published slot.
+//! An optional **secondary chain index** gives the stores their query
+//! narrowing — the hash store's index-key buckets and the concurrent
+//! store's first-column narrowing — without reintroducing a lock: a
+//! chain push is one CAS, and a chain link always points at a fully
+//! published slot. The chains are **per segment, sized with it**: each
+//! segment of an indexed table owns one 4-byte head per slot, a slot is
+//! linked (after publication) into the bucket of *its own* segment, and
+//! links are slot offsets within that segment. A scan walks segment 0's
+//! bucket for its hash, then segment 1's, and so on. With as many heads
+//! as slots, a bucket holds little more than the tuples that share the
+//! scanned key, whatever the table has grown to; with fewer heads than
+//! the table has distinct index keys, every scan is a walk over
+//! strangers (16,384 heads under `dijkstra`'s 40,000 edge sources: seven
+//! hops for two matches).
 //!
 //! Slots are never reused: `retain` flips rejected slots to `TOMBSTONE`
 //! (readers skip them; probes walk past them) and the tuple memory is
@@ -68,7 +85,7 @@ use crate::tuple::Tuple;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
-use jstar_check::sync::{AtomicPtr, AtomicU64, AtomicUsize, Ordering, UnsafeCell};
+use jstar_check::sync::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering, UnsafeCell};
 use std::mem::MaybeUninit;
 
 /// Tag states, packed into the low 2 bits of the tag word; the high 62
@@ -101,6 +118,11 @@ const MAX_SEGMENTS: usize = 16;
 /// lines (two per tuple) are still in L1 when the claim loop reaches them.
 const BATCH_BLOCK: usize = 32;
 
+/// Batches shorter than this go through the block of one, tuple by
+/// tuple: the 32-wide block's scratch arrays, prefetch pass and ranged
+/// journal claim cost more than they save on one to three tuples.
+const SMALL_BATCH: usize = 4;
+
 /// Floor for segment 0's capacity. Production keeps it generous (see
 /// [`ReservationTable::new`]); under `model-check` the floor drops to a
 /// handful of slots so each of the checker's thousands of explored
@@ -110,36 +132,60 @@ const MIN_INITIAL: usize = 1 << 17;
 #[cfg(feature = "model-check")]
 const MIN_INITIAL: usize = 1 << 4;
 
-/// Sentinel for "no next entry" in a secondary chain. Zero — so chain
-/// heads and slot payloads are valid in their all-zero state and
-/// segments can be allocated with `alloc_zeroed`, which hands back
-/// untouched (virtually zero) pages instead of memsetting megabytes per
-/// store at engine construction. Real chain ids are offset by one
-/// segment (see [`encode`]).
-const NIL: u64 = 0;
+/// Sentinel for "no entry" in a chain head, a chain link or a journal
+/// cell. Zero — so heads, payloads and journals are valid in their
+/// all-zero state and segments can be allocated with `alloc_zeroed`,
+/// which hands back untouched (virtually zero) pages instead of
+/// memsetting megabytes per store. Real entries are a slot's offset in
+/// its segment plus one (see [`link_of`]).
+const NIL: u32 = 0;
 
-/// Per-slot payload, parallel to the tag array. Written only by the
-/// slot's claimant between claim and publish.
+/// The chain-link / journal form of slot `idx` of a segment.
+#[inline]
+fn link_of(idx: usize) -> u32 {
+    // Segment capacities stay below 2^32 (asserted where a segment is
+    // allocated), so neither the cast nor the `+ 1` can wrap.
+    idx as u32 + 1
+}
+
+/// Per-slot payload, parallel to the tag array: 16 bytes. Written only
+/// by the slot's claimant between claim and publish (`next`: at link
+/// time, before the head CAS that makes it reachable).
 struct Payload {
-    /// Secondary (index) hash.
-    secondary: UnsafeCell<u64>,
-    /// Next slot id in the secondary chain (encoded segment/offset).
-    next: AtomicU64,
     /// The tuple; initialised iff the tag is `PUBLISHED` or `TOMBSTONE`.
     tuple: UnsafeCell<MaybeUninit<Tuple>>,
+    /// High 32 bits of the secondary (index) hash — the low bits chose
+    /// the bucket. A filter only: it spares a scan the row's cache line
+    /// for most strangers in its bucket, and every caller re-checks a
+    /// visited tuple against its query.
+    secondary: UnsafeCell<u32>,
+    /// Next slot in this bucket's chain, as [`link_of`] of its offset in
+    /// the same segment; [`NIL`] ends the chain.
+    next: AtomicU32,
+}
+
+/// What a slot stores of its secondary hash.
+#[inline]
+fn secondary_filter(secondary: u64) -> u32 {
+    (secondary >> 32) as u32
 }
 
 struct Segment {
     /// state|hash tag per slot — the only memory a probe step touches.
     tags: Box<[AtomicU64]>,
     payload: Box<[Payload]>,
-    /// Claim journal: `slot offset + 1` per claimed slot, appended at
+    /// Claim journal: [`link_of`] each claimed slot, appended at
     /// publish time. Full scans (`for_each`, `retain`, drop) walk the
     /// journal's `cursor` prefix instead of the whole slot array — a
     /// generously-sized segment holding a handful of tuples is iterated
     /// in O(live), not O(capacity). Entry 0 means "append in flight":
     /// readers skip it (the insert has not returned yet).
-    journal: Box<[AtomicU64]>,
+    journal: Box<[AtomicU32]>,
+    /// Secondary chain heads, one per slot — `None` when the owner never
+    /// scans by secondary hash. A head holds [`link_of`] the bucket's
+    /// newest slot. Zeroed with the segment, so a table that stores
+    /// nothing, and a store at engine construction, pay nothing for them.
+    heads: Option<Box<[AtomicU32]>>,
     /// Journal cells reserved so far. On its own cache lines: the
     /// headers around it are read by every probe of every thread, and
     /// inserts write it.
@@ -163,11 +209,16 @@ fn zeroed_atomics(n: usize) -> Box<[AtomicU64]> {
     jstar_check::sync::zeroed_atomic_u64_slice(n)
 }
 
+/// [`zeroed_atomics`] for the 4-byte chain heads and journal cells.
+fn zeroed_links(n: usize) -> Box<[AtomicU32]> {
+    jstar_check::sync::zeroed_atomic_u32_slice(n)
+}
+
 fn zeroed_payload(n: usize) -> Box<[Payload]> {
     // lint: allow(expect): capacity is bounded by MAX_SEGMENTS growth —
     // the layout cannot overflow before addressable memory runs out.
     let layout = std::alloc::Layout::array::<Payload>(n).expect("payload layout");
-    // SAFETY: the all-zero bit pattern is a valid Payload (secondary 0,
+    // SAFETY: the all-zero bit pattern is a valid Payload (filter 0,
     // next NIL, tuple uninitialised — only read once the tag says
     // PUBLISHED; the jstar-check shim types guarantee zero-validity as
     // part of their contract), and alloc_zeroed returns zeroed memory
@@ -182,11 +233,12 @@ fn zeroed_payload(n: usize) -> Box<[Payload]> {
 }
 
 impl Segment {
-    fn new(capacity: usize) -> Segment {
+    fn new(capacity: usize, with_index: bool) -> Segment {
         Segment {
             tags: zeroed_atomics(capacity),
             payload: zeroed_payload(capacity),
-            journal: zeroed_atomics(capacity),
+            journal: zeroed_links(capacity),
+            heads: with_index.then(|| zeroed_links(capacity)),
             cursor: Padded(AtomicUsize::new(0)),
             mask: capacity - 1,
         }
@@ -207,7 +259,7 @@ impl Segment {
             // ord: Release — orders the slot's publication (its tag
             // store, earlier in program order) before the entry becomes
             // readable to journal walkers that acquire it.
-            cell.store(idx as u64 + 1, Ordering::Release);
+            cell.store(link_of(idx), Ordering::Release);
         }
     }
 }
@@ -253,10 +305,27 @@ pub(crate) struct ReservationTable {
     /// (slots are never reused). The stores' quiescent-point compaction
     /// watches this against `len` to decide when a rebuild pays.
     dead: Padded<AtomicUsize>,
-    /// Secondary chain heads (`None` when the owner never scans by
-    /// secondary hash).
-    index_heads: Option<Box<[AtomicU64]>>,
-    index_mask: usize,
+    /// Whether segments carry secondary chain heads.
+    with_index: bool,
+}
+
+/// What a slot of [`ReservationTable::segments`] holds while one thread
+/// allocates that segment: not null (so nobody else allocates it too),
+/// not a segment (never dereferenced — every load goes through
+/// [`installed`]).
+const ALLOCATING: *mut Segment = std::ptr::without_provenance_mut(1);
+
+/// The segment behind a loaded `segments` pointer, if one is installed.
+#[inline]
+fn installed<'a>(ptr: *mut Segment) -> Option<&'a Segment> {
+    if ptr == ALLOCATING {
+        return None;
+    }
+    // SAFETY: null aside (`as_ref` maps it to None), a pointer that is not
+    // the sentinel was installed by `segment_or_alloc` from a live Box and
+    // is freed only when the table drops; callers bound `'a` by their
+    // borrow of the table.
+    unsafe { ptr.as_ref() }
 }
 
 // SAFETY: all shared mutation goes through the atomics; the UnsafeCells
@@ -294,6 +363,44 @@ fn prefetch(p: *const u8) {
     let _ = p;
 }
 
+/// One turn of waiting for another thread's few instructions (a slot's
+/// claim→publish window, a segment's allocation): spin, and once that
+/// has not been enough — the other thread was preempted — yield rather
+/// than burn the core.
+#[inline]
+fn backoff(spins: &mut u32) {
+    *spins += 1;
+    if *spins < 64 {
+        jstar_check::sync::spin_loop();
+    } else {
+        jstar_check::sync::yield_now();
+    }
+}
+
+/// Links published slot `idx` of `seg` into its bucket of `seg`'s own
+/// chain heads. The link CAS is a release, so a reader that acquires the
+/// head sees the slot fully published.
+fn link_index(seg: &Segment, heads: &[AtomicU32], secondary: u64, idx: usize) {
+    let head = &heads[(secondary as usize) & seg.mask];
+    let payload = &seg.payload[idx];
+    // ord: Acquire — the predecessor slot we link in front of must be
+    // fully published before chain walkers can reach it via us.
+    let mut current = head.load(Ordering::Acquire);
+    loop {
+        // ord: Relaxed — `next` only becomes reachable through the head
+        // CAS below, whose Release publishes it.
+        payload.next.store(current, Ordering::Relaxed);
+        // ord: AcqRel/Acquire — Release publishes our `next` write (and
+        // our already-published slot) to scanners' Acquire head loads;
+        // Acquire re-reads the new predecessor on retry.
+        match head.compare_exchange_weak(current, link_of(idx), Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => return,
+            Err(actual) => current = actual,
+        }
+    }
+}
+
 impl ReservationTable {
     /// Creates a table with `capacity_hint` rounded up to a power of two
     /// (minimum 2^17 slots) as the first segment size. The floor is
@@ -301,23 +408,20 @@ impl ReservationTable {
     /// full-path walk in each filled earlier segment, so staying in one
     /// segment is worth the ~5 MB of lazily-mapped (`alloc_zeroed`, so
     /// untouched pages stay virtual) address space per table that
-    /// actually stores tuples. `with_index` allocates the secondary
-    /// chain heads.
+    /// actually stores tuples. `with_index` gives every segment its
+    /// secondary chain heads — one per slot, because a chain is only as
+    /// short as its key's multiplicity while the table has no more
+    /// distinct index keys than heads (module docs).
     pub fn new(capacity_hint: usize, with_index: bool) -> ReservationTable {
         let initial = capacity_hint
             .clamp(MIN_INITIAL, 1 << 22)
             .next_power_of_two();
-        // Chain heads only spread chains across buckets; they need not
-        // scale with the slot table (chain *length* is set by how many
-        // tuples share an index key, not by head count).
-        let index_cap = initial.min(1 << 14);
         ReservationTable {
             segments: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
             initial,
             len: Padded(AtomicUsize::new(0)),
             dead: Padded(AtomicUsize::new(0)),
-            index_heads: with_index.then(|| zeroed_atomics(index_cap)),
-            index_mask: index_cap - 1,
+            with_index,
         }
     }
 
@@ -337,40 +441,58 @@ impl ReservationTable {
     }
 
     fn segment(&self, k: usize) -> Option<&Segment> {
-        // ord: Acquire — pairs with the installer's AcqRel CAS so the
+        // ord: Acquire — pairs with the allocator's Release install so the
         // segment's freshly allocated arrays are visible before use.
-        let ptr = self.segments[k].load(Ordering::Acquire);
-        // SAFETY: segments are only ever installed (never freed before
-        // the table drops), so a non-null pointer stays valid for &self.
-        unsafe { ptr.as_ref() }
+        installed(self.segments[k].load(Ordering::Acquire))
     }
 
-    /// Returns segment `k`, allocating (and racing to install) it if
-    /// missing.
+    /// Returns segment `k`, allocating it if missing. **One allocator per
+    /// segment**: the thread whose CAS turns the null slot into
+    /// [`ALLOCATING`] allocates and installs; every other thread that
+    /// finds the segment missing waits for that install instead of
+    /// allocating (and zeroing, and freeing) megabytes of its own.
     fn segment_or_alloc(&self, k: usize) -> &Segment {
-        if let Some(seg) = self.segment(k) {
-            return seg;
-        }
-        let fresh = Box::into_raw(Box::new(Segment::new(self.capacity_of(k))));
-        // ord: AcqRel on success — Release publishes the segment's arrays
-        // to other threads' Acquire loads, Acquire orders our own later
-        // slot accesses after the install. Acquire on failure — we adopt
-        // the winner's segment and must see its contents.
-        match self.segments[k].compare_exchange(
-            std::ptr::null_mut(),
-            fresh,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            // SAFETY: we just installed it; never freed while the table
-            // lives.
-            Ok(_) => unsafe { &*fresh },
-            Err(winner) => {
-                // SAFETY: `fresh` was never shared.
-                drop(unsafe { Box::from_raw(fresh) });
-                // SAFETY: as in `segment`.
-                unsafe { &*winner }
+        let slot = &self.segments[k];
+        let mut spins = 0u32;
+        loop {
+            // ord: Acquire — as in `segment`.
+            let ptr = slot.load(Ordering::Acquire);
+            if let Some(seg) = installed(ptr) {
+                return seg;
             }
+            if ptr.is_null() {
+                let capacity = self.capacity_of(k);
+                // Offsets travel as `u32` links (`link_of`). Checked before
+                // the claim: a claim that never installs would strand the
+                // waiters.
+                assert!(
+                    capacity < 1 << 32,
+                    "segment {k} of {capacity} slots exceeds the 32-bit link space"
+                );
+                // ord: Relaxed/Relaxed — the claim publishes nothing (the
+                // sentinel is never dereferenced) and a lost claim just
+                // re-reads the slot with Acquire on the next turn.
+                let claim = slot.compare_exchange(
+                    std::ptr::null_mut(),
+                    ALLOCATING,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                );
+                if claim.is_ok() {
+                    #[cfg(test)]
+                    SEGMENT_ALLOCS.with(|n| n.set(n.get() + 1));
+                    let fresh = Box::into_raw(Box::new(Segment::new(capacity, self.with_index)));
+                    // ord: Release — publishes the segment's arrays to
+                    // the Acquire loads above and in `segment`.
+                    slot.store(fresh, Ordering::Release);
+                    // SAFETY: installed just now from a live Box; freed
+                    // only when the table drops.
+                    return unsafe { &*fresh };
+                }
+                continue;
+            }
+            // ALLOCATING: the claimant is inside `Segment::new`.
+            backoff(&mut spins);
         }
     }
 
@@ -399,14 +521,7 @@ impl ReservationTable {
             if t & STATE_MASK != RESERVED {
                 return t;
             }
-            spins += 1;
-            if spins < 64 {
-                jstar_check::sync::spin_loop();
-            } else {
-                // The claimant was preempted mid-publish; yield rather
-                // than burn the core.
-                jstar_check::sync::yield_now();
-            }
+            backoff(&mut spins);
         }
     }
 
@@ -433,7 +548,9 @@ impl ReservationTable {
     /// of one after another, and the two counters every insert shares
     /// with every other thread — `len` and the segment's journal
     /// `cursor` — are written once instead of once per tuple, with the
-    /// block's journal cells contiguous (see the module docs).
+    /// block's journal cells contiguous (see the module docs). A batch
+    /// of fewer than [`SMALL_BATCH`] tuples buys none of that and *is*
+    /// the loop.
     pub fn insert_batch(
         &self,
         def: &TableDef,
@@ -442,6 +559,13 @@ impl ReservationTable {
         outcomes: &mut [InsertOutcome],
     ) {
         assert_eq!(tuples.len(), outcomes.len(), "one outcome per tuple");
+        if tuples.len() < SMALL_BATCH {
+            for (t, out) in tuples.iter().zip(outcomes) {
+                let one = std::slice::from_ref(t);
+                self.insert_block::<1>(def, one, &mut hashes, std::slice::from_mut(out));
+            }
+            return;
+        }
         let blocks = tuples.chunks(BATCH_BLOCK);
         for (block, outs) in blocks.zip(outcomes.chunks_mut(BATCH_BLOCK)) {
             self.insert_block::<BATCH_BLOCK>(def, block, &mut hashes, outs);
@@ -479,16 +603,18 @@ impl ReservationTable {
             }
         }
 
-        // Chain id of the slot each fresh tuple was published into.
-        let mut slots = [NIL; N];
+        // Where each fresh tuple was published: its segment (`NOT_FRESH`
+        // for the others) and its slot's offset there.
+        const NOT_FRESH: u8 = u8::MAX;
+        let mut placed = [(NOT_FRESH, 0u32); N];
         let (mut fresh, mut touched) = (0usize, 0u32);
         for (i, t) in block.iter().enumerate() {
             let (primary, secondary) = hashed[i];
             outcomes[i] = match self.claim_publish(def, primary, secondary, t) {
-                Ok(id) => {
-                    slots[i] = id;
+                Ok((k, idx)) => {
+                    placed[i] = (k as u8, idx as u32);
                     fresh += 1;
-                    touched |= 1 << decode(id).0;
+                    touched |= 1 << k;
                     InsertOutcome::Fresh
                 }
                 Err(outcome) => outcome,
@@ -507,18 +633,18 @@ impl ReservationTable {
         while touched != 0 {
             let k = touched.trailing_zeros() as usize;
             touched &= touched - 1;
-            let here = |id: &&u64| **id != NIL && decode(**id).0 == k;
             // lint: allow(expect): a slot was just published in segment k.
             let seg = self.segment(k).expect("published slot's segment exists");
+            let here = |at: &&(u8, u32)| at.0 as usize == k;
             seg.journal_append(
-                slots.iter().filter(here).count(),
-                slots.iter().filter(here).map(|id| decode(*id).1),
+                placed.iter().filter(here).count(),
+                placed.iter().filter(here).map(|at| at.1 as usize),
             );
-        }
-        if self.index_heads.is_some() {
-            for (&id, &(_, secondary)) in slots.iter().zip(&hashed) {
-                if id != NIL {
-                    self.link_index(secondary, id);
+            if let Some(heads) = &seg.heads {
+                for (at, &(_, secondary)) in placed.iter().zip(&hashed) {
+                    if here(&at) {
+                        link_index(seg, heads, secondary, at.1 as usize);
+                    }
                 }
             }
         }
@@ -526,16 +652,16 @@ impl ReservationTable {
 
     /// The claim → write → publish protocol for one tuple: walks
     /// `primary`'s probe sequence, and either publishes a clone of `t`
-    /// into the first `EMPTY` slot (returning its chain id — the caller
-    /// journals and links it) or reports the duplicate / key conflict
-    /// met on the way.
+    /// into the first `EMPTY` slot (returning its segment and offset —
+    /// the caller journals and links it) or reports the duplicate / key
+    /// conflict met on the way.
     fn claim_publish(
         &self,
         def: &TableDef,
         primary: u64,
         secondary: u64,
         t: &Tuple,
-    ) -> Result<u64, InsertOutcome> {
+    ) -> Result<(usize, usize), InsertOutcome> {
         let keyed = def.key_arity.is_some();
         let my_hash = primary & HASH_MASK;
         for k in 0..MAX_SEGMENTS {
@@ -561,18 +687,22 @@ impl ReservationTable {
                             Ordering::Acquire,
                         ) {
                             Ok(_) => {
+                                // Cloned out here: the count bump is an
+                                // atomic of its own and must not run
+                                // inside the cell accesses below.
+                                let (filter, row) = (secondary_filter(secondary), t.clone());
                                 let payload = &seg.payload[idx];
                                 // SAFETY: the claim CAS makes this thread
                                 // the slot's unique writer; no reader
                                 // dereferences the payload until the
                                 // Release store below.
-                                payload.secondary.with_mut(|p| unsafe { *p = secondary });
-                                payload.tuple.with_mut(|p| unsafe { (*p).write(t.clone()) });
+                                payload.secondary.with_mut(|p| unsafe { *p = filter });
+                                payload.tuple.with_mut(|p| unsafe { (*p).write(row) });
                                 // ord: Release — publishes the payload
                                 // writes above; pairs with every reader's
                                 // Acquire load of this tag.
                                 tag.store(my_hash | PUBLISHED, Ordering::Release);
-                                return Ok(encode(k, idx));
+                                return Ok((k, idx));
                             }
                             Err(actual) => {
                                 // Lost the claim race: re-examine what
@@ -648,7 +778,9 @@ impl ReservationTable {
                 // SAFETY: the claim CAS makes this thread the slot's
                 // unique writer; no reader dereferences the payload
                 // before the Release store below.
-                payload.secondary.with_mut(|p| unsafe { *p = secondary });
+                payload
+                    .secondary
+                    .with_mut(|p| unsafe { *p = secondary_filter(secondary) });
                 payload.tuple.with_mut(|p| unsafe { (*p).write(t) });
                 // ord: Release — publishes the payload writes; pairs
                 // with readers' Acquire tag loads.
@@ -656,41 +788,13 @@ impl ReservationTable {
                 // ord: Relaxed — statistic only.
                 self.len.0.fetch_add(1, Ordering::Relaxed);
                 seg.journal_append(1, std::iter::once(idx));
-                if self.index_heads.is_some() {
-                    self.link_index(secondary, encode(k, idx));
+                if let Some(heads) = &seg.heads {
+                    link_index(seg, heads, secondary, idx);
                 }
                 return;
             }
         }
         unreachable!("reservation table exhausted {MAX_SEGMENTS} segments");
-    }
-
-    /// Links a published slot into its secondary chain. The link CAS is
-    /// a release, so a reader that acquires the head sees the slot fully
-    /// published.
-    fn link_index(&self, secondary: u64, id: u64) {
-        // lint: allow(expect): callers gate on index_heads.is_some().
-        let heads = self.index_heads.as_ref().expect("index allocated");
-        let head = &heads[(secondary as usize) & self.index_mask];
-        let (k, idx) = decode(id);
-        // lint: allow(expect): `id` encodes a slot this thread just
-        // published, so its segment is installed.
-        let payload = &self.segment(k).expect("own segment").payload[idx];
-        // ord: Acquire — the predecessor slot we link in front of must
-        // be fully published before chain walkers can reach it via us.
-        let mut current = head.load(Ordering::Acquire);
-        loop {
-            // ord: Relaxed — `next` only becomes reachable through the
-            // head CAS below, whose Release publishes it.
-            payload.next.store(current, Ordering::Relaxed);
-            // ord: AcqRel/Acquire — Release publishes our `next` write
-            // (and our already-published slot) to scanners' Acquire head
-            // loads; Acquire re-reads the new predecessor on retry.
-            match head.compare_exchange_weak(current, id, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
     }
 
     /// True if an identical tuple is published. `primary` as in
@@ -739,37 +843,44 @@ impl ReservationTable {
         }
     }
 
-    /// Walks the secondary chain of `secondary`, visiting published
-    /// tuples whose stored secondary hash matches; stop early by
-    /// returning `false`. Panics if the table was built without an
-    /// index.
+    /// Walks the chains of `secondary`'s bucket — segment 0's, then
+    /// segment 1's, … — visiting published tuples whose stored filter
+    /// matches; stop early by returning `false`. The filter is half the
+    /// hash: callers re-check what they are handed against their query.
+    /// Panics if the table was built without an index.
     pub fn scan_index(&self, secondary: u64, f: &mut dyn FnMut(&Tuple) -> bool) {
-        // lint: allow(expect): index-built stores only; the panic
-        // documents the API contract.
-        let heads = self.index_heads.as_ref().expect("index allocated");
-        // ord: Acquire — pairs with link_index's Release CAS: the head
-        // entry's slot and its `next` write are visible.
-        let mut id = heads[(secondary as usize) & self.index_mask].load(Ordering::Acquire);
-        while id != NIL {
-            let (k, idx) = decode(id);
-            // lint: allow(expect): chain ids are created after their
-            // slot's segment was installed.
-            let seg = self.segment(k).expect("linked slot's segment exists");
-            // Linked ⇒ published (links happen after publication); the
-            // tag read only distinguishes live from tombstoned.
-            // ord: Acquire — as in probe_primary.
-            let tag = seg.tags[idx].load(Ordering::Acquire);
-            let payload = &seg.payload[idx];
-            if tag & STATE_MASK == PUBLISHED
-                // SAFETY: acquire-observed published tag (both reads).
-                && payload.secondary.with(|p| unsafe { *p }) == secondary
-                && !f(unsafe { Self::tuple_of(payload) })
-            {
-                return;
+        assert!(
+            self.with_index,
+            "scan_index on a table built without an index"
+        );
+        let filter = secondary_filter(secondary);
+        for k in 0..MAX_SEGMENTS {
+            let Some(seg) = self.segment(k) else { return };
+            // (Every segment of an indexed table has heads.)
+            let Some(heads) = &seg.heads else { return };
+            // ord: Acquire — pairs with link_index's Release CAS: the head
+            // entry's slot and its `next` write are visible.
+            let mut link = heads[(secondary as usize) & seg.mask].load(Ordering::Acquire);
+            while link != NIL {
+                #[cfg(test)]
+                CHAIN_HOPS.with(|n| n.set(n.get() + 1));
+                let idx = (link - 1) as usize;
+                // Linked ⇒ published (links happen after publication); the
+                // tag read only distinguishes live from tombstoned.
+                // ord: Acquire — as in probe_primary.
+                let tag = seg.tags[idx].load(Ordering::Acquire);
+                let payload = &seg.payload[idx];
+                if tag & STATE_MASK == PUBLISHED
+                    // SAFETY: acquire-observed published tag (both reads).
+                    && payload.secondary.with(|p| unsafe { *p }) == filter
+                    && !f(unsafe { Self::tuple_of(payload) })
+                {
+                    return;
+                }
+                // ord: Acquire — chain traversal: the next entry's slot
+                // must be visible before we dereference it.
+                link = payload.next.load(Ordering::Acquire);
             }
-            // ord: Acquire — chain traversal: the next entry's slot must
-            // be visible before we dereference it.
-            id = payload.next.load(Ordering::Acquire);
         }
     }
 
@@ -833,20 +944,19 @@ impl ReservationTable {
     /// between the caller's partitioning and this walk.
     ///
     /// Unlike `for_each`, this walk prefetches a lookahead window:
-    /// each visit chases a journal → tag/payload → tuple heap → field
-    /// slice chain of dependent cache misses over hash-scattered
-    /// slots, and that latency — not the encode arithmetic — is what
-    /// dominates a snapshot of a large table. Issuing the chain's
-    /// loads a few entries ahead (deeper levels at shorter distances,
-    /// so each level's prefetch has landed before the next level reads
-    /// through it) overlaps the misses with the current tuple's
-    /// encode work.
+    /// each visit chases a journal → tag/payload → row chain of
+    /// dependent cache misses over hash-scattered slots, and that
+    /// latency — not the encode arithmetic — is what dominates a
+    /// snapshot of a large table. Issuing the chain's loads a few
+    /// entries ahead (the deeper level at the shorter distance, so the
+    /// slot's prefetch has landed before the row pointer is read
+    /// through it) overlaps the misses with the current tuple's encode
+    /// work. A row is one allocation — header and fields together — so
+    /// its one prefetch is the last level.
     pub fn for_each_journal_range(&self, lo: usize, hi: usize, f: &mut dyn FnMut(&Tuple)) {
-        // Lookahead distances: tag/payload cells first, then the
-        // tuple's heap block, then its field slice.
+        // Lookahead distances: tag/payload cells first, then the row.
         const PF_SLOT: usize = 32;
         const PF_TUPLE: usize = 16;
-        const PF_FIELDS: usize = 8;
         let mut base = 0usize;
         for k in 0..MAX_SEGMENTS {
             if base >= hi {
@@ -874,11 +984,10 @@ impl ReservationTable {
             };
             // Software pipeline: each position is resolved exactly once
             // — PF_TUPLE entries ahead of its visit, right after its
-            // slot prefetch has landed — and parked in a ring the later
-            // stages and the visit read back, instead of re-chasing the
-            // journal → tag → payload loads at every stage. The ring
-            // holds `PF_TUPLE` in-flight positions, so every reader
-            // distance must stay below that.
+            // slot prefetch has landed — and parked in a ring the visit
+            // reads back, instead of re-chasing the journal → tag →
+            // payload loads. The ring holds the `PF_TUPLE` in-flight
+            // positions.
             let mut ring: [Option<&Tuple>; PF_TUPLE] = [None; PF_TUPLE];
             for j in start..(start + PF_TUPLE).min(end) {
                 let t = tuple_at(j);
@@ -907,20 +1016,6 @@ impl ReservationTable {
                         prefetch(t.heap_ptr());
                     }
                     ring[j % PF_TUPLE] = t;
-                }
-                if j + PF_FIELDS < end {
-                    if let Some(t) = ring[(j + PF_FIELDS) % PF_TUPLE] {
-                        let fields = t.fields();
-                        let p = fields.as_ptr() as *const u8;
-                        prefetch(p);
-                        // A handful of 16-byte values spills past one
-                        // cache line.
-                        if fields.len() > 4 {
-                            // SAFETY: pointer math within (one past)
-                            // the live slice; never dereferenced.
-                            prefetch(unsafe { p.add(64) });
-                        }
-                    }
                 }
                 if let Some(t) = cur {
                     f(t);
@@ -1210,7 +1305,9 @@ impl Drop for ReservationTable {
     fn drop(&mut self) {
         for seg in &mut self.segments {
             let ptr = *seg.get_mut();
-            if !ptr.is_null() {
+            // (A slot left ALLOCATING — its claimant died inside
+            // `Segment::new` — owns nothing.)
+            if installed(ptr).is_some() {
                 // SAFETY: installed via Box::into_raw, dropped exactly
                 // once here.
                 drop(unsafe { Box::from_raw(ptr) });
@@ -1219,14 +1316,14 @@ impl Drop for ReservationTable {
     }
 }
 
-/// Encodes a (segment, offset) pair as a chain id. Segments are offset
-/// by one so that id 0 stays the [`NIL`] sentinel.
-fn encode(segment: usize, offset: usize) -> u64 {
-    ((segment as u64 + 1) << 56) | offset as u64
-}
-
-fn decode(id: u64) -> (usize, usize) {
-    ((id >> 56) as usize - 1, (id & ((1 << 56) - 1)) as usize)
+// Test-side counters, per thread (the test harness runs tests on threads
+// of their own, and the model checker's racers report theirs when they
+// finish): chain hops `scan_index` made, segments `segment_or_alloc`
+// allocated.
+#[cfg(test)]
+thread_local! {
+    static CHAIN_HOPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static SEGMENT_ALLOCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 #[cfg(test)]
@@ -1312,6 +1409,87 @@ mod tests {
         assert_eq!(got, 100);
     }
 
+    /// Chain length must follow the key's multiplicity, not the table's
+    /// size: 100,000 distinct index keys of two tuples each, and a scan
+    /// meets its own two tuples plus the few strangers that collide at
+    /// the segment's load. (A head array capped at 16,384 for the whole
+    /// table puts a dozen entries in every bucket here.)
+    #[test]
+    fn chains_stay_as_short_as_their_keys_multiplicity() {
+        let def = set_def();
+        let table = ReservationTable::new(1 << 17, true);
+        let keys = 100_000i64;
+        let row = |key: i64, n: i64| Tuple::new(TableId(0), vec![Value::Int(key), Value::Int(n)]);
+        for key in 0..keys {
+            for n in 0..2 {
+                let t = row(key, n);
+                let s = hash_values([t.get(0)]);
+                table.insert(&def, primary_of(&def, &t), s, t);
+            }
+        }
+        assert!(
+            table.segment(1).is_some() && table.segment(2).is_none(),
+            "200k tuples overflow the 2^17-slot first segment into the second"
+        );
+        CHAIN_HOPS.with(|n| n.set(0));
+        let probes = (0..keys).step_by(7);
+        let scans = probes.clone().count();
+        for key in probes {
+            // Exactly this key's tuples, wherever growth put them (the
+            // filter is half a hash: count by the field, as queries do).
+            let mut own = Vec::new();
+            table.scan_index(hash_values([&Value::Int(key)]), &mut |t| {
+                if t.int(0) == key {
+                    own.push(t.int(1));
+                }
+                true
+            });
+            own.sort();
+            assert_eq!(own, vec![0, 1], "key {key}");
+        }
+        let hops = CHAIN_HOPS.with(|n| n.get()) as f64 / scans as f64;
+        assert!(
+            hops <= 4.0,
+            "{hops:.2} hops per scan: chains hold other keys' tuples"
+        );
+    }
+
+    /// A key whose tuples straddle a growth boundary is scanned whole:
+    /// segment 0's chain, then segment 1's.
+    #[test]
+    fn a_scan_follows_its_key_across_segments() {
+        let def = set_def();
+        let table = ReservationTable::with_first_segment(16, true);
+        let row = |n: i64| Tuple::new(TableId(0), vec![Value::Int(n % 3), Value::Int(n)]);
+        for n in 0..90 {
+            let t = row(n);
+            let s = hash_values([t.get(0)]);
+            table.insert(&def, primary_of(&def, &t), s, t);
+        }
+        assert!(table.segment(2).is_some(), "90 tuples fill 16 + 64 slots");
+        for key in 0..3 {
+            let mut got = Vec::new();
+            table.scan_index(hash_values([&Value::Int(key)]), &mut |t| {
+                if t.int(0) == key {
+                    got.push(t.int(1));
+                }
+                true
+            });
+            got.sort();
+            let want: Vec<i64> = (0..90).filter(|n| n % 3 == key).collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    /// The slot layout the module docs promise (production types; the
+    /// model checker's instrumented cells are wider).
+    #[cfg(not(feature = "model-check"))]
+    #[test]
+    fn a_slot_payload_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Payload>(), 16);
+        assert_eq!(std::mem::size_of::<Tuple>(), 8);
+    }
+
     #[test]
     fn retain_tombstones_are_invisible_everywhere() {
         let def = set_def();
@@ -1363,6 +1541,17 @@ mod tests {
         });
         assert_eq!(fresh.load(Ordering::Relaxed), 500);
         assert_eq!(table.len(), 500);
+    }
+
+    #[test]
+    fn id_encoding_roundtrips() {
+        // A link is the slot's offset plus one: never NIL, and back again
+        // — up to the last offset of the largest segment allowed.
+        for off in [0usize, 17, (1 << 32) - 2] {
+            let link = link_of(off);
+            assert_ne!(link, NIL);
+            assert_eq!((link - 1) as usize, off);
+        }
     }
 
     #[test]
@@ -1453,13 +1642,6 @@ mod tests {
                 .insert(&def, primary_of(&def, &dup), 0, dup.clone()),
             InsertOutcome::Duplicate
         );
-    }
-
-    #[test]
-    fn id_encoding_roundtrips() {
-        for (k, off) in [(0usize, 0usize), (3, 17), (15, (1 << 30) - 1)] {
-            assert_eq!(decode(encode(k, off)), (k, off));
-        }
     }
 }
 
@@ -1616,6 +1798,46 @@ mod model_tests {
             table.for_each_journal_range(0, 4, &mut |t| journaled.push(t.int(0)));
             journaled.sort();
             assert_eq!(journaled, vec![1, 2, 3, 4], "two cells overlapped");
+        });
+        report.assert_ok();
+        assert!(report.complete, "exploration hit a budget cap");
+    }
+
+    /// One allocator per segment: two inserters find the table empty at
+    /// once. In every interleaving exactly one of them allocates segment
+    /// 0 — the other waits out the `ALLOCATING` claim instead of building
+    /// (and freeing) a segment of its own — and both publish into that
+    /// one segment, which the install's Release edge must carry to the
+    /// waiter (the race detector watches the slots it goes on to write).
+    #[test]
+    fn a_missing_segment_is_allocated_exactly_once() {
+        let row = |i: i64| Tuple::new(TableId(0), vec![Value::Int(i), Value::Int(i * 10)]);
+        let report = Checker::new().check(|| {
+            let def = Arc::new(set_def());
+            let table = Arc::new(ReservationTable::new(2, false));
+            let racers: Vec<_> = (1..=2)
+                .map(|i| {
+                    let (def, table) = (Arc::clone(&def), Arc::clone(&table));
+                    thread::spawn(move || {
+                        let t = row(i);
+                        let outcome = table.insert(&def, primary_of(&def, &t), 0, t);
+                        assert_eq!(outcome, InsertOutcome::Fresh);
+                        let seg = table.segment(0).expect("installed before insert returns");
+                        (
+                            seg as *const Segment as usize,
+                            SEGMENT_ALLOCS.with(|n| n.get()),
+                        )
+                    })
+                })
+                .collect();
+            let seen: Vec<(usize, usize)> = racers.into_iter().map(|r| r.join()).collect();
+            assert_eq!(seen.iter().map(|s| s.1).sum::<usize>(), 1, "{seen:?}");
+            assert!(seen.iter().all(|s| s.0 == seen[0].0), "{seen:?}");
+            assert_eq!(table.len(), 2);
+            for i in 1..=2 {
+                let t = row(i);
+                assert!(table.contains(primary_of(&def, &t), &t));
+            }
         });
         report.assert_ok();
         assert!(report.complete, "exploration hit a budget cap");

@@ -376,7 +376,7 @@ impl ProgramBuilder {
     /// Adds a typed initial `put`, auto-registering the relation.
     pub fn put_rel<R: Relation>(&mut self, row: R) {
         let id = self.relation::<R>().id();
-        self.initial.push(Tuple::new(id, row.into_values()));
+        self.initial.push(row.into_tuple(id));
     }
 
     /// Finalises the program: interns strat literals, linearises the

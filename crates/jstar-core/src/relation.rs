@@ -141,6 +141,14 @@ pub trait Relation: Send + Sync + Sized + 'static {
     /// Encodes the struct as a positional field vector.
     fn into_values(self) -> Vec<Value>;
 
+    /// Encodes the struct as a row of `table` — what the typed put paths
+    /// (`put_rel`, `inject_rel`) call. The generated impls override this
+    /// default with [`Tuple::from_fields`], moving the fields straight
+    /// into the row's one allocation without the intermediate vector.
+    fn into_tuple(self, table: TableId) -> Tuple {
+        Tuple::new(table, self.into_values())
+    }
+
     /// Starts a typed query over this relation:
     /// `Ship::query().eq(Ship::frame, 3)`.
     fn query() -> TypedQuery<Self> {

@@ -1,36 +1,151 @@
 //! Immutable tuples — the only data JStar programs manipulate.
 //!
 //! "Each tuple in a table is typically implemented as an immutable Java
-//! object with a fixed set of named fields" (§3). Here a [`Tuple`] is an
-//! `Arc`-shared immutable row; cloning is a reference-count bump, which is
+//! object with a fixed set of named fields" (§3). Here a [`Tuple`] is a
+//! reference-counted immutable row; cloning is a count bump, which is
 //! what lets the same tuple sit in the Delta tree, the Gamma database and
 //! rule-trigger queues without copying.
+//!
+//! **One allocation, one thin pointer.** A row is a single heap block —
+//! a header `{refs, table, len}` followed by its `len` field [`Value`]s —
+//! and a `Tuple` is the 8-byte pointer to it, so a Gamma slot holds a row
+//! in one word and a probe that matches reaches the fields with one more
+//! cache miss, not two. (An `Arc<[Value]>` would be a 16-byte fat pointer
+//! with nowhere for the table id; an `Arc` of a struct holding a boxed
+//! slice, two allocations and two misses.) The reference count
+//! follows `Arc`'s protocol exactly: clone is a `Relaxed` increment (the
+//! cloner already owns a reference, so nothing needs ordering) that
+//! aborts the process should the count pass `isize::MAX`; drop is a
+//! `Release` decrement, and the thread that takes the count to zero
+//! issues an `Acquire` fence before it drops the fields and frees the
+//! block — so every other owner's reads of the row happen-before the
+//! free. The atomics come from `jstar_check::sync`, and the header
+//! carries a zero-sized `freed` cell the free "writes", so the model
+//! checker sees the one plain-memory event that matters (CONCURRENCY.md,
+//! protocol 8). All of the `unsafe` that the layout needs is in this
+//! file; everything outside it sees `&[Value]`.
 
 use crate::schema::{TableDef, TableId};
 use crate::value::Value;
+use jstar_check::sync::{fence, AtomicUsize, Ordering, UnsafeCell};
+use std::alloc::Layout;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::mem::{align_of, size_of, ManuallyDrop};
+use std::ptr::NonNull;
 
-#[derive(Debug)]
-struct TupleInner {
+/// The fixed part of a row's heap block; `len` [`Value`]s follow it at
+/// [`FIELDS_AT`].
+#[repr(C)]
+struct Header {
+    refs: AtomicUsize,
     table: TableId,
-    fields: Box<[Value]>,
+    len: u32,
+    /// Zero-sized in production. The freeing thread "writes" it after its
+    /// Acquire fence: under `model-check` that is the event the race
+    /// detector orders every earlier read of the row against.
+    freed: UnsafeCell<()>,
+}
+
+/// Byte offset of the first field in a row's block.
+const FIELDS_AT: usize = size_of::<Header>().next_multiple_of(align_of::<Value>());
+
+/// Alignment of a row's block: the stricter of header and fields.
+const ROW_ALIGN: usize = if align_of::<Header>() > align_of::<Value>() {
+    align_of::<Header>()
+} else {
+    align_of::<Value>()
+};
+
+/// The layout of a row with `len` fields.
+fn row_layout(len: usize) -> Layout {
+    size_of::<Value>()
+        .checked_mul(len)
+        .and_then(|fields| fields.checked_add(FIELDS_AT))
+        .and_then(|bytes| Layout::from_size_align(bytes, ROW_ALIGN).ok())
+        .unwrap_or_else(|| panic!("a tuple of {len} fields does not fit the address space"))
 }
 
 /// An immutable tuple belonging to one table.
-#[derive(Debug, Clone)]
-pub struct Tuple(Arc<TupleInner>);
+pub struct Tuple {
+    /// The row's block: a live [`Header`] with `len` initialised fields
+    /// behind it, kept alive by the reference this `Tuple` counts for.
+    row: NonNull<Header>,
+}
+
+// SAFETY: a Tuple is shared ownership of an immutable row: the fields
+// (`Value`: Send + Sync — integers, floats, bools and `Arc<str>`) are never
+// written after construction, the count is atomic, and the last owner —
+// whichever thread that is — frees the block only after the
+// Release/Acquire hand-over in `Drop`. Exactly `Arc<T: Send + Sync>`.
+unsafe impl Send for Tuple {}
+// SAFETY: as above — `&Tuple` only reads the immutable row or bumps the
+// atomic count.
+unsafe impl Sync for Tuple {}
 
 impl Tuple {
     /// Creates a tuple by position (the `new Ship(0,10,10,150,0)` form).
     /// Field types are *not* checked here; [`crate::program::Program`]
     /// checks them at `put` time when type checking is enabled.
     pub fn new(table: TableId, fields: impl Into<Vec<Value>>) -> Tuple {
-        Tuple(Arc::new(TupleInner {
+        let mut fields: Vec<Value> = fields.into();
+        // SAFETY: the vector holds `len()` initialised values; `set_len(0)`
+        // right after makes it forget them, so each value has exactly one
+        // owner (the row) and the vector frees only its buffer.
+        unsafe {
+            let t = Tuple::from_raw_fields(table, fields.as_ptr(), fields.len());
+            fields.set_len(0);
+            t
+        }
+    }
+
+    /// [`Tuple::new`] from a fixed-arity array: the fields move straight
+    /// from the stack into the row's one allocation — no intermediate
+    /// `Vec`. The typed put path ([`crate::relation::Relation::into_tuple`]
+    /// as `jstar_table!` / `relation!` generate it) builds rows this way.
+    #[inline]
+    pub fn from_fields<const N: usize>(table: TableId, fields: [Value; N]) -> Tuple {
+        let fields = ManuallyDrop::new(fields);
+        // SAFETY: the array holds N initialised values and, wrapped in
+        // ManuallyDrop, never drops them: the row becomes their one owner.
+        unsafe { Tuple::from_raw_fields(table, fields.as_ptr(), N) }
+    }
+
+    /// Allocates a row and moves `len` values into it bitwise.
+    ///
+    /// # Safety
+    /// `src` must point at `len` initialised `Value`s that the caller
+    /// gives up: it must not drop or use them afterwards.
+    unsafe fn from_raw_fields(table: TableId, src: *const Value, len: usize) -> Tuple {
+        let header = Header {
+            refs: AtomicUsize::new(1),
             table,
-            fields: fields.into().into_boxed_slice(),
-        }))
+            len: u32::try_from(len).unwrap_or_else(|_| panic!("a tuple of {len} fields")),
+            freed: UnsafeCell::new(()),
+        };
+        let layout = row_layout(len);
+        // SAFETY: the layout is never zero-sized (it contains the header);
+        // a null return is routed to the allocation-failure handler. The
+        // block is `row_layout(len)`: room for the header at offset 0 and
+        // `len` values at FIELDS_AT, both suitably aligned (ROW_ALIGN), so
+        // the two writes stay in bounds; `src` is valid per the contract
+        // and cannot overlap a block that was allocated just now.
+        unsafe {
+            let block = std::alloc::alloc(layout);
+            let Some(row) = NonNull::new(block as *mut Header) else {
+                std::alloc::handle_alloc_error(layout)
+            };
+            row.as_ptr().write(header);
+            std::ptr::copy_nonoverlapping(src, block.add(FIELDS_AT) as *mut Value, len);
+            Tuple { row }
+        }
+    }
+
+    #[inline]
+    fn header(&self) -> &Header {
+        // SAFETY: `row` points at a live header for as long as this Tuple
+        // holds its reference (the struct invariant).
+        unsafe { self.row.as_ref() }
     }
 
     /// Starts a named-field builder (the `new Ship() [frame=0; x=10]` form):
@@ -43,49 +158,64 @@ impl Tuple {
     }
 
     /// The table this tuple belongs to.
+    #[inline]
     pub fn table(&self) -> TableId {
-        self.0.table
+        self.header().table
     }
 
     /// All field values in column order.
+    #[inline]
     pub fn fields(&self) -> &[Value] {
-        &self.0.fields
+        // SAFETY: the block holds `len` initialised values at FIELDS_AT
+        // (written by `from_raw_fields`, never mutated), and lives at
+        // least as long as `&self`.
+        unsafe {
+            let first = (self.row.as_ptr() as *const u8).add(FIELDS_AT) as *const Value;
+            std::slice::from_raw_parts(first, self.arity())
+        }
     }
 
     /// Raw pointer to the tuple's heap allocation — a prefetch hint
     /// for bulk walks (the snapshot export's lookahead window). Never
     /// dereferenced by callers; reading the fields still goes through
     /// [`Tuple::fields`].
+    #[inline]
     pub(crate) fn heap_ptr(&self) -> *const u8 {
-        std::sync::Arc::as_ptr(&self.0) as *const u8
+        self.row.as_ptr() as *const u8
     }
 
     /// Number of fields.
+    #[inline]
     pub fn arity(&self) -> usize {
-        self.0.fields.len()
+        self.header().len as usize
     }
 
     /// The `i`-th field.
+    #[inline]
     pub fn get(&self, i: usize) -> &Value {
-        &self.0.fields[i]
+        &self.fields()[i]
     }
 
     /// Integer field accessor.
+    #[inline]
     pub fn int(&self, i: usize) -> i64 {
         self.get(i).as_int()
     }
 
     /// Double field accessor.
+    #[inline]
     pub fn double(&self, i: usize) -> f64 {
         self.get(i).as_double()
     }
 
     /// String field accessor.
+    #[inline]
     pub fn str(&self, i: usize) -> &str {
         self.get(i).as_str()
     }
 
     /// Bool field accessor.
+    #[inline]
     pub fn bool(&self, i: usize) -> bool {
         self.get(i).as_bool()
     }
@@ -111,19 +241,86 @@ impl Tuple {
     }
 }
 
+impl Clone for Tuple {
+    #[inline]
+    fn clone(&self) -> Tuple {
+        // ord: Relaxed — the cloner already holds a reference, so the row
+        // cannot be freed under it and the new reference needs no edge of
+        // its own: whoever receives the clone gets it through some other
+        // synchronisation (`Arc::clone`'s argument).
+        let before = self.header().refs.fetch_add(1, Ordering::Relaxed);
+        if before > isize::MAX as usize {
+            // Leaked clones have overflowed the count; a wrap would free a
+            // row still in use, so stop here, as `Arc` does.
+            std::process::abort();
+        }
+        Tuple { row: self.row }
+    }
+}
+
+impl Drop for Tuple {
+    #[inline]
+    fn drop(&mut self) {
+        // ord: Release — orders this owner's reads of the row before the
+        // decrement, for the fence in `free` (on whichever thread ends up
+        // there) to acquire.
+        if self.header().refs.fetch_sub(1, Ordering::Release) == 1 {
+            // SAFETY: this decrement took the count to zero.
+            unsafe { self.free() };
+        }
+    }
+}
+
+impl Tuple {
+    /// The last owner's half of `drop`, out of line: drops the fields and
+    /// frees the block.
+    ///
+    /// # Safety
+    /// The caller's decrement must have taken the count to zero, and it
+    /// must not touch the row afterwards.
+    #[inline(never)]
+    unsafe fn free(&mut self) {
+        // ord: Acquire — pairs with every other owner's Release decrement:
+        // their reads of the row happen-before the free.
+        fence(Ordering::Acquire);
+        // The free, as the race detector sees it (no-op in production).
+        self.header().freed.with_mut(|_| ());
+        let len = self.arity();
+        // SAFETY: the count reached zero (the contract), so this is the
+        // only reference left and — after the fence — the only thread
+        // touching the block. The fields are initialised and dropped
+        // exactly once, here; the block was allocated with
+        // `row_layout(len)` by `from_raw_fields`.
+        unsafe {
+            let block = self.row.as_ptr() as *mut u8;
+            let first = block.add(FIELDS_AT) as *mut Value;
+            std::ptr::drop_in_place(std::ptr::slice_from_raw_parts_mut(first, len));
+            std::alloc::dealloc(block, row_layout(len));
+        }
+    }
+}
+
+impl fmt::Debug for Tuple {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tuple")
+            .field("table", &self.table())
+            .field("fields", &self.fields())
+            .finish()
+    }
+}
+
 impl PartialEq for Tuple {
     fn eq(&self, other: &Self) -> bool {
         // Pointer equality fast path: clones share the same allocation.
-        Arc::ptr_eq(&self.0, &other.0)
-            || (self.0.table == other.0.table && self.0.fields == other.0.fields)
+        self.row == other.row || (self.table() == other.table() && self.fields() == other.fields())
     }
 }
 impl Eq for Tuple {}
 
 impl Hash for Tuple {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.table.hash(state);
-        self.0.fields.hash(state);
+        self.table().hash(state);
+        self.fields().hash(state);
     }
 }
 
@@ -137,17 +334,16 @@ impl PartialOrd for Tuple {
 /// the BTree-based Gamma stores (the paper's `TreeSet` default).
 impl Ord for Tuple {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .table
-            .cmp(&other.0.table)
-            .then_with(|| self.0.fields.cmp(&other.0.fields))
+        self.table()
+            .cmp(&other.table())
+            .then_with(|| self.fields().cmp(other.fields()))
     }
 }
 
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.0.table)?;
-        for (i, v) in self.0.fields.iter().enumerate() {
+        write!(f, "{}(", self.table())?;
+        for (i, v) in self.fields().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -309,5 +505,125 @@ mod tests {
     fn display_renders_fields() {
         let t = Tuple::new(TableId(3), vec![Value::Int(1), Value::str("a")]);
         assert_eq!(t.to_string(), "T3(1, a)");
+    }
+
+    // ── The hand-rolled row: ownership, layout, auto traits. ────────
+
+    fn hash_of(t: &Tuple) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        t.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn string_fields_are_freed_exactly_once() {
+        use std::sync::Arc;
+        let (a, b): (Arc<str>, Arc<str>) = (Arc::from("alpha"), Arc::from("beta"));
+        let fields = || vec![Value::Str(a.clone()), Value::Int(1), Value::Str(b.clone())];
+        let t = Tuple::new(TableId(0), fields());
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 2));
+        // Clones share the row: no string is cloned with them...
+        let clones: Vec<Tuple> = (0..5).map(|_| t.clone()).collect();
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 2));
+        assert!(clones
+            .iter()
+            .all(|c| c.str(0) == "alpha" && c.str(2) == "beta"));
+        // ...and none is released while any owner is left, whichever goes
+        // first.
+        drop(t);
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (2, 2));
+        drop(clones);
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (1, 1));
+        // The array form moves its values in the same way.
+        let [x, y, z]: [Value; 3] = fields().try_into().unwrap();
+        drop(Tuple::from_fields(TableId(0), [x, y, z]));
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (1, 1));
+        // A vector with spare capacity gives up its values, not its buffer.
+        let mut roomy = Vec::with_capacity(16);
+        roomy.extend(fields());
+        drop(Tuple::new(TableId(0), roomy));
+        assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (1, 1));
+    }
+
+    #[test]
+    fn zero_arity_rows_work() {
+        let unit = Tuple::new(TableId(4), Vec::new());
+        assert_eq!(
+            (unit.arity(), unit.fields().len(), unit.table()),
+            (0, 0, TableId(4))
+        );
+        assert_eq!(unit, Tuple::from_fields(TableId(4), []));
+        assert_eq!(unit.clone().to_string(), "T4()");
+        assert!(unit < Tuple::new(TableId(4), vec![Value::Int(0)]));
+    }
+
+    #[test]
+    fn every_construction_form_builds_the_same_row() {
+        let def = ship_def();
+        let values = || [0i64, 10, 10, 150, 0].map(Value::Int);
+        let from_vec = Tuple::new(def.id, values().to_vec());
+        let from_array = Tuple::from_fields(def.id, values());
+        let built = Tuple::build(&def).set("x", 10i64).set("y", 10i64).finish();
+        let copied = from_vec.copy(&def).finish();
+        for other in [&from_array, &built, &copied] {
+            assert_eq!(&from_vec, other);
+            assert_eq!(from_vec.cmp(other), std::cmp::Ordering::Equal);
+            assert_eq!(hash_of(&from_vec), hash_of(other));
+            assert_eq!(from_vec.fields(), other.fields());
+        }
+        // Same fields under another table id: a different tuple, ordered
+        // by table first.
+        let elsewhere = Tuple::from_fields(TableId(9), values());
+        assert_ne!(from_vec, elsewhere);
+        assert!(from_vec < elsewhere);
+    }
+
+    #[test]
+    fn a_tuple_is_one_thin_shareable_pointer() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<Tuple>();
+        assert_eq!(std::mem::size_of::<Tuple>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Tuple>>(), 8);
+    }
+}
+
+/// The reference-count hand-over, explored by the jstar-check scheduler
+/// (`cargo test -p jstar-core --features model-check`; CONCURRENCY.md
+/// protocol 8).
+#[cfg(all(test, feature = "model-check"))]
+mod model_tests {
+    use super::*;
+    use jstar_check::{thread, Checker};
+    use std::sync::Arc;
+
+    /// Two threads give up the last two references. In every
+    /// interleaving the row is freed exactly once — the string field's
+    /// own count says its destructor ran once, not twice, not never — and
+    /// the other thread's read of the row happens-before that free: the
+    /// read is recorded on the header's `freed` cell, which the freeing
+    /// thread writes after its Acquire fence, so a `Relaxed` decrement or
+    /// a missing fence is a reported data race.
+    #[test]
+    fn the_last_two_owners_free_the_row_exactly_once() {
+        let report = Checker::new().check(|| {
+            let name: Arc<str> = Arc::from("shared");
+            let t = Tuple::new(TableId(0), vec![Value::Int(7), Value::Str(name.clone())]);
+            let owners: Vec<_> = [t.clone(), t.clone()]
+                .into_iter()
+                .map(|mine| {
+                    thread::spawn(move || {
+                        mine.header().freed.with(|_| ());
+                        assert_eq!((mine.int(0), mine.str(1)), (7, "shared"));
+                    })
+                })
+                .collect();
+            drop(t);
+            for owner in owners {
+                owner.join();
+            }
+            assert_eq!(Arc::strong_count(&name), 1, "the fields were dropped once");
+        });
+        report.assert_ok();
+        assert!(report.complete, "exploration hit a budget cap");
     }
 }

@@ -31,8 +31,8 @@ fn resolve_maps_fields_and_literals() {
     let t = Tuple::new(TableId(0), vec![Value::Int(10), Value::Int(20)]);
     let key = resolved.key_of(&t);
     // par truncates: key has the strat and the seq component only.
-    assert_eq!(key.0.len(), 2);
-    assert_eq!(key.0[1], KeyPart::Seq(Value::Int(20)));
+    assert_eq!(key.len(), 2);
+    assert_eq!(key.part(1), Some(KeyPart::Int(20)));
 }
 
 #[test]
@@ -104,6 +104,6 @@ fn same_seq_field_used_twice_is_allowed() {
     let resolved = ResolvedOrderBy::resolve(&def, &strata).unwrap();
     let t = Tuple::new(TableId(0), vec![Value::Int(3)]);
     let key = resolved.key_of(&t);
-    assert_eq!(key.0.len(), 2);
-    assert_eq!(key.0[0], key.0[1]);
+    assert_eq!(key.len(), 2);
+    assert_eq!(key.part(0), key.part(1));
 }

@@ -21,15 +21,52 @@ fn merge_pool() -> &'static jstar_pool::ThreadPool {
     POOL.get_or_init(|| jstar_pool::ThreadPool::new(4))
 }
 
-fn arb_key() -> impl Strategy<Value = OrderKey> {
+/// The reference [`OrderKey`] is held against: the representation it
+/// replaced — a `Vec` of these parts, a `seq` part keeping its whole
+/// [`Value`] — under the derived order, equality and hash (stratum parts
+/// before `seq` parts, `seq` parts as `Value` orders them, a strict prefix
+/// first).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum ModelPart {
+    Strat(u32),
+    Seq(Value),
+}
+
+/// The packed key with the model key's parts.
+fn packed(model: &[ModelPart]) -> OrderKey {
+    OrderKey::from_parts(model.iter().map(|p| match p {
+        ModelPart::Strat(rank) => KeyPart::Strat(*rank),
+        ModelPart::Seq(v) => KeyPart::seq(v),
+    }))
+}
+
+/// Keys of 0–6 parts — in place (up to four, no string) and spilled — over small
+/// domains, so equal parts, equal keys and prefixes all come up: strata,
+/// and `seq` parts of every field type (doubles with both zeros, NaN and
+/// an infinity: the order is `total_cmp`'s).
+fn arb_model_key() -> impl Strategy<Value = Vec<ModelPart>> {
+    let doubles = [-1.5, -0.0, 0.0, 2.0, f64::NAN, f64::INFINITY];
     prop::collection::vec(
         prop_oneof![
-            (0u32..4).prop_map(KeyPart::Strat),
-            (-20i64..20).prop_map(|v| KeyPart::Seq(Value::Int(v))),
+            (0u32..4).prop_map(ModelPart::Strat),
+            (-3i64..3).prop_map(|v| ModelPart::Seq(Value::Int(v))),
+            "[ab]{0,2}".prop_map(|s| ModelPart::Seq(Value::str(s))),
+            (0usize..doubles.len()).prop_map(move |i| ModelPart::Seq(Value::Double(doubles[i]))),
+            any::<bool>().prop_map(|b| ModelPart::Seq(Value::Bool(b))),
         ],
-        0..4,
+        0..7,
     )
-    .prop_map(OrderKey)
+}
+
+fn arb_key() -> impl Strategy<Value = OrderKey> {
+    arb_model_key().prop_map(|model| packed(&model))
+}
+
+fn hash_of(v: &impl std::hash::Hash) -> u64 {
+    use std::hash::Hasher;
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
 }
 
 proptest! {
@@ -43,31 +80,53 @@ proptest! {
         prop_assert_eq!(a.cmp(&a), Ordering::Equal);
     }
 
+    /// The packed key — inline or spilled — is the `Vec` model under
+    /// another layout: same order, same equality, equal keys hash equal,
+    /// and a strict prefix orders first.
+    #[test]
+    fn order_key_matches_the_vec_model(
+        a in arb_model_key(),
+        b in arb_model_key(),
+        cut in 0usize..7,
+    ) {
+        let (ka, kb) = (packed(&a), packed(&b));
+        prop_assert_eq!(ka.len(), a.len());
+        prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+        prop_assert_eq!(ka == kb, a == b);
+        // Equal keys hash equal — here because both feed a hasher exactly
+        // what their model does, so the inbox partitions keys as before.
+        prop_assert_eq!((hash_of(&ka), hash_of(&kb)), (hash_of(&a), hash_of(&b)));
+        // A key rebuilt from its own parts is the same key.
+        let again = OrderKey::from_parts(ka.parts());
+        prop_assert_eq!((again == ka, hash_of(&again)), (true, hash_of(&ka)));
+        // The prefix rule, across the inline/spilled boundary too.
+        let prefix = &a[..cut.min(a.len())];
+        let want = if prefix.len() < a.len() { Ordering::Less } else { Ordering::Equal };
+        prop_assert_eq!(packed(prefix).cmp(&ka), want);
+        prop_assert!(packed(prefix).causally_le(&ka));
+    }
+
     /// The Delta tree behaves exactly like a reference model: a map from
     /// key to set of tuples, popped in key order.
     #[test]
     fn delta_tree_matches_reference_model(
-        inserts in prop::collection::vec((arb_key(), -50i64..50), 0..200)
+        inserts in prop::collection::vec((arb_model_key(), -50i64..50), 0..200)
     ) {
-        // Keys of mismatched shapes can coexist; restrict to homogeneous
-        // 2-part keys to mirror real programs.
+        // The model is keyed by the `Vec` keys; the tree gets their packed
+        // forms — mixed lengths and shapes, prefixes, spilled keys and all.
         let mut tree = DeltaTree::new();
-        let mut model: BTreeMap<OrderKey, HashSet<i64>> = BTreeMap::new();
+        let mut model: BTreeMap<Vec<ModelPart>, HashSet<i64>> = BTreeMap::new();
         for (key, v) in &inserts {
-            let key = OrderKey(vec![
-                KeyPart::Strat(0),
-                key.0.first().cloned().unwrap_or(KeyPart::Strat(0)),
-            ]);
             let tuple = Tuple::new(TableId(0), vec![Value::Int(*v)]);
-            let fresh_tree = tree.insert(&key, tuple);
-            let fresh_model = model.entry(key).or_default().insert(*v);
+            let fresh_tree = tree.insert(&packed(key), tuple);
+            let fresh_model = model.entry(key.clone()).or_default().insert(*v);
             prop_assert_eq!(fresh_tree, fresh_model);
         }
         let model_len: usize = model.values().map(|s| s.len()).sum();
         prop_assert_eq!(tree.len(), model_len);
         for (key, set) in model {
             let (k, class) = tree.pop_min_class().expect("model non-empty");
-            prop_assert_eq!(&k, &key);
+            prop_assert_eq!(&k, &packed(&key));
             let got: HashSet<i64> = class.iter().map(|t| t.int(0)).collect();
             prop_assert_eq!(got, set);
         }
@@ -96,7 +155,7 @@ proptest! {
             .iter()
             .map(|&(s, q, table, v)| {
                 (
-                    OrderKey(vec![KeyPart::Strat(s), KeyPart::Seq(Value::Int(q))]),
+                    OrderKey::from_parts([KeyPart::Strat(s), KeyPart::Int(q)]),
                     Tuple::new(TableId(table), vec![Value::Int(v)]),
                 )
             })
@@ -229,12 +288,7 @@ proptest! {
         prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
         if a == b {
             prop_assert_eq!(a.cmp(&b), Ordering::Equal);
-            use std::hash::{Hash, Hasher};
-            let mut ha = std::collections::hash_map::DefaultHasher::new();
-            let mut hb = std::collections::hash_map::DefaultHasher::new();
-            a.hash(&mut ha);
-            b.hash(&mut hb);
-            prop_assert_eq!(ha.finish(), hb.finish());
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
         }
     }
 }

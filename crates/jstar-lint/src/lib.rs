@@ -74,6 +74,7 @@ pub const SHIM_MANDATED: &[&str] = &[
     "crates/jstar-core/src/gamma/reservation.rs",
     "crates/jstar-core/src/relation.rs",
     "crates/jstar-core/src/stats.rs",
+    "crates/jstar-core/src/tuple.rs",
     "crates/jstar-disruptor/src/lib.rs",
     "crates/jstar-disruptor/src/multi.rs",
     "crates/jstar-disruptor/src/ring.rs",
