@@ -55,6 +55,87 @@ pub struct RestoreOutcome {
     pub skipped: Vec<(std::path::PathBuf, JStarError)>,
 }
 
+/// A restore under way: what [`crate::persist::decode_snapshot`] decodes
+/// is checked against the program and goes, batch by batch, into imports
+/// staged beside the live stores. Dropped on any error, and the engine
+/// is as it was.
+struct Restoring<'e> {
+    defs: &'e [Arc<crate::schema::TableDef>],
+    gamma: &'e Gamma,
+    /// One per section opened so far, in `TableId` order.
+    imports: Vec<Box<dyn crate::gamma::StagedImport + 'e>>,
+    pending: Vec<Tuple>,
+}
+
+fn not_a_set(def: &crate::schema::TableDef, rows: usize) -> JStarError {
+    JStarError::CorruptSnapshot(format!(
+        "table {}: {rows} rows repeat another row or break the `->` key",
+        def.name
+    ))
+}
+
+impl crate::persist::SnapshotSink for Restoring<'_> {
+    fn header(
+        &mut self,
+        fingerprint: u64,
+        _: crate::persist::SnapshotMeta,
+        tables: usize,
+    ) -> Result<()> {
+        let expected = crate::persist::schema_fingerprint(self.defs);
+        if fingerprint != expected {
+            return Err(JStarError::SchemaMismatch(format!(
+                "snapshot fingerprint {fingerprint:#018x} != this program's {expected:#018x} \
+                 (table names, column types, keys or orderby lists differ)"
+            )));
+        }
+        if tables != self.defs.len() {
+            return Err(JStarError::SchemaMismatch(format!(
+                "snapshot holds {tables} tables, program declares {}",
+                self.defs.len()
+            )));
+        }
+        Ok(())
+    }
+
+    fn section(&mut self, table: TableId, name: &str, rows: usize, _: u64) -> Result<()> {
+        // (`table` counts up to the table count `header` accepted.)
+        let def = &self.defs[table.index()];
+        if name != def.name {
+            return Err(JStarError::SchemaMismatch(format!(
+                "snapshot table `{name}` where program declares `{}`",
+                def.name
+            )));
+        }
+        self.imports
+            .push(self.gamma.store(table).begin_import(rows));
+        Ok(())
+    }
+
+    fn rows(&mut self, rows: &mut Vec<Tuple>) -> Result<()> {
+        let (Some(import), Some(first)) = (self.imports.last_mut(), rows.first()) else {
+            return Ok(());
+        };
+        let def = &self.defs[first.table().index()];
+        for t in rows.iter() {
+            def.type_check(t.fields())
+                .map_err(|msg| JStarError::CorruptSnapshot(format!("table {}: {msg}", def.name)))?;
+        }
+        match import.push(rows) {
+            0 => Ok(()),
+            rejected => Err(not_a_set(def, rejected)),
+        }
+    }
+
+    fn pending(&mut self, t: Tuple) -> Result<()> {
+        // (The reader bounds the index by the table count.)
+        self.defs[t.table().index()]
+            .type_check(t.fields())
+            .map_err(|msg| JStarError::CorruptSnapshot(format!("pending: {msg}")))?;
+        self.pending.push(t);
+        Ok(())
+    }
+}
+
 impl Engine {
     /// Builds an engine for `program` under `config`.
     ///
@@ -203,10 +284,9 @@ impl Engine {
         let mut steps: u64 = 0;
         let mut checkpoints: u64 = 0;
         let mut checkpoint_time = Duration::ZERO;
-        // The first checkpoint discovers where the sequence left off
-        // (a resumed run must number its files after the ones it
-        // restored from); later ones just increment.
-        let mut checkpoint_seq: Option<u64> = None;
+        // Made at the first checkpoint and kept for the run: it remembers
+        // the rows it has encoded and the files it has written.
+        let mut checkpointer: Option<crate::persist::CheckpointWriter> = None;
         // The per-step phase timers share the record_steps gate:
         // profiling runs get the split; production runs pay no clock
         // reads in the coordinator loop beyond the few per step the
@@ -346,32 +426,26 @@ impl Engine {
                 let t0 = Instant::now();
                 pipeline.absorb(state, &mut tree, self.pool.as_deref());
                 state.inbox.assert_quiescent();
-                let written = std::fs::create_dir_all(dir)
-                    .map_err(|e| JStarError::Io(format!("{}: {e}", dir.display())))
-                    .and_then(|()| match checkpoint_seq {
-                        Some(seq) => Ok(seq),
-                        None => crate::persist::next_checkpoint_seq(dir),
-                    })
-                    .and_then(|seq| {
-                        let meta = crate::persist::SnapshotMeta {
-                            steps,
-                            tuples_processed: state.stats.tuples_processed.load(Ordering::Relaxed),
-                        };
-                        let file = dir.join(crate::persist::checkpoint_file_name(seq));
-                        crate::persist::write_snapshot(
+                let meta = crate::persist::SnapshotMeta {
+                    steps,
+                    tuples_processed: state.stats.tuples_processed.load(Ordering::Relaxed),
+                };
+                let written = checkpointer
+                    .get_or_insert_with(|| {
+                        crate::persist::CheckpointWriter::new(
                             state.program.defs(),
                             &state.gamma,
-                            &mut |emit| tree.for_each_pending(emit),
-                            meta,
-                            &file,
                             self.pool.as_deref(),
-                        )?;
-                        crate::persist::rotate_checkpoints(dir, self.config.checkpoint_keep)?;
-                        Ok(seq)
-                    });
+                        )
+                    })
+                    .checkpoint(
+                        dir,
+                        self.config.checkpoint_keep,
+                        &mut |emit| tree.for_each_pending(emit),
+                        meta,
+                    );
                 match written {
-                    Ok(seq) => {
-                        checkpoint_seq = Some(seq + 1);
+                    Ok(_) => {
                         checkpoints += 1;
                         checkpoint_time += t0.elapsed();
                     }
@@ -431,13 +505,11 @@ impl Engine {
             steps: self.state.stats.steps.load(Ordering::Relaxed),
             tuples_processed: self.state.stats.tuples_processed.load(Ordering::Relaxed),
         };
-        crate::persist::write_snapshot(
-            self.state.program.defs(),
-            &self.state.gamma,
+        let (defs, pool) = (self.state.program.defs(), self.pool.as_deref());
+        crate::persist::CheckpointWriter::new(defs, &self.state.gamma, pool).write(
             &mut |_emit| {},
             meta,
             path,
-            self.pool.as_deref(),
         )
     }
 
@@ -458,12 +530,18 @@ impl Engine {
     /// Meant for a freshly built engine. Never panics on bad input:
     /// truncated, bit-flipped or crafted files are a reported
     /// [`JStarError::CorruptSnapshot`], and a snapshot from a different
-    /// program schema is a [`JStarError::SchemaMismatch`]. Validation
-    /// completes before any store is touched, so a failed restore
-    /// leaves the engine unmodified.
+    /// program schema is a [`JStarError::SchemaMismatch`]. An image
+    /// that checks out byte for byte but holds a row twice, or two rows
+    /// under one `->` key, is corrupt too: a snapshot is a set.
+    /// Validation completes before any store is touched, so a failed
+    /// restore leaves the engine unmodified (one exception: a *custom*
+    /// store without an import of its own can only find a repeated row
+    /// by inserting it — see
+    /// [`crate::gamma::TableStore::begin_import`]).
     pub fn restore(&mut self, path: &std::path::Path) -> Result<()> {
-        let snap = crate::persist::read_snapshot(path)?;
-        self.apply_snapshot(snap)
+        let image =
+            std::fs::read(path).map_err(|e| JStarError::Io(format!("{}: {e}", path.display())))?;
+        self.restore_image(&image)
     }
 
     /// Restores from the newest intact checkpoint in `dir`: files are
@@ -484,7 +562,7 @@ impl Engine {
         }
         let mut skipped = Vec::new();
         for path in files.into_iter().rev() {
-            match crate::persist::read_snapshot(&path).and_then(|s| self.apply_snapshot(s)) {
+            match self.restore(&path) {
                 Ok(()) => return Ok(RestoreOutcome { path, skipped }),
                 Err(e @ JStarError::SchemaMismatch(_)) => return Err(e),
                 Err(e) => skipped.push((path, e)),
@@ -497,64 +575,39 @@ impl Engine {
         )))
     }
 
-    /// Validates a decoded snapshot against this engine's program and
-    /// applies it: bulk-imports each table's tuples into its Gamma
-    /// store (a segment-level rebuild, O(live) — not per-tuple
-    /// re-insertion through the dedup path) and queues the pending
-    /// Delta tuples for re-injection (their order keys are recomputed
-    /// from tuple fields by the normal put path).
-    fn apply_snapshot(&mut self, snap: crate::persist::Snapshot) -> Result<()> {
-        let defs = self.state.program.defs();
-        let expected = crate::persist::schema_fingerprint(defs);
-        if snap.schema_fingerprint != expected {
-            return Err(JStarError::SchemaMismatch(format!(
-                "snapshot fingerprint {:#018x} != this program's {expected:#018x} \
-                 (table names, column types, keys or orderby lists differ)",
-                snap.schema_fingerprint
-            )));
-        }
-        if snap.tables.len() != defs.len() {
-            return Err(JStarError::SchemaMismatch(format!(
-                "snapshot holds {} tables, program declares {}",
-                snap.tables.len(),
-                defs.len()
-            )));
-        }
-        // Decode and validate everything before touching any store, so
-        // a failed restore leaves the engine unmodified.
-        let mut loads: Vec<Vec<Tuple>> = Vec::with_capacity(defs.len());
-        for (section, def) in snap.tables.into_iter().zip(defs) {
-            if section.name != def.name {
-                return Err(JStarError::SchemaMismatch(format!(
-                    "snapshot table `{}` where program declares `{}`",
-                    section.name, def.name
-                )));
+    /// Decodes a snapshot image into this engine. Everything that can
+    /// refuse it comes before any store is touched: the reader's own
+    /// checks (whole-file checksum first, then bounds, then each
+    /// section's content hash), and — as the rows stream out of the
+    /// reader, see [`Restoring`] — fingerprint, table count and names,
+    /// each row's types, and each table's replacement contents, built
+    /// beside the live store and refused if any row repeats another or
+    /// breaks a `->` key. Only when the whole image has passed is every
+    /// staged import committed and the pending Delta tuples queued for
+    /// re-injection (their order keys are recomputed from tuple fields by
+    /// the normal put path).
+    fn restore_image(&mut self, image: &[u8]) -> Result<()> {
+        let mut restoring = Restoring {
+            defs: self.state.program.defs(),
+            gamma: &self.state.gamma,
+            imports: Vec::new(),
+            pending: Vec::new(),
+        };
+        crate::persist::decode_snapshot(image, &mut restoring)?;
+        // A store with no way to build aside (a custom store on the
+        // trait's default import) finds its bad rows only now, with the
+        // stores already replaced: still an error, never a silent drop.
+        let mut refused = None;
+        for (import, def) in restoring.imports.into_iter().zip(restoring.defs) {
+            let rejected = import.commit();
+            if rejected > 0 {
+                refused.get_or_insert(not_a_set(def, rejected));
             }
-            let mut tuples = Vec::with_capacity(section.tuples.len());
-            for fields in section.tuples {
-                def.type_check(&fields).map_err(|msg| {
-                    JStarError::CorruptSnapshot(format!("table {}: {msg}", def.name))
-                })?;
-                tuples.push(Tuple::new(def.id, fields));
-            }
-            loads.push(tuples);
         }
-        let mut pending = Vec::with_capacity(snap.pending.len());
-        for (ti, fields) in snap.pending {
-            let def = defs.get(ti as usize).ok_or_else(|| {
-                JStarError::CorruptSnapshot(format!(
-                    "pending tuple names table index {ti}, program has {}",
-                    defs.len()
-                ))
-            })?;
-            def.type_check(&fields)
-                .map_err(|msg| JStarError::CorruptSnapshot(format!("pending: {msg}")))?;
-            pending.push(Tuple::new(def.id, fields));
+        if let Some(e) = refused {
+            return Err(e);
         }
-        for (def, tuples) in defs.iter().zip(loads) {
-            self.state.gamma.store(def.id).import_snapshot(tuples);
-        }
-        self.injected.extend(pending);
+        self.injected.extend(restoring.pending);
         self.restored = true;
         Ok(())
     }

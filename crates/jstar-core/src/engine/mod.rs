@@ -85,6 +85,9 @@
 //!   every [`EngineConfig::checkpoint_every`] steps — a checkpoint is
 //!   written atomically (the Delta tree is forced fully current
 //!   first; see [`crate::persist`] and [`Engine::restore_latest`]).
+//!   One [`crate::persist::CheckpointWriter`] serves the whole run and
+//!   keeps each table's encoded rows, so a checkpoint encodes what was
+//!   claimed since the previous one, not all of Gamma.
 //!
 //! The mid-step swap point is chosen per step by a feedback controller:
 //! it tracks recent epoch-absorb cost per staged tuple against the

@@ -1,6 +1,6 @@
 //! Sequential ordered store — the paper's `TreeSet` default.
 
-use super::{insert_locked, ColumnIndex, InsertOutcome, TableStore};
+use super::{insert_locked, ColumnIndex, InsertOutcome, StagedImport, TableStore};
 use crate::query::Query;
 use crate::schema::TableDef;
 use crate::tuple::Tuple;
@@ -27,6 +27,29 @@ impl BTreeStore {
             def,
             set: Mutex::new(BTreeSet::new()),
         }
+    }
+}
+
+/// A second tree, built aside with the checks every insert gets.
+struct TreeImport<'a> {
+    store: &'a BTreeStore,
+    fresh: BTreeSet<Tuple>,
+}
+
+impl StagedImport for TreeImport<'_> {
+    fn push(&mut self, rows: &mut Vec<Tuple>) -> usize {
+        let mut rejected = 0;
+        for t in rows.drain(..) {
+            if insert_locked(&self.store.def, &mut self.fresh, t) != InsertOutcome::Fresh {
+                rejected += 1;
+            }
+        }
+        rejected
+    }
+
+    fn commit(self: Box<Self>) -> usize {
+        *self.store.set.lock() = self.fresh;
+        0
     }
 }
 
@@ -86,6 +109,13 @@ impl TableStore for BTreeStore {
 
     fn retain(&self, keep: &dyn Fn(&Tuple) -> bool) {
         self.set.lock().retain(|t| keep(t));
+    }
+
+    fn begin_import(&self, _rows: usize) -> Box<dyn StagedImport + '_> {
+        Box::new(TreeImport {
+            store: self,
+            fresh: BTreeSet::new(),
+        })
     }
 
     fn open_cursor(&self, field: usize) -> Arc<ColumnIndex> {

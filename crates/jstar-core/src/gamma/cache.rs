@@ -21,6 +21,17 @@
 //! * **tombstones** — lifetime-hint `retain` kills tuples without
 //!   touching the journal; a changed tombstone count also invalidates
 //!   wholesale (hints run a handful of times per run).
+//! * **interior** — a journal position counts through the table's
+//!   segments in order, and an older segment goes on taking claims after
+//!   a newer one exists, so a claim can land *before* positions already
+//!   handed out. The stamp counts the entries ahead of the newest
+//!   segment's; while that count stands still every new entry is at the
+//!   end, and when it moves the positions have shifted: wholesale again.
+//!   (A table still in its first segment — anything up to ~100k rows —
+//!   has no interior.)
+//!
+//! [`IndexStamp::extends`] is that rule; the snapshot writer's section
+//! cache ([`crate::persist::CheckpointWriter`]) reuses it unchanged.
 //!
 //! Catch-up preserves the cold-build contract exactly: a cold build
 //! walks the journal in order, so group-internal tuple order is journal
@@ -67,6 +78,23 @@ pub struct IndexStamp {
     pub generation: usize,
     /// Tombstoned-slot count of the backing table.
     pub tombstones: usize,
+    /// Journal entries ahead of the newest segment's, with that
+    /// segment's number above them (bits 56..): unchanged means no entry
+    /// was claimed before a position already handed out.
+    pub interior: u64,
+}
+
+impl IndexStamp {
+    /// True when everything stamped `earlier` still sits at the journal
+    /// positions it had then, so what was built from `[0,
+    /// earlier.generation)` stands and the walk of `[earlier.generation,
+    /// self.generation)` is exactly what is new.
+    pub fn extends(&self, earlier: &IndexStamp) -> bool {
+        self.epoch == earlier.epoch
+            && self.tombstones == earlier.tombstones
+            && self.interior == earlier.interior
+            && self.generation >= earlier.generation
+    }
 }
 
 /// Point-in-time counter snapshot — the source of
@@ -152,15 +180,18 @@ impl IndexCache {
         // every entry mutation.
         let tick = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(e) = map.get_mut(&field) {
-            let valid = e.stamp.epoch == stamp.epoch
-                && e.stamp.tombstones == stamp.tombstones
-                && stamp.generation >= e.stamp.generation;
-            if valid {
-                if stamp.generation > e.stamp.generation {
-                    // Warm but stale: sort only the journal suffix and
-                    // merge it into the cached view.
-                    let (pairs, covered) =
-                        suffix_pairs(store, field, e.stamp.generation, stamp.generation);
+            let mut valid = stamp.extends(&e.stamp);
+            if valid && stamp.generation > e.stamp.generation {
+                // Warm but stale: sort only the journal suffix and
+                // merge it into the cached view — unless a worker claimed
+                // ahead of the suffix while it was walked (the interior
+                // only grows, so equal before and after is equal
+                // throughout): the walk then read shifted positions and
+                // is dropped for the cold build below.
+                let (pairs, covered) =
+                    suffix_pairs(store, field, e.stamp.generation, stamp.generation);
+                valid = store.index_stamp().map(|s| s.interior) == Some(stamp.interior);
+                if valid {
                     let n = pairs.len();
                     if n > 0 {
                         e.index = Arc::new(e.index.merge_suffix(pairs));
@@ -170,6 +201,8 @@ impl IndexCache {
                     // ord: Relaxed — statistic only.
                     self.catchup_tuples.fetch_add(n as u64, Ordering::Relaxed);
                 }
+            }
+            if valid {
                 e.last_used = tick;
                 // ord: Relaxed — statistic only.
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -330,6 +363,34 @@ mod tests {
             assert_eq!((st.misses, st.hits), (1, 4), "one build, four catch-ups");
             assert_eq!(st.catchup_tuples, 120);
         }
+    }
+
+    #[test]
+    fn a_claim_ahead_of_the_journals_end_invalidates_wholesale() {
+        // A 256-slot first segment with 64-slot probe windows: rows spill
+        // into the second segment while the first still takes claims, so
+        // for a stretch new journal entries land *before* positions the
+        // cached view was built from. Those opens rebuild; the ones on
+        // either side of the stretch catch up.
+        let s = HashStore::with_first_segment(set_def(), vec![0], 256);
+        let cache = IndexCache::new(1, usize::MAX);
+        for round in 0..40 {
+            for i in round * 30..(round + 1) * 30 {
+                s.insert(Tuple::new(
+                    TableId(0),
+                    vec![Value::Int(i % 17), Value::Int(i)],
+                ));
+            }
+            assert_eq!(
+                cache.open(0, 0, &s),
+                s.open_cursor(0),
+                "round {round}: cached view diverged from the cold build"
+            );
+        }
+        assert_ne!(s.index_stamp().expect("journaled").interior, 0);
+        let st = cache.stats();
+        assert!((2..30).contains(&st.misses), "{st:?}");
+        assert_eq!(st.misses + st.hits, 40);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Concurrent store — the paper's `ConcurrentSkipListSet` default for
 //! parallel code, realised as a lock-free reservation table.
 
-use super::reservation::{export_chunks_for, hash_values, ReservationTable, SwappableTable};
-use super::{InsertOutcome, TableStore};
+use super::reservation::{hash_values, ReservationTable, SwappableTable};
+use super::{InsertOutcome, StagedImport, TableStore};
 use crate::query::Query;
 use crate::schema::TableDef;
 use crate::tuple::Tuple;
@@ -98,17 +98,8 @@ impl TableStore for ConcurrentOrderedStore {
     }
 
     fn export_snapshot(&self, f: &mut dyn FnMut(&Tuple)) {
-        self.export_snapshot_chunk(0, 1, f);
-    }
-
-    fn export_chunks(&self, hint: usize) -> usize {
-        export_chunks_for(self.table.get().journal_entries(), hint)
-    }
-
-    fn export_snapshot_chunk(&self, chunk: usize, of: usize, f: &mut dyn FnMut(&Tuple)) {
         let table = self.table.get();
-        let entries = table.journal_entries();
-        table.for_each_journal_range(entries * chunk / of, entries * (chunk + 1) / of, f);
+        table.for_each_journal_range(0, table.journal_entries(), f);
     }
 
     fn index_stamp(&self) -> Option<super::IndexStamp> {
@@ -166,13 +157,12 @@ impl TableStore for ConcurrentOrderedStore {
         )
     }
 
-    fn import_snapshot(&self, tuples: Vec<Tuple>) {
-        // Bulk segment rebuild: a fresh right-sized table loaded with
-        // unchecked claims (snapshot input is verified and deduplicated)
-        // replaces the old one wholesale — O(incoming), no per-tuple
-        // duplicate scans. Quiescent-point only, like `maybe_compact`.
+    fn begin_import(&self, rows: usize) -> Box<dyn StagedImport + '_> {
+        // As in `maybe_compact`, a right-sized table built aside — here
+        // through the checked batch insert — and swapped in on commit.
+        let hashes = |t: &Tuple| self.hashes(t);
         self.table
-            .import_quiescent(self.def.arity() > 0, tuples, |t| self.hashes(t));
+            .begin_import(&self.def, self.def.arity() > 0, rows, hashes)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -295,7 +285,10 @@ mod tests {
             store.insert(kt(a, a, "old"));
         }
         let incoming: Vec<Tuple> = (100..160).map(|a| kt(a, a % 7, "new")).collect();
-        store.import_snapshot(incoming);
+        let mut incoming = incoming;
+        let mut import = store.begin_import(incoming.len());
+        assert_eq!(import.push(&mut incoming), 0);
+        assert_eq!(import.commit(), 0);
         assert_eq!(store.len(), 60);
         assert!(!store.contains(&kt(3, 3, "old")));
         // Point lookup and dedup work on the imported table.

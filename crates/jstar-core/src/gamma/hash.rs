@@ -2,8 +2,8 @@
 //! alternative, "considerably more efficient" when every query binds the
 //! indexed fields (§6.2 uses one on PvWatts' year/month).
 
-use super::reservation::{export_chunks_for, hash_values, ReservationTable, SwappableTable};
-use super::{InsertOutcome, TableStore};
+use super::reservation::{hash_values, ReservationTable, SwappableTable};
+use super::{InsertOutcome, StagedImport, TableStore};
 use crate::query::Query;
 use crate::schema::TableDef;
 use crate::tuple::Tuple;
@@ -67,7 +67,11 @@ impl HashStore {
     /// [`HashStore::new`] over a table whose first segment has `slots`
     /// slots (see `ReservationTable::with_first_segment`).
     #[cfg(test)]
-    fn with_first_segment(def: Arc<TableDef>, index_fields: Vec<usize>, slots: usize) -> Self {
+    pub(crate) fn with_first_segment(
+        def: Arc<TableDef>,
+        index_fields: Vec<usize>,
+        slots: usize,
+    ) -> Self {
         let mut store = HashStore::new(def, index_fields, 1);
         let table = ReservationTable::with_first_segment(slots, !store.index_is_primary);
         store.table = SwappableTable::new(table);
@@ -126,17 +130,8 @@ impl TableStore for HashStore {
     }
 
     fn export_snapshot(&self, f: &mut dyn FnMut(&Tuple)) {
-        self.export_snapshot_chunk(0, 1, f);
-    }
-
-    fn export_chunks(&self, hint: usize) -> usize {
-        export_chunks_for(self.table.get().journal_entries(), hint)
-    }
-
-    fn export_snapshot_chunk(&self, chunk: usize, of: usize, f: &mut dyn FnMut(&Tuple)) {
         let table = self.table.get();
-        let entries = table.journal_entries();
-        table.for_each_journal_range(entries * chunk / of, entries * (chunk + 1) / of, f);
+        table.for_each_journal_range(0, table.journal_entries(), f);
     }
 
     fn index_stamp(&self) -> Option<super::IndexStamp> {
@@ -190,12 +185,12 @@ impl TableStore for HashStore {
         )
     }
 
-    fn import_snapshot(&self, tuples: Vec<Tuple>) {
-        // As in `maybe_compact`: rebuild the reservation table wholesale
-        // from trusted (checksum-verified, deduplicated) snapshot input,
-        // restoring both the primary probe paths and the index chains.
+    fn begin_import(&self, rows: usize) -> Box<dyn StagedImport + '_> {
+        // As in `maybe_compact`, a right-sized table built aside — here
+        // through the checked batch insert — and swapped in on commit.
+        let hashes = |t: &Tuple| self.hashes(t);
         self.table
-            .import_quiescent(!self.index_is_primary, tuples, |t| self.hashes(t));
+            .begin_import(&self.def, !self.index_is_primary, rows, hashes)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -352,7 +347,10 @@ mod tests {
         let incoming: Vec<Tuple> = (0..90i64)
             .map(|i| Tuple::new(TableId(0), vec![Value::Int(i % 3), Value::Int(i)]))
             .collect();
-        store.import_snapshot(incoming);
+        let mut incoming = incoming;
+        let mut import = store.begin_import(incoming.len());
+        assert_eq!(import.push(&mut incoming), 0);
+        assert_eq!(import.commit(), 0);
         assert_eq!(store.len(), 90);
         // The indexed fast path narrows over the rebuilt chains.
         let q = Query::on(TableId(0)).eq(0, 2i64).eq(1, 50i64);

@@ -150,7 +150,10 @@ pub trait TableStore: Send + Sync {
     /// ([`crate::persist`]). The default delegates to
     /// [`TableStore::for_each`]; reservation-table stores walk their
     /// claim journal — O(live) in journal order, independent of
-    /// allocated capacity.
+    /// allocated capacity. For a store with an
+    /// [`TableStore::index_stamp`] this is the order of
+    /// [`TableStore::for_each_journal_suffix`] from 0, which is what
+    /// lets the snapshot writer keep a table's encoded rows and append.
     fn export_snapshot(&self, f: &mut dyn FnMut(&Tuple)) {
         self.for_each(&mut |t| {
             f(t);
@@ -158,50 +161,30 @@ pub trait TableStore: Send + Sync {
         });
     }
 
-    /// How many chunks this store can split its snapshot export into,
-    /// given `hint` available workers. The default — 1 — keeps the
-    /// sequential [`TableStore::export_snapshot`] path; reservation
-    /// stores partition their claim journal so the per-tuple
-    /// encode+hash pass (memory-latency bound on scattered heap
-    /// tuples) spreads across the pool, which is idle at the
-    /// checkpoint's quiescent point anyway.
-    fn export_chunks(&self, hint: usize) -> usize {
-        let _ = hint;
-        1
-    }
-
-    /// Visits the live tuples of export chunk `chunk` of `of`, where
-    /// `of` came from [`TableStore::export_chunks`]. Visiting chunks
-    /// `0..of` in order yields exactly the
-    /// [`TableStore::export_snapshot`] sequence — chunking changes who
-    /// encodes the tuples, never the resulting byte stream.
+    /// Opens a snapshot *restore* into this store: about `rows` rows are
+    /// to replace its contents, handed over in batches as the reader
+    /// decodes them — see [`StagedImport`]. A snapshot is a set: each
+    /// row must come out of the store's own insert `Fresh`, and every
+    /// row that does not (a repeat, a second row under a `->` key) is
+    /// counted, never dropped silently — the restoring engine reports
+    /// such a file as corrupt however well its checksums match.
     ///
-    /// **Quiescence contract**: like [`TableStore::maybe_compact`],
-    /// callers must guarantee no concurrent inserts between the
-    /// `export_chunks` call and the last chunk visit (the snapshot
-    /// paths already run at a quiescent point).
-    fn export_snapshot_chunk(&self, chunk: usize, of: usize, f: &mut dyn FnMut(&Tuple)) {
-        debug_assert_eq!((chunk, of), (0, 1), "default store is single-chunk");
-        self.export_snapshot(f);
-    }
-
-    /// Replaces the store's contents with `tuples` — the snapshot
-    /// *restore* bulk-load path. The tuples come from a
-    /// checksum-verified snapshot and are trusted to be duplicate-free
-    /// and key-consistent, so implementations may skip conflict
-    /// probing. The default drops everything and re-inserts one by
-    /// one; reservation-table stores rebuild a right-sized table and
-    /// swap it in.
+    /// A store that can build its replacement aside does so as the
+    /// batches arrive, counts as it goes and swaps on commit
+    /// ([`BTreeStore`], and the reservation-table stores, which fill a
+    /// right-sized fresh table through their batch insert). The default —
+    /// custom stores — cannot: it only collects, and on commit empties the
+    /// store and re-inserts row by row, counting then.
     ///
-    /// **Quiescence contract**: like [`TableStore::maybe_compact`],
-    /// callers must guarantee no concurrent access for the duration of
-    /// the call ([`crate::engine::Engine::restore`] runs strictly
-    /// before any worker exists).
-    fn import_snapshot(&self, tuples: Vec<Tuple>) {
-        self.retain(&|_| false);
-        for t in tuples {
-            self.insert(t);
-        }
+    /// **Quiescence contract**: like [`TableStore::maybe_compact`], no
+    /// other thread may be using the store when the import is committed
+    /// ([`crate::engine::Engine::restore`] runs strictly before any
+    /// worker exists).
+    fn begin_import(&self, rows: usize) -> Box<dyn StagedImport + '_> {
+        Box::new(CollectedImport {
+            store: self,
+            rows: Vec::with_capacity(rows),
+        })
     }
 
     /// Builds a sorted per-column view for a leapfrog join walk: every
@@ -248,6 +231,53 @@ pub trait TableStore: Send + Sync {
     /// Downcasting hook so rules can reach app-specific stores (the
     /// paper's custom `double[2][100_000_000]` Median store, for example).
     fn as_any(&self) -> &dyn Any;
+}
+
+/// A snapshot import under way (see [`TableStore::begin_import`]): the
+/// rows pushed so far have been taken — and, where the store can, built
+/// into the structure that will replace its contents — but the store
+/// itself still holds what it held. The restoring engine commits no
+/// table before every table has taken all its rows, so a snapshot that
+/// one table refuses leaves all of them as they were. Dropping a staged
+/// import abandons it.
+pub trait StagedImport {
+    /// Takes the next rows (all of `rows`, which is left empty with its
+    /// capacity, for the reader to refill). Returns how many of them
+    /// were found not `Fresh`: non-zero means the snapshot is corrupt,
+    /// and the import should be dropped.
+    fn push(&mut self, rows: &mut Vec<Tuple>) -> usize;
+
+    /// Replaces the store's contents with the rows pushed. Returns the
+    /// rows found not `Fresh` only now — by a store that could not
+    /// check without inserting (such a store has been modified all the
+    /// same); 0 from one that checked while building aside.
+    fn commit(self: Box<Self>) -> usize;
+}
+
+/// The import of a store with nothing to build aside with
+/// ([`TableStore::begin_import`]'s default).
+struct CollectedImport<'a, S: ?Sized> {
+    store: &'a S,
+    rows: Vec<Tuple>,
+}
+
+impl<S: TableStore + ?Sized> StagedImport for CollectedImport<'_, S> {
+    fn push(&mut self, rows: &mut Vec<Tuple>) -> usize {
+        self.rows.append(rows);
+        0
+    }
+
+    fn commit(self: Box<Self>) -> usize {
+        let CollectedImport { store, rows } = *self;
+        store.retain(&|_| false);
+        let mut rejected = 0;
+        for t in rows {
+            if store.insert(t) != InsertOutcome::Fresh {
+                rejected += 1;
+            }
+        }
+        rejected
+    }
 }
 
 /// How to build the store for one table.
@@ -627,6 +657,32 @@ pub(crate) mod testutil {
         assert!(hits > 0, "the probes must reach stored tuples");
     }
 
+    /// A store with nothing but the required methods — what a custom
+    /// store gets from the trait's defaults: no journal, no import of
+    /// its own.
+    pub struct PlainStore(pub BTreeStore);
+
+    impl TableStore for PlainStore {
+        fn insert(&self, t: Tuple) -> InsertOutcome {
+            self.0.insert(t)
+        }
+        fn contains(&self, t: &Tuple) -> bool {
+            self.0.contains(t)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn for_each(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
+            self.0.for_each(f)
+        }
+        fn retain(&self, keep: &dyn Fn(&Tuple) -> bool) {
+            self.0.retain(keep)
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
     /// Exercises the store contract shared by every implementation.
     pub fn exercise_store_contract(store: &dyn TableStore) {
         use crate::value::Value;
@@ -772,14 +828,42 @@ mod tests {
             .export_snapshot(&mut |t| exported.push(t.clone()));
         assert_eq!(exported.len(), 2);
 
-        // Import replaces pre-existing contents.
+        // Import replaces pre-existing contents — on commit, not before.
         let b = Gamma::new(&[def], &[StoreKind::Ordered]);
         b.insert(kt(9, 90, "stale"));
-        b.store(TableId(0)).import_snapshot(exported);
+        let mut import = b.store(TableId(0)).begin_import(2);
+        assert_eq!(import.push(&mut exported.clone()), 0);
+        assert!(b.contains(&kt(9, 90, "stale")));
+        assert_eq!(import.commit(), 0);
         assert_eq!(b.total_len(), 2);
         assert!(b.contains(&kt(1, 10, "x")));
         assert!(b.contains(&kt(2, 20, "y")));
         assert!(!b.contains(&kt(9, 90, "stale")));
+
+        // A repeated row and a second row under a `->` key are counted
+        // — against rows of an earlier batch too — while the store is
+        // still untouched.
+        let mut import = b.store(TableId(0)).begin_import(4);
+        assert_eq!(import.push(&mut exported), 0);
+        assert!(exported.is_empty());
+        assert_eq!(import.push(&mut vec![kt(2, 20, "y"), kt(1, 11, "x")]), 2);
+        drop(import);
+        assert_eq!(b.total_len(), 2);
+    }
+
+    #[test]
+    fn default_import_inserts_on_commit_and_reports_what_was_not_fresh() {
+        let store = PlainStore(BTreeStore::new(keyed_def()));
+        store.insert(kt(9, 90, "stale"));
+        let mut import = store.begin_import(3);
+        // Nothing to build aside with: untouched and unjudged until the
+        // commit, which reports the repeat.
+        assert_eq!(import.push(&mut vec![kt(1, 10, "x"), kt(2, 20, "y")]), 0);
+        assert_eq!(import.push(&mut vec![kt(1, 10, "x")]), 0);
+        assert_eq!(store.len(), 1);
+        assert_eq!(import.commit(), 1);
+        assert_eq!(store.len(), 2);
+        assert!(!store.contains(&kt(9, 90, "stale")));
     }
 
     #[test]
@@ -793,9 +877,7 @@ mod tests {
             },
         ] {
             let store = kind.build(Arc::clone(&def));
-            // Enough tuples that the chunk policy actually splits
-            // (it floors at ~4k journal entries per chunk), plus a
-            // few tombstones so chunks cross dead entries.
+            // A few tombstones, so chunks cross dead entries.
             for i in 0..20_000i64 {
                 store.insert(kt(i, i * 2, "v"));
             }
@@ -804,15 +886,20 @@ mod tests {
             let mut sequential = Vec::new();
             store.export_snapshot(&mut |t| sequential.push(t.clone()));
 
-            for chunks in [1, store.export_chunks(4), 7] {
+            // The journal walked in pieces — how the snapshot writer
+            // spreads a large encode over the pool — is the same stream.
+            let entries = store.index_stamp().expect("journaled").generation;
+            assert_eq!(entries, 20_000);
+            for chunks in [1, 2, 7] {
                 let mut chunked = Vec::new();
                 for c in 0..chunks {
-                    store.export_snapshot_chunk(c, chunks, &mut |t| chunked.push(t.clone()));
+                    let (lo, hi) = (entries * c / chunks, entries * (c + 1) / chunks);
+                    let covered =
+                        store.for_each_journal_suffix(lo, hi, &mut |t| chunked.push(t.clone()));
+                    assert_eq!(covered, hi);
                 }
                 assert_eq!(chunked, sequential, "{kind:?} split into {chunks}");
             }
-            assert!(store.export_chunks(4) > 1, "{kind:?} should split");
-            assert_eq!(store.export_chunks(1), 1);
         }
     }
 

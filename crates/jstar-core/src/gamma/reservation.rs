@@ -70,6 +70,14 @@
 //! strangers (16,384 heads under `dijkstra`'s 40,000 edge sources: seven
 //! hops for two matches).
 //!
+//! **Import** (snapshot restore, [`SwappableTable::begin_import`]) is
+//! that same batch insert into a fresh table built beside the live one:
+//! there is one way a tuple enters a table, checks included, so a restored
+//! file that repeats a row or breaks a `->` key is found out — counted,
+//! and the restore refused — rather than loaded into a table whose probe
+//! walks then no longer meet. The live table is replaced only when the
+//! caller commits, after every other table of the snapshot has passed.
+//!
 //! Slots are never reused: `retain` flips rejected slots to `TOMBSTONE`
 //! (readers skip them; probes walk past them) and the tuple memory is
 //! reclaimed when the table drops. That keeps the claim invariant — the
@@ -339,14 +347,6 @@ unsafe impl Sync for ReservationTable {}
 /// Hashes a sequence of values for probe placement and index chains.
 pub(crate) fn hash_values<'a>(values: impl IntoIterator<Item = &'a crate::value::Value>) -> u64 {
     crate::fxhash::hash_seq(values)
-}
-
-/// Chunk-count policy for parallel snapshot export: one chunk per
-/// available worker, floored so no chunk covers fewer than ~4k journal
-/// entries — below that the fork/join overhead eats the encode win.
-pub(crate) fn export_chunks_for(entries: usize, hint: usize) -> usize {
-    const MIN_CHUNK_ENTRIES: usize = 4096;
-    hint.min(entries / MIN_CHUNK_ENTRIES).max(1)
 }
 
 /// Best-effort cache prefetch of the line holding `p`. A hint only —
@@ -745,58 +745,6 @@ impl ReservationTable {
         unreachable!("reservation table exhausted {MAX_SEGMENTS} segments");
     }
 
-    /// Claims the first `EMPTY` slot on `primary`'s probe walk and
-    /// publishes `t` there **without** the duplicate / key-conflict
-    /// scan — the snapshot-import fast path. Sound only for trusted,
-    /// already-deduplicated input (a checksum-verified snapshot written
-    /// from a store that enforced uniqueness at insert time): skipping
-    /// the scan on untrusted input would let two equal tuples occupy
-    /// distinct slots and break the probe-walk meeting-point invariant.
-    pub fn insert_unchecked(&self, primary: u64, secondary: u64, t: Tuple) {
-        let my_hash = primary & HASH_MASK;
-        for k in 0..MAX_SEGMENTS {
-            let seg = self.segment_or_alloc(k);
-            let start = primary as usize;
-            for i in 0..PROBE_LIMIT.min(seg.tags.len()) {
-                let idx = (start + i) & seg.mask;
-                let tag = &seg.tags[idx];
-                // ord: Acquire ×3 — as in `insert`: claims publish
-                // nothing, but an occupied slot's payload may be read.
-                if tag.load(Ordering::Acquire) != EMPTY_TAG
-                    || tag
-                        .compare_exchange(
-                            EMPTY_TAG,
-                            my_hash | RESERVED,
-                            Ordering::Acquire,
-                            Ordering::Acquire,
-                        )
-                        .is_err()
-                {
-                    continue;
-                }
-                let payload = &seg.payload[idx];
-                // SAFETY: the claim CAS makes this thread the slot's
-                // unique writer; no reader dereferences the payload
-                // before the Release store below.
-                payload
-                    .secondary
-                    .with_mut(|p| unsafe { *p = secondary_filter(secondary) });
-                payload.tuple.with_mut(|p| unsafe { (*p).write(t) });
-                // ord: Release — publishes the payload writes; pairs
-                // with readers' Acquire tag loads.
-                tag.store(my_hash | PUBLISHED, Ordering::Release);
-                // ord: Relaxed — statistic only.
-                self.len.0.fetch_add(1, Ordering::Relaxed);
-                seg.journal_append(1, std::iter::once(idx));
-                if let Some(heads) = &seg.heads {
-                    link_index(seg, heads, secondary, idx);
-                }
-                return;
-            }
-        }
-        unreachable!("reservation table exhausted {MAX_SEGMENTS} segments");
-    }
-
     /// True if an identical tuple is published. `primary` as in
     /// [`ReservationTable::insert`].
     pub fn contains(&self, primary: u64, t: &Tuple) -> bool {
@@ -924,13 +872,27 @@ impl ReservationTable {
     /// tombstoned entries (the range walk skips them), so it is an
     /// upper bound on live tuples. Stable only while no inserts run.
     pub fn journal_entries(&self) -> usize {
-        let mut n = 0;
+        self.journal_shape().0
+    }
+
+    /// [`ReservationTable::journal_entries`] and, from the same read of
+    /// each cursor, the [`super::cache::IndexStamp::interior`] word: the
+    /// entries of every segment but the newest, under that segment's
+    /// number. Positions count through the segments in order and a
+    /// probe claims the first empty slot it meets — in an old segment
+    /// too, long after a newer one exists — so an entry can appear ahead
+    /// of positions a reader already holds. It cannot without moving this
+    /// word: the count only grows, and a new segment raises the number.
+    pub fn journal_shape(&self) -> (usize, u64) {
+        let (mut entries, mut newest, mut in_newest) = (0, 0, 0);
         for k in 0..MAX_SEGMENTS {
             let Some(seg) = self.segment(k) else { break };
             // ord: Acquire — as in for_each.
-            n += seg.cursor.0.load(Ordering::Acquire).min(seg.journal.len());
+            in_newest = seg.cursor.0.load(Ordering::Acquire).min(seg.journal.len());
+            entries += in_newest;
+            newest = k as u64;
         }
-        n
+        (entries, newest << 56 | (entries - in_newest) as u64)
     }
 
     /// Visits the live tuples at global claim-journal positions
@@ -1199,10 +1161,12 @@ impl SwappableTable {
     /// shared body of the stores' [`crate::gamma::TableStore::index_stamp`].
     pub fn index_stamp(&self) -> super::cache::IndexStamp {
         let t = self.get();
+        let (generation, interior) = t.journal_shape();
         super::cache::IndexStamp {
             epoch: self.epoch(),
-            generation: t.journal_entries(),
+            generation,
             tombstones: t.tombstones(),
+            interior,
         }
     }
 
@@ -1265,27 +1229,68 @@ impl SwappableTable {
         true
     }
 
-    /// Replaces the table's contents wholesale with `tuples` — the
-    /// shared snapshot-import protocol behind the stores'
-    /// [`crate::gamma::TableStore::import_snapshot`]. Builds a fresh
-    /// table sized for the incoming count and claims slots directly
-    /// ([`ReservationTable::insert_unchecked`] — a verified snapshot is
-    /// trusted, deduplicated input), then swaps it in, so import is
-    /// O(incoming) regardless of what the old table held. `hashes` as
-    /// in [`SwappableTable::compact_quiescent`]. Quiescent-point only:
-    /// see the type docs.
-    pub fn import_quiescent(
-        &self,
+    /// The shared body of the stores'
+    /// [`crate::gamma::TableStore::begin_import`] — see [`TableImport`].
+    /// `rows` sizes the fresh table; `hashes` as in
+    /// [`SwappableTable::compact_quiescent`].
+    pub fn begin_import<'a>(
+        &'a self,
+        def: &'a TableDef,
         with_index: bool,
-        tuples: Vec<Tuple>,
-        mut hashes: impl FnMut(&Tuple) -> (u64, u64),
-    ) {
-        let fresh = ReservationTable::new(tuples.len().max(1), with_index);
-        for t in tuples {
-            let (primary, secondary) = hashes(&t);
-            fresh.insert_unchecked(primary, secondary, t);
+        rows: usize,
+        hashes: impl FnMut(&Tuple) -> (u64, u64) + 'a,
+    ) -> Box<dyn super::StagedImport + 'a> {
+        Box::new(TableImport {
+            table: self,
+            def,
+            fresh: ReservationTable::new(rows.max(1), with_index),
+            hashes,
+        })
+    }
+}
+
+/// A snapshot restore into a [`SwappableTable`], in two moves.
+/// **Build**: a fresh table sized for the incoming count takes the rows
+/// batch by batch as the reader decodes them — so each row is inserted
+/// while it is still in cache, and the table's arrays are allocated ahead
+/// of the rows they will hold — through the one insert path there is,
+/// [`ReservationTable::insert_batch`] — 32-wide blocks, probe lines
+/// prefetched, one `len` add and one journal claim per block — with the
+/// duplicate and `->` checks on, and the rows that came out anything but
+/// `Fresh` are counted: a snapshot is a set, so a repeated row or two
+/// rows under one key mean the file is corrupt, checksum or not. Nothing
+/// of the live table is touched, so the restore can still be called off
+/// (another table's rows may be the bad ones). **Commit**:
+/// [`SwappableTable::replace_quiescent`] swaps the fresh table in,
+/// bumping the epoch — quiescent-point only (see that type's docs).
+/// Import is O(incoming) whatever the old table held.
+struct TableImport<'a, H> {
+    table: &'a SwappableTable,
+    def: &'a TableDef,
+    fresh: ReservationTable,
+    hashes: H,
+}
+
+impl<H: FnMut(&Tuple) -> (u64, u64)> super::StagedImport for TableImport<'_, H> {
+    fn push(&mut self, rows: &mut Vec<Tuple>) -> usize {
+        let mut outcomes = [InsertOutcome::Fresh; 32 * BATCH_BLOCK];
+        let mut rejected = 0;
+        for run in rows.chunks(outcomes.len()) {
+            let outcomes = &mut outcomes[..run.len()];
+            self.fresh
+                .insert_batch(self.def, run, &mut self.hashes, outcomes);
+            rejected += outcomes
+                .iter()
+                .filter(|o| **o != InsertOutcome::Fresh)
+                .count();
         }
-        self.replace_quiescent(fresh);
+        rows.clear();
+        rejected
+    }
+
+    fn commit(self: Box<Self>) -> usize {
+        self.table.replace_quiescent(self.fresh);
+        0
     }
 }
 
@@ -1600,31 +1605,38 @@ mod tests {
     }
 
     #[test]
-    fn import_quiescent_rebuilds_with_unchecked_claims() {
+    fn import_builds_aside_through_the_checked_batch() {
         let def = set_def();
+        let hashes = |t: &Tuple| (hash_values(t.key_fields(&def)), hash_values([t.get(0)]));
+        let row = |a: i64, b: i64| Tuple::new(TableId(0), vec![Value::Int(a), Value::Int(b)]);
         let swap = SwappableTable::new(ReservationTable::new(16, true));
         // Pre-import contents (including tombstones) must vanish.
         for i in 0..20i64 {
-            let t = Tuple::new(TableId(0), vec![Value::Int(i), Value::Int(i)]);
-            let p = primary_of(&def, &t);
-            swap.get().insert(&def, p, hash_values([t.get(0)]), t);
+            let (p, s) = hashes(&row(i, i));
+            swap.get().insert(&def, p, s, row(i, i));
         }
         swap.get().retain(&|t| t.int(0) < 5);
 
-        let incoming: Vec<Tuple> = (100..150i64)
-            .map(|i| Tuple::new(TableId(0), vec![Value::Int(i % 7), Value::Int(i)]))
-            .collect();
-        swap.import_quiescent(true, incoming, |t| {
-            (hash_values(t.key_fields(&def)), hash_values([t.get(0)]))
-        });
+        // Rows arrive in batches of any size: several 32-wide blocks
+        // with a short last one, a batch of one, an empty one.
+        let incoming: Vec<Tuple> = (100..250i64).map(|i| row(i % 7, i)).collect();
+        let mut import = swap.begin_import(&def, true, incoming.len(), hashes);
+        for batch in [&incoming[..100], &incoming[100..101], &[], &incoming[101..]] {
+            let mut batch = batch.to_vec();
+            assert_eq!(import.push(&mut batch), 0);
+            assert!(batch.is_empty());
+        }
+        // Built aside: until the commit the old table is what readers see.
+        assert_eq!((swap.get().len(), swap.epoch()), (5, 0));
+        assert_eq!(import.commit(), 0);
+        assert_eq!((swap.get().len(), swap.epoch()), (150, 1));
 
-        assert_eq!(swap.get().len(), 50);
         assert_eq!(swap.get().tombstones(), 0);
-        let gone = Tuple::new(TableId(0), vec![Value::Int(3), Value::Int(3)]);
-        assert!(!swap.get().contains(primary_of(&def, &gone), &gone));
-        let here = Tuple::new(TableId(0), vec![Value::Int(100 % 7), Value::Int(100)]);
-        assert!(swap.get().contains(primary_of(&def, &here), &here));
-        // The secondary chains were rebuilt too.
+        assert!(!swap.get().contains(hashes(&row(3, 3)).0, &row(3, 3)));
+        assert!(swap.get().contains(hashes(&row(2, 100)).0, &row(2, 100)));
+        // The journal is whole (one ranged claim per block, every cell
+        // filled) and the secondary chains were rebuilt too.
+        assert_eq!(swap.get().journal_stable_prefix(0, 150), 150);
         let mut chain_hits = 0;
         swap.get()
             .scan_index(hash_values([&Value::Int(3)]), &mut |t| {
@@ -1633,15 +1645,33 @@ mod tests {
                 }
                 true
             });
-        assert_eq!(chain_hits, (100..150).filter(|i| i % 7 == 3).count());
-        // Unchecked claims still dedup correctly through normal inserts
-        // afterwards.
-        let dup = Tuple::new(TableId(0), vec![Value::Int(101 % 7), Value::Int(101)]);
+        assert_eq!(chain_hits, (100..250).filter(|i| i % 7 == 3).count());
+        // Later inserts dedup against the imported rows.
+        let (p, s) = hashes(&row(3, 101));
         assert_eq!(
-            swap.get()
-                .insert(&def, primary_of(&def, &dup), 0, dup.clone()),
+            swap.get().insert(&def, p, s, row(3, 101)),
             InsertOutcome::Duplicate
         );
+
+        // A repeated row is counted, wherever its twin sits — the same
+        // block, a later one, an earlier batch — and a dropped import
+        // changes nothing.
+        for twin_of in [100, 249] {
+            let mut import = swap.begin_import(&def, true, 151, hashes);
+            let mut repeated = incoming.clone();
+            repeated.insert(40, row(twin_of % 7, twin_of));
+            assert_eq!(import.push(&mut repeated), 1);
+            assert_eq!(import.push(&mut vec![row(0, 105), row(9, 9)]), 1);
+            drop(import);
+            assert_eq!((swap.get().len(), swap.epoch()), (150, 1));
+        }
+        // So are two rows under one `->` key.
+        let keyed = keyed_def();
+        let by_key = |t: &Tuple| (hash_values(t.key_fields(&keyed)), 0);
+        let swap = SwappableTable::new(ReservationTable::new(16, false));
+        let mut rows = vec![kt(1, 10, "x"), kt(2, 20, "y"), kt(1, 11, "x")];
+        let mut import = swap.begin_import(&keyed, false, 3, by_key);
+        assert_eq!(import.push(&mut rows), 1);
     }
 }
 

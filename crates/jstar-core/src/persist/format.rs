@@ -242,10 +242,75 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// One canonically encoded tuple record, returning its fields and
-    /// the raw record slice (the content-hash input).
-    pub fn tuple_record(&mut self) -> Result<(Vec<Value>, &'a [u8])> {
+    /// The decode-side twin of [`encode_tuple`]'s fast path: a record of
+    /// fewer than 128 fields, none of them a string, read with one bounds
+    /// check a byte and no error value built on the way — a restore
+    /// decodes all of Gamma, and the general path's `Result` per byte is
+    /// most of what a small record costs. Returns the offset just past
+    /// the record, or `None` for anything else — a string field, and
+    /// every malformed or truncated input — with the reader unmoved:
+    /// the general path then decodes the record from its start, so what
+    /// is accepted, and the error reported for what is not, are its own.
+    fn plain_record(&self, fields: &mut Vec<Value>) -> Option<usize> {
+        let rest = &self.bytes[self.pos..];
+        let arity = *rest.first()?;
+        if arity >= 0x80 {
+            return None; // a multi-byte arity varint
+        }
+        let mut at = 1;
+        for _ in 0..arity {
+            let tag = *rest.get(at)?;
+            at += 1;
+            fields.push(match tag {
+                0 => {
+                    let (mut v, mut shift) = (0u64, 0);
+                    loop {
+                        let byte = *rest.get(at)?;
+                        at += 1;
+                        if shift == 63 && byte > 1 {
+                            return None; // more than 64 bits, or an 11th byte
+                        }
+                        v |= ((byte & 0x7f) as u64) << shift;
+                        if byte & 0x80 == 0 {
+                            break Value::Int(unzigzag(v));
+                        }
+                        shift += 7;
+                    }
+                }
+                1 => {
+                    let bits = rest.get(at..at + 8)?;
+                    at += 8;
+                    Value::Double(f64::from_bits(u64::from_le_bytes(bits.try_into().ok()?)))
+                }
+                3 => {
+                    let flag = *rest.get(at)?;
+                    at += 1;
+                    match flag {
+                        0 => Value::Bool(false),
+                        1 => Value::Bool(true),
+                        _ => return None,
+                    }
+                }
+                _ => return None, // a string, or no tag at all
+            });
+        }
+        Some(self.pos + at)
+    }
+
+    /// One canonically encoded tuple record, decoded into `fields` — a
+    /// caller-owned scratch vector, cleared first, so a table's worth of
+    /// records costs one buffer and each value is built exactly once
+    /// (the caller moves them on with [`crate::tuple::Tuple::drain_from`]).
+    /// Returns the raw record slice (the content-hash input). On error
+    /// `fields` holds whatever decoded before the bad byte.
+    pub fn tuple_record(&mut self, fields: &mut Vec<Value>) -> Result<&'a [u8]> {
+        fields.clear();
         let start = self.pos;
+        if let Some(end) = self.plain_record(fields) {
+            self.pos = end;
+            return Ok(&self.bytes[start..end]);
+        }
+        fields.clear();
         let arity64 = self.varint()?;
         // Each field is at least 2 bytes (tag + smallest payload), so a
         // plausible arity is bounded by the remaining input.
@@ -253,11 +318,11 @@ impl<'a> ByteReader<'a> {
             return Err(self.corrupt("tuple arity exceeds input"));
         }
         let arity = arity64 as usize;
-        let mut fields = Vec::with_capacity(arity);
+        fields.reserve(arity);
         for _ in 0..arity {
             fields.push(self.value()?);
         }
-        Ok((fields, &self.bytes[start..self.pos]))
+        Ok(&self.bytes[start..self.pos])
     }
 }
 
@@ -265,13 +330,52 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
+    /// The record decoder this module had before the scratch form: a
+    /// fresh vector per record. Kept here as the reference the scratch
+    /// decode is held against.
+    fn tuple_record_fresh<'a>(r: &mut ByteReader<'a>) -> Result<(Vec<Value>, &'a [u8])> {
+        let start = r.pos;
+        let arity64 = r.varint()?;
+        if arity64 > r.remaining() as u64 {
+            return Err(r.corrupt("tuple arity exceeds input"));
+        }
+        let mut fields = Vec::with_capacity(arity64 as usize);
+        for _ in 0..arity64 {
+            fields.push(r.value()?);
+        }
+        Ok((fields, &r.bytes[start..r.pos]))
+    }
+
+    /// Decodes the record at the head of `bytes` both ways — the scratch
+    /// starts dirty, as it does for every record but a table's first —
+    /// and holds them to the same fields, raw slice and read position, or
+    /// the same error.
+    fn decode(bytes: &[u8]) -> Result<Vec<Value>> {
+        let (mut fresh, mut reused) = (ByteReader::new(bytes), ByteReader::new(bytes));
+        let mut scratch = vec![Value::str("left over"), Value::Int(9)];
+        let want = tuple_record_fresh(&mut fresh);
+        let got = reused.tuple_record(&mut scratch);
+        match (want, got) {
+            (Ok((fields, raw)), Ok(got_raw)) => {
+                assert_eq!(scratch, fields);
+                assert_eq!(got_raw, raw);
+                assert_eq!(reused.position(), fresh.position());
+                Ok(fields)
+            }
+            (Err(want), Err(got)) => {
+                assert_eq!(got.to_string(), want.to_string());
+                Err(got)
+            }
+            (want, got) => panic!("decoders disagree: {want:?} vs {got:?}"),
+        }
+    }
+
     fn roundtrip(fields: Vec<Value>) {
         let mut buf = Vec::new();
         encode_tuple(&mut buf, &fields);
+        assert_eq!(decode(&buf).unwrap(), fields);
         let mut r = ByteReader::new(&buf);
-        let (decoded, raw) = r.tuple_record().unwrap();
-        assert_eq!(decoded, fields);
-        assert_eq!(raw, &buf[..]);
+        assert_eq!(r.tuple_record(&mut Vec::new()).unwrap(), &buf[..]);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -285,6 +389,46 @@ mod tests {
         ]);
         roundtrip(vec![]);
         roundtrip(vec![Value::Double(-0.0), Value::Double(f64::NAN)]);
+    }
+
+    #[test]
+    fn string_free_records_decode_as_the_general_path_does() {
+        // The reference decoder above knows no fast path; `decode` holds
+        // the two together on values, raw slice, position and error text.
+        let ints = |vs: &[i64]| vs.iter().copied().map(Value::Int).collect::<Vec<_>>();
+        let mut cases = vec![
+            ints(&[0, 1, -1, 63, 64, -64, -65, 8191, 8192, 1 << 20, -(1 << 34)]),
+            ints(&[i64::MAX, i64::MIN, i64::MAX - 1, i64::MIN + 1]),
+            vec![Value::Bool(true), Value::Double(-0.0), Value::Int(7)],
+            vec![Value::Double(f64::NAN), Value::Bool(false)],
+            (0..127).map(Value::Int).collect(), // the widest 1-byte arity
+            (0..128).map(Value::Int).collect(), // one more: general path
+        ];
+        cases.push(vec![Value::Int(5), Value::str("s"), Value::Int(6)]);
+        for fields in cases {
+            let mut buf = Vec::new();
+            encode_tuple(&mut buf, &fields);
+            buf.extend_from_slice(&[0xff; 3]); // the next record's bytes
+            assert_eq!(decode(&buf).unwrap(), fields);
+            // Every truncation is the same error either way.
+            for cut in 0..buf.len() - 3 {
+                assert!(decode(&buf[..cut]).is_err(), "{fields:?} cut at {cut}");
+            }
+        }
+        // Hand-made records: a non-minimal varint (accepted, as the
+        // general path accepts it), and the hostile ones.
+        assert_eq!(decode(&[1, 0, 0x80, 0x00]).unwrap(), ints(&[0]));
+        let ten = |last: u8| [&[1u8, 0][..], &[0xff; 9], &[last]].concat();
+        assert_eq!(decode(&ten(0x01)).unwrap(), ints(&[i64::MIN]));
+        for hostile in [
+            ten(0x02),              // a 65th bit
+            ten(0x81),              // an 11th byte
+            vec![1, 3, 2],          // a bool that is neither
+            vec![1, 4, 0],          // no such tag
+            vec![2, 0, 1, 1, 0, 0], // a double cut short
+        ] {
+            assert!(decode(&hostile).is_err(), "{hostile:?}");
+        }
     }
 
     #[test]
@@ -306,8 +450,7 @@ mod tests {
             &[Value::Int(7), Value::str("abc"), Value::Bool(false)],
         );
         for cut in 0..buf.len() {
-            let mut r = ByteReader::new(&buf[..cut]);
-            let err = r.tuple_record().unwrap_err();
+            let err = decode(&buf[..cut]).unwrap_err();
             assert!(
                 matches!(err, JStarError::CorruptSnapshot(_)),
                 "cut at {cut}: {err:?}"
@@ -374,28 +517,20 @@ mod tests {
         let mut buf = Vec::new();
         encode_varint(&mut buf, u32::MAX as u64);
         buf.extend_from_slice(&[0; 6]);
-        let mut r = ByteReader::new(&buf);
-        assert!(r.tuple_record().is_err());
+        assert!(decode(&buf).is_err());
 
-        // String length claims more than the input holds.
-        let mut buf = vec![2u8]; // Str tag
-        encode_varint(&mut buf, u64::MAX);
-        let mut r = ByteReader::new(&buf);
-        assert!(r.value().is_err());
-
-        // Bad type tag.
-        let mut r = ByteReader::new(&[9u8, 0, 0]);
-        assert!(r.value().is_err());
-
-        // Bad bool payload.
-        let mut r = ByteReader::new(&[3u8, 7]);
-        assert!(r.value().is_err());
-
-        // Invalid UTF-8 in a string value.
-        let mut buf = vec![2u8];
-        encode_varint(&mut buf, 2);
-        buf.extend_from_slice(&[0xff, 0xfe]);
-        let mut r = ByteReader::new(&buf);
-        assert!(r.value().is_err());
+        // Garbage values, alone and as the one field of a record.
+        let mut oversized = vec![2u8]; // Str tag, length beyond the input
+        encode_varint(&mut oversized, u64::MAX);
+        let mut bad_utf8 = vec![2u8];
+        encode_varint(&mut bad_utf8, 2);
+        bad_utf8.extend_from_slice(&[0xff, 0xfe]);
+        let bad_tag = vec![9u8, 0, 0];
+        let bad_bool = vec![3u8, 7];
+        for value in [oversized, bad_utf8, bad_tag, bad_bool] {
+            assert!(ByteReader::new(&value).value().is_err(), "{value:?}");
+            let record = [&[1u8][..], &value].concat();
+            assert!(decode(&record).is_err(), "{record:?}");
+        }
     }
 }

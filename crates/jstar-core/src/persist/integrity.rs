@@ -84,6 +84,77 @@ pub fn fnv1a_words(bytes: &[u8]) -> u64 {
     h.wrapping_mul(FNV_PRIME)
 }
 
+/// [`fnv1a_words`] over a byte stream that arrives in parts: the
+/// snapshot writer sends a file's sections to disk one after another —
+/// most of them cached from the previous checkpoint — and never holds the
+/// image as one slice. Parts may end anywhere; the bytes of a split word
+/// are carried to the next part, so the result is that of
+/// [`fnv1a_words`] over the concatenation, however it was cut. (The
+/// one-shot stays a function of its own: it hashes every tuple, and
+/// routed through this carry it measured 2–3 ns a tuple slower.)
+#[derive(Debug, Clone)]
+pub struct WordChecksum {
+    state: u64,
+    /// The bytes since the last whole word (`carried` of them).
+    carry: [u8; 8],
+    carried: usize,
+    len: u64,
+}
+
+impl Default for WordChecksum {
+    fn default() -> Self {
+        WordChecksum {
+            state: FNV_OFFSET,
+            carry: [0; 8],
+            carried: 0,
+            len: 0,
+        }
+    }
+}
+
+impl WordChecksum {
+    pub fn new() -> WordChecksum {
+        WordChecksum::default()
+    }
+
+    /// Folds the next part of the stream.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        let mut h = self.state;
+        if self.carried > 0 {
+            let take = (8 - self.carried).min(bytes.len());
+            self.carry[self.carried..self.carried + take].copy_from_slice(&bytes[..take]);
+            self.carried += take;
+            bytes = &bytes[take..];
+            if self.carried < 8 {
+                return;
+            }
+            h = (h ^ u64::from_le_bytes(self.carry)).wrapping_mul(FNV_PRIME);
+        }
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            h ^= u64::from_le_bytes(chunk.try_into().expect("exact chunk"));
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        self.state = h;
+        let rem = chunks.remainder();
+        self.carry[..rem.len()].copy_from_slice(rem);
+        self.carried = rem.len();
+    }
+
+    /// The checksum of everything folded in so far (the stream may go
+    /// on: this does not disturb the running state).
+    pub fn finish(&self) -> u64 {
+        let mut h = self.state;
+        if self.carried > 0 {
+            let mut tail = [0u8; 8];
+            tail[..self.carried].copy_from_slice(&self.carry[..self.carried]);
+            h = (h ^ u64::from_le_bytes(tail)).wrapping_mul(FNV_PRIME);
+        }
+        (h ^ self.len).wrapping_mul(FNV_PRIME)
+    }
+}
+
 /// SplitMix64 finalizer: spreads an FNV state over all 64 bits so the
 /// commutative combiner below cannot be defeated by low-entropy tails.
 pub fn mix64(mut x: u64) -> u64 {
@@ -241,6 +312,36 @@ mod tests {
             let mut flipped = base.clone();
             flipped[i] ^= 0x01;
             assert_ne!(h, fnv1a_words(&flipped), "byte {i} did not matter");
+        }
+    }
+
+    #[test]
+    fn streamed_word_fnv_equals_the_one_shot_however_it_is_cut() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 % 251) as u8).collect();
+        for len in [0, 1, 7, 8, 9, 15, 16, 17, 64, 199, 200] {
+            let data = &data[..len];
+            let want = fnv1a_words(data);
+            // Every two-way cut, then a three-way one around each byte
+            // (parts of 0, 1 and many bytes, on and off word boundaries).
+            for cut in 0..=len {
+                let mut c = WordChecksum::new();
+                c.update(&data[..cut]);
+                c.update(&data[cut..]);
+                assert_eq!(c.finish(), want, "{len} bytes cut at {cut}");
+                let mut c = WordChecksum::new();
+                c.update(&data[..cut]);
+                c.update(&data[cut..len.min(cut + 1)]);
+                c.update(&[]);
+                c.update(&data[len.min(cut + 1)..]);
+                assert_eq!(c.finish(), want, "{len} bytes cut around {cut}");
+            }
+            // Byte by byte, reading the running value on the way.
+            let mut c = WordChecksum::new();
+            for (i, b) in data.iter().enumerate() {
+                assert_eq!(c.finish(), fnv1a_words(&data[..i]));
+                c.update(std::slice::from_ref(b));
+            }
+            assert_eq!(c.finish(), want);
         }
     }
 

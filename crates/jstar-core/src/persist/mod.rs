@@ -48,25 +48,60 @@
 //! queue) and writes `ckpt-<seq>.jsnap` atomically, keeping the newest
 //! [`crate::engine::EngineConfig::checkpoint_keep`] files.
 //!
+//! ## What a checkpoint costs
+//!
+//! One [`CheckpointWriter`] serves a run. It keeps every table's
+//! section as last written — the encoded rows, ~9 bytes a row on the
+//! paper's workloads, which is what a single image buffer used to pin —
+//! and a checkpoint **encodes only the rows claimed since the previous
+//! one**, found by walking the claim journal from where the last walk
+//! stopped. Around that it makes one pass over the cached bytes (the
+//! whole-file checksum, the write to the `.tmp`): the file is complete
+//! every time, a checkpoint never refers to another, and the bytes are
+//! exactly those a writer with no memory would produce at the same
+//! point. A cached section is dropped, and encoded again from nothing,
+//! when its table was replaced wholesale (compaction, a restore), when
+//! a row was tombstoned (`retain`, lifetime hints), or when a row was
+//! claimed ahead of the journal's end (possible once a table has
+//! outgrown its first segment, ~100k rows) — [`crate::gamma::IndexStamp`]
+//! tells; stores without a claim journal (the sequential
+//! [`crate::gamma::BTreeStore`], custom stores) are encoded every time;
+//! and a write that fails drops everything the writer knew.
+//!
 //! Guidance:
 //!
-//! * **Interval.** A checkpoint costs O(live Gamma) serialization on
-//!   the coordinator thread. Size `checkpoint_every` so that cost is
-//!   well under the work of the interval itself — for the paper's
-//!   workloads, every few hundred steps keeps overhead under a few
-//!   percent (the bench suite gates fig8 at ≤ 1.10× with
-//!   checkpointing on). Very small intervals are only worth it when a
-//!   step is enormous or re-execution is very expensive.
+//! * **Interval.** Size `checkpoint_every` so that the cost above —
+//!   O(rows claimed in the interval) to encode, O(live bytes) to
+//!   checksum and write — is well under the work of the interval
+//!   itself. For the paper's workloads, every few hundred steps keeps
+//!   overhead under a few percent (the bench suite gates fig8 at
+//!   ≤ 1.10× with checkpointing on). Very small intervals are only worth
+//!   it when a step is enormous or re-execution is very expensive.
 //! * **Keep count.** Keep at least 2: if the process dies *while*
 //!   writing checkpoint N (leaving a torn `.tmp` or, with a corrupted
 //!   disk, a bad newest file), restore falls back to N−1. The default
-//!   keeps 2.
+//!   keeps 2. The directory is listed once, by a run's first checkpoint
+//!   (older files there count towards `keep` and rotate out first).
 //! * **Restore.** [`crate::engine::Engine::restore_latest`] scans the
 //!   directory newest-first, skipping corrupt files with a reported
 //!   (never panicked) [`crate::error::JStarError::CorruptSnapshot`],
 //!   and resumes from the first intact one. Because canonical Delta
 //!   sets make pop schedules deterministic, a resumed run's final
 //!   Gamma digest is bit-identical to an uninterrupted run's.
+//!
+//! ## Restore
+//!
+//! A record is decoded once, straight into the row it becomes, and the
+//! rows stream out of the reader a batch at a time
+//! ([`decode_snapshot`] into a [`SnapshotSink`]); the engine type-checks
+//! each batch in place and pushes it, still in cache, into its table's
+//! import, which the built-in stores build aside with the duplicate and
+//! `->` checks of any other insert
+//! ([`crate::gamma::TableStore::begin_import`]). **A snapshot is a
+//! set**: an image in which a row appears twice, or two rows share a
+//! `->` key, is corrupt however well its checksums match, and is
+//! refused as such — before any store is touched, so the engine is
+//! left as it was and `restore_latest` moves on to the previous file.
 //!
 //! Snapshots restore only into an engine built from the *same*
 //! program schema — table names, column names/types, key splits and
@@ -80,9 +115,11 @@ mod reader;
 mod writer;
 
 pub use format::SNAPSHOT_EXT;
-pub use integrity::{fnv1a, fnv1a_words, schema_fingerprint, Checksum, ContentHash};
-pub use reader::{read_snapshot, read_snapshot_bytes, Snapshot, SnapshotTable};
-pub use writer::{write_snapshot, SnapshotMeta};
+pub use integrity::{fnv1a, fnv1a_words, schema_fingerprint, Checksum, ContentHash, WordChecksum};
+pub use reader::{
+    decode_snapshot, read_snapshot, read_snapshot_bytes, Snapshot, SnapshotSink, SnapshotTable,
+};
+pub use writer::{CheckpointWriter, PendingVisitor, SnapshotMeta};
 
 use crate::error::{JStarError, Result};
 use crate::gamma::Gamma;
@@ -156,34 +193,6 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<PathBuf>> {
     Ok(found.into_iter().map(|(_, p)| p).collect())
 }
 
-/// The next unused checkpoint sequence number in `dir` — strictly
-/// greater than every existing one, so checkpoints written by a
-/// resumed run never collide with (or sort below) the files it
-/// restored from.
-pub fn next_checkpoint_seq(dir: &Path) -> Result<u64> {
-    Ok(list_checkpoints(dir)?
-        .iter()
-        .filter_map(|p| checkpoint_seq(p))
-        .max()
-        .map(|s| s + 1)
-        .unwrap_or(0))
-}
-
-/// Removes the oldest checkpoints in `dir` until at most `keep`
-/// remain (keep-last-N rotation). `keep == 0` is treated as 1 — the
-/// checkpoint just written is never deleted.
-pub fn rotate_checkpoints(dir: &Path, keep: usize) -> Result<()> {
-    let files = list_checkpoints(dir)?;
-    let keep = keep.max(1);
-    if files.len() <= keep {
-        return Ok(());
-    }
-    for old in &files[..files.len() - keep] {
-        std::fs::remove_file(old).map_err(|e| JStarError::Io(format!("{}: {e}", old.display())))?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,32 +214,59 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("jstar-persist-rot-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        let names = |dir: &Path| -> Vec<String> {
+            let name = |p: &PathBuf| p.file_name().unwrap().to_str().unwrap().to_string();
+            list_checkpoints(dir).unwrap().iter().map(name).collect()
+        };
 
-        assert_eq!(next_checkpoint_seq(&dir).unwrap(), 0);
-        for seq in [3u64, 1, 2] {
+        // What an earlier run left behind: two checkpoints, a stale
+        // staging file and an unrelated file (both ignored).
+        for seq in [3u64, 1] {
             std::fs::write(dir.join(checkpoint_file_name(seq)), b"x").unwrap();
         }
-        // Stale staging file and unrelated files are ignored.
         std::fs::write(dir.join("ckpt-0000000009.jsnap.tmp"), b"x").unwrap();
         std::fs::write(dir.join("notes.txt"), b"x").unwrap();
+        assert_eq!(
+            names(&dir),
+            [checkpoint_file_name(1), checkpoint_file_name(3)]
+        );
 
-        let files = list_checkpoints(&dir).unwrap();
-        assert_eq!(files.len(), 3);
-        assert!(files[0].to_str().unwrap().contains("0000000001"));
-        assert!(files[2].to_str().unwrap().contains("0000000003"));
-        assert_eq!(next_checkpoint_seq(&dir).unwrap(), 4);
-
-        rotate_checkpoints(&dir, 2).unwrap();
-        let files = list_checkpoints(&dir).unwrap();
-        assert_eq!(files.len(), 2);
-        assert!(files[0].to_str().unwrap().contains("0000000002"));
-
+        // A resumed run numbers its files after the ones it found and
+        // keeps the newest `keep` overall, old files included.
+        let gamma = Gamma::new(&[], &[]);
+        let mut writer = CheckpointWriter::new(&[], &gamma, None);
+        let mut checkpoint = |keep| {
+            let path = writer.checkpoint(&dir, keep, &mut |_| {}, SnapshotMeta::default());
+            path.unwrap()
+                .file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .to_string()
+        };
+        assert_eq!(checkpoint(3), checkpoint_file_name(4));
+        assert_eq!(names(&dir), [1, 3, 4].map(checkpoint_file_name));
+        assert_eq!(checkpoint(3), checkpoint_file_name(5));
+        assert_eq!(names(&dir), [3, 4, 5].map(checkpoint_file_name));
+        // A file that went away behind the writer's back is no error.
+        std::fs::remove_file(dir.join(checkpoint_file_name(3))).unwrap();
+        assert_eq!(checkpoint(2), checkpoint_file_name(6));
+        assert_eq!(names(&dir), [5, 6].map(checkpoint_file_name));
         // keep = 0 still keeps the newest.
-        rotate_checkpoints(&dir, 0).unwrap();
-        assert_eq!(list_checkpoints(&dir).unwrap().len(), 1);
+        assert_eq!(checkpoint(0), checkpoint_file_name(7));
+        assert_eq!(names(&dir), [checkpoint_file_name(7)]);
+        assert!(read_snapshot(&dir.join(checkpoint_file_name(7))).is_ok());
+        assert!(dir.join("notes.txt").exists());
 
-        // A missing directory lists as empty.
+        // A missing directory lists as empty, and is created by the
+        // first checkpoint into it.
         let _ = std::fs::remove_dir_all(&dir);
         assert!(list_checkpoints(&dir).unwrap().is_empty());
+        let mut writer = CheckpointWriter::new(&[], &gamma, None);
+        writer
+            .checkpoint(&dir, 2, &mut |_| {}, SnapshotMeta::default())
+            .unwrap();
+        assert_eq!(names(&dir), [checkpoint_file_name(0)]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -88,10 +88,17 @@ impl Tuple {
     /// Field types are *not* checked here; [`crate::program::Program`]
     /// checks them at `put` time when type checking is enabled.
     pub fn new(table: TableId, fields: impl Into<Vec<Value>>) -> Tuple {
-        let mut fields: Vec<Value> = fields.into();
+        Tuple::drain_from(table, &mut fields.into())
+    }
+
+    /// [`Tuple::new`] out of a caller-owned scratch vector: every value
+    /// moves into the row's one allocation and `fields` is left empty
+    /// with its capacity intact, ready for the next record — the snapshot
+    /// reader decodes a whole table through one such vector.
+    pub fn drain_from(table: TableId, fields: &mut Vec<Value>) -> Tuple {
         // SAFETY: the vector holds `len()` initialised values; `set_len(0)`
         // right after makes it forget them, so each value has exactly one
-        // owner (the row) and the vector frees only its buffer.
+        // owner (the row) and the vector keeps only its buffer.
         unsafe {
             let t = Tuple::from_raw_fields(table, fields.as_ptr(), fields.len());
             fields.set_len(0);
@@ -543,6 +550,33 @@ mod tests {
         roomy.extend(fields());
         drop(Tuple::new(TableId(0), roomy));
         assert_eq!((Arc::strong_count(&a), Arc::strong_count(&b)), (1, 1));
+    }
+
+    #[test]
+    fn drain_from_moves_the_values_and_keeps_the_scratch() {
+        use std::sync::Arc;
+        let name: Arc<str> = Arc::from("alpha");
+        let mut scratch = Vec::with_capacity(8);
+        let (buffer, capacity) = (scratch.as_ptr(), scratch.capacity());
+        let mut rows = Vec::new();
+        for i in 0..3 {
+            scratch.extend([Value::Str(name.clone()), Value::Int(i)]);
+            rows.push(Tuple::drain_from(TableId(2), &mut scratch));
+            // Emptied, not reallocated: the next record reuses the buffer.
+            assert!(scratch.is_empty());
+            assert_eq!((scratch.as_ptr(), scratch.capacity()), (buffer, capacity));
+        }
+        // Each string moved — one reference per row, none left behind in
+        // the scratch and none cloned on the way.
+        assert_eq!(Arc::strong_count(&name), 4);
+        assert_eq!(
+            rows[1],
+            Tuple::new(TableId(2), vec![Value::Str(name.clone()), Value::Int(1)])
+        );
+        drop(rows);
+        assert_eq!(Arc::strong_count(&name), 1);
+        // An empty scratch is the zero-arity row.
+        assert_eq!(Tuple::drain_from(TableId(2), &mut scratch).arity(), 0);
     }
 
     #[test]

@@ -366,4 +366,133 @@ mod crash_matrix {
             );
         }
     }
+
+    /// Bytes each write site puts out for the checkpoint at `path`.
+    fn site_bytes(path: &Path) -> Vec<(CrashSite, u64)> {
+        let snap = jstar_core::persist::read_snapshot(path).unwrap();
+        let record = |t: &Tuple| {
+            let mut bytes = Vec::new();
+            jstar_core::persist::format::encode_tuple(&mut bytes, t.fields());
+            bytes.len() as u64
+        };
+        let headers = snap.tables.iter().map(|t| 4 + t.name.len() as u64 + 16);
+        let rows = snap.tables.iter().flat_map(|t| t.tuples.iter().map(record));
+        let sites = vec![
+            (CrashSite::Header, 40),
+            (CrashSite::TableSection, headers.sum()),
+            (CrashSite::TupleBytes, rows.sum()),
+            (
+                CrashSite::PendingSection,
+                8 + snap.pending.iter().map(|t| 4 + record(t)).sum::<u64>(),
+            ),
+            (CrashSite::Footer, 16),
+        ];
+        let total: u64 = sites.iter().map(|&(_, n)| n).sum();
+        assert_eq!(total, std::fs::metadata(path).unwrap().len());
+        sites
+    }
+
+    /// The matrix again, killed inside the *third* checkpoint of a run:
+    /// the writer is warm by then (two sections' worth of rows cached,
+    /// the third appending to them) and two intact files sit behind the
+    /// torn one. Recovery from the previous file reaches the
+    /// uninterrupted hash, and so does recovery when the torn image made
+    /// it onto the final name (a rename that outran its data) and
+    /// `restore_latest` has to fall back past it.
+    #[test]
+    fn a_crash_inside_the_third_checkpoint_recovers_from_the_second() {
+        let prog = fan_program();
+        let expected = expected_hash(&prog);
+
+        // Where the third checkpoint's bytes begin, per site: a fault
+        // countdown runs across checkpoints, and what each one writes
+        // is the same from run to run (the schedule is deterministic).
+        let sizes = {
+            let scratch = Scratch::new("sizes");
+            let keep_all = checkpointing_config(scratch.path()).checkpoint_keep(100);
+            Engine::new(Arc::clone(&prog), keep_all).run().unwrap();
+            let files = jstar_core::persist::list_checkpoints(scratch.path()).unwrap();
+            assert!(files.len() >= 4, "need a third checkpoint, got {files:?}");
+            [0, 1, 2].map(|i| site_bytes(&files[i]))
+        };
+
+        for (i, &(site, third)) in sizes[2].iter().enumerate() {
+            let before_third = sizes[0][i].1 + sizes[1][i].1;
+            // (Not `+ 0`: a countdown that runs out exactly at the end of
+            // the second checkpoint's bytes fires there, at the
+            // zero-length probe of a still-empty table.)
+            for into in [1, third / 2, third - 1] {
+                let scratch = Scratch::new("warm");
+                fault::arm(site, before_third + into);
+                let outcome =
+                    Engine::new(Arc::clone(&prog), checkpointing_config(scratch.path())).run();
+                // (The offset reported is within the part that was cut —
+                // one table's header, one table's rows.)
+                let fired = fault::disarm().map(|(fired, _)| fired);
+                assert_eq!(fired, Some(site), "{site:?} + {into}");
+                assert!(outcome.is_err(), "{site:?} + {into}: crash fired, run() Ok");
+                let files = jstar_core::persist::list_checkpoints(scratch.path()).unwrap();
+                assert_eq!(files.len(), 2, "{site:?} + {into}: died in the third");
+                let torn = scratch
+                    .path()
+                    .join(jstar_core::persist::checkpoint_file_name(2) + ".tmp");
+
+                for torn_under_final_name in [false, true] {
+                    if torn_under_final_name {
+                        let name = jstar_core::persist::checkpoint_file_name(2);
+                        std::fs::rename(&torn, scratch.path().join(name)).unwrap();
+                    }
+                    let mut resumed = Engine::new(Arc::clone(&prog), EngineConfig::parallel(2));
+                    let restored = resumed.restore_latest(scratch.path()).unwrap();
+                    assert_eq!(restored.path, files[1], "{site:?} + {into}");
+                    assert_eq!(restored.skipped.len(), torn_under_final_name as usize);
+                    resumed.run().unwrap();
+                    assert_eq!(resumed.content_hash(), expected, "{site:?} + {into}");
+                }
+            }
+        }
+    }
+
+    /// A write that fails must not leave the writer believing in
+    /// sections it never finished: the next image is encoded from
+    /// nothing, and is the image a new writer would produce.
+    #[test]
+    fn a_writer_starts_cold_after_an_injected_failure() {
+        use jstar_core::persist::{CheckpointWriter, SnapshotMeta};
+        let scratch = Scratch::new("cold");
+        let mut eng = Engine::new(fan_program(), EngineConfig::parallel(2));
+        eng.run().unwrap();
+        let (defs, gamma) = (eng.program().defs(), eng.gamma());
+        let live = gamma.total_len() as u64;
+        let path = |name: &str| scratch.path().join(name);
+        let write = |w: &mut CheckpointWriter, name: &str| {
+            let before = w.rows_encoded();
+            w.write(&mut |_| {}, SnapshotMeta::default(), &path(name))
+                .map(|()| w.rows_encoded() - before)
+        };
+
+        let mut warm = CheckpointWriter::new(defs, gamma, None);
+        assert_eq!(write(&mut warm, "a.jsnap").unwrap(), live);
+        assert_eq!(
+            write(&mut warm, "b.jsnap").unwrap(),
+            0,
+            "nothing new: all cached"
+        );
+        for (site, offset) in [(CrashSite::TupleBytes, 37), (CrashSite::Rename, 0)] {
+            fault::arm(site, offset);
+            assert!(write(&mut warm, "torn.jsnap").is_err());
+            assert_eq!(fault::disarm(), Some((site, offset)));
+            assert!(!path("torn.jsnap").exists());
+            assert_eq!(
+                write(&mut warm, "c.jsnap").unwrap(),
+                live,
+                "cold after {site:?}"
+            );
+            assert_eq!(write(&mut warm, "d.jsnap").unwrap(), 0);
+        }
+        let mut fresh = CheckpointWriter::new(defs, gamma, None);
+        write(&mut fresh, "e.jsnap").unwrap();
+        let bytes = |name: &str| std::fs::read(path(name)).unwrap();
+        assert!(bytes("a.jsnap") == bytes("e.jsnap") && bytes("d.jsnap") == bytes("e.jsnap"));
+    }
 }
