@@ -18,7 +18,6 @@
 use jstar_core::gamma::{InsertOutcome, TableStore};
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
-use jstar_core::query::Query as CoreQuery;
 use std::any::Any;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -150,7 +149,7 @@ impl TableStore for MatrixStore {
         }
     }
 
-    fn query(&self, q: &CoreQuery, f: &mut dyn FnMut(&Tuple) -> bool) {
+    fn query(&self, q: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
         // Dense keys: point and row queries resolve by direct indexing.
         match (
             q.eq_value(Matrix::mat.index()),
@@ -454,7 +453,7 @@ mod tests {
             .eq(Matrix::col, 3)
             .lower(TableId(0));
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(Matrix::from_tuple(t).value);
             true
         });
@@ -465,7 +464,7 @@ mod tests {
             .eq(Matrix::row, 2)
             .lower(TableId(0));
         let mut count = 0;
-        store.query(&q, &mut |_| {
+        store.query(q.probe(), &mut |_| {
             count += 1;
             true
         });

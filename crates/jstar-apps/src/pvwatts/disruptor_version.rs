@@ -143,7 +143,7 @@ impl ConsumerState {
                     .eq(PvWatts::month, sm.month)
                     .lower(self.pv_def.id);
                 let mut stats = jstar_core::reduce::Stats::empty();
-                self.gamma.query(&q, &mut |t| {
+                self.gamma.query(q.probe(), &mut |t| {
                     stats.add(t.int(PvWatts::power.index()) as f64);
                     true
                 });

@@ -178,7 +178,7 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
         }],
     };
     // The month aggregate differs only in the trigger's (year, month):
-    // prepare it once with bind slots, patched in place per invocation.
+    // prepare it once with bind slots, bound per invocation.
     let pvwatts_h = p.relation::<PvWatts>();
     let month_rows = PvWatts::query()
         .bind_eq(PvWatts::year)
@@ -194,9 +194,11 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
                 ms.fold_powers(year, month, (0u64, 0i64), |(n, s), p| (n + 1, s + p));
             (count, sum as f64)
         } else {
-            let st = ctx.reduce_bound(
-                &month_rows,
-                &[Value::Int(year), Value::Int(month)],
+            let st = ctx.reduce_rel(
+                month_rows
+                    .binder()
+                    .set(PvWatts::year, year)
+                    .set(PvWatts::month, month),
                 &Statistics {
                     field: PvWatts::power.index(),
                 },

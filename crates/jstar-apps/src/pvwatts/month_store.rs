@@ -11,7 +11,7 @@
 //! override of "one factory method".
 
 use jstar_core::gamma::{InsertOutcome, TableStore};
-use jstar_core::query::Query;
+use jstar_core::query::Probe;
 use jstar_core::relation::Relation;
 use jstar_core::schema::TableDef;
 use jstar_core::tuple::Tuple;
@@ -177,7 +177,7 @@ impl TableStore for MonthArrayStore {
         }
     }
 
-    fn query(&self, q: &Query, f: &mut dyn FnMut(&Tuple) -> bool) {
+    fn query(&self, q: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
         // The intended access path: year and month both bound.
         if let (Some(year), Some(month)) = (
             q.eq_value(HourSample::year.index()),
@@ -264,11 +264,11 @@ mod tests {
         store.insert(rec(2001, 1, 1, 12, 50));
         assert_eq!(store.len(), 4);
 
-        let q = Query::on(TableId(0))
+        let q = jstar_core::query::Query::on(TableId(0))
             .eq(HourSample::year.index(), 2000i64)
             .eq(HourSample::month.index(), 1i64);
         let mut powers = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             powers.push(t.int(HourSample::power.index()));
             true
         });

@@ -248,12 +248,11 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
     };
     // The inner loop runs millions of times with queries that differ
     // only in trigger-derived values: prepare them once per rule with
-    // bind slots, so each invocation patches the slot values in place
-    // instead of rebuilding eq/range vectors (and allocating) per call.
-    // Invocations go through the typed binder (`.binder().set(...)`):
-    // slots are named by `Field` token, so supplying the values in the
-    // wrong order — the silent-corruption hazard of the positional
-    // `&[Value]` form — cannot compile into a wrong query.
+    // bind slots, so an invocation lends its values to the store instead
+    // of rebuilding eq/range vectors (and allocating) per call. The
+    // typed binder (`.binder().set(...)`) names slots by `Field` token,
+    // so values supplied in the wrong order cannot compile into a wrong
+    // query.
     let done_h = p.relation::<Done>();
     let edge_h = p.relation::<Edge>();
     let finalised_at_most = Done::query()
@@ -267,7 +266,7 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
         // if (get uniq? Done(dist.vertex, [distance < dist.distance]) == null)
         // (distance <= d also suppresses re-finalising at an equal
         // distance from a later step.)
-        if ctx.none_with(
+        if ctx.none_rel(
             finalised_at_most
                 .binder()
                 .set(Done::vertex, v)
@@ -278,8 +277,8 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
                 distance: d,
             });
             // process all adjacent nodes not yet done
-            ctx.for_each_with(edges_from.binder().set(Edge::from, v), |e: Edge| {
-                if ctx.none_with(done_probe.binder().set(Done::vertex, e.to)) {
+            ctx.for_each_rel(edges_from.binder().set(Edge::from, v), |e: Edge| {
+                if ctx.none_rel(done_probe.binder().set(Done::vertex, e.to)) {
                     ctx.put_rel(Estimate {
                         vertex: e.to,
                         distance: d + e.value,

@@ -181,7 +181,7 @@ pub fn pvwatts_phase_breakdown(csv: &[u8]) -> Vec<(&'static str, f64)> {
         for &(y, m) in &months {
             let q = Query::on(def.id).eq(0, y).eq(1, m);
             let mut stats = jstar_core::reduce::Stats::empty();
-            jstar_core::gamma::TableStore::query(&store, &q, &mut |t| {
+            jstar_core::gamma::TableStore::query(&store, q.probe(), &mut |t| {
                 stats.add(t.int(4) as f64);
                 true
             });

@@ -172,9 +172,7 @@ impl Engine {
         for t in &config.no_gamma {
             no_gamma[t.index()] = true;
         }
-        let plans: Vec<QueryPlan> = (0..n)
-            .map(|i| QueryPlan::new(&program.orderbys()[i], &**gamma.store(TableId(i as u32))))
-            .collect();
+        let plans: Vec<QueryPlan> = program.orderbys().iter().map(QueryPlan::new).collect();
         let workers = pool.as_ref().map(|p| p.num_threads()).unwrap_or(0);
         // Partition function for the staged-tuple bins, derived from the
         // program's orderby schema: hash enough leading key components to

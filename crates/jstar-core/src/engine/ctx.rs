@@ -2,9 +2,9 @@
 
 use crate::error::JStarError;
 use crate::orderby::OrderKey;
-use crate::query::Query;
+use crate::query::{Probe, Query};
 use crate::reduce::Reducer;
-use crate::relation::{Binder, Field, PreparedQuery, Relation, TableHandle, TypedQuery};
+use crate::relation::{Field, IntoProbe, Relation, TableHandle};
 use crate::schema::TableId;
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
@@ -69,11 +69,8 @@ impl<'a> RuleCtx<'a> {
 
     /// Collects all Gamma tuples matching `q` (a positive query).
     pub fn query(&self, q: &Query) -> Vec<Tuple> {
-        let Some(use_index) = self.count_query(q) else {
-            return Vec::new();
-        };
         let mut out = Vec::new();
-        self.state.gamma.query_hinted(q, use_index, &mut |t| {
+        self.scan(q.probe(), &mut |t| {
             out.push(t.clone());
             true
         });
@@ -82,23 +79,12 @@ impl<'a> RuleCtx<'a> {
 
     /// Streams Gamma tuples matching `q`; return `false` to stop early.
     pub fn query_for_each(&self, q: &Query, mut f: impl FnMut(&Tuple) -> bool) {
-        let Some(use_index) = self.count_query(q) else {
-            return;
-        };
-        self.state.gamma.query_hinted(q, use_index, &mut f);
+        self.scan(q.probe(), &mut f);
     }
 
     /// True if some tuple matches (positive existence).
     pub fn exists(&self, q: &Query) -> bool {
-        let Some(use_index) = self.count_query(q) else {
-            return false;
-        };
-        let mut found = false;
-        self.state.gamma.query_hinted(q, use_index, &mut |_| {
-            found = true;
-            false
-        });
-        found
+        self.any(q.probe())
     }
 
     /// Negative query: true if *no* tuple matches — the paper's
@@ -111,9 +97,8 @@ impl<'a> RuleCtx<'a> {
 
     /// Returns the unique match, if any (`get uniq?`).
     pub fn get_uniq(&self, q: &Query) -> Option<Tuple> {
-        let use_index = self.count_query(q)?;
         let mut found = None;
-        self.state.gamma.query_hinted(q, use_index, &mut |t| {
+        self.scan(q.probe(), &mut |t| {
             found = Some(t.clone());
             false
         });
@@ -122,18 +107,7 @@ impl<'a> RuleCtx<'a> {
 
     /// Aggregate query: folds every match through `reducer`.
     pub fn reduce<R: Reducer>(&self, q: &Query, reducer: &R) -> R::Acc {
-        let Some(use_index) = self.count_query(q) else {
-            return reducer.identity();
-        };
-        if !self.check_reducer_field(q, reducer) {
-            return reducer.identity();
-        }
-        let mut acc = reducer.identity();
-        self.state.gamma.query_hinted(q, use_index, &mut |t| {
-            reducer.accept(&mut acc, t);
-            true
-        });
-        acc
+        self.fold(q.probe(), reducer)
     }
 
     /// `get min T(...)` over an integer field (§4's example rule uses
@@ -180,7 +154,7 @@ impl<'a> RuleCtx<'a> {
     /// could also be executed in parallel, with a tree-based pass to
     /// combine the final reducer results").
     pub fn reduce_parallel<R: Reducer>(&self, q: &Query, reducer: &R) -> R::Acc {
-        if !self.check_reducer_field(q, reducer) {
+        if !self.check_reducer_field(q.table, reducer) {
             return reducer.identity();
         }
         match &self.state.pool {
@@ -221,42 +195,59 @@ impl<'a> RuleCtx<'a> {
         self.state.record_error(JStarError::Other(msg.into()));
     }
 
-    /// Counts the query, validates its field indexes against the table
-    /// schema, and returns the table plan's index-selection decision —
-    /// computed once here and passed down to the store, which no longer
-    /// re-derives it per call. `None` means the query named a field the
-    /// table does not have: the error is recorded (failing the run) and
-    /// the query reports no matches instead of panicking in a store.
-    fn count_query(&self, q: &Query) -> Option<bool> {
-        let ti = q.table.index();
-        if let Err(e) = q.validate(self.state.program.def(q.table)) {
+    /// Every read's one path to Gamma: validates the probe's field
+    /// indexes against the table schema, counts it, and streams its
+    /// matches into `f`. A field the table does not have records the
+    /// error (failing the run) and matches nothing instead of panicking
+    /// in a store.
+    pub(crate) fn scan(&self, p: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
+        let table = p.table();
+        if let Err(e) = p.query().validate(self.state.program.def(table)) {
             self.state.record_error(e);
-            return None;
+            return;
         }
         let shard = self.state.staging_shard();
         // A rule sees its own `-noDelta` puts: apply what this thread has
         // staged before reading.
         flush_staged(self.state, shard, true);
-        // ord: Relaxed ×2 — statistics counters in the caller's own stripe.
-        let stats = self.state.stats.tables[ti].stripe(shard);
+        // ord: Relaxed — a statistics counter in the caller's own stripe.
+        let stats = self.state.stats.tables[table.index()].stripe(shard);
         stats.queries.fetch_add(1, Ordering::Relaxed);
-        let use_index = self.state.plans[ti].query_uses_index(q);
-        if use_index {
-            stats.queries_indexed.fetch_add(1, Ordering::Relaxed);
+        self.state.gamma.store(table).query(p, f);
+    }
+
+    /// True if the probe has a match.
+    fn any(&self, p: Probe<'_>) -> bool {
+        let mut found = false;
+        self.scan(p, &mut |_| {
+            found = true;
+            false
+        });
+        found
+    }
+
+    /// Folds the probe's matches through `reducer`.
+    fn fold<R: Reducer>(&self, p: Probe<'_>, reducer: &R) -> R::Acc {
+        let mut acc = reducer.identity();
+        if self.check_reducer_field(p.table(), reducer) {
+            self.scan(p, &mut |t| {
+                reducer.accept(&mut acc, t);
+                true
+            });
         }
-        Some(use_index)
+        acc
     }
 
     /// Validates a reducer's input field against the queried table's
     /// arity — the aggregate counterpart of the query-constraint check
-    /// in [`RuleCtx::count_query`]. Records
-    /// [`JStarError::NoSuchField`] and returns false when out of
-    /// bounds, so the fold never reaches a store with a bad index.
-    fn check_reducer_field<R: Reducer>(&self, q: &Query, reducer: &R) -> bool {
+    /// in [`RuleCtx::scan`]. Records [`JStarError::NoSuchField`] and
+    /// returns false when out of bounds, so the fold never reaches a
+    /// store with a bad index.
+    fn check_reducer_field<R: Reducer>(&self, table: TableId, reducer: &R) -> bool {
         match reducer.input_field() {
-            Some(f) if f >= self.state.program.def(q.table).arity() => {
+            Some(f) if f >= self.state.program.def(table).arity() => {
                 self.state.record_error(JStarError::NoSuchField {
-                    table: self.state.program.def(q.table).name.clone(),
+                    table: self.state.program.def(table).name.clone(),
                     field: format!("#{f}"),
                 });
                 false
@@ -267,13 +258,12 @@ impl<'a> RuleCtx<'a> {
 
     // ── Typed entry points ──────────────────────────────────────────
     //
-    // The façade of [`crate::relation`]: the same operations as the
-    // positional methods above, but relations in and out. Each method
-    // resolves `R`'s table once (a linear scan over the program's
-    // handful of registrations — cheaper than the per-call string
-    // lookup `ctx.table("...")` the positional style encouraged) and
-    // lowers the typed query by moving its vectors, so nothing below
-    // this layer changes.
+    // The façade of `crate::relation`: the same operations as the
+    // positional methods above, but relations in and out. Each takes a
+    // `TypedQuery`, a constant `&PreparedQuery` or a `Binder` with a
+    // prepared query's per-call values (`IntoProbe`); all three reach
+    // the store as one probe, so nothing below this layer tells them
+    // apart.
 
     /// The typed handle for relation `R` (panics if unregistered).
     pub fn rel<R: Relation>(&self) -> TableHandle<R> {
@@ -287,11 +277,10 @@ impl<'a> RuleCtx<'a> {
     }
 
     /// Typed [`RuleCtx::query`]: collects and decodes every match.
-    pub fn query_rel<R: Relation>(&self, q: TypedQuery<R>) -> Vec<R> {
-        let q = q.lower(self.rel::<R>());
+    pub fn query_rel<R: Relation>(&self, q: impl IntoProbe<R>) -> Vec<R> {
         let mut out = Vec::new();
-        self.query_for_each(&q, |t| {
-            out.push(R::from_tuple(t));
+        self.for_each_rel(q, |r| {
+            out.push(r);
             true
         });
         out
@@ -299,212 +288,66 @@ impl<'a> RuleCtx<'a> {
 
     /// Typed [`RuleCtx::query_for_each`]: streams decoded matches;
     /// return `false` to stop early.
-    pub fn for_each_rel<R: Relation>(&self, q: TypedQuery<R>, mut f: impl FnMut(R) -> bool) {
-        let q = q.lower(self.rel::<R>());
-        self.query_for_each(&q, |t| f(R::from_tuple(t)));
+    pub fn for_each_rel<R: Relation>(&self, q: impl IntoProbe<R>, mut f: impl FnMut(R) -> bool) {
+        q.with_probe(&self.state.program, |p| {
+            self.scan(p, &mut |t| f(R::from_tuple(t)));
+        });
     }
 
     /// Typed [`RuleCtx::exists`].
-    pub fn exists_rel<R: Relation>(&self, q: TypedQuery<R>) -> bool {
-        let q = q.lower(self.rel::<R>());
-        self.exists(&q)
+    pub fn exists_rel<R: Relation>(&self, q: impl IntoProbe<R>) -> bool {
+        q.with_probe(&self.state.program, |p| self.any(p))
     }
 
-    /// Typed [`RuleCtx::none`] — the `get uniq? R(...) == null` pattern.
-    pub fn none_rel<R: Relation>(&self, q: TypedQuery<R>) -> bool {
+    /// Typed [`RuleCtx::none`] — the `get uniq? R(...) == null` pattern,
+    /// e.g. Dijkstra's
+    /// `ctx.none_rel(done_probe.binder().set(Done::vertex, e.to))`.
+    pub fn none_rel<R: Relation>(&self, q: impl IntoProbe<R>) -> bool {
         !self.exists_rel(q)
     }
 
     /// Typed [`RuleCtx::get_uniq`].
-    pub fn get_uniq_rel<R: Relation>(&self, q: TypedQuery<R>) -> Option<R> {
-        let q = q.lower(self.rel::<R>());
-        self.get_uniq(&q).map(|t| R::from_tuple(&t))
+    pub fn get_uniq_rel<R: Relation>(&self, q: impl IntoProbe<R>) -> Option<R> {
+        let mut found = None;
+        self.for_each_rel(q, |r| {
+            found = Some(r);
+            false
+        });
+        found
     }
 
     /// Typed [`RuleCtx::reduce`]: aggregates without decoding rows —
     /// reducers address fields via [`Field::index`].
     pub fn reduce_rel<R: Relation, Red: Reducer>(
         &self,
-        q: TypedQuery<R>,
+        q: impl IntoProbe<R>,
         reducer: &Red,
     ) -> Red::Acc {
-        let q = q.lower(self.rel::<R>());
-        self.reduce(&q, reducer)
+        q.with_probe(&self.state.program, |p| self.fold(p, reducer))
     }
 
     /// Typed [`RuleCtx::count`].
-    pub fn count_rel<R: Relation>(&self, q: TypedQuery<R>) -> u64 {
-        let q = q.lower(self.rel::<R>());
-        self.count(&q)
+    pub fn count_rel<R: Relation>(&self, q: impl IntoProbe<R>) -> u64 {
+        self.reduce_rel(q, &crate::reduce::CountReducer)
     }
 
     /// Typed `get min` over an integer field.
-    pub fn min_int_rel<R: Relation>(&self, q: TypedQuery<R>, field: Field<R, i64>) -> Option<i64> {
-        let q = q.lower(self.rel::<R>());
-        self.min_int(&q, field.index())
+    pub fn min_int_rel<R: Relation>(
+        &self,
+        q: impl IntoProbe<R>,
+        field: Field<R, i64>,
+    ) -> Option<i64> {
+        let field = field.index();
+        self.reduce_rel(q, &crate::reduce::MinIntReducer { field })
     }
 
     /// Typed `get max` over an integer field.
-    pub fn max_int_rel<R: Relation>(&self, q: TypedQuery<R>, field: Field<R, i64>) -> Option<i64> {
-        let q = q.lower(self.rel::<R>());
-        self.max_int(&q, field.index())
-    }
-
-    /// Collects and decodes the matches of a [`PreparedQuery`] — the
-    /// reuse point for constraint vectors interned once per rule.
-    /// Panics on a query with bind slots (its placeholders would
-    /// silently match nothing real — use [`RuleCtx::query_bound`]).
-    pub fn query_prepared<R: Relation>(&self, q: &PreparedQuery<R>) -> Vec<R> {
-        assert_eq!(
-            q.slot_count(),
-            0,
-            "a prepared query with bind slots must be invoked through the *_bound entry points"
-        );
-        let mut out = Vec::new();
-        self.query_for_each(q.as_query(), |t| {
-            out.push(R::from_tuple(t));
-            true
-        });
-        out
-    }
-
-    /// Aggregates over a [`PreparedQuery`] without decoding rows.
-    /// Panics on a query with bind slots (use [`RuleCtx::reduce_bound`]).
-    pub fn reduce_prepared<R: Relation, Red: Reducer>(
+    pub fn max_int_rel<R: Relation>(
         &self,
-        q: &PreparedQuery<R>,
-        reducer: &Red,
-    ) -> Red::Acc {
-        assert_eq!(
-            q.slot_count(),
-            0,
-            "a prepared query with bind slots must be invoked through the *_bound entry points"
-        );
-        self.reduce(q.as_query(), reducer)
-    }
-
-    // ── Bind-slot entry points ──────────────────────────────────────
-    //
-    // Invocations of a [`PreparedQuery`] built with `bind_*` slots:
-    // `values` (in bind order) are patched into a per-thread cached
-    // copy of the query — the rule's inner loop stops rebuilding its
-    // eq/range vectors and stops allocating per call. See
-    // [`crate::relation::TypedQuery::bind_eq`]. The `*_with` twins
-    // below take a [`Binder`] instead of a positional value slice —
-    // same machinery, but the values are named by `Field` token, so a
-    // wrong-order (or wrong-typed) bind cannot compile.
-
-    /// Bound [`RuleCtx::query_prepared`]: collects and decodes matches.
-    pub fn query_bound<R: Relation>(
-        &self,
-        q: &PreparedQuery<R>,
-        values: &[crate::value::Value],
-    ) -> Vec<R> {
-        q.with_bound(values, |q| {
-            let mut out = Vec::new();
-            self.query_for_each(q, |t| {
-                out.push(R::from_tuple(t));
-                true
-            });
-            out
-        })
-    }
-
-    /// Bound streaming query; return `false` to stop early.
-    pub fn for_each_bound<R: Relation>(
-        &self,
-        q: &PreparedQuery<R>,
-        values: &[crate::value::Value],
-        mut f: impl FnMut(R) -> bool,
-    ) {
-        q.with_bound(values, |q| {
-            self.query_for_each(q, |t| f(R::from_tuple(t)));
-        })
-    }
-
-    /// Bound positive existence test.
-    pub fn exists_bound<R: Relation>(
-        &self,
-        q: &PreparedQuery<R>,
-        values: &[crate::value::Value],
-    ) -> bool {
-        q.with_bound(values, |q| self.exists(q))
-    }
-
-    /// Bound negative query — the `get uniq? R(trigger.v) == null`
-    /// pattern of the Dijkstra inner loop.
-    pub fn none_bound<R: Relation>(
-        &self,
-        q: &PreparedQuery<R>,
-        values: &[crate::value::Value],
-    ) -> bool {
-        !self.exists_bound(q, values)
-    }
-
-    /// Bound [`RuleCtx::get_uniq`].
-    pub fn get_uniq_bound<R: Relation>(
-        &self,
-        q: &PreparedQuery<R>,
-        values: &[crate::value::Value],
-    ) -> Option<R> {
-        q.with_bound(values, |q| self.get_uniq(q).map(|t| R::from_tuple(&t)))
-    }
-
-    /// Bound aggregate without decoding rows.
-    pub fn reduce_bound<R: Relation, Red: Reducer>(
-        &self,
-        q: &PreparedQuery<R>,
-        values: &[crate::value::Value],
-        reducer: &Red,
-    ) -> Red::Acc {
-        q.with_bound(values, |q| self.reduce(q, reducer))
-    }
-
-    // ── Typed-binder entry points ───────────────────────────────────
-
-    /// [`RuleCtx::query_bound`] with a typed [`Binder`]: collects and
-    /// decodes matches of `b`'s query under `b`'s slot values.
-    pub fn query_with<R: Relation>(&self, b: Binder<'_, R>) -> Vec<R> {
-        b.apply(|q| {
-            let mut out = Vec::new();
-            self.query_for_each(q, |t| {
-                out.push(R::from_tuple(t));
-                true
-            });
-            out
-        })
-    }
-
-    /// Typed-binder streaming query; return `false` to stop early.
-    pub fn for_each_with<R: Relation>(&self, b: Binder<'_, R>, mut f: impl FnMut(R) -> bool) {
-        b.apply(|q| {
-            self.query_for_each(q, |t| f(R::from_tuple(t)));
-        })
-    }
-
-    /// Typed-binder positive existence test.
-    pub fn exists_with<R: Relation>(&self, b: Binder<'_, R>) -> bool {
-        b.apply(|q| self.exists(q))
-    }
-
-    /// Typed-binder negative query — the Dijkstra inner loop's
-    /// `get uniq? Done(edge.to) == null` shape:
-    /// `ctx.none_with(done_probe.binder().set(Done::vertex, e.to))`.
-    pub fn none_with<R: Relation>(&self, b: Binder<'_, R>) -> bool {
-        !self.exists_with(b)
-    }
-
-    /// Typed-binder [`RuleCtx::get_uniq`].
-    pub fn get_uniq_with<R: Relation>(&self, b: Binder<'_, R>) -> Option<R> {
-        b.apply(|q| self.get_uniq(q).map(|t| R::from_tuple(&t)))
-    }
-
-    /// Typed-binder aggregate without decoding rows.
-    pub fn reduce_with<R: Relation, Red: Reducer>(
-        &self,
-        b: Binder<'_, R>,
-        reducer: &Red,
-    ) -> Red::Acc {
-        b.apply(|q| self.reduce(q, reducer))
+        q: impl IntoProbe<R>,
+        field: Field<R, i64>,
+    ) -> Option<i64> {
+        let field = field.index();
+        self.reduce_rel(q, &crate::reduce::MaxIntReducer { field })
     }
 }

@@ -192,10 +192,9 @@
 //!    triggering a rule clones nothing, and a put clones a key only
 //!    when it is actually staged for the Delta set.
 //! 5. **Per-table query plans and bind-slot prepared queries** — orderby
-//!    extraction and index selection are cached once per table in a
-//!    [`QueryPlan`]; per-invocation constraint values patch interned
-//!    queries in place ([`RuleCtx::for_each_bound`] /
-//!    [`RuleCtx::for_each_with`]).
+//!    extraction is cached once per table in a [`QueryPlan`]; a
+//!    prepared query's per-call values reach the store borrowed from
+//!    its binder ([`RuleCtx::for_each_rel`]).
 //! 6. **Adaptive all-minimums scheduling** — see the `schedule` module.
 //!
 //! The module family: `config` (the paper's flags), `runtime` (the

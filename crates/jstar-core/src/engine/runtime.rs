@@ -32,7 +32,6 @@ use crate::gamma::leapfrog::{self, Root, Stage};
 use crate::gamma::{ColumnIndex, Gamma, InsertOutcome};
 use crate::orderby::{KeyPart, OrderKey, ResolvedComponent, ResolvedOrderBy};
 use crate::program::Program;
-use crate::query::Query;
 use crate::rule::{JoinPlan, JoinStage, Rule};
 use crate::schema::TableId;
 use crate::stats::EngineStats;
@@ -48,26 +47,20 @@ use super::ctx::RuleCtx;
 
 /// Per-table hot-path cache, computed once at engine construction.
 ///
-/// Consolidates everything `put` and `query` would otherwise re-derive per
-/// call: the resolved orderby key extractor, the interned key for tables
-/// whose ordering is tuple-independent (pure-stratum orderbys — every
-/// tuple of the table shares one Delta equivalence class), and the store's
-/// index-selection data (`covers_fields` input).
+/// Consolidates what `put` would otherwise re-derive per call: the
+/// resolved orderby key extractor and the interned key for tables whose
+/// ordering is tuple-independent (pure-stratum orderbys — every tuple of
+/// the table shares one Delta equivalence class).
 pub struct QueryPlan {
     /// The table's resolved orderby list (the key extractor).
     orderby: ResolvedOrderBy,
     /// Interned order key when the orderby has no tuple-dependent
     /// component; such tables form a single delta class per run.
     const_key: Option<OrderKey>,
-    /// Fields the table's Gamma store is hash-indexed on, if any.
-    index_fields: Option<Box<[usize]>>,
 }
 
 impl QueryPlan {
-    pub(super) fn new(
-        orderby: &ResolvedOrderBy,
-        store: &dyn crate::gamma::TableStore,
-    ) -> QueryPlan {
+    pub(super) fn new(orderby: &ResolvedOrderBy) -> QueryPlan {
         let tuple_independent = orderby
             .components
             .iter()
@@ -83,7 +76,6 @@ impl QueryPlan {
         QueryPlan {
             orderby: orderby.clone(),
             const_key,
-            index_fields: store.index_fields().map(|f| f.to_vec().into_boxed_slice()),
         }
     }
 
@@ -94,16 +86,6 @@ impl QueryPlan {
         match &self.const_key {
             Some(k) => Cow::Borrowed(k),
             None => Cow::Owned(self.orderby.key_of(t)),
-        }
-    }
-
-    /// True when `q` binds every indexed field of the table's store with an
-    /// equality constraint — the cached index-selection decision.
-    #[inline]
-    pub fn query_uses_index(&self, q: &Query) -> bool {
-        match &self.index_fields {
-            Some(fields) => q.covers_fields(fields),
-            None => false,
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Sequential ordered store — the paper's `TreeSet` default.
 
 use super::{insert_locked, ColumnIndex, InsertOutcome, StagedImport, TableStore};
-use crate::query::Query;
+use crate::query::Probe;
 use crate::schema::TableDef;
 use crate::tuple::Tuple;
 use parking_lot::Mutex;
@@ -84,12 +84,12 @@ impl TableStore for BTreeStore {
         }
     }
 
-    fn query(&self, q: &Query, f: &mut dyn FnMut(&Tuple) -> bool) {
+    fn query(&self, q: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
         let set = self.set.lock();
         // Narrow by the first column when it is equality-constrained:
         // tuples sort by fields, so rows with field0 == v are contiguous.
         if let Some(v) = q.eq_value(0) {
-            let probe = Tuple::new(q.table, vec![v.clone()]);
+            let probe = Tuple::new(q.table(), vec![v.clone()]);
             for t in set.range(probe..) {
                 if t.get(0) != v {
                     break;
@@ -158,6 +158,7 @@ impl TableStore for BTreeStore {
 mod tests {
     use super::*;
     use crate::gamma::testutil::{exercise_store_contract, keyed_def, kt};
+    use crate::query::Query;
     use crate::schema::TableId;
     use crate::value::Value;
 
@@ -175,7 +176,7 @@ mod tests {
         }
         let q = Query::on(TableId(0)).eq(0, 42i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });

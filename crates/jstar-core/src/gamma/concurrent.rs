@@ -3,7 +3,7 @@
 
 use super::reservation::{hash_values, ReservationTable, SwappableTable};
 use super::{InsertOutcome, StagedImport, TableStore};
-use crate::query::Query;
+use crate::query::Probe;
 use crate::schema::TableDef;
 use crate::tuple::Tuple;
 use std::any::Any;
@@ -110,7 +110,7 @@ impl TableStore for ConcurrentOrderedStore {
         self.table.for_each_journal_suffix(lo, hi, f)
     }
 
-    fn query(&self, q: &Query, f: &mut dyn FnMut(&Tuple) -> bool) {
+    fn query(&self, q: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
         // Point lookup: the whole primary key is equality-bound, so the
         // matches live on one probe walk.
         if let Some(k) = self.def.key_arity {
@@ -174,6 +174,7 @@ impl TableStore for ConcurrentOrderedStore {
 mod tests {
     use super::*;
     use crate::gamma::testutil::{exercise_store_contract, keyed_def, kt};
+    use crate::query::Query;
     use crate::schema::TableId;
 
     #[test]
@@ -239,7 +240,7 @@ mod tests {
         }
         let q = Query::on(TableId(0)).eq(1, 3i64);
         let mut count = 0;
-        store.query(&q, &mut |_| {
+        store.query(q.probe(), &mut |_| {
             count += 1;
             true
         });
@@ -248,7 +249,7 @@ mod tests {
         // Key-bound point query takes the probe-walk path.
         let q = Query::on(TableId(0)).eq(0, 42i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });
@@ -268,7 +269,7 @@ mod tests {
         // survive the rebuild.
         let q = Query::on(TableId(0)).eq(0, 42i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });
@@ -294,7 +295,7 @@ mod tests {
         // Point lookup and dedup work on the imported table.
         let q = Query::on(TableId(0)).eq(0, 142i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });
@@ -321,7 +322,7 @@ mod tests {
         }
         let q = Query::on(TableId(0)).eq(0, 4i64);
         let mut count = 0;
-        store.query(&q, &mut |_| {
+        store.query(q.probe(), &mut |_| {
             count += 1;
             true
         });

@@ -4,7 +4,7 @@
 
 use super::reservation::{hash_values, ReservationTable, SwappableTable};
 use super::{InsertOutcome, StagedImport, TableStore};
-use crate::query::Query;
+use crate::query::Probe;
 use crate::schema::TableDef;
 use crate::tuple::Tuple;
 use std::any::Any;
@@ -142,19 +142,13 @@ impl TableStore for HashStore {
         self.table.for_each_journal_suffix(lo, hi, f)
     }
 
-    fn query(&self, q: &Query, f: &mut dyn FnMut(&Tuple) -> bool) {
-        self.query_hinted(q, q.covers_fields(&self.index_fields), f);
-    }
-
-    fn query_hinted(&self, q: &Query, use_index: bool, f: &mut dyn FnMut(&Tuple) -> bool) {
-        // Fast path: all indexed fields are bound — walk one chain. The
-        // decision arrives pre-computed (engine `QueryPlan`) or from
-        // `query`'s own covers check.
-        if use_index {
+    fn query(&self, q: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
+        // Fast path: all indexed fields are bound — walk one chain.
+        if q.covers_fields(&self.index_fields) {
             let hash = hash_values(
                 self.index_fields
                     .iter()
-                    // lint: allow(expect): covers() verified these fields are bound.
+                    // lint: allow(expect): covers_fields() verified these fields are bound.
                     .map(|&i| q.eq_value(i).expect("covered")),
             );
             let mut visit = |t: &Tuple| if q.matches(t) { f(t) } else { true };
@@ -166,10 +160,6 @@ impl TableStore for HashStore {
             return;
         }
         self.for_each(&mut |t| if q.matches(t) { f(t) } else { true });
-    }
-
-    fn index_fields(&self) -> Option<&[usize]> {
-        Some(&self.index_fields)
     }
 
     fn retain(&self, keep: &dyn Fn(&Tuple) -> bool) {
@@ -202,6 +192,7 @@ impl TableStore for HashStore {
 mod tests {
     use super::*;
     use crate::gamma::testutil::{exercise_store_contract, keyed_def, kt};
+    use crate::query::Query;
     use crate::schema::TableId;
     use crate::value::Value;
 
@@ -246,7 +237,7 @@ mod tests {
         }
         let q = Query::on(TableId(0)).eq(0, 500i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });
@@ -261,7 +252,7 @@ mod tests {
         store.insert(kt(2024, 1, "jan"));
         let q = Query::on(TableId(0)).eq(0, 2023i64).eq(1, 1i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });
@@ -277,7 +268,7 @@ mod tests {
         }
         let q = Query::on(TableId(0)).eq(1, 2i64);
         let mut count = 0;
-        store.query(&q, &mut |_| {
+        store.query(q.probe(), &mut |_| {
             count += 1;
             true
         });
@@ -322,7 +313,7 @@ mod tests {
         // Indexed point query still narrows correctly after the rebuild.
         let q = Query::on(TableId(0)).eq(0, 3i64).eq(1, 51i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });
@@ -355,7 +346,7 @@ mod tests {
         // The indexed fast path narrows over the rebuilt chains.
         let q = Query::on(TableId(0)).eq(0, 2i64).eq(1, 50i64);
         let mut got = Vec::new();
-        store.query(&q, &mut |t| {
+        store.query(q.probe(), &mut |t| {
             got.push(t.clone());
             true
         });
@@ -385,7 +376,7 @@ mod tests {
         // And the shared index chain still answers the point query.
         let q = Query::on(TableId(0)).eq(0, 1i64).eq(1, 7i64);
         let mut got = 0;
-        store.query_hinted(&q, false, &mut |_| {
+        store.query(q.probe(), &mut |_| {
             got += 1;
             true
         });

@@ -29,7 +29,7 @@ pub type StoreFactory = Arc<dyn Fn(Arc<TableDef>) -> Arc<dyn TableStore> + Send 
 pub use concurrent::ConcurrentOrderedStore;
 pub use hash::HashStore;
 
-use crate::query::Query;
+use crate::query::{Probe, Query};
 use crate::schema::{TableDef, TableId};
 use crate::tuple::Tuple;
 use std::any::Any;
@@ -88,31 +88,13 @@ pub trait TableStore: Send + Sync {
 
     /// Visits every tuple matching `q`; stop early by returning `false`.
     ///
+    /// The one read entry point: a positional query arrives as a probe
+    /// without bind slots, a prepared query's call with its bound values
+    /// alongside ([`Probe::eq_value`] and [`Probe::matches`] read both).
     /// The default implementation scans and post-filters; indexed stores
     /// override it to narrow first.
-    fn query(&self, q: &Query, f: &mut dyn FnMut(&Tuple) -> bool) {
+    fn query(&self, q: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
         self.for_each(&mut |t| if q.matches(t) { f(t) } else { true });
-    }
-
-    /// Like [`TableStore::query`], but with the index-selection decision
-    /// already made by the caller (the engine computes it once per query
-    /// via the table's cached [`crate::engine::QueryPlan`], instead of the
-    /// store re-deriving it from the query). `use_index` is only ever true
-    /// when the caller checked this store's [`TableStore::index_fields`]
-    /// against the query. Stores without an index ignore the hint.
-    fn query_hinted(&self, q: &Query, use_index: bool, f: &mut dyn FnMut(&Tuple) -> bool) {
-        let _ = use_index;
-        self.query(q, f);
-    }
-
-    /// True if at least one tuple matches `q` (drives negative queries).
-    fn any_match(&self, q: &Query) -> bool {
-        let mut found = false;
-        self.query(q, &mut |_| {
-            found = true;
-            false
-        });
-        found
     }
 
     /// Discards tuples that `keep` rejects. This is the hook for the
@@ -121,14 +103,6 @@ pub trait TableStore: Send + Sync {
     /// when tuples can be discarded". Stores that do not support discarding
     /// may ignore the call.
     fn retain(&self, keep: &dyn Fn(&Tuple) -> bool);
-
-    /// The fields this store is hash-indexed on, if any. The engine caches
-    /// the answer per table in a [`crate::engine::QueryPlan`] so that
-    /// index-selection is decided once per table instead of re-derived
-    /// inside every query call.
-    fn index_fields(&self) -> Option<&[usize]> {
-        None
-    }
 
     /// Physically reclaims storage that [`TableStore::retain`] only
     /// logically discarded, if more than `max_tombstone_fraction` of the
@@ -442,13 +416,7 @@ impl Gamma {
 
     /// Runs `q` against the owning table's store.
     pub fn query(&self, q: &Query, f: &mut dyn FnMut(&Tuple) -> bool) {
-        self.stores[q.table.index()].query(q, f);
-    }
-
-    /// Runs `q` with a pre-computed index-selection decision (see
-    /// [`TableStore::query_hinted`]).
-    pub fn query_hinted(&self, q: &Query, use_index: bool, f: &mut dyn FnMut(&Tuple) -> bool) {
-        self.stores[q.table.index()].query_hinted(q, use_index, f);
+        self.stores[q.table.index()].query(q.probe(), f);
     }
 
     /// Collects all matches of `q` (convenience for rule bodies and tests).
@@ -459,11 +427,6 @@ impl Gamma {
             true
         });
         out
-    }
-
-    /// True if at least one tuple matches.
-    pub fn any_match(&self, q: &Query) -> bool {
-        self.stores[q.table.index()].any_match(q)
     }
 
     /// Opens a sorted per-column join view over `table`, served from the
@@ -645,7 +608,7 @@ pub(crate) mod testutil {
         for q in probes {
             let rows = |store: &dyn TableStore| {
                 let mut rows = Vec::new();
-                store.query(q, &mut |t| {
+                store.query(q.probe(), &mut |t| {
                     rows.push(t.clone());
                     true
                 });
@@ -698,18 +661,20 @@ pub(crate) mod testutil {
         assert!(store.contains(&kt(1, 10, "x")));
         assert!(!store.contains(&kt(1, 10, "z")));
 
-        // Query by key field.
-        let q = Query::on(TableId(0)).eq(0, 1i64);
-        let mut got = Vec::new();
-        store.query(&q, &mut |t| {
-            got.push(t.clone());
-            true
-        });
-        assert_eq!(got, vec![kt(1, 10, "x")]);
-
-        // any_match & negative query.
-        assert!(store.any_match(&Query::on(TableId(0)).eq(0, 2i64)));
-        assert!(!store.any_match(&Query::on(TableId(0)).eq(0, 3i64)));
+        let rows = |q: Query| {
+            let mut got = Vec::new();
+            store.query(q.probe(), &mut |t| {
+                got.push(t.clone());
+                true
+            });
+            got
+        };
+        // Query by key field; a negative query.
+        assert_eq!(
+            rows(Query::on(TableId(0)).eq(0, 1i64)),
+            vec![kt(1, 10, "x")]
+        );
+        assert!(rows(Query::on(TableId(0)).eq(0, 3i64)).is_empty());
 
         // Early exit iteration visits at most one tuple.
         let mut seen = 0;
@@ -720,13 +685,10 @@ pub(crate) mod testutil {
         assert_eq!(seen, 1);
 
         // Range query on second field.
-        let q = Query::on(TableId(0)).ge(1, 15i64);
-        let mut got = Vec::new();
-        store.query(&q, &mut |t| {
-            got.push(t.clone());
-            true
-        });
-        assert_eq!(got, vec![kt(2, 20, "y")]);
+        assert_eq!(
+            rows(Query::on(TableId(0)).ge(1, 15i64)),
+            vec![kt(2, 20, "y")]
+        );
 
         // Cursor view: distinct column values ascending, grouped.
         let idx = store.open_cursor(0);

@@ -98,14 +98,14 @@ pub mod prelude {
     pub use crate::gamma::{Gamma, IndexCacheStats, InsertOutcome, StoreKind, TableStore};
     pub use crate::orderby::{par, seq, strat, OrderKey};
     pub use crate::program::{Program, ProgramBuilder};
-    pub use crate::query::Query;
+    pub use crate::query::{Probe, Query};
     pub use crate::reduce::{
         reduce_par, reduce_seq, CountReducer, MaxIntReducer, MinIntReducer, Reducer, Statistics,
         Stats, SumReducer,
     };
     pub use crate::relation::{
-        join, join3, Binder, ColumnSpec, ConstraintKind, ConstraintShape, Field, FieldValue, Join,
-        Join3, JoinOn, JoinOn2, PreparedQuery, Relation, TableHandle, TypedQuery,
+        join, join3, Binder, ColumnSpec, ConstraintKind, ConstraintShape, Field, FieldValue,
+        IntoProbe, Join, Join3, JoinOn, JoinOn2, PreparedQuery, Relation, TableHandle, TypedQuery,
     };
     pub use crate::rule::{JoinPlan, JoinStage};
     pub use crate::schema::{TableDef, TableId};

@@ -25,13 +25,14 @@ use crate::causality::{check_rule, CausalityModel, ObligationResult};
 use crate::engine::RuleCtx;
 use crate::error::{JStarError, Result};
 use crate::orderby::{OrderComponent, OrderKey, ResolvedOrderBy};
-use crate::query::Query;
+use crate::query::{Probe, Query, Slot, SlotOp};
 use crate::relation::{JoinOn, JoinOn2, Relation, TableHandle};
 use crate::rule::{JoinPlan, JoinStage, Rule, RuleBody};
 use crate::schema::{TableDef, TableDefBuilder, TableId};
 use crate::stats::DependencyGraph;
 use crate::strata::{StrataBuilder, StrataOrder};
 use crate::tuple::Tuple;
+use crate::value::Value;
 use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -437,18 +438,42 @@ impl ProgramBuilder {
 }
 
 /// Synthesizes the per-tuple nested-loop body from a join plan: a
-/// recursive descent over the stages, one indexed Gamma query per
-/// stage per partial row. Both execution modes (this fallback and the
-/// delta-join cursor walk) are built from the same plan parts, so they
-/// share one definition of the rule's meaning and cannot drift apart.
+/// recursive descent over the stages, one indexed Gamma probe per stage
+/// per partial row. Each stage's query is built once, here — one
+/// equality bind slot per key pair — and bound per row to the key
+/// values of the rows already matched. Both execution modes (this
+/// fallback and the delta-join cursor walk) are built from the same
+/// plan parts, so they share one definition of the rule's meaning and
+/// cannot drift apart.
 fn join_fallback_body(plan: Arc<JoinPlan>) -> RuleBody {
+    let stages: Vec<(Query, Vec<Slot>)> = (plan.stages.iter())
+        .map(|stage| {
+            let key = |&(_, field): &(_, usize)| Slot {
+                field,
+                op: SlotOp::Eq,
+                at: 0,
+            };
+            (
+                Query::on(stage.probe_table),
+                stage.keys.iter().map(key).collect(),
+            )
+        })
+        .collect();
     Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| {
         let mut rows = vec![t.clone()];
-        join_descend(ctx, &plan, &mut rows);
+        join_descend(ctx, &plan, &stages, &mut rows, &mut Vec::new());
     }) as RuleBody
 }
 
-fn join_descend(ctx: &RuleCtx<'_>, plan: &JoinPlan, rows: &mut Vec<Tuple>) {
+/// One level of [`join_fallback_body`]'s descent; `keys` is scratch for
+/// the stage's bound values.
+fn join_descend(
+    ctx: &RuleCtx<'_>,
+    plan: &JoinPlan,
+    stages: &[(Query, Vec<Slot>)],
+    rows: &mut Vec<Tuple>,
+    keys: &mut Vec<Value>,
+) {
     let depth = rows.len() - 1;
     if depth == plan.stages.len() {
         let refs: Vec<&Tuple> = rows.iter().collect();
@@ -457,22 +482,21 @@ fn join_descend(ctx: &RuleCtx<'_>, plan: &JoinPlan, rows: &mut Vec<Tuple>) {
         }
         return;
     }
-    let stage = &plan.stages[depth];
-    let mut q = Query::on(stage.probe_table);
-    for &((row, f), pf) in &stage.keys {
-        q.add_eq(pf, rows[row].get(f).clone());
-    }
+    let (query, slots) = &stages[depth];
+    keys.clear();
+    let key_of = |&((row, f), _): &((usize, usize), usize)| rows[row].get(f).clone();
+    keys.extend(plan.stages[depth].keys.iter().map(key_of));
     // Candidates are collected before descending: stages may probe the
     // same table (self-joins), and recursing while a store iteration
     // holds its lock would deadlock.
     let mut candidates = Vec::new();
-    ctx.query_for_each(&q, |p| {
+    ctx.scan(Probe::bound(query, slots, keys), &mut |p| {
         candidates.push(p.clone());
         true
     });
     for p in candidates {
         rows.push(p);
-        join_descend(ctx, plan, rows);
+        join_descend(ctx, plan, stages, rows, keys);
         rows.pop();
     }
 }

@@ -158,13 +158,6 @@ impl Query {
         self
     }
 
-    /// Adds `field == value` in place — the non-consuming twin of
-    /// [`Query::eq`] for callers assembling a query inside a loop, such
-    /// as a join rule's per-tuple body building one probe per stage.
-    pub fn add_eq(&mut self, field: usize, value: Value) {
-        self.eq.push((field, value));
-    }
-
     /// Adds `field < value`.
     pub fn lt(mut self, field: usize, value: impl Into<Value>) -> Query {
         self.ranges.push(FieldRange {
@@ -209,6 +202,12 @@ impl Query {
     pub fn filter(mut self, pred: impl Fn(&Tuple) -> bool + Send + Sync + 'static) -> Query {
         self.pred = Some(Arc::new(pred));
         self
+    }
+
+    /// This query as a store evaluates it: a [`Probe`] with no bind
+    /// slots.
+    pub fn probe(&self) -> Probe<'_> {
+        Probe::from(self)
     }
 
     /// True if `t` satisfies every constraint. Used by stores as the
@@ -265,6 +264,107 @@ impl Query {
             }),
             None => Ok(()),
         }
+    }
+}
+
+/// The comparison a bind slot makes against the value supplied per call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SlotOp {
+    Eq,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+/// A constraint `field op ?` whose value arrives with each call — a
+/// `bind_*` slot of a prepared query, or a join stage's key.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    pub(crate) field: usize,
+    pub(crate) op: SlotOp,
+    /// How many constant constraints of the same block (equalities for
+    /// `Eq`, ranges otherwise) were declared before this slot — what
+    /// lets `PreparedQuery::shape` list constraints in declaration order.
+    pub(crate) at: usize,
+}
+
+impl Slot {
+    fn holds(&self, t: &Tuple, bound: &Value) -> bool {
+        let v = t.get(self.field);
+        match self.op {
+            SlotOp::Eq => v == bound,
+            SlotOp::Lt => v < bound,
+            SlotOp::Le => v <= bound,
+            SlotOp::Gt => v > bound,
+            SlotOp::Ge => v >= bound,
+        }
+    }
+}
+
+/// One evaluation of a query, as a store sees it: a [`Query`]'s constant
+/// constraints plus bind slots with this call's values, all borrowed.
+///
+/// A plain positional query is the zero-slot case ([`Query::probe`]); a
+/// prepared query's [`crate::relation::Binder`] lends its stack-held
+/// values. Nothing is copied or allocated per call, and probes nest
+/// freely — each borrows only what its own caller holds.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe<'a> {
+    query: &'a Query,
+    slots: &'a [Slot],
+    values: &'a [Value],
+}
+
+impl<'a> From<&'a Query> for Probe<'a> {
+    fn from(query: &'a Query) -> Self {
+        Probe {
+            query,
+            slots: &[],
+            values: &[],
+        }
+    }
+}
+
+impl<'a> Probe<'a> {
+    /// `query` with `values[i]` bound to `slots[i]`.
+    pub(crate) fn bound(query: &'a Query, slots: &'a [Slot], values: &'a [Value]) -> Self {
+        debug_assert_eq!(slots.len(), values.len());
+        Probe {
+            query,
+            slots,
+            values,
+        }
+    }
+
+    /// The table probed.
+    pub fn table(&self) -> TableId {
+        self.query.table
+    }
+
+    /// The constant constraints (bind slots are not in it).
+    pub fn query(&self) -> &'a Query {
+        self.query
+    }
+
+    /// The equality value constraining `field` — bound or constant — if
+    /// any: what indexed stores narrow on.
+    pub fn eq_value(&self, field: usize) -> Option<&'a Value> {
+        (self.slots.iter().zip(self.values))
+            .find(|(s, _)| s.field == field && s.op == SlotOp::Eq)
+            .map(|(_, v)| v)
+            .or_else(|| self.query.eq_value(field))
+    }
+
+    /// True if all of `fields` are equality-constrained (index usable).
+    pub fn covers_fields(&self, fields: &[usize]) -> bool {
+        fields.iter().all(|f| self.eq_value(*f).is_some())
+    }
+
+    /// True if `t` satisfies every bound and constant constraint — the
+    /// bound ones (a probe's keys) first.
+    pub fn matches(&self, t: &Tuple) -> bool {
+        (self.slots.iter().zip(self.values)).all(|(s, v)| s.holds(t, v)) && self.query.matches(t)
     }
 }
 

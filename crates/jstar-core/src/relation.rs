@@ -34,13 +34,11 @@
 //! and generic tooling still need it.
 
 use crate::program::Program;
-use crate::query::{FieldRange, Predicate, Query};
+use crate::query::{FieldRange, Predicate, Probe, Query, Slot, SlotOp};
 use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::tuple::Tuple;
 use crate::value::{Value, ValueType};
-use jstar_check::sync::{AtomicU64, Ordering};
-use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -265,42 +263,10 @@ pub struct TypedQuery<R> {
     eq: Vec<(usize, Value)>,
     ranges: Vec<FieldRange>,
     pred: Option<Predicate>,
-    /// Placeholder positions recorded by the `bind_*` builders; consumed
-    /// by [`TypedQuery::prepare`].
+    /// The `bind_*` constraints, in bind order; kept apart from the
+    /// constant ones by [`TypedQuery::prepare`].
     slots: Vec<Slot>,
     _marker: PhantomData<fn() -> R>,
-}
-
-/// Where a bind slot lives inside the lowered [`Query`]'s constraint
-/// vectors — the patch target for [`PreparedQuery::with_bound`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotLoc {
-    /// `eq[i].1`.
-    Eq(usize),
-    /// The bound value inside `ranges[i].lo`.
-    RangeLo(usize),
-    /// The bound value inside `ranges[i].hi`.
-    RangeHi(usize),
-}
-
-/// One `bind_*` placeholder: its patch target plus the column it
-/// constrains — the latter is what lets a [`Binder`] address slots by
-/// [`Field`] token instead of by bind order.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    loc: SlotLoc,
-    field: usize,
-}
-
-/// A neutral placeholder value of the column's runtime type; overwritten
-/// before any bound query is evaluated.
-fn placeholder(ty: ValueType) -> Value {
-    match ty {
-        ValueType::Int => Value::Int(0),
-        ValueType::Double => Value::Double(0.0),
-        ValueType::Bool => Value::Bool(false),
-        ValueType::Str => Value::str(""),
-    }
 }
 
 impl<R> Default for TypedQuery<R> {
@@ -369,80 +335,49 @@ impl<R> TypedQuery<R> {
 
     // ── Bind slots ──────────────────────────────────────────────────
     //
-    // The `bind_*` builders add a constraint whose *value* is a
-    // placeholder patched in per invocation. A rule whose query differs
-    // only in trigger-derived values (Dijkstra's
-    // `eq(Done::vertex, trigger.vertex)`) prepares it once outside the
-    // rule closure and invokes it through the `*_bound` entry points of
-    // [`crate::engine::RuleCtx`]: the constraint vectors are built a
-    // single time per rule, and each invocation overwrites the slot
-    // values in place on a per-thread copy — no per-call vector builds,
-    // no per-call allocation.
+    // The `bind_*` builders add a constraint whose *value* arrives with
+    // each call. A rule whose query differs only in trigger-derived
+    // values (Dijkstra's `eq(Done::vertex, trigger.vertex)`) prepares it
+    // once outside the rule closure and evaluates it through a
+    // [`Binder`]: the constraint vectors are built a single time per
+    // rule, and a call lends its values to the store on the stack.
 
-    /// Adds `field == ?slot` (value supplied at invocation).
-    pub fn bind_eq<T: FieldValue>(mut self, field: Field<R, T>) -> Self {
-        self.eq.push((field.index(), placeholder(T::TYPE)));
+    fn bind<T: FieldValue>(mut self, field: Field<R, T>, op: SlotOp) -> Self {
+        let at = match op {
+            SlotOp::Eq => self.eq.len(),
+            _ => self.ranges.len(),
+        };
         self.slots.push(Slot {
-            loc: SlotLoc::Eq(self.eq.len() - 1),
             field: field.index(),
+            op,
+            at,
         });
         self
+    }
+
+    /// Adds `field == ?slot` (value supplied at invocation).
+    pub fn bind_eq<T: FieldValue>(self, field: Field<R, T>) -> Self {
+        self.bind(field, SlotOp::Eq)
     }
 
     /// Adds `field < ?slot`.
-    pub fn bind_lt<T: FieldValue>(mut self, field: Field<R, T>) -> Self {
-        self.ranges.push(FieldRange {
-            field: field.index(),
-            lo: Bound::Unbounded,
-            hi: Bound::Excluded(placeholder(T::TYPE)),
-        });
-        self.slots.push(Slot {
-            loc: SlotLoc::RangeHi(self.ranges.len() - 1),
-            field: field.index(),
-        });
-        self
+    pub fn bind_lt<T: FieldValue>(self, field: Field<R, T>) -> Self {
+        self.bind(field, SlotOp::Lt)
     }
 
     /// Adds `field <= ?slot`.
-    pub fn bind_le<T: FieldValue>(mut self, field: Field<R, T>) -> Self {
-        self.ranges.push(FieldRange {
-            field: field.index(),
-            lo: Bound::Unbounded,
-            hi: Bound::Included(placeholder(T::TYPE)),
-        });
-        self.slots.push(Slot {
-            loc: SlotLoc::RangeHi(self.ranges.len() - 1),
-            field: field.index(),
-        });
-        self
+    pub fn bind_le<T: FieldValue>(self, field: Field<R, T>) -> Self {
+        self.bind(field, SlotOp::Le)
     }
 
     /// Adds `field > ?slot`.
-    pub fn bind_gt<T: FieldValue>(mut self, field: Field<R, T>) -> Self {
-        self.ranges.push(FieldRange {
-            field: field.index(),
-            lo: Bound::Excluded(placeholder(T::TYPE)),
-            hi: Bound::Unbounded,
-        });
-        self.slots.push(Slot {
-            loc: SlotLoc::RangeLo(self.ranges.len() - 1),
-            field: field.index(),
-        });
-        self
+    pub fn bind_gt<T: FieldValue>(self, field: Field<R, T>) -> Self {
+        self.bind(field, SlotOp::Gt)
     }
 
     /// Adds `field >= ?slot`.
-    pub fn bind_ge<T: FieldValue>(mut self, field: Field<R, T>) -> Self {
-        self.ranges.push(FieldRange {
-            field: field.index(),
-            lo: Bound::Included(placeholder(T::TYPE)),
-            hi: Bound::Unbounded,
-        });
-        self.slots.push(Slot {
-            loc: SlotLoc::RangeLo(self.ranges.len() - 1),
-            field: field.index(),
-        });
-        self
+    pub fn bind_ge<T: FieldValue>(self, field: Field<R, T>) -> Self {
+        self.bind(field, SlotOp::Ge)
     }
 
     /// Adds a residual predicate over the decoded relation (the `[...]`
@@ -466,14 +401,14 @@ impl<R> TypedQuery<R> {
 
     /// Lowers to the positional [`Query`] against the table `R` was
     /// registered as. The constraint vectors move — lowering allocates
-    /// nothing. Panics on a query with bind slots: placeholder values
-    /// must be patched through [`TypedQuery::prepare`] +
-    /// [`PreparedQuery::with_bound`], never evaluated.
+    /// nothing. Panics on a query with bind slots: it has no values yet,
+    /// so [`TypedQuery::prepare`] it and evaluate it through
+    /// [`PreparedQuery::binder`].
     pub fn lower(self, table: impl Into<TableId>) -> Query {
         assert!(
             self.slots.is_empty(),
-            "a query with bind slots must be prepared and invoked through \
-             the *_bound entry points, not lowered directly"
+            "a query with bind slots has no values to lower: prepare() it once \
+             and evaluate it through binder()"
         );
         Query {
             table: table.into(),
@@ -487,20 +422,22 @@ impl<R> TypedQuery<R> {
     /// rule invocations — the per-rule interning point for queries
     /// whose constraints are constants (build it *outside* the rule
     /// closure and capture it; per-invocation construction then costs
-    /// nothing). Queries carrying `bind_*` slots are additionally
-    /// invocable with per-call values via [`PreparedQuery::with_bound`]
-    /// and the `*_bound` methods of [`crate::engine::RuleCtx`].
-    pub fn prepare(self, table: TableHandle<R>) -> PreparedQuery<R> {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        let slots: Arc<[Slot]> = self.slots.clone().into();
-        let mut this = self;
-        this.slots.clear();
+    /// nothing). Queries carrying `bind_*` slots are evaluated with
+    /// per-call values through [`PreparedQuery::binder`].
+    ///
+    /// Panics — at program-build time, where the query is prepared —
+    /// on more than [`MAX_BIND_SLOTS`] slots.
+    pub fn prepare(mut self, table: TableHandle<R>) -> PreparedQuery<R> {
+        assert!(
+            self.slots.len() <= MAX_BIND_SLOTS,
+            "a prepared query takes at most MAX_BIND_SLOTS = {MAX_BIND_SLOTS} bind slots, \
+             this one has {}",
+            self.slots.len()
+        );
+        let slots = std::mem::take(&mut self.slots).into_boxed_slice();
         PreparedQuery {
-            query: this.lower(table.id()),
+            query: self.lower(table.id()),
             slots,
-            // ord: Relaxed — a fresh-id counter; ids only need to be
-            // distinct, no ordering with any other memory is implied.
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             _marker: PhantomData,
         }
     }
@@ -509,58 +446,23 @@ impl<R> TypedQuery<R> {
 /// A typed query lowered once and reused — constant constraint vectors
 /// are built a single time per rule instead of per invocation.
 ///
-/// Created by [`TypedQuery::prepare`]; consumed by the `*_prepared`
-/// methods on [`crate::engine::RuleCtx`] or, positionally, via
-/// [`PreparedQuery::as_query`]. When the query was built with `bind_*`
-/// placeholder slots, per-invocation values are patched in with
-/// [`PreparedQuery::with_bound`] (the `*_bound` `RuleCtx` methods call
-/// it for you).
+/// Created by [`TypedQuery::prepare`]; passed by reference to the typed
+/// reads of [`crate::engine::RuleCtx`] (`ctx.query_rel(&q)`) or,
+/// positionally, via [`PreparedQuery::as_query`]. When the query was
+/// built with `bind_*` slots, each call supplies their values through a
+/// [`PreparedQuery::binder`] instead.
 pub struct PreparedQuery<R> {
+    /// The constant constraints.
     query: Query,
-    /// Patch targets for the `bind_*` placeholders, in bind order.
-    slots: Arc<[Slot]>,
-    /// Identity key for the per-thread bound-copy cache. Clones share
-    /// it — they are the same logical query, and every invocation
-    /// overwrites every slot before evaluating.
-    id: u64,
+    /// The `bind_*` constraints, in bind order.
+    slots: Box<[Slot]>,
     _marker: PhantomData<fn() -> R>,
-}
-
-impl<R> Clone for PreparedQuery<R> {
-    fn clone(&self) -> Self {
-        PreparedQuery {
-            query: self.query.clone(),
-            slots: Arc::clone(&self.slots),
-            id: self.id,
-            _marker: PhantomData,
-        }
-    }
-}
-
-thread_local! {
-    /// Per-thread cache of bound query copies, keyed by prepared-query
-    /// id. Patching mutates the cached copy in place, so after the first
-    /// invocation on a thread a bind costs a cache probe plus one value
-    /// write per slot — no constraint-vector rebuild, no allocation for
-    /// scalar binds. A linear-scanned Vec, not a HashMap: programs hold
-    /// a handful of prepared queries, and this probe sits on the rule
-    /// inner loop.
-    static BOUND_SCRATCH: RefCell<Vec<(u64, Query)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Takes the cached copy for `id` off this thread's scratch list.
-fn take_scratch(id: u64) -> Option<Query> {
-    BOUND_SCRATCH.with(|m| {
-        let mut m = m.borrow_mut();
-        let i = m.iter().position(|(k, _)| *k == id)?;
-        Some(m.swap_remove(i).1)
-    })
 }
 
 impl<R> PreparedQuery<R> {
     /// The lowered positional query (borrowed — no copies). For a query
-    /// with bind slots this still holds the placeholders; evaluate it
-    /// through [`PreparedQuery::with_bound`] instead.
+    /// with bind slots it holds only the constant constraints; evaluate
+    /// it through [`PreparedQuery::binder`] instead.
     pub fn as_query(&self) -> &Query {
         &self.query
     }
@@ -570,10 +472,11 @@ impl<R> PreparedQuery<R> {
         self.slots.len()
     }
 
-    /// The query's constraint structure, one entry per comparison in
-    /// declaration order: which column it touches, whether it is an
-    /// equality or a lower/upper bound, and whether its value is a
-    /// constant or a `bind_*` placeholder filled per invocation.
+    /// The query's constraint structure, one entry per comparison:
+    /// which column it touches, whether it is an equality or a
+    /// lower/upper bound, and whether its value is a constant or a
+    /// `bind_*` placeholder filled per invocation. Equalities come
+    /// first, then range sides, each in declaration order.
     ///
     /// This is the introspection surface the delta-join planner builds
     /// on: a rule whose probe query is *shaped* as equalities bound to
@@ -584,31 +487,43 @@ impl<R> PreparedQuery<R> {
     /// design — shapes describe only the indexable constraints, and
     /// [`PreparedQuery::has_residual`] reports the rest.
     pub fn shape(&self) -> Vec<ConstraintShape> {
-        let is_bound = |loc: SlotLoc| self.slots.iter().any(|s| s.loc == loc);
+        let (eq_slots, range_slots): (Vec<&Slot>, Vec<&Slot>) =
+            self.slots.iter().partition(|s| s.op == SlotOp::Eq);
+        let bound = |out: &mut Vec<ConstraintShape>, slots: &[&Slot], at: usize| {
+            for s in slots.iter().filter(|s| s.at == at) {
+                let kind = match s.op {
+                    SlotOp::Eq => ConstraintKind::Eq,
+                    SlotOp::Gt | SlotOp::Ge => ConstraintKind::Lower,
+                    SlotOp::Lt | SlotOp::Le => ConstraintKind::Upper,
+                };
+                out.push(ConstraintShape {
+                    field: s.field,
+                    kind,
+                    bound: true,
+                });
+            }
+        };
+        let constant = |field, kind| ConstraintShape {
+            field,
+            kind,
+            bound: false,
+        };
         let mut out = Vec::new();
         for (i, (field, _)) in self.query.eq.iter().enumerate() {
-            out.push(ConstraintShape {
-                field: *field,
-                kind: ConstraintKind::Eq,
-                bound: is_bound(SlotLoc::Eq(i)),
-            });
+            bound(&mut out, &eq_slots, i);
+            out.push(constant(*field, ConstraintKind::Eq));
         }
+        bound(&mut out, &eq_slots, self.query.eq.len());
         for (i, r) in self.query.ranges.iter().enumerate() {
+            bound(&mut out, &range_slots, i);
             if !matches!(r.lo, Bound::Unbounded) {
-                out.push(ConstraintShape {
-                    field: r.field,
-                    kind: ConstraintKind::Lower,
-                    bound: is_bound(SlotLoc::RangeLo(i)),
-                });
+                out.push(constant(r.field, ConstraintKind::Lower));
             }
             if !matches!(r.hi, Bound::Unbounded) {
-                out.push(ConstraintShape {
-                    field: r.field,
-                    kind: ConstraintKind::Upper,
-                    bound: is_bound(SlotLoc::RangeHi(i)),
-                });
+                out.push(constant(r.field, ConstraintKind::Upper));
             }
         }
+        bound(&mut out, &range_slots, self.query.ranges.len());
         out
     }
 
@@ -619,102 +534,27 @@ impl<R> PreparedQuery<R> {
         self.query.pred.is_some()
     }
 
-    /// Patches the slot values (in bind order) into this thread's cached
-    /// copy of the query and runs `f` on it.
-    ///
-    /// The copy is taken out of the thread-local cache for the duration
-    /// of `f`, so bound queries nest freely (Dijkstra's inner
-    /// `none(Done)` probe runs inside the `Edge` scan). Panics if
-    /// `values` does not match the slot count; binding a value of the
-    /// wrong runtime type is a debug assertion (release builds would
-    /// simply match nothing).
-    pub fn with_bound<T>(&self, values: &[Value], f: impl FnOnce(&Query) -> T) -> T {
-        assert_eq!(
-            values.len(),
-            self.slots.len(),
-            "bound values must match the query's bind slots"
-        );
-        self.bind_and_run(|i| values[i].clone(), f)
-    }
-
     /// Starts a **typed** bind of this query's slots: values are named
-    /// by [`Field`] token (`q.binder().set(Done::vertex, v)`) instead
-    /// of supplied positionally, so binding in the wrong order is
-    /// impossible and a wrong-typed or wrong-relation value is a
-    /// compile error. Evaluate through the `*_with` methods of
-    /// [`crate::engine::RuleCtx`].
-    ///
-    /// Panics if the query has more than [`MAX_BIND_SLOTS`] slots (the
-    /// binder keeps its values on the stack — no per-invocation
-    /// allocation on the rule inner loop).
+    /// by [`Field`] token (`q.binder().set(Done::vertex, v)`), so
+    /// binding in the wrong order is impossible and a wrong-typed or
+    /// wrong-relation value is a compile error. Pass the binder to any
+    /// typed read of [`crate::engine::RuleCtx`].
     pub fn binder(&self) -> Binder<'_, R> {
-        assert!(
-            self.slots.len() <= MAX_BIND_SLOTS,
-            "a Binder holds at most {MAX_BIND_SLOTS} slots; use with_bound for wider queries"
-        );
+        const UNSET: Value = Value::Int(0);
         Binder {
             query: self,
-            values: std::array::from_fn(|_| None),
-            filled: 0,
+            values: [UNSET; MAX_BIND_SLOTS],
+            set: 0,
         }
-    }
-
-    /// Shared patch-and-evaluate core of [`PreparedQuery::with_bound`]
-    /// and [`Binder::apply`]: pulls this thread's cached copy, writes
-    /// `value_of(slot_index)` into every slot, runs `f`, and returns
-    /// the copy to the cache.
-    fn bind_and_run<T>(
-        &self,
-        mut value_of: impl FnMut(usize) -> Value,
-        f: impl FnOnce(&Query) -> T,
-    ) -> T {
-        let mut q = take_scratch(self.id).unwrap_or_else(|| self.query.clone());
-        for (i, slot) in self.slots.iter().enumerate() {
-            let v = value_of(i);
-            let target = match slot.loc {
-                SlotLoc::Eq(i) => &mut q.eq[i].1,
-                SlotLoc::RangeLo(i) => match &mut q.ranges[i].lo {
-                    Bound::Included(x) | Bound::Excluded(x) => x,
-                    Bound::Unbounded => unreachable!("slot on unbounded side"),
-                },
-                SlotLoc::RangeHi(i) => match &mut q.ranges[i].hi {
-                    Bound::Included(x) | Bound::Excluded(x) => x,
-                    Bound::Unbounded => unreachable!("slot on unbounded side"),
-                },
-            };
-            debug_assert_eq!(
-                target.value_type(),
-                v.value_type(),
-                "bound value type must match the declared column type"
-            );
-            *target = v;
-        }
-        let out = f(&q);
-        BOUND_SCRATCH.with(|m| {
-            let mut m = m.borrow_mut();
-            // Bound cache: `take_scratch` pulls hits out and this push
-            // re-appends them, so hot queries migrate to the back and
-            // evicting the front sheds the stalest entries (including
-            // those of long-dropped prepared queries — ids are never
-            // reused, so without a cap the list would grow for the
-            // thread's lifetime and its linear probe sits on rule inner
-            // loops).
-            if m.len() >= 64 {
-                m.remove(0);
-            }
-            m.push((self.id, q));
-        });
-        out
     }
 }
 
-/// Maximum `bind_*` slots a [`Binder`] can carry (values live on the
-/// stack; every paper workload uses 1–2).
+/// Maximum `bind_*` slots a prepared query may carry — a [`Binder`]
+/// keeps its values on the stack; every paper workload uses 1–2.
 pub const MAX_BIND_SLOTS: usize = 8;
 
 /// A typed, per-invocation value set for a [`PreparedQuery`]'s bind
-/// slots — the compile-checked replacement for the positional
-/// `&[Value]` of [`PreparedQuery::with_bound`].
+/// slots.
 ///
 /// Each [`Binder::set`] names the slot by its [`Field`] token, so:
 ///
@@ -726,15 +566,45 @@ pub const MAX_BIND_SLOTS: usize = 8;
 /// When a query binds the *same* column more than once (say
 /// `bind_ge(x).bind_le(x)` for a range), repeated `set`s on that field
 /// fill its slots in bind order. Built by [`PreparedQuery::binder`];
-/// consumed by the `*_with` methods of [`crate::engine::RuleCtx`]:
+/// the values stay on the stack and the store reads them in place, so
+/// an evaluation copies and allocates nothing:
 ///
-/// ```ignore
-/// ctx.none_with(done_probe.binder().set(Done::vertex, e.to))
+/// ```
+/// use jstar_core::jstar_table;
+/// use jstar_core::prelude::*;
+/// use std::sync::{Arc, Mutex};
+///
+/// jstar_table! {
+///     #[derive(Copy, Eq)]
+///     pub Hop(int from, int to) orderby (Hop)
+/// }
+///
+/// let mut p = ProgramBuilder::new();
+/// let hop = p.relation::<Hop>();
+/// // Prepared once, outside the rule: `from == ?` and `to >= ?`.
+/// let out_of = Hop::query().bind_eq(Hop::from).bind_ge(Hop::to).prepare(hop);
+/// let seen = Arc::new(Mutex::new(Vec::new()));
+/// let log = Arc::clone(&seen);
+/// p.rule_rel("count", move |ctx, h: Hop| {
+///     let onward = out_of.binder().set(Hop::from, h.to).set(Hop::to, 3);
+///     log.lock().unwrap().push((h.from, h.to, ctx.count_rel(onward)));
+/// });
+/// for (from, to) in [(1, 2), (2, 3), (2, 5), (2, 1)] {
+///     p.put_rel(Hop { from, to });
+/// }
+/// let mut engine = Engine::new(Arc::new(p.build()?), EngineConfig::sequential());
+/// engine.run()?;
+/// // Every hop into vertex 2 sees the two hops out of it with `to >= 3`.
+/// let seen = seen.lock().unwrap();
+/// assert!(seen.contains(&(1, 2, 2)));
+/// assert!(seen.contains(&(2, 3, 0)));
+/// # Result::Ok(())
 /// ```
 pub struct Binder<'q, R> {
     query: &'q PreparedQuery<R>,
-    values: [Option<Value>; MAX_BIND_SLOTS],
-    filled: usize,
+    /// `values[i]` is slot `i`'s value once bit `i` of `set` is.
+    values: [Value; MAX_BIND_SLOTS],
+    set: u8,
 }
 
 impl<R> Binder<'_, R> {
@@ -747,7 +617,7 @@ impl<R> Binder<'_, R> {
             .slots
             .iter()
             .enumerate()
-            .position(|(i, s)| s.field == field.index() && self.values[i].is_none())
+            .position(|(i, s)| s.field == field.index() && self.set & (1 << i) == 0)
             .unwrap_or_else(|| {
                 panic!(
                     "no unbound slot constrains column `{}` — the prepared query \
@@ -755,22 +625,55 @@ impl<R> Binder<'_, R> {
                     field.name()
                 )
             });
-        self.values[idx] = Some(value.into().into_value());
-        self.filled += 1;
+        self.values[idx] = value.into().into_value();
+        self.set |= 1 << idx;
         self
     }
 
-    /// Patches the collected values into the thread-cached query copy
-    /// and evaluates `f` on it. Panics unless every slot was `set`.
-    pub(crate) fn apply<O>(mut self, f: impl FnOnce(&Query) -> O) -> O {
+    /// The probe of the prepared query under these values. Panics
+    /// unless every slot was `set`.
+    pub(crate) fn probe(&self) -> Probe<'_> {
+        let n = self.query.slots.len();
         assert_eq!(
-            self.filled,
-            self.query.slots.len(),
+            self.set.count_ones() as usize,
+            n,
             "every bind slot must be set before the query is evaluated"
         );
-        let values = &mut self.values;
-        self.query
-            .bind_and_run(|i| values[i].take().expect("slot filled"), f)
+        Probe::bound(&self.query.query, &self.query.slots, &self.values[..n])
+    }
+}
+
+/// A query over relation `R` in any of the forms the typed reads of
+/// [`crate::engine::RuleCtx`] accept: a [`TypedQuery`], a constant
+/// `&`[`PreparedQuery`], or a [`Binder`] carrying a prepared query's
+/// per-call values. All three reach the store as one [`Probe`].
+pub trait IntoProbe<R> {
+    /// Runs `f` on this query's probe of the table `program` registered
+    /// `R` as.
+    fn with_probe<O>(self, program: &Program, f: impl FnOnce(Probe<'_>) -> O) -> O;
+}
+
+impl<R: Relation> IntoProbe<R> for TypedQuery<R> {
+    fn with_probe<O>(self, program: &Program, f: impl FnOnce(Probe<'_>) -> O) -> O {
+        f(self.lower(program.handle::<R>()).probe())
+    }
+}
+
+impl<R> IntoProbe<R> for &PreparedQuery<R> {
+    /// Panics on a query with bind slots: their values come with a
+    /// [`PreparedQuery::binder`].
+    fn with_probe<O>(self, _: &Program, f: impl FnOnce(Probe<'_>) -> O) -> O {
+        assert!(
+            self.slots.is_empty(),
+            "a prepared query with bind slots is evaluated through binder()"
+        );
+        f(self.query.probe())
+    }
+}
+
+impl<R> IntoProbe<R> for Binder<'_, R> {
+    fn with_probe<O>(self, _: &Program, f: impl FnOnce(Probe<'_>) -> O) -> O {
+        f(self.probe())
     }
 }
 
@@ -1115,7 +1018,7 @@ mod tests {
     }
 
     #[test]
-    fn bound_query_patches_slots_in_place() {
+    fn bound_query_reads_each_calls_values() {
         let h: TableHandle<Ship> = TableHandle::new(TableId(1));
         let pq = Ship::query()
             .bind_eq(Ship::frame)
@@ -1126,11 +1029,12 @@ mod tests {
         for (frame, x, matching, other) in
             [(3i64, 100i64, (3, 80), (3, 150)), (7, 10, (7, 10), (6, 10))]
         {
-            pq.with_bound(&[Value::Int(frame), Value::Int(x)], |q| {
-                assert_eq!(q.table, TableId(1));
-                assert!(q.matches(&row(matching.0, matching.1)));
-                assert!(!q.matches(&row(other.0, other.1)));
-            });
+            let b = pq.binder().set(Ship::frame, frame).set(Ship::x, x);
+            let q = b.probe();
+            assert_eq!(q.table(), TableId(1));
+            assert_eq!(q.eq_value(0), Some(&Value::Int(frame)));
+            assert!(q.matches(&row(matching.0, matching.1)));
+            assert!(!q.matches(&row(other.0, other.1)));
         }
     }
 
@@ -1140,15 +1044,25 @@ mod tests {
         let outer = Ship::query().bind_eq(Ship::frame).prepare(h);
         let inner = Ship::query().bind_ge(Ship::x).prepare(h);
         let row = |f: i64, x: i64| Tuple::new(TableId(0), vec![Value::Int(f), Value::Int(x)]);
-        outer.with_bound(&[Value::Int(2)], |qo| {
-            assert!(qo.matches(&row(2, 0)));
-            inner.with_bound(&[Value::Int(50)], |qi| {
-                assert!(qi.matches(&row(9, 50)));
-                assert!(!qi.matches(&row(9, 49)));
-            });
-            // The outer binding is still intact after the nested use.
-            assert!(qo.matches(&row(2, 123)));
-        });
+        let bo = outer.binder().set(Ship::frame, 2i64);
+        let qo = bo.probe();
+        assert!(qo.matches(&row(2, 0)));
+        {
+            let bi = inner.binder().set(Ship::x, 50i64);
+            let qi = bi.probe();
+            assert!(qi.matches(&row(9, 50)));
+            assert!(!qi.matches(&row(9, 49)));
+            // The same prepared query bound again, inside its own use.
+            let bj = inner.binder().set(Ship::x, 60i64);
+            assert!(!bj.probe().matches(&row(9, 50)));
+            assert!(qi.matches(&row(9, 50)), "each binding is its own");
+            // And the outer one, rebound inside itself.
+            let bo2 = outer.binder().set(Ship::frame, 3i64);
+            assert!(bo2.probe().matches(&row(3, 0)));
+        }
+        // The outer binding is still intact after the nested use.
+        assert!(qo.matches(&row(2, 123)));
+        assert!(!qo.matches(&row(3, 123)));
     }
 
     #[test]
@@ -1156,11 +1070,10 @@ mod tests {
         let h: TableHandle<Ship> = TableHandle::new(TableId(0));
         let pq = Ship::query().bind_eq(Ship::frame).prepare(h);
         let row = |f: i64| Tuple::new(TableId(0), vec![Value::Int(f), Value::Int(0)]);
-        pq.with_bound(&[Value::Int(1)], |q| assert!(q.matches(&row(1))));
-        pq.with_bound(&[Value::Int(2)], |q| {
-            assert!(q.matches(&row(2)));
-            assert!(!q.matches(&row(1)), "stale binding must be gone");
-        });
+        assert!(pq.binder().set(Ship::frame, 1i64).probe().matches(&row(1)));
+        let b = pq.binder().set(Ship::frame, 2i64);
+        assert!(b.probe().matches(&row(2)));
+        assert!(!b.probe().matches(&row(1)), "stale binding must be gone");
     }
 
     #[test]
@@ -1173,14 +1086,11 @@ mod tests {
         let row = |f: i64, x: i64| Tuple::new(TableId(1), vec![Value::Int(f), Value::Int(x)]);
         // set() order is the *reverse* of bind order — the binder maps
         // by column, so the query still constrains correctly.
-        pq.binder()
-            .set(Ship::x, 100i64)
-            .set(Ship::frame, 3i64)
-            .apply(|q| {
-                assert!(q.matches(&row(3, 80)));
-                assert!(!q.matches(&row(3, 150)), "x bound must be the le slot");
-                assert!(!q.matches(&row(4, 80)), "frame bound must be the eq slot");
-            });
+        let b = pq.binder().set(Ship::x, 100i64).set(Ship::frame, 3i64);
+        let q = b.probe();
+        assert!(q.matches(&row(3, 80)));
+        assert!(!q.matches(&row(3, 150)), "x bound must be the le slot");
+        assert!(!q.matches(&row(4, 80)), "frame bound must be the eq slot");
     }
 
     #[test]
@@ -1190,14 +1100,14 @@ mod tests {
         let h: TableHandle<Ship> = TableHandle::new(TableId(0));
         let pq = Ship::query().bind_ge(Ship::x).bind_le(Ship::x).prepare(h);
         let row = |x: i64| Tuple::new(TableId(0), vec![Value::Int(0), Value::Int(x)]);
-        pq.binder()
+        let b = pq
+            .binder()
             .set(Ship::x, 10i64) // → the ge slot
-            .set(Ship::x, 20i64) // → the le slot
-            .apply(|q| {
-                assert!(q.matches(&row(15)));
-                assert!(!q.matches(&row(9)));
-                assert!(!q.matches(&row(21)));
-            });
+            .set(Ship::x, 20i64); // → the le slot
+        let q = b.probe();
+        assert!(q.matches(&row(15)));
+        assert!(!q.matches(&row(9)));
+        assert!(!q.matches(&row(21)));
     }
 
     #[test]
@@ -1216,42 +1126,32 @@ mod tests {
             .bind_eq(Ship::frame)
             .bind_le(Ship::x)
             .prepare(h);
-        pq.binder().set(Ship::frame, 1i64).apply(|_| {});
+        let _ = pq.binder().set(Ship::frame, 1i64).probe();
     }
 
     #[test]
-    fn binders_nest_and_interleave_with_positional_binds() {
+    #[should_panic(expected = "no unbound slot")]
+    fn wrong_bind_arity_panics() {
         let h: TableHandle<Ship> = TableHandle::new(TableId(0));
-        let outer = Ship::query().bind_eq(Ship::frame).prepare(h);
-        let inner = Ship::query().bind_ge(Ship::x).prepare(h);
-        let row = |f: i64, x: i64| Tuple::new(TableId(0), vec![Value::Int(f), Value::Int(x)]);
-        outer.binder().set(Ship::frame, 2i64).apply(|qo| {
-            assert!(qo.matches(&row(2, 0)));
-            // Positional bind of a different query nested inside.
-            inner.with_bound(&[Value::Int(50)], |qi| {
-                assert!(qi.matches(&row(9, 50)));
-            });
-            // A typed bind of the same inner query too.
-            inner.binder().set(Ship::x, 60i64).apply(|qi| {
-                assert!(!qi.matches(&row(9, 50)));
-                assert!(qi.matches(&row(9, 60)));
-            });
-            assert!(qo.matches(&row(2, 123)), "outer binding intact");
-        });
+        let pq = Ship::query().bind_eq(Ship::frame).prepare(h);
+        let _ = pq.binder().set(Ship::frame, 1i64).set(Ship::frame, 2i64);
     }
 
     #[test]
-    #[should_panic(expected = "bind slots")]
+    #[should_panic(expected = "prepare() it once and evaluate it through binder()")]
     fn lowering_a_bind_slot_query_panics() {
         let _ = Ship::query().bind_eq(Ship::frame).lower(TableId(0));
     }
 
     #[test]
-    #[should_panic(expected = "bound values must match")]
-    fn wrong_bind_arity_panics() {
+    #[should_panic(expected = "at most MAX_BIND_SLOTS = 8 bind slots")]
+    fn preparing_more_slots_than_a_binder_holds_panics() {
         let h: TableHandle<Ship> = TableHandle::new(TableId(0));
-        let pq = Ship::query().bind_eq(Ship::frame).prepare(h);
-        pq.with_bound(&[], |_| {});
+        let mut q = Ship::query();
+        for _ in 0..=MAX_BIND_SLOTS {
+            q = q.bind_ge(Ship::x);
+        }
+        let _ = q.prepare(h);
     }
 
     #[test]

@@ -35,9 +35,6 @@ pub struct TableStripe {
     pub triggers: AtomicU64,
     /// Queries answered against this table.
     pub queries: AtomicU64,
-    /// Queries that the table's [`crate::engine::QueryPlan`] routed through
-    /// an index (all index fields equality-bound), vs. full scans.
-    pub queries_indexed: AtomicU64,
 }
 
 /// Counters for one table: one [`TableStripe`] per staging shard for the
@@ -64,7 +61,6 @@ pub struct TableStatsSnapshot {
     pub gamma_dups: u64,
     pub triggers: u64,
     pub queries: u64,
-    pub queries_indexed: u64,
     pub compactions: u64,
 }
 
@@ -100,7 +96,6 @@ impl TableStats {
             gamma_dups: sum(|s| &s.gamma_dups),
             triggers: sum(|s| &s.triggers),
             queries: sum(|s| &s.queries),
-            queries_indexed: sum(|s| &s.queries_indexed),
             compactions: read(&self.compactions),
         }
     }

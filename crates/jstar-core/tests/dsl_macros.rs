@@ -212,7 +212,7 @@ fn prepared_queries_reuse_constraint_vectors() {
         if t.t < 3 {
             ctx.put_rel(Tick { t: t.t + 1, v: 0 });
         } else {
-            *seen2.lock() = ctx.query_prepared(&late).len() as u64;
+            *seen2.lock() = ctx.query_rel(&late).len() as u64;
         }
     });
     p.put_rel(Tick { t: 0, v: 0 });

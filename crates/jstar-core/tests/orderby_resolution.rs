@@ -7,7 +7,7 @@ use jstar_core::tuple::Tuple;
 use jstar_core::value::Value;
 use std::sync::Arc;
 
-fn strata_with(names: &[&str]) -> StrataOrder {
+fn strata_of(names: &[&str]) -> StrataOrder {
     let mut b = StrataBuilder::new();
     for n in names {
         b.intern(n);
@@ -24,7 +24,7 @@ fn resolve_maps_fields_and_literals() {
             .orderby(&[strat("Lit"), seq("b"), par("a")])
             .build_def(TableId(0)),
     );
-    let strata = strata_with(&["Lit"]);
+    let strata = strata_of(&["Lit"]);
     let resolved = ResolvedOrderBy::resolve(&def, &strata).unwrap();
     assert_eq!(resolved.components.len(), 3);
 
@@ -43,7 +43,7 @@ fn resolve_fails_on_unknown_literal() {
             .orderby(&[strat("Nope")])
             .build_def(TableId(0)),
     );
-    let strata = strata_with(&[]);
+    let strata = strata_of(&[]);
     let err = ResolvedOrderBy::resolve(&def, &strata).unwrap_err();
     assert!(err.contains("Nope"));
 }
@@ -56,7 +56,7 @@ fn resolve_fails_on_unknown_column() {
             .orderby(&[seq("ghost")])
             .build_def(TableId(0)),
     );
-    let strata = strata_with(&[]);
+    let strata = strata_of(&[]);
     let err = ResolvedOrderBy::resolve(&def, &strata).unwrap_err();
     assert!(err.contains("ghost"));
 }
@@ -68,7 +68,7 @@ fn empty_orderby_gives_minimal_keys() {
             .col_int("a")
             .build_def(TableId(0)),
     );
-    let strata = strata_with(&[]);
+    let strata = strata_of(&[]);
     let resolved = ResolvedOrderBy::resolve(&def, &strata).unwrap();
     let t = Tuple::new(TableId(0), vec![Value::Int(1)]);
     assert!(resolved.key_of(&t).is_empty());
@@ -84,7 +84,7 @@ fn everything_after_first_par_is_ignored() {
             .orderby(&[strat("A"), par("x"), seq("y")])
             .build_def(TableId(0)),
     );
-    let strata = strata_with(&["A"]);
+    let strata = strata_of(&["A"]);
     let resolved = ResolvedOrderBy::resolve(&def, &strata).unwrap();
     let t1 = Tuple::new(TableId(0), vec![Value::Int(1), Value::Int(100)]);
     let t2 = Tuple::new(TableId(0), vec![Value::Int(2), Value::Int(-50)]);
@@ -100,7 +100,7 @@ fn same_seq_field_used_twice_is_allowed() {
             .orderby(&[seq("a"), seq("a")])
             .build_def(TableId(0)),
     );
-    let strata = strata_with(&[]);
+    let strata = strata_of(&[]);
     let resolved = ResolvedOrderBy::resolve(&def, &strata).unwrap();
     let t = Tuple::new(TableId(0), vec![Value::Int(3)]);
     let key = resolved.key_of(&t);

@@ -2,8 +2,15 @@
 
 use jstar_core::causality::linear::{satisfiable, Constraint, LinExpr, Rational};
 use jstar_core::delta::{DeltaTree, ShardedInbox};
-use jstar_core::gamma::{BTreeStore, ConcurrentOrderedStore, HashStore, InsertOutcome, TableStore};
+use jstar_core::engine::{Engine, EngineConfig};
+use jstar_core::gamma::{
+    BTreeStore, ConcurrentOrderedStore, HashStore, InsertOutcome, StoreFactory, StoreKind,
+    TableStore,
+};
 use jstar_core::orderby::{KeyPart, OrderKey};
+use jstar_core::program::ProgramBuilder;
+use jstar_core::query::Query;
+use jstar_core::relation::{Binder, Field, PreparedQuery, Relation, TableHandle};
 use jstar_core::schema::{TableDefBuilder, TableId};
 use jstar_core::tuple::Tuple;
 use jstar_core::value::Value;
@@ -300,4 +307,244 @@ fn arb_value() -> impl Strategy<Value = Value> {
         "[a-z]{0,6}".prop_map(Value::str),
         any::<bool>().prop_map(Value::Bool),
     ]
+}
+
+// ── One bound path ───────────────────────────────────────────────────
+//
+// A prepared query evaluated with a binder's values must read Gamma
+// exactly as the positional query holding the same values as constants,
+// and both as a plain filter over `for_each` — on every store's access
+// path: `HashStore` indexed on the primary key, on a secondary column
+// and queried without its index; `ConcurrentOrderedStore` on the
+// point-key and first-column paths; `BTreeStore`; and a custom store on
+// the trait's default `query`.
+
+jstar_core::jstar_table! {
+    #[derive(Copy, Eq)]
+    pub Row(int a, int b -> int c) orderby (Row)
+}
+
+jstar_core::jstar_table! {
+    #[derive(Copy, Eq)]
+    pub Go(int id) orderby (Go)
+}
+
+/// One comparison `column op value`: a constant, or a bind slot given
+/// `value` (shifted, for the nested call) by the binder.
+#[derive(Debug, Clone, Copy)]
+struct Cmp {
+    col: usize,
+    /// 0 `==`, 1 `<`, 2 `<=`, 3 `>`, 4 `>=`.
+    op: u8,
+    value: i64,
+    bound: bool,
+}
+
+const COLS: [Field<Row, i64>; 3] = [Row::a, Row::b, Row::c];
+
+impl Cmp {
+    fn value(&self, shift: i64) -> i64 {
+        if self.bound {
+            self.value + shift
+        } else {
+            self.value
+        }
+    }
+
+    fn holds(&self, t: &Tuple, shift: i64) -> bool {
+        let (v, x) = (t.int(self.col), self.value(shift));
+        [v == x, v < x, v <= x, v > x, v >= x][self.op as usize]
+    }
+}
+
+/// Up to three comparisons, plus — half the time — one column bound on
+/// both sides by two slots (`bind_ge(x).bind_le(x)`).
+fn arb_cmps() -> impl Strategy<Value = Vec<Cmp>> {
+    let cmp =
+        (0usize..3, 0u8..5, -1i64..4, any::<bool>()).prop_map(|(col, op, value, bound)| Cmp {
+            col,
+            op,
+            value,
+            bound,
+        });
+    let pair = (any::<bool>(), 0usize..3, -1i64..2, 0i64..3);
+    (prop::collection::vec(cmp, 0..4), pair).prop_map(|(mut cmps, (on, col, lo, width))| {
+        if on {
+            let side = |op, value| Cmp {
+                col,
+                op,
+                value,
+                bound: true,
+            };
+            cmps.extend([side(4, lo), side(2, lo + width)]);
+        }
+        cmps
+    })
+}
+
+fn prepared(cmps: &[Cmp], h: TableHandle<Row>) -> PreparedQuery<Row> {
+    let mut q = Row::query();
+    for c in cmps {
+        let f = COLS[c.col];
+        q = match (c.bound, c.op) {
+            (true, 0) => q.bind_eq(f),
+            (true, 1) => q.bind_lt(f),
+            (true, 2) => q.bind_le(f),
+            (true, 3) => q.bind_gt(f),
+            (true, _) => q.bind_ge(f),
+            (false, 0) => q.eq(f, c.value),
+            (false, 1) => q.lt(f, c.value),
+            (false, 2) => q.le(f, c.value),
+            (false, 3) => q.gt(f, c.value),
+            (false, _) => q.ge(f, c.value),
+        };
+    }
+    q.prepare(h)
+}
+
+fn binder<'q>(pq: &'q PreparedQuery<Row>, cmps: &[Cmp], shift: i64) -> Binder<'q, Row> {
+    let bound = cmps.iter().filter(|c| c.bound);
+    bound.fold(pq.binder(), |b, c| b.set(COLS[c.col], c.value(shift)))
+}
+
+fn positional(cmps: &[Cmp], table: TableId, shift: i64) -> Query {
+    cmps.iter().fold(Query::on(table), |q, c| {
+        let (f, v) = (c.col, c.value(shift));
+        [Query::eq, Query::lt, Query::le, Query::gt, Query::ge][c.op as usize](q, f, v)
+    })
+}
+
+/// A store with only the required methods: reads take the trait's
+/// default `query`.
+struct DefaultQueryStore(BTreeStore);
+
+impl TableStore for DefaultQueryStore {
+    fn insert(&self, t: Tuple) -> InsertOutcome {
+        self.0.insert(t)
+    }
+    fn contains(&self, t: &Tuple) -> bool {
+        self.0.contains(t)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn for_each(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
+        self.0.for_each(f)
+    }
+    fn retain(&self, keep: &dyn Fn(&Tuple) -> bool) {
+        self.0.retain(keep)
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+}
+
+/// Every read of one case: rows by binder, by positional query and by
+/// filtered `for_each`, `count_rel` by binder, and — on stores whose
+/// reads may nest — the rows of the same query with shifted values,
+/// read inside each row of its own iteration.
+#[derive(Debug, Default, PartialEq)]
+struct Reads {
+    by_binder: Vec<Row>,
+    by_position: Vec<Row>,
+    by_filter: Vec<Row>,
+    count: u64,
+    nested: Vec<(Vec<Row>, Vec<Row>)>,
+}
+
+fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
+    rows.sort_by_key(|r| (r.a, r.b, r.c));
+    rows
+}
+
+fn run_reads(rows: &[Row], cmps: &[Cmp], kind: &StoreKind, nest: bool) -> Reads {
+    let mut p = ProgramBuilder::new();
+    let row_h = p.relation::<Row>();
+    p.relation::<Go>();
+    p.order(&["Row", "Go"]);
+    let pq = prepared(cmps, row_h);
+    let cmps = cmps.to_vec();
+    let out = Arc::new(parking_lot::Mutex::new(Reads::default()));
+    let sink = Arc::clone(&out);
+    p.rule_rel("read", move |ctx, _: Go| {
+        let table = row_h.id();
+        let filter = |shift| {
+            let mut all = Vec::new();
+            ctx.store(table).for_each(&mut |t| {
+                if cmps.iter().all(|c| c.holds(t, shift)) {
+                    all.push(Row::from_tuple(t));
+                }
+                true
+            });
+            sorted(all)
+        };
+        let mut r = Reads {
+            by_binder: sorted(ctx.query_rel(binder(&pq, &cmps, 0))),
+            by_position: sorted(
+                (ctx.query(&positional(&cmps, table, 0)).iter())
+                    .map(Row::from_tuple)
+                    .collect(),
+            ),
+            by_filter: filter(0),
+            count: ctx.count_rel(binder(&pq, &cmps, 0)),
+            nested: Vec::new(),
+        };
+        if nest {
+            let shifted = filter(1);
+            ctx.for_each_rel(binder(&pq, &cmps, 0), |_| {
+                let inner = sorted(ctx.query_rel(binder(&pq, &cmps, 1)));
+                r.nested.push((inner, shifted.clone()));
+                true
+            });
+        }
+        *sink.lock() = r;
+    });
+    for r in rows {
+        p.put_rel(*r);
+    }
+    p.put_rel(Go { id: 0 });
+    let config = EngineConfig::sequential().store(row_h.id(), kind.clone());
+    let mut engine = Engine::new(Arc::new(p.build().unwrap()), config);
+    engine.run().unwrap();
+    let reads = std::mem::take(&mut *out.lock());
+    reads
+}
+
+proptest! {
+    #[test]
+    fn bound_reads_match_positional_and_filtered_reads(
+        rows in prop::collection::vec((0i64..4, 0i64..4, -1i64..4), 0..24),
+        cmps in arb_cmps(),
+    ) {
+        // One row per `->` key (a, b).
+        let rows: BTreeMap<(i64, i64), i64> =
+            rows.into_iter().map(|(a, b, c)| ((a, b), c)).collect();
+        let rows: Vec<Row> = rows.into_iter().map(|((a, b), c)| Row { a, b, c }).collect();
+        let hash = |fields: &[&str]| StoreKind::Hash {
+            index_fields: fields.iter().map(|f| f.to_string()).collect(),
+            shards: 2,
+        };
+        let custom: StoreFactory =
+            Arc::new(|def| Arc::new(DefaultQueryStore(BTreeStore::new(def))));
+        // (store, whether reads of one table may nest: the lock-free
+        // reservation-table stores — a `BTreeStore` holds its lock for
+        // the length of an iteration).
+        let stores = [
+            (hash(&["a", "b"]), true),
+            (hash(&["c"]), true),
+            (StoreKind::ConcurrentOrdered { shards: 2 }, true),
+            (StoreKind::Ordered, false),
+            (StoreKind::Custom(custom), false),
+        ];
+        for (kind, nest) in &stores {
+            let r = run_reads(&rows, &cmps, kind, *nest);
+            prop_assert_eq!(&r.by_binder, &r.by_filter, "{:?} binder vs filter", kind);
+            prop_assert_eq!(&r.by_position, &r.by_filter, "{:?} positional vs filter", kind);
+            prop_assert_eq!(r.count, r.by_filter.len() as u64, "{:?} count", kind);
+            prop_assert_eq!(r.nested.len(), if *nest { r.by_filter.len() } else { 0 });
+            for (inner, want) in &r.nested {
+                prop_assert_eq!(inner, want, "{:?} nested", kind);
+            }
+        }
+    }
 }

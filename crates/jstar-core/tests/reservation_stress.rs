@@ -253,7 +253,7 @@ fn readers_never_observe_partial_publishes() {
                         assert!(seen >= max_seen, "the visible set never shrinks");
                         max_seen = seen;
                         let probe = Query::on(TableId(0)).eq(0, 42i64);
-                        store.query(&probe, &mut |t| {
+                        store.query(probe.probe(), &mut |t| {
                             assert_eq!(t.int(0), 42);
                             assert_eq!(t.int(1), 42 * 3 + 1);
                             true
