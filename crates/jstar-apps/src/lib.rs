@@ -14,13 +14,11 @@
 //! | [`shortest_path`] | §6.5, Fig. 5/12 | Dijkstra over a random graph, Delta tree as priority queue |
 //! | [`median`] | §6.6, Fig. 13 | iterative pivot-partition median of a large double array |
 //! | [`triangles`] | — | triangle counting via a two-stage join rule, the multi-way-join showcase |
-//! | [`basket`] | — | three-relation basket scoring, the asymmetric join-chain workload |
 //!
 //! The paper's 192 MB `large1000.csv` input and its testbed hardware are
 //! not available; [`pvwatts::generate_csv`] synthesises equivalent data at
 //! any scale (see DESIGN.md for the substitution argument).
 
-pub mod basket;
 pub mod matmul;
 pub mod median;
 pub mod pvwatts;

@@ -95,7 +95,6 @@ impl ConsumerState {
             gamma: HashStore::new(
                 Arc::clone(&pv_def),
                 vec![PvWatts::year.index(), PvWatts::month.index()],
-                4,
             ),
             pv_def,
             delta: DeltaTree::new(),

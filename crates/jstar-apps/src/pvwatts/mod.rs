@@ -235,7 +235,6 @@ pub fn apply_variant(app: &PvWattsApp, variant: Variant, config: EngineConfig) -
             app.pvwatts,
             StoreKind::Hash {
                 index_fields: vec!["year".into(), "month".into()],
-                shards: 16,
             },
         ),
         Variant::CustomStore => config

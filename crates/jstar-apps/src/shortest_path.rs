@@ -320,14 +320,12 @@ pub fn optimised_config(app: &ShortestPathApp, config: EngineConfig) -> EngineCo
             app.edge,
             StoreKind::Hash {
                 index_fields: vec!["from".into()],
-                shards: 32,
             },
         )
         .store(
             app.done,
             StoreKind::Hash {
                 index_fields: vec!["vertex".into()],
-                shards: 32,
             },
         )
 }

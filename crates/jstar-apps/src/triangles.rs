@@ -220,7 +220,6 @@ pub fn optimised_config(app: &TrianglesApp, config: EngineConfig) -> EngineConfi
         app.edge,
         StoreKind::Hash {
             index_fields: vec!["from".into()],
-            shards: 32,
         },
     )
 }

@@ -135,7 +135,7 @@ pub fn pvwatts_phase_breakdown(csv: &[u8]) -> Vec<(&'static str, f64)> {
             .orderby(&[strat("PvWatts")])
             .build_def(TableId(0)),
     );
-    let store = jstar_core::gamma::HashStore::new(Arc::clone(&def), vec![0, 1], 16);
+    let store = jstar_core::gamma::HashStore::new(Arc::clone(&def), vec![0, 1]);
     let (tuples, t_insert) = time_once(|| {
         let mut tuples = Vec::with_capacity(records.len());
         for r in &records {

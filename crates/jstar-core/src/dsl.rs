@@ -35,22 +35,9 @@
 //! # let _ = ship;
 //! ```
 //!
-//! The **expression form** is the positional escape hatch: it declares
-//! the table on a builder and returns only the
-//! [`crate::schema::TableId`], for generic tooling that manipulates
-//! schemas it does not know at compile time:
-//!
-//! ```
-//! use jstar_core::prelude::*;
-//! use jstar_core::{jstar_order, jstar_table};
-//!
-//! let mut p = ProgramBuilder::new();
-//! let ship = jstar_table!(p, Ship(int frame -> int x, int y, int dx, int dy)
-//!     orderby (Int, seq frame));
-//! // order Req < PvWatts < SumMonth
-//! jstar_order!(p, Int < Later);
-//! # let _ = ship;
-//! ```
+//! Tooling that manipulates schemas it does not know at compile time
+//! declares them positionally, with
+//! [`crate::program::ProgramBuilder::table`].
 //!
 //! Column types are `int`, `double`, `String`, `boolean` (the paper's Java
 //! surface types), mapped to `i64`, `f64`, `Arc<str>`, `bool` struct
@@ -66,12 +53,11 @@
 //! [`crate::relation::Relation`] impl plus the `Field` tokens) *onto*
 //! the hand-written struct, from the same column notation.
 //!
-//! All three surfaces — `jstar_table!`'s expression form, its item
-//! form, and `relation!` — parse the identical column grammar, so the
-//! grammar lives in exactly one place: the [`crate::__jstar_columns!`]
-//! muncher walks `type name [, | ->]` once, accumulates
-//! `(index, name, type)` triples plus the key split, and calls back
-//! into the requesting macro, which only renders the result.
+//! Both surfaces — `jstar_table!` and `relation!` — parse the identical
+//! column grammar, so the grammar lives in exactly one place: the
+//! [`crate::__jstar_columns!`] muncher walks `type name [, | ->]` once,
+//! accumulates `(index, name, type)` triples plus the key split, and
+//! calls back into the requesting macro, which only renders the result.
 
 /// The shared column muncher behind [`crate::jstar_table!`] and
 /// [`crate::relation!`] — **not public API** (the name is `#[doc(hidden)]`
@@ -83,14 +69,13 @@
 /// primary-key split, and finishes by invoking
 /// `$crate::callback_macro!(ctx...; [(idx, name, type)...]; key)`
 /// where `key` is `(none)` or `(some arity)`. The `@rust_ty`,
-/// `@value_ty`, `@key`, and `@apply_key` helper arms render the
-/// accumulated triples for the callbacks.
+/// `@value_ty` and `@key` helper arms render the accumulated triples
+/// for the callbacks.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __jstar_columns {
     // The recursive arms transcribe to brace-form invocations, which
-    // parse both as items (the item-form callers) and as expressions
-    // (the builder-form caller).
+    // parse as items.
     ([$($cb:tt)*]; $($cols:tt)*) => {
         $crate::__jstar_columns! { @munch [$($cb)*]; []; (none); 0usize; $($cols)* }
     };
@@ -123,52 +108,24 @@ macro_rules! __jstar_columns {
     (@value_ty boolean) => { $crate::value::ValueType::Bool };
     (@key (none)) => { ::core::option::Option::None };
     (@key (some $k:expr)) => { ::core::option::Option::Some($k) };
-    (@apply_key (none), $e:expr) => { $e };
-    (@apply_key (some $k:expr), $e:expr) => { $e.key($k) };
 }
 
 /// Declares a table using the paper's
-/// `table Name(type col, ... -> type col, ...) orderby (...)` notation.
+/// `table Name(type col, ... -> type col, ...) orderby (...)` notation:
+/// `jstar_table! { pub Name(...) orderby (...) }` expands to the struct
+/// `Name`, its [`crate::relation::Relation`] impl and one
+/// [`crate::relation::Field`] constant per column (`Name::col`).
+/// Register it with [`crate::program::ProgramBuilder::relation`].
 ///
-/// * **Item form** (`jstar_table! { pub Name(...) orderby (...) }`):
-///   expands to the struct `Name`, its [`crate::relation::Relation`]
-///   impl and one [`crate::relation::Field`] constant per column
-///   (`Name::col`). Register it with
-///   [`crate::program::ProgramBuilder::relation`].
-/// * **Expression form** (`jstar_table!(builder, Name(...) orderby (...))`):
-///   declares the table on the builder and returns the
-///   [`crate::schema::TableId`] — the positional escape hatch.
-///
-/// See the [module docs](crate::dsl) for a worked example of both.
+/// See the [module docs](crate::dsl) for a worked example.
 #[macro_export]
 macro_rules! jstar_table {
-    // ── Item form: emit struct + Relation impl + Field tokens. ──────
+    // ── Emit struct + Relation impl + Field tokens. ─────────────────
     ($(#[$meta:meta])* $vis:vis $name:ident ( $($cols:tt)* ) orderby ( $($ob:tt)* )) => {
         $crate::__jstar_columns!([jstar_table @emit [$(#[$meta])*] [$vis] $name [$($ob)*]]; $($cols)*);
     };
     ($(#[$meta:meta])* $vis:vis $name:ident ( $($cols:tt)* )) => {
         $crate::__jstar_columns!([jstar_table @emit [$(#[$meta])*] [$vis] $name []]; $($cols)*);
-    };
-
-    // ── Expression form: declare on a builder, return the TableId. ──
-    ($p:expr, $name:ident ( $($cols:tt)* ) orderby ( $($ob:tt)* )) => {
-        $p.table(stringify!($name), |b| {
-            let b = $crate::__jstar_columns!([jstar_table @build b]; $($cols)*);
-            b.orderby(&$crate::jstar_table!(@ob $($ob)*))
-        })
-    };
-    ($p:expr, $name:ident ( $($cols:tt)* )) => {
-        $p.table(stringify!($name), |b| {
-            $crate::__jstar_columns!([jstar_table @build b]; $($cols)*)
-        })
-    };
-
-    // Expression-form callback: chain the declared columns onto the
-    // [`crate::schema::TableBuilder`], then the key split (if any).
-    (@build $b:ident; [$( ($idx:expr, $n:ident, $kind:tt) )*]; $key:tt) => {
-        $crate::__jstar_columns!(@apply_key $key,
-            $b $( .col(stringify!($n), $crate::__jstar_columns!(@value_ty $kind)) )*
-        )
     };
 
     // Orderby list: accumulate component expressions, then emit one
@@ -189,8 +146,8 @@ macro_rules! jstar_table {
         $crate::jstar_table!(@oblist [$($acc,)* $crate::orderby::strat(stringify!($lit)),] $($($rest)*)?)
     };
 
-    // Item-form callback: the struct, its Relation impl, and one Field
-    // token per column.
+    // Callback: the struct, its Relation impl, and one Field token per
+    // column.
     (@emit [$($meta:tt)*] [$vis:vis] $name:ident [$($ob:tt)*];
         [$( ($idx:expr, $n:ident, $kind:tt) )*]; $key:tt) => {
         $($meta)*
@@ -379,14 +336,39 @@ macro_rules! relation {
 mod tests {
     use crate::orderby::OrderComponent;
     use crate::prelude::*;
+    use tables::*;
+
+    /// The tables under test; their field tokens go unread here.
+    #[allow(dead_code)]
+    mod tables {
+        jstar_table! {
+            /// table Ship(int frame -> int x, int y, int dx, int dy)
+            ///   orderby (Int, seq frame)           — §3's declaration.
+            pub Ship(int frame -> int x, int y, int dx, int dy) orderby (Int, seq frame)
+        }
+
+        // Fig. 5's tables, near-verbatim.
+        jstar_table! { pub Vertex(int index, String name) orderby (Vertex) }
+        jstar_table! { pub Edge(int from, int to, int value) orderby (Edge) }
+        jstar_table! { pub Estimate(int vertex, int distance) orderby (Int, seq distance, Estimate) }
+        jstar_table! { pub Done(int vertex -> int distance) orderby (Int, seq distance, Done) }
+
+        jstar_table! {
+            /// table Data(int iter, int index -> double value)
+            ///   orderby (Int, seq iter, Data, seq index)   — §6.6's table.
+            pub Data(int iter, int index -> double value) orderby (Int, seq iter, Data, seq index)
+        }
+        jstar_table! { pub RowRequest(int row) orderby (Row, par row) }
+
+        jstar_table! { pub Plain(String name, boolean flag) }
+
+        jstar_table! { pub Mover(int frame -> int x) orderby (Int, seq frame) }
+    }
 
     #[test]
     fn ship_declaration_matches_builder_form() {
-        // table Ship(int frame -> int x, int y, int dx, int dy)
-        //   orderby (Int, seq frame)           — §3's declaration.
         let mut p = ProgramBuilder::new();
-        let ship = jstar_table!(p, Ship(int frame -> int x, int y, int dx, int dy)
-            orderby (Int, seq frame));
+        let ship = p.relation::<Ship>().id();
         let prog = p.build().unwrap();
         let def = prog.def(ship);
         assert_eq!(def.name, "Ship");
@@ -397,14 +379,11 @@ mod tests {
 
     #[test]
     fn fig5_estimate_and_done() {
-        // Fig. 5's tables, near-verbatim.
         let mut p = ProgramBuilder::new();
-        let _vertex = jstar_table!(p, Vertex(int index, String name) orderby (Vertex));
-        let _edge = jstar_table!(p, Edge(int from, int to, int value) orderby (Edge));
-        let estimate = jstar_table!(p, Estimate(int vertex, int distance)
-            orderby (Int, seq distance, Estimate));
-        let done = jstar_table!(p, Done(int vertex -> int distance)
-            orderby (Int, seq distance, Done));
+        p.relation::<Vertex>();
+        p.relation::<Edge>();
+        let estimate = p.relation::<Estimate>().id();
+        let done = p.relation::<Done>().id();
         jstar_order!(p, Vertex < Edge < Int);
         jstar_order!(p, Estimate < Done);
         let prog = p.build().unwrap();
@@ -417,12 +396,9 @@ mod tests {
 
     #[test]
     fn multi_column_key_and_par() {
-        // table Data(int iter, int index -> double value)
-        //   orderby (Int, seq iter, Data, seq index)   — §6.6's table.
         let mut p = ProgramBuilder::new();
-        let data = jstar_table!(p, Data(int iter, int index -> double value)
-            orderby (Int, seq iter, Data, seq index));
-        let row = jstar_table!(p, RowRequest(int row) orderby (Row, par row));
+        let data = p.relation::<Data>().id();
+        let row = p.relation::<RowRequest>().id();
         let prog = p.build().unwrap();
         assert_eq!(prog.def(data).key_arity, Some(2));
         assert_eq!(prog.def(data).columns[2].ty, ValueType::Double);
@@ -435,7 +411,7 @@ mod tests {
     #[test]
     fn table_without_orderby() {
         let mut p = ProgramBuilder::new();
-        let t = jstar_table!(p, Plain(String name, boolean flag));
+        let t = p.relation::<Plain>().id();
         let prog = p.build().unwrap();
         assert_eq!(prog.def(t).orderby.len(), 0);
         assert_eq!(prog.def(t).columns[1].ty, ValueType::Bool);
@@ -445,20 +421,19 @@ mod tests {
     #[test]
     fn macro_program_runs_end_to_end() {
         let mut p = ProgramBuilder::new();
-        let ship = jstar_table!(p, Ship(int frame -> int x)
-            orderby (Int, seq frame));
-        p.rule("move", ship, move |ctx, s| {
+        let mover = p.relation::<Mover>().id();
+        p.rule("move", mover, move |ctx, s| {
             if s.int(1) < 400 {
                 ctx.put(Tuple::new(
-                    ship,
+                    mover,
                     vec![Value::Int(s.int(0) + 1), Value::Int(s.int(1) + 150)],
                 ));
             }
         });
-        p.put(Tuple::new(ship, vec![Value::Int(0), Value::Int(10)]));
+        p.put(Tuple::new(mover, vec![Value::Int(0), Value::Int(10)]));
         let prog = std::sync::Arc::new(p.build().unwrap());
         let mut engine = Engine::new(prog, EngineConfig::sequential());
         engine.run().unwrap();
-        assert_eq!(engine.gamma().collect(&Query::on(ship)).len(), 4);
+        assert_eq!(engine.gamma().collect(&Query::on(mover)).len(), 4);
     }
 }

@@ -178,9 +178,8 @@
 //!    grafts them, splicing disjoint subtrees wholesale. While a
 //!    forked class executes the builds run on the background lane.
 //! 3. **Reservation-based, batched Gamma inserts** — the parallel store
-//!    defaults ([`crate::gamma::ConcurrentOrderedStore`],
-//!    [`crate::gamma::HashStore`]) publish tuples via CAS slot
-//!    reservation; no lock remains on the tuple hot path, and readers
+//!    ([`crate::gamma::HashStore`], chained on column 0 by default)
+//!    publishes tuples via CAS slot reservation; no lock remains on the tuple hot path, and readers
 //!    never observe partial state. Tuples arrive in batches (class
 //!    chunks, flushed `-noDelta` staging slots), so the stores' shared
 //!    `len` and journal counters are written once per 32 tuples, and

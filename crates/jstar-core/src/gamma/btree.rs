@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn satisfies_store_contract() {
         let store = BTreeStore::new(keyed_def());
-        exercise_store_contract(&store);
+        exercise_store_contract(&store, true);
     }
 
     #[test]

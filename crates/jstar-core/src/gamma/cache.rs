@@ -285,8 +285,11 @@ mod tests {
     use crate::gamma::HashStore;
     use crate::schema::TableId;
 
+    /// A 256-slot first segment holds every row these tests insert, so
+    /// journal positions stay append-only (under `model-check` too,
+    /// whose floor is 16 slots).
     fn store() -> HashStore {
-        HashStore::new(keyed_def(), vec![0], 4)
+        HashStore::with_first_segment(keyed_def(), vec![0], 256)
     }
 
     #[test]
@@ -337,7 +340,7 @@ mod tests {
         // merged slice by slice).
         for packed in [false, true] {
             let s = if packed {
-                HashStore::new(set_def(), vec![0], 4)
+                HashStore::with_first_segment(set_def(), vec![0], 256)
             } else {
                 store()
             };

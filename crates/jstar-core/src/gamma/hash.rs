@@ -1,6 +1,8 @@
-//! Hash-indexed store — the paper's `HashSet`/`ConcurrentHashMap`
-//! alternative, "considerably more efficient" when every query binds the
-//! indexed fields (§6.2 uses one on PvWatts' year/month).
+//! The reservation-table store — the paper's concurrent set
+//! (`ConcurrentSkipListSet`, the parallel default) and its `HashSet` /
+//! `ConcurrentHashMap` alternative, "considerably more efficient" when
+//! every query binds the indexed fields (§5, §6.2) — as one structure
+//! whose only parameter is its chain.
 
 use super::reservation::{hash_values, ReservationTable, SwappableTable};
 use super::{InsertOutcome, StagedImport, TableStore};
@@ -10,94 +12,82 @@ use crate::tuple::Tuple;
 use std::any::Any;
 use std::sync::Arc;
 
-/// A lock-free hash index over chosen fields.
+/// A lock-free store chained on chosen columns.
 ///
-/// Storage is a reservation table: inserts claim a slot with one CAS
-/// and publish the tuple afterwards, so the tuple hot path takes **no
-/// lock** — the predecessor of this design guarded each shard's
-/// `HashMap` with a reader-writer lock, and the writer acquisition was
-/// the last lock on the engine's put→Gamma path.
+/// Storage is a reservation table: an insert claims a slot with one CAS
+/// and publishes the tuple afterwards, so the tuple hot path takes **no
+/// lock** — workers inserting the same wide equivalence class never
+/// serialise, and readers never observe a partially written tuple.
 ///
 /// Placement: tuples probe by their *key* identity (primary key fields
 /// if declared, the whole tuple otherwise), which keeps duplicate and
 /// `->`-conflict detection O(probe window) no matter how many tuples
-/// share one index key. Queries that equality-bind every indexed field
-/// walk that index key's secondary chain (the moral equivalent of the
-/// old design's one-bucket lookup) — or, when the index fields are
-/// exactly the primary key, the primary probe walk directly. Other
-/// queries fall back to a full scan.
+/// share one chain value. The **chain** columns additionally hash every
+/// tuple into a secondary chain index. A query reads, in this order:
+///
+/// 1. every key field equality-bound — the primary probe walk;
+/// 2. every chain field bound — that value's chain;
+/// 3. otherwise a full scan.
+///
+/// A chain that is exactly the key prefix `0..k` is the primary walk
+/// already, so such a store keeps no chain heads; an empty chain means
+/// no secondary narrowing. As in the paper, the concurrent structure
+/// trades some sequential efficiency for insert scalability — ordered
+/// traversal is the [`super::BTreeStore`]'s job.
 ///
 /// Primary-key (`->`) conflicts are detected on the probe walk, which
-/// visits every tuple sharing the key fields; as before this is only
-/// efficient when keys discriminate (true for every paper workload:
-/// Done is indexed by its key `vertex`, Edge and PvWatts declare no
-/// key).
+/// visits every tuple sharing the key fields; this is only efficient
+/// when keys discriminate (true for every paper workload: Done is
+/// chained on its key `vertex`, Edge and PvWatts declare no key).
 pub struct HashStore {
     def: Arc<TableDef>,
-    index_fields: Vec<usize>,
+    /// The columns hashed into the chain index; empty when there is no
+    /// chain to link (none asked for, or the chain is the key).
+    chain: Vec<usize>,
     table: SwappableTable,
-    /// True when `index_fields` is exactly the primary-key prefix, so
-    /// the index hash *is* the primary probe hash and indexed queries
-    /// can walk the primary path instead of a secondary chain.
-    index_is_primary: bool,
 }
 
 impl HashStore {
-    /// Creates a store indexed on `index_fields`; `capacity` hints the
-    /// initial slot-table size (it grows by doubling segments).
-    pub fn new(def: Arc<TableDef>, index_fields: Vec<usize>, capacity: usize) -> Self {
-        assert!(
-            !index_fields.is_empty(),
-            "HashStore needs at least one indexed field"
-        );
-        let index_is_primary = match def.key_arity {
-            Some(k) => {
-                index_fields.len() == k && index_fields.iter().enumerate().all(|(i, &f)| i == f)
-            }
-            None => false,
-        };
-        HashStore {
-            table: SwappableTable::new(ReservationTable::new(capacity * 64, !index_is_primary)),
-            def,
-            index_fields,
-            index_is_primary,
+    /// Creates a store chained on `chain` (empty: no chain).
+    pub fn new(def: Arc<TableDef>, mut chain: Vec<usize>) -> Self {
+        let chain_is_key = def
+            .key_arity
+            .is_some_and(|k| chain.len() == k && chain.iter().enumerate().all(|(i, &f)| i == f));
+        if chain_is_key {
+            chain.clear();
         }
+        // A new table starts at the reservation table's floor; compaction
+        // and import size theirs from row counts.
+        let table = SwappableTable::new(ReservationTable::new(0, !chain.is_empty()));
+        HashStore { def, chain, table }
     }
 
     /// [`HashStore::new`] over a table whose first segment has `slots`
     /// slots (see `ReservationTable::with_first_segment`).
     #[cfg(test)]
-    pub(crate) fn with_first_segment(
-        def: Arc<TableDef>,
-        index_fields: Vec<usize>,
-        slots: usize,
-    ) -> Self {
-        let mut store = HashStore::new(def, index_fields, 1);
-        let table = ReservationTable::with_first_segment(slots, !store.index_is_primary);
+    pub(crate) fn with_first_segment(def: Arc<TableDef>, chain: Vec<usize>, slots: usize) -> Self {
+        let mut store = HashStore::new(def, chain);
+        let table = ReservationTable::with_first_segment(slots, store.linked());
         store.table = SwappableTable::new(table);
         store
     }
 
-    /// The fields this store is indexed on.
-    pub fn index_fields(&self) -> &[usize] {
-        &self.index_fields
+    /// True when the table links a secondary chain.
+    fn linked(&self) -> bool {
+        !self.chain.is_empty()
     }
 
     fn primary_hash(&self, t: &Tuple) -> u64 {
         hash_values(t.key_fields(&self.def))
     }
 
-    fn index_hash(&self, t: &Tuple) -> u64 {
-        hash_values(self.index_fields.iter().map(|&i| t.get(i)))
-    }
-
     /// The `(primary, secondary)` pair the reservation table places `t`
-    /// by (no secondary chain when the index *is* the primary walk).
+    /// by (no secondary when nothing is linked).
     fn hashes(&self, t: &Tuple) -> (u64, u64) {
-        let secondary = if self.index_is_primary {
-            0
+        let secondary = if self.linked() {
+            hash_values(self.chain.iter().map(|&i| t.get(i)))
         } else {
-            self.index_hash(t)
+            0
         };
         (self.primary_hash(t), secondary)
     }
@@ -143,23 +133,20 @@ impl TableStore for HashStore {
     }
 
     fn query(&self, q: Probe<'_>, f: &mut dyn FnMut(&Tuple) -> bool) {
-        // Fast path: all indexed fields are bound — walk one chain.
-        if q.covers_fields(&self.index_fields) {
-            let hash = hash_values(
-                self.index_fields
-                    .iter()
-                    // lint: allow(expect): covers_fields() verified these fields are bound.
-                    .map(|&i| q.eq_value(i).expect("covered")),
-            );
-            let mut visit = |t: &Tuple| if q.matches(t) { f(t) } else { true };
-            if self.index_is_primary {
-                self.table.get().probe_primary(hash, &mut visit);
-            } else {
-                self.table.get().scan_index(hash, &mut visit);
+        let mut visit = |t: &Tuple| if q.matches(t) { f(t) } else { true };
+        // lint: allow(expect): each walk below first checks its fields are bound.
+        let bound = |i: usize| q.eq_value(i).expect("bound");
+        let table = self.table.get();
+        match self.def.key_arity {
+            Some(k) if k > 0 && (0..k).all(|i| q.eq_value(i).is_some()) => {
+                table.probe_primary(hash_values((0..k).map(bound)), &mut visit)
             }
-            return;
+            _ if self.linked() && q.covers_fields(&self.chain) => {
+                let hash = hash_values(self.chain.iter().map(|&i| bound(i)));
+                table.scan_index(hash, &mut visit)
+            }
+            _ => table.for_each(&mut visit),
         }
-        self.for_each(&mut |t| if q.matches(t) { f(t) } else { true });
     }
 
     fn retain(&self, keep: &dyn Fn(&Tuple) -> bool) {
@@ -167,12 +154,10 @@ impl TableStore for HashStore {
     }
 
     fn maybe_compact(&self, max_tombstone_fraction: f64) -> bool {
-        self.table.compact_quiescent(
-            &self.def,
-            max_tombstone_fraction,
-            !self.index_is_primary,
-            |t| self.hashes(t),
-        )
+        self.table
+            .compact_quiescent(&self.def, max_tombstone_fraction, self.linked(), |t| {
+                self.hashes(t)
+            })
     }
 
     fn begin_import(&self, rows: usize) -> Box<dyn StagedImport + '_> {
@@ -180,7 +165,7 @@ impl TableStore for HashStore {
         // through the checked batch insert — and swapped in on commit.
         let hashes = |t: &Tuple| self.hashes(t);
         self.table
-            .begin_import(&self.def, !self.index_is_primary, rows, hashes)
+            .begin_import(&self.def, self.linked(), rows, hashes)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -188,184 +173,276 @@ impl TableStore for HashStore {
     }
 }
 
+/// One table-driven suite over every chain shape; its per-store checks
+/// also run on what `StoreKind::ConcurrentOrdered` builds (`super::concurrent`).
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
-    use crate::gamma::testutil::{exercise_store_contract, keyed_def, kt};
+    use crate::gamma::reservation::chain_hops;
+    use crate::gamma::testutil::{
+        assert_batch_matches_loop, batch_edge_cases, exercise_store_contract, keyed_def,
+        keyless_def, kt,
+    };
     use crate::query::Query;
     use crate::schema::TableId;
-    use crate::value::Value;
 
-    fn indexed_on_key() -> HashStore {
-        HashStore::new(keyed_def(), vec![0], 8)
+    /// Every chain shape, over the 3-column `K(a, b, c)` rows of
+    /// [`kt`]: `(name, keyed, chain)`. The keyed table's key is `a`.
+    const SHAPES: [(&str, bool, &[usize]); 4] = [
+        ("keyed, chain = key", true, &[0]),
+        ("keyed, chained on b", true, &[1]),
+        ("keyless, chained on a", false, &[0]),
+        ("keyless, no chain", false, &[]),
+    ];
+
+    fn build(keyed: bool, chain: &[usize], first_segment: Option<usize>) -> HashStore {
+        let def = if keyed { keyed_def() } else { keyless_def() };
+        match first_segment {
+            Some(slots) => HashStore::with_first_segment(def, chain.to_vec(), slots),
+            None => HashStore::new(def, chain.to_vec()),
+        }
+    }
+
+    /// What a second row under an existing `a` comes back as.
+    fn second_row(store: &HashStore) -> InsertOutcome {
+        let keyed = store.def.key_arity.is_some();
+        [InsertOutcome::Fresh, InsertOutcome::KeyConflict][keyed as usize]
+    }
+
+    fn sorted(mut rows: Vec<Tuple>) -> Vec<Tuple> {
+        rows.sort();
+        rows
+    }
+
+    /// `q`'s rows (sorted) and the chain links its walk followed.
+    pub(in crate::gamma) fn rows_and_hops(store: &HashStore, q: &Query) -> (Vec<Tuple>, usize) {
+        let before = chain_hops();
+        let mut rows = Vec::new();
+        store.query(q.probe(), &mut |t| {
+            rows.push(t.clone());
+            true
+        });
+        (sorted(rows), chain_hops() - before)
+    }
+
+    /// Each query path returns exactly a filtered scan's rows, and walks
+    /// the chain only when no key probe applies and the chain is bound.
+    pub(in crate::gamma) fn assert_query_paths(name: &str, store: &HashStore, queries: &[Query]) {
+        for q in queries {
+            let mut want = Vec::new();
+            store.for_each(&mut |t| {
+                if q.probe().matches(t) {
+                    want.push(t.clone());
+                }
+                true
+            });
+            let (got, hops) = rows_and_hops(store, q);
+            assert_eq!(got, sorted(want), "{name}: {q:?}");
+            let key_bound = store.def.key_arity.is_some() && q.probe().eq_value(0).is_some();
+            if store.linked() && !key_bound && q.probe().covers_fields(&store.chain) {
+                assert!(hops >= got.len(), "{name}: {q:?} walks the chain");
+            } else {
+                assert_eq!(hops, 0, "{name}: {q:?} never touches a chain");
+            }
+        }
+    }
+
+    /// Queries over [`kt`] rows binding `a`, `b`, both, neither, and a
+    /// range.
+    pub(in crate::gamma) fn queries(a: i64, b: i64) -> Vec<Query> {
+        let q = || Query::on(TableId(0));
+        vec![
+            q().eq(0, a),
+            q().eq(1, b),
+            q().eq(0, a).eq(1, b),
+            q().eq(2, "v"),
+            q().ge(1, b),
+            q().eq(0, 999_999i64),
+        ]
+    }
+
+    /// The store contract, then every query path over what it left.
+    pub(in crate::gamma) fn check_contract(name: &str, store: &HashStore) {
+        exercise_store_contract(store, store.def.key_arity.is_some());
+        assert_query_paths(name, store, &queries(1, 10));
     }
 
     #[test]
     fn satisfies_store_contract() {
-        exercise_store_contract(&indexed_on_key());
-    }
-
-    #[test]
-    fn insert_batch_matches_per_tuple_outcomes() {
-        use crate::gamma::testutil::{assert_batch_matches_loop, batch_edge_cases, set_def};
-        // Keyed, index = primary key (probe-walk queries): 16-slot first
-        // segments, so the 64-tuple batches cross into segment 1 and 2.
-        let small = || HashStore::with_first_segment(keyed_def(), vec![0], 16);
-        let tuples = batch_edge_cases();
-        let by_key = |a: i64| Query::on(TableId(0)).eq(0, a);
-        let probes = [by_key(0), by_key(7), by_key(1003), by_key(999_999)];
-        for batch in [1, 3, 64, tuples.len()] {
-            assert_batch_matches_loop(&small(), &small(), &tuples, batch, &probes);
-        }
-        // Keyless with a secondary chain index on the first column: the
-        // batch links every fresh slot into its chain.
-        let chained = || HashStore::with_first_segment(set_def(), vec![0], 16);
-        let rows: Vec<Tuple> = (0..150i64)
-            .map(|i| Tuple::new(TableId(0), vec![Value::Int(i % 5), Value::Int(i % 90)]))
-            .collect();
-        let probes = [by_key(0), by_key(3), by_key(9)];
-        for batch in [7, 64, rows.len()] {
-            assert_batch_matches_loop(&chained(), &chained(), &rows, batch, &probes);
+        for (name, keyed, chain) in SHAPES {
+            let store = build(keyed, chain, None);
+            // Only a chain off the key links chain heads.
+            let linked = !chain.is_empty() && (!keyed || chain != [0]);
+            assert_eq!(store.table.get().has_chain_heads(), linked, "{name}");
+            check_contract(name, &store);
         }
     }
 
     #[test]
     fn point_query_hits_one_bucket() {
-        let store = indexed_on_key();
-        for a in 0..1000 {
-            store.insert(kt(a, a * 2, "v"));
+        // A key-bound query takes the primary walk even where a chain
+        // (here on the non-key `b`) is bound as well; `b` alone walks
+        // the chain.
+        let store = build(true, &[1], None);
+        for a in 0..200 {
+            store.insert(kt(a, a % 7, "v"));
         }
-        let q = Query::on(TableId(0)).eq(0, 500i64);
-        let mut got = Vec::new();
-        store.query(q.probe(), &mut |t| {
-            got.push(t.clone());
-            true
-        });
-        assert_eq!(got, vec![kt(500, 1000, "v")]);
-    }
-
-    #[test]
-    fn multi_field_index() {
-        // Index on (a, b) like the paper's PvWatts (year, month) hashtable.
-        let store = HashStore::new(keyed_def(), vec![0, 1], 4);
-        store.insert(kt(2023, 1, "jan"));
-        store.insert(kt(2024, 1, "jan"));
-        let q = Query::on(TableId(0)).eq(0, 2023i64).eq(1, 1i64);
-        let mut got = Vec::new();
-        store.query(q.probe(), &mut |t| {
-            got.push(t.clone());
-            true
-        });
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].str(2), "jan");
+        let q = Query::on(TableId(0));
+        let (rows, hops) = rows_and_hops(&store, &q.clone().eq(0, 42i64).eq(1, 0i64));
+        assert_eq!((rows, hops), (vec![kt(42, 0, "v")], 0));
+        let (rows, hops) = rows_and_hops(&store, &q.eq(1, 3i64));
+        assert_eq!(rows.len(), (0..200).filter(|a| a % 7 == 3).count());
+        assert!(hops >= rows.len());
     }
 
     #[test]
     fn unindexed_query_falls_back_to_scan() {
-        let store = indexed_on_key();
-        for a in 0..100 {
-            store.insert(kt(a, a % 5, "v"));
+        for (name, keyed, chain) in SHAPES {
+            let store = build(keyed, chain, None);
+            for a in 0..100 {
+                store.insert(kt(a, a % 5, if a % 2 == 0 { "v" } else { "w" }));
+            }
+            let (rows, hops) = rows_and_hops(&store, &Query::on(TableId(0)).eq(2, "w"));
+            assert_eq!((rows.len(), hops), (50, 0), "{name}");
         }
-        let q = Query::on(TableId(0)).eq(1, 2i64);
-        let mut count = 0;
-        store.query(q.probe(), &mut |_| {
-            count += 1;
-            true
-        });
-        assert_eq!(count, 20);
+    }
+
+    /// Batch and per-tuple inserts agree on the stores `small` builds;
+    /// only a keyed store meets a key conflict.
+    pub(in crate::gamma) fn check_batch(name: &str, small: &dyn Fn() -> HashStore) {
+        let tuples = batch_edge_cases();
+        let mut probes = queries(7, 28);
+        probes.extend(queries(1003, 3));
+        for batch in [1, 3, 64, tuples.len()] {
+            assert_batch_matches_loop(&small(), &small(), &tuples, batch, &probes);
+        }
+        let store = small();
+        let mut outcomes = Vec::new();
+        store.insert_batch(&tuples, &mut outcomes);
+        let conflicts = outcomes.contains(&InsertOutcome::KeyConflict);
+        assert_eq!(conflicts, store.def.key_arity.is_some(), "{name}");
+        assert_query_paths(name, &store, &probes);
     }
 
     #[test]
-    fn concurrent_inserts_dedup() {
-        let store = Arc::new(indexed_on_key());
+    fn insert_batch_matches_per_tuple_outcomes() {
+        // 16-slot first segments: the 64-tuple batches cross into
+        // segments 1 and 2, and every fresh slot links into its chain.
+        for (name, keyed, chain) in SHAPES {
+            check_batch(name, &|| build(keyed, chain, Some(16)));
+        }
+    }
+
+    /// Eight threads insert the same 500 rows into an empty `store`:
+    /// each is fresh exactly once.
+    pub(in crate::gamma) fn check_concurrent_inserts(name: &str, store: &HashStore) {
+        use jstar_check::sync::{AtomicUsize, Ordering};
         let pool = jstar_pool::ThreadPool::new(4);
+        let fresh = AtomicUsize::new(0);
         pool.scope(|s| {
-            for _ in 0..6 {
-                let store = Arc::clone(&store);
+            for _ in 0..8 {
+                let fresh = &fresh;
                 s.spawn(move |_| {
-                    for a in 0..300 {
-                        store.insert(kt(a, a, "v"));
+                    for a in 0..500 {
+                        if store.insert(kt(a, a % 9, "v")) == InsertOutcome::Fresh {
+                            // ord: Relaxed — independent counter bumps; the
+                            // scope join orders them before the read below.
+                            fresh.fetch_add(1, Ordering::Relaxed);
+                        }
                     }
                 });
             }
         });
-        assert_eq!(store.len(), 300);
+        // ord: Relaxed — read after the scope join, no concurrent writers.
+        assert_eq!(fresh.load(Ordering::Relaxed), 500, "{name}");
+        assert_eq!(store.len(), 500, "{name}");
+        assert_query_paths(name, store, &queries(42, 3));
+    }
+
+    #[test]
+    fn concurrent_inserts_dedup() {
+        for (name, keyed, chain) in SHAPES {
+            check_concurrent_inserts(name, &build(keyed, chain, None));
+        }
+    }
+
+    /// Compaction of an empty `store` filled and mostly retained away
+    /// keeps every row, query path, dedup and key conflict.
+    pub(in crate::gamma) fn check_compaction(name: &str, store: &HashStore) {
+        for a in 0..300 {
+            store.insert(kt(a, a % 7, "v"));
+        }
+        store.retain(&|t| t.int(0) < 60);
+        assert_eq!(store.len(), 60);
+        assert!(!store.maybe_compact(0.9), "{name}: 0.8 dead is below 0.9");
+        assert!(store.maybe_compact(0.5), "{name}: 0.8 dead is above 0.5");
+        assert!(
+            !store.maybe_compact(0.5),
+            "{name}: a fresh table has no tombstones"
+        );
+        assert_eq!(store.len(), 60);
+        assert_query_paths(name, store, &queries(42, 3));
+        assert_eq!(store.insert(kt(42, 0, "v")), InsertOutcome::Duplicate);
+        assert_eq!(store.insert(kt(42, 1, "v")), second_row(store), "{name}");
+        assert_eq!(store.insert(kt(1000, 1, "w")), InsertOutcome::Fresh);
     }
 
     #[test]
     fn compaction_preserves_contents_and_indexes() {
-        use crate::gamma::testutil::set_def;
-        // Keyless store with a non-primary secondary index, so the
-        // rebuild must restore both probe paths and chain links.
-        let store = HashStore::new(set_def(), vec![0], 8);
-        for i in 0..400i64 {
-            store.insert(Tuple::new(
-                TableId(0),
-                vec![Value::Int(i % 8), Value::Int(i)],
-            ));
+        for (name, keyed, chain) in SHAPES {
+            check_compaction(name, &build(keyed, chain, None));
         }
-        store.retain(&|t| t.int(1) < 100);
-        assert_eq!(store.len(), 100);
-        assert!(!store.maybe_compact(0.9), "fraction 0.75 below 0.9 ceiling");
-        assert!(store.maybe_compact(0.5), "0.75 dead > 0.5 threshold");
-        assert!(!store.maybe_compact(0.5), "fresh table has no tombstones");
-        assert_eq!(store.len(), 100);
-        // Indexed point query still narrows correctly after the rebuild.
-        let q = Query::on(TableId(0)).eq(0, 3i64).eq(1, 51i64);
-        let mut got = Vec::new();
-        store.query(q.probe(), &mut |t| {
-            got.push(t.clone());
-            true
-        });
+    }
+
+    /// An import into a filled `store` replaces its rows and restores
+    /// every query path, dedup and key conflict.
+    pub(in crate::gamma) fn check_import(name: &str, store: &HashStore) {
+        for a in 0..50 {
+            store.insert(kt(a, a, "old"));
+        }
+        let mut incoming: Vec<Tuple> = (100..160).map(|a| kt(a, a % 7, "v")).collect();
+        let mut import = store.begin_import(incoming.len());
+        assert_eq!(import.push(&mut incoming), 0);
+        assert_eq!(import.commit(), 0);
+        assert_eq!(store.len(), 60, "{name}");
+        assert!(!store.contains(&kt(3, 3, "old")), "{name}");
+        assert_query_paths(name, store, &queries(142, 142 % 7));
         assert_eq!(
-            got,
-            vec![Tuple::new(TableId(0), vec![Value::Int(3), Value::Int(51)])]
-        );
-        // Dedup across the rebuild: reinserting survivors is a duplicate.
-        assert_eq!(
-            store.insert(Tuple::new(TableId(0), vec![Value::Int(3), Value::Int(51)])),
+            store.insert(kt(142, 142 % 7, "v")),
             InsertOutcome::Duplicate
         );
+        assert_eq!(store.insert(kt(142, 0, "x")), second_row(store), "{name}");
     }
 
     #[test]
     fn import_snapshot_restores_index_chains() {
-        use crate::gamma::testutil::set_def;
-        let store = HashStore::new(set_def(), vec![0], 8);
-        for i in 0..30i64 {
-            store.insert(Tuple::new(TableId(0), vec![Value::Int(0), Value::Int(i)]));
+        for (name, keyed, chain) in SHAPES {
+            check_import(name, &build(keyed, chain, None));
         }
-        let incoming: Vec<Tuple> = (0..90i64)
-            .map(|i| Tuple::new(TableId(0), vec![Value::Int(i % 3), Value::Int(i)]))
-            .collect();
-        let mut incoming = incoming;
-        let mut import = store.begin_import(incoming.len());
-        assert_eq!(import.push(&mut incoming), 0);
-        assert_eq!(import.commit(), 0);
-        assert_eq!(store.len(), 90);
-        // The indexed fast path narrows over the rebuilt chains.
-        let q = Query::on(TableId(0)).eq(0, 2i64).eq(1, 50i64);
-        let mut got = Vec::new();
-        store.query(q.probe(), &mut |t| {
-            got.push(t.clone());
-            true
-        });
-        assert_eq!(
-            got,
-            vec![Tuple::new(TableId(0), vec![Value::Int(2), Value::Int(50)])]
-        );
+    }
+
+    #[test]
+    fn multi_field_index() {
+        // Chained on (a, b), like the paper's PvWatts (year, month)
+        // hashtable: keyless, so only the chain narrows.
+        let store = build(false, &[0, 1], None);
+        store.insert(kt(2023, 1, "jan"));
+        store.insert(kt(2024, 1, "jan"));
+        store.insert(kt(2023, 2, "feb"));
+        let q = Query::on(TableId(0)).eq(0, 2023i64).eq(1, 1i64);
+        assert_eq!(rows_and_hops(&store, &q).0, vec![kt(2023, 1, "jan")]);
+        assert_query_paths("keyless, chained on (a, b)", &store, &queries(2023, 1));
     }
 
     #[test]
     fn duplicate_detection_is_constant_time_per_bucket() {
-        // Large single-bucket load: 20k inserts into one (keyless) index
-        // bucket must complete quickly — tuples probe by their own
-        // identity, so a shared index key cannot make dedup quadratic.
-        let def = crate::gamma::testutil::set_def();
-        let store = HashStore::new(def, vec![0], 2);
+        // Large single-bucket load: 20k inserts into one (keyless) chain
+        // must complete quickly — tuples probe by their own identity, so
+        // a shared chain value cannot make dedup quadratic.
+        let store = build(false, &[0], None);
         let t0 = std::time::Instant::now();
         for i in 0..20_000i64 {
-            store.insert(Tuple::new(TableId(0), vec![Value::Int(1), Value::Int(i)]));
+            store.insert(kt(1, i, "v"));
         }
         assert_eq!(store.len(), 20_000);
         assert!(
@@ -373,13 +450,8 @@ mod tests {
             "bucket inserts must not be quadratic: {:?}",
             t0.elapsed()
         );
-        // And the shared index chain still answers the point query.
+        // And the shared chain still answers the point query.
         let q = Query::on(TableId(0)).eq(0, 1i64).eq(1, 7i64);
-        let mut got = 0;
-        store.query(q.probe(), &mut |_| {
-            got += 1;
-            true
-        });
-        assert_eq!(got, 1);
+        assert_eq!(rows_and_hops(&store, &q).0, vec![kt(1, 7, "v")]);
     }
 }

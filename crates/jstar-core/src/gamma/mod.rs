@@ -4,17 +4,17 @@
 //! Gamma holds one store per table. Stores are pluggable behind the
 //! [`TableStore`] trait: this is the paper's *late commitment to data
 //! structures* (§1.4) — the same program can run on ordered trees,
-//! concurrent sharded trees, hash indexes, or app-specific native arrays,
-//! chosen per table by [`StoreKind`] without touching program source.
+//! concurrent hash indexes, or app-specific native arrays, chosen per
+//! table by [`StoreKind`] without touching program source.
 //!
 //! Defaults mirror the paper (§5): an ordered-set store for sequential code
 //! (Java `TreeSet`) and a concurrent store for parallel code
-//! (`ConcurrentSkipListSet`, here a lock-free claim-then-publish
-//! reservation table — see the `reservation` module).
+//! (`ConcurrentSkipListSet`, here a [`HashStore`] chained on the first
+//! column: a lock-free claim-then-publish reservation table — see the
+//! `reservation` module).
 
 mod btree;
 mod cache;
-mod concurrent;
 mod cursor;
 mod hash;
 pub(crate) mod leapfrog;
@@ -26,7 +26,6 @@ pub use cursor::{ColumnCursor, ColumnIndex};
 
 /// Factory closure for [`StoreKind::Custom`].
 pub type StoreFactory = Arc<dyn Fn(Arc<TableDef>) -> Arc<dyn TableStore> + Send + Sync>;
-pub use concurrent::ConcurrentOrderedStore;
 pub use hash::HashStore;
 
 use crate::query::{Probe, Query};
@@ -63,10 +62,9 @@ pub trait TableStore: Send + Sync {
     /// This is how the engine inserts: a chunk of an equivalence class
     /// and a flushed run of staged `-noDelta` puts each arrive in a
     /// single call. What a batch buys depends on the store:
-    /// [`BTreeStore`] takes its lock once; [`HashStore`] and
-    /// [`ConcurrentOrderedStore`] prefetch the batch's probe lines and
-    /// write their shared `len`/journal counters once per block of 32
-    /// tuples instead of once per tuple. The default — custom stores —
+    /// [`BTreeStore`] takes its lock once; [`HashStore`] prefetches the
+    /// batch's probe lines and writes its shared `len`/journal counters
+    /// once per block of 32 tuples instead of once per tuple. The default — custom stores —
     /// just loops over [`TableStore::insert`].
     fn insert_batch(&self, tuples: &[Tuple], outcomes: &mut Vec<InsertOutcome>) {
         outcomes.extend(tuples.iter().map(|t| self.insert(t.clone())));
@@ -145,8 +143,8 @@ pub trait TableStore: Send + Sync {
     ///
     /// A store that can build its replacement aside does so as the
     /// batches arrive, counts as it goes and swaps on commit
-    /// ([`BTreeStore`], and the reservation-table stores, which fill a
-    /// right-sized fresh table through their batch insert). The default —
+    /// ([`BTreeStore`], and [`HashStore`], which fills a right-sized
+    /// fresh table through its batch insert). The default —
     /// custom stores — cannot: it only collects, and on commit empties the
     /// store and re-inserts row by row, counting then.
     ///
@@ -259,19 +257,14 @@ impl<S: TableStore + ?Sized> StagedImport for CollectedImport<'_, S> {
 pub enum StoreKind {
     /// Sequential ordered set (paper default for `-sequential`: `TreeSet`).
     Ordered,
-    /// Lock-free concurrent set (paper default for parallel code:
-    /// `ConcurrentSkipListSet`), realised as a CAS claim-then-publish
-    /// reservation table. `shards` survives as a capacity hint from the
-    /// earlier sharded-lock design.
-    ConcurrentOrdered { shards: usize },
-    /// Hash index on the named fields (the paper's `HashSet` /
-    /// `ConcurrentHashMap` alternative, "considerably more efficient" when
-    /// queries always bind those fields). Same reservation-table storage;
-    /// `shards` is a capacity hint.
-    Hash {
-        index_fields: Vec<String>,
-        shards: usize,
-    },
+    /// The paper's default for parallel code, `ConcurrentSkipListSet`:
+    /// here a [`HashStore`] chained on the first column (no chain at
+    /// arity 0).
+    ConcurrentOrdered,
+    /// A [`HashStore`] chained on the named fields (the paper's `HashSet`
+    /// / `ConcurrentHashMap` alternative, "considerably more efficient"
+    /// when queries always bind those fields).
+    Hash { index_fields: Vec<String> },
     /// App-provided store (native arrays, array-of-hashsets, ...).
     Custom(StoreFactory),
 }
@@ -280,15 +273,8 @@ impl std::fmt::Debug for StoreKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreKind::Ordered => write!(f, "Ordered"),
-            StoreKind::ConcurrentOrdered { shards } => {
-                write!(f, "ConcurrentOrdered({shards} shards)")
-            }
-            StoreKind::Hash {
-                index_fields,
-                shards,
-            } => {
-                write!(f, "Hash(index={index_fields:?}, {shards} shards)")
-            }
+            StoreKind::ConcurrentOrdered => write!(f, "ConcurrentOrdered"),
+            StoreKind::Hash { index_fields } => write!(f, "Hash(index={index_fields:?})"),
             StoreKind::Custom(_) => write!(f, "Custom"),
         }
     }
@@ -299,7 +285,7 @@ impl StoreKind {
     /// concurrent ordered for parallel runs (§5).
     pub fn default_for(parallel: bool) -> StoreKind {
         if parallel {
-            StoreKind::ConcurrentOrdered { shards: 16 }
+            StoreKind::ConcurrentOrdered
         } else {
             StoreKind::Ordered
         }
@@ -314,13 +300,11 @@ impl StoreKind {
         use crate::error::JStarError;
         Ok(match self {
             StoreKind::Ordered => Arc::new(BTreeStore::new(def)),
-            StoreKind::ConcurrentOrdered { shards } => {
-                Arc::new(ConcurrentOrderedStore::new(def, *shards))
+            StoreKind::ConcurrentOrdered => {
+                let chain = if def.arity() > 0 { vec![0] } else { vec![] };
+                Arc::new(HashStore::new(def, chain))
             }
-            StoreKind::Hash {
-                index_fields,
-                shards,
-            } => {
+            StoreKind::Hash { index_fields } => {
                 if index_fields.is_empty() {
                     return Err(JStarError::Other(format!(
                         "table {}: a Hash store needs at least one index field",
@@ -334,7 +318,7 @@ impl StoreKind {
                         field: n.clone(),
                     })?);
                 }
-                Arc::new(HashStore::new(def, idx, *shards))
+                Arc::new(HashStore::new(def, idx))
             }
             StoreKind::Custom(f) => f(def),
         })
@@ -455,10 +439,9 @@ pub(crate) fn pk_conflict(def: &TableDef, a: &Tuple, b: &Tuple) -> bool {
     }
 }
 
-/// Shared insert logic for stores backed by ordered tuple sets
-/// ([`BTreeStore`] and each shard of [`ConcurrentOrderedStore`]): set
-/// dedup plus the `->` key-conflict scan over the contiguous range of
-/// same-key tuples. Callers hold the set's lock.
+/// Insert logic for a store backed by an ordered tuple set
+/// ([`BTreeStore`]): set dedup plus the `->` key-conflict scan over the
+/// contiguous range of same-key tuples. Callers hold the set's lock.
 pub(crate) fn insert_locked(
     def: &TableDef,
     set: &mut std::collections::BTreeSet<Tuple>,
@@ -519,6 +502,13 @@ pub(crate) mod testutil {
         })
     }
 
+    /// [`keyed_def`]'s columns with no key: a pure set of [`kt`] rows.
+    pub fn keyless_def() -> Arc<TableDef> {
+        let mut def = (*keyed_def()).clone();
+        def.key_arity = None;
+        Arc::new(def)
+    }
+
     /// A keyless (pure set) 2-column table.
     pub fn set_def() -> Arc<TableDef> {
         let b = TableDefBuilder::new("S").col_int("x").col_int("y");
@@ -550,7 +540,7 @@ pub(crate) mod testutil {
         (0..100)
             .map(|i| match i % 4 {
                 0 => kt(i / 4, i, "v"),
-                1 => kt(i / 4, i - 1, "v"), // key conflict with the 0-arm
+                1 => kt(i / 4, i, "v"),     // key conflict with the 0-arm
                 2 => kt(i / 4, i - 2, "v"), // duplicate of the 0-arm
                 _ => kt(1000 + i, i, "w"),  // fresh, other key
             })
@@ -646,18 +636,25 @@ pub(crate) mod testutil {
         }
     }
 
-    /// Exercises the store contract shared by every implementation.
-    pub fn exercise_store_contract(store: &dyn TableStore) {
+    /// Exercises the store contract shared by every implementation, over
+    /// [`kt`] rows of [`keyed_def`] (`keyed`) or [`keyless_def`].
+    pub fn exercise_store_contract(store: &dyn TableStore, keyed: bool) {
         use crate::value::Value;
         // Fresh insert.
         assert_eq!(store.insert(kt(1, 10, "x")), InsertOutcome::Fresh);
         // Exact duplicate.
         assert_eq!(store.insert(kt(1, 10, "x")), InsertOutcome::Duplicate);
-        // Key conflict (same a, different b).
-        assert_eq!(store.insert(kt(1, 11, "x")), InsertOutcome::KeyConflict);
+        // Same a, different b: a key conflict, or a second row.
+        let ones = if keyed {
+            assert_eq!(store.insert(kt(1, 11, "x")), InsertOutcome::KeyConflict);
+            vec![kt(1, 10, "x")]
+        } else {
+            assert_eq!(store.insert(kt(1, 11, "x")), InsertOutcome::Fresh);
+            vec![kt(1, 10, "x"), kt(1, 11, "x")]
+        };
         // Different key is fine.
         assert_eq!(store.insert(kt(2, 20, "y")), InsertOutcome::Fresh);
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.len(), ones.len() + 1);
         assert!(store.contains(&kt(1, 10, "x")));
         assert!(!store.contains(&kt(1, 10, "z")));
 
@@ -667,13 +664,11 @@ pub(crate) mod testutil {
                 got.push(t.clone());
                 true
             });
+            got.sort();
             got
         };
         // Query by key field; a negative query.
-        assert_eq!(
-            rows(Query::on(TableId(0)).eq(0, 1i64)),
-            vec![kt(1, 10, "x")]
-        );
+        assert_eq!(rows(Query::on(TableId(0)).eq(0, 1i64)), ones);
         assert!(rows(Query::on(TableId(0)).eq(0, 3i64)).is_empty());
 
         // Early exit iteration visits at most one tuple.
@@ -701,7 +696,7 @@ pub(crate) mod testutil {
 
         // Retain drops what keep rejects.
         store.retain(&|t| t.get(0) == &Value::Int(1));
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.len(), ones.len());
         assert!(store.contains(&kt(1, 10, "x")));
         assert!(!store.contains(&kt(2, 20, "y")));
     }
@@ -746,7 +741,6 @@ mod tests {
         let def = keyed_def();
         let kind = StoreKind::Hash {
             index_fields: vec!["nope".into()],
-            shards: 4,
         };
         let err = kind.try_build(Arc::clone(&def)).err().expect("must fail");
         assert!(
@@ -760,7 +754,6 @@ mod tests {
 
         let kind = StoreKind::Hash {
             index_fields: vec![],
-            shards: 4,
         };
         assert!(kind.try_build(Arc::clone(&def)).is_err());
 
@@ -773,7 +766,6 @@ mod tests {
     fn build_still_panics_for_infallible_callers() {
         let kind = StoreKind::Hash {
             index_fields: vec!["nope".into()],
-            shards: 4,
         };
         let _ = kind.build(keyed_def());
     }
@@ -832,10 +824,9 @@ mod tests {
     fn chunked_export_reproduces_the_sequential_stream() {
         let def = keyed_def();
         for kind in [
-            StoreKind::ConcurrentOrdered { shards: 4 },
+            StoreKind::ConcurrentOrdered,
             StoreKind::Hash {
-                index_fields: vec!["a".into()],
-                shards: 4,
+                index_fields: vec!["b".into()],
             },
         ] {
             let store = kind.build(Arc::clone(&def));
@@ -870,7 +861,90 @@ mod tests {
         assert!(matches!(StoreKind::default_for(false), StoreKind::Ordered));
         assert!(matches!(
             StoreKind::default_for(true),
-            StoreKind::ConcurrentOrdered { .. }
+            StoreKind::ConcurrentOrdered
         ));
+    }
+}
+
+/// The paper's concurrent-set slot, [`StoreKind::ConcurrentOrdered`] — a
+/// [`HashStore`] chained on the first column — built through its kind and
+/// run through the per-store checks of `hash.rs`'s suite.
+#[cfg(test)]
+mod concurrent {
+    mod tests {
+        use crate::gamma::hash::tests::*;
+        use crate::gamma::testutil::{keyed_def, keyless_def, kt};
+        use crate::gamma::{HashStore, StoreKind, TableStore};
+        use crate::query::Query;
+        use crate::schema::{TableDef, TableId};
+        use std::sync::Arc;
+
+        /// Runs `check` on what `StoreKind::ConcurrentOrdered` builds for `def`.
+        fn on_first_column(def: Arc<TableDef>, check: impl FnOnce(&HashStore)) {
+            let store = StoreKind::ConcurrentOrdered.build(def);
+            check(store.as_any().downcast_ref().expect("a HashStore"));
+        }
+
+        #[test]
+        fn satisfies_store_contract() {
+            on_first_column(keyed_def(), |s| check_contract("keyed on a", s));
+            on_first_column(keyless_def(), |s| check_contract("keyless on a", s));
+        }
+
+        #[test]
+        fn minimal_capacity_also_works() {
+            // A one-slot first segment: every later row lands in a grown one.
+            let store = HashStore::with_first_segment(keyed_def(), vec![0], 1);
+            check_contract("one-slot first segment", &store);
+        }
+
+        #[test]
+        fn insert_batch_matches_per_tuple_outcomes() {
+            for def in [keyed_def(), keyless_def()] {
+                let small = || HashStore::with_first_segment(Arc::clone(&def), vec![0], 16);
+                check_batch("first column", &small);
+            }
+        }
+
+        #[test]
+        fn concurrent_inserts_preserve_set_semantics() {
+            on_first_column(keyed_def(), |s| check_concurrent_inserts("keyed on a", s));
+        }
+
+        #[test]
+        fn first_column_queries_narrow_via_the_chain_index() {
+            // Keyed on `a`, a bound `a` takes the primary walk; keyless,
+            // `a`'s chain.
+            for def in [keyed_def(), keyless_def()] {
+                on_first_column(def, |s| {
+                    for a in 0..200 {
+                        s.insert(kt(a, a % 7, "v"));
+                    }
+                    assert_query_paths("first column", s, &queries(42, 3));
+                });
+            }
+        }
+
+        #[test]
+        fn compaction_rebuilds_keyed_store() {
+            on_first_column(keyed_def(), |s| check_compaction("keyed on a", s));
+        }
+
+        #[test]
+        fn import_snapshot_replaces_contents_and_restores_narrowing() {
+            on_first_column(keyed_def(), |s| check_import("keyed on a", s));
+        }
+
+        #[test]
+        fn keyless_tables_narrow_on_first_column() {
+            on_first_column(keyless_def(), |s| {
+                for i in 0..300 {
+                    s.insert(kt(i % 10, i, "v"));
+                }
+                let (rows, hops) = rows_and_hops(s, &Query::on(TableId(0)).eq(0, 4i64));
+                assert_eq!(rows.len(), 30);
+                assert!((30..300).contains(&hops), "{hops} hops, not a scan");
+            });
+        }
     }
 }

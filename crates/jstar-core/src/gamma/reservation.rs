@@ -297,8 +297,8 @@ impl Drop for Segment {
     }
 }
 
-/// The lock-free claim-then-publish tuple table shared by
-/// [`super::HashStore`] and [`super::ConcurrentOrderedStore`].
+/// The lock-free claim-then-publish tuple table behind
+/// [`super::HashStore`].
 pub(crate) struct ReservationTable {
     /// Lazily allocated segments; segment `k` has `initial << (2k)`
     /// slots (×4 growth keeps the chain short, since every probe walks
@@ -434,6 +434,12 @@ impl ReservationTable {
         let mut table = ReservationTable::new(slots, with_index);
         table.initial = slots; // no segment is allocated yet
         table
+    }
+
+    /// Whether segments carry secondary chain heads.
+    #[cfg(test)]
+    pub fn has_chain_heads(&self) -> bool {
+        self.with_index
     }
 
     fn capacity_of(&self, k: usize) -> usize {
@@ -1329,6 +1335,12 @@ impl Drop for ReservationTable {
 thread_local! {
     static CHAIN_HOPS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     static SEGMENT_ALLOCS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The chain links this thread's `scan_index` calls have followed.
+#[cfg(test)]
+pub(crate) fn chain_hops() -> usize {
+    CHAIN_HOPS.with(|n| n.get())
 }
 
 #[cfg(test)]

@@ -166,7 +166,7 @@ pub fn mix64(mut x: u64) -> u64 {
 
 /// Order-independent digest of a tuple multiset.
 ///
-/// Claim order in a [`crate::gamma::ConcurrentOrderedStore`] is
+/// Claim order in a [`crate::gamma::HashStore`] is
 /// nondeterministic under parallel insertion, so a snapshot's tuple
 /// stream is written in whatever journal order this run produced.
 /// The content hash must nevertheless be identical for identical

@@ -525,9 +525,8 @@ mod tests {
         let kinds = [
             StoreKind::Hash {
                 index_fields: vec!["k".into()],
-                shards: 4,
             },
-            StoreKind::ConcurrentOrdered { shards: 4 },
+            StoreKind::ConcurrentOrdered,
             StoreKind::Ordered,
             custom(Arc::new(PlainStore(BTreeStore::new(Arc::clone(&defs[3]))))),
         ];
@@ -695,7 +694,7 @@ mod tests {
     fn a_pool_changes_who_encodes_not_what_is_written() {
         let dir = Scratch::new("pool");
         let defs = [def(0, "Big", true)];
-        let gamma = Gamma::new(&defs, &[StoreKind::ConcurrentOrdered { shards: 4 }]);
+        let gamma = Gamma::new(&defs, &[StoreKind::ConcurrentOrdered]);
         let pool = ThreadPool::new(2);
         let mut warm = CheckpointWriter::new(&defs, &gamma, Some(&pool));
         // A cold encode and a catch-up, each large enough to be shared
@@ -712,7 +711,7 @@ mod tests {
     fn a_failed_write_leaves_no_file_and_a_cold_writer() {
         let dir = Scratch::new("failed");
         let defs = [def(0, "T", false)];
-        let gamma = Gamma::new(&defs, &[StoreKind::ConcurrentOrdered { shards: 4 }]);
+        let gamma = Gamma::new(&defs, &[StoreKind::ConcurrentOrdered]);
         for k in 0..50 {
             gamma.insert(row(0, k, k));
         }

@@ -92,14 +92,22 @@ fn item_form_roundtrips_through_tuples() {
 
 #[test]
 fn registration_matches_expression_form() {
-    // The same declaration through both forms yields identical defs.
+    // The item form registers the def that a hand-written positional
+    // builder expression, `ProgramBuilder::table`, declares.
     let mut typed = ProgramBuilder::new();
     let th = typed.relation::<Keyed>();
     let typed_prog = typed.build().unwrap();
 
     let mut positional = ProgramBuilder::new();
-    let pid = jstar_table!(positional, Keyed(int ki, double kd, String ks, boolean kb -> int v)
-        orderby (KeyedS, seq ki));
+    let pid = positional.table("Keyed", |b| {
+        b.col_int("ki")
+            .col_double("kd")
+            .col_str("ks")
+            .col_bool("kb")
+            .key(4)
+            .col_int("v")
+            .orderby(&[strat("KeyedS"), seq("ki")])
+    });
     let positional_prog = positional.build().unwrap();
 
     let a = typed_prog.def(th.id());

@@ -197,7 +197,6 @@ fn three_stage_pipeline_with_all_flags() {
         sink,
         StoreKind::Hash {
             index_fields: vec!["i".into()],
-            shards: 4,
         },
     );
     let mut engine = Engine::new(Arc::clone(&prog), config);

@@ -4,8 +4,7 @@ use jstar_core::causality::linear::{satisfiable, Constraint, LinExpr, Rational};
 use jstar_core::delta::{DeltaTree, ShardedInbox};
 use jstar_core::engine::{Engine, EngineConfig};
 use jstar_core::gamma::{
-    BTreeStore, ConcurrentOrderedStore, HashStore, InsertOutcome, StoreFactory, StoreKind,
-    TableStore,
+    BTreeStore, HashStore, InsertOutcome, StoreFactory, StoreKind, TableStore,
 };
 use jstar_core::orderby::{KeyPart, OrderKey};
 use jstar_core::program::ProgramBuilder;
@@ -211,8 +210,9 @@ proptest! {
         prop_assert!(par_tree.pop_min_class().is_none());
     }
 
-    /// All three generic stores agree with a reference set under random
-    /// insert sequences (set semantics + primary key enforcement).
+    /// The generic stores — `BTreeStore` and `HashStore` chained on the
+    /// key and off it — agree with a reference set under
+    /// random insert sequences (set semantics + primary key enforcement).
     #[test]
     fn stores_agree_with_reference(
         ops in prop::collection::vec((0i64..20, 0i64..5), 1..150)
@@ -226,8 +226,8 @@ proptest! {
         );
         let stores: Vec<Box<dyn TableStore>> = vec![
             Box::new(BTreeStore::new(Arc::clone(&def))),
-            Box::new(ConcurrentOrderedStore::new(Arc::clone(&def), 4)),
-            Box::new(HashStore::new(Arc::clone(&def), vec![0], 4)),
+            Box::new(HashStore::new(Arc::clone(&def), vec![0])),
+            Box::new(HashStore::new(Arc::clone(&def), vec![1])),
         ];
         // Reference: first write wins per key.
         let mut reference: BTreeMap<i64, i64> = BTreeMap::new();
@@ -314,10 +314,10 @@ fn arb_value() -> impl Strategy<Value = Value> {
 // A prepared query evaluated with a binder's values must read Gamma
 // exactly as the positional query holding the same values as constants,
 // and both as a plain filter over `for_each` — on every store's access
-// path: `HashStore` indexed on the primary key, on a secondary column
-// and queried without its index; `ConcurrentOrderedStore` on the
-// point-key and first-column paths; `BTreeStore`; and a custom store on
-// the trait's default `query`.
+// path: `HashStore` chained on the primary key, on a non-key column
+// and queried without its chain, and chained on the key's first column
+// (the parallel default); `BTreeStore`; and a custom store on the
+// trait's default `query`.
 
 jstar_core::jstar_table! {
     #[derive(Copy, Eq)]
@@ -522,7 +522,6 @@ proptest! {
         let rows: Vec<Row> = rows.into_iter().map(|((a, b), c)| Row { a, b, c }).collect();
         let hash = |fields: &[&str]| StoreKind::Hash {
             index_fields: fields.iter().map(|f| f.to_string()).collect(),
-            shards: 2,
         };
         let custom: StoreFactory =
             Arc::new(|def| Arc::new(DefaultQueryStore(BTreeStore::new(def))));
@@ -532,7 +531,7 @@ proptest! {
         let stores = [
             (hash(&["a", "b"]), true),
             (hash(&["c"]), true),
-            (StoreKind::ConcurrentOrdered { shards: 2 }, true),
+            (StoreKind::ConcurrentOrdered, true),
             (StoreKind::Ordered, false),
             (StoreKind::Custom(custom), false),
         ];

@@ -31,6 +31,12 @@ jstar_table! {
 }
 
 jstar_table! {
+    /// Stage-2 probe table of the asymmetric two-stage join.
+    #[derive(Copy, Eq)]
+    pub Wt(int k, int w) orderby (Wt)
+}
+
+jstar_table! {
     /// Final join output.
     #[derive(Copy, Eq)]
     pub Out(int a, int b) orderby (Out)
@@ -203,29 +209,76 @@ fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64) -> Arc<Program> {
 ///
 /// * `nested_loop = false` — one [`ProgramBuilder::rule_rel_join2`]
 ///   rule carrying the full two-stage [`jstar_core::rule::JoinPlan`]
-///   (`Src ⋈ Dim` on `k`, then `⋈ Dim` again on the first match's `w`),
+///   (`Src ⋈ Dim` on `k`, then a second probe on the first match's `w`),
 ///   eligible for batched delta-join execution and the leapfrog walk;
 /// * `nested_loop = true` — a hand-written opaque rule performing the
 ///   same join as two nested `ctx.query_rel` loops, invisible to every
 ///   join optimisation.
 ///
-/// Tables, orderings, seeds and the filter are identical, so the two
-/// programs must reach the same fixpoint with the same pop schedule.
-fn join2_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: bool) -> Arc<Program> {
+/// Stage 2 probes `Dim` again, or — `asymmetric` — its own table `Wt`,
+/// with only odd `Dim` keys present, so about half the triggers find no
+/// stage-1 row. Tables, orderings, seeds and the filter are identical
+/// across the lowerings, so the two programs must reach the same
+/// fixpoint with the same pop schedule.
+fn join2_program(
+    dims: i64,
+    srcs: i64,
+    key_mod: i64,
+    filt: i64,
+    nested_loop: bool,
+    asymmetric: bool,
+) -> Arc<Program> {
     let mut p = ProgramBuilder::new();
     p.relation::<Dim>();
+    p.relation::<Wt>();
     p.relation::<Src>();
     p.relation::<Out>();
-    p.order(&["Dim", "Src", "Out"]);
-    let filter = move |s: &Src, d1: &Dim, d2: &Dim| (s.v + d1.w + d2.w).rem_euclid(filt) != 0;
-    let emit = move |s: &Src, d1: &Dim, d2: &Dim| Out {
+    p.order(&["Dim", "Wt", "Src", "Out"]);
+    if asymmetric {
+        chain_rule(&mut p, nested_loop, filt, Wt::k, |d: &Wt| d.w);
+    } else {
+        chain_rule(&mut p, nested_loop, filt, Dim::k, |d: &Dim| d.w);
+    }
+    // `w` values overlap the key range so stage 2 matches regularly
+    // (but not always — missing keys exercise the empty-descent path).
+    for i in 0..dims {
+        let (k, w) = (i.rem_euclid(key_mod), (i * 5 + 1).rem_euclid(key_mod + 3));
+        if !asymmetric {
+            p.put_rel(Dim { k, w });
+        } else if k % 2 == 1 {
+            p.put_rel(Dim { k, w });
+            if i % 3 != 0 {
+                p.put_rel(Wt { k: w, w: i });
+            }
+        }
+    }
+    for i in 0..srcs {
+        p.put_rel(Src {
+            k: (i * 7).rem_euclid(key_mod),
+            v: i,
+        });
+    }
+    Arc::new(p.build().unwrap())
+}
+
+/// Adds [`join2_program`]'s chain `Src ⋈ Dim ⋈ S2` (stage 2 on
+/// `Dim.w = key`, weighing by `weight`) in the chosen lowering.
+fn chain_rule<S2: Relation>(
+    p: &mut ProgramBuilder,
+    nested_loop: bool,
+    filt: i64,
+    key: Field<S2, i64>,
+    weight: fn(&S2) -> i64,
+) {
+    let filter = move |s: &Src, d1: &Dim, d2: &S2| (s.v + d1.w + weight(d2)).rem_euclid(filt) != 0;
+    let emit = move |s: &Src, d1: &Dim, d2: &S2| Out {
         a: s.v + d1.w,
-        b: d2.w,
+        b: weight(d2),
     };
     if nested_loop {
         p.rule_rel("chain-nested", move |ctx, s: Src| {
             for d1 in ctx.query_rel(Dim::query().eq(Dim::k, s.k)) {
-                for d2 in ctx.query_rel(Dim::query().eq(Dim::k, d1.w)) {
+                for d2 in ctx.query_rel(S2::query().eq(key, d1.w)) {
                     if filter(&s, &d1, &d2) {
                         ctx.put_rel(emit(&s, &d1, &d2));
                     }
@@ -236,28 +289,13 @@ fn join2_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: boo
         p.rule_rel_join2(
             "chain-join",
             JoinOn::new().eq(Src::k, Dim::k),
-            JoinOn2::new().eq_p(Dim::w, Dim::k),
+            JoinOn2::new().eq_p(Dim::w, key),
             filter,
-            move |ctx, s: &Src, d1: &Dim, d2: &Dim| {
+            move |ctx, s: &Src, d1: &Dim, d2: &S2| {
                 ctx.put_rel(emit(s, d1, d2));
             },
         );
     }
-    // `w` values overlap the key range so stage 2 matches regularly
-    // (but not always — missing keys exercise the empty-descent path).
-    for i in 0..dims {
-        p.put_rel(Dim {
-            k: i.rem_euclid(key_mod),
-            w: (i * 5 + 1).rem_euclid(key_mod + 3),
-        });
-    }
-    for i in 0..srcs {
-        p.put_rel(Src {
-            k: (i * 7).rem_euclid(key_mod),
-            v: i,
-        });
-    }
-    Arc::new(p.build().unwrap())
 }
 
 /// Collects every Gamma tuple of every table, sorted — the canonical form
@@ -364,7 +402,6 @@ proptest! {
                 done,
                 StoreKind::Hash {
                     index_fields: vec!["vertex".into()],
-                    shards: 8,
                 },
             )
         };
@@ -513,11 +550,12 @@ proptest! {
     }
 
     /// `join()` lowering equivalence: for random two-stage join
-    /// programs, the typed join-rule lowering (two-stage plan, batched
+    /// programs — stage 2 probing the stage-1 table again or a table of
+    /// its own — the typed join-rule lowering (two-stage plan, batched
     /// delta-join eligible) produces exactly the hand-written
     /// nested-loop lowering's results — same Gamma fixpoint, same
     /// content hash, and **bit-identical pop schedules** —
-    /// sequentially and in parallel.
+    /// sequentially (per tuple and batched) and in parallel.
     #[test]
     fn typed_join_matches_nested_loop_lowering(
         dims in 1i64..25,
@@ -526,9 +564,10 @@ proptest! {
         filt in 1i64..6,
         threads in 2usize..6,
         threshold in 1usize..8,
+        asymmetric in any::<bool>(),
     ) {
-        let nested = join2_program(dims, srcs, key_mod, filt, true);
-        let joined = join2_program(dims, srcs, key_mod, filt, false);
+        let nested = join2_program(dims, srcs, key_mod, filt, true, asymmetric);
+        let joined = join2_program(dims, srcs, key_mod, filt, false, asymmetric);
 
         let mut reference = Engine::new(Arc::clone(&nested), EngineConfig::sequential());
         let ref_report = reference.run().unwrap();
@@ -536,6 +575,7 @@ proptest! {
         let want_hash = reference.content_hash();
 
         let configs = [
+            EngineConfig::sequential().delta_join_from(usize::MAX),
             EngineConfig::sequential().delta_join_from(threshold),
             EngineConfig::parallel(threads).delta_join_from(threshold),
             EngineConfig::parallel(threads)
@@ -682,4 +722,50 @@ fn keyless_join_class_fires_per_tuple() {
         assert_eq!(canonical_gamma(&eng), want);
         assert_eq!(report.steps, base_report.steps);
     }
+}
+
+/// Runs `prog` under `config`: its canonical Gamma and run report.
+fn run_join(prog: &Arc<Program>, config: EngineConfig) -> (Vec<Tuple>, RunReport) {
+    let mut eng = Engine::new(Arc::clone(prog), config);
+    let report = eng.run().unwrap();
+    (canonical_gamma(&eng), report)
+}
+
+/// The asymmetric chain at a fixed size — 400 triggers, half of them
+/// finding no stage-1 row — reaches the nested loop's Gamma sequentially
+/// and at 2 and 4 threads.
+#[test]
+fn asymmetric_join_matches_nested_loop_sequential_and_parallel() {
+    let nested = join2_program(50, 400, 24, 5, true, true);
+    let (want, _) = run_join(&nested, EngineConfig::sequential());
+    let out = nested.table_id("Out").unwrap();
+    assert!(want.iter().any(|t| t.table() == out), "some chains emit");
+    let joined = join2_program(50, 400, 24, 5, false, true);
+    for config in [
+        EngineConfig::sequential(),
+        EngineConfig::parallel(2),
+        EngineConfig::parallel(4),
+    ] {
+        assert_eq!(run_join(&joined, config).0, want);
+    }
+}
+
+/// On the same chain the batched walk agrees with per-tuple firing and
+/// searches Gamma less: its probes and seeks together stay under the
+/// per-tuple probes.
+#[test]
+fn asymmetric_join_batched_walk_searches_less() {
+    let joined = join2_program(50, 400, 24, 5, false, true);
+    let per_tuple = EngineConfig::sequential().delta_join_from(usize::MAX);
+    let (want, pt) = run_join(&joined, per_tuple);
+    let (got, dj) = run_join(&joined, EngineConfig::sequential().delta_join_from(4));
+    assert_eq!(got, want);
+    assert!(dj.delta_join_classes > 0 && pt.delta_join_classes == 0);
+    assert!(
+        dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
+        "batched probes={} seeks={} vs per-tuple probes={}",
+        dj.gamma_probes,
+        dj.join_seeks,
+        pt.gamma_probes
+    );
 }

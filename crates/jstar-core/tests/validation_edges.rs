@@ -48,15 +48,19 @@ fn program_with_tables_but_no_rules_just_stores_initial_puts() {
 #[test]
 fn store_kind_debug_formats() {
     assert_eq!(format!("{:?}", StoreKind::Ordered), "Ordered");
-    assert!(format!("{:?}", StoreKind::ConcurrentOrdered { shards: 4 }).contains("4 shards"));
-    assert!(format!(
-        "{:?}",
-        StoreKind::Hash {
-            index_fields: vec!["x".into()],
-            shards: 2
-        }
-    )
-    .contains("index"));
+    assert_eq!(
+        format!("{:?}", StoreKind::ConcurrentOrdered),
+        "ConcurrentOrdered"
+    );
+    assert_eq!(
+        format!(
+            "{:?}",
+            StoreKind::Hash {
+                index_fields: vec!["x".into()],
+            }
+        ),
+        r#"Hash(index=["x"])"#
+    );
 }
 
 #[test]

@@ -20,6 +20,10 @@
 //!   regress to `std::sync::atomic` or `parking_lot` anywhere, tests
 //!   included, or the model checker silently loses sight of them.
 //!
+//! An [`R2_ALLOWLIST`] or [`SHIM_MANDATED`] entry that names no file is
+//! itself a finding (**`stale-entry`**): an entry that guards nothing
+//! would otherwise outlive the file it was written for without a word.
+//!
 //! Any rule is waivable at a specific site with
 //! `// lint: allow(RULE): reason` on the line or within the three lines
 //! above it — the reason is mandatory and the waiver is deliberately loud
@@ -70,7 +74,7 @@ pub const R2_ALLOWLIST: &[&str] = &[
 /// of these would be invisible to the model checker.
 pub const SHIM_MANDATED: &[&str] = &[
     "crates/jstar-core/src/delta.rs",
-    "crates/jstar-core/src/gamma/concurrent.rs",
+    "crates/jstar-core/src/gamma/hash.rs",
     "crates/jstar-core/src/gamma/reservation.rs",
     "crates/jstar-core/src/relation.rs",
     "crates/jstar-core/src/stats.rs",
@@ -494,13 +498,34 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
+/// The [`R2_ALLOWLIST`] and [`SHIM_MANDATED`] entries for which
+/// `exists` (given the workspace-relative path) says there is no file.
+fn stale_entries(exists: impl Fn(&str) -> bool) -> Vec<Finding> {
+    let lists = [
+        ("R2_ALLOWLIST", R2_ALLOWLIST),
+        ("SHIM_MANDATED", SHIM_MANDATED),
+    ];
+    let mut findings = Vec::new();
+    for (list, entries) in lists {
+        for &rel in entries.iter().filter(|&&rel| !exists(rel)) {
+            findings.push(Finding {
+                file: rel.to_string(),
+                line: 0,
+                rule: "stale-entry",
+                message: format!("`{list}` names a file that does not exist"),
+            });
+        }
+    }
+    findings
+}
+
 /// Lints every `.rs` file under `root`; returns all findings sorted by
-/// path and line.
+/// path and line, after any stale list entries.
 pub fn lint_tree(root: &Path) -> Vec<Finding> {
     let mut files = Vec::new();
     walk(root, &mut files);
     files.sort();
-    let mut findings = Vec::new();
+    let mut findings = stale_entries(|rel| root.join(rel).is_file());
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -671,6 +696,18 @@ mod tests {
     fn lifetimes_do_not_confuse_the_lexer() {
         let src = "fn f<'a>(x: &'a str) -> &'a str { x }\nfn g() -> char { 'x' }\nfn h() -> char { '\\'' }\n";
         assert!(lint_source(CORE, src).is_empty());
+    }
+
+    #[test]
+    fn a_list_entry_naming_no_file_is_a_finding() {
+        assert!(stale_entries(|_| true).is_empty());
+        let missing = "crates/jstar-core/src/gamma/hash.rs";
+        let f = stale_entries(|rel| rel != missing);
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].file.as_str(), f[0].rule), (missing, "stale-entry"));
+        assert!(f[0].message.contains("SHIM_MANDATED"));
+        let all = R2_ALLOWLIST.len() + SHIM_MANDATED.len();
+        assert_eq!(stale_entries(|_| false).len(), all);
     }
 
     #[test]

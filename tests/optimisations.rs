@@ -81,10 +81,9 @@ fn store_choice_preserves_output() {
     let reference = run_outputs(EngineConfig::sequential());
     for kind in [
         StoreKind::Ordered,
-        StoreKind::ConcurrentOrdered { shards: 4 },
+        StoreKind::ConcurrentOrdered,
         StoreKind::Hash {
             index_fields: vec!["t".into()],
-            shards: 4,
         },
     ] {
         let config = EngineConfig::parallel(4)
