@@ -9,9 +9,10 @@
 //! [`ProgramBuilder::rule_rel_join2`], so it carries an inspectable
 //! two-stage [`JoinPlan`] and every `Probe` stratum drains through the
 //! engine's batched delta-join pass: one coordinated sorted-merge walk
-//! over the `Edge` indexes per class. The `wco_join` section of
-//! `bench_hotpath` measures it on this program and records the
-//! probe/seek counters.
+//! over the `Edge` indexes per class. The test
+//! `delta_join_and_per_tuple_agree_and_counters_move` checks, at 1, 2
+//! and 4 threads, that this walk searches the store less than per-tuple
+//! firing (probes + seeks against per-tuple probes).
 //!
 //! The same count is also available *after* the run as a read-side
 //! query: [`count_via_join3`] folds `join3::<Edge, Edge, Edge>()` over
@@ -340,24 +341,31 @@ mod tests {
         let spec = small_spec();
         let want = triangles_baseline(&spec);
 
-        let config = |threshold| EngineConfig::sequential().delta_join_from(threshold);
-        let (dj_count, dj) = run_jstar_report(spec, config(4)).unwrap();
-        let (pt_count, pt) = run_jstar_report(spec, config(usize::MAX)).unwrap();
+        for base in [
+            EngineConfig::sequential(),
+            EngineConfig::parallel(2),
+            EngineConfig::parallel(4),
+        ] {
+            let threads = base.threads;
+            let (dj_count, dj) = run_jstar_report(spec, base.clone().delta_join_from(4)).unwrap();
+            let (pt_count, pt) = run_jstar_report(spec, base.delta_join_from(usize::MAX)).unwrap();
 
-        assert_eq!(dj_count, want);
-        assert_eq!(pt_count, want);
-        assert!(dj.delta_join_classes > 0, "batched mode engaged: {dj:?}");
-        assert!(dj.join_cursor_opens > 0, "cursors opened: {dj:?}");
-        assert!(dj.delta_join_build_tuples > 0);
-        assert_eq!(pt.delta_join_classes, 0, "per-tuple mode engaged: {pt:?}");
-        assert_eq!(pt.join_cursor_opens, 0, "per-tuple mode opens no cursors");
-        assert!(
-            dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
-            "merged walk does less store searching: dj probes={} seeks={} vs pt probes={}",
-            dj.gamma_probes,
-            dj.join_seeks,
-            pt.gamma_probes
-        );
+            assert_eq!(dj_count, want, "{threads} threads");
+            assert_eq!(pt_count, want, "{threads} threads");
+            assert!(dj.delta_join_classes > 0, "batched mode engaged: {dj:?}");
+            assert!(dj.join_cursor_opens > 0, "cursors opened: {dj:?}");
+            assert!(dj.delta_join_build_tuples > 0);
+            assert_eq!(pt.delta_join_classes, 0, "per-tuple mode engaged: {pt:?}");
+            assert_eq!(pt.join_cursor_opens, 0, "per-tuple mode opens no cursors");
+            assert!(
+                dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
+                "{threads} threads: merged walk does less store searching: \
+                 dj probes={} seeks={} vs pt probes={}",
+                dj.gamma_probes,
+                dj.join_seeks,
+                pt.gamma_probes
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Cross-feature integration for the case-study programs: the apps must
 //! stay correct under every engine knob combination (lifetime hints,
-//! shared pools, strict validation).
+//! shared pools, strict validation, delta-join mode).
 
 use jstar_apps::pvwatts::{self, InputOrder, Variant};
 use jstar_apps::{matmul, median, shortest_path};
@@ -85,4 +85,68 @@ fn scaled_down_paper_workloads_run_in_parallel_without_error() {
     let data = Arc::new(median::gen_data(500_000, 8));
     let m = median::run_jstar(Arc::clone(&data), 16, EngineConfig::parallel(8)).unwrap();
     assert_eq!(m, median::median_by_sort(&data));
+}
+
+/// Runs `run` sequentially with the default delta-join threshold, with
+/// every class wide enough to batch (`delta_join_from(1)`) and with
+/// batching off (`delta_join_from(usize::MAX)`, the per-tuple reference),
+/// and asserts the three runs are one run.
+fn assert_join_free<T: PartialEq + std::fmt::Debug>(
+    name: &str,
+    program: &Program,
+    run: impl Fn(EngineConfig) -> (T, RunReport),
+) {
+    assert!(
+        program.rules().iter().all(|rule| rule.plan.is_none()),
+        "{name}: a rule carries a join plan"
+    );
+    let counters = |r: &RunReport| (r.steps, r.tuples_processed, r.gamma_probes);
+    let (want, reference) = run(EngineConfig::sequential().delta_join_from(usize::MAX));
+    for config in [
+        EngineConfig::sequential(),
+        EngineConfig::sequential().delta_join_from(1),
+    ] {
+        let (got, report) = run(config);
+        assert_eq!(got, want, "{name}");
+        assert_eq!(report.delta_join_classes, 0, "{name} batched a class");
+        assert_eq!(counters(&report), counters(&reference), "{name}");
+    }
+    assert_eq!(reference.delta_join_classes, 0, "{name}");
+}
+
+/// fig 8, 11, 12 and 13 have no join rule, so the batched delta-join mode
+/// can never engage on them: the scheduler's per-class check answers no
+/// for every class, and both modes run the same code to the same result
+/// and the same step, tuple and probe counts.
+#[test]
+fn join_free_apps_run_identically_in_both_modes() {
+    let csv = Arc::new(pvwatts::generate_csv(3_000, InputOrder::Chronological));
+    assert_join_free(
+        "pvwatts",
+        &pvwatts::build_program(Arc::clone(&csv), 2).program,
+        |config| pvwatts::run_jstar(Arc::clone(&csv), 2, Variant::HashStore, config).unwrap(),
+    );
+
+    let n = 24;
+    let a = Arc::new(matmul::gen_matrix(n, 3));
+    let b = Arc::new(matmul::gen_matrix(n, 4));
+    assert_join_free(
+        "matmul",
+        &matmul::build_program(n, Arc::clone(&a), Arc::clone(&b)).program,
+        |config| matmul::run_jstar_report(n, Arc::clone(&a), Arc::clone(&b), config).unwrap(),
+    );
+
+    let spec = shortest_path::GraphSpec::new(2_000, 2_000, 8, 7);
+    assert_join_free(
+        "shortest_path",
+        &shortest_path::build_program(spec).program,
+        |config| shortest_path::run_jstar_report(spec, config).unwrap(),
+    );
+
+    let data = Arc::new(median::gen_data(50_000, 6));
+    assert_join_free(
+        "median",
+        &median::build_program(data.len(), 8).program,
+        |config| median::run_jstar_report(Arc::clone(&data), 8, config).unwrap(),
+    );
 }

@@ -1,19 +1,19 @@
-//! Regenerates every table and figure of the paper's evaluation (§6).
+//! Regenerates the tables and figures of the paper's evaluation (§6).
 //!
 //! ```text
 //! cargo run --release -p jstar-bench --bin figures -- all
 //! cargo run --release -p jstar-bench --bin figures -- fig6 fig8 table1
-//! JSTAR_BENCH_SCALE=10 cargo run --release -p jstar-bench --bin figures -- fig12
 //! ```
 //!
-//! Output is Markdown, pasted into EXPERIMENTS.md.
+//! Output is Markdown. An unknown exhibit name lists the valid ones and
+//! exits with status 2.
 
 use jstar_apps::matmul;
 use jstar_apps::median;
 use jstar_apps::pvwatts::{DisruptorConfig, InputOrder, Variant};
 use jstar_apps::shortest_path;
 use jstar_bench::workloads::*;
-use jstar_bench::{print_table, scale, secs, speedups, thread_sweep, time_median};
+use jstar_bench::{print_table, secs, speedups, thread_sweep, time_median};
 use jstar_core::prelude::*;
 use jstar_disruptor::WaitStrategyKind;
 use std::sync::Arc;
@@ -21,171 +21,57 @@ use std::time::Duration;
 
 const RUNS: usize = 3;
 
+type Exhibit = (&'static str, fn());
+
+/// Every exhibit, in the order `all` prints them.
+const EXHIBITS: [Exhibit; 9] = [
+    ("fig6", fig6),
+    ("nodelta", nodelta),
+    ("fig8", fig8),
+    ("phases", phases),
+    ("table1", table1),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+];
+
+/// The exhibits the command line names, in [`EXHIBITS`] order; no
+/// argument or `all` names every one. An unknown name is an error that
+/// lists the valid ones.
+fn parse(args: &[String]) -> std::result::Result<Vec<Exhibit>, String> {
+    let known = |a: &String| a == "all" || EXHIBITS.iter().any(|(name, _)| a == name);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = EXHIBITS.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "unknown exhibit `{bad}`; valid: all {}",
+            names.join(" ")
+        ));
+    }
+    let all = args.is_empty() || args.iter().any(|a| a == "all");
+    Ok(EXHIBITS
+        .into_iter()
+        .filter(|(name, _)| all || args.iter().any(|a| a == name))
+        .collect())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| all || args.iter().any(|a| a == name);
+    let exhibits = parse(&args).unwrap_or_else(|msg| {
+        eprintln!("figures: {msg}");
+        std::process::exit(2)
+    });
 
-    println!("# JStar paper exhibits (scale = {})", scale());
+    println!("# JStar paper exhibits");
     println!(
         "\nMachine: {} hardware threads.",
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(0)
     );
-
-    if want("hotpath") {
-        hotpath();
+    for (_, exhibit) in exhibits {
+        exhibit();
     }
-    if want("fig6") {
-        fig6();
-    }
-    if want("nodelta") {
-        nodelta();
-    }
-    if want("fig8") {
-        fig8();
-    }
-    if want("phases") {
-        phases();
-    }
-    if want("table1") {
-        table1();
-    }
-    if want("fig10") {
-        fig10();
-    }
-    if want("fig11") {
-        fig11();
-    }
-    if want("fig12") {
-        fig12();
-    }
-    if want("fig13") {
-        fig13();
-    }
-}
-
-/// Hot-path profile: Delta throughput and the coordinator's drain/execute
-/// split per engine mode, from [`RunReport`]'s derived metrics. This is
-/// the exhibit that tracks the sharded-inbox pipeline across PRs (the
-/// BENCH_*.json trajectories) — a rising drain fraction means the
-/// coordinator is becoming the bottleneck again.
-fn hotpath() {
-    fn row(name: String, report: &jstar_core::engine::RunReport) -> Vec<String> {
-        let (drain_step, exec_step) = report.per_step();
-        let steps = report.steps.max(1) as f64;
-        let per_step_us = |d: std::time::Duration| d.as_nanos() as f64 / steps / 1000.0;
-        // Execution mode: how many popped classes took the batched
-        // delta-join pass instead of per-tuple firing, plus the Gamma
-        // probe counters the pass exists to shrink.
-        let exec_mode = if report.delta_join_classes > 0 {
-            format!("delta-join ({} classes)", report.delta_join_classes)
-        } else {
-            "per-tuple".into()
-        };
-        let cache_hit_rate = if report.index_cache_hits + report.index_cache_misses > 0 {
-            format!("{:.1}%", 100.0 * report.index_cache_hit_rate())
-        } else {
-            "-".into()
-        };
-        vec![
-            name,
-            report.steps.to_string(),
-            report.tuples_processed.to_string(),
-            format!("{:.0}", report.tuples_per_sec()),
-            format!("{:.1}%", 100.0 * report.drain_fraction()),
-            format!("{:.1}%", 100.0 * report.overlap_fraction()),
-            format!("{:.1}", drain_step.as_nanos() as f64 / 1000.0),
-            format!("{:.1}", per_step_us(report.partition_time)),
-            format!("{:.1}", per_step_us(report.merge_time)),
-            format!("{:.1}", per_step_us(report.overlap_time)),
-            format!("{:.1}", exec_step.as_nanos() as f64 / 1000.0),
-            format!("{}/{}", report.inline_classes, report.forked_classes),
-            exec_mode,
-            report.gamma_probes.to_string(),
-            report.join_seeks.to_string(),
-            report.join_cursor_opens.to_string(),
-            cache_hit_rate,
-            report.index_catchup_tuples.to_string(),
-        ]
-    }
-    let csv = pvwatts_csv(InputOrder::Chronological);
-    let mut rows = Vec::new();
-    let mut run = |name: String, threads: usize, config: EngineConfig| {
-        // record_steps also enables the drain/execute timers.
-        let (_, report) = jstar_apps::pvwatts::run_jstar(
-            Arc::clone(&csv),
-            threads.max(2),
-            jstar_apps::pvwatts::Variant::HashStore,
-            config.record_steps(),
-        )
-        .expect("pvwatts runs");
-        rows.push(row(name, &report));
-    };
-    run("pvwatts sequential".into(), 1, EngineConfig::sequential());
-    for threads in [1usize, 4] {
-        run(
-            format!("pvwatts parallel({threads})"),
-            threads,
-            par_config(threads),
-        );
-    }
-    let spec = dijkstra_spec();
-    for threads in [1usize, 4] {
-        let (_, report) = shortest_path::run_jstar_report(spec, par_config(threads).record_steps())
-            .expect("dijkstra runs");
-        rows.push(row(format!("dijkstra parallel({threads})"), &report));
-    }
-    let threads = 4usize;
-    // Triangle counting in both execution modes: per-tuple nested-loop
-    // firing and the batched class on the leapfrog merged-cursor walk.
-    // The gamma probe / join seek / cursor-open columns put the
-    // search-count reduction on record.
-    let tri_spec = triangles_spec();
-    let (_, report) = jstar_apps::triangles::run_jstar_report(
-        tri_spec,
-        par_config(threads)
-            .delta_join_from(usize::MAX)
-            .record_steps(),
-    )
-    .expect("triangles runs");
-    rows.push(row(
-        format!("triangles parallel({threads}) per-tuple"),
-        &report,
-    ));
-    let (_, report) =
-        jstar_apps::triangles::run_jstar_report(tri_spec, par_config(threads).record_steps())
-            .expect("triangles runs");
-    rows.push(row(
-        format!("triangles parallel({threads}) delta-join"),
-        &report,
-    ));
-    print_table(
-        "Hot path — Delta throughput, coordinator drain/execute split, overlap and \
-         execution mode (PvWatts hash store; Dijkstra; Triangles)",
-        &[
-            "engine",
-            "steps",
-            "tuples",
-            "tuples/sec",
-            "drain share",
-            "overlap share",
-            "drain µs/step",
-            "partition µs/step",
-            "merge µs/step",
-            "overlap µs/step",
-            "execute µs/step",
-            "inline/forked classes",
-            "exec mode",
-            "gamma probes",
-            "join seeks",
-            "cursor opens",
-            "cache hit rate",
-            "catchup tuples",
-        ],
-        &rows,
-    );
 }
 
 /// Fig. 6: absolute sequential speed, JStar vs hand-coded baselines.
@@ -206,7 +92,7 @@ fn fig6() {
     ]);
 
     // MatrixMult: JStar vs naive ijk vs transposed.
-    let n = matmul_n();
+    let n = MATMUL_N;
     let a = Arc::new(matmul::gen_matrix(n, 11));
     let b = Arc::new(matmul::gen_matrix(n, 22));
     let jstar = time_median(RUNS, || run_matmul(n, &a, &b, EngineConfig::sequential()));
@@ -238,7 +124,7 @@ fn fig6() {
     ]);
 
     // Median: JStar (iterative partition) vs full sort vs quickselect.
-    let data = Arc::new(median::gen_data(median_len(), 1234));
+    let data = Arc::new(median::gen_data(MEDIAN_LEN, 1234));
     let jstar = time_median(RUNS, || run_median(&data, 12, EngineConfig::sequential()));
     let sort = time_median(RUNS, || {
         jstar_bench::time_once(|| median::median_by_sort(&data)).1
@@ -464,7 +350,7 @@ fn fig10() {
 
 /// Fig. 11: MatrixMult speedup vs pool size.
 fn fig11() {
-    let n = matmul_n();
+    let n = MATMUL_N;
     let a = Arc::new(matmul::gen_matrix(n, 11));
     let b = Arc::new(matmul::gen_matrix(n, 22));
     let sweep = thread_sweep();
@@ -516,7 +402,7 @@ fn fig12() {
 
 /// Fig. 13: Median speedup vs pool size.
 fn fig13() {
-    let data = Arc::new(median::gen_data(median_len(), 99));
+    let data = Arc::new(median::gen_data(MEDIAN_LEN, 99));
     let sweep = thread_sweep();
     let times: Vec<Duration> = sweep
         .iter()
@@ -540,4 +426,25 @@ fn fig13() {
         &["threads", "time (s)", "relative speedup"],
         &rows,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(args: &[&str]) -> std::result::Result<Vec<&'static str>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse(&args).map(|exhibits| exhibits.into_iter().map(|(name, _)| name).collect())
+    }
+
+    #[test]
+    fn parse_selects_known_exhibits_and_rejects_unknown_ones() {
+        let every: Vec<&str> = EXHIBITS.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names(&[]).unwrap(), every);
+        assert_eq!(names(&["all"]).unwrap(), every);
+        assert_eq!(names(&["fig12", "fig8"]).unwrap(), ["fig8", "fig12"]);
+        let err = names(&["fig8", "fig7"]).unwrap_err();
+        assert!(err.contains("`fig7`") && err.contains("fig13"), "{err}");
+        assert!(names(&["hotpath"]).is_err());
+    }
 }

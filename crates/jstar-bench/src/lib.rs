@@ -1,10 +1,12 @@
-//! # jstar-bench — harness regenerating the paper's evaluation
+//! # jstar-bench — the paper's evaluation, regenerated
 //!
-//! Every table and figure of §6 has (a) a Criterion bench under
-//! `benches/` (CI-scaled workloads) and (b) an entry in the `figures`
-//! binary (`cargo run --release -p jstar-bench --bin figures -- all`),
-//! which prints the same rows/series the paper reports and is the source
-//! of the numbers in `EXPERIMENTS.md`.
+//! Two binaries. `spine` is the repository's benchmark: five paper
+//! workloads with end-to-end and per-layer metrics (`spine bench`,
+//! `spine trace`, `spine compare`; see its README). `figures`
+//! (`cargo run --release -p jstar-bench --bin figures -- all`) prints the
+//! rows and series of the paper's §6 tables and figures, including the
+//! exhibits that have no `spine` workload (fig 6, fig 10 / table 1,
+//! fig 13). `tests/perf_gates.rs` holds the two timing gates CI runs.
 //!
 //! Absolute numbers cannot match the paper (different machine, Rust vs
 //! JVM, synthetic input); the *shape* is what is reproduced: who wins each
@@ -12,26 +14,10 @@
 //! scaling (Fig. 8), near-linear MatrixMult scaling (Fig. 11), mediocre
 //! Dijkstra scaling (Fig. 12), and good-then-gradual Median scaling
 //! (Fig. 13).
-//!
-//! Workload sizes scale with the `JSTAR_BENCH_SCALE` environment variable
-//! (default 1.0; the paper's full sizes correspond to roughly 100).
 
 use std::time::{Duration, Instant};
 
 pub mod workloads;
-
-/// Global workload scale factor (`JSTAR_BENCH_SCALE`, default 1).
-pub fn scale() -> f64 {
-    std::env::var("JSTAR_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0)
-}
-
-/// Scales a base count, keeping at least `min`.
-pub fn scaled(base: usize, min: usize) -> usize {
-    ((base as f64 * scale()) as usize).max(min)
-}
 
 /// The fork/join pool sizes swept by the speedup figures, capped at the
 /// machine's parallelism (the paper sweeps 1..8 on the Xeon W5590 and
@@ -91,11 +77,6 @@ pub fn speedups(times: &[Duration]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn scaled_respects_minimum() {
-        assert!(scaled(100, 10) >= 10);
-    }
 
     #[test]
     fn thread_sweep_starts_at_one() {

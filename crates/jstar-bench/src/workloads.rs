@@ -1,50 +1,32 @@
-//! Shared workload builders and measured runners, used by both the
-//! Criterion benches and the `figures` binary so that every exhibit runs
-//! exactly the same code.
+//! Workload builders and measured runners shared by the `figures`
+//! exhibits and the timing gates in `tests/perf_gates.rs`.
 
-use crate::{scaled, time_once};
+use crate::time_once;
 use jstar_apps::matmul;
 use jstar_apps::median;
 use jstar_apps::pvwatts::{self, DisruptorConfig, InputOrder, Variant};
 use jstar_apps::shortest_path::{self, GraphSpec};
-use jstar_apps::triangles::{self, TriSpec};
 use jstar_core::prelude::*;
 use jstar_pool::ThreadPool;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// PvWatts CSV at the harness scale. Scale 1 ≈ 87,600 records (1 % of the
-/// paper's 8,760,000); scale 100 = the paper's full size.
+/// PvWatts CSV: 87,600 records, 1 % of the paper's 8,760,000.
 pub fn pvwatts_csv(order: InputOrder) -> Arc<Vec<u8>> {
-    Arc::new(pvwatts::generate_csv(scaled(87_600, 8_760), order))
+    Arc::new(pvwatts::generate_csv(87_600, order))
 }
 
-/// MatrixMult dimension. Scale 1 → N=400 (paper's N=1000 ≈ scale 16,
-/// since cost grows as N³).
-pub fn matmul_n() -> usize {
-    (400.0 * crate::scale().cbrt()) as usize
-}
+/// MatrixMult dimension N = 400 (the paper's N = 1000 costs 15.6× as
+/// much, since cost grows as N³).
+pub const MATMUL_N: usize = 400;
 
-/// Dijkstra graph spec. Scale 1 → 50k vertices / 100k edges (paper: 1M/2M
-/// at scale 20).
+/// Dijkstra graph spec: 50k vertices / 100k edges (paper: 1M / 2M).
 pub fn dijkstra_spec() -> GraphSpec {
-    let n = scaled(50_000, 1_000) as u32;
-    GraphSpec::new(n, n, 24, 0xD1785)
+    GraphSpec::new(50_000, 50_000, 24, 0xD1785)
 }
 
-/// Median array length. Scale 1 → 10M doubles (paper: 100M at scale 10).
-pub fn median_len() -> usize {
-    scaled(10_000_000, 10_000)
-}
-
-/// Triangle-counting graph spec (the delta-join exhibit). Scale 1 →
-/// 20k vertices, ~80k undirected edges; the `Probe` and `Wedge` strata
-/// pop as single wide classes, so this is the workload where batched
-/// delta-join execution shows up directly in the Gamma probe counters.
-pub fn triangles_spec() -> TriSpec {
-    let n = scaled(20_000, 500) as u32;
-    TriSpec::new(n, 4 * n, 24, 0x7A1A)
-}
+/// Median array length: 10M doubles (paper: 100M).
+pub const MEDIAN_LEN: usize = 10_000_000;
 
 /// Runs PvWatts under a variant/engine config; returns wall time.
 pub fn run_pvwatts(
@@ -92,13 +74,6 @@ pub fn run_matmul(
 pub fn run_dijkstra(spec: GraphSpec, config: EngineConfig) -> Duration {
     let (dist, d) = time_once(|| shortest_path::run_jstar(spec, config).expect("dijkstra runs"));
     assert_eq!(dist[0], 0);
-    d
-}
-
-/// Runs JStar triangle counting; returns wall time.
-pub fn run_triangles(spec: TriSpec, config: EngineConfig) -> Duration {
-    let (count, d) = time_once(|| triangles::run_jstar(spec, config).expect("triangles runs"));
-    assert!(count > 0, "the bench graph must contain triangles");
     d
 }
 
@@ -213,15 +188,11 @@ pub fn amdahl(serial_fraction: f64, workers: usize) -> f64 {
     1.0 / (serial_fraction + (1.0 - serial_fraction) / workers as f64)
 }
 
-/// A shared pool for sweeps, rebuilt per thread count.
-pub fn pool_of(threads: usize) -> Arc<ThreadPool> {
-    Arc::new(ThreadPool::new(threads))
-}
-
-/// Parallel engine config on a shared pool.
+/// Parallel engine config on a pool of its own; clones of it share that
+/// pool, so repeated runs never pay pool spin-up.
 pub fn par_config(threads: usize) -> EngineConfig {
     let mut c = EngineConfig::parallel(threads);
-    c.pool = Some(pool_of(threads));
+    c.pool = Some(Arc::new(ThreadPool::new(threads)));
     c
 }
 
@@ -262,7 +233,6 @@ mod tests {
         let b = Arc::new(matmul::gen_matrix(n, 2));
         run_matmul(n, &a, &b, EngineConfig::sequential());
         run_dijkstra(GraphSpec::new(200, 200, 4, 1), EngineConfig::sequential());
-        run_triangles(TriSpec::new(100, 400, 4, 1), EngineConfig::sequential());
         let data = Arc::new(median::gen_data(1_000, 1));
         run_median(&data, 4, EngineConfig::sequential());
     }

@@ -135,9 +135,12 @@
 //! `tests/prop_engine.rs::delta_join_matches_per_tuple`).
 //! [`RunReport::delta_join_classes`],
 //! [`RunReport::delta_join_build_tuples`], [`RunReport::gamma_probes`]
-//! and [`RunReport::join_seeks`] put the search-count reduction on record;
-//! `bench_hotpath`'s `delta_join` section A/B-measures it and gates
-//! that the mode costs nothing on join-free programs.
+//! and [`RunReport::join_seeks`] put the search-count reduction on record.
+//! Two `jstar-apps` tests guard it: `triangles.rs`'s
+//! `delta_join_and_per_tuple_agree_and_counters_move` checks at 1, 2 and
+//! 4 threads that the batched walk searches less than per-tuple firing,
+//! and `apps_integration.rs`'s `join_free_apps_run_identically_in_both_modes`
+//! that join-free programs never batch and run the same in both modes.
 //!
 //! ## The index-cache lifecycle
 //!
