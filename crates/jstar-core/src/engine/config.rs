@@ -27,10 +27,6 @@ pub struct EngineConfig {
     pub no_gamma: Vec<TableId>,
     /// Per-table store overrides (the paper's data-structure hints).
     pub stores: HashMap<TableId, StoreKind>,
-    /// Check field types on every put (cheap; on by default).
-    pub type_check: bool,
-    /// Check the Law of Causality on every put (on by default; §4).
-    pub enforce_causality: bool,
     /// Record a per-step log for parallelism profiling.
     pub record_steps: bool,
     /// Abort after this many steps — a guard for accidentally non-causal
@@ -42,7 +38,8 @@ pub struct EngineConfig {
     /// every `interval` steps the engine drops tuples the hook rejects
     /// from the table's Gamma store. "We simply retain all tuples, or use
     /// manual lifetime hints from the user to determine when tuples can
-    /// be discarded."
+    /// be discarded." A store the hook leaves more than half tombstones
+    /// is then compacted.
     pub lifetime_hints: Vec<(TableId, u64, LifetimeHint)>,
     /// Classes of at most this many tuples execute inline on the
     /// coordinator instead of being forked to the pool. A class that
@@ -57,12 +54,6 @@ pub struct EngineConfig {
     /// sequential insert loop, whose per-tuple cost is below the
     /// fork/join round trip at that size. Ignored in sequential mode.
     pub parallel_merge_threshold: usize,
-    /// Quiescent-point store compaction threshold: at the coordinator's
-    /// maintain phase (right after lifetime hints run), a hinted table
-    /// whose store reports more than this fraction of tombstoned slots
-    /// is rebuilt, physically reclaiming the memory that `retain` only
-    /// logically discarded. Values ≥ 1.0 disable compaction.
-    pub compact_tombstones_above: f64,
     /// Write a checkpoint every this many steps (0 — the default —
     /// disables checkpointing). Requires [`EngineConfig::checkpoint_path`];
     /// see [`crate::persist`] for the policy guidance and on-disk
@@ -79,18 +70,6 @@ pub struct EngineConfig {
     /// (default 2 — the newest plus one fallback in case the newest is
     /// torn or corrupted). 0 is treated as 1.
     pub checkpoint_keep: usize,
-    /// Minimum extracted-class size at which rules carrying a
-    /// [`crate::rule::JoinPlan`] switch from per-tuple firing to
-    /// **delta-join** execution: the class is sorted by its join-key
-    /// values and walked against one Gamma column view per stage instead
-    /// of probing once per tuple (semi-naive evaluation with the class
-    /// as the delta).
-    /// Below the threshold the batching bookkeeping costs more than the
-    /// probes it saves. `usize::MAX` disables delta-join entirely;
-    /// opaque (closure-body) rules always run per tuple regardless.
-    /// Results are identical in both modes — set semantics and the Law
-    /// of Causality make intra-class execution order unobservable.
-    pub delta_join_threshold: usize,
 }
 
 impl Default for EngineConfig {
@@ -103,19 +82,15 @@ impl Default for EngineConfig {
             no_delta: Vec::new(),
             no_gamma: Vec::new(),
             stores: HashMap::new(),
-            type_check: true,
-            enforce_causality: true,
             record_steps: false,
             max_steps: None,
             pool: None,
             lifetime_hints: Vec::new(),
             inline_class_threshold: 4,
             parallel_merge_threshold: 1024,
-            compact_tombstones_above: 0.5,
             checkpoint_every: 0,
             checkpoint_path: None,
             checkpoint_keep: 2,
-            delta_join_threshold: 32,
         }
     }
 }
@@ -185,13 +160,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the tombstone fraction above which hinted tables are
-    /// compacted at the maintain phase; pass a value ≥ 1.0 to disable.
-    pub fn compact_tombstones_above(mut self, fraction: f64) -> Self {
-        self.compact_tombstones_above = fraction;
-        self
-    }
-
     /// Enables periodic checkpointing: every `every` steps (0 disables)
     /// a snapshot is written atomically into `dir` as
     /// `ckpt-<seq>.jsnap`, keeping the newest
@@ -208,15 +176,6 @@ impl EngineConfig {
     /// as 1).
     pub fn checkpoint_keep(mut self, keep: usize) -> Self {
         self.checkpoint_keep = keep;
-        self
-    }
-
-    /// Sets the class size at which join-plan rules switch to batched
-    /// delta-join execution; `usize::MAX` forces per-tuple firing
-    /// everywhere (the A/B knob the benches use). See
-    /// [`EngineConfig::delta_join_threshold`].
-    pub fn delta_join_from(mut self, class_size: usize) -> Self {
-        self.delta_join_threshold = class_size;
         self
     }
 

@@ -30,6 +30,11 @@ use super::runtime::{
 use super::schedule::{ClassPlan, Scheduler};
 use crate::error::JStarError;
 
+/// The maintain phase rebuilds a lifetime-hinted table whose store is
+/// more than this fraction tombstones, reclaiming the memory that
+/// `retain` only logically discarded.
+const COMPACT_TOMBSTONES_ABOVE: f64 = 0.5;
+
 /// A configured instance of a JStar program, ready to run.
 pub struct Engine {
     state: Arc<RunState>,
@@ -206,8 +211,6 @@ impl Engine {
             plans,
             no_delta,
             no_gamma,
-            type_check: config.type_check,
-            enforce_causality: config.enforce_causality,
             output: Mutex::new(Vec::new()),
             errors: Mutex::new(Vec::new()),
             stats: EngineStats::new(n, workers + 1),
@@ -275,8 +278,8 @@ impl Engine {
                     .any(|&ri| state.program.rules()[ri].plan.is_some())
             })
             .collect();
-        let scheduler = Scheduler::new(self.config.inline_class_threshold)
-            .with_delta_join(self.config.delta_join_threshold, join_tables);
+        let scheduler =
+            Scheduler::new(self.config.inline_class_threshold).with_delta_join(join_tables);
         // Insert outcomes of the classes the coordinator runs inline.
         let mut class_outcomes = Vec::new();
         let mut steps: u64 = 0;
@@ -400,7 +403,7 @@ impl Engine {
                 }
                 let store = state.gamma.store(*table);
                 store.retain(&**keep);
-                if store.maybe_compact(self.config.compact_tombstones_above) {
+                if store.maybe_compact(COMPACT_TOMBSTONES_ABOVE) {
                     state.stats.tables[table.index()]
                         .compactions
                         .fetch_add(1, Ordering::Relaxed);

@@ -79,8 +79,8 @@
 //!   bit-identical to the sequential engine's (property-tested in
 //!   `tests/prop_engine.rs::sharded_parallel_matches_sequential`).
 //! * **Maintain** — the coordinator's single-threaded quiescent point:
-//!   tuple-lifetime hints run (§5 step 4), stores whose tombstone
-//!   fraction exceeds [`EngineConfig::compact_tombstones_above`] are
+//!   tuple-lifetime hints run (§5 step 4), hinted stores that are more
+//!   than half tombstones (`COMPACT_TOMBSTONES_ABOVE`) are
 //!   compacted ([`crate::gamma::TableStore::maybe_compact`]), and —
 //!   every [`EngineConfig::checkpoint_every`] steps — a checkpoint is
 //!   written atomically (the Delta tree is forced fully current
@@ -114,7 +114,7 @@
 //!   [`crate::rule::JoinPlan`] — registered through
 //!   `ProgramBuilder::rule_rel_join`, which records which trigger
 //!   fields equate to which probe-table fields — and the class has at
-//!   least [`EngineConfig::delta_join_threshold`] tuples, the whole
+//!   least `schedule::DELTA_JOIN_MIN_CLASS` (32) tuples, the whole
 //!   class is treated as the semi-naive *delta*: fresh tuples are
 //!   sorted by their join-key values and become the root of the one
 //!   N-ary leapfrog walk (`gamma::leapfrog`, which the read-side
@@ -138,9 +138,10 @@
 //! and [`RunReport::join_seeks`] put the search-count reduction on record.
 //! Two `jstar-apps` tests guard it: `triangles.rs`'s
 //! `delta_join_and_per_tuple_agree_and_counters_move` checks at 1, 2 and
-//! 4 threads that the batched walk searches less than per-tuple firing,
-//! and `apps_integration.rs`'s `join_free_apps_run_identically_in_both_modes`
-//! that join-free programs never batch and run the same in both modes.
+//! 4 threads that the batched walk searches less than an opaque
+//! nested-loop twin of its rule, and `apps_integration.rs`'s
+//! `join_free_apps_never_batch_a_class` that join-free programs never
+//! batch.
 //!
 //! ## The index-cache lifecycle
 //!

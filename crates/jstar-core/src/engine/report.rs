@@ -57,8 +57,8 @@ pub struct RunReport {
     /// [`super::EngineConfig::record_steps`], because checkpoints are
     /// rare enough that the two clock reads per checkpoint are free.
     pub checkpoint_time: Duration,
-    /// Classes executed in batched **delta-join** mode: the class
-    /// cleared [`super::EngineConfig::delta_join_threshold`] and its
+    /// Classes executed in batched **delta-join** mode: the class was
+    /// at least 32 tuples wide (`DELTA_JOIN_MIN_CLASS`) and its
     /// trigger table had at least one join-plan rule, so those rules
     /// ran as one sorted cursor walk instead of one probe per tuple.
     pub delta_join_classes: u64,
@@ -67,7 +67,7 @@ pub struct RunReport {
     pub delta_join_build_tuples: u64,
     /// Total Gamma queries issued by rule bodies across all tables —
     /// per-tuple probes and leapfrog cursor opens alike, so an A/B run
-    /// against `delta_join_from(usize::MAX)` shows the probe-count
+    /// against a nested-loop twin of a join rule shows the probe-count
     /// reduction directly.
     pub gamma_probes: u64,
     /// Galloping cursor repositionings performed by leapfrog join

@@ -124,8 +124,6 @@ pub(crate) struct RunState {
     pub(super) plans: Vec<QueryPlan>,
     pub(super) no_delta: Vec<bool>,
     pub(super) no_gamma: Vec<bool>,
-    pub(super) type_check: bool,
-    pub(super) enforce_causality: bool,
     pub(super) output: Mutex<Vec<String>>,
     pub(super) errors: Mutex<Vec<JStarError>>,
     pub(super) stats: EngineStats,
@@ -162,15 +160,13 @@ pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t:
     let puts = &state.stats.tables[ti].stripe(shard).puts;
     puts.fetch_add(1, Ordering::Relaxed); // ord: statistic, own stripe
 
-    if state.type_check {
-        if let Err(msg) = state.program.def(t.table()).type_check(t.fields()) {
-            state.record_error(JStarError::Type(msg));
-            return;
-        }
+    if let Err(msg) = state.program.def(t.table()).type_check(t.fields()) {
+        state.record_error(JStarError::Type(msg));
+        return;
     }
 
     let key = state.plans[ti].key_for(&t);
-    if state.enforce_causality && trigger_key.cmp(&key) == CmpOrdering::Greater {
+    if trigger_key.cmp(&key) == CmpOrdering::Greater {
         state.record_error(JStarError::CausalityViolation {
             rule: rule.to_string(),
             trigger_key: Box::new(trigger_key.clone()),

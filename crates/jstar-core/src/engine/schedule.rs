@@ -29,6 +29,11 @@
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
 
+/// Minimum class width for batched delta-join execution (the engine
+/// module's "Execution modes"). Below it the sort and the per-stage
+/// views cost more than the probes they save.
+pub(super) const DELTA_JOIN_MIN_CLASS: usize = 32;
+
 /// How one equivalence class should execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum ClassPlan {
@@ -45,10 +50,6 @@ pub(super) struct Scheduler {
     /// Classes at or below this width run inline (see
     /// [`super::EngineConfig::inline_class_threshold`]).
     inline_threshold: usize,
-    /// Minimum class size for batched delta-join execution (see
-    /// [`super::EngineConfig::delta_join_threshold`]); `usize::MAX`
-    /// until [`Scheduler::with_delta_join`] arms it.
-    delta_join_threshold: usize,
     /// Per-table flag: does any rule triggered by this table carry a
     /// [`crate::rule::JoinPlan`]? Tables without one never take the
     /// delta-join arm, whatever the class size.
@@ -59,30 +60,28 @@ impl Scheduler {
     pub(super) fn new(inline_threshold: usize) -> Scheduler {
         Scheduler {
             inline_threshold: inline_threshold.max(1),
-            delta_join_threshold: usize::MAX,
             join_tables: Vec::new(),
         }
     }
 
-    /// Arms delta-join mode: classes of at least `threshold` tuples
-    /// whose (uniform) trigger table has a join-plan rule execute as
-    /// one batched Gamma pass.
-    pub(super) fn with_delta_join(mut self, threshold: usize, join_tables: Vec<bool>) -> Scheduler {
-        self.delta_join_threshold = threshold;
+    /// Arms delta-join mode: classes of at least
+    /// [`DELTA_JOIN_MIN_CLASS`] tuples whose (uniform) trigger table has
+    /// a join-plan rule execute as one batched Gamma pass.
+    pub(super) fn with_delta_join(mut self, join_tables: Vec<bool>) -> Scheduler {
         self.join_tables = join_tables;
         self
     }
 
     /// True when `class` should execute in batched delta-join mode:
-    /// it clears the threshold, is uniform over one table, and that
-    /// table triggers at least one join-plan rule. Mixed-table classes
+    /// it is at least [`DELTA_JOIN_MIN_CLASS`] wide, is uniform over one
+    /// table, and that table triggers at least one join-plan rule. Mixed-table classes
     /// (one order key spanning tables) always take the per-tuple path —
     /// correctness never depends on this answer, only probe counts.
     pub(super) fn delta_join(&self, class: &[Tuple]) -> bool {
         let Some(first) = class.first() else {
             return false;
         };
-        class.len() >= self.delta_join_threshold
+        class.len() >= DELTA_JOIN_MIN_CLASS
             && self
                 .join_tables
                 .get(first.table().index())
@@ -149,17 +148,17 @@ mod tests {
         use crate::schema::TableId;
         use crate::value::Value;
         let row = |ti: u32, v: i64| Tuple::new(TableId(ti), vec![Value::Int(v)]);
+        let rows = |ti| -> Vec<Tuple> { (0..32).map(|v| row(ti, v)).collect() };
         // Table 0 has a join-plan rule, table 1 does not.
-        let s = Scheduler::new(4).with_delta_join(3, vec![true, false]);
-        let wide: Vec<Tuple> = (0..3).map(|v| row(0, v)).collect();
+        let s = Scheduler::new(4).with_delta_join(vec![true, false]);
+        let wide = rows(0);
         assert!(s.delta_join(&wide));
-        assert!(!s.delta_join(&wide[..2]), "below threshold");
-        let other: Vec<Tuple> = (0..3).map(|v| row(1, v)).collect();
-        assert!(!s.delta_join(&other), "no join-plan rule on that table");
-        let mixed = vec![row(0, 0), row(0, 1), row(1, 2)];
+        assert!(!s.delta_join(&wide[1..]), "below threshold");
+        assert!(!s.delta_join(&rows(1)), "no join-plan rule on that table");
+        let mixed = [&wide[1..], &[row(1, 0)]].concat();
         assert!(!s.delta_join(&mixed), "mixed-table classes stay per-tuple");
         assert!(!s.delta_join(&[]), "empty class");
-        // Unarmed scheduler (usize::MAX threshold) never batches.
+        // An unarmed scheduler (no join tables) never batches.
         assert!(!Scheduler::new(4).delta_join(&wide));
     }
 }

@@ -289,7 +289,6 @@ fn lifetime_hints_trigger_quiescent_compaction() {
     p.put(Tuple::new(t, vec![Value::Int(0)]));
     let prog = Arc::new(p.build().unwrap());
     let config = EngineConfig::parallel(2)
-        .compact_tombstones_above(0.3)
         .lifetime_hint(prog.table_id("T").unwrap(), 10, |t| t.int(0) >= 190);
     let mut eng = Engine::new(Arc::clone(&prog), config);
     eng.run().unwrap();
@@ -304,22 +303,37 @@ fn lifetime_hints_trigger_quiescent_compaction() {
 }
 
 #[test]
-fn compaction_disabled_above_one() {
-    let mut p = ProgramBuilder::new();
-    let t = p.table("T", |b| b.col_int("i").orderby(&[seq("i")]));
-    p.rule("advance", t, move |ctx, tr| {
-        if tr.int(0) < 100 {
-            ctx.put(Tuple::new(t, vec![Value::Int(tr.int(0) + 1)]));
+fn compaction_runs_only_above_half_tombstones() {
+    // One 100-wide class fills T, then a hint drops the rows below
+    // `cut`: 49 tombstones of 100 slots stay, 51 compact. Either way
+    // the parallel engine keeps the sequential engine's rows.
+    let run = |cut: i64, config: EngineConfig| {
+        let mut p = ProgramBuilder::new();
+        let t = p.table("T", |b| b.col_int("i").orderby(&[strat("Int")]));
+        for i in 0..100 {
+            p.put(Tuple::new(t, vec![Value::Int(i)]));
         }
-    });
-    p.put(Tuple::new(t, vec![Value::Int(0)]));
-    let prog = Arc::new(p.build().unwrap());
-    let config = EngineConfig::parallel(2)
-        .compact_tombstones_above(1.0)
-        .lifetime_hint(prog.table_id("T").unwrap(), 5, |t| t.int(0) >= 95);
-    let mut eng = Engine::new(Arc::clone(&prog), config);
-    eng.run().unwrap();
-    assert_eq!(eng.stats().tables[0].snapshot().compactions, 0);
+        let prog = Arc::new(p.build().unwrap());
+        let mut eng = Engine::new(
+            Arc::clone(&prog),
+            config.lifetime_hint(t, 1, move |r| r.int(0) >= cut),
+        );
+        eng.run().unwrap();
+        let mut rows = eng.gamma().collect(&Query::on(t));
+        rows.sort();
+        (rows, eng.stats().tables[0].snapshot().compactions)
+    };
+    for (cut, compacts) in [(49, false), (51, true)] {
+        let (want, _) = run(cut, EngineConfig::sequential());
+        assert_eq!(want.len(), 100 - cut as usize);
+        let (got, compactions) = run(cut, EngineConfig::parallel(2));
+        assert_eq!(got, want, "cut {cut}");
+        assert_eq!(
+            compactions > 0,
+            compacts,
+            "cut {cut}: {compactions} compactions"
+        );
+    }
 }
 
 #[test]

@@ -239,10 +239,10 @@ impl ProgramBuilder {
     /// synthesized per-tuple body. That shape is what lets the engine
     /// execute a whole extracted class as **one batched join** against
     /// Gamma (sorting the class by its join-key values and walking it
-    /// against a column cursor per stage) when the class clears
-    /// [`crate::engine::EngineConfig::delta_join_threshold`]; below the
-    /// threshold, wherever batching is disabled, or when `on` names no
-    /// key pair (a cross join), the per-tuple body runs instead. Both
+    /// against a column cursor per stage) when the class is at least 32
+    /// tuples wide (`DELTA_JOIN_MIN_CLASS` in the engine's scheduler);
+    /// below that width, or when `on` names no key pair (a cross join),
+    /// the per-tuple body runs instead. Both
     /// paths are built from the same plan parts, so they emit identical
     /// tuples.
     ///

@@ -26,8 +26,8 @@
 //! * **rule-side**: [`crate::program::ProgramBuilder::rule_rel_join`]
 //!   and `rule_rel_join2`, whose inspectable plans feed the same walk
 //!   — the sorted delta as its root — when a wide class executes as a
-//!   batched delta-join
-//!   (see [`crate::engine::EngineConfig::delta_join_threshold`]).
+//!   batched delta-join (a class of at least 32 tuples,
+//!   `DELTA_JOIN_MIN_CLASS` in the engine's scheduler).
 //!
 //! **The variable order is fixed, never optimized.** Relations
 //! intersect in the order the builder declares them, each keyed on the

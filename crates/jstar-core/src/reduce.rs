@@ -203,16 +203,10 @@ pub fn reduce_seq<R: Reducer>(reducer: &R, tuples: &[Tuple]) -> R::Acc {
 /// parallel, partials merged with `combine` — §5.2's "tree-based pass to
 /// combine the final reducer results".
 pub fn reduce_par<R: Reducer>(pool: &ThreadPool, reducer: &R, tuples: &[Tuple]) -> R::Acc {
-    let partials = jstar_pool::parallel_chunks(pool, tuples, 0, |chunk, _| {
-        let mut acc = reducer.identity();
-        for t in chunk {
-            reducer.accept(&mut acc, t);
-        }
-        acc
-    });
-    partials
-        .into_iter()
-        .fold(reducer.identity(), |a, b| reducer.combine(a, b))
+    let fold_chunk = |chunk: &[Tuple]| reduce_seq(reducer, chunk);
+    jstar_pool::parallel_reduce(pool, tuples, 0, reducer.identity(), fold_chunk, |a, b| {
+        reducer.combine(a, b)
+    })
 }
 
 /// Inclusive scan (prefix reduction) with an associative operator.

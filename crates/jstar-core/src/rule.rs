@@ -72,11 +72,11 @@ impl JoinStage {
 /// order (no cost-based optimizer).
 ///
 /// The engine uses the shape to switch a whole extracted class to
-/// **delta-join execution** when the class clears
-/// [`crate::engine::EngineConfig::delta_join_threshold`]: one
+/// **delta-join execution** when the class is at least 32 tuples wide
+/// (`DELTA_JOIN_MIN_CLASS` in the engine's scheduler): one
 /// coordinated leapfrog walk over sorted column cursors per class
 /// instead of one indexed probe per tuple. The synthesized per-tuple
-/// body remains the fallback below the threshold — and for a plan with
+/// body remains the fallback below that width — and for a plan with
 /// a keyless stage (a cross join), which gives a cursor nothing to seek
 /// on — and both modes produce the same emissions.
 pub struct JoinPlan {

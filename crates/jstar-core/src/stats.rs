@@ -46,9 +46,9 @@ pub struct TableStats {
     /// Tuples accepted into the Delta tree (after dedup).
     pub delta_inserts: AtomicU64,
     /// Quiescent-point store compactions (tombstoned reservation slots
-    /// physically reclaimed after lifetime hints pushed the table's
-    /// tombstone fraction over
-    /// [`crate::engine::EngineConfig::compact_tombstones_above`]).
+    /// physically reclaimed after lifetime hints left the table more
+    /// than half tombstones — `COMPACT_TOMBSTONES_ABOVE` in the engine's
+    /// coordinator).
     pub compactions: AtomicU64,
 }
 
@@ -145,9 +145,9 @@ pub struct EngineStats {
     pub inline_classes: AtomicU64,
     /// Classes fanned out to the fork/join pool.
     pub forked_classes: AtomicU64,
-    /// Classes executed in batched delta-join mode (class size cleared
-    /// [`crate::engine::EngineConfig::delta_join_threshold`] and the
-    /// trigger table had a join-plan rule).
+    /// Classes executed in batched delta-join mode (the class was at
+    /// least `DELTA_JOIN_MIN_CLASS` = 32 tuples of one table, and that
+    /// table had a join-plan rule).
     pub delta_join_classes: AtomicU64,
     /// Trigger tuples folded into delta-join build tables (the delta
     /// side of the semi-naive join).

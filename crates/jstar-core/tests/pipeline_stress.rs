@@ -163,10 +163,7 @@ fn pipelining_composes_with_lifetime_hints_and_compaction() {
     // engine's under the same hint.
     let prog = fanout_program(5, 300, 30, 3);
     let table = prog.table_id("T").unwrap();
-    let configure = |c: EngineConfig| {
-        c.compact_tombstones_above(0.2)
-            .lifetime_hint(table, 7, |t| t.int(0) >= 20)
-    };
+    let configure = |c: EngineConfig| c.lifetime_hint(table, 7, |t| t.int(0) >= 20);
 
     let mut seq_eng = Engine::new(Arc::clone(&prog), configure(EngineConfig::sequential()));
     seq_eng.run().unwrap();

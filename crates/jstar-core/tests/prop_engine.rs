@@ -160,32 +160,51 @@ fn relaxation_program(n: i64, degree: i64, weight_mod: i64) -> Arc<Program> {
 /// * `Mid ⋈ Dim` on the derived key feeds `Out`;
 /// * an *opaque* rule also triggers on `Src`, so delta-join classes mix
 ///   planned and per-tuple rule execution in one pop.
-fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64) -> Arc<Program> {
+///
+/// `nested_loop` builds both joins as hand-written opaque rules, two
+/// `ctx.query_rel` loops invisible to every join optimisation: the
+/// per-tuple reference the planned lowering must match.
+fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: bool) -> Arc<Program> {
     let mut p = ProgramBuilder::new();
     p.relation::<Dim>();
     p.relation::<Src>();
     p.relation::<Mid>();
     p.relation::<Out>();
     p.order(&["Dim", "Src", "Mid", "Out"]);
-    p.rule_rel_join(
-        "stage1",
-        JoinOn::new().eq(Src::k, Dim::k),
-        move |s: &Src, d: &Dim| (s.v + d.w).rem_euclid(filt) != 0,
-        move |ctx, s: &Src, d: &Dim| {
-            ctx.put_rel(Mid {
-                k2: (s.v * 3 + d.w).rem_euclid(key_mod),
-                s: s.v + d.w,
-            });
-        },
-    );
-    p.rule_rel_join(
-        "stage2",
-        JoinOn::new().eq(Mid::k2, Dim::k),
-        |_m: &Mid, _d: &Dim| true,
-        |ctx, m: &Mid, d: &Dim| {
-            ctx.put_rel(Out { a: m.s, b: d.w });
-        },
-    );
+    let keep = move |s: &Src, d: &Dim| (s.v + d.w).rem_euclid(filt) != 0;
+    let mid = move |s: &Src, d: &Dim| Mid {
+        k2: (s.v * 3 + d.w).rem_euclid(key_mod),
+        s: s.v + d.w,
+    };
+    if nested_loop {
+        p.rule_rel("stage1-nested", move |ctx, s: Src| {
+            for d in ctx.query_rel(Dim::query().eq(Dim::k, s.k)) {
+                if keep(&s, &d) {
+                    ctx.put_rel(mid(&s, &d));
+                }
+            }
+        });
+        p.rule_rel("stage2-nested", |ctx, m: Mid| {
+            for d in ctx.query_rel(Dim::query().eq(Dim::k, m.k2)) {
+                ctx.put_rel(Out { a: m.s, b: d.w });
+            }
+        });
+    } else {
+        p.rule_rel_join(
+            "stage1",
+            JoinOn::new().eq(Src::k, Dim::k),
+            keep,
+            move |ctx, s: &Src, d: &Dim| ctx.put_rel(mid(s, d)),
+        );
+        p.rule_rel_join(
+            "stage2",
+            JoinOn::new().eq(Mid::k2, Dim::k),
+            |_m: &Mid, _d: &Dim| true,
+            |ctx, m: &Mid, d: &Dim| {
+                ctx.put_rel(Out { a: m.s, b: d.w });
+            },
+        );
+    }
     p.rule_rel("mirror", |ctx, s: Src| {
         ctx.put_rel(Out { a: s.v, b: -1 });
     });
@@ -202,6 +221,56 @@ fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64) -> Arc<Program> {
         });
     }
     Arc::new(p.build().unwrap())
+}
+
+/// How many of `widths` (the widths of classes whose table triggers a
+/// join-plan rule) reach the delta-join minimum of 32 tuples: the
+/// `delta_join_classes` a run must report.
+fn batched_classes(widths: &[usize]) -> u64 {
+    widths.iter().filter(|&&w| w >= 32).count() as u64
+}
+
+/// Runs `nested` sequentially as the reference, then `joined`
+/// sequentially, at `threads` threads, and at `threads` threads with
+/// every staged batch merged by the pool. Each run must reach the
+/// reference's Gamma and content hash with **bit-identical pop
+/// schedules** (same step and tuple counts), in as many delta-join
+/// classes as `batched` counts from the reference Gamma.
+fn assert_matches_nested_loop(
+    nested: &Arc<Program>,
+    joined: &Arc<Program>,
+    threads: usize,
+    batched: impl Fn(&[Tuple]) -> u64,
+) -> std::result::Result<(), TestCaseError> {
+    let run = |prog: &Arc<Program>, config| {
+        let mut eng = Engine::new(Arc::clone(prog), config);
+        let r = eng.run().unwrap();
+        let outcome = (
+            canonical_gamma(&eng),
+            eng.content_hash(),
+            r.steps,
+            r.tuples_processed,
+        );
+        (outcome, r.delta_join_classes, r.delta_join_build_tuples)
+    };
+    let (want, base_batched, _) = run(nested, EngineConfig::sequential());
+    prop_assert_eq!(base_batched, 0, "the nested loop has no plan to batch");
+    let classes = batched(&want.0);
+    let configs = [
+        EngineConfig::sequential(),
+        EngineConfig::parallel(threads),
+        EngineConfig::parallel(threads).parallel_merge_from(1),
+    ];
+    for (i, config) in configs.into_iter().enumerate() {
+        let (got, got_batched, build_tuples) = run(joined, config);
+        prop_assert_eq!(&got, &want, "lowerings diverged (config {})", i);
+        prop_assert_eq!(got_batched, classes, "delta-join classes (config {})", i);
+        prop_assert!(
+            build_tuples >= 32 * classes,
+            "each batched class is 32 wide"
+        );
+    }
+    Ok(())
 }
 
 /// A two-**stage** join program built in one of two lowerings that must
@@ -478,134 +547,49 @@ proptest! {
     }
 
     /// Semi-naive delta-join execution is a pure execution-strategy
-    /// change: for random two-stage join programs, the batched mode
-    /// (one grouped cursor walk per class) produces **bit-identical pop
-    /// schedules** to per-tuple firing — same step count, same tuple
-    /// count, same Gamma fixpoint, same content hash — sequentially and
-    /// at every thread count, with the opaque `mirror` rule riding in
-    /// the same trigger classes.
+    /// change: for random two-stage join programs, the planned lowering
+    /// — batched (one grouped cursor walk per class) once a trigger
+    /// class is 32 wide, per tuple below that — matches the hand-written
+    /// nested loops (see [`assert_matches_nested_loop`]), with the
+    /// opaque `mirror` rule riding in the same trigger classes.
     #[test]
     fn delta_join_matches_per_tuple(
         dims in 1i64..30,
-        srcs in 1i64..40,
+        srcs in 1i64..80,
         key_mod in 1i64..12,
         filt in 1i64..6,
         threads in 2usize..6,
-        threshold in 1usize..8,
     ) {
-        let prog = join_program(dims, srcs, key_mod, filt);
-
-        let mut base = Engine::new(
-            Arc::clone(&prog),
-            EngineConfig::sequential().delta_join_from(usize::MAX),
-        );
-        let base_report = base.run().unwrap();
-        prop_assert_eq!(base_report.delta_join_classes, 0, "per-tuple baseline");
-        let want = canonical_gamma(&base);
-        let want_hash = base.content_hash();
-
-        let configs = [
-            EngineConfig::sequential().delta_join_from(threshold),
-            EngineConfig::parallel(threads).delta_join_from(threshold),
-            EngineConfig::parallel(threads)
-                .parallel_merge_from(1)
-                .delta_join_from(threshold),
-        ];
-        for (i, config) in configs.into_iter().enumerate() {
-            let mut eng = Engine::new(Arc::clone(&prog), config);
-            let report = eng.run().unwrap();
-            let got = canonical_gamma(&eng);
-            prop_assert_eq!(&got, &want, "gamma contents diverged (config {})", i);
-            prop_assert_eq!(
-                report.steps,
-                base_report.steps,
-                "pop schedules diverged (config {})",
-                i
-            );
-            prop_assert_eq!(
-                report.tuples_processed,
-                base_report.tuples_processed,
-                "tuple counts diverged (config {})",
-                i
-            );
-            prop_assert_eq!(
-                eng.content_hash(),
-                want_hash,
-                "content hash diverged (config {})",
-                i
-            );
-            // The Src class is one wide equivalence class of `srcs`
-            // distinct tuples, so batching must engage whenever it
-            // clears the threshold.
-            if srcs as usize >= threshold {
-                prop_assert!(
-                    report.delta_join_classes > 0,
-                    "delta-join never engaged (config {}): {:?}",
-                    i,
-                    report
-                );
-                prop_assert!(report.delta_join_build_tuples >= srcs as u64);
-            }
-        }
+        let nested = join_program(dims, srcs, key_mod, filt, true);
+        let joined = join_program(dims, srcs, key_mod, filt, false);
+        // Src is one class of `srcs` distinct tuples, Mid one class of
+        // every Mid row; both trigger a join-plan rule.
+        let mid = joined.table_id("Mid").unwrap();
+        assert_matches_nested_loop(&nested, &joined, threads, |gamma| {
+            let mids = gamma.iter().filter(|t| t.table() == mid).count();
+            batched_classes(&[srcs as usize, mids])
+        })?;
     }
 
     /// `join()` lowering equivalence: for random two-stage join
     /// programs — stage 2 probing the stage-1 table again or a table of
     /// its own — the typed join-rule lowering (two-stage plan, batched
-    /// delta-join eligible) produces exactly the hand-written
-    /// nested-loop lowering's results — same Gamma fixpoint, same
-    /// content hash, and **bit-identical pop schedules** —
-    /// sequentially (per tuple and batched) and in parallel.
+    /// from a 32-wide `Src` class) matches the hand-written nested-loop
+    /// lowering (see [`assert_matches_nested_loop`]).
     #[test]
     fn typed_join_matches_nested_loop_lowering(
         dims in 1i64..25,
-        srcs in 1i64..30,
+        srcs in 1i64..80,
         key_mod in 1i64..10,
         filt in 1i64..6,
         threads in 2usize..6,
-        threshold in 1usize..8,
         asymmetric in any::<bool>(),
     ) {
         let nested = join2_program(dims, srcs, key_mod, filt, true, asymmetric);
         let joined = join2_program(dims, srcs, key_mod, filt, false, asymmetric);
-
-        let mut reference = Engine::new(Arc::clone(&nested), EngineConfig::sequential());
-        let ref_report = reference.run().unwrap();
-        let want = canonical_gamma(&reference);
-        let want_hash = reference.content_hash();
-
-        let configs = [
-            EngineConfig::sequential().delta_join_from(usize::MAX),
-            EngineConfig::sequential().delta_join_from(threshold),
-            EngineConfig::parallel(threads).delta_join_from(threshold),
-            EngineConfig::parallel(threads)
-                .parallel_merge_from(1)
-                .delta_join_from(threshold),
-        ];
-        for (i, config) in configs.into_iter().enumerate() {
-            let mut eng = Engine::new(Arc::clone(&joined), config);
-            let report = eng.run().unwrap();
-            let got = canonical_gamma(&eng);
-            prop_assert_eq!(&got, &want, "lowerings diverged (config {})", i);
-            prop_assert_eq!(
-                eng.content_hash(),
-                want_hash,
-                "content hash diverged from nested-loop lowering (config {})",
-                i
-            );
-            prop_assert_eq!(
-                report.steps,
-                ref_report.steps,
-                "pop schedules diverged from nested-loop lowering (config {})",
-                i
-            );
-            prop_assert_eq!(
-                report.tuples_processed,
-                ref_report.tuples_processed,
-                "tuple counts diverged from nested-loop lowering (config {})",
-                i
-            );
-        }
+        assert_matches_nested_loop(&nested, &joined, threads, |_| {
+            batched_classes(&[srcs as usize])
+        })?;
     }
 
     /// The generation-stamped index cache is a pure execution-strategy
@@ -616,31 +600,30 @@ proptest! {
     /// step count, same tuple count), the same Gamma fixpoint, the same
     /// content hash, and the same cursor-visible group sets as the
     /// `-sequential` engine, whose `BTreeStore` has no claim journal and
-    /// so builds every view cold, at 1/4/8 threads. The hint tombstones
-    /// (and, past the compaction threshold, epoch-bumps) the very table
-    /// whose cached views the join keeps reopening, so wholesale
-    /// invalidation and journal-suffix catch-up both run under live
-    /// traffic.
+    /// so builds every view cold, at 1/4/8 threads, batched from a
+    /// 32-wide trigger class and per tuple below it. The hint tombstones
+    /// more than half of — and so, through compaction, epoch-bumps —
+    /// the very table whose cached views the join keeps reopening, so
+    /// wholesale invalidation and journal-suffix catch-up both run under
+    /// live traffic.
     #[test]
     fn cached_index_matches_cold_build(
-        dims in 4i64..30,
-        srcs in 1i64..40,
+        dims in 8i64..30,
+        srcs in 1i64..80,
         key_mod in 1i64..12,
         filt in 1i64..6,
-        threshold in 1usize..8,
         threads_idx in 0usize..3,
-        hint_keep_mod in 2i64..5,
+        hint_keep_mod in 3i64..6,
     ) {
         let threads = [1usize, 4, 8][threads_idx];
-        let prog = join_program(dims, srcs, key_mod, filt);
+        let prog = join_program(dims, srcs, key_mod, filt, false);
         let dim = prog.table_id("Dim").unwrap();
         // Dim has no producing rules, so retaining away some of its
         // tuples mid-run is deterministic (nothing re-derives them) and
         // directly invalidates the cached views the join walks reopen.
+        // Keeping one `w` in `hint_keep_mod` of 8 or more drops over half.
         let configure = move |c: EngineConfig| {
-            c.delta_join_from(threshold)
-                .lifetime_hint(dim, 2, move |t| t.int(1).rem_euclid(hint_keep_mod) != 0)
-                .compact_tombstones_above(0.2)
+            c.lifetime_hint(dim, 2, move |t| t.int(1).rem_euclid(hint_keep_mod) == 0)
         };
 
         let mut base = Engine::new(Arc::clone(&prog), configure(EngineConfig::sequential()));
@@ -675,52 +658,65 @@ proptest! {
             "cursor-visible groups diverged ({} threads)",
             threads
         );
+        prop_assert!(
+            eng.stats().tables[dim.index()].snapshot().compactions > 0,
+            "the hint must compact Dim ({} threads)",
+            threads
+        );
     }
 }
 
 /// A join rule with no key pair (a cross join) gives the batched walk
 /// nothing to seek on, so a class of any width must fire it through the
-/// synthesised per-tuple body: same Gamma and same pop schedule as with
-/// batching disabled, sequentially and at 4 threads.
+/// synthesised per-tuple body: same Gamma and same pop schedule as the
+/// hand-written nested loop, sequentially and at 4 threads, on either
+/// side of the 32-wide delta-join minimum.
 #[test]
 fn keyless_join_class_fires_per_tuple() {
-    let mut p = ProgramBuilder::new();
-    p.relation::<Dim>();
-    p.relation::<Src>();
-    p.relation::<Out>();
-    p.order(&["Dim", "Src", "Out"]);
-    p.rule_rel_join(
-        "cross",
-        JoinOn::new(),
-        |s: &Src, d: &Dim| (s.v + d.w) % 3 != 0,
-        |ctx, s: &Src, d: &Dim| ctx.put_rel(Out { a: s.v, b: d.w }),
-    );
-    for i in 0..7 {
-        p.put_rel(Dim { k: i, w: i * 2 });
-    }
-    for i in 0..40 {
-        p.put_rel(Src { k: i % 5, v: i });
-    }
-    let prog = Arc::new(p.build().unwrap());
-
-    let mut base = Engine::new(
-        Arc::clone(&prog),
-        EngineConfig::sequential().delta_join_from(usize::MAX),
-    );
-    let base_report = base.run().unwrap();
-    let want = canonical_gamma(&base);
-    let out = prog.table_id("Out").unwrap();
-    assert!(!base.gamma().collect(&Query::on(out)).is_empty());
-
-    for config in [
-        EngineConfig::sequential().delta_join_from(8),
-        EngineConfig::parallel(4).delta_join_from(8),
-    ] {
-        let mut eng = Engine::new(Arc::clone(&prog), config);
-        let report = eng.run().unwrap();
-        assert!(report.delta_join_classes > 0, "the Src class is 40 wide");
-        assert_eq!(canonical_gamma(&eng), want);
-        assert_eq!(report.steps, base_report.steps);
+    let cross = |srcs: i64, nested_loop: bool| {
+        let mut p = ProgramBuilder::new();
+        p.relation::<Dim>();
+        p.relation::<Src>();
+        p.relation::<Out>();
+        p.order(&["Dim", "Src", "Out"]);
+        let keep = |s: &Src, d: &Dim| (s.v + d.w) % 3 != 0;
+        if nested_loop {
+            p.rule_rel("cross-nested", move |ctx, s: Src| {
+                for d in ctx.query_rel(Dim::query()) {
+                    if keep(&s, &d) {
+                        ctx.put_rel(Out { a: s.v, b: d.w });
+                    }
+                }
+            });
+        } else {
+            p.rule_rel_join("cross", JoinOn::new(), keep, |ctx, s: &Src, d: &Dim| {
+                ctx.put_rel(Out { a: s.v, b: d.w })
+            });
+        }
+        for i in 0..7 {
+            p.put_rel(Dim { k: i, w: i * 2 });
+        }
+        for i in 0..srcs {
+            p.put_rel(Src { k: i % 5, v: i });
+        }
+        Arc::new(p.build().unwrap())
+    };
+    for srcs in [31, 32, 40] {
+        let nested = cross(srcs, true);
+        let (want, base) = run_join(&nested, EngineConfig::sequential());
+        let out = nested.table_id("Out").unwrap();
+        assert!(want.iter().any(|t| t.table() == out));
+        let prog = cross(srcs, false);
+        for config in [EngineConfig::sequential(), EngineConfig::parallel(4)] {
+            let (got, report) = run_join(&prog, config);
+            assert_eq!(
+                report.delta_join_classes,
+                batched_classes(&[srcs as usize]),
+                "the Src class is {srcs} wide"
+            );
+            assert_eq!(got, want);
+            assert_eq!(report.steps, base.steps);
+        }
     }
 }
 
@@ -750,22 +746,26 @@ fn asymmetric_join_matches_nested_loop_sequential_and_parallel() {
     }
 }
 
-/// On the same chain the batched walk agrees with per-tuple firing and
+/// On the same chain the batched walk agrees with the nested loop and
 /// searches Gamma less: its probes and seeks together stay under the
-/// per-tuple probes.
+/// nested loop's probes. A 31-wide `Src` class stays per tuple.
 #[test]
 fn asymmetric_join_batched_walk_searches_less() {
-    let joined = join2_program(50, 400, 24, 5, false, true);
-    let per_tuple = EngineConfig::sequential().delta_join_from(usize::MAX);
-    let (want, pt) = run_join(&joined, per_tuple);
-    let (got, dj) = run_join(&joined, EngineConfig::sequential().delta_join_from(4));
-    assert_eq!(got, want);
-    assert!(dj.delta_join_classes > 0 && pt.delta_join_classes == 0);
-    assert!(
-        dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
-        "batched probes={} seeks={} vs per-tuple probes={}",
-        dj.gamma_probes,
-        dj.join_seeks,
-        pt.gamma_probes
-    );
+    for srcs in [31, 400] {
+        let nested = join2_program(50, srcs, 24, 5, true, true);
+        let joined = join2_program(50, srcs, 24, 5, false, true);
+        let (want, pt) = run_join(&nested, EngineConfig::sequential());
+        let (got, dj) = run_join(&joined, EngineConfig::sequential());
+        assert_eq!(got, want);
+        assert_eq!(dj.delta_join_classes, batched_classes(&[srcs as usize]));
+        if srcs >= 32 {
+            assert!(
+                dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
+                "batched probes={} seeks={} vs nested-loop probes={}",
+                dj.gamma_probes,
+                dj.join_seeks,
+                pt.gamma_probes
+            );
+        }
+    }
 }

@@ -93,37 +93,34 @@ fn rules_on_same_trigger_all_fire() {
 }
 
 #[test]
-fn disabling_runtime_checks_is_possible_but_discouraged() {
-    // The paper's generated code trusts the static proof; our runtime
-    // check can be disabled to measure its cost — the program then runs
-    // (incorrectly ordered puts are accepted).
-    let mut p = ProgramBuilder::new();
-    let t = p.table("T", |b| b.col_int("x").orderby(&[seq("x")]));
-    p.rule("backwards", t, move |ctx, tr| {
-        if tr.int(0) == 5 {
-            ctx.put(Tuple::new(t, vec![Value::Int(1)]));
-        }
-    });
-    p.put(Tuple::new(t, vec![Value::Int(5)]));
-    let prog = Arc::new(p.build().unwrap());
-    let mut config = EngineConfig::sequential();
-    config.enforce_causality = false;
-    let mut engine = Engine::new(prog, config);
-    engine.run().unwrap();
-    assert_eq!(engine.gamma().total_len(), 2);
-}
-
-#[test]
-fn type_checking_can_be_disabled_for_speed() {
-    let mut p = ProgramBuilder::new();
-    let t = p.table("T", |b| b.col_int("x").orderby(&[seq("x")]));
-    p.put(Tuple::new(t, vec![Value::Int(1)]));
-    let prog = Arc::new(p.build().unwrap());
-    let mut config = EngineConfig::sequential();
-    config.type_check = false;
-    let mut engine = Engine::new(prog, config);
-    engine.run().unwrap();
-    assert_eq!(engine.gamma().total_len(), 1);
+fn every_put_is_checked_in_both_engines() {
+    // The runtime checks have no off switch: a put into the past and a
+    // mistyped put fail the run whichever engine runs it, Delta path
+    // included (`engine_scenarios.rs` covers the staged `-noDelta` path).
+    let build = |bad: Value| {
+        let mut p = ProgramBuilder::new();
+        let t = p.table("T", |b| b.col_int("x").orderby(&[seq("x")]));
+        p.rule("bad-put", t, move |ctx, tr| {
+            if tr.int(0) == 5 {
+                ctx.put(Tuple::new(t, vec![bad.clone()]));
+            }
+        });
+        p.put(Tuple::new(t, vec![Value::Int(5)]));
+        Arc::new(p.build().unwrap())
+    };
+    for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+        let err = Engine::new(build(Value::Int(1)), config.clone())
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, JStarError::CausalityViolation { rule, .. } if rule == "bad-put"),
+            "{err}"
+        );
+        let err = Engine::new(build(Value::str("six")), config)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, JStarError::Type(_)), "{err}");
+    }
 }
 
 /// A small two-table run serialized through the real writer — the

@@ -10,7 +10,7 @@
 //!   and block (while *helping*, i.e. executing queued jobs) until all of
 //!   them finish, mirroring `ForkJoinTask::invokeAll`;
 //! * [`ThreadPool::join`] — binary fork/join of two closures with results;
-//! * [`parallel_for`] / [`parallel_for_each`] — chunked data-parallel loops,
+//! * [`parallel_for`] / [`parallel_chunks`] — chunked data-parallel loops,
 //!   the shape used by JStar's all-minimums strategy and by the parallel CSV
 //!   region readers;
 //! * a configurable thread count (the `--threads=N` flag of the paper), and
@@ -20,14 +20,14 @@
 //! and are woken on submission, so an idle pool consumes no CPU.
 //!
 //! ```
+//! use std::sync::atomic::{AtomicU64, Ordering};
+//!
 //! let pool = jstar_pool::ThreadPool::new(4);
-//! let mut data = vec![0u64; 1024];
-//! jstar_pool::parallel_for_each(&pool, &mut data, 64, |chunk, base| {
-//!     for (i, x) in chunk.iter_mut().enumerate() {
-//!         *x = (base + i) as u64 * 2;
-//!     }
+//! let data: Vec<AtomicU64> = (0..1024).map(|_| AtomicU64::new(0)).collect();
+//! jstar_pool::parallel_for(&pool, 0..data.len(), 64, |i| {
+//!     data[i].store(i as u64 * 2, Ordering::Relaxed);
 //! });
-//! assert_eq!(data[513], 1026);
+//! assert_eq!(data[513].load(Ordering::Relaxed), 1026);
 //! ```
 
 mod batch;
@@ -39,8 +39,7 @@ mod scope;
 pub use batch::{submit_background, TaskBatch};
 pub use latch::CountLatch;
 pub use parfor::{
-    adaptive_chunk, parallel_chunks, parallel_for, parallel_for_each, parallel_map,
-    parallel_reduce, parallel_tasks,
+    adaptive_chunk, parallel_chunks, parallel_for, parallel_map, parallel_reduce, parallel_tasks,
 };
 pub use pool::{global, ThreadPool};
 pub use scope::Scope;

@@ -60,34 +60,6 @@ where
     });
 }
 
-/// Splits `data` into chunks of at most `chunk` elements and runs `body`
-/// on each chunk in parallel. `body` receives the chunk and the index of its
-/// first element.
-pub fn parallel_for_each<T, F>(pool: &ThreadPool, data: &mut [T], chunk: usize, body: F)
-where
-    T: Send,
-    F: Fn(&mut [T], usize) + Sync,
-{
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let chunk = if chunk == 0 {
-        adaptive_chunk(pool, len)
-    } else {
-        chunk
-    };
-    let body = &body;
-    pool.scope(|s| {
-        let mut base = 0;
-        for piece in data.chunks_mut(chunk) {
-            let start = base;
-            base += piece.len();
-            s.spawn(move |_| body(piece, start));
-        }
-    });
-}
-
 /// Runs `body` on immutable chunks of `data` in parallel, collecting one
 /// result per chunk (in order).
 pub fn parallel_chunks<T, R, F>(pool: &ThreadPool, data: &[T], chunk: usize, body: F) -> Vec<R>
@@ -253,20 +225,6 @@ mod tests {
     fn parallel_for_empty_range() {
         let p = pool();
         parallel_for(&p, 5..5, 0, |_| panic!("must not run"));
-    }
-
-    #[test]
-    fn parallel_for_each_mutates_disjoint_chunks() {
-        let p = pool();
-        let mut v = vec![0usize; 257];
-        parallel_for_each(&p, &mut v, 16, |chunk, base| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = base + i;
-            }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i);
-        }
     }
 
     #[test]
