@@ -28,7 +28,7 @@
 use crate::fxhash::{FxBuildHasher, FxHasher};
 use crate::orderby::{KeyPart, OrderKey};
 use crate::tuple::Tuple;
-use jstar_pool::{TaskBatch, ThreadPool};
+use jstar_pool::ThreadPool;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
@@ -157,48 +157,13 @@ impl DeltaNode {
     }
 }
 
-/// True when a staged batch should be merged by pool workers: a
-/// multi-thread pool, at least `seq_threshold` staged tuples and more
-/// than one busy partition. Otherwise the sequential insert loop is
-/// cheaper than the fork/join round trip.
-fn merge_pool<'p>(
-    partitions: &[Vec<(OrderKey, Tuple)>],
-    pool: Option<&'p ThreadPool>,
-    seq_threshold: usize,
-) -> Option<&'p ThreadPool> {
-    let total: usize = partitions.iter().map(Vec::len).sum();
-    let busy = partitions.iter().filter(|p| !p.is_empty()).count();
-    pool.filter(|p| total >= seq_threshold.max(1) && busy > 1 && p.num_threads() > 1)
-}
-
-/// One closed staging epoch on its way into the Delta tree: the
-/// per-partition runs taken by [`ShardedInbox::swap_epoch`], with their
-/// subtree builds possibly still in flight on the pool's background
-/// lane. Absorbed by [`DeltaTree::absorb_epoch`].
-pub struct EpochBuild {
-    inner: EpochInner,
-    staged: usize,
-}
-
-/// One partition's subtree, built off the coordinator thread.
+/// One partition's subtree, built on a pool worker.
 struct Built {
     subtree: DeltaNode,
     len: usize,
     per_table: Vec<u64>,
     /// The emptied run buffer, recycled to the caller.
     run: Vec<(OrderKey, Tuple)>,
-}
-
-enum EpochInner {
-    /// Below the parallel-merge threshold (or no usable pool): the raw
-    /// runs, inserted sequentially at absorb time.
-    Sequential(Vec<Vec<(OrderKey, Tuple)>>),
-    /// Per-partition subtree builds in flight; `spare` keeps the empty
-    /// partition buffers for recycling.
-    Parallel {
-        batch: TaskBatch<Built>,
-        spare: Vec<Vec<(OrderKey, Tuple)>>,
-    },
 }
 
 /// Builds one partition's subtree from its run, counting fresh inserts
@@ -220,66 +185,6 @@ fn build_subtree(mut run: Vec<(OrderKey, Tuple)>, n_tables: usize) -> Built {
         per_table,
         run,
     }
-}
-
-impl EpochBuild {
-    /// Closes a swapped-out set of partition runs into an epoch build.
-    ///
-    /// Mirrors the parallel/sequential decision of
-    /// [`DeltaTree::merge_partitioned`]: with a multi-thread pool, at
-    /// least `seq_threshold` staged tuples and more than one busy
-    /// partition, the per-partition subtree builds are submitted on the
-    /// pool's **background lane** (via [`jstar_pool::submit_background`])
-    /// and run while the caller does other work; otherwise the runs are
-    /// kept raw and inserted sequentially at absorb time. `n_tables`
-    /// sizes the per-table insert counters.
-    pub fn start(
-        partitions: Vec<Vec<(OrderKey, Tuple)>>,
-        pool: Option<&ThreadPool>,
-        n_tables: usize,
-        seq_threshold: usize,
-    ) -> EpochBuild {
-        let staged: usize = partitions.iter().map(Vec::len).sum();
-        let Some(pool) = merge_pool(&partitions, pool, seq_threshold) else {
-            return EpochBuild {
-                inner: EpochInner::Sequential(partitions),
-                staged,
-            };
-        };
-        let (spare, runs): (Vec<_>, Vec<_>) = partitions.into_iter().partition(Vec::is_empty);
-        let batch = jstar_pool::submit_background(
-            pool,
-            runs.into_iter()
-                .map(|run| move || build_subtree(run, n_tables))
-                .collect(),
-        );
-        EpochBuild {
-            inner: EpochInner::Parallel { batch, spare },
-            staged,
-        }
-    }
-
-    /// Number of staged entries in the epoch (pre-dedup).
-    pub fn staged(&self) -> usize {
-        self.staged
-    }
-
-    /// True once the epoch can be absorbed without waiting: its
-    /// background builds (if any) have all completed.
-    pub fn is_ready(&self) -> bool {
-        match &self.inner {
-            EpochInner::Sequential(_) => true,
-            EpochInner::Parallel { batch, .. } => batch.is_complete(),
-        }
-    }
-}
-
-/// The outcome of absorbing one [`EpochBuild`].
-pub struct EpochAbsorbed {
-    /// Tuples actually inserted (duplicates dropped).
-    pub inserted: usize,
-    /// The emptied run buffers, recycled for the next swap.
-    pub buffers: Vec<Vec<(OrderKey, Tuple)>>,
 }
 
 /// The single-threaded Delta tree.
@@ -371,68 +276,47 @@ impl DeltaTree {
         inserted_by_table: &mut [u64],
         seq_threshold: usize,
     ) -> usize {
-        let Some(pool) = merge_pool(partitions, pool, seq_threshold) else {
+        let total: usize = partitions.iter().map(Vec::len).sum();
+        let busy: Vec<usize> = (0..partitions.len())
+            .filter(|&i| !partitions[i].is_empty())
+            .collect();
+        let pool =
+            pool.filter(|p| total >= seq_threshold.max(1) && busy.len() > 1 && p.num_threads() > 1);
+        let Some(pool) = pool else {
             let mut inserted = 0usize;
             for part in partitions.iter_mut() {
                 inserted += self.insert_run(part, inserted_by_table);
             }
             return inserted;
         };
-        // Hand the emptied run buffers back so staging allocations
-        // survive the round trip: the next swap steals them into the
-        // shard bins instead of re-growing every buffer from zero.
         let n_tables = inserted_by_table.len();
-        let busy_idx: Vec<usize> = (0..partitions.len())
-            .filter(|&i| !partitions[i].is_empty())
-            .collect();
-        let tasks: Vec<_> = busy_idx
+        let tasks: Vec<_> = busy
             .iter()
             .map(|&i| {
                 let run = std::mem::take(&mut partitions[i]);
                 move || build_subtree(run, n_tables)
             })
             .collect();
-        let mut buffers = Vec::with_capacity(busy_idx.len());
-        let inserted = self.graft_built(
-            jstar_pool::parallel_tasks(pool, tasks),
-            inserted_by_table,
-            &mut buffers,
-        );
-        for (i, run) in busy_idx.into_iter().zip(buffers) {
-            partitions[i] = run;
+        let builts = jstar_pool::parallel_tasks(pool, tasks);
+        let mut inserted = 0usize;
+        for (i, built) in busy.into_iter().zip(builts) {
+            inserted += built.len;
+            for (ti, c) in built.per_table.iter().enumerate() {
+                inserted_by_table[ti] += c;
+            }
+            // Tuples the tree already queues at the same position are
+            // duplicates after all: take their counts back.
+            self.root.merge_from(built.subtree, &mut |ti| {
+                inserted_by_table[ti] -= 1;
+                inserted -= 1;
+            });
+            // Hand the emptied run buffer back so staging allocations
+            // survive the round trip: the next swap steals it into a
+            // shard bin instead of re-growing it from zero.
+            partitions[i] = built.run;
         }
+        self.len += inserted;
         inserted
-    }
-
-    /// Absorbs one closed epoch: joins its background subtree builds
-    /// (helping execute queued pool work while anything is outstanding)
-    /// and merges the contents into the tree. Contents — and therefore
-    /// the [`DeltaTree::pop_min_class`] sequence — are identical to
-    /// inserting every staged `(key, tuple)` sequentially, exactly as
-    /// for [`DeltaTree::merge_partitioned`].
-    pub fn absorb_epoch(
-        &mut self,
-        epoch: EpochBuild,
-        pool: Option<&ThreadPool>,
-        inserted_by_table: &mut [u64],
-    ) -> EpochAbsorbed {
-        match epoch.inner {
-            EpochInner::Sequential(mut buffers) => {
-                let mut inserted = 0usize;
-                for run in buffers.iter_mut() {
-                    inserted += self.insert_run(run, inserted_by_table);
-                }
-                EpochAbsorbed { inserted, buffers }
-            }
-            EpochInner::Parallel {
-                batch,
-                spare: mut buffers,
-            } => {
-                let pool = pool.expect("a parallel epoch build implies a pool");
-                let inserted = self.graft_built(batch.join(pool), inserted_by_table, &mut buffers);
-                EpochAbsorbed { inserted, buffers }
-            }
-        }
     }
 
     /// The sequential merge: drains one run into the tree, counting
@@ -450,35 +334,6 @@ impl DeltaTree {
                 inserted += 1;
             }
         }
-        inserted
-    }
-
-    /// Grafts worker-built partition subtrees into the tree and settles
-    /// the per-table dedup accounting; the emptied run buffers are
-    /// pushed onto `buffers` in `builts` order.
-    fn graft_built(
-        &mut self,
-        builts: Vec<Built>,
-        inserted_by_table: &mut [u64],
-        buffers: &mut Vec<Vec<(OrderKey, Tuple)>>,
-    ) -> usize {
-        let mut inserted = 0usize;
-        for built in builts {
-            inserted += built.len;
-            for (ti, c) in built.per_table.iter().enumerate() {
-                inserted_by_table[ti] += c;
-            }
-            // Tuples the tree already queues at the same position are
-            // duplicates after all: take their counts back.
-            let mut dropped = 0usize;
-            self.root.merge_from(built.subtree, &mut |ti| {
-                inserted_by_table[ti] -= 1;
-                dropped += 1;
-            });
-            inserted -= dropped;
-            buffers.push(built.run);
-        }
-        self.len += inserted;
         inserted
     }
 
@@ -615,11 +470,11 @@ impl ShardedInbox {
             return;
         }
         bin.push((key.into(), tuple));
-        // Counted while still holding the shard lock: the pipelined
-        // coordinator's mid-step [`ShardedInbox::swap_epoch`] subtracts
-        // what it drains under the same lock, so an entry can never be
-        // drained before its increment lands (an unlocked add here
-        // could be overtaken by the subtract and wrap the counter).
+        // Counted while still holding the shard lock: a concurrent
+        // [`ShardedInbox::swap_epoch`] subtracts what it drains under
+        // the same lock, so an entry can never be drained before its
+        // increment lands (an unlocked add here could be overtaken by
+        // the subtract and wrap the counter).
         // ord: Relaxed — the shard mutex orders the count against the
         // drain; `len`/`is_empty` readers are advisory polls whose
         // exactness comes from the step boundary's scope join.
@@ -632,14 +487,13 @@ impl ShardedInbox {
     /// (or recycled) bins behind for the next epoch. Returns the number
     /// of entries taken.
     ///
-    /// Unlike the step-boundary drain, this is safe to call **while
-    /// workers are still pushing**: each shard's swap happens under
-    /// that shard's own mutex, so an entry is either wholly in the
-    /// closed epoch or wholly in the next one, and key groups stay
-    /// intact because the partition of a key never changes. This is
-    /// the double-buffering that lets the pipelined coordinator absorb
-    /// step N+1's tuples while step N executes; entries staged after
-    /// the swap simply wait for the next epoch.
+    /// The engine swaps only at the step boundary, once the class has
+    /// joined, but the contract holds **while workers are still
+    /// pushing** too: each shard's swap happens under that shard's own
+    /// mutex, so an entry is either wholly in the closed epoch or wholly
+    /// in the next one, and key groups stay intact because the
+    /// partition of a key never changes; entries staged after the swap
+    /// simply wait for the next epoch.
     pub fn swap_epoch(&self, out: &mut [Vec<(OrderKey, Tuple)>]) -> usize {
         let mut total = 0usize;
         for shard in &self.shards {
@@ -682,15 +536,15 @@ impl ShardedInbox {
             .all(|s| s.len.load(Ordering::Relaxed) == 0)
     }
 
-    /// The checkpoint-time quiescence invariant: a snapshot serializes
-    /// the Delta queue only after every staged epoch has been absorbed,
-    /// so the inbox must be empty — a staged tuple left here would be
-    /// silently missing from the snapshot. Violation is an engine bug
-    /// (not a recoverable I/O condition), so this panics.
+    /// The absorb-time quiescence invariant: once the step boundary has
+    /// absorbed the epoch, the inbox must be empty — a staged tuple left
+    /// here would miss the next extract, and a checkpoint would silently
+    /// leave it out of the snapshot. Violation is an engine bug (not a
+    /// recoverable I/O condition), so this panics.
     pub fn assert_quiescent(&self) {
         assert!(
             self.is_empty(),
-            "checkpoint reached with {} tuples still staged in the inbox",
+            "absorb left {} tuples still staged in the inbox",
             self.len()
         );
     }
@@ -1075,64 +929,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_build_absorb_matches_merge_partitioned() {
-        let pool = jstar_pool::ThreadPool::new(4);
-        let entries: Vec<(OrderKey, Tuple)> = (0..2500)
-            .map(|i| (skey((i % 3) as u32, i % 50), tup((i % 2) as u32, i % 250)))
-            .collect();
-        let probe = ShardedInbox::with_partitioning(0, 8, 2);
-        let mut parts_a = empty_runs(&probe);
-        let mut parts_b = empty_runs(&probe);
-        for (k, t) in entries {
-            let p = probe.partition_of(&k);
-            parts_a[p].push((k.clone(), t.clone()));
-            parts_b[p].push((k, t));
-        }
-        let mut direct = DeltaTree::new();
-        let mut ca = vec![0u64; 2];
-        let na = direct.merge_partitioned(&mut parts_a, Some(&pool), &mut ca, 1);
-
-        let mut epoch = DeltaTree::new();
-        let build = EpochBuild::start(parts_b, Some(&pool), 2, 1);
-        assert_eq!(build.staged(), 2500);
-        let mut cb = vec![0u64; 2];
-        let absorbed = epoch.absorb_epoch(build, Some(&pool), &mut cb);
-        assert_eq!(absorbed.inserted, na);
-        assert_eq!(cb, ca);
-        assert_eq!(absorbed.buffers.len(), 8, "all run buffers recycled");
-        loop {
-            match (direct.pop_min_class(), epoch.pop_min_class()) {
-                (None, None) => break,
-                (Some((ka, mut xa)), Some((kb, mut xb))) => {
-                    assert_eq!(ka, kb);
-                    xa.sort();
-                    xb.sort();
-                    assert_eq!(xa, xb);
-                }
-                other => panic!("trees disagree: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_build_sequential_fallback_below_threshold() {
-        // Small epochs (or no pool) skip the background lane entirely.
-        let mut parts: Vec<Vec<(OrderKey, Tuple)>> = (0..4).map(|_| Vec::new()).collect();
-        for i in 0..20 {
-            parts[(i % 4) as usize].push((skey(0, i), tup(0, i)));
-        }
-        let build = EpochBuild::start(parts, None, 1, usize::MAX);
-        assert!(build.is_ready(), "sequential epochs are always ready");
-        let mut q = DeltaTree::new();
-        let mut by_table = vec![0u64; 1];
-        let absorbed = q.absorb_epoch(build, None, &mut by_table);
-        assert_eq!(absorbed.inserted, 20);
-        assert_eq!(absorbed.buffers.len(), 4);
-        assert!(absorbed.buffers.iter().all(Vec::is_empty));
-        assert_eq!(q.len(), 20);
-    }
-
-    #[test]
     fn inbox_is_safe_from_many_worker_threads() {
         let inbox = std::sync::Arc::new(ShardedInbox::new(4));
         let pool = jstar_pool::ThreadPool::new(4);
@@ -1204,10 +1000,12 @@ mod model_tests {
         OrderKey::from_parts([KeyPart::Strat(0), KeyPart::Int(s)])
     }
 
-    /// The pipelined coordinator's mid-step epoch close racing a worker
-    /// push: every entry must land in exactly one epoch — either the
-    /// closed one or the next — and the shard counter must never go
-    /// stale negative or lose an entry, in every interleaving.
+    /// An epoch close racing a worker push: every entry must land in
+    /// exactly one epoch — either the closed one or the next — and the
+    /// shard counter must never go stale negative or lose an entry, in
+    /// every interleaving. The engine now swaps only after the class
+    /// has joined; this keeps the inbox's concurrent push/swap contract
+    /// checked for the callers that do race it.
     #[test]
     fn epoch_close_vs_concurrent_push_loses_nothing() {
         let report = Checker::new().check(|| {

@@ -1,7 +1,6 @@
 //! The coordinator: a configured engine instance and its step loop,
 //! written as the explicit phase state machine described in the
-//! [module docs](super) — absorb → extract → execute (∥ absorb while a
-//! forked class runs) → maintain.
+//! [module docs](super) — absorb → extract → execute → maintain.
 
 use crate::delta::{DeltaTree, ShardedInbox};
 use crate::error::Result;
@@ -21,7 +20,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use super::config::EngineConfig;
-use super::pipeline::Pipeline;
 use super::report::RunReport;
 use super::runtime::{
     drain_staged, insert_and_fire, open_views, process_class_delta_join, put_tuple, walk_stages,
@@ -34,6 +32,71 @@ use crate::error::JStarError;
 /// more than this fraction tombstones, reclaiming the memory that
 /// `retain` only logically discarded.
 const COMPACT_TOMBSTONES_ABOVE: f64 = 0.5;
+
+/// The **absorb** phase: at the step boundary, every tuple staged in
+/// the [`ShardedInbox`] since the last absorb enters the Delta tree
+/// through [`DeltaTree::merge_partitioned`]. The Law of Causality puts
+/// every staged tuple in a later step than the class that staged it, so
+/// taking them in once the class has joined is exact.
+struct Absorb {
+    /// The per-partition run buffers, recycled through every swap so
+    /// staging allocations survive the round trip.
+    runs: Vec<Vec<(OrderKey, Tuple)>>,
+    /// Fresh Delta inserts per table, published as one stats update per
+    /// touched table per absorb.
+    inserted_by_table: Vec<u64>,
+    merge_threshold: usize,
+    timing: bool,
+}
+
+impl Absorb {
+    fn new(state: &RunState, config: &EngineConfig) -> Absorb {
+        Absorb {
+            runs: vec![Vec::new(); state.inbox.partitions()],
+            inserted_by_table: vec![0; state.program.defs().len()],
+            merge_threshold: config.parallel_merge_threshold,
+            timing: config.record_steps,
+        }
+    }
+
+    fn run(&mut self, state: &RunState, tree: &mut DeltaTree, pool: Option<&ThreadPool>) {
+        if state.inbox.is_empty() {
+            return;
+        }
+        // `swap_epoch` is exact here: the class's scope join ordered
+        // every worker push before this read.
+        let t0 = self.timing.then(Instant::now);
+        state.inbox.swap_epoch(&mut self.runs);
+        let t1 = self.timing.then(Instant::now);
+        tree.merge_partitioned(
+            &mut self.runs,
+            pool,
+            &mut self.inserted_by_table,
+            self.merge_threshold,
+        );
+        if let (Some(t0), Some(t1)) = (t0, t1) {
+            let stats = &state.stats;
+            let partition = (t1 - t0).as_nanos() as u64;
+            let merge = t1.elapsed().as_nanos() as u64;
+            stats
+                .partition_nanos
+                .fetch_add(partition, Ordering::Relaxed);
+            stats.merge_nanos.fetch_add(merge, Ordering::Relaxed);
+            stats
+                .drain_nanos
+                .fetch_add(partition + merge, Ordering::Relaxed);
+        }
+        for (ti, count) in self.inserted_by_table.iter_mut().enumerate() {
+            if *count > 0 {
+                state.stats.tables[ti]
+                    .delta_inserts
+                    .fetch_add(*count, Ordering::Relaxed);
+                *count = 0;
+            }
+        }
+        state.inbox.assert_quiescent();
+    }
+}
 
 /// A configured instance of a JStar program, ready to run.
 pub struct Engine {
@@ -243,8 +306,7 @@ impl Engine {
     /// The step loop is the four-phase machine of the
     /// [module docs](super): each iteration **absorbs** staged tuples
     /// into the Delta tree, **extracts** the minimal equivalence class,
-    /// **executes** it (overlapping the next absorb while a forked
-    /// class runs), then **maintains** the stores at the quiescent
+    /// **executes** it, then **maintains** the stores at the quiescent
     /// point.
     pub fn run(&mut self) -> Result<RunReport> {
         let start = Instant::now();
@@ -267,7 +329,7 @@ impl Engine {
         drain_staged(state);
 
         let mut tree = DeltaTree::new();
-        let mut pipeline = Pipeline::new(state, &self.config);
+        let mut absorb = Absorb::new(state, &self.config);
         // Which tables trigger at least one join-plan rule — the static
         // half of the delta-join eligibility check (the dynamic half is
         // the per-class size/uniformity test).
@@ -290,8 +352,7 @@ impl Engine {
         let mut checkpointer: Option<crate::persist::CheckpointWriter> = None;
         // The per-step phase timers share the record_steps gate:
         // profiling runs get the split; production runs pay no clock
-        // reads in the coordinator loop beyond the few per step the
-        // overlap controller needs.
+        // reads in the coordinator loop.
         let timing = self.config.record_steps;
         loop {
             if state.has_errors() {
@@ -301,10 +362,8 @@ impl Engine {
             // ── Phase 1: absorb ─────────────────────────────────────
             // Everything staged by earlier steps must be queued before
             // the next extract — a staged key may order before the
-            // current tree minimum. After a forked step most of this
-            // already happened during its execute phase; this absorbs
-            // the remainder.
-            pipeline.absorb(state, &mut tree, self.pool.as_deref());
+            // current tree minimum.
+            absorb.run(state, &mut tree, self.pool.as_deref());
 
             // ── Phase 2: extract ────────────────────────────────────
             let Some((key, mut class)) = tree.pop_min_class() else {
@@ -323,13 +382,11 @@ impl Engine {
             state.stats.record_step(class_size);
             let exec_start = timing.then(Instant::now);
 
-            // ── Phase 3: execute (∥ absorb while a forked class runs) ──
+            // ── Phase 3: execute ────────────────────────────────────
             if scheduler.delta_join(&class) {
                 // Batched semi-naive execution: the whole class is the
                 // delta, and join-plan rules walk Gamma once per class
-                // instead of once per tuple. Like the inline arm this
-                // runs without the overlap window — the join fan-out
-                // keeps the pool busy itself.
+                // instead of once per tuple.
                 state
                     .stats
                     .delta_join_classes
@@ -342,21 +399,15 @@ impl Engine {
                         // lint: allow(expect): the planner only emits Forked when a pool exists.
                         let pool = self.pool.as_ref().expect("forked plan implies a pool");
                         let key = &key;
-                        let class = &class;
-                        let pipeline = &mut pipeline;
-                        let tree = &mut tree;
+                        // All chunks submitted as one batch: a single
+                        // wakeup, no per-task notify storm. The scope's
+                        // join helps execute them.
                         pool.scope(|s| {
-                            // All chunks submitted as one batch: a single
-                            // wakeup, no per-task notify storm.
                             s.spawn_batch(class.chunks(chunk).map(|piece| {
                                 move |_: &jstar_pool::Scope<'_>| {
                                     insert_and_fire(state, Some(key), piece, &mut Vec::new());
                                 }
                             }));
-                            // Join the class from inside the scope,
-                            // interleaving epoch absorption with helping
-                            // — the drain/execute overlap.
-                            pipeline.overlap(s, state, tree, pool);
                         });
                     }
                     ClassPlan::Inline { sort } => {
@@ -425,8 +476,7 @@ impl Engine {
                 // lint: allow(expect): is_some() is part of the guard condition above.
                 let dir = self.config.checkpoint_path.as_deref().expect("checked");
                 let t0 = Instant::now();
-                pipeline.absorb(state, &mut tree, self.pool.as_deref());
-                state.inbox.assert_quiescent();
+                absorb.run(state, &mut tree, self.pool.as_deref());
                 let meta = crate::persist::SnapshotMeta {
                     steps,
                     tuples_processed: state.stats.tuples_processed.load(Ordering::Relaxed),

@@ -23,34 +23,34 @@
 //! ## The step machine
 //!
 //! The step loop (the `coordinator` module) is a four-phase state
-//! machine. How much of the *next* step's drain rides inside the
-//! current step's execute phase follows from how the class executes: a
-//! forked class (which implies a pool) opens the overlap window, inline
-//! and delta-join classes and every `-sequential` run absorb at the
-//! step boundary only:
+//! machine. Staged tuples enter the Delta tree at one place only: the
+//! absorb at the step boundary, once the previous class has joined.
 //!
 //! ```text
 //!            workers: put → ShardedInbox (epoch E+1, binned by key prefix)
 //!                                │
-//!   ┌──── ABSORB ────┐   ┌─── EXTRACT ───┐   ┌─────────── EXECUTE ───────────┐
-//!   │ swap out and   │ → │ pop_min_class │ → │ class chunks on the pool      │
-//!   │ merge whatever │   └───────────────┘   │  ∥ overlap: close the staged  │
-//!   │ is still       │                       │    epoch at the swap point,   │
-//!   │ staged         │                       │    builds on the background   │
-//!   └────────────────┘                       │    lane, graft, help          │
-//!            ▲                               └───────────────────────────────┘
-//!            │                ┌── MAINTAIN ──┐                 │
-//!            └────────────────│ hints,       │◀────────────────┘
+//!   ┌──── ABSORB ────┐   ┌─── EXTRACT ───┐   ┌──── EXECUTE ─────┐
+//!   │ swap the epoch │ → │ pop_min_class │ → │ inline, or class │
+//!   │ out, merge it  │   └───────────────┘   │ chunks on the    │
+//!   │ into the tree  │                       │ pool             │
+//!   └────────────────┘                       └──────────────────┘
+//!            ▲                ┌── MAINTAIN ──┐          │
+//!            └────────────────│ hints,       │◀─────────┘
 //!                             │ compaction,  │
 //!                             │ checkpoint   │
 //!                             └──────────────┘
 //! ```
 //!
-//! * **Absorb** (`pipeline::Pipeline::absorb`) — the coordinator swaps
-//!   whatever is still staged out of the
-//!   [`crate::delta::ShardedInbox`] and merges it. After a forked step
-//!   most of this already happened during its execute phase and only a
-//!   small remainder is left here.
+//! * **Absorb** (`coordinator::Absorb`) — the coordinator swaps
+//!   everything staged out of the [`crate::delta::ShardedInbox`]
+//!   ([`crate::delta::ShardedInbox::swap_epoch`]) and merges it with
+//!   [`crate::delta::DeltaTree::merge_partitioned`]: one subtree per
+//!   key-prefix partition on the pool once the batch reaches
+//!   [`EngineConfig::parallel_merge_threshold`], the sequential insert
+//!   loop below it. The inbox is then empty
+//!   ([`crate::delta::ShardedInbox::assert_quiescent`]). The Law of
+//!   Causality puts every staged tuple in a later step than the class
+//!   that staged it, so absorbing once the class has joined is exact.
 //! * **Extract** — `pop_min_class`: the unit of parallelism of the
 //!   all-minimums strategy. The extract must reflect *every* tuple
 //!   staged by earlier steps (a staged key may order before the current
@@ -60,22 +60,15 @@
 //!   the coordinator (too narrow to balance: see `schedule`); wider
 //!   classes are chunked by measured width and pool occupancy and
 //!   submitted as one batch ([`jstar_pool::Scope::spawn_batch`], a
-//!   single wakeup). Either way every tuple goes through the one
-//!   insert-and-fire function (`runtime::insert_and_fire`), which also
-//!   flushes the `-noDelta` puts its firings staged; the coordinator
-//!   flushes what helper threads staged once the class has joined. While a
-//!   forked class runs, the coordinator loops
-//!   (`pipeline::Pipeline::overlap`): once the controller's swap point
-//!   of staged tuples accumulates it swaps the epoch out
-//!   ([`crate::delta::ShardedInbox::swap_epoch`]), its per-partition
-//!   subtree builds submitted on the pool's **background lane**
-//!   ([`jstar_pool::submit_background`]) when that lane is idle — class
-//!   chunks always preempt them — and grafts it; otherwise it helps
-//!   execute queued chunks.
+//!   single wakeup), and the scope's join helps execute them. Either
+//!   way every tuple goes through the one insert-and-fire function
+//!   (`runtime::insert_and_fire`), which also flushes the `-noDelta`
+//!   puts its firings staged; the coordinator flushes what helper
+//!   threads staged once the class has joined.
 //!
-//!   Since the Delta tree is a canonical set keyed by position,
-//!   early-merged epochs reproduce exactly the state the step-boundary
-//!   drain would have: the pop sequence — and therefore the run — is
+//!   Since the Delta tree is a canonical set keyed by position, the
+//!   partitioned merge reproduces exactly the state sequential inserts
+//!   would have: the pop sequence — and therefore the run — is
 //!   bit-identical to the sequential engine's (property-tested in
 //!   `tests/prop_engine.rs::sharded_parallel_matches_sequential`).
 //! * **Maintain** — the coordinator's single-threaded quiescent point:
@@ -89,18 +82,12 @@
 //!   keeps each table's encoded rows, so a checkpoint encodes what was
 //!   claimed since the previous one, not all of Gamma.
 //!
-//! The mid-step swap point is chosen per step by a feedback controller:
-//! it tracks recent epoch-absorb cost per staged tuple against the
-//! execute-window length and sizes batches so one absorb costs about a
-//! quarter of the window — starting from the fixed
-//! `max(64, parallel_merge_threshold / 4)` trigger before measurements
-//! exist.
-//!
-//! **Reading the metrics.** Time spent on overlapped drain work is
-//! accounted separately ([`RunReport::overlap_time`],
-//! [`RunReport::overlap_fraction`]): it is hidden under the execute
-//! phase's wall clock instead of stalling the coordinator, so a rising
-//! overlap fraction means the overlap is doing its job.
+//! **Reading the metrics.** With [`EngineConfig::record_steps`] set,
+//! [`RunReport::drain_time`] (= partition + merge) is the absorb's
+//! coordinator time and [`RunReport::drain_fraction`] its share of the
+//! accounted step time. [`RunReport::overlap_time`] and
+//! [`RunReport::overlap_fraction`] always read zero: no drain work runs
+//! while a class executes.
 //!
 //! ## Execution modes: per-tuple vs batched delta-join
 //!
@@ -177,10 +164,10 @@
 //!    shard (routed by the pool's stable
 //!    [`jstar_pool::ThreadPool::current_worker_index`]), binned by a
 //!    hash of the key's leading components at push time.
-//! 2. **Partitioned, overlapped parallel drain** — pool workers build
-//!    one independent subtree per key-prefix partition; the coordinator
-//!    grafts them, splicing disjoint subtrees wholesale. While a
-//!    forked class executes the builds run on the background lane.
+//! 2. **Partitioned parallel absorb** — at the step boundary, pool
+//!    workers build one independent subtree per key-prefix partition;
+//!    the coordinator grafts them, splicing disjoint subtrees
+//!    wholesale.
 //! 3. **Reservation-based, batched Gamma inserts** — the parallel store
 //!    ([`crate::gamma::HashStore`], chained on column 0 by default)
 //!    publishes tuples via CAS slot reservation; no lock remains on the tuple hot path, and readers
@@ -203,8 +190,8 @@
 //! The module family: `config` (the paper's flags), `runtime` (the
 //! shared put/trigger core), `ctx` (the rule window onto the
 //! database), `schedule` (class execution planning),
-//! `pipeline` (epoch absorption and the overlap controller), `report` (run
-//! results), and `coordinator` (the step loop itself). The public API
+//! `report` (run results), and `coordinator` (the step loop itself,
+//! with its absorb). The public API
 //! — [`Engine`], [`EngineConfig`], [`RuleCtx`], [`RunReport`],
 //! [`QueryPlan`], [`LifetimeHint`] — is re-exported here unchanged
 //! from its single-file predecessor.
@@ -212,7 +199,6 @@
 mod config;
 mod coordinator;
 mod ctx;
-mod pipeline;
 mod report;
 mod runtime;
 mod schedule;

@@ -1,5 +1,5 @@
 //! The result of one engine run: counters, phase timers, and the
-//! derived overlap metrics.
+//! metrics derived from them.
 
 use std::time::Duration;
 
@@ -12,11 +12,9 @@ pub struct RunReport {
     pub tuples_processed: u64,
     /// Wall time of the run.
     pub elapsed: Duration,
-    /// Coordinator time spent draining staged tuples into the Delta queue
-    /// *serially* — i.e. while execution waited (the sum of
-    /// `partition_time` and `merge_time`). Drain work the coordinator
-    /// performed during class execution is counted in
-    /// [`RunReport::overlap_time`] instead. Zero unless
+    /// Coordinator time spent absorbing staged tuples into the Delta
+    /// queue at the step boundary (the sum of `partition_time` and
+    /// `merge_time`). Zero unless
     /// [`super::EngineConfig::record_steps`] is set — the per-step
     /// timers are profiling instrumentation, not free.
     pub drain_time: Duration,
@@ -29,16 +27,8 @@ pub struct RunReport {
     /// sequential fallback). Zero unless
     /// [`super::EngineConfig::record_steps`] is set.
     pub merge_time: Duration,
-    /// Drain work (epoch swaps + background-lane merges) performed by
-    /// the coordinator **while a forked class was executing** — time
-    /// hidden under [`RunReport::execute_time`]'s wall clock instead of
-    /// stalling the step loop. Zero in sequential mode, and zero unless
-    /// [`super::EngineConfig::record_steps`] is set. Caveat: a graft
-    /// whose background builds are still running blocks on them and
-    /// helps execute class chunks while it waits, so a small share of
-    /// this timer can be execute help rather than drain work (such
-    /// absorbs are excluded from the overlap controller's feedback
-    /// signal for the same reason).
+    /// Always zero; kept for `spine/adapter.rs`. Every absorb runs at
+    /// the step boundary and is counted in [`RunReport::drain_time`].
     pub overlap_time: Duration,
     /// Time spent executing equivalence classes (Gamma inserts + rules).
     /// Zero unless [`super::EngineConfig::record_steps`] is set.
@@ -113,9 +103,7 @@ impl RunReport {
 
     /// Fraction of accounted step time the coordinator spent draining
     /// serially (vs. executing). A high value means the drain, not the
-    /// hardware, sets the speed limit; the overlap's job is to move
-    /// drain work out of this number and into
-    /// [`RunReport::overlap_fraction`].
+    /// hardware, sets the speed limit.
     pub fn drain_fraction(&self) -> f64 {
         let total = self.drain_time.as_secs_f64() + self.execute_time.as_secs_f64();
         if total > 0.0 {
@@ -125,10 +113,8 @@ impl RunReport {
         }
     }
 
-    /// Fraction of the run's total drain work that was overlapped with
-    /// class execution: `overlap / (overlap + serial drain)`. 0.0 when
-    /// no class forked (or nothing drained); approaching 1.0 means the
-    /// merge is fully hidden behind execution.
+    /// `overlap / (overlap + serial drain)`: always 0.0, since
+    /// [`RunReport::overlap_time`] is; kept for `spine/adapter.rs`.
     pub fn overlap_fraction(&self) -> f64 {
         let total = self.overlap_time.as_secs_f64() + self.drain_time.as_secs_f64();
         if total > 0.0 {

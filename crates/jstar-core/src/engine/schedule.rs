@@ -22,9 +22,7 @@
 //!   `inline_classes_up_to(0)` forks every class;
 //! * **wide class** — chunked by measured class width and current pool
 //!   occupancy ([`jstar_pool::adaptive_chunk`]) and submitted as one
-//!   batch (single wakeup). A forked class is also the pipeline's
-//!   overlap window: while its chunks run, the coordinator absorbs
-//!   staged epochs (see [`super::pipeline`]).
+//!   batch (single wakeup); the scope's join helps execute them.
 
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;

@@ -130,11 +130,9 @@ pub struct EngineStats {
     /// parallel on the pool for large batches, sequential below the
     /// threshold (nanoseconds, summed over all steps).
     pub merge_nanos: AtomicU64,
-    /// Drain work performed **concurrently with class execution** by the
-    /// coordinator (epoch swaps plus background-lane merges,
-    /// nanoseconds). This time is hidden under `execute_nanos`' wall
-    /// clock rather than adding coordinator stall; `drain_nanos` keeps
-    /// counting only the serial (execution-blocking) drain.
+    /// Always zero: every absorb runs at the step boundary and counts
+    /// in `drain_nanos`. Kept because `spine/adapter.rs` reads the
+    /// report field it feeds.
     pub overlap_nanos: AtomicU64,
     /// Time spent executing equivalence classes — Gamma inserts plus rule
     /// bodies (nanoseconds, summed over all steps; wall time of the step's

@@ -402,10 +402,11 @@ fn cursor_groups(engine: &Engine) -> Vec<(Value, Vec<Tuple>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sharded-inbox parallel engine — including the mid-step absorb
-    /// that overlaps a forked class's execution — produces exactly the
-    /// sequential engine's fixpoint and pop schedule, for random thread
-    /// counts and inline thresholds, on two program shapes:
+    /// The sharded-inbox parallel engine — staging on many workers and
+    /// absorbing each epoch through the partitioned merge — produces
+    /// exactly the sequential engine's fixpoint, pop schedule and
+    /// per-table Delta insert counts, for random thread counts and
+    /// inline thresholds, on two program shapes:
     ///
     /// * random layered fan-out programs (fig8's request→fan→summarise
     ///   shape and fig11's wide single-key classes both arise from the
@@ -415,8 +416,8 @@ proptest! {
     /// * the fig12 (Dijkstra) shape: a self-feeding relaxation whose
     ///   orderby makes the Delta tree the priority queue, with
     ///   `-noDelta`/hash-indexed Done and `-noGamma` Estimate exactly
-    ///   like the real app, every multi-tuple class forked so the
-    ///   overlap window opens on small programs.
+    ///   like the real app, every multi-tuple class forked so small
+    ///   programs stage from pool workers too.
     #[test]
     fn sharded_parallel_matches_sequential(
         layers in 1usize..4,
@@ -438,6 +439,11 @@ proptest! {
         let mut seq_eng = Engine::new(Arc::clone(&prog), EngineConfig::sequential());
         let seq_report = seq_eng.run().unwrap();
         let want = canonical_gamma(&seq_eng);
+        // Fresh Delta inserts per table, flushed by the boundary absorb.
+        let delta_inserts = |eng: &Engine| -> Vec<u64> {
+            eng.stats().tables.iter().map(|t| t.snapshot().delta_inserts).collect()
+        };
+        let want_inserts = delta_inserts(&seq_eng);
 
         let par_config = EngineConfig::parallel(threads).inline_classes_up_to(inline_threshold);
         for (arm, config) in [par_config.clone(), par_config.parallel_merge_from(1)]
@@ -459,6 +465,12 @@ proptest! {
                 par_report.steps,
                 seq_report.steps,
                 "pop schedules diverged (arm {})",
+                arm
+            );
+            prop_assert_eq!(
+                delta_inserts(&par_eng),
+                want_inserts.clone(),
+                "Delta insert counts diverged (arm {})",
                 arm
             );
         }

@@ -67,7 +67,6 @@ impl fmt::Display for Finding {
 pub const R2_ALLOWLIST: &[&str] = &[
     "crates/jstar-core/src/engine/coordinator.rs",
     "crates/jstar-core/src/engine/ctx.rs",
-    "crates/jstar-core/src/engine/pipeline.rs",
     "crates/jstar-core/src/engine/runtime.rs",
     "crates/jstar-pool/src/parfor.rs",
 ];

@@ -1,18 +1,12 @@
-//! Detached task batches with completion signaling.
+//! Detached task batches on the pool's background lane.
 //!
-//! A blocking submission (a scope over [`crate::Scope::spawn_background_batch`])
-//! holds its caller until the whole batch finishes — the right shape
-//! when the results are needed immediately, and the wrong one for a
-//! *pipeline*: the engine's coordinator closes a staging epoch, submits
-//! its per-partition Delta subtree builds, and wants to keep
-//! coordinating (helping execute class chunks) while those builds ride
-//! the background lane.
-//! [`submit_background`] is that submission shape: it enqueues the
-//! batch and returns a [`TaskBatch`] handle immediately; the caller polls
-//! [`TaskBatch::is_complete`] and collects with [`TaskBatch::join`] (which
-//! helps execute queued work — foreground first — while anything is still
-//! outstanding, so joining from inside a fork/join scope can never
-//! deadlock the pool).
+//! [`submit_background`] enqueues a batch of `'static` tasks on the
+//! **background lane** and returns a [`TaskBatch`] handle immediately;
+//! [`TaskBatch::join`] collects the results, helping execute queued
+//! work — foreground first — while anything is still outstanding, so
+//! joining from inside a fork/join scope can never deadlock the pool.
+//! The lane's priority (foreground submissions preempt it) is tested in
+//! the `scope` module.
 //!
 //! Tasks must be `'static`: unlike [`crate::Scope`] there is no enclosing
 //! frame whose lifetime bounds them — the handle may outlive the
@@ -62,21 +56,12 @@ impl<R: Send + 'static> TaskBatch<R> {
         self.len == 0
     }
 
-    /// True once every task of the batch has finished (true immediately
-    /// for an empty batch). One relaxed atomic load — cheap enough to
-    /// poll from a coordinator loop.
-    pub fn is_complete(&self) -> bool {
-        self.state.latch.is_clear()
-    }
-
     /// Waits for the batch and returns the results in submission order.
     ///
     /// While tasks are outstanding the calling thread *helps*: it
     /// executes queued pool jobs (foreground first, then the background
-    /// lane — possibly this batch's own tasks), so a join from the
-    /// engine coordinator mid-step lets busy workers finish their class
-    /// chunks undisturbed. If any task panicked, the panic is resumed
-    /// here.
+    /// lane — possibly this batch's own tasks). If any task panicked,
+    /// the panic is resumed here.
     pub fn join(self, pool: &ThreadPool) -> Vec<R> {
         let mut stalled_waits = 0u32;
         while !self.state.latch.is_clear() {
@@ -145,10 +130,9 @@ mod tests {
     use jstar_check::sync::{AtomicUsize, Ordering};
 
     #[test]
-    fn empty_batch_is_complete_immediately() {
+    fn empty_batch_joins_immediately() {
         let pool = ThreadPool::new(2);
         let batch: TaskBatch<u32> = submit_background(&pool, Vec::<fn() -> u32>::new());
-        assert!(batch.is_complete());
         assert!(batch.is_empty());
         assert!(batch.join(&pool).is_empty());
     }
@@ -161,26 +145,6 @@ mod tests {
         assert_eq!(batch.len(), 64);
         let out = batch.join(&pool);
         assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn is_complete_flips_without_joining() {
-        let pool = ThreadPool::new(2);
-        let hits = Arc::new(AtomicUsize::new(0));
-        let tasks: Vec<_> = (0..8)
-            .map(|_| {
-                let hits = Arc::clone(&hits);
-                move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .collect();
-        let batch = submit_background(&pool, tasks);
-        while !batch.is_complete() {
-            std::thread::yield_now();
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        batch.join(&pool);
     }
 
     #[test]

@@ -177,7 +177,7 @@ mod model_tests {
     use jstar_check::{thread, Checker};
     use std::sync::Arc;
 
-    /// One job result per lane, as `Scope::spawn` + `spawn_background_batch`
+    /// One job result per lane, as `Scope::spawn` + `submit_background`
     /// would produce them.
     struct Jobs {
         foreground: UnsafeCell<u64>,
@@ -219,10 +219,11 @@ mod model_tests {
         assert!(report.complete, "exploration hit a budget cap");
     }
 
-    /// The owner's polling join (`Scope::completed` → `is_clear`) must
-    /// publish both lanes' effects: a foreground and a background-lane
-    /// job each write their result before decrementing, and the owner
-    /// spins on `is_clear` instead of parking.
+    /// A polling join (the `is_clear` loop of `Scope::run` and
+    /// `TaskBatch::join`) must publish both lanes' effects: a foreground
+    /// and a background-lane job each write their result before
+    /// decrementing, and the owner spins on `is_clear` instead of
+    /// parking.
     #[test]
     fn polling_join_publishes_both_lanes() {
         let report = Checker::new().check(|| {

@@ -20,12 +20,10 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 pub(crate) struct Shared {
     /// Global FIFO queue that external threads (and helpers) submit to.
     injector: Injector<Job>,
-    /// Low-priority lane: jobs here are only taken when no foreground
-    /// work (local deque, injector, sibling steals) exists, so a
-    /// foreground submission effectively preempts everything queued
-    /// behind it. The engine uses this lane for Delta subtree builds
-    /// that should run on otherwise-idle workers *during* a step's
-    /// class execution without delaying the class's own chunks.
+    /// Low-priority lane ([`crate::submit_background`]): jobs here are
+    /// only taken when no foreground work (local deque, injector,
+    /// sibling steals) exists, so a foreground submission effectively
+    /// preempts everything queued behind it.
     background: Injector<Job>,
     /// One stealer per worker's local LIFO deque.
     stealers: Vec<Stealer<Job>>,
@@ -378,18 +376,11 @@ impl ThreadPool {
     /// cheap occupancy signal. The engine's adaptive scheduler uses it to
     /// pick chunk sizes: a backlog means smaller task counts (bigger
     /// chunks) waste less time queuing. Background-lane jobs are counted
-    /// separately ([`ThreadPool::pending_background_jobs`]) precisely so
-    /// they never coarsen those decisions.
+    /// separately precisely so they never coarsen those decisions.
     pub fn pending_jobs(&self) -> usize {
         // ord: Acquire — pairs with the submitters' Release bumps so the
         // backlog signal is never fresher than the queues it describes.
         self.shared.pending.load(Ordering::Acquire)
-    }
-
-    /// Number of submitted-but-not-yet-started background-lane jobs.
-    pub fn pending_background_jobs(&self) -> usize {
-        // ord: Acquire — as in `pending_jobs`.
-        self.shared.bg_pending.load(Ordering::Acquire)
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
