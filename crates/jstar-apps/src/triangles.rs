@@ -3,21 +3,28 @@
 //!
 //! The program lists each triangle `a < b < c` exactly once via **one
 //! two-stage join rule**: the trigger `Probe(a, b)` extends through
-//! `Edge(b, c)` (stage 1, residual `b < c`) and closes through
+//! `Edge(b, c)` (stage 1, bounded by `b < c`) and closes through
 //! `Edge(c, a)` (stage 2) in a single descent — no intermediate wedge
-//! relation is materialised. The rule is registered through
-//! [`ProgramBuilder::rule_rel_join2`], so it carries an inspectable
-//! two-stage [`JoinPlan`] and every `Probe` stratum drains through the
-//! engine's batched delta-join pass: one coordinated sorted-merge walk
-//! over the `Edge` indexes per class. The test
+//! relation is materialised. The bound is stated in the join builder
+//! (`.lt(Probe::b, Edge::to)`), so it runs where stage 1 binds `c`:
+//! a wedge that fails it never seeks stage 2. The rule is registered
+//! through [`ProgramBuilder::rule_rel_join2`], so it carries an
+//! inspectable two-stage [`JoinPlan`] and every `Probe` stratum drains
+//! through the engine's batched delta-join pass: one coordinated
+//! sorted-merge walk over the `Edge` indexes per class. The test
 //! `delta_join_and_per_tuple_agree_and_counters_move` checks, at 1, 2
 //! and 4 threads, that this walk searches the store less than an opaque
-//! nested-loop twin of the rule (probes + seeks against its probes).
+//! nested-loop twin of the rule (probes + seeks against its probes),
+//! and at most half as much as the same rule with its bound left in the
+//! filter closure.
 //!
 //! The same count is also available *after* the run as a read-side
 //! query: [`count_via_join3`] folds `join3::<Edge, Edge, Edge>()` over
 //! the stored half-edges — the query-layer face of the same leapfrog
-//! walk, split over the engine's pool like the rule-side one.
+//! walk, split over the engine's pool like the rule-side one. Its three
+//! relations are keyed on `Edge.from`, the view the rule side has
+//! already built, and its `x < y < z` bounds keep one orientation of
+//! each triangle as early as the rows bind them.
 
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
@@ -145,14 +152,26 @@ pub struct TrianglesApp {
 
 /// Builds the triangle-counting program.
 pub fn build_program(spec: TriSpec) -> TrianglesApp {
-    build(spec, false)
+    build(spec, Lowering::Bounded)
 }
 
-/// The program with its triangle rule as written (`nested_loop = false`)
-/// or as an opaque twin of two nested `ctx.query_rel` loops, invisible
-/// to every join optimisation: the per-tuple reference the tests compare
-/// the batched walk against.
-fn build(spec: TriSpec, nested_loop: bool) -> TrianglesApp {
+/// How the triangle rule is lowered: as written ([`Lowering::Bounded`]),
+/// or one of the two references the tests compare it against.
+enum Lowering {
+    /// The join rule with its bound `b < c` in the builder.
+    Bounded,
+    /// The same join rule with the bound left in its filter closure,
+    /// which runs only once a whole row combination exists.
+    #[cfg(test)]
+    Filtered,
+    /// An opaque twin of two nested `ctx.query_rel` loops, invisible to
+    /// every join optimisation: the per-tuple reference.
+    #[cfg(test)]
+    NestedLoop,
+}
+
+/// The program with its triangle rule lowered as `lowering` says.
+fn build(spec: TriSpec, lowering: Lowering) -> TrianglesApp {
     let mut p = ProgramBuilder::new();
 
     let load = p.relation::<Load>().id();
@@ -187,38 +206,49 @@ fn build(spec: TriSpec, nested_loop: bool) -> TrianglesApp {
     });
 
     // The whole triangle in one rule: extend the edge a–b (a < b) by a
-    // higher neighbour c of b (stage 1, residual b < c), then require
+    // higher neighbour c of b (stage 1, bounded by b < c), then require
     // the closing edge c→a (stage 2 — both directions are stored, so it
     // exists iff a ~ c). Stage 2's leading key comes from stage 1's
     // tuple, which is what the leapfrog walk seeks on.
-    let filter = |p: &Probe, e1: &Edge, _e2: &Edge| p.b < e1.to;
     let emit = |p: &Probe, e1: &Edge| Triangle {
         a: p.a,
         b: p.b,
         c: e1.to,
     };
-    if nested_loop {
-        // Filters last, as the planned rule's per-tuple firing does.
-        p.rule_rel("triangles-nested", move |ctx, p: Probe| {
+    let stage1 = JoinOn::new().eq(Probe::b, Edge::from);
+    let stage2 = JoinOn2::new()
+        .eq_p(Edge::to, Edge::from)
+        .eq_t(Probe::a, Edge::to);
+    let emit_rel =
+        move |ctx: &RuleCtx<'_>, p: &Probe, e1: &Edge, _e2: &Edge| ctx.put_rel(emit(p, e1));
+    match lowering {
+        Lowering::Bounded => p.rule_rel_join2(
+            "triangles",
+            stage1.lt(Probe::b, Edge::to),
+            stage2,
+            |_: &Probe, _: &Edge, _: &Edge| true,
+            emit_rel,
+        ),
+        #[cfg(test)]
+        Lowering::Filtered => p.rule_rel_join2(
+            "triangles-filtered",
+            stage1,
+            stage2,
+            |p: &Probe, e1: &Edge, _e2: &Edge| p.b < e1.to,
+            emit_rel,
+        ),
+        #[cfg(test)]
+        Lowering::NestedLoop => p.rule_rel("triangles-nested", move |ctx, p: Probe| {
             for e1 in ctx.query_rel(Edge::query().eq(Edge::from, p.b)) {
                 let closing = Edge::query().eq(Edge::from, e1.to).eq(Edge::to, p.a);
-                for e2 in ctx.query_rel(closing) {
-                    if filter(&p, &e1, &e2) {
+                for _e2 in ctx.query_rel(closing) {
+                    // The bound, checked once the combination exists.
+                    if p.b < e1.to {
                         ctx.put_rel(emit(&p, &e1));
                     }
                 }
             }
-        });
-    } else {
-        p.rule_rel_join2(
-            "triangles",
-            JoinOn::new().eq(Probe::b, Edge::from),
-            JoinOn2::new()
-                .eq_p(Edge::to, Edge::from)
-                .eq_t(Probe::a, Edge::to),
-            filter,
-            move |ctx, p: &Probe, e1: &Edge, _e2: &Edge| ctx.put_rel(emit(p, e1)),
-        );
+        }),
     }
 
     for task in 0..spec.tasks {
@@ -269,28 +299,28 @@ fn run_app(app: &TrianglesApp, config: EngineConfig) -> Result<(u64, RunReport)>
 /// `join3::<Edge, Edge, Edge>()` over the stored half-edges, evaluated
 /// by [`Engine::join3_fold`] — the engine's leapfrog walk, split over
 /// its pool when it has one, each piece counting into its own total.
-/// Each triangle appears in six half-edge orientations; the
-/// `x < y < z` filter keeps exactly one.
+/// Every relation is keyed on `Edge.from`, the view the rule side
+/// already opened, so the count builds no second index.
 pub fn count_via_join3(engine: &Engine) -> u64 {
     engine.join3_fold(
         triangle_join(),
         || 0u64,
-        |count, a: Edge, b: Edge, _c: Edge| {
-            if a.from < a.to && a.to < b.to {
-                *count += 1;
-            }
-        },
+        |count, _a: Edge, _b: Edge, _c: Edge| *count += 1,
         |x, y| x + y,
     )
 }
 
-/// `a.to = b.from`, `b.to = c.from`, `c.to = a.from`: a directed
-/// 3-cycle of half-edges.
+/// `a = x→y`, `b = x→z`, `c = z→y` with `x < y < z`: each triangle in
+/// exactly one orientation. `x < y` is a root check on `a`, `y < z`
+/// runs as `b` is matched, so only the surviving `(a, b)` wedges seek
+/// `C`.
 fn triangle_join() -> Join3<Edge, Edge, Edge> {
     join3::<Edge, Edge, Edge>()
-        .on_ab(Edge::to, Edge::from)
+        .on_ab(Edge::from, Edge::from)
         .on_bc(Edge::to, Edge::from)
-        .on_ac(Edge::from, Edge::to)
+        .on_ac(Edge::to, Edge::to)
+        .lt_a(Edge::from, Edge::to)
+        .lt_ab(Edge::to, Edge::to)
 }
 
 #[cfg(test)]
@@ -360,7 +390,9 @@ mod tests {
     fn delta_join_and_per_tuple_agree_and_counters_move() {
         let spec = small_spec();
         let want = triangles_baseline(&spec);
-        let (joined, nested) = (build(spec, false), build(spec, true));
+        let [joined, filtered, nested] =
+            [Lowering::Bounded, Lowering::Filtered, Lowering::NestedLoop]
+                .map(|lowering| build(spec, lowering));
 
         for base in [
             EngineConfig::sequential(),
@@ -369,9 +401,11 @@ mod tests {
         ] {
             let threads = base.threads;
             let (dj_count, dj) = run_app(&joined, base.clone()).unwrap();
+            let (fi_count, fi) = run_app(&filtered, base.clone()).unwrap();
             let (pt_count, pt) = run_app(&nested, base).unwrap();
 
             assert_eq!(dj_count, want, "{threads} threads");
+            assert_eq!(fi_count, want, "{threads} threads");
             assert_eq!(pt_count, want, "{threads} threads");
             assert!(dj.delta_join_classes > 0, "batched mode engaged: {dj:?}");
             assert!(dj.join_cursor_opens > 0, "cursors opened: {dj:?}");
@@ -385,6 +419,15 @@ mod tests {
                 dj.gamma_probes,
                 dj.join_seeks,
                 pt.gamma_probes
+            );
+            // The bound stated in the builder prunes at stage 1, so
+            // stage 2 seeks for at most half the wedges it did when the
+            // bound ran in the closure after the whole combination.
+            assert!(
+                2 * dj.join_seeks <= fi.join_seeks,
+                "{threads} threads: bounded seeks={} vs filtered seeks={}",
+                dj.join_seeks,
+                fi.join_seeks
             );
         }
     }
@@ -402,6 +445,8 @@ mod tests {
             vec![((0, 1), 0)],
             "Probe.b = Edge.from"
         );
+        assert_eq!(plan.stages[0].less, vec![((0, 1), 1)], "Probe.b < Edge.to");
+        assert!(plan.stages[1].less.is_empty());
         assert_eq!(plan.stages[1].probe_table, app.edge);
         assert_eq!(
             plan.stages[1].keys,
@@ -433,15 +478,21 @@ mod tests {
                     .join_cursor_opens
                     .load(std::sync::atomic::Ordering::Relaxed)
             };
-            let before = opens(&engine);
+            let misses = |e: &Engine| e.gamma().index_cache().stats().misses;
+            let (before, missed) = (opens(&engine), misses(&engine));
             assert_eq!(count_via_join3(&engine), want, "{threads} threads");
             // The read-side walk opened three cursors and charged them
-            // to the same counters the rule-side walk uses.
+            // to the same counters the rule-side walk uses; all three
+            // are the `Edge.from` view the rule side already built.
             assert_eq!(opens(&engine), before + 3, "{threads} threads");
-            // The `FnMut` form is the one-piece case of the same walk.
+            assert_eq!(misses(&engine), missed, "{threads} threads: no cold build");
+            // The `FnMut` form is the one-piece case of the same walk,
+            // and each triangle comes out in its one orientation.
             let mut walked = 0u64;
-            engine.join3_rel(triangle_join(), |a: Edge, b: Edge, _c: Edge| {
-                walked += (a.from < a.to && a.to < b.to) as u64;
+            engine.join3_rel(triangle_join(), |a: Edge, b: Edge, c: Edge| {
+                assert!(a.from < a.to && a.to < b.to, "{a:?} {b:?}");
+                assert_eq!((a.from, b.to, c.to), (b.from, c.from, a.to));
+                walked += 1;
             });
             assert_eq!(walked, want, "{threads} threads");
         }

@@ -715,15 +715,16 @@ impl Engine {
     /// query plus a cursor open), then intersected on the first `on`
     /// pair with coordinated seek/next motions — the fixed variable
     /// order of the typed builder, no optimizer. Further `on` pairs are
-    /// residual equality checks inside matched groups. Panics when no
+    /// residual equality checks inside matched groups, beside the `lt`
+    /// inequalities. Panics when no
     /// `on` pair was declared (a cross join has nothing to merge on).
     /// Runs on the calling thread; [`Engine::join_fold`] is the same
     /// walk split over the pool.
     pub fn join_rel<A: Relation, B: Relation>(&self, j: Join<A, B>, mut f: impl FnMut(A, B)) {
         let lowered = j.lower(&self.state.program);
-        self.read_join(&lowered, |root, stages| {
+        self.read_join(&lowered, |root, root_less, stages| {
             let visit = |rows: &[&Tuple]| f(A::from_tuple(rows[0]), B::from_tuple(rows[1]));
-            ((), leapfrog::walk(root, stages, visit))
+            ((), leapfrog::walk(root, root_less, stages, visit))
         })
     }
 
@@ -752,15 +753,17 @@ impl Engine {
     /// [`Engine::join_rel`]; each matched `(a, b)` row then seeks a
     /// shared `C` cursor — keyed by the first `on_bc` pair, or the
     /// first `on_ac` pair when no `b`–`c` key exists — with every
-    /// remaining pair checked as a residual equality. Panics without an
-    /// `on_ab` pair or without any `C`-side constraint.
+    /// remaining pair checked as a residual equality. Each inequality
+    /// runs at the first row binding both of its sides (see
+    /// [`crate::relation::join3`]). Panics without an `on_ab` pair or
+    /// without any `C`-side constraint.
     pub fn join3_rel<A: Relation, B: Relation, C: Relation>(
         &self,
         j: Join3<A, B, C>,
         mut f: impl FnMut(A, B, C),
     ) {
         let lowered = j.lower(&self.state.program);
-        self.read_join(&lowered, |root, stages| {
+        self.read_join(&lowered, |root, root_less, stages| {
             let visit = |rows: &[&Tuple]| {
                 f(
                     A::from_tuple(rows[0]),
@@ -768,7 +771,7 @@ impl Engine {
                     C::from_tuple(rows[2]),
                 )
             };
-            ((), leapfrog::walk(root, stages, visit))
+            ((), leapfrog::walk(root, root_less, stages, visit))
         })
     }
 
@@ -794,17 +797,17 @@ impl Engine {
     }
 
     /// Opens the lowered join's views (root first, then one per stage,
-    /// each counted), hands `body` the walk's root and stages, and
-    /// charges the seeks it reports.
+    /// each counted), hands `body` the walk's root, root checks and
+    /// stages, and charges the seeks it reports.
     fn read_join<R>(
         &self,
         lowered: &ReadJoin,
-        body: impl for<'a> FnOnce(&Root<'a>, &[Stage<'a>]) -> (R, u64),
+        body: impl for<'a> FnOnce(&Root<'a>, &[(usize, usize)], &[Stage<'a>]) -> (R, u64),
     ) -> R {
         let columns = lowered.stages.iter().map(JoinStage::column);
         let views = open_views(&self.state, std::iter::once(lowered.root).chain(columns));
         let stages = walk_stages(&lowered.stages, &views[1..]);
-        let (out, seeks) = body(&Root::Index(&views[0]), &stages);
+        let (out, seeks) = body(&Root::Index(&views[0]), &lowered.root_less, &stages);
         if seeks > 0 {
             let stats = &self.state.stats;
             stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
@@ -821,8 +824,8 @@ impl Engine {
     ) -> Acc {
         let pool = self.pool.as_deref();
         let mut pieces = self
-            .read_join(lowered, |root, stages| {
-                leapfrog::fan_out(root, stages, pool, &init, visit)
+            .read_join(lowered, |root, root_less, stages| {
+                leapfrog::fan_out(root, root_less, stages, pool, &init, visit)
             })
             .into_iter();
         let first = pieces.next().unwrap_or_else(&init);

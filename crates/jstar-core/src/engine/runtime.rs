@@ -29,7 +29,7 @@
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
 use crate::gamma::leapfrog::{self, Root, Stage};
-use crate::gamma::{ColumnIndex, Gamma, InsertOutcome};
+use crate::gamma::{sort_by_value, ColumnIndex, Gamma, InsertOutcome};
 use crate::orderby::{KeyPart, OrderKey, ResolvedComponent, ResolvedOrderBy};
 use crate::program::Program;
 use crate::rule::{JoinPlan, JoinStage, Rule};
@@ -400,18 +400,20 @@ pub(super) fn walk_stages<'a>(
     views: &'a [Arc<ColumnIndex>],
 ) -> Vec<Stage<'a>> {
     (stages.iter().zip(views))
-        .map(|(s, view)| Stage::new(view, &s.keys))
+        .map(|(s, view)| Stage::new(view, &s.keys, &s.less))
         .collect()
 }
 
 /// One join-plan rule over a class's fresh tuples, every stage keyed.
 ///
-/// The delta is sorted by its stage-0 join-key fields (stably, so equal
-/// keys stay in class order) and becomes the root of one
-/// [`leapfrog`] walk: one column view is opened per stage (one store
-/// pass each, or a cache hit; shared by every worker with private
-/// positions), stage 0's cursor follows the sorted delta with seek/next
-/// motions and later stages seek per row. Store work per class is
+/// The delta is sorted by the trigger field stage 0 seeks by (stably,
+/// so equal keys stay in class order; on a dense `i64` key when every
+/// value is an `Int`) and becomes the root of one [`leapfrog`] walk:
+/// one column view is opened per stage (one store pass each, or a cache
+/// hit; shared by every worker with private positions), stage 0's
+/// cursor follows the sorted delta with seek/next motions and later
+/// stages seek per row, each stage dropping the candidates that fail
+/// its inequalities before the next one seeks. Store work per class is
 /// `stages` cursor opens plus the counted gallops, instead of one probe
 /// per tuple; with a pool the sorted delta is split across workers.
 fn run_join_rule(
@@ -427,18 +429,15 @@ fn run_join_rule(
         .delta_join_build_tuples
         .fetch_add(fresh.len() as u64, Ordering::Relaxed);
 
-    let by = &plan.first_stage().keys;
+    let ((_, by), _) = plan.first_stage().keys[0];
     let mut delta = fresh.to_vec();
-    delta.sort_by(|x, y| {
-        (by.iter().map(|&((_, f), _)| x.get(f).cmp(y.get(f))))
-            .find(|o| o.is_ne())
-            .unwrap_or(CmpOrdering::Equal)
-    });
+    sort_by_value(&mut delta, |t| t.get(by));
 
     let views = open_views(state, plan.stages.iter().map(JoinStage::column));
     let ctx = RuleCtx::new(state, key, &rule.name);
     let (_, seeks) = leapfrog::fan_out(
         &Root::Sorted(&delta),
+        &[],
         &walk_stages(&plan.stages, &views),
         pool,
         || (),

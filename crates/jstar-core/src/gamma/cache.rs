@@ -56,7 +56,7 @@
 //! the claim journal's own publish protocol (see CONCURRENCY.md
 //! protocol 6).
 
-use super::cursor::{sort_pairs, ColumnIndex};
+use super::cursor::{sort_by_value, ColumnIndex};
 use super::TableStore;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -255,7 +255,7 @@ fn suffix_pairs(
     let covered = store.for_each_journal_suffix(lo, hi, &mut |t| {
         pairs.push((t.get(field).clone(), t.clone()));
     });
-    sort_pairs(&mut pairs);
+    sort_by_value(&mut pairs, |(k, _)| k);
     (pairs, covered)
 }
 

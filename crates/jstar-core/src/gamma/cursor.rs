@@ -81,13 +81,6 @@ impl<'a> Key<'a> {
             other => Key::Val(other),
         }
     }
-
-    pub(super) fn equals(self, v: &Value) -> bool {
-        match self {
-            Key::Int(i) => matches!(v, Value::Int(j) if *j == i),
-            Key::Val(x) => x == v,
-        }
-    }
 }
 
 /// Accumulates the flat arrays group by group — the one place the
@@ -192,7 +185,7 @@ impl ColumnIndex {
     pub fn build(field: usize, visit: &mut TupleVisit<'_>) -> ColumnIndex {
         let mut pairs: Vec<(Value, Tuple)> = Vec::new();
         visit(&mut |t| pairs.push((t.get(field).clone(), t.clone())));
-        sort_pairs(&mut pairs);
+        sort_by_value(&mut pairs, |(k, _)| k);
         match ColumnIndex::try_from_sorted(pairs) {
             Ok(index) => index,
             Err(e) => unreachable!("pairs were sorted just above: {e}"),
@@ -338,18 +331,20 @@ impl ColumnIndex {
     }
 }
 
-/// Stable sort of `(key, tuple)` pairs ascending by key — the sort in
-/// front of every [`ColumnIndex::try_from_sorted`]. An all-integer
-/// column sorts 16-byte `(i64, position)` pairs and permutes once,
-/// instead of moving and comparing 32-byte enum pairs throughout.
-pub(super) fn sort_pairs(pairs: &mut [(Value, Tuple)]) {
-    if pairs.iter().all(|(k, _)| matches!(k, Value::Int(_))) {
-        pairs.sort_by_cached_key(|(k, _)| match k {
+/// Stable sort of `items` ascending by the value `key` reads from each
+/// — the sort in front of every [`ColumnIndex::try_from_sorted`] (on
+/// `(key, tuple)` pairs) and of a join rule's delta (on its stage-0 key
+/// field). When every key is an integer it sorts 16-byte
+/// `(i64, position)` pairs and permutes once, instead of moving the
+/// items and comparing 32-byte enums throughout.
+pub(crate) fn sort_by_value<T>(items: &mut [T], key: impl Fn(&T) -> &Value) {
+    if items.iter().all(|t| matches!(key(t), Value::Int(_))) {
+        items.sort_by_cached_key(|t| match key(t) {
             Value::Int(i) => *i,
             _ => unreachable!("checked just above"),
         });
     } else {
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        items.sort_by(|a, b| key(a).cmp(key(b)));
     }
 }
 

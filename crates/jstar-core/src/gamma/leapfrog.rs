@@ -10,9 +10,16 @@
 //! [`ColumnIndex`] to a key read from an earlier row
 //! ([`ColumnIndex`]'s free / one-step / counted-gallop contract, on
 //! dense `i64` keys when both sides have them), filters the matched
-//! group on its residual pairs, and recurses. A residual equality reads
-//! the view's packed cells when it has them and the tuple otherwise;
-//! the tuple handle itself is only borrowed for a surviving row.
+//! group on its residual equalities and its inequalities, and recurses.
+//!
+//! Each inequality runs at the first row that binds both of its sides:
+//! a **root check** (two fields of row 0) before a root row is pushed,
+//! on either root kind; a stage's inequality beside that stage's
+//! residual equalities. A candidate failing one is never pushed, so no
+//! later stage seeks for it. Residual equalities and inequalities read
+//! the views' packed cells when both rows have them and the tuples
+//! otherwise, and compare under [`crate::value::Value`]'s order; the
+//! tuple handle itself is only borrowed for a surviving row.
 //!
 //! Per row combination the walk clones no tuple, clones no value and
 //! allocates nothing: rows are borrowed into one stack that is pushed
@@ -20,12 +27,15 @@
 
 use super::cursor::{ColumnIndex, Key};
 use crate::tuple::Tuple;
+use crate::value::Value;
 use jstar_pool::ThreadPool;
+use std::cmp::Ordering;
 use std::ops::Range;
 
-/// An equi-join pair `((row, field), probe_field)`: field `field` of
-/// the already-matched row `row` equals `probe_field` of this stage's
-/// candidate (the layout of [`crate::rule::JoinStage::keys`]).
+/// A join pair `((row, field), probe_field)`: field `field` of the
+/// already-matched row `row` against `probe_field` of this stage's
+/// candidate (the layout of [`crate::rule::JoinStage::keys`] and
+/// [`crate::rule::JoinStage::less`]).
 pub(crate) type Pair = ((usize, usize), usize);
 
 /// One probe stage of a walk.
@@ -34,18 +44,23 @@ pub(crate) struct Stage<'a> {
     index: &'a ColumnIndex,
     /// `(row, field)` whose value the stage seeks.
     seek: (usize, usize),
-    /// Every further pair, checked inside the matched group.
+    /// Every further key pair, checked for equality inside the matched
+    /// group.
     residuals: &'a [Pair],
+    /// Pairs whose source must be strictly below the candidate's field,
+    /// checked beside the residuals.
+    less: &'a [Pair],
 }
 
 impl<'a> Stage<'a> {
     /// A stage over `index` — which must be a view on `keys[0]`'s probe
-    /// column — keyed by `keys[0]`, filtered by the rest.
-    pub(crate) fn new(index: &'a ColumnIndex, keys: &'a [Pair]) -> Stage<'a> {
+    /// column — keyed by `keys[0]`, filtered by the rest and by `less`.
+    pub(crate) fn new(index: &'a ColumnIndex, keys: &'a [Pair], less: &'a [Pair]) -> Stage<'a> {
         Stage {
             index,
             seek: keys[0].0,
             residuals: &keys[1..],
+            less,
         }
     }
 }
@@ -75,6 +90,9 @@ impl Root<'_> {
 
 /// One piece's private state: a position per stage and the row stack.
 struct Walker<'a, 's, F> {
+    /// Root checks `(field, field)`: a root row is walked only when the
+    /// first field is below the second.
+    root_less: &'s [(usize, usize)],
     stages: &'s [Stage<'a>],
     pos: Vec<usize>,
     rows: Vec<&'a Tuple>,
@@ -85,6 +103,18 @@ struct Walker<'a, 's, F> {
 }
 
 impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
+    /// Walks root row `tuple` through every stage, if it passes the
+    /// root checks.
+    fn root(&mut self, tuple: &'a Tuple, cells: Option<&'a [i64]>) {
+        let below = |&(lo, hi): &(usize, usize)| match cells {
+            Some(c) => c[lo] < c[hi],
+            None => tuple.get(lo) < tuple.get(hi),
+        };
+        if self.root_less.iter().all(below) {
+            self.with_row(tuple, cells, 0);
+        }
+    }
+
     /// Pushes one matched row, walks stages `k..`, pops it.
     fn with_row(&mut self, tuple: &'a Tuple, cells: Option<&'a [i64]>, k: usize) {
         self.rows.push(tuple);
@@ -113,46 +143,56 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
         }
         for r in index.group_range(self.pos[k]) {
             let (tuple, cells) = (&index.rows[r], index.cells_of(r));
-            if (stage.residuals.iter()).all(|&(source, f)| self.equal(source, tuple, cells, f)) {
+            let holds = |pairs: &[Pair], want| {
+                (pairs.iter()).all(|&(source, f)| self.cmp(source, tuple, cells, f) == want)
+            };
+            if holds(stage.residuals, Ordering::Equal) && holds(stage.less, Ordering::Less) {
                 self.with_row(tuple, cells, k + 1);
             }
         }
     }
 
-    /// `rows[row].field == candidate.probe_field`, through whichever
-    /// packed cells exist.
-    fn equal(
+    /// `rows[row].field` against `candidate.probe_field` under
+    /// [`Value`]'s order, through whichever packed cells exist.
+    fn cmp(
         &self,
         (row, field): (usize, usize),
         candidate: &Tuple,
         cells: Option<&[i64]>,
         probe_field: usize,
-    ) -> bool {
+    ) -> Ordering {
         match (self.cells[row], cells) {
-            (Some(s), Some(c)) => s[field] == c[probe_field],
-            (Some(s), None) => Key::Int(s[field]).equals(candidate.get(probe_field)),
-            (None, Some(c)) => Key::Int(c[probe_field]).equals(self.rows[row].get(field)),
-            (None, None) => self.rows[row].get(field) == candidate.get(probe_field),
+            (Some(s), Some(c)) => s[field].cmp(&c[probe_field]),
+            (Some(s), None) => Value::Int(s[field]).cmp(candidate.get(probe_field)),
+            (None, Some(c)) => self.rows[row].get(field).cmp(&Value::Int(c[probe_field])),
+            (None, None) => self.rows[row].get(field).cmp(candidate.get(probe_field)),
         }
     }
 }
 
 /// Walks the whole root as one piece on the calling thread, calling
 /// `visit` with each full row combination (`rows[0]` the root row,
-/// `rows[k + 1]` stage `k`'s). Returns the counted seeks. `stages` must
-/// not be empty.
-pub(crate) fn walk<'a>(root: &Root<'a>, stages: &[Stage<'a>], visit: impl FnMut(&[&Tuple])) -> u64 {
-    walk_range(root, 0..root.len(), stages, visit)
+/// `rows[k + 1]` stage `k`'s) whose root row passes `root_less` (see
+/// [`Walker`]). Returns the counted seeks. `stages` must not be empty.
+pub(crate) fn walk<'a>(
+    root: &Root<'a>,
+    root_less: &[(usize, usize)],
+    stages: &[Stage<'a>],
+    visit: impl FnMut(&[&Tuple]),
+) -> u64 {
+    walk_range(root, 0..root.len(), root_less, stages, visit)
 }
 
 /// [`walk`] over the root positions in `range` only.
 fn walk_range<'a>(
     root: &Root<'a>,
     range: Range<usize>,
+    root_less: &[(usize, usize)],
     stages: &[Stage<'a>],
     visit: impl FnMut(&[&Tuple]),
 ) -> u64 {
     let mut w = Walker {
+        root_less,
         stages,
         pos: vec![0; stages.len()],
         rows: Vec::with_capacity(stages.len() + 1),
@@ -163,7 +203,7 @@ fn walk_range<'a>(
     match *root {
         Root::Sorted(tuples) => {
             for &t in &tuples[range] {
-                w.with_row(t, None, 0);
+                w.root(t, None);
             }
         }
         Root::Index(a) => {
@@ -179,7 +219,7 @@ fn walk_range<'a>(
                 }
                 if b.key_is(w.pos[0], key) {
                     for r in a.group_range(g) {
-                        w.with_row(&a.rows[r], a.cells_of(r), 0);
+                        w.root(&a.rows[r], a.cells_of(r));
                     }
                     g += 1;
                     w.pos[0] += 1;
@@ -199,6 +239,7 @@ fn walk_range<'a>(
 /// the seeks of all pieces.
 pub(crate) fn fan_out<'a, Acc: Send>(
     root: &Root<'a>,
+    root_less: &[(usize, usize)],
     stages: &[Stage<'a>],
     pool: Option<&ThreadPool>,
     init: impl Fn() -> Acc + Sync,
@@ -206,7 +247,7 @@ pub(crate) fn fan_out<'a, Acc: Send>(
 ) -> (Vec<Acc>, u64) {
     let piece = |range: Range<usize>| {
         let mut acc = init();
-        let seeks = walk_range(root, range, stages, |rows| visit(&mut acc, rows));
+        let seeks = walk_range(root, range, root_less, stages, |rows| visit(&mut acc, rows));
         (acc, seeks)
     };
     let len = root.len();
@@ -228,12 +269,12 @@ pub(crate) fn fan_out<'a, Acc: Send>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::cursor::sort_by_value;
     use super::super::cursor::tests::seek_reference;
     use super::*;
     use crate::schema::TableId;
     use crate::value::Value;
     use proptest::prelude::*;
-    use std::cmp::Ordering;
     use std::collections::BTreeMap;
 
     const ARITY: usize = 3;
@@ -269,27 +310,36 @@ mod tests {
         map.into_iter().unzip()
     }
 
-    fn pairs_hold(keys: &[Pair], rows: &[Tuple], candidate: &Tuple) -> bool {
-        (keys.iter()).all(|&((r, f), pf)| rows[r].get(f) == candidate.get(pf))
+    /// True when every pair of `pairs` compares `want` — the source
+    /// field of its row against the candidate's probe field.
+    fn pairs_hold(pairs: &[Pair], want: Ordering, rows: &[Tuple], candidate: &Tuple) -> bool {
+        (pairs.iter()).all(|&((r, f), pf)| rows[r].get(f).cmp(candidate.get(pf)) == want)
     }
 
-    /// The oracle: nested `for` loops over whole relations, relation
-    /// `k + 1` checked against `keys[k]`.
-    fn nested_loops(
-        rels: &[Vec<Tuple>],
-        keys: &[Vec<Pair>],
-        rows: &mut Vec<Tuple>,
-        out: &mut Vec<Vec<Tuple>>,
-    ) {
+    fn root_holds(root_less: &[(usize, usize)], t: &Tuple) -> bool {
+        (root_less.iter()).all(|&(lo, hi)| t.get(lo) < t.get(hi))
+    }
+
+    /// The oracle: nested `for` loops over whole relations, relation 0
+    /// checked against the root checks and relation `k + 1` against
+    /// `keys[k]` and `less[k]`.
+    fn nested_loops(c: &Case, rows: &mut Vec<Tuple>, out: &mut Vec<Vec<Tuple>>) {
         let k = rows.len();
-        if k == rels.len() {
+        if k == c.rels.len() {
             out.push(rows.clone());
             return;
         }
-        for t in &rels[k] {
-            if k == 0 || pairs_hold(&keys[k - 1], rows, t) {
+        for t in &c.rels[k] {
+            let holds = match k {
+                0 => root_holds(&c.root_less, t),
+                _ => {
+                    pairs_hold(&c.keys[k - 1], Ordering::Equal, rows, t)
+                        && pairs_hold(&c.less[k - 1], Ordering::Less, rows, t)
+                }
+            };
+            if holds {
                 rows.push(t.clone());
-                nested_loops(rels, keys, rows, out);
+                nested_loops(c, rows, out);
                 rows.pop();
             }
         }
@@ -297,10 +347,11 @@ mod tests {
 
     /// The walk as the parent commit ran it — nested groups, a position
     /// per stage, every reposition by linear scan under the counting
-    /// rule of `cursor.rs`.
-    struct Reference<'k> {
+    /// rule of `cursor.rs` — with each inequality checked where the
+    /// oracle checks it.
+    struct Reference<'c> {
         stages: Vec<(Vec<Value>, Vec<Vec<Tuple>>)>,
-        keys: &'k [Vec<Pair>],
+        case: &'c Case,
         pos: Vec<usize>,
         seeks: u64,
         out: Vec<Vec<Tuple>>,
@@ -313,12 +364,21 @@ mod tests {
             self.seeks += counted as u64;
         }
 
+        /// Walks root row `t` through every stage, if it passes the
+        /// root checks.
+        fn root(&mut self, t: &Tuple) {
+            if root_holds(&self.case.root_less, t) {
+                self.descend(0, &mut vec![t.clone()]);
+            }
+        }
+
         fn descend(&mut self, k: usize, rows: &mut Vec<Tuple>) {
             if k == self.stages.len() {
                 self.out.push(rows.clone());
                 return;
             }
-            let ((r, f), _) = self.keys[k][0];
+            let (keys, less) = (&self.case.keys[k], &self.case.less[k]);
+            let ((r, f), _) = keys[0];
             let target = rows[r].get(f).clone();
             self.seek(k, &target);
             let g = self.pos[k];
@@ -326,7 +386,9 @@ mod tests {
                 return;
             }
             for candidate in self.stages[k].1[g].clone() {
-                if pairs_hold(&self.keys[k][1..], rows, &candidate) {
+                if pairs_hold(&keys[1..], Ordering::Equal, rows, &candidate)
+                    && pairs_hold(less, Ordering::Less, rows, &candidate)
+                {
                     rows.push(candidate);
                     self.descend(k + 1, rows);
                     rows.pop();
@@ -339,27 +401,23 @@ mod tests {
     /// — over the sorted `delta` when there is one, else with `rels[0]`
     /// as an indexed root (the parent's `join_rel` loop: both sides
     /// gallop, both step on a match).
-    fn reference_walk(
-        rels: &[Vec<Tuple>],
-        keys: &[Vec<Pair>],
-        delta: Option<&[&Tuple]>,
-    ) -> (Vec<Vec<Tuple>>, u64) {
+    fn reference_walk(c: &Case, delta: Option<&[&Tuple]>) -> (Vec<Vec<Tuple>>, u64) {
         let mut w = Reference {
-            stages: (rels[1..].iter().zip(keys))
+            stages: (c.rels[1..].iter().zip(&c.keys))
                 .map(|(rel, k)| nested(rel, k[0].1))
                 .collect(),
-            keys,
-            pos: vec![0; keys.len()],
+            case: c,
+            pos: vec![0; c.keys.len()],
             seeks: 0,
             out: Vec::new(),
         };
         if let Some(delta) = delta {
             for &t in delta {
-                w.descend(0, &mut vec![t.clone()]);
+                w.root(t);
             }
             return (w.out, w.seeks);
         }
-        let (ka, ga) = nested(&rels[0], keys[0][0].0 .1);
+        let (ka, ga) = nested(&c.rels[0], c.keys[0][0].0 .1);
         let mut pa = 0;
         while pa < ka.len() && w.pos[0] < w.stages[0].0.len() {
             let kb = w.stages[0].0[w.pos[0]].clone();
@@ -372,7 +430,7 @@ mod tests {
                 Ordering::Greater => w.seek(0, &ka[pa]),
                 Ordering::Equal => {
                     for t in &ga[pa] {
-                        w.descend(0, &mut vec![t.clone()]);
+                        w.root(t);
                     }
                     pa += 1;
                     w.pos[0] += 1;
@@ -386,14 +444,19 @@ mod tests {
         rows.iter().map(|&t| t.clone()).collect()
     }
 
-    /// One random join: relations, key pairs, and which root kind.
+    /// One random join: relations, key pairs, inequalities (per stage,
+    /// and the root checks), and which root kind.
     struct Case {
         rels: Vec<Vec<Tuple>>,
         keys: Vec<Vec<Pair>>,
+        less: Vec<Vec<Pair>>,
+        root_less: Vec<(usize, usize)>,
         indexed_root: bool,
     }
 
-    fn case(kind: usize, n_stages: usize, indexed_root: bool, seed: u64) -> Case {
+    /// A random case; `bounded` adds up to two inequalities per stage
+    /// and up to two root checks.
+    fn case(kind: usize, n_stages: usize, indexed_root: bool, bounded: bool, seed: u64) -> Case {
         let mut rng = proptest::TestRng::new(seed);
         let rels = (0..=n_stages)
             .map(|_| {
@@ -409,19 +472,29 @@ mod tests {
                     .collect()
             })
             .collect();
-        let keys = (0..n_stages)
-            .map(|k| {
-                (0..1 + rng.usize_below(3))
-                    .map(|_| {
-                        let row = rng.usize_below(k + 1);
-                        ((row, rng.usize_below(ARITY)), rng.usize_below(ARITY))
-                    })
-                    .collect()
-            })
-            .collect();
+        let mut pairs = |k: usize, min: usize| -> Vec<Pair> {
+            (0..min + rng.usize_below(3))
+                .map(|_| {
+                    let row = rng.usize_below(k + 1);
+                    ((row, rng.usize_below(ARITY)), rng.usize_below(ARITY))
+                })
+                .collect()
+        };
+        let keys = (0..n_stages).map(|k| pairs(k, 1)).collect();
+        let mut less: Vec<Vec<Pair>> = vec![Vec::new(); n_stages];
+        let mut root_less = Vec::new();
+        if bounded {
+            less = (0..n_stages).map(|k| pairs(k, 0)).collect();
+            root_less = pairs(0, 0)
+                .into_iter()
+                .map(|((_, lo), hi)| (lo, hi))
+                .collect();
+        }
         Case {
             rels,
             keys,
+            less,
+            root_less,
             indexed_root,
         }
     }
@@ -435,21 +508,15 @@ mod tests {
             let views: Vec<ColumnIndex> = (self.rels[1..].iter().zip(&self.keys))
                 .map(|(rel, k)| view(rel, k[0].1))
                 .collect();
-            let stages: Vec<Stage<'_>> = (views.iter().zip(&self.keys))
-                .map(|(v, k)| Stage::new(v, k))
+            let stages: Vec<Stage<'_>> = (views.iter().zip(&self.keys).zip(&self.less))
+                .map(|((v, k), l)| Stage::new(v, k, l))
                 .collect();
             if self.indexed_root {
                 let a = view(&self.rels[0], self.keys[0][0].0 .1);
                 return body(&Root::Index(&a), &stages, None);
             }
             let mut delta: Vec<&Tuple> = self.rels[0].iter().collect();
-            delta.sort_by(|x, y| {
-                (self.keys[0]
-                    .iter()
-                    .map(|&((_, f), _)| x.get(f).cmp(y.get(f))))
-                .find(|o| o.is_ne())
-                .unwrap_or(Ordering::Equal)
-            });
+            sort_by_value(&mut delta, |t| t.get(self.keys[0][0].0 .1));
             body(&Root::Sorted(&delta), &stages, Some(&delta))
         }
     }
@@ -459,29 +526,31 @@ mod tests {
 
         /// One piece emits exactly the reference walk's rows, in its
         /// order, with its seek total — on dense and generic keys, packed
-        /// and unpacked residuals, sorted and indexed roots; the multiset
-        /// equals the nested-loop oracle's; and a 2- and a 4-thread
-        /// fan-out emit that same multiset.
+        /// and unpacked residuals and inequalities, sorted and indexed
+        /// roots, with and without inequalities (root checks included);
+        /// the multiset equals the nested-loop oracle's; and a 2- and a
+        /// 4-thread fan-out emit that same multiset.
         #[test]
         fn fan_out_and_one_piece_match_nested_loops(
             kind in 0usize..4,
             n_stages in 1usize..4,
             indexed_root in any::<bool>(),
+            bounded in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let mut c = case(kind, n_stages, indexed_root, seed);
+            let mut c = case(kind, n_stages, indexed_root, bounded, seed);
             if indexed_root {
                 // An indexed root's key column is stage 0's seek source.
                 c.keys[0][0].0 .0 = 0;
             }
             let mut want = Vec::new();
-            nested_loops(&c.rels, &c.keys, &mut Vec::new(), &mut want);
+            nested_loops(&c, &mut Vec::new(), &mut want);
             want.sort();
 
             c.with_walk(|root, stages, delta| {
                 let mut got = Vec::new();
-                let seeks = walk(root, stages, |rows| got.push(collect(rows)));
-                let (reference, reference_seeks) = reference_walk(&c.rels, &c.keys, delta);
+                let seeks = walk(root, &c.root_less, stages, |rows| got.push(collect(rows)));
+                let (reference, reference_seeks) = reference_walk(&c, delta);
                 prop_assert_eq!(&got, &reference, "one piece, emission order");
                 prop_assert_eq!(seeks, reference_seeks, "one piece, seek total");
                 got.sort();
@@ -489,9 +558,10 @@ mod tests {
 
                 for threads in [2, 4] {
                     let pool = ThreadPool::new(threads);
-                    let (pieces, _) = fan_out(root, stages, Some(&pool), Vec::new, |acc, rows| {
-                        acc.push(collect(rows))
-                    });
+                    let (pieces, _) =
+                        fan_out(root, &c.root_less, stages, Some(&pool), Vec::new, |acc, rows| {
+                            acc.push(collect(rows))
+                        });
                     let mut got: Vec<Vec<Tuple>> = pieces.into_iter().flatten().collect();
                     got.sort();
                     prop_assert_eq!(&got, &want, "{} threads", threads);
@@ -502,9 +572,10 @@ mod tests {
     }
 
     /// Small fixed joins through every residual arm (packed against
-    /// packed, packed against a tuple, tuple against tuple) — the
-    /// sequential companion of the property test, cheap enough for the
-    /// Miri job.
+    /// packed, packed against a tuple, tuple against tuple), each arm
+    /// carrying a residual equality and an inequality, with a root check
+    /// on both root kinds — the sequential companion of the property
+    /// test, cheap enough for the Miri job.
     #[test]
     fn each_residual_path_matches_nested_loops() {
         // The fourth field joins nothing; as a string it only keeps a
@@ -522,36 +593,55 @@ mod tests {
                 })
                 .collect()
         };
-        let a = [[1, 2, 0], [1, 3, 1], [4, 2, 0], [i64::MAX, 2, 1]];
-        let b = [[2, 1, 0], [2, 4, 1], [3, 1, 1], [2, i64::MAX, 1], [9, 9, 0]];
-        let c = [[1, 2, 0], [4, 2, 1], [i64::MAX, 2, 1], [4, 3, 1], [1, 2, 0]];
+        let a = [[1, 2, 0], [1, 3, 1], [4, 2, 0], [i64::MAX, 2, 1], [5, 2, 0]];
+        let b = [
+            [2, 1, 0],
+            [2, 4, 1],
+            [3, 1, 1],
+            [2, i64::MAX, 1],
+            [9, 9, 0],
+            [2, 3, 0],
+        ];
+        let c = [
+            [1, 2, 0],
+            [4, 2, 1],
+            [i64::MAX, 2, 1],
+            [4, 3, 1],
+            [1, 2, 0],
+            [3, 2, 0],
+        ];
         // a.1 = b.0, a.2 = b.2; then b.1 = c.0, a.1 = c.1, a.2 = c.2.
         let keys: Vec<Vec<Pair>> = vec![
             vec![((0, 1), 0), ((0, 2), 2)],
             vec![((1, 1), 0), ((0, 1), 1), ((0, 2), 2)],
         ];
+        // a.1 < a.0 at the root, a.1 < b.1, then b.0 < c.0: each prunes
+        // rows the others keep (11 combinations without them, 4 with).
+        let (root_less, less) = (vec![(1, 0)], vec![vec![((0, 1), 1)], vec![((1, 0), 0)]]);
         for unpacked in 0..8usize {
             let packed = |bit: usize| unpacked >> bit & 1 == 0;
             for indexed_root in [false, true] {
                 let c = Case {
                     rels: vec![rel(&a, packed(0)), rel(&b, packed(1)), rel(&c, packed(2))],
                     keys: keys.clone(),
+                    less: less.clone(),
+                    root_less: root_less.clone(),
                     indexed_root,
                 };
                 let mut want = Vec::new();
-                nested_loops(&c.rels, &c.keys, &mut Vec::new(), &mut want);
+                nested_loops(&c, &mut Vec::new(), &mut want);
                 want.sort();
                 let mut got = c.with_walk(|root, stages, delta| {
                     let mut got = Vec::new();
-                    let seeks = walk(root, stages, |rows| got.push(collect(rows)));
-                    let (reference, reference_seeks) = reference_walk(&c.rels, &c.keys, delta);
+                    let seeks = walk(root, &c.root_less, stages, |rows| got.push(collect(rows)));
+                    let (reference, reference_seeks) = reference_walk(&c, delta);
                     assert_eq!(got, reference, "unpacked={unpacked:03b}");
                     assert_eq!(seeks, reference_seeks, "unpacked={unpacked:03b}");
                     got
                 });
                 got.sort();
                 assert_eq!(got, want, "unpacked={unpacked:03b} indexed={indexed_root}");
-                assert!(want.len() >= 3, "the fixture must have rows to find");
+                assert_eq!(want.len(), 4, "the fixture must have rows to find");
             }
         }
     }

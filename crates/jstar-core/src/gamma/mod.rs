@@ -22,6 +22,7 @@ mod reservation;
 
 pub use btree::BTreeStore;
 pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
+pub(crate) use cursor::sort_by_value;
 pub use cursor::{ColumnCursor, ColumnIndex};
 
 /// Factory closure for [`StoreKind::Custom`].

@@ -105,7 +105,8 @@ pub mod prelude {
     };
     pub use crate::relation::{
         join, join3, Binder, ColumnSpec, ConstraintKind, ConstraintShape, Field, FieldValue,
-        IntoProbe, Join, Join3, JoinOn, JoinOn2, PreparedQuery, Relation, TableHandle, TypedQuery,
+        IntoProbe, Join, Join3, JoinOn, JoinOn2, OrderedValue, PreparedQuery, Relation,
+        TableHandle, TypedQuery,
     };
     pub use crate::rule::{JoinPlan, JoinStage};
     pub use crate::schema::{TableDef, TableId};

@@ -27,7 +27,7 @@ use crate::error::{JStarError, Result};
 use crate::orderby::{OrderComponent, OrderKey, ResolvedOrderBy};
 use crate::query::{Probe, Query, Slot, SlotOp};
 use crate::relation::{JoinOn, JoinOn2, Relation, TableHandle};
-use crate::rule::{JoinPlan, JoinStage, Rule, RuleBody};
+use crate::rule::{JoinPlan, Rule, RuleBody};
 use crate::schema::{TableDef, TableDefBuilder, TableId};
 use crate::stats::DependencyGraph;
 use crate::strata::{StrataBuilder, StrataOrder};
@@ -282,14 +282,7 @@ impl ProgramBuilder {
         let trigger = self.relation::<R>().id();
         let probe_table = self.relation::<S>().id();
         let plan = Arc::new(JoinPlan {
-            stages: vec![JoinStage {
-                probe_table,
-                keys: on
-                    .into_pairs()
-                    .into_iter()
-                    .map(|(tf, pf)| ((0, tf), pf))
-                    .collect(),
-            }],
+            stages: vec![on.stage(probe_table)],
             filter: Arc::new(move |rows: &[&Tuple]| {
                 filter(&R::from_tuple(rows[0]), &S::from_tuple(rows[1]))
             }),
@@ -330,20 +323,7 @@ impl ProgramBuilder {
         let table1 = self.relation::<S1>().id();
         let table2 = self.relation::<S2>().id();
         let plan = Arc::new(JoinPlan {
-            stages: vec![
-                JoinStage {
-                    probe_table: table1,
-                    keys: on1
-                        .into_pairs()
-                        .into_iter()
-                        .map(|(tf, pf)| ((0, tf), pf))
-                        .collect(),
-                },
-                JoinStage {
-                    probe_table: table2,
-                    keys: on2.into_pairs(),
-                },
-            ],
+            stages: vec![on1.stage(table1), on2.stage(table2)],
             filter: Arc::new(move |rows: &[&Tuple]| {
                 filter(
                     &R::from_tuple(rows[0]),
@@ -440,23 +420,20 @@ impl ProgramBuilder {
 /// Synthesizes the per-tuple nested-loop body from a join plan: a
 /// recursive descent over the stages, one indexed Gamma probe per stage
 /// per partial row. Each stage's query is built once, here — one
-/// equality bind slot per key pair — and bound per row to the key
-/// values of the rows already matched. Both execution modes (this
-/// fallback and the delta-join cursor walk) are built from the same
-/// plan parts, so they share one definition of the rule's meaning and
-/// cannot drift apart.
+/// equality bind slot per key pair, one `>` slot per inequality (its
+/// probe field above the matched row's value) — and bound per row to
+/// the values of the rows already matched, so the store drops a
+/// candidate failing an inequality at the same stage the batched walk
+/// does. Both execution modes (this fallback and the delta-join cursor
+/// walk) are built from the same plan parts, so they share one
+/// definition of the rule's meaning and cannot drift apart.
 fn join_fallback_body(plan: Arc<JoinPlan>) -> RuleBody {
     let stages: Vec<(Query, Vec<Slot>)> = (plan.stages.iter())
         .map(|stage| {
-            let key = |&(_, field): &(_, usize)| Slot {
-                field,
-                op: SlotOp::Eq,
-                at: 0,
-            };
-            (
-                Query::on(stage.probe_table),
-                stage.keys.iter().map(key).collect(),
-            )
+            let slot = |op| move |&(_, field): &(_, usize)| Slot { field, op, at: 0 };
+            let keys = stage.keys.iter().map(slot(SlotOp::Eq));
+            let less = stage.less.iter().map(slot(SlotOp::Gt));
+            (Query::on(stage.probe_table), keys.chain(less).collect())
         })
         .collect();
     Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| {
@@ -485,7 +462,8 @@ fn join_descend(
     let (query, slots) = &stages[depth];
     keys.clear();
     let key_of = |&((row, f), _): &((usize, usize), usize)| rows[row].get(f).clone();
-    keys.extend(plan.stages[depth].keys.iter().map(key_of));
+    let stage = &plan.stages[depth];
+    keys.extend(stage.keys.iter().chain(&stage.less).map(key_of));
     // Candidates are collected before descending: stages may probe the
     // same table (self-joins), and recursing while a store iteration
     // holds its lock would deadlock.
@@ -908,7 +886,9 @@ mod tests {
             crate::relation::JoinOn::new().eq(T0::b, T1::c),
             crate::relation::JoinOn2::new()
                 .eq_p(T1::d, T2::e)
-                .eq_t(T0::a, T2::f),
+                .lt_p(T1::c, T2::f)
+                .eq_t(T0::a, T2::f)
+                .lt_t(T0::b, T2::e),
             |_: &T0, _: &T1, _: &T2| true,
             |_, _: &T0, _: &T1, _: &T2| {},
         );
@@ -918,7 +898,10 @@ mod tests {
         assert_eq!(plan.stages[0].probe_table, prog.table_id("T1").unwrap());
         assert_eq!(plan.stages[0].keys, vec![((0, 1), 0)]);
         assert_eq!(plan.stages[1].probe_table, prog.table_id("T2").unwrap());
-        // eq_p sources row 1 (the stage-1 tuple), eq_t row 0 (trigger).
+        // eq_p sources row 1 (the stage-1 tuple), eq_t row 0 (trigger);
+        // the inequalities keep the same layout, in declaration order.
         assert_eq!(plan.stages[1].keys, vec![((1, 1), 0), ((0, 0), 1)]);
+        assert_eq!(plan.stages[1].less, vec![((1, 0), 1), ((0, 1), 0)]);
+        assert!(plan.stages[0].less.is_empty());
     }
 }

@@ -32,7 +32,9 @@
 //! **The variable order is fixed, never optimized.** Relations
 //! intersect in the order the builder declares them, each keyed on the
 //! column its *first* equality pair names; every further pair is a
-//! residual filter inside matched groups. There are no statistics and
+//! residual filter inside matched groups, and each typed inequality
+//! (`lt`, on `int`, `String` or `boolean` fields) runs at the first
+//! stage that binds both of its sides. There are no statistics and
 //! no planner — order the relations yourself (most selective first),
 //! and read the cost directly off `RunReport::join_seeks` /
 //! `join_cursor_opens` instead of guessing what a planner chose.

@@ -113,6 +113,46 @@ impl FieldValue for Arc<str> {
     }
 }
 
+/// A [`FieldValue`] whose [`Value`] order is the Rust type's own total
+/// order: `i64`, `Arc<str>` (`String`) and `bool`. Join inequalities
+/// (`JoinOn::lt`, `JoinOn2::lt_t`/`lt_p`, `Join::lt`, `Join3::lt_*`)
+/// compare under [`Value`]'s order, so they take only these types: a
+/// closure's `<` on the decoded field then means the same thing.
+/// `f64` is excluded because `Value::Double` orders by `total_cmp`,
+/// which puts `-0.0` below `0.0` and NaN above every number, where
+/// `f64`'s `<` does neither — an `f64` inequality stays in the filter
+/// closure:
+///
+/// ```compile_fail
+/// use jstar_core::jstar_table;
+/// use jstar_core::prelude::*;
+///
+/// jstar_table! {
+///     pub Reading(int id, double value) orderby (Reading)
+/// }
+///
+/// // `double` columns have no inequality pushdown.
+/// let _ = JoinOn::<Reading, Reading>::new().lt(Reading::value, Reading::value);
+/// ```
+///
+/// The same join on an `int` column compiles:
+///
+/// ```
+/// use jstar_core::jstar_table;
+/// use jstar_core::prelude::*;
+///
+/// jstar_table! {
+///     pub Reading(int id, double value) orderby (Reading)
+/// }
+///
+/// let _ = JoinOn::<Reading, Reading>::new().lt(Reading::id, Reading::id);
+/// ```
+pub trait OrderedValue: FieldValue {}
+
+impl OrderedValue for i64 {}
+impl OrderedValue for bool {}
+impl OrderedValue for Arc<str> {}
+
 /// A typed relation: a Rust struct carrying its table schema.
 ///
 /// One `Relation` type corresponds to one table declaration. The
@@ -702,17 +742,21 @@ pub struct ConstraintShape {
     pub bound: bool,
 }
 
-/// Typed equi-join key set between a trigger relation `R` and a probed
+/// Typed join constraints between a trigger relation `R` and a probed
 /// relation `S` — the declarative input of
-/// [`crate::program::ProgramBuilder::rule_rel_join`].
+/// [`crate::program::ProgramBuilder::rule_rel_join`] and the first stage
+/// of [`crate::program::ProgramBuilder::rule_rel_join2`].
 ///
 /// Each [`JoinOn::eq`] pairs a trigger column with a probe column of
 /// the *same* Rust type, so mismatched join keys (wrong relation, wrong
 /// column type) are compile errors, exactly like [`TypedQuery`]
 /// constraints. The pair list is what the engine sorts a delta class
-/// by when it runs the rule as a batched join.
+/// by when it runs the rule as a batched join. Each [`JoinOn::lt`] is
+/// an inequality checked as a candidate is matched, before any later
+/// stage is probed for it.
 pub struct JoinOn<R, S> {
     pairs: Vec<(usize, usize)>,
+    less: Vec<(usize, usize)>,
     _marker: PhantomData<fn(R, S)>,
 }
 
@@ -727,6 +771,7 @@ impl<R, S> JoinOn<R, S> {
     pub fn new() -> Self {
         JoinOn {
             pairs: Vec::new(),
+            less: Vec::new(),
             _marker: PhantomData,
         }
     }
@@ -737,25 +782,41 @@ impl<R, S> JoinOn<R, S> {
         self
     }
 
-    /// The collected `(trigger_field, probe_field)` pairs.
+    /// Adds the inequality `trigger.field < probe.field`, under
+    /// [`Value`]'s order (see [`OrderedValue`]). A candidate failing it
+    /// is dropped where it is matched, in both execution modes.
+    pub fn lt<T: OrderedValue>(mut self, trigger: Field<R, T>, probe: Field<S, T>) -> Self {
+        self.less.push((trigger.index(), probe.index()));
+        self
+    }
+
+    /// The collected `(trigger_field, probe_field)` equi-join pairs.
     pub fn pairs(&self) -> &[(usize, usize)] {
         &self.pairs
     }
 
-    pub(crate) fn into_pairs(self) -> Vec<(usize, usize)> {
-        self.pairs
+    /// The plan stage probing `probe_table`: every pair sourced from
+    /// the trigger, row 0.
+    pub(crate) fn stage(self, probe_table: TableId) -> JoinStage {
+        JoinStage {
+            probe_table,
+            keys: from_row(0, &self.pairs),
+            less: from_row(0, &self.less),
+        }
     }
 }
 
-/// Typed equi-join key set for the *second* probe stage of
+/// Typed join constraints for the *second* probe stage of
 /// [`crate::program::ProgramBuilder::rule_rel_join2`]: relation `S2`'s
 /// candidates may be keyed against the trigger `R` ([`JoinOn2::eq_t`])
-/// and/or the first probed relation `S1` ([`JoinOn2::eq_p`]).
+/// and/or the first probed relation `S1` ([`JoinOn2::eq_p`]), and
+/// bounded against either ([`JoinOn2::lt_t`], [`JoinOn2::lt_p`]).
 ///
 /// Internally each pair records its source row — row 0 is the trigger,
 /// row 1 the stage-1 tuple — matching [`crate::rule::JoinStage::keys`].
 pub struct JoinOn2<R, S1, S2> {
     pairs: Vec<((usize, usize), usize)>,
+    less: Vec<((usize, usize), usize)>,
     _marker: PhantomData<fn(R, S1, S2)>,
 }
 
@@ -770,6 +831,7 @@ impl<R, S1, S2> JoinOn2<R, S1, S2> {
     pub fn new() -> Self {
         JoinOn2 {
             pairs: Vec::new(),
+            less: Vec::new(),
             _marker: PhantomData,
         }
     }
@@ -786,13 +848,32 @@ impl<R, S1, S2> JoinOn2<R, S1, S2> {
         self
     }
 
-    /// The collected `((row, field), probe_field)` triples.
+    /// Adds the inequality `trigger.field < probe.field` (see
+    /// [`JoinOn::lt`]).
+    pub fn lt_t<T: OrderedValue>(mut self, trigger: Field<R, T>, probe: Field<S2, T>) -> Self {
+        self.less.push(((0, trigger.index()), probe.index()));
+        self
+    }
+
+    /// Adds the inequality `stage1.field < probe.field` (see
+    /// [`JoinOn::lt`]).
+    pub fn lt_p<T: OrderedValue>(mut self, prev: Field<S1, T>, probe: Field<S2, T>) -> Self {
+        self.less.push(((1, prev.index()), probe.index()));
+        self
+    }
+
+    /// The collected `((row, field), probe_field)` equi-join triples.
     pub fn pairs(&self) -> &[((usize, usize), usize)] {
         &self.pairs
     }
 
-    pub(crate) fn into_pairs(self) -> Vec<((usize, usize), usize)> {
-        self.pairs
+    /// The plan stage probing `probe_table`.
+    pub(crate) fn stage(self, probe_table: TableId) -> JoinStage {
+        JoinStage {
+            probe_table,
+            keys: self.pairs,
+            less: self.less,
+        }
     }
 }
 
@@ -804,29 +885,40 @@ impl<R, S1, S2> JoinOn2<R, S1, S2> {
 /// leapfrog walk and `B`'s its single stage, both opened on the first
 /// `on` pair's columns and intersected with coordinated seek/next
 /// motions; any further `on` pairs are residual equalities inside
-/// matched groups. Evaluate with [`crate::engine::Engine::join_rel`],
-/// or with [`crate::engine::Engine::join_fold`] to split the walk over
-/// the engine's pool.
+/// matched groups, checked beside the [`Join::lt`] inequalities.
+/// Evaluate with [`crate::engine::Engine::join_rel`], or with
+/// [`crate::engine::Engine::join_fold`] to split the walk over the
+/// engine's pool.
 pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
     Join {
         on: Vec::new(),
+        less: Vec::new(),
         _marker: PhantomData,
     }
 }
 
-/// A typed two-relation equi-join (see [`join`]).
+/// A typed two-relation join (see [`join`]).
 pub struct Join<A: Relation, B: Relation> {
     on: Vec<(usize, usize)>,
+    less: Vec<(usize, usize)>,
     _marker: PhantomData<fn(A, B)>,
 }
 
 /// What a read-side join lowers to — the input of the engine's one
-/// leapfrog walk: the root relation's key column, then one
-/// [`JoinStage`] per further relation (row 0 is `A`, row 1 `B`, …;
-/// each stage's first key pair names the column its view is opened on).
+/// leapfrog walk: the root relation's key column and the inequalities
+/// between two of its own fields (root checks, `(field, field)`: the
+/// first below the second), then one [`JoinStage`] per further relation
+/// (row 0 is `A`, row 1 `B`, …; each stage's first key pair names the
+/// column its view is opened on).
 pub(crate) struct ReadJoin {
     pub(crate) root: (TableId, usize),
+    pub(crate) root_less: Vec<(usize, usize)>,
     pub(crate) stages: Vec<JoinStage>,
+}
+
+/// `(source_field, probe_field)` pairs sourced from row `row`.
+fn from_row(row: usize, pairs: &[(usize, usize)]) -> Vec<((usize, usize), usize)> {
+    pairs.iter().map(|&(f, pf)| ((row, f), pf)).collect()
 }
 
 impl<A: Relation, B: Relation> Join<A, B> {
@@ -834,6 +926,13 @@ impl<A: Relation, B: Relation> Join<A, B> {
     /// names the leapfrog columns; later pairs are residual checks.
     pub fn on<T: FieldValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
         self.on.push((a.index(), b.index()));
+        self
+    }
+
+    /// Adds the inequality `a.field < b.field`, under [`Value`]'s order
+    /// (see [`OrderedValue`]), checked as each `b` row is matched.
+    pub fn lt<T: OrderedValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
+        self.less.push((a.index(), b.index()));
         self
     }
 
@@ -846,9 +945,11 @@ impl<A: Relation, B: Relation> Join<A, B> {
         );
         ReadJoin {
             root: (program.handle::<A>().id(), self.on[0].0),
+            root_less: Vec::new(),
             stages: vec![JoinStage {
                 probe_table: program.handle::<B>().id(),
-                keys: self.on.iter().map(|&(af, bf)| ((0, af), bf)).collect(),
+                keys: from_row(0, &self.on),
+                less: from_row(0, &self.less),
             }],
         }
     }
@@ -861,6 +962,11 @@ impl<A: Relation, B: Relation> Join<A, B> {
 /// seeks a shared `C` view keyed by the first [`Join3::on_bc`] pair —
 /// or the first [`Join3::on_ac`] pair when no `b`–`c` key exists —
 /// with every remaining pair checked as a residual equality.
+///
+/// Each inequality is checked at the first row that binds both of its
+/// sides: [`Join3::lt_a`] before an `a` row is walked at all,
+/// [`Join3::lt_ab`] as a `b` row is matched (before `C` is sought for
+/// it), [`Join3::lt_ac`] and [`Join3::lt_bc`] as a `c` row is matched.
 /// Evaluate with [`crate::engine::Engine::join3_rel`] or, over the
 /// engine's pool, [`crate::engine::Engine::join3_fold`].
 pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
@@ -868,15 +974,23 @@ pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
         ab: Vec::new(),
         bc: Vec::new(),
         ac: Vec::new(),
+        a_less: Vec::new(),
+        ab_less: Vec::new(),
+        ac_less: Vec::new(),
+        bc_less: Vec::new(),
         _marker: PhantomData,
     }
 }
 
-/// A typed three-relation equi-join (see [`join3`]).
+/// A typed three-relation join (see [`join3`]).
 pub struct Join3<A: Relation, B: Relation, C: Relation> {
     ab: Vec<(usize, usize)>,
     bc: Vec<(usize, usize)>,
     ac: Vec<(usize, usize)>,
+    a_less: Vec<(usize, usize)>,
+    ab_less: Vec<(usize, usize)>,
+    ac_less: Vec<(usize, usize)>,
+    bc_less: Vec<(usize, usize)>,
     _marker: PhantomData<fn(A, B, C)>,
 }
 
@@ -900,6 +1014,32 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
         self
     }
 
+    /// Adds the inequality `a.lo < a.hi` between two fields of the same
+    /// `a` row (a root check), under [`Value`]'s order (see
+    /// [`OrderedValue`], and [`join3`] for where each inequality runs).
+    pub fn lt_a<T: OrderedValue>(mut self, lo: Field<A, T>, hi: Field<A, T>) -> Self {
+        self.a_less.push((lo.index(), hi.index()));
+        self
+    }
+
+    /// Adds the inequality `a.field < b.field`.
+    pub fn lt_ab<T: OrderedValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
+        self.ab_less.push((a.index(), b.index()));
+        self
+    }
+
+    /// Adds the inequality `a.field < c.field`.
+    pub fn lt_ac<T: OrderedValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
+        self.ac_less.push((a.index(), c.index()));
+        self
+    }
+
+    /// Adds the inequality `b.field < c.field`.
+    pub fn lt_bc<T: OrderedValue>(mut self, b: Field<B, T>, c: Field<C, T>) -> Self {
+        self.bc_less.push((b.index(), c.index()));
+        self
+    }
+
     /// Panics without an `on_ab` pair or without any `C`-side
     /// constraint. `C`'s keys list the `b`-sourced pairs first: a
     /// `b` key is preferred for the seek, an `a` key is the fallback.
@@ -912,21 +1052,23 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
             !(self.bc.is_empty() && self.ac.is_empty()),
             "join3 requires an on_bc() or on_ac() pair to key C"
         );
-        let from = |row: usize, pairs: &[(usize, usize)]| -> Vec<_> {
-            pairs.iter().map(|&(f, pf)| ((row, f), pf)).collect()
-        };
-        let mut c_keys = from(1, &self.bc);
-        c_keys.extend(from(0, &self.ac));
+        let mut c_keys = from_row(1, &self.bc);
+        c_keys.extend(from_row(0, &self.ac));
+        let mut c_less = from_row(1, &self.bc_less);
+        c_less.extend(from_row(0, &self.ac_less));
         ReadJoin {
             root: (program.handle::<A>().id(), self.ab[0].0),
+            root_less: self.a_less.clone(),
             stages: vec![
                 JoinStage {
                     probe_table: program.handle::<B>().id(),
-                    keys: from(0, &self.ab),
+                    keys: from_row(0, &self.ab),
+                    less: from_row(0, &self.ab_less),
                 },
                 JoinStage {
                     probe_table: program.handle::<C>().id(),
                     keys: c_keys,
+                    less: c_less,
                 },
             ],
         }
@@ -1247,8 +1389,15 @@ mod tests {
     fn join_on_collects_typed_pairs() {
         let on: JoinOn<Ship, Ship> = JoinOn::new()
             .eq(Ship::frame, Ship::x)
+            .lt(Ship::x, Ship::x)
             .eq(Ship::x, Ship::frame);
         assert_eq!(on.pairs(), &[(0, 1), (1, 0)]);
+        // Both lists source row 0, the trigger; the inequality sits
+        // next to the keys, not among them.
+        let stage = on.stage(TableId(3));
+        assert_eq!(stage.probe_table, TableId(3));
+        assert_eq!(stage.keys, vec![((0, 0), 1), ((0, 1), 0)]);
+        assert_eq!(stage.less, vec![((0, 1), 1)]);
     }
 
     #[test]

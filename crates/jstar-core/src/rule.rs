@@ -28,8 +28,9 @@ pub type JoinFilter = Arc<dyn Fn(&[&Tuple]) -> bool + Send + Sync>;
 /// tuples through the context.
 pub type JoinEmit = Arc<dyn Fn(&RuleCtx<'_>, &[&Tuple]) + Send + Sync>;
 
-/// One probe stage of a [`JoinPlan`]: a table to probe and the
-/// equi-join keys binding it to rows already matched.
+/// One probe stage of a [`JoinPlan`]: a table to probe, the equi-join
+/// keys binding it to rows already matched, and the inequalities its
+/// candidates must satisfy against those rows.
 #[derive(Debug, Clone)]
 pub struct JoinStage {
     /// The Gamma table this stage probes.
@@ -40,6 +41,13 @@ pub struct JoinStage {
     /// candidate. Stage 1 may only reference row 0; stage `k` may
     /// reference rows `0..k`.
     pub keys: Vec<((usize, usize), usize)>,
+    /// Inequalities in the same layout: field `field` of row `row` is
+    /// strictly below `probe_field` of this stage's candidate, under
+    /// [`crate::value::Value`]'s order. Each is checked as the candidate
+    /// is matched, beside the residual keys — the first stage that
+    /// binds both of its sides — so a failing candidate never reaches a
+    /// later stage.
+    pub less: Vec<((usize, usize), usize)>,
 }
 
 impl JoinStage {
@@ -66,9 +74,9 @@ impl JoinStage {
 /// or [`crate::program::ProgramBuilder::rule_rel_join2`] (two stages)
 /// expose their constraint structure instead of hiding it inside an
 /// opaque closure: for each trigger tuple, probe the stages in order —
-/// each stage's candidates constrained by equi-join keys against rows
-/// already matched — keep full row combinations passing `filter`, and
-/// run `emit` on each. The variable order is fixed by stage declaration
+/// each stage's candidates constrained by equi-join keys and
+/// inequalities against rows already matched — keep full row
+/// combinations passing `filter`, and run `emit` on each. The variable order is fixed by stage declaration
 /// order (no cost-based optimizer).
 ///
 /// The engine uses the shape to switch a whole extracted class to

@@ -383,6 +383,104 @@ fn join_fold_matches_join_rel_and_nested_loops_at_piece_boundaries() {
     }
 }
 
+jstar_core::jstar_table! {
+    /// A named arc for the read-side inequality joins: `int` and
+    /// `String` columns, both totally ordered.
+    #[derive(Eq, PartialOrd, Ord)]
+    pub Hop(int from, int to, String name) orderby (Hop)
+}
+
+/// Every read-side inequality builder — `Join::lt`, and `Join3`'s root
+/// check `lt_a` and its `lt_ab`, `lt_ac`, `lt_bc` — keeps exactly the
+/// rows two or three nested loops keep with the same comparisons in
+/// their bodies, on `int` and on `String` fields, in the fold and the
+/// `FnMut` forms, sequentially and on a pool.
+#[test]
+fn read_side_inequalities_match_nested_loops() {
+    let mut p = ProgramBuilder::new();
+    p.relation::<Hop>();
+    let mut hops = Vec::new();
+    for from in 0..14i64 {
+        for k in 0..4 {
+            let to = (from * 5 + k * 3 + 1) % 14;
+            let name: std::sync::Arc<str> = format!("h{}", (from * 3 + to) % 5).into();
+            hops.push(Hop { from, to, name });
+        }
+    }
+    hops.sort();
+    hops.dedup();
+    hops.iter().for_each(|h| p.put_rel(h.clone()));
+    let program = Arc::new(p.build().unwrap());
+
+    let mut want2 = Vec::new();
+    for a in &hops {
+        for b in &hops {
+            if a.from == b.from && a.to < b.to && a.name < b.name {
+                want2.push((a.clone(), b.clone()));
+            }
+        }
+    }
+    want2.sort();
+    let mut want3 = Vec::new();
+    for a in hops.iter().filter(|a| a.from < a.to) {
+        for b in &hops {
+            if a.to != b.from || a.name >= b.name {
+                continue;
+            }
+            for c in &hops {
+                if b.to == c.from && a.from < c.to && b.from < c.to {
+                    want3.push((a.clone(), b.clone(), c.clone()));
+                }
+            }
+        }
+    }
+    want3.sort();
+    assert!(
+        want2.len() > 10 && want3.len() > 10,
+        "the fixture must have rows to find"
+    );
+
+    let two = || {
+        join::<Hop, Hop>()
+            .on(Hop::from, Hop::from)
+            .lt(Hop::to, Hop::to)
+            .lt(Hop::name, Hop::name)
+    };
+    let three = || {
+        join3::<Hop, Hop, Hop>()
+            .on_ab(Hop::to, Hop::from)
+            .on_bc(Hop::to, Hop::from)
+            .lt_a(Hop::from, Hop::to)
+            .lt_ab(Hop::name, Hop::name)
+            .lt_ac(Hop::from, Hop::to)
+            .lt_bc(Hop::from, Hop::to)
+    };
+    for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+        let threads = config.threads;
+        let mut engine = Engine::new(Arc::clone(&program), config);
+        engine.run().unwrap();
+        let mut got2 = Vec::new();
+        engine.join_rel(two(), |a, b| got2.push((a, b)));
+        got2.sort();
+        assert_eq!(got2, want2, "join, {threads} threads");
+        let mut got3 = engine.join3_fold(
+            three(),
+            Vec::new,
+            |rows, a, b, c| rows.push((a, b, c)),
+            |mut left, right| {
+                left.extend(right);
+                left
+            },
+        );
+        got3.sort();
+        assert_eq!(got3, want3, "join3 fold, {threads} threads");
+        let mut walked = Vec::new();
+        engine.join3_rel(three(), |a, b, c| walked.push((a, b, c)));
+        walked.sort();
+        assert_eq!(walked, want3, "join3, {threads} threads");
+    }
+}
+
 // ── `-noDelta` staging and the inbox's run-length combining ─────────────
 
 /// `Src(n)` puts `A(0..n)` (plus one repeat of `A(0)`), `-noDelta` `A`'s

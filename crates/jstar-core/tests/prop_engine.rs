@@ -279,14 +279,17 @@ fn assert_matches_nested_loop(
 /// * `nested_loop = false` — one [`ProgramBuilder::rule_rel_join2`]
 ///   rule carrying the full two-stage [`jstar_core::rule::JoinPlan`]
 ///   (`Src ⋈ Dim` on `k`, then a second probe on the first match's `w`),
-///   eligible for batched delta-join execution and the leapfrog walk;
+///   its inequalities stated in the builder, eligible for batched
+///   delta-join execution and the leapfrog walk;
 /// * `nested_loop = true` — a hand-written opaque rule performing the
 ///   same join as two nested `ctx.query_rel` loops, invisible to every
-///   join optimisation.
+///   join optimisation, checking each inequality in its body.
 ///
 /// Stage 2 probes `Dim` again, or — `asymmetric` — its own table `Wt`,
 /// with only odd `Dim` keys present, so about half the triggers find no
-/// stage-1 row. Tables, orderings, seeds and the filter are identical
+/// stage-1 row. `bounds` says which stages carry an inequality (bit 0:
+/// stage 1, `Src.k < Dim.w`; bit 1: stage 2, `Src.k <` the stage-2
+/// row's weight). Tables, orderings, seeds and the filter are identical
 /// across the lowerings, so the two programs must reach the same
 /// fixpoint with the same pop schedule.
 fn join2_program(
@@ -296,6 +299,7 @@ fn join2_program(
     filt: i64,
     nested_loop: bool,
     asymmetric: bool,
+    bounds: usize,
 ) -> Arc<Program> {
     let mut p = ProgramBuilder::new();
     p.relation::<Dim>();
@@ -304,9 +308,23 @@ fn join2_program(
     p.relation::<Out>();
     p.order(&["Dim", "Wt", "Src", "Out"]);
     if asymmetric {
-        chain_rule(&mut p, nested_loop, filt, Wt::k, |d: &Wt| d.w);
+        chain_rule(
+            &mut p,
+            nested_loop,
+            filt,
+            bounds,
+            (Wt::k, Wt::w),
+            |d: &Wt| d.w,
+        );
     } else {
-        chain_rule(&mut p, nested_loop, filt, Dim::k, |d: &Dim| d.w);
+        chain_rule(
+            &mut p,
+            nested_loop,
+            filt,
+            bounds,
+            (Dim::k, Dim::w),
+            |d: &Dim| d.w,
+        );
     }
     // `w` values overlap the key range so stage 2 matches regularly
     // (but not always — missing keys exercise the empty-descent path).
@@ -331,14 +349,17 @@ fn join2_program(
 }
 
 /// Adds [`join2_program`]'s chain `Src ⋈ Dim ⋈ S2` (stage 2 on
-/// `Dim.w = key`, weighing by `weight`) in the chosen lowering.
+/// `Dim.w = key`, weighing by `weight`, which reads `weight_field`) in
+/// the chosen lowering.
 fn chain_rule<S2: Relation>(
     p: &mut ProgramBuilder,
     nested_loop: bool,
     filt: i64,
-    key: Field<S2, i64>,
+    bounds: usize,
+    (key, weight_field): (Field<S2, i64>, Field<S2, i64>),
     weight: fn(&S2) -> i64,
 ) {
+    let (bound1, bound2) = (bounds & 1 != 0, bounds & 2 != 0);
     let filter = move |s: &Src, d1: &Dim, d2: &S2| (s.v + d1.w + weight(d2)).rem_euclid(filt) != 0;
     let emit = move |s: &Src, d1: &Dim, d2: &S2| Out {
         a: s.v + d1.w,
@@ -347,7 +368,13 @@ fn chain_rule<S2: Relation>(
     if nested_loop {
         p.rule_rel("chain-nested", move |ctx, s: Src| {
             for d1 in ctx.query_rel(Dim::query().eq(Dim::k, s.k)) {
+                if bound1 && s.k >= d1.w {
+                    continue;
+                }
                 for d2 in ctx.query_rel(S2::query().eq(key, d1.w)) {
+                    if bound2 && s.k >= weight(&d2) {
+                        continue;
+                    }
                     if filter(&s, &d1, &d2) {
                         ctx.put_rel(emit(&s, &d1, &d2));
                     }
@@ -355,10 +382,18 @@ fn chain_rule<S2: Relation>(
             }
         });
     } else {
+        let mut stage1 = JoinOn::new().eq(Src::k, Dim::k);
+        if bound1 {
+            stage1 = stage1.lt(Src::k, Dim::w);
+        }
+        let mut stage2 = JoinOn2::new().eq_p(Dim::w, key);
+        if bound2 {
+            stage2 = stage2.lt_t(Src::k, weight_field);
+        }
         p.rule_rel_join2(
             "chain-join",
-            JoinOn::new().eq(Src::k, Dim::k),
-            JoinOn2::new().eq_p(Dim::w, key),
+            stage1,
+            stage2,
             filter,
             move |ctx, s: &Src, d1: &Dim, d2: &S2| {
                 ctx.put_rel(emit(s, d1, d2));
@@ -585,23 +620,30 @@ proptest! {
 
     /// `join()` lowering equivalence: for random two-stage join
     /// programs — stage 2 probing the stage-1 table again or a table of
-    /// its own — the typed join-rule lowering (two-stage plan, batched
-    /// from a 32-wide `Src` class) matches the hand-written nested-loop
-    /// lowering (see [`assert_matches_nested_loop`]).
+    /// its own, with or without an inequality at either stage — the
+    /// typed join-rule lowering (two-stage plan) matches the
+    /// hand-written nested-loop lowering, which checks each inequality
+    /// in its body (see [`assert_matches_nested_loop`]). Every case runs
+    /// a `Src` class narrower than the 32-wide delta-join minimum (the
+    /// per-tuple fallback) and one at least that wide (the batched walk).
     #[test]
     fn typed_join_matches_nested_loop_lowering(
         dims in 1i64..25,
-        srcs in 1i64..80,
+        narrow in 1i64..32,
+        wide in 32i64..80,
         key_mod in 1i64..10,
         filt in 1i64..6,
         threads in 2usize..6,
         asymmetric in any::<bool>(),
+        bounds in 0usize..4,
     ) {
-        let nested = join2_program(dims, srcs, key_mod, filt, true, asymmetric);
-        let joined = join2_program(dims, srcs, key_mod, filt, false, asymmetric);
-        assert_matches_nested_loop(&nested, &joined, threads, |_| {
-            batched_classes(&[srcs as usize])
-        })?;
+        for srcs in [narrow, wide] {
+            let nested = join2_program(dims, srcs, key_mod, filt, true, asymmetric, bounds);
+            let joined = join2_program(dims, srcs, key_mod, filt, false, asymmetric, bounds);
+            assert_matches_nested_loop(&nested, &joined, threads, |_| {
+                batched_classes(&[srcs as usize])
+            })?;
+        }
     }
 
     /// The generation-stamped index cache is a pure execution-strategy
@@ -744,11 +786,11 @@ fn run_join(prog: &Arc<Program>, config: EngineConfig) -> (Vec<Tuple>, RunReport
 /// and at 2 and 4 threads.
 #[test]
 fn asymmetric_join_matches_nested_loop_sequential_and_parallel() {
-    let nested = join2_program(50, 400, 24, 5, true, true);
+    let nested = join2_program(50, 400, 24, 5, true, true, 0);
     let (want, _) = run_join(&nested, EngineConfig::sequential());
     let out = nested.table_id("Out").unwrap();
     assert!(want.iter().any(|t| t.table() == out), "some chains emit");
-    let joined = join2_program(50, 400, 24, 5, false, true);
+    let joined = join2_program(50, 400, 24, 5, false, true, 0);
     for config in [
         EngineConfig::sequential(),
         EngineConfig::parallel(2),
@@ -764,8 +806,8 @@ fn asymmetric_join_matches_nested_loop_sequential_and_parallel() {
 #[test]
 fn asymmetric_join_batched_walk_searches_less() {
     for srcs in [31, 400] {
-        let nested = join2_program(50, srcs, 24, 5, true, true);
-        let joined = join2_program(50, srcs, 24, 5, false, true);
+        let nested = join2_program(50, srcs, 24, 5, true, true, 0);
+        let joined = join2_program(50, srcs, 24, 5, false, true, 0);
         let (want, pt) = run_join(&nested, EngineConfig::sequential());
         let (got, dj) = run_join(&joined, EngineConfig::sequential());
         assert_eq!(got, want);
