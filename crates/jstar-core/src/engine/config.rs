@@ -15,7 +15,8 @@ pub type LifetimeHint = Arc<dyn Fn(&Tuple) -> bool + Send + Sync>;
 /// kept *outside* the program source (workflow stages 3–4).
 #[derive(Clone)]
 pub struct EngineConfig {
-    /// `-sequential`: single-threaded execution with sequential stores.
+    /// `-sequential`: single-threaded execution, with no pool. The Gamma
+    /// stores are the same as in a parallel run.
     pub sequential: bool,
     /// `--threads=N`: fork/join pool size for parallel execution.
     pub threads: usize,

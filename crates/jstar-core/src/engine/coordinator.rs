@@ -207,9 +207,8 @@ impl crate::persist::SnapshotSink for Restoring<'_> {
 impl Engine {
     /// Builds an engine for `program` under `config`.
     ///
-    /// Gamma stores default to the mode-appropriate structure (§5: `TreeSet`
-    /// sequentially, concurrent ordered store in parallel) unless overridden
-    /// per table via [`EngineConfig::store`].
+    /// Every table gets [`StoreKind::ConcurrentOrdered`] in either mode
+    /// unless overridden via [`EngineConfig::store`].
     pub fn new(program: Arc<Program>, config: EngineConfig) -> Engine {
         let n = program.defs().len();
         let kinds: Vec<StoreKind> = (0..n)
@@ -218,7 +217,7 @@ impl Engine {
                     .stores
                     .get(&TableId(i as u32))
                     .cloned()
-                    .unwrap_or_else(|| StoreKind::default_for(!config.sequential))
+                    .unwrap_or(StoreKind::ConcurrentOrdered)
             })
             .collect();
         let gamma = Gamma::new(program.defs(), &kinds);

@@ -7,9 +7,10 @@
 //! ordering", inserted into Gamma, and triggers applicable rules → later
 //! rules may query it → (optionally) it is discarded via lifetime hints.
 //!
-//! Two modes mirror the paper's compiler flags:
+//! Two modes mirror the paper's compiler flags. They differ in the pool
+//! only — both build the same Gamma stores:
 //!
-//! * **sequential** (`-sequential`): one thread, ordered stores;
+//! * **sequential** (`-sequential`): one thread, no pool;
 //! * **parallel** (default): the *all-minimums strategy* — every tuple of
 //!   the minimal Delta equivalence class is executed as a fork/join task on
 //!   a [`jstar_pool::ThreadPool`] sized by `--threads=N`.
@@ -145,15 +146,14 @@
 //! step instead of the live table. Lifetime-hint `retain`s (a changed
 //! tombstone count) and quiescent rebuilds — compaction, snapshot
 //! import, both of which bump the store's epoch — invalidate wholesale;
-//! both happen only in the maintain phase. Stores without a claim
-//! journal (the `-sequential` engine's `BTreeStore`, custom stores)
-//! build cold on every open, and a per-table LRU byte bound
+//! both happen only in the maintain phase. Custom stores, which keep no
+//! claim journal, build cold on every open, and a per-table LRU byte bound
 //! ([`crate::gamma::DEFAULT_INDEX_CACHE_MAX_BYTES`]) caps the memory.
 //! [`RunReport::index_cache_hits`]/[`RunReport::index_cache_misses`]/
 //! [`RunReport::index_catchup_tuples`]/[`RunReport::index_build_tuples`]
 //! put the rebuild-work reduction on record, and the cached views are
-//! property-tested against the cold-building sequential engine
-//! (`tests/prop_engine.rs::cached_index_matches_cold_build`).
+//! property-tested against an engine whose custom store builds every
+//! view cold (`tests/prop_engine.rs::cached_index_matches_cold_build`).
 //!
 //! ## Hot-path architecture
 //!

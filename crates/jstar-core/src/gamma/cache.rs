@@ -40,9 +40,9 @@
 //! ([`ColumnIndex::merge_suffix`]) reproduces the order a cold rebuild
 //! over the longer journal would emit — and the same dense-key and
 //! packed-cell mirrors, which the merge copies for cached rows and
-//! fills in for new ones. Stores without a claim journal
-//! ([`super::BTreeStore`], custom stores) report no stamp and stay on
-//! the cold path.
+//! fills in for new ones. Every built-in store keeps a claim journal;
+//! only custom stores ([`super::StoreKind::Custom`]) report no stamp
+//! and stay on the cold path.
 //!
 //! The LRU bound counts what a view owns
 //! ([`ColumnIndex::approx_bytes`]): its five arrays. Tuple payloads
@@ -168,7 +168,7 @@ impl IndexCache {
         store: &dyn TableStore,
     ) -> Arc<ColumnIndex> {
         let Some(stamp) = store.index_stamp() else {
-            // Cold path — store without a claim journal.
+            // Cold path — a custom store without a claim journal.
             // ord: Relaxed ×2 — statistics only.
             self.misses.fetch_add(1, Ordering::Relaxed);
             self.build_tuples

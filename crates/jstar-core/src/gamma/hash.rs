@@ -1,8 +1,8 @@
-//! The reservation-table store — the paper's concurrent set
-//! (`ConcurrentSkipListSet`, the parallel default) and its `HashSet` /
-//! `ConcurrentHashMap` alternative, "considerably more efficient" when
-//! every query binds the indexed fields (§5, §6.2) — as one structure
-//! whose only parameter is its chain.
+//! The reservation-table store — the default store of every engine mode,
+//! and the paper's `HashSet` / `ConcurrentHashMap` alternative,
+//! "considerably more efficient" when every query binds the indexed
+//! fields (§5, §6.2) — as one structure whose only parameter is its
+//! chain.
 
 use super::reservation::{hash_values, ReservationTable, SwappableTable};
 use super::{InsertOutcome, StagedImport, TableStore};
@@ -31,9 +31,8 @@ use std::sync::Arc;
 ///
 /// A chain that is exactly the key prefix `0..k` is the primary walk
 /// already, so such a store keeps no chain heads; an empty chain means
-/// no secondary narrowing. As in the paper, the concurrent structure
-/// trades some sequential efficiency for insert scalability — ordered
-/// traversal is the [`super::BTreeStore`]'s job.
+/// no secondary narrowing. Ordered traversal is not a store's job: a
+/// join walk reads the sorted per-column views the index cache keeps.
 ///
 /// Primary-key (`->`) conflicts are detected on the probe walk, which
 /// visits every tuple sharing the key fields; this is only efficient
@@ -261,10 +260,17 @@ pub(super) mod tests {
         ]
     }
 
-    /// The store contract, then every query path over what it left.
+    /// The store contract, then every query path over what it left, then
+    /// a second row and a duplicate met among many rows.
     pub(in crate::gamma) fn check_contract(name: &str, store: &HashStore) {
         exercise_store_contract(store, store.def.key_arity.is_some());
         assert_query_paths(name, store, &queries(1, 10));
+        for a in 100..150 {
+            assert_eq!(store.insert(kt(a, a, "v")), InsertOutcome::Fresh, "{name}");
+        }
+        assert_eq!(store.insert(kt(125, 99, "v")), second_row(store), "{name}");
+        let repeat = store.insert(kt(125, 125, "v"));
+        assert_eq!(repeat, InsertOutcome::Duplicate, "{name}");
     }
 
     #[test]
@@ -275,6 +281,37 @@ pub(super) mod tests {
             let linked = !chain.is_empty() && (!keyed || chain != [0]);
             assert_eq!(store.table.get().has_chain_heads(), linked, "{name}");
             check_contract(name, &store);
+        }
+    }
+
+    #[test]
+    fn key_conflict_found_among_many() {
+        // A `->` conflict and a duplicate met among 50 fresh rows.
+        for (name, keyed, chain) in SHAPES.into_iter().filter(|s| s.1) {
+            let store = build(keyed, chain, None);
+            for a in 0..50 {
+                assert_eq!(store.insert(kt(a, a, "v")), InsertOutcome::Fresh, "{name}");
+            }
+            assert_eq!(
+                store.insert(kt(25, 99, "v")),
+                InsertOutcome::KeyConflict,
+                "{name}"
+            );
+            assert_eq!(
+                store.insert(kt(25, 25, "v")),
+                InsertOutcome::Duplicate,
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn keyless_store_accepts_same_prefix() {
+        for (name, keyed, chain) in SHAPES.into_iter().filter(|s| !s.1) {
+            let store = build(keyed, chain, None);
+            assert_eq!(store.insert(kt(1, 2, "v")), InsertOutcome::Fresh, "{name}");
+            assert_eq!(store.insert(kt(1, 3, "v")), InsertOutcome::Fresh, "{name}");
+            assert_eq!(store.len(), 2, "{name}");
         }
     }
 

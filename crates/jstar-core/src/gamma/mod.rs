@@ -3,24 +3,21 @@
 //!
 //! Gamma holds one store per table. Stores are pluggable behind the
 //! [`TableStore`] trait: this is the paper's *late commitment to data
-//! structures* (§1.4) — the same program can run on ordered trees,
-//! concurrent hash indexes, or app-specific native arrays, chosen per
+//! structures* (§1.4) — the same program can run on hash indexes chained
+//! on different columns or on app-specific native arrays, chosen per
 //! table by [`StoreKind`] without touching program source.
 //!
-//! Defaults mirror the paper (§5): an ordered-set store for sequential code
-//! (Java `TreeSet`) and a concurrent store for parallel code
-//! (`ConcurrentSkipListSet`, here a [`HashStore`] chained on the first
-//! column: a lock-free claim-then-publish reservation table — see the
+//! Every engine mode builds the same default,
+//! [`StoreKind::ConcurrentOrdered`]: a [`HashStore`] chained on the first
+//! column, a lock-free claim-then-publish reservation table (see the
 //! `reservation` module).
 
-mod btree;
 mod cache;
 mod cursor;
 mod hash;
 pub(crate) mod leapfrog;
 mod reservation;
 
-pub use btree::BTreeStore;
 pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
 pub(crate) use cursor::sort_by_value;
 pub use cursor::{ColumnCursor, ColumnIndex};
@@ -62,10 +59,9 @@ pub trait TableStore: Send + Sync {
     ///
     /// This is how the engine inserts: a chunk of an equivalence class
     /// and a flushed run of staged `-noDelta` puts each arrive in a
-    /// single call. What a batch buys depends on the store:
-    /// [`BTreeStore`] takes its lock once; [`HashStore`] prefetches the
-    /// batch's probe lines and writes its shared `len`/journal counters
-    /// once per block of 32 tuples instead of once per tuple. The default — custom stores —
+    /// single call. [`HashStore`] prefetches the batch's probe lines and
+    /// writes its shared `len`/journal counters once per block of 32
+    /// tuples instead of once per tuple. The default — custom stores —
     /// just loops over [`TableStore::insert`].
     fn insert_batch(&self, tuples: &[Tuple], outcomes: &mut Vec<InsertOutcome>) {
         outcomes.extend(tuples.iter().map(|t| self.insert(t.clone())));
@@ -112,8 +108,8 @@ pub trait TableStore: Send + Sync {
     /// access to the store for the duration of the call — the engine
     /// invokes this only from the coordinator's maintain phase, after
     /// the step's fork/join scope has joined and before any new work is
-    /// spawned. Stores whose `retain` frees memory eagerly (the
-    /// sequential [`BTreeStore`]) ignore the call.
+    /// spawned. The default ignores the call: a custom store's `retain`
+    /// is expected to free memory itself.
     fn maybe_compact(&self, max_tombstone_fraction: f64) -> bool {
         let _ = max_tombstone_fraction;
         false
@@ -144,10 +140,10 @@ pub trait TableStore: Send + Sync {
     ///
     /// A store that can build its replacement aside does so as the
     /// batches arrive, counts as it goes and swaps on commit
-    /// ([`BTreeStore`], and [`HashStore`], which fills a right-sized
-    /// fresh table through its batch insert). The default —
-    /// custom stores — cannot: it only collects, and on commit empties the
-    /// store and re-inserts row by row, counting then.
+    /// ([`HashStore`] fills a right-sized fresh table through its batch
+    /// insert). The default — custom stores only — cannot: it only
+    /// collects, and on commit empties the store and re-inserts row by
+    /// row, counting then.
     ///
     /// **Quiescence contract**: like [`TableStore::maybe_compact`], no
     /// other thread may be using the store when the import is committed
@@ -166,8 +162,9 @@ pub trait TableStore: Send + Sync {
     /// its own [`ColumnCursor`] over it.
     ///
     /// The default sorts a full [`TableStore::for_each`] pass
-    /// ([`ColumnIndex::build`]); value-ordered stores override it to cut
-    /// the view straight off their sorted iteration. Opening a cursor is counted
+    /// ([`ColumnIndex::build`]). [`Gamma::open_cursor`] calls it only for
+    /// a store without a [`TableStore::index_stamp`]; a journaled store's
+    /// view is built and caught up off its journal. Opening a cursor is counted
     /// by the engine as one query against the table (plus a
     /// `join_cursor_opens` tick), so the probe ledger stays honest.
     fn open_cursor(&self, field: usize) -> Arc<ColumnIndex> {
@@ -181,8 +178,8 @@ pub trait TableStore: Send + Sync {
 
     /// The current [`IndexStamp`] of this store's backing storage, or
     /// `None` when the store cannot support incremental index
-    /// maintenance (no append-only claim journal — the sequential
-    /// [`BTreeStore`], custom stores). Returning `Some` commits the
+    /// maintenance (no append-only claim journal — custom stores; every
+    /// built-in store has one). Returning `Some` commits the
     /// store to a working [`TableStore::for_each_journal_suffix`]: the
     /// two hooks describe the same journal.
     fn index_stamp(&self) -> Option<IndexStamp> {
@@ -228,7 +225,8 @@ pub trait StagedImport {
 }
 
 /// The import of a store with nothing to build aside with
-/// ([`TableStore::begin_import`]'s default).
+/// ([`TableStore::begin_import`]'s default, which only custom stores
+/// take).
 struct CollectedImport<'a, S: ?Sized> {
     store: &'a S,
     rows: Vec<Tuple>,
@@ -254,13 +252,14 @@ impl<S: TableStore + ?Sized> StagedImport for CollectedImport<'_, S> {
 }
 
 /// How to build the store for one table.
+///
+/// The paper's Java runtime (§5) defaults to `TreeSet` for sequential
+/// runs and to `ConcurrentSkipListSet` for parallel ones; here both
+/// engine modes take [`StoreKind::ConcurrentOrdered`].
 #[derive(Clone)]
 pub enum StoreKind {
-    /// Sequential ordered set (paper default for `-sequential`: `TreeSet`).
-    Ordered,
-    /// The paper's default for parallel code, `ConcurrentSkipListSet`:
-    /// here a [`HashStore`] chained on the first column (no chain at
-    /// arity 0).
+    /// The default in every engine mode: a [`HashStore`] chained on the
+    /// first column (no chain at arity 0).
     ConcurrentOrdered,
     /// A [`HashStore`] chained on the named fields (the paper's `HashSet`
     /// / `ConcurrentHashMap` alternative, "considerably more efficient"
@@ -273,7 +272,6 @@ pub enum StoreKind {
 impl std::fmt::Debug for StoreKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StoreKind::Ordered => write!(f, "Ordered"),
             StoreKind::ConcurrentOrdered => write!(f, "ConcurrentOrdered"),
             StoreKind::Hash { index_fields } => write!(f, "Hash(index={index_fields:?})"),
             StoreKind::Custom(_) => write!(f, "Custom"),
@@ -282,14 +280,12 @@ impl std::fmt::Debug for StoreKind {
 }
 
 impl StoreKind {
-    /// Default kind for the engine mode: ordered for sequential runs,
-    /// concurrent ordered for parallel runs (§5).
-    pub fn default_for(parallel: bool) -> StoreKind {
-        if parallel {
-            StoreKind::ConcurrentOrdered
-        } else {
-            StoreKind::Ordered
-        }
+    /// [`StoreKind::ConcurrentOrdered`] whatever the argument. Kept only
+    /// because the spine benchmark's adapter still reads it; the engine
+    /// does not call it.
+    #[doc(hidden)]
+    pub fn default_for(_parallel: bool) -> StoreKind {
+        StoreKind::ConcurrentOrdered
     }
 
     /// Builds the store for `def`, reporting misconfiguration (an
@@ -300,7 +296,6 @@ impl StoreKind {
     pub fn try_build(&self, def: Arc<TableDef>) -> crate::error::Result<Arc<dyn TableStore>> {
         use crate::error::JStarError;
         Ok(match self {
-            StoreKind::Ordered => Arc::new(BTreeStore::new(def)),
             StoreKind::ConcurrentOrdered => {
                 let chain = if def.arity() > 0 { vec![0] } else { vec![] };
                 Arc::new(HashStore::new(def, chain))
@@ -430,54 +425,13 @@ impl Gamma {
     }
 }
 
-/// Shared helper: primary-key conflict test for stores that keep plain
-/// tuple collections. Returns true when `a` and `b` have equal key fields
-/// but differ elsewhere.
+/// Primary-key conflict test: true when `a` and `b` have equal key
+/// fields but differ elsewhere.
 pub(crate) fn pk_conflict(def: &TableDef, a: &Tuple, b: &Tuple) -> bool {
     match def.key_arity {
         None => false,
         Some(k) => a.fields()[..k] == b.fields()[..k] && a.fields()[k..] != b.fields()[k..],
     }
-}
-
-/// Insert logic for a store backed by an ordered tuple set
-/// ([`BTreeStore`]): set dedup plus the `->` key-conflict scan over the
-/// contiguous range of same-key tuples. Callers hold the set's lock.
-pub(crate) fn insert_locked(
-    def: &TableDef,
-    set: &mut std::collections::BTreeSet<Tuple>,
-    t: Tuple,
-) -> InsertOutcome {
-    // Keyless tables need no conflict scan: one tree descent decides
-    // fresh-vs-duplicate (the membership probe would double the work on
-    // the hottest insert path).
-    if def.key_arity.is_none() {
-        return if set.insert(t) {
-            InsertOutcome::Fresh
-        } else {
-            InsertOutcome::Duplicate
-        };
-    }
-    if set.contains(&t) {
-        return InsertOutcome::Duplicate;
-    }
-    if let Some(k) = def.key_arity {
-        // Key fields are leading fields, and tuples sort by fields, so
-        // all candidates with the same key are contiguous: range over
-        // them starting at the first tuple with those key fields.
-        let probe = Tuple::new(t.table(), t.key_fields(def).to_vec());
-        for existing in set.range(probe..) {
-            if existing.fields().len() >= k && existing.fields()[..k] == t.fields()[..k] {
-                if pk_conflict(def, existing, &t) {
-                    return InsertOutcome::KeyConflict;
-                }
-            } else {
-                break;
-            }
-        }
-    }
-    set.insert(t);
-    InsertOutcome::Fresh
 }
 
 #[cfg(test)]
@@ -613,8 +567,8 @@ pub(crate) mod testutil {
 
     /// A store with nothing but the required methods — what a custom
     /// store gets from the trait's defaults: no journal, no import of
-    /// its own.
-    pub struct PlainStore(pub BTreeStore);
+    /// its own, reads through the default `query` and cold `open_cursor`.
+    pub struct PlainStore(pub HashStore);
 
     impl TableStore for PlainStore {
         fn insert(&self, t: Tuple) -> InsertOutcome {
@@ -728,7 +682,7 @@ mod tests {
     #[test]
     fn gamma_routes_to_table_stores() {
         let def = keyed_def();
-        let gamma = Gamma::new(&[Arc::clone(&def)], &[StoreKind::Ordered]);
+        let gamma = Gamma::new(&[Arc::clone(&def)], &[StoreKind::ConcurrentOrdered]);
         assert_eq!(gamma.insert(kt(1, 5, "v")), InsertOutcome::Fresh);
         assert_eq!(gamma.insert(kt(1, 5, "v")), InsertOutcome::Duplicate);
         assert!(gamma.contains(&kt(1, 5, "v")));
@@ -774,7 +728,7 @@ mod tests {
     #[test]
     fn snapshot_hooks_default_roundtrip() {
         let def = keyed_def();
-        let a = Gamma::new(&[Arc::clone(&def)], &[StoreKind::Ordered]);
+        let a = Gamma::new(&[Arc::clone(&def)], &[StoreKind::ConcurrentOrdered]);
         a.insert(kt(1, 10, "x"));
         a.insert(kt(2, 20, "y"));
 
@@ -784,7 +738,7 @@ mod tests {
         assert_eq!(exported.len(), 2);
 
         // Import replaces pre-existing contents — on commit, not before.
-        let b = Gamma::new(&[def], &[StoreKind::Ordered]);
+        let b = Gamma::new(&[def], &[StoreKind::ConcurrentOrdered]);
         b.insert(kt(9, 90, "stale"));
         let mut import = b.store(TableId(0)).begin_import(2);
         assert_eq!(import.push(&mut exported.clone()), 0);
@@ -808,7 +762,7 @@ mod tests {
 
     #[test]
     fn default_import_inserts_on_commit_and_reports_what_was_not_fresh() {
-        let store = PlainStore(BTreeStore::new(keyed_def()));
+        let store = PlainStore(HashStore::new(keyed_def(), vec![0]));
         store.insert(kt(9, 90, "stale"));
         let mut import = store.begin_import(3);
         // Nothing to build aside with: untouched and unjudged until the
@@ -859,11 +813,13 @@ mod tests {
 
     #[test]
     fn store_kind_default_matches_mode() {
-        assert!(matches!(StoreKind::default_for(false), StoreKind::Ordered));
-        assert!(matches!(
-            StoreKind::default_for(true),
-            StoreKind::ConcurrentOrdered
-        ));
+        // One default for both engine modes.
+        for parallel in [false, true] {
+            assert!(matches!(
+                StoreKind::default_for(parallel),
+                StoreKind::ConcurrentOrdered
+            ));
+        }
     }
 }
 

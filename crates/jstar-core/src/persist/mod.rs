@@ -64,8 +64,8 @@
 //! a row was tombstoned (`retain`, lifetime hints), or when a row was
 //! claimed ahead of the journal's end (possible once a table has
 //! outgrown its first segment, ~100k rows) — [`crate::gamma::IndexStamp`]
-//! tells; stores without a claim journal (the sequential
-//! [`crate::gamma::BTreeStore`], custom stores) are encoded every time;
+//! tells; custom stores, which keep no claim journal, are encoded every
+//! time;
 //! and a write that fails drops everything the writer knew.
 //!
 //! Guidance:

@@ -12,8 +12,8 @@
 //! (compaction, snapshot import), a tombstoned row (`retain`, lifetime
 //! hints) or an entry claimed ahead of the journal's end drops the
 //! section, and it is encoded again from position 0 by the same walk.
-//! Stores without a claim journal ([`crate::gamma::BTreeStore`], custom
-//! stores) are encoded every time.
+//! Every built-in store keeps a claim journal; custom stores, which keep
+//! none, are encoded every time.
 //!
 //! What is cached is what the file holds — about 9 bytes a row on the
 //! paper's workloads — and nothing else: the image is never assembled
@@ -431,7 +431,7 @@ impl<'g> CheckpointWriter<'g> {
 mod tests {
     use super::*;
     use crate::gamma::testutil::PlainStore;
-    use crate::gamma::{BTreeStore, HashStore, InsertOutcome, StoreKind};
+    use crate::gamma::{HashStore, InsertOutcome, StoreKind};
     use crate::schema::{TableDefBuilder, TableId};
     use crate::value::Value;
     use std::any::Any;
@@ -519,23 +519,24 @@ mod tests {
         let defs = [
             def(0, "Hashed", true),
             def(1, "Concurrent", false),
-            def(2, "Ordered", false),
-            def(3, "Custom", true),
+            def(2, "Custom", true),
         ];
         let kinds = [
             StoreKind::Hash {
                 index_fields: vec!["k".into()],
             },
             StoreKind::ConcurrentOrdered,
-            StoreKind::Ordered,
-            custom(Arc::new(PlainStore(BTreeStore::new(Arc::clone(&defs[3]))))),
+            custom(Arc::new(PlainStore(HashStore::new(
+                Arc::clone(&defs[2]),
+                vec![0],
+            )))),
         ];
         let gamma = Gamma::new(&defs, &kinds);
         let mut warm = CheckpointWriter::new(&defs, &gamma, None);
         let mut next = 0i64;
         let mut grow = |n: i64| {
             for k in next..next + n {
-                for table in 0..4 {
+                for table in 0..3 {
                     assert_eq!(gamma.insert(row(table, k, k * 3)), InsertOutcome::Fresh);
                 }
             }
@@ -550,30 +551,30 @@ mod tests {
         };
 
         // An empty database, then growth only: the journaled stores
-        // encode what is new, the two others everything, every time.
+        // encode what is new, the custom one everything, every time.
         assert_encoded(write(&mut warm, &[]), 0);
         for _ in 0..4 {
             let live = grow(50);
             let pending = [row(1, -1, 0), row(0, -2, 0)];
-            assert_encoded(write(&mut warm, &pending), 2 * 50 + 2 * live);
+            assert_encoded(write(&mut warm, &pending), 2 * 50 + live);
         }
-        // Nothing new: nothing but the unjournaled stores.
-        assert_encoded(write(&mut warm, &[]), 2 * 200);
+        // Nothing new: nothing but the unjournaled store.
+        assert_encoded(write(&mut warm, &[]), 200);
 
         // A lifetime hint tombstones rows of one table: that section is
         // dropped and encoded again, then warm again.
         gamma.store(TableId(0)).retain(&|t| t.int(0) % 4 != 0);
         assert_eq!(len(0), 150);
-        assert_encoded(write(&mut warm, &[]), 150 + 2 * 200);
+        assert_encoded(write(&mut warm, &[]), 150 + 200);
         grow(10);
-        assert_encoded(write(&mut warm, &[]), 2 * 10 + 2 * 210);
+        assert_encoded(write(&mut warm, &[]), 2 * 10 + 210);
 
         // A compaction replaces the table (epoch bump): cold once.
         gamma.store(TableId(1)).retain(&|t| t.int(0) % 2 == 0);
         assert!(gamma.store(TableId(1)).maybe_compact(0.1));
-        assert_encoded(write(&mut warm, &[]), len(1) + 2 * 210);
+        assert_encoded(write(&mut warm, &[]), len(1) + 210);
         grow(10);
-        assert_encoded(write(&mut warm, &[row(2, 0, 0)]), 2 * 10 + 2 * 220);
+        assert_encoded(write(&mut warm, &[row(2, 0, 0)]), 2 * 10 + 220);
 
         // So does a restore into it — here with nothing but the epoch
         // to tell: no tombstones before or after, and more rows than the
@@ -583,9 +584,9 @@ mod tests {
         let mut import = gamma.store(TableId(1)).begin_import(rows.len());
         assert_eq!(import.push(&mut rows), 0);
         assert_eq!(import.commit(), 0);
-        assert_encoded(write(&mut warm, &[]), 400 + 2 * 220);
+        assert_encoded(write(&mut warm, &[]), 400 + 220);
         grow(10);
-        assert_encoded(write(&mut warm, &[]), 2 * 10 + 2 * 230);
+        assert_encoded(write(&mut warm, &[]), 2 * 10 + 230);
     }
 
     #[test]

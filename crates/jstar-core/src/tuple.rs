@@ -337,8 +337,7 @@ impl PartialOrd for Tuple {
     }
 }
 
-/// Tuples order by (table, fields) lexicographically — the order used by
-/// the BTree-based Gamma stores (the paper's `TreeSet` default).
+/// Tuples order by (table, fields) lexicographically.
 impl Ord for Tuple {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.table()

@@ -3,8 +3,8 @@
 //! JStar tables are relations whose columns hold Java-like scalar values.
 //! Our engine is dynamically typed at the tuple level (the XText compiler's
 //! static typing is out of scope), so fields are [`Value`]s with a *total*
-//! order and hash — both required because tuples live in ordered sets
-//! (Gamma), hash sets (Delta leaves) and orderby keys.
+//! order and hash — both required because tuples live in hash tables
+//! (Gamma stores, Delta leaves), sorted column views and orderby keys.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;

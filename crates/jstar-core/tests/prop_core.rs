@@ -3,9 +3,7 @@
 use jstar_core::causality::linear::{satisfiable, Constraint, LinExpr, Rational};
 use jstar_core::delta::{DeltaTree, ShardedInbox};
 use jstar_core::engine::{Engine, EngineConfig};
-use jstar_core::gamma::{
-    BTreeStore, HashStore, InsertOutcome, StoreFactory, StoreKind, TableStore,
-};
+use jstar_core::gamma::{HashStore, InsertOutcome, StoreFactory, StoreKind, TableStore};
 use jstar_core::orderby::{KeyPart, OrderKey};
 use jstar_core::program::ProgramBuilder;
 use jstar_core::query::Query;
@@ -210,9 +208,9 @@ proptest! {
         prop_assert!(par_tree.pop_min_class().is_none());
     }
 
-    /// The generic stores — `BTreeStore` and `HashStore` chained on the
-    /// key and off it — agree with a reference set under
-    /// random insert sequences (set semantics + primary key enforcement).
+    /// `HashStore` chained on the key and off it agrees with a reference
+    /// set under random insert sequences (set semantics + primary key
+    /// enforcement).
     #[test]
     fn stores_agree_with_reference(
         ops in prop::collection::vec((0i64..20, 0i64..5), 1..150)
@@ -225,7 +223,6 @@ proptest! {
                 .build_def(TableId(0)),
         );
         let stores: Vec<Box<dyn TableStore>> = vec![
-            Box::new(BTreeStore::new(Arc::clone(&def))),
             Box::new(HashStore::new(Arc::clone(&def), vec![0])),
             Box::new(HashStore::new(Arc::clone(&def), vec![1])),
         ];
@@ -316,8 +313,9 @@ fn arb_value() -> impl Strategy<Value = Value> {
 // and both as a plain filter over `for_each` — on every store's access
 // path: `HashStore` chained on the primary key, on a non-key column
 // and queried without its chain, and chained on the key's first column
-// (the parallel default); `BTreeStore`; and a custom store on the
-// trait's default `query`.
+// (the engine default, named and left unnamed); and a custom store on
+// the trait's default `query`. Every case also reads the table inside
+// its own iteration, in the sequential and the parallel engine.
 
 jstar_core::jstar_table! {
     #[derive(Copy, Eq)]
@@ -416,7 +414,7 @@ fn positional(cmps: &[Cmp], table: TableId, shift: i64) -> Query {
 
 /// A store with only the required methods: reads take the trait's
 /// default `query`.
-struct DefaultQueryStore(BTreeStore);
+struct DefaultQueryStore(HashStore);
 
 impl TableStore for DefaultQueryStore {
     fn insert(&self, t: Tuple) -> InsertOutcome {
@@ -440,9 +438,8 @@ impl TableStore for DefaultQueryStore {
 }
 
 /// Every read of one case: rows by binder, by positional query and by
-/// filtered `for_each`, `count_rel` by binder, and — on stores whose
-/// reads may nest — the rows of the same query with shifted values,
-/// read inside each row of its own iteration.
+/// filtered `for_each`, `count_rel` by binder, and the rows of the same
+/// query with shifted values, read inside each row of its own iteration.
 #[derive(Debug, Default, PartialEq)]
 struct Reads {
     by_binder: Vec<Row>,
@@ -457,7 +454,9 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows
 }
 
-fn run_reads(rows: &[Row], cmps: &[Cmp], kind: &StoreKind, nest: bool) -> Reads {
+/// Runs the reads on `kind` (`None`: the engine's default store) under
+/// `config`.
+fn run_reads(rows: &[Row], cmps: &[Cmp], kind: Option<&StoreKind>, config: EngineConfig) -> Reads {
     let mut p = ProgramBuilder::new();
     let row_h = p.relation::<Row>();
     p.relation::<Go>();
@@ -489,21 +488,22 @@ fn run_reads(rows: &[Row], cmps: &[Cmp], kind: &StoreKind, nest: bool) -> Reads 
             count: ctx.count_rel(binder(&pq, &cmps, 0)),
             nested: Vec::new(),
         };
-        if nest {
-            let shifted = filter(1);
-            ctx.for_each_rel(binder(&pq, &cmps, 0), |_| {
-                let inner = sorted(ctx.query_rel(binder(&pq, &cmps, 1)));
-                r.nested.push((inner, shifted.clone()));
-                true
-            });
-        }
+        let shifted = filter(1);
+        ctx.for_each_rel(binder(&pq, &cmps, 0), |_| {
+            let inner = sorted(ctx.query_rel(binder(&pq, &cmps, 1)));
+            r.nested.push((inner, shifted.clone()));
+            true
+        });
         *sink.lock() = r;
     });
     for r in rows {
         p.put_rel(*r);
     }
     p.put_rel(Go { id: 0 });
-    let config = EngineConfig::sequential().store(row_h.id(), kind.clone());
+    let config = match kind {
+        Some(kind) => config.store(row_h.id(), kind.clone()),
+        None => config,
+    };
     let mut engine = Engine::new(Arc::new(p.build().unwrap()), config);
     engine.run().unwrap();
     let reads = std::mem::take(&mut *out.lock());
@@ -524,25 +524,25 @@ proptest! {
             index_fields: fields.iter().map(|f| f.to_string()).collect(),
         };
         let custom: StoreFactory =
-            Arc::new(|def| Arc::new(DefaultQueryStore(BTreeStore::new(def))));
-        // (store, whether reads of one table may nest: the lock-free
-        // reservation-table stores — a `BTreeStore` holds its lock for
-        // the length of an iteration).
+            Arc::new(|def| Arc::new(DefaultQueryStore(HashStore::new(def, vec![0]))));
         let stores = [
-            (hash(&["a", "b"]), true),
-            (hash(&["c"]), true),
-            (StoreKind::ConcurrentOrdered, true),
-            (StoreKind::Ordered, false),
-            (StoreKind::Custom(custom), false),
+            Some(hash(&["a", "b"])),
+            Some(hash(&["c"])),
+            Some(StoreKind::ConcurrentOrdered),
+            Some(StoreKind::Custom(custom)),
+            None,
         ];
-        for (kind, nest) in &stores {
-            let r = run_reads(&rows, &cmps, kind, *nest);
-            prop_assert_eq!(&r.by_binder, &r.by_filter, "{:?} binder vs filter", kind);
-            prop_assert_eq!(&r.by_position, &r.by_filter, "{:?} positional vs filter", kind);
-            prop_assert_eq!(r.count, r.by_filter.len() as u64, "{:?} count", kind);
-            prop_assert_eq!(r.nested.len(), if *nest { r.by_filter.len() } else { 0 });
-            for (inner, want) in &r.nested {
-                prop_assert_eq!(inner, want, "{:?} nested", kind);
+        for kind in &stores {
+            for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+                let case = format!("{kind:?}, sequential: {}", config.sequential);
+                let r = run_reads(&rows, &cmps, kind.as_ref(), config);
+                prop_assert_eq!(&r.by_binder, &r.by_filter, "{} binder vs filter", case);
+                prop_assert_eq!(&r.by_position, &r.by_filter, "{} positional vs filter", case);
+                prop_assert_eq!(r.count, r.by_filter.len() as u64, "{} count", case);
+                prop_assert_eq!(r.nested.len(), r.by_filter.len(), "{} nested", case);
+                for (inner, want) in &r.nested {
+                    prop_assert_eq!(inner, want, "{} nested", case);
+                }
             }
         }
     }

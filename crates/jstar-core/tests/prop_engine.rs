@@ -7,6 +7,7 @@
 //! decisions, or shard interleavings. This is the paper's core promise —
 //! "parallel execution is deterministic" (§4–5) — restated as a property.
 
+use jstar_core::gamma::{HashStore, StoreFactory};
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
 use proptest::prelude::*;
@@ -235,7 +236,10 @@ fn batched_classes(widths: &[usize]) -> u64 {
 /// every staged batch merged by the pool. Each run must reach the
 /// reference's Gamma and content hash with **bit-identical pop
 /// schedules** (same step and tuple counts), in as many delta-join
-/// classes as `batched` counts from the reference Gamma.
+/// classes as `batched` counts from the reference Gamma. Every batched
+/// class after the first reopens a probe view that no later step has
+/// changed, so each run — the sequential one too — reports at least
+/// that many index-cache hits.
 fn assert_matches_nested_loop(
     nested: &Arc<Program>,
     joined: &Arc<Program>,
@@ -251,9 +255,14 @@ fn assert_matches_nested_loop(
             r.steps,
             r.tuples_processed,
         );
-        (outcome, r.delta_join_classes, r.delta_join_build_tuples)
+        (
+            outcome,
+            r.delta_join_classes,
+            r.delta_join_build_tuples,
+            r.index_cache_hits,
+        )
     };
-    let (want, base_batched, _) = run(nested, EngineConfig::sequential());
+    let (want, base_batched, _, _) = run(nested, EngineConfig::sequential());
     prop_assert_eq!(base_batched, 0, "the nested loop has no plan to batch");
     let classes = batched(&want.0);
     let configs = [
@@ -262,12 +271,19 @@ fn assert_matches_nested_loop(
         EngineConfig::parallel(threads).parallel_merge_from(1),
     ];
     for (i, config) in configs.into_iter().enumerate() {
-        let (got, got_batched, build_tuples) = run(joined, config);
+        let (got, got_batched, build_tuples, hits) = run(joined, config);
         prop_assert_eq!(&got, &want, "lowerings diverged (config {})", i);
         prop_assert_eq!(got_batched, classes, "delta-join classes (config {})", i);
         prop_assert!(
             build_tuples >= 32 * classes,
             "each batched class is 32 wide"
+        );
+        prop_assert!(
+            hits >= classes.saturating_sub(1),
+            "{} index-cache hits over {} batched classes (config {})",
+            hits,
+            classes,
+            i
         );
     }
     Ok(())
@@ -432,6 +448,33 @@ fn cursor_groups(engine: &Engine) -> Vec<(Value, Vec<Tuple>)> {
         }
     }
     all
+}
+
+/// A custom store over [`HashStore`] that forwards only the required
+/// methods. It reports no [`TableStore::index_stamp`], so the index
+/// cache cannot keep its views: every cursor opened on it is a cold
+/// build.
+struct ColdStore(HashStore);
+
+impl TableStore for ColdStore {
+    fn insert(&self, t: Tuple) -> InsertOutcome {
+        self.0.insert(t)
+    }
+    fn contains(&self, t: &Tuple) -> bool {
+        self.0.contains(t)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn for_each(&self, f: &mut dyn FnMut(&Tuple) -> bool) {
+        self.0.for_each(f)
+    }
+    fn retain(&self, keep: &dyn Fn(&Tuple) -> bool) {
+        self.0.retain(keep)
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
 }
 
 proptest! {
@@ -650,16 +693,16 @@ proptest! {
     /// change: for random two-stage join programs — with a lifetime hint
     /// on the probe table so retain/compaction interleaves with the join
     /// walks mid-run — the cached, journal-caught-up column views of the
-    /// parallel stores produce **bit-identical pop schedules** (same
+    /// default stores produce **bit-identical pop schedules** (same
     /// step count, same tuple count), the same Gamma fixpoint, the same
-    /// content hash, and the same cursor-visible group sets as the
-    /// `-sequential` engine, whose `BTreeStore` has no claim journal and
-    /// so builds every view cold, at 1/4/8 threads, batched from a
-    /// 32-wide trigger class and per tuple below it. The hint tombstones
-    /// more than half of — and so, through compaction, epoch-bumps —
-    /// the very table whose cached views the join keeps reopening, so
-    /// wholesale invalidation and journal-suffix catch-up both run under
-    /// live traffic.
+    /// content hash, and the same cursor-visible group sets as a
+    /// `-sequential` reference that keeps `Dim` in a [`ColdStore`], which
+    /// has no claim journal and so builds every view cold, at 1/4/8
+    /// threads, batched from a 32-wide trigger class and per tuple below
+    /// it. The hint tombstones more than half of — and so, through
+    /// compaction, epoch-bumps — the very table whose cached views the
+    /// join keeps reopening, so wholesale invalidation and journal-suffix
+    /// catch-up both run under live traffic.
     #[test]
     fn cached_index_matches_cold_build(
         dims in 8i64..30,
@@ -680,7 +723,9 @@ proptest! {
             c.lifetime_hint(dim, 2, move |t| t.int(1).rem_euclid(hint_keep_mod) == 0)
         };
 
-        let mut base = Engine::new(Arc::clone(&prog), configure(EngineConfig::sequential()));
+        let cold: StoreFactory = Arc::new(|def| Arc::new(ColdStore(HashStore::new(def, vec![0]))));
+        let reference = EngineConfig::sequential().store(dim, StoreKind::Custom(cold));
+        let mut base = Engine::new(Arc::clone(&prog), configure(reference));
         let base_report = base.run().unwrap();
         prop_assert_eq!(base_report.index_cache_hits, 0, "the reference builds cold");
         let want = canonical_gamma(&base);

@@ -47,7 +47,6 @@ fn program_with_tables_but_no_rules_just_stores_initial_puts() {
 
 #[test]
 fn store_kind_debug_formats() {
-    assert_eq!(format!("{:?}", StoreKind::Ordered), "Ordered");
     assert_eq!(
         format!("{:?}", StoreKind::ConcurrentOrdered),
         "ConcurrentOrdered"

@@ -80,7 +80,6 @@ fn store_choice_preserves_output() {
     let (_, src, der) = pipeline_program();
     let reference = run_outputs(EngineConfig::sequential());
     for kind in [
-        StoreKind::Ordered,
         StoreKind::ConcurrentOrdered,
         StoreKind::Hash {
             index_fields: vec!["t".into()],
