@@ -6,14 +6,14 @@
 //! `order Req < PvWatts < SumMonth`), with the one generalisation the
 //! paper itself describes: the read request is split into N region-reader
 //! requests so "the CSV reader library can run several readers in
-//! parallel, on different parts of the input file". The N requests are
-//! the run's first equivalence class (`(Req)`, step 1 of 2); with
-//! `-noDelta=PvWatts` each reader parses its region and batch-inserts its
-//! records into Gamma on the thread that fires it. Whether that is N
-//! threads is the engine's `inline_classes_up_to`: at the default a class
-//! of up to four readers stays on the coordinator (steady; see
-//! `jstar_core::engine`'s scheduling notes), `inline_classes_up_to(0)`
-//! forks it, one reader per worker. Step 2 is the `SumMonth` class, one
+//! parallel, on different parts of the input file". For N expected
+//! readers the program puts 4·N region requests, the run's first
+//! equivalence class (`(Req)`, step 1 of 2). The engine forks that class
+//! one request per task, so an idle thread steals the next region and no
+//! run waits on one slow thread's whole share (see
+//! `jstar_core::engine`'s scheduling notes). With `-noDelta=PvWatts`
+//! each reader parses its region and batch-inserts its records into
+//! Gamma on the thread that fires it. Step 2 is the `SumMonth` class, one
 //! reducer per month.
 //!
 //! Four engine variants reproduce the paper's optimisation ladder:
@@ -104,8 +104,13 @@ impl Variant {
     }
 }
 
-/// Builds the Fig. 4 program over in-memory CSV bytes, with `n_readers`
-/// parallel region-read requests.
+/// Region requests put per expected reader: the over-decomposition of
+/// `jstar_pool::adaptive_chunk`, which aims at 4·T chunks so that a
+/// thread that falls behind hands its remaining regions to the others.
+const REGIONS_PER_READER: usize = 4;
+
+/// Builds the Fig. 4 program over in-memory CSV bytes, for `n_readers`
+/// threads expected to read: it puts `4 · n_readers` region-read requests.
 pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
     let mut p = ProgramBuilder::new();
 
@@ -208,8 +213,8 @@ pub fn build_program(csv: Arc<Vec<u8>>, n_readers: usize) -> PvWattsApp {
         ctx.println(format!("{year}/{month}: {}", stats.1 / stats.0 as f64));
     });
 
-    // Initial puts: one region request per reader (Fig. 7's phase 1).
-    let regions = jstar_csv::split_regions(csv.len(), n_readers.max(1));
+    // Initial puts: the region requests (Fig. 7's phase 1).
+    let regions = jstar_csv::split_regions(csv.len(), REGIONS_PER_READER * n_readers.max(1));
     for (i, (start, end)) in regions.into_iter().enumerate() {
         p.put_rel(PvWattsRequest {
             region: i as i64,
@@ -318,22 +323,20 @@ mod tests {
         }
     }
 
-    /// The class that carries the work is as wide as there are readers.
-    /// By default it stays on the coordinator; forked, each reader stages
-    /// and batch-inserts on its own worker — same means either way.
+    /// Two expected readers put eight region requests, and the default
+    /// parallel engine forks that class as it forks the month class.
     #[test]
-    fn two_readers_run_inline_by_default_and_fork_on_request() {
+    fn two_readers_put_eight_requests_and_both_classes_fork() {
         let (recs, csv) = csv_of(8760, InputOrder::Chronological);
-        let forked = EngineConfig::parallel(2).inline_classes_up_to(0);
-        for (config, forked_inline) in [(EngineConfig::parallel(2), (1, 1)), (forked, (2, 0))] {
-            let (got, report) = run_jstar(csv.clone(), 2, Variant::HashStore, config).unwrap();
-            assert_eq!(got, expected_means(&recs));
-            assert_eq!(report.steps, 2, "the requests, then the months");
-            assert_eq!(
-                (report.forked_classes, report.inline_classes),
-                forked_inline
-            );
-        }
+        let app = build_program(Arc::clone(&csv), 2);
+        let initial = app.program.initial();
+        assert_eq!(initial.len(), 8, "4 region requests per reader");
+        assert!(initial.iter().all(|t| t.table() == app.request));
+        let (got, report) =
+            run_jstar(csv, 2, Variant::HashStore, EngineConfig::parallel(2)).unwrap();
+        assert_eq!(got, expected_means(&recs));
+        assert_eq!(report.steps, 2, "the requests, then the months");
+        assert_eq!((report.forked_classes, report.inline_classes), (2, 0));
     }
 
     #[test]
@@ -363,14 +366,11 @@ mod tests {
         let (recs, csv) = csv_of(8760, InputOrder::Chronological);
         let want = expected_means(&recs);
         for readers in [1, 2, 3, 7] {
-            let (got, _) = run_jstar(
-                Arc::clone(&csv),
-                readers,
-                Variant::HashStore,
-                EngineConfig::sequential(),
-            )
-            .unwrap();
-            assert_eq!(got, want, "{readers} readers");
+            for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+                let (got, _) =
+                    run_jstar(Arc::clone(&csv), readers, Variant::HashStore, config).unwrap();
+                assert_eq!(got, want, "{readers} readers");
+            }
         }
     }
 

@@ -18,7 +18,9 @@ pub struct EngineConfig {
     /// `-sequential`: single-threaded execution, with no pool. The Gamma
     /// stores are the same as in a parallel run.
     pub sequential: bool,
-    /// `--threads=N`: fork/join pool size for parallel execution.
+    /// `--threads=N`: fork/join pool size for parallel execution. Every
+    /// class wider than one tuple forks into up to 4·N stealable chunks;
+    /// a one-tuple class runs on the coordinator.
     pub threads: usize,
     /// `-noDelta T` tables: bypass the Delta tree. Their puts are staged
     /// per worker and enter Gamma in batches, each fresh tuple firing its
@@ -42,13 +44,6 @@ pub struct EngineConfig {
     /// be discarded." A store the hook leaves more than half tombstones
     /// is then compacted.
     pub lifetime_hints: Vec<(TableId, u64, LifetimeHint)>,
-    /// Classes of at most this many tuples execute inline on the
-    /// coordinator instead of being forked to the pool. A class that
-    /// narrow cannot be balanced — its wall time is its slowest
-    /// thread's — so forking it trades a steady job time for a faster
-    /// but erratic one (measured in the `schedule` module's notes).
-    /// Ignored in sequential mode (everything is inline there).
-    pub inline_class_threshold: usize,
     /// Staged batches of at least this many tuples are merged into the
     /// Delta queue by pool workers (one subtree per key-prefix
     /// partition, grafted by the coordinator); smaller batches take the
@@ -87,7 +82,6 @@ impl Default for EngineConfig {
             max_steps: None,
             pool: None,
             lifetime_hints: Vec::new(),
-            inline_class_threshold: 4,
             parallel_merge_threshold: 1024,
             checkpoint_every: 0,
             checkpoint_path: None,
@@ -142,13 +136,6 @@ impl EngineConfig {
     /// Sets the runaway-program step guard.
     pub fn max_steps(mut self, n: u64) -> Self {
         self.max_steps = Some(n);
-        self
-    }
-
-    /// Sets the maximum class width executed inline on the coordinator.
-    /// 0 forks every multi-tuple class (the pre-adaptive behaviour).
-    pub fn inline_classes_up_to(mut self, width: usize) -> Self {
-        self.inline_class_threshold = width;
         self
     }
 

@@ -339,8 +339,7 @@ impl Engine {
                     .any(|&ri| state.program.rules()[ri].plan.is_some())
             })
             .collect();
-        let scheduler =
-            Scheduler::new(self.config.inline_class_threshold).with_delta_join(join_tables);
+        let scheduler = Scheduler::new().with_delta_join(join_tables);
         // Insert outcomes of the classes the coordinator runs inline.
         let mut class_outcomes = Vec::new();
         let mut steps: u64 = 0;
@@ -410,8 +409,8 @@ impl Engine {
                         });
                     }
                     ClassPlan::Inline { sort } => {
-                        // Narrow class or sequential engine: execute on
-                        // the coordinator. The sequential engine
+                        // One-tuple class or sequential engine: execute
+                        // on the coordinator. The sequential engine
                         // additionally sorts for a deterministic
                         // intra-class order.
                         state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);

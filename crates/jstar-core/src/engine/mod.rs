@@ -56,12 +56,12 @@
 //!   all-minimums strategy. The extract must reflect *every* tuple
 //!   staged by earlier steps (a staged key may order before the current
 //!   minimum) — which is why absorb completes first.
-//! * **Execute** (`schedule::Scheduler` decides the shape) — classes
-//!   at or below [`EngineConfig::inline_class_threshold`] run inline on
-//!   the coordinator (too narrow to balance: see `schedule`); wider
-//!   classes are chunked by measured width and pool occupancy and
-//!   submitted as one batch ([`jstar_pool::Scope::spawn_batch`], a
-//!   single wakeup), and the scope's join helps execute them. Either
+//! * **Execute** (`schedule::Scheduler` decides the shape) — a
+//!   one-tuple class runs inline on the coordinator; wider classes are
+//!   chunked by measured width and pool occupancy into up to 4·T tasks
+//!   (balance by stealing: see `schedule`) and submitted as one batch
+//!   ([`jstar_pool::Scope::spawn_batch`], a single wakeup), and the
+//!   scope's join helps execute them. Either
 //!   way every tuple goes through the one insert-and-fire function
 //!   (`runtime::insert_and_fire`), which also flushes the `-noDelta`
 //!   puts its firings staged; the coordinator flushes what helper

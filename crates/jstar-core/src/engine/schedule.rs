@@ -2,27 +2,25 @@
 //! class is executed.
 //!
 //! The paper's "simple all-minimums parallelisation strategy" makes
-//! every tuple of the minimal class a fork/join task. That is the right
-//! shape for wide classes and an unsteady one for narrow ones, so the
-//! scheduler plans each class adaptively:
+//! every tuple of the minimal class a fork/join task. The scheduler
+//! keeps that shape and only decides how the tasks are cut:
 //!
 //! * **sequential engine** — everything runs inline on the coordinator,
 //!   with the class sorted for a deterministic intra-class order
 //!   (parallel execution order is intentionally unspecified, so only
 //!   this arm pays for the sort);
-//! * **narrow class** (at or below
-//!   [`super::EngineConfig::inline_class_threshold`]) — inline on the
-//!   coordinator. Not because it is cheap — width is not work: each of
-//!   `pvwatts`' two to four reader tuples parses for 30 ms — but because
-//!   it cannot be balanced: one task per tuple, done when the slowest
-//!   thread is, and a worker woken from idle for one burst is that
-//!   thread. Forked on a 2-vCPU VM that job's median is 42 ms against
-//!   63 ms inline, and from process to process it ranges 36–52 ms
-//!   against 62–69 ms. The default keeps the steady side;
-//!   `inline_classes_up_to(0)` forks every class;
-//! * **wide class** — chunked by measured class width and current pool
-//!   occupancy ([`jstar_pool::adaptive_chunk`]) and submitted as one
-//!   batch (single wakeup); the scope's join helps execute them.
+//! * **one tuple** — inline on the coordinator: there is nothing to
+//!   split, and a fork would only add a wakeup round trip;
+//! * **wider class** — forked, chunked by measured class width and
+//!   current pool occupancy ([`jstar_pool::adaptive_chunk`], which aims
+//!   at 4·T chunks) and submitted as one batch (single wakeup); the
+//!   scope's join helps execute them. Balance comes from those ≥ 4·T
+//!   tasks: a thread that falls behind — a worker woken from idle for
+//!   one burst often runs 1.2–1.7× slower — leaves its remaining chunks
+//!   to be stolen. A class narrower than that is one tuple per task and
+//!   done when its slowest thread is, so a program whose narrow class
+//!   carries the work splits it finer itself: `pvwatts` puts four
+//!   region requests per expected reader.
 
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
@@ -45,9 +43,6 @@ pub(super) enum ClassPlan {
 
 /// The per-run scheduling policy (all-minimums, made adaptive).
 pub(super) struct Scheduler {
-    /// Classes at or below this width run inline (see
-    /// [`super::EngineConfig::inline_class_threshold`]).
-    inline_threshold: usize,
     /// Per-table flag: does any rule triggered by this table carry a
     /// [`crate::rule::JoinPlan`]? Tables without one never take the
     /// delta-join arm, whatever the class size.
@@ -55,9 +50,8 @@ pub(super) struct Scheduler {
 }
 
 impl Scheduler {
-    pub(super) fn new(inline_threshold: usize) -> Scheduler {
+    pub(super) fn new() -> Scheduler {
         Scheduler {
-            inline_threshold: inline_threshold.max(1),
             join_tables: Vec::new(),
         }
     }
@@ -91,7 +85,7 @@ impl Scheduler {
     /// Plans the execution of a class of `class_size` tuples.
     pub(super) fn plan(&self, pool: Option<&ThreadPool>, class_size: usize) -> ClassPlan {
         match pool {
-            Some(pool) if class_size > self.inline_threshold => ClassPlan::Forked {
+            Some(pool) if class_size > 1 => ClassPlan::Forked {
                 chunk: jstar_pool::adaptive_chunk(pool, class_size),
             },
             Some(_) => ClassPlan::Inline { sort: false },
@@ -106,39 +100,42 @@ mod tests {
 
     #[test]
     fn sequential_engine_sorts_inline() {
-        let s = Scheduler::new(4);
+        let s = Scheduler::new();
         assert_eq!(s.plan(None, 100), ClassPlan::Inline { sort: true });
         assert_eq!(s.plan(None, 1), ClassPlan::Inline { sort: true });
     }
 
     #[test]
     fn narrow_classes_run_inline_without_sorting() {
+        // Only a one-tuple class is narrow enough to stay on the
+        // coordinator.
         let pool = ThreadPool::new(2);
-        let s = Scheduler::new(4);
-        for width in 1..=4 {
-            assert_eq!(
-                s.plan(Some(&pool), width),
-                ClassPlan::Inline { sort: false }
-            );
-        }
+        let s = Scheduler::new();
+        assert_eq!(s.plan(Some(&pool), 1), ClassPlan::Inline { sort: false });
     }
 
     #[test]
     fn wide_classes_fork_with_adaptive_chunks() {
         let pool = ThreadPool::new(2);
-        let s = Scheduler::new(4);
-        match s.plan(Some(&pool), 1000) {
-            ClassPlan::Forked { chunk } => assert!(chunk >= 1),
-            other => panic!("expected a forked plan, got {other:?}"),
+        let s = Scheduler::new();
+        // An 8-tuple class at T = 2 is 8 one-tuple tasks to steal.
+        assert_eq!(s.plan(Some(&pool), 8), ClassPlan::Forked { chunk: 1 });
+        for width in [3, 1000] {
+            match s.plan(Some(&pool), width) {
+                ClassPlan::Forked { chunk } => assert!((1..width).contains(&chunk)),
+                other => panic!("width {width}: expected a forked plan, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn zero_threshold_forks_every_multi_tuple_class() {
+        // With no inline threshold left, every class of two or more
+        // tuples forks, as a zero threshold used to make it.
         let pool = ThreadPool::new(2);
-        let s = Scheduler::new(0); // clamped to 1
+        let s = Scheduler::new();
         assert_eq!(s.plan(Some(&pool), 1), ClassPlan::Inline { sort: false });
-        assert!(matches!(s.plan(Some(&pool), 2), ClassPlan::Forked { .. }));
+        assert_eq!(s.plan(Some(&pool), 2), ClassPlan::Forked { chunk: 1 });
     }
 
     #[test]
@@ -148,7 +145,7 @@ mod tests {
         let row = |ti: u32, v: i64| Tuple::new(TableId(ti), vec![Value::Int(v)]);
         let rows = |ti| -> Vec<Tuple> { (0..32).map(|v| row(ti, v)).collect() };
         // Table 0 has a join-plan rule, table 1 does not.
-        let s = Scheduler::new(4).with_delta_join(vec![true, false]);
+        let s = Scheduler::new().with_delta_join(vec![true, false]);
         let wide = rows(0);
         assert!(s.delta_join(&wide));
         assert!(!s.delta_join(&wide[1..]), "below threshold");
@@ -157,6 +154,6 @@ mod tests {
         assert!(!s.delta_join(&mixed), "mixed-table classes stay per-tuple");
         assert!(!s.delta_join(&[]), "empty class");
         // An unarmed scheduler (no join tables) never batches.
-        assert!(!Scheduler::new(4).delta_join(&wide));
+        assert!(!Scheduler::new().delta_join(&wide));
     }
 }

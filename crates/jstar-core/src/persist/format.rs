@@ -74,56 +74,37 @@ pub fn encode_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-/// Like [`encode_varint`] but into a slice, returning the bytes used.
-fn varint_into(buf: &mut [u8], mut v: u64) -> usize {
-    let mut i = 0;
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf[i] = byte;
-            return i + 1;
-        }
-        buf[i] = byte | 0x80;
-        i += 1;
-    }
-}
-
 /// Canonical tuple encoding: varint field count, then each field via
 /// [`encode_value`]. The table is identified by the enclosing section
 /// (or an explicit index, for pending-Delta records) — tuples do not
 /// repeat it.
 pub fn encode_tuple(out: &mut Vec<u8>, fields: &[Value]) {
-    // Fast path: a string-free tuple of ≤ 11 fields encodes in at most
-    // 1 + 11·10 bytes, so it can be built in a stack buffer and
-    // appended with one bounded copy instead of a capacity-checked Vec
-    // push per byte — tens of nanoseconds per tuple, which is real
+    // Fast path: a string-free tuple of under 128 fields encodes in at
+    // most 1 + 11 bytes per field, so one reserve covers it and every
+    // push after it stays in capacity; a small int (the common case) is
+    // one two-byte append. Tens of nanoseconds per tuple, which is real
     // money when a checkpoint encodes the whole Gamma. The bytes are
     // identical to the general path below.
-    if fields.len() <= 11 && !fields.iter().any(|v| matches!(v, Value::Str(_))) {
-        let mut buf = [0u8; 128];
-        buf[0] = fields.len() as u8; // arity ≤ 11 is a 1-byte varint
-        let mut at = 1;
+    if fields.len() < 0x80 && !fields.iter().any(|v| matches!(v, Value::Str(_))) {
+        out.reserve(1 + 11 * fields.len());
+        out.push(fields.len() as u8); // arity < 128 is a 1-byte varint
         for v in fields {
             match v {
-                Value::Int(i) => {
-                    buf[at] = 0;
-                    at += 1 + varint_into(&mut buf[at + 1..], zigzag(*i));
-                }
+                Value::Int(i) => match zigzag(*i) {
+                    z @ 0..=0x7f => out.extend_from_slice(&[0, z as u8]),
+                    z => {
+                        out.push(0);
+                        encode_varint(out, z);
+                    }
+                },
                 Value::Double(d) => {
-                    buf[at] = 1;
-                    buf[at + 1..at + 9].copy_from_slice(&d.to_bits().to_le_bytes());
-                    at += 9;
+                    out.push(1);
+                    out.extend_from_slice(&d.to_bits().to_le_bytes());
                 }
-                Value::Bool(b) => {
-                    buf[at] = 3;
-                    buf[at + 1] = *b as u8;
-                    at += 2;
-                }
+                Value::Bool(b) => out.extend_from_slice(&[3, *b as u8]),
                 Value::Str(_) => unreachable!("filtered above"),
             }
         }
-        out.extend_from_slice(&buf[..at]);
         return;
     }
     encode_varint(out, fields.len() as u64);
@@ -494,8 +475,9 @@ mod tests {
             vec![],
             vec![Value::Int(0)],
             vec![Value::Int(-1), Value::Bool(true), Value::Double(3.5)],
-            (0..11).map(Value::Int).collect(),
-            (0..12).map(Value::Int).collect(), // just over the arity bound
+            (0..127).map(|i| Value::Int(i << 50)).collect(),
+            (0..128).map(Value::Int).collect(), // a two-byte arity
+            [63, 64, -64, -65].map(Value::Int).to_vec(), // one- and two-byte varints
             vec![Value::Int(i64::MIN), Value::Int(i64::MAX)],
             vec![Value::str("s"), Value::Int(1)], // strings take the general path
         ];

@@ -67,8 +67,10 @@ struct Section {
     /// store in this state. `None` — nothing reusable (never encoded, or
     /// a store without a journal).
     stamp: Option<IndexStamp>,
-    /// The encoded rows, in the store's export order.
-    body: Vec<u8>,
+    /// The encoded rows, in the store's export order, as the pieces
+    /// that encoded them: written one after the other, never joined
+    /// (copying megabytes into one buffer cost as much as a piece).
+    body: Vec<Vec<u8>>,
     /// Count and order-independent digest of the rows in `body`.
     hash: ContentHash,
 }
@@ -171,26 +173,36 @@ fn encode_row(body: &mut Vec<u8>, hash: &mut ContentHash, t: &Tuple) {
 
 /// Encodes the live rows at journal positions `[lo, hi)` of `store` onto
 /// `body` and into `hash`; returns the bound actually covered (see
-/// [`TableStore::for_each_journal_suffix`]). The per-row encode and hash
-/// is memory-latency bound — scattered heap rows reached through the
-/// journal — so a large range splits over the pool, which is idle at a
-/// checkpoint's quiescent point. The pieces partition the walk in order:
-/// the bytes are those of the one-piece walk.
+/// [`TableStore::for_each_journal_suffix`]). The per-row walk, encode and
+/// hash cost tens of nanoseconds, so a large range splits over the pool,
+/// which is idle at a checkpoint's quiescent point, into 4 pieces per
+/// worker: a worker that
+/// falls behind leaves its later pieces to be stolen. The pieces
+/// partition the walk in order: the bytes are those of the one-piece
+/// walk. Rows go onto `body`'s last piece, or as new pieces after it.
 fn encode_journal(
     store: &dyn TableStore,
     (lo, hi): (usize, usize),
     pool: Option<&ThreadPool>,
-    body: &mut Vec<u8>,
+    body: &mut Vec<Vec<u8>>,
     hash: &mut ContentHash,
 ) -> usize {
     // Below ~4k entries a piece the fork/join costs more than it saves.
     const MIN_PIECE: usize = 4096;
     let pieces = pool.map_or(1, |p| {
         let workers = p.num_threads().min(granted_cores());
-        workers.min((hi - lo) / MIN_PIECE)
+        (4 * workers).min((hi - lo) / MIN_PIECE)
     });
     let Some(pool) = pool.filter(|_| pieces > 1) else {
-        return store.for_each_journal_suffix(lo, hi, &mut |t| encode_row(body, hash, t));
+        if body.is_empty() {
+            body.push(Vec::new());
+        }
+        let n = body.len();
+        let last = &mut body[n - 1];
+        // Pre-sized from the entry count: reallocation copies of a
+        // multi-hundred-KB piece are measurable.
+        last.reserve((hi - lo) * 24);
+        return store.for_each_journal_suffix(lo, hi, &mut |t| encode_row(last, hash, t));
     };
     let bound = |i: usize| lo + (hi - lo) * i / pieces;
     let parts = jstar_pool::parallel_map(pool, pieces, 1, |i| {
@@ -202,10 +214,10 @@ fn encode_journal(
         (part, ch, covered)
     });
     let mut covered = lo;
-    for (i, (part, ch, reached)) in parts.iter().enumerate() {
-        body.extend_from_slice(part);
-        hash.merge(ch);
-        covered = *reached;
+    for (i, (part, ch, reached)) in parts.into_iter().enumerate() {
+        body.push(part);
+        hash.merge(&ch);
+        covered = reached;
         if covered < bound(i + 1) {
             // An append in flight stopped this piece: what lies beyond
             // it waits for the next walk, as in the one-piece case.
@@ -231,9 +243,6 @@ impl Section {
         let before = self.hash.count();
         match now {
             Some(now) => {
-                // Pre-sized from the entry count: reallocation copies of
-                // a multi-hundred-KB body are measurable.
-                self.body.reserve((now.generation - from) * 24);
                 let range = (from, now.generation);
                 let covered = encode_journal(store, range, pool, &mut self.body, &mut self.hash);
                 // The bound the walk covered, not the one it was asked
@@ -245,9 +254,10 @@ impl Section {
             }
             None => {
                 self.stamp = None;
-                self.body.reserve(store.len() * 24 + 64);
-                let (body, hash) = (&mut self.body, &mut self.hash);
-                store.export_snapshot(&mut |t| encode_row(body, hash, t));
+                let mut body = Vec::with_capacity(store.len() * 24 + 64);
+                let hash = &mut self.hash;
+                store.export_snapshot(&mut |t| encode_row(&mut body, hash, t));
+                self.body.push(body);
             }
         }
         self.hash.count() - before
@@ -347,7 +357,9 @@ impl<'g> CheckpointWriter<'g> {
             head.extend_from_slice(&section.hash.count().to_le_bytes());
             head.extend_from_slice(&section.hash.finish().to_le_bytes());
             w.emit(CrashSite::TableSection, head)?;
-            w.emit(CrashSite::TupleBytes, &section.body)?;
+            for piece in &section.body {
+                w.emit(CrashSite::TupleBytes, piece)?;
+            }
         }
 
         // ── Pending-Delta section ───────────────────────────────────

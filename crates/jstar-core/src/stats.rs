@@ -138,8 +138,8 @@ pub struct EngineStats {
     /// bodies (nanoseconds, summed over all steps; wall time of the step's
     /// execution phase, not CPU time across workers).
     pub execute_nanos: AtomicU64,
-    /// Classes executed inline on the coordinator (width at or below the
-    /// adaptive scheduler's inline threshold).
+    /// Classes executed inline on the coordinator (one-tuple classes,
+    /// and every class of the sequential engine).
     pub inline_classes: AtomicU64,
     /// Classes fanned out to the fork/join pool.
     pub forked_classes: AtomicU64,

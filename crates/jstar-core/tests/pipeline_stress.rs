@@ -4,8 +4,8 @@
 //! Delta tree once the class has joined.
 //!
 //! The determinism *properties* live in `prop_engine.rs`; these tests
-//! hammer one adversarial configuration — every class forked
-//! (`inline_classes_up_to(0)`), every absorb merged in parallel
+//! hammer one adversarial configuration — every multi-tuple class
+//! forked (the parallel engine's only plan), every absorb merged in parallel
 //! (`parallel_merge_from(1)`, which drives `merge_partitioned`'s
 //! parallel arm), wide classes so every absorb has work for the pool —
 //! and assert exact agreement with the sequential engine across
@@ -107,9 +107,7 @@ fn eight_thread_epoch_swap_stress() {
         for round in 0..5 {
             let mut eng = Engine::new(
                 Arc::clone(&prog),
-                EngineConfig::parallel(8)
-                    .inline_classes_up_to(0)
-                    .parallel_merge_from(1),
+                EngineConfig::parallel(8).parallel_merge_from(1),
             );
             let report = eng.run().unwrap();
             assert_eq!(
@@ -137,9 +135,7 @@ fn pipelined_run_accounts_overlap_consistently() {
     let prog = fanout_program(6, 400, 30, 4);
     for config in [
         EngineConfig::sequential(),
-        EngineConfig::parallel(8)
-            .inline_classes_up_to(0)
-            .parallel_merge_from(1),
+        EngineConfig::parallel(8).parallel_merge_from(1),
     ] {
         let mut eng = Engine::new(Arc::clone(&prog), config.record_steps());
         let report = eng.run().unwrap();
@@ -169,11 +165,7 @@ fn pipelining_composes_with_lifetime_hints_and_compaction() {
 
     let mut eng = Engine::new(
         Arc::clone(&prog),
-        configure(
-            EngineConfig::parallel(8)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1),
-        ),
+        configure(EngineConfig::parallel(8).parallel_merge_from(1)),
     );
     eng.run().unwrap();
     assert_eq!(canonical(&eng, table), want);

@@ -483,8 +483,8 @@ proptest! {
     /// The sharded-inbox parallel engine — staging on many workers and
     /// absorbing each epoch through the partitioned merge — produces
     /// exactly the sequential engine's fixpoint, pop schedule and
-    /// per-table Delta insert counts, for random thread counts and
-    /// inline thresholds, on two program shapes:
+    /// per-table Delta insert counts, for random thread counts, on two
+    /// program shapes:
     ///
     /// * random layered fan-out programs (fig8's request→fan→summarise
     ///   shape and fig11's wide single-key classes both arise from the
@@ -494,7 +494,7 @@ proptest! {
     /// * the fig12 (Dijkstra) shape: a self-feeding relaxation whose
     ///   orderby makes the Delta tree the priority queue, with
     ///   `-noDelta`/hash-indexed Done and `-noGamma` Estimate exactly
-    ///   like the real app, every multi-tuple class forked so small
+    ///   like the real app; every multi-tuple class forks, so small
     ///   programs stage from pool workers too.
     #[test]
     fn sharded_parallel_matches_sequential(
@@ -507,7 +507,6 @@ proptest! {
         horizon in 0i64..12,
         seeds in 1i64..6,
         threads in 1usize..6,
-        inline_threshold in 0usize..8,
         n in 20i64..120,
         degree in 1i64..4,
         weight_mod in 1i64..9,
@@ -523,7 +522,7 @@ proptest! {
         };
         let want_inserts = delta_inserts(&seq_eng);
 
-        let par_config = EngineConfig::parallel(threads).inline_classes_up_to(inline_threshold);
+        let par_config = EngineConfig::parallel(threads);
         for (arm, config) in [par_config.clone(), par_config.parallel_merge_from(1)]
             .into_iter()
             .enumerate()
@@ -576,9 +575,7 @@ proptest! {
         let mut eng = Engine::new(
             Arc::clone(&prog),
             configure(
-                EngineConfig::parallel(threads)
-                    .inline_classes_up_to(0)
-                    .parallel_merge_from(1),
+                EngineConfig::parallel(threads).parallel_merge_from(1),
             ),
         );
         eng.run().unwrap();
@@ -595,8 +592,8 @@ proptest! {
     /// fixpoint: for random programs, `Engine::content_hash()` — the
     /// hash a snapshot stores per table and recovery compares against —
     /// is bit-identical across the sequential engine and the parallel
-    /// one at every thread count, with default scheduling and with every
-    /// class forked and every epoch merged on the pool. This is what
+    /// one at every thread count, with the default merge and with every
+    /// epoch merged on the pool. This is what
     /// makes crash-recovery checkable: restore + resume must land on
     /// this exact hash whatever configuration resumes the run.
     #[test]
@@ -619,9 +616,7 @@ proptest! {
 
         let configs = [
             EngineConfig::parallel(threads),
-            EngineConfig::parallel(threads)
-                .inline_classes_up_to(0)
-                .parallel_merge_from(1),
+            EngineConfig::parallel(threads).parallel_merge_from(1),
         ];
         for (i, config) in configs.into_iter().enumerate() {
             let mut eng = Engine::new(Arc::clone(&prog), config);

@@ -24,10 +24,10 @@ fn pvwatts_runs_in_two_parallel_phases() {
     engine.run().unwrap();
 
     let log = engine.stats().step_log.lock().clone();
-    // Phase 1: one step with the 4 reader requests (one par class).
-    // Phase 2: one step with the 12 SumMonth tuples.
+    // Phase 1: one step with the 16 region requests of 4 readers (one
+    // par class). Phase 2: one step with the 12 SumMonth tuples.
     assert_eq!(log.len(), 2, "{log:?}");
-    assert_eq!(log[0].class_size, 4, "N parallel readers");
+    assert_eq!(log[0].class_size, 16, "4 region requests per reader");
     assert_eq!(log[1].class_size, 12, "M parallel month reducers");
 
     // The profile chart shows both phases.
