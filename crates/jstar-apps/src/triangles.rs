@@ -2,29 +2,30 @@
 //! join showcase workload.
 //!
 //! The program lists each triangle `a < b < c` exactly once via **one
-//! two-stage join rule**: the trigger `Probe(a, b)` extends through
-//! `Edge(b, c)` (stage 1, bounded by `b < c`) and closes through
-//! `Edge(c, a)` (stage 2) in a single descent — no intermediate wedge
-//! relation is materialised. The bound is stated in the join builder
-//! (`.lt(Probe::b, Edge::to)`), so it runs where stage 1 binds `c`:
-//! a wedge that fails it never seeks stage 2. The rule is registered
-//! through [`ProgramBuilder::rule_rel_join2`], so it carries an
-//! inspectable two-stage [`JoinPlan`] and every `Probe` stratum drains
-//! through the engine's batched delta-join pass: one coordinated
-//! sorted-merge walk over the `Edge` indexes per class. The test
-//! `delta_join_and_per_tuple_agree_and_counters_move` checks, at 1, 2
-//! and 4 threads, that this walk searches the store less than an opaque
-//! nested-loop twin of the rule (probes + seeks against its probes),
-//! and at most half as much as the same rule with its bound left in the
-//! filter closure.
+//! join rule**: `join3::<Probe, Edge, Edge>()` extends the trigger
+//! `Probe(a, b)` through `Edge(b, c)` (bounded by `b < c`) and closes
+//! it through `Edge(c, a)` in a single descent — no intermediate wedge
+//! relation is materialised. The bound is stated in the join value
+//! (`.lt_ab(Probe::b, Edge::to)`), so it runs where the first `Edge`
+//! binds `c`: a wedge that fails it never seeks the closing edge. The
+//! rule is registered through [`ProgramBuilder::rule_rel_join`], so it
+//! carries an inspectable two-stage [`JoinPlan`] and every `Probe`
+//! stratum drains through the engine's batched delta-join pass: one
+//! coordinated sorted-merge walk over the `Edge` indexes per class.
+//! The test `delta_join_and_per_tuple_agree_and_counters_move` checks,
+//! at 1, 2 and 4 threads, that this walk searches the store less than
+//! an opaque nested-loop twin of the rule (probes + seeks against its
+//! probes), and at most half as much as the same rule with its bound
+//! left as an `if` in `emit`.
 //!
 //! The same count is also available *after* the run as a read-side
 //! query: [`count_via_join3`] folds `join3::<Edge, Edge, Edge>()` over
-//! the stored half-edges — the query-layer face of the same leapfrog
-//! walk, split over the engine's pool like the rule-side one. Its three
-//! relations are keyed on `Edge.from`, the view the rule side has
-//! already built, and its `x < y < z` bounds keep one orientation of
-//! each triangle as early as the rows bind them.
+//! the stored half-edges — the same kind of join value, walked by the
+//! same leapfrog walk and split over the engine's pool like the
+//! rule-side one. Its three relations are keyed on `Edge.from`, the
+//! view the rule side has already built, and its `x < y < z` bounds
+//! keep one orientation of each triangle as early as the rows bind
+//! them.
 
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
@@ -160,7 +161,7 @@ pub fn build_program(spec: TriSpec) -> TrianglesApp {
 enum Lowering {
     /// The join rule with its bound `b < c` in the builder.
     Bounded,
-    /// The same join rule with the bound left in its filter closure,
+    /// The same join rule with the bound left as an `if` in `emit`,
     /// which runs only once a whole row combination exists.
     #[cfg(test)]
     Filtered,
@@ -210,33 +211,29 @@ fn build(spec: TriSpec, lowering: Lowering) -> TrianglesApp {
     // the closing edge c→a (stage 2 — both directions are stored, so it
     // exists iff a ~ c). Stage 2's leading key comes from stage 1's
     // tuple, which is what the leapfrog walk seeks on.
-    let emit = |p: &Probe, e1: &Edge| Triangle {
+    let emit = |p: Probe, e1: Edge| Triangle {
         a: p.a,
         b: p.b,
         c: e1.to,
     };
-    let stage1 = JoinOn::new().eq(Probe::b, Edge::from);
-    let stage2 = JoinOn2::new()
-        .eq_p(Edge::to, Edge::from)
-        .eq_t(Probe::a, Edge::to);
-    let emit_rel =
-        move |ctx: &RuleCtx<'_>, p: &Probe, e1: &Edge, _e2: &Edge| ctx.put_rel(emit(p, e1));
+    let triangle = join3::<Probe, Edge, Edge>()
+        .on_ab(Probe::b, Edge::from)
+        .on_bc(Edge::to, Edge::from)
+        .on_ac(Probe::a, Edge::to);
     match lowering {
-        Lowering::Bounded => p.rule_rel_join2(
+        Lowering::Bounded => p.rule_rel_join(
             "triangles",
-            stage1.lt(Probe::b, Edge::to),
-            stage2,
-            |_: &Probe, _: &Edge, _: &Edge| true,
-            emit_rel,
+            triangle.lt_ab(Probe::b, Edge::to),
+            move |ctx, (p, e1, _e2)| ctx.put_rel(emit(p, e1)),
         ),
         #[cfg(test)]
-        Lowering::Filtered => p.rule_rel_join2(
-            "triangles-filtered",
-            stage1,
-            stage2,
-            |p: &Probe, e1: &Edge, _e2: &Edge| p.b < e1.to,
-            emit_rel,
-        ),
+        Lowering::Filtered => {
+            p.rule_rel_join("triangles-filtered", triangle, move |ctx, (p, e1, _e2)| {
+                if p.b < e1.to {
+                    ctx.put_rel(emit(p, e1));
+                }
+            })
+        }
         #[cfg(test)]
         Lowering::NestedLoop => p.rule_rel("triangles-nested", move |ctx, p: Probe| {
             for e1 in ctx.query_rel(Edge::query().eq(Edge::from, p.b)) {
@@ -244,7 +241,7 @@ fn build(spec: TriSpec, lowering: Lowering) -> TrianglesApp {
                 for _e2 in ctx.query_rel(closing) {
                     // The bound, checked once the combination exists.
                     if p.b < e1.to {
-                        ctx.put_rel(emit(&p, &e1));
+                        ctx.put_rel(emit(p, e1));
                     }
                 }
             }
@@ -297,15 +294,15 @@ fn run_app(app: &TrianglesApp, config: EngineConfig) -> Result<(u64, RunReport)>
 
 /// Counts triangles *after* a run as a read-side query: one ternary
 /// `join3::<Edge, Edge, Edge>()` over the stored half-edges, evaluated
-/// by [`Engine::join3_fold`] — the engine's leapfrog walk, split over
+/// by [`Engine::join_fold`] — the engine's leapfrog walk, split over
 /// its pool when it has one, each piece counting into its own total.
 /// Every relation is keyed on `Edge.from`, the view the rule side
 /// already opened, so the count builds no second index.
 pub fn count_via_join3(engine: &Engine) -> u64 {
-    engine.join3_fold(
+    engine.join_fold(
         triangle_join(),
         || 0u64,
-        |count, _a: Edge, _b: Edge, _c: Edge| *count += 1,
+        |count, _| *count += 1,
         |x, y| x + y,
     )
 }
@@ -422,7 +419,7 @@ mod tests {
             );
             // The bound stated in the builder prunes at stage 1, so
             // stage 2 seeks for at most half the wedges it did when the
-            // bound ran in the closure after the whole combination.
+            // bound ran in `emit` after the whole combination.
             assert!(
                 2 * dj.join_seeks <= fi.join_seeks,
                 "{threads} threads: bounded seeks={} vs filtered seeks={}",
@@ -453,10 +450,7 @@ mod tests {
             vec![((1, 1), 0), ((0, 0), 1)],
             "e1.to = e2.from (the walked column), Probe.a = e2.to (residual)"
         );
-        assert_eq!(
-            plan.first_stage().trigger_keys().collect::<Vec<_>>(),
-            vec![(1, 0)]
-        );
+        assert!(plan.root_less.is_empty());
     }
 
     #[test]
@@ -489,7 +483,7 @@ mod tests {
             // The `FnMut` form is the one-piece case of the same walk,
             // and each triangle comes out in its one orientation.
             let mut walked = 0u64;
-            engine.join3_rel(triangle_join(), |a: Edge, b: Edge, c: Edge| {
+            engine.join_rel(triangle_join(), |(a, b, c)| {
                 assert!(a.from < a.to && a.to < b.to, "{a:?} {b:?}");
                 assert_eq!((a.from, b.to, c.to), (b.from, c.from, a.to));
                 walked += 1;

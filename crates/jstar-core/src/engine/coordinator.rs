@@ -8,7 +8,7 @@ use crate::gamma::leapfrog::{self, Root, Stage};
 use crate::gamma::{Gamma, StoreKind};
 use crate::orderby::OrderKey;
 use crate::program::Program;
-use crate::relation::{Join, Join3, ReadJoin, Relation, TableHandle, TypedQuery};
+use crate::relation::{JoinShape, Relation, TableHandle, TypedQuery};
 use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
@@ -706,22 +706,25 @@ impl Engine {
         self.state.output.lock().clone()
     }
 
-    /// Evaluates a typed two-relation join over Gamma with one
-    /// leapfrog sorted-merge walk: `join::<Edge, Edge>().on(..)`.
+    /// Evaluates a typed join over Gamma — a [`crate::relation::join`]
+    /// or [`crate::relation::join3`] value — with one leapfrog walk,
+    /// calling `f` with each decoded row combination, `(a, b)` or
+    /// `(a, b, c)`.
     ///
-    /// Both relations' column views are opened once (each counted as a
-    /// query plus a cursor open), then intersected on the first `on`
-    /// pair with coordinated seek/next motions — the fixed variable
-    /// order of the typed builder, no optimizer. Further `on` pairs are
-    /// residual equality checks inside matched groups, beside the `lt`
-    /// inequalities. Panics when no
-    /// `on` pair was declared (a cross join has nothing to merge on).
-    /// Runs on the calling thread; [`Engine::join_fold`] is the same
-    /// walk split over the pool.
-    pub fn join_rel<A: Relation, B: Relation>(&self, j: Join<A, B>, mut f: impl FnMut(A, B)) {
-        let lowered = j.lower(&self.state.program);
-        self.read_join(&lowered, |root, root_less, stages| {
-            let visit = |rows: &[&Tuple]| f(A::from_tuple(rows[0]), B::from_tuple(rows[1]));
+    /// Every relation's column view is opened once (each counted as a
+    /// query plus a cursor open). `A`'s and `B`'s are intersected on
+    /// the first `on` pair with coordinated seek/next motions — the
+    /// fixed variable order of the typed builder, no optimizer — and
+    /// each matched `(a, b)` row of a [`crate::relation::join3`] then
+    /// seeks a shared `C` view. Further key pairs are residual equality
+    /// checks inside matched groups, and each inequality runs at the
+    /// first row binding both of its sides. Panics when a relation
+    /// after the first is keyed by no pair (a cross join has nothing to
+    /// merge on). Runs on the calling thread; [`Engine::join_fold`] is
+    /// the same walk split over the pool.
+    pub fn join_rel<J: JoinShape>(&self, j: J, mut f: impl FnMut(J::Row)) {
+        self.read_join(j, |root, root_less, stages| {
+            let visit = |rows: &[&Tuple]| f(J::decode(rows));
             ((), leapfrog::walk(root, root_less, stages, visit))
         })
     }
@@ -730,103 +733,47 @@ impl Engine {
     /// into pieces that run on the engine's pool (one piece without
     /// one), each folding its rows into its own `init()` accumulator;
     /// `merge` then combines the accumulators in key order.
-    pub fn join_fold<A: Relation, B: Relation, Acc: Send>(
+    pub fn join_fold<J: JoinShape, Acc: Send>(
         &self,
-        j: Join<A, B>,
+        j: J,
         init: impl Fn() -> Acc + Sync,
-        fold: impl Fn(&mut Acc, A, B) + Sync,
-        merge: impl FnMut(Acc, Acc) -> Acc,
-    ) -> Acc {
-        let lowered = j.lower(&self.state.program);
-        let visit = |acc: &mut Acc, rows: &[&Tuple]| {
-            fold(acc, A::from_tuple(rows[0]), B::from_tuple(rows[1]))
-        };
-        self.read_fold(&lowered, init, visit, merge)
-    }
-
-    /// Evaluates a typed three-relation join over Gamma:
-    /// `join3::<Edge, Edge, Edge>().on_ab(..).on_bc(..)`.
-    ///
-    /// `A` and `B` leapfrog on the first `on_ab` pair exactly as in
-    /// [`Engine::join_rel`]; each matched `(a, b)` row then seeks a
-    /// shared `C` cursor — keyed by the first `on_bc` pair, or the
-    /// first `on_ac` pair when no `b`–`c` key exists — with every
-    /// remaining pair checked as a residual equality. Each inequality
-    /// runs at the first row binding both of its sides (see
-    /// [`crate::relation::join3`]). Panics without an `on_ab` pair or
-    /// without any `C`-side constraint.
-    pub fn join3_rel<A: Relation, B: Relation, C: Relation>(
-        &self,
-        j: Join3<A, B, C>,
-        mut f: impl FnMut(A, B, C),
-    ) {
-        let lowered = j.lower(&self.state.program);
-        self.read_join(&lowered, |root, root_less, stages| {
-            let visit = |rows: &[&Tuple]| {
-                f(
-                    A::from_tuple(rows[0]),
-                    B::from_tuple(rows[1]),
-                    C::from_tuple(rows[2]),
-                )
-            };
-            ((), leapfrog::walk(root, root_less, stages, visit))
-        })
-    }
-
-    /// [`Engine::join3_rel`] as a fold over the engine's pool (see
-    /// [`Engine::join_fold`]).
-    pub fn join3_fold<A: Relation, B: Relation, C: Relation, Acc: Send>(
-        &self,
-        j: Join3<A, B, C>,
-        init: impl Fn() -> Acc + Sync,
-        fold: impl Fn(&mut Acc, A, B, C) + Sync,
-        merge: impl FnMut(Acc, Acc) -> Acc,
-    ) -> Acc {
-        let lowered = j.lower(&self.state.program);
-        let visit = |acc: &mut Acc, rows: &[&Tuple]| {
-            fold(
-                acc,
-                A::from_tuple(rows[0]),
-                B::from_tuple(rows[1]),
-                C::from_tuple(rows[2]),
-            )
-        };
-        self.read_fold(&lowered, init, visit, merge)
-    }
-
-    /// Opens the lowered join's views (root first, then one per stage,
-    /// each counted), hands `body` the walk's root, root checks and
-    /// stages, and charges the seeks it reports.
-    fn read_join<R>(
-        &self,
-        lowered: &ReadJoin,
-        body: impl for<'a> FnOnce(&Root<'a>, &[(usize, usize)], &[Stage<'a>]) -> (R, u64),
-    ) -> R {
-        let columns = lowered.stages.iter().map(JoinStage::column);
-        let views = open_views(&self.state, std::iter::once(lowered.root).chain(columns));
-        let stages = walk_stages(&lowered.stages, &views[1..]);
-        let (out, seeks) = body(&Root::Index(&views[0]), &lowered.root_less, &stages);
-        if seeks > 0 {
-            let stats = &self.state.stats;
-            stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
-        }
-        out
-    }
-
-    fn read_fold<Acc: Send>(
-        &self,
-        lowered: &ReadJoin,
-        init: impl Fn() -> Acc + Sync,
-        visit: impl Fn(&mut Acc, &[&Tuple]) + Sync,
+        fold: impl Fn(&mut Acc, J::Row) + Sync,
         merge: impl FnMut(Acc, Acc) -> Acc,
     ) -> Acc {
         let pool = self.pool.as_deref();
+        let visit = |acc: &mut Acc, rows: &[&Tuple]| fold(acc, J::decode(rows));
         let mut pieces = self
-            .read_join(lowered, |root, root_less, stages| {
+            .read_join(j, |root, root_less, stages| {
                 leapfrog::fan_out(root, root_less, stages, pool, &init, visit)
             })
             .into_iter();
         let first = pieces.next().unwrap_or_else(&init);
         pieces.fold(first, merge)
+    }
+
+    /// Lowers `j`, opens its views (`A`'s on the column stage 0 seeks
+    /// by, then one per stage, each counted), hands `body` the walk's
+    /// root, root checks and stages, and charges the seeks it reports.
+    fn read_join<J: JoinShape, R>(
+        &self,
+        j: J,
+        body: impl for<'a> FnOnce(&Root<'a>, &[(usize, usize)], &[Stage<'a>]) -> (R, u64),
+    ) -> R {
+        let ids = J::relation_ids(&mut &*self.state.program);
+        let (root_less, stages) = j.lower(&ids);
+        assert!(
+            stages.iter().all(|s| !s.keys.is_empty()),
+            "a join read needs an on() pair keying every relation after the first"
+        );
+        let ((_, by), _) = stages[0].keys[0];
+        let columns = stages.iter().map(JoinStage::column);
+        let views = open_views(&self.state, std::iter::once((ids[0], by)).chain(columns));
+        let walk = walk_stages(&stages, &views[1..]);
+        let (out, seeks) = body(&Root::Index(&views[0]), &root_less, &walk);
+        if seeks > 0 {
+            let stats = &self.state.stats;
+            stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
+        }
+        out
     }
 }

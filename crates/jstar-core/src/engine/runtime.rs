@@ -408,7 +408,8 @@ pub(super) fn walk_stages<'a>(
 ///
 /// The delta is sorted by the trigger field stage 0 seeks by (stably,
 /// so equal keys stay in class order; on a dense `i64` key when every
-/// value is an `Int`) and becomes the root of one [`leapfrog`] walk:
+/// value is an `Int`) and becomes the root of one [`leapfrog`] walk,
+/// which drops the tuples failing the plan's root checks:
 /// one column view is opened per stage (one store pass each, or a cache
 /// hit; shared by every worker with private positions), stage 0's
 /// cursor follows the sorted delta with seek/next motions and later
@@ -437,15 +438,11 @@ fn run_join_rule(
     let ctx = RuleCtx::new(state, key, &rule.name);
     let (_, seeks) = leapfrog::fan_out(
         &Root::Sorted(&delta),
-        &[],
+        &plan.root_less,
         &walk_stages(&plan.stages, &views),
         pool,
         || (),
-        |(), rows| {
-            if (plan.filter)(rows) {
-                (plan.emit)(&ctx, rows);
-            }
-        },
+        |(), rows| (plan.emit)(&ctx, rows),
     );
     if seeks > 0 {
         state.stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);

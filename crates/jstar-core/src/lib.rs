@@ -104,9 +104,8 @@ pub mod prelude {
         Stats, SumReducer,
     };
     pub use crate::relation::{
-        join, join3, Binder, ColumnSpec, ConstraintKind, ConstraintShape, Field, FieldValue,
-        IntoProbe, Join, Join3, JoinOn, JoinOn2, OrderedValue, PreparedQuery, Relation,
-        TableHandle, TypedQuery,
+        join, join3, Binder, ColumnSpec, Field, FieldValue, IntoProbe, Join, Join3, JoinShape,
+        OrderedValue, PreparedQuery, Relation, TableHandle, TypedQuery,
     };
     pub use crate::rule::{JoinPlan, JoinStage};
     pub use crate::schema::{TableDef, TableId};

@@ -26,7 +26,7 @@ use crate::engine::RuleCtx;
 use crate::error::{JStarError, Result};
 use crate::orderby::{OrderComponent, OrderKey, ResolvedOrderBy};
 use crate::query::{Probe, Query, Slot, SlotOp};
-use crate::relation::{JoinOn, JoinOn2, Relation, TableHandle};
+use crate::relation::{JoinShape, Relation, TableHandle};
 use crate::rule::{JoinPlan, Rule, RuleBody};
 use crate::schema::{TableDef, TableDefBuilder, TableId};
 use crate::stats::DependencyGraph;
@@ -228,11 +228,13 @@ impl ProgramBuilder {
         });
     }
 
-    /// Adds a typed **join rule** — a rule whose body is expressible as
-    /// (join → filter → emit): for each trigger row `R`, probe `S`'s
-    /// Gamma table where every `on` key pair is equal, keep the
-    /// `(trigger, probed)` pairs passing `filter`, and run `emit` on
-    /// each survivor.
+    /// Adds a typed **join rule**: `j` is a [`crate::relation::join`]
+    /// or [`crate::relation::join3`] value whose first relation is the
+    /// trigger. For each trigger row passing `j`'s root checks, the
+    /// later relations are probed in declaration order where `j`'s key
+    /// pairs match and its inequalities hold, and `emit` runs on each
+    /// full row combination — `(trigger, probed)` or `(trigger, b, c)`.
+    /// A condition `j` cannot state is an `if` in `emit`.
     ///
     /// Unlike [`ProgramBuilder::rule_rel`], the registered rule carries
     /// an inspectable [`crate::rule::JoinPlan`] alongside the
@@ -241,110 +243,52 @@ impl ProgramBuilder {
     /// Gamma (sorting the class by its join-key values and walking it
     /// against a column cursor per stage) when the class is at least 32
     /// tuples wide (`DELTA_JOIN_MIN_CLASS` in the engine's scheduler);
-    /// below that width, or when `on` names no key pair (a cross join),
-    /// the per-tuple body runs instead. Both
-    /// paths are built from the same plan parts, so they emit identical
-    /// tuples.
+    /// below that width, or when a relation is keyed by no pair (a
+    /// cross join), the per-tuple body runs instead. Both paths are
+    /// built from the same plan parts, so they emit identical tuples.
     ///
     /// Strict validation flags the missing causality model; use
     /// [`ProgramBuilder::rule_rel_join_with_model`] to attach one.
-    pub fn rule_rel_join<R: Relation, S: Relation>(
+    pub fn rule_rel_join<J: JoinShape>(
         &mut self,
         name: &str,
-        on: JoinOn<R, S>,
-        filter: impl Fn(&R, &S) -> bool + Send + Sync + 'static,
-        emit: impl Fn(&RuleCtx<'_>, &R, &S) + Send + Sync + 'static,
+        j: J,
+        emit: impl Fn(&RuleCtx<'_>, J::Row) + Send + Sync + 'static,
     ) {
-        self.push_join_rule(name, on, filter, emit, None);
+        self.push_join_rule(name, j, None, emit);
     }
 
     /// [`ProgramBuilder::rule_rel_join`] with a causality model attached
     /// for static checking.
-    pub fn rule_rel_join_with_model<R: Relation, S: Relation>(
+    pub fn rule_rel_join_with_model<J: JoinShape>(
         &mut self,
         name: &str,
-        on: JoinOn<R, S>,
+        j: J,
         model: CausalityModel,
-        filter: impl Fn(&R, &S) -> bool + Send + Sync + 'static,
-        emit: impl Fn(&RuleCtx<'_>, &R, &S) + Send + Sync + 'static,
+        emit: impl Fn(&RuleCtx<'_>, J::Row) + Send + Sync + 'static,
     ) {
-        self.push_join_rule(name, on, filter, emit, Some(model));
+        self.push_join_rule(name, j, Some(model), emit);
     }
 
-    fn push_join_rule<R: Relation, S: Relation>(
+    fn push_join_rule<J: JoinShape>(
         &mut self,
         name: &str,
-        on: JoinOn<R, S>,
-        filter: impl Fn(&R, &S) -> bool + Send + Sync + 'static,
-        emit: impl Fn(&RuleCtx<'_>, &R, &S) + Send + Sync + 'static,
+        j: J,
         model: Option<CausalityModel>,
+        emit: impl Fn(&RuleCtx<'_>, J::Row) + Send + Sync + 'static,
     ) {
-        let trigger = self.relation::<R>().id();
-        let probe_table = self.relation::<S>().id();
+        let ids = J::relation_ids(self);
+        let (root_less, stages) = j.lower(&ids);
         let plan = Arc::new(JoinPlan {
-            stages: vec![on.stage(probe_table)],
-            filter: Arc::new(move |rows: &[&Tuple]| {
-                filter(&R::from_tuple(rows[0]), &S::from_tuple(rows[1]))
-            }),
-            emit: Arc::new(move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| {
-                emit(ctx, &R::from_tuple(rows[0]), &S::from_tuple(rows[1]))
-            }),
+            root_less,
+            stages,
+            emit: Arc::new(move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| emit(ctx, J::decode(rows))),
         });
         self.rules.push(Rule {
             name: name.to_string(),
-            trigger,
+            trigger: ids[0],
             body: join_fallback_body(Arc::clone(&plan)),
             model,
-            plan: Some(plan),
-        });
-    }
-
-    /// Adds a typed **two-stage join rule** — a rule whose body joins
-    /// the trigger `R` against *two* probed relations in fixed order:
-    /// stage 1 probes `S1` where every `on1` pair matches the trigger,
-    /// stage 2 probes `S2` where every `on2` pair matches the trigger
-    /// ([`JoinOn2::eq_t`]) and/or the stage-1 row ([`JoinOn2::eq_p`]).
-    /// Full `(R, S1, S2)` combinations passing `filter` are handed to
-    /// `emit`.
-    ///
-    /// The registered [`crate::rule::JoinPlan`] carries both stages, so
-    /// delta-join execution lowers the whole class onto one coordinated
-    /// leapfrog cursor walk per stage instead of nested per-tuple
-    /// probes. Strict validation flags the missing causality model.
-    pub fn rule_rel_join2<R: Relation, S1: Relation, S2: Relation>(
-        &mut self,
-        name: &str,
-        on1: JoinOn<R, S1>,
-        on2: JoinOn2<R, S1, S2>,
-        filter: impl Fn(&R, &S1, &S2) -> bool + Send + Sync + 'static,
-        emit: impl Fn(&RuleCtx<'_>, &R, &S1, &S2) + Send + Sync + 'static,
-    ) {
-        let trigger = self.relation::<R>().id();
-        let table1 = self.relation::<S1>().id();
-        let table2 = self.relation::<S2>().id();
-        let plan = Arc::new(JoinPlan {
-            stages: vec![on1.stage(table1), on2.stage(table2)],
-            filter: Arc::new(move |rows: &[&Tuple]| {
-                filter(
-                    &R::from_tuple(rows[0]),
-                    &S1::from_tuple(rows[1]),
-                    &S2::from_tuple(rows[2]),
-                )
-            }),
-            emit: Arc::new(move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| {
-                emit(
-                    ctx,
-                    &R::from_tuple(rows[0]),
-                    &S1::from_tuple(rows[1]),
-                    &S2::from_tuple(rows[2]),
-                )
-            }),
-        });
-        self.rules.push(Rule {
-            name: name.to_string(),
-            trigger,
-            body: join_fallback_body(Arc::clone(&plan)),
-            model: None,
             plan: Some(plan),
         });
     }
@@ -417,9 +361,9 @@ impl ProgramBuilder {
     }
 }
 
-/// Synthesizes the per-tuple nested-loop body from a join plan: a
-/// recursive descent over the stages, one indexed Gamma probe per stage
-/// per partial row. Each stage's query is built once, here — one
+/// Synthesizes the per-tuple nested-loop body from a join plan: the
+/// root checks on the trigger, then a recursive descent over the
+/// stages, one indexed Gamma probe per stage per partial row. Each stage's query is built once, here — one
 /// equality bind slot per key pair, one `>` slot per inequality (its
 /// probe field above the matched row's value) — and bound per row to
 /// the values of the rows already matched, so the store drops a
@@ -430,15 +374,17 @@ impl ProgramBuilder {
 fn join_fallback_body(plan: Arc<JoinPlan>) -> RuleBody {
     let stages: Vec<(Query, Vec<Slot>)> = (plan.stages.iter())
         .map(|stage| {
-            let slot = |op| move |&(_, field): &(_, usize)| Slot { field, op, at: 0 };
+            let slot = |op| move |&(_, field): &(_, usize)| Slot { field, op };
             let keys = stage.keys.iter().map(slot(SlotOp::Eq));
             let less = stage.less.iter().map(slot(SlotOp::Gt));
             (Query::on(stage.probe_table), keys.chain(less).collect())
         })
         .collect();
     Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| {
-        let mut rows = vec![t.clone()];
-        join_descend(ctx, &plan, &stages, &mut rows, &mut Vec::new());
+        if (plan.root_less.iter()).all(|&(lo, hi)| t.get(lo) < t.get(hi)) {
+            let mut rows = vec![t.clone()];
+            join_descend(ctx, &plan, &stages, &mut rows, &mut Vec::new());
+        }
     }) as RuleBody
 }
 
@@ -454,9 +400,7 @@ fn join_descend(
     let depth = rows.len() - 1;
     if depth == plan.stages.len() {
         let refs: Vec<&Tuple> = rows.iter().collect();
-        if (plan.filter)(&refs) {
-            (plan.emit)(ctx, &refs);
-        }
+        (plan.emit)(ctx, &refs);
         return;
     }
     let (query, slots) = &stages[depth];
@@ -838,9 +782,10 @@ mod tests {
         p.rule_rel("opaque", |_, _: Lhs| {});
         p.rule_rel_join(
             "joined",
-            crate::relation::JoinOn::new().eq(Lhs::k, Rhs::k),
-            |l: &Lhs, r: &Rhs| l.v < r.w,
-            |_, _: &Lhs, _: &Rhs| {},
+            crate::relation::join::<Lhs, Rhs>()
+                .on(Lhs::k, Rhs::k)
+                .lt(Lhs::v, Rhs::w),
+            |_, _| {},
         );
         let prog = p.build().unwrap();
         assert!(
@@ -857,13 +802,8 @@ mod tests {
             prog.table_id("Rhs").unwrap()
         );
         assert_eq!(plan.first_stage().keys, vec![((0, 0), 0)]);
-        assert_eq!(
-            plan.first_stage().trigger_keys().collect::<Vec<_>>(),
-            vec![(0, 0)]
-        );
-        // The non-key columns only feed the filter; their tokens still
-        // carry the right indices for anyone extending the join.
-        assert_eq!((Lhs::v.index(), Rhs::w.index()), (1, 1));
+        assert_eq!(plan.first_stage().less, vec![((0, 1), 1)]);
+        assert!(plan.root_less.is_empty());
     }
 
     #[test]
@@ -881,16 +821,16 @@ mod tests {
             T2(int e, int f) orderby (T2)
         }
         let mut p = ProgramBuilder::new();
-        p.rule_rel_join2(
+        p.rule_rel_join(
             "two-stage",
-            crate::relation::JoinOn::new().eq(T0::b, T1::c),
-            crate::relation::JoinOn2::new()
-                .eq_p(T1::d, T2::e)
-                .lt_p(T1::c, T2::f)
-                .eq_t(T0::a, T2::f)
-                .lt_t(T0::b, T2::e),
-            |_: &T0, _: &T1, _: &T2| true,
-            |_, _: &T0, _: &T1, _: &T2| {},
+            crate::relation::join3::<T0, T1, T2>()
+                .on_ab(T0::b, T1::c)
+                .on_ac(T0::a, T2::f)
+                .lt_bc(T1::c, T2::f)
+                .on_bc(T1::d, T2::e)
+                .lt_ac(T0::b, T2::e)
+                .lt_a(T0::a, T0::b),
+            |_, _| {},
         );
         let prog = p.build().unwrap();
         let plan = prog.rules()[0].plan.as_ref().expect("plan");
@@ -898,10 +838,73 @@ mod tests {
         assert_eq!(plan.stages[0].probe_table, prog.table_id("T1").unwrap());
         assert_eq!(plan.stages[0].keys, vec![((0, 1), 0)]);
         assert_eq!(plan.stages[1].probe_table, prog.table_id("T2").unwrap());
-        // eq_p sources row 1 (the stage-1 tuple), eq_t row 0 (trigger);
-        // the inequalities keep the same layout, in declaration order.
+        // on_bc sources row 1 (the stage-1 tuple) and comes first, the
+        // column the view is opened on, though declared after on_ac
+        // (row 0, the trigger); the inequalities keep the same layout,
+        // in declaration order, and lt_a is a root check.
         assert_eq!(plan.stages[1].keys, vec![((1, 1), 0), ((0, 0), 1)]);
         assert_eq!(plan.stages[1].less, vec![((1, 0), 1), ((0, 1), 0)]);
         assert!(plan.stages[0].less.is_empty());
+        assert_eq!(plan.root_less, vec![(0, 1)]);
+    }
+
+    #[test]
+    fn two_stage_join_rule_carries_a_model() {
+        crate::jstar_table! {
+            /// table Path(int a, int b) orderby (Path)
+            Path(int a, int b) orderby (Path)
+        }
+        crate::jstar_table! {
+            /// table Hop(int from, int to) orderby (Hop)
+            Hop(int from, int to) orderby (Hop)
+        }
+        crate::jstar_table! {
+            /// table Loop(int a) orderby (Loop)
+            Loop(int a) orderby (Loop)
+        }
+        let mut p = ProgramBuilder::new();
+        p.relation::<Hop>();
+        p.relation::<Path>();
+        p.relation::<Loop>();
+        p.order(&["Hop", "Path", "Loop"]);
+        // Strata only: every put points to a later stratum than the
+        // trigger, every query reads an earlier one.
+        let model = CausalityModel {
+            ctx: ModelCtx::new(),
+            invariants: vec![],
+            puts: vec![PutModel {
+                out_table: "Loop".into(),
+                guard: vec![],
+                bindings: vec![],
+                label: "close".into(),
+            }],
+            queries: vec![QueryModel {
+                q_table: "Hop".into(),
+                guard: vec![],
+                bindings: vec![],
+                label: "hops".into(),
+            }],
+        };
+        let j = crate::relation::join3::<Path, Hop, Hop>()
+            .on_ab(Path::b, Hop::from)
+            .on_bc(Hop::to, Hop::from)
+            .on_ac(Path::a, Hop::to);
+        p.rule_rel_join_with_model("close", j, model, |ctx, (p, _, _)| {
+            ctx.put_rel(Loop { a: p.a })
+        });
+        for (from, to) in [(1, 2), (2, 3), (3, 1), (3, 4)] {
+            p.put_rel(Hop { from, to });
+        }
+        p.put_rel(Path { a: 1, b: 2 });
+        let prog = Arc::new(p.build().unwrap());
+        let results = prog.check_causality();
+        assert!(!results.is_empty());
+        assert!(results.iter().all(|r| r.proved), "{results:?}");
+        assert!(prog.validate_strict().is_ok());
+        assert_eq!(prog.rules()[0].plan.as_ref().expect("plan").stages.len(), 2);
+        let mut engine =
+            crate::engine::Engine::new(prog, crate::engine::EngineConfig::sequential());
+        engine.run().unwrap();
+        assert_eq!(engine.collect_rel(Loop::query().eq(Loop::a, 1)).len(), 1);
     }
 }

@@ -10,22 +10,21 @@
 //!
 //! # Multi-relation joins
 //!
-//! A [`crate::relation::TypedQuery`] binds one table; joins across
-//! tables have two typed forms, both thin front-ends of **one** N-ary
-//! leapfrog walk over per-column ordered views of Gamma (each describes
-//! its stages — which view, which earlier row keys it, which pairs are
-//! residual — and the walk does the rest):
+//! A [`crate::relation::TypedQuery`] binds one table; a join across
+//! tables is **one** typed value — [`crate::relation::join`]`::<A, B>()`
+//! or [`crate::relation::join3`]`::<A, B, C>()` over shared
+//! [`crate::relation::Field`] tokens — lowered onto one N-ary leapfrog
+//! walk over per-column ordered views of Gamma (the value describes its
+//! stages — which view, which earlier row keys it, which pairs are
+//! residual — and the walk does the rest). Two places take it:
 //!
-//! * **read-side**: [`crate::relation::join`]`::<A, B>()` /
-//!   [`crate::relation::join3`] over shared [`crate::relation::Field`]
-//!   tokens, evaluated on the calling thread by
-//!   [`crate::engine::Engine::join_rel`] / `join3_rel`, or split over
-//!   the engine's pool by the folds
-//!   [`crate::engine::Engine::join_fold`] / `join3_fold`
-//!   (`init` / `fold` / `merge`);
-//! * **rule-side**: [`crate::program::ProgramBuilder::rule_rel_join`]
-//!   and `rule_rel_join2`, whose inspectable plans feed the same walk
-//!   — the sorted delta as its root — when a wide class executes as a
+//! * **reads**: [`crate::engine::Engine::join_rel`] walks it on the
+//!   calling thread, [`crate::engine::Engine::join_fold`] splits the
+//!   walk over the engine's pool (`init` / `fold` / `merge`); each
+//!   gets the decoded rows, `(a, b)` or `(a, b, c)`;
+//! * **rules**: [`crate::program::ProgramBuilder::rule_rel_join`], `A`
+//!   the trigger, whose inspectable plan feeds the same walk — the
+//!   sorted delta as its root — when a wide class executes as a
 //!   batched delta-join (a class of at least 32 tuples,
 //!   `DELTA_JOIN_MIN_CLASS` in the engine's scheduler).
 //!
@@ -78,7 +77,7 @@
 //!
 //! // After: one typed join — both column views walked together.
 //! let mut joined = Vec::new();
-//! engine.join_rel(join::<Emp, Dept>().on(Emp::dept, Dept::dept), |e, d| {
+//! engine.join_rel(join::<Emp, Dept>().on(Emp::dept, Dept::dept), |(e, d)| {
 //!     joined.push((e.id, d.floor));
 //! });
 //! assert_eq!(joined, vec![(1, 3)]);
@@ -285,10 +284,6 @@ pub(crate) enum SlotOp {
 pub(crate) struct Slot {
     pub(crate) field: usize,
     pub(crate) op: SlotOp,
-    /// How many constant constraints of the same block (equalities for
-    /// `Eq`, ranges otherwise) were declared before this slot — what
-    /// lets `PreparedQuery::shape` list constraints in declaration order.
-    pub(crate) at: usize,
 }
 
 impl Slot {

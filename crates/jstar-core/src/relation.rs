@@ -33,6 +33,7 @@
 //! documented low-level escape hatch — custom [`crate::gamma`] stores
 //! and generic tooling still need it.
 
+use crate::gamma::leapfrog::Pair;
 use crate::program::Program;
 use crate::query::{FieldRange, Predicate, Probe, Query, Slot, SlotOp};
 use crate::rule::JoinStage;
@@ -115,13 +116,13 @@ impl FieldValue for Arc<str> {
 
 /// A [`FieldValue`] whose [`Value`] order is the Rust type's own total
 /// order: `i64`, `Arc<str>` (`String`) and `bool`. Join inequalities
-/// (`JoinOn::lt`, `JoinOn2::lt_t`/`lt_p`, `Join::lt`, `Join3::lt_*`)
-/// compare under [`Value`]'s order, so they take only these types: a
-/// closure's `<` on the decoded field then means the same thing.
-/// `f64` is excluded because `Value::Double` orders by `total_cmp`,
-/// which puts `-0.0` below `0.0` and NaN above every number, where
-/// `f64`'s `<` does neither — an `f64` inequality stays in the filter
-/// closure:
+/// ([`Join::lt`], [`Join3::lt_a`] and the other `Join3::lt_*`) compare
+/// under [`Value`]'s order, so they take only these types: an `if` on
+/// the decoded field then means the same thing. `f64` is excluded
+/// because `Value::Double` orders by `total_cmp`, which puts `-0.0`
+/// below `0.0` and NaN above every number, where `f64`'s `<` does
+/// neither — an `f64` inequality stays an `if` in the rule's `emit` or
+/// the read's callback:
 ///
 /// ```compile_fail
 /// use jstar_core::jstar_table;
@@ -132,7 +133,7 @@ impl FieldValue for Arc<str> {
 /// }
 ///
 /// // `double` columns have no inequality pushdown.
-/// let _ = JoinOn::<Reading, Reading>::new().lt(Reading::value, Reading::value);
+/// let _ = join::<Reading, Reading>().lt(Reading::value, Reading::value);
 /// ```
 ///
 /// The same join on an `int` column compiles:
@@ -145,7 +146,7 @@ impl FieldValue for Arc<str> {
 ///     pub Reading(int id, double value) orderby (Reading)
 /// }
 ///
-/// let _ = JoinOn::<Reading, Reading>::new().lt(Reading::id, Reading::id);
+/// let _ = join::<Reading, Reading>().lt(Reading::id, Reading::id);
 /// ```
 pub trait OrderedValue: FieldValue {}
 
@@ -383,14 +384,9 @@ impl<R> TypedQuery<R> {
     // rule, and a call lends its values to the store on the stack.
 
     fn bind<T: FieldValue>(mut self, field: Field<R, T>, op: SlotOp) -> Self {
-        let at = match op {
-            SlotOp::Eq => self.eq.len(),
-            _ => self.ranges.len(),
-        };
         self.slots.push(Slot {
             field: field.index(),
             op,
-            at,
         });
         self
     }
@@ -510,68 +506,6 @@ impl<R> PreparedQuery<R> {
     /// Number of `bind_*` placeholder slots.
     pub fn slot_count(&self) -> usize {
         self.slots.len()
-    }
-
-    /// The query's constraint structure, one entry per comparison:
-    /// which column it touches, whether it is an equality or a
-    /// lower/upper bound, and whether its value is a constant or a
-    /// `bind_*` placeholder filled per invocation. Equalities come
-    /// first, then range sides, each in declaration order.
-    ///
-    /// This is the introspection surface the delta-join planner builds
-    /// on: a rule whose probe query is *shaped* as equalities bound to
-    /// trigger fields can be executed as one batched join walk over a
-    /// whole extracted class instead of one indexed probe per tuple
-    /// (see [`crate::program::ProgramBuilder::rule_rel_join`]). Note a
-    /// residual [`TypedQuery::filter`] predicate is invisible here by
-    /// design — shapes describe only the indexable constraints, and
-    /// [`PreparedQuery::has_residual`] reports the rest.
-    pub fn shape(&self) -> Vec<ConstraintShape> {
-        let (eq_slots, range_slots): (Vec<&Slot>, Vec<&Slot>) =
-            self.slots.iter().partition(|s| s.op == SlotOp::Eq);
-        let bound = |out: &mut Vec<ConstraintShape>, slots: &[&Slot], at: usize| {
-            for s in slots.iter().filter(|s| s.at == at) {
-                let kind = match s.op {
-                    SlotOp::Eq => ConstraintKind::Eq,
-                    SlotOp::Gt | SlotOp::Ge => ConstraintKind::Lower,
-                    SlotOp::Lt | SlotOp::Le => ConstraintKind::Upper,
-                };
-                out.push(ConstraintShape {
-                    field: s.field,
-                    kind,
-                    bound: true,
-                });
-            }
-        };
-        let constant = |field, kind| ConstraintShape {
-            field,
-            kind,
-            bound: false,
-        };
-        let mut out = Vec::new();
-        for (i, (field, _)) in self.query.eq.iter().enumerate() {
-            bound(&mut out, &eq_slots, i);
-            out.push(constant(*field, ConstraintKind::Eq));
-        }
-        bound(&mut out, &eq_slots, self.query.eq.len());
-        for (i, r) in self.query.ranges.iter().enumerate() {
-            bound(&mut out, &range_slots, i);
-            if !matches!(r.lo, Bound::Unbounded) {
-                out.push(constant(r.field, ConstraintKind::Lower));
-            }
-            if !matches!(r.hi, Bound::Unbounded) {
-                out.push(constant(r.field, ConstraintKind::Upper));
-            }
-        }
-        bound(&mut out, &range_slots, self.query.ranges.len());
-        out
-    }
-
-    /// Whether the query carries a residual predicate (a
-    /// [`TypedQuery::filter`] / [`TypedQuery::filter_tuple`] lambda)
-    /// beyond the constraints [`PreparedQuery::shape`] reports.
-    pub fn has_residual(&self) -> bool {
-        self.query.pred.is_some()
     }
 
     /// Starts a **typed** bind of this query's slots: values are named
@@ -717,181 +651,23 @@ impl<R> IntoProbe<R> for Binder<'_, R> {
     }
 }
 
-/// The comparison class of one query constraint, as reported by
-/// [`PreparedQuery::shape`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstraintKind {
-    /// `field == value` (an `eq` / `bind_eq` constraint).
-    Eq,
-    /// A lower bound: `field > value` or `field >= value`.
-    Lower,
-    /// An upper bound: `field < value` or `field <= value`.
-    Upper,
-}
-
-/// One constraint of a prepared query's inspectable structure: the
-/// column it addresses, its comparison class, and whether its value is
-/// a per-invocation `bind_*` placeholder (`bound`) or a constant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConstraintShape {
-    /// Positional column index the constraint addresses.
-    pub field: usize,
-    /// Comparison class.
-    pub kind: ConstraintKind,
-    /// `true` for a `bind_*` placeholder, `false` for a constant.
-    pub bound: bool,
-}
-
-/// Typed join constraints between a trigger relation `R` and a probed
-/// relation `S` — the declarative input of
-/// [`crate::program::ProgramBuilder::rule_rel_join`] and the first stage
-/// of [`crate::program::ProgramBuilder::rule_rel_join2`].
-///
-/// Each [`JoinOn::eq`] pairs a trigger column with a probe column of
-/// the *same* Rust type, so mismatched join keys (wrong relation, wrong
-/// column type) are compile errors, exactly like [`TypedQuery`]
-/// constraints. The pair list is what the engine sorts a delta class
-/// by when it runs the rule as a batched join. Each [`JoinOn::lt`] is
-/// an inequality checked as a candidate is matched, before any later
-/// stage is probed for it.
-pub struct JoinOn<R, S> {
-    pairs: Vec<(usize, usize)>,
-    less: Vec<(usize, usize)>,
-    _marker: PhantomData<fn(R, S)>,
-}
-
-impl<R, S> Default for JoinOn<R, S> {
-    fn default() -> Self {
-        JoinOn::new()
-    }
-}
-
-impl<R, S> JoinOn<R, S> {
-    /// Starts an empty key set.
-    pub fn new() -> Self {
-        JoinOn {
-            pairs: Vec::new(),
-            less: Vec::new(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Adds the equi-join pair `trigger.field == probe.field`.
-    pub fn eq<T: FieldValue>(mut self, trigger: Field<R, T>, probe: Field<S, T>) -> Self {
-        self.pairs.push((trigger.index(), probe.index()));
-        self
-    }
-
-    /// Adds the inequality `trigger.field < probe.field`, under
-    /// [`Value`]'s order (see [`OrderedValue`]). A candidate failing it
-    /// is dropped where it is matched, in both execution modes.
-    pub fn lt<T: OrderedValue>(mut self, trigger: Field<R, T>, probe: Field<S, T>) -> Self {
-        self.less.push((trigger.index(), probe.index()));
-        self
-    }
-
-    /// The collected `(trigger_field, probe_field)` equi-join pairs.
-    pub fn pairs(&self) -> &[(usize, usize)] {
-        &self.pairs
-    }
-
-    /// The plan stage probing `probe_table`: every pair sourced from
-    /// the trigger, row 0.
-    pub(crate) fn stage(self, probe_table: TableId) -> JoinStage {
-        JoinStage {
-            probe_table,
-            keys: from_row(0, &self.pairs),
-            less: from_row(0, &self.less),
-        }
-    }
-}
-
-/// Typed join constraints for the *second* probe stage of
-/// [`crate::program::ProgramBuilder::rule_rel_join2`]: relation `S2`'s
-/// candidates may be keyed against the trigger `R` ([`JoinOn2::eq_t`])
-/// and/or the first probed relation `S1` ([`JoinOn2::eq_p`]), and
-/// bounded against either ([`JoinOn2::lt_t`], [`JoinOn2::lt_p`]).
-///
-/// Internally each pair records its source row — row 0 is the trigger,
-/// row 1 the stage-1 tuple — matching [`crate::rule::JoinStage::keys`].
-pub struct JoinOn2<R, S1, S2> {
-    pairs: Vec<((usize, usize), usize)>,
-    less: Vec<((usize, usize), usize)>,
-    _marker: PhantomData<fn(R, S1, S2)>,
-}
-
-impl<R, S1, S2> Default for JoinOn2<R, S1, S2> {
-    fn default() -> Self {
-        JoinOn2::new()
-    }
-}
-
-impl<R, S1, S2> JoinOn2<R, S1, S2> {
-    /// Starts an empty key set.
-    pub fn new() -> Self {
-        JoinOn2 {
-            pairs: Vec::new(),
-            less: Vec::new(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Adds the equi-join pair `trigger.field == probe.field`.
-    pub fn eq_t<T: FieldValue>(mut self, trigger: Field<R, T>, probe: Field<S2, T>) -> Self {
-        self.pairs.push(((0, trigger.index()), probe.index()));
-        self
-    }
-
-    /// Adds the equi-join pair `stage1.field == probe.field`.
-    pub fn eq_p<T: FieldValue>(mut self, prev: Field<S1, T>, probe: Field<S2, T>) -> Self {
-        self.pairs.push(((1, prev.index()), probe.index()));
-        self
-    }
-
-    /// Adds the inequality `trigger.field < probe.field` (see
-    /// [`JoinOn::lt`]).
-    pub fn lt_t<T: OrderedValue>(mut self, trigger: Field<R, T>, probe: Field<S2, T>) -> Self {
-        self.less.push(((0, trigger.index()), probe.index()));
-        self
-    }
-
-    /// Adds the inequality `stage1.field < probe.field` (see
-    /// [`JoinOn::lt`]).
-    pub fn lt_p<T: OrderedValue>(mut self, prev: Field<S1, T>, probe: Field<S2, T>) -> Self {
-        self.less.push(((1, prev.index()), probe.index()));
-        self
-    }
-
-    /// The collected `((row, field), probe_field)` equi-join triples.
-    pub fn pairs(&self) -> &[((usize, usize), usize)] {
-        &self.pairs
-    }
-
-    /// The plan stage probing `probe_table`.
-    pub(crate) fn stage(self, probe_table: TableId) -> JoinStage {
-        JoinStage {
-            probe_table,
-            keys: self.pairs,
-            less: self.less,
-        }
-    }
-}
-
-/// Starts a typed two-relation join over Gamma — the query-layer
-/// worst-case-optimal join builder: `join::<Edge, Edge>()`.
+/// Starts a typed two-relation join: `join::<Emp, Dept>()` — the one
+/// value both kinds of join take. A **read** evaluates it over Gamma
+/// ([`crate::engine::Engine::join_rel`], or
+/// [`crate::engine::Engine::join_fold`] to split the walk over the
+/// engine's pool); a **rule** runs it for each `A` tuple that triggers
+/// it ([`crate::program::ProgramBuilder::rule_rel_join`]).
 ///
 /// The variable order is **fixed by declaration order** (`A` then `B`;
-/// no cost-based optimizer): `A`'s column view is the root of one
-/// leapfrog walk and `B`'s its single stage, both opened on the first
-/// `on` pair's columns and intersected with coordinated seek/next
-/// motions; any further `on` pairs are residual equalities inside
+/// no cost-based optimizer): row 0 is the root of one leapfrog walk —
+/// `A`'s column view on a read, the sorted delta of triggering `A`
+/// tuples in a rule — and `B`'s view, opened on the first `on` pair's
+/// column, is its single stage, sought with coordinated seek/next
+/// motions. Any further `on` pairs are residual equalities inside
 /// matched groups, checked beside the [`Join::lt`] inequalities.
-/// Evaluate with [`crate::engine::Engine::join_rel`], or with
-/// [`crate::engine::Engine::join_fold`] to split the walk over the
-/// engine's pool.
 pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
     Join {
-        on: Vec::new(),
+        keys: Vec::new(),
         less: Vec::new(),
         _marker: PhantomData,
     }
@@ -899,118 +675,81 @@ pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
 
 /// A typed two-relation join (see [`join`]).
 pub struct Join<A: Relation, B: Relation> {
-    on: Vec<(usize, usize)>,
-    less: Vec<(usize, usize)>,
+    keys: Vec<Pair>,
+    less: Vec<Pair>,
     _marker: PhantomData<fn(A, B)>,
-}
-
-/// What a read-side join lowers to — the input of the engine's one
-/// leapfrog walk: the root relation's key column and the inequalities
-/// between two of its own fields (root checks, `(field, field)`: the
-/// first below the second), then one [`JoinStage`] per further relation
-/// (row 0 is `A`, row 1 `B`, …; each stage's first key pair names the
-/// column its view is opened on).
-pub(crate) struct ReadJoin {
-    pub(crate) root: (TableId, usize),
-    pub(crate) root_less: Vec<(usize, usize)>,
-    pub(crate) stages: Vec<JoinStage>,
-}
-
-/// `(source_field, probe_field)` pairs sourced from row `row`.
-fn from_row(row: usize, pairs: &[(usize, usize)]) -> Vec<((usize, usize), usize)> {
-    pairs.iter().map(|&(f, pf)| ((row, f), pf)).collect()
 }
 
 impl<A: Relation, B: Relation> Join<A, B> {
     /// Adds the equi-join pair `a.field == b.field`. The first pair
-    /// names the leapfrog columns; later pairs are residual checks.
+    /// names the leapfrog columns; later pairs are residual checks. A
+    /// read needs at least one; a rule without one is a cross join,
+    /// which fires per tuple.
     pub fn on<T: FieldValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
-        self.on.push((a.index(), b.index()));
+        self.keys.push(((0, a.index()), b.index()));
         self
     }
 
     /// Adds the inequality `a.field < b.field`, under [`Value`]'s order
     /// (see [`OrderedValue`]), checked as each `b` row is matched.
     pub fn lt<T: OrderedValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
-        self.less.push((a.index(), b.index()));
+        self.less.push(((0, a.index()), b.index()));
         self
-    }
-
-    /// Panics when no `on` pair was declared (a cross join has nothing
-    /// to merge on).
-    pub(crate) fn lower(&self, program: &Program) -> ReadJoin {
-        assert!(
-            !self.on.is_empty(),
-            "join::<A, B>() requires at least one on() pair"
-        );
-        ReadJoin {
-            root: (program.handle::<A>().id(), self.on[0].0),
-            root_less: Vec::new(),
-            stages: vec![JoinStage {
-                probe_table: program.handle::<B>().id(),
-                keys: from_row(0, &self.on),
-                less: from_row(0, &self.less),
-            }],
-        }
     }
 }
 
-/// Starts a typed three-relation join over Gamma:
-/// `join3::<Edge, Edge, Edge>()`. Variable order is fixed as `A`, `B`,
-/// then `C` (declaration order; no optimizer): `A` and `B` leapfrog on
-/// the first [`Join3::on_ab`] pair, then each matched `(a, b)` row
-/// seeks a shared `C` view keyed by the first [`Join3::on_bc`] pair —
-/// or the first [`Join3::on_ac`] pair when no `b`–`c` key exists —
-/// with every remaining pair checked as a residual equality.
+/// Starts a typed three-relation join: `join3::<Edge, Edge, Edge>()`,
+/// taken by the same reads and rules as [`join`]. Variable order is
+/// fixed as `A`, `B`, then `C` (declaration order; no optimizer): `A`
+/// and `B` leapfrog on the first [`Join3::on_ab`] pair, then each
+/// matched `(a, b)` row seeks a shared `C` view keyed by the first
+/// [`Join3::on_bc`] pair — or the first [`Join3::on_ac`] pair when no
+/// `b`–`c` key exists — with every remaining pair checked as a
+/// residual equality.
 ///
 /// Each inequality is checked at the first row that binds both of its
 /// sides: [`Join3::lt_a`] before an `a` row is walked at all,
 /// [`Join3::lt_ab`] as a `b` row is matched (before `C` is sought for
 /// it), [`Join3::lt_ac`] and [`Join3::lt_bc`] as a `c` row is matched.
-/// Evaluate with [`crate::engine::Engine::join3_rel`] or, over the
-/// engine's pool, [`crate::engine::Engine::join3_fold`].
 pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
     Join3 {
-        ab: Vec::new(),
+        ab: join(),
         bc: Vec::new(),
         ac: Vec::new(),
         a_less: Vec::new(),
-        ab_less: Vec::new(),
-        ac_less: Vec::new(),
-        bc_less: Vec::new(),
+        c_less: Vec::new(),
         _marker: PhantomData,
     }
 }
 
-/// A typed three-relation join (see [`join3`]).
+/// A typed three-relation join (see [`join3`]): a [`join`] of `A` and
+/// `B`, plus the stage that seeks `C` and the root checks.
 pub struct Join3<A: Relation, B: Relation, C: Relation> {
-    ab: Vec<(usize, usize)>,
-    bc: Vec<(usize, usize)>,
-    ac: Vec<(usize, usize)>,
+    ab: Join<A, B>,
+    bc: Vec<Pair>,
+    ac: Vec<Pair>,
     a_less: Vec<(usize, usize)>,
-    ab_less: Vec<(usize, usize)>,
-    ac_less: Vec<(usize, usize)>,
-    bc_less: Vec<(usize, usize)>,
-    _marker: PhantomData<fn(A, B, C)>,
+    c_less: Vec<Pair>,
+    _marker: PhantomData<fn(C)>,
 }
 
 impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
     /// Adds the equi-join pair `a.field == b.field` (the first pair
     /// names the `A`–`B` leapfrog columns).
     pub fn on_ab<T: FieldValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
-        self.ab.push((a.index(), b.index()));
+        self.ab = self.ab.on(a, b);
         self
     }
 
     /// Adds the equi-join pair `b.field == c.field`.
     pub fn on_bc<T: FieldValue>(mut self, b: Field<B, T>, c: Field<C, T>) -> Self {
-        self.bc.push((b.index(), c.index()));
+        self.bc.push(((1, b.index()), c.index()));
         self
     }
 
     /// Adds the equi-join pair `a.field == c.field`.
     pub fn on_ac<T: FieldValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
-        self.ac.push((a.index(), c.index()));
+        self.ac.push(((0, a.index()), c.index()));
         self
     }
 
@@ -1024,53 +763,117 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
 
     /// Adds the inequality `a.field < b.field`.
     pub fn lt_ab<T: OrderedValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
-        self.ab_less.push((a.index(), b.index()));
+        self.ab = self.ab.lt(a, b);
         self
     }
 
     /// Adds the inequality `a.field < c.field`.
     pub fn lt_ac<T: OrderedValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
-        self.ac_less.push((a.index(), c.index()));
+        self.c_less.push(((0, a.index()), c.index()));
         self
     }
 
     /// Adds the inequality `b.field < c.field`.
     pub fn lt_bc<T: OrderedValue>(mut self, b: Field<B, T>, c: Field<C, T>) -> Self {
-        self.bc_less.push((b.index(), c.index()));
+        self.c_less.push(((1, b.index()), c.index()));
         self
     }
+}
 
-    /// Panics without an `on_ab` pair or without any `C`-side
-    /// constraint. `C`'s keys list the `b`-sourced pairs first: a
-    /// `b` key is preferred for the seek, an `a` key is the fallback.
-    pub(crate) fn lower(&self, program: &Program) -> ReadJoin {
-        assert!(
-            !self.ab.is_empty(),
-            "join3 requires at least one on_ab() pair"
-        );
-        assert!(
-            !(self.bc.is_empty() && self.ac.is_empty()),
-            "join3 requires an on_bc() or on_ac() pair to key C"
-        );
-        let mut c_keys = from_row(1, &self.bc);
-        c_keys.extend(from_row(0, &self.ac));
-        let mut c_less = from_row(1, &self.bc_less);
-        c_less.extend(from_row(0, &self.ac_less));
-        ReadJoin {
-            root: (program.handle::<A>().id(), self.ab[0].0),
-            root_less: self.a_less.clone(),
-            stages: vec![
-                JoinStage {
-                    probe_table: program.handle::<B>().id(),
-                    keys: from_row(0, &self.ab),
-                    less: from_row(0, &self.ab_less),
-                },
-                JoinStage {
-                    probe_table: program.handle::<C>().id(),
-                    keys: c_keys,
-                    less: c_less,
-                },
-            ],
+/// A join builder — [`Join`] or [`Join3`] — as reads and rules take
+/// it: the decoded row it yields, and its lowering onto the engine's
+/// one leapfrog walk. Sealed: there is no other arity.
+pub trait JoinShape: sealed::Sealed + 'static {
+    /// One matched row combination, decoded: `(A, B)` or `(A, B, C)`.
+    type Row;
+
+    /// Decodes `rows` (`rows[0]` is `A`'s tuple, `rows[1]` `B`'s, …).
+    #[doc(hidden)]
+    fn decode(rows: &[&Tuple]) -> Self::Row;
+
+    /// The table ids of `A`, `B`(, `C`), in that order.
+    #[doc(hidden)]
+    fn relation_ids(tables: &mut impl sealed::Tables) -> Vec<TableId>;
+
+    /// The root checks — `(field, field)` pairs of row 0, the first
+    /// below the second — and one [`JoinStage`] per relation after `A`
+    /// (row 0 is `A`, row 1 `B`, …; each stage's first key pair names
+    /// the column its view is opened on, and the `C` stage lists its
+    /// `b`-sourced keys first, so a `b` key is preferred for the seek).
+    /// `ids` are [`JoinShape::relation_ids`].
+    #[doc(hidden)]
+    fn lower(self, ids: &[TableId]) -> (Vec<(usize, usize)>, Vec<JoinStage>);
+}
+
+impl<A: Relation, B: Relation> JoinShape for Join<A, B> {
+    type Row = (A, B);
+
+    fn decode(rows: &[&Tuple]) -> (A, B) {
+        (A::from_tuple(rows[0]), B::from_tuple(rows[1]))
+    }
+
+    fn relation_ids(tables: &mut impl sealed::Tables) -> Vec<TableId> {
+        vec![tables.id::<A>(), tables.id::<B>()]
+    }
+
+    fn lower(self, ids: &[TableId]) -> (Vec<(usize, usize)>, Vec<JoinStage>) {
+        let stage = JoinStage {
+            probe_table: ids[1],
+            keys: self.keys,
+            less: self.less,
+        };
+        (Vec::new(), vec![stage])
+    }
+}
+
+impl<A: Relation, B: Relation, C: Relation> JoinShape for Join3<A, B, C> {
+    type Row = (A, B, C);
+
+    fn decode(rows: &[&Tuple]) -> (A, B, C) {
+        let (a, b) = Join::<A, B>::decode(rows);
+        (a, b, C::from_tuple(rows[2]))
+    }
+
+    fn relation_ids(tables: &mut impl sealed::Tables) -> Vec<TableId> {
+        vec![tables.id::<A>(), tables.id::<B>(), tables.id::<C>()]
+    }
+
+    fn lower(mut self, ids: &[TableId]) -> (Vec<(usize, usize)>, Vec<JoinStage>) {
+        let (_, mut stages) = self.ab.lower(ids);
+        self.bc.append(&mut self.ac);
+        stages.push(JoinStage {
+            probe_table: ids[2],
+            keys: self.bc,
+            less: self.c_less,
+        });
+        (self.a_less, stages)
+    }
+}
+
+mod sealed {
+    use super::{Join, Join3, Relation};
+    use crate::program::{Program, ProgramBuilder};
+    use crate::schema::TableId;
+
+    pub trait Sealed {}
+    impl<A: Relation, B: Relation> Sealed for Join<A, B> {}
+    impl<A: Relation, B: Relation, C: Relation> Sealed for Join3<A, B, C> {}
+
+    /// Where a join's relations get their table ids: a program being
+    /// built registers them (a rule), a built one looks them up (a read).
+    pub trait Tables {
+        fn id<R: Relation>(&mut self) -> TableId;
+    }
+
+    impl Tables for ProgramBuilder {
+        fn id<R: Relation>(&mut self) -> TableId {
+            self.relation::<R>().id()
+        }
+    }
+
+    impl Tables for &Program {
+        fn id<R: Relation>(&mut self) -> TableId {
+            self.handle::<R>().id()
         }
     }
 }
@@ -1315,86 +1118,18 @@ mod tests {
     }
 
     #[test]
-    fn shape_reports_eq_constraints_with_bound_flags() {
-        let h: TableHandle<Ship> = TableHandle::new(TableId(0));
-        let pq = Ship::query().eq(Ship::frame, 3).bind_eq(Ship::x).prepare(h);
-        assert_eq!(
-            pq.shape(),
-            vec![
-                ConstraintShape {
-                    field: 0,
-                    kind: ConstraintKind::Eq,
-                    bound: false
-                },
-                ConstraintShape {
-                    field: 1,
-                    kind: ConstraintKind::Eq,
-                    bound: true
-                },
-            ]
-        );
-        assert!(!pq.has_residual());
-    }
-
-    #[test]
-    fn shape_reports_range_bounds_per_side() {
-        let h: TableHandle<Ship> = TableHandle::new(TableId(0));
-        // A constant lower bound, a bound upper bound and a constant
-        // two-sided range each produce one entry per bounded side.
-        let pq = Ship::query()
-            .ge(Ship::frame, 1)
-            .bind_le(Ship::frame)
-            .gt(Ship::x, 10)
-            .lt(Ship::x, 20)
-            .prepare(h);
-        assert_eq!(
-            pq.shape(),
-            vec![
-                ConstraintShape {
-                    field: 0,
-                    kind: ConstraintKind::Lower,
-                    bound: false
-                },
-                ConstraintShape {
-                    field: 0,
-                    kind: ConstraintKind::Upper,
-                    bound: true
-                },
-                ConstraintShape {
-                    field: 1,
-                    kind: ConstraintKind::Lower,
-                    bound: false
-                },
-                ConstraintShape {
-                    field: 1,
-                    kind: ConstraintKind::Upper,
-                    bound: false
-                },
-            ]
-        );
-    }
-
-    #[test]
-    fn shape_hides_residual_filters_but_reports_their_presence() {
-        let h: TableHandle<Ship> = TableHandle::new(TableId(0));
-        let pq = Ship::query()
-            .eq(Ship::frame, 1)
-            .filter(|s: &Ship| s.x > 0)
-            .prepare(h);
-        assert_eq!(pq.shape().len(), 1);
-        assert!(pq.has_residual());
-    }
-
-    #[test]
     fn join_on_collects_typed_pairs() {
-        let on: JoinOn<Ship, Ship> = JoinOn::new()
-            .eq(Ship::frame, Ship::x)
+        let j = join::<Ship, Ship>()
+            .on(Ship::frame, Ship::x)
             .lt(Ship::x, Ship::x)
-            .eq(Ship::x, Ship::frame);
-        assert_eq!(on.pairs(), &[(0, 1), (1, 0)]);
+            .on(Ship::x, Ship::frame);
+        let (root_less, stages) = j.lower(&[TableId(2), TableId(3)]);
+        assert!(root_less.is_empty());
         // Both lists source row 0, the trigger; the inequality sits
         // next to the keys, not among them.
-        let stage = on.stage(TableId(3));
+        let [stage] = &stages[..] else {
+            panic!("one stage per relation after the first")
+        };
         assert_eq!(stage.probe_table, TableId(3));
         assert_eq!(stage.keys, vec![((0, 0), 1), ((0, 1), 0)]);
         assert_eq!(stage.less, vec![((0, 1), 1)]);

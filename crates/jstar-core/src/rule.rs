@@ -18,14 +18,10 @@ use std::sync::Arc;
 /// engine, hence `Send + Sync`.
 pub type RuleBody = Arc<dyn Fn(&RuleCtx<'_>, &Tuple) + Send + Sync>;
 
-/// Residual predicate of a [`JoinPlan`]: keeps a row combination. The
-/// slice is `[trigger, stage1_probed, stage2_probed, ...]` in stage
-/// order — one tuple per relation of the join.
-pub type JoinFilter = Arc<dyn Fn(&[&Tuple]) -> bool + Send + Sync>;
-
-/// Emission step of a [`JoinPlan`]: called once per surviving row
-/// combination (same slice layout as [`JoinFilter`]); `put`s result
-/// tuples through the context.
+/// Emission step of a [`JoinPlan`]: called once per full row
+/// combination — the slice is `[trigger, stage1_probed, stage2_probed,
+/// ...]` in stage order, one tuple per relation of the join — and
+/// `put`s result tuples through the context.
 pub type JoinEmit = Arc<dyn Fn(&RuleCtx<'_>, &[&Tuple]) + Send + Sync>;
 
 /// One probe stage of a [`JoinPlan`]: a table to probe, the equi-join
@@ -36,7 +32,7 @@ pub struct JoinStage {
     /// The Gamma table this stage probes.
     pub probe_table: TableId,
     /// Equi-join pairs `((row, field), probe_field)`: field `field` of
-    /// row `row` — row 0 is the trigger tuple, row `k ≥ 1` is stage
+    /// row `row` — row 0 is the trigger (a read's `A` row), row `k ≥ 1` is stage
     /// `k`'s probed tuple — equates to `probe_field` of this stage's
     /// candidate. Stage 1 may only reference row 0; stage `k` may
     /// reference rows `0..k`.
@@ -56,28 +52,20 @@ impl JoinStage {
     pub fn column(&self) -> (TableId, usize) {
         (self.probe_table, self.keys[0].1)
     }
-
-    /// The key pairs whose source is the trigger row, as plain
-    /// `(trigger_field, probe_field)` — the PR 8 single-stage shape.
-    pub fn trigger_keys(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.keys
-            .iter()
-            .filter(|((row, _), _)| *row == 0)
-            .map(|&((_, tf), pf)| (tf, pf))
-    }
 }
 
-/// An inspectable (join → filter → emit) plan for a rule body.
+/// An inspectable (join → emit) plan for a rule body.
 ///
 /// Rules registered through
-/// [`crate::program::ProgramBuilder::rule_rel_join`] (one probe stage)
-/// or [`crate::program::ProgramBuilder::rule_rel_join2`] (two stages)
-/// expose their constraint structure instead of hiding it inside an
-/// opaque closure: for each trigger tuple, probe the stages in order —
+/// [`crate::program::ProgramBuilder::rule_rel_join`] — a
+/// [`crate::relation::join`] or [`crate::relation::join3`] value with
+/// the trigger as its first relation — expose their constraint
+/// structure instead of hiding it inside an opaque closure: for each
+/// trigger tuple passing the root checks, probe the stages in order —
 /// each stage's candidates constrained by equi-join keys and
-/// inequalities against rows already matched — keep full row
-/// combinations passing `filter`, and run `emit` on each. The variable order is fixed by stage declaration
-/// order (no cost-based optimizer).
+/// inequalities against rows already matched — and run `emit` on each
+/// full row combination. The variable order is fixed by stage
+/// declaration order (no cost-based optimizer).
 ///
 /// The engine uses the shape to switch a whole extracted class to
 /// **delta-join execution** when the class is at least 32 tuples wide
@@ -88,11 +76,12 @@ impl JoinStage {
 /// a keyless stage (a cross join), which gives a cursor nothing to seek
 /// on — and both modes produce the same emissions.
 pub struct JoinPlan {
+    /// Root checks `(field, field)` on the trigger tuple: it is joined
+    /// only when the first field is below the second.
+    pub root_less: Vec<(usize, usize)>,
     /// The probe stages, in fixed variable order.
     pub stages: Vec<JoinStage>,
-    /// Residual predicate over full row combinations.
-    pub filter: JoinFilter,
-    /// Emission per surviving row combination.
+    /// Emission per full row combination.
     pub emit: JoinEmit,
 }
 
@@ -106,6 +95,7 @@ impl JoinPlan {
 impl std::fmt::Debug for JoinPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JoinPlan")
+            .field("root_less", &self.root_less)
             .field("stages", &self.stages)
             .finish()
     }
@@ -123,7 +113,7 @@ pub struct Rule {
     /// model are reported as unproved by strict validation, mirroring the
     /// compiler warning the paper describes.
     pub model: Option<CausalityModel>,
-    /// Inspectable (join → filter → emit) shape, when the rule was
+    /// Inspectable (join → emit) shape, when the rule was
     /// registered through a join-aware path. `None` marks an opaque
     /// closure body, which the engine always executes per tuple.
     pub plan: Option<Arc<JoinPlan>>,

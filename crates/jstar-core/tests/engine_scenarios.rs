@@ -367,7 +367,7 @@ fn join_fold_matches_join_rel_and_nested_loops_at_piece_boundaries() {
             let mut folded = engine.join_fold(
                 on(),
                 Vec::new,
-                |rows, e, d| rows.push((e, d)),
+                |rows, row| rows.push(row),
                 |mut left, right| {
                     left.extend(right);
                     left
@@ -376,7 +376,7 @@ fn join_fold_matches_join_rel_and_nested_loops_at_piece_boundaries() {
             folded.sort();
             assert_eq!(folded, want, "fold, depts={depts} threads={threads}");
             let mut walked = Vec::new();
-            engine.join_rel(on(), |e, d| walked.push((e, d)));
+            engine.join_rel(on(), |row| walked.push(row));
             walked.sort();
             assert_eq!(walked, want, "FnMut form, depts={depts} threads={threads}");
         }
@@ -460,13 +460,13 @@ fn read_side_inequalities_match_nested_loops() {
         let mut engine = Engine::new(Arc::clone(&program), config);
         engine.run().unwrap();
         let mut got2 = Vec::new();
-        engine.join_rel(two(), |a, b| got2.push((a, b)));
+        engine.join_rel(two(), |row| got2.push(row));
         got2.sort();
         assert_eq!(got2, want2, "join, {threads} threads");
-        let mut got3 = engine.join3_fold(
+        let mut got3 = engine.join_fold(
             three(),
             Vec::new,
-            |rows, a, b, c| rows.push((a, b, c)),
+            |rows, row| rows.push(row),
             |mut left, right| {
                 left.extend(right);
                 left
@@ -475,7 +475,7 @@ fn read_side_inequalities_match_nested_loops() {
         got3.sort();
         assert_eq!(got3, want3, "join3 fold, {threads} threads");
         let mut walked = Vec::new();
-        engine.join3_rel(three(), |a, b, c| walked.push((a, b, c)));
+        engine.join_rel(three(), |row| walked.push(row));
         walked.sort();
         assert_eq!(walked, want3, "join3, {threads} threads");
     }

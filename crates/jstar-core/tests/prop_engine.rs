@@ -193,17 +193,17 @@ fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: bool
     } else {
         p.rule_rel_join(
             "stage1",
-            JoinOn::new().eq(Src::k, Dim::k),
-            keep,
-            move |ctx, s: &Src, d: &Dim| ctx.put_rel(mid(s, d)),
+            join::<Src, Dim>().on(Src::k, Dim::k),
+            move |ctx, (s, d)| {
+                if keep(&s, &d) {
+                    ctx.put_rel(mid(&s, &d));
+                }
+            },
         );
         p.rule_rel_join(
             "stage2",
-            JoinOn::new().eq(Mid::k2, Dim::k),
-            |_m: &Mid, _d: &Dim| true,
-            |ctx, m: &Mid, d: &Dim| {
-                ctx.put_rel(Out { a: m.s, b: d.w });
-            },
+            join::<Mid, Dim>().on(Mid::k2, Dim::k),
+            |ctx, (m, d)| ctx.put_rel(Out { a: m.s, b: d.w }),
         );
     }
     p.rule_rel("mirror", |ctx, s: Src| {
@@ -292,7 +292,7 @@ fn assert_matches_nested_loop(
 /// A two-**stage** join program built in one of two lowerings that must
 /// be observationally identical:
 ///
-/// * `nested_loop = false` — one [`ProgramBuilder::rule_rel_join2`]
+/// * `nested_loop = false` — one [`ProgramBuilder::rule_rel_join`]
 ///   rule carrying the full two-stage [`jstar_core::rule::JoinPlan`]
 ///   (`Src ⋈ Dim` on `k`, then a second probe on the first match's `w`),
 ///   its inequalities stated in the builder, eligible for batched
@@ -303,9 +303,10 @@ fn assert_matches_nested_loop(
 ///
 /// Stage 2 probes `Dim` again, or — `asymmetric` — its own table `Wt`,
 /// with only odd `Dim` keys present, so about half the triggers find no
-/// stage-1 row. `bounds` says which stages carry an inequality (bit 0:
-/// stage 1, `Src.k < Dim.w`; bit 1: stage 2, `Src.k <` the stage-2
-/// row's weight). Tables, orderings, seeds and the filter are identical
+/// stage-1 row. `bounds` says which inequalities the join carries (bit
+/// 0: stage 1, `Src.k < Dim.w`; bit 1: stage 2, `Src.k <` the stage-2
+/// row's weight; bit 2: the root check `Src.k < Src.v`). Tables,
+/// orderings, seeds and the filter are identical
 /// across the lowerings, so the two programs must reach the same
 /// fixpoint with the same pop schedule.
 fn join2_program(
@@ -375,7 +376,7 @@ fn chain_rule<S2: Relation>(
     (key, weight_field): (Field<S2, i64>, Field<S2, i64>),
     weight: fn(&S2) -> i64,
 ) {
-    let (bound1, bound2) = (bounds & 1 != 0, bounds & 2 != 0);
+    let (bound1, bound2, root) = (bounds & 1 != 0, bounds & 2 != 0, bounds & 4 != 0);
     let filter = move |s: &Src, d1: &Dim, d2: &S2| (s.v + d1.w + weight(d2)).rem_euclid(filt) != 0;
     let emit = move |s: &Src, d1: &Dim, d2: &S2| Out {
         a: s.v + d1.w,
@@ -383,6 +384,9 @@ fn chain_rule<S2: Relation>(
     };
     if nested_loop {
         p.rule_rel("chain-nested", move |ctx, s: Src| {
+            if root && s.k >= s.v {
+                return;
+            }
             for d1 in ctx.query_rel(Dim::query().eq(Dim::k, s.k)) {
                 if bound1 && s.k >= d1.w {
                     continue;
@@ -398,23 +402,23 @@ fn chain_rule<S2: Relation>(
             }
         });
     } else {
-        let mut stage1 = JoinOn::new().eq(Src::k, Dim::k);
+        let mut j = join3::<Src, Dim, S2>()
+            .on_ab(Src::k, Dim::k)
+            .on_bc(Dim::w, key);
         if bound1 {
-            stage1 = stage1.lt(Src::k, Dim::w);
+            j = j.lt_ab(Src::k, Dim::w);
         }
-        let mut stage2 = JoinOn2::new().eq_p(Dim::w, key);
         if bound2 {
-            stage2 = stage2.lt_t(Src::k, weight_field);
+            j = j.lt_ac(Src::k, weight_field);
         }
-        p.rule_rel_join2(
-            "chain-join",
-            stage1,
-            stage2,
-            filter,
-            move |ctx, s: &Src, d1: &Dim, d2: &S2| {
-                ctx.put_rel(emit(s, d1, d2));
-            },
-        );
+        if root {
+            j = j.lt_a(Src::k, Src::v);
+        }
+        p.rule_rel_join("chain-join", j, move |ctx, (s, d1, d2)| {
+            if filter(&s, &d1, &d2) {
+                ctx.put_rel(emit(&s, &d1, &d2));
+            }
+        });
     }
 }
 
@@ -658,8 +662,9 @@ proptest! {
 
     /// `join()` lowering equivalence: for random two-stage join
     /// programs — stage 2 probing the stage-1 table again or a table of
-    /// its own, with or without an inequality at either stage — the
-    /// typed join-rule lowering (two-stage plan) matches the
+    /// its own, with or without an inequality at either stage and a
+    /// root check on the trigger — the typed join-rule lowering
+    /// (two-stage plan) matches the
     /// hand-written nested-loop lowering, which checks each inequality
     /// in its body (see [`assert_matches_nested_loop`]). Every case runs
     /// a `Src` class narrower than the 32-wide delta-join minimum (the
@@ -673,7 +678,7 @@ proptest! {
         filt in 1i64..6,
         threads in 2usize..6,
         asymmetric in any::<bool>(),
-        bounds in 0usize..4,
+        bounds in 0usize..8,
     ) {
         for srcs in [narrow, wide] {
             let nested = join2_program(dims, srcs, key_mod, filt, true, asymmetric, bounds);
@@ -783,8 +788,10 @@ fn keyless_join_class_fires_per_tuple() {
                 }
             });
         } else {
-            p.rule_rel_join("cross", JoinOn::new(), keep, |ctx, s: &Src, d: &Dim| {
-                ctx.put_rel(Out { a: s.v, b: d.w })
+            p.rule_rel_join("cross", join::<Src, Dim>(), move |ctx, (s, d)| {
+                if keep(&s, &d) {
+                    ctx.put_rel(Out { a: s.v, b: d.w })
+                }
             });
         }
         for i in 0..7 {
