@@ -2,35 +2,50 @@
 //! join showcase workload.
 //!
 //! The program lists each triangle `a < b < c` exactly once via **one
-//! join rule**: `join3::<Probe, Edge, Edge>()` extends the trigger
-//! `Probe(a, b)` through `Edge(b, c)` (bounded by `b < c`) and closes
-//! it through `Edge(c, a)` in a single descent — no intermediate wedge
-//! relation is materialised. The bound is stated in the join value
-//! (`.lt_ab(Probe::b, Edge::to)`), so it runs where the first `Edge`
-//! binds `c`: a wedge that fails it never seeks the closing edge. The
-//! rule is registered through [`ProgramBuilder::rule_rel_join`], so it
-//! carries an inspectable two-stage [`JoinPlan`] and every `Probe`
-//! stratum drains through the engine's batched delta-join pass: one
-//! coordinated sorted-merge walk over the `Edge` indexes per class.
-//! The test `delta_join_and_per_tuple_agree_and_counters_move` checks,
-//! at 1, 2 and 4 threads, that this walk searches the store less than
-//! an opaque nested-loop twin of the rule (probes + seeks against its
-//! probes), and at most half as much as the same rule with its bound
-//! left as an `if` in `emit`.
+//! join rule**, `join3::<Probe, Edge, Edge>()`: the trigger `Probe(a,
+//! b)` meets `Edge(b, c)` and `Edge(a, c)` in a single descent, and no
+//! intermediate wedge relation is materialised. Both edges come from
+//! the one `Edge.from` view, whose groups are vertices' neighbour
+//! lists sorted by `Edge.to` (a view orders each group by its next
+//! column). The rule is two sorted-list intersections, as the
+//! hand-coded [`triangles_baseline`] is:
+//!
+//! * `.on_ab(Probe::b, Edge::from)` picks `b`'s list, and the bound
+//!   `.lt_ab(Probe::b, Edge::to)` (`b < c`) seeks past `b` inside it —
+//!   a wedge that fails the bound is never formed, so it never seeks
+//!   the closing edge;
+//! * `.on_ac(Probe::a, Edge::from)` picks `a`'s list, and
+//!   `.on_bc(Edge::to, Edge::to)` seeks `c` inside it. Successive `c`s
+//!   of one `b` ascend, so `a`'s list is walked once per probe, as a
+//!   merge.
+//!
+//! The rule is registered through [`ProgramBuilder::rule_rel_join_with_model`],
+//! so it carries an inspectable two-stage [`JoinPlan`] and a causality
+//! model, and every `Probe` stratum drains through the engine's
+//! batched delta-join pass: the class is cut into a view on `Probe.b`
+//! that leapfrogs against `Edge.from`. The test
+//! `delta_join_and_per_tuple_agree_and_counters_move` checks, at 1, 2
+//! and 4 threads, that this walk searches the store less than an
+//! opaque nested-loop twin of the rule (probes + seeks against its
+//! probes), and that it seeks less than the same rule with its bound
+//! left as an `if` in `emit`, which forms every wedge and so seeks the
+//! closing edge for those the stated bound prunes.
 //!
 //! The same count is also available *after* the run as a read-side
 //! query: [`count_via_join3`] folds `join3::<Edge, Edge, Edge>()` over
 //! the stored half-edges — the same kind of join value, walked by the
 //! same leapfrog walk and split over the engine's pool like the
-//! rule-side one. Its three relations are keyed on `Edge.from`, the
-//! view the rule side has already built, and its `x < y < z` bounds
-//! keep one orientation of each triangle as early as the rows bind
-//! them.
+//! rule-side one. All three relations are keyed on `Edge.from`, the
+//! view the rule side has already built, and the join is the same two
+//! intersections: `x`'s list past `y` for `z`, then `z` sought in
+//! `y`'s list.
 
 use jstar_core::jstar_table;
 use jstar_core::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeSet;
+#[cfg(test)]
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 jstar_table! {
@@ -162,9 +177,10 @@ enum Lowering {
     /// The join rule with its bound `b < c` in the builder.
     Bounded,
     /// The same join rule with the bound left as an `if` in `emit`,
-    /// which runs only once a whole row combination exists.
+    /// which runs only once a whole row combination exists; counts the
+    /// combinations `emit` sees.
     #[cfg(test)]
-    Filtered,
+    Filtered(Arc<AtomicU64>),
     /// An opaque twin of two nested `ctx.query_rel` loops, invisible to
     /// every join optimisation: the per-tuple reference.
     #[cfg(test)]
@@ -189,7 +205,8 @@ fn build(spec: TriSpec, lowering: Lowering) -> TrianglesApp {
     let edges = Arc::new(edge_list(&spec));
     let tasks = spec.tasks;
     let load_edges = Arc::clone(&edges);
-    p.rule_rel("load-graph", move |ctx, t: Load| {
+    let load_model = strata_model(&["Edge", "Probe"], &[]);
+    p.rule_rel_with_model("load-graph", load_model, move |ctx, t: Load| {
         for &(a, b) in task_edges(&load_edges, tasks, t.id as u32) {
             ctx.put_rel(Edge {
                 from: a as i64,
@@ -206,11 +223,10 @@ fn build(spec: TriSpec, lowering: Lowering) -> TrianglesApp {
         }
     });
 
-    // The whole triangle in one rule: extend the edge a–b (a < b) by a
-    // higher neighbour c of b (stage 1, bounded by b < c), then require
-    // the closing edge c→a (stage 2 — both directions are stored, so it
-    // exists iff a ~ c). Stage 2's leading key comes from stage 1's
-    // tuple, which is what the leapfrog walk seeks on.
+    // The whole triangle in one rule: a higher neighbour c of b (stage
+    // 1: b's list in `Edge.from`, sought past b), then the closing edge
+    // a→c (stage 2: a's list, c sought in it — both directions are
+    // stored, so it exists iff a ~ c).
     let emit = |p: Probe, e1: Edge| Triangle {
         a: p.a,
         b: p.b,
@@ -218,34 +234,42 @@ fn build(spec: TriSpec, lowering: Lowering) -> TrianglesApp {
     };
     let triangle = join3::<Probe, Edge, Edge>()
         .on_ab(Probe::b, Edge::from)
-        .on_bc(Edge::to, Edge::from)
-        .on_ac(Probe::a, Edge::to);
+        .on_ac(Probe::a, Edge::from)
+        .on_bc(Edge::to, Edge::to);
+    let model = || strata_model(&["Triangle"], &["Edge"]);
     match lowering {
-        Lowering::Bounded => p.rule_rel_join(
+        Lowering::Bounded => p.rule_rel_join_with_model(
             "triangles",
             triangle.lt_ab(Probe::b, Edge::to),
+            model(),
             move |ctx, (p, e1, _e2)| ctx.put_rel(emit(p, e1)),
         ),
         #[cfg(test)]
-        Lowering::Filtered => {
-            p.rule_rel_join("triangles-filtered", triangle, move |ctx, (p, e1, _e2)| {
+        Lowering::Filtered(seen) => p.rule_rel_join_with_model(
+            "triangles-filtered",
+            triangle,
+            model(),
+            move |ctx, (p, e1, _e2)| {
+                seen.fetch_add(1, Ordering::Relaxed);
                 if p.b < e1.to {
                     ctx.put_rel(emit(p, e1));
                 }
-            })
-        }
+            },
+        ),
         #[cfg(test)]
-        Lowering::NestedLoop => p.rule_rel("triangles-nested", move |ctx, p: Probe| {
-            for e1 in ctx.query_rel(Edge::query().eq(Edge::from, p.b)) {
-                let closing = Edge::query().eq(Edge::from, e1.to).eq(Edge::to, p.a);
-                for _e2 in ctx.query_rel(closing) {
-                    // The bound, checked once the combination exists.
-                    if p.b < e1.to {
-                        ctx.put_rel(emit(p, e1));
+        Lowering::NestedLoop => {
+            p.rule_rel_with_model("triangles-nested", model(), move |ctx, p: Probe| {
+                for e1 in ctx.query_rel(Edge::query().eq(Edge::from, p.b)) {
+                    let closing = Edge::query().eq(Edge::from, e1.to).eq(Edge::to, p.a);
+                    for _e2 in ctx.query_rel(closing) {
+                        // The bound, checked once the combination exists.
+                        if p.b < e1.to {
+                            ctx.put_rel(emit(p, e1));
+                        }
                     }
                 }
-            }
-        }),
+            })
+        }
     }
 
     for task in 0..spec.tasks {
@@ -261,12 +285,42 @@ fn build(spec: TriSpec, lowering: Lowering) -> TrianglesApp {
     }
 }
 
+/// A causality model that proves the stratum order only: the rule puts
+/// into the tables `puts` (each a later stratum than its trigger) and
+/// reads the tables `reads` (each an earlier one).
+fn strata_model(puts: &[&str], reads: &[&str]) -> CausalityModel {
+    CausalityModel {
+        ctx: ModelCtx::new(),
+        invariants: vec![],
+        puts: (puts.iter())
+            .map(|&table| PutModel {
+                out_table: table.into(),
+                guard: vec![],
+                bindings: vec![],
+                label: format!("put {table}"),
+            })
+            .collect(),
+        queries: (reads.iter())
+            .map(|&table| QueryModel {
+                q_table: table.into(),
+                guard: vec![],
+                bindings: vec![],
+                label: format!("read {table}"),
+            })
+            .collect(),
+    }
+}
+
 /// Per-app optimisation flags in the paper's style: `Edge` never
 /// triggers a rule (`-noDelta`) and is only ever probed by its `from`
 /// field, so it gets a sharded hash index; `Load` and `Probe` are
 /// trigger-only (`-noGamma`).
 pub fn optimised_config(app: &TrianglesApp, config: EngineConfig) -> EngineConfig {
-    config.no_delta(app.edge).no_gamma(app.load).store(
+    (config
+        .no_delta(app.edge)
+        .no_gamma(app.load)
+        .no_gamma(app.probe))
+    .store(
         app.edge,
         StoreKind::Hash {
             index_fields: vec!["from".into()],
@@ -307,15 +361,16 @@ pub fn count_via_join3(engine: &Engine) -> u64 {
     )
 }
 
-/// `a = x→y`, `b = x→z`, `c = z→y` with `x < y < z`: each triangle in
-/// exactly one orientation. `x < y` is a root check on `a`, `y < z`
-/// runs as `b` is matched, so only the surviving `(a, b)` wedges seek
-/// `C`.
+/// `a = x→y`, `b = x→z`, `c = y→z` with `x < y < z`: each triangle in
+/// exactly one orientation. `x < y` is a root check on `a`; `y < z`
+/// seeks past `y` in `x`'s list as `b` is matched, so only the
+/// surviving `(a, b)` wedges seek `C`; `C` is `y`'s list, in which `z`
+/// is sought.
 fn triangle_join() -> Join3<Edge, Edge, Edge> {
     join3::<Edge, Edge, Edge>()
         .on_ab(Edge::from, Edge::from)
-        .on_bc(Edge::to, Edge::from)
-        .on_ac(Edge::to, Edge::to)
+        .on_ac(Edge::to, Edge::from)
+        .on_bc(Edge::to, Edge::to)
         .lt_a(Edge::from, Edge::to)
         .lt_ab(Edge::to, Edge::to)
 }
@@ -387,9 +442,13 @@ mod tests {
     fn delta_join_and_per_tuple_agree_and_counters_move() {
         let spec = small_spec();
         let want = triangles_baseline(&spec);
-        let [joined, filtered, nested] =
-            [Lowering::Bounded, Lowering::Filtered, Lowering::NestedLoop]
-                .map(|lowering| build(spec, lowering));
+        let seen = Arc::new(AtomicU64::new(0));
+        let [joined, filtered, nested] = [
+            Lowering::Bounded,
+            Lowering::Filtered(Arc::clone(&seen)),
+            Lowering::NestedLoop,
+        ]
+        .map(|lowering| build(spec, lowering));
 
         for base in [
             EngineConfig::sequential(),
@@ -398,6 +457,7 @@ mod tests {
         ] {
             let threads = base.threads;
             let (dj_count, dj) = run_app(&joined, base.clone()).unwrap();
+            let seen_before = seen.load(Ordering::Relaxed);
             let (fi_count, fi) = run_app(&filtered, base.clone()).unwrap();
             let (pt_count, pt) = run_app(&nested, base).unwrap();
 
@@ -417,14 +477,26 @@ mod tests {
                 dj.join_seeks,
                 pt.gamma_probes
             );
-            // The bound stated in the builder prunes at stage 1, so
-            // stage 2 seeks for at most half the wedges it did when the
-            // bound ran in `emit` after the whole combination.
+            // Each triangle a < b < c is closed from three probes: (a,
+            // b) with c above b, and (a, c), (b, c) with the third
+            // vertex below. With the bound in `emit`, every wedge seeks
+            // C, and `emit` sees all three closed ones. The bound stated
+            // in the builder sits on stage 1 (`join_rules_expose_plans`),
+            // whose seek past `b` never forms a wedge below it, so C is
+            // sought for fewer wedges and the walk counts fewer seeks.
+            // Run the bound after C is sought instead and both walks seek
+            // exactly alike: the strict inequality fails.
+            assert!(dj.delta_join_classes > 0 && fi.delta_join_classes > 0);
             assert!(
-                2 * dj.join_seeks <= fi.join_seeks,
+                dj.join_seeks < fi.join_seeks,
                 "{threads} threads: bounded seeks={} vs filtered seeks={}",
                 dj.join_seeks,
                 fi.join_seeks
+            );
+            assert_eq!(
+                seen.load(Ordering::Relaxed) - seen_before,
+                3 * want,
+                "{threads} threads: the filtered rule's emit sees every closed wedge"
             );
         }
     }
@@ -435,6 +507,10 @@ mod tests {
         let rules = app.program.rules();
         assert!(rules[0].plan.is_none(), "load-graph is opaque");
         let plan = rules[1].plan.as_ref().expect("triangles has a plan");
+        assert!(
+            rules.iter().all(|r| r.model.is_some()),
+            "every rule has a model"
+        );
         assert_eq!(plan.stages.len(), 2, "one rule, two probe stages");
         assert_eq!(plan.stages[0].probe_table, app.edge);
         assert_eq!(
@@ -447,8 +523,8 @@ mod tests {
         assert_eq!(plan.stages[1].probe_table, app.edge);
         assert_eq!(
             plan.stages[1].keys,
-            vec![((1, 1), 0), ((0, 0), 1)],
-            "e1.to = e2.from (the walked column), Probe.a = e2.to (residual)"
+            vec![((0, 0), 0), ((1, 1), 1)],
+            "Probe.a = e2.from (the walked column), e1.to = e2.to (sought in the group)"
         );
         assert!(plan.root_less.is_empty());
     }
@@ -485,10 +561,36 @@ mod tests {
             let mut walked = 0u64;
             engine.join_rel(triangle_join(), |(a, b, c)| {
                 assert!(a.from < a.to && a.to < b.to, "{a:?} {b:?}");
-                assert_eq!((a.from, b.to, c.to), (b.from, c.from, a.to));
+                assert_eq!((a.from, a.to, b.to), (b.from, c.from, c.to));
                 walked += 1;
             });
             assert_eq!(walked, want, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn program_passes_strict_validation() {
+        let app = build_program(small_spec());
+        app.program.validate_strict().unwrap();
+    }
+
+    #[test]
+    fn probe_is_trigger_only() {
+        // `Probe` is `-noGamma`: its rows fire the join and are never
+        // stored, and both counts come out as before.
+        let spec = small_spec();
+        let want = triangles_baseline(&spec);
+        let app = build_program(spec);
+        for base in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+            let threads = base.threads;
+            let mut engine = Engine::new(Arc::clone(&app.program), optimised_config(&app, base));
+            engine.run().unwrap();
+            assert!(
+                engine.collect_rel(Probe::query()).is_empty(),
+                "{threads} threads"
+            );
+            assert_eq!(engine.collect_rel(Triangle::query()).len() as u64, want);
+            assert_eq!(count_via_join3(&engine), want, "{threads} threads");
         }
     }
 

@@ -4,8 +4,8 @@
 
 use crate::delta::{DeltaTree, ShardedInbox};
 use crate::error::Result;
-use crate::gamma::leapfrog::{self, Root, Stage};
-use crate::gamma::{Gamma, StoreKind};
+use crate::gamma::leapfrog::{self, Stage};
+use crate::gamma::{ColumnIndex, Gamma, StoreKind};
 use crate::orderby::OrderKey;
 use crate::program::Program;
 use crate::relation::{JoinShape, Relation, TableHandle, TypedQuery};
@@ -729,10 +729,11 @@ impl Engine {
         })
     }
 
-    /// [`Engine::join_rel`] as a fold: `A`'s distinct keys are split
-    /// into pieces that run on the engine's pool (one piece without
-    /// one), each folding its rows into its own `init()` accumulator;
-    /// `merge` then combines the accumulators in key order.
+    /// [`Engine::join_rel`] as a fold: `A`'s rows, in key order, are
+    /// split into pieces that run on the engine's pool (one piece
+    /// without one), each folding its rows into its own `init()`
+    /// accumulator; `merge` then combines the accumulators in that
+    /// order.
     pub fn join_fold<J: JoinShape, Acc: Send>(
         &self,
         j: J,
@@ -757,7 +758,7 @@ impl Engine {
     fn read_join<J: JoinShape, R>(
         &self,
         j: J,
-        body: impl for<'a> FnOnce(&Root<'a>, &[(usize, usize)], &[Stage<'a>]) -> (R, u64),
+        body: impl for<'a> FnOnce(&'a ColumnIndex, &[(usize, usize)], &[Stage<'a>]) -> (R, u64),
     ) -> R {
         let ids = J::relation_ids(&mut &*self.state.program);
         let (root_less, stages) = j.lower(&ids);
@@ -769,7 +770,7 @@ impl Engine {
         let columns = stages.iter().map(JoinStage::column);
         let views = open_views(&self.state, std::iter::once((ids[0], by)).chain(columns));
         let walk = walk_stages(&stages, &views[1..]);
-        let (out, seeks) = body(&Root::Index(&views[0]), &root_less, &walk);
+        let (out, seeks) = body(&views[0], &root_less, &walk);
         if seeks > 0 {
             let stats = &self.state.stats;
             stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);

@@ -104,14 +104,14 @@
 //!   a read takes, which records which trigger fields equate to (or
 //!   bound) which probe-table fields — and the class has at least
 //!   `schedule::DELTA_JOIN_MIN_CLASS` (32) tuples, the whole class is
-//!   treated as the semi-naive *delta*: fresh tuples are sorted by
-//!   their stage-0 key value and become the root of the one N-ary
+//!   treated as the semi-naive *delta*: fresh tuples are cut into a
+//!   view on their stage-0 key and become the root of the one N-ary
 //!   leapfrog walk (`gamma::leapfrog`, which the read-side
 //!   `Engine::join_rel` and its pool-backed `join_fold` call too),
 //!   which drops a trigger failing the root checks, seeks one shared
 //!   Gamma column view per stage and drops a row at the first stage
 //!   whose inequalities it fails; each full row combination is
-//!   emitted. The sorted delta fans out across the pool like class
+//!   emitted. The root view's rows fan out across the pool like class
 //!   chunks do.
 //!   Rules without plans in an otherwise-eligible class — and plans
 //!   with a keyless (cross-join) stage — still run per-tuple.

@@ -28,8 +28,8 @@
 
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
-use crate::gamma::leapfrog::{self, Root, Stage};
-use crate::gamma::{sort_by_value, ColumnIndex, Gamma, InsertOutcome};
+use crate::gamma::leapfrog::{self, Stage};
+use crate::gamma::{ColumnIndex, Gamma, InsertOutcome};
 use crate::orderby::{KeyPart, OrderKey, ResolvedComponent, ResolvedOrderBy};
 use crate::program::Program;
 use crate::rule::{JoinPlan, JoinStage, Rule};
@@ -320,9 +320,9 @@ pub(super) fn insert_and_fire(
 /// Phase A inserts the class into Gamma in one batch and keeps the fresh
 /// tuples (in class order). Phase B runs each triggered rule over the
 /// fresh set: rules carrying a [`JoinPlan`] are executed as one batched
-/// join — the fresh tuples are sorted by their join-key values and
+/// join — the fresh tuples are cut into a view on their join key and
 /// walked against one Gamma column cursor per stage instead of probing
-/// once per tuple, with the sorted delta fanned out across pool
+/// once per tuple, with the view's rows fanned out across pool
 /// workers — while opaque rules (and
 /// plans with a keyless stage) fall back to per-tuple firing over the
 /// same fresh set.
@@ -406,17 +406,17 @@ pub(super) fn walk_stages<'a>(
 
 /// One join-plan rule over a class's fresh tuples, every stage keyed.
 ///
-/// The delta is sorted by the trigger field stage 0 seeks by (stably,
-/// so equal keys stay in class order; on a dense `i64` key when every
-/// value is an `Int`) and becomes the root of one [`leapfrog`] walk,
-/// which drops the tuples failing the plan's root checks:
-/// one column view is opened per stage (one store pass each, or a cache
-/// hit; shared by every worker with private positions), stage 0's
-/// cursor follows the sorted delta with seek/next motions and later
+/// The delta is cut into a view on the trigger field stage 0 seeks by
+/// — the builder every Gamma view comes from, so its groups are ordered
+/// by their next column with class order breaking ties — and becomes
+/// the root of one [`leapfrog`] walk, which drops the tuples failing
+/// the plan's root checks: one column view is opened per stage (one
+/// store pass each, or a cache hit; shared by every worker with private
+/// positions), the root's groups leapfrog against stage 0's and later
 /// stages seek per row, each stage dropping the candidates that fail
 /// its inequalities before the next one seeks. Store work per class is
 /// `stages` cursor opens plus the counted gallops, instead of one probe
-/// per tuple; with a pool the sorted delta is split across workers.
+/// per tuple; with a pool the root's rows are split across workers.
 fn run_join_rule(
     state: &RunState,
     key: &OrderKey,
@@ -431,13 +431,12 @@ fn run_join_rule(
         .fetch_add(fresh.len() as u64, Ordering::Relaxed);
 
     let ((_, by), _) = plan.first_stage().keys[0];
-    let mut delta = fresh.to_vec();
-    sort_by_value(&mut delta, |t| t.get(by));
+    let root = ColumnIndex::of_rows(by, fresh);
 
     let views = open_views(state, plan.stages.iter().map(JoinStage::column));
     let ctx = RuleCtx::new(state, key, &rule.name);
     let (_, seeks) = leapfrog::fan_out(
-        &Root::Sorted(&delta),
+        &root,
         &plan.root_less,
         &walk_stages(&plan.stages, &views),
         pool,

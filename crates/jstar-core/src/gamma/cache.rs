@@ -33,19 +33,21 @@
 //! [`IndexStamp::extends`] is that rule; the snapshot writer's section
 //! cache ([`crate::persist::CheckpointWriter`]) reuses it unchanged.
 //!
-//! Catch-up preserves the cold-build contract exactly: a cold build
-//! walks the journal in order, so group-internal tuple order is journal
-//! order; suffix tuples carry later journal positions than every cached
-//! tuple, so appending them after the cached group
-//! ([`ColumnIndex::merge_suffix`]) reproduces the order a cold rebuild
-//! over the longer journal would emit — and the same dense-key and
-//! packed-cell mirrors, which the merge copies for cached rows and
-//! fills in for new ones. Every built-in store keeps a claim journal;
-//! only custom stores ([`super::StoreKind::Custom`]) report no stamp
-//! and stay on the cold path.
+//! Catch-up preserves the cold-build contract exactly. A cold build
+//! packs the journal in order and sorts each group by its rows' next
+//! column, journal order breaking ties. Suffix tuples carry later
+//! journal positions than every cached tuple, so merging each one into
+//! its group by next-column value, **after** the cached rows with an
+//! equal one ([`ColumnIndex::merge_suffix`]), reproduces the order a
+//! cold rebuild over the longer journal would emit — new rows land
+//! anywhere inside a group, not only at its end — and the same packed
+//! mirrors, which the merge copies for cached rows and fills in for new
+//! ones. Every built-in store keeps a claim journal; only custom stores
+//! ([`super::StoreKind::Custom`]) report no stamp and stay on the cold
+//! path.
 //!
 //! The LRU bound counts what a view owns
-//! ([`ColumnIndex::approx_bytes`]): its five arrays. Tuple payloads
+//! ([`ColumnIndex::approx_bytes`]): its six arrays. Tuple payloads
 //! belong to the store and are not charged.
 //!
 //! Concurrency: one mutex per table guards that table's `field → entry`
@@ -56,10 +58,8 @@
 //! the claim journal's own publish protocol (see CONCURRENCY.md
 //! protocol 6).
 
-use super::cursor::{sort_by_value, ColumnIndex};
+use super::cursor::{Batch, ColumnIndex};
 use super::TableStore;
-use crate::tuple::Tuple;
-use crate::value::Value;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
@@ -188,13 +188,13 @@ impl IndexCache {
                 // only grows, so equal before and after is equal
                 // throughout): the walk then read shifted positions and
                 // is dropped for the cold build below.
-                let (pairs, covered) =
-                    suffix_pairs(store, field, e.stamp.generation, stamp.generation);
+                let (batch, covered) =
+                    suffix_batch(store, field, e.stamp.generation, stamp.generation);
                 valid = store.index_stamp().map(|s| s.interior) == Some(stamp.interior);
                 if valid {
-                    let n = pairs.len();
+                    let n = batch.len();
                     if n > 0 {
-                        e.index = Arc::new(e.index.merge_suffix(pairs));
+                        e.index = Arc::new(e.index.merge_suffix(batch));
                         e.bytes = e.index.approx_bytes();
                     }
                     e.stamp.generation = covered;
@@ -211,13 +211,13 @@ impl IndexCache {
         }
         // Miss (no entry, or wholesale invalidation): full build off the
         // journal — the same walk a catch-up from generation 0 runs.
-        let (pairs, covered) = suffix_pairs(store, field, 0, stamp.generation);
-        let n = pairs.len();
-        let index = match ColumnIndex::try_from_sorted(pairs) {
+        let (batch, covered) = suffix_batch(store, field, 0, stamp.generation);
+        let n = batch.len();
+        let index = match ColumnIndex::try_from_batch(batch) {
             Ok(idx) => Arc::new(idx),
-            // Unreachable by construction (suffix_pairs sorts), but a
-            // correctness bug here must degrade to the store's own cold
-            // build, not corrupt seeks.
+            // Unreachable by construction (the build sorts before it
+            // cuts), but a correctness bug here must degrade to the
+            // store's own cold build, not corrupt seeks.
             Err(_) => store.open_cursor(field),
         };
         // ord: Relaxed ×2 — statistics only.
@@ -241,22 +241,13 @@ impl IndexCache {
     }
 }
 
-/// The live tuples at journal positions `[lo, hi)` of `store` as
-/// `(key, tuple)` pairs sorted ascending on `field`, plus the stable
-/// bound actually covered (`<= hi` — in-flight appends clamp it). The
-/// sort is stable, so equal keys stay in journal order.
-fn suffix_pairs(
-    store: &dyn TableStore,
-    field: usize,
-    lo: usize,
-    hi: usize,
-) -> (Vec<(Value, Tuple)>, usize) {
-    let mut pairs: Vec<(Value, Tuple)> = Vec::new();
-    let covered = store.for_each_journal_suffix(lo, hi, &mut |t| {
-        pairs.push((t.get(field).clone(), t.clone()));
-    });
-    sort_by_value(&mut pairs, |(k, _)| k);
-    (pairs, covered)
+/// The live tuples at journal positions `[lo, hi)` of `store`, packed
+/// in journal order into a [`Batch`] keyed on `field`, plus the stable
+/// bound actually covered (`<= hi` — in-flight appends clamp it).
+fn suffix_batch(store: &dyn TableStore, field: usize, lo: usize, hi: usize) -> (Batch, usize) {
+    let mut batch = Batch::new(field, hi.saturating_sub(lo));
+    let covered = store.for_each_journal_suffix(lo, hi, &mut |t| batch.push(t));
+    (batch, covered)
 }
 
 /// Evicts least-recently-used entries until the table's total is within
@@ -284,6 +275,8 @@ mod tests {
     use crate::gamma::testutil::{keyed_def, kt, set_def};
     use crate::gamma::HashStore;
     use crate::schema::TableId;
+    use crate::tuple::Tuple;
+    use crate::value::Value;
 
     /// A 256-slot first segment holds every row these tests insert, so
     /// journal positions stay append-only (under `model-check` too,
@@ -334,8 +327,9 @@ mod tests {
         // The reference is the store's own cold `open_cursor` on the
         // same store, compared on every flat array. Field 1 repeats
         // (i % 7), so every round's suffix lands new tuples *inside*
-        // cached groups as well as between them — group-internal
-        // journal order is part of the contract. Once with a string
+        // cached groups as well as between them — group-internal order
+        // (next column, then journal order) is part of the contract.
+        // Once with a string
         // column (dense keys, no cells) and once all-integer (cells
         // merged slice by slice).
         for packed in [false, true] {
@@ -366,6 +360,43 @@ mod tests {
             assert_eq!((st.misses, st.hits), (1, 4), "one build, four catch-ups");
             assert_eq!(st.catchup_tuples, 120);
         }
+    }
+
+    #[test]
+    fn catch_up_merges_rows_inside_groups_below_cached_next_values() {
+        // Groups x = 0, 1, 2 are ordered by y (their next column). Each
+        // round's rows carry y values *below* every one already cached
+        // in their group, and one above: the merge must place them
+        // inside the cached groups, not append them.
+        let s = HashStore::with_first_segment(set_def(), vec![0], 256);
+        let cache = IndexCache::new(1, usize::MAX);
+        for round in 0..4 {
+            for x in 0..3 {
+                for y in [(3 - round) * 10 + x, (3 - round) * 10 + 5, 100 + round] {
+                    s.insert(Tuple::new(TableId(0), vec![Value::Int(x), Value::Int(y)]));
+                }
+            }
+            let cached = cache.open(0, 0, &s);
+            assert_eq!(
+                cached,
+                s.open_cursor(0),
+                "round {round}: cached view diverged from the cold build"
+            );
+            let next = cached
+                .int_next
+                .as_deref()
+                .expect("an all-integer next column");
+            for g in 0..cached.len() {
+                let group = &next[cached.group_range(g)];
+                assert!(
+                    group.windows(2).all(|w| w[0] <= w[1]),
+                    "round {round}: {group:?}"
+                );
+            }
+        }
+        let st = cache.stats();
+        assert_eq!((st.misses, st.hits), (1, 3), "one build, three catch-ups");
+        assert_eq!(st.catchup_tuples, 27);
     }
 
     #[test]

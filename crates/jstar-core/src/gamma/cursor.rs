@@ -7,17 +7,27 @@
 //!
 //! * `keys` — every distinct value of the column, ascending;
 //! * `starts` — group `g` is `rows[starts[g]..starts[g + 1]]`;
-//! * `rows` — the tuple handles, group-major, each group in store
-//!   iteration (journal) order;
+//! * `rows` — the tuple handles, group-major. Each group is ordered by
+//!   the row's **next column** — the first field other than the key, in
+//!   schema order — with ties in store iteration (journal) order, so
+//!   each group is a sorted list of its rows' next-column values: the
+//!   neighbour list of Leapfrog Triejoin's trie;
 //! * `int_keys` — a dense `i64` copy of `keys`, present when every key
 //!   is a `Value::Int`: seeks on an integer target search 8-byte keys
 //!   instead of comparing enums;
+//! * `int_next` — a dense `i64` copy of every row's next-column value,
+//!   present when all of them are `Value::Int`: a join stage whose
+//!   equality or lower bound names that column seeks inside the
+//!   matched group instead of scanning it (see [`super::leapfrog`]);
 //! * `cells` — a row-major `i64` copy of every field of every row,
 //!   present when all of them are `Value::Int`: a join's residual
 //!   equality reads one contiguous slice and never touches the tuple.
 //!
-//! The two packed mirrors are decided by what the column holds, once,
-//! when the view is built or merged; a view never changes after that.
+//! The packed mirrors are decided by what the column holds, once, when
+//! the view is built or merged; a view never changes after that. A
+//! build is one pass that packs each row as it is read (its key and
+//! next-column values and its cells), one sort of the packed records,
+//! and a cut of the sorted records into groups that reads no row again.
 //! It is built by [`super::TableStore::open_cursor`] (or caught up by
 //! the [`super::IndexCache`]) and shared — it is handed out in an `Arc`
 //! — by every worker participating in a walk; each worker positions its
@@ -36,12 +46,13 @@
 //!   intersection that mostly steps forward therefore reports far
 //!   fewer seeks than it visits keys — which is exactly the economy
 //!   the leapfrog walk is chosen for. The contract is the same on the
-//!   dense and on the generic key representation (one search routine,
-//!   instantiated for both).
+//!   dense and on the generic key representation, and inside a group's
+//!   slice of `int_next` (one search routine, instantiated for each).
 
 use crate::error::{JStarError, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -51,15 +62,21 @@ use std::sync::Arc;
 pub type TupleVisit<'a> = dyn FnMut(&mut dyn FnMut(&Tuple)) + 'a;
 
 /// An immutable sorted view of one column of a table store: distinct
-/// values ascending, each with its group of tuples (in store iteration
-/// order), plus the packed mirrors described in the module docs. Shared
-/// across the workers of one join walk.
+/// values ascending, each with its group of tuples (ordered by their
+/// next column, then store iteration order), plus the packed mirrors
+/// described in the module docs. Shared across the workers of one join
+/// walk.
 #[derive(Debug, PartialEq)]
 pub struct ColumnIndex {
     pub(super) keys: Vec<Value>,
     pub(super) starts: Vec<u32>,
     pub(super) rows: Vec<Tuple>,
     pub(super) int_keys: Option<Box<[i64]>>,
+    /// The field each group is ordered by: the first one other than the
+    /// key (`None` for one-field rows, and while the view is empty).
+    pub(super) next: Option<usize>,
+    /// `int_next[r]` is row `r`'s `next` field, when all are integers.
+    pub(super) int_next: Option<Box<[i64]>>,
     pub(super) cells: Option<Box<[i64]>>,
     /// Fields per row (0 while the view is empty); `cells` holds
     /// `rows.len() * width` values.
@@ -83,6 +100,216 @@ impl<'a> Key<'a> {
     }
 }
 
+/// The field a view keyed on `field` orders its groups by, for rows of
+/// `width` fields.
+fn next_column(field: usize, width: usize) -> Option<usize> {
+    let next = usize::from(field == 0);
+    (next < width).then_some(next)
+}
+
+/// The rows of one store pass, packed as they are read — each row's key
+/// and next-column value with its journal position, its handle, and its
+/// fields while all are integers — then sorted into view order by
+/// [`Batch::sort`]. What a cold build and a catch-up feed to the cut
+/// and the merge.
+pub(crate) struct Batch {
+    field: usize,
+    next: Option<usize>,
+    width: usize,
+    /// Handles by pass position; the cut moves each one out once.
+    rows: Vec<Option<Tuple>>,
+    records: Records,
+    /// Row-major fields by pass position, while every field is an `Int`.
+    cells: Option<Vec<i64>>,
+}
+
+/// `(key, next, pass position)` per row: as integers while every key
+/// and next-column value is an `Int` (a one-field row's next is 0), as
+/// values otherwise (its next is `Int(0)`).
+enum Records {
+    Ints(Vec<(i64, i64, u32)>),
+    /// `Ints` sorted as one word per row (see [`Packed`]).
+    Packed(Packed),
+    Values(Vec<(Value, Value, u32)>),
+}
+
+/// Integer records packed into one `u64` each — the key's and the next
+/// value's offsets from their minima and the position, most significant
+/// first — when their spans fit in 64 bits together, so that sorting
+/// the words sorts the records.
+struct Packed {
+    words: Vec<u64>,
+    min: (i64, i64),
+    /// Bits of the next value's offset, and of the position.
+    bits: (u32, u32),
+}
+
+impl Packed {
+    fn of(ints: &[(i64, i64, u32)]) -> Option<Packed> {
+        let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
+        for &(k, n, _) in ints {
+            lo = (lo.0.min(k), lo.1.min(n));
+            hi = (hi.0.max(k), hi.1.max(n));
+        }
+        let width = |lo: i64, hi: i64| u64::BITS - (hi.wrapping_sub(lo) as u64).leading_zeros();
+        let bits = (width(lo.1, hi.1), width(0, ints.len() as i64));
+        if width(lo.0, hi.0) + bits.0 + bits.1 > u64::BITS {
+            return None;
+        }
+        let offset = |v: i64, min: i64, shift: u32| (v.wrapping_sub(min) as u64).checked_shl(shift);
+        let words = (ints.iter())
+            .map(|&(k, n, at)| {
+                let key = offset(k, lo.0, bits.0 + bits.1).unwrap_or(0);
+                key | offset(n, lo.1, bits.1).unwrap_or(0) | u64::from(at)
+            })
+            .collect();
+        Some(Packed {
+            words,
+            min: lo,
+            bits,
+        })
+    }
+
+    /// The record packed in `word`.
+    fn unpack(&self, word: u64) -> (i64, i64, usize) {
+        let low = |word: u64, bits: u32| word & u64::MAX.checked_shr(u64::BITS - bits).unwrap_or(0);
+        let (next_bits, pos_bits) = self.bits;
+        let key = word.checked_shr(next_bits + pos_bits).unwrap_or(0);
+        let next = low(word >> pos_bits, next_bits);
+        (
+            self.min.0.wrapping_add(key as i64),
+            self.min.1.wrapping_add(next as i64),
+            low(word, pos_bits) as usize,
+        )
+    }
+}
+
+impl Batch {
+    /// An empty batch of rows to be keyed on `field`, with room for
+    /// `rows` rows of up to two fields.
+    pub(crate) fn new(field: usize, rows: usize) -> Batch {
+        Batch {
+            field,
+            next: None,
+            width: 0,
+            rows: Vec::with_capacity(rows),
+            records: Records::Ints(Vec::with_capacity(rows)),
+            cells: Some(Vec::with_capacity(2 * rows)),
+        }
+    }
+
+    /// Rows in the batch.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Packs `t` as the next row.
+    pub(crate) fn push(&mut self, t: &Tuple) {
+        assert!(
+            self.rows.len() < u32::MAX as usize,
+            "ColumnIndex holds at most u32::MAX rows"
+        );
+        let at = self.rows.len() as u32;
+        if at == 0 {
+            self.width = t.arity();
+            self.next = next_column(self.field, self.width);
+        }
+        let fields = t.fields();
+        let (key, next) = (&fields[self.field], self.next.map(|n| &fields[n]));
+        if let Records::Ints(ints) = &mut self.records {
+            match (key, next) {
+                (Value::Int(k), None) => ints.push((*k, 0, at)),
+                (Value::Int(k), Some(Value::Int(n))) => ints.push((*k, *n, at)),
+                _ => {
+                    let widen = |&(k, n, at): &(i64, i64, u32)| (Value::Int(k), Value::Int(n), at);
+                    self.records = Records::Values(ints.iter().map(widen).collect());
+                }
+            }
+        }
+        if let Records::Values(values) = &mut self.records {
+            let next = next.cloned().unwrap_or(Value::Int(0));
+            values.push((key.clone(), next, at));
+        }
+        if let Some(cells) = &mut self.cells {
+            let start = cells.len();
+            let packed = t.arity() == self.width
+                && fields.iter().all(|v| match v {
+                    Value::Int(i) => {
+                        cells.push(*i);
+                        true
+                    }
+                    _ => false,
+                });
+            if !packed {
+                cells.truncate(start);
+                self.cells = None;
+            }
+        }
+        self.rows.push(Some(t.clone()));
+    }
+
+    /// Sorts the records into view order: by key, then next column,
+    /// then pass position — a total order, so the unstable sort keeps
+    /// equal rows in the order they were read.
+    fn sort(&mut self) {
+        match &mut self.records {
+            Records::Ints(ints) => match Packed::of(ints) {
+                Some(mut packed) => {
+                    packed.words.sort_unstable();
+                    self.records = Records::Packed(packed);
+                }
+                None => ints.sort_unstable(),
+            },
+            Records::Packed(packed) => packed.words.sort_unstable(),
+            Records::Values(values) => values.sort_unstable(),
+        }
+    }
+
+    /// The records with the handles and cells they index.
+    fn into_parts(self) -> (Records, Vec<Option<Tuple>>, Option<Vec<i64>>) {
+        (self.records, self.rows, self.cells)
+    }
+}
+
+impl Records {
+    /// The records in their current order as `(key, next, position)`
+    /// values — what a merge, which is not the hot path, walks.
+    fn into_values(self) -> Vec<(Value, Value, usize)> {
+        let int = |(k, n, at): (i64, i64, usize)| (Value::Int(k), Value::Int(n), at);
+        match self {
+            Records::Ints(ints) => (ints.into_iter())
+                .map(|(k, n, at)| int((k, n, at as usize)))
+                .collect(),
+            Records::Packed(packed) => (packed.words.iter())
+                .map(|&w| int(packed.unpack(w)))
+                .collect(),
+            Records::Values(values) => (values.into_iter())
+                .map(|(k, n, at)| (k, n, at as usize))
+                .collect(),
+        }
+    }
+}
+
+/// `v` as an integer, when it is one.
+fn int_of(v: &Value) -> Option<i64> {
+    match v {
+        Value::Int(i) => Some(*i),
+        _ => None,
+    }
+}
+
+/// The row at pass position `at` of a batch, moved out: each record
+/// names its position once.
+fn take(rows: &mut [Option<Tuple>], at: usize) -> Tuple {
+    // lint: allow(expect): a batch's records name each position once.
+    rows[at].take().expect("each batch row is cut once")
+}
+
+/// Row `at`'s fields in a batch's row-major `cells`.
+fn cells_at(cells: Option<&[i64]>, width: usize, at: usize) -> Option<&[i64]> {
+    cells.map(|c| &c[at * width..(at + 1) * width])
+}
+
 /// Accumulates the flat arrays group by group — the one place the
 /// packed mirrors are decided, shared by the cold cut and the merge.
 struct FlatBuilder {
@@ -90,19 +317,25 @@ struct FlatBuilder {
     starts: Vec<u32>,
     rows: Vec<Tuple>,
     int_keys: Option<Vec<i64>>,
+    next: Option<usize>,
+    int_next: Option<Vec<i64>>,
     cells: Option<Vec<i64>>,
     width: usize,
 }
 
 impl FlatBuilder {
-    fn with_capacity(rows: usize) -> FlatBuilder {
+    /// A builder for `rows` rows of `width` fields, ordered by `next`;
+    /// `packed` when every row may have integer cells.
+    fn new(width: usize, next: Option<usize>, rows: usize, packed: bool) -> FlatBuilder {
         FlatBuilder {
             keys: Vec::new(),
             starts: Vec::new(),
             rows: Vec::with_capacity(rows),
             int_keys: Some(Vec::new()),
-            cells: Some(Vec::new()),
-            width: 0,
+            next,
+            int_next: next.map(|_| Vec::with_capacity(rows)),
+            cells: packed.then(|| Vec::with_capacity(rows * width)),
+            width,
         }
     }
 
@@ -116,39 +349,30 @@ impl FlatBuilder {
         self.keys.push(key);
     }
 
-    /// Appends a row to the open group, packing its fields while every
-    /// field seen so far has been an integer.
-    fn push_row(&mut self, t: Tuple) {
-        if let Some(cells) = &mut self.cells {
-            if self.rows.is_empty() {
-                self.width = t.arity();
-            }
-            let at = cells.len();
-            let packed = t.arity() == self.width
-                && t.fields().iter().all(|v| match v {
-                    Value::Int(i) => {
-                        cells.push(*i);
-                        true
-                    }
-                    _ => false,
-                });
-            if !packed {
-                cells.truncate(at);
-                self.cells = None;
-            }
+    /// Appends a row to the open group: its next-column value, when an
+    /// integer, and its packed fields, when it has them, feed the
+    /// mirrors.
+    fn push(&mut self, t: Tuple, next: Option<i64>, cells: Option<&[i64]>) {
+        match (&mut self.int_next, next) {
+            (Some(dense), Some(i)) => dense.push(i),
+            _ => self.int_next = None,
+        }
+        match (&mut self.cells, cells) {
+            (Some(packed), Some(c)) => packed.extend_from_slice(c),
+            _ => self.cells = None,
         }
         self.rows.push(t);
     }
 
-    /// Appends group `g` of `old` to the open group: handles cloned,
-    /// packed cells copied as one slice.
-    fn push_group_of(&mut self, old: &ColumnIndex, g: usize) {
-        let range = old.group_range(g);
-        if self.rows.is_empty() {
-            self.width = old.width;
+    /// Appends rows `range` of `old` to the open group: handles cloned,
+    /// mirrors copied as slices.
+    fn push_rows_of(&mut self, old: &ColumnIndex, range: Range<usize>) {
+        match (&mut self.int_next, &old.int_next) {
+            (Some(dense), Some(from)) => dense.extend_from_slice(&from[range.clone()]),
+            _ => self.int_next = None,
         }
         match (&mut self.cells, &old.cells) {
-            (Some(cells), Some(packed)) if self.width == old.width => {
+            (Some(cells), Some(packed)) => {
                 cells.extend_from_slice(&packed[range.start * old.width..range.end * old.width]);
             }
             _ => self.cells = None,
@@ -172,6 +396,8 @@ impl FlatBuilder {
             starts: self.starts,
             rows: self.rows,
             int_keys: self.int_keys.map(Vec::into_boxed_slice),
+            next: self.next,
+            int_next: self.int_next.map(Vec::into_boxed_slice),
             cells: self.cells.map(Vec::into_boxed_slice),
             width: self.width,
         }
@@ -179,86 +405,136 @@ impl FlatBuilder {
 }
 
 impl ColumnIndex {
-    /// Builds the index by sorting a full `visit` pass on `field` —
-    /// the default [`super::TableStore::open_cursor`]. The sort is
-    /// stable, so each group keeps store iteration order.
+    /// Builds the view of `field` over a full `visit` pass — the
+    /// default [`super::TableStore::open_cursor`]. Rows with equal key
+    /// and next-column values keep visit order.
     pub fn build(field: usize, visit: &mut TupleVisit<'_>) -> ColumnIndex {
-        let mut pairs: Vec<(Value, Tuple)> = Vec::new();
-        visit(&mut |t| pairs.push((t.get(field).clone(), t.clone())));
-        sort_by_value(&mut pairs, |(k, _)| k);
-        match ColumnIndex::try_from_sorted(pairs) {
+        let mut batch = Batch::new(field, 0);
+        visit(&mut |t| batch.push(t));
+        ColumnIndex::from_batch(batch)
+    }
+
+    /// [`ColumnIndex::build`] over `rows`, in that order — the root view
+    /// a join rule cuts from its delta.
+    pub(crate) fn of_rows(field: usize, rows: &[&Tuple]) -> ColumnIndex {
+        let mut batch = Batch::new(field, rows.len());
+        rows.iter().for_each(|t| batch.push(t));
+        ColumnIndex::from_batch(batch)
+    }
+
+    /// [`ColumnIndex::try_from_batch`], whose sort makes the cut's order
+    /// check pass.
+    fn from_batch(batch: Batch) -> ColumnIndex {
+        match ColumnIndex::try_from_batch(batch) {
             Ok(index) => index,
-            Err(e) => unreachable!("pairs were sorted just above: {e}"),
+            Err(e) => unreachable!("the batch is sorted before it is cut: {e}"),
         }
     }
 
-    /// Cuts `(key, tuple)` pairs already sorted ascending by key (equal
-    /// keys adjacent, in the order their group should keep) into the
-    /// flat view — the one builder every producer ends in. The order is
-    /// verified in release builds too (the comparisons the cut makes
+    /// Sorts a batch into view order and cuts it into the flat view —
+    /// the one cold build, over a store pass or a join rule's delta.
+    pub(crate) fn try_from_batch(mut batch: Batch) -> Result<ColumnIndex> {
+        batch.sort();
+        ColumnIndex::try_from_sorted(batch)
+    }
+
+    /// Cuts a batch whose records are already in view order (keys
+    /// ascending, each key's rows by next-column value, ties in the
+    /// order the group should keep) into the flat view — the one cut
+    /// every cold build ends in. The order is verified in release
+    /// builds too (two comparisons a row, beside the one the cut makes
     /// anyway) and a violation comes back as a typed error instead of
-    /// silently corrupting every later seek, so a producer that skips
-    /// the sort because its source is ordered is caught at build time.
-    pub fn try_from_sorted(pairs: Vec<(Value, Tuple)>) -> Result<ColumnIndex> {
-        let mut flat = FlatBuilder::with_capacity(pairs.len());
-        for (i, (key, t)) in pairs.into_iter().enumerate() {
-            match flat.keys.last().map(|last| last.cmp(&key)) {
-                Some(std::cmp::Ordering::Equal) => {}
-                Some(std::cmp::Ordering::Greater) => {
-                    return Err(JStarError::Other(format!(
-                        "ColumnIndex::try_from_sorted: keys not ascending \
-                         at position {i} ({:?} > {key:?})",
-                        flat.keys.last()
-                    )));
-                }
-                _ => flat.open_group(key),
+    /// silently corrupting every later seek.
+    fn try_from_sorted(batch: Batch) -> Result<ColumnIndex> {
+        let (width, next) = (batch.width, batch.next);
+        let mut flat = FlatBuilder::new(width, next, batch.len(), batch.cells.is_some());
+        let (records, mut rows, cells) = batch.into_parts();
+        let (rows, cells) = (&mut rows[..], cells.as_deref());
+        match records {
+            Records::Ints(ints) => {
+                let records = ints.into_iter().map(|(k, n, at)| (k, n, at as usize));
+                cut(&mut flat, records, rows, cells)
             }
-            flat.push_row(t);
-        }
+            Records::Packed(packed) => {
+                let records = packed.words.iter().map(|&w| packed.unpack(w));
+                cut(&mut flat, records, rows, cells)
+            }
+            Records::Values(values) => {
+                let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
+                cut(&mut flat, records, rows, cells)
+            }
+        }?;
         Ok(flat.finish())
     }
 
-    /// Two-way merges a sorted batch of *new* `(key, tuple)` pairs into
-    /// this index, producing the caught-up index in one linear pass
-    /// over both sides: values interleave in ascending order, and where
-    /// a value exists on both sides the new tuples are appended
-    /// **after** the cached ones — new tuples carry later journal
-    /// positions, so the merged group order stays journal order,
-    /// exactly what a cold rebuild over the longer journal would emit.
-    /// Cached rows are copied group by group (handles cloned, packed
-    /// cells as slices); only the new tuples are unpacked. `new` must
-    /// be sorted like [`ColumnIndex::try_from_sorted`]'s input.
-    pub(crate) fn merge_suffix(&self, new: Vec<(Value, Tuple)>) -> ColumnIndex {
-        debug_assert!(new.windows(2).all(|w| w[0].0 <= w[1].0));
-        let mut flat = FlatBuilder::with_capacity(self.rows.len() + new.len());
-        let mut new = new.into_iter().peekable();
+    /// Merges a batch of *new* rows into this view, producing the
+    /// caught-up view in one linear pass over both sides: values
+    /// interleave in ascending order, and where a value exists on both
+    /// sides the new rows join its group by next-column value,
+    /// **after** cached rows with an equal one — new rows carry later
+    /// journal positions, so the merged group is exactly what a cold
+    /// build over the longer journal would emit. Cached rows are copied
+    /// a run at a time (handles cloned, mirrors as slices); only the new
+    /// rows are unpacked.
+    pub(crate) fn merge_suffix(&self, mut new: Batch) -> ColumnIndex {
+        new.sort();
+        let (width, next) = match self.rows.is_empty() {
+            true => (new.width, new.next),
+            false => (self.width, self.next),
+        };
+        let packed = self.cells.is_some() && new.cells.is_some();
+        let mut flat = FlatBuilder::new(width, next, self.rows.len() + new.len(), packed);
+        let (records, mut rows, cells) = new.into_parts();
+        let (rows, cells) = (&mut rows[..], cells.as_deref());
+        let mut records = records.into_values().into_iter().peekable();
+        let mut push = |flat: &mut FlatBuilder, (_, next, at): (Value, Value, usize)| {
+            flat.push(take(rows, at), int_of(&next), cells_at(cells, width, at));
+        };
         let mut g = 0;
         loop {
             // The smaller head opens the next group; on a tie the cached
-            // group goes first and the new tuples follow it.
-            let old_first = match (self.keys.get(g), new.peek()) {
+            // group goes first and the new rows merge into it.
+            let old_first = match (self.keys.get(g), records.peek()) {
                 (None, None) => break,
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
-                (Some(old), Some((fresh, _))) => old <= fresh,
+                (Some(old), Some((fresh, _, _))) => old <= fresh,
             };
             if old_first {
                 flat.open_group(self.keys[g].clone());
-                flat.push_group_of(self, g);
+                let Range { mut start, end } = self.group_range(g);
+                while let Some(record) = records.next_if(|(k, _, _)| *k == self.keys[g]) {
+                    let stay = (start..end).take_while(|&r| self.cmp_next(r, &record.1).is_le());
+                    let stop = start + stay.count();
+                    flat.push_rows_of(self, start..stop);
+                    start = stop;
+                    push(&mut flat, record);
+                }
+                flat.push_rows_of(self, start..end);
                 g += 1;
-            } else if let Some((key, t)) = new.next() {
-                flat.open_group(key);
-                flat.push_row(t);
-            }
-            while let Some((_, t)) = new.next_if(|(k, _)| flat.keys.last() == Some(k)) {
-                flat.push_row(t);
+            } else if let Some(record) = records.next() {
+                flat.open_group(record.0.clone());
+                push(&mut flat, record);
+                while let Some(record) = records.next_if(|(k, _, _)| flat.keys.last() == Some(k)) {
+                    push(&mut flat, record);
+                }
             }
         }
         flat.finish()
     }
 
+    /// Row `r`'s next-column value against `v`, under [`Value`]'s
+    /// order (equal when rows have no next column).
+    fn cmp_next(&self, r: usize, v: &Value) -> Ordering {
+        match (&self.int_next, self.next) {
+            (Some(dense), _) => Value::Int(dense[r]).cmp(v),
+            (None, Some(n)) => self.rows[r].get(n).cmp(v),
+            (None, None) => Ordering::Equal,
+        }
+    }
+
     /// Heap bytes this view owns, for the cache's byte-bounded LRU: the
-    /// five arrays at their capacities. A row is a handle — the tuple
+    /// six arrays at their capacities. A row is a handle — the tuple
     /// payload belongs to the store (and a `Str` key's text to its
     /// tuple), so neither is charged here.
     pub(crate) fn approx_bytes(&self) -> usize {
@@ -268,6 +544,7 @@ impl ColumnIndex {
             + self.starts.capacity() * size_of::<u32>()
             + self.rows.capacity() * size_of::<Tuple>()
             + packed(&self.int_keys)
+            + packed(&self.int_next)
             + packed(&self.cells)
     }
 
@@ -331,29 +608,44 @@ impl ColumnIndex {
     }
 }
 
-/// Stable sort of `items` ascending by the value `key` reads from each
-/// — the sort in front of every [`ColumnIndex::try_from_sorted`] (on
-/// `(key, tuple)` pairs) and of a join rule's delta (on its stage-0 key
-/// field). When every key is an integer it sorts 16-byte
-/// `(i64, position)` pairs and permutes once, instead of moving the
-/// items and comparing 32-byte enums throughout.
-pub(crate) fn sort_by_value<T>(items: &mut [T], key: impl Fn(&T) -> &Value) {
-    if items.iter().all(|t| matches!(key(t), Value::Int(_))) {
-        items.sort_by_cached_key(|t| match key(t) {
-            Value::Int(i) => *i,
-            _ => unreachable!("checked just above"),
-        });
-    } else {
-        items.sort_by(|a, b| key(a).cmp(key(b)));
+/// Cuts `records` — `(key, next, position)` in view order, positions
+/// into `rows` and `cells` — into `flat`'s groups, checking the order
+/// as it goes (see [`ColumnIndex::try_from_sorted`]). `V` is `i64` for
+/// integer records, so the common all-integer cut compares plain
+/// integers, and [`Value`] otherwise.
+fn cut<V: Ord + Clone + Into<Value>>(
+    flat: &mut FlatBuilder,
+    records: impl Iterator<Item = (V, V, usize)>,
+    rows: &mut [Option<Tuple>],
+    cells: Option<&[i64]>,
+) -> Result<()> {
+    let mut last: Option<(V, V)> = None;
+    for (i, (key, next, at)) in records.enumerate() {
+        match &last {
+            Some((k, n)) if k.cmp(&key).then(n.cmp(&next)).is_gt() => {
+                return Err(JStarError::Other(format!(
+                    "ColumnIndex::try_from_sorted: rows not in view order at position {i} \
+                     (key {:?} after {:?})",
+                    key.into(),
+                    k.clone().into()
+                )));
+            }
+            Some((k, _)) if *k == key => {}
+            _ => flat.open_group(key.clone().into()),
+        }
+        let next_int = int_of(&next.clone().into());
+        flat.push(take(rows, at), next_int, cells_at(cells, flat.width, at));
+        last = Some((key, next));
     }
+    Ok(())
 }
 
 /// The one search routine behind every seek, on either key
-/// representation. Already at-or-past the target: free. One step away:
-/// one constant-time advance. Anything further — forward *or* backward
-/// (later join stages seek in data order, not sorted order) — is a
-/// counted search, reported by returning true.
-fn seek_sorted<K: Ord>(keys: &[K], pos: &mut usize, target: &K) -> bool {
+/// representation and inside a group. Already at-or-past the target:
+/// free. One step away: one constant-time advance. Anything further —
+/// forward *or* backward (later join stages seek in data order, not
+/// sorted order) — is a counted search, reported by returning true.
+pub(super) fn seek_sorted<K: Ord>(keys: &[K], pos: &mut usize, target: &K) -> bool {
     // Backward target: restart with one binary search.
     if *pos > 0 && *target <= keys[*pos - 1] {
         *pos = keys.partition_point(|k| k < target);
@@ -600,43 +892,120 @@ pub(super) mod tests {
 
     #[test]
     fn build_cuts_groups_in_visit_order_and_packs_what_it_can() {
-        // Visit order 5,1,5,3,1: groups ascend, members keep visit order.
+        // `(key, next, id)` rows visited in this order: groups ascend by
+        // key, each group ascends by its next column (field 1), and the
+        // two `(5, 2)` rows keep visit order (ids 0 then 5).
         let idx = index_of(
-            [(5, 0), (1, 1), (5, 2), (3, 3), (1, 4)]
-                .iter()
-                .map(|&(k, n)| vec![Value::Int(k), Value::Int(n)])
-                .collect(),
+            [
+                (5, 2, 0),
+                (1, 4, 1),
+                (5, 0, 2),
+                (3, 3, 3),
+                (1, 1, 4),
+                (5, 2, 5),
+            ]
+            .iter()
+            .map(|&(k, n, id)| vec![Value::Int(k), Value::Int(n), Value::Int(id)])
+            .collect(),
         );
         assert_eq!(idx.keys, [1, 3, 5].map(Value::Int));
-        assert_eq!(idx.starts, [0, 2, 3, 5]);
+        assert_eq!(idx.starts, [0, 2, 3, 6]);
         assert_eq!(idx.int_keys.as_deref(), Some(&[1, 3, 5][..]));
+        assert_eq!(idx.next, Some(1));
+        assert_eq!(idx.int_next.as_deref(), Some(&[1, 4, 3, 0, 2, 2][..]));
+        let ids: Vec<i64> = idx.rows.iter().map(|t| t.int(2)).collect();
+        assert_eq!(ids, [4, 1, 3, 2, 0, 5]);
         assert_eq!(
-            idx.cells.as_deref(),
-            Some(&[1, 1, 1, 4, 3, 3, 5, 0, 5, 2][..]),
-            "row-major fields, group-major rows"
+            idx.cells.as_deref().map(|c| &c[..6]),
+            Some(&[1, 1, 4, 1, 4, 1][..]),
+            "row-major fields, rows in view order"
         );
-        let payload: Vec<i64> = idx.rows.iter().map(|t| t.int(1)).collect();
-        assert_eq!(payload, [1, 4, 3, 0, 2]);
-        assert_eq!(idx.cells_of(3), Some(&[5, 0][..]));
+        assert_eq!(idx.cells_of(4), Some(&[5, 2, 0][..]));
+        // A view keyed on a later column is ordered by column 0.
+        assert_eq!(
+            ColumnIndex::build(2, &mut |emit| idx.rows.iter().for_each(&mut *emit)).next,
+            Some(0)
+        );
 
-        // One string payload anywhere: no cells, dense keys stay.
+        // One string payload anywhere: no cells, dense keys and the
+        // dense next column stay.
         let mixed = index_of(vec![
-            vec![Value::Int(2), Value::Int(0)],
-            vec![Value::Int(1), Value::str("x")],
+            vec![Value::Int(2), Value::Int(0), Value::Int(0)],
+            vec![Value::Int(1), Value::Int(0), Value::str("x")],
         ]);
-        assert!(mixed.int_keys.is_some() && mixed.cells.is_none());
-        // One non-integer key: no dense keys (and so no cells either).
+        assert!(mixed.int_keys.is_some() && mixed.int_next.is_some() && mixed.cells.is_none());
+        // A string next column: groups still ascend by it, unmirrored.
+        let text = index_of(
+            ["b", "a", "c"]
+                .iter()
+                .map(|s| vec![Value::Int(0), Value::str(s.to_string())])
+                .collect(),
+        );
+        assert!(text.int_next.is_none() && text.cells.is_none());
+        let order: Vec<&Value> = text.rows.iter().map(|t| t.get(1)).collect();
+        assert_eq!(
+            order,
+            ["a", "b", "c"].map(Value::str).iter().collect::<Vec<_>>()
+        );
+        // One non-integer key: no dense keys (and so no cells either);
+        // one-field rows have no next column.
         let generic = index_of(vec![vec![Value::Int(2)], vec![Value::Double(0.5)]]);
         assert!(generic.int_keys.is_none() && generic.cells.is_none());
+        assert!(generic.next.is_none() && generic.int_next.is_none());
         assert_eq!(generic.keys, [Value::Int(2), Value::Double(0.5)]);
+    }
+
+    /// A batch of `rows`, unsorted, keyed on column 0.
+    fn batch(rows: &[Tuple]) -> Batch {
+        let mut batch = Batch::new(0, rows.len());
+        rows.iter().for_each(|t| batch.push(t));
+        batch
     }
 
     #[test]
     fn try_from_sorted_rejects_descending_keys() {
-        let t = |k: i64| (Value::Int(k), Tuple::new(TableId(0), vec![Value::Int(k)]));
-        assert!(ColumnIndex::try_from_sorted(vec![t(1), t(1), t(2)]).is_ok());
-        let err = ColumnIndex::try_from_sorted(vec![t(1), t(3), t(2)]);
+        let t = |k: i64, n: i64| Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n)]);
+        assert!(ColumnIndex::try_from_sorted(batch(&[t(1, 0), t(1, 0), t(2, 0)])).is_ok());
+        let err = ColumnIndex::try_from_sorted(batch(&[t(1, 0), t(3, 0), t(2, 0)]));
         assert!(matches!(err, Err(JStarError::Other(m)) if m.contains("position 2")));
+        // Inside a group the next column must ascend too.
+        let err = ColumnIndex::try_from_sorted(batch(&[t(1, 0), t(2, 5), t(2, 4)]));
+        assert!(matches!(err, Err(JStarError::Other(m)) if m.contains("position 2")));
+    }
+
+    #[test]
+    fn packed_words_cut_like_the_integer_records() {
+        // Negative, repeated and spread keys and next values: sorted as
+        // packed words or as plain `(key, next, position)` records, the
+        // batch cuts into the same view.
+        let t = |k: i64, n: i64| Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n)]);
+        let rows: Vec<Tuple> = (0..40i64)
+            .map(|i| t((i * 7919) % 13 - 6, (i * 104_729) % 1000 - 500))
+            .collect();
+        let mut packed = batch(&rows);
+        packed.sort();
+        assert!(matches!(packed.records, Records::Packed(_)));
+        let mut plain = batch(&rows);
+        let Records::Ints(ints) = &mut plain.records else {
+            panic!("an all-integer batch packs integer records")
+        };
+        ints.sort_unstable();
+        let packed = ColumnIndex::try_from_sorted(packed).ok();
+        assert!(packed.is_some(), "packed words sort into view order");
+        assert_eq!(packed, ColumnIndex::try_from_sorted(plain).ok());
+        // Spans wider than 64 bits together sort as plain records.
+        let mut wide = batch(&[t(i64::MAX, 0), t(i64::MIN, 1), t(0, i64::MIN)]);
+        wide.sort();
+        assert!(matches!(wide.records, Records::Ints(_)));
+        let wide = ColumnIndex::try_from_sorted(wide).map(|v| v.keys);
+        assert_eq!(
+            wide.ok(),
+            Some(vec![
+                Value::Int(i64::MIN),
+                Value::Int(0),
+                Value::Int(i64::MAX)
+            ])
+        );
     }
 
     #[test]
@@ -645,9 +1014,20 @@ pub(super) mod tests {
             let last = s.map_or(Value::Int(n), |s| Value::str(s.to_string()));
             Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n), last])
         };
-        // New keys fall below, between, inside and above the old groups.
-        let old = [(4, 0), (2, 1), (4, 2), (8, 3)];
-        let new = [(1, 4), (4, 5), (5, 6), (9, 7), (2, 8), (9, 9)];
+        // New keys fall below, between, inside and above the old groups;
+        // inside a group, new next-column values fall below, between,
+        // on and above the cached ones.
+        let old = [(4, 3), (2, 1), (4, 7), (8, 3), (4, 5)];
+        let new = [
+            (1, 4),
+            (4, 5),
+            (5, 6),
+            (9, 7),
+            (2, 0),
+            (9, 9),
+            (4, 1),
+            (4, 9),
+        ];
         for unpacked_in_old in [false, true] {
             for unpacked_in_new in [false, true] {
                 let s = |on: bool, i: usize| (on && i == 1).then_some("s");
@@ -658,12 +1038,7 @@ pub(super) mod tests {
                 let suffix: Vec<Tuple> = (new.iter().enumerate())
                     .map(|(i, &(k, n))| row(k, n, s(unpacked_in_new, i)))
                     .collect();
-                let mut pairs: Vec<(Value, Tuple)> = suffix
-                    .iter()
-                    .map(|t| (t.get(0).clone(), t.clone()))
-                    .collect();
-                pairs.sort_by(|a, b| a.0.cmp(&b.0));
-                let merged = cached.merge_suffix(pairs);
+                let merged = cached.merge_suffix(batch(&suffix));
                 all.extend(suffix);
                 let cold = ColumnIndex::build(0, &mut |emit| all.iter().for_each(&mut *emit));
                 assert_eq!(merged, cold, "old={unpacked_in_old} new={unpacked_in_new}");
@@ -672,13 +1047,14 @@ pub(super) mod tests {
                     !(unpacked_in_old || unpacked_in_new),
                     "cells survive a merge only when both sides are all-integer"
                 );
+                assert!(merged.int_next.is_some());
                 assert_eq!(merged.approx_bytes(), cold.approx_bytes());
             }
         }
         // Merging into an empty view is a cold build of the suffix.
         let empty = ColumnIndex::build(0, &mut |_| {});
         let t = row(3, 0, None);
-        let merged = empty.merge_suffix(vec![(t.get(0).clone(), t.clone())]);
+        let merged = empty.merge_suffix(batch(std::slice::from_ref(&t)));
         assert_eq!(merged, ColumnIndex::build(0, &mut |emit| emit(&t)));
     }
 
@@ -689,9 +1065,10 @@ pub(super) mod tests {
         let handles = 5 * std::mem::size_of::<Tuple>();
         let keys = 3 * std::mem::size_of::<Value>();
         let starts = 4 * 4;
+        // Dense keys, the dense next column, and the cells.
         assert_eq!(
             packed.approx_bytes(),
-            keys + starts + handles + 3 * 8 + 5 * 2 * 8
+            keys + starts + handles + 3 * 8 + 5 * 8 + 5 * 2 * 8
         );
         // String keys: neither mirror exists, and the text is the tuple's.
         let generic = index_of(

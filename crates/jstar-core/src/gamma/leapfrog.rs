@@ -3,29 +3,43 @@
 //! [`walk`] (one piece) or [`fan_out`] (the same walk split over a
 //! pool).
 //!
-//! A walk matches **rows**: row 0 comes from the [`Root`], row `k + 1`
-//! from stage `k`'s view. The root is a sorted sequence — the delta's
-//! trigger tuples on the rule side, relation `A`'s own view on the read
-//! side. Stage `k` seeks its private position over a shared
-//! [`ColumnIndex`] to a key read from an earlier row
-//! ([`ColumnIndex`]'s free / one-step / counted-gallop contract, on
-//! dense `i64` keys when both sides have them), filters the matched
-//! group on its residual equalities and its inequalities, and recurses.
+//! A walk matches **rows**: row 0 comes from the root, row `k + 1` from
+//! stage `k`'s view. The root is a [`ColumnIndex`] keyed on the field
+//! stage 0 seeks by — relation `A`'s own view on the read side, a view
+//! cut from the delta's trigger tuples on the rule side — and its
+//! groups leapfrog against stage 0's, each side galloping past keys the
+//! other lacks. Stage `k` seeks its private position over a shared view
+//! to a key read from an earlier row ([`ColumnIndex`]'s free / one-step
+//! / counted-gallop contract, on dense `i64` keys when both sides have
+//! them), filters the matched group on its residual equalities and its
+//! inequalities, and recurses.
+//!
+//! **Seeks inside a group.** A view's groups are ordered by their
+//! rows' next column (the first field other than the key). When that
+//! column is all-integer and a stage has a residual equality on it, the
+//! stage seeks to the run of rows equal to its source and stops where
+//! the run ends; failing that, an inequality whose larger side is that
+//! column seeks past its bound. Both seek the group's slice of the
+//! view's dense next column under the same contract, resuming from the
+//! stage's last in-group position while the group is unchanged and the
+//! target has not decreased: consecutive rows of a parent group walk a
+//! child group as one monotone merge of two sorted lists, as Leapfrog
+//! Triejoin does. Every other pair is checked row by row.
 //!
 //! Each inequality runs at the first row that binds both of its sides:
-//! a **root check** (two fields of row 0) before a root row is pushed,
-//! on either root kind; a stage's inequality beside that stage's
-//! residual equalities. A candidate failing one is never pushed, so no
-//! later stage seeks for it. Residual equalities and inequalities read
-//! the views' packed cells when both rows have them and the tuples
-//! otherwise, and compare under [`crate::value::Value`]'s order; the
-//! tuple handle itself is only borrowed for a surviving row.
+//! a **root check** (two fields of row 0) before a root row is pushed;
+//! a stage's inequality beside that stage's residual equalities. A
+//! candidate failing one is never pushed, so no later stage seeks for
+//! it. Residual equalities and inequalities read the views' packed
+//! cells when both rows have them and the tuples otherwise, and compare
+//! under [`crate::value::Value`]'s order; the tuple handle itself is
+//! only borrowed for a surviving row.
 //!
 //! Per row combination the walk clones no tuple, clones no value and
 //! allocates nothing: rows are borrowed into one stack that is pushed
 //! and popped per level.
 
-use super::cursor::{ColumnIndex, Key};
+use super::cursor::{seek_sorted, ColumnIndex, Key};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use jstar_pool::ThreadPool;
@@ -37,6 +51,15 @@ use std::ops::Range;
 /// candidate (the layout of [`crate::rule::JoinStage::keys`] and
 /// [`crate::rule::JoinStage::less`]).
 pub(crate) type Pair = ((usize, usize), usize);
+
+/// How a stage narrows a matched group through the view's dense next
+/// column: to the run equal to a source field, or past a source field
+/// that bounds it from below.
+#[derive(Clone, Copy)]
+enum Within {
+    Equal((usize, usize)),
+    Above((usize, usize)),
+}
 
 /// One probe stage of a walk.
 pub(crate) struct Stage<'a> {
@@ -50,51 +73,55 @@ pub(crate) struct Stage<'a> {
     /// Pairs whose source must be strictly below the candidate's field,
     /// checked beside the residuals.
     less: &'a [Pair],
+    /// The pair that seeks inside the matched group, if any.
+    within: Option<Within>,
 }
 
 impl<'a> Stage<'a> {
     /// A stage over `index` — which must be a view on `keys[0]`'s probe
     /// column — keyed by `keys[0]`, filtered by the rest and by `less`.
     pub(crate) fn new(index: &'a ColumnIndex, keys: &'a [Pair], less: &'a [Pair]) -> Stage<'a> {
+        let residuals = &keys[1..];
+        let next = index.int_next.as_ref().and(index.next);
+        let on_next = |pairs: &[Pair]| {
+            let pair = pairs.iter().find(|&&(_, probe)| Some(probe) == next);
+            pair.map(|&(source, _)| source)
+        };
+        let within = on_next(residuals)
+            .map(Within::Equal)
+            .or_else(|| on_next(less).map(Within::Above));
         Stage {
             index,
             seek: keys[0].0,
-            residuals: &keys[1..],
+            residuals,
             less,
+            within,
         }
     }
 }
 
-/// Where row 0 comes from.
-pub(crate) enum Root<'a> {
-    /// Tuples sorted ascending on the field stage 0 seeks by (the delta
-    /// of a join rule). Each is a root row; stage 0's cursor follows
-    /// them with seeks that are free while the key repeats.
-    Sorted(&'a [&'a Tuple]),
-    /// A view whose key column is the field stage 0 seeks by (relation
-    /// `A` of a read-side join): its groups leapfrog against stage 0's,
-    /// each side galloping past keys the other lacks, and both step on
-    /// a match.
-    Index(&'a ColumnIndex),
+/// A stage's last seek inside a group: the group, the target it
+/// sought, the row it landed on (the first at or past the target), and
+/// a row every row before which is at or below the target (the end of
+/// an equality's run; the landing row for a bound).
+#[derive(Clone, Copy)]
+struct InGroup {
+    group: usize,
+    target: i64,
+    row: usize,
+    past: usize,
 }
 
-impl Root<'_> {
-    /// Root positions (tuples, or distinct keys) — what pieces split.
-    fn len(&self) -> usize {
-        match self {
-            Root::Sorted(tuples) => tuples.len(),
-            Root::Index(index) => index.len(),
-        }
-    }
-}
-
-/// One piece's private state: a position per stage and the row stack.
+/// One piece's private state: positions per stage and the row stack.
 struct Walker<'a, 's, F> {
     /// Root checks `(field, field)`: a root row is walked only when the
     /// first field is below the second.
     root_less: &'s [(usize, usize)],
     stages: &'s [Stage<'a>],
+    /// Each stage's group position in its view.
     pos: Vec<usize>,
+    /// Each stage's last in-group seek, for resuming.
+    in_group: Vec<Option<InGroup>>,
     rows: Vec<&'a Tuple>,
     /// `cells[i]` is the packed copy of `rows[i]`, when its view has one.
     cells: Vec<Option<&'a [i64]>>,
@@ -124,24 +151,31 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
         self.cells.pop();
     }
 
+    /// Field `field` of matched row `row` as a seek target.
+    fn key(&self, (row, field): (usize, usize)) -> Key<'a> {
+        match self.cells[row] {
+            Some(cells) => Key::Int(cells[field]),
+            None => Key::of(self.rows[row].get(field)),
+        }
+    }
+
     fn descend(&mut self, k: usize) {
         let Some(stage) = self.stages.get(k) else {
             (self.visit)(&self.rows);
             return;
         };
         let index = stage.index;
-        let (row, field) = stage.seek;
-        let key = match self.cells[row] {
-            Some(cells) => Key::Int(cells[field]),
-            None => Key::of(self.rows[row].get(field)),
-        };
+        let key = self.key(stage.seek);
         if index.seek_from(&mut self.pos[k], key) {
             self.seeks += 1;
         }
         if !index.key_is(self.pos[k], key) {
             return;
         }
-        for r in index.group_range(self.pos[k]) {
+        let Some(range) = self.narrow(k) else {
+            return;
+        };
+        for r in range {
             let (tuple, cells) = (&index.rows[r], index.cells_of(r));
             let holds = |pairs: &[Pair], want| {
                 (pairs.iter()).all(|&(source, f)| self.cmp(source, tuple, cells, f) == want)
@@ -150,6 +184,55 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
                 self.with_row(tuple, cells, k + 1);
             }
         }
+    }
+
+    /// The rows of stage `k`'s matched group worth checking: the whole
+    /// group, unless the stage seeks inside it (module docs). `None`
+    /// when no row can match.
+    fn narrow(&mut self, k: usize) -> Option<Range<usize>> {
+        let stages = self.stages;
+        let (stage, group) = (&stages[k], self.pos[k]);
+        let range = stage.index.group_range(group);
+        let (Some(within), Some(next)) = (stage.within, stage.index.int_next.as_deref()) else {
+            return Some(range);
+        };
+        let (source, equal) = match within {
+            Within::Equal(source) => (source, true),
+            Within::Above(source) => (source, false),
+        };
+        let Key::Int(v) = self.key(source) else {
+            return Some(range);
+        };
+        // Above `v` is at or past `v + 1`; nothing is above `i64::MAX`.
+        let target = if equal { v } else { v.checked_add(1)? };
+        let from = match self.in_group[k] {
+            Some(last) if last.group == group && last.target == target => last.row,
+            Some(last) if last.group == group && last.target < target => last.past,
+            _ => range.start,
+        };
+        let group_next = &next[range.clone()];
+        let mut at = from - range.start;
+        if seek_sorted(group_next, &mut at, &target) {
+            self.seeks += 1;
+        }
+        let row = range.start + at;
+        let end = match equal {
+            true => {
+                row + group_next[at..]
+                    .iter()
+                    .take_while(|&&n| n == target)
+                    .count()
+            }
+            false => range.end,
+        };
+        let past = if equal { end } else { row };
+        self.in_group[k] = Some(InGroup {
+            group,
+            target,
+            row,
+            past,
+        });
+        Some(row..end)
     }
 
     /// `rows[row].field` against `candidate.probe_field` under
@@ -170,23 +253,26 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
     }
 }
 
-/// Walks the whole root as one piece on the calling thread, calling
-/// `visit` with each full row combination (`rows[0]` the root row,
-/// `rows[k + 1]` stage `k`'s) whose root row passes `root_less` (see
-/// [`Walker`]). Returns the counted seeks. `stages` must not be empty.
+/// Walks the whole root view as one piece on the calling thread,
+/// calling `visit` with each full row combination (`rows[0]` the root
+/// row, `rows[k + 1]` stage `k`'s) whose root row passes `root_less`
+/// (see [`Walker`]). `root` must be keyed on the field stage 0 seeks
+/// by. Returns the counted seeks. `stages` must not be empty.
 pub(crate) fn walk<'a>(
-    root: &Root<'a>,
+    root: &'a ColumnIndex,
     root_less: &[(usize, usize)],
     stages: &[Stage<'a>],
     visit: impl FnMut(&[&Tuple]),
 ) -> u64 {
-    walk_range(root, 0..root.len(), root_less, stages, visit)
+    walk_range(root, 0..root.rows.len(), root_less, stages, visit)
 }
 
-/// [`walk`] over the root positions in `range` only.
+/// [`walk`] over the root rows in `rows` only. A range may start and
+/// end inside a group: its rows are walked from the group's key like
+/// any other.
 fn walk_range<'a>(
-    root: &Root<'a>,
-    range: Range<usize>,
+    a: &'a ColumnIndex,
+    rows: Range<usize>,
     root_less: &[(usize, usize)],
     stages: &[Stage<'a>],
     visit: impl FnMut(&[&Tuple]),
@@ -195,50 +281,45 @@ fn walk_range<'a>(
         root_less,
         stages,
         pos: vec![0; stages.len()],
+        in_group: vec![None; stages.len()],
         rows: Vec::with_capacity(stages.len() + 1),
         cells: Vec::with_capacity(stages.len() + 1),
         seeks: 0,
         visit,
     };
-    match *root {
-        Root::Sorted(tuples) => {
-            for &t in &tuples[range] {
-                w.root(t, None);
-            }
+    let b = stages[0].index;
+    // The group holding the first row.
+    let mut g = (a.starts.partition_point(|&s| s as usize <= rows.start)).saturating_sub(1);
+    while g < a.len() && a.group_range(g).start < rows.end {
+        let key = a.key_at(g);
+        if b.seek_from(&mut w.pos[0], key) {
+            w.seeks += 1;
         }
-        Root::Index(a) => {
-            let b = stages[0].index;
-            let mut g = range.start;
-            while g < range.end {
-                let key = a.key_at(g);
-                if b.seek_from(&mut w.pos[0], key) {
-                    w.seeks += 1;
-                }
-                if w.pos[0] >= b.len() {
-                    break;
-                }
-                if b.key_is(w.pos[0], key) {
-                    for r in a.group_range(g) {
-                        w.root(&a.rows[r], a.cells_of(r));
-                    }
-                    g += 1;
-                    w.pos[0] += 1;
-                } else if a.seek_from(&mut g, b.key_at(w.pos[0])) {
-                    w.seeks += 1;
-                }
+        if w.pos[0] >= b.len() {
+            break;
+        }
+        if b.key_is(w.pos[0], key) {
+            let group = a.group_range(g);
+            for r in group.start.max(rows.start)..group.end.min(rows.end) {
+                w.root(&a.rows[r], a.cells_of(r));
             }
+            g += 1;
+            w.pos[0] += 1;
+        } else if a.seek_from(&mut g, b.key_at(w.pos[0])) {
+            w.seeks += 1;
         }
     }
     w.seeks
 }
 
-/// [`walk`] as a fold, split over `pool` when there is one: the root is
-/// cut into [`jstar_pool::adaptive_chunk`] pieces submitted as one
-/// batch, each piece folding into its own `init()` accumulator through
-/// `visit`. Returns the accumulators in root order (at least one) and
-/// the seeks of all pieces.
+/// [`walk`] as a fold, split over `pool` when there is one: the root's
+/// rows are cut into [`jstar_pool::adaptive_chunk`] pieces submitted as
+/// one batch — by rows, not groups, so a root whose rows share one key
+/// still spreads over the pool — each piece folding into its own
+/// `init()` accumulator through `visit`. Returns the accumulators in
+/// root order (at least one) and the seeks of all pieces.
 pub(crate) fn fan_out<'a, Acc: Send>(
-    root: &Root<'a>,
+    root: &'a ColumnIndex,
     root_less: &[(usize, usize)],
     stages: &[Stage<'a>],
     pool: Option<&ThreadPool>,
@@ -250,7 +331,7 @@ pub(crate) fn fan_out<'a, Acc: Send>(
         let seeks = walk_range(root, range, root_less, stages, |rows| visit(&mut acc, rows));
         (acc, seeks)
     };
-    let len = root.len();
+    let len = root.rows.len();
     let pieces = match pool {
         Some(pool) if len > 1 => {
             let chunk = jstar_pool::adaptive_chunk(pool, len).max(1);
@@ -269,7 +350,6 @@ pub(crate) fn fan_out<'a, Acc: Send>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::cursor::sort_by_value;
     use super::super::cursor::tests::seek_reference;
     use super::*;
     use crate::schema::TableId;
@@ -300,14 +380,30 @@ mod tests {
         ColumnIndex::build(field, &mut |emit| rel.iter().for_each(&mut *emit))
     }
 
-    /// A relation in the parent commit's layout: distinct keys ascending
-    /// and one `Vec` of tuples per key.
+    /// The field a view keyed on `field` orders its groups by.
+    fn next_of(field: usize) -> usize {
+        usize::from(field == 0)
+    }
+
+    /// A relation as nested groups: distinct keys ascending and one
+    /// `Vec` of tuples per key, sorted stably by the next column.
     fn nested(rel: &[Tuple], field: usize) -> (Vec<Value>, Vec<Vec<Tuple>>) {
         let mut map: BTreeMap<Value, Vec<Tuple>> = BTreeMap::new();
         for t in rel {
             map.entry(t.get(field).clone()).or_default().push(t.clone());
         }
+        for group in map.values_mut() {
+            group.sort_by(|a, b| a.get(next_of(field)).cmp(b.get(next_of(field))));
+        }
         map.into_iter().unzip()
+    }
+
+    /// `v` as an integer, if it is one.
+    fn int(v: &Value) -> Option<i64> {
+        match v {
+            Value::Int(i) => Some(*i),
+            _ => None,
+        }
     }
 
     /// True when every pair of `pairs` compares `want` — the source
@@ -345,14 +441,20 @@ mod tests {
         }
     }
 
-    /// The walk as the parent commit ran it — nested groups, a position
-    /// per stage, every reposition by linear scan under the counting
-    /// rule of `cursor.rs` — with each inequality checked where the
-    /// oracle checks it.
+    /// The walk restated over nested groups — a position per stage,
+    /// every reposition by linear scan under the counting rule of
+    /// `cursor.rs`, in-group seeks on the next column as the module docs
+    /// describe them — with each inequality checked where the oracle
+    /// checks it.
     struct Reference<'c> {
         stages: Vec<(Vec<Value>, Vec<Vec<Tuple>>)>,
+        /// Per stage: whether its relation's next column is all-integer.
+        dense_next: Vec<bool>,
         case: &'c Case,
         pos: Vec<usize>,
+        /// Per stage: the last in-group seek's `(group, target, row,
+        /// past)`, as the walk keeps it.
+        last: Vec<Option<(usize, i64, usize, usize)>>,
         seeks: u64,
         out: Vec<Vec<Tuple>>,
     }
@@ -378,14 +480,43 @@ mod tests {
                 return;
             }
             let (keys, less) = (&self.case.keys[k], &self.case.less[k]);
-            let ((r, f), _) = keys[0];
+            let ((r, f), field) = keys[0];
             let target = rows[r].get(f).clone();
             self.seek(k, &target);
             let g = self.pos[k];
             if self.stages[k].0.get(g) != Some(&target) {
                 return;
             }
-            for candidate in self.stages[k].1[g].clone() {
+            let group = self.stages[k].1[g].clone();
+            let next = next_of(field);
+            let (mut start, mut until) = (0, None);
+            let on_next = |pairs: &[Pair]| pairs.iter().find(|p| p.1 == next).map(|p| p.0);
+            let within = (on_next(&keys[1..]).map(|s| (s, true)))
+                .or_else(|| on_next(less).map(|s| (s, false)))
+                .filter(|_| self.dense_next[k]);
+            if let Some(((r, f), equal)) = within {
+                if let Some(v) = int(rows[r].get(f)) {
+                    let Some(t) = (if equal { Some(v) } else { v.checked_add(1) }) else {
+                        return;
+                    };
+                    let from = match self.last[k] {
+                        Some((lg, lt, row, _)) if lg == g && lt == t => row,
+                        Some((lg, lt, _, past)) if lg == g && lt < t => past,
+                        _ => 0,
+                    };
+                    let nexts: Vec<i64> = group.iter().filter_map(|c| int(c.get(next))).collect();
+                    let (land, counted) = seek_reference(&nexts, from, &t);
+                    self.seeks += counted as u64;
+                    let run = nexts[land..].iter().take_while(|&&n| n == t).count();
+                    self.last[k] = Some((g, t, land, land + if equal { run } else { 0 }));
+                    start = land;
+                    until = equal.then_some(t);
+                }
+            }
+            for candidate in group[start..].iter().cloned() {
+                if until.is_some_and(|t| int(candidate.get(next)) != Some(t)) {
+                    break;
+                }
                 if pairs_hold(&keys[1..], Ordering::Equal, rows, &candidate)
                     && pairs_hold(less, Ordering::Less, rows, &candidate)
                 {
@@ -398,25 +529,22 @@ mod tests {
     }
 
     /// Emitted rows in order, and the seek total, of the reference walk
-    /// — over the sorted `delta` when there is one, else with `rels[0]`
-    /// as an indexed root (the parent's `join_rel` loop: both sides
-    /// gallop, both step on a match).
-    fn reference_walk(c: &Case, delta: Option<&[&Tuple]>) -> (Vec<Vec<Tuple>>, u64) {
+    /// with `rels[0]` as the root view (both sides gallop, both step on
+    /// a match).
+    fn reference_walk(c: &Case) -> (Vec<Vec<Tuple>>, u64) {
         let mut w = Reference {
             stages: (c.rels[1..].iter().zip(&c.keys))
                 .map(|(rel, k)| nested(rel, k[0].1))
                 .collect(),
+            dense_next: (c.rels[1..].iter().zip(&c.keys))
+                .map(|(rel, k)| rel.iter().all(|t| int(t.get(next_of(k[0].1))).is_some()))
+                .collect(),
             case: c,
             pos: vec![0; c.keys.len()],
+            last: vec![None; c.keys.len()],
             seeks: 0,
             out: Vec::new(),
         };
-        if let Some(delta) = delta {
-            for &t in delta {
-                w.root(t);
-            }
-            return (w.out, w.seeks);
-        }
         let (ka, ga) = nested(&c.rels[0], c.keys[0][0].0 .1);
         let mut pa = 0;
         while pa < ka.len() && w.pos[0] < w.stages[0].0.len() {
@@ -444,19 +572,20 @@ mod tests {
         rows.iter().map(|&t| t.clone()).collect()
     }
 
-    /// One random join: relations, key pairs, inequalities (per stage,
-    /// and the root checks), and which root kind.
+    /// One random join: relations, key pairs and inequalities (per
+    /// stage, and the root checks).
     struct Case {
         rels: Vec<Vec<Tuple>>,
         keys: Vec<Vec<Pair>>,
         less: Vec<Vec<Pair>>,
         root_less: Vec<(usize, usize)>,
-        indexed_root: bool,
     }
 
     /// A random case; `bounded` adds up to two inequalities per stage
-    /// and up to two root checks.
-    fn case(kind: usize, n_stages: usize, indexed_root: bool, bounded: bool, seed: u64) -> Case {
+    /// and up to two root checks. Either way a stage may get a residual
+    /// equality or a lower bound on its view's next column, which the
+    /// walk seeks inside the matched group.
+    fn case(kind: usize, n_stages: usize, bounded: bool, seed: u64) -> Case {
         let mut rng = proptest::TestRng::new(seed);
         let rels = (0..=n_stages)
             .map(|_| {
@@ -480,7 +609,7 @@ mod tests {
                 })
                 .collect()
         };
-        let keys = (0..n_stages).map(|k| pairs(k, 1)).collect();
+        let mut keys: Vec<Vec<Pair>> = (0..n_stages).map(|k| pairs(k, 1)).collect();
         let mut less: Vec<Vec<Pair>> = vec![Vec::new(); n_stages];
         let mut root_less = Vec::new();
         if bounded {
@@ -490,34 +619,34 @@ mod tests {
                 .map(|((_, lo), hi)| (lo, hi))
                 .collect();
         }
+        for k in 0..n_stages {
+            let next = next_of(keys[k][0].1);
+            let source = (rng.usize_below(k + 1), rng.usize_below(ARITY));
+            match rng.usize_below(3) {
+                0 => keys[k].insert(1, (source, next)),
+                1 => less[k].insert(0, (source, next)),
+                _ => {}
+            }
+        }
         Case {
             rels,
             keys,
             less,
             root_less,
-            indexed_root,
         }
     }
 
     impl Case {
-        /// Runs `body` with the walk's root and stages built.
-        fn with_walk<R>(
-            &self,
-            body: impl for<'a> FnOnce(&Root<'a>, &[Stage<'a>], Option<&[&Tuple]>) -> R,
-        ) -> R {
+        /// Runs `body` with the walk's root view and stages built.
+        fn with_walk<R>(&self, body: impl for<'a> FnOnce(&'a ColumnIndex, &[Stage<'a>]) -> R) -> R {
             let views: Vec<ColumnIndex> = (self.rels[1..].iter().zip(&self.keys))
                 .map(|(rel, k)| view(rel, k[0].1))
                 .collect();
             let stages: Vec<Stage<'_>> = (views.iter().zip(&self.keys).zip(&self.less))
                 .map(|((v, k), l)| Stage::new(v, k, l))
                 .collect();
-            if self.indexed_root {
-                let a = view(&self.rels[0], self.keys[0][0].0 .1);
-                return body(&Root::Index(&a), &stages, None);
-            }
-            let mut delta: Vec<&Tuple> = self.rels[0].iter().collect();
-            sort_by_value(&mut delta, |t| t.get(self.keys[0][0].0 .1));
-            body(&Root::Sorted(&delta), &stages, Some(&delta))
+            let root = view(&self.rels[0], self.keys[0][0].0 .1);
+            body(&root, &stages)
         }
     }
 
@@ -526,31 +655,27 @@ mod tests {
 
         /// One piece emits exactly the reference walk's rows, in its
         /// order, with its seek total — on dense and generic keys, packed
-        /// and unpacked residuals and inequalities, sorted and indexed
-        /// roots, with and without inequalities (root checks included);
-        /// the multiset equals the nested-loop oracle's; and a 2- and a
-        /// 4-thread fan-out emit that same multiset.
+        /// and unpacked residuals and inequalities, with and without
+        /// inequalities (root checks included), with and without seeks
+        /// inside groups; the multiset equals the nested-loop oracle's;
+        /// and a 2- and a 4-thread fan-out, whose pieces may start and
+        /// end inside a root group, emit those rows in that order.
         #[test]
         fn fan_out_and_one_piece_match_nested_loops(
             kind in 0usize..4,
             n_stages in 1usize..4,
-            indexed_root in any::<bool>(),
             bounded in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let mut c = case(kind, n_stages, indexed_root, bounded, seed);
-            if indexed_root {
-                // An indexed root's key column is stage 0's seek source.
-                c.keys[0][0].0 .0 = 0;
-            }
+            let c = case(kind, n_stages, bounded, seed);
             let mut want = Vec::new();
             nested_loops(&c, &mut Vec::new(), &mut want);
             want.sort();
 
-            c.with_walk(|root, stages, delta| {
+            c.with_walk(|root, stages| {
                 let mut got = Vec::new();
                 let seeks = walk(root, &c.root_less, stages, |rows| got.push(collect(rows)));
-                let (reference, reference_seeks) = reference_walk(&c, delta);
+                let (reference, reference_seeks) = reference_walk(&c);
                 prop_assert_eq!(&got, &reference, "one piece, emission order");
                 prop_assert_eq!(seeks, reference_seeks, "one piece, seek total");
                 got.sort();
@@ -562,9 +687,8 @@ mod tests {
                         fan_out(root, &c.root_less, stages, Some(&pool), Vec::new, |acc, rows| {
                             acc.push(collect(rows))
                         });
-                    let mut got: Vec<Vec<Tuple>> = pieces.into_iter().flatten().collect();
-                    got.sort();
-                    prop_assert_eq!(&got, &want, "{} threads", threads);
+                    let got: Vec<Vec<Tuple>> = pieces.into_iter().flatten().collect();
+                    prop_assert_eq!(&got, &reference, "{} threads, pieces in root order", threads);
                 }
                 Ok(())
             })?;
@@ -574,8 +698,9 @@ mod tests {
     /// Small fixed joins through every residual arm (packed against
     /// packed, packed against a tuple, tuple against tuple), each arm
     /// carrying a residual equality and an inequality, with a root check
-    /// on both root kinds — the sequential companion of the property
-    /// test, cheap enough for the Miri job.
+    /// — the sequential companion of the property test, cheap enough for
+    /// the Miri job. `a.1 < b.1` and `a.1 = c.1` name the next column of
+    /// their stage's view, so both stages seek inside their groups.
     #[test]
     fn each_residual_path_matches_nested_loops() {
         // The fourth field joins nothing; as a string it only keeps a
@@ -620,29 +745,48 @@ mod tests {
         let (root_less, less) = (vec![(1, 0)], vec![vec![((0, 1), 1)], vec![((1, 0), 0)]]);
         for unpacked in 0..8usize {
             let packed = |bit: usize| unpacked >> bit & 1 == 0;
-            for indexed_root in [false, true] {
-                let c = Case {
-                    rels: vec![rel(&a, packed(0)), rel(&b, packed(1)), rel(&c, packed(2))],
-                    keys: keys.clone(),
-                    less: less.clone(),
-                    root_less: root_less.clone(),
-                    indexed_root,
-                };
-                let mut want = Vec::new();
-                nested_loops(&c, &mut Vec::new(), &mut want);
-                want.sort();
-                let mut got = c.with_walk(|root, stages, delta| {
-                    let mut got = Vec::new();
-                    let seeks = walk(root, &c.root_less, stages, |rows| got.push(collect(rows)));
-                    let (reference, reference_seeks) = reference_walk(&c, delta);
-                    assert_eq!(got, reference, "unpacked={unpacked:03b}");
-                    assert_eq!(seeks, reference_seeks, "unpacked={unpacked:03b}");
-                    got
-                });
-                got.sort();
-                assert_eq!(got, want, "unpacked={unpacked:03b} indexed={indexed_root}");
-                assert_eq!(want.len(), 4, "the fixture must have rows to find");
-            }
+            let c = Case {
+                rels: vec![rel(&a, packed(0)), rel(&b, packed(1)), rel(&c, packed(2))],
+                keys: keys.clone(),
+                less: less.clone(),
+                root_less: root_less.clone(),
+            };
+            let mut want = Vec::new();
+            nested_loops(&c, &mut Vec::new(), &mut want);
+            want.sort();
+            let mut got = c.with_walk(|root, stages| {
+                let mut got = Vec::new();
+                let seeks = walk(root, &c.root_less, stages, |rows| got.push(collect(rows)));
+                let (reference, reference_seeks) = reference_walk(&c);
+                assert_eq!(got, reference, "unpacked={unpacked:03b}");
+                assert_eq!(seeks, reference_seeks, "unpacked={unpacked:03b}");
+                got
+            });
+            got.sort();
+            assert_eq!(got, want, "unpacked={unpacked:03b}");
+            assert_eq!(want.len(), 4, "the fixture must have rows to find");
         }
+    }
+
+    #[test]
+    fn fan_out_spreads_a_single_key_root_over_the_pool() {
+        // Every root row shares one key: pieces cut by groups would be
+        // one task. Cut by rows, a 2-thread pool gets 4·T pieces, each
+        // walking its share of the one group in root order.
+        let root: Vec<Tuple> = (0..64)
+            .map(|i| Tuple::new(TableId(0), vec![Value::Int(7), Value::Int(i)]))
+            .collect();
+        let probe = vec![Tuple::new(TableId(0), vec![Value::Int(7), Value::Int(0)])];
+        let (root, probe) = (view(&root, 0), view(&probe, 0));
+        let keys = [((0, 0), 0)];
+        let stages = [Stage::new(&probe, &keys, &[])];
+        let pool = ThreadPool::new(2);
+        let (pieces, _) = fan_out(&root, &[], &stages, Some(&pool), Vec::new, |acc, rows| {
+            acc.push(rows[0].int(1))
+        });
+        assert_eq!(pieces.len(), 8, "4·T pieces over one group");
+        assert!(pieces.iter().all(|p| p.len() == 8), "{pieces:?}");
+        let order: Vec<i64> = pieces.into_iter().flatten().collect();
+        assert_eq!(order, (0..64).collect::<Vec<_>>());
     }
 }

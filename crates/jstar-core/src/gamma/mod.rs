@@ -19,7 +19,6 @@ pub(crate) mod leapfrog;
 mod reservation;
 
 pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
-pub(crate) use cursor::sort_by_value;
 pub use cursor::{ColumnCursor, ColumnIndex};
 
 /// Factory closure for [`StoreKind::Custom`].
@@ -157,7 +156,8 @@ pub trait TableStore: Send + Sync {
     }
 
     /// Builds a sorted per-column view for a leapfrog join walk: every
-    /// distinct value of `field` ascending, each with its tuples. The
+    /// distinct value of `field` ascending, each with its tuples ordered
+    /// by their next column (see [`ColumnIndex`]). The
     /// result is shared (`Arc`) by all workers of one walk; each opens
     /// its own [`ColumnCursor`] over it.
     ///

@@ -838,11 +838,12 @@ mod tests {
         assert_eq!(plan.stages[0].probe_table, prog.table_id("T1").unwrap());
         assert_eq!(plan.stages[0].keys, vec![((0, 1), 0)]);
         assert_eq!(plan.stages[1].probe_table, prog.table_id("T2").unwrap());
-        // on_bc sources row 1 (the stage-1 tuple) and comes first, the
-        // column the view is opened on, though declared after on_ac
-        // (row 0, the trigger); the inequalities keep the same layout,
-        // in declaration order, and lt_a is a root check.
-        assert_eq!(plan.stages[1].keys, vec![((1, 1), 0), ((0, 0), 1)]);
+        // The C keys keep call order: on_ac (row 0, the trigger) was
+        // declared first, so T2.f is the column the view is opened on
+        // and on_bc (row 1, the stage-1 tuple) is a residual; the
+        // inequalities keep the same layout, in declaration order, and
+        // lt_a is a root check.
+        assert_eq!(plan.stages[1].keys, vec![((0, 0), 1), ((1, 1), 0)]);
         assert_eq!(plan.stages[1].less, vec![((1, 0), 1), ((0, 1), 0)]);
         assert!(plan.stages[0].less.is_empty());
         assert_eq!(plan.root_less, vec![(0, 1)]);

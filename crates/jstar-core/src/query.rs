@@ -23,20 +23,26 @@
 //!   walk over the engine's pool (`init` / `fold` / `merge`); each
 //!   gets the decoded rows, `(a, b)` or `(a, b, c)`;
 //! * **rules**: [`crate::program::ProgramBuilder::rule_rel_join`], `A`
-//!   the trigger, whose inspectable plan feeds the same walk — the
-//!   sorted delta as its root — when a wide class executes as a
+//!   the trigger, whose inspectable plan feeds the same walk — a view
+//!   cut from the delta as its root — when a wide class executes as a
 //!   batched delta-join (a class of at least 32 tuples,
 //!   `DELTA_JOIN_MIN_CLASS` in the engine's scheduler).
 //!
 //! **The variable order is fixed, never optimized.** Relations
 //! intersect in the order the builder declares them, each keyed on the
-//! column its *first* equality pair names; every further pair is a
-//! residual filter inside matched groups, and each typed inequality
-//! (`lt`, on `int`, `String` or `boolean` fields) runs at the first
-//! stage that binds both of its sides. There are no statistics and
-//! no planner — order the relations yourself (most selective first),
-//! and read the cost directly off `RunReport::join_seeks` /
-//! `join_cursor_opens` instead of guessing what a planner chose.
+//! column its *first* equality pair names (for `join3`'s `C`, the first
+//! `on_ac` or `on_bc` called); every further pair is a residual filter
+//! inside matched groups, and each typed inequality (`lt`, on `int`,
+//! `String` or `boolean` fields) runs at the first stage that binds
+//! both of its sides. A view orders each group by its rows' *next*
+//! column (the first one other than the key), so when that column is
+//! all-integer a residual equality on it, or else an inequality
+//! bounding it from below, seeks inside the group instead of scanning
+//! it: key a relation on a column and bind its next one, and the
+//! stage walks a sorted list. There are no statistics and no planner —
+//! order the relations yourself (most selective first), and read the
+//! cost directly off `RunReport::join_seeks` / `join_cursor_opens`
+//! instead of guessing what a planner chose.
 //!
 //! Migrating a hand-written nested loop onto `join()`:
 //!

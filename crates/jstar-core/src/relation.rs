@@ -660,11 +660,14 @@ impl<R> IntoProbe<R> for Binder<'_, R> {
 ///
 /// The variable order is **fixed by declaration order** (`A` then `B`;
 /// no cost-based optimizer): row 0 is the root of one leapfrog walk —
-/// `A`'s column view on a read, the sorted delta of triggering `A`
+/// `A`'s column view on a read, a view cut from the triggering `A`
 /// tuples in a rule — and `B`'s view, opened on the first `on` pair's
 /// column, is its single stage, sought with coordinated seek/next
 /// motions. Any further `on` pairs are residual equalities inside
-/// matched groups, checked beside the [`Join::lt`] inequalities.
+/// matched groups, checked beside the [`Join::lt`] inequalities; one on
+/// the view's next column (the first field of `B` other than its key)
+/// seeks inside the group, as does, failing that, an inequality
+/// bounding that column from below.
 pub fn join<A: Relation, B: Relation>() -> Join<A, B> {
     Join {
         keys: Vec::new(),
@@ -703,9 +706,12 @@ impl<A: Relation, B: Relation> Join<A, B> {
 /// fixed as `A`, `B`, then `C` (declaration order; no optimizer): `A`
 /// and `B` leapfrog on the first [`Join3::on_ab`] pair, then each
 /// matched `(a, b)` row seeks a shared `C` view keyed by the first
-/// [`Join3::on_bc`] pair — or the first [`Join3::on_ac`] pair when no
-/// `b`–`c` key exists — with every remaining pair checked as a
-/// residual equality.
+/// `C` pair declared — [`Join3::on_bc`] or [`Join3::on_ac`], whichever
+/// was called first — with every remaining pair checked as a residual
+/// equality. A residual equality on the `C` view's next column (the
+/// first field of `C` other than its key) seeks inside the matched
+/// group instead: declaring `.on_ac(A::x, C::from).on_bc(B::y, C::to)`
+/// walks each `c` group as a sorted list merged against `b`'s.
 ///
 /// Each inequality is checked at the first row that binds both of its
 /// sides: [`Join3::lt_a`] before an `a` row is walked at all,
@@ -714,8 +720,7 @@ impl<A: Relation, B: Relation> Join<A, B> {
 pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
     Join3 {
         ab: join(),
-        bc: Vec::new(),
-        ac: Vec::new(),
+        c_keys: Vec::new(),
         a_less: Vec::new(),
         c_less: Vec::new(),
         _marker: PhantomData,
@@ -726,8 +731,8 @@ pub fn join3<A: Relation, B: Relation, C: Relation>() -> Join3<A, B, C> {
 /// `B`, plus the stage that seeks `C` and the root checks.
 pub struct Join3<A: Relation, B: Relation, C: Relation> {
     ab: Join<A, B>,
-    bc: Vec<Pair>,
-    ac: Vec<Pair>,
+    /// The `C` stage's key pairs in call order: the first is sought.
+    c_keys: Vec<Pair>,
     a_less: Vec<(usize, usize)>,
     c_less: Vec<Pair>,
     _marker: PhantomData<fn(C)>,
@@ -741,15 +746,18 @@ impl<A: Relation, B: Relation, C: Relation> Join3<A, B, C> {
         self
     }
 
-    /// Adds the equi-join pair `b.field == c.field`.
+    /// Adds the equi-join pair `b.field == c.field` (the first `C`
+    /// pair, this or [`Join3::on_ac`], names the column `C`'s view is
+    /// opened on).
     pub fn on_bc<T: FieldValue>(mut self, b: Field<B, T>, c: Field<C, T>) -> Self {
-        self.bc.push(((1, b.index()), c.index()));
+        self.c_keys.push(((1, b.index()), c.index()));
         self
     }
 
-    /// Adds the equi-join pair `a.field == c.field`.
+    /// Adds the equi-join pair `a.field == c.field` (see
+    /// [`Join3::on_bc`]).
     pub fn on_ac<T: FieldValue>(mut self, a: Field<A, T>, c: Field<C, T>) -> Self {
-        self.ac.push(((0, a.index()), c.index()));
+        self.c_keys.push(((0, a.index()), c.index()));
         self
     }
 
@@ -797,9 +805,8 @@ pub trait JoinShape: sealed::Sealed + 'static {
 
     /// The root checks — `(field, field)` pairs of row 0, the first
     /// below the second — and one [`JoinStage`] per relation after `A`
-    /// (row 0 is `A`, row 1 `B`, …; each stage's first key pair names
-    /// the column its view is opened on, and the `C` stage lists its
-    /// `b`-sourced keys first, so a `b` key is preferred for the seek).
+    /// (row 0 is `A`, row 1 `B`, …; each stage's key pairs are in call
+    /// order, and the first names the column its view is opened on).
     /// `ids` are [`JoinShape::relation_ids`].
     #[doc(hidden)]
     fn lower(self, ids: &[TableId]) -> (Vec<(usize, usize)>, Vec<JoinStage>);
@@ -838,12 +845,11 @@ impl<A: Relation, B: Relation, C: Relation> JoinShape for Join3<A, B, C> {
         vec![tables.id::<A>(), tables.id::<B>(), tables.id::<C>()]
     }
 
-    fn lower(mut self, ids: &[TableId]) -> (Vec<(usize, usize)>, Vec<JoinStage>) {
+    fn lower(self, ids: &[TableId]) -> (Vec<(usize, usize)>, Vec<JoinStage>) {
         let (_, mut stages) = self.ab.lower(ids);
-        self.bc.append(&mut self.ac);
         stages.push(JoinStage {
             probe_table: ids[2],
-            keys: self.bc,
+            keys: self.c_keys,
             less: self.c_less,
         });
         (self.a_less, stages)
@@ -1133,6 +1139,27 @@ mod tests {
         assert_eq!(stage.probe_table, TableId(3));
         assert_eq!(stage.keys, vec![((0, 0), 1), ((0, 1), 0)]);
         assert_eq!(stage.less, vec![((0, 1), 1)]);
+    }
+
+    #[test]
+    fn join3_lowers_c_keys_in_call_order() {
+        // Whichever of on_ac / on_bc comes first keys the C stage; the
+        // rest follow in call order as residuals.
+        let ids = [TableId(1), TableId(2), TableId(3)];
+        let ac_first = join3::<Ship, Ship, Ship>()
+            .on_ab(Ship::x, Ship::frame)
+            .on_ac(Ship::frame, Ship::frame)
+            .on_bc(Ship::x, Ship::x)
+            .on_ac(Ship::x, Ship::x);
+        let (_, stages) = ac_first.lower(&ids);
+        assert_eq!(stages[1].probe_table, TableId(3));
+        assert_eq!(stages[1].keys, vec![((0, 0), 0), ((1, 1), 1), ((0, 1), 1)]);
+        let bc_first = join3::<Ship, Ship, Ship>()
+            .on_ab(Ship::x, Ship::frame)
+            .on_bc(Ship::x, Ship::x)
+            .on_ac(Ship::frame, Ship::frame);
+        let (_, stages) = bc_first.lower(&ids);
+        assert_eq!(stages[1].keys, vec![((1, 1), 1), ((0, 0), 0)]);
     }
 
     #[test]
