@@ -308,26 +308,16 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
 }
 
 /// Applies the paper's optimisation flags: Edge/Done skip the Delta tree
-/// (they never trigger rules), Estimate skips Gamma (trigger-only), and
-/// Edge/Done get hash indexes on their query fields.
+/// (they never trigger rules) and Estimate skips Gamma (trigger-only).
+/// Both probed tables keep the default store, which already serves their
+/// queries: `Edge.from` is its first column, which the default chains
+/// on, and `Done.vertex` is its key.
 pub fn optimised_config(app: &ShortestPathApp, config: EngineConfig) -> EngineConfig {
     config
         .no_delta(app.edge)
         .no_delta(app.done)
         .no_gamma(app.estimate)
         .no_gamma(app.gen_task)
-        .store(
-            app.edge,
-            StoreKind::Hash {
-                index_fields: vec!["from".into()],
-            },
-        )
-        .store(
-            app.done,
-            StoreKind::Hash {
-                index_fields: vec!["vertex".into()],
-            },
-        )
 }
 
 /// Runs the JStar program and returns `dist[vertex]` (`i64::MAX` when a

@@ -312,20 +312,14 @@ fn strata_model(puts: &[&str], reads: &[&str]) -> CausalityModel {
 }
 
 /// Per-app optimisation flags in the paper's style: `Edge` never
-/// triggers a rule (`-noDelta`) and is only ever probed by its `from`
-/// field, so it gets a sharded hash index; `Load` and `Probe` are
-/// trigger-only (`-noGamma`).
+/// triggers a rule (`-noDelta`); `Load` and `Probe` are trigger-only
+/// (`-noGamma`). `Edge` keeps the default store: it is only ever read by
+/// its `from` field, its first column, which the default chains on.
 pub fn optimised_config(app: &TrianglesApp, config: EngineConfig) -> EngineConfig {
-    (config
+    config
         .no_delta(app.edge)
         .no_gamma(app.load)
-        .no_gamma(app.probe))
-    .store(
-        app.edge,
-        StoreKind::Hash {
-            index_fields: vec!["from".into()],
-        },
-    )
+        .no_gamma(app.probe)
 }
 
 /// Runs the JStar program and returns the triangle count.
@@ -469,6 +463,16 @@ mod tests {
             assert!(dj.delta_join_build_tuples > 0);
             assert_eq!(pt.delta_join_classes, 0, "per-tuple mode engaged: {pt:?}");
             assert_eq!(pt.join_cursor_opens, 0, "per-tuple mode opens no cursors");
+            // Every cursor open is served by the index cache, as a hit or
+            // as a build; no open catches a view up.
+            for r in [&dj, &fi, &pt] {
+                assert_eq!(
+                    r.index_cache_hits + r.index_cache_misses,
+                    r.join_cursor_opens,
+                    "{threads} threads: {r:?}"
+                );
+                assert_eq!(r.index_catchup_tuples, 0, "{threads} threads");
+            }
             assert!(
                 dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
                 "{threads} threads: merged walk does less store searching: \

@@ -537,7 +537,7 @@ impl Engine {
             join_cursor_opens: state.stats.join_cursor_opens.load(Ordering::Relaxed),
             index_cache_hits: cache_stats.hits,
             index_cache_misses: cache_stats.misses,
-            index_catchup_tuples: cache_stats.catchup_tuples,
+            index_catchup_tuples: 0,
             index_build_tuples: cache_stats.build_tuples,
             output: state.output.lock().clone(),
         })

@@ -137,25 +137,23 @@
 //! ## The index-cache lifecycle
 //!
 //! Leapfrog join walks open sorted per-column views
-//! ([`crate::gamma::TableStore::open_cursor`]); iterative programs
-//! reopen the same columns step after step over largely-unchanged
-//! tables. Each built view is kept in a per-table cache
+//! ([`crate::gamma::Gamma::open_cursor`]); a walk's stages, a read-side
+//! walk after the run and the next class over an unchanged table reopen
+//! the same columns. Each built view is kept in a per-table cache
 //! ([`crate::gamma::IndexCache`]) stamped with the store's
-//! claim-journal **generation**: a warm open sorts only the
-//! journal suffix appended since the stamp and two-way merges it into
-//! the cached view's flat arrays (dense integer keys and packed integer
-//! cells included), so its sorting cost tracks the *new* tuples per
-//! step instead of the live table. Lifetime-hint `retain`s (a changed
-//! tombstone count) and quiescent rebuilds — compaction, snapshot
-//! import, both of which bump the store's epoch — invalidate wholesale;
-//! both happen only in the maintain phase. Custom stores, which keep no
-//! claim journal, build cold on every open, and a per-table LRU byte bound
+//! [`crate::gamma::IndexStamp`] — claim-journal **generation**, epoch,
+//! tombstone count — and served again only while the store's stamp
+//! equals it. Any change (a new row, a lifetime-hint `retain`, a
+//! compaction or snapshot import, both of which bump the epoch)
+//! rebuilds the view with the same journal walk from position 0. Custom
+//! stores, which keep no claim journal, build over `for_each` on every
+//! open, and a per-table LRU byte bound
 //! ([`crate::gamma::DEFAULT_INDEX_CACHE_MAX_BYTES`]) caps the memory.
 //! [`RunReport::index_cache_hits`]/[`RunReport::index_cache_misses`]/
-//! [`RunReport::index_catchup_tuples`]/[`RunReport::index_build_tuples`]
-//! put the rebuild-work reduction on record, and the cached views are
-//! property-tested against an engine whose custom store builds every
-//! view cold (`tests/prop_engine.rs::cached_index_matches_cold_build`).
+//! [`RunReport::index_build_tuples`] put the saved rebuilds on record,
+//! and the cached views are property-tested against an engine whose
+//! custom store builds every view cold
+//! (`tests/prop_engine.rs::cached_index_matches_cold_build`).
 //!
 //! ## Hot-path architecture
 //!

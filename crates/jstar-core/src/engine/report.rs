@@ -70,21 +70,20 @@ pub struct RunReport {
     /// (walk × relation), each also counted in
     /// [`RunReport::gamma_probes`].
     pub join_cursor_opens: u64,
-    /// Cursor opens served from the generation-stamped index cache
-    /// (including after a journal-suffix catch-up) — see
-    /// [`crate::gamma::IndexCache`].
+    /// Cursor opens served from the generation-stamped index cache: the
+    /// view built last, reopened while the table's stamp has not moved
+    /// — see [`crate::gamma::IndexCache`].
     pub index_cache_hits: u64,
-    /// Cursor opens that built a column view from scratch: store
-    /// without a claim journal, first open of a column, or
-    /// wholesale invalidation (compaction epoch / tombstone change).
+    /// Cursor opens that built a column view: store without a claim
+    /// journal, first open of a column, or a table that changed since
+    /// the last build (new rows, tombstones, compaction).
     pub index_cache_misses: u64,
-    /// Tuples sorted and merged by incremental journal-suffix catch-ups
-    /// on warm opens. The cache's point is that this grows with the
-    /// *new* tuples per step, while…
+    /// Always zero; kept for `spine/adapter.rs`. A view is never caught
+    /// up: a changed table is rebuilt and counted in
+    /// [`RunReport::index_build_tuples`].
     pub index_catchup_tuples: u64,
-    /// …tuples sorted by full cold builds — a store without a claim
-    /// journal re-counts every live tuple on every walk, which is
-    /// exactly the repeated work the cache removes.
+    /// Tuples sorted by view builds — every live tuple of the table
+    /// once per miss, which is the work a hit saves.
     pub index_build_tuples: u64,
     /// Collected `println` output (order not significant).
     pub output: Vec<String>,

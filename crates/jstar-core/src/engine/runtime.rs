@@ -386,6 +386,7 @@ pub(super) fn open_views(
     columns
         .map(|(table, field)| {
             let stripe = state.stats.tables[table.index()].stripe(state.staging_shard());
+            // ord: Relaxed ×2 — statistics only, read after the run.
             stripe.queries.fetch_add(1, Ordering::Relaxed);
             let stats = &state.stats;
             stats.join_cursor_opens.fetch_add(1, Ordering::Relaxed);
@@ -425,6 +426,7 @@ fn run_join_rule(
     fresh: &[&Tuple],
     pool: Option<&ThreadPool>,
 ) {
+    // ord: Relaxed — statistic only.
     state
         .stats
         .delta_join_build_tuples
@@ -444,6 +446,7 @@ fn run_join_rule(
         |(), rows| (plan.emit)(&ctx, rows),
     );
     if seeks > 0 {
+        // ord: Relaxed — statistic only.
         state.stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
     }
 }

@@ -24,15 +24,16 @@
 //!   equality reads one contiguous slice and never touches the tuple.
 //!
 //! The packed mirrors are decided by what the column holds, once, when
-//! the view is built or merged; a view never changes after that. A
-//! build is one pass that packs each row as it is read (its key and
-//! next-column values and its cells), one sort of the packed records,
-//! and a cut of the sorted records into groups that reads no row again.
-//! It is built by [`super::TableStore::open_cursor`] (or caught up by
-//! the [`super::IndexCache`]) and shared — it is handed out in an `Arc`
-//! — by every worker participating in a walk; each worker positions its
-//! own lightweight [`ColumnCursor`] over it. The join walks themselves
-//! live in [`super::leapfrog`].
+//! the view is built; a view never changes after that — a table that
+//! has grown gets a new view, built the same way. A build is one pass
+//! that packs each row as it is read (its key and next-column values and
+//! its cells), one sort of the packed records, and a cut of the sorted
+//! records into groups that reads no row again. It is built by the
+//! [`super::IndexCache`] (over a claim journal, or a custom store's
+//! `for_each`) or from a join rule's delta, and shared — it is handed
+//! out in an `Arc` — by every worker participating in a walk; each
+//! worker positions its own lightweight [`ColumnCursor`] over it. The
+//! join walks themselves live in [`super::leapfrog`].
 //!
 //! The cursor distinguishes the two leapfrog-triejoin motions:
 //!
@@ -52,7 +53,6 @@
 use crate::error::{JStarError, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
-use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -110,8 +110,7 @@ fn next_column(field: usize, width: usize) -> Option<usize> {
 /// The rows of one store pass, packed as they are read — each row's key
 /// and next-column value with its journal position, its handle, and its
 /// fields while all are integers — then sorted into view order by
-/// [`Batch::sort`]. What a cold build and a catch-up feed to the cut
-/// and the merge.
+/// [`Batch::sort`]. What every build feeds to the cut.
 pub(crate) struct Batch {
     field: usize,
     next: Option<usize>,
@@ -271,25 +270,6 @@ impl Batch {
     }
 }
 
-impl Records {
-    /// The records in their current order as `(key, next, position)`
-    /// values — what a merge, which is not the hot path, walks.
-    fn into_values(self) -> Vec<(Value, Value, usize)> {
-        let int = |(k, n, at): (i64, i64, usize)| (Value::Int(k), Value::Int(n), at);
-        match self {
-            Records::Ints(ints) => (ints.into_iter())
-                .map(|(k, n, at)| int((k, n, at as usize)))
-                .collect(),
-            Records::Packed(packed) => (packed.words.iter())
-                .map(|&w| int(packed.unpack(w)))
-                .collect(),
-            Records::Values(values) => (values.into_iter())
-                .map(|(k, n, at)| (k, n, at as usize))
-                .collect(),
-        }
-    }
-}
-
 /// `v` as an integer, when it is one.
 fn int_of(v: &Value) -> Option<i64> {
     match v {
@@ -311,7 +291,7 @@ fn cells_at(cells: Option<&[i64]>, width: usize, at: usize) -> Option<&[i64]> {
 }
 
 /// Accumulates the flat arrays group by group — the one place the
-/// packed mirrors are decided, shared by the cold cut and the merge.
+/// packed mirrors are decided.
 struct FlatBuilder {
     keys: Vec<Value>,
     starts: Vec<u32>,
@@ -364,22 +344,6 @@ impl FlatBuilder {
         self.rows.push(t);
     }
 
-    /// Appends rows `range` of `old` to the open group: handles cloned,
-    /// mirrors copied as slices.
-    fn push_rows_of(&mut self, old: &ColumnIndex, range: Range<usize>) {
-        match (&mut self.int_next, &old.int_next) {
-            (Some(dense), Some(from)) => dense.extend_from_slice(&from[range.clone()]),
-            _ => self.int_next = None,
-        }
-        match (&mut self.cells, &old.cells) {
-            (Some(cells), Some(packed)) => {
-                cells.extend_from_slice(&packed[range.start * old.width..range.end * old.width]);
-            }
-            _ => self.cells = None,
-        }
-        self.rows.extend_from_slice(&old.rows[range]);
-    }
-
     fn finish(mut self) -> ColumnIndex {
         // `starts` is u32: half the bytes of usize offsets on the array
         // every group lookup reads.
@@ -405,9 +369,9 @@ impl FlatBuilder {
 }
 
 impl ColumnIndex {
-    /// Builds the view of `field` over a full `visit` pass — the
-    /// default [`super::TableStore::open_cursor`]. Rows with equal key
-    /// and next-column values keep visit order.
+    /// Builds the view of `field` over a full `visit` pass — how the
+    /// cache builds a custom store's view. Rows with equal key and
+    /// next-column values keep visit order.
     pub fn build(field: usize, visit: &mut TupleVisit<'_>) -> ColumnIndex {
         let mut batch = Batch::new(field, 0);
         visit(&mut |t| batch.push(t));
@@ -422,20 +386,15 @@ impl ColumnIndex {
         ColumnIndex::from_batch(batch)
     }
 
-    /// [`ColumnIndex::try_from_batch`], whose sort makes the cut's order
-    /// check pass.
-    fn from_batch(batch: Batch) -> ColumnIndex {
-        match ColumnIndex::try_from_batch(batch) {
+    /// Sorts a batch into view order and cuts it into the flat view —
+    /// the one build, over a store pass, a claim journal or a join
+    /// rule's delta. The sort makes the cut's order check pass.
+    pub(crate) fn from_batch(mut batch: Batch) -> ColumnIndex {
+        batch.sort();
+        match ColumnIndex::try_from_sorted(batch) {
             Ok(index) => index,
             Err(e) => unreachable!("the batch is sorted before it is cut: {e}"),
         }
-    }
-
-    /// Sorts a batch into view order and cuts it into the flat view —
-    /// the one cold build, over a store pass or a join rule's delta.
-    pub(crate) fn try_from_batch(mut batch: Batch) -> Result<ColumnIndex> {
-        batch.sort();
-        ColumnIndex::try_from_sorted(batch)
     }
 
     /// Cuts a batch whose records are already in view order (keys
@@ -465,72 +424,6 @@ impl ColumnIndex {
             }
         }?;
         Ok(flat.finish())
-    }
-
-    /// Merges a batch of *new* rows into this view, producing the
-    /// caught-up view in one linear pass over both sides: values
-    /// interleave in ascending order, and where a value exists on both
-    /// sides the new rows join its group by next-column value,
-    /// **after** cached rows with an equal one — new rows carry later
-    /// journal positions, so the merged group is exactly what a cold
-    /// build over the longer journal would emit. Cached rows are copied
-    /// a run at a time (handles cloned, mirrors as slices); only the new
-    /// rows are unpacked.
-    pub(crate) fn merge_suffix(&self, mut new: Batch) -> ColumnIndex {
-        new.sort();
-        let (width, next) = match self.rows.is_empty() {
-            true => (new.width, new.next),
-            false => (self.width, self.next),
-        };
-        let packed = self.cells.is_some() && new.cells.is_some();
-        let mut flat = FlatBuilder::new(width, next, self.rows.len() + new.len(), packed);
-        let (records, mut rows, cells) = new.into_parts();
-        let (rows, cells) = (&mut rows[..], cells.as_deref());
-        let mut records = records.into_values().into_iter().peekable();
-        let mut push = |flat: &mut FlatBuilder, (_, next, at): (Value, Value, usize)| {
-            flat.push(take(rows, at), int_of(&next), cells_at(cells, width, at));
-        };
-        let mut g = 0;
-        loop {
-            // The smaller head opens the next group; on a tie the cached
-            // group goes first and the new rows merge into it.
-            let old_first = match (self.keys.get(g), records.peek()) {
-                (None, None) => break,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (Some(old), Some((fresh, _, _))) => old <= fresh,
-            };
-            if old_first {
-                flat.open_group(self.keys[g].clone());
-                let Range { mut start, end } = self.group_range(g);
-                while let Some(record) = records.next_if(|(k, _, _)| *k == self.keys[g]) {
-                    let stay = (start..end).take_while(|&r| self.cmp_next(r, &record.1).is_le());
-                    let stop = start + stay.count();
-                    flat.push_rows_of(self, start..stop);
-                    start = stop;
-                    push(&mut flat, record);
-                }
-                flat.push_rows_of(self, start..end);
-                g += 1;
-            } else if let Some(record) = records.next() {
-                flat.open_group(record.0.clone());
-                push(&mut flat, record);
-                while let Some(record) = records.next_if(|(k, _, _)| flat.keys.last() == Some(k)) {
-                    push(&mut flat, record);
-                }
-            }
-        }
-        flat.finish()
-    }
-
-    /// Row `r`'s next-column value against `v`, under [`Value`]'s
-    /// order (equal when rows have no next column).
-    fn cmp_next(&self, r: usize, v: &Value) -> Ordering {
-        match (&self.int_next, self.next) {
-            (Some(dense), _) => Value::Int(dense[r]).cmp(v),
-            (None, Some(n)) => self.rows[r].get(n).cmp(v),
-            (None, None) => Ordering::Equal,
-        }
     }
 
     /// Heap bytes this view owns, for the cache's byte-bounded LRU: the
@@ -1010,13 +903,18 @@ pub(super) mod tests {
 
     #[test]
     fn merge_suffix_equals_one_build_over_both_batches() {
+        use crate::gamma::testutil::keyless_def;
+        use crate::gamma::{HashStore, IndexCache, TableStore};
         let row = |k: i64, n: i64, s: Option<&str>| {
             let last = s.map_or(Value::Int(n), |s| Value::str(s.to_string()));
             Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n), last])
         };
-        // New keys fall below, between, inside and above the old groups;
-        // inside a group, new next-column values fall below, between,
-        // on and above the cached ones.
+        // A view is opened over the old batch, the new one is inserted,
+        // and the reopen rebuilds: a miss whose view is one build over
+        // both batches in journal order. New keys fall below, between,
+        // inside and above the old groups; inside a group, new
+        // next-column values fall below, between, on and above the old
+        // ones, and one new row repeats an old one.
         let old = [(4, 3), (2, 1), (4, 7), (8, 3), (4, 5)];
         let new = [
             (1, 4),
@@ -1031,31 +929,48 @@ pub(super) mod tests {
         for unpacked_in_old in [false, true] {
             for unpacked_in_new in [false, true] {
                 let s = |on: bool, i: usize| (on && i == 1).then_some("s");
-                let mut all: Vec<Tuple> = (old.iter().enumerate())
-                    .map(|(i, &(k, n))| row(k, n, s(unpacked_in_old, i)))
-                    .collect();
-                let cached = ColumnIndex::build(0, &mut |emit| all.iter().for_each(&mut *emit));
-                let suffix: Vec<Tuple> = (new.iter().enumerate())
-                    .map(|(i, &(k, n))| row(k, n, s(unpacked_in_new, i)))
-                    .collect();
-                let merged = cached.merge_suffix(batch(&suffix));
-                all.extend(suffix);
-                let cold = ColumnIndex::build(0, &mut |emit| all.iter().for_each(&mut *emit));
-                assert_eq!(merged, cold, "old={unpacked_in_old} new={unpacked_in_new}");
+                let store = HashStore::with_first_segment(keyless_def(), vec![0], 256);
+                let cache = IndexCache::new(1, usize::MAX);
+                let mut all: Vec<Tuple> = Vec::new();
+                let mut insert = |t: Tuple| {
+                    if !all.contains(&t) {
+                        all.push(t.clone());
+                    }
+                    store.insert(t);
+                };
+                for (i, &(k, n)) in old.iter().enumerate() {
+                    insert(row(k, n, s(unpacked_in_old, i)));
+                }
+                let cached = cache.open(0, 0, &store);
+                for (i, &(k, n)) in new.iter().enumerate() {
+                    insert(row(k, n, s(unpacked_in_new, i)));
+                }
+                let rebuilt = cache.open(0, 0, &store);
+                let both = ColumnIndex::build(0, &mut |emit| all.iter().for_each(&mut *emit));
+                let case = format!("old={unpacked_in_old} new={unpacked_in_new}");
+                assert_eq!(*rebuilt, both, "{case}");
+                assert!(!Arc::ptr_eq(&cached, &rebuilt), "{case}");
+                let st = cache.stats();
+                assert_eq!((st.misses, st.hits), (2, 0), "{case}");
+                assert_eq!(st.build_tuples, (cached.rows.len() + all.len()) as u64);
                 assert_eq!(
-                    merged.cells.is_some(),
+                    rebuilt.cells.is_some(),
                     !(unpacked_in_old || unpacked_in_new),
-                    "cells survive a merge only when both sides are all-integer"
+                    "cells only when both batches are all-integer"
                 );
-                assert!(merged.int_next.is_some());
-                assert_eq!(merged.approx_bytes(), cold.approx_bytes());
+                assert!(rebuilt.int_next.is_some());
+                assert_eq!(rebuilt.approx_bytes(), both.approx_bytes());
             }
         }
-        // Merging into an empty view is a cold build of the suffix.
-        let empty = ColumnIndex::build(0, &mut |_| {});
+        // A view opened over an empty table is rebuilt like any other.
+        let store = HashStore::with_first_segment(keyless_def(), vec![0], 256);
+        let cache = IndexCache::new(1, usize::MAX);
+        assert!(cache.open(0, 0, &store).is_empty());
         let t = row(3, 0, None);
-        let merged = empty.merge_suffix(batch(std::slice::from_ref(&t)));
-        assert_eq!(merged, ColumnIndex::build(0, &mut |emit| emit(&t)));
+        store.insert(t.clone());
+        let rebuilt = cache.open(0, 0, &store);
+        assert_eq!(*rebuilt, ColumnIndex::build(0, &mut |emit| emit(&t)));
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

@@ -155,33 +155,14 @@ pub trait TableStore: Send + Sync {
         })
     }
 
-    /// Builds a sorted per-column view for a leapfrog join walk: every
-    /// distinct value of `field` ascending, each with its tuples ordered
-    /// by their next column (see [`ColumnIndex`]). The
-    /// result is shared (`Arc`) by all workers of one walk; each opens
-    /// its own [`ColumnCursor`] over it.
-    ///
-    /// The default sorts a full [`TableStore::for_each`] pass
-    /// ([`ColumnIndex::build`]). [`Gamma::open_cursor`] calls it only for
-    /// a store without a [`TableStore::index_stamp`]; a journaled store's
-    /// view is built and caught up off its journal. Opening a cursor is counted
-    /// by the engine as one query against the table (plus a
-    /// `join_cursor_opens` tick), so the probe ledger stays honest.
-    fn open_cursor(&self, field: usize) -> Arc<ColumnIndex> {
-        Arc::new(ColumnIndex::build(field, &mut |emit| {
-            self.for_each(&mut |t| {
-                emit(t);
-                true
-            });
-        }))
-    }
-
     /// The current [`IndexStamp`] of this store's backing storage, or
-    /// `None` when the store cannot support incremental index
-    /// maintenance (no append-only claim journal — custom stores; every
-    /// built-in store has one). Returning `Some` commits the
-    /// store to a working [`TableStore::for_each_journal_suffix`]: the
-    /// two hooks describe the same journal.
+    /// `None` when the store keeps no append-only claim journal (custom
+    /// stores; every built-in store has one) — its column views are then
+    /// built over [`TableStore::for_each`] on every open and never
+    /// cached, and its snapshot sections are encoded every time.
+    /// Returning `Some` commits the store to a working
+    /// [`TableStore::for_each_journal_suffix`]: the two hooks describe
+    /// the same journal.
     fn index_stamp(&self) -> Option<IndexStamp> {
         None
     }
@@ -409,11 +390,17 @@ impl Gamma {
         out
     }
 
-    /// Opens a sorted per-column join view over `table`, served from the
-    /// generation-stamped [`IndexCache`] when the policy and the store's
-    /// [`TableStore::index_stamp`] allow — a warm entry catches up by
-    /// sorting only the claim-journal suffix since its stamp. Cold falls
-    /// back to [`TableStore::open_cursor`].
+    /// Opens a sorted per-column join view over `table` — every
+    /// distinct value of `field` ascending, each with its tuples ordered
+    /// by their next column (see [`ColumnIndex`]) — shared (`Arc`) by
+    /// all workers of one walk, each over its own [`ColumnCursor`]. The
+    /// generation-stamped [`IndexCache`] serves the view it built last
+    /// while the store's [`TableStore::index_stamp`] still equals that
+    /// build's, and otherwise builds it again off the claim journal; a
+    /// store with no stamp is built over [`TableStore::for_each`] on
+    /// every open. The engine counts each open as one query against the
+    /// table (plus a `join_cursor_opens` tick), so the probe ledger
+    /// stays honest.
     pub fn open_cursor(&self, table: TableId, field: usize) -> Arc<ColumnIndex> {
         self.index_cache
             .open(table.index(), field, self.stores[table.index()].as_ref())
@@ -567,7 +554,8 @@ pub(crate) mod testutil {
 
     /// A store with nothing but the required methods — what a custom
     /// store gets from the trait's defaults: no journal, no import of
-    /// its own, reads through the default `query` and cold `open_cursor`.
+    /// its own, reads through the default `query`, and column views the
+    /// cache builds over `for_each` on every open.
     pub struct PlainStore(pub HashStore);
 
     impl TableStore for PlainStore {
@@ -640,8 +628,9 @@ pub(crate) mod testutil {
             vec![kt(2, 20, "y")]
         );
 
-        // Cursor view: distinct column values ascending, grouped.
-        let idx = store.open_cursor(0);
+        // Cursor view through the cache's open path: distinct column
+        // values ascending, grouped.
+        let idx = IndexCache::new(1, usize::MAX).open(0, 0, store);
         assert_eq!(idx.len(), 2);
         let mut c = idx.cursor();
         assert_eq!(c.key(), Some(&Value::Int(1)));
@@ -871,13 +860,26 @@ mod concurrent {
         #[test]
         fn first_column_queries_narrow_via_the_chain_index() {
             // Keyed on `a`, a bound `a` takes the primary walk; keyless,
-            // `a`'s chain.
+            // `a`'s chain. A `Hash` store chained on the first column
+            // builds the same store: every query returns the same rows
+            // and follows the same chain links.
             for def in [keyed_def(), keyless_def()] {
+                let on_a = StoreKind::Hash {
+                    index_fields: vec!["a".into()],
+                };
+                let hashed = on_a.build(Arc::clone(&def));
+                let hashed: &HashStore = hashed.as_any().downcast_ref().expect("a HashStore");
                 on_first_column(def, |s| {
                     for a in 0..200 {
                         s.insert(kt(a, a % 7, "v"));
+                        hashed.insert(kt(a, a % 7, "v"));
                     }
-                    assert_query_paths("first column", s, &queries(42, 3));
+                    let queries = queries(42, 3);
+                    assert_query_paths("first column", s, &queries);
+                    assert_query_paths("Hash on a", hashed, &queries);
+                    for q in &queries {
+                        assert_eq!(rows_and_hops(hashed, q), rows_and_hops(s, q), "{q:?}");
+                    }
                 });
             }
         }

@@ -1047,9 +1047,10 @@ impl ReservationTable {
     /// `lo <= s <= hi` and every journal entry in `lo..s` is non-zero —
     /// i.e. its tuple's publish ([`Segment::journal_push`] runs *after*
     /// the tag's Release store) is visible to this thread. The index
-    /// cache stamps entries with such a stable bound so a later
-    /// catch-up walk over the suffix never skips a tuple whose journal
-    /// entry was mid-append at stamp time.
+    /// cache and the snapshot writer stamp what they read with such a
+    /// stable bound, so a tuple whose journal entry was mid-append then
+    /// is read by the next walk (the cache's next rebuild, the writer's
+    /// next append), never skipped.
     pub fn journal_stable_prefix(&self, lo: usize, hi: usize) -> usize {
         let mut base = 0usize;
         for k in 0..MAX_SEGMENTS {

@@ -144,6 +144,24 @@ fn par_component_collapses_to_one_class() {
     );
 }
 
+jstar_core::jstar_table! {
+    /// A join trigger that `seq round` cuts into one class a round.
+    #[derive(Copy, Eq)]
+    pub Wave(int round, int id) orderby (Int, seq round, Wave)
+}
+
+jstar_core::jstar_table! {
+    /// The join's probe table, grown between the trigger's rounds.
+    #[derive(Copy, Eq)]
+    pub Lit(int id, int round) orderby (Int, seq round, Lit)
+}
+
+jstar_core::jstar_table! {
+    /// What the wave join emits.
+    #[derive(Copy, Eq)]
+    pub Hit(int round, int id) orderby (Hit)
+}
+
 #[test]
 fn seq_component_orders_waves() {
     // orderby (W, seq round, par id): rounds are barriers, ids parallel.
@@ -172,6 +190,47 @@ fn seq_component_orders_waves() {
     let rounds: Vec<i64> = seen.iter().map(|&(r, _)| r).collect();
     assert!(rounds.windows(2).all(|w| w[0] <= w[1]), "{rounds:?}");
     assert_eq!(seen.len(), 32);
+
+    // Waves of a join rule over a probe table that grows between them:
+    // 40 `Lit` rows, a 40-wide wave, 40 more rows, an 80-wide wave, then
+    // a 32-wide wave with nothing new. Each wave is one batched class
+    // and opens the `Lit.id` view once. The grown table's view is
+    // rebuilt — a miss that sorts every live row, 40 then 80 — and the
+    // unchanged one is a hit.
+    let mut p = ProgramBuilder::new();
+    p.relation::<Wave>();
+    p.relation::<Lit>();
+    p.relation::<Hit>();
+    p.order(&["Lit", "Wave"]);
+    p.order(&["Int", "Hit"]);
+    p.rule_rel_join(
+        "wave",
+        join::<Wave, Lit>().on(Wave::id, Lit::id),
+        |ctx, (w, l)| {
+            ctx.put_rel(Hit {
+                round: w.round,
+                id: l.id,
+            })
+        },
+    );
+    for (round, lits) in [(0, 0..40), (2, 40..80)] {
+        lits.for_each(|id| p.put_rel(Lit { id, round }));
+    }
+    for (round, width) in [(1, 40), (3, 80), (4, 32)] {
+        (0..width).for_each(|id| p.put_rel(Wave { round, id }));
+    }
+    let prog = Arc::new(p.build().unwrap());
+    for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+        let threads = config.threads;
+        let mut engine = Engine::new(Arc::clone(&prog), config);
+        let r = engine.run().unwrap();
+        assert_eq!(engine.collect_rel(Hit::query()).len(), 40 + 80 + 32);
+        assert_eq!((r.delta_join_classes, r.join_cursor_opens), (3, 3));
+        let cache = (r.index_cache_misses, r.index_cache_hits);
+        assert_eq!(cache, (2, 1), "{threads} threads: the grown view rebuilds");
+        assert_eq!(r.index_build_tuples, 40 + 80, "{threads} threads");
+        assert_eq!(r.index_catchup_tuples, 0);
+    }
 }
 
 #[test]

@@ -692,17 +692,19 @@ proptest! {
     /// The generation-stamped index cache is a pure execution-strategy
     /// change: for random two-stage join programs — with a lifetime hint
     /// on the probe table so retain/compaction interleaves with the join
-    /// walks mid-run — the cached, journal-caught-up column views of the
-    /// default stores produce **bit-identical pop schedules** (same
-    /// step count, same tuple count), the same Gamma fixpoint, the same
-    /// content hash, and the same cursor-visible group sets as a
-    /// `-sequential` reference that keeps `Dim` in a [`ColdStore`], which
-    /// has no claim journal and so builds every view cold, at 1/4/8
-    /// threads, batched from a 32-wide trigger class and per tuple below
-    /// it. The hint tombstones more than half of — and so, through
-    /// compaction, epoch-bumps — the very table whose cached views the
-    /// join keeps reopening, so wholesale invalidation and journal-suffix
-    /// catch-up both run under live traffic.
+    /// walks mid-run — the cached column views of the default stores,
+    /// each served while its table's stamp stands and rebuilt off the
+    /// claim journal once it moves, produce **bit-identical pop
+    /// schedules** (same step count, same tuple count), the same Gamma
+    /// fixpoint, the same content hash, and the same cursor-visible
+    /// group sets as a `-sequential` reference that keeps `Dim` in a
+    /// [`ColdStore`], which has no claim journal and so builds every
+    /// view cold, at 1/4/8 threads, batched from a 32-wide trigger class
+    /// and per tuple below it. The hint tombstones more than half of —
+    /// and so, through compaction, epoch-bumps — the very table whose
+    /// cached views the join keeps reopening, so rebuilds after a
+    /// tombstone change and after an epoch bump both run under live
+    /// traffic.
     #[test]
     fn cached_index_matches_cold_build(
         dims in 8i64..30,
