@@ -234,11 +234,11 @@ fn prove_lex(
                 return prove_lex(&asm, &a[1..], &b[1..], strict, strata);
             }
             Err(format!(
-                "cannot prove {:?} <= {:?} at this key level",
+                "cannot prove {:?} <= {:?} at this key component",
                 ea.coeffs, eb.coeffs
             ))
         }
-        _ => Err("orderby lists have incompatible shapes at the same tree level".into()),
+        _ => Err("orderby lists have incompatible shapes at the same key component".into()),
     }
 }
 

@@ -1,16 +1,18 @@
-//! The Delta set — JStar's multi-level causal priority queue (§5).
+//! The Delta set — JStar's causal priority queue (§5).
 //!
 //! "The Delta set is organised as a single tree, containing tuples from many
 //! tables, sorted lexicographically by the orderby lists of those tables."
-//! Each level of the tree is one component of the [`OrderKey`]; the leaves
-//! hold *sets* of tuples (duplicates are removed on insert — "a
+//! Here that tree is one ordered map from [`OrderKey`] to the *set* of
+//! tuples queued at that key (duplicates are removed on insert — "a
 //! priority-queue is not sufficient, because we also need to remove
-//! duplicate tuples as they are inserted"). All tuples in the minimal leaf
-//! form one equivalence class and may execute in parallel.
+//! duplicate tuples as they are inserted"). The key's own order is the
+//! lexicographic one, a strict prefix first, so the map's first entry is
+//! the minimal class: all its tuples form one equivalence class and may
+//! execute in parallel.
 //!
-//! Two front-ends share the tree:
+//! Two front-ends share the map:
 //!
-//! * [`DeltaTree`] — the single-threaded tree used directly by the
+//! * [`DeltaTree`] — the single-threaded map used directly by the
 //!   sequential engine and by the coordinator of the parallel engine;
 //! * [`ShardedInbox`] — per-worker staging buffers that worker threads
 //!   append freshly produced tuples into during a parallel step. Each pool
@@ -20,13 +22,14 @@
 //!   bulk, one epoch at a time ([`ShardedInbox::swap_epoch`]). The Law of
 //!   Causality guarantees staged tuples never belong to the *current* step,
 //!   so draining at the step boundary is semantically exact. (The paper's
-//!   implementation used a `ConcurrentSkipListMap` tree, which all workers
-//!   mutate concurrently; the sharded design removes that contention point
-//!   entirely — the predecessor of this design, a single shared MPMC
-//!   `SegQueue`, serialised every worker `put` on one queue head.)
+//!   implementation used one `ConcurrentSkipListMap` keyed by this order,
+//!   which all workers mutate concurrently; the sharded design removes that
+//!   contention point entirely — the predecessor of this design, a single
+//!   shared MPMC `SegQueue`, serialised every worker `put` on one queue
+//!   head.)
 
 use crate::fxhash::{FxBuildHasher, FxHasher};
-use crate::orderby::{KeyPart, OrderKey};
+use crate::orderby::OrderKey;
 use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
@@ -43,154 +46,11 @@ use std::hash::Hasher;
 /// pure hot-path overhead (candidates are verified by `Eq` regardless).
 type TupleSet = HashSet<Tuple, FxBuildHasher>;
 
-/// One node of the Delta tree: tuples whose keys end exactly here, plus
-/// children for longer keys.
-#[derive(Debug, Default)]
-struct DeltaNode {
-    /// Tuples whose order key terminates at this node (one equivalence
-    /// class). For most programs only leaves are populated, but tables with
-    /// prefix-length keys (or `par` components, which truncate keys) also
-    /// land in interior nodes.
-    here: TupleSet,
-    /// Children, sorted by the next key component. `KeyPart`'s `Ord` gives
-    /// named strat levels and `seq` levels their paper ordering.
-    children: BTreeMap<KeyPart, DeltaNode>,
-}
-
-impl DeltaNode {
-    fn is_empty(&self) -> bool {
-        self.here.is_empty() && self.children.is_empty()
-    }
-
-    /// Inserts `tuple` at `key`, this node being `depth` levels down it.
-    fn insert(&mut self, key: &OrderKey, depth: usize, tuple: Tuple) -> bool {
-        match key.part(depth) {
-            None => self.here.insert(tuple),
-            // One descent when the child exists — the common case on a
-            // hot workload (Dijkstra re-putting Estimates at an existing
-            // distance) — and a second, by `entry`, only to create it.
-            Some(part) => match self.children.get_mut(&part) {
-                Some(child) => child.insert(key, depth + 1, tuple),
-                None => self
-                    .children
-                    .entry(part)
-                    .or_default()
-                    .insert(key, depth + 1, tuple),
-            },
-        }
-    }
-
-    fn contains(&self, key: &OrderKey, depth: usize, tuple: &Tuple) -> bool {
-        match key.part(depth) {
-            None => self.here.contains(tuple),
-            Some(part) => self
-                .children
-                .get(&part)
-                .is_some_and(|c| c.contains(key, depth + 1, tuple)),
-        }
-    }
-
-    /// Removes and returns the minimal equivalence class below this node,
-    /// appending the path to `path`. Prunes nodes emptied by the removal.
-    fn pop_min(&mut self, path: &mut OrderKey) -> Option<Vec<Tuple>> {
-        // Tuples ending at this node order before everything in children
-        // (a strict prefix is causally earlier).
-        if !self.here.is_empty() {
-            return Some(self.here.drain().collect());
-        }
-        loop {
-            let mut entry = self.children.first_entry()?;
-            path.push(entry.key().clone());
-            if let Some(class) = entry.get_mut().pop_min(path) {
-                if entry.get().is_empty() {
-                    entry.remove();
-                }
-                return Some(class);
-            }
-            // Empty child left behind (should not happen, but prune and
-            // retry rather than loop forever).
-            path.pop();
-            entry.remove();
-        }
-    }
-
-    /// Visits every tuple at this node and below, non-destructively.
-    fn for_each(&self, f: &mut dyn FnMut(&Tuple)) {
-        for t in &self.here {
-            f(t);
-        }
-        for child in self.children.values() {
-            child.for_each(f);
-        }
-    }
-
-    /// Structurally merges `other` into `self`, calling `on_dup(table
-    /// index)` for every tuple of `other` that was already present at the
-    /// same position. Subtrees that exist only in `other` are spliced in
-    /// wholesale (O(1) per subtree — no per-tuple work), which is what
-    /// makes grafting worker-built partition trees cheap: the coordinator
-    /// pays per *shared* node, not per tuple.
-    fn merge_from(&mut self, mut other: DeltaNode, on_dup: &mut dyn FnMut(usize)) {
-        if self.here.is_empty() && self.children.is_empty() {
-            *self = other;
-            return;
-        }
-        for t in other.here.drain() {
-            let ti = t.table().index();
-            if !self.here.insert(t) {
-                on_dup(ti);
-            }
-        }
-        for (part, child) in std::mem::take(&mut other.children) {
-            match self.children.entry(part) {
-                Entry::Vacant(e) => {
-                    e.insert(child);
-                }
-                Entry::Occupied(mut e) => e.get_mut().merge_from(child, on_dup),
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn count(&self) -> usize {
-        self.here.len() + self.children.values().map(|c| c.count()).sum::<usize>()
-    }
-}
-
-/// One partition's subtree, built on a pool worker.
-struct Built {
-    subtree: DeltaNode,
-    len: usize,
-    per_table: Vec<u64>,
-    /// The emptied run buffer, recycled to the caller.
-    run: Vec<(OrderKey, Tuple)>,
-}
-
-/// Builds one partition's subtree from its run, counting fresh inserts
-/// per table. Runs on pool workers — no access to the main tree.
-fn build_subtree(mut run: Vec<(OrderKey, Tuple)>, n_tables: usize) -> Built {
-    let mut per_table = vec![0u64; n_tables];
-    let mut subtree = DeltaNode::default();
-    let mut len = 0usize;
-    for (key, t) in run.drain(..) {
-        let ti = t.table().index();
-        if subtree.insert(&key, 0, t) {
-            per_table[ti] += 1;
-            len += 1;
-        }
-    }
-    Built {
-        subtree,
-        len,
-        per_table,
-        run,
-    }
-}
-
-/// The single-threaded Delta tree.
+/// The single-threaded Delta set: every queued class, keyed and ordered
+/// by its [`OrderKey`].
 #[derive(Debug, Default)]
 pub struct DeltaTree {
-    root: DeltaNode,
+    classes: BTreeMap<OrderKey, TupleSet>,
     len: usize,
 }
 
@@ -202,16 +62,24 @@ impl DeltaTree {
     /// Inserts a tuple at its order key. Returns false when an identical
     /// tuple already waits at the same position (set semantics).
     pub fn insert(&mut self, key: &OrderKey, tuple: Tuple) -> bool {
-        let fresh = self.root.insert(key, 0, tuple);
-        if fresh {
-            self.len += 1;
-        }
+        // One descent when the class exists — the common case on a hot
+        // workload (Dijkstra re-putting Estimates at an existing
+        // distance) — and the key is cloned only to open a new class.
+        let fresh = match self.classes.get_mut(key) {
+            Some(class) => class.insert(tuple),
+            None => {
+                self.classes
+                    .insert(key.clone(), TupleSet::from_iter([tuple]));
+                true
+            }
+        };
+        self.len += fresh as usize;
         fresh
     }
 
     /// True if the identical tuple is already queued at `key`.
     pub fn contains(&self, key: &OrderKey, tuple: &Tuple) -> bool {
-        self.root.contains(key, 0, tuple)
+        self.classes.get(key).is_some_and(|c| c.contains(tuple))
     }
 
     /// Removes and returns the minimal equivalence class: the set of all
@@ -220,13 +88,9 @@ impl DeltaTree {
     /// This is the unit of parallelism of the paper's "simple all-minimums
     /// parallelisation strategy".
     pub fn pop_min_class(&mut self) -> Option<(OrderKey, Vec<Tuple>)> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut path = OrderKey::minimum();
-        let class = self.root.pop_min(&mut path)?;
+        let (key, class) = self.classes.pop_first()?;
         self.len -= class.len();
-        Some((path, class))
+        Some((key, class.into_iter().collect()))
     }
 
     /// Visits every queued tuple non-destructively, in no particular
@@ -234,7 +98,7 @@ impl DeltaTree {
     /// they are pure functions of the tuple fields, so a restore
     /// recomputes them by re-injecting through the normal put path.
     pub fn for_each_pending(&self, f: &mut dyn FnMut(&Tuple)) {
-        self.root.for_each(f);
+        self.classes.values().flatten().for_each(f);
     }
 
     /// Number of queued tuples.
@@ -247,23 +111,22 @@ impl DeltaTree {
         self.len == 0
     }
 
-    /// Merges pre-partitioned staged runs into the tree, the per-tuple
-    /// work (key hashing, tree descent, set insertion) parallelised on
-    /// `pool` when the batch is large enough to pay for fork/join.
+    /// Merges pre-partitioned staged runs into the map, the per-tuple
+    /// work (key comparison, set insertion) parallelised on `pool` when
+    /// the batch is large enough to pay for fork/join.
     ///
     /// Each partition holds complete key-prefix groups (the
     /// [`ShardedInbox`] bins by prefix at push time, so two entries with
     /// the same order key can never sit in different partitions). Pool
-    /// workers build one independent subtree per partition; the
-    /// coordinator then grafts them with the structural node merge, which
-    /// splices disjoint subtrees wholesale and only walks nodes the main
-    /// tree already has. Below `seq_threshold` staged tuples (or without
-    /// a pool, or with a single busy partition) the sequential insert
-    /// loop runs instead.
+    /// workers build one map of classes per partition; the coordinator
+    /// then moves each built class in whole when the map does not queue
+    /// its key yet, and otherwise inserts the class's tuples one by one.
+    /// Below `seq_threshold` staged tuples (or without a pool, or with a
+    /// single busy partition) the sequential insert loop runs instead.
     ///
-    /// The resulting tree contents — and therefore the
+    /// The resulting contents — and therefore the
     /// [`DeltaTree::pop_min_class`] sequence — are identical to inserting
-    /// every `(key, tuple)` pair sequentially: the tree is a canonical
+    /// every `(key, tuple)` pair sequentially: the map is a canonical
     /// set keyed by position, so the merge order cannot be observed.
     ///
     /// `inserted_by_table[ti]` is incremented once per tuple of table
@@ -293,34 +156,56 @@ impl DeltaTree {
         let tasks: Vec<_> = busy
             .iter()
             .map(|&i| {
-                let run = std::mem::take(&mut partitions[i]);
-                move || build_subtree(run, n_tables)
+                let mut run = std::mem::take(&mut partitions[i]);
+                // One partition's classes, built on a pool worker with no
+                // access to the main map, with fresh inserts per table.
+                move || {
+                    let mut tree = DeltaTree::new();
+                    let mut per_table = vec![0u64; n_tables];
+                    tree.insert_run(&mut run, &mut per_table);
+                    (tree, per_table, run)
+                }
             })
             .collect();
         let builts = jstar_pool::parallel_tasks(pool, tasks);
         let mut inserted = 0usize;
-        for (i, built) in busy.into_iter().zip(builts) {
-            inserted += built.len;
-            for (ti, c) in built.per_table.iter().enumerate() {
+        for (i, (tree, per_table, run)) in busy.into_iter().zip(builts) {
+            inserted += tree.len;
+            for (ti, c) in per_table.iter().enumerate() {
                 inserted_by_table[ti] += c;
             }
-            // Tuples the tree already queues at the same position are
-            // duplicates after all: take their counts back.
-            self.root.merge_from(built.subtree, &mut |ti| {
-                inserted_by_table[ti] -= 1;
-                inserted -= 1;
-            });
+            for (key, class) in tree.classes {
+                match self.classes.entry(key) {
+                    Entry::Vacant(e) => {
+                        e.insert(class);
+                    }
+                    Entry::Occupied(mut e) => {
+                        let queued = e.get_mut();
+                        for t in class {
+                            let ti = t.table().index();
+                            // Tuples the map already queues at the same
+                            // key are duplicates after all: take their
+                            // counts back.
+                            if !queued.insert(t) {
+                                inserted_by_table[ti] -= 1;
+                                inserted -= 1;
+                            }
+                        }
+                    }
+                }
+            }
             // Hand the emptied run buffer back so staging allocations
             // survive the round trip: the next swap steals it into a
             // shard bin instead of re-growing it from zero.
-            partitions[i] = built.run;
+            partitions[i] = run;
         }
         self.len += inserted;
         inserted
     }
 
-    /// The sequential merge: drains one run into the tree, counting
-    /// fresh inserts per table.
+    /// The sequential merge: drains one run into the map, counting
+    /// fresh inserts per table. Each entry's owned key moves into the
+    /// map when it opens a class, and is dropped when the class exists.
     fn insert_run(
         &mut self,
         run: &mut Vec<(OrderKey, Tuple)>,
@@ -329,17 +214,18 @@ impl DeltaTree {
         let mut inserted = 0usize;
         for (key, t) in run.drain(..) {
             let ti = t.table().index();
-            if self.insert(&key, t) {
+            if self.classes.entry(key).or_default().insert(t) {
                 inserted_by_table[ti] += 1;
                 inserted += 1;
             }
         }
+        self.len += inserted;
         inserted
     }
 
     #[cfg(test)]
     fn deep_count(&self) -> usize {
-        self.root.count()
+        self.classes.values().map(TupleSet::len).sum()
     }
 }
 
@@ -381,7 +267,7 @@ impl Shard {
 /// partition and [`ShardedInbox::push`] routes by a hash of the leading
 /// `prefix_len` components of the order key (derived by the engine from
 /// the program's orderby schema — deep enough to reach the first
-/// tuple-dependent `seq` level, so workloads like Dijkstra whose tuples
+/// tuple-dependent `seq` component, so workloads like Dijkstra whose tuples
 /// all share one stratum still spread across partitions by distance).
 /// Two entries with equal keys always share a partition, which is what
 /// lets [`DeltaTree::merge_partitioned`] hand the partitions to pool
@@ -553,6 +439,7 @@ impl ShardedInbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orderby::KeyPart;
     use crate::schema::TableId;
     use crate::value::Value;
 
@@ -987,6 +874,7 @@ mod tests {
 #[cfg(all(test, feature = "model-check"))]
 mod model_tests {
     use super::*;
+    use crate::orderby::KeyPart;
     use crate::schema::TableId;
     use crate::value::Value;
     use jstar_check::{thread, Checker};

@@ -45,8 +45,9 @@ pub struct EngineConfig {
     /// is then compacted.
     pub lifetime_hints: Vec<(TableId, u64, LifetimeHint)>,
     /// Staged batches of at least this many tuples are merged into the
-    /// Delta queue by pool workers (one subtree per key-prefix
-    /// partition, grafted by the coordinator); smaller batches take the
+    /// Delta queue by pool workers (one class map per key-prefix
+    /// partition, moved into the queue class by class by the
+    /// coordinator); smaller batches take the
     /// sequential insert loop, whose per-tuple cost is below the
     /// fork/join round trip at that size. Ignored in sequential mode.
     pub parallel_merge_threshold: usize,

@@ -13,9 +13,9 @@ use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
 use crate::tuple::Tuple;
+use jstar_check::sync::{AtomicU64, Ordering};
 use jstar_pool::ThreadPool;
 use parking_lot::Mutex;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -78,6 +78,7 @@ impl Absorb {
             let stats = &state.stats;
             let partition = (t1 - t0).as_nanos() as u64;
             let merge = t1.elapsed().as_nanos() as u64;
+            // ord: Relaxed ×3 — statistics counters, read after the run.
             stats
                 .partition_nanos
                 .fetch_add(partition, Ordering::Relaxed);
@@ -88,6 +89,7 @@ impl Absorb {
         }
         for (ti, count) in self.inserted_by_table.iter_mut().enumerate() {
             if *count > 0 {
+                // ord: Relaxed — statistic only.
                 state.stats.tables[ti]
                     .delta_inserts
                     .fetch_add(*count, Ordering::Relaxed);
@@ -385,6 +387,7 @@ impl Engine {
                 // Batched semi-naive execution: the whole class is the
                 // delta, and join-plan rules walk Gamma once per class
                 // instead of once per tuple.
+                // ord: Relaxed — statistic only.
                 state
                     .stats
                     .delta_join_classes
@@ -393,6 +396,7 @@ impl Engine {
             } else {
                 match scheduler.plan(self.pool.as_deref(), class_size) {
                     ClassPlan::Forked { chunk } => {
+                        // ord: Relaxed — statistic only.
                         state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
                         // lint: allow(expect): the planner only emits Forked when a pool exists.
                         let pool = self.pool.as_ref().expect("forked plan implies a pool");
@@ -413,6 +417,7 @@ impl Engine {
                         // on the coordinator. The sequential engine
                         // additionally sorts for a deterministic
                         // intra-class order.
+                        // ord: Relaxed — statistic only.
                         state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
                         if sort {
                             class.sort();
@@ -429,6 +434,7 @@ impl Engine {
 
             if let Some(t0) = exec_start {
                 let exec_elapsed = t0.elapsed();
+                // ord: Relaxed — statistic only.
                 state
                     .stats
                     .execute_nanos
@@ -453,6 +459,7 @@ impl Engine {
                 let store = state.gamma.store(*table);
                 store.retain(&**keep);
                 if store.maybe_compact(COMPACT_TOMBSTONES_ABOVE) {
+                    // ord: Relaxed — statistic only.
                     state.stats.tables[table.index()]
                         .compactions
                         .fetch_add(1, Ordering::Relaxed);
@@ -475,6 +482,8 @@ impl Engine {
                 let dir = self.config.checkpoint_path.as_deref().expect("checked");
                 let t0 = Instant::now();
                 absorb.run(state, &mut tree, self.pool.as_deref());
+                // ord: Relaxed — a statistic; the coordinator is its only
+                // writer between steps.
                 let meta = crate::persist::SnapshotMeta {
                     steps,
                     tuples_processed: state.stats.tuples_processed.load(Ordering::Relaxed),
@@ -513,28 +522,29 @@ impl Engine {
         drop(errors);
 
         let cache_stats = state.gamma.index_cache().stats();
+        let stats = &state.stats;
+        // ord: Relaxed — statistics counters; the pool's joins have
+        // ordered every worker's increment before these loads.
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let time = |c: &AtomicU64| Duration::from_nanos(count(c));
         Ok(RunReport {
             steps,
-            tuples_processed: state.stats.tuples_processed.load(Ordering::Relaxed),
+            tuples_processed: count(&stats.tuples_processed),
             elapsed: start.elapsed(),
-            drain_time: Duration::from_nanos(state.stats.drain_nanos.load(Ordering::Relaxed)),
-            partition_time: Duration::from_nanos(
-                state.stats.partition_nanos.load(Ordering::Relaxed),
-            ),
-            merge_time: Duration::from_nanos(state.stats.merge_nanos.load(Ordering::Relaxed)),
-            overlap_time: Duration::from_nanos(state.stats.overlap_nanos.load(Ordering::Relaxed)),
-            execute_time: Duration::from_nanos(state.stats.execute_nanos.load(Ordering::Relaxed)),
-            inline_classes: state.stats.inline_classes.load(Ordering::Relaxed),
-            forked_classes: state.stats.forked_classes.load(Ordering::Relaxed),
+            drain_time: time(&stats.drain_nanos),
+            partition_time: time(&stats.partition_nanos),
+            merge_time: time(&stats.merge_nanos),
+            overlap_time: time(&stats.overlap_nanos),
+            execute_time: time(&stats.execute_nanos),
+            inline_classes: count(&stats.inline_classes),
+            forked_classes: count(&stats.forked_classes),
             checkpoints,
             checkpoint_time,
-            delta_join_classes: state.stats.delta_join_classes.load(Ordering::Relaxed),
-            delta_join_build_tuples: state.stats.delta_join_build_tuples.load(Ordering::Relaxed),
-            gamma_probes: (state.stats.tables.iter())
-                .map(|t| t.snapshot().queries)
-                .sum(),
-            join_seeks: state.stats.join_seeks.load(Ordering::Relaxed),
-            join_cursor_opens: state.stats.join_cursor_opens.load(Ordering::Relaxed),
+            delta_join_classes: count(&stats.delta_join_classes),
+            delta_join_build_tuples: count(&stats.delta_join_build_tuples),
+            gamma_probes: (stats.tables.iter()).map(|t| t.snapshot().queries).sum(),
+            join_seeks: count(&stats.join_seeks),
+            join_cursor_opens: count(&stats.join_cursor_opens),
             index_cache_hits: cache_stats.hits,
             index_cache_misses: cache_stats.misses,
             index_catchup_tuples: 0,
@@ -550,6 +560,7 @@ impl Engine {
     /// ([`EngineConfig::checkpoint`]), which also captures pending
     /// tuples.
     pub fn snapshot(&self, path: &std::path::Path) -> Result<()> {
+        // ord: Relaxed — statistics of a quiescent engine.
         let meta = crate::persist::SnapshotMeta {
             steps: self.state.stats.steps.load(Ordering::Relaxed),
             tuples_processed: self.state.stats.tuples_processed.load(Ordering::Relaxed),
@@ -772,6 +783,7 @@ impl Engine {
         let walk = walk_stages(&stages, &views[1..]);
         let (out, seeks) = body(&views[0], &root_less, &walk);
         if seeks > 0 {
+            // ord: Relaxed — statistic only.
             let stats = &self.state.stats;
             stats.join_seeks.fetch_add(seeks, Ordering::Relaxed);
         }

@@ -45,7 +45,7 @@
 //! * **Absorb** (`coordinator::Absorb`) — the coordinator swaps
 //!   everything staged out of the [`crate::delta::ShardedInbox`]
 //!   ([`crate::delta::ShardedInbox::swap_epoch`]) and merges it with
-//!   [`crate::delta::DeltaTree::merge_partitioned`]: one subtree per
+//!   [`crate::delta::DeltaTree::merge_partitioned`]: one class map per
 //!   key-prefix partition on the pool once the batch reaches
 //!   [`EngineConfig::parallel_merge_threshold`], the sequential insert
 //!   loop below it. The inbox is then empty
@@ -166,9 +166,9 @@
 //!    [`jstar_pool::ThreadPool::current_worker_index`]), binned by a
 //!    hash of the key's leading components at push time.
 //! 2. **Partitioned parallel absorb** — at the step boundary, pool
-//!    workers build one independent subtree per key-prefix partition;
-//!    the coordinator grafts them, splicing disjoint subtrees
-//!    wholesale.
+//!    workers build one independent class map per key-prefix partition;
+//!    the coordinator moves each class into the queue whole when its key
+//!    is new there, and inserts its tuples one by one otherwise.
 //! 3. **Reservation-based, batched Gamma inserts** — the parallel store
 //!    ([`crate::gamma::HashStore`], chained on column 0 by default)
 //!    publishes tuples via CAS slot reservation; no lock remains on the tuple hot path, and readers

@@ -23,8 +23,9 @@ pub struct RunReport {
     /// [`super::EngineConfig::record_steps`] is set.
     pub partition_time: Duration,
     /// Drain phase 2: merging the partition runs into the Delta queue
-    /// (parallel subtree builds + the coordinator's graft, or the
-    /// sequential fallback). Zero unless
+    /// (one class map per partition built on the pool, then moved into
+    /// the queue class by class on the coordinator, or the sequential
+    /// fallback). Zero unless
     /// [`super::EngineConfig::record_steps`] is set.
     pub merge_time: Duration,
     /// Always zero; kept for `spine/adapter.rs`. Every absorb runs at
@@ -90,16 +91,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Delta-set throughput: tuples processed per second of wall time.
-    pub fn tuples_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.tuples_processed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Fraction of accounted step time the coordinator spent draining
     /// serially (vs. executing). A high value means the drain, not the
     /// hardware, sets the speed limit.
@@ -121,12 +112,6 @@ impl RunReport {
         } else {
             0.0
         }
-    }
-
-    /// Mean serial-drain and execute time per step.
-    pub fn per_step(&self) -> (Duration, Duration) {
-        let steps = self.steps.max(1) as u32;
-        (self.drain_time / steps, self.execute_time / steps)
     }
 
     /// Fraction of cursor opens served from the index cache:

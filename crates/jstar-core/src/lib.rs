@@ -15,8 +15,9 @@
 //! * [`schema`], the `tuple` module and [`value`] — tables of immutable tuples (§3);
 //! * [`orderby`] / [`strata`] — orderby lists, `order` declarations and
 //!   [`orderby::OrderKey`]s (§4);
-//! * [`delta`] — the Delta tree, a multi-level causal priority queue whose
-//!   minimal equivalence class is the unit of parallelism (§5);
+//! * [`delta`] — the Delta set, one map ordered by [`orderby::OrderKey`]:
+//!   a causal priority queue whose minimal equivalence class is the unit
+//!   of parallelism (§5);
 //! * [`gamma`] — the Gamma database with pluggable per-table stores —
 //!   "late commitment to data structures" (§1.4, §5);
 //! * [`rule`] / [`query`] / [`reduce`] — rules, positive/negative/aggregate

@@ -2,32 +2,32 @@
 //! Causality (§4 of the paper).
 //!
 //! Every table declares an `orderby` list that embeds its tuples into one
-//! global lexicographic ordering, shared by all tables. The `i`-th level of
-//! the Delta tree is sorted by the `i`-th entries of these lists:
+//! global lexicographic ordering, shared by all tables: tuples are ordered
+//! by the first entries of their lists, ties by the second, and so on. The
+//! `i`-th entry is:
 //!
 //! * a capitalised literal (`Int`, `PvWatts`, ...) — a *stratum* name,
 //!   ordered by the program's explicit `order` declarations;
 //! * `seq field` — sorted sequentially by the field's value;
-//! * `par field` — subtrees are unordered, so everything below executes in
-//!   parallel (one equivalence class).
+//! * `par field` — unordered: tuples that agree on every entry before it
+//!   execute in parallel (one equivalence class).
 //!
 //! [`OrderKey`] is the materialised position of one tuple in this ordering.
 //! Keys compare lexicographically; tuples whose keys compare equal form one
 //! *equivalence class* and may run in parallel (§5's all-minimums strategy).
 //!
 //! **Keys allocate nothing.** Every Delta put computes a key, the inbox
-//! keeps it beside the tuple and the Delta tree descends by it, so a key
+//! keeps it beside the tuple and the Delta set is ordered by it, so a key
 //! is a plain 48-byte value: up to [`INLINE_PARTS`] parts (every program
 //! in the paper fits) are held in place as one 8-byte word each — a
 //! stratum rank, or the `seq` field's integer, double or bool re-coded so
 //! that unsigned word order *is* value order — with the parts' kinds and
 //! their count packed into one more word. Building a key is a handful of
 //! register-width stores, and two keys of the same shape (all keys one
-//! table produces; usually all keys at one level of the Delta tree)
-//! compare as two short arrays of integers. A key with a string part, or
-//! more than four parts, *spills*: all its parts move to a boxed vector of
-//! [`KeyPart`]s and every operation takes the general path over those.
-//! Both forms present the same parts ([`OrderKey::part`],
+//! table produces) compare as two short arrays of integers. A key with a
+//! string part, or more than four parts, *spills*: all its parts move to a
+//! boxed vector of [`KeyPart`]s and every operation takes the general path
+//! over those. Both forms present the same parts ([`OrderKey::part`],
 //! [`OrderKey::parts`]), compare, hash and print alike, so which one a key
 //! is in cannot be observed.
 
@@ -47,7 +47,8 @@ pub enum OrderComponent {
     Strat(String),
     /// `seq field`: sorted sequentially by this field.
     Seq(String),
-    /// `par field`: unordered — everything below is one equivalence class.
+    /// `par field`: unordered — tuples that agree on every earlier
+    /// component are one equivalence class.
     Par(String),
 }
 
@@ -77,9 +78,9 @@ pub enum ResolvedComponent {
     Seq {
         field: usize,
     },
-    /// `par`: this level and everything below it is one equivalence class,
-    /// so the key is truncated here. The field index is kept for
-    /// diagnostics only.
+    /// `par`: tuples that agree on every earlier component are one
+    /// equivalence class, so the key is truncated here. The field index
+    /// is kept for diagnostics only.
     Par {
         field: usize,
     },
@@ -127,8 +128,8 @@ impl ResolvedOrderBy {
 
     /// Computes the order key of `tuple` under this specification.
     ///
-    /// The key stops at the first `par` component: subtrees under a `par`
-    /// node are unordered, so deeper components cannot influence scheduling.
+    /// The key stops at the first `par` component: tuples that agree up to
+    /// it are unordered, so later components cannot influence scheduling.
     pub fn key_of(&self, tuple: &Tuple) -> OrderKey {
         let mut key = OrderKey::minimum();
         for c in &self.components {
@@ -142,13 +143,13 @@ impl ResolvedOrderBy {
     }
 }
 
-/// One level of an [`OrderKey`], as the Delta tree's nodes and the
-/// program see it: a stratum literal or a `seq` field's value.
+/// One component of an [`OrderKey`], as the program sees it: a stratum
+/// literal or a `seq` field's value.
 ///
 /// The `seq` variants mirror [`Value`]'s and order exactly as it does —
 /// within a type by value (`f64::total_cmp` for doubles), across types by
 /// `Int < Double < Str < Bool` — with every stratum part before every
-/// `seq` part (heterogeneous shapes at one tree level: a deterministic
+/// `seq` part (keys of different shapes at one position: a deterministic
 /// fallback; program validation warns about the situation).
 #[derive(Debug, Clone)]
 pub enum KeyPart {
@@ -306,8 +307,8 @@ pub const INLINE_PARTS: usize = 4;
 /// The position of a tuple in the global causal ordering.
 ///
 /// Keys compare lexicographically component by component. When one key is a
-/// strict prefix of another, the shorter key orders first (its table's
-/// leaves sit at a shallower level of the Delta tree).
+/// strict prefix of another, the shorter key orders first (a table whose
+/// orderby list is a prefix of another's is causally earlier).
 ///
 /// Two tuples whose keys compare `Equal` are in the same **equivalence
 /// class**: the Law of Causality cannot order them, so the parallel engine
@@ -349,7 +350,7 @@ impl OrderKey {
         }
     }
 
-    /// The key with the given parts, outermost level first.
+    /// The key with the given parts, most significant first.
     pub fn from_parts(parts: impl IntoIterator<Item = KeyPart>) -> Self {
         let mut key = OrderKey::minimum();
         for part in parts {
@@ -370,7 +371,7 @@ impl OrderKey {
         (self.meta >> (8 * (i + 1))) as Kind
     }
 
-    /// Number of levels in the key.
+    /// Number of parts in the key.
     #[inline]
     pub fn len(&self) -> usize {
         match &self.spill {
@@ -385,7 +386,7 @@ impl OrderKey {
         self.len() == 0
     }
 
-    /// Part `i` (0 is the outermost level), if the key is that long.
+    /// Part `i` (0 is the most significant), if the key is that long.
     #[inline]
     pub fn part(&self, i: usize) -> Option<KeyPart> {
         match &self.spill {
@@ -395,13 +396,13 @@ impl OrderKey {
         }
     }
 
-    /// The key's parts, outermost level first.
+    /// The key's parts, most significant first.
     #[inline]
     pub fn parts(&self) -> impl Iterator<Item = KeyPart> + '_ {
         (0..self.len()).filter_map(move |i| self.part(i))
     }
 
-    /// Appends one (innermost) level.
+    /// Appends one (least significant) part.
     #[inline]
     pub(crate) fn push(&mut self, part: KeyPart) {
         match part {
@@ -413,7 +414,7 @@ impl OrderKey {
         }
     }
 
-    /// Appends the `seq` level of a field holding `v`:
+    /// Appends the `seq` part of a field holding `v`:
     /// `push(KeyPart::seq(v))` without building the part, which
     /// [`ResolvedOrderBy::key_of`] measures at 14 ns against 23.
     #[inline]
@@ -448,23 +449,6 @@ impl OrderKey {
         }
         if let Some(parts) = &mut self.spill {
             parts.push(part);
-        }
-    }
-
-    /// Removes the innermost level (the Delta tree's walk backs out of a
-    /// subtree with it). A spilled key stays spilled.
-    pub(crate) fn pop(&mut self) {
-        match &mut self.spill {
-            Some(parts) => {
-                parts.pop();
-            }
-            None => {
-                if let Some(last) = self.inline_len().checked_sub(1) {
-                    self.words[last] = 0;
-                    // Clear the part's kind byte and count one fewer.
-                    self.meta = (self.meta & !(0xff << (8 * (last + 1)))) - 1;
-                }
-            }
         }
     }
 
@@ -685,15 +669,12 @@ mod tests {
         let parts = [KeyPart::Strat(2), KeyPart::Int(-4), KeyPart::Double(-0.0)];
         let inline = k(&parts);
         assert!(inline.spill.is_none());
-        // The same three parts in a key that grew past four and backed out.
-        let mut spilled = inline.clone();
-        for extra in 0..3 {
-            spilled.push(KeyPart::Int(extra));
-        }
-        for _ in 0..3 {
-            spilled.pop();
-        }
-        assert!(spilled.spill.is_some());
+        // The same three parts, held in the spilled form.
+        let spilled = OrderKey {
+            meta: 0,
+            words: [0; INLINE_PARTS],
+            spill: Some(Box::new(parts.to_vec())),
+        };
         assert_eq!(inline, spilled);
         assert_eq!(inline.cmp(&spilled), Ordering::Equal);
         assert_eq!(hash(&inline), hash(&spilled));
@@ -705,20 +686,6 @@ mod tests {
         let later = k(&[KeyPart::Strat(2), KeyPart::Int(-4), KeyPart::Double(0.0)]);
         assert!(inline < later && spilled < later);
         assert_eq!(later.cmp(&spilled), Ordering::Greater);
-        // Popping an inline key walks back to the minimum and stops there.
-        let mut short = inline.clone();
-        short.pop();
-        assert_eq!(short, k(&parts[..2]));
-        for _ in 0..5 {
-            short.pop();
-        }
-        assert_eq!(short, OrderKey::minimum());
-        short.push(KeyPart::Bool(true));
-        assert_eq!(
-            short,
-            k(&[KeyPart::Bool(true)]),
-            "a popped slot is reusable"
-        );
     }
 
     #[test]

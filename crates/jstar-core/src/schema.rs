@@ -100,14 +100,6 @@ impl TableDef {
         }
         Ok(())
     }
-
-    /// The strat literals appearing in this table's orderby list, in order.
-    pub fn strat_literals(&self) -> impl Iterator<Item = &str> {
-        self.orderby.iter().filter_map(|c| match c {
-            OrderComponent::Strat(name) => Some(name.as_str()),
-            _ => None,
-        })
-    }
 }
 
 /// Fluent builder for [`TableDef`], used by

@@ -2,10 +2,10 @@
 //!
 //! JStar programs declare a partial order over the capitalised literal names
 //! used in orderby lists, e.g. `order Req < PvWatts < SumMonth` (Fig. 4).
-//! The Delta tree needs a *total* order at each named level (its named
-//! branches are "a linear array of subtrees, indexed by a total ordering of
-//! the order relationship"), so we linearise the declared partial order
-//! topologically. Causality *proofs*, however, must use only the declared
+//! The Delta set needs a *total* order on the stratum component of a key
+//! (the paper's tree keeps its named branches in "a linear array of
+//! subtrees, indexed by a total ordering of the order relationship"), so
+//! we linearise the declared partial order topologically. Causality *proofs*, however, must use only the declared
 //! partial order — `A < B` is provable only if the programmer actually
 //! declared a chain from `A` to `B` (otherwise Fig. 4's stratification error
 //! must fire).

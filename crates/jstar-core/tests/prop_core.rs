@@ -111,7 +111,8 @@ proptest! {
     }
 
     /// The Delta tree behaves exactly like a reference model: a map from
-    /// key to set of tuples, popped in key order.
+    /// key to set of tuples, probed by `contains`, walked by
+    /// `for_each_pending` and popped in key order.
     #[test]
     fn delta_tree_matches_reference_model(
         inserts in prop::collection::vec((arb_model_key(), -50i64..50), 0..200)
@@ -126,11 +127,30 @@ proptest! {
             let fresh_model = model.entry(key.clone()).or_default().insert(*v);
             prop_assert_eq!(fresh_tree, fresh_model);
         }
-        let model_len: usize = model.values().map(|s| s.len()).sum();
+        let mut model_len: usize = model.values().map(|s| s.len()).sum();
+        prop_assert_eq!(tree.len(), model_len);
+        // Every inserted pair is queued; a value never inserted (they
+        // are drawn from -50..50) is queued at no key.
+        for (key, v) in &inserts {
+            let tuple = Tuple::new(TableId(0), vec![Value::Int(*v)]);
+            prop_assert!(tree.contains(&packed(key), &tuple));
+            let absent = Tuple::new(TableId(0), vec![Value::Int(50)]);
+            prop_assert!(!tree.contains(&packed(key), &absent));
+        }
+        // The walk visits the model's multiset of tuples, and leaves the
+        // queue as it was.
+        let mut walked = Vec::new();
+        tree.for_each_pending(&mut |t| walked.push(t.int(0)));
+        walked.sort_unstable();
+        let mut want: Vec<i64> = model.values().flatten().copied().collect();
+        want.sort_unstable();
+        prop_assert_eq!(walked, want);
         prop_assert_eq!(tree.len(), model_len);
         for (key, set) in model {
             let (k, class) = tree.pop_min_class().expect("model non-empty");
             prop_assert_eq!(&k, &packed(&key));
+            model_len -= set.len();
+            prop_assert_eq!(tree.len(), model_len);
             let got: HashSet<i64> = class.iter().map(|t| t.int(0)).collect();
             prop_assert_eq!(got, set);
         }
@@ -142,7 +162,8 @@ proptest! {
     /// keys in the same order, same class contents, same dedup counts —
     /// whatever the partition count, the merge threshold (parallel or
     /// sequential fallback), or which staging shard each entry arrived
-    /// through. This is the order-identity obligation of the partitioned
+    /// through, and whether the tree already queues some of the batch.
+    /// This is the order-identity obligation of the partitioned
     /// coordinator drain.
     #[test]
     fn merge_partitioned_pops_identically_to_sequential(
@@ -152,6 +173,7 @@ proptest! {
         ),
         partitions_pow in 0u32..5,
         threshold_pick in 0u32..3,
+        prefix_pick in 0usize..300,
     ) {
         let partitions = 1usize << partitions_pow;
         let threshold = [1usize, 64, usize::MAX][threshold_pick as usize];
@@ -186,12 +208,18 @@ proptest! {
             (0..inbox.partitions()).map(|_| Vec::new()).collect();
         inbox.swap_epoch(&mut runs);
 
-        let mut by_table = vec![0u64; 2];
+        // The tree already queues a prefix of the batch, so the merge
+        // meets keys it holds as well as keys it does not.
         let mut par_tree = DeltaTree::new();
+        let mut prefix_inserted = 0u64;
+        for (k, t) in &entries[..prefix_pick.min(entries.len())] {
+            prefix_inserted += par_tree.insert(k, t.clone()) as u64;
+        }
+        let mut by_table = vec![0u64; 2];
         let inserted =
             par_tree.merge_partitioned(&mut runs, Some(merge_pool()), &mut by_table, threshold);
-        prop_assert_eq!(inserted as u64, seq_inserted);
-        prop_assert_eq!(by_table.iter().sum::<u64>(), seq_inserted);
+        prop_assert_eq!(inserted as u64, seq_inserted - prefix_inserted);
+        prop_assert_eq!(by_table.iter().sum::<u64>(), seq_inserted - prefix_inserted);
         prop_assert_eq!(par_tree.len(), seq_tree.len());
 
         // Identical extraction sequence: the model's, in key order.

@@ -494,7 +494,7 @@ proptest! {
     ///   shape and fig11's wide single-key classes both arise from the
     ///   generator), once with default merging and once with the merge
     ///   threshold dropped to 1 so even small epochs take the parallel
-    ///   subtree path;
+    ///   per-partition merge;
     /// * the fig12 (Dijkstra) shape: a self-feeding relaxation whose
     ///   orderby makes the Delta tree the priority queue, with
     ///   `-noDelta`/hash-indexed Done and `-noGamma` Estimate exactly

@@ -7,9 +7,7 @@
 //! * **R1 `safety`** — every `unsafe` site carries a `// SAFETY:` comment
 //!   (or a `# Safety` doc section) within the preceding lines.
 //! * **R2 `ordering`** — every atomic `Ordering::…` use in the core crates
-//!   carries a `// ord:` rationale nearby. Files that predate the shim
-//!   migration are allowlisted in [`R2_ALLOWLIST`]; shrink that list, never
-//!   grow it.
+//!   carries a `// ord:` rationale nearby. No file is exempt.
 //! * **R2b `seqcst`** — `Ordering::SeqCst` additionally needs a comment
 //!   that names `SeqCst` and argues why a total order is required. (The
 //!   usual fix is a downgrade, not a justification.)
@@ -20,9 +18,9 @@
 //!   regress to `std::sync::atomic` or `parking_lot` anywhere, tests
 //!   included, or the model checker silently loses sight of them.
 //!
-//! An [`R2_ALLOWLIST`] or [`SHIM_MANDATED`] entry that names no file is
-//! itself a finding (**`stale-entry`**): an entry that guards nothing
-//! would otherwise outlive the file it was written for without a word.
+//! A [`SHIM_MANDATED`] entry that names no file is itself a finding
+//! (**`stale-entry`**): an entry that guards nothing would otherwise
+//! outlive the file it was written for without a word.
 //! So is a line of [`MIRI_SKIP`] that is a substring of no `fn` name
 //! under [`FN_ROOTS`]: Miri matches it against test names, and one that
 //! matches none skips nothing.
@@ -59,12 +57,6 @@ impl fmt::Display for Finding {
         )
     }
 }
-
-/// Files exempt from **R2** (`ord:` rationale) because they still use
-/// plain `std` atomics with self-evident or legacy orderings. The goal is
-/// to migrate these onto the shim and delete the entry; additions need a
-/// PR argument.
-pub const R2_ALLOWLIST: &[&str] = &["crates/jstar-core/src/engine/coordinator.rs"];
 
 /// Files that have been migrated onto `jstar_check::sync` and must stay
 /// there (**R4**): a raw `std::sync::atomic`/`parking_lot` reference in one
@@ -376,7 +368,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
     let in_core = path_matches(rel, CORE_CRATES);
     let in_hot = path_matches(rel, HOT_PATHS);
     let shim_file = SHIM_MANDATED.contains(&rel);
-    let r2_allowed = R2_ALLOWLIST.contains(&rel);
 
     let mut push = |line: usize, rule: &'static str, message: String| {
         findings.push(Finding {
@@ -410,7 +401,6 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
         if !ords.is_empty()
             && in_core
             && !in_test
-            && !r2_allowed
             && !comment_nearby(&lines, n, 10, "ord:")
             && !waived(&lines, n, "ordering")
         {
@@ -502,25 +492,19 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The [`R2_ALLOWLIST`] and [`SHIM_MANDATED`] entries for which
-/// `exists` (given the workspace-relative path) says there is no file.
+/// The [`SHIM_MANDATED`] entries for which `exists` (given the
+/// workspace-relative path) says there is no file.
 fn stale_entries(exists: impl Fn(&str) -> bool) -> Vec<Finding> {
-    let lists = [
-        ("R2_ALLOWLIST", R2_ALLOWLIST),
-        ("SHIM_MANDATED", SHIM_MANDATED),
-    ];
-    let mut findings = Vec::new();
-    for (list, entries) in lists {
-        for &rel in entries.iter().filter(|&&rel| !exists(rel)) {
-            findings.push(Finding {
-                file: rel.to_string(),
-                line: 0,
-                rule: "stale-entry",
-                message: format!("`{list}` names a file that does not exist"),
-            });
-        }
-    }
-    findings
+    SHIM_MANDATED
+        .iter()
+        .filter(|&&rel| !exists(rel))
+        .map(|&rel| Finding {
+            file: rel.to_string(),
+            line: 0,
+            rule: "stale-entry",
+            message: "`SHIM_MANDATED` names a file that does not exist".into(),
+        })
+        .collect()
 }
 
 /// The names of the `fn` items declared in `src`. Only the code channel
@@ -666,12 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn allowlisted_file_skips_r2() {
-        let src = "fn f(a: &A) { a.x.store(1, Ordering::Release); }\n";
-        assert!(lint_source(R2_ALLOWLIST[0], src).is_empty());
-    }
-
-    #[test]
     fn test_region_skips_r2_but_not_r1() {
         let src = "#[cfg(test)]\nmod tests {\n    fn f(a: &A) { a.x.load(Ordering::Acquire); }\n    fn g(p: *const u8) -> u8 { unsafe { *p } }\n}\n";
         assert_eq!(rules(&lint_source(CORE, src)), ["safety"]);
@@ -751,8 +729,7 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!((f[0].file.as_str(), f[0].rule), (missing, "stale-entry"));
         assert!(f[0].message.contains("SHIM_MANDATED"));
-        let all = R2_ALLOWLIST.len() + SHIM_MANDATED.len();
-        assert_eq!(stale_entries(|_| false).len(), all);
+        assert_eq!(stale_entries(|_| false).len(), SHIM_MANDATED.len());
     }
 
     #[test]
