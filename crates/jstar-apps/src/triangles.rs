@@ -20,10 +20,10 @@
 //!   merge.
 //!
 //! The rule is registered through [`ProgramBuilder::rule_rel_join_with_model`],
-//! so it carries an inspectable two-stage [`JoinPlan`] and a causality
-//! model, and every `Probe` stratum drains through the engine's
-//! batched delta-join pass: the class is cut into a view on `Probe.b`
-//! that leapfrogs against `Edge.from`. The test
+//! so it is an inspectable two-stage [`JoinPlan`] with a causality
+//! model, and the engine runs the `Probe` class as one walk: the class
+//! is cut into a view on `Probe.b` that leapfrogs against `Edge.from`,
+//! its rows fanned over the pool. The test
 //! `delta_join_and_per_tuple_agree_and_counters_move` checks, at 1, 2
 //! and 4 threads, that this walk searches the store less than an
 //! opaque nested-loop twin of the rule (probes + seeks against its
@@ -458,11 +458,13 @@ mod tests {
             assert_eq!(dj_count, want, "{threads} threads");
             assert_eq!(fi_count, want, "{threads} threads");
             assert_eq!(pt_count, want, "{threads} threads");
-            assert!(dj.delta_join_classes > 0, "batched mode engaged: {dj:?}");
+            assert!(dj.delta_join_classes > 0, "the join rule walked: {dj:?}");
             assert!(dj.join_cursor_opens > 0, "cursors opened: {dj:?}");
-            assert!(dj.delta_join_build_tuples > 0);
-            assert_eq!(pt.delta_join_classes, 0, "per-tuple mode engaged: {pt:?}");
-            assert_eq!(pt.join_cursor_opens, 0, "per-tuple mode opens no cursors");
+            assert_eq!(
+                pt.delta_join_classes, 0,
+                "the opaque twin walks nothing: {pt:?}"
+            );
+            assert_eq!(pt.join_cursor_opens, 0, "the opaque twin opens no cursors");
             // Every cursor open is served by the index cache, as a hit or
             // as a build; no open catches a view up.
             for r in [&dj, &fi, &pt] {
@@ -509,8 +511,8 @@ mod tests {
     fn join_rules_expose_plans() {
         let app = build_program(small_spec());
         let rules = app.program.rules();
-        assert!(rules[0].plan.is_none(), "load-graph is opaque");
-        let plan = rules[1].plan.as_ref().expect("triangles has a plan");
+        assert!(rules[0].plan().is_none(), "load-graph is opaque");
+        let plan = rules[1].plan().expect("triangles has a plan");
         assert!(
             rules.iter().all(|r| r.model.is_some()),
             "every rule has a model"

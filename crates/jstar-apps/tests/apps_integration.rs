@@ -1,6 +1,6 @@
 //! Cross-feature integration for the case-study programs: the apps must
 //! stay correct under every engine knob combination (lifetime hints,
-//! shared pools, strict validation, delta-join mode).
+//! shared pools, strict validation, join-rule walks).
 
 use jstar_apps::pvwatts::{self, InputOrder, Variant};
 use jstar_apps::{matmul, median, shortest_path};
@@ -88,23 +88,22 @@ fn scaled_down_paper_workloads_run_in_parallel_without_error() {
 }
 
 /// Asserts that no rule of `program` carries a join plan, so that no
-/// class of `run`'s sequential run can take the batched delta-join arm.
+/// run of `run`'s sequential run walks one.
 fn assert_join_free<T>(
     name: &str,
     program: &Program,
     run: impl Fn(EngineConfig) -> (T, RunReport),
 ) {
     assert!(
-        program.rules().iter().all(|rule| rule.plan.is_none()),
+        program.rules().iter().all(|rule| rule.plan().is_none()),
         "{name}: a rule carries a join plan"
     );
     let (_, report) = run(EngineConfig::sequential());
-    assert_eq!(report.delta_join_classes, 0, "{name} batched a class");
+    assert_eq!(report.delta_join_classes, 0, "{name} walked a join");
 }
 
-/// fig 8, 11, 12 and 13 have no join rule, so the batched delta-join
-/// mode never engages on them, however wide their classes: the
-/// scheduler's per-class check answers no for every class.
+/// fig 8, 11, 12 and 13 have no join rule, so no run of theirs is
+/// walked, however wide their classes: `delta_join_classes` stays 0.
 #[test]
 fn join_free_apps_never_batch_a_class() {
     let csv = Arc::new(pvwatts::generate_csv(3_000, InputOrder::Chronological));

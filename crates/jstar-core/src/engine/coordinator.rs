@@ -8,7 +8,7 @@ use crate::gamma::leapfrog::{self, Stage};
 use crate::gamma::{ColumnIndex, Gamma, StoreKind};
 use crate::orderby::OrderKey;
 use crate::program::Program;
-use crate::relation::{JoinShape, Relation, TableHandle, TypedQuery};
+use crate::relation::{lower, JoinShape, Relation, TableHandle, TypedQuery};
 use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
@@ -22,10 +22,10 @@ use std::time::{Duration, Instant};
 use super::config::EngineConfig;
 use super::report::RunReport;
 use super::runtime::{
-    drain_staged, insert_and_fire, open_views, process_class_delta_join, put_tuple, walk_stages,
-    QueryPlan, RunState, StagingSlot,
+    drain_staged, insert_and_fire, open_views, put_tuple, walk_stages, QueryPlan, RunState,
+    StagingSlot,
 };
-use super::schedule::{ClassPlan, Scheduler};
+use super::schedule::{plan, ClassPlan};
 use crate::error::JStarError;
 
 /// The maintain phase rebuilds a lifetime-hinted table whose store is
@@ -331,17 +331,14 @@ impl Engine {
 
         let mut tree = DeltaTree::new();
         let mut absorb = Absorb::new(state, &self.config);
-        // Which tables trigger at least one join-plan rule — the static
-        // half of the delta-join eligibility check (the dynamic half is
-        // the per-class size/uniformity test).
-        let join_tables: Vec<bool> = (0..state.program.defs().len())
-            .map(|ti| {
-                state.program.rules_by_trigger()[ti]
-                    .iter()
-                    .any(|&ri| state.program.rules()[ri].plan.is_some())
+        // Which tables trigger a join rule: their classes run on the
+        // coordinator, each join rule one walk fanned over the pool.
+        let walks: Vec<bool> = (state.program.rules_by_trigger().iter())
+            .map(|ids| {
+                ids.iter()
+                    .any(|&ri| state.program.rules()[ri].plan().is_some())
             })
             .collect();
-        let scheduler = Scheduler::new().with_delta_join(join_tables);
         // Insert outcomes of the classes the coordinator runs inline.
         let mut class_outcomes = Vec::new();
         let mut steps: u64 = 0;
@@ -383,47 +380,37 @@ impl Engine {
             let exec_start = timing.then(Instant::now);
 
             // ── Phase 3: execute ────────────────────────────────────
-            if scheduler.delta_join(&class) {
-                // Batched semi-naive execution: the whole class is the
-                // delta, and join-plan rules walk Gamma once per class
-                // instead of once per tuple.
-                // ord: Relaxed — statistic only.
-                state
-                    .stats
-                    .delta_join_classes
-                    .fetch_add(1, Ordering::Relaxed);
-                process_class_delta_join(state, &key, &class, self.pool.as_deref());
-            } else {
-                match scheduler.plan(self.pool.as_deref(), class_size) {
-                    ClassPlan::Forked { chunk } => {
-                        // ord: Relaxed — statistic only.
-                        state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
-                        // lint: allow(expect): the planner only emits Forked when a pool exists.
-                        let pool = self.pool.as_ref().expect("forked plan implies a pool");
-                        let key = &key;
-                        // All chunks submitted as one batch: a single
-                        // wakeup, no per-task notify storm. The scope's
-                        // join helps execute them.
-                        pool.scope(|s| {
-                            s.spawn_batch(class.chunks(chunk).map(|piece| {
-                                move |_: &jstar_pool::Scope<'_>| {
-                                    insert_and_fire(state, Some(key), piece, &mut Vec::new());
-                                }
-                            }));
-                        });
+            let pool = self.pool.as_deref();
+            match plan(pool, class_size, walks[class[0].table().index()]) {
+                ClassPlan::Forked { chunk } => {
+                    // ord: Relaxed — statistic only.
+                    state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
+                    // lint: allow(expect): the planner only emits Forked when a pool exists.
+                    let pool = pool.expect("forked plan implies a pool");
+                    let key = &key;
+                    // All chunks submitted as one batch: a single
+                    // wakeup, no per-task notify storm. The scope's
+                    // join helps execute them.
+                    pool.scope(|s| {
+                        s.spawn_batch(class.chunks(chunk).map(|piece| {
+                            move |_: &jstar_pool::Scope<'_>| {
+                                insert_and_fire(state, Some(key), piece, &mut Vec::new(), None);
+                            }
+                        }));
+                    });
+                }
+                ClassPlan::Inline { sort } => {
+                    // One-tuple class, join class or sequential engine:
+                    // execute on the coordinator, a join rule's walk
+                    // fanned over the pool. The sequential engine
+                    // additionally sorts a class no join rule walks, for
+                    // a deterministic intra-class order.
+                    // ord: Relaxed — statistic only.
+                    state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
+                    if sort {
+                        class.sort();
                     }
-                    ClassPlan::Inline { sort } => {
-                        // One-tuple class or sequential engine: execute
-                        // on the coordinator. The sequential engine
-                        // additionally sorts for a deterministic
-                        // intra-class order.
-                        // ord: Relaxed — statistic only.
-                        state.stats.inline_classes.fetch_add(1, Ordering::Relaxed);
-                        if sort {
-                            class.sort();
-                        }
-                        insert_and_fire(state, Some(&key), &class, &mut class_outcomes);
-                    }
+                    insert_and_fire(state, Some(&key), &class, &mut class_outcomes, pool);
                 }
             }
             // Workers flushed their own staging slots as their firings
@@ -541,7 +528,6 @@ impl Engine {
             checkpoints,
             checkpoint_time,
             delta_join_classes: count(&stats.delta_join_classes),
-            delta_join_build_tuples: count(&stats.delta_join_build_tuples),
             gamma_probes: (stats.tables.iter()).map(|t| t.snapshot().queries).sum(),
             join_seeks: count(&stats.join_seeks),
             join_cursor_opens: count(&stats.join_cursor_opens),
@@ -771,12 +757,9 @@ impl Engine {
         j: J,
         body: impl for<'a> FnOnce(&'a ColumnIndex, &[(usize, usize)], &[Stage<'a>]) -> (R, u64),
     ) -> R {
-        let ids = J::relation_ids(&mut &*self.state.program);
-        let (root_less, stages) = j.lower(&ids);
-        assert!(
-            stages.iter().all(|s| !s.keys.is_empty()),
-            "a join read needs an on() pair keying every relation after the first"
-        );
+        let Ok((ids, root_less, stages)) = lower(j, &mut &*self.state.program) else {
+            panic!("a join read needs an on() pair keying every relation after the first")
+        };
         let ((_, by), _) = stages[0].keys[0];
         let columns = stages.iter().map(JoinStage::column);
         let views = open_views(&self.state, std::iter::once((ids[0], by)).chain(columns));

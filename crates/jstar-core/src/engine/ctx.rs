@@ -77,11 +77,6 @@ impl<'a> RuleCtx<'a> {
         out
     }
 
-    /// Streams Gamma tuples matching `q`; return `false` to stop early.
-    pub fn query_for_each(&self, q: &Query, mut f: impl FnMut(&Tuple) -> bool) {
-        self.scan(q.probe(), &mut f);
-    }
-
     /// True if some tuple matches (positive existence).
     pub fn exists(&self, q: &Query) -> bool {
         self.any(q.probe())
@@ -93,16 +88,6 @@ impl<'a> RuleCtx<'a> {
     /// verifies (§4).
     pub fn none(&self, q: &Query) -> bool {
         !self.exists(q)
-    }
-
-    /// Returns the unique match, if any (`get uniq?`).
-    pub fn get_uniq(&self, q: &Query) -> Option<Tuple> {
-        let mut found = None;
-        self.scan(q.probe(), &mut |t| {
-            found = Some(t.clone());
-            false
-        });
-        found
     }
 
     /// Aggregate query: folds every match through `reducer`.
@@ -286,8 +271,7 @@ impl<'a> RuleCtx<'a> {
         out
     }
 
-    /// Typed [`RuleCtx::query_for_each`]: streams decoded matches;
-    /// return `false` to stop early.
+    /// Streams decoded matches; return `false` to stop early.
     pub fn for_each_rel<R: Relation>(&self, q: impl IntoProbe<R>, mut f: impl FnMut(R) -> bool) {
         q.with_probe(&self.state.program, |p| {
             self.scan(p, &mut |t| f(R::from_tuple(t)));
@@ -306,7 +290,7 @@ impl<'a> RuleCtx<'a> {
         !self.exists_rel(q)
     }
 
-    /// Typed [`RuleCtx::get_uniq`].
+    /// Returns the unique match, if any (`get uniq?`).
     pub fn get_uniq_rel<R: Relation>(&self, q: impl IntoProbe<R>) -> Option<R> {
         let mut found = None;
         self.for_each_rel(q, |r| {

@@ -61,7 +61,8 @@
 //!   chunked by measured width and pool occupancy into up to 4·T tasks
 //!   (balance by stealing: see `schedule`) and submitted as one batch
 //!   ([`jstar_pool::Scope::spawn_batch`], a single wakeup), and the
-//!   scope's join helps execute them. Either
+//!   scope's join helps execute them; a class whose table triggers a
+//!   join rule runs inline, its walk fanned over the pool. Either
 //!   way every tuple goes through the one insert-and-fire function
 //!   (`runtime::insert_and_fire`), which also flushes the `-noDelta`
 //!   puts its firings staged; the coordinator flushes what helper
@@ -90,49 +91,42 @@
 //! [`RunReport::overlap_fraction`] always read zero: no drain work runs
 //! while a class executes.
 //!
-//! ## Execution modes: per-tuple vs batched delta-join
+//! ## How a class meets Gamma
 //!
-//! The execute phase chooses **how a class meets Gamma**, per class:
+//! Every run of fresh tuples — a class, a chunk of one, or a flushed
+//! `-noDelta` batch — is inserted into Gamma before any rule fires,
+//! then fires each rule on its table one way, by the rule's kind
+//! ([`crate::rule::RuleKind`]):
 //!
-//! * **Per-tuple** (the default, always correct): every fresh tuple of
-//!   the class fires every rule on its table; a rule that joins its
-//!   trigger against a Gamma table pays one indexed probe per tuple.
-//! * **Delta-join** (`runtime::process_class_delta_join`): when every
-//!   rule triggered by the class's table carries an inspectable
-//!   [`crate::rule::JoinPlan`] — registered through
+//! * an **opaque** closure fires once per fresh tuple;
+//! * a **join rule** — registered through
 //!   `ProgramBuilder::rule_rel_join` from the same `join`/`join3` value
-//!   a read takes, which records which trigger fields equate to (or
-//!   bound) which probe-table fields — and the class has at least
-//!   `schedule::DELTA_JOIN_MIN_CLASS` (32) tuples, the whole class is
-//!   treated as the semi-naive *delta*: fresh tuples are cut into a
-//!   view on their stage-0 key and become the root of the one N-ary
-//!   leapfrog walk (`gamma::leapfrog`, which the read-side
+//!   a read takes, so it is an inspectable [`crate::rule::JoinPlan`] —
+//!   treats the run as the semi-naive *delta*: the fresh tuples are
+//!   cut into a view on their stage-0 key and become the root of the
+//!   one N-ary leapfrog walk (`gamma::leapfrog`, which the read-side
 //!   `Engine::join_rel` and its pool-backed `join_fold` call too),
 //!   which drops a trigger failing the root checks, seeks one shared
 //!   Gamma column view per stage and drops a row at the first stage
 //!   whose inequalities it fails; each full row combination is
-//!   emitted. The root view's rows fan out across the pool like class
-//!   chunks do.
-//!   Rules without plans in an otherwise-eligible class — and plans
-//!   with a keyless (cross-join) stage — still run per-tuple.
+//!   emitted. A class whose table triggers a join rule runs on the
+//!   coordinator, and the walk fans the root view's rows across the
+//!   pool like class chunks.
 //!
-//! The static half of the choice (does every rule on this table have a
-//! plan?) is computed once per run; the dynamic half (is this class
-//! wide enough, and single-table?) is `schedule::Scheduler::delta_join`.
-//! Mode selection is invisible in results: both modes insert the class
-//! into Gamma before firing and emit through the same staging path, so
-//! by set semantics the staged tuple set — and therefore the pop
-//! schedule — is bit-identical (property-tested in
-//! `tests/prop_engine.rs::delta_join_matches_per_tuple`).
-//! [`RunReport::delta_join_classes`],
-//! [`RunReport::delta_join_build_tuples`], [`RunReport::gamma_probes`]
-//! and [`RunReport::join_seeks`] put the search-count reduction on record.
+//! The walk emits the tuple set a nested loop firing per tuple would:
+//! the run is in Gamma before either fires, and set semantics plus the
+//! Law of Causality leave the staged set — and therefore the pop
+//! schedule — bit-identical (property-tested against hand-written
+//! nested-loop twins in `tests/prop_engine.rs`, for classes of every
+//! width, mixed-table classes and `-noDelta` triggers).
+//! [`RunReport::delta_join_classes`], [`RunReport::gamma_probes`] and
+//! [`RunReport::join_seeks`] put the search-count reduction on record.
 //! Two `jstar-apps` tests guard it: `triangles.rs`'s
 //! `delta_join_and_per_tuple_agree_and_counters_move` checks at 1, 2 and
-//! 4 threads that the batched walk searches less than an opaque
-//! nested-loop twin of its rule, and `apps_integration.rs`'s
+//! 4 threads that the walk searches less than an opaque nested-loop
+//! twin of its rule, and `apps_integration.rs`'s
 //! `join_free_apps_never_batch_a_class` that join-free programs never
-//! batch.
+//! walk.
 //!
 //! ## The index-cache lifecycle
 //!

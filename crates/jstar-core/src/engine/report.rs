@@ -34,7 +34,9 @@ pub struct RunReport {
     /// Time spent executing equivalence classes (Gamma inserts + rules).
     /// Zero unless [`super::EngineConfig::record_steps`] is set.
     pub execute_time: Duration,
-    /// Classes executed inline on the coordinator.
+    /// Classes executed inline on the coordinator: one-tuple classes,
+    /// classes whose table triggers a join rule, and every class of the
+    /// sequential engine.
     pub inline_classes: u64,
     /// Classes fanned out to the fork/join pool.
     pub forked_classes: u64,
@@ -48,21 +50,18 @@ pub struct RunReport {
     /// [`super::EngineConfig::record_steps`], because checkpoints are
     /// rare enough that the two clock reads per checkpoint are free.
     pub checkpoint_time: Duration,
-    /// Classes executed in batched **delta-join** mode: the class was
-    /// at least 32 tuples wide (`DELTA_JOIN_MIN_CLASS`) and its
-    /// trigger table had at least one join-plan rule, so those rules
-    /// ran as one sorted cursor walk instead of one probe per tuple.
+    /// Runs of fresh trigger tuples whose join rules were walked — a
+    /// class run on the coordinator, a chunk of a mixed-table class or
+    /// a flushed `-noDelta` batch — each rule one leapfrog walk rooted
+    /// at the run. Zero on a program without a join rule.
     pub delta_join_classes: u64,
-    /// Trigger tuples folded into delta-join build tables (the
-    /// "delta" side of the semi-naive join).
-    pub delta_join_build_tuples: u64,
     /// Total Gamma queries issued by rule bodies across all tables —
     /// per-tuple probes and leapfrog cursor opens alike, so an A/B run
     /// against a nested-loop twin of a join rule shows the probe-count
     /// reduction directly.
     pub gamma_probes: u64,
     /// Galloping cursor repositionings performed by leapfrog join
-    /// walks (`join::<..>()` reads and delta-join classes).
+    /// walks (`join::<..>()` reads and join rules).
     /// Single-step `next` advances are free and not counted, so
     /// `gamma_probes + join_seeks` is the walk's total store-search
     /// cost.

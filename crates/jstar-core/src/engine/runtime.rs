@@ -5,8 +5,9 @@
 //! Tuples enter Gamma through **one** function, [`insert_and_fire`]: a
 //! slice is cut into uniform-table runs, each run is one
 //! [`Gamma::insert_batch`] with its counters added once, and the run's
-//! fresh tuples then fire their rules in order. A chunk of an extracted
-//! class arrives there directly. A `-noDelta` put arrives there *staged*:
+//! fresh tuples then fire its opaque rules one tuple at a time and its
+//! join rules as one walk each. An extracted class, or a chunk of one,
+//! arrives there directly. A `-noDelta` put arrives there *staged*:
 //! [`put_tuple`] appends it to the calling worker's [`StagingSlot`], and
 //! the slot is flushed ([`flush_staged`]) when it holds [`FLUSH_AT`]
 //! tuples, before the putting thread's next query (a rule sees its own
@@ -32,7 +33,7 @@ use crate::gamma::leapfrog::{self, Stage};
 use crate::gamma::{ColumnIndex, Gamma, InsertOutcome};
 use crate::orderby::{KeyPart, OrderKey, ResolvedComponent, ResolvedOrderBy};
 use crate::program::Program;
-use crate::rule::{JoinPlan, JoinStage, Rule};
+use crate::rule::{JoinPlan, JoinStage, Rule, RuleKind};
 use crate::schema::TableId;
 use crate::stats::EngineStats;
 use crate::tuple::Tuple;
@@ -221,7 +222,7 @@ pub(super) fn flush_staged(state: &RunState, shard: usize, nest: bool) -> bool {
             }
         }
         // Each tuple's own key is its rules' trigger key (`None`).
-        insert_and_fire(state, None, &batch, &mut outcomes);
+        insert_and_fire(state, None, &batch, &mut outcomes, None);
         batch.clear();
     }
 }
@@ -280,97 +281,64 @@ fn insert_run(
     fresh
 }
 
-/// Moves `tuples` out of the Delta set (a chunk of a class, `key` its
-/// class key) or out of a staging slot (`key` is `None`: each tuple's
-/// own key) into Gamma, and fires every rule the fresh ones trigger, in
-/// order. Mixed-table slices are cut into uniform runs, each inserted as
-/// one batch before its rules fire. Rule contexts borrow the key — zero
-/// copies per trigger. What a tuple's firings staged is flushed as they
-/// return: the sequential engine's schedule is what it was when a
-/// `-noDelta` put inserted at once. `outcomes` is scratch: the caller's
-/// to keep between calls, overwritten by every run.
+/// Moves `tuples` out of the Delta set (a class or a chunk of one, `key`
+/// its class key) or out of a staging slot (`key` is `None`: each
+/// tuple's own key) into Gamma, and fires every rule the fresh ones
+/// trigger. Mixed-table slices are cut into uniform runs, each inserted
+/// as one batch before its rules fire: opaque rules once per fresh
+/// tuple, in order — what a tuple's firings staged is flushed as they
+/// return, so the sequential engine's schedule is what it was when a
+/// `-noDelta` put inserted at once — then each join rule as one walk
+/// rooted at the run's fresh tuples ([`walk_join`]), its root rows
+/// fanned over `pool` when the coordinator runs the class and passes
+/// one. Rule contexts borrow the key — zero copies per trigger.
+/// `outcomes` is scratch: the caller's to keep between calls,
+/// overwritten by every run.
 pub(super) fn insert_and_fire(
     state: &RunState,
     key: Option<&OrderKey>,
     tuples: &[Tuple],
     outcomes: &mut Vec<InsertOutcome>,
-) {
-    let shard = state.staging_shard();
-    for run in tuples.chunk_by(|a, b| a.table() == b.table()) {
-        let ti = run[0].table().index();
-        let rules = &state.program.rules_by_trigger()[ti];
-        if insert_run(state, shard, run, outcomes) == 0 || rules.is_empty() {
-            continue;
-        }
-        let fresh = |(_, o): &(&Tuple, &InsertOutcome)| **o == InsertOutcome::Fresh;
-        for (t, _) in run.iter().zip(outcomes.iter()).filter(fresh) {
-            let key = key.map_or_else(|| state.plans[ti].key_for(t), Cow::Borrowed);
-            for &ri in rules {
-                let rule = &state.program.rules()[ri];
-                (rule.body)(&RuleCtx::new(state, &key, &rule.name), t);
-            }
-            flush_staged(state, shard, false);
-        }
-    }
-}
-
-/// Executes a whole extracted class in **delta-join** mode — semi-naive
-/// evaluation with the class as the delta.
-///
-/// Phase A inserts the class into Gamma in one batch and keeps the fresh
-/// tuples (in class order). Phase B runs each triggered rule over the
-/// fresh set: rules carrying a [`JoinPlan`] are executed as one batched
-/// join — the fresh tuples are cut into a view on their join key and
-/// walked against one Gamma column cursor per stage instead of probing
-/// once per tuple, with the view's rows fanned out across pool
-/// workers — while opaque rules (and
-/// plans with a keyless stage) fall back to per-tuple firing over the
-/// same fresh set.
-///
-/// This is a valid serialization of the per-tuple schedule: parallel
-/// per-tuple execution already inserts each chunk before firing its
-/// rules and interleaves chunks arbitrarily, so intra-class visibility
-/// is unspecified in both modes, and set semantics plus the Law of
-/// Causality make the emitted tuple set identical (prop-tested
-/// bit-identical downstream schedules).
-pub(super) fn process_class_delta_join(
-    state: &RunState,
-    key: &OrderKey,
-    class: &[Tuple],
     pool: Option<&ThreadPool>,
 ) {
-    let ti = class[0].table().index();
-    let rules_here = &state.program.rules_by_trigger()[ti];
-
-    // ── Phase A: whole-class Gamma insert, fresh tuples kept in class
-    // order (the deterministic build side of the join).
-    let mut outcomes = Vec::with_capacity(class.len());
-    if insert_run(state, state.staging_shard(), class, &mut outcomes) == 0 {
-        return;
-    }
-    let fresh: Vec<&Tuple> = (class.iter().zip(&outcomes))
-        .filter(|(_, o)| **o == InsertOutcome::Fresh)
-        .map(|(t, _)| t)
-        .collect();
-
-    // ── Phase B: each triggered rule over the fresh set, in rule order.
-    for &ri in rules_here {
-        let rule = &state.program.rules()[ri];
-        match &rule.plan {
-            // A keyless stage is a cross join — nothing for a cursor to
-            // seek on — so such a plan fires through its synthesised
-            // per-tuple body like an opaque rule.
-            Some(plan) if plan.stages.iter().all(|s| !s.keys.is_empty()) => {
-                run_join_rule(state, key, rule, plan, &fresh, pool)
+    let shard = state.staging_shard();
+    let program = &state.program;
+    for run in tuples.chunk_by(|a, b| a.table() == b.table()) {
+        let ti = run[0].table().index();
+        let ids = &program.rules_by_trigger()[ti];
+        if insert_run(state, shard, run, outcomes) == 0 || ids.is_empty() {
+            continue;
+        }
+        let rules = || ids.iter().map(|&ri| &*program.rules()[ri]);
+        let fresh = || {
+            let fresh = |(_, o): &(&Tuple, &InsertOutcome)| **o == InsertOutcome::Fresh;
+            run.iter()
+                .zip(outcomes.iter())
+                .filter(fresh)
+                .map(|(t, _)| t)
+        };
+        if rules().any(|rule| rule.plan().is_none()) {
+            for t in fresh() {
+                let key = key.map_or_else(|| state.plans[ti].key_for(t), Cow::Borrowed);
+                for rule in rules() {
+                    if let RuleKind::Body(body) = &rule.kind {
+                        body(&RuleCtx::new(state, &key, &rule.name), t);
+                    }
+                }
+                flush_staged(state, shard, false);
             }
-            _ => {
-                // Opaque body: per-tuple firing is its only defined
-                // execution (one context for the whole fresh set).
-                let ctx = RuleCtx::new(state, key, &rule.name);
-                for t in &fresh {
-                    (rule.body)(&ctx, t);
+        }
+        if rules().any(|rule| rule.plan().is_some()) {
+            let fresh: Vec<&Tuple> = fresh().collect();
+            for rule in rules() {
+                if let RuleKind::Join(plan) = &rule.kind {
+                    walk_join(state, key, rule, plan, &fresh, pool);
                 }
             }
+            // ord: Relaxed — statistic only.
+            let stats = &state.stats;
+            stats.delta_join_classes.fetch_add(1, Ordering::Relaxed);
+            flush_staged(state, shard, false);
         }
     }
 }
@@ -405,45 +373,50 @@ pub(super) fn walk_stages<'a>(
         .collect()
 }
 
-/// One join-plan rule over a class's fresh tuples, every stage keyed.
+/// One join rule over a run's fresh tuples — semi-naive evaluation
+/// with the run as the delta.
 ///
 /// The delta is cut into a view on the trigger field stage 0 seeks by
 /// — the builder every Gamma view comes from, so its groups are ordered
-/// by their next column with class order breaking ties — and becomes
+/// by their next column with run order breaking ties — and becomes
 /// the root of one [`leapfrog`] walk, which drops the tuples failing
 /// the plan's root checks: one column view is opened per stage (one
 /// store pass each, or a cache hit; shared by every worker with private
 /// positions), the root's groups leapfrog against stage 0's and later
 /// stages seek per row, each stage dropping the candidates that fail
-/// its inequalities before the next one seeks. Store work per class is
+/// its inequalities before the next one seeks. Store work per run is
 /// `stages` cursor opens plus the counted gallops, instead of one probe
 /// per tuple; with a pool the root's rows are split across workers.
-fn run_join_rule(
+/// Each emission's context carries `key`, or — for a run flushed from
+/// a staging slot — its trigger tuple's own key.
+///
+/// This is a valid serialization of the per-tuple schedule: the run is
+/// inserted before any rule fires, intra-class visibility is
+/// unspecified, and set semantics plus the Law of Causality make the
+/// emitted tuple set that of a nested loop firing per tuple
+/// (prop-tested against hand-written nested-loop twins).
+fn walk_join(
     state: &RunState,
-    key: &OrderKey,
+    key: Option<&OrderKey>,
     rule: &Rule,
     plan: &JoinPlan,
     fresh: &[&Tuple],
     pool: Option<&ThreadPool>,
 ) {
-    // ord: Relaxed — statistic only.
-    state
-        .stats
-        .delta_join_build_tuples
-        .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-
     let ((_, by), _) = plan.first_stage().keys[0];
     let root = ColumnIndex::of_rows(by, fresh);
-
     let views = open_views(state, plan.stages.iter().map(JoinStage::column));
-    let ctx = RuleCtx::new(state, key, &rule.name);
+    let plans = &state.plans[rule.trigger.index()];
     let (_, seeks) = leapfrog::fan_out(
         &root,
         &plan.root_less,
         &walk_stages(&plan.stages, &views),
         pool,
         || (),
-        |(), rows| (plan.emit)(&ctx, rows),
+        |(), rows| {
+            let key = key.map_or_else(|| plans.key_for(rows[0]), Cow::Borrowed);
+            (plan.emit)(&RuleCtx::new(state, &key, &rule.name), rows)
+        },
     );
     if seeks > 0 {
         // ord: Relaxed — statistic only.

@@ -8,9 +8,14 @@
 //! * **sequential engine** — everything runs inline on the coordinator,
 //!   with the class sorted for a deterministic intra-class order
 //!   (parallel execution order is intentionally unspecified, so only
-//!   this arm pays for the sort);
+//!   this arm pays for the sort) unless its table triggers a join rule,
+//!   whose walk orders its root by the join key itself;
 //! * **one tuple** — inline on the coordinator: there is nothing to
 //!   split, and a fork would only add a wakeup round trip;
+//! * **a class whose table triggers a join rule** — inline on the
+//!   coordinator, inserted as one batch; the join rule's walk then fans
+//!   its root rows over the pool ([`crate::gamma::leapfrog`]), so the
+//!   whole class is one walk whatever its width;
 //! * **wider class** — forked, chunked by measured class width and
 //!   current pool occupancy ([`jstar_pool::adaptive_chunk`], which aims
 //!   at 4·T chunks) and submitted as one batch (single wakeup); the
@@ -22,13 +27,7 @@
 //!   carries the work splits it finer itself: `pvwatts` puts four
 //!   region requests per expected reader.
 
-use crate::tuple::Tuple;
 use jstar_pool::ThreadPool;
-
-/// Minimum class width for batched delta-join execution (the engine
-/// module's "Execution modes"). Below it the sort and the per-stage
-/// views cost more than the probes they save.
-pub(super) const DELTA_JOIN_MIN_CLASS: usize = 32;
 
 /// How one equivalence class should execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,56 +40,15 @@ pub(super) enum ClassPlan {
     Forked { chunk: usize },
 }
 
-/// The per-run scheduling policy (all-minimums, made adaptive).
-pub(super) struct Scheduler {
-    /// Per-table flag: does any rule triggered by this table carry a
-    /// [`crate::rule::JoinPlan`]? Tables without one never take the
-    /// delta-join arm, whatever the class size.
-    join_tables: Vec<bool>,
-}
-
-impl Scheduler {
-    pub(super) fn new() -> Scheduler {
-        Scheduler {
-            join_tables: Vec::new(),
-        }
-    }
-
-    /// Arms delta-join mode: classes of at least
-    /// [`DELTA_JOIN_MIN_CLASS`] tuples whose (uniform) trigger table has
-    /// a join-plan rule execute as one batched Gamma pass.
-    pub(super) fn with_delta_join(mut self, join_tables: Vec<bool>) -> Scheduler {
-        self.join_tables = join_tables;
-        self
-    }
-
-    /// True when `class` should execute in batched delta-join mode:
-    /// it is at least [`DELTA_JOIN_MIN_CLASS`] wide, is uniform over one
-    /// table, and that table triggers at least one join-plan rule. Mixed-table classes
-    /// (one order key spanning tables) always take the per-tuple path —
-    /// correctness never depends on this answer, only probe counts.
-    pub(super) fn delta_join(&self, class: &[Tuple]) -> bool {
-        let Some(first) = class.first() else {
-            return false;
-        };
-        class.len() >= DELTA_JOIN_MIN_CLASS
-            && self
-                .join_tables
-                .get(first.table().index())
-                .copied()
-                .unwrap_or(false)
-            && class.iter().all(|t| t.table() == first.table())
-    }
-
-    /// Plans the execution of a class of `class_size` tuples.
-    pub(super) fn plan(&self, pool: Option<&ThreadPool>, class_size: usize) -> ClassPlan {
-        match pool {
-            Some(pool) if class_size > 1 => ClassPlan::Forked {
-                chunk: jstar_pool::adaptive_chunk(pool, class_size),
-            },
-            Some(_) => ClassPlan::Inline { sort: false },
-            None => ClassPlan::Inline { sort: true },
-        }
+/// Plans the execution of a class of `class_size` tuples; `walks` says
+/// the table of its first tuple triggers a join rule.
+pub(super) fn plan(pool: Option<&ThreadPool>, class_size: usize, walks: bool) -> ClassPlan {
+    match pool {
+        Some(pool) if class_size > 1 && !walks => ClassPlan::Forked {
+            chunk: jstar_pool::adaptive_chunk(pool, class_size),
+        },
+        Some(_) => ClassPlan::Inline { sort: false },
+        None => ClassPlan::Inline { sort: !walks },
     }
 }
 
@@ -100,9 +58,8 @@ mod tests {
 
     #[test]
     fn sequential_engine_sorts_inline() {
-        let s = Scheduler::new();
-        assert_eq!(s.plan(None, 100), ClassPlan::Inline { sort: true });
-        assert_eq!(s.plan(None, 1), ClassPlan::Inline { sort: true });
+        assert_eq!(plan(None, 100, false), ClassPlan::Inline { sort: true });
+        assert_eq!(plan(None, 1, false), ClassPlan::Inline { sort: true });
     }
 
     #[test]
@@ -110,18 +67,19 @@ mod tests {
         // Only a one-tuple class is narrow enough to stay on the
         // coordinator.
         let pool = ThreadPool::new(2);
-        let s = Scheduler::new();
-        assert_eq!(s.plan(Some(&pool), 1), ClassPlan::Inline { sort: false });
+        assert_eq!(
+            plan(Some(&pool), 1, false),
+            ClassPlan::Inline { sort: false }
+        );
     }
 
     #[test]
     fn wide_classes_fork_with_adaptive_chunks() {
         let pool = ThreadPool::new(2);
-        let s = Scheduler::new();
         // An 8-tuple class at T = 2 is 8 one-tuple tasks to steal.
-        assert_eq!(s.plan(Some(&pool), 8), ClassPlan::Forked { chunk: 1 });
+        assert_eq!(plan(Some(&pool), 8, false), ClassPlan::Forked { chunk: 1 });
         for width in [3, 1000] {
-            match s.plan(Some(&pool), width) {
+            match plan(Some(&pool), width, false) {
                 ClassPlan::Forked { chunk } => assert!((1..width).contains(&chunk)),
                 other => panic!("width {width}: expected a forked plan, got {other:?}"),
             }
@@ -133,27 +91,25 @@ mod tests {
         // With no inline threshold left, every class of two or more
         // tuples forks, as a zero threshold used to make it.
         let pool = ThreadPool::new(2);
-        let s = Scheduler::new();
-        assert_eq!(s.plan(Some(&pool), 1), ClassPlan::Inline { sort: false });
-        assert_eq!(s.plan(Some(&pool), 2), ClassPlan::Forked { chunk: 1 });
+        assert_eq!(
+            plan(Some(&pool), 1, false),
+            ClassPlan::Inline { sort: false }
+        );
+        assert_eq!(plan(Some(&pool), 2, false), ClassPlan::Forked { chunk: 1 });
     }
 
     #[test]
-    fn delta_join_requires_threshold_uniform_table_and_plan_rule() {
-        use crate::schema::TableId;
-        use crate::value::Value;
-        let row = |ti: u32, v: i64| Tuple::new(TableId(ti), vec![Value::Int(v)]);
-        let rows = |ti| -> Vec<Tuple> { (0..32).map(|v| row(ti, v)).collect() };
-        // Table 0 has a join-plan rule, table 1 does not.
-        let s = Scheduler::new().with_delta_join(vec![true, false]);
-        let wide = rows(0);
-        assert!(s.delta_join(&wide));
-        assert!(!s.delta_join(&wide[1..]), "below threshold");
-        assert!(!s.delta_join(&rows(1)), "no join-plan rule on that table");
-        let mixed = [&wide[1..], &[row(1, 0)]].concat();
-        assert!(!s.delta_join(&mixed), "mixed-table classes stay per-tuple");
-        assert!(!s.delta_join(&[]), "empty class");
-        // An unarmed scheduler (no join tables) never batches.
-        assert!(!Scheduler::new().delta_join(&wide));
+    fn join_classes_run_on_the_coordinator_at_every_width() {
+        // A class whose table triggers a join rule is one walk, its root
+        // rows fanned over the pool by the walk itself and ordered by
+        // the join key: never forked, never sorted, whatever its width
+        // and on either engine.
+        let pool = ThreadPool::new(2);
+        for width in [1, 2, 31, 32, 1000] {
+            for pool in [Some(&pool), None] {
+                let plan = plan(pool, width, true);
+                assert_eq!(plan, ClassPlan::Inline { sort: false }, "width {width}");
+            }
+        }
     }
 }

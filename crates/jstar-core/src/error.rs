@@ -30,6 +30,11 @@ pub enum JStarError {
     /// A table declared two columns with the same name. Recorded by the
     /// builder and reported at build time.
     DuplicateColumn { table: String, column: String },
+    /// A join rule left a relation after its trigger keyed by no `on`
+    /// pair — a cross join, which gives the walk nothing to seek on.
+    /// Recorded by the builder and reported at build time; write a
+    /// cross join as an opaque rule that loops over a query.
+    KeylessJoin { rule: String, relation: String },
     /// A query constrained a field the table does not have. Positional
     /// queries are validated when they first reach the engine (typed
     /// [`crate::relation::TypedQuery`] constraints cannot express this).
@@ -79,6 +84,10 @@ impl fmt::Display for JStarError {
             JStarError::DuplicateColumn { table, column } => {
                 write!(f, "Duplicate column {column} in table {table}")
             }
+            JStarError::KeylessJoin { rule, relation } => write!(
+                f,
+                "Join rule {rule}: relation {relation} is keyed by no on() pair (a cross join)"
+            ),
             JStarError::NoSuchField { table, field } => {
                 write!(f, "Query error: table {table} has no field {field}")
             }

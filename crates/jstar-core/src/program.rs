@@ -8,9 +8,10 @@
 //! [`ProgramBuilder::put_rel`]. The positional entry points
 //! ([`ProgramBuilder::table`], [`ProgramBuilder::rule`],
 //! [`ProgramBuilder::put`]) remain as the low-level escape hatch for
-//! generic tooling. Builder misuse (duplicate table or column names) is
-//! recorded and reported by [`ProgramBuilder::build`] as a
-//! [`JStarError`], not a panic.
+//! generic tooling. Builder misuse (duplicate table or column names, a
+//! join rule with a relation keyed by no `on` pair) is recorded and
+//! reported by [`ProgramBuilder::build`] as a [`JStarError`], not a
+//! panic.
 //!
 //! A [`Program`] is the object the paper's XText compiler would produce
 //! from JStar source: fully resolved table schemas, the strata order, the
@@ -25,14 +26,12 @@ use crate::causality::{check_rule, CausalityModel, ObligationResult};
 use crate::engine::RuleCtx;
 use crate::error::{JStarError, Result};
 use crate::orderby::{OrderComponent, OrderKey, ResolvedOrderBy};
-use crate::query::{Probe, Query, Slot, SlotOp};
-use crate::relation::{JoinShape, Relation, TableHandle};
-use crate::rule::{JoinPlan, Rule, RuleBody};
+use crate::relation::{lower, JoinShape, Relation, TableHandle};
+use crate::rule::{JoinPlan, Rule, RuleKind};
 use crate::schema::{TableDef, TableDefBuilder, TableId};
 use crate::stats::DependencyGraph;
 use crate::strata::{StrataBuilder, StrataOrder};
 use crate::tuple::Tuple;
-use crate::value::Value;
 use std::any::TypeId;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,9 +47,9 @@ pub struct ProgramBuilder {
     orders: Vec<Vec<String>>,
     rules: Vec<Rule>,
     initial: Vec<Tuple>,
-    /// Builder misuse (duplicate tables/columns, unregistered
-    /// relations) collected here and reported by
-    /// [`ProgramBuilder::build`] instead of panicking mid-declaration.
+    /// Builder misuse (duplicate tables/columns, keyless join rules)
+    /// collected here and reported by [`ProgramBuilder::build`] instead
+    /// of panicking mid-declaration.
     errors: Vec<JStarError>,
 }
 
@@ -150,9 +149,8 @@ impl ProgramBuilder {
         self.rules.push(Rule {
             name: name.to_string(),
             trigger,
-            body: Arc::new(body) as RuleBody,
+            kind: RuleKind::Body(Arc::new(body)),
             model: None,
-            plan: None,
         });
     }
 
@@ -167,9 +165,8 @@ impl ProgramBuilder {
         self.rules.push(Rule {
             name: name.to_string(),
             trigger,
-            body: Arc::new(body) as RuleBody,
+            kind: RuleKind::Body(Arc::new(body)),
             model: Some(model),
-            plan: None,
         });
     }
 
@@ -202,10 +199,10 @@ impl ProgramBuilder {
         self.rules.push(Rule {
             name: name.to_string(),
             trigger,
-            body: Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| body(ctx, R::from_tuple(t)))
-                as RuleBody,
+            kind: RuleKind::Body(Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| {
+                body(ctx, R::from_tuple(t))
+            })),
             model: None,
-            plan: None,
         });
     }
 
@@ -221,10 +218,10 @@ impl ProgramBuilder {
         self.rules.push(Rule {
             name: name.to_string(),
             trigger,
-            body: Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| body(ctx, R::from_tuple(t)))
-                as RuleBody,
+            kind: RuleKind::Body(Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| {
+                body(ctx, R::from_tuple(t))
+            })),
             model: Some(model),
-            plan: None,
         });
     }
 
@@ -236,16 +233,21 @@ impl ProgramBuilder {
     /// full row combination — `(trigger, probed)` or `(trigger, b, c)`.
     /// A condition `j` cannot state is an `if` in `emit`.
     ///
-    /// Unlike [`ProgramBuilder::rule_rel`], the registered rule carries
-    /// an inspectable [`crate::rule::JoinPlan`] alongside the
-    /// synthesized per-tuple body. That shape is what lets the engine
-    /// execute a whole extracted class as **one batched join** against
-    /// Gamma (sorting the class by its join-key values and walking it
-    /// against a column cursor per stage) when the class is at least 32
-    /// tuples wide (`DELTA_JOIN_MIN_CLASS` in the engine's scheduler);
-    /// below that width, or when a relation is keyed by no pair (a
-    /// cross join), the per-tuple body runs instead. Both paths are
-    /// built from the same plan parts, so they emit identical tuples.
+    /// Unlike [`ProgramBuilder::rule_rel`], the registered rule is an
+    /// inspectable [`crate::rule::JoinPlan`], not a closure, and the
+    /// engine runs it one way: each run of fresh trigger tuples — a
+    /// Delta class, a chunk of one, or a flushed batch of `-noDelta`
+    /// puts — is cut into a view on the trigger field stage 0 seeks by
+    /// and becomes the root of one leapfrog walk against a sorted
+    /// column view per stage, the root's rows fanned over the pool when
+    /// the coordinator runs the class. A walk fired from a `-noDelta`
+    /// flush reopens its stage views, and a view whose table changed
+    /// since its last open is rebuilt from the whole table.
+    ///
+    /// Every relation after the trigger must be keyed by an `on` pair;
+    /// a cross join is a [`JStarError::KeylessJoin`] from
+    /// [`ProgramBuilder::build`] — write it as a
+    /// [`ProgramBuilder::rule_rel`] that loops over a query.
     ///
     /// Strict validation flags the missing causality model; use
     /// [`ProgramBuilder::rule_rel_join_with_model`] to attach one.
@@ -277,19 +279,25 @@ impl ProgramBuilder {
         model: Option<CausalityModel>,
         emit: impl Fn(&RuleCtx<'_>, J::Row) + Send + Sync + 'static,
     ) {
-        let ids = J::relation_ids(self);
-        let (root_less, stages) = j.lower(&ids);
-        let plan = Arc::new(JoinPlan {
+        let (ids, root_less, stages) = match lower(j, self) {
+            Ok(lowered) => lowered,
+            Err(table) => {
+                let relation = self.tables[table.index()].name.clone();
+                let rule = name.to_string();
+                self.errors.push(JStarError::KeylessJoin { rule, relation });
+                return;
+            }
+        };
+        let plan = JoinPlan {
             root_less,
             stages,
             emit: Arc::new(move |ctx: &RuleCtx<'_>, rows: &[&Tuple]| emit(ctx, J::decode(rows))),
-        });
+        };
         self.rules.push(Rule {
             name: name.to_string(),
             trigger: ids[0],
-            body: join_fallback_body(Arc::clone(&plan)),
+            kind: RuleKind::Join(plan),
             model,
-            plan: Some(plan),
         });
     }
 
@@ -306,8 +314,9 @@ impl ProgramBuilder {
 
     /// Finalises the program: interns strat literals, linearises the
     /// declared order, resolves every orderby list. Fails on builder
-    /// misuse recorded earlier (duplicate tables or columns), on order
-    /// cycles, or on orderby lists naming unknown columns.
+    /// misuse recorded earlier (duplicate tables or columns, keyless
+    /// join rules), on order cycles, or on orderby lists naming
+    /// unknown columns.
     pub fn build(self) -> Result<Program> {
         if let Some(e) = self.errors.into_iter().next() {
             return Err(e);
@@ -358,68 +367,6 @@ impl ProgramBuilder {
             relations: self.relations,
             initial: self.initial,
         })
-    }
-}
-
-/// Synthesizes the per-tuple nested-loop body from a join plan: the
-/// root checks on the trigger, then a recursive descent over the
-/// stages, one indexed Gamma probe per stage per partial row. Each stage's query is built once, here — one
-/// equality bind slot per key pair, one `>` slot per inequality (its
-/// probe field above the matched row's value) — and bound per row to
-/// the values of the rows already matched, so the store drops a
-/// candidate failing an inequality at the same stage the batched walk
-/// does. Both execution modes (this fallback and the delta-join cursor
-/// walk) are built from the same plan parts, so they share one
-/// definition of the rule's meaning and cannot drift apart.
-fn join_fallback_body(plan: Arc<JoinPlan>) -> RuleBody {
-    let stages: Vec<(Query, Vec<Slot>)> = (plan.stages.iter())
-        .map(|stage| {
-            let slot = |op| move |&(_, field): &(_, usize)| Slot { field, op };
-            let keys = stage.keys.iter().map(slot(SlotOp::Eq));
-            let less = stage.less.iter().map(slot(SlotOp::Gt));
-            (Query::on(stage.probe_table), keys.chain(less).collect())
-        })
-        .collect();
-    Arc::new(move |ctx: &RuleCtx<'_>, t: &Tuple| {
-        if (plan.root_less.iter()).all(|&(lo, hi)| t.get(lo) < t.get(hi)) {
-            let mut rows = vec![t.clone()];
-            join_descend(ctx, &plan, &stages, &mut rows, &mut Vec::new());
-        }
-    }) as RuleBody
-}
-
-/// One level of [`join_fallback_body`]'s descent; `keys` is scratch for
-/// the stage's bound values.
-fn join_descend(
-    ctx: &RuleCtx<'_>,
-    plan: &JoinPlan,
-    stages: &[(Query, Vec<Slot>)],
-    rows: &mut Vec<Tuple>,
-    keys: &mut Vec<Value>,
-) {
-    let depth = rows.len() - 1;
-    if depth == plan.stages.len() {
-        let refs: Vec<&Tuple> = rows.iter().collect();
-        (plan.emit)(ctx, &refs);
-        return;
-    }
-    let (query, slots) = &stages[depth];
-    keys.clear();
-    let key_of = |&((row, f), _): &((usize, usize), usize)| rows[row].get(f).clone();
-    let stage = &plan.stages[depth];
-    keys.extend(stage.keys.iter().chain(&stage.less).map(key_of));
-    // Candidates are collected before descending: stages may probe the
-    // same table (self-joins), and recursing while a store iteration
-    // holds its lock would deadlock.
-    let mut candidates = Vec::new();
-    ctx.scan(Probe::bound(query, slots, keys), &mut |p| {
-        candidates.push(p.clone());
-        true
-    });
-    for p in candidates {
-        rows.push(p);
-        join_descend(ctx, plan, stages, rows, keys);
-        rows.pop();
     }
 }
 
@@ -789,12 +736,11 @@ mod tests {
         );
         let prog = p.build().unwrap();
         assert!(
-            prog.rules()[0].plan.is_none(),
+            prog.rules()[0].plan().is_none(),
             "closure bodies stay opaque and per-tuple"
         );
         let plan = prog.rules()[1]
-            .plan
-            .as_ref()
+            .plan()
             .expect("join rules expose an inspectable plan");
         assert_eq!(plan.stages.len(), 1);
         assert_eq!(
@@ -833,7 +779,7 @@ mod tests {
             |_, _| {},
         );
         let prog = p.build().unwrap();
-        let plan = prog.rules()[0].plan.as_ref().expect("plan");
+        let plan = prog.rules()[0].plan().expect("plan");
         assert_eq!(plan.stages.len(), 2);
         assert_eq!(plan.stages[0].probe_table, prog.table_id("T1").unwrap());
         assert_eq!(plan.stages[0].keys, vec![((0, 1), 0)]);
@@ -902,7 +848,7 @@ mod tests {
         assert!(!results.is_empty());
         assert!(results.iter().all(|r| r.proved), "{results:?}");
         assert!(prog.validate_strict().is_ok());
-        assert_eq!(prog.rules()[0].plan.as_ref().expect("plan").stages.len(), 2);
+        assert_eq!(prog.rules()[0].plan().expect("plan").stages.len(), 2);
         let mut engine =
             crate::engine::Engine::new(prog, crate::engine::EngineConfig::sequential());
         engine.run().unwrap();

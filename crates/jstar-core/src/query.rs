@@ -24,9 +24,7 @@
 //!   gets the decoded rows, `(a, b)` or `(a, b, c)`;
 //! * **rules**: [`crate::program::ProgramBuilder::rule_rel_join`], `A`
 //!   the trigger, whose inspectable plan feeds the same walk — a view
-//!   cut from the delta as its root — when a wide class executes as a
-//!   batched delta-join (a class of at least 32 tuples,
-//!   `DELTA_JOIN_MIN_CLASS` in the engine's scheduler).
+//!   cut from each run of fresh trigger tuples as its root.
 //!
 //! **The variable order is fixed, never optimized.** Relations
 //! intersect in the order the builder declares them, each keyed on the

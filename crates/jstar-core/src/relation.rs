@@ -685,9 +685,11 @@ pub struct Join<A: Relation, B: Relation> {
 
 impl<A: Relation, B: Relation> Join<A, B> {
     /// Adds the equi-join pair `a.field == b.field`. The first pair
-    /// names the leapfrog columns; later pairs are residual checks. A
-    /// read needs at least one; a rule without one is a cross join,
-    /// which fires per tuple.
+    /// names the leapfrog columns; later pairs are residual checks.
+    /// Every join needs at least one: without one it is a cross join,
+    /// which gives the walk nothing to seek on, so a rule's
+    /// [`crate::program::ProgramBuilder::build`] fails and a read
+    /// panics.
     pub fn on<T: FieldValue>(mut self, a: Field<A, T>, b: Field<B, T>) -> Self {
         self.keys.push(((0, a.index()), b.index()));
         self
@@ -853,6 +855,28 @@ impl<A: Relation, B: Relation, C: Relation> JoinShape for Join3<A, B, C> {
             less: self.c_less,
         });
         (self.a_less, stages)
+    }
+}
+
+/// A lowered join: its relations' table ids, its root checks and its
+/// stages (see [`JoinShape::lower`]).
+pub(crate) type Lowered = (Vec<TableId>, Vec<(usize, usize)>, Vec<JoinStage>);
+
+/// Lowers `j` over `tables` — the one place a join's shape is checked.
+/// Every relation after the first must be keyed by an `on` pair: a
+/// cross join gives a walk nothing to seek on. Errs with the first
+/// unkeyed relation's table; a rule records that as a
+/// [`crate::program::ProgramBuilder::build`] error, a read panics. A
+/// cross join is written as an opaque rule that loops over a query.
+pub(crate) fn lower<J: JoinShape>(
+    j: J,
+    tables: &mut impl sealed::Tables,
+) -> Result<Lowered, TableId> {
+    let ids = J::relation_ids(tables);
+    let (root_less, stages) = j.lower(&ids);
+    match stages.iter().find(|s| s.keys.is_empty()) {
+        Some(unkeyed) => Err(unkeyed.probe_table),
+        None => Ok((ids, root_less, stages)),
     }
 }
 

@@ -48,7 +48,8 @@ pub struct JoinStage {
 
 impl JoinStage {
     /// The `(table, field)` this stage's column view is opened on: the
-    /// probe column of its first key pair (the stage must be keyed).
+    /// probe column of its first key pair (the lowering refuses a stage
+    /// without one).
     pub fn column(&self) -> (TableId, usize) {
         (self.probe_table, self.keys[0].1)
     }
@@ -61,20 +62,18 @@ impl JoinStage {
 /// [`crate::relation::join`] or [`crate::relation::join3`] value with
 /// the trigger as its first relation — expose their constraint
 /// structure instead of hiding it inside an opaque closure: for each
-/// trigger tuple passing the root checks, probe the stages in order —
+/// trigger tuple passing the root checks, match the stages in order —
 /// each stage's candidates constrained by equi-join keys and
 /// inequalities against rows already matched — and run `emit` on each
 /// full row combination. The variable order is fixed by stage
-/// declaration order (no cost-based optimizer).
+/// declaration order (no cost-based optimizer), and every stage is
+/// keyed by at least one equi-join pair (the builder refuses a cross
+/// join).
 ///
-/// The engine uses the shape to switch a whole extracted class to
-/// **delta-join execution** when the class is at least 32 tuples wide
-/// (`DELTA_JOIN_MIN_CLASS` in the engine's scheduler): one
-/// coordinated leapfrog walk over sorted column cursors per class
-/// instead of one indexed probe per tuple. The synthesized per-tuple
-/// body remains the fallback below that width — and for a plan with
-/// a keyless stage (a cross join), which gives a cursor nothing to seek
-/// on — and both modes produce the same emissions.
+/// The engine runs a plan one way: every run of fresh trigger tuples
+/// is cut into a view on the field stage 0 seeks by and becomes the
+/// root of one leapfrog walk over sorted column views of the stage
+/// tables, whatever the run's width.
 pub struct JoinPlan {
     /// Root checks `(field, field)` on the trigger tuple: it is joined
     /// only when the first field is below the second.
@@ -101,22 +100,36 @@ impl std::fmt::Debug for JoinPlan {
     }
 }
 
+/// What a rule runs on its fresh trigger tuples.
+pub enum RuleKind {
+    /// An opaque closure, called once per trigger tuple.
+    Body(RuleBody),
+    /// An inspectable join, walked once per run of trigger tuples.
+    Join(JoinPlan),
+}
+
 /// A JStar rule.
 pub struct Rule {
     /// Diagnostic name.
     pub name: String,
     /// The table whose tuples trigger this rule.
     pub trigger: TableId,
-    /// The rule body.
-    pub body: RuleBody,
+    /// The per-tuple body or the join plan.
+    pub kind: RuleKind,
     /// Optional causality model for static checking (§4). Rules without a
     /// model are reported as unproved by strict validation, mirroring the
     /// compiler warning the paper describes.
     pub model: Option<CausalityModel>,
-    /// Inspectable (join → emit) shape, when the rule was
-    /// registered through a join-aware path. `None` marks an opaque
-    /// closure body, which the engine always executes per tuple.
-    pub plan: Option<Arc<JoinPlan>>,
+}
+
+impl Rule {
+    /// The rule's join plan; `None` for an opaque closure body.
+    pub fn plan(&self) -> Option<&JoinPlan> {
+        match &self.kind {
+            RuleKind::Join(plan) => Some(plan),
+            RuleKind::Body(_) => None,
+        }
+    }
 }
 
 impl std::fmt::Debug for Rule {
@@ -125,7 +138,7 @@ impl std::fmt::Debug for Rule {
             .field("name", &self.name)
             .field("trigger", &self.trigger)
             .field("has_model", &self.model.is_some())
-            .field("plan", &self.plan)
+            .field("plan", &self.plan())
             .finish()
     }
 }

@@ -139,17 +139,14 @@ pub struct EngineStats {
     /// execution phase, not CPU time across workers).
     pub execute_nanos: AtomicU64,
     /// Classes executed inline on the coordinator (one-tuple classes,
-    /// and every class of the sequential engine).
+    /// classes whose table triggers a join rule, and every class of the
+    /// sequential engine).
     pub inline_classes: AtomicU64,
     /// Classes fanned out to the fork/join pool.
     pub forked_classes: AtomicU64,
-    /// Classes executed in batched delta-join mode (the class was at
-    /// least `DELTA_JOIN_MIN_CLASS` = 32 tuples of one table, and that
-    /// table had a join-plan rule).
+    /// Runs of fresh trigger tuples whose join rules were walked (see
+    /// [`crate::engine::RunReport::delta_join_classes`]).
     pub delta_join_classes: AtomicU64,
-    /// Trigger tuples folded into delta-join build tables (the delta
-    /// side of the semi-naive join).
-    pub delta_join_build_tuples: AtomicU64,
     /// Galloping cursor repositionings performed by leapfrog join
     /// walks (single-step `next` advances are free and not counted).
     pub join_seeks: AtomicU64,
@@ -179,7 +176,6 @@ impl EngineStats {
             inline_classes: AtomicU64::new(0),
             forked_classes: AtomicU64::new(0),
             delta_join_classes: AtomicU64::new(0),
-            delta_join_build_tuples: AtomicU64::new(0),
             join_seeks: AtomicU64::new(0),
             join_cursor_opens: AtomicU64::new(0),
             step_log: Mutex::new(Vec::new()),

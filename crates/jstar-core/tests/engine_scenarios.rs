@@ -193,7 +193,7 @@ fn seq_component_orders_waves() {
 
     // Waves of a join rule over a probe table that grows between them:
     // 40 `Lit` rows, a 40-wide wave, 40 more rows, an 80-wide wave, then
-    // a 32-wide wave with nothing new. Each wave is one batched class
+    // a 32-wide wave with nothing new. Each wave is one walked class
     // and opens the `Lit.id` view once. The grown table's view is
     // rebuilt — a miss that sorts every live row, 40 then 80 — and the
     // unchanged one is a hit.

@@ -26,6 +26,18 @@ jstar_table! {
 }
 
 jstar_table! {
+    /// Shares `Src`'s order key, so the two tables fill one class.
+    #[derive(Copy, Eq)]
+    pub Twin(int k, int v) orderby (Src)
+}
+
+jstar_table! {
+    /// One step of the `-noDelta` join program: puts `n` `Src` rows.
+    #[derive(Copy, Eq)]
+    pub Seed(int t, int n) orderby (Seed, seq t)
+}
+
+jstar_table! {
     /// Output of stage 1, trigger of stage 2.
     #[derive(Copy, Eq)]
     pub Mid(int k2, int s) orderby (Mid)
@@ -153,14 +165,14 @@ fn relaxation_program(n: i64, degree: i64, weight_mod: i64) -> Arc<Program> {
     Arc::new(p.build().unwrap())
 }
 
-/// A two-stage join program whose trigger classes are wide (no `seq`
-/// columns), so the batched delta-join pass has something to batch:
+/// A two-stage join program whose trigger tables have no `seq`
+/// columns, so each is one class and one walk:
 ///
 /// * `Dim` is the probe-side table (popped first, no rules);
 /// * `Src ⋈ Dim` on `k` with a residual filter feeds `Mid`;
 /// * `Mid ⋈ Dim` on the derived key feeds `Out`;
-/// * an *opaque* rule also triggers on `Src`, so delta-join classes mix
-///   planned and per-tuple rule execution in one pop.
+/// * an *opaque* rule also triggers on `Src`, so one class mixes
+///   walked and per-tuple rule execution.
 ///
 /// `nested_loop` builds both joins as hand-written opaque rules, two
 /// `ctx.query_rel` loops invisible to every join optimisation: the
@@ -225,26 +237,26 @@ fn join_program(dims: i64, srcs: i64, key_mod: i64, filt: i64, nested_loop: bool
 }
 
 /// How many of `widths` (the widths of classes whose table triggers a
-/// join-plan rule) reach the delta-join minimum of 32 tuples: the
+/// join rule) are non-empty: each is one walked run, the
 /// `delta_join_classes` a run must report.
-fn batched_classes(widths: &[usize]) -> u64 {
-    widths.iter().filter(|&&w| w >= 32).count() as u64
+fn walked_classes(widths: &[usize]) -> u64 {
+    widths.iter().filter(|&&w| w > 0).count() as u64
 }
 
 /// Runs `nested` sequentially as the reference, then `joined`
 /// sequentially, at `threads` threads, and at `threads` threads with
 /// every staged batch merged by the pool. Each run must reach the
 /// reference's Gamma and content hash with **bit-identical pop
-/// schedules** (same step and tuple counts), in as many delta-join
-/// classes as `batched` counts from the reference Gamma. Every batched
-/// class after the first reopens a probe view that no later step has
+/// schedules** (same step and tuple counts), in as many walked classes
+/// as `walked` counts from the reference Gamma. Every walked class
+/// after the first reopens a probe view that no later step has
 /// changed, so each run — the sequential one too — reports at least
 /// that many index-cache hits.
 fn assert_matches_nested_loop(
     nested: &Arc<Program>,
     joined: &Arc<Program>,
     threads: usize,
-    batched: impl Fn(&[Tuple]) -> u64,
+    walked: impl Fn(&[Tuple]) -> u64,
 ) -> std::result::Result<(), TestCaseError> {
     let run = |prog: &Arc<Program>, config| {
         let mut eng = Engine::new(Arc::clone(prog), config);
@@ -255,32 +267,23 @@ fn assert_matches_nested_loop(
             r.steps,
             r.tuples_processed,
         );
-        (
-            outcome,
-            r.delta_join_classes,
-            r.delta_join_build_tuples,
-            r.index_cache_hits,
-        )
+        (outcome, r.delta_join_classes, r.index_cache_hits)
     };
-    let (want, base_batched, _, _) = run(nested, EngineConfig::sequential());
-    prop_assert_eq!(base_batched, 0, "the nested loop has no plan to batch");
-    let classes = batched(&want.0);
+    let (want, base_walked, _) = run(nested, EngineConfig::sequential());
+    prop_assert_eq!(base_walked, 0, "the nested loop has no plan to walk");
+    let classes = walked(&want.0);
     let configs = [
         EngineConfig::sequential(),
         EngineConfig::parallel(threads),
         EngineConfig::parallel(threads).parallel_merge_from(1),
     ];
     for (i, config) in configs.into_iter().enumerate() {
-        let (got, got_batched, build_tuples, hits) = run(joined, config);
+        let (got, got_walked, hits) = run(joined, config);
         prop_assert_eq!(&got, &want, "lowerings diverged (config {})", i);
-        prop_assert_eq!(got_batched, classes, "delta-join classes (config {})", i);
-        prop_assert!(
-            build_tuples >= 32 * classes,
-            "each batched class is 32 wide"
-        );
+        prop_assert_eq!(got_walked, classes, "walked classes (config {})", i);
         prop_assert!(
             hits >= classes.saturating_sub(1),
-            "{} index-cache hits over {} batched classes (config {})",
+            "{} index-cache hits over {} walked classes (config {})",
             hits,
             classes,
             i
@@ -295,8 +298,8 @@ fn assert_matches_nested_loop(
 /// * `nested_loop = false` — one [`ProgramBuilder::rule_rel_join`]
 ///   rule carrying the full two-stage [`jstar_core::rule::JoinPlan`]
 ///   (`Src ⋈ Dim` on `k`, then a second probe on the first match's `w`),
-///   its inequalities stated in the builder, eligible for batched
-///   delta-join execution and the leapfrog walk;
+///   its inequalities stated in the builder, run as one leapfrog walk
+///   per trigger class;
 /// * `nested_loop = true` — a hand-written opaque rule performing the
 ///   same join as two nested `ctx.query_rel` loops, invisible to every
 ///   join optimisation, checking each inequality in its body.
@@ -635,12 +638,11 @@ proptest! {
         }
     }
 
-    /// Semi-naive delta-join execution is a pure execution-strategy
-    /// change: for random two-stage join programs, the planned lowering
-    /// — batched (one grouped cursor walk per class) once a trigger
-    /// class is 32 wide, per tuple below that — matches the hand-written
-    /// nested loops (see [`assert_matches_nested_loop`]), with the
-    /// opaque `mirror` rule riding in the same trigger classes.
+    /// Semi-naive join execution is a pure execution-strategy change:
+    /// for random two-stage join programs, the planned lowering — one
+    /// walk per trigger class, whatever its width — matches the
+    /// hand-written nested loops (see [`assert_matches_nested_loop`]),
+    /// with the opaque `mirror` rule riding in the same trigger classes.
     #[test]
     fn delta_join_matches_per_tuple(
         dims in 1i64..30,
@@ -652,11 +654,11 @@ proptest! {
         let nested = join_program(dims, srcs, key_mod, filt, true);
         let joined = join_program(dims, srcs, key_mod, filt, false);
         // Src is one class of `srcs` distinct tuples, Mid one class of
-        // every Mid row; both trigger a join-plan rule.
+        // every Mid row; both trigger a join rule.
         let mid = joined.table_id("Mid").unwrap();
         assert_matches_nested_loop(&nested, &joined, threads, |gamma| {
             let mids = gamma.iter().filter(|t| t.table() == mid).count();
-            batched_classes(&[srcs as usize, mids])
+            walked_classes(&[srcs as usize, mids])
         })?;
     }
 
@@ -667,8 +669,8 @@ proptest! {
     /// (two-stage plan) matches the
     /// hand-written nested-loop lowering, which checks each inequality
     /// in its body (see [`assert_matches_nested_loop`]). Every case runs
-    /// a `Src` class narrower than the 32-wide delta-join minimum (the
-    /// per-tuple fallback) and one at least that wide (the batched walk).
+    /// a narrow `Src` class (1 to 31 tuples) and a wide one (32 to 79),
+    /// each one walk.
     #[test]
     fn typed_join_matches_nested_loop_lowering(
         dims in 1i64..25,
@@ -684,7 +686,7 @@ proptest! {
             let nested = join2_program(dims, srcs, key_mod, filt, true, asymmetric, bounds);
             let joined = join2_program(dims, srcs, key_mod, filt, false, asymmetric, bounds);
             assert_matches_nested_loop(&nested, &joined, threads, |_| {
-                batched_classes(&[srcs as usize])
+                walked_classes(&[srcs as usize])
             })?;
         }
     }
@@ -699,8 +701,8 @@ proptest! {
     /// fixpoint, the same content hash, and the same cursor-visible
     /// group sets as a `-sequential` reference that keeps `Dim` in a
     /// [`ColdStore`], which has no claim journal and so builds every
-    /// view cold, at 1/4/8 threads, batched from a 32-wide trigger class
-    /// and per tuple below it. The hint tombstones more than half of —
+    /// view cold, at 1/4/8 threads, from trigger classes of 1 to 79
+    /// tuples. The hint tombstones more than half of —
     /// and so, through compaction, epoch-bumps — the very table whose
     /// cached views the join keeps reopening, so rebuilds after a
     /// tombstone change and after an epoch bump both run under live
@@ -767,58 +769,204 @@ proptest! {
     }
 }
 
-/// A join rule with no key pair (a cross join) gives the batched walk
-/// nothing to seek on, so a class of any width must fire it through the
-/// synthesised per-tuple body: same Gamma and same pop schedule as the
-/// hand-written nested loop, sequentially and at 4 threads, on either
-/// side of the 32-wide delta-join minimum.
+/// A join with a relation keyed by no `on` pair is a cross join, which
+/// gives the walk nothing to seek on: `build()` refuses such a rule,
+/// naming it and the unkeyed relation, whichever stage it is. The cross
+/// join stays expressible as an opaque rule looping over a query, which
+/// reaches the hand-counted product sequentially and at 2 and 4
+/// threads.
 #[test]
-fn keyless_join_class_fires_per_tuple() {
-    let cross = |srcs: i64, nested_loop: bool| {
+fn keyless_join_rule_is_a_build_error() {
+    let keep = |s: &Src, d: &Dim| (s.v + d.w) % 3 != 0;
+    let cross = |lowering: usize| {
         let mut p = ProgramBuilder::new();
         p.relation::<Dim>();
         p.relation::<Src>();
         p.relation::<Out>();
         p.order(&["Dim", "Src", "Out"]);
-        let keep = |s: &Src, d: &Dim| (s.v + d.w) % 3 != 0;
-        if nested_loop {
-            p.rule_rel("cross-nested", move |ctx, s: Src| {
+        match lowering {
+            0 => p.rule_rel("cross-nested", move |ctx, s: Src| {
                 for d in ctx.query_rel(Dim::query()) {
                     if keep(&s, &d) {
                         ctx.put_rel(Out { a: s.v, b: d.w });
                     }
                 }
-            });
-        } else {
-            p.rule_rel_join("cross", join::<Src, Dim>(), move |ctx, (s, d)| {
-                if keep(&s, &d) {
-                    ctx.put_rel(Out { a: s.v, b: d.w })
-                }
-            });
+            }),
+            1 => p.rule_rel_join("cross", join::<Src, Dim>(), |_, _| {}),
+            _ => p.rule_rel_join(
+                "cross3",
+                join3::<Src, Dim, Dim>().on_ab(Src::k, Dim::k),
+                |_, _| {},
+            ),
         }
         for i in 0..7 {
             p.put_rel(Dim { k: i, w: i * 2 });
         }
-        for i in 0..srcs {
+        for i in 0..40 {
             p.put_rel(Src { k: i % 5, v: i });
         }
-        Arc::new(p.build().unwrap())
+        p.build()
     };
-    for srcs in [31, 32, 40] {
-        let nested = cross(srcs, true);
+    for (lowering, rule) in [(1, "cross"), (2, "cross3")] {
+        let err = cross(lowering).unwrap_err();
+        let relation = "Dim".to_string();
+        let rule = rule.to_string();
+        assert_eq!(err, JStarError::KeylessJoin { rule, relation });
+        assert!(err.to_string().contains("keyed by no on() pair"), "{err}");
+    }
+
+    let nested = Arc::new(cross(0).unwrap());
+    let out = nested.table_id("Out").unwrap();
+    let want = (0..40)
+        .flat_map(|v| (0..7).map(move |i| (Src { k: v % 5, v }, Dim { k: i, w: i * 2 })))
+        .filter(|(s, d)| keep(s, d))
+        .count();
+    assert!(want > 0);
+    for config in [
+        EngineConfig::sequential(),
+        EngineConfig::parallel(2),
+        EngineConfig::parallel(4),
+    ] {
+        let (got, report) = run_join(&nested, config);
+        assert_eq!(got.iter().filter(|t| t.table() == out).count(), want);
+        assert_eq!(report.delta_join_classes, 0, "an opaque rule walks nothing");
+    }
+}
+
+/// A read refuses a keyless join as a rule does, by panicking.
+#[test]
+#[should_panic(expected = "needs an on() pair")]
+fn keyless_join_read_panics() {
+    let mut p = ProgramBuilder::new();
+    p.relation::<Src>();
+    p.relation::<Dim>();
+    let engine = Engine::new(Arc::new(p.build().unwrap()), EngineConfig::sequential());
+    engine.join_rel(join::<Src, Dim>(), |_| {});
+}
+
+/// `Src ⋈ Dim` on `k` with a bound, beside an opaque `mirror` rule on
+/// `Src`, in the chosen lowering: a join rule, or a hand-written
+/// nested-loop twin that checks the bound in its body.
+fn src_dim_rules(p: &mut ProgramBuilder, nested_loop: bool) {
+    let out = |s: &Src, d: &Dim| Out { a: s.v, b: d.w };
+    if nested_loop {
+        p.rule_rel("join-nested", move |ctx, s: Src| {
+            for d in ctx.query_rel(Dim::query().eq(Dim::k, s.k)) {
+                if s.k < d.w {
+                    ctx.put_rel(out(&s, &d));
+                }
+            }
+        });
+    } else {
+        let j = join::<Src, Dim>().on(Src::k, Dim::k).lt(Src::k, Dim::w);
+        p.rule_rel_join("join", j, move |ctx, (s, d)| ctx.put_rel(out(&s, &d)));
+    }
+    p.rule_rel("mirror", |ctx, s: Src| ctx.put_rel(Out { a: s.v, b: -1 }));
+    for i in 0..40 {
+        p.put_rel(Dim { k: i % 11, w: i });
+    }
+}
+
+/// The `Src` widths each `Seed` step of [`no_delta_join_program`] puts:
+/// one, narrow, on both sides of 32, and past a staging slot's 256.
+const SEED_WIDTHS: [i64; 7] = [1, 2, 31, 32, 33, 300, 5];
+
+/// [`src_dim_rules`] triggered from a `-noDelta` table: each `Seed`
+/// step puts `n` `Src` rows, which are staged and flushed straight to
+/// Gamma, so the join runs on each flushed batch.
+fn no_delta_join_program(nested_loop: bool) -> Arc<Program> {
+    let mut p = ProgramBuilder::new();
+    p.relation::<Dim>();
+    p.relation::<Seed>();
+    p.relation::<Src>();
+    p.relation::<Out>();
+    p.order(&["Dim", "Seed", "Src", "Out"]);
+    p.rule_rel("seed", |ctx, s: Seed| {
+        for i in 0..s.n {
+            let (k, v) = ((s.t * 31 + i * 7) % 11, s.t * 1000 + i);
+            ctx.put_rel(Src { k, v });
+        }
+    });
+    src_dim_rules(&mut p, nested_loop);
+    for (t, n) in SEED_WIDTHS.into_iter().enumerate() {
+        p.put_rel(Seed { t: t as i64, n });
+    }
+    Arc::new(p.build().unwrap())
+}
+
+/// A join rule whose trigger table is `-noDelta` runs from the staging
+/// flush, once per flushed batch, and reaches the nested-loop twin's
+/// Gamma and pop schedule sequentially and at 2 and 4 threads.
+#[test]
+fn no_delta_join_trigger_walks_each_flushed_batch() {
+    let no_delta =
+        |prog: &Program, config: EngineConfig| config.no_delta(prog.table_id("Src").unwrap());
+    let nested = no_delta_join_program(true);
+    let (want, base) = run_join(&nested, no_delta(&nested, EngineConfig::sequential()));
+    let out = nested.table_id("Out").unwrap();
+    assert!(want.iter().any(|t| t.table() == out && t.int(1) >= 0));
+    let joined = no_delta_join_program(false);
+    for config in [
+        EngineConfig::sequential(),
+        EngineConfig::parallel(2),
+        EngineConfig::parallel(4),
+    ] {
+        let threads = config.threads;
+        let (got, report) = run_join(&joined, no_delta(&joined, config));
+        assert_eq!(got, want, "{threads} threads");
+        assert_eq!(report.steps, base.steps, "{threads} threads");
+        assert!(
+            report.delta_join_classes >= SEED_WIDTHS.len() as u64,
+            "{threads} threads: every flushed batch is walked: {report:?}"
+        );
+    }
+}
+
+/// [`src_dim_rules`] over one class shared by `Src` and `Twin` (both
+/// ordered by the `Src` stratum): `Src` triggers the join, `Twin` an
+/// opaque rule that copies it into `Out`. The class is cut into
+/// uniform-table runs, each `Src` run walked.
+fn mixed_class_program(srcs: i64, twins: i64, nested_loop: bool) -> Arc<Program> {
+    let mut p = ProgramBuilder::new();
+    p.relation::<Dim>();
+    p.relation::<Src>();
+    p.relation::<Twin>();
+    p.relation::<Out>();
+    p.order(&["Dim", "Src", "Out"]);
+    src_dim_rules(&mut p, nested_loop);
+    p.rule_rel("twin", |ctx, t: Twin| ctx.put_rel(Out { a: -t.v, b: t.k }));
+    for v in 0..srcs {
+        p.put_rel(Src { k: (v * 7) % 11, v });
+    }
+    for v in 0..twins {
+        p.put_rel(Twin { k: v % 11, v });
+    }
+    Arc::new(p.build().unwrap())
+}
+
+/// A class mixing a join-trigger table with a second table of the same
+/// order key — whichever table the class starts with, so run inline
+/// or forked — reaches the nested-loop twin's Gamma and pop schedule
+/// sequentially and at 2 and 4 threads, each run of `Src` walked.
+#[test]
+fn mixed_table_class_walks_its_join_runs() {
+    for (srcs, twins) in [(1, 40), (31, 1), (40, 40), (100, 3)] {
+        let nested = mixed_class_program(srcs, twins, true);
         let (want, base) = run_join(&nested, EngineConfig::sequential());
-        let out = nested.table_id("Out").unwrap();
-        assert!(want.iter().any(|t| t.table() == out));
-        let prog = cross(srcs, false);
-        for config in [EngineConfig::sequential(), EngineConfig::parallel(4)] {
-            let (got, report) = run_join(&prog, config);
+        let joined = mixed_class_program(srcs, twins, false);
+        for config in [
+            EngineConfig::sequential(),
+            EngineConfig::parallel(2),
+            EngineConfig::parallel(4),
+        ] {
+            let threads = config.threads;
+            let (got, report) = run_join(&joined, config);
+            assert_eq!(got, want, "{srcs}+{twins} at {threads} threads");
             assert_eq!(
-                report.delta_join_classes,
-                batched_classes(&[srcs as usize]),
-                "the Src class is {srcs} wide"
+                report.steps, base.steps,
+                "{srcs}+{twins} at {threads} threads"
             );
-            assert_eq!(got, want);
-            assert_eq!(report.steps, base.steps);
+            assert!(report.delta_join_classes >= 1, "{report:?}");
         }
     }
 }
@@ -849,9 +997,9 @@ fn asymmetric_join_matches_nested_loop_sequential_and_parallel() {
     }
 }
 
-/// On the same chain the batched walk agrees with the nested loop and
-/// searches Gamma less: its probes and seeks together stay under the
-/// nested loop's probes. A 31-wide `Src` class stays per tuple.
+/// On the same chain the walk agrees with the nested loop and searches
+/// Gamma less: its probes and seeks together stay under the nested
+/// loop's probes, for a 31-wide `Src` class as for a 400-wide one.
 #[test]
 fn asymmetric_join_batched_walk_searches_less() {
     for srcs in [31, 400] {
@@ -860,15 +1008,13 @@ fn asymmetric_join_batched_walk_searches_less() {
         let (want, pt) = run_join(&nested, EngineConfig::sequential());
         let (got, dj) = run_join(&joined, EngineConfig::sequential());
         assert_eq!(got, want);
-        assert_eq!(dj.delta_join_classes, batched_classes(&[srcs as usize]));
-        if srcs >= 32 {
-            assert!(
-                dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
-                "batched probes={} seeks={} vs nested-loop probes={}",
-                dj.gamma_probes,
-                dj.join_seeks,
-                pt.gamma_probes
-            );
-        }
+        assert_eq!(dj.delta_join_classes, walked_classes(&[srcs as usize]));
+        assert!(
+            dj.gamma_probes + dj.join_seeks < pt.gamma_probes,
+            "{srcs} wide: walk probes={} seeks={} vs nested-loop probes={}",
+            dj.gamma_probes,
+            dj.join_seeks,
+            pt.gamma_probes
+        );
     }
 }
