@@ -339,6 +339,10 @@ impl Engine {
                     .any(|&ri| state.program.rules()[ri].plan().is_some())
             })
             .collect();
+        // Which tables' classes may hold another table's tuples too.
+        let shapes: Vec<_> = state.plans.iter().map(|p| p.key_shape()).collect();
+        let shared = |s: &Vec<Option<u32>>| shapes.iter().filter(|t| *t == s).count() > 1;
+        let mixed: Vec<bool> = shapes.iter().map(shared).collect();
         // Insert outcomes of the classes the coordinator runs inline.
         let mut class_outcomes = Vec::new();
         let mut steps: u64 = 0;
@@ -380,8 +384,27 @@ impl Engine {
             let exec_start = timing.then(Instant::now);
 
             // ── Phase 3: execute ────────────────────────────────────
+            // Tables whose order keys have one shape may share a class,
+            // which comes out of the Delta set in hash order. Grouped by
+            // table (a stable sort, when the class is mixed), each
+            // table's tuples are one run — one batch insert and, on a
+            // table that triggers a join rule, one walk — and a class
+            // with such a table runs on the coordinator whichever table
+            // comes first. Other classes are not scanned: reading every
+            // tuple's table would cost the coordinator a cache miss per
+            // tuple.
+            let first = class[0].table().index();
+            let walked = if mixed[first] {
+                if class.windows(2).any(|w| w[0].table() != w[1].table()) {
+                    class.sort_by_key(Tuple::table);
+                }
+                (class.chunk_by(|a, b| a.table() == b.table()))
+                    .any(|run| walks[run[0].table().index()])
+            } else {
+                walks[first]
+            };
             let pool = self.pool.as_deref();
-            match plan(pool, class_size, walks[class[0].table().index()]) {
+            match plan(pool, class_size, walked) {
                 ClassPlan::Forked { chunk } => {
                     // ord: Relaxed — statistic only.
                     state.stats.forked_classes.fetch_add(1, Ordering::Relaxed);
@@ -717,8 +740,10 @@ impl Engine {
     /// checks inside matched groups, and each inequality runs at the
     /// first row binding both of its sides. Panics when a relation
     /// after the first is keyed by no pair (a cross join has nothing to
-    /// merge on). Runs on the calling thread; [`Engine::join_fold`] is
-    /// the same walk split over the pool.
+    /// merge on). The views a walk must build are built together, on the
+    /// engine's pool when it has one; the walk runs on the calling
+    /// thread, and [`Engine::join_fold`] is the same walk split over the
+    /// pool.
     pub fn join_rel<J: JoinShape>(&self, j: J, mut f: impl FnMut(J::Row)) {
         self.read_join(j, |root, root_less, stages| {
             let visit = |rows: &[&Tuple]| f(J::decode(rows));
@@ -750,7 +775,8 @@ impl Engine {
     }
 
     /// Lowers `j`, opens its views (`A`'s on the column stage 0 seeks
-    /// by, then one per stage, each counted), hands `body` the walk's
+    /// by, then one per stage, each counted; what must be built is built
+    /// in one phase on the pool), hands `body` the walk's
     /// root, root checks and stages, and charges the seeks it reports.
     fn read_join<J: JoinShape, R>(
         &self,
@@ -761,8 +787,10 @@ impl Engine {
             panic!("a join read needs an on() pair keying every relation after the first")
         };
         let ((_, by), _) = stages[0].keys[0];
-        let columns = stages.iter().map(JoinStage::column);
-        let views = open_views(&self.state, std::iter::once((ids[0], by)).chain(columns));
+        let columns: Vec<(TableId, usize)> = std::iter::once((ids[0], by))
+            .chain(stages.iter().map(JoinStage::column))
+            .collect();
+        let (_, views) = open_views(&self.state, None, &columns, self.pool.as_deref());
         let walk = walk_stages(&stages, &views[1..]);
         let (out, seeks) = body(&views[0], &root_less, &walk);
         if seeks > 0 {

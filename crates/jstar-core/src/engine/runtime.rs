@@ -37,6 +37,7 @@ use crate::rule::{JoinPlan, JoinStage, Rule, RuleKind};
 use crate::schema::TableId;
 use crate::stats::EngineStats;
 use crate::tuple::Tuple;
+use jstar_check::sync::AtomicUsize;
 use jstar_pool::ThreadPool;
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -80,6 +81,18 @@ impl QueryPlan {
         }
     }
 
+    /// The shape of the table's order keys — each stratum's rank, `None`
+    /// for a `seq` field — up to the first `par`. Tuples of two tables
+    /// can share a class only when the tables' shapes are equal.
+    pub(super) fn key_shape(&self) -> Vec<Option<u32>> {
+        let part = |c: &ResolvedComponent| match c {
+            ResolvedComponent::Strat { rank, .. } => Some(Some(*rank)),
+            ResolvedComponent::Seq { .. } => Some(None),
+            ResolvedComponent::Par { .. } => None,
+        };
+        self.orderby.components.iter().map_while(part).collect()
+    }
+
     /// The order key of `t` — the interned key, borrowed, when the
     /// table's ordering is tuple-independent; a fresh extraction otherwise.
     #[inline]
@@ -101,7 +114,13 @@ const FLUSH_AT: usize = 256;
 /// the lock is uncontended.
 #[derive(Default)]
 #[repr(align(128))]
-pub(super) struct StagingSlot(Mutex<Staged>);
+pub(super) struct StagingSlot {
+    staged: Mutex<Staged>,
+    /// How many tuples `staged` holds, written under its lock: what a
+    /// flush of an empty slot — every query a rule makes — reads instead
+    /// of taking the lock.
+    len: AtomicUsize,
+}
 
 #[derive(Default)]
 struct Staged {
@@ -180,9 +199,12 @@ pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t:
     if state.no_delta[ti] {
         // §5.1: straight to Gamma, a batch at a time (module docs).
         let full = {
-            let mut slot = state.staged[shard].0.lock();
-            slot.tuples.push(t);
-            slot.tuples.len() >= FLUSH_AT
+            let slot = &state.staged[shard];
+            let mut staged = slot.staged.lock();
+            staged.tuples.push(t);
+            // ord: Relaxed — written under the slot's lock; see `flush_staged`.
+            slot.len.store(staged.tuples.len(), Ordering::Relaxed);
+            staged.tuples.len() >= FLUSH_AT
         };
         if full {
             flush_staged(state, shard, false);
@@ -199,7 +221,16 @@ pub(super) fn put_tuple(state: &RunState, trigger_key: &OrderKey, rule: &str, t:
 /// take what is there. `nest` flushes even then — [`RuleCtx`] asks before
 /// it reads — so only a cascade that queries between puts recurses.
 pub(super) fn flush_staged(state: &RunState, shard: usize, nest: bool) -> bool {
-    let slot = &state.staged[shard].0;
+    let StagingSlot { staged: slot, len } = &state.staged[shard];
+    // ord: Relaxed — a put that happens before this flush (the caller's
+    // own, in program order, or a helper's, ordered by the scope join
+    // before `drain_staged`) set the count first, and coherence forbids
+    // reading the older 0 after it. A put racing this flush from another
+    // thread is not ordered with it either way, as with the lock: its
+    // thread flushes it, or the coordinator does after the step.
+    if len.load(Ordering::Relaxed) == 0 {
+        return false;
+    }
     let mut outcomes = {
         let mut slot = slot.lock();
         if slot.tuples.is_empty() || (slot.flushes > 0 && !nest) {
@@ -215,6 +246,8 @@ pub(super) fn flush_staged(state: &RunState, shard: usize, nest: bool) -> bool {
             let mut slot = slot.lock();
             // The slot gets the spent buffer back, capacity intact.
             std::mem::swap(&mut slot.tuples, &mut batch);
+            // ord: Relaxed — written under the slot's lock.
+            len.store(0, Ordering::Relaxed);
             if batch.is_empty() {
                 slot.flushes -= 1;
                 slot.outcomes = outcomes;
@@ -345,22 +378,23 @@ pub(super) fn insert_and_fire(
 
 /// Opens one column view per `(table, field)`, each counted as a query
 /// against its table (so `gamma_probes` stays honest) and as a cursor
-/// open. The one way a join walk — rule-side or read-side — reaches
-/// Gamma.
+/// open, and cuts `root`'s rows into a view on its field — every build
+/// in one phase on `pool` ([`Gamma::open_views`]). The one way a join
+/// walk — rule-side or read-side — reaches Gamma.
 pub(super) fn open_views(
     state: &RunState,
-    columns: impl Iterator<Item = (TableId, usize)>,
-) -> Vec<Arc<ColumnIndex>> {
-    columns
-        .map(|(table, field)| {
-            let stripe = state.stats.tables[table.index()].stripe(state.staging_shard());
-            // ord: Relaxed ×2 — statistics only, read after the run.
-            stripe.queries.fetch_add(1, Ordering::Relaxed);
-            let stats = &state.stats;
-            stats.join_cursor_opens.fetch_add(1, Ordering::Relaxed);
-            state.gamma.open_cursor(table, field)
-        })
-        .collect()
+    root: Option<(&[&Tuple], usize)>,
+    columns: &[(TableId, usize)],
+    pool: Option<&ThreadPool>,
+) -> (Option<ColumnIndex>, Vec<Arc<ColumnIndex>>) {
+    for &(table, _) in columns {
+        let stripe = state.stats.tables[table.index()].stripe(state.staging_shard());
+        // ord: Relaxed ×2 — statistics only, read after the run.
+        stripe.queries.fetch_add(1, Ordering::Relaxed);
+        let stats = &state.stats;
+        stats.join_cursor_opens.fetch_add(1, Ordering::Relaxed);
+    }
+    state.gamma.open_views(root, columns, pool)
 }
 
 /// The walk stages of `stages` over their opened `views`.
@@ -386,7 +420,9 @@ pub(super) fn walk_stages<'a>(
 /// stages seek per row, each stage dropping the candidates that fail
 /// its inequalities before the next one seeks. Store work per run is
 /// `stages` cursor opens plus the counted gallops, instead of one probe
-/// per tuple; with a pool the root's rows are split across workers.
+/// per tuple. With a pool, the root view and the stage views the cache
+/// must build are built in one phase on it, and the root's rows are
+/// then split across workers.
 /// Each emission's context carries `key`, or — for a run flushed from
 /// a staging slot — its trigger tuple's own key.
 ///
@@ -404,8 +440,10 @@ fn walk_join(
     pool: Option<&ThreadPool>,
 ) {
     let ((_, by), _) = plan.first_stage().keys[0];
-    let root = ColumnIndex::of_rows(by, fresh);
-    let views = open_views(state, plan.stages.iter().map(JoinStage::column));
+    let columns: Vec<(TableId, usize)> = plan.stages.iter().map(JoinStage::column).collect();
+    let (Some(root), views) = open_views(state, Some((fresh, by)), &columns, pool) else {
+        unreachable!("a root was asked for")
+    };
     let plans = &state.plans[rule.trigger.index()];
     let (_, seeks) = leapfrog::fan_out(
         &root,

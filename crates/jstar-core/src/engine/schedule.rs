@@ -12,10 +12,11 @@
 //!   whose walk orders its root by the join key itself;
 //! * **one tuple** — inline on the coordinator: there is nothing to
 //!   split, and a fork would only add a wakeup round trip;
-//! * **a class whose table triggers a join rule** — inline on the
-//!   coordinator, inserted as one batch; the join rule's walk then fans
-//!   its root rows over the pool ([`crate::gamma::leapfrog`]), so the
-//!   whole class is one walk whatever its width;
+//! * **a class with a table that triggers a join rule** — inline on
+//!   the coordinator, each table's tuples inserted as one batch; the
+//!   join rule's walk then fans its root rows over the pool
+//!   ([`crate::gamma::leapfrog`]), so each such table's share of the
+//!   class is one walk whatever its width;
 //! * **wider class** — forked, chunked by measured class width and
 //!   current pool occupancy ([`jstar_pool::adaptive_chunk`], which aims
 //!   at 4·T chunks) and submitted as one batch (single wakeup); the
@@ -41,7 +42,7 @@ pub(super) enum ClassPlan {
 }
 
 /// Plans the execution of a class of `class_size` tuples; `walks` says
-/// the table of its first tuple triggers a join rule.
+/// one of its tables triggers a join rule.
 pub(super) fn plan(pool: Option<&ThreadPool>, class_size: usize, walks: bool) -> ClassPlan {
     match pool {
         Some(pool) if class_size > 1 && !walks => ClassPlan::Forked {

@@ -25,15 +25,34 @@
 //!
 //! The packed mirrors are decided by what the column holds, once, when
 //! the view is built; a view never changes after that — a table that
-//! has grown gets a new view, built the same way. A build is one pass
-//! that packs each row as it is read (its key and next-column values and
-//! its cells), one sort of the packed records, and a cut of the sorted
-//! records into groups that reads no row again. It is built by the
-//! [`super::IndexCache`] (over a claim journal, or a custom store's
-//! `for_each`) or from a join rule's delta, and shared — it is handed
-//! out in an `Arc` — by every worker participating in a walk; each
-//! worker positions its own lightweight [`ColumnCursor`] over it. The
-//! join walks themselves live in [`super::leapfrog`].
+//! has grown gets a new view, built the same way. Every view — a join
+//! rule's root, cut from its delta, and every view the
+//! [`super::IndexCache`] builds, off a claim journal or a custom store's
+//! `for_each` — comes out of one builder, [`build_views`], which builds
+//! all the views one walk needs in one phase on the pool:
+//!
+//! * **pass** — the input is cut into pieces by position
+//!   ([`super::pieces`]: 4 per worker, none under [`super::MIN_PIECE`]),
+//!   and each piece packs its rows as it reads them — key, next-column
+//!   value, handle — on a worker;
+//! * **split** — when a build has several pieces and its records pack
+//!   into one word each, every piece scatters its words into buckets by
+//!   the high bits of the key, numbering each word by its place in the
+//!   bucket (pieces in order, each in pass order, so positions stay
+//!   global and ties keep journal or run order);
+//! * **sort and cut** — each bucket is sorted and cut into groups on a
+//!   worker, and the buckets' groups are appended in key order. A group
+//!   never straddles two buckets, since buckets split on key bits only.
+//!
+//! Without a pool, or for a small input, a build is one piece and one
+//! bucket: the same pass, one sort, one cut. A build of other values, or
+//! of spans too wide to pack, is one bucket. The view is the same,
+//! array for array, however the build was cut (property-tested at 1, 2
+//! and 4 threads). Each view is shared — handed out in an `Arc` — by
+//! every worker participating in a walk; each worker positions its own
+//! lightweight [`ColumnCursor`] over it. The join walks themselves live
+//! in [`super::leapfrog`]. The cache takes no lock while a build runs
+//! (see [`super::IndexCache`]).
 //!
 //! The cursor distinguishes the two leapfrog-triejoin motions:
 //!
@@ -50,9 +69,11 @@
 //!   dense and on the generic key representation, and inside a group's
 //!   slice of `int_next` (one search routine, instantiated for each).
 
+use super::TableStore;
 use crate::error::{JStarError, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use jstar_pool::ThreadPool;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -108,10 +129,10 @@ fn next_column(field: usize, width: usize) -> Option<usize> {
 }
 
 /// The rows of one store pass, packed as they are read — each row's key
-/// and next-column value with its journal position, its handle, and its
-/// fields while all are integers — then sorted into view order by
-/// [`Batch::sort`]. What every build feeds to the cut.
-pub(crate) struct Batch {
+/// and next-column value, its handle, and its fields while all are
+/// integers — then sorted into view order by [`Batch::sort`]. What every
+/// build feeds to the cut.
+struct Batch {
     field: usize,
     next: Option<usize>,
     width: usize,
@@ -120,16 +141,44 @@ pub(crate) struct Batch {
     records: Records,
     /// Row-major fields by pass position, while every field is an `Int`.
     cells: Option<Vec<i64>>,
+    /// Whether `cells` holds the fields, or only stands for "all are
+    /// integers" while staying empty: a piece of a build of several
+    /// keeps none, and the cut reads each row's from the row itself, so
+    /// no piece or bucket holds them.
+    keep_cells: bool,
 }
 
-/// `(key, next, pass position)` per row: as integers while every key
-/// and next-column value is an `Int` (a one-field row's next is 0), as
-/// values otherwise (its next is `Int(0)`).
+/// `(key, next)` per row, with its pass position once sorted: as
+/// integers while every key and next-column value is an `Int` (a
+/// one-field row's next is 0), as values otherwise (its next is
+/// `Int(0)`).
 enum Records {
-    Ints(Vec<(i64, i64, u32)>),
+    /// Integers in pass order: a row's position is its index.
+    Ints(Vec<(i64, i64)>),
     /// `Ints` sorted as one word per row (see [`Packed`]).
     Packed(Packed),
+    /// `Ints` whose spans do not pack, sorted with their positions.
+    Wide(Vec<(i64, i64, u32)>),
     Values(Vec<(Value, Value, u32)>),
+}
+
+/// The least and the greatest `(key, next)` of some integer records,
+/// each taken on its own.
+type Span = ((i64, i64), (i64, i64));
+
+/// The span of `ints`, when there are any.
+fn span_of(ints: &[(i64, i64)]) -> Option<Span> {
+    let (mut lo, mut hi) = (*ints.first()?, *ints.first()?);
+    for &(k, n) in ints {
+        (lo.0, lo.1) = (lo.0.min(k), lo.1.min(n));
+        (hi.0, hi.1) = (hi.0.max(k), hi.1.max(n));
+    }
+    Some((lo, hi))
+}
+
+/// Bits of the offsets from `lo` of the values up to `hi`.
+fn bits_between(lo: i64, hi: i64) -> u32 {
+    u64::BITS - (hi.wrapping_sub(lo) as u64).leading_zeros()
 }
 
 /// Integer records packed into one `u64` each — the key's and the next
@@ -144,29 +193,35 @@ struct Packed {
 }
 
 impl Packed {
-    fn of(ints: &[(i64, i64, u32)]) -> Option<Packed> {
-        let (mut lo, mut hi) = ((i64::MAX, i64::MAX), (i64::MIN, i64::MIN));
-        for &(k, n, _) in ints {
-            lo = (lo.0.min(k), lo.1.min(n));
-            hi = (hi.0.max(k), hi.1.max(n));
-        }
-        let width = |lo: i64, hi: i64| u64::BITS - (hi.wrapping_sub(lo) as u64).leading_zeros();
-        let bits = (width(lo.1, hi.1), width(0, ints.len() as i64));
-        if width(lo.0, hi.0) + bits.0 + bits.1 > u64::BITS {
+    fn of(ints: &[(i64, i64)]) -> Option<Packed> {
+        let span = span_of(ints)?;
+        let mut packed = Packed::layout(span, ints.len())?;
+        let word = |(at, &(k, n)): (usize, &(i64, i64))| packed.word(k, n, at as u32);
+        packed.words = ints.iter().enumerate().map(word).collect();
+        Some(packed)
+    }
+
+    /// The layout of records whose keys and next values lie in `span`,
+    /// at positions below `rows`, when their offsets fit in 64 bits
+    /// together; no words yet.
+    fn layout(((key_lo, next_lo), (key_hi, next_hi)): Span, rows: usize) -> Option<Packed> {
+        let bits = (bits_between(next_lo, next_hi), bits_between(0, rows as i64));
+        if bits_between(key_lo, key_hi) + bits.0 + bits.1 > u64::BITS {
             return None;
         }
-        let offset = |v: i64, min: i64, shift: u32| (v.wrapping_sub(min) as u64).checked_shl(shift);
-        let words = (ints.iter())
-            .map(|&(k, n, at)| {
-                let key = offset(k, lo.0, bits.0 + bits.1).unwrap_or(0);
-                key | offset(n, lo.1, bits.1).unwrap_or(0) | u64::from(at)
-            })
-            .collect();
         Some(Packed {
-            words,
-            min: lo,
+            words: Vec::new(),
+            min: (key_lo, next_lo),
             bits,
         })
+    }
+
+    /// The word of record `(key, next, at)`.
+    fn word(&self, key: i64, next: i64, at: u32) -> u64 {
+        let offset = |v: i64, min: i64, shift: u32| (v.wrapping_sub(min) as u64).checked_shl(shift);
+        let (next_bits, pos_bits) = self.bits;
+        let key = offset(key, self.min.0, next_bits + pos_bits).unwrap_or(0);
+        key | offset(next, self.min.1, pos_bits).unwrap_or(0) | u64::from(at)
     }
 
     /// The record packed in `word`.
@@ -185,25 +240,26 @@ impl Packed {
 
 impl Batch {
     /// An empty batch of rows to be keyed on `field`, with room for
-    /// `rows` rows of up to two fields.
-    pub(crate) fn new(field: usize, rows: usize) -> Batch {
+    /// `rows` rows of up to two fields, keeping their cells or not.
+    fn new(field: usize, rows: usize, keep_cells: bool) -> Batch {
         Batch {
             field,
             next: None,
             width: 0,
             rows: Vec::with_capacity(rows),
             records: Records::Ints(Vec::with_capacity(rows)),
-            cells: Some(Vec::with_capacity(2 * rows)),
+            cells: Some(Vec::with_capacity(if keep_cells { 2 * rows } else { 0 })),
+            keep_cells,
         }
     }
 
     /// Rows in the batch.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// Packs `t` as the next row.
-    pub(crate) fn push(&mut self, t: &Tuple) {
+    fn push(&mut self, t: &Tuple) {
         assert!(
             self.rows.len() < u32::MAX as usize,
             "ColumnIndex holds at most u32::MAX rows"
@@ -217,12 +273,9 @@ impl Batch {
         let (key, next) = (&fields[self.field], self.next.map(|n| &fields[n]));
         if let Records::Ints(ints) = &mut self.records {
             match (key, next) {
-                (Value::Int(k), None) => ints.push((*k, 0, at)),
-                (Value::Int(k), Some(Value::Int(n))) => ints.push((*k, *n, at)),
-                _ => {
-                    let widen = |&(k, n, at): &(i64, i64, u32)| (Value::Int(k), Value::Int(n), at);
-                    self.records = Records::Values(ints.iter().map(widen).collect());
-                }
+                (Value::Int(k), None) => ints.push((*k, 0)),
+                (Value::Int(k), Some(Value::Int(n))) => ints.push((*k, *n)),
+                _ => self.records = Records::Values(widened(ints)),
             }
         }
         if let Records::Values(values) = &mut self.records {
@@ -231,10 +284,13 @@ impl Batch {
         }
         if let Some(cells) = &mut self.cells {
             let start = cells.len();
+            let keep = self.keep_cells;
             let packed = t.arity() == self.width
                 && fields.iter().all(|v| match v {
                     Value::Int(i) => {
-                        cells.push(*i);
+                        if keep {
+                            cells.push(*i);
+                        }
                         true
                     }
                     _ => false,
@@ -252,14 +308,15 @@ impl Batch {
     /// equal rows in the order they were read.
     fn sort(&mut self) {
         match &mut self.records {
-            Records::Ints(ints) => match Packed::of(ints) {
-                Some(mut packed) => {
-                    packed.words.sort_unstable();
-                    self.records = Records::Packed(packed);
-                }
-                None => ints.sort_unstable(),
-            },
+            Records::Ints(ints) => {
+                self.records = match Packed::of(ints) {
+                    Some(packed) => Records::Packed(packed),
+                    None => Records::Wide(positioned(ints)),
+                };
+                self.sort();
+            }
             Records::Packed(packed) => packed.words.sort_unstable(),
+            Records::Wide(ints) => ints.sort_unstable(),
             Records::Values(values) => values.sort_unstable(),
         }
     }
@@ -267,6 +324,449 @@ impl Batch {
     /// The records with the handles and cells they index.
     fn into_parts(self) -> (Records, Vec<Option<Tuple>>, Option<Vec<i64>>) {
         (self.records, self.rows, self.cells)
+    }
+
+    /// Room for `total` rows in all, so that appending never grows an
+    /// array past what it will hold.
+    fn reserve_exact(&mut self, total: usize) {
+        let more = total - self.len();
+        self.rows.reserve_exact(more);
+        match &mut self.records {
+            Records::Ints(ints) => ints.reserve_exact(more),
+            Records::Values(values) => values.reserve_exact(more),
+            Records::Packed(_) | Records::Wide(_) => {}
+        }
+        if let (true, Some(cells)) = (self.keep_cells, &mut self.cells) {
+            cells.reserve_exact(more * self.width);
+        }
+    }
+
+    /// The rows of `parts` as one batch, in order: positions renumbered,
+    /// integer records widened when any part holds values, and cells
+    /// kept while every part has them. Parts without rows are dropped.
+    fn concat(parts: Vec<Batch>) -> Batch {
+        let total: usize = parts.iter().map(Batch::len).sum();
+        let mut parts = parts.into_iter();
+        let Some(mut all) = parts.next() else {
+            unreachable!("a view is built from at least one piece")
+        };
+        for part in parts.filter(|p| p.len() > 0) {
+            if all.len() == 0 {
+                all = part;
+                continue;
+            }
+            all.reserve_exact(total);
+            let base = all.len() as u32;
+            assert!(
+                total < u32::MAX as usize,
+                "ColumnIndex holds at most u32::MAX rows"
+            );
+            all.cells = match (all.cells.take(), part.cells) {
+                (Some(mut to), Some(from)) if all.width == part.width => {
+                    to.extend_from_slice(&from);
+                    Some(to)
+                }
+                _ => None,
+            };
+            match (&mut all.records, part.records) {
+                (Records::Ints(to), Records::Ints(from)) => to.extend(from),
+                (to, from) => {
+                    if let Records::Ints(ints) = to {
+                        *to = Records::Values(widened(ints));
+                    }
+                    let from = match from {
+                        Records::Ints(ints) => widened(&ints),
+                        Records::Values(values) => values,
+                        _ => unreachable!("a pass leaves its records unsorted"),
+                    };
+                    if let Records::Values(to) = to {
+                        to.extend(from.into_iter().map(|(k, n, at)| (k, n, at + base)));
+                    }
+                }
+            }
+            all.rows.extend(part.rows);
+        }
+        all
+    }
+}
+
+/// Integer records in pass order as values, with their positions.
+fn widened(ints: &[(i64, i64)]) -> Vec<(Value, Value, u32)> {
+    let widen = |(at, &(k, n)): (usize, &(i64, i64))| (Value::Int(k), Value::Int(n), at as u32);
+    ints.iter().enumerate().map(widen).collect()
+}
+
+/// Integer records in pass order, with their positions.
+fn positioned(ints: &[(i64, i64)]) -> Vec<(i64, i64, u32)> {
+    let at = |(at, &(k, n)): (usize, &(i64, i64))| (k, n, at as u32);
+    ints.iter().enumerate().map(at).collect()
+}
+
+/// Where the rows of one view come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Source<'a> {
+    /// A join rule's delta, in run order.
+    Rows(&'a [&'a Tuple]),
+    /// The live rows at a store's claim-journal positions `[0, hi)`.
+    Journal(&'a dyn TableStore, usize),
+    /// One [`TableStore::for_each`] pass: a custom store's, which keeps
+    /// no journal to cut, so always one piece.
+    Pass(&'a dyn TableStore),
+}
+
+impl Source<'_> {
+    /// Input positions the pass walks: what it is cut by.
+    fn len(&self) -> usize {
+        match *self {
+            Source::Rows(rows) => rows.len(),
+            Source::Journal(_, hi) => hi,
+            Source::Pass(_) => 0,
+        }
+    }
+
+    /// Input positions `[lo, hi)` of piece `i` of `n` even pieces.
+    fn cut(&self, i: usize, n: usize) -> (usize, usize) {
+        (self.len() * i / n, self.len() * (i + 1) / n)
+    }
+
+    /// Piece `i` of `n` of the pass, packed into `batch`, with the bound
+    /// it covered and whether an append still in flight cut it short.
+    fn pass(&self, mut batch: Batch, i: usize, n: usize) -> (Batch, usize, bool) {
+        let (lo, hi) = self.cut(i, n);
+        let covered = match *self {
+            Source::Rows(rows) => {
+                rows[lo..hi].iter().for_each(|t| batch.push(t));
+                hi
+            }
+            Source::Journal(store, _) => {
+                store.for_each_journal_suffix(lo, hi, &mut |t| batch.push(t))
+            }
+            Source::Pass(store) => {
+                store.for_each(&mut |t| {
+                    batch.push(t);
+                    true
+                });
+                hi
+            }
+        };
+        (batch, covered, covered < hi)
+    }
+}
+
+/// Runs `tasks` on `pool`, or in order on the calling thread without
+/// one; results in task order.
+fn on_pool<R: Send>(pool: Option<&ThreadPool>, tasks: Vec<impl FnOnce() -> R + Send>) -> Vec<R> {
+    match pool {
+        Some(pool) => jstar_pool::parallel_tasks(pool, tasks),
+        None => tasks.into_iter().map(|task| task()).collect(),
+    }
+}
+
+/// Builds the view of each `(source, field)` in one pooled phase (see
+/// the [module docs](self)), and returns it with the journal bound its
+/// pass covered (see [`TableStore::for_each_journal_suffix`]; rows and a
+/// `for_each` pass cover everything). Four rounds on `pool`, each over
+/// every build at once: the pass; for a build that splits, a count of
+/// each piece's rows per bucket, then a scatter of each piece into its
+/// buckets; and the sort and cut of every bucket. A journal piece that
+/// an append in flight cut short ends its build: the pieces after it are
+/// dropped, as a one-piece walk would have stopped there.
+///
+/// The arrays a round fills on workers are allocated here, on the
+/// calling thread, and freed as soon as the next round is done with
+/// them: the build's memory comes and goes in one allocator arena, not
+/// one per worker, and a piece, a bucket and the view never hold a
+/// row's cells twice — a build of several pieces reads them from the
+/// row as it cuts it.
+pub(crate) fn build_views(
+    builds: &[(Source<'_>, usize)],
+    pool: Option<&ThreadPool>,
+) -> Vec<(ColumnIndex, usize)> {
+    // Round 1: the pass.
+    let cuts: Vec<(usize, usize, usize)> = (builds.iter().enumerate())
+        .flat_map(|(b, (source, _))| {
+            let n = match source {
+                Source::Pass(_) => 1,
+                source => super::pieces(pool, source.len()),
+            };
+            (0..n).map(move |i| (b, i, n))
+        })
+        .collect();
+    let tasks = (cuts.iter())
+        .map(|&(b, i, n)| {
+            let (source, field) = builds[b];
+            let (lo, hi) = source.cut(i, n);
+            let batch = Batch::new(field, hi - lo, n == 1);
+            move || source.pass(batch, i, n)
+        })
+        .collect();
+    let mut pieces: Vec<Vec<Batch>> = builds.iter().map(|_| Vec::new()).collect();
+    let mut covered = vec![0; builds.len()];
+    let mut short = vec![false; builds.len()];
+    for (&(b, _, _), (batch, reached, cut_short)) in cuts.iter().zip(on_pool(pool, tasks)) {
+        if !short[b] {
+            pieces[b].push(batch);
+            (covered[b], short[b]) = (reached, cut_short);
+        }
+    }
+
+    // Round 2: how many rows of each piece of a split build fall in
+    // each of its buckets.
+    let splits: Vec<Option<Split>> = pieces.iter().map(|p| Split::of(p)).collect();
+    let tasks = (pieces.iter().zip(&splits))
+        .filter_map(|(pieces, split)| Some((pieces, split.as_ref()?)))
+        .flat_map(|(pieces, split)| pieces.iter().map(move |piece| move || split.count(piece)))
+        .collect();
+    let mut counts = on_pool(pool, tasks).into_iter();
+
+    // Round 3: each piece of a split build scattered into its buckets,
+    // which lie end to end in one set of arrays per build.
+    let mut gathered = Vec::with_capacity(builds.len());
+    let mut scatters = Vec::new();
+    for (pieces, split) in pieces.into_iter().zip(splits) {
+        let Some(split) = split else {
+            gathered.push(Gathered::Whole(pieces));
+            continue;
+        };
+        let per_piece: Vec<Vec<usize>> = counts.by_ref().take(pieces.len()).collect();
+        gathered.push(Gathered::Split(split.arrays(&per_piece), split));
+        scatters.push((pieces, per_piece));
+    }
+    let split_builds = gathered.iter_mut().filter_map(|g| match g {
+        Gathered::Split(to, split) => Some((to, &*split)),
+        Gathered::Whole(_) => None,
+    });
+    let mut tasks = Vec::new();
+    for ((pieces, per_piece), (to, split)) in scatters.into_iter().zip(split_builds) {
+        // Bucket by bucket, each piece's share, in piece order.
+        let shares = (0..split.buckets).flat_map(|b| per_piece.iter().map(move |c| c[b]));
+        let words = carve(&mut to.words, shares.clone());
+        let rows = carve(&mut to.rows, shares.clone());
+        let mut regions: Vec<Vec<Region<'_>>> = pieces.iter().map(|_| Vec::new()).collect();
+        let mut base = 0;
+        for (i, ((words, rows), n)) in words.into_iter().zip(rows).zip(shares).enumerate() {
+            let piece = i % pieces.len();
+            if piece == 0 {
+                base = 0;
+            }
+            regions[piece].push(Region { words, rows, base });
+            base += n as u32;
+        }
+        let scatter = |(piece, regions)| move || split.scatter(piece, regions);
+        tasks.extend(pieces.into_iter().zip(regions).map(scatter));
+    }
+    on_pool(pool, tasks);
+
+    // Round 4: each bucket sorted and cut — a build that was not split
+    // is one bucket, its pieces gathered in order.
+    let mut buckets: Vec<Bucket<'_>> = Vec::new();
+    let mut per_build = Vec::with_capacity(builds.len());
+    for g in gathered.iter_mut() {
+        let before = buckets.len();
+        match g {
+            Gathered::Whole(pieces) => {
+                buckets.push(Bucket::Whole(Batch::concat(std::mem::take(pieces))));
+            }
+            Gathered::Split(to, split) => {
+                let words = carve(&mut to.words, to.sizes.iter().copied());
+                let rows = carve(&mut to.rows, to.sizes.iter().copied());
+                let split = &*split;
+                let bucket = |(words, rows)| Bucket::Split { split, words, rows };
+                buckets.extend(words.into_iter().zip(rows).map(bucket));
+            }
+        }
+        per_build.push(buckets.len() - before);
+    }
+    let tasks = (buckets.into_iter())
+        .map(|bucket| {
+            let flat = bucket.flat();
+            move || bucket.sort_and_cut(flat)
+        })
+        .collect();
+    let mut cut = on_pool(pool, tasks).into_iter();
+    // Every row has been moved into its view: free the buckets before
+    // the views are assembled.
+    drop(gathered);
+    (per_build.into_iter().zip(covered))
+        .map(|(n, covered)| {
+            let flats = cut.by_ref().take(n).collect();
+            (FlatBuilder::concat(flats).finish(), covered)
+        })
+        .collect()
+}
+
+/// A build after its pass: its pieces, to be gathered into one bucket,
+/// or the arrays its pieces scatter into, and how it is split.
+enum Gathered {
+    Whole(Vec<Batch>),
+    Split(Scattered, Split),
+}
+
+/// `slice` cut into consecutive parts of `sizes`.
+fn carve<T>(mut slice: &mut [T], sizes: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    let part = |n| {
+        let (part, rest) = std::mem::take(&mut slice).split_at_mut(n);
+        slice = rest;
+        part
+    };
+    sizes.map(part).collect()
+}
+
+/// The arrays a split build's pieces scatter into: its buckets end to
+/// end, `sizes` rows each.
+struct Scattered {
+    words: Vec<u64>,
+    rows: Vec<Option<Tuple>>,
+    sizes: Vec<usize>,
+}
+
+/// What one task of the last round sorts and cuts.
+enum Bucket<'a> {
+    /// A build that was not split, gathered.
+    Whole(Batch),
+    /// One bucket of a split build.
+    Split {
+        split: &'a Split,
+        words: &'a mut [u64],
+        rows: &'a mut [Option<Tuple>],
+    },
+}
+
+impl Bucket<'_> {
+    /// An empty builder with room for the bucket's rows.
+    fn flat(&self) -> FlatBuilder {
+        match self {
+            Bucket::Whole(batch) => FlatBuilder::of(batch),
+            Bucket::Split { split, words, .. } => {
+                let mut flat = FlatBuilder::new(split.width, split.next, words.len(), split.cells);
+                flat.cells_from_rows = true;
+                flat
+            }
+        }
+    }
+
+    /// Sorts the bucket into view order and cuts it into `flat`.
+    fn sort_and_cut(self, mut flat: FlatBuilder) -> FlatBuilder {
+        match self {
+            Bucket::Whole(batch) => flat.sort_and_cut(batch),
+            Bucket::Split { split, words, rows } => {
+                words.sort_unstable();
+                let records = words.iter().map(|&w| split.layout.unpack(w));
+                match cut(&mut flat, records, rows, None) {
+                    Ok(()) => flat,
+                    Err(e) => unreachable!("the bucket is sorted before it is cut: {e}"),
+                }
+            }
+        }
+    }
+}
+
+/// How the pieces of an all-integer build are split: into `buckets`
+/// buckets of words packed by one [`Packed`] layout for the whole
+/// build, by the high bits of each key's offset from the build's least
+/// key — so a group never straddles two buckets.
+struct Split {
+    /// The build's layout (it holds no words).
+    layout: Packed,
+    /// A word's bucket is `word >> shift`: its key offset's high bits.
+    shift: u32,
+    buckets: usize,
+    next: Option<usize>,
+    width: usize,
+    /// Whether every row's fields are all integers (the view has cells).
+    cells: bool,
+}
+
+/// One piece's share of one bucket: where its scatter writes, and the
+/// bucket position of the share's first row.
+struct Region<'a> {
+    words: &'a mut [u64],
+    rows: &'a mut [Option<Tuple>],
+    base: u32,
+}
+
+impl Split {
+    /// The split of one build's `pieces`, when there are several, every
+    /// row is all-integer and the build's records pack into words; as
+    /// many buckets as pieces, rounded up to a power of two.
+    fn of(pieces: &[Batch]) -> Option<Split> {
+        if pieces.len() < 2 {
+            return None;
+        }
+        let rows = || pieces.iter().filter(|p| p.len() > 0);
+        let first = rows().next()?;
+        let mut span: Option<Span> = None;
+        for piece in rows() {
+            let Records::Ints(ints) = &piece.records else {
+                return None;
+            };
+            let ((k0, n0), (k1, n1)) = span_of(ints)?;
+            span = Some(span.map_or(((k0, n0), (k1, n1)), |((a, b), (c, d))| {
+                ((a.min(k0), b.min(n0)), (c.max(k1), d.max(n1)))
+            }));
+        }
+        let span = span?;
+        let layout = Packed::layout(span, pieces.iter().map(Batch::len).sum())?;
+        let buckets = pieces.len().next_power_of_two();
+        let key_bits = bits_between(span.0 .0, span.1 .0);
+        Some(Split {
+            shift: layout.bits.0
+                + layout.bits.1
+                + key_bits.saturating_sub(buckets.trailing_zeros()),
+            layout,
+            buckets,
+            next: first.next,
+            width: first.width,
+            cells: rows().all(|p| p.cells.is_some() && p.width == first.width),
+        })
+    }
+
+    /// The bucket of a record's word.
+    fn bucket(&self, word: u64) -> usize {
+        word.checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
+    /// Empty arrays for the buckets, `per_piece[p][b]` rows of piece
+    /// `p` in bucket `b`.
+    fn arrays(&self, per_piece: &[Vec<usize>]) -> Scattered {
+        let sizes: Vec<usize> = (0..self.buckets)
+            .map(|b| per_piece.iter().map(|c| c[b]).sum())
+            .collect();
+        let rows = sizes.iter().sum();
+        Scattered {
+            words: vec![0; rows],
+            rows: vec![None; rows],
+            sizes,
+        }
+    }
+
+    /// How many of `piece`'s rows fall in each bucket.
+    fn count(&self, piece: &Batch) -> Vec<usize> {
+        let mut counts = vec![0; self.buckets];
+        if let Records::Ints(ints) = &piece.records {
+            for &(k, n) in ints {
+                counts[self.bucket(self.layout.word(k, n, 0))] += 1;
+            }
+        }
+        counts
+    }
+
+    /// Moves `piece`'s rows into its `regions`, one per bucket, in pass
+    /// order, each row's word numbered by its bucket position.
+    fn scatter(&self, piece: Batch, mut regions: Vec<Region<'_>>) {
+        let (records, rows, _) = piece.into_parts();
+        let Records::Ints(ints) = records else {
+            return;
+        };
+        let mut filled = vec![0; regions.len()];
+        for ((k, n), row) in ints.into_iter().zip(rows) {
+            let word = self.layout.word(k, n, 0);
+            let b = self.bucket(word);
+            let (region, i) = (&mut regions[b], filled[b]);
+            filled[b] += 1;
+            region.words[i] = word | u64::from(region.base + i as u32);
+            region.rows[i] = row;
+        }
     }
 }
 
@@ -300,6 +800,9 @@ struct FlatBuilder {
     next: Option<usize>,
     int_next: Option<Vec<i64>>,
     cells: Option<Vec<i64>>,
+    /// Whether a row's cells are read from the row as it is pushed
+    /// (see [`Batch`]'s `keep_cells`).
+    cells_from_rows: bool,
     width: usize,
 }
 
@@ -315,8 +818,59 @@ impl FlatBuilder {
             next,
             int_next: next.map(|_| Vec::with_capacity(rows)),
             cells: packed.then(|| Vec::with_capacity(rows * width)),
+            cells_from_rows: false,
             width,
         }
+    }
+
+    /// An empty builder with room for `batch`'s rows.
+    fn of(batch: &Batch) -> FlatBuilder {
+        let mut flat =
+            FlatBuilder::new(batch.width, batch.next, batch.len(), batch.cells.is_some());
+        flat.cells_from_rows = !batch.keep_cells;
+        flat
+    }
+
+    /// Sorts a batch into view order and cuts it into this empty
+    /// builder; the sort makes the cut's order check pass.
+    fn sort_and_cut(self, mut batch: Batch) -> FlatBuilder {
+        batch.sort();
+        match self.cut(batch) {
+            Ok(flat) => flat,
+            Err(e) => unreachable!("the batch is sorted before it is cut: {e}"),
+        }
+    }
+
+    /// Cuts a batch whose records are already in view order (keys
+    /// ascending, each key's rows by next-column value, ties in the
+    /// order the group should keep) into groups — the one cut every
+    /// build ends in. The order is verified in release builds too (two
+    /// comparisons a row, beside the one the cut makes anyway) and a
+    /// violation comes back as a typed error instead of silently
+    /// corrupting every later seek.
+    fn cut(mut self, batch: Batch) -> Result<FlatBuilder> {
+        let flat = &mut self;
+        let (records, mut rows, cells) = batch.into_parts();
+        let (rows, cells) = (&mut rows[..], cells.as_deref());
+        match records {
+            Records::Ints(ints) => {
+                let records = ints.into_iter().enumerate().map(|(at, (k, n))| (k, n, at));
+                cut(flat, records, rows, cells)
+            }
+            Records::Wide(ints) => {
+                let records = ints.into_iter().map(|(k, n, at)| (k, n, at as usize));
+                cut(flat, records, rows, cells)
+            }
+            Records::Packed(packed) => {
+                let records = packed.words.iter().map(|&w| packed.unpack(w));
+                cut(flat, records, rows, cells)
+            }
+            Records::Values(values) => {
+                let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
+                cut(flat, records, rows, cells)
+            }
+        }?;
+        Ok(self)
     }
 
     /// Opens the next group; `key` must exceed every key so far.
@@ -338,10 +892,77 @@ impl FlatBuilder {
             _ => self.int_next = None,
         }
         match (&mut self.cells, cells) {
+            (Some(packed), _) if self.cells_from_rows => {
+                packed.extend(t.fields().iter().map(|v| int_of(v).unwrap_or(0)));
+            }
             (Some(packed), Some(c)) => packed.extend_from_slice(c),
             _ => self.cells = None,
         }
         self.rows.push(t);
+    }
+
+    /// The groups of `parts` — the buckets of one build, in key order —
+    /// as one builder, each array allocated once at its final length.
+    /// Parts without rows are dropped (all but the first, when none has
+    /// any: the view of an empty table).
+    fn concat(parts: Vec<FlatBuilder>) -> FlatBuilder {
+        let (rows, keys) =
+            (parts.iter()).fold((0, 0), |(r, k), p| (r + p.rows.len(), k + p.keys.len()));
+        let mut parts = parts.into_iter();
+        let Some(mut all) = parts.next() else {
+            unreachable!("a build has at least one bucket")
+        };
+        for part in parts.filter(|p| !p.rows.is_empty()) {
+            if all.rows.is_empty() {
+                all = part;
+            } else {
+                all.reserve_exact(rows, keys);
+                all.append(part);
+            }
+        }
+        all
+    }
+
+    /// Room for `rows` rows in `keys` groups in all.
+    fn reserve_exact(&mut self, rows: usize, keys: usize) {
+        let (more_rows, more_keys) = (rows - self.rows.len(), keys - self.keys.len());
+        if self.rows.capacity() >= rows {
+            return;
+        }
+        self.keys.reserve_exact(more_keys);
+        self.starts.reserve_exact(more_keys + 1);
+        self.rows.reserve_exact(more_rows);
+        if let Some(dense) = &mut self.int_keys {
+            dense.reserve_exact(more_keys);
+        }
+        if let Some(dense) = &mut self.int_next {
+            dense.reserve_exact(more_rows);
+        }
+        if let Some(cells) = &mut self.cells {
+            cells.reserve_exact(more_rows * self.width);
+        }
+    }
+
+    /// Appends the groups of `other`, whose every key exceeds this
+    /// builder's — the next bucket of a split build.
+    fn append(&mut self, other: FlatBuilder) {
+        assert!(
+            matches!((self.keys.last(), other.keys.first()), (Some(a), Some(b)) if a < b),
+            "buckets hold ascending key ranges"
+        );
+        let base = self.rows.len() as u32;
+        self.starts.extend(other.starts.iter().map(|s| s + base));
+        self.keys.extend(other.keys);
+        self.rows.extend(other.rows);
+        fn both<T>(to: &mut Option<Vec<T>>, from: Option<Vec<T>>) {
+            match (to.as_mut(), from) {
+                (Some(to), Some(from)) => to.extend(from),
+                _ => *to = None,
+            }
+        }
+        both(&mut self.int_keys, other.int_keys);
+        both(&mut self.int_next, other.int_next);
+        both(&mut self.cells, other.cells);
     }
 
     fn finish(mut self) -> ColumnIndex {
@@ -369,61 +990,12 @@ impl FlatBuilder {
 }
 
 impl ColumnIndex {
-    /// Builds the view of `field` over a full `visit` pass — how the
-    /// cache builds a custom store's view. Rows with equal key and
-    /// next-column values keep visit order.
+    /// Builds the view of `field` over a full `visit` pass, as one piece.
+    /// Rows with equal key and next-column values keep visit order.
     pub fn build(field: usize, visit: &mut TupleVisit<'_>) -> ColumnIndex {
-        let mut batch = Batch::new(field, 0);
+        let mut batch = Batch::new(field, 0, true);
         visit(&mut |t| batch.push(t));
-        ColumnIndex::from_batch(batch)
-    }
-
-    /// [`ColumnIndex::build`] over `rows`, in that order — the root view
-    /// a join rule cuts from its delta.
-    pub(crate) fn of_rows(field: usize, rows: &[&Tuple]) -> ColumnIndex {
-        let mut batch = Batch::new(field, rows.len());
-        rows.iter().for_each(|t| batch.push(t));
-        ColumnIndex::from_batch(batch)
-    }
-
-    /// Sorts a batch into view order and cuts it into the flat view —
-    /// the one build, over a store pass, a claim journal or a join
-    /// rule's delta. The sort makes the cut's order check pass.
-    pub(crate) fn from_batch(mut batch: Batch) -> ColumnIndex {
-        batch.sort();
-        match ColumnIndex::try_from_sorted(batch) {
-            Ok(index) => index,
-            Err(e) => unreachable!("the batch is sorted before it is cut: {e}"),
-        }
-    }
-
-    /// Cuts a batch whose records are already in view order (keys
-    /// ascending, each key's rows by next-column value, ties in the
-    /// order the group should keep) into the flat view — the one cut
-    /// every cold build ends in. The order is verified in release
-    /// builds too (two comparisons a row, beside the one the cut makes
-    /// anyway) and a violation comes back as a typed error instead of
-    /// silently corrupting every later seek.
-    fn try_from_sorted(batch: Batch) -> Result<ColumnIndex> {
-        let (width, next) = (batch.width, batch.next);
-        let mut flat = FlatBuilder::new(width, next, batch.len(), batch.cells.is_some());
-        let (records, mut rows, cells) = batch.into_parts();
-        let (rows, cells) = (&mut rows[..], cells.as_deref());
-        match records {
-            Records::Ints(ints) => {
-                let records = ints.into_iter().map(|(k, n, at)| (k, n, at as usize));
-                cut(&mut flat, records, rows, cells)
-            }
-            Records::Packed(packed) => {
-                let records = packed.words.iter().map(|&w| packed.unpack(w));
-                cut(&mut flat, records, rows, cells)
-            }
-            Records::Values(values) => {
-                let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
-                cut(&mut flat, records, rows, cells)
-            }
-        }?;
-        Ok(flat.finish())
+        FlatBuilder::of(&batch).sort_and_cut(batch).finish()
     }
 
     /// Heap bytes this view owns, for the cache's byte-bounded LRU: the
@@ -503,7 +1075,7 @@ impl ColumnIndex {
 
 /// Cuts `records` — `(key, next, position)` in view order, positions
 /// into `rows` and `cells` — into `flat`'s groups, checking the order
-/// as it goes (see [`ColumnIndex::try_from_sorted`]). `V` is `i64` for
+/// as it goes (see [`FlatBuilder::cut`]). `V` is `i64` for
 /// integer records, so the common all-integer cut compares plain
 /// integers, and [`Value`] otherwise.
 fn cut<V: Ord + Clone + Into<Value>>(
@@ -517,7 +1089,7 @@ fn cut<V: Ord + Clone + Into<Value>>(
         match &last {
             Some((k, n)) if k.cmp(&key).then(n.cmp(&next)).is_gt() => {
                 return Err(JStarError::Other(format!(
-                    "ColumnIndex::try_from_sorted: rows not in view order at position {i} \
+                    "FlatBuilder::cut: rows not in view order at position {i} \
                      (key {:?} after {:?})",
                     key.into(),
                     k.clone().into()
@@ -639,6 +1211,7 @@ impl ColumnCursor {
 pub(super) mod tests {
     use super::*;
     use crate::schema::TableId;
+    use proptest::prelude::*;
 
     /// `(key, payload)` rows in the given order; the key is column 0.
     fn index_of(rows: Vec<Vec<Value>>) -> Arc<ColumnIndex> {
@@ -850,19 +1423,24 @@ pub(super) mod tests {
 
     /// A batch of `rows`, unsorted, keyed on column 0.
     fn batch(rows: &[Tuple]) -> Batch {
-        let mut batch = Batch::new(0, rows.len());
+        let mut batch = Batch::new(0, rows.len(), true);
         rows.iter().for_each(|t| batch.push(t));
         batch
+    }
+
+    /// Cuts a batch already in view order.
+    fn cut_sorted(batch: Batch) -> Result<FlatBuilder> {
+        FlatBuilder::of(&batch).cut(batch)
     }
 
     #[test]
     fn try_from_sorted_rejects_descending_keys() {
         let t = |k: i64, n: i64| Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n)]);
-        assert!(ColumnIndex::try_from_sorted(batch(&[t(1, 0), t(1, 0), t(2, 0)])).is_ok());
-        let err = ColumnIndex::try_from_sorted(batch(&[t(1, 0), t(3, 0), t(2, 0)]));
+        assert!(cut_sorted(batch(&[t(1, 0), t(1, 0), t(2, 0)])).is_ok());
+        let err = cut_sorted(batch(&[t(1, 0), t(3, 0), t(2, 0)]));
         assert!(matches!(err, Err(JStarError::Other(m)) if m.contains("position 2")));
         // Inside a group the next column must ascend too.
-        let err = ColumnIndex::try_from_sorted(batch(&[t(1, 0), t(2, 5), t(2, 4)]));
+        let err = cut_sorted(batch(&[t(1, 0), t(2, 5), t(2, 4)]));
         assert!(matches!(err, Err(JStarError::Other(m)) if m.contains("position 2")));
     }
 
@@ -879,18 +1457,20 @@ pub(super) mod tests {
         packed.sort();
         assert!(matches!(packed.records, Records::Packed(_)));
         let mut plain = batch(&rows);
-        let Records::Ints(ints) = &mut plain.records else {
+        let Records::Ints(ints) = &plain.records else {
             panic!("an all-integer batch packs integer records")
         };
+        let mut ints = positioned(ints);
         ints.sort_unstable();
-        let packed = ColumnIndex::try_from_sorted(packed).ok();
+        plain.records = Records::Wide(ints);
+        let packed = cut_sorted(packed).map(FlatBuilder::finish).ok();
         assert!(packed.is_some(), "packed words sort into view order");
-        assert_eq!(packed, ColumnIndex::try_from_sorted(plain).ok());
+        assert_eq!(packed, cut_sorted(plain).map(FlatBuilder::finish).ok());
         // Spans wider than 64 bits together sort as plain records.
         let mut wide = batch(&[t(i64::MAX, 0), t(i64::MIN, 1), t(0, i64::MIN)]);
         wide.sort();
-        assert!(matches!(wide.records, Records::Ints(_)));
-        let wide = ColumnIndex::try_from_sorted(wide).map(|v| v.keys);
+        assert!(matches!(wide.records, Records::Wide(_)));
+        let wide = cut_sorted(wide).map(|v| v.keys);
         assert_eq!(
             wide.ok(),
             Some(vec![
@@ -971,6 +1551,106 @@ pub(super) mod tests {
         let rebuilt = cache.open(0, 0, &store);
         assert_eq!(*rebuilt, ColumnIndex::build(0, &mut |emit| emit(&t)));
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// `n` three-field rows of `kind`, keys drawn from `keys` values and
+    /// next values from fewer, so groups are long, pieces cut through
+    /// them and equal `(key, next)` pairs tie; the last field numbers
+    /// the row, so every tie shows in the view's row order.
+    ///
+    /// Kinds: all-`Int` and packable (split into buckets); all-`Int`
+    /// with spans wider than 64 bits (one bucket, unpacked); a `Str`
+    /// next column and a `Double` key (value records, one bucket); and
+    /// packable keys with a `Str` payload (split, no cells).
+    fn pooled_case_rows(kind: usize, n: usize, keys: i64, seed: u64) -> Vec<Tuple> {
+        let mut state = seed | 1;
+        let mut draw = move |bound: i64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as i64
+        };
+        (0..n as i64)
+            .map(|id| {
+                let (k, next) = (draw(keys), draw(keys / 3 + 1));
+                let fields = match kind {
+                    0 => vec![Value::Int(k - keys / 2), Value::Int(next), Value::Int(id)],
+                    1 => {
+                        let wide = |v: i64| {
+                            if v % 2 == 0 {
+                                i64::MIN + v
+                            } else {
+                                i64::MAX - v
+                            }
+                        };
+                        vec![Value::Int(wide(k)), Value::Int(wide(next)), Value::Int(id)]
+                    }
+                    2 => vec![
+                        Value::Int(k),
+                        Value::str(format!("n{next}")),
+                        Value::Int(id),
+                    ],
+                    3 => vec![
+                        Value::Double(k as f64 / 4.0),
+                        Value::Int(next),
+                        Value::Int(id),
+                    ],
+                    _ => vec![
+                        Value::Int(k),
+                        Value::Int(next),
+                        Value::str(format!("r{id}")),
+                    ],
+                };
+                Tuple::new(TableId(0), fields)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The pooled build equals the one-piece build, array for array,
+        /// over a join's rows and over a store's journal, at 1, 2 and 4
+        /// threads: for every record kind, for 0 and 1 rows, just under
+        /// and over [`super::super::MIN_PIECE`] (one piece either way)
+        /// and for inputs cut into several pieces whose boundaries fall
+        /// inside groups.
+        #[test]
+        fn pooled_build_equals_the_one_piece_build(
+            kind in 0usize..5,
+            size in 0usize..7,
+            keys in 1i64..40,
+            field in 0usize..2,
+            seed in any::<u64>(),
+        ) {
+            use crate::gamma::testutil::keyless_def;
+            use crate::gamma::{HashStore, TableStore, MIN_PIECE};
+            let n = [0, 1, 37, MIN_PIECE - 1, MIN_PIECE + 1, 2 * MIN_PIECE + 1, 3 * MIN_PIECE + 17][size];
+            let rows = pooled_case_rows(kind, n, keys, seed);
+            let refs: Vec<&Tuple> = rows.iter().collect();
+            let store = HashStore::with_first_segment(keyless_def(), vec![0], 256);
+            rows.iter().for_each(|t| {
+                store.insert(t.clone());
+            });
+            let entries = store.index_stamp().map_or(0, |s| s.generation);
+            let sources = [Source::Rows(&refs), Source::Journal(&store, entries)];
+            let serial = build_views(&[(sources[0], field), (sources[1], field)], None);
+            prop_assert_eq!(
+                &serial[0].0,
+                &ColumnIndex::build(field, &mut |emit| rows.iter().for_each(&mut *emit)),
+                "the one-piece build over rows is the visit build"
+            );
+            prop_assert_eq!(serial[1].1, entries, "the journal walk covers every entry");
+            for threads in [1, 2, 4] {
+                let pool = ThreadPool::new(threads);
+                let pooled = build_views(&[(sources[0], field), (sources[1], field)], Some(&pool));
+                for ((got, covered), (want, want_covered)) in pooled.iter().zip(&serial) {
+                    prop_assert_eq!(got, want, "kind {} n {} at {} threads", kind, n, threads);
+                    prop_assert_eq!(covered, want_covered);
+                    prop_assert_eq!(got.approx_bytes(), want.approx_bytes());
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,32 @@ mod reservation;
 pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
 pub use cursor::{ColumnCursor, ColumnIndex};
 
+/// Input positions (rows, journal entries) below which a piece's share
+/// of a fork/join costs more than the piece saves.
+pub(crate) const MIN_PIECE: usize = 4096;
+
+/// The cores the OS grants this process — pools are sized by
+/// `--threads=N`, which users oversubscribe freely, and with one core
+/// fanning a pass out only adds scheduling on top of the same serial
+/// work. Asked once: the answer comes out of cgroup files, ~20 µs a
+/// call.
+fn granted_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// How many pieces a pass over `len` input positions is cut into: one
+/// without a pool, else 4 per worker that has a core of its own — a
+/// worker that falls behind leaves its later pieces to be stolen — and
+/// none smaller than [`MIN_PIECE`]. The snapshot writer's journal encode
+/// and every column-view build cut their passes by it.
+pub(crate) fn pieces(pool: Option<&ThreadPool>, len: usize) -> usize {
+    pool.map_or(1, |p| {
+        let workers = p.num_threads().min(granted_cores());
+        (4 * workers).min(len / MIN_PIECE).max(1)
+    })
+}
+
 /// Factory closure for [`StoreKind::Custom`].
 pub type StoreFactory = Arc<dyn Fn(Arc<TableDef>) -> Arc<dyn TableStore> + Send + Sync>;
 pub use hash::HashStore;
@@ -28,8 +54,9 @@ pub use hash::HashStore;
 use crate::query::{Probe, Query};
 use crate::schema::{TableDef, TableId};
 use crate::tuple::Tuple;
+use jstar_pool::ThreadPool;
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Result of inserting a tuple into a store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -404,6 +431,22 @@ impl Gamma {
     pub fn open_cursor(&self, table: TableId, field: usize) -> Arc<ColumnIndex> {
         self.index_cache
             .open(table.index(), field, self.stores[table.index()].as_ref())
+    }
+
+    /// [`Gamma::open_cursor`] for each of `columns`, and the view of
+    /// `root`'s rows keyed on its field (never cached): every build the
+    /// opens need runs in one phase on `pool`, cut into pieces (see
+    /// [`cursor`]'s module docs), one piece each without a pool.
+    pub(crate) fn open_views(
+        &self,
+        root: Option<(&[&Tuple], usize)>,
+        columns: &[(TableId, usize)],
+        pool: Option<&ThreadPool>,
+    ) -> (Option<ColumnIndex>, Vec<Arc<ColumnIndex>>) {
+        let stores = (columns.iter())
+            .map(|&(table, field)| (table.index(), field, self.stores[table.index()].as_ref()))
+            .collect::<Vec<_>>();
+        self.index_cache.open_views(root, &stores, pool)
     }
 
     /// Total number of stored tuples across all tables.

@@ -40,7 +40,7 @@ use jstar_pool::ThreadPool;
 use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use super::fault::{self, CrashSite};
 use super::format;
@@ -127,16 +127,6 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// The cores the OS grants this process — pools are sized by
-/// `--threads=N`, which users oversubscribe freely, and with one core
-/// fanning an encode out only adds scheduling on top of the same serial
-/// work. Asked once: the answer comes out of cgroup files, ~20 µs a
-/// call.
-fn granted_cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// The `.tmp` file being written: every part goes through a fault probe
 /// and the running whole-file checksum on its way out.
 struct Sink<'p> {
@@ -175,9 +165,9 @@ fn encode_row(body: &mut Vec<u8>, hash: &mut ContentHash, t: &Tuple) {
 /// `body` and into `hash`; returns the bound actually covered (see
 /// [`TableStore::for_each_journal_suffix`]). The per-row walk, encode and
 /// hash cost tens of nanoseconds, so a large range splits over the pool,
-/// which is idle at a checkpoint's quiescent point, into 4 pieces per
-/// worker: a worker that
-/// falls behind leaves its later pieces to be stolen. The pieces
+/// which is idle at a checkpoint's quiescent point, into
+/// [`crate::gamma::pieces`]: a worker that falls behind leaves its later
+/// pieces to be stolen. The pieces
 /// partition the walk in order: the bytes are those of the one-piece
 /// walk. Rows go onto `body`'s last piece, or as new pieces after it.
 fn encode_journal(
@@ -187,12 +177,7 @@ fn encode_journal(
     body: &mut Vec<Vec<u8>>,
     hash: &mut ContentHash,
 ) -> usize {
-    // Below ~4k entries a piece the fork/join costs more than it saves.
-    const MIN_PIECE: usize = 4096;
-    let pieces = pool.map_or(1, |p| {
-        let workers = p.num_threads().min(granted_cores());
-        (4 * workers).min((hi - lo) / MIN_PIECE)
-    });
+    let pieces = crate::gamma::pieces(pool, hi - lo);
     let Some(pool) = pool.filter(|_| pieces > 1) else {
         if body.is_empty() {
             body.push(Vec::new());

@@ -633,6 +633,38 @@ fn a_long_no_delta_chain_does_not_grow_the_stack() {
     }
 }
 
+/// Scenario (a), reads: a rule reads back each `-noDelta` put it made in
+/// the same firing — its query flushes the slot its thread staged into
+/// — whether the firing runs on the coordinator or on a worker, and on
+/// either side of the slot's flush size.
+#[test]
+fn a_rule_sees_its_own_no_delta_puts() {
+    const PUTS: i64 = 300;
+    let mut p = ProgramBuilder::new();
+    let go = p.table("Go", |b| b.col_int("x").orderby(&[strat("Go")]));
+    let m = p.table("M", |b| b.col_int("i").orderby(&[strat("M")]));
+    p.order(&["Go", "M"]);
+    p.rule("put-then-read", go, move |ctx, t| {
+        for i in 0..PUTS {
+            let v = t.int(0) * PUTS + i;
+            ctx.put(Tuple::new(m, vec![Value::Int(v)]));
+            if !ctx.exists(&Query::on(m).eq(0, v)) {
+                ctx.fail(format!("put {v} not seen by the rule that made it"));
+            }
+        }
+    });
+    for x in 0..16 {
+        p.put(Tuple::new(go, vec![Value::Int(x)]));
+    }
+    let prog = Arc::new(p.build().unwrap());
+    for config in [EngineConfig::sequential(), EngineConfig::parallel(2)] {
+        let mut engine = Engine::new(Arc::clone(&prog), config.no_delta(m));
+        engine.run().unwrap();
+        let stats = engine.stats().tables[m.index()].snapshot();
+        assert_eq!(stats.gamma_fresh, 16 * PUTS as u64);
+    }
+}
+
 /// Scenario (b): `-noDelta` puts made inside `par_for_each_match` are
 /// staged on whichever helper thread ran the closure; those threads are
 /// not inside a chunk of the class, so it is the coordinator's flush
