@@ -13,9 +13,8 @@ use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
 use crate::tuple::Tuple;
-use jstar_check::sync::{AtomicU64, Ordering};
+use jstar_check::sync::{AtomicU64, Mutex, Ordering};
 use jstar_pool::ThreadPool;
-use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -7,8 +7,8 @@ use crate::reduce::Reducer;
 use crate::relation::{Field, IntoProbe, Relation, TableHandle};
 use crate::schema::TableId;
 use crate::tuple::Tuple;
+use jstar_check::sync::Ordering;
 use jstar_pool::ThreadPool;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::runtime::{flush_staged, put_tuple, RunState};

@@ -37,12 +37,10 @@ use crate::rule::{JoinPlan, JoinStage, Rule, RuleKind};
 use crate::schema::TableId;
 use crate::stats::EngineStats;
 use crate::tuple::Tuple;
-use jstar_check::sync::AtomicUsize;
+use jstar_check::sync::{AtomicUsize, Mutex, Ordering};
 use jstar_pool::ThreadPool;
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::ctx::RuleCtx;

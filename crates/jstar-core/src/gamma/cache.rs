@@ -37,26 +37,17 @@
 //! belong to the store and are not charged.
 //!
 //! Concurrency: one mutex per table guards that table's `field → entry`
-//! map, and is held only to look an entry up and to change it — never
-//! while a view is built. A build on the pool helps run whatever jobs
-//! the pool holds, and one of them may open a view itself; no thread
-//! ever holds a table's lock while it runs one. Racing openers still
-//! share one sort: the opener that misses *claims* the entry — marks it
-//! in flight, with its stamp and a build number — before it unlocks and
-//! builds, and publishes the view into the entry when done. An opener
-//! that finds the entry in flight for the stamp it wants waits on the
-//! table's condition variable for that build and gets its view, counted
-//! as a hit (and in `waits`) — but only after its own claims are
-//! published, and only if its thread held no claim when the open began:
-//! a thread that does (a pool job it runs while helping its own build
-//! opens a view) builds its own copy, uncached. So a waiter holds no
-//! claim, every claim holder runs to its publish without waiting on
-//! anyone, and no cycle of waits can form — even when a pool job run by
-//! a helping builder opens the very view being built.
-//! A build that panics withdraws its claims, and their waiters open
-//! again. Openers race workers still appending to the journal; the
-//! happens-before edge that makes the journal walk sound is the claim
-//! journal's own publish protocol (see CONCURRENCY.md protocol 6).
+//! map, and is held only to look an entry up and to insert one — never
+//! while a view is built. A miss unlocks, builds, locks again and
+//! inserts the view under the stamp its walk covered; the last insert
+//! wins. Openers that race on one miss each build their own copy: no
+//! thread blocks on another's build, so no deadlock can form (a build on
+//! the pool helps run whatever jobs the pool holds, and one of them may
+//! open a view itself), and a build that panics leaves nothing behind. A stale insert costs at most one more rebuild, since
+//! an entry is served only while its stamp equals the store's. Openers
+//! race workers still appending to the journal; the happens-before edge
+//! that makes the journal walk sound is the claim journal's own publish
+//! protocol (see CONCURRENCY.md protocol 6).
 
 use super::cursor::{build_views, ColumnIndex, Source};
 use super::TableStore;
@@ -64,9 +55,8 @@ use crate::tuple::Tuple;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
-use jstar_check::sync::{AtomicU64, Condvar, Mutex, Ordering};
+use jstar_check::sync::{AtomicU64, Mutex, Ordering};
 use jstar_pool::ThreadPool;
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -115,29 +105,17 @@ pub struct IndexCacheStats {
     pub misses: u64,
     /// Tuples sorted by those builds.
     pub build_tuples: u64,
-    /// Opens that found the view they asked for being built by another
-    /// opener and waited for it (counted as hits once served).
-    pub waits: u64,
 }
 
 struct CacheEntry {
-    /// The view, or `None` while the build that claimed the entry is in
-    /// flight.
-    index: Option<Arc<ColumnIndex>>,
+    index: Arc<ColumnIndex>,
     stamp: IndexStamp,
-    /// The build that made the entry, or is making it: a waiter takes
-    /// the view of the build it waited for and no other.
-    build: u64,
     last_used: u64,
     bytes: usize,
 }
 
-/// One table's `field → entry` map, and the condition an opener waiting
-/// for another's build sleeps on.
-struct Table {
-    map: Mutex<HashMap<usize, CacheEntry>>,
-    built: Condvar,
-}
+/// One table's `field → entry` map.
+type Table = Mutex<HashMap<usize, CacheEntry>>;
 
 /// Per-[`super::Gamma`] cache: one `field → entry` map per table store.
 pub struct IndexCache {
@@ -147,7 +125,6 @@ pub struct IndexCache {
     hits: AtomicU64,
     misses: AtomicU64,
     build_tuples: AtomicU64,
-    waits: AtomicU64,
 }
 
 /// Per-table byte bound on cached column views; least-recently-used
@@ -155,102 +132,36 @@ pub struct IndexCache {
 /// survives).
 pub const DEFAULT_INDEX_CACHE_MAX_BYTES: usize = 64 << 20;
 
-thread_local! {
-    /// Builds this thread has claimed and not yet published: while it
-    /// holds one, it waits for no other opener's build (module docs).
-    static CLAIMED: Cell<usize> = const { Cell::new(0) };
-}
-
 /// How one open gets one view.
 enum Claim {
     /// Served from the cache.
     Hit(Arc<ColumnIndex>),
-    /// Another opener's build of this very table state is in flight:
-    /// wait for that build once this open's own are published.
-    Wait(u64),
-    /// This open builds it — off the journal up to the stamp's
-    /// generation, or over `for_each` without a stamp — and publishes
-    /// it under the build number when it claimed the entry.
-    Build(Option<IndexStamp>, Option<u64>),
+    /// Built by this open — off the journal up to the stamp's
+    /// generation, or over `for_each` without a stamp.
+    Build(Option<IndexStamp>),
     /// The same column as an earlier one of this open.
     Same(usize),
-}
-
-/// The builds one open has claimed and not yet published. Dropped
-/// early — a build that panicked — it withdraws their entries, so a
-/// waiter builds for itself instead of sleeping forever.
-struct Claimed<'c> {
-    cache: &'c IndexCache,
-    builds: Vec<(usize, usize, u64)>,
-}
-
-impl Claimed<'_> {
-    fn push(&mut self, table: usize, field: usize, build: u64) {
-        CLAIMED.with(|c| c.set(c.get() + 1));
-        self.builds.push((table, field, build));
-    }
-
-    /// Publishes `index` for `build`: the entry is the view's from now
-    /// on, unless a newer claim has taken it meanwhile.
-    fn publish(&mut self, build: u64, stamp: IndexStamp, index: &Arc<ColumnIndex>) {
-        let Some(at) = self.builds.iter().position(|&(_, _, b)| b == build) else {
-            return;
-        };
-        let (table, field, _) = self.builds.swap_remove(at);
-        CLAIMED.with(|c| c.set(c.get() - 1));
-        let cache = self.cache;
-        let table = &cache.tables[table];
-        let mut map = table.map.lock();
-        let tick = cache.tick();
-        if let Some(e) = map.get_mut(&field).filter(|e| e.build == build) {
-            (e.index, e.stamp) = (Some(Arc::clone(index)), stamp);
-            (e.last_used, e.bytes) = (tick, index.approx_bytes());
-            evict_over_budget(&mut map, cache.max_bytes_per_table);
-        }
-        table.built.notify_all();
-    }
-}
-
-impl Drop for Claimed<'_> {
-    fn drop(&mut self) {
-        for &(table, field, build) in &self.builds {
-            CLAIMED.with(|c| c.set(c.get() - 1));
-            let table = &self.cache.tables[table];
-            let mut map = table.map.lock();
-            if map.get(&field).is_some_and(|e| e.build == build) {
-                map.remove(&field);
-            }
-            table.built.notify_all();
-        }
-    }
 }
 
 impl IndexCache {
     pub(super) fn new(n_tables: usize, max_bytes: usize) -> IndexCache {
         IndexCache {
             max_bytes_per_table: max_bytes,
-            tables: (0..n_tables)
-                .map(|_| Table {
-                    map: Mutex::new(HashMap::new()),
-                    built: Condvar::new(),
-                })
-                .collect(),
+            tables: (0..n_tables).map(|_| Mutex::new(HashMap::new())).collect(),
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             build_tuples: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
         }
     }
 
     /// Counter snapshot (monotone over the cache's lifetime).
     pub fn stats(&self) -> IndexCacheStats {
-        // ord: Relaxed ×4 — statistics only.
+        // ord: Relaxed ×3 — statistics only.
         IndexCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             build_tuples: self.build_tuples.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
         }
     }
 
@@ -264,9 +175,7 @@ impl IndexCache {
         store: &dyn TableStore,
     ) -> Arc<ColumnIndex> {
         let stamp = store.index_stamp();
-        if let Some(view) =
-            stamp.and_then(|s| self.hit(&mut self.tables[table].map.lock(), field, s))
-        {
+        if let Some(view) = stamp.and_then(|s| self.hit(&mut self.tables[table].lock(), field, s)) {
             return view;
         }
         let (_, mut views) = self.open_views(None, &[(table, field, store)], None);
@@ -282,30 +191,23 @@ impl IndexCache {
         stamp: IndexStamp,
     ) -> Option<Arc<ColumnIndex>> {
         let e = map.get_mut(&field).filter(|e| e.stamp == stamp)?;
-        let index = Arc::clone(e.index.as_ref()?);
         e.last_used = self.tick();
         // ord: Relaxed — statistic only.
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(index)
+        Some(Arc::clone(&e.index))
     }
 
     /// The open path behind [`super::Gamma::open_views`]: the view of
     /// each `(table, field, store)` column, served or built, and the
-    /// view of `root`'s rows, never cached. Every build this open claims
+    /// view of `root`'s rows, never cached. Every build this open needs
     /// runs with the root's in one pooled phase
-    /// ([`super::cursor::build_views`]), outside the table locks; the
-    /// views other openers are building are waited for after that.
+    /// ([`super::cursor::build_views`]), outside the table locks.
     pub(super) fn open_views(
         &self,
         root: Option<(&[&Tuple], usize)>,
         columns: &[(usize, usize, &dyn TableStore)],
         pool: Option<&ThreadPool>,
     ) -> (Option<ColumnIndex>, Vec<Arc<ColumnIndex>>) {
-        let may_wait = CLAIMED.with(Cell::get) == 0;
-        let mut claimed = Claimed {
-            cache: self,
-            builds: Vec::new(),
-        };
         let claims: Vec<Claim> = (columns.iter().enumerate())
             .map(|(i, &(table, field, store))| {
                 match columns[..i]
@@ -318,7 +220,7 @@ impl IndexCache {
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         Claim::Same(j)
                     }
-                    None => self.claim(table, field, store, may_wait, &mut claimed),
+                    None => self.claim(table, field, store),
                 }
             })
             .collect();
@@ -326,7 +228,7 @@ impl IndexCache {
             .iter()
             .zip(columns)
             .filter_map(|(claim, &(_, field, store))| {
-                let Claim::Build(stamp, _) = claim else {
+                let Claim::Build(stamp) = claim else {
                     return None;
                 };
                 let source = stamp.map_or(Source::Pass(store), |s| {
@@ -338,118 +240,66 @@ impl IndexCache {
         let builds: Vec<(Source<'_>, usize)> = root_build.into_iter().chain(misses).collect();
         let mut built = build_views(&builds, pool).into_iter();
         let root = root.and_then(|_| built.next()).map(|(view, _)| view);
-        let mut views: Vec<Option<Arc<ColumnIndex>>> = Vec::with_capacity(columns.len());
-        for claim in &claims {
-            views.push(match claim {
-                Claim::Hit(index) => Some(Arc::clone(index)),
-                Claim::Build(stamp, build) => built.next().map(|(view, covered)| {
-                    self.count_build(view.rows.len());
+        let mut out: Vec<Arc<ColumnIndex>> = Vec::with_capacity(columns.len());
+        for (claim, &(table, field, _)) in claims.iter().zip(columns) {
+            let view = match claim {
+                Claim::Hit(index) => Arc::clone(index),
+                Claim::Same(j) => Arc::clone(&out[*j]),
+                Claim::Build(stamp) => {
+                    let Some((view, covered)) = built.next() else {
+                        unreachable!("every miss is built")
+                    };
                     let view = Arc::new(view);
-                    if let (Some(stamp), Some(build)) = (stamp, build) {
+                    self.count_build(view.rows.len());
+                    if let Some(stamp) = stamp {
+                        // Stamped with the bound the walk covered: an
+                        // append still in flight leaves the stamp behind
+                        // the store's, so the next open rebuilds and
+                        // reads it.
                         let stamp = IndexStamp {
                             generation: covered,
                             ..*stamp
                         };
-                        claimed.publish(*build, stamp, &view);
+                        self.insert(table, field, stamp, &view);
                     }
                     view
-                }),
-                Claim::Wait(_) | Claim::Same(_) => None,
-            });
-        }
-        drop(claimed);
-        let mut out: Vec<Arc<ColumnIndex>> = Vec::with_capacity(columns.len());
-        for ((claim, view), &(table, field, store)) in claims.iter().zip(views).zip(columns) {
-            let view = match (claim, view) {
-                (_, Some(view)) => view,
-                (Claim::Same(j), None) => Arc::clone(&out[*j]),
-                (Claim::Wait(build), None) => match self.wait(table, field, *build) {
-                    Some(view) => view,
-                    // The build was withdrawn or overtaken: open anew.
-                    None => self
-                        .open_views(None, &[(table, field, store)], pool)
-                        .1
-                        .swap_remove(0),
-                },
-                (_, None) => unreachable!("every claimed build is built"),
+                }
             };
             out.push(view);
         }
         (root, out)
     }
 
-    /// Claims the view of `field` over `store`: a hit while the entry's
-    /// stamp equals the store's; a wait when another open is building
-    /// that stamp and this thread holds no build of its own (`may_wait`);
-    /// a build otherwise — under an entry this open claims, unless
-    /// another open's build of the stamp is in flight.
-    fn claim(
-        &self,
-        table: usize,
-        field: usize,
-        store: &dyn TableStore,
-        may_wait: bool,
-        claimed: &mut Claimed<'_>,
-    ) -> Claim {
+    /// A hit while `field`'s entry is stamped as the store is, a build
+    /// otherwise.
+    fn claim(&self, table: usize, field: usize, store: &dyn TableStore) -> Claim {
+        // A custom store without a claim journal: built every open.
         let Some(stamp) = store.index_stamp() else {
-            // A custom store without a claim journal: built every open.
-            return Claim::Build(None, None);
+            return Claim::Build(None);
         };
-        let mut map = self.tables[table].map.lock();
-        if let Some(index) = self.hit(&mut map, field, stamp) {
-            return Claim::Hit(index);
+        match self.hit(&mut self.tables[table].lock(), field, stamp) {
+            Some(index) => Claim::Hit(index),
+            None => Claim::Build(Some(stamp)),
         }
-        if let Some(e) = map.get(&field).filter(|e| e.stamp == stamp) {
-            // Equal stamps and no view: another open's build is in flight.
-            if !may_wait {
-                return Claim::Build(Some(stamp), None);
-            }
-            // ord: Relaxed — statistic only.
-            self.waits.fetch_add(1, Ordering::Relaxed);
-            return Claim::Wait(e.build);
-        }
-        let tick = self.tick();
-        // Miss (no entry, or the stamp moved): the cold build off the
-        // journal is this open's. It is stamped, when published, with
-        // the bound the walk covered — an append still in flight leaves
-        // the stamp behind the store's, so the next open rebuilds and
-        // reads it.
+    }
+
+    /// Makes `index`, built under `stamp`, the entry of `field`.
+    fn insert(&self, table: usize, field: usize, stamp: IndexStamp, index: &Arc<ColumnIndex>) {
+        let mut map = self.tables[table].lock();
         let entry = CacheEntry {
-            index: None,
+            index: Arc::clone(index),
             stamp,
-            build: tick,
-            last_used: tick,
-            bytes: 0,
+            last_used: self.tick(),
+            bytes: index.approx_bytes(),
         };
         map.insert(field, entry);
-        claimed.push(table, field, tick);
-        Claim::Build(Some(stamp), Some(tick))
+        evict_over_budget(&mut map, self.max_bytes_per_table);
     }
 
-    /// Waits for `build` of `field`'s view to be published; `None` when
-    /// it was withdrawn, or a newer claim took its entry.
-    fn wait(&self, table: usize, field: usize, build: u64) -> Option<Arc<ColumnIndex>> {
-        let table = &self.tables[table];
-        let mut map = table.map.lock();
-        loop {
-            match map.get(&field) {
-                Some(e) if e.build == build => {
-                    if let Some(index) = &e.index {
-                        // ord: Relaxed — statistic only.
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(Arc::clone(index));
-                    }
-                }
-                _ => return None,
-            }
-            table.built.wait(&mut map);
-        }
-    }
-
-    /// The next LRU tick, which also numbers builds.
+    /// The next LRU tick.
     fn tick(&self) -> u64 {
-        // ord: Relaxed — the tick is advisory and build numbers need
-        // only be distinct; the map mutex orders every entry mutation.
+        // ord: Relaxed — the tick is advisory; the map mutex orders
+        // every entry mutation.
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -464,17 +314,10 @@ impl IndexCache {
 
 /// Evicts least-recently-used views until the table's total is within
 /// `max_bytes` (always keeping at least one view — evicting the one
-/// that was just built would turn every open into a rebuild). Entries
-/// whose build is in flight hold no bytes and are never evicted.
+/// that was just built would turn every open into a rebuild).
 fn evict_over_budget(map: &mut HashMap<usize, CacheEntry>, max_bytes: usize) {
-    loop {
-        let views = map.iter().filter(|(_, e)| e.index.is_some());
-        let (count, total) = views.fold((0, 0), |(n, b), (_, e)| (n + 1, b + e.bytes));
-        if count <= 1 || total <= max_bytes {
-            return;
-        }
-        let views = map.iter().filter(|(_, e)| e.index.is_some());
-        let Some(&victim) = views.min_by_key(|(_, e)| e.last_used).map(|(f, _)| f) else {
+    while map.len() > 1 && map.values().map(|e| e.bytes).sum::<usize>() > max_bytes {
+        let Some(&victim) = map.iter().min_by_key(|(_, e)| e.last_used).map(|(f, _)| f) else {
             return;
         };
         map.remove(&victim);
@@ -484,11 +327,13 @@ fn evict_over_budget(map: &mut HashMap<usize, CacheEntry>, max_bytes: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gamma::cursor::tests::view_of;
     use crate::gamma::testutil::{keyed_def, kt, set_def};
     use crate::gamma::HashStore;
     use crate::schema::TableId;
     use crate::tuple::Tuple;
     use crate::value::Value;
+    use jstar_check::sync::{AtomicBool, AtomicUsize};
 
     /// A 256-slot first segment holds every row these tests insert, so
     /// journal positions stay append-only (under `model-check` too,
@@ -500,12 +345,12 @@ mod tests {
     /// The view of `field` over one `for_each` pass of `s` — what a
     /// cold build of the table as it stands is.
     fn cold(s: &HashStore, field: usize) -> ColumnIndex {
-        ColumnIndex::build(field, &mut |emit| {
-            s.for_each(&mut |t| {
-                emit(t);
-                true
-            });
-        })
+        let mut rows = Vec::new();
+        s.for_each(&mut |t| {
+            rows.push(t.clone());
+            true
+        });
+        view_of(field, &rows)
     }
 
     #[test]
@@ -524,7 +369,7 @@ mod tests {
     }
 
     #[test]
-    fn catch_up_sorts_only_the_suffix_and_matches_cold() {
+    fn a_grown_table_is_rebuilt_whole_and_matches_cold() {
         // Descending keys: the 20 new rows sort *below* the 80 cached
         // ones. The reopen is a miss that sorts all 100 rows again —
         // never only the 20 — and equals a cold build of the table.
@@ -549,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_index_equals_cold_build_after_every_catch_up() {
+    fn cached_view_equals_cold_build_after_every_growth() {
         // The reference is a cold build over the same store's
         // `for_each`, compared on every flat array. Field 1 repeats
         // (i % 7), so every round's rows land inside the groups of the
@@ -590,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn catch_up_merges_rows_inside_groups_below_cached_next_values() {
+    fn rebuild_places_rows_inside_groups_below_old_next_values() {
         // Groups x = 0, 1, 2 are ordered by y (their next column). Each
         // round's rows carry y values *below* every one already in their
         // group, and one above: the rebuilt view places them inside the
@@ -684,13 +529,35 @@ mod tests {
         assert_eq!(*warm, cold(&s, 0));
     }
 
-    /// A journaled store whose journal walk, once `armed`, holds every
-    /// piece that walks it until `open` is set.
+    /// A journaled store whose journal walk, once `armed`, holds the
+    /// first piece that walks it until `open` is set — or panics in it,
+    /// when `panics` is set.
     struct Gated {
         inner: HashStore,
-        armed: std::sync::atomic::AtomicBool,
-        open: std::sync::atomic::AtomicBool,
-        walking: std::sync::atomic::AtomicUsize,
+        armed: AtomicBool,
+        open: AtomicBool,
+        panics: AtomicBool,
+        walking: AtomicUsize,
+    }
+
+    impl Gated {
+        /// A store of `rows` rows, disarmed.
+        fn new(rows: usize) -> Gated {
+            let store = Gated {
+                inner: HashStore::with_first_segment(set_def(), vec![0], 256),
+                armed: AtomicBool::new(false),
+                open: AtomicBool::new(false),
+                panics: AtomicBool::new(false),
+                walking: AtomicUsize::new(0),
+            };
+            for i in 0..rows as i64 {
+                store.insert(Tuple::new(
+                    TableId(0),
+                    vec![Value::Int(i % 97), Value::Int(i)],
+                ));
+            }
+            store
+        }
     }
 
     impl TableStore for Gated {
@@ -718,12 +585,15 @@ mod tests {
             hi: usize,
             f: &mut dyn FnMut(&Tuple),
         ) -> usize {
-            use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-            // ord: Relaxed — armed before the openers' threads spawn;
-            // Release/Acquire — the flags publish no data, but pair up.
-            if self.armed.load(Relaxed) {
-                self.walking.fetch_add(1, Release);
-                while !self.open.load(Acquire) {
+            // ord: AcqRel/Release/Acquire — the flags publish no data,
+            // but pair up with the test thread's.
+            if self.armed.swap(false, Ordering::AcqRel) {
+                self.walking.fetch_add(1, Ordering::Release);
+                assert!(
+                    !self.panics.load(Ordering::Acquire),
+                    "the gated walk panics"
+                );
+                while !self.open.load(Ordering::Acquire) {
                     std::thread::yield_now();
                 }
             }
@@ -735,67 +605,65 @@ mod tests {
     }
 
     #[test]
-    fn racing_openers_share_one_pooled_build() {
+    fn racing_openers_build_without_waiting() {
         // The first opener's build is held inside its fanned-out journal
-        // pass until the second opener has found it in flight and is
-        // waiting for it: one build, one view, and both openers hold it.
-        use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+        // pass. A second opener of the same view, on another thread,
+        // builds its own copy and returns while the gate is still shut:
+        // it never blocks on the held build. Both views equal the cold
+        // build, and the entry serves the next open.
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::time::{Duration, Instant};
         for threads in [2, 4] {
-            let store = Gated {
-                inner: HashStore::with_first_segment(set_def(), vec![0], 256),
-                armed: false.into(),
-                open: false.into(),
-                walking: 0.into(),
-            };
             let rows = 3 * crate::gamma::MIN_PIECE;
-            for i in 0..rows as i64 {
-                store.insert(Tuple::new(
-                    TableId(0),
-                    vec![Value::Int(i % 97), Value::Int(i)],
-                ));
-            }
-            // ord: Relaxed — the spawns below order it; Acquire/Release
-            // pair with the gated walk's.
-            store.armed.store(true, Relaxed);
-            let (cache, pool) = (
-                IndexCache::new(1, usize::MAX),
-                jstar_pool::ThreadPool::new(threads),
-            );
+            let store = Gated::new(rows);
+            let (cache, pool) = (IndexCache::new(1, usize::MAX), ThreadPool::new(threads));
             let open = || {
                 cache
                     .open_views(None, &[(0, 0, &store as &dyn TableStore)], Some(&pool))
                     .1
             };
-            // A cache that let the second opener build too would never
-            // count a wait: past the deadline the gate opens anyway, and
-            // the counts below fail instead of the test hanging.
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+            // A cache that made the second opener wait for the first
+            // would hang here: past the deadline the gate opens anyway,
+            // and the asserts below fail instead.
+            let deadline = Instant::now() + Duration::from_secs(20);
             let until = |done: &dyn Fn() -> bool| {
-                while !done() && std::time::Instant::now() < deadline {
+                while !done() && Instant::now() < deadline {
                     std::thread::yield_now();
                 }
             };
+            store.armed.store(true, Ordering::Release);
             let (first, second) = std::thread::scope(|s| {
                 let first = s.spawn(open);
-                until(&|| store.walking.load(Acquire) > 0);
-                let second = s.spawn(open);
-                until(&|| cache.stats().waits > 0);
-                store.open.store(true, Release);
+                until(&|| store.walking.load(Ordering::Acquire) > 0);
+                let second = s.spawn(|| (open(), !store.open.load(Ordering::Acquire)));
+                until(&|| second.is_finished());
+                store.open.store(true, Ordering::Release);
                 (first.join(), second.join())
             });
-            let (first, second) = (first.expect("first opener"), second.expect("second opener"));
-            assert!(
-                Arc::ptr_eq(&first[0], &second[0]),
-                "{threads} threads: one view"
-            );
+            let first = first.expect("first opener");
+            let (second, shut) = second.expect("second opener");
+            assert!(shut, "{threads} threads: the second opener waited");
+            let want = cold(&store.inner, 0);
+            assert_eq!(*first[0], want, "{threads} threads");
+            assert_eq!(*second[0], want, "{threads} threads");
             let st = cache.stats();
-            assert_eq!(
-                (st.misses, st.hits, st.waits),
-                (1, 1, 1),
-                "{threads} threads: {st:?}"
-            );
-            assert_eq!(st.build_tuples, rows as u64);
-            assert_eq!(*first[0], cold(&store.inner, 0));
+            assert_eq!((st.misses, st.hits), (2, 0), "{threads} threads: {st:?}");
+            assert_eq!(st.build_tuples, 2 * rows as u64);
+            let third = open();
+            assert!(Arc::ptr_eq(&third[0], &first[0]) || Arc::ptr_eq(&third[0], &second[0]));
+
+            // A grown table whose rebuild panics in its walk leaves
+            // nothing behind: the next open builds the grown table, and
+            // the one after it is a hit.
+            store.insert(Tuple::new(TableId(0), vec![Value::Int(-1), Value::Int(-1)]));
+            store.panics.store(true, Ordering::Release);
+            store.armed.store(true, Ordering::Release);
+            assert!(catch_unwind(AssertUnwindSafe(open)).is_err());
+            let rebuilt = open();
+            assert_eq!(*rebuilt[0], cold(&store.inner, 0), "{threads} threads");
+            assert!(Arc::ptr_eq(&open()[0], &rebuilt[0]));
+            let st = cache.stats();
+            assert_eq!((st.misses, st.hits), (3, 2), "{threads} threads: {st:?}");
         }
     }
 
@@ -809,7 +677,7 @@ mod tests {
         let cache = IndexCache::new(1, 1);
         let _ = cache.open(0, 0, &s);
         let _ = cache.open(0, 1, &s);
-        let m = cache.tables[0].map.lock();
+        let m = cache.tables[0].lock();
         assert_eq!(m.len(), 1, "over budget — LRU evicted");
         assert!(m.contains_key(&1), "newest entry survives");
     }

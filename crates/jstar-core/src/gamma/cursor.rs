@@ -22,6 +22,9 @@
 //! * `cells` — a row-major `i64` copy of every field of every row,
 //!   present when all of them are `Value::Int`: a join's residual
 //!   equality reads one contiguous slice and never touches the tuple.
+//!   The pass only notes whether every field is an `Int`; the cut
+//!   copies each row's fields from the row as it places it, so no piece
+//!   or bucket holds them, whatever the number of pieces.
 //!
 //! The packed mirrors are decided by what the column holds, once, when
 //! the view is built; a view never changes after that — a table that
@@ -77,11 +80,6 @@ use jstar_pool::ThreadPool;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// A store-iteration callback: invoked with a sink that must be fed
-/// every live tuple of the table. How [`ColumnIndex::build`] borrows a
-/// store's `for_each` without naming the store type.
-pub type TupleVisit<'a> = dyn FnMut(&mut dyn FnMut(&Tuple)) + 'a;
-
 /// An immutable sorted view of one column of a table store: distinct
 /// values ascending, each with its group of tuples (ordered by their
 /// next column, then store iteration order), plus the packed mirrors
@@ -129,9 +127,8 @@ fn next_column(field: usize, width: usize) -> Option<usize> {
 }
 
 /// The rows of one store pass, packed as they are read — each row's key
-/// and next-column value, its handle, and its fields while all are
-/// integers — then sorted into view order by [`Batch::sort`]. What every
-/// build feeds to the cut.
+/// and next-column value and its handle — then sorted into view order by
+/// [`Batch::sort`]. What every build feeds to the cut.
 struct Batch {
     field: usize,
     next: Option<usize>,
@@ -139,13 +136,9 @@ struct Batch {
     /// Handles by pass position; the cut moves each one out once.
     rows: Vec<Option<Tuple>>,
     records: Records,
-    /// Row-major fields by pass position, while every field is an `Int`.
-    cells: Option<Vec<i64>>,
-    /// Whether `cells` holds the fields, or only stands for "all are
-    /// integers" while staying empty: a piece of a build of several
-    /// keeps none, and the cut reads each row's from the row itself, so
-    /// no piece or bucket holds them.
-    keep_cells: bool,
+    /// Whether every row so far has `width` fields, all `Int`: the view
+    /// then has cells, which the cut reads from each row.
+    all_int: bool,
 }
 
 /// `(key, next)` per row, with its pass position once sorted: as
@@ -240,16 +233,15 @@ impl Packed {
 
 impl Batch {
     /// An empty batch of rows to be keyed on `field`, with room for
-    /// `rows` rows of up to two fields, keeping their cells or not.
-    fn new(field: usize, rows: usize, keep_cells: bool) -> Batch {
+    /// `rows` rows.
+    fn new(field: usize, rows: usize) -> Batch {
         Batch {
             field,
             next: None,
             width: 0,
             rows: Vec::with_capacity(rows),
             records: Records::Ints(Vec::with_capacity(rows)),
-            cells: Some(Vec::with_capacity(if keep_cells { 2 * rows } else { 0 })),
-            keep_cells,
+            all_int: true,
         }
     }
 
@@ -282,24 +274,9 @@ impl Batch {
             let next = next.cloned().unwrap_or(Value::Int(0));
             values.push((key.clone(), next, at));
         }
-        if let Some(cells) = &mut self.cells {
-            let start = cells.len();
-            let keep = self.keep_cells;
-            let packed = t.arity() == self.width
-                && fields.iter().all(|v| match v {
-                    Value::Int(i) => {
-                        if keep {
-                            cells.push(*i);
-                        }
-                        true
-                    }
-                    _ => false,
-                });
-            if !packed {
-                cells.truncate(start);
-                self.cells = None;
-            }
-        }
+        self.all_int = self.all_int
+            && t.arity() == self.width
+            && fields.iter().all(|v| matches!(v, Value::Int(_)));
         self.rows.push(Some(t.clone()));
     }
 
@@ -321,11 +298,6 @@ impl Batch {
         }
     }
 
-    /// The records with the handles and cells they index.
-    fn into_parts(self) -> (Records, Vec<Option<Tuple>>, Option<Vec<i64>>) {
-        (self.records, self.rows, self.cells)
-    }
-
     /// Room for `total` rows in all, so that appending never grows an
     /// array past what it will hold.
     fn reserve_exact(&mut self, total: usize) {
@@ -336,14 +308,11 @@ impl Batch {
             Records::Values(values) => values.reserve_exact(more),
             Records::Packed(_) | Records::Wide(_) => {}
         }
-        if let (true, Some(cells)) = (self.keep_cells, &mut self.cells) {
-            cells.reserve_exact(more * self.width);
-        }
     }
 
     /// The rows of `parts` as one batch, in order: positions renumbered,
-    /// integer records widened when any part holds values, and cells
-    /// kept while every part has them. Parts without rows are dropped.
+    /// and integer records widened when any part holds values. Parts
+    /// without rows are dropped.
     fn concat(parts: Vec<Batch>) -> Batch {
         let total: usize = parts.iter().map(Batch::len).sum();
         let mut parts = parts.into_iter();
@@ -361,13 +330,7 @@ impl Batch {
                 total < u32::MAX as usize,
                 "ColumnIndex holds at most u32::MAX rows"
             );
-            all.cells = match (all.cells.take(), part.cells) {
-                (Some(mut to), Some(from)) if all.width == part.width => {
-                    to.extend_from_slice(&from);
-                    Some(to)
-                }
-                _ => None,
-            };
+            all.all_int = all.all_int && part.all_int && all.width == part.width;
             match (&mut all.records, part.records) {
                 (Records::Ints(to), Records::Ints(from)) => to.extend(from),
                 (to, from) => {
@@ -475,9 +438,8 @@ fn on_pool<R: Send>(pool: Option<&ThreadPool>, tasks: Vec<impl FnOnce() -> R + S
 /// The arrays a round fills on workers are allocated here, on the
 /// calling thread, and freed as soon as the next round is done with
 /// them: the build's memory comes and goes in one allocator arena, not
-/// one per worker, and a piece, a bucket and the view never hold a
-/// row's cells twice — a build of several pieces reads them from the
-/// row as it cuts it.
+/// one per worker. Only the view holds a row's cells: the cut reads them
+/// from the row.
 pub(crate) fn build_views(
     builds: &[(Source<'_>, usize)],
     pool: Option<&ThreadPool>,
@@ -496,7 +458,7 @@ pub(crate) fn build_views(
         .map(|&(b, i, n)| {
             let (source, field) = builds[b];
             let (lo, hi) = source.cut(i, n);
-            let batch = Batch::new(field, hi - lo, n == 1);
+            let batch = Batch::new(field, hi - lo);
             move || source.pass(batch, i, n)
         })
         .collect();
@@ -638,9 +600,7 @@ impl Bucket<'_> {
         match self {
             Bucket::Whole(batch) => FlatBuilder::of(batch),
             Bucket::Split { split, words, .. } => {
-                let mut flat = FlatBuilder::new(split.width, split.next, words.len(), split.cells);
-                flat.cells_from_rows = true;
-                flat
+                FlatBuilder::new(split.width, split.next, words.len(), split.cells)
             }
         }
     }
@@ -652,7 +612,7 @@ impl Bucket<'_> {
             Bucket::Split { split, words, rows } => {
                 words.sort_unstable();
                 let records = words.iter().map(|&w| split.layout.unpack(w));
-                match cut(&mut flat, records, rows, None) {
+                match cut(&mut flat, records, rows) {
                     Ok(()) => flat,
                     Err(e) => unreachable!("the bucket is sorted before it is cut: {e}"),
                 }
@@ -717,7 +677,7 @@ impl Split {
             buckets,
             next: first.next,
             width: first.width,
-            cells: rows().all(|p| p.cells.is_some() && p.width == first.width),
+            cells: rows().all(|p| p.all_int && p.width == first.width),
         })
     }
 
@@ -754,12 +714,11 @@ impl Split {
     /// Moves `piece`'s rows into its `regions`, one per bucket, in pass
     /// order, each row's word numbered by its bucket position.
     fn scatter(&self, piece: Batch, mut regions: Vec<Region<'_>>) {
-        let (records, rows, _) = piece.into_parts();
-        let Records::Ints(ints) = records else {
+        let Records::Ints(ints) = piece.records else {
             return;
         };
         let mut filled = vec![0; regions.len()];
-        for ((k, n), row) in ints.into_iter().zip(rows) {
+        for ((k, n), row) in ints.into_iter().zip(piece.rows) {
             let word = self.layout.word(k, n, 0);
             let b = self.bucket(word);
             let (region, i) = (&mut regions[b], filled[b]);
@@ -785,11 +744,6 @@ fn take(rows: &mut [Option<Tuple>], at: usize) -> Tuple {
     rows[at].take().expect("each batch row is cut once")
 }
 
-/// Row `at`'s fields in a batch's row-major `cells`.
-fn cells_at(cells: Option<&[i64]>, width: usize, at: usize) -> Option<&[i64]> {
-    cells.map(|c| &c[at * width..(at + 1) * width])
-}
-
 /// Accumulates the flat arrays group by group — the one place the
 /// packed mirrors are decided.
 struct FlatBuilder {
@@ -800,15 +754,12 @@ struct FlatBuilder {
     next: Option<usize>,
     int_next: Option<Vec<i64>>,
     cells: Option<Vec<i64>>,
-    /// Whether a row's cells are read from the row as it is pushed
-    /// (see [`Batch`]'s `keep_cells`).
-    cells_from_rows: bool,
     width: usize,
 }
 
 impl FlatBuilder {
     /// A builder for `rows` rows of `width` fields, ordered by `next`;
-    /// `packed` when every row may have integer cells.
+    /// `packed` when every row's fields are all integers.
     fn new(width: usize, next: Option<usize>, rows: usize, packed: bool) -> FlatBuilder {
         FlatBuilder {
             keys: Vec::new(),
@@ -818,17 +769,13 @@ impl FlatBuilder {
             next,
             int_next: next.map(|_| Vec::with_capacity(rows)),
             cells: packed.then(|| Vec::with_capacity(rows * width)),
-            cells_from_rows: false,
             width,
         }
     }
 
     /// An empty builder with room for `batch`'s rows.
     fn of(batch: &Batch) -> FlatBuilder {
-        let mut flat =
-            FlatBuilder::new(batch.width, batch.next, batch.len(), batch.cells.is_some());
-        flat.cells_from_rows = !batch.keep_cells;
-        flat
+        FlatBuilder::new(batch.width, batch.next, batch.len(), batch.all_int)
     }
 
     /// Sorts a batch into view order and cuts it into this empty
@@ -848,26 +795,24 @@ impl FlatBuilder {
     /// comparisons a row, beside the one the cut makes anyway) and a
     /// violation comes back as a typed error instead of silently
     /// corrupting every later seek.
-    fn cut(mut self, batch: Batch) -> Result<FlatBuilder> {
-        let flat = &mut self;
-        let (records, mut rows, cells) = batch.into_parts();
-        let (rows, cells) = (&mut rows[..], cells.as_deref());
-        match records {
+    fn cut(mut self, mut batch: Batch) -> Result<FlatBuilder> {
+        let (flat, rows) = (&mut self, &mut batch.rows[..]);
+        match batch.records {
             Records::Ints(ints) => {
                 let records = ints.into_iter().enumerate().map(|(at, (k, n))| (k, n, at));
-                cut(flat, records, rows, cells)
+                cut(flat, records, rows)
             }
             Records::Wide(ints) => {
                 let records = ints.into_iter().map(|(k, n, at)| (k, n, at as usize));
-                cut(flat, records, rows, cells)
+                cut(flat, records, rows)
             }
             Records::Packed(packed) => {
                 let records = packed.words.iter().map(|&w| packed.unpack(w));
-                cut(flat, records, rows, cells)
+                cut(flat, records, rows)
             }
             Records::Values(values) => {
                 let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
-                cut(flat, records, rows, cells)
+                cut(flat, records, rows)
             }
         }?;
         Ok(self)
@@ -884,19 +829,15 @@ impl FlatBuilder {
     }
 
     /// Appends a row to the open group: its next-column value, when an
-    /// integer, and its packed fields, when it has them, feed the
-    /// mirrors.
-    fn push(&mut self, t: Tuple, next: Option<i64>, cells: Option<&[i64]>) {
+    /// integer, feeds the dense mirror, and its fields the cells, when
+    /// the view has them (every row's are then all integers).
+    fn push(&mut self, t: Tuple, next: Option<i64>) {
         match (&mut self.int_next, next) {
             (Some(dense), Some(i)) => dense.push(i),
             _ => self.int_next = None,
         }
-        match (&mut self.cells, cells) {
-            (Some(packed), _) if self.cells_from_rows => {
-                packed.extend(t.fields().iter().map(|v| int_of(v).unwrap_or(0)));
-            }
-            (Some(packed), Some(c)) => packed.extend_from_slice(c),
-            _ => self.cells = None,
+        if let Some(cells) = &mut self.cells {
+            cells.extend(t.fields().iter().map(|v| int_of(v).unwrap_or(0)));
         }
         self.rows.push(t);
     }
@@ -990,14 +931,6 @@ impl FlatBuilder {
 }
 
 impl ColumnIndex {
-    /// Builds the view of `field` over a full `visit` pass, as one piece.
-    /// Rows with equal key and next-column values keep visit order.
-    pub fn build(field: usize, visit: &mut TupleVisit<'_>) -> ColumnIndex {
-        let mut batch = Batch::new(field, 0, true);
-        visit(&mut |t| batch.push(t));
-        FlatBuilder::of(&batch).sort_and_cut(batch).finish()
-    }
-
     /// Heap bytes this view owns, for the cache's byte-bounded LRU: the
     /// six arrays at their capacities. A row is a handle — the tuple
     /// payload belongs to the store (and a `Str` key's text to its
@@ -1074,7 +1007,7 @@ impl ColumnIndex {
 }
 
 /// Cuts `records` — `(key, next, position)` in view order, positions
-/// into `rows` and `cells` — into `flat`'s groups, checking the order
+/// into `rows` — into `flat`'s groups, checking the order
 /// as it goes (see [`FlatBuilder::cut`]). `V` is `i64` for
 /// integer records, so the common all-integer cut compares plain
 /// integers, and [`Value`] otherwise.
@@ -1082,7 +1015,6 @@ fn cut<V: Ord + Clone + Into<Value>>(
     flat: &mut FlatBuilder,
     records: impl Iterator<Item = (V, V, usize)>,
     rows: &mut [Option<Tuple>],
-    cells: Option<&[i64]>,
 ) -> Result<()> {
     let mut last: Option<(V, V)> = None;
     for (i, (key, next, at)) in records.enumerate() {
@@ -1099,7 +1031,7 @@ fn cut<V: Ord + Clone + Into<Value>>(
             _ => flat.open_group(key.clone().into()),
         }
         let next_int = int_of(&next.clone().into());
-        flat.push(take(rows, at), next_int, cells_at(cells, flat.width, at));
+        flat.push(take(rows, at), next_int);
         last = Some((key, next));
     }
     Ok(())
@@ -1213,15 +1145,21 @@ pub(super) mod tests {
     use crate::schema::TableId;
     use proptest::prelude::*;
 
+    /// The view of `field` over `rows`, built as one piece: rows with
+    /// equal key and next-column values keep their order in `rows`.
+    pub fn view_of(field: usize, rows: &[Tuple]) -> ColumnIndex {
+        let rows: Vec<&Tuple> = rows.iter().collect();
+        let mut built = build_views(&[(Source::Rows(&rows), field)], None);
+        built.swap_remove(0).0
+    }
+
     /// `(key, payload)` rows in the given order; the key is column 0.
     fn index_of(rows: Vec<Vec<Value>>) -> Arc<ColumnIndex> {
         let tuples: Vec<Tuple> = rows
             .into_iter()
             .map(|f| Tuple::new(TableId(0), f))
             .collect();
-        Arc::new(ColumnIndex::build(0, &mut |emit| {
-            tuples.iter().for_each(&mut *emit)
-        }))
+        Arc::new(view_of(0, &tuples))
     }
 
     fn index(vals: &[i64]) -> Arc<ColumnIndex> {
@@ -1388,10 +1326,7 @@ pub(super) mod tests {
         );
         assert_eq!(idx.cells_of(4), Some(&[5, 2, 0][..]));
         // A view keyed on a later column is ordered by column 0.
-        assert_eq!(
-            ColumnIndex::build(2, &mut |emit| idx.rows.iter().for_each(&mut *emit)).next,
-            Some(0)
-        );
+        assert_eq!(view_of(2, &idx.rows).next, Some(0));
 
         // One string payload anywhere: no cells, dense keys and the
         // dense next column stay.
@@ -1423,7 +1358,7 @@ pub(super) mod tests {
 
     /// A batch of `rows`, unsorted, keyed on column 0.
     fn batch(rows: &[Tuple]) -> Batch {
-        let mut batch = Batch::new(0, rows.len(), true);
+        let mut batch = Batch::new(0, rows.len());
         rows.iter().for_each(|t| batch.push(t));
         batch
     }
@@ -1434,7 +1369,7 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn try_from_sorted_rejects_descending_keys() {
+    fn cut_rejects_rows_out_of_view_order() {
         let t = |k: i64, n: i64| Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n)]);
         assert!(cut_sorted(batch(&[t(1, 0), t(1, 0), t(2, 0)])).is_ok());
         let err = cut_sorted(batch(&[t(1, 0), t(3, 0), t(2, 0)]));
@@ -1482,7 +1417,7 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn merge_suffix_equals_one_build_over_both_batches() {
+    fn rebuild_after_new_rows_equals_one_build_over_both_batches() {
         use crate::gamma::testutil::keyless_def;
         use crate::gamma::{HashStore, IndexCache, TableStore};
         let row = |k: i64, n: i64, s: Option<&str>| {
@@ -1526,7 +1461,7 @@ pub(super) mod tests {
                     insert(row(k, n, s(unpacked_in_new, i)));
                 }
                 let rebuilt = cache.open(0, 0, &store);
-                let both = ColumnIndex::build(0, &mut |emit| all.iter().for_each(&mut *emit));
+                let both = view_of(0, &all);
                 let case = format!("old={unpacked_in_old} new={unpacked_in_new}");
                 assert_eq!(*rebuilt, both, "{case}");
                 assert!(!Arc::ptr_eq(&cached, &rebuilt), "{case}");
@@ -1549,7 +1484,7 @@ pub(super) mod tests {
         let t = row(3, 0, None);
         store.insert(t.clone());
         let rebuilt = cache.open(0, 0, &store);
-        assert_eq!(*rebuilt, ColumnIndex::build(0, &mut |emit| emit(&t)));
+        assert_eq!(*rebuilt, view_of(0, std::slice::from_ref(&t)));
         assert_eq!(cache.stats().misses, 2);
     }
 
@@ -1635,10 +1570,13 @@ pub(super) mod tests {
             let entries = store.index_stamp().map_or(0, |s| s.generation);
             let sources = [Source::Rows(&refs), Source::Journal(&store, entries)];
             let serial = build_views(&[(sources[0], field), (sources[1], field)], None);
+            let next = next_column(field, 3).unwrap_or(0);
+            let mut ordered = rows.clone();
+            ordered.sort_by(|a, b| (a.get(field), a.get(next)).cmp(&(b.get(field), b.get(next))));
             prop_assert_eq!(
-                &serial[0].0,
-                &ColumnIndex::build(field, &mut |emit| rows.iter().for_each(&mut *emit)),
-                "the one-piece build over rows is the visit build"
+                &serial[0].0.rows,
+                &ordered,
+                "the one-piece build over rows orders them by key, next column and run order"
             );
             prop_assert_eq!(serial[1].1, entries, "the journal walk covers every entry");
             for threads in [1, 2, 4] {

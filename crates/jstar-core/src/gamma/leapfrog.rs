@@ -350,7 +350,7 @@ pub(crate) fn fan_out<'a, Acc: Send>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::cursor::tests::seek_reference;
+    use super::super::cursor::tests::{seek_reference, view_of};
     use super::*;
     use crate::schema::TableId;
     use crate::value::Value;
@@ -374,10 +374,6 @@ mod tests {
             _ if x.is_multiple_of(2) => Value::Int(int),
             _ => Value::Double(x as f64),
         }
-    }
-
-    fn view(rel: &[Tuple], field: usize) -> ColumnIndex {
-        ColumnIndex::build(field, &mut |emit| rel.iter().for_each(&mut *emit))
     }
 
     /// The field a view keyed on `field` orders its groups by.
@@ -640,12 +636,12 @@ mod tests {
         /// Runs `body` with the walk's root view and stages built.
         fn with_walk<R>(&self, body: impl for<'a> FnOnce(&'a ColumnIndex, &[Stage<'a>]) -> R) -> R {
             let views: Vec<ColumnIndex> = (self.rels[1..].iter().zip(&self.keys))
-                .map(|(rel, k)| view(rel, k[0].1))
+                .map(|(rel, k)| view_of(k[0].1, rel))
                 .collect();
             let stages: Vec<Stage<'_>> = (views.iter().zip(&self.keys).zip(&self.less))
                 .map(|((v, k), l)| Stage::new(v, k, l))
                 .collect();
-            let root = view(&self.rels[0], self.keys[0][0].0 .1);
+            let root = view_of(self.keys[0][0].0 .1, &self.rels[0]);
             body(&root, &stages)
         }
     }
@@ -777,7 +773,7 @@ mod tests {
             .map(|i| Tuple::new(TableId(0), vec![Value::Int(7), Value::Int(i)]))
             .collect();
         let probe = vec![Tuple::new(TableId(0), vec![Value::Int(7), Value::Int(0)])];
-        let (root, probe) = (view(&root, 0), view(&probe, 0));
+        let (root, probe) = (view_of(0, &root), view_of(0, &probe));
         let keys = [((0, 0), 0)];
         let stages = [Stage::new(&probe, &keys, &[])];
         let pool = ThreadPool::new(2);
