@@ -120,11 +120,13 @@ impl<'a> RuleCtx<'a> {
         let matches = self.query(q);
         match &self.state.pool {
             Some(pool) if matches.len() > 1 => {
-                jstar_pool::parallel_chunks(pool, &matches, 0, |chunk, _| {
-                    for t in chunk {
-                        f(t);
-                    }
-                });
+                let f = &f;
+                let chunk = jstar_pool::adaptive_chunk(pool, matches.len());
+                let tasks: Vec<_> = matches
+                    .chunks(chunk)
+                    .map(|piece| move || piece.iter().for_each(f))
+                    .collect();
+                jstar_pool::parallel_tasks(pool, tasks);
             }
             _ => {
                 for t in &matches {

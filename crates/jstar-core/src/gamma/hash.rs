@@ -118,11 +118,6 @@ impl TableStore for HashStore {
         self.table.get().for_each(f);
     }
 
-    fn export_snapshot(&self, f: &mut dyn FnMut(&Tuple)) {
-        let table = self.table.get();
-        table.for_each_journal_range(0, table.journal_entries(), f);
-    }
-
     fn index_stamp(&self) -> Option<super::IndexStamp> {
         Some(self.table.index_stamp())
     }

@@ -141,21 +141,6 @@ pub trait TableStore: Send + Sync {
         false
     }
 
-    /// Visits every live tuple for snapshot serialization
-    /// ([`crate::persist`]). The default delegates to
-    /// [`TableStore::for_each`]; reservation-table stores walk their
-    /// claim journal — O(live) in journal order, independent of
-    /// allocated capacity. For a store with an
-    /// [`TableStore::index_stamp`] this is the order of
-    /// [`TableStore::for_each_journal_suffix`] from 0, which is what
-    /// lets the snapshot writer keep a table's encoded rows and append.
-    fn export_snapshot(&self, f: &mut dyn FnMut(&Tuple)) {
-        self.for_each(&mut |t| {
-            f(t);
-            true
-        });
-    }
-
     /// Opens a snapshot *restore* into this store: about `rows` rows are
     /// to replace its contents, handed over in batches as the reader
     /// decodes them — see [`StagedImport`]. A snapshot is a set: each
@@ -765,8 +750,10 @@ mod tests {
         a.insert(kt(2, 20, "y"));
 
         let mut exported = Vec::new();
-        a.store(TableId(0))
-            .export_snapshot(&mut |t| exported.push(t.clone()));
+        a.store(TableId(0)).for_each(&mut |t| {
+            exported.push(t.clone());
+            true
+        });
         assert_eq!(exported.len(), 2);
 
         // Import replaces pre-existing contents — on commit, not before.
@@ -823,14 +810,17 @@ mod tests {
             }
             store.retain(&|t| !matches!(t.get(0), crate::value::Value::Int(i) if i % 7 == 0));
 
+            // The one-piece walk visits every live row once.
+            let entries = store.index_stamp().expect("journaled").generation;
+            assert_eq!(entries, 20_000);
             let mut sequential = Vec::new();
-            store.export_snapshot(&mut |t| sequential.push(t.clone()));
+            let covered =
+                store.for_each_journal_suffix(0, entries, &mut |t| sequential.push(t.clone()));
+            assert_eq!((covered, sequential.len()), (entries, store.len()));
 
             // The journal walked in pieces — how the snapshot writer
             // spreads a large encode over the pool — is the same stream.
-            let entries = store.index_stamp().expect("journaled").generation;
-            assert_eq!(entries, 20_000);
-            for chunks in [1, 2, 7] {
+            for chunks in [2, 7] {
                 let mut chunked = Vec::new();
                 for c in 0..chunks {
                     let (lo, hi) = (entries * c / chunks, entries * (c + 1) / chunks);

@@ -872,23 +872,17 @@ impl ReservationTable {
         }
     }
 
-    /// Number of claim-journal entries across all segments — the
+    /// The number of claim-journal entries across all segments — the
     /// position space [`ReservationTable::for_each_journal_range`]
-    /// partitions for chunked snapshot export. Includes in-flight and
-    /// tombstoned entries (the range walk skips them), so it is an
-    /// upper bound on live tuples. Stable only while no inserts run.
-    pub fn journal_entries(&self) -> usize {
-        self.journal_shape().0
-    }
-
-    /// [`ReservationTable::journal_entries`] and, from the same read of
-    /// each cursor, the [`super::cache::IndexStamp::interior`] word: the
-    /// entries of every segment but the newest, under that segment's
-    /// number. Positions count through the segments in order and a
-    /// probe claims the first empty slot it meets — in an old segment
-    /// too, long after a newer one exists — so an entry can appear ahead
-    /// of positions a reader already holds. It cannot without moving this
-    /// word: the count only grows, and a new segment raises the number.
+    /// partitions, in-flight and tombstoned entries included (the range
+    /// walk skips them) — and, from the same read of each cursor, the
+    /// [`super::cache::IndexStamp::interior`] word: the entries of every
+    /// segment but the newest, under that segment's number. Positions
+    /// count through the segments in order and a probe claims the first
+    /// empty slot it meets — in an old segment too, long after a newer
+    /// one exists — so an entry can appear ahead of positions a reader
+    /// already holds. It cannot without moving this word: the count only
+    /// grows, and a new segment raises the number.
     pub fn journal_shape(&self) -> (usize, u64) {
         let (mut entries, mut newest, mut in_newest) = (0, 0, 0);
         for k in 0..MAX_SEGMENTS {
@@ -904,7 +898,7 @@ impl ReservationTable {
     /// Visits the live tuples at global claim-journal positions
     /// `lo..hi` (segments concatenated in order — the same enumeration
     /// [`ReservationTable::for_each`] walks). Covering a partition of
-    /// `0..journal_entries()` chunk by chunk yields exactly the
+    /// `0..journal_shape().0` chunk by chunk yields exactly the
     /// `for_each` sequence, which is what lets snapshot export encode
     /// chunks on separate threads yet still produce a byte-identical
     /// image. Callers must hold the quiescence the snapshot path
@@ -1820,7 +1814,7 @@ mod model_tests {
             let reader = {
                 let table = Arc::clone(&table);
                 thread::spawn(move || {
-                    let stable = table.journal_stable_prefix(0, table.journal_entries());
+                    let stable = table.journal_stable_prefix(0, table.journal_shape().0);
                     let mut seen = 0;
                     table.for_each_journal_range(0, stable, &mut |t| {
                         assert_eq!(t.int(1), t.int(0) * 10, "torn tuple");
@@ -1835,7 +1829,7 @@ mod model_tests {
             batch_writer.join();
             single_writer.join();
             reader.join();
-            assert_eq!((table.len(), table.journal_entries()), (4, 4));
+            assert_eq!((table.len(), table.journal_shape().0), (4, 4));
             assert_eq!(table.journal_stable_prefix(0, 4), 4, "a cell was left zero");
             let mut journaled = Vec::new();
             table.for_each_journal_range(0, 4, &mut |t| journaled.push(t.int(0)));

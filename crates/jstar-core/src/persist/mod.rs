@@ -147,10 +147,11 @@ pub fn gamma_digest(defs: &[Arc<TableDef>], gamma: &Gamma) -> u64 {
     combine_digest(defs.iter().map(|def| {
         let mut ch = ContentHash::new();
         let mut scratch = Vec::new();
-        gamma.store(def.id).export_snapshot(&mut |t| {
+        gamma.store(def.id).for_each(&mut |t| {
             scratch.clear();
             format::encode_tuple(&mut scratch, t.fields());
             ch.add_encoded(&scratch);
+            true
         });
         (def.name.as_str(), ch.finish())
     }))

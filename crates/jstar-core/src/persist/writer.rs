@@ -190,14 +190,19 @@ fn encode_journal(
         return store.for_each_journal_suffix(lo, hi, &mut |t| encode_row(last, hash, t));
     };
     let bound = |i: usize| lo + (hi - lo) * i / pieces;
-    let parts = jstar_pool::parallel_map(pool, pieces, 1, |i| {
-        let mut part = Vec::with_capacity((bound(i + 1) - bound(i)) * 24);
-        let mut ch = ContentHash::new();
-        let covered = store.for_each_journal_suffix(bound(i), bound(i + 1), &mut |t| {
-            encode_row(&mut part, &mut ch, t)
-        });
-        (part, ch, covered)
-    });
+    let tasks: Vec<_> = (0..pieces)
+        .map(|i| {
+            move || {
+                let mut part = Vec::with_capacity((bound(i + 1) - bound(i)) * 24);
+                let mut ch = ContentHash::new();
+                let covered = store.for_each_journal_suffix(bound(i), bound(i + 1), &mut |t| {
+                    encode_row(&mut part, &mut ch, t)
+                });
+                (part, ch, covered)
+            }
+        })
+        .collect();
+    let parts = jstar_pool::parallel_tasks(pool, tasks);
     let mut covered = lo;
     for (i, (part, ch, reached)) in parts.into_iter().enumerate() {
         body.push(part);
@@ -241,7 +246,10 @@ impl Section {
                 self.stamp = None;
                 let mut body = Vec::with_capacity(store.len() * 24 + 64);
                 let hash = &mut self.hash;
-                store.export_snapshot(&mut |t| encode_row(&mut body, hash, t));
+                store.for_each(&mut |t| {
+                    encode_row(&mut body, hash, t);
+                    true
+                });
                 self.body.push(body);
             }
         }

@@ -203,79 +203,14 @@ pub fn reduce_seq<R: Reducer>(reducer: &R, tuples: &[Tuple]) -> R::Acc {
 /// parallel, partials merged with `combine` — §5.2's "tree-based pass to
 /// combine the final reducer results".
 pub fn reduce_par<R: Reducer>(pool: &ThreadPool, reducer: &R, tuples: &[Tuple]) -> R::Acc {
-    let fold_chunk = |chunk: &[Tuple]| reduce_seq(reducer, chunk);
-    jstar_pool::parallel_reduce(pool, tuples, 0, reducer.identity(), fold_chunk, |a, b| {
-        reducer.combine(a, b)
-    })
-}
-
-/// Inclusive scan (prefix reduction) with an associative operator.
-pub fn scan_inclusive<T, F>(items: &[T], op: F) -> Vec<T>
-where
-    T: Clone,
-    F: Fn(&T, &T) -> T,
-{
-    let mut out = Vec::with_capacity(items.len());
-    for item in items {
-        match out.last() {
-            None => out.push(item.clone()),
-            Some(prev) => out.push(op(prev, item)),
-        }
-    }
-    out
-}
-
-/// Exclusive scan: element `i` of the result combines items `0..i`;
-/// element 0 is `identity`.
-pub fn scan_exclusive<T, F>(items: &[T], identity: T, op: F) -> Vec<T>
-where
-    T: Clone,
-    F: Fn(&T, &T) -> T,
-{
-    let mut out = Vec::with_capacity(items.len());
-    let mut acc = identity;
-    for item in items {
-        out.push(acc.clone());
-        acc = op(&acc, item);
-    }
-    out
-}
-
-/// Parallel inclusive scan: the classic two-pass blocked algorithm
-/// (per-block scan, exclusive scan of block totals, then offset fix-up).
-pub fn scan_inclusive_par<T, F>(pool: &ThreadPool, items: &[T], identity: T, op: F) -> Vec<T>
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> T + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = pool.num_threads();
-    let block = n.div_ceil(threads * 4).max(1);
-    // Pass 1: scan each block independently.
-    let mut blocks: Vec<Vec<T>> =
-        jstar_pool::parallel_chunks(pool, items, block, |chunk, _| scan_inclusive(chunk, &op));
-    // Pass 2: exclusive scan of block totals.
-    let totals: Vec<T> = blocks
-        .iter()
-        .map(|b| b.last().expect("non-empty block").clone())
+    let chunk = jstar_pool::adaptive_chunk(pool, tuples.len());
+    let tasks: Vec<_> = tuples
+        .chunks(chunk)
+        .map(|piece| move || reduce_seq(reducer, piece))
         .collect();
-    let offsets = scan_exclusive(&totals, identity, &op);
-    // Pass 3: add the offset into every element of each block (parallel).
-    pool.scope(|s| {
-        for (blk, off) in blocks.iter_mut().zip(offsets.iter()) {
-            let op = &op;
-            s.spawn(move |_| {
-                for v in blk.iter_mut() {
-                    *v = op(off, v);
-                }
-            });
-        }
-    });
-    // The offset for block 0 is the identity, so this is exact.
-    blocks.into_iter().flatten().collect()
+    jstar_pool::parallel_tasks(pool, tasks)
+        .into_iter()
+        .fold(reducer.identity(), |a, b| reducer.combine(a, b))
 }
 
 #[cfg(test)]
@@ -342,31 +277,5 @@ mod tests {
         assert_eq!(r.combine(Some(2), None), Some(2));
         assert_eq!(r.combine(Some(2), Some(3)), Some(2));
         assert_eq!(r.combine(None, None), None);
-    }
-
-    #[test]
-    fn scans_match_reference() {
-        let data = vec![1i64, 2, 3, 4, 5];
-        assert_eq!(scan_inclusive(&data, |a, b| a + b), vec![1, 3, 6, 10, 15]);
-        assert_eq!(scan_exclusive(&data, 0, |a, b| a + b), vec![0, 1, 3, 6, 10]);
-        assert!(scan_inclusive(&Vec::<i64>::new(), |a, b| a + b).is_empty());
-    }
-
-    #[test]
-    fn parallel_scan_matches_sequential() {
-        let pool = ThreadPool::new(4);
-        let data: Vec<i64> = (1..=997).collect();
-        let seq = scan_inclusive(&data, |a, b| a + b);
-        let par = scan_inclusive_par(&pool, &data, 0, |a, b| a + b);
-        assert_eq!(seq, par);
-    }
-
-    #[test]
-    fn parallel_scan_with_max_operator() {
-        let pool = ThreadPool::new(3);
-        let data: Vec<i64> = vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3];
-        let seq = scan_inclusive(&data, |a, b| *a.max(b));
-        let par = scan_inclusive_par(&pool, &data, i64::MIN, |a, b| *a.max(b));
-        assert_eq!(seq, par);
     }
 }

@@ -313,6 +313,8 @@ fn rule_internal_parallel_loops_match_sequential() {
         let par_stats = ctx.reduce_parallel(&q, &Statistics { field: 1 });
         assert_eq!(seq_stats.count, par_stats.count);
         assert_eq!(seq_stats.sum, par_stats.sum);
+        assert_eq!(seq_stats.min, par_stats.min);
+        assert_eq!(seq_stats.max, par_stats.max);
         let seen = std::sync::atomic::AtomicU64::new(0);
         ctx.par_for_each_match(&q, |t| {
             seen.fetch_add(t.int(1) as u64, std::sync::atomic::Ordering::Relaxed);
@@ -328,10 +330,17 @@ fn rule_internal_parallel_loops_match_sequential() {
     }
     p.put(Tuple::new(go, vec![Value::Int(0)]));
     let prog = Arc::new(p.build().unwrap());
-    for config in [EngineConfig::sequential(), EngineConfig::parallel(4)] {
+    // One thread runs the chunk tasks inline on the rule's thread; more
+    // threads share them out.
+    for config in [
+        EngineConfig::sequential(),
+        EngineConfig::parallel(1),
+        EngineConfig::parallel(2),
+        EngineConfig::parallel(4),
+    ] {
         let mut engine = Engine::new(Arc::clone(&prog), config);
         let report = engine.run().unwrap();
-        assert_eq!(report.output.len(), 1);
+        assert_eq!(report.output, vec!["sum 23385".to_string()]);
     }
 }
 
@@ -669,7 +678,9 @@ fn a_rule_sees_its_own_no_delta_puts() {
 /// staged on whichever helper thread ran the closure; those threads are
 /// not inside a chunk of the class, so it is the coordinator's flush
 /// after the step that inserts them and fires their rules — before the
-/// next class (`Check`) is extracted.
+/// next class (`Check`) is extracted. On a one-thread pool the closure
+/// runs inline on the rule's own thread, and the puts must land just as
+/// early.
 #[test]
 fn helper_thread_no_delta_puts_land_before_the_next_step() {
     let mut p = ProgramBuilder::new();
@@ -699,6 +710,7 @@ fn helper_thread_no_delta_puts_land_before_the_next_step() {
     let prog = Arc::new(p.build().unwrap());
     for config in [
         EngineConfig::sequential(),
+        EngineConfig::parallel(1),
         EngineConfig::parallel(2),
         EngineConfig::parallel(4),
     ] {

@@ -1,12 +1,12 @@
-//! Detached task batches on the pool's background lane.
+//! Detached task batches on the pool.
 //!
 //! [`submit_background`] enqueues a batch of `'static` tasks on the
-//! **background lane** and returns a [`TaskBatch`] handle immediately;
-//! [`TaskBatch::join`] collects the results, helping execute queued
-//! work — foreground first — while anything is still outstanding, so
-//! joining from inside a fork/join scope can never deadlock the pool.
-//! The lane's priority (foreground submissions preempt it) is tested in
-//! the `scope` module.
+//! pool's one queue, like a scope's [`crate::Scope::spawn_batch`], and
+//! returns a [`TaskBatch`] handle immediately; [`TaskBatch::join`]
+//! collects the results, helping execute queued work while anything is
+//! still outstanding, so joining from inside a fork/join scope can never
+//! deadlock the pool. Until they start, the batch's tasks count in
+//! [`ThreadPool::pending_jobs`] like any other queued job.
 //!
 //! Tasks must be `'static`: unlike [`crate::Scope`] there is no enclosing
 //! frame whose lifetime bounds them — the handle may outlive the
@@ -32,36 +32,21 @@ struct BatchState<R> {
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// A handle to a batch of tasks running on the pool's **background
-/// lane**: workers (and helpers) only pick them up when no foreground
-/// work exists, so foreground submissions preempt the batch by
-/// construction.
+/// A handle to a detached batch of tasks running on the pool.
 ///
 /// Created by [`submit_background`]. Dropping the handle without joining
 /// leaks nothing — the tasks still run to completion and their results
 /// are dropped with the shared state.
 pub struct TaskBatch<R> {
     state: Arc<BatchState<R>>,
-    len: usize,
 }
 
 impl<R: Send + 'static> TaskBatch<R> {
-    /// Number of tasks in the batch.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True for a batch of zero tasks.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Waits for the batch and returns the results in submission order.
     ///
     /// While tasks are outstanding the calling thread *helps*: it
-    /// executes queued pool jobs (foreground first, then the background
-    /// lane — possibly this batch's own tasks). If any task panicked,
-    /// the panic is resumed here.
+    /// executes queued pool jobs — possibly this batch's own tasks. If
+    /// any task panicked, the panic is resumed here.
     pub fn join(self, pool: &ThreadPool) -> Vec<R> {
         let mut stalled_waits = 0u32;
         while !self.state.latch.is_clear() {
@@ -87,7 +72,7 @@ impl<R: Send + 'static> TaskBatch<R> {
     }
 }
 
-/// Submits `tasks` on `pool`'s background lane and returns immediately
+/// Submits `tasks` on `pool` and returns immediately
 /// with a [`TaskBatch`] handle. One queue submission and one worker
 /// wakeup for the whole batch, like [`crate::Scope::spawn_batch`].
 pub fn submit_background<R, F>(pool: &ThreadPool, tasks: Vec<F>) -> TaskBatch<R>
@@ -120,8 +105,8 @@ where
             state.latch.decrement();
         }));
     }
-    Arc::clone(pool.shared()).push_background_batch(jobs);
-    TaskBatch { state, len }
+    Arc::clone(pool.shared()).push_batch(jobs);
+    TaskBatch { state }
 }
 
 #[cfg(test)]
@@ -133,7 +118,6 @@ mod tests {
     fn empty_batch_joins_immediately() {
         let pool = ThreadPool::new(2);
         let batch: TaskBatch<u32> = submit_background(&pool, Vec::<fn() -> u32>::new());
-        assert!(batch.is_empty());
         assert!(batch.join(&pool).is_empty());
     }
 
@@ -141,9 +125,7 @@ mod tests {
     fn join_collects_in_submission_order() {
         let pool = ThreadPool::new(4);
         let tasks: Vec<_> = (0..64).map(|i| move || i * 3).collect();
-        let batch = submit_background(&pool, tasks);
-        assert_eq!(batch.len(), 64);
-        let out = batch.join(&pool);
+        let out = submit_background(&pool, tasks).join(&pool);
         assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -186,21 +168,24 @@ mod tests {
     }
 
     #[test]
-    fn foreground_work_preempts_while_batch_pending() {
-        // Background tasks must not starve a foreground scope spawned
-        // after them: the scope completes even while the batch waits.
-        let pool = ThreadPool::new(2);
-        let tasks: Vec<_> = (0..4).map(|i| move || i).collect();
-        let batch = submit_background(&pool, tasks);
-        let count = AtomicUsize::new(0);
-        pool.scope(|s| {
-            s.spawn_batch((0..32).map(|_| {
-                |_: &crate::Scope<'_>| {
-                    count.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 32);
-        assert_eq!(batch.join(&pool), vec![0, 1, 2, 3]);
+    fn a_scope_completes_while_a_detached_batch_is_pending() {
+        // A scope entered behind an unjoined batch shares the queue with
+        // it; helping alone must carry the scope to completion, on one
+        // worker as on two.
+        for threads in [1, 2] {
+            let pool = ThreadPool::new(threads);
+            let tasks: Vec<_> = (0..4).map(|i| move || i).collect();
+            let batch = submit_background(&pool, tasks);
+            let count = AtomicUsize::new(0);
+            pool.scope(|s| {
+                s.spawn_batch((0..32).map(|_| {
+                    |_: &crate::Scope<'_>| {
+                        count.fetch_add(1, Ordering::Relaxed);
+                    }
+                }));
+            });
+            assert_eq!(count.load(Ordering::Relaxed), 32);
+            assert_eq!(batch.join(&pool), vec![0, 1, 2, 3]);
+        }
     }
 }

@@ -8,13 +8,14 @@ use jstar_check::sync::{AtomicUsize, Condvar, Mutex, Ordering};
 /// A latch that counts outstanding tasks and lets one thread wait for the
 /// count to reach zero.
 ///
-/// This is the synchronisation backbone of [`crate::Scope`]: every spawned
-/// task increments the latch, every completed task decrements it, and the
-/// scope owner blocks (or helps execute work) until it drains.
+/// This is the synchronisation backbone of [`crate::Scope`] and
+/// [`crate::TaskBatch`]: every spawned task increments the latch, every
+/// completed task decrements it, and the owner helps execute work —
+/// parking briefly when there is none — until it drains.
 ///
 /// The fast path is a lone atomic; the mutex/condvar pair is only touched
 /// when a waiter is actually parked.
-pub struct CountLatch {
+pub(crate) struct CountLatch {
     count: AtomicUsize,
     lock: Mutex<()>,
     cond: Condvar,
@@ -22,7 +23,7 @@ pub struct CountLatch {
 
 impl CountLatch {
     /// Creates a latch with an initial count of zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CountLatch {
             count: AtomicUsize::new(0),
             lock: Mutex::new(()),
@@ -31,7 +32,7 @@ impl CountLatch {
     }
 
     /// Registers one more outstanding task.
-    pub fn increment(&self) {
+    pub(crate) fn increment(&self) {
         // ord: Relaxed — registration precedes the task's queue
         // submission, and the queue's own synchronisation publishes it;
         // the latch only needs the count arithmetic to be atomic.
@@ -39,7 +40,7 @@ impl CountLatch {
     }
 
     /// Marks one task as finished, waking waiters if the count hits zero.
-    pub fn decrement(&self) {
+    pub(crate) fn decrement(&self) {
         // ord: Release — pairs with `count`'s Acquire load so everything
         // the finished task wrote happens-before a waiter seeing zero.
         if self.count.fetch_sub(1, Ordering::Release) == 1 {
@@ -51,35 +52,21 @@ impl CountLatch {
     }
 
     /// Returns the current count. Zero means all registered tasks finished.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         // ord: Acquire — pairs with decrement's Release: observing zero
         // makes every finished task's writes visible to the caller.
         self.count.load(Ordering::Acquire)
     }
 
     /// Returns true if there is nothing outstanding.
-    pub fn is_clear(&self) -> bool {
+    pub(crate) fn is_clear(&self) -> bool {
         self.count() == 0
     }
 
-    /// Blocks the calling thread until the count reaches zero.
-    ///
-    /// Callers that can do useful work instead should poll [`Self::is_clear`]
-    /// and only fall back to `wait` when no work is available (this is what
-    /// the pool's helping loop does).
-    pub fn wait(&self) {
-        if self.is_clear() {
-            return;
-        }
-        let mut guard = self.lock.lock();
-        while !self.is_clear() {
-            self.cond.wait(&mut guard);
-        }
-    }
-
     /// Blocks until the count reaches zero or the timeout elapses.
-    /// Returns true if the latch is clear.
-    pub fn wait_timeout(&self, dur: std::time::Duration) -> bool {
+    /// Returns true if the latch is clear. The pool's helping loops poll
+    /// [`Self::is_clear`] and park here only when no work is available.
+    pub(crate) fn wait_timeout(&self, dur: std::time::Duration) -> bool {
         if self.is_clear() {
             return true;
         }
@@ -92,12 +79,6 @@ impl CountLatch {
     }
 }
 
-impl Default for CountLatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,11 +86,17 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// Parks until the latch is clear, as the helping loops do when there
+    /// is nothing to help with.
+    fn wait(latch: &CountLatch) {
+        while !latch.wait_timeout(Duration::from_millis(1)) {}
+    }
+
     #[test]
     fn starts_clear() {
         let latch = CountLatch::new();
         assert!(latch.is_clear());
-        latch.wait(); // must not block
+        assert!(latch.wait_timeout(Duration::ZERO), "must not block");
     }
 
     #[test]
@@ -133,7 +120,7 @@ mod tests {
             thread::sleep(Duration::from_millis(30));
             l2.decrement();
         });
-        latch.wait();
+        wait(&latch);
         assert!(latch.is_clear());
         handle.join().unwrap();
     }
@@ -158,7 +145,7 @@ mod tests {
             let l = Arc::clone(&latch);
             handles.push(thread::spawn(move || l.decrement()));
         }
-        latch.wait();
+        wait(&latch);
         assert!(latch.is_clear());
         for h in handles {
             h.join().unwrap();
@@ -167,8 +154,8 @@ mod tests {
 }
 
 /// Exhaustive interleaving checks for the latch protocol — the edge that
-/// publishes every scoped task's effects (foreground and background
-/// lane alike) to the scope owner. Run with
+/// publishes every task's effects (scoped or in a detached batch) to the
+/// joining owner. Run with
 /// `cargo test -p jstar-pool --features model-check`.
 #[cfg(all(test, feature = "model-check"))]
 mod model_tests {
@@ -177,11 +164,11 @@ mod model_tests {
     use jstar_check::{thread, Checker};
     use std::sync::Arc;
 
-    /// One job result per lane, as `Scope::spawn` + `submit_background`
+    /// One job result per writer, as `Scope::spawn` + `submit_background`
     /// would produce them.
     struct Jobs {
-        foreground: UnsafeCell<u64>,
-        background: UnsafeCell<u64>,
+        scoped: UnsafeCell<u64>,
+        detached: UnsafeCell<u64>,
         latch: CountLatch,
     }
     // SAFETY: the cells are written only by their task before its latch
@@ -191,13 +178,14 @@ mod model_tests {
     unsafe impl Sync for Jobs {}
 
     /// A condvar-parked waiter must see the worker's pre-decrement write
-    /// once `wait` returns — the race detector fails the run otherwise.
+    /// once `wait_timeout` reports the latch clear — the race detector
+    /// fails the run otherwise.
     #[test]
     fn wait_publishes_task_effects() {
         let report = Checker::new().check(|| {
             let jobs = Arc::new(Jobs {
-                foreground: UnsafeCell::new(0),
-                background: UnsafeCell::new(0),
+                scoped: UnsafeCell::new(0),
+                detached: UnsafeCell::new(0),
                 latch: CountLatch::new(),
             });
             jobs.latch.increment();
@@ -205,14 +193,14 @@ mod model_tests {
                 let jobs = Arc::clone(&jobs);
                 thread::spawn(move || {
                     // SAFETY: unique writer; published by the decrement.
-                    jobs.foreground.with_mut(|p| unsafe { *p = 7 });
+                    jobs.scoped.with_mut(|p| unsafe { *p = 7 });
                     jobs.latch.decrement();
                 })
             };
-            jobs.latch.wait();
+            while !jobs.latch.wait_timeout(std::time::Duration::from_millis(1)) {}
             // SAFETY: latch observed clear — the task's write is ordered
             // before this read.
-            assert_eq!(jobs.foreground.with(|p| unsafe { *p }), 7);
+            assert_eq!(jobs.scoped.with(|p| unsafe { *p }), 7);
             worker.join();
         });
         report.assert_ok();
@@ -220,33 +208,33 @@ mod model_tests {
     }
 
     /// A polling join (the `is_clear` loop of `Scope::run` and
-    /// `TaskBatch::join`) must publish both lanes' effects: a foreground
-    /// and a background-lane job each write their result before
+    /// `TaskBatch::join`) must publish every task's effects: a scoped job
+    /// and a detached batch job each write their result before
     /// decrementing, and the owner spins on `is_clear` instead of
     /// parking.
     #[test]
-    fn polling_join_publishes_both_lanes() {
+    fn polling_join_publishes_task_effects() {
         let report = Checker::new().check(|| {
             let jobs = Arc::new(Jobs {
-                foreground: UnsafeCell::new(0),
-                background: UnsafeCell::new(0),
+                scoped: UnsafeCell::new(0),
+                detached: UnsafeCell::new(0),
                 latch: CountLatch::new(),
             });
             jobs.latch.increment();
             jobs.latch.increment();
-            let fg = {
+            let scoped = {
                 let jobs = Arc::clone(&jobs);
                 thread::spawn(move || {
                     // SAFETY: unique writer; published by the decrement.
-                    jobs.foreground.with_mut(|p| unsafe { *p = 1 });
+                    jobs.scoped.with_mut(|p| unsafe { *p = 1 });
                     jobs.latch.decrement();
                 })
             };
-            let bg = {
+            let detached = {
                 let jobs = Arc::clone(&jobs);
                 thread::spawn(move || {
                     // SAFETY: unique writer; published by the decrement.
-                    jobs.background.with_mut(|p| unsafe { *p = 2 });
+                    jobs.detached.with_mut(|p| unsafe { *p = 2 });
                     jobs.latch.decrement();
                 })
             };
@@ -256,10 +244,10 @@ mod model_tests {
             // SAFETY: latch observed clear — both decrements' Release
             // stores are acquired, ordering both writes before these
             // reads.
-            assert_eq!(jobs.foreground.with(|p| unsafe { *p }), 1);
-            assert_eq!(jobs.background.with(|p| unsafe { *p }), 2);
-            fg.join();
-            bg.join();
+            assert_eq!(jobs.scoped.with(|p| unsafe { *p }), 1);
+            assert_eq!(jobs.detached.with(|p| unsafe { *p }), 2);
+            scoped.join();
+            detached.join();
         });
         report.assert_ok();
         assert!(report.complete, "exploration hit a budget cap");

@@ -9,12 +9,11 @@
 //! * [`ThreadPool::scope`] — structured fork/join: spawn borrowed closures
 //!   and block (while *helping*, i.e. executing queued jobs) until all of
 //!   them finish, mirroring `ForkJoinTask::invokeAll`;
-//! * [`ThreadPool::join`] — binary fork/join of two closures with results;
-//! * [`parallel_for`] / [`parallel_chunks`] — chunked data-parallel loops,
-//!   the shape used by JStar's all-minimums strategy and by the parallel CSV
-//!   region readers;
-//! * a configurable thread count (the `--threads=N` flag of the paper), and
-//!   a process-wide [`global`] pool sized to available parallelism.
+//! * [`parallel_tasks`] — a batch of tasks submitted with one wakeup,
+//!   results in submission order: the shape of the engine's partitioned
+//!   Delta merge, its parallel in-rule reads and the checkpoint encode;
+//! * [`parallel_for`] — a chunked data-parallel loop;
+//! * a configurable thread count (the `--threads=N` flag of the paper).
 //!
 //! Worker threads sleep on a condition variable when no work is available
 //! and are woken on submission, so an idle pool consumes no CPU.
@@ -37,9 +36,6 @@ mod pool;
 mod scope;
 
 pub use batch::{submit_background, TaskBatch};
-pub use latch::CountLatch;
-pub use parfor::{
-    adaptive_chunk, parallel_chunks, parallel_for, parallel_map, parallel_reduce, parallel_tasks,
-};
-pub use pool::{global, ThreadPool};
+pub use parfor::{adaptive_chunk, parallel_for, parallel_tasks};
+pub use pool::ThreadPool;
 pub use scope::Scope;

@@ -3,7 +3,8 @@
 //! JStar rules contain `for` loops whose bodies are independent because the
 //! language has no mutable variables (§1.3 of the paper); the compiler may
 //! execute them in parallel. These helpers are the runtime shape of that:
-//! chunked parallel iteration, map, and tree reduction.
+//! a chunked parallel loop, and a batch of tasks whose results come back
+//! in order.
 
 use crate::pool::ThreadPool;
 
@@ -60,75 +61,6 @@ where
     });
 }
 
-/// Runs `body` on immutable chunks of `data` in parallel, collecting one
-/// result per chunk (in order).
-pub fn parallel_chunks<T, R, F>(pool: &ThreadPool, data: &[T], chunk: usize, body: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T], usize) -> R + Sync,
-{
-    let len = data.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let chunk = if chunk == 0 {
-        adaptive_chunk(pool, len)
-    } else {
-        chunk
-    };
-    let n_chunks = len.div_ceil(chunk);
-    let mut results: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
-    let body = &body;
-    pool.scope(|s| {
-        for (idx, (piece, slot)) in data.chunks(chunk).zip(results.iter_mut()).enumerate() {
-            let start = idx * chunk;
-            s.spawn(move |_| {
-                *slot = Some(body(piece, start));
-            });
-        }
-    });
-    results
-        .into_iter()
-        // lint: allow(expect): scope() joins every task before returning.
-        .map(|r| r.expect("all chunks completed by scope exit"))
-        .collect()
-}
-
-/// Applies `f` to every index in `0..n` in parallel and collects the results
-/// in order.
-pub fn parallel_map<R, F>(pool: &ThreadPool, n: usize, chunk: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunk = if chunk == 0 {
-        adaptive_chunk(pool, n)
-    } else {
-        chunk
-    };
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let f = &f;
-    pool.scope(|s| {
-        for (chunk_idx, slots) in results.chunks_mut(chunk).enumerate() {
-            let start = chunk_idx * chunk;
-            s.spawn(move |_| {
-                for (off, slot) in slots.iter_mut().enumerate() {
-                    *slot = Some(f(start + off));
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        // lint: allow(expect): scope() joins every task before returning.
-        .map(|r| r.expect("all indices filled by scope exit"))
-        .collect()
-}
-
 /// Runs a set of heterogeneous tasks on the pool and collects their
 /// results in submission order.
 ///
@@ -140,14 +72,6 @@ where
 /// execute queued work while it waits, so this is safe to call from a
 /// worker thread.
 pub fn parallel_tasks<R, F>(pool: &ThreadPool, tasks: Vec<F>) -> Vec<R>
-where
-    R: Send,
-    F: FnOnce() -> R + Send,
-{
-    parallel_tasks_impl(pool, tasks)
-}
-
-fn parallel_tasks_impl<R, F>(pool: &ThreadPool, tasks: Vec<F>) -> Vec<R>
 where
     R: Send,
     F: FnOnce() -> R + Send,
@@ -177,31 +101,6 @@ where
         .collect()
 }
 
-/// Parallel tree reduction: maps each chunk to a partial value with `map`,
-/// then folds the partials with the associative `combine`.
-///
-/// This is the execution shape of JStar's `reduce` operations with
-/// user-defined operators (§1.3) — the paper notes loops with a reducer
-/// object "could also be executed in parallel, with a tree-based pass to
-/// combine the final reducer results".
-pub fn parallel_reduce<T, R, M, C>(
-    pool: &ThreadPool,
-    data: &[T],
-    chunk: usize,
-    identity: R,
-    map: M,
-    combine: C,
-) -> R
-where
-    T: Sync,
-    R: Send,
-    M: Fn(&[T]) -> R + Sync,
-    C: Fn(R, R) -> R,
-{
-    let partials = parallel_chunks(pool, data, chunk, |piece, _| map(piece));
-    partials.into_iter().fold(identity, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,52 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_chunks_preserves_order() {
-        let p = pool();
-        let data: Vec<u64> = (0..100).collect();
-        let sums = parallel_chunks(&p, &data, 10, |c, start| (start, c.iter().sum::<u64>()));
-        assert_eq!(sums.len(), 10);
-        for (i, (start, _)) in sums.iter().enumerate() {
-            assert_eq!(*start, i * 10);
-        }
-        let total: u64 = sums.iter().map(|(_, s)| s).sum();
-        assert_eq!(total, 4950);
-    }
-
-    #[test]
-    fn parallel_map_collects_in_order() {
-        let p = pool();
-        let out = parallel_map(&p, 50, 3, |i| i * i);
-        assert_eq!(out.len(), 50);
-        for (i, v) in out.iter().enumerate() {
-            assert_eq!(*v, i * i);
-        }
-    }
-
-    #[test]
-    fn parallel_reduce_sums() {
-        let p = pool();
-        let data: Vec<u64> = (1..=1000).collect();
-        let sum = parallel_reduce(&p, &data, 64, 0u64, |c| c.iter().sum::<u64>(), |a, b| a + b);
-        assert_eq!(sum, 500500);
-    }
-
-    #[test]
-    fn parallel_reduce_matches_sequential_for_min() {
-        let p = pool();
-        let data: Vec<i64> = (0..500).map(|i| ((i * 7919) % 1000) as i64 - 500).collect();
-        let par_min = parallel_reduce(
-            &p,
-            &data,
-            13,
-            i64::MAX,
-            |c| c.iter().copied().min().unwrap_or(i64::MAX),
-            |a, b| a.min(b),
-        );
-        assert_eq!(par_min, data.iter().copied().min().unwrap());
-    }
-
-    #[test]
     fn parallel_tasks_collects_in_submission_order() {
         let p = pool();
         let tasks: Vec<_> = (0..37).map(|i| move || i * 3).collect();
@@ -292,8 +145,10 @@ mod tests {
     #[test]
     fn chunk_zero_picks_automatically() {
         let p = pool();
-        let data: Vec<u64> = (0..10_000).collect();
-        let sum = parallel_reduce(&p, &data, 0, 0u64, |c| c.iter().sum::<u64>(), |a, b| a + b);
-        assert_eq!(sum, 49_995_000);
+        let sum = AtomicU64::new(0);
+        parallel_for(&p, 0..10_000, 0, |i| {
+            sum.fetch_add(i as u64, Ordering::Relaxed);
+        });
+        assert_eq!(sum.load(Ordering::Relaxed), 49_995_000);
     }
 }

@@ -3,7 +3,7 @@
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::cell::{Cell, RefCell};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
@@ -20,21 +20,11 @@ pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 pub(crate) struct Shared {
     /// Global FIFO queue that external threads (and helpers) submit to.
     injector: Injector<Job>,
-    /// Low-priority lane ([`crate::submit_background`]): jobs here are
-    /// only taken when no foreground work (local deque, injector,
-    /// sibling steals) exists, so a foreground submission effectively
-    /// preempts everything queued behind it.
-    background: Injector<Job>,
     /// One stealer per worker's local LIFO deque.
     stealers: Vec<Stealer<Job>>,
-    /// Number of foreground jobs submitted but not yet started; used to
-    /// decide sleeping and as the adaptive chunking backlog signal.
+    /// Number of jobs submitted but not yet started; used to decide
+    /// sleeping and as the adaptive chunking backlog signal.
     pending: AtomicUsize,
-    /// Background jobs submitted but not yet started. Counted apart
-    /// from `pending` so [`ThreadPool::pending_jobs`] keeps meaning
-    /// "foreground backlog" — background work must not coarsen the
-    /// adaptive chunk decisions of execute-phase loops.
-    bg_pending: AtomicUsize,
     shutdown: AtomicBool,
     sleep_lock: Mutex<()>,
     sleep_cond: Condvar,
@@ -125,43 +115,6 @@ impl Shared {
         self.sleep_cond.notify_all();
     }
 
-    /// Pushes a batch of **background** jobs: they run only on threads
-    /// that found no foreground work, so anything pushed through
-    /// [`Shared::push`]/[`Shared::push_batch`] — before or after —
-    /// takes precedence. One wakeup for the whole batch, like
-    /// [`Shared::push_batch`].
-    pub(crate) fn push_background_batch(self: &Arc<Self>, jobs: Vec<Job>) {
-        if jobs.is_empty() {
-            return;
-        }
-        // ord: Release — pairs with the sleep check's Acquire load of
-        // `bg_pending`, exactly as `push` does for the foreground count.
-        self.bg_pending.fetch_add(jobs.len(), Ordering::Release);
-        for job in jobs {
-            self.background.push(job);
-        }
-        let _guard = self.sleep_lock.lock();
-        self.sleep_cond.notify_all();
-    }
-
-    /// Takes one background job, if any. Decrements the background
-    /// backlog counter on success.
-    fn pop_background(&self) -> Option<Job> {
-        loop {
-            match self.background.steal() {
-                Steal::Success(job) => {
-                    // ord: Release — the decrement must not be reordered
-                    // before the steal that claimed the job, so the count
-                    // never under-reports a job still in the queue.
-                    self.bg_pending.fetch_sub(1, Ordering::Release);
-                    return Some(job);
-                }
-                Steal::Empty => return None,
-                Steal::Retry => continue,
-            }
-        }
-    }
-
     /// Tries to take one job from anywhere: the local deque, the injector,
     /// or a sibling worker.
     pub(crate) fn find_job(&self, local: Option<&Worker<Job>>) -> Option<Job> {
@@ -201,52 +154,26 @@ impl Shared {
         // job body runs; an Acquire reader of 0 therefore knows every
         // submitted job has at least started.
         self.pending.fetch_sub(1, Ordering::Release);
-        // Job panics are caught by the scope machinery; a bare `execute`d job
-        // that panics must not take the worker thread down with it.
+        // Scoped and batch jobs catch their own task's panic; this only
+        // keeps a panic in their bookkeeping from killing the worker.
         let _ = panic::catch_unwind(AssertUnwindSafe(job));
     }
 
-    /// Runs a job whose backlog counter was already settled (background
-    /// jobs: [`Shared::pop_background`] decremented `bg_pending`).
-    fn run_counted_job(&self, job: Job) {
-        let _ = panic::catch_unwind(AssertUnwindSafe(job));
-    }
-
-    /// Finds one foreground job, falling back to the background lane
-    /// only when no foreground work exists anywhere — the property that
-    /// makes background tasks preemptible by execute-phase spawns. The
-    /// bool is true for a foreground job (whose `pending` entry is
-    /// still to be settled by [`Shared::run_job`]).
-    fn find_any_job(&self, local: Option<&Worker<Job>>) -> Option<(Job, bool)> {
-        if let Some(job) = self.find_job(local) {
-            return Some((job, true));
-        }
-        self.pop_background().map(|job| (job, false))
-    }
-
-    /// Executes one available job (foreground first, then background).
-    /// Returns false when no job was found or this thread's helping
-    /// recursion is already at the depth cap (unless `force` overrides
-    /// the cap to break a stall).
+    /// Executes one available job. Returns false when no job was found
+    /// or this thread's helping recursion is already at the depth cap
+    /// (unless `force` overrides the cap to break a stall).
     pub(crate) fn try_help(&self, force: bool) -> bool {
         if !force && HELP_DEPTH.with(|d| d.get()) >= MAX_HELP_DEPTH {
             return false;
         }
         let local_job = LOCAL.with(|slot| {
             let borrow = slot.borrow();
-            match borrow.as_ref() {
-                Some((_, worker, _)) => self.find_any_job(Some(worker)),
-                None => self.find_any_job(None),
-            }
+            self.find_job(borrow.as_ref().map(|(_, worker, _)| worker))
         });
         match local_job {
-            Some((job, foreground)) => {
+            Some(job) => {
                 HELP_DEPTH.with(|d| d.set(d.get() + 1));
-                if foreground {
-                    self.run_job(job);
-                } else {
-                    self.run_counted_job(job);
-                }
+                self.run_job(job);
                 HELP_DEPTH.with(|d| d.set(d.get() - 1));
                 true
             }
@@ -263,11 +190,10 @@ impl Shared {
                 let borrow = slot.borrow();
                 // lint: allow(expect): worker_loop installed the TLS slot before looping.
                 let (_, worker, _) = borrow.as_ref().expect("worker registered above");
-                self.find_any_job(Some(worker))
+                self.find_job(Some(worker))
             });
             match job {
-                Some((job, true)) => self.run_job(job),
-                Some((job, false)) => self.run_counted_job(job),
+                Some(job) => self.run_job(job),
                 None => {
                     // ord: Acquire — pairs with Drop's Release store; a
                     // worker that observes shutdown also observes every
@@ -278,13 +204,12 @@ impl Shared {
                     // Park until a push notifies us. The timeout guards
                     // against a lost wakeup between find_job and sleeping.
                     let mut guard = self.sleep_lock.lock();
-                    // ord: Acquire ×3 — pair with the submitters' Release
+                    // ord: Acquire ×2 — pair with the submitters' Release
                     // bumps (and Drop's Release store): reading 0/false
                     // here proves no submission predates this check, so
                     // sleeping cannot strand a job (the timed wait covers
                     // the remaining push-between-check-and-sleep window).
                     if self.pending.load(Ordering::Acquire) == 0
-                        && self.bg_pending.load(Ordering::Acquire) == 0
                         && !self.shutdown.load(Ordering::Acquire)
                     {
                         self.sleep_cond
@@ -321,10 +246,8 @@ impl ThreadPool {
         let stealers = workers.iter().map(|w| w.stealer()).collect();
         let shared = Arc::new(Shared {
             injector: Injector::new(),
-            background: Injector::new(),
             stealers,
             pending: AtomicUsize::new(0),
-            bg_pending: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             sleep_lock: Mutex::new(()),
             sleep_cond: Condvar::new(),
@@ -372,11 +295,11 @@ impl ThreadPool {
         })
     }
 
-    /// Number of submitted-but-not-yet-started **foreground** jobs — a
-    /// cheap occupancy signal. The engine's adaptive scheduler uses it to
-    /// pick chunk sizes: a backlog means smaller task counts (bigger
-    /// chunks) waste less time queuing. Background-lane jobs are counted
-    /// separately precisely so they never coarsen those decisions.
+    /// Number of submitted-but-not-yet-started jobs — a cheap occupancy
+    /// signal. The engine's adaptive scheduler uses it to pick chunk
+    /// sizes: a backlog means smaller task counts (bigger chunks) waste
+    /// less time queuing. The tasks of a pending detached batch
+    /// ([`crate::submit_background`]) count like any other.
     pub fn pending_jobs(&self) -> usize {
         // ord: Acquire — pairs with the submitters' Release bumps so the
         // backlog signal is never fresher than the queues it describes.
@@ -385,11 +308,6 @@ impl ThreadPool {
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
-    }
-
-    /// Submits a detached `'static` job.
-    pub fn execute<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.shared.push(Box::new(f));
     }
 
     /// Runs a fork/join scope: closures spawned on the [`Scope`] may borrow
@@ -406,26 +324,6 @@ impl ThreadPool {
         F: FnOnce(&Scope<'scope>) -> R,
     {
         Scope::run(self, f)
-    }
-
-    /// Classic binary fork/join: runs `a` and `b` potentially in parallel and
-    /// returns both results.
-    pub fn join<RA, RB>(
-        &self,
-        a: impl FnOnce() -> RA + Send,
-        b: impl FnOnce() -> RB + Send,
-    ) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-    {
-        let mut rb = None;
-        let ra = self.scope(|s| {
-            s.spawn(|_| rb = Some(b()));
-            a()
-        });
-        // lint: allow(expect): scope() joins the spawned task before returning.
-        (ra, rb.expect("spawned task completed by scope exit"))
     }
 }
 
@@ -444,18 +342,6 @@ impl Drop for ThreadPool {
     }
 }
 
-static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
-
-/// A process-wide pool sized to `std::thread::available_parallelism()`.
-pub fn global() -> &'static ThreadPool {
-    GLOBAL.get_or_init(|| {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-        ThreadPool::new(n)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,13 +351,16 @@ mod tests {
     fn executes_detached_jobs() {
         let pool = ThreadPool::new(2);
         let counter = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let c = Arc::clone(&counter);
-            pool.execute(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        // Drain by scoping an empty task set after the submissions.
+        let tasks: Vec<_> = (0..100)
+            .map(|_| {
+                let c = Arc::clone(&counter);
+                move || {
+                    c.fetch_add(1, Ordering::Relaxed);
+                }
+            })
+            .collect();
+        // Nobody joins: the workers alone must run every job.
+        drop(crate::submit_background(&pool, tasks));
         while counter.load(Ordering::Relaxed) < 100 {
             std::thread::yield_now();
         }
@@ -512,10 +401,25 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), 64);
     }
 
+    /// Binary fork/join on a scope: one half spawned, the other run by
+    /// the caller, both results back.
+    fn fork_join<A: Send, B: Send>(
+        pool: &ThreadPool,
+        a: impl FnOnce() -> A + Send,
+        b: impl FnOnce() -> B + Send,
+    ) -> (A, B) {
+        let mut rb = None;
+        let ra = pool.scope(|s| {
+            s.spawn(|_| rb = Some(b()));
+            a()
+        });
+        (ra, rb.expect("the scope joined the spawned half"))
+    }
+
     #[test]
     fn join_returns_both_results() {
         let pool = ThreadPool::new(2);
-        let (a, b) = pool.join(|| 6 * 7, || "hi".to_string());
+        let (a, b) = fork_join(&pool, || 6 * 7, || "hi".to_string());
         assert_eq!(a, 42);
         assert_eq!(b, "hi");
     }
@@ -523,7 +427,7 @@ mod tests {
     #[test]
     fn join_works_on_single_thread_pool() {
         let pool = ThreadPool::new(1);
-        let (a, b) = pool.join(|| 1, || 2);
+        let (a, b) = fork_join(&pool, || 1, || 2);
         assert_eq!((a, b), (1, 2));
     }
 
@@ -566,7 +470,7 @@ mod tests {
             if n < 2 {
                 return n;
             }
-            let (a, b) = pool.join(|| fib(pool, n - 1), || fib(pool, n - 2));
+            let (a, b) = fork_join(pool, || fib(pool, n - 1), || fib(pool, n - 2));
             a + b
         }
         assert_eq!(fib(&pool, 16), 987);
@@ -578,21 +482,29 @@ mod tests {
         let other = ThreadPool::new(2);
         assert_eq!(pool.current_worker_index(), None, "caller is not a worker");
         assert_eq!(other.current_worker_index(), None);
-        // Detached jobs run on worker threads only (no caller helping), so
-        // every one of them must observe a valid index for its own pool.
+        // An unjoined detached batch runs on worker threads only (no
+        // caller helping), so every task must observe a valid index for
+        // its own pool.
         let done = Arc::new(AtomicU64::new(0));
         let ok = Arc::new(AtomicU64::new(0));
-        for _ in 0..64 {
-            let pool2 = Arc::clone(&pool);
-            let done = Arc::clone(&done);
-            let ok = Arc::clone(&ok);
-            pool.execute(move || {
-                if matches!(pool2.current_worker_index(), Some(i) if i < 3) {
-                    ok.fetch_add(1, Ordering::Relaxed);
+        let tasks: Vec<_> = (0..64)
+            .map(|_| {
+                let pool2 = Arc::clone(&pool);
+                let done = Arc::clone(&done);
+                let ok = Arc::clone(&ok);
+                move || {
+                    let index = pool2.current_worker_index();
+                    // Let go of the pool before signalling, so the last
+                    // handle is never dropped on one of its own workers.
+                    drop(pool2);
+                    if matches!(index, Some(i) if i < 3) {
+                        ok.fetch_add(1, Ordering::Relaxed);
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
                 }
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
+            })
+            .collect();
+        drop(crate::submit_background(&pool, tasks));
         while done.load(Ordering::Relaxed) < 64 {
             std::thread::yield_now();
         }
@@ -623,13 +535,5 @@ mod tests {
         });
         // After the scope, every submitted job has started (and finished).
         assert_eq!(pool.pending_jobs(), 0);
-    }
-
-    #[test]
-    fn global_pool_is_usable() {
-        let n = global().num_threads();
-        assert!(n >= 1);
-        let v = global().scope(|_| 7);
-        assert_eq!(v, 7);
     }
 }

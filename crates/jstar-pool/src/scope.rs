@@ -221,46 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn foreground_spawns_preempt_background_tasks() {
-        use std::sync::{Arc, Barrier};
-        // One worker: queue a gate job to hold the worker, then a
-        // background batch and a foreground job while it is held. On
-        // release the worker must take the foreground job first.
-        let pool = ThreadPool::new(1);
-        let gate = Arc::new(Barrier::new(2));
-        let fg_done = Arc::new(AtomicUsize::new(0));
-        let bg_done = Arc::new(AtomicUsize::new(0));
-        let g = Arc::clone(&gate);
-        pool.execute(move || {
-            g.wait();
-        });
-        let (fg, bg) = (Arc::clone(&fg_done), Arc::clone(&bg_done));
-        // Acquire/Release (not SeqCst): single flag handoffs need no
-        // total order across locations.
-        let batch = crate::submit_background(
-            &pool,
-            vec![move || {
-                let saw_fg = fg.load(Ordering::Acquire);
-                bg.store(1, Ordering::Release);
-                saw_fg
-            }],
-        );
-        let fg = Arc::clone(&fg_done);
-        pool.execute(move || fg.store(1, Ordering::Release));
-        gate.wait();
-        // Join only once the worker has run the background job: the
-        // join helps, and helping would race the worker for the jobs.
-        while bg_done.load(Ordering::Acquire) == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(
-            batch.join(&pool),
-            vec![1],
-            "the foreground job must run before the earlier background task"
-        );
-    }
-
-    #[test]
     fn body_panic_still_waits_for_tasks() {
         let pool = ThreadPool::new(2);
         let flag = AtomicUsize::new(0);

@@ -1,10 +1,22 @@
-//! Property-based tests for the fork/join pool: parallel combinators must
-//! agree with their sequential counterparts for arbitrary inputs and
-//! chunkings.
+//! Property-based tests for the fork/join pool: the parallel shapes the
+//! engine builds on [`parallel_tasks`] — a map with one task per item,
+//! tasks over `adaptive_chunk` slices, and a reduction folding their
+//! partials — and [`parallel_for`] must agree with their sequential
+//! counterparts for arbitrary inputs, chunkings and thread counts.
 
-use jstar_pool::{parallel_chunks, parallel_for, parallel_map, parallel_reduce, ThreadPool};
+use jstar_pool::{adaptive_chunk, parallel_for, parallel_tasks, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// `data` cut into slices of `chunk` items (`adaptive_chunk` for 0).
+fn slices<'a, T>(pool: &ThreadPool, data: &'a [T], chunk: usize) -> std::slice::Chunks<'a, T> {
+    let chunk = if chunk == 0 {
+        adaptive_chunk(pool, data.len())
+    } else {
+        chunk
+    };
+    data.chunks(chunk)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -17,25 +29,21 @@ proptest! {
     ) {
         let pool = ThreadPool::new(threads);
         let want: i64 = data.iter().map(|&v| v as i64).sum();
-        let got = parallel_reduce(
-            &pool,
-            &data,
-            chunk,
-            0i64,
-            |c| c.iter().map(|&v| v as i64).sum::<i64>(),
-            |a, b| a + b,
-        );
+        let tasks: Vec<_> = slices(&pool, &data, chunk)
+            .map(|c| move || c.iter().map(|&v| v as i64).sum::<i64>())
+            .collect();
+        let got: i64 = parallel_tasks(&pool, tasks).into_iter().sum();
         prop_assert_eq!(got, want);
     }
 
     #[test]
     fn parallel_map_preserves_order(
         n in 0usize..500,
-        chunk in 0usize..50,
         threads in 1usize..6,
     ) {
         let pool = ThreadPool::new(threads);
-        let got = parallel_map(&pool, n, chunk, |i| i * 3 + 1);
+        let tasks: Vec<_> = (0..n).map(|i| move || i * 3 + 1).collect();
+        let got = parallel_tasks(&pool, tasks);
         let want: Vec<usize> = (0..n).map(|i| i * 3 + 1).collect();
         prop_assert_eq!(got, want);
     }
@@ -57,11 +65,11 @@ proptest! {
     #[test]
     fn parallel_chunks_concatenate_to_input(
         data in prop::collection::vec(any::<u16>(), 0..600),
-        chunk in 1usize..64,
+        chunk in 0usize..64,
     ) {
         let pool = ThreadPool::new(4);
-        let pieces = parallel_chunks(&pool, &data, chunk, |c, _| c.to_vec());
-        let flat: Vec<u16> = pieces.into_iter().flatten().collect();
+        let tasks: Vec<_> = slices(&pool, &data, chunk).map(|c| move || c.to_vec()).collect();
+        let flat: Vec<u16> = parallel_tasks(&pool, tasks).into_iter().flatten().collect();
         prop_assert_eq!(flat, data);
     }
 }
