@@ -18,44 +18,42 @@
 //! * `int_next` — a dense `i64` copy of every row's next-column value,
 //!   present when all of them are `Value::Int`: a join stage whose
 //!   equality or lower bound names that column seeks inside the
-//!   matched group instead of scanning it (see [`super::leapfrog`]);
-//! * `cells` — a row-major `i64` copy of every field of every row,
-//!   present when all of them are `Value::Int`: a join's residual
-//!   equality reads one contiguous slice and never touches the tuple.
-//!   The pass only notes whether every field is an `Int`; the cut
-//!   copies each row's fields from the row as it places it, so no piece
-//!   or bucket holds them, whatever the number of pieces.
+//!   matched group instead of scanning it (see [`super::leapfrog`]).
 //!
-//! The packed mirrors are decided by what the column holds, once, when
-//! the view is built; a view never changes after that — a table that
-//! has grown gets a new view, built the same way. Every view — a join
-//! rule's root, cut from its delta, and every view the
-//! [`super::IndexCache`] builds, off a claim journal or a custom store's
-//! `for_each` — comes out of one builder, [`build_views`], which builds
-//! all the views one walk needs in one phase on the pool:
+//! The two mirrors are all a walk reads of a row besides its tuple: a
+//! join pair on the key or the next column compares their integers, and
+//! any other field is read from the tuple. They are decided by what the
+//! column holds, once, when the view is built; a view never changes
+//! after that — a table that has grown gets a new view, built the same
+//! way. Every view — a join rule's root, cut from its delta, and every
+//! view the [`super::IndexCache`] builds, off a claim journal or a
+//! custom store's `for_each` — comes out of one builder,
+//! [`build_views`], which builds all the views one walk needs in one
+//! phase on the pool:
 //!
 //! * **pass** — the input is cut into pieces by position
 //!   ([`super::pieces`]: 4 per worker, none under [`super::MIN_PIECE`]),
 //!   and each piece packs its rows as it reads them — key, next-column
-//!   value, handle — on a worker;
-//! * **split** — when a build has several pieces and its records pack
-//!   into one word each, every piece scatters its words into buckets by
-//!   the high bits of the key, numbering each word by its place in the
-//!   bucket (pieces in order, each in pass order, so positions stay
-//!   global and ties keep journal or run order);
+//!   value, handle — on a worker, noting the span of its integer keys
+//!   and next values as it goes;
+//! * **split** — when every key and next value of a build is an integer
+//!   and their spans pack into one word a row, every piece scatters its
+//!   words into buckets by the high bits of the key, numbering each word
+//!   by its place in the bucket (pieces in order, each in pass order, so
+//!   positions stay global and ties keep journal or run order). A build
+//!   of one piece — without a pool, or of a small input — is one bucket;
 //! * **sort and cut** — each bucket is sorted and cut into groups on a
 //!   worker, and the buckets' groups are appended in key order. A group
 //!   never straddles two buckets, since buckets split on key bits only.
 //!
-//! Without a pool, or for a small input, a build is one piece and one
-//! bucket: the same pass, one sort, one cut. A build of other values, or
-//! of spans too wide to pack, is one bucket. The view is the same,
-//! array for array, however the build was cut (property-tested at 1, 2
-//! and 4 threads). Each view is shared — handed out in an `Arc` — by
-//! every worker participating in a walk; each worker positions its own
-//! lightweight [`ColumnCursor`] over it. The join walks themselves live
-//! in [`super::leapfrog`]. The cache takes no lock while a build runs
-//! (see [`super::IndexCache`]).
+//! Any other build — of other values, or of integer spans too wide to
+//! pack — gathers its pieces into one bucket of `(key, next, position)`
+//! values. The view is the same, array for array, however the build was
+//! cut (property-tested at 1, 2 and 4 threads). Each view is shared —
+//! handed out in an `Arc` — by every worker participating in a walk;
+//! each worker positions its own lightweight [`ColumnCursor`] over it.
+//! The join walks themselves live in [`super::leapfrog`]. The cache
+//! takes no lock while a build runs (see [`super::IndexCache`]).
 //!
 //! The cursor distinguishes the two leapfrog-triejoin motions:
 //!
@@ -77,12 +75,13 @@ use crate::error::{JStarError, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use jstar_pool::ThreadPool;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// An immutable sorted view of one column of a table store: distinct
 /// values ascending, each with its group of tuples (ordered by their
-/// next column, then store iteration order), plus the packed mirrors
+/// next column, then store iteration order), plus the dense mirrors
 /// described in the module docs. Shared across the workers of one join
 /// walk.
 #[derive(Debug, PartialEq)]
@@ -96,15 +95,12 @@ pub struct ColumnIndex {
     pub(super) next: Option<usize>,
     /// `int_next[r]` is row `r`'s `next` field, when all are integers.
     pub(super) int_next: Option<Box<[i64]>>,
-    pub(super) cells: Option<Box<[i64]>>,
-    /// Fields per row (0 while the view is empty); `cells` holds
-    /// `rows.len() * width` values.
-    pub(super) width: usize,
 }
 
-/// A seek target: an integer (searched on the dense keys when the view
-/// has them) or any other value. `Val` never holds a `Value::Int`.
-#[derive(Clone, Copy)]
+/// A seek target, or a field a walk compares: an integer (searched on
+/// the dense keys when the view has them) or any other value. `Val`
+/// never holds a `Value::Int`, and keys order as their values do.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(super) enum Key<'a> {
     Int(i64),
     Val(&'a Value),
@@ -119,6 +115,23 @@ impl<'a> Key<'a> {
     }
 }
 
+impl Ord for Key<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (*self, *other) {
+            (Key::Int(a), Key::Int(b)) => a.cmp(&b),
+            (Key::Int(a), Key::Val(b)) => Value::Int(a).cmp(b),
+            (Key::Val(a), Key::Int(b)) => a.cmp(&Value::Int(b)),
+            (Key::Val(a), Key::Val(b)) => a.cmp(b),
+        }
+    }
+}
+
+impl PartialOrd for Key<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// The field a view keyed on `field` orders its groups by, for rows of
 /// `width` fields.
 fn next_column(field: usize, width: usize) -> Option<usize> {
@@ -126,32 +139,23 @@ fn next_column(field: usize, width: usize) -> Option<usize> {
     (next < width).then_some(next)
 }
 
-/// The rows of one store pass, packed as they are read — each row's key
-/// and next-column value and its handle — then sorted into view order by
-/// [`Batch::sort`]. What every build feeds to the cut.
+/// The rows of one piece of a store pass, packed as they are read —
+/// each row's key and next-column value and its handle. What every
+/// build sorts and cuts.
 struct Batch {
     field: usize,
     next: Option<usize>,
-    width: usize,
     /// Handles by pass position; the cut moves each one out once.
     rows: Vec<Option<Tuple>>,
     records: Records,
-    /// Whether every row so far has `width` fields, all `Int`: the view
-    /// then has cells, which the cut reads from each row.
-    all_int: bool,
 }
 
-/// `(key, next)` per row, with its pass position once sorted: as
-/// integers while every key and next-column value is an `Int` (a
-/// one-field row's next is 0), as values otherwise (its next is
-/// `Int(0)`).
+/// `(key, next)` per row, in pass order: as integers, with their span,
+/// while every key and next-column value is an `Int` (a one-field row's
+/// next is 0); as values with their pass positions otherwise (its next
+/// is `Int(0)`).
 enum Records {
-    /// Integers in pass order: a row's position is its index.
-    Ints(Vec<(i64, i64)>),
-    /// `Ints` sorted as one word per row (see [`Packed`]).
-    Packed(Packed),
-    /// `Ints` whose spans do not pack, sorted with their positions.
-    Wide(Vec<(i64, i64, u32)>),
+    Ints(Vec<(i64, i64)>, Option<Span>),
     Values(Vec<(Value, Value, u32)>),
 }
 
@@ -159,14 +163,14 @@ enum Records {
 /// each taken on its own.
 type Span = ((i64, i64), (i64, i64));
 
-/// The span of `ints`, when there are any.
-fn span_of(ints: &[(i64, i64)]) -> Option<Span> {
-    let (mut lo, mut hi) = (*ints.first()?, *ints.first()?);
-    for &(k, n) in ints {
-        (lo.0, lo.1) = (lo.0.min(k), lo.1.min(n));
-        (hi.0, hi.1) = (hi.0.max(k), hi.1.max(n));
+/// The span of the records of `a` and of `b`.
+fn cover(a: Option<Span>, b: Option<Span>) -> Option<Span> {
+    match (a, b) {
+        (Some(((k0, n0), (k1, n1))), Some(((l0, m0), (l1, m1)))) => {
+            Some(((k0.min(l0), n0.min(m0)), (k1.max(l1), n1.max(m1))))
+        }
+        (a, b) => a.or(b),
     }
-    Some((lo, hi))
 }
 
 /// Bits of the offsets from `lo` of the values up to `hi`.
@@ -174,36 +178,25 @@ fn bits_between(lo: i64, hi: i64) -> u32 {
     u64::BITS - (hi.wrapping_sub(lo) as u64).leading_zeros()
 }
 
-/// Integer records packed into one `u64` each — the key's and the next
-/// value's offsets from their minima and the position, most significant
-/// first — when their spans fit in 64 bits together, so that sorting
-/// the words sorts the records.
-struct Packed {
-    words: Vec<u64>,
+/// How integer records pack into one `u64` each — the key's and the
+/// next value's offsets from their minima and the position, most
+/// significant first — so that sorting the words sorts the records.
+struct Layout {
     min: (i64, i64),
     /// Bits of the next value's offset, and of the position.
     bits: (u32, u32),
 }
 
-impl Packed {
-    fn of(ints: &[(i64, i64)]) -> Option<Packed> {
-        let span = span_of(ints)?;
-        let mut packed = Packed::layout(span, ints.len())?;
-        let word = |(at, &(k, n)): (usize, &(i64, i64))| packed.word(k, n, at as u32);
-        packed.words = ints.iter().enumerate().map(word).collect();
-        Some(packed)
-    }
-
+impl Layout {
     /// The layout of records whose keys and next values lie in `span`,
     /// at positions below `rows`, when their offsets fit in 64 bits
-    /// together; no words yet.
-    fn layout(((key_lo, next_lo), (key_hi, next_hi)): Span, rows: usize) -> Option<Packed> {
+    /// together.
+    fn of(((key_lo, next_lo), (key_hi, next_hi)): Span, rows: usize) -> Option<Layout> {
         let bits = (bits_between(next_lo, next_hi), bits_between(0, rows as i64));
         if bits_between(key_lo, key_hi) + bits.0 + bits.1 > u64::BITS {
             return None;
         }
-        Some(Packed {
-            words: Vec::new(),
+        Some(Layout {
             min: (key_lo, next_lo),
             bits,
         })
@@ -238,10 +231,8 @@ impl Batch {
         Batch {
             field,
             next: None,
-            width: 0,
             rows: Vec::with_capacity(rows),
-            records: Records::Ints(Vec::with_capacity(rows)),
-            all_int: true,
+            records: Records::Ints(Vec::with_capacity(rows), None),
         }
     }
 
@@ -252,117 +243,37 @@ impl Batch {
 
     /// Packs `t` as the next row.
     fn push(&mut self, t: &Tuple) {
-        assert!(
-            self.rows.len() < u32::MAX as usize,
-            "ColumnIndex holds at most u32::MAX rows"
-        );
-        let at = self.rows.len() as u32;
-        if at == 0 {
-            self.width = t.arity();
-            self.next = next_column(self.field, self.width);
+        if self.rows.is_empty() {
+            self.next = next_column(self.field, t.arity());
         }
         let fields = t.fields();
         let (key, next) = (&fields[self.field], self.next.map(|n| &fields[n]));
-        if let Records::Ints(ints) = &mut self.records {
-            match (key, next) {
-                (Value::Int(k), None) => ints.push((*k, 0)),
-                (Value::Int(k), Some(Value::Int(n))) => ints.push((*k, *n)),
-                _ => self.records = Records::Values(widened(ints)),
+        if let Records::Ints(ints, span) = &mut self.records {
+            let int = match (key, next) {
+                (Value::Int(k), None) => Some((*k, 0)),
+                (Value::Int(k), Some(Value::Int(n))) => Some((*k, *n)),
+                _ => None,
+            };
+            match int {
+                Some(record) => {
+                    ints.push(record);
+                    *span = cover(*span, Some((record, record)));
+                }
+                None => self.records = Records::Values(widened(ints, 0).collect()),
             }
         }
         if let Records::Values(values) = &mut self.records {
             let next = next.cloned().unwrap_or(Value::Int(0));
-            values.push((key.clone(), next, at));
+            values.push((key.clone(), next, self.rows.len() as u32));
         }
-        self.all_int = self.all_int
-            && t.arity() == self.width
-            && fields.iter().all(|v| matches!(v, Value::Int(_)));
         self.rows.push(Some(t.clone()));
     }
-
-    /// Sorts the records into view order: by key, then next column,
-    /// then pass position — a total order, so the unstable sort keeps
-    /// equal rows in the order they were read.
-    fn sort(&mut self) {
-        match &mut self.records {
-            Records::Ints(ints) => {
-                self.records = match Packed::of(ints) {
-                    Some(packed) => Records::Packed(packed),
-                    None => Records::Wide(positioned(ints)),
-                };
-                self.sort();
-            }
-            Records::Packed(packed) => packed.words.sort_unstable(),
-            Records::Wide(ints) => ints.sort_unstable(),
-            Records::Values(values) => values.sort_unstable(),
-        }
-    }
-
-    /// Room for `total` rows in all, so that appending never grows an
-    /// array past what it will hold.
-    fn reserve_exact(&mut self, total: usize) {
-        let more = total - self.len();
-        self.rows.reserve_exact(more);
-        match &mut self.records {
-            Records::Ints(ints) => ints.reserve_exact(more),
-            Records::Values(values) => values.reserve_exact(more),
-            Records::Packed(_) | Records::Wide(_) => {}
-        }
-    }
-
-    /// The rows of `parts` as one batch, in order: positions renumbered,
-    /// and integer records widened when any part holds values. Parts
-    /// without rows are dropped.
-    fn concat(parts: Vec<Batch>) -> Batch {
-        let total: usize = parts.iter().map(Batch::len).sum();
-        let mut parts = parts.into_iter();
-        let Some(mut all) = parts.next() else {
-            unreachable!("a view is built from at least one piece")
-        };
-        for part in parts.filter(|p| p.len() > 0) {
-            if all.len() == 0 {
-                all = part;
-                continue;
-            }
-            all.reserve_exact(total);
-            let base = all.len() as u32;
-            assert!(
-                total < u32::MAX as usize,
-                "ColumnIndex holds at most u32::MAX rows"
-            );
-            all.all_int = all.all_int && part.all_int && all.width == part.width;
-            match (&mut all.records, part.records) {
-                (Records::Ints(to), Records::Ints(from)) => to.extend(from),
-                (to, from) => {
-                    if let Records::Ints(ints) = to {
-                        *to = Records::Values(widened(ints));
-                    }
-                    let from = match from {
-                        Records::Ints(ints) => widened(&ints),
-                        Records::Values(values) => values,
-                        _ => unreachable!("a pass leaves its records unsorted"),
-                    };
-                    if let Records::Values(to) = to {
-                        to.extend(from.into_iter().map(|(k, n, at)| (k, n, at + base)));
-                    }
-                }
-            }
-            all.rows.extend(part.rows);
-        }
-        all
-    }
 }
 
-/// Integer records in pass order as values, with their positions.
-fn widened(ints: &[(i64, i64)]) -> Vec<(Value, Value, u32)> {
-    let widen = |(at, &(k, n)): (usize, &(i64, i64))| (Value::Int(k), Value::Int(n), at as u32);
-    ints.iter().enumerate().map(widen).collect()
-}
-
-/// Integer records in pass order, with their positions.
-fn positioned(ints: &[(i64, i64)]) -> Vec<(i64, i64, u32)> {
-    let at = |(at, &(k, n)): (usize, &(i64, i64))| (k, n, at as u32);
-    ints.iter().enumerate().map(at).collect()
+/// Integer records from pass position `base` on, as values with their
+/// positions.
+fn widened(ints: &[(i64, i64)], base: u32) -> impl Iterator<Item = (Value, Value, u32)> + '_ {
+    (ints.iter().zip(base..)).map(|(&(k, n), at)| (Value::Int(k), Value::Int(n), at))
 }
 
 /// Where the rows of one view come from.
@@ -438,8 +349,7 @@ fn on_pool<R: Send>(pool: Option<&ThreadPool>, tasks: Vec<impl FnOnce() -> R + S
 /// The arrays a round fills on workers are allocated here, on the
 /// calling thread, and freed as soon as the next round is done with
 /// them: the build's memory comes and goes in one allocator arena, not
-/// one per worker. Only the view holds a row's cells: the cut reads them
-/// from the row.
+/// one per worker.
 pub(crate) fn build_views(
     builds: &[(Source<'_>, usize)],
     pool: Option<&ThreadPool>,
@@ -470,6 +380,12 @@ pub(crate) fn build_views(
             pieces[b].push(batch);
             (covered[b], short[b]) = (reached, cut_short);
         }
+    }
+    for pieces in &pieces {
+        assert!(
+            pieces.iter().map(Batch::len).sum::<usize>() < u32::MAX as usize,
+            "ColumnIndex holds at most u32::MAX rows"
+        );
     }
 
     // Round 2: how many rows of each piece of a split build fall in
@@ -526,9 +442,7 @@ pub(crate) fn build_views(
     for g in gathered.iter_mut() {
         let before = buckets.len();
         match g {
-            Gathered::Whole(pieces) => {
-                buckets.push(Bucket::Whole(Batch::concat(std::mem::take(pieces))));
-            }
+            Gathered::Whole(pieces) => buckets.push(Bucket::whole(std::mem::take(pieces))),
             Gathered::Split(to, split) => {
                 let words = carve(&mut to.words, to.sizes.iter().copied());
                 let rows = carve(&mut to.rows, to.sizes.iter().copied());
@@ -584,8 +498,13 @@ struct Scattered {
 
 /// What one task of the last round sorts and cuts.
 enum Bucket<'a> {
-    /// A build that was not split, gathered.
-    Whole(Batch),
+    /// A build that was not split: its pieces' rows in order, and their
+    /// records as values, numbered across the pieces.
+    Whole {
+        next: Option<usize>,
+        rows: Vec<Option<Tuple>>,
+        values: Vec<(Value, Value, u32)>,
+    },
     /// One bucket of a split build.
     Split {
         split: &'a Split,
@@ -595,46 +514,71 @@ enum Bucket<'a> {
 }
 
 impl Bucket<'_> {
+    /// The pieces of a build that is not split, gathered in order into
+    /// one bucket.
+    fn whole(pieces: Vec<Batch>) -> Self {
+        let total = pieces.iter().map(Batch::len).sum();
+        let (mut rows, mut values) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        let mut next = None;
+        for piece in pieces {
+            let base = rows.len() as u32;
+            next = next.or(piece.next);
+            match piece.records {
+                Records::Ints(ints, _) => values.extend(widened(&ints, base)),
+                Records::Values(v) => {
+                    values.extend(v.into_iter().map(|(k, n, at)| (k, n, base + at)))
+                }
+            }
+            rows.extend(piece.rows);
+        }
+        Bucket::Whole { next, rows, values }
+    }
+
     /// An empty builder with room for the bucket's rows.
     fn flat(&self) -> FlatBuilder {
         match self {
-            Bucket::Whole(batch) => FlatBuilder::of(batch),
-            Bucket::Split { split, words, .. } => {
-                FlatBuilder::new(split.width, split.next, words.len(), split.cells)
-            }
+            Bucket::Whole { next, rows, .. } => FlatBuilder::new(*next, rows.len()),
+            Bucket::Split { split, words, .. } => FlatBuilder::new(split.next, words.len()),
         }
     }
 
-    /// Sorts the bucket into view order and cuts it into `flat`.
+    /// Sorts the bucket into view order — by key, then next column,
+    /// then pass position: a total order, so the unstable sort keeps
+    /// equal rows in the order they were read — and cuts it into
+    /// `flat`.
     fn sort_and_cut(self, mut flat: FlatBuilder) -> FlatBuilder {
-        match self {
-            Bucket::Whole(batch) => flat.sort_and_cut(batch),
+        let cut = match self {
+            Bucket::Whole {
+                mut rows,
+                mut values,
+                ..
+            } => {
+                values.sort_unstable();
+                let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
+                flat.cut(records, &mut rows)
+            }
             Bucket::Split { split, words, rows } => {
                 words.sort_unstable();
-                let records = words.iter().map(|&w| split.layout.unpack(w));
-                match cut(&mut flat, records, rows) {
-                    Ok(()) => flat,
-                    Err(e) => unreachable!("the bucket is sorted before it is cut: {e}"),
-                }
+                flat.cut(words.iter().map(|&w| split.layout.unpack(w)), rows)
             }
+        };
+        match cut {
+            Ok(()) => flat,
+            Err(e) => unreachable!("the bucket is sorted before it is cut: {e}"),
         }
     }
 }
 
 /// How the pieces of an all-integer build are split: into `buckets`
-/// buckets of words packed by one [`Packed`] layout for the whole
-/// build, by the high bits of each key's offset from the build's least
-/// key — so a group never straddles two buckets.
+/// buckets of words packed by one [`Layout`] for the whole build, by
+/// the high bits of each key's offset from the build's least key — so a
+/// group never straddles two buckets.
 struct Split {
-    /// The build's layout (it holds no words).
-    layout: Packed,
+    layout: Layout,
     /// A word's bucket is `word >> shift`: its key offset's high bits.
     shift: u32,
     buckets: usize,
     next: Option<usize>,
-    width: usize,
-    /// Whether every row's fields are all integers (the view has cells).
-    cells: bool,
 }
 
 /// One piece's share of one bucket: where its scatter writes, and the
@@ -646,27 +590,19 @@ struct Region<'a> {
 }
 
 impl Split {
-    /// The split of one build's `pieces`, when there are several, every
-    /// row is all-integer and the build's records pack into words; as
-    /// many buckets as pieces, rounded up to a power of two.
+    /// The split of one build's `pieces`, when it has rows, all of them
+    /// integer records, and their spans pack into words; as many buckets
+    /// as pieces, rounded up to a power of two.
     fn of(pieces: &[Batch]) -> Option<Split> {
-        if pieces.len() < 2 {
-            return None;
-        }
-        let rows = || pieces.iter().filter(|p| p.len() > 0);
-        let first = rows().next()?;
-        let mut span: Option<Span> = None;
-        for piece in rows() {
-            let Records::Ints(ints) = &piece.records else {
+        let mut span = None;
+        for piece in pieces {
+            let Records::Ints(_, piece_span) = &piece.records else {
                 return None;
             };
-            let ((k0, n0), (k1, n1)) = span_of(ints)?;
-            span = Some(span.map_or(((k0, n0), (k1, n1)), |((a, b), (c, d))| {
-                ((a.min(k0), b.min(n0)), (c.max(k1), d.max(n1)))
-            }));
+            span = cover(span, *piece_span);
         }
         let span = span?;
-        let layout = Packed::layout(span, pieces.iter().map(Batch::len).sum())?;
+        let layout = Layout::of(span, pieces.iter().map(Batch::len).sum())?;
         let buckets = pieces.len().next_power_of_two();
         let key_bits = bits_between(span.0 .0, span.1 .0);
         Some(Split {
@@ -675,9 +611,7 @@ impl Split {
                 + key_bits.saturating_sub(buckets.trailing_zeros()),
             layout,
             buckets,
-            next: first.next,
-            width: first.width,
-            cells: rows().all(|p| p.all_int && p.width == first.width),
+            next: pieces.iter().find_map(|p| p.next),
         })
     }
 
@@ -703,10 +637,13 @@ impl Split {
     /// How many of `piece`'s rows fall in each bucket.
     fn count(&self, piece: &Batch) -> Vec<usize> {
         let mut counts = vec![0; self.buckets];
-        if let Records::Ints(ints) = &piece.records {
-            for &(k, n) in ints {
-                counts[self.bucket(self.layout.word(k, n, 0))] += 1;
+        match &piece.records {
+            Records::Ints(ints, _) if self.buckets > 1 => {
+                for &(k, n) in ints {
+                    counts[self.bucket(self.layout.word(k, n, 0))] += 1;
+                }
             }
+            _ => counts[0] = piece.len(),
         }
         counts
     }
@@ -714,7 +651,7 @@ impl Split {
     /// Moves `piece`'s rows into its `regions`, one per bucket, in pass
     /// order, each row's word numbered by its bucket position.
     fn scatter(&self, piece: Batch, mut regions: Vec<Region<'_>>) {
-        let Records::Ints(ints) = piece.records else {
+        let Records::Ints(ints, _) = piece.records else {
             return;
         };
         let mut filled = vec![0; regions.len()];
@@ -745,7 +682,7 @@ fn take(rows: &mut [Option<Tuple>], at: usize) -> Tuple {
 }
 
 /// Accumulates the flat arrays group by group — the one place the
-/// packed mirrors are decided.
+/// dense mirrors are decided.
 struct FlatBuilder {
     keys: Vec<Value>,
     starts: Vec<u32>,
@@ -753,14 +690,11 @@ struct FlatBuilder {
     int_keys: Option<Vec<i64>>,
     next: Option<usize>,
     int_next: Option<Vec<i64>>,
-    cells: Option<Vec<i64>>,
-    width: usize,
 }
 
 impl FlatBuilder {
-    /// A builder for `rows` rows of `width` fields, ordered by `next`;
-    /// `packed` when every row's fields are all integers.
-    fn new(width: usize, next: Option<usize>, rows: usize, packed: bool) -> FlatBuilder {
+    /// A builder for `rows` rows, ordered by `next`.
+    fn new(next: Option<usize>, rows: usize) -> FlatBuilder {
         FlatBuilder {
             keys: Vec::new(),
             starts: Vec::new(),
@@ -768,54 +702,42 @@ impl FlatBuilder {
             int_keys: Some(Vec::new()),
             next,
             int_next: next.map(|_| Vec::with_capacity(rows)),
-            cells: packed.then(|| Vec::with_capacity(rows * width)),
-            width,
         }
     }
 
-    /// An empty builder with room for `batch`'s rows.
-    fn of(batch: &Batch) -> FlatBuilder {
-        FlatBuilder::new(batch.width, batch.next, batch.len(), batch.all_int)
-    }
-
-    /// Sorts a batch into view order and cuts it into this empty
-    /// builder; the sort makes the cut's order check pass.
-    fn sort_and_cut(self, mut batch: Batch) -> FlatBuilder {
-        batch.sort();
-        match self.cut(batch) {
-            Ok(flat) => flat,
-            Err(e) => unreachable!("the batch is sorted before it is cut: {e}"),
-        }
-    }
-
-    /// Cuts a batch whose records are already in view order (keys
+    /// Cuts `records` — `(key, next, position)` in view order (keys
     /// ascending, each key's rows by next-column value, ties in the
-    /// order the group should keep) into groups — the one cut every
-    /// build ends in. The order is verified in release builds too (two
-    /// comparisons a row, beside the one the cut makes anyway) and a
-    /// violation comes back as a typed error instead of silently
+    /// order the group should keep), positions into `rows` — into
+    /// groups: the one cut every build ends in. `V` is `i64` for packed
+    /// words, so the common all-integer cut compares plain integers, and
+    /// [`Value`] otherwise. The order is verified in release builds too
+    /// (two comparisons a row, beside the one the cut makes anyway) and
+    /// a violation comes back as a typed error instead of silently
     /// corrupting every later seek.
-    fn cut(mut self, mut batch: Batch) -> Result<FlatBuilder> {
-        let (flat, rows) = (&mut self, &mut batch.rows[..]);
-        match batch.records {
-            Records::Ints(ints) => {
-                let records = ints.into_iter().enumerate().map(|(at, (k, n))| (k, n, at));
-                cut(flat, records, rows)
+    fn cut<V: Ord + Clone + Into<Value>>(
+        &mut self,
+        records: impl Iterator<Item = (V, V, usize)>,
+        rows: &mut [Option<Tuple>],
+    ) -> Result<()> {
+        let mut last: Option<(V, V)> = None;
+        for (i, (key, next, at)) in records.enumerate() {
+            match &last {
+                Some((k, n)) if k.cmp(&key).then(n.cmp(&next)).is_gt() => {
+                    return Err(JStarError::Other(format!(
+                        "FlatBuilder::cut: rows not in view order at position {i} \
+                         (key {:?} after {:?})",
+                        key.into(),
+                        k.clone().into()
+                    )));
+                }
+                Some((k, _)) if *k == key => {}
+                _ => self.open_group(key.clone().into()),
             }
-            Records::Wide(ints) => {
-                let records = ints.into_iter().map(|(k, n, at)| (k, n, at as usize));
-                cut(flat, records, rows)
-            }
-            Records::Packed(packed) => {
-                let records = packed.words.iter().map(|&w| packed.unpack(w));
-                cut(flat, records, rows)
-            }
-            Records::Values(values) => {
-                let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
-                cut(flat, records, rows)
-            }
-        }?;
-        Ok(self)
+            let next_int = int_of(&next.clone().into());
+            self.push(take(rows, at), next_int);
+            last = Some((key, next));
+        }
+        Ok(())
     }
 
     /// Opens the next group; `key` must exceed every key so far.
@@ -829,15 +751,11 @@ impl FlatBuilder {
     }
 
     /// Appends a row to the open group: its next-column value, when an
-    /// integer, feeds the dense mirror, and its fields the cells, when
-    /// the view has them (every row's are then all integers).
+    /// integer, feeds the dense mirror.
     fn push(&mut self, t: Tuple, next: Option<i64>) {
         match (&mut self.int_next, next) {
             (Some(dense), Some(i)) => dense.push(i),
             _ => self.int_next = None,
-        }
-        if let Some(cells) = &mut self.cells {
-            cells.extend(t.fields().iter().map(|v| int_of(v).unwrap_or(0)));
         }
         self.rows.push(t);
     }
@@ -879,9 +797,6 @@ impl FlatBuilder {
         if let Some(dense) = &mut self.int_next {
             dense.reserve_exact(more_rows);
         }
-        if let Some(cells) = &mut self.cells {
-            cells.reserve_exact(more_rows * self.width);
-        }
     }
 
     /// Appends the groups of `other`, whose every key exceeds this
@@ -903,7 +818,6 @@ impl FlatBuilder {
         }
         both(&mut self.int_keys, other.int_keys);
         both(&mut self.int_next, other.int_next);
-        both(&mut self.cells, other.cells);
     }
 
     fn finish(mut self) -> ColumnIndex {
@@ -924,26 +838,23 @@ impl FlatBuilder {
             int_keys: self.int_keys.map(Vec::into_boxed_slice),
             next: self.next,
             int_next: self.int_next.map(Vec::into_boxed_slice),
-            cells: self.cells.map(Vec::into_boxed_slice),
-            width: self.width,
         }
     }
 }
 
 impl ColumnIndex {
     /// Heap bytes this view owns, for the cache's byte-bounded LRU: the
-    /// six arrays at their capacities. A row is a handle — the tuple
+    /// five arrays at their capacities. A row is a handle — the tuple
     /// payload belongs to the store (and a `Str` key's text to its
     /// tuple), so neither is charged here.
     pub(crate) fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let packed = |p: &Option<Box<[i64]>>| p.as_ref().map_or(0, |b| b.len() * size_of::<i64>());
+        let dense = |d: &Option<Box<[i64]>>| d.as_ref().map_or(0, |b| b.len() * size_of::<i64>());
         self.keys.capacity() * size_of::<Value>()
             + self.starts.capacity() * size_of::<u32>()
             + self.rows.capacity() * size_of::<Tuple>()
-            + packed(&self.int_keys)
-            + packed(&self.int_next)
-            + packed(&self.cells)
+            + dense(&self.int_keys)
+            + dense(&self.int_next)
     }
 
     /// Number of distinct values.
@@ -970,13 +881,6 @@ impl ColumnIndex {
         self.starts[g] as usize..self.starts[g + 1] as usize
     }
 
-    /// The packed fields of row `r`, when the view has them.
-    pub(super) fn cells_of(&self, r: usize) -> Option<&[i64]> {
-        self.cells
-            .as_deref()
-            .map(|c| &c[r * self.width..(r + 1) * self.width])
-    }
-
     /// The key at group position `g` as a seek target.
     pub(super) fn key_at(&self, g: usize) -> Key<'_> {
         match &self.int_keys {
@@ -998,43 +902,8 @@ impl ColumnIndex {
 
     /// True when group position `g` exists and its key equals `target`.
     pub(super) fn key_is(&self, g: usize, target: Key<'_>) -> bool {
-        match (target, &self.int_keys) {
-            (Key::Int(i), Some(dense)) => dense.get(g) == Some(&i),
-            (Key::Int(i), None) => matches!(self.keys.get(g), Some(Value::Int(k)) if *k == i),
-            (Key::Val(v), _) => self.keys.get(g) == Some(v),
-        }
+        g < self.len() && self.key_at(g) == target
     }
-}
-
-/// Cuts `records` — `(key, next, position)` in view order, positions
-/// into `rows` — into `flat`'s groups, checking the order
-/// as it goes (see [`FlatBuilder::cut`]). `V` is `i64` for
-/// integer records, so the common all-integer cut compares plain
-/// integers, and [`Value`] otherwise.
-fn cut<V: Ord + Clone + Into<Value>>(
-    flat: &mut FlatBuilder,
-    records: impl Iterator<Item = (V, V, usize)>,
-    rows: &mut [Option<Tuple>],
-) -> Result<()> {
-    let mut last: Option<(V, V)> = None;
-    for (i, (key, next, at)) in records.enumerate() {
-        match &last {
-            Some((k, n)) if k.cmp(&key).then(n.cmp(&next)).is_gt() => {
-                return Err(JStarError::Other(format!(
-                    "FlatBuilder::cut: rows not in view order at position {i} \
-                     (key {:?} after {:?})",
-                    key.into(),
-                    k.clone().into()
-                )));
-            }
-            Some((k, _)) if *k == key => {}
-            _ => flat.open_group(key.clone().into()),
-        }
-        let next_int = int_of(&next.clone().into());
-        flat.push(take(rows, at), next_int);
-        last = Some((key, next));
-    }
-    Ok(())
 }
 
 /// The one search routine behind every seek, on either key
@@ -1319,22 +1188,16 @@ pub(super) mod tests {
         assert_eq!(idx.int_next.as_deref(), Some(&[1, 4, 3, 0, 2, 2][..]));
         let ids: Vec<i64> = idx.rows.iter().map(|t| t.int(2)).collect();
         assert_eq!(ids, [4, 1, 3, 2, 0, 5]);
-        assert_eq!(
-            idx.cells.as_deref().map(|c| &c[..6]),
-            Some(&[1, 1, 4, 1, 4, 1][..]),
-            "row-major fields, rows in view order"
-        );
-        assert_eq!(idx.cells_of(4), Some(&[5, 2, 0][..]));
         // A view keyed on a later column is ordered by column 0.
         assert_eq!(view_of(2, &idx.rows).next, Some(0));
 
-        // One string payload anywhere: no cells, dense keys and the
-        // dense next column stay.
+        // One string payload anywhere: the dense keys and the dense
+        // next column stay.
         let mixed = index_of(vec![
             vec![Value::Int(2), Value::Int(0), Value::Int(0)],
             vec![Value::Int(1), Value::Int(0), Value::str("x")],
         ]);
-        assert!(mixed.int_keys.is_some() && mixed.int_next.is_some() && mixed.cells.is_none());
+        assert!(mixed.int_keys.is_some() && mixed.int_next.is_some());
         // A string next column: groups still ascend by it, unmirrored.
         let text = index_of(
             ["b", "a", "c"]
@@ -1342,78 +1205,70 @@ pub(super) mod tests {
                 .map(|s| vec![Value::Int(0), Value::str(s.to_string())])
                 .collect(),
         );
-        assert!(text.int_next.is_none() && text.cells.is_none());
+        assert!(text.int_next.is_none());
         let order: Vec<&Value> = text.rows.iter().map(|t| t.get(1)).collect();
         assert_eq!(
             order,
             ["a", "b", "c"].map(Value::str).iter().collect::<Vec<_>>()
         );
-        // One non-integer key: no dense keys (and so no cells either);
-        // one-field rows have no next column.
+        // One non-integer key: no dense keys; one-field rows have no
+        // next column.
         let generic = index_of(vec![vec![Value::Int(2)], vec![Value::Double(0.5)]]);
-        assert!(generic.int_keys.is_none() && generic.cells.is_none());
+        assert!(generic.int_keys.is_none());
         assert!(generic.next.is_none() && generic.int_next.is_none());
         assert_eq!(generic.keys, [Value::Int(2), Value::Double(0.5)]);
     }
 
-    /// A batch of `rows`, unsorted, keyed on column 0.
-    fn batch(rows: &[Tuple]) -> Batch {
-        let mut batch = Batch::new(0, rows.len());
-        rows.iter().for_each(|t| batch.push(t));
-        batch
-    }
-
-    /// Cuts a batch already in view order.
-    fn cut_sorted(batch: Batch) -> Result<FlatBuilder> {
-        FlatBuilder::of(&batch).cut(batch)
+    /// Cuts two-field rows as they come, keyed on column 0.
+    fn cut_as_read(rows: &[Tuple]) -> Result<()> {
+        let records =
+            (rows.iter().enumerate()).map(|(at, t)| (t.get(0).clone(), t.get(1).clone(), at));
+        let mut handles: Vec<Option<Tuple>> = rows.iter().cloned().map(Some).collect();
+        FlatBuilder::new(Some(1), rows.len()).cut(records, &mut handles)
     }
 
     #[test]
     fn cut_rejects_rows_out_of_view_order() {
         let t = |k: i64, n: i64| Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n)]);
-        assert!(cut_sorted(batch(&[t(1, 0), t(1, 0), t(2, 0)])).is_ok());
-        let err = cut_sorted(batch(&[t(1, 0), t(3, 0), t(2, 0)]));
+        assert!(cut_as_read(&[t(1, 0), t(1, 0), t(2, 0)]).is_ok());
+        let err = cut_as_read(&[t(1, 0), t(3, 0), t(2, 0)]);
         assert!(matches!(err, Err(JStarError::Other(m)) if m.contains("position 2")));
         // Inside a group the next column must ascend too.
-        let err = cut_sorted(batch(&[t(1, 0), t(2, 5), t(2, 4)]));
+        let err = cut_as_read(&[t(1, 0), t(2, 5), t(2, 4)]);
         assert!(matches!(err, Err(JStarError::Other(m)) if m.contains("position 2")));
     }
 
     #[test]
-    fn packed_words_cut_like_the_integer_records() {
-        // Negative, repeated and spread keys and next values: sorted as
-        // packed words or as plain `(key, next, position)` records, the
-        // batch cuts into the same view.
+    fn one_piece_builds_order_rows_like_a_stable_sort() {
+        // Two builds without a pool, each checked against a stable sort
+        // of its rows by (key, next): negative, repeated and spread keys
+        // and next values, which pack (one bucket of words), and spans
+        // wider than 64 bits together, which do not (built as values).
         let t = |k: i64, n: i64| Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n)]);
-        let rows: Vec<Tuple> = (0..40i64)
+        let spread: Vec<Tuple> = (0..40i64)
             .map(|i| t((i * 7919) % 13 - 6, (i * 104_729) % 1000 - 500))
             .collect();
-        let mut packed = batch(&rows);
-        packed.sort();
-        assert!(matches!(packed.records, Records::Packed(_)));
-        let mut plain = batch(&rows);
-        let Records::Ints(ints) = &plain.records else {
-            panic!("an all-integer batch packs integer records")
-        };
-        let mut ints = positioned(ints);
-        ints.sort_unstable();
-        plain.records = Records::Wide(ints);
-        let packed = cut_sorted(packed).map(FlatBuilder::finish).ok();
-        assert!(packed.is_some(), "packed words sort into view order");
-        assert_eq!(packed, cut_sorted(plain).map(FlatBuilder::finish).ok());
-        // Spans wider than 64 bits together sort as plain records.
-        let mut wide = batch(&[t(i64::MAX, 0), t(i64::MIN, 1), t(0, i64::MIN)]);
-        wide.sort();
-        assert!(matches!(wide.records, Records::Wide(_)));
-        let wide = cut_sorted(wide).map(|v| v.keys);
-        assert_eq!(
-            wide.ok(),
-            Some(vec![
-                Value::Int(i64::MIN),
-                Value::Int(0),
-                Value::Int(i64::MAX)
-            ])
-        );
+        let wide = vec![
+            t(i64::MAX, 0),
+            t(i64::MIN, 1),
+            t(0, i64::MIN),
+            t(i64::MIN, i64::MAX),
+            t(i64::MAX, 0),
+        ];
+        for (rows, packs) in [(spread, true), (wide, false)] {
+            let mut piece = Batch::new(0, rows.len());
+            rows.iter().for_each(|t| piece.push(t));
+            let split = Split::of(std::slice::from_ref(&piece));
+            assert_eq!(split.map(|s| s.buckets), packs.then_some(1));
+            let view = view_of(0, &rows);
+            let mut sorted = rows.clone();
+            sorted.sort_by_key(|t| (t.int(0), t.int(1)));
+            assert_eq!(view.rows, sorted, "packs={packs}");
+            let keys: Vec<i64> = view.keys.iter().map(|k| int_of(k).unwrap_or(0)).collect();
+            assert_eq!(view.int_keys.as_deref(), Some(&keys[..]));
+            let next: Vec<i64> = sorted.iter().map(|t| t.int(1)).collect();
+            assert_eq!(view.int_next.as_deref(), Some(&next[..]));
+        }
     }
 
     #[test]
@@ -1468,11 +1323,6 @@ pub(super) mod tests {
                 let st = cache.stats();
                 assert_eq!((st.misses, st.hits), (2, 0), "{case}");
                 assert_eq!(st.build_tuples, (cached.rows.len() + all.len()) as u64);
-                assert_eq!(
-                    rebuilt.cells.is_some(),
-                    !(unpacked_in_old || unpacked_in_new),
-                    "cells only when both batches are all-integer"
-                );
                 assert!(rebuilt.int_next.is_some());
                 assert_eq!(rebuilt.approx_bytes(), both.approx_bytes());
             }
@@ -1494,9 +1344,9 @@ pub(super) mod tests {
     /// the row, so every tie shows in the view's row order.
     ///
     /// Kinds: all-`Int` and packable (split into buckets); all-`Int`
-    /// with spans wider than 64 bits (one bucket, unpacked); a `Str`
+    /// with spans wider than 64 bits (one bucket of values); a `Str`
     /// next column and a `Double` key (value records, one bucket); and
-    /// packable keys with a `Str` payload (split, no cells).
+    /// packable keys with a `Str` payload (split).
     fn pooled_case_rows(kind: usize, n: usize, keys: i64, seed: u64) -> Vec<Tuple> {
         let mut state = seed | 1;
         let mut draw = move |bound: i64| {
@@ -1593,15 +1443,15 @@ pub(super) mod tests {
 
     #[test]
     fn approx_bytes_counts_exactly_the_arrays_the_view_owns() {
-        // 3 groups, 5 rows of 2 integer fields: dense keys and cells.
+        // 3 groups, 5 rows of 2 integer fields: the three flat arrays,
+        // the dense keys and the dense next column.
         let packed = index(&[1, 1, 2, 3, 3]);
         let handles = 5 * std::mem::size_of::<Tuple>();
         let keys = 3 * std::mem::size_of::<Value>();
         let starts = 4 * 4;
-        // Dense keys, the dense next column, and the cells.
         assert_eq!(
             packed.approx_bytes(),
-            keys + starts + handles + 3 * 8 + 5 * 8 + 5 * 2 * 8
+            keys + starts + handles + 3 * 8 + 5 * 8
         );
         // String keys: neither mirror exists, and the text is the tuple's.
         let generic = index_of(

@@ -14,6 +14,15 @@
 //! them), filters the matched group on its residual equalities and its
 //! inequalities, and recurses.
 //!
+//! **How a pair reads a field.** A row carries what its view holds
+//! densely for it: its group's key (from `int_keys`, keyed on the field
+//! stage 0 seeks by for the root, on the probe field of its first pair
+//! for a stage) and its next-column value (from `int_next`). A pair or
+//! a root check that names one of those two fields compares the
+//! integers; any other field, and any field a view does not mirror (a
+//! `Str` or `Double` key or next column), is read from the tuple. Both
+//! sides compare under [`crate::value::Value`]'s order.
+//!
 //! **Seeks inside a group.** A view's groups are ordered by their
 //! rows' next column (the first field other than the key). When that
 //! column is all-integer and a stage has a residual equality on it, the
@@ -30,10 +39,7 @@
 //! a **root check** (two fields of row 0) before a root row is pushed;
 //! a stage's inequality beside that stage's residual equalities. A
 //! candidate failing one is never pushed, so no later stage seeks for
-//! it. Residual equalities and inequalities read the views' packed
-//! cells when both rows have them and the tuples otherwise, and compare
-//! under [`crate::value::Value`]'s order; the tuple handle itself is
-//! only borrowed for a surviving row.
+//! it; the tuple handle itself is only borrowed for a surviving row.
 //!
 //! Per row combination the walk clones no tuple, clones no value and
 //! allocates nothing: rows are borrowed into one stack that is pushed
@@ -41,7 +47,6 @@
 
 use super::cursor::{seek_sorted, ColumnIndex, Key};
 use crate::tuple::Tuple;
-use crate::value::Value;
 use jstar_pool::ThreadPool;
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -65,6 +70,8 @@ enum Within {
 pub(crate) struct Stage<'a> {
     /// The stage's view, opened on the probe column of its first pair.
     index: &'a ColumnIndex,
+    /// That probe column: the field the view's keys hold.
+    field: usize,
     /// `(row, field)` whose value the stage seeks.
     seek: (usize, usize),
     /// Every further key pair, checked for equality inside the matched
@@ -92,10 +99,38 @@ impl<'a> Stage<'a> {
             .or_else(|| on_next(less).map(Within::Above));
         Stage {
             index,
+            field: keys[0].1,
             seek: keys[0].0,
             residuals,
             less,
             within,
+        }
+    }
+}
+
+/// What a view holds densely for one of its rows: its group's key and
+/// its next-column value, each with the field it is.
+#[derive(Clone, Copy)]
+struct Dense {
+    key: Option<(usize, i64)>,
+    next: Option<(usize, i64)>,
+}
+
+impl Dense {
+    /// Row `r`, of group `g`, of `view` keyed on `field`.
+    fn of(view: &ColumnIndex, field: usize, g: usize, r: usize) -> Dense {
+        Dense {
+            key: view.int_keys.as_ref().map(|keys| (field, keys[g])),
+            next: view.next.zip(view.int_next.as_ref().map(|next| next[r])),
+        }
+    }
+
+    /// Field `field` of `tuple`, the row this was taken for.
+    fn get<'t>(&self, tuple: &'t Tuple, field: usize) -> Key<'t> {
+        match (self.key, self.next) {
+            (Some((f, key)), _) if f == field => Key::Int(key),
+            (_, Some((f, next))) if f == field => Key::Int(next),
+            _ => Key::of(tuple.get(field)),
         }
     }
 }
@@ -123,8 +158,8 @@ struct Walker<'a, 's, F> {
     /// Each stage's last in-group seek, for resuming.
     in_group: Vec<Option<InGroup>>,
     rows: Vec<&'a Tuple>,
-    /// `cells[i]` is the packed copy of `rows[i]`, when its view has one.
-    cells: Vec<Option<&'a [i64]>>,
+    /// `dense[i]` is what `rows[i]`'s view holds densely for it.
+    dense: Vec<Dense>,
     seeks: u64,
     visit: F,
 }
@@ -132,31 +167,25 @@ struct Walker<'a, 's, F> {
 impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
     /// Walks root row `tuple` through every stage, if it passes the
     /// root checks.
-    fn root(&mut self, tuple: &'a Tuple, cells: Option<&'a [i64]>) {
-        let below = |&(lo, hi): &(usize, usize)| match cells {
-            Some(c) => c[lo] < c[hi],
-            None => tuple.get(lo) < tuple.get(hi),
-        };
+    fn root(&mut self, tuple: &'a Tuple, dense: Dense) {
+        let below = |&(lo, hi): &(usize, usize)| dense.get(tuple, lo) < dense.get(tuple, hi);
         if self.root_less.iter().all(below) {
-            self.with_row(tuple, cells, 0);
+            self.with_row(tuple, dense, 0);
         }
     }
 
     /// Pushes one matched row, walks stages `k..`, pops it.
-    fn with_row(&mut self, tuple: &'a Tuple, cells: Option<&'a [i64]>, k: usize) {
+    fn with_row(&mut self, tuple: &'a Tuple, dense: Dense, k: usize) {
         self.rows.push(tuple);
-        self.cells.push(cells);
+        self.dense.push(dense);
         self.descend(k);
         self.rows.pop();
-        self.cells.pop();
+        self.dense.pop();
     }
 
-    /// Field `field` of matched row `row` as a seek target.
-    fn key(&self, (row, field): (usize, usize)) -> Key<'a> {
-        match self.cells[row] {
-            Some(cells) => Key::Int(cells[field]),
-            None => Key::of(self.rows[row].get(field)),
-        }
+    /// Field `field` of matched row `row`.
+    fn field(&self, (row, field): (usize, usize)) -> Key<'a> {
+        self.dense[row].get(self.rows[row], field)
     }
 
     fn descend(&mut self, k: usize) {
@@ -165,7 +194,7 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
             return;
         };
         let index = stage.index;
-        let key = self.key(stage.seek);
+        let key = self.field(stage.seek);
         if index.seek_from(&mut self.pos[k], key) {
             self.seeks += 1;
         }
@@ -175,13 +204,15 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
         let Some(range) = self.narrow(k) else {
             return;
         };
+        let g = self.pos[k];
         for r in range {
-            let (tuple, cells) = (&index.rows[r], index.cells_of(r));
+            let (tuple, dense) = (&index.rows[r], Dense::of(index, stage.field, g, r));
             let holds = |pairs: &[Pair], want| {
-                (pairs.iter()).all(|&(source, f)| self.cmp(source, tuple, cells, f) == want)
+                (pairs.iter())
+                    .all(|&(source, f)| self.field(source).cmp(&dense.get(tuple, f)) == want)
             };
             if holds(stage.residuals, Ordering::Equal) && holds(stage.less, Ordering::Less) {
-                self.with_row(tuple, cells, k + 1);
+                self.with_row(tuple, dense, k + 1);
             }
         }
     }
@@ -200,7 +231,7 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
             Within::Equal(source) => (source, true),
             Within::Above(source) => (source, false),
         };
-        let Key::Int(v) = self.key(source) else {
+        let Key::Int(v) = self.field(source) else {
             return Some(range);
         };
         // Above `v` is at or past `v + 1`; nothing is above `i64::MAX`.
@@ -234,23 +265,6 @@ impl<'a, F: FnMut(&[&Tuple])> Walker<'a, '_, F> {
         });
         Some(row..end)
     }
-
-    /// `rows[row].field` against `candidate.probe_field` under
-    /// [`Value`]'s order, through whichever packed cells exist.
-    fn cmp(
-        &self,
-        (row, field): (usize, usize),
-        candidate: &Tuple,
-        cells: Option<&[i64]>,
-        probe_field: usize,
-    ) -> Ordering {
-        match (self.cells[row], cells) {
-            (Some(s), Some(c)) => s[field].cmp(&c[probe_field]),
-            (Some(s), None) => Value::Int(s[field]).cmp(candidate.get(probe_field)),
-            (None, Some(c)) => self.rows[row].get(field).cmp(&Value::Int(c[probe_field])),
-            (None, None) => self.rows[row].get(field).cmp(candidate.get(probe_field)),
-        }
-    }
 }
 
 /// Walks the whole root view as one piece on the calling thread,
@@ -283,11 +297,11 @@ fn walk_range<'a>(
         pos: vec![0; stages.len()],
         in_group: vec![None; stages.len()],
         rows: Vec::with_capacity(stages.len() + 1),
-        cells: Vec::with_capacity(stages.len() + 1),
+        dense: Vec::with_capacity(stages.len() + 1),
         seeks: 0,
         visit,
     };
-    let b = stages[0].index;
+    let (b, field) = (stages[0].index, stages[0].seek.1);
     // The group holding the first row.
     let mut g = (a.starts.partition_point(|&s| s as usize <= rows.start)).saturating_sub(1);
     while g < a.len() && a.group_range(g).start < rows.end {
@@ -301,7 +315,7 @@ fn walk_range<'a>(
         if b.key_is(w.pos[0], key) {
             let group = a.group_range(g);
             for r in group.start.max(rows.start)..group.end.min(rows.end) {
-                w.root(&a.rows[r], a.cells_of(r));
+                w.root(&a.rows[r], Dense::of(a, field, g, r));
             }
             g += 1;
             w.pos[0] += 1;
@@ -691,76 +705,88 @@ mod tests {
         }
     }
 
-    /// Small fixed joins through every residual arm (packed against
-    /// packed, packed against a tuple, tuple against tuple), each arm
-    /// carrying a residual equality and an inequality, with a root check
-    /// — the sequential companion of the property test, cheap enough for
-    /// the Miri job. `a.1 < b.1` and `a.1 = c.1` name the next column of
-    /// their stage's view, so both stages seek inside their groups.
+    /// Small fixed joins whose residual equality and inequality name
+    /// the candidate's key column, then its next column (both read as
+    /// dense integers), then a third column (read from the tuple), with
+    /// a root check of a third against a next column — each over
+    /// all-integer relations and over relations with a `Str` payload:
+    /// the sequential companion of the property test, cheap enough for
+    /// the Miri job. Sources are read from an earlier row's key, next
+    /// and third columns alike; on the next column the residual seeks
+    /// inside the matched group.
     #[test]
     fn each_residual_path_matches_nested_loops() {
-        // The fourth field joins nothing; as a string it only keeps a
-        // relation's view from packing its cells.
-        let rel = |rows: &[[i64; 3]], packed: bool| -> Vec<Tuple> {
-            (rows.iter())
-                .map(|r| {
-                    let mut fields = r.map(Value::Int).to_vec();
-                    fields.push(if packed {
-                        Value::Int(0)
-                    } else {
+        // Rows `[key, next, third, payload]` drawn from a few small
+        // values and both extremes; the payload joins nothing.
+        let rel = |seed: u64, payload: bool| -> Vec<Tuple> {
+            let mut state = seed;
+            let mut draw = move || {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                [0, 1, 2, 0, 1, 2, i64::MIN, i64::MAX][(state >> 61) as usize]
+            };
+            (0..12)
+                .map(|_| {
+                    let mut fields: Vec<Value> = (0..3).map(|_| Value::Int(draw())).collect();
+                    fields.push(if payload {
                         Value::str("p")
+                    } else {
+                        Value::Int(0)
                     });
                     Tuple::new(TableId(0), fields)
                 })
                 .collect()
         };
-        let a = [[1, 2, 0], [1, 3, 1], [4, 2, 0], [i64::MAX, 2, 1], [5, 2, 0]];
-        let b = [
-            [2, 1, 0],
-            [2, 4, 1],
-            [3, 1, 1],
-            [2, i64::MAX, 1],
-            [9, 9, 0],
-            [2, 3, 0],
-        ];
-        let c = [
-            [1, 2, 0],
-            [4, 2, 1],
-            [i64::MAX, 2, 1],
-            [4, 3, 1],
-            [1, 2, 0],
-            [3, 2, 0],
-        ];
-        // a.1 = b.0, a.2 = b.2; then b.1 = c.0, a.1 = c.1, a.2 = c.2.
-        let keys: Vec<Vec<Pair>> = vec![
-            vec![((0, 1), 0), ((0, 2), 2)],
-            vec![((1, 1), 0), ((0, 1), 1), ((0, 2), 2)],
-        ];
-        // a.1 < a.0 at the root, a.1 < b.1, then b.0 < c.0: each prunes
-        // rows the others keep (11 combinations without them, 4 with).
-        let (root_less, less) = (vec![(1, 0)], vec![vec![((0, 1), 1)], vec![((1, 0), 0)]]);
-        for unpacked in 0..8usize {
-            let packed = |bit: usize| unpacked >> bit & 1 == 0;
-            let c = Case {
-                rels: vec![rel(&a, packed(0)), rel(&b, packed(1)), rel(&c, packed(2))],
-                keys: keys.clone(),
-                less: less.clone(),
-                root_less: root_less.clone(),
-            };
-            let mut want = Vec::new();
-            nested_loops(&c, &mut Vec::new(), &mut want);
-            want.sort();
-            let mut got = c.with_walk(|root, stages| {
-                let mut got = Vec::new();
-                let seeks = walk(root, &c.root_less, stages, |rows| got.push(collect(rows)));
-                let (reference, reference_seeks) = reference_walk(&c);
-                assert_eq!(got, reference, "unpacked={unpacked:03b}");
-                assert_eq!(seeks, reference_seeks, "unpacked={unpacked:03b}");
-                got
-            });
-            got.sort();
-            assert_eq!(got, want, "unpacked={unpacked:03b}");
-            assert_eq!(want.len(), 4, "the fixture must have rows to find");
+        // Per target column, the seed of its first relation: each finds
+        // rows, and fewer with the inequalities than without.
+        for (field, seed) in [88, 5, 10].into_iter().enumerate() {
+            // a.0 = b.0, a.1 = b.field, a.2 < b.field; then c.0 = b.1,
+            // b.2 = c.field, b.0 < c.field. Every view is keyed on
+            // column 0 and ordered by column 1.
+            let keys: Vec<Vec<Pair>> = vec![
+                vec![((0, 0), 0), ((0, 1), field)],
+                vec![((1, 1), 0), ((1, 2), field)],
+            ];
+            let less = vec![vec![((0, 2), field)], vec![((1, 0), field)]];
+            for payload in 0..8usize {
+                let str_in = |bit: usize| payload >> bit & 1 == 1;
+                let c = Case {
+                    rels: (0..3).map(|i| rel(seed + i as u64, str_in(i))).collect(),
+                    keys: keys.clone(),
+                    less: less.clone(),
+                    root_less: vec![(2, 1)],
+                };
+                let mut want = Vec::new();
+                nested_loops(&c, &mut Vec::new(), &mut want);
+                want.sort();
+                let case = format!("field {field}, str payload {payload:03b}");
+                let mut got = c.with_walk(|root, stages| {
+                    let mut got = Vec::new();
+                    let seeks = walk(root, &c.root_less, stages, |rows| got.push(collect(rows)));
+                    let (reference, reference_seeks) = reference_walk(&c);
+                    assert_eq!(got, reference, "{case}");
+                    assert_eq!(seeks, reference_seeks, "{case}");
+                    got
+                });
+                got.sort();
+                assert_eq!(got, want, "{case}");
+                assert!(
+                    !want.is_empty(),
+                    "{case}: the fixture must have rows to find"
+                );
+                let mut unbounded = Vec::new();
+                let c = Case {
+                    less: vec![Vec::new(); 2],
+                    root_less: Vec::new(),
+                    ..c
+                };
+                nested_loops(&c, &mut Vec::new(), &mut unbounded);
+                assert!(
+                    want.len() < unbounded.len(),
+                    "{case}: the inequalities prune"
+                );
+            }
         }
     }
 

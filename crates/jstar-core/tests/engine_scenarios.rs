@@ -828,3 +828,125 @@ fn staged_puts_are_checked_at_the_put() {
         );
     }
 }
+
+// ── A rule that panics, and the pool it ran on ──────────────────────────
+
+/// The tuple numbered 13 is the one a panicking rule panics on.
+const UNLUCKY: i64 = 13;
+
+/// One 64-wide `par` class whose rule puts `Out(i)`: forked on a pool.
+/// Its rule panics on the unlucky tuple when `panics`.
+fn forked_class_program(panics: bool) -> (Arc<Program>, Option<TableId>) {
+    let mut p = ProgramBuilder::new();
+    let t = p.table("T", |b| b.col_int("i").orderby(&[strat("T"), par("i")]));
+    let out = p.table("Out", |b| b.col_int("i").orderby(&[strat("Out")]));
+    p.order(&["T", "Out"]);
+    p.rule("fork", t, move |ctx, tr| {
+        assert!(!(panics && tr.int(0) == UNLUCKY), "a rule panicked");
+        ctx.put(Tuple::new(out, vec![Value::Int(tr.int(0))]));
+    });
+    (0..64).for_each(|i| p.put(Tuple::new(t, vec![Value::Int(i)])));
+    (Arc::new(p.build().unwrap()), None)
+}
+
+/// A 4-wide `par` class of `Src(k)`, each putting 250 `-noDelta` `A`
+/// rows; `A`'s rule, fired as a staging slot flushes, panics on the
+/// unlucky tuple when `panics`.
+fn no_delta_flush_program(panics: bool) -> (Arc<Program>, Option<TableId>) {
+    let mut p = ProgramBuilder::new();
+    let src = p.table("Src", |b| b.col_int("k").orderby(&[strat("S"), par("k")]));
+    let a = p.table("A", |b| b.col_int("i").orderby(&[strat("A")]));
+    let bt = p.table("B", |b| b.col_int("i").orderby(&[strat("B")]));
+    p.order(&["S", "A", "B"]);
+    p.rule("fan", src, move |ctx, t| {
+        let k = t.int(0);
+        (k * 250..(k + 1) * 250).for_each(|i| ctx.put(Tuple::new(a, vec![Value::Int(i)])));
+    });
+    p.rule("flush", a, move |ctx, t| {
+        assert!(!(panics && t.int(0) == UNLUCKY), "a rule panicked");
+        ctx.put(Tuple::new(bt, vec![Value::Int(t.int(0) * 3)]));
+    });
+    (0..4).for_each(|k| p.put(Tuple::new(src, vec![Value::Int(k)])));
+    (Arc::new(p.build().unwrap()), Some(a))
+}
+
+/// A 40-wide `Wave` class joined with 40 `Lit` rows; the join rule's
+/// emit panics on the unlucky row when `panics`.
+fn join_walk_program(panics: bool) -> (Arc<Program>, Option<TableId>) {
+    let mut p = ProgramBuilder::new();
+    p.relation::<Wave>();
+    p.relation::<Lit>();
+    p.relation::<Hit>();
+    p.order(&["Lit", "Wave"]);
+    p.order(&["Int", "Hit"]);
+    p.rule_rel_join(
+        "walk",
+        join::<Wave, Lit>().on(Wave::id, Lit::id),
+        move |ctx, (w, l)| {
+            assert!(!(panics && w.id == UNLUCKY), "a rule panicked");
+            ctx.put_rel(Hit {
+                round: w.round,
+                id: l.id,
+            })
+        },
+    );
+    (0..40).for_each(|id| p.put_rel(Lit { id, round: 0 }));
+    (0..40).for_each(|id| p.put_rel(Wave { round: 1, id }));
+    (Arc::new(p.build().unwrap()), None)
+}
+
+/// A rule panicking in a forked class, in a `-noDelta` flush or in a
+/// join rule's walk unwinds out of `Engine::run` at 1, 2 and 4 threads,
+/// and leaves the pool it ran on usable: a second engine sharing that
+/// pool (through `EngineConfig::pool`) runs the same program without
+/// the panic to the sequential engine's content, within a minute.
+#[test]
+fn a_shared_pool_runs_the_next_program_after_a_rule_panics() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+    use std::time::Duration;
+    type Build = fn(bool) -> (Arc<Program>, Option<TableId>);
+    let scenarios: [(&str, Build); 3] = [
+        ("forked class", forked_class_program),
+        ("-noDelta flush", no_delta_flush_program),
+        ("join walk", join_walk_program),
+    ];
+    for (name, build) in scenarios {
+        let (prog, no_delta) = build(false);
+        let flags = move |c: EngineConfig| match no_delta {
+            Some(t) => c.no_delta(t),
+            None => c,
+        };
+        let mut sequential = Engine::new(Arc::clone(&prog), flags(EngineConfig::sequential()));
+        sequential.run().unwrap();
+        let want = sequential.content_hash();
+        for threads in [1, 2, 4] {
+            let pool = Arc::new(jstar_pool::ThreadPool::new(threads));
+            let shared = |pool: &Arc<jstar_pool::ThreadPool>| EngineConfig {
+                pool: Some(Arc::clone(pool)),
+                ..flags(EngineConfig::parallel(threads))
+            };
+            let mut engine = Engine::new(build(true).0, shared(&pool));
+            let run = catch_unwind(AssertUnwindSafe(|| engine.run()));
+            assert!(
+                run.is_err(),
+                "{name} at {threads} threads: the panic unwinds"
+            );
+            drop(engine);
+
+            // On its own thread, so that a hang fails the test instead
+            // of stalling the suite.
+            let (done, finished) = mpsc::channel();
+            let (prog, config) = (Arc::clone(&prog), shared(&pool));
+            let next = std::thread::spawn(move || {
+                let mut engine = Engine::new(prog, config);
+                let run = engine.run().map(|_| engine.content_hash());
+                let _ = done.send(run.map_err(|e| e.to_string()));
+            });
+            let hash = finished.recv_timeout(Duration::from_secs(60));
+            let hash = hash.unwrap_or_else(|e| panic!("{name} at {threads} threads: {e}"));
+            assert_eq!(hash, Ok(want), "{name} at {threads} threads");
+            assert!(next.join().is_ok());
+        }
+    }
+}

@@ -21,9 +21,6 @@
 //! A [`SHIM_MANDATED`] entry that names no file is itself a finding
 //! (**`stale-entry`**): an entry that guards nothing would otherwise
 //! outlive the file it was written for without a word.
-//! So is a line of [`MIRI_SKIP`] that is a substring of no `fn` name
-//! under [`FN_ROOTS`]: Miri matches it against test names, and one that
-//! matches none skips nothing.
 //!
 //! Any rule is waivable at a specific site with
 //! `// lint: allow(RULE): reason` on the line or within the three lines
@@ -82,13 +79,6 @@ pub const SHIM_MANDATED: &[&str] = &[
     "crates/jstar-pool/src/pool.rs",
     "crates/jstar-pool/src/scope.rs",
 ];
-
-/// The Miri job's skip list: one test-name substring per line, blank
-/// lines and `#` comments ignored.
-pub const MIRI_SKIP: &str = "ci/miri-skip.txt";
-
-/// Where the tests a [`MIRI_SKIP`] line may name are declared.
-pub const FN_ROOTS: &[&str] = &["crates/", "src/", "tests/"];
 
 /// Directories whose non-test code is a hot path (**R3**).
 const HOT_PATHS: &[&str] = &[
@@ -511,48 +501,13 @@ fn stale_entries(exists: impl Fn(&str) -> bool) -> Vec<Finding> {
         .collect()
 }
 
-/// The names of the `fn` items declared in `src`. Only the code channel
-/// is read, so a `fn` in a comment or a string declares nothing.
-fn fn_names(src: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for line in lex(src) {
-        let words: Vec<&str> = line.code.split_whitespace().collect();
-        for pair in words.windows(2).filter(|pair| pair[0] == "fn") {
-            let name = pair[1]
-                .chars()
-                .take_while(|c| c.is_alphanumeric() || *c == '_');
-            names.push(name.collect());
-        }
-    }
-    names
-}
-
-/// The lines of `list` (a [`MIRI_SKIP`] file) that are a substring of
-/// none of `fns`.
-fn stale_miri_skips(list: &str, fns: &[String]) -> Vec<Finding> {
-    list.lines()
-        .enumerate()
-        .map(|(i, line)| (i + 1, line.trim()))
-        .filter(|(_, entry)| !entry.is_empty() && !entry.starts_with('#'))
-        .filter(|(_, entry)| !fns.iter().any(|name| name.contains(entry)))
-        .map(|(line, entry)| Finding {
-            file: MIRI_SKIP.to_string(),
-            line,
-            rule: "stale-entry",
-            message: format!("`{entry}` is part of no `fn` name under {FN_ROOTS:?}"),
-        })
-        .collect()
-}
-
 /// Lints every `.rs` file under `root`; returns all findings sorted by
-/// path and line, after any stale list entries and before any stale
-/// [`MIRI_SKIP`] lines.
+/// path and line, after any stale list entries.
 pub fn lint_tree(root: &Path) -> Vec<Finding> {
     let mut files = Vec::new();
     walk(root, &mut files);
     files.sort();
     let mut findings = stale_entries(|rel| root.join(rel).is_file());
-    let mut fns = Vec::new();
     for path in files {
         let rel = path
             .strip_prefix(root)
@@ -562,13 +517,7 @@ pub fn lint_tree(root: &Path) -> Vec<Finding> {
         let Ok(src) = fs::read_to_string(&path) else {
             continue;
         };
-        if path_matches(&rel, FN_ROOTS) {
-            fns.extend(fn_names(&src));
-        }
         findings.extend(lint_source(&rel, &src));
-    }
-    if let Ok(list) = fs::read_to_string(root.join(MIRI_SKIP)) {
-        findings.extend(stale_miri_skips(&list, &fns));
     }
     findings
 }
@@ -734,28 +683,6 @@ mod tests {
         assert_eq!((f[0].file.as_str(), f[0].rule), (missing, "stale-entry"));
         assert!(f[0].message.contains("SHIM_MANDATED"));
         assert_eq!(stale_entries(|_| false).len(), SHIM_MANDATED.len());
-    }
-
-    #[test]
-    fn fn_names_come_from_code_only() {
-        let src = "pub fn alpha() {}\n// fn beta() {}\nasync fn gamma_2<T>() {}\nlet s = \"fn delta\";\nlet f: fn(u8) = x; defn epsilon();\n";
-        assert_eq!(fn_names(src), ["alpha", "gamma_2"]);
-    }
-
-    #[test]
-    fn a_miri_skip_line_matching_no_fn_is_a_finding() {
-        let fns = [
-            "parallel_and_sequential_agree".to_string(),
-            "wide_classes_fork".to_string(),
-        ];
-        let list = "# comment naming gone_test\n\nsequential_agree\ngone_test\n  wide_classes  \n";
-        let f = stale_miri_skips(list, &fns);
-        assert_eq!(f.len(), 1);
-        assert_eq!(
-            (f[0].file.as_str(), f[0].line, f[0].rule),
-            (MIRI_SKIP, 4, "stale-entry")
-        );
-        assert!(f[0].message.contains("gone_test"));
     }
 
     #[test]
