@@ -310,8 +310,10 @@ pub fn build_program(spec: GraphSpec) -> ShortestPathApp {
 /// Applies the paper's optimisation flags: Edge/Done skip the Delta tree
 /// (they never trigger rules) and Estimate skips Gamma (trigger-only).
 /// Both probed tables keep the default store, which already serves their
-/// queries: `Edge.from` is its first column, which the default chains
-/// on, and `Done.vertex` is its key.
+/// queries: `Done.vertex` is its key, and `Edge` — which triggers no
+/// rule, and closes (`order Gen < Edge < Int`) before the first
+/// `Estimate` reads it — is a write-once table, whose sorted view is
+/// grouped by `Edge.from`, its first column.
 pub fn optimised_config(app: &ShortestPathApp, config: EngineConfig) -> EngineConfig {
     config
         .no_delta(app.edge)

@@ -313,8 +313,11 @@ fn strata_model(puts: &[&str], reads: &[&str]) -> CausalityModel {
 
 /// Per-app optimisation flags in the paper's style: `Edge` never
 /// triggers a rule (`-noDelta`); `Load` and `Probe` are trigger-only
-/// (`-noGamma`). `Edge` keeps the default store: it is only ever read by
-/// its `from` field, its first column, which the default chains on.
+/// (`-noGamma`). `Edge` keeps the default store, which makes it a
+/// write-once table: it is read only by its `from` field, its first
+/// column, and only once it has closed, so its one sorted view — built
+/// when the `Probe` class is popped — is the `Edge.from` view both walks
+/// read.
 pub fn optimised_config(app: &TrianglesApp, config: EngineConfig) -> EngineConfig {
     config
         .no_delta(app.edge)

@@ -13,7 +13,7 @@ use crate::rule::JoinStage;
 use crate::schema::TableId;
 use crate::stats::{EngineStats, StepRecord};
 use crate::tuple::Tuple;
-use jstar_check::sync::{AtomicU64, Mutex, Ordering};
+use jstar_check::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 use jstar_pool::ThreadPool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use super::config::EngineConfig;
 use super::report::RunReport;
 use super::runtime::{
-    drain_staged, insert_and_fire, open_views, put_tuple, walk_stages, QueryPlan, RunState,
+    drain_staged, insert_and_fire, open_views, put_tuple, seal, walk_stages, QueryPlan, RunState,
     StagingSlot,
 };
 use super::schedule::{plan, ClassPlan};
@@ -221,7 +221,6 @@ impl Engine {
                     .unwrap_or(StoreKind::ConcurrentOrdered)
             })
             .collect();
-        let gamma = Gamma::new(program.defs(), &kinds);
         let pool = if config.sequential {
             None
         } else {
@@ -242,6 +241,31 @@ impl Engine {
         }
         let plans: Vec<QueryPlan> = program.orderbys().iter().map(QueryPlan::new).collect();
         let workers = pool.as_ref().map(|p| p.num_threads()).unwrap_or(0);
+        // Write-once tables (see `WriteOnceStore`): no rule fires on one
+        // of their rows, and no put reaches one once the Delta minimum
+        // has passed its order key — so it is read only after that, as
+        // one sorted view. A store override, `-noGamma` and a lifetime
+        // hint (which prunes a table in place, again and again) each keep
+        // the table's store as it is; a table without fields has no
+        // column to sort on, and an empty `->` key would make one key of
+        // rows the view keeps in many groups.
+        let triggers = |i: usize| !program.rules_by_trigger()[i].is_empty();
+        let write_once: Vec<bool> = (0..n)
+            .map(|i| {
+                let table = TableId(i as u32);
+                let key = plans[i].const_key();
+                key.is_some()
+                    && !triggers(i)
+                    && !(0..n).any(|j| triggers(j) && plans[j].const_key() == key)
+                    && !no_gamma[i]
+                    && !config.stores.contains_key(&table)
+                    && !(config.lifetime_hints.iter()).any(|(t, _, _)| *t == table)
+                    && program.defs()[i].arity() > 0
+                    && program.defs()[i].key_arity != Some(0)
+            })
+            .collect();
+        let gamma = Gamma::with_write_once(program.defs(), &kinds, &write_once, workers + 1)
+            .unwrap_or_else(|e| panic!("{e}"));
         // Partition function for the staged-tuple bins, derived from the
         // program's orderby schema: hash enough leading key components to
         // reach the first tuple-dependent (`seq`) level of any
@@ -274,6 +298,7 @@ impl Engine {
             plans,
             no_delta,
             no_gamma,
+            readable: write_once.iter().map(|&w| AtomicBool::new(!w)).collect(),
             output: Mutex::new(Vec::new()),
             errors: Mutex::new(Vec::new()),
             stats: EngineStats::new(n, workers + 1),
@@ -328,6 +353,21 @@ impl Engine {
         }
         drain_staged(state);
 
+        // The write-once tables, by order key: each closes — is sealed,
+        // and may be read from then on — at the step boundary where the
+        // popped class first passes its key, and every run starts with
+        // all of them open.
+        let mut closes: Vec<(&OrderKey, TableId)> = (state.gamma.write_once_tables())
+            .filter_map(|t| Some((state.plans[t.index()].const_key()?, t)))
+            .collect();
+        closes.sort();
+        for &(_, t) in &closes {
+            // ord: Relaxed — no worker runs before the first class.
+            state.readable[t.index()].store(false, Ordering::Relaxed);
+        }
+        let write_once: Vec<TableId> = closes.iter().map(|&(_, t)| t).collect();
+        let mut closed = 0;
+
         let mut tree = DeltaTree::new();
         let mut absorb = Absorb::new(state, &self.config);
         // Which tables trigger a join rule: their classes run on the
@@ -381,6 +421,27 @@ impl Engine {
             let class_size = class.len();
             state.stats.record_step(class_size);
             let exec_start = timing.then(Instant::now);
+
+            // Close every write-once table whose key the class has
+            // passed: no put can reach it any more, so its runs are
+            // sealed — all of them in one phase on the pool — before any
+            // rule of the class can read it.
+            let closing = (closes[closed..].iter())
+                .take_while(|&&(k, _)| *k < key)
+                .count();
+            if closing > 0 {
+                seal(
+                    state,
+                    &write_once[closed..closed + closing],
+                    self.pool.as_deref(),
+                );
+                for t in &write_once[closed..closed + closing] {
+                    // ord: Relaxed — the class's fork orders this store
+                    // before every worker's read of it.
+                    state.readable[t.index()].store(true, Ordering::Relaxed);
+                }
+                closed += closing;
+            }
 
             // ── Phase 3: execute ────────────────────────────────────
             // Tables whose order keys have one shape may share a class,
@@ -491,6 +552,9 @@ impl Engine {
                 let dir = self.config.checkpoint_path.as_deref().expect("checked");
                 let t0 = Instant::now();
                 absorb.run(state, &mut tree, self.pool.as_deref());
+                // A write-once table still open has its rows so far
+                // sealed, so the snapshot can walk them.
+                seal(state, &write_once, self.pool.as_deref());
                 // ord: Relaxed — a statistic; the coordinator is its only
                 // writer between steps.
                 let meta = crate::persist::SnapshotMeta {
@@ -523,6 +587,12 @@ impl Engine {
                 }
             }
         }
+
+        // The end of the run is a quiescent point: whatever write-once
+        // table has rows no seal has taken is sealed now, so that reads
+        // after the run find it sorted, and its `->` conflicts fail the
+        // run.
+        seal(state, &write_once, self.pool.as_deref());
 
         let errors = state.errors.lock();
         if let Some(first) = errors.first() {
@@ -662,6 +732,14 @@ impl Engine {
             pending: Vec::new(),
         };
         crate::persist::decode_snapshot(image, &mut restoring)?;
+        // A store that judges its rows only all together does so now,
+        // before any store is touched.
+        for (import, def) in restoring.imports.iter_mut().zip(restoring.defs) {
+            match import.check(self.pool.as_deref()) {
+                0 => {}
+                rejected => return Err(not_a_set(def, rejected)),
+            }
+        }
         // A store with no way to build aside (a custom store on the
         // trait's default import) finds its bad rows only now, with the
         // stores already replaced: still an error, never a silent drop.

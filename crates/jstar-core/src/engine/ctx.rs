@@ -193,6 +193,9 @@ impl<'a> RuleCtx<'a> {
             self.state.record_error(e);
             return;
         }
+        if !self.state.check_readable(table, self.rule) {
+            return;
+        }
         let shard = self.state.staging_shard();
         // A rule sees its own `-noDelta` puts: apply what this thread has
         // staged before reading.

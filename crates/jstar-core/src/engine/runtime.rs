@@ -37,7 +37,7 @@ use crate::rule::{JoinPlan, JoinStage, Rule, RuleKind};
 use crate::schema::TableId;
 use crate::stats::EngineStats;
 use crate::tuple::Tuple;
-use jstar_check::sync::{AtomicUsize, Mutex, Ordering};
+use jstar_check::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
 use jstar_pool::ThreadPool;
 use std::borrow::Cow;
 use std::cmp::Ordering as CmpOrdering;
@@ -77,6 +77,12 @@ impl QueryPlan {
             orderby: orderby.clone(),
             const_key,
         }
+    }
+
+    /// The table's interned order key, when its ordering is
+    /// tuple-independent.
+    pub(super) fn const_key(&self) -> Option<&OrderKey> {
+        self.const_key.as_ref()
     }
 
     /// The shape of the table's order keys — each stratum's rank, `None`
@@ -142,6 +148,9 @@ pub(crate) struct RunState {
     pub(super) plans: Vec<QueryPlan>,
     pub(super) no_delta: Vec<bool>,
     pub(super) no_gamma: Vec<bool>,
+    /// Which tables a rule may read: every table but a write-once one
+    /// (see [`crate::gamma::WriteOnceStore`]) the run has not closed.
+    pub(super) readable: Vec<AtomicBool>,
     pub(super) output: Mutex<Vec<String>>,
     pub(super) errors: Mutex<Vec<JStarError>>,
     pub(super) stats: EngineStats,
@@ -155,6 +164,22 @@ impl RunState {
 
     pub(super) fn has_errors(&self) -> bool {
         !self.errors.lock().is_empty()
+    }
+
+    /// True when `table` may be read by a rule; records
+    /// [`JStarError::ReadBeforeClose`] for `rule` otherwise.
+    pub(super) fn check_readable(&self, table: TableId, rule: &str) -> bool {
+        // ord: Relaxed — set at the step boundary before the class that
+        // may read it is executed, and the scope's spawn orders that set
+        // before every worker's read.
+        let readable = self.readable[table.index()].load(Ordering::Relaxed);
+        if !readable {
+            self.record_error(JStarError::ReadBeforeClose {
+                rule: rule.to_string(),
+                table: self.program.def(table).name.clone(),
+            });
+        }
+        readable
     }
 
     /// The staging shard for the calling thread: the worker's stable index
@@ -279,7 +304,9 @@ fn insert_run(
     let ti = table.index();
     let stored = !state.no_gamma[ti];
     outcomes.clear();
-    if stored {
+    // A write-once table takes the run as one append to this shard's
+    // run: every tuple counts as fresh until its seal says otherwise.
+    if stored && !state.gamma.append(table, shard, run) {
         state.gamma.insert_batch(table, run, outcomes);
     } else {
         outcomes.resize(run.len(), InsertOutcome::Fresh);
@@ -374,6 +401,28 @@ pub(super) fn insert_and_fire(
     }
 }
 
+/// Seals the write-once stores of `tables` that hold rows no seal has
+/// taken, in one phase on `pool` — at a quiescent point: the step
+/// boundary before a class is executed, a checkpoint, the end of a run.
+/// What the seals found is accounted as the batch insert would have:
+/// repeats move from `gamma_fresh` to `gamma_dups`, and each `->`
+/// conflict leaves `gamma_fresh` and is recorded as a
+/// [`JStarError::KeyViolation`].
+pub(super) fn seal(state: &RunState, tables: &[TableId], pool: Option<&ThreadPool>) {
+    for (table, report) in state.gamma.seal(tables, pool) {
+        let rejected = report.rejected() as u64;
+        if rejected > 0 {
+            state.stats.tables[table.index()].unfresh(rejected, report.dups);
+        }
+        for t in report.conflicts {
+            state.record_error(JStarError::KeyViolation {
+                table: state.program.def(table).name.clone(),
+                detail: format!("insert of {t} violates the -> key invariant"),
+            });
+        }
+    }
+}
+
 /// Opens one column view per `(table, field)`, each counted as a query
 /// against its table (so `gamma_probes` stays honest) and as a cursor
 /// open, and cuts `root`'s rows into a view on its field — every build
@@ -439,6 +488,9 @@ fn walk_join(
 ) {
     let ((_, by), _) = plan.first_stage().keys[0];
     let columns: Vec<(TableId, usize)> = plan.stages.iter().map(JoinStage::column).collect();
+    if !(columns.iter()).all(|&(table, _)| state.check_readable(table, &rule.name)) {
+        return;
+    }
     let (Some(root), views) = open_views(state, Some((fresh, by)), &columns, pool) else {
         unreachable!("a root was asked for")
     };

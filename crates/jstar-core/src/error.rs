@@ -21,6 +21,10 @@ pub enum JStarError {
     /// A primary-key (`->`) invariant was violated: two tuples with the
     /// same key but different dependent fields.
     KeyViolation { table: String, detail: String },
+    /// A rule read a write-once table before the run had closed it
+    /// (see [`crate::gamma::WriteOnceStore`]): rows may still arrive,
+    /// so whatever the read saw could change.
+    ReadBeforeClose { rule: String, table: String },
     /// A tuple failed schema type checking.
     Type(String),
     /// Two tables were declared with the same name. Recorded by the
@@ -77,6 +81,11 @@ impl fmt::Display for JStarError {
             JStarError::KeyViolation { table, detail } => {
                 write!(f, "Key violation in table {table}: {detail}")
             }
+            JStarError::ReadBeforeClose { rule, table } => write!(
+                f,
+                "Rule {rule} read table {table} before it closed: no rule triggers {table}, \
+                 so it is read only once the run has passed its stratum"
+            ),
             JStarError::Type(msg) => write!(f, "Type error: {msg}"),
             JStarError::DuplicateTable { table } => {
                 write!(f, "Duplicate table declaration: {table}")

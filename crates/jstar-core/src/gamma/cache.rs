@@ -50,7 +50,7 @@
 //! protocol (see CONCURRENCY.md protocol 6).
 
 use super::cursor::{build_views, ColumnIndex, Source};
-use super::TableStore;
+use super::{TableStore, WriteOnceStore};
 use crate::tuple::Tuple;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
@@ -103,7 +103,9 @@ pub struct IndexCacheStats {
     /// Opens that built the view (uncacheable store, empty slot, or a
     /// stamp that moved).
     pub misses: u64,
-    /// Tuples sorted by those builds.
+    /// Tuples sorted by those builds, and by the seals of write-once
+    /// tables (see [`super::WriteOnceStore`]), whose views the cache
+    /// serves.
     pub build_tuples: u64,
 }
 
@@ -273,6 +275,12 @@ impl IndexCache {
     /// A hit while `field`'s entry is stamped as the store is, a build
     /// otherwise.
     fn claim(&self, table: usize, field: usize, store: &dyn TableStore) -> Claim {
+        // A write-once table's sealed view is its column-0 view.
+        if let (0, Some(store)) = (field, store.as_any().downcast_ref::<WriteOnceStore>()) {
+            // ord: Relaxed — statistic only.
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Claim::Hit(store.view());
+        }
         // A custom store without a claim journal: built every open.
         let Some(stamp) = store.index_stamp() else {
             return Claim::Build(None);
@@ -301,6 +309,14 @@ impl IndexCache {
         // ord: Relaxed — the tick is advisory; the map mutex orders
         // every entry mutation.
         self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Counts the `tuples` rows a write-once table's seal sorted: a build
+    /// no open made, so it is no miss.
+    pub(super) fn count_seal(&self, tuples: usize) {
+        // ord: Relaxed — statistic only.
+        self.build_tuples
+            .fetch_add(tuples as u64, Ordering::Relaxed);
     }
 
     /// Counts one build of `tuples` rows.

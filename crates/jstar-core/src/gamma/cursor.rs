@@ -42,9 +42,17 @@
 //!   by its place in the bucket (pieces in order, each in pass order, so
 //!   positions stay global and ties keep journal or run order). A build
 //!   of one piece — without a pool, or of a small input — is one bucket;
-//! * **sort and cut** — each bucket is sorted and cut into groups on a
-//!   worker, and the buckets' groups are appended in key order. A group
-//!   never straddles two buckets, since buckets split on key bits only.
+//! * **sort** — each bucket is sorted on a worker, and its groups are
+//!   counted. A group never straddles two buckets, since buckets split
+//!   on key bits only;
+//! * **cut** — the view's arrays are allocated at their final lengths,
+//!   and each bucket, on a worker, cuts its groups straight into its
+//!   share of them: the rows and groups of the buckets before it are
+//!   known once every bucket is sorted, so nothing is appended after.
+//!
+//! A write-once table's seal ([`build_sets`]) is the same build over
+//! runs packed as they were appended, one piece each, and its sort
+//! keeps each bucket a set (see [`Dedup`]).
 //!
 //! Any other build — of other values, or of integer spans too wide to
 //! pack — gathers its pieces into one bucket of `(key, next, position)`
@@ -74,8 +82,10 @@ use super::TableStore;
 use crate::error::{JStarError, Result};
 use crate::tuple::Tuple;
 use crate::value::Value;
+use jstar_check::sync::Mutex;
 use jstar_pool::ThreadPool;
 use std::cmp::Ordering;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -141,8 +151,9 @@ fn next_column(field: usize, width: usize) -> Option<usize> {
 
 /// The rows of one piece of a store pass, packed as they are read —
 /// each row's key and next-column value and its handle. What every
-/// build sorts and cuts.
-struct Batch {
+/// build sorts and cuts; a write-once table's runs are batches too,
+/// packed as they are appended.
+pub(crate) struct Batch {
     field: usize,
     next: Option<usize>,
     /// Handles by pass position; the cut moves each one out once.
@@ -227,7 +238,7 @@ impl Layout {
 impl Batch {
     /// An empty batch of rows to be keyed on `field`, with room for
     /// `rows` rows.
-    fn new(field: usize, rows: usize) -> Batch {
+    pub(crate) fn new(field: usize, rows: usize) -> Batch {
         Batch {
             field,
             next: None,
@@ -237,12 +248,12 @@ impl Batch {
     }
 
     /// Rows in the batch.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// Packs `t` as the next row.
-    fn push(&mut self, t: &Tuple) {
+    pub(crate) fn push(&mut self, t: Tuple) {
         if self.rows.is_empty() {
             self.next = next_column(self.field, t.arity());
         }
@@ -266,7 +277,7 @@ impl Batch {
             let next = next.cloned().unwrap_or(Value::Int(0));
             values.push((key.clone(), next, self.rows.len() as u32));
         }
-        self.rows.push(Some(t.clone()));
+        self.rows.push(Some(t));
     }
 }
 
@@ -286,6 +297,10 @@ pub(crate) enum Source<'a> {
     /// One [`TableStore::for_each`] pass: a custom store's, which keeps
     /// no journal to cut, so always one piece.
     Pass(&'a dyn TableStore),
+    /// Rows the build takes over, packed already, one batch per piece
+    /// (a write-once table's runs, at its seal): the pass takes each
+    /// batch as it stands, and reads no row.
+    Runs(&'a [Mutex<Batch>]),
 }
 
 impl Source<'_> {
@@ -295,6 +310,16 @@ impl Source<'_> {
             Source::Rows(rows) => rows.len(),
             Source::Journal(_, hi) => hi,
             Source::Pass(_) => 0,
+            Source::Runs(_) => 0,
+        }
+    }
+
+    /// How many pieces the pass over this source is cut into.
+    fn pieces(&self, pool: Option<&ThreadPool>) -> usize {
+        match *self {
+            Source::Pass(_) => 1,
+            Source::Runs(runs) => runs.len().max(1),
+            source => super::pieces(pool, source.len()),
         }
     }
 
@@ -306,22 +331,26 @@ impl Source<'_> {
     /// Piece `i` of `n` of the pass, packed into `batch`, with the bound
     /// it covered and whether an append still in flight cut it short.
     fn pass(&self, mut batch: Batch, i: usize, n: usize) -> (Batch, usize, bool) {
+        if let Source::Runs(runs) = *self {
+            return (std::mem::replace(&mut *runs[i].lock(), batch), 0, false);
+        }
         let (lo, hi) = self.cut(i, n);
         let covered = match *self {
             Source::Rows(rows) => {
-                rows[lo..hi].iter().for_each(|t| batch.push(t));
+                rows[lo..hi].iter().for_each(|t| batch.push((*t).clone()));
                 hi
             }
             Source::Journal(store, _) => {
-                store.for_each_journal_suffix(lo, hi, &mut |t| batch.push(t))
+                store.for_each_journal_suffix(lo, hi, &mut |t| batch.push(t.clone()))
             }
             Source::Pass(store) => {
                 store.for_each(&mut |t| {
-                    batch.push(t);
+                    batch.push(t.clone());
                     true
                 });
                 hi
             }
+            Source::Runs(_) => unreachable!("taken above"),
         };
         (batch, covered, covered < hi)
     }
@@ -339,36 +368,104 @@ fn on_pool<R: Send>(pool: Option<&ThreadPool>, tasks: Vec<impl FnOnce() -> R + S
 /// Builds the view of each `(source, field)` in one pooled phase (see
 /// the [module docs](self)), and returns it with the journal bound its
 /// pass covered (see [`TableStore::for_each_journal_suffix`]; rows and a
-/// `for_each` pass cover everything). Four rounds on `pool`, each over
+/// `for_each` pass cover everything). Five rounds on `pool`, each over
 /// every build at once: the pass; for a build that splits, a count of
 /// each piece's rows per bucket, then a scatter of each piece into its
-/// buckets; and the sort and cut of every bucket. A journal piece that
-/// an append in flight cut short ends its build: the pieces after it are
-/// dropped, as a one-piece walk would have stopped there.
+/// buckets; the sort of every bucket; and its cut into the view. A
+/// journal piece that an append in flight cut short ends its build: the
+/// pieces after it are dropped, as a one-piece walk would have stopped
+/// there.
 ///
 /// The arrays a round fills on workers are allocated here, on the
-/// calling thread, and freed as soon as the next round is done with
-/// them: the build's memory comes and goes in one allocator arena, not
-/// one per worker.
+/// calling thread — unwritten, so the workers fault their pages in —
+/// and freed as soon as the next round is done with them: the build's
+/// memory comes and goes in one allocator arena, not one per worker.
 pub(crate) fn build_views(
     builds: &[(Source<'_>, usize)],
     pool: Option<&ThreadPool>,
 ) -> Vec<(ColumnIndex, usize)> {
+    let builds: Vec<_> = builds
+        .iter()
+        .map(|&(source, field)| (source, field, None))
+        .collect();
+    (build(&builds, pool).into_iter())
+        .map(|(view, covered, _)| (view, covered))
+        .collect()
+}
+
+/// How a build keeps its rows a set: of the rows that share their first
+/// `key` fields — all of them, for a keyless table — one is kept, the
+/// row `kept` holds or else the least, and each other one is dropped, as
+/// a repeat of it or a `->` conflict with it. The view's rows are then
+/// in tuple order, ties on key and next column too.
+#[derive(Clone, Copy)]
+pub(crate) struct Dedup<'a> {
+    pub key: usize,
+    /// The rows an earlier build kept, which keep their keys.
+    pub kept: Option<&'a ColumnIndex>,
+}
+
+/// What a build that keeps its rows a set dropped.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct SealReport {
+    /// Rows that repeat a kept row.
+    pub dups: u64,
+    /// Rows dropped for breaking the `->` key of a kept row.
+    pub conflicts: Vec<Tuple>,
+}
+
+impl SealReport {
+    /// Rows dropped.
+    pub fn rejected(&self) -> usize {
+        self.dups as usize + self.conflicts.len()
+    }
+
+    /// Adds what another build dropped.
+    pub fn add(&mut self, other: SealReport) {
+        self.dups += other.dups;
+        self.conflicts.extend(other.conflicts);
+    }
+}
+
+/// The column-0 view of each source's rows, kept a set by its
+/// [`Dedup`] — a write-once table's runs (see [`Source::Runs`]), or the
+/// rows a restore imports — in one phase on `pool`, with what each build
+/// dropped.
+pub(crate) fn build_sets(
+    sets: &[(Source<'_>, Dedup<'_>)],
+    pool: Option<&ThreadPool>,
+) -> Vec<(ColumnIndex, SealReport)> {
+    let builds: Vec<_> = (sets.iter())
+        .map(|&(source, dedup)| (source, 0, Some(dedup)))
+        .collect();
+    (build(&builds, pool).into_iter())
+        .map(|(view, _, report)| (view, report))
+        .collect()
+}
+
+/// [`build_views`], each build kept a set when it has a [`Dedup`].
+fn build(
+    builds: &[(Source<'_>, usize, Option<Dedup<'_>>)],
+    pool: Option<&ThreadPool>,
+) -> Vec<(ColumnIndex, usize, SealReport)> {
     // Round 1: the pass.
     let cuts: Vec<(usize, usize, usize)> = (builds.iter().enumerate())
-        .flat_map(|(b, (source, _))| {
-            let n = match source {
-                Source::Pass(_) => 1,
-                source => super::pieces(pool, source.len()),
-            };
+        .flat_map(|(b, (source, _, _))| {
+            let n = source.pieces(pool);
             (0..n).map(move |i| (b, i, n))
         })
         .collect();
     let tasks = (cuts.iter())
         .map(|&(b, i, n)| {
-            let (source, field) = builds[b];
-            let (lo, hi) = source.cut(i, n);
-            let batch = Batch::new(field, hi - lo);
+            let (source, field, _) = builds[b];
+            let rows = match source {
+                Source::Runs(_) => 0,
+                source => {
+                    let (lo, hi) = source.cut(i, n);
+                    hi - lo
+                }
+            };
+            let batch = Batch::new(field, rows);
             move || source.pass(batch, i, n)
         })
         .collect();
@@ -390,7 +487,12 @@ pub(crate) fn build_views(
 
     // Round 2: how many rows of each piece of a split build fall in
     // each of its buckets.
-    let splits: Vec<Option<Split>> = pieces.iter().map(|p| Split::of(p)).collect();
+    let splits: Vec<Option<Split>> = (pieces.iter())
+        .map(|p| {
+            let rows = p.iter().map(Batch::len).sum();
+            Split::of(p, p.len().max(super::pieces(pool, rows)))
+        })
+        .collect();
     let tasks = (pieces.iter().zip(&splits))
         .filter_map(|(pieces, split)| Some((pieces, split.as_ref()?)))
         .flat_map(|(pieces, split)| pieces.iter().map(move |piece| move || split.count(piece)))
@@ -418,8 +520,9 @@ pub(crate) fn build_views(
     for ((pieces, per_piece), (to, split)) in scatters.into_iter().zip(split_builds) {
         // Bucket by bucket, each piece's share, in piece order.
         let shares = (0..split.buckets).flat_map(|b| per_piece.iter().map(move |c| c[b]));
-        let words = carve(&mut to.words, shares.clone());
-        let rows = carve(&mut to.rows, shares.clone());
+        let total = to.sizes.iter().sum();
+        let words = carve(&mut to.words.spare_capacity_mut()[..total], shares.clone());
+        let rows = carve(&mut to.rows.spare_capacity_mut()[..total], shares.clone());
         let mut regions: Vec<Vec<Region<'_>>> = pieces.iter().map(|_| Vec::new()).collect();
         let mut base = 0;
         for (i, ((words, rows), n)) in words.into_iter().zip(rows).zip(shares).enumerate() {
@@ -433,10 +536,23 @@ pub(crate) fn build_views(
         let scatter = |(piece, regions)| move || split.scatter(piece, regions);
         tasks.extend(pieces.into_iter().zip(regions).map(scatter));
     }
-    on_pool(pool, tasks);
+    let filled = on_pool(pool, tasks);
+    assert!(filled.into_iter().all(|f| f), "a scatter fills its regions");
+    for g in gathered.iter_mut() {
+        if let Gathered::Split(to, _) = g {
+            let total = to.sizes.iter().sum();
+            // SAFETY: the regions carved out of `[0, total)` of each
+            // array's spare capacity tile it, and every scatter reported
+            // its regions filled — each slot written exactly once.
+            unsafe {
+                to.words.set_len(total);
+                to.rows.set_len(total);
+            }
+        }
+    }
 
-    // Round 4: each bucket sorted and cut — a build that was not split
-    // is one bucket, its pieces gathered in order.
+    // Round 4: each bucket sorted and its groups counted — a build that
+    // was not split is one bucket, its pieces gathered in order.
     let mut buckets: Vec<Bucket<'_>> = Vec::new();
     let mut per_build = Vec::with_capacity(builds.len());
     for g in gathered.iter_mut() {
@@ -447,27 +563,65 @@ pub(crate) fn build_views(
                 let words = carve(&mut to.words, to.sizes.iter().copied());
                 let rows = carve(&mut to.rows, to.sizes.iter().copied());
                 let split = &*split;
-                let bucket = |(words, rows)| Bucket::Split { split, words, rows };
-                buckets.extend(words.into_iter().zip(rows).map(bucket));
+                buckets.extend(
+                    words
+                        .into_iter()
+                        .zip(rows)
+                        .map(|(words, rows)| Bucket::Split {
+                            split,
+                            len: words.len(),
+                            words,
+                            rows,
+                        }),
+                );
             }
         }
         per_build.push(buckets.len() - before);
     }
-    let tasks = (buckets.into_iter())
-        .map(|bucket| {
-            let flat = bucket.flat();
-            move || bucket.sort_and_cut(flat)
+    let dedups =
+        (builds.iter().zip(&per_build)).flat_map(|(&(_, _, d), &n)| (0..n).map(move |_| d));
+    let tasks = (buckets.into_iter().zip(dedups))
+        .map(|(mut bucket, dedup)| {
+            move || {
+                let (groups, report) = bucket.sort(dedup);
+                (bucket, groups, report)
+            }
         })
         .collect();
-    let mut cut = on_pool(pool, tasks).into_iter();
+    let mut sorted = on_pool(pool, tasks).into_iter();
+    let mut reports: Vec<SealReport> = builds.iter().map(|_| SealReport::default()).collect();
+    let per_build: Vec<Vec<(Bucket<'_>, usize)>> = (per_build.into_iter().zip(&mut reports))
+        .map(|(n, report)| {
+            (sorted.by_ref().take(n))
+                .map(|(bucket, groups, dropped)| {
+                    report.add(dropped);
+                    (bucket, groups)
+                })
+                .collect()
+        })
+        .collect();
+
+    // Round 5: each view's arrays allocated at their final lengths, and
+    // every bucket cut straight into its share of them — the rows and
+    // groups before a bucket are known once the buckets are sorted.
+    let mut arrays: Vec<Arrays> = (per_build.iter())
+        .map(|buckets| {
+            let rows = buckets.iter().map(|(b, _)| b.len()).sum();
+            let groups = buckets.iter().map(|(_, g)| g).sum();
+            Arrays::new(buckets.iter().find_map(|(b, _)| b.next()), groups, rows)
+        })
+        .collect();
+    let mut tasks = Vec::new();
+    for (buckets, arrays) in per_build.into_iter().zip(&mut arrays) {
+        let shares = arrays.shares(buckets.iter().map(|(b, g)| (b.len(), *g)));
+        tasks.extend((buckets.into_iter().zip(shares)).map(|((b, _), share)| move || b.cut(share)));
+    }
+    let mut dense = on_pool(pool, tasks).into_iter();
     // Every row has been moved into its view: free the buckets before
     // the views are assembled.
     drop(gathered);
-    (per_build.into_iter().zip(covered))
-        .map(|(n, covered)| {
-            let flats = cut.by_ref().take(n).collect();
-            (FlatBuilder::concat(flats).finish(), covered)
-        })
+    (arrays.into_iter().zip(covered).zip(reports))
+        .map(|((arrays, covered), report)| (arrays.finish(dense.by_ref()), covered, report))
         .collect()
 }
 
@@ -505,11 +659,12 @@ enum Bucket<'a> {
         rows: Vec<Option<Tuple>>,
         values: Vec<(Value, Value, u32)>,
     },
-    /// One bucket of a split build.
+    /// One bucket of a split build: `words[..len]` are its rows' words.
     Split {
         split: &'a Split,
         words: &'a mut [u64],
         rows: &'a mut [Option<Tuple>],
+        len: usize,
     },
 }
 
@@ -534,39 +689,176 @@ impl Bucket<'_> {
         Bucket::Whole { next, rows, values }
     }
 
-    /// An empty builder with room for the bucket's rows.
-    fn flat(&self) -> FlatBuilder {
+    /// Rows in the bucket.
+    fn len(&self) -> usize {
         match self {
-            Bucket::Whole { next, rows, .. } => FlatBuilder::new(*next, rows.len()),
-            Bucket::Split { split, words, .. } => FlatBuilder::new(split.next, words.len()),
+            Bucket::Whole { rows, .. } => rows.len(),
+            Bucket::Split { len, .. } => *len,
+        }
+    }
+
+    /// The field the bucket's groups are ordered by.
+    fn next(&self) -> Option<usize> {
+        match self {
+            Bucket::Whole { next, .. } => *next,
+            Bucket::Split { split, .. } => split.next,
         }
     }
 
     /// Sorts the bucket into view order — by key, then next column,
     /// then pass position: a total order, so the unstable sort keeps
-    /// equal rows in the order they were read — and cuts it into
-    /// `flat`.
-    fn sort_and_cut(self, mut flat: FlatBuilder) -> FlatBuilder {
-        let cut = match self {
-            Bucket::Whole {
-                mut rows,
-                mut values,
-                ..
-            } => {
+    /// equal rows in the order they were read — and, with a `dedup`,
+    /// keeps it a set (see [`Dedup`]: a group never straddles two
+    /// buckets, so neither does a key); returns how many groups it
+    /// holds, and what it dropped.
+    fn sort(&mut self, dedup: Option<Dedup<'_>>) -> (usize, SealReport) {
+        let mut report = SealReport::default();
+        let groups = match self {
+            Bucket::Whole { values, rows, .. } => {
                 values.sort_unstable();
-                let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
-                flat.cut(records, &mut rows)
+                if let Some(dedup) = dedup {
+                    let one_key = |a: &(Value, Value, u32), b: &(Value, Value, u32)| {
+                        a.0 == b.0 && (dedup.key <= 1 || a.1 == b.1)
+                    };
+                    let at = |r: &(Value, Value, u32)| r.2 as usize;
+                    let kept = settle(values, one_key, at, rows, dedup, &mut report);
+                    values.truncate(kept);
+                }
+                groups(values.iter().map(|(k, _, _)| k))
             }
-            Bucket::Split { split, words, rows } => {
+            Bucket::Split {
+                split,
+                words,
+                rows,
+                len,
+            } => {
                 words.sort_unstable();
-                flat.cut(words.iter().map(|&w| split.layout.unpack(w)), rows)
+                if let Some(dedup) = dedup {
+                    let layout = &split.layout;
+                    let one_key = |&a: &u64, &b: &u64| {
+                        let ((ka, na, _), (kb, nb, _)) = (layout.unpack(a), layout.unpack(b));
+                        ka == kb && (dedup.key <= 1 || na == nb)
+                    };
+                    let at = |&w: &u64| layout.unpack(w).2;
+                    *len = settle(words, one_key, at, rows, dedup, &mut report);
+                }
+                groups(words[..*len].iter().map(|&w| split.layout.unpack(w).0))
             }
         };
+        (groups, report)
+    }
+
+    /// Cuts the sorted bucket into `share`; whether its keys and its
+    /// next-column values were all integers.
+    fn cut(self, share: Share<'_>) -> (bool, bool) {
+        let cut = match self {
+            Bucket::Whole {
+                mut rows, values, ..
+            } => {
+                let records = values.into_iter().map(|(k, n, at)| (k, n, at as usize));
+                share.cut(records, &mut rows)
+            }
+            Bucket::Split {
+                split,
+                words,
+                rows,
+                len,
+            } => share.cut(words[..len].iter().map(|&w| split.layout.unpack(w)), rows),
+        };
         match cut {
-            Ok(()) => flat,
-            Err(e) => unreachable!("the bucket is sorted before it is cut: {e}"),
+            Ok(dense) => dense,
+            Err(e) => unreachable!("the bucket is sorted and counted before it is cut: {e}"),
         }
     }
+}
+
+/// How many runs of equal keys `keys` holds.
+fn groups<K: PartialEq>(keys: impl Iterator<Item = K>) -> usize {
+    let (mut last, mut runs) = (None, 0);
+    for k in keys {
+        if last.as_ref() != Some(&k) {
+            (last, runs) = (Some(k), runs + 1);
+        }
+    }
+    runs
+}
+
+/// The fields of the row at pass position `at` of a batch.
+fn fields_at(rows: &[Option<Tuple>], at: usize) -> &[Value] {
+    rows[at].as_ref().map_or(&[], Tuple::fields)
+}
+
+/// Keeps `records` — sorted into view order, each naming its row's pass
+/// position in `rows` (`at`) — a set, as `dedup` says. Only the runs of
+/// records `one_key` may put under one key (equal keys, and next values
+/// too for a key of two or more fields) are looked at: each is put in
+/// row order, and of the rows sharing the key fields one is kept and the
+/// others' handles are taken out of `rows` and reported. The records of
+/// the rows kept are moved to the front, in order; returns how many.
+fn settle<R>(
+    records: &mut [R],
+    one_key: impl Fn(&R, &R) -> bool,
+    at: impl Fn(&R) -> usize,
+    rows: &mut [Option<Tuple>],
+    dedup: Dedup<'_>,
+    report: &mut SealReport,
+) -> usize {
+    let mut dropped = false;
+    let mut i = 0;
+    while i < records.len() {
+        let run = 1 + records[i + 1..]
+            .iter()
+            .take_while(|r| one_key(&records[i], r))
+            .count();
+        if run > 1 {
+            let part = &mut records[i..i + run];
+            part.sort_by(|a, b| fields_at(rows, at(a)).cmp(fields_at(rows, at(b))));
+            let mut s = 0;
+            while s < run {
+                let key =
+                    |r: &R| &fields_at(rows, at(r))[..dedup.key.min(fields_at(rows, at(r)).len())];
+                let e = s
+                    + 1
+                    + part[s + 1..]
+                        .iter()
+                        .take_while(|r| key(r) == key(&part[s]))
+                        .count();
+                let holds = |r: &R| {
+                    let t = fields_at(rows, at(r));
+                    (dedup.kept)
+                        .is_some_and(|v| v.rows.binary_search_by(|k| k.fields().cmp(t)).is_ok())
+                };
+                let kept = at(&part[s + (part[s..e].iter().position(holds).unwrap_or(0))]);
+                for r in &part[s..e] {
+                    if at(r) == kept {
+                        continue;
+                    }
+                    let Some(t) = rows[at(r)].take() else {
+                        continue;
+                    };
+                    if rows[kept].as_ref() == Some(&t) {
+                        report.dups += 1;
+                    } else {
+                        report.conflicts.push(t);
+                    }
+                    dropped = true;
+                }
+                s = e;
+            }
+        }
+        i += run;
+    }
+    if !dropped {
+        return records.len();
+    }
+    let mut kept = 0;
+    for r in 0..records.len() {
+        if rows[at(&records[r])].is_some() {
+            records.swap(kept, r);
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// How the pieces of an all-integer build are split: into `buckets`
@@ -584,16 +876,16 @@ struct Split {
 /// One piece's share of one bucket: where its scatter writes, and the
 /// bucket position of the share's first row.
 struct Region<'a> {
-    words: &'a mut [u64],
-    rows: &'a mut [Option<Tuple>],
+    words: &'a mut [MaybeUninit<u64>],
+    rows: &'a mut [MaybeUninit<Option<Tuple>>],
     base: u32,
 }
 
 impl Split {
-    /// The split of one build's `pieces`, when it has rows, all of them
-    /// integer records, and their spans pack into words; as many buckets
-    /// as pieces, rounded up to a power of two.
-    fn of(pieces: &[Batch]) -> Option<Split> {
+    /// The split of one build's `pieces` into about `buckets` buckets
+    /// (rounded up to a power of two), when it has rows, all of them
+    /// integer records, and their spans pack into words.
+    fn of(pieces: &[Batch], buckets: usize) -> Option<Split> {
         let mut span = None;
         for piece in pieces {
             let Records::Ints(_, piece_span) = &piece.records else {
@@ -603,7 +895,7 @@ impl Split {
         }
         let span = span?;
         let layout = Layout::of(span, pieces.iter().map(Batch::len).sum())?;
-        let buckets = pieces.len().next_power_of_two();
+        let buckets = buckets.next_power_of_two();
         let key_bits = bits_between(span.0 .0, span.1 .0);
         Some(Split {
             shift: layout.bits.0
@@ -628,8 +920,8 @@ impl Split {
             .collect();
         let rows = sizes.iter().sum();
         Scattered {
-            words: vec![0; rows],
-            rows: vec![None; rows],
+            words: Vec::with_capacity(rows),
+            rows: Vec::with_capacity(rows),
             sizes,
         }
     }
@@ -649,10 +941,11 @@ impl Split {
     }
 
     /// Moves `piece`'s rows into its `regions`, one per bucket, in pass
-    /// order, each row's word numbered by its bucket position.
-    fn scatter(&self, piece: Batch, mut regions: Vec<Region<'_>>) {
+    /// order, each row's word numbered by its bucket position; true when
+    /// the rows filled every region exactly.
+    fn scatter(&self, piece: Batch, mut regions: Vec<Region<'_>>) -> bool {
         let Records::Ints(ints, _) = piece.records else {
-            return;
+            return false;
         };
         let mut filled = vec![0; regions.len()];
         for ((k, n), row) in ints.into_iter().zip(piece.rows) {
@@ -660,9 +953,10 @@ impl Split {
             let b = self.bucket(word);
             let (region, i) = (&mut regions[b], filled[b]);
             filled[b] += 1;
-            region.words[i] = word | u64::from(region.base + i as u32);
-            region.rows[i] = row;
+            region.words[i].write(word | u64::from(region.base + i as u32));
+            region.rows[i].write(row);
         }
+        (regions.iter().zip(filled)).all(|(region, n)| region.words.len() == n)
     }
 }
 
@@ -681,163 +975,228 @@ fn take(rows: &mut [Option<Tuple>], at: usize) -> Tuple {
     rows[at].take().expect("each batch row is cut once")
 }
 
-/// Accumulates the flat arrays group by group — the one place the
-/// dense mirrors are decided.
-struct FlatBuilder {
+/// One view's arrays, allocated at their final capacities before any
+/// bucket is cut into them. The buckets write them in place, on the
+/// workers, so each stays empty until every cut has returned.
+struct Arrays {
     keys: Vec<Value>,
+    int_keys: Vec<i64>,
     starts: Vec<u32>,
     rows: Vec<Tuple>,
-    int_keys: Option<Vec<i64>>,
     next: Option<usize>,
-    int_next: Option<Vec<i64>>,
+    /// Room for one entry a row when there is a next column.
+    int_next: Vec<i64>,
+    /// The view's groups and rows.
+    size: (usize, usize),
+    /// How many buckets are cut into the arrays.
+    parts: usize,
 }
 
-impl FlatBuilder {
-    /// A builder for `rows` rows, ordered by `next`.
-    fn new(next: Option<usize>, rows: usize) -> FlatBuilder {
-        FlatBuilder {
-            keys: Vec::new(),
-            starts: Vec::new(),
-            rows: Vec::with_capacity(rows),
-            int_keys: Some(Vec::new()),
-            next,
-            int_next: next.map(|_| Vec::with_capacity(rows)),
-        }
-    }
+/// One bucket's share of a view's [`Arrays`]: its groups' slots, and its
+/// rows' — the first of which is row `base` of the view.
+struct Share<'a> {
+    keys: &'a mut [MaybeUninit<Value>],
+    int_keys: &'a mut [MaybeUninit<i64>],
+    starts: &'a mut [MaybeUninit<u32>],
+    rows: &'a mut [MaybeUninit<Tuple>],
+    /// Empty when there is no next column.
+    int_next: &'a mut [MaybeUninit<i64>],
+    base: u32,
+}
 
-    /// Cuts `records` — `(key, next, position)` in view order (keys
-    /// ascending, each key's rows by next-column value, ties in the
-    /// order the group should keep), positions into `rows` — into
-    /// groups: the one cut every build ends in. `V` is `i64` for packed
-    /// words, so the common all-integer cut compares plain integers, and
-    /// [`Value`] otherwise. The order is verified in release builds too
-    /// (two comparisons a row, beside the one the cut makes anyway) and
-    /// a violation comes back as a typed error instead of silently
-    /// corrupting every later seek.
-    fn cut<V: Ord + Clone + Into<Value>>(
-        &mut self,
-        records: impl Iterator<Item = (V, V, usize)>,
-        rows: &mut [Option<Tuple>],
-    ) -> Result<()> {
-        let mut last: Option<(V, V)> = None;
-        for (i, (key, next, at)) in records.enumerate() {
-            match &last {
-                Some((k, n)) if k.cmp(&key).then(n.cmp(&next)).is_gt() => {
-                    return Err(JStarError::Other(format!(
-                        "FlatBuilder::cut: rows not in view order at position {i} \
-                         (key {:?} after {:?})",
-                        key.into(),
-                        k.clone().into()
-                    )));
-                }
-                Some((k, _)) if *k == key => {}
-                _ => self.open_group(key.clone().into()),
-            }
-            let next_int = int_of(&next.clone().into());
-            self.push(take(rows, at), next_int);
-            last = Some((key, next));
-        }
-        Ok(())
-    }
-
-    /// Opens the next group; `key` must exceed every key so far.
-    fn open_group(&mut self, key: Value) {
-        self.starts.push(self.rows.len() as u32);
-        match (&mut self.int_keys, &key) {
-            (Some(dense), Value::Int(i)) => dense.push(*i),
-            _ => self.int_keys = None,
-        }
-        self.keys.push(key);
-    }
-
-    /// Appends a row to the open group: its next-column value, when an
-    /// integer, feeds the dense mirror.
-    fn push(&mut self, t: Tuple, next: Option<i64>) {
-        match (&mut self.int_next, next) {
-            (Some(dense), Some(i)) => dense.push(i),
-            _ => self.int_next = None,
-        }
-        self.rows.push(t);
-    }
-
-    /// The groups of `parts` — the buckets of one build, in key order —
-    /// as one builder, each array allocated once at its final length.
-    /// Parts without rows are dropped (all but the first, when none has
-    /// any: the view of an empty table).
-    fn concat(parts: Vec<FlatBuilder>) -> FlatBuilder {
-        let (rows, keys) =
-            (parts.iter()).fold((0, 0), |(r, k), p| (r + p.rows.len(), k + p.keys.len()));
-        let mut parts = parts.into_iter();
-        let Some(mut all) = parts.next() else {
-            unreachable!("a build has at least one bucket")
-        };
-        for part in parts.filter(|p| !p.rows.is_empty()) {
-            if all.rows.is_empty() {
-                all = part;
-            } else {
-                all.reserve_exact(rows, keys);
-                all.append(part);
-            }
-        }
-        all
-    }
-
-    /// Room for `rows` rows in `keys` groups in all.
-    fn reserve_exact(&mut self, rows: usize, keys: usize) {
-        let (more_rows, more_keys) = (rows - self.rows.len(), keys - self.keys.len());
-        if self.rows.capacity() >= rows {
-            return;
-        }
-        self.keys.reserve_exact(more_keys);
-        self.starts.reserve_exact(more_keys + 1);
-        self.rows.reserve_exact(more_rows);
-        if let Some(dense) = &mut self.int_keys {
-            dense.reserve_exact(more_keys);
-        }
-        if let Some(dense) = &mut self.int_next {
-            dense.reserve_exact(more_rows);
-        }
-    }
-
-    /// Appends the groups of `other`, whose every key exceeds this
-    /// builder's — the next bucket of a split build.
-    fn append(&mut self, other: FlatBuilder) {
-        assert!(
-            matches!((self.keys.last(), other.keys.first()), (Some(a), Some(b)) if a < b),
-            "buckets hold ascending key ranges"
-        );
-        let base = self.rows.len() as u32;
-        self.starts.extend(other.starts.iter().map(|s| s + base));
-        self.keys.extend(other.keys);
-        self.rows.extend(other.rows);
-        fn both<T>(to: &mut Option<Vec<T>>, from: Option<Vec<T>>) {
-            match (to.as_mut(), from) {
-                (Some(to), Some(from)) => to.extend(from),
-                _ => *to = None,
-            }
-        }
-        both(&mut self.int_keys, other.int_keys);
-        both(&mut self.int_next, other.int_next);
-    }
-
-    fn finish(mut self) -> ColumnIndex {
+impl Arrays {
+    /// The arrays of a view of `rows` rows in `groups` groups, ordered by
+    /// `next`.
+    fn new(next: Option<usize>, groups: usize, rows: usize) -> Arrays {
         // `starts` is u32: half the bytes of usize offsets on the array
         // every group lookup reads.
         assert!(
-            self.rows.len() <= u32::MAX as usize,
+            rows <= u32::MAX as usize,
             "ColumnIndex holds at most u32::MAX rows"
         );
-        self.starts.push(self.rows.len() as u32);
-        self.keys.shrink_to_fit();
-        self.starts.shrink_to_fit();
-        self.rows.shrink_to_fit();
+        Arrays {
+            keys: Vec::with_capacity(groups),
+            int_keys: Vec::with_capacity(groups),
+            starts: Vec::with_capacity(groups + 1),
+            rows: Vec::with_capacity(rows),
+            next,
+            int_next: Vec::with_capacity(if next.is_some() { rows } else { 0 }),
+            size: (groups, rows),
+            parts: 0,
+        }
+    }
+
+    /// The arrays cut into one share per `(rows, groups)` part, in order.
+    fn shares(&mut self, parts: impl Iterator<Item = (usize, usize)>) -> Vec<Share<'_>> {
+        let (parts, total): (Vec<(usize, usize)>, usize) = {
+            let parts: Vec<_> = parts.collect();
+            let total = parts.iter().map(|&(rows, _)| rows).sum();
+            (parts, total)
+        };
+        self.parts = parts.len();
+        let rows_of = || parts.iter().map(|&(rows, _)| rows);
+        let groups_of = || parts.iter().map(|&(_, groups)| groups);
+        let with_next = usize::from(self.next.is_some());
+        let groups = self.size.0;
+        let keys = carve(&mut self.keys.spare_capacity_mut()[..groups], groups_of());
+        let int_keys = carve(
+            &mut self.int_keys.spare_capacity_mut()[..groups],
+            groups_of(),
+        );
+        let starts = carve(&mut self.starts.spare_capacity_mut()[..groups], groups_of());
+        let rows = carve(&mut self.rows.spare_capacity_mut()[..total], rows_of());
+        let int_next = carve(
+            &mut self.int_next.spare_capacity_mut()[..total * with_next],
+            rows_of().map(|n| n * with_next),
+        );
+        let mut base = 0;
+        (keys
+            .into_iter()
+            .zip(int_keys)
+            .zip(starts)
+            .zip(rows)
+            .zip(int_next))
+        .map(|((((keys, int_keys), starts), rows), int_next)| {
+            let share = Share {
+                keys,
+                int_keys,
+                starts,
+                base,
+                int_next,
+                rows,
+            };
+            base += share.rows.len() as u32;
+            share
+        })
+        .collect()
+    }
+
+    /// The view, once every share has been cut; `dense` yields each
+    /// share's cut's answer to whether its keys, and its next-column
+    /// values, were all integers.
+    fn finish(mut self, dense: impl Iterator<Item = (bool, bool)>) -> ColumnIndex {
+        let (dense_keys, dense_next) =
+            (dense.take(self.parts)).fold((true, true), |(k, n), (dk, dn)| (k && dk, n && dn));
+        let (groups, rows) = self.size;
+        self.starts.spare_capacity_mut()[groups].write(rows as u32);
+        // SAFETY: the shares tile `[0, groups)` / `[0, rows)` of the
+        // spare capacities, and each cut returned Ok only once it wrote
+        // every key, start and row slot of its share — and every dense
+        // key (next) slot when it reports them all integers; the last
+        // start is written above.
+        unsafe {
+            self.keys.set_len(groups);
+            self.starts.set_len(groups + 1);
+            self.rows.set_len(rows);
+            if dense_keys {
+                self.int_keys.set_len(groups);
+            }
+            if dense_next && self.next.is_some() {
+                self.int_next.set_len(rows);
+            }
+        }
         ColumnIndex {
             keys: self.keys,
             starts: self.starts,
             rows: self.rows,
-            int_keys: self.int_keys.map(Vec::into_boxed_slice),
+            int_keys: dense_keys.then(|| self.int_keys.into_boxed_slice()),
             next: self.next,
-            int_next: self.int_next.map(Vec::into_boxed_slice),
+            int_next: (self.next.is_some() && dense_next).then(|| self.int_next.into_boxed_slice()),
+        }
+    }
+}
+
+impl Share<'_> {
+    /// Cuts `records` — `(key, next, position)` in view order (keys
+    /// ascending, each key's rows by next-column value, ties in the
+    /// order the group should keep), positions into `rows` — into the
+    /// share's groups: the one cut every build ends in. `V` is `i64` for
+    /// packed words, so the common all-integer cut compares plain
+    /// integers, and [`Value`] otherwise. The order, and that the
+    /// records fill the share exactly, are verified in release builds
+    /// too (two comparisons a row, beside the one the cut makes anyway):
+    /// a violation comes back as a typed error, with the share left
+    /// unwritten, instead of silently corrupting every later seek.
+    /// Returns whether the keys, and the next-column values, were all
+    /// integers.
+    fn cut<V: Ord + Clone + Into<Value>>(
+        self,
+        records: impl Iterator<Item = (V, V, usize)>,
+        rows: &mut [Option<Tuple>],
+    ) -> Result<(bool, bool)> {
+        let (mut dense_keys, mut dense_next) = (true, true);
+        let (mut groups, mut written) = (0, 0);
+        let mut last: Option<(V, V)> = None;
+        let mut failure = None;
+        for (i, (key, next, at)) in records.enumerate() {
+            let fail = |why: String| {
+                Some(JStarError::Other(format!(
+                    "Share::cut: {why} at position {i}"
+                )))
+            };
+            match &last {
+                Some((k, n)) if k.cmp(&key).then(n.cmp(&next)).is_gt() => {
+                    failure = fail(format!(
+                        "rows not in view order (key {:?} after {:?})",
+                        key.into(),
+                        k.clone().into()
+                    ));
+                    break;
+                }
+                Some((k, _)) if *k == key => {}
+                _ if groups == self.keys.len() || written == self.rows.len() => {
+                    failure = fail("more groups than the share holds".into());
+                    break;
+                }
+                _ => {
+                    let key: Value = key.clone().into();
+                    self.starts[groups].write(self.base + written as u32);
+                    match key {
+                        Value::Int(i) => _ = self.int_keys[groups].write(i),
+                        _ => dense_keys = false,
+                    }
+                    self.keys[groups].write(key);
+                    groups += 1;
+                }
+            }
+            if written == self.rows.len() {
+                failure = fail("more rows than the share holds".into());
+                break;
+            }
+            if let Some(slot) = self.int_next.get_mut(written) {
+                match int_of(&next.clone().into()) {
+                    Some(n) => _ = slot.write(n),
+                    None => dense_next = false,
+                }
+            }
+            self.rows[written].write(take(rows, at));
+            written += 1;
+            last = Some((key, next));
+        }
+        if failure.is_none() && (groups, written) != (self.keys.len(), self.rows.len()) {
+            failure = Some(JStarError::Other(format!(
+                "Share::cut: {written} rows in {groups} groups for a share of {} in {}",
+                self.rows.len(),
+                self.keys.len()
+            )));
+        }
+        match failure {
+            None => Ok((dense_keys, dense_next)),
+            Some(e) => {
+                // SAFETY: this call wrote each of the first `written` row
+                // slots and `groups` key slots once, above; dropping them
+                // leaves the share unwritten, as `Arrays::finish` is
+                // never reached.
+                unsafe {
+                    self.rows[..written]
+                        .iter_mut()
+                        .for_each(|r| r.assume_init_drop());
+                    self.keys[..groups]
+                        .iter_mut()
+                        .for_each(|k| k.assume_init_drop());
+                }
+                Err(e)
+            }
         }
     }
 }
@@ -900,9 +1259,52 @@ impl ColumnIndex {
         }
     }
 
+    /// The row positions of `key`'s group; empty when the column does
+    /// not hold it.
+    pub(super) fn group_of(&self, key: &Value) -> Range<usize> {
+        let g = match (&self.int_keys, key) {
+            (Some(dense), Value::Int(i)) => first_at_least(dense, *i),
+            _ => self.keys.partition_point(|k| k < key),
+        };
+        if self.key_is(g, Key::of(key)) {
+            self.group_range(g)
+        } else {
+            0..0
+        }
+    }
+
     /// True when group position `g` exists and its key equals `target`.
     pub(super) fn key_is(&self, g: usize, target: Key<'_>) -> bool {
         g < self.len() && self.key_at(g) == target
+    }
+}
+
+/// The first position of ascending `keys` whose key is `>= target`,
+/// found by guessing it from where `target` falls between the least and
+/// the greatest key — as if the keys were spread evenly, which a
+/// table's integer ids mostly are — and widening a window around the
+/// guess until it brackets the target: a few probes for evenly spread
+/// keys, a binary search's worth for skewed ones.
+fn first_at_least(keys: &[i64], target: i64) -> usize {
+    let (Some(&least), Some(&most)) = (keys.first(), keys.last()) else {
+        return 0;
+    };
+    if target <= least {
+        return 0;
+    }
+    if target > most {
+        return keys.len();
+    }
+    // `least < target <= most`, so the span is not zero.
+    let (last, span) = (keys.len() - 1, u128::from(most.abs_diff(least)));
+    let guess = (u128::from(target.abs_diff(least)) * last as u128 / span) as usize;
+    let mut width = 1;
+    loop {
+        let (lo, hi) = (guess.saturating_sub(width), (guess + width).min(last));
+        if keys[lo] < target && target <= keys[hi] {
+            return lo + 1 + keys[lo + 1..=hi].partition_point(|&k| k < target);
+        }
+        width *= 2;
     }
 }
 
@@ -1164,6 +1566,40 @@ pub(super) mod tests {
     }
 
     #[test]
+    fn group_lookups_land_where_a_binary_search_does() {
+        // Evenly spread, clustered, extreme and single keys: every
+        // target in and around them finds the first key at or above it.
+        let cases: Vec<Vec<i64>> = vec![
+            (0..500).map(|i| 3 * i).collect(),
+            (0..200)
+                .map(|i| if i < 190 { i } else { 1_000_000 + i })
+                .collect(),
+            vec![i64::MIN, -5, 0, 7, i64::MAX],
+            vec![42],
+        ];
+        for keys in &cases {
+            let mut targets: Vec<i64> = keys
+                .iter()
+                .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)])
+                .collect();
+            targets.extend([i64::MIN, i64::MAX, 0, 1_000_195]);
+            for &t in &targets {
+                assert_eq!(
+                    first_at_least(keys, t),
+                    keys.partition_point(|&k| k < t),
+                    "{t}"
+                );
+            }
+        }
+        assert_eq!(first_at_least(&[], 3), 0);
+        let idx = index(&[5, 5, 9, 12]);
+        assert_eq!(idx.group_of(&Value::Int(5)), 0..2);
+        assert_eq!(idx.group_of(&Value::Int(6)), 0..0);
+        assert_eq!(idx.group_of(&Value::Int(12)), 3..4);
+        assert_eq!(idx.group_of(&Value::str("x")), 0..0);
+    }
+
+    #[test]
     fn build_cuts_groups_in_visit_order_and_packs_what_it_can() {
         // `(key, next, id)` rows visited in this order: groups ascend by
         // key, each group ascends by its next column (field 1), and the
@@ -1224,7 +1660,12 @@ pub(super) mod tests {
         let records =
             (rows.iter().enumerate()).map(|(at, t)| (t.get(0).clone(), t.get(1).clone(), at));
         let mut handles: Vec<Option<Tuple>> = rows.iter().cloned().map(Some).collect();
-        FlatBuilder::new(Some(1), rows.len()).cut(records, &mut handles)
+        let groups = groups(rows.iter().map(|t| t.get(0)));
+        let mut arrays = Arrays::new(Some(1), groups, rows.len());
+        let share = arrays.shares(std::iter::once((rows.len(), groups))).pop();
+        let dense = share.map_or(Ok((true, true)), |share| share.cut(records, &mut handles))?;
+        arrays.finish(std::iter::once(dense));
+        Ok(())
     }
 
     #[test]
@@ -1257,8 +1698,8 @@ pub(super) mod tests {
         ];
         for (rows, packs) in [(spread, true), (wide, false)] {
             let mut piece = Batch::new(0, rows.len());
-            rows.iter().for_each(|t| piece.push(t));
-            let split = Split::of(std::slice::from_ref(&piece));
+            rows.iter().for_each(|t| piece.push(t.clone()));
+            let split = Split::of(std::slice::from_ref(&piece), 1);
             assert_eq!(split.map(|s| s.buckets), packs.then_some(1));
             let view = view_of(0, &rows);
             let mut sorted = rows.clone();

@@ -37,7 +37,10 @@ use std::sync::Arc;
 /// Primary-key (`->`) conflicts are detected on the probe walk, which
 /// visits every tuple sharing the key fields; this is only efficient
 /// when keys discriminate (true for every paper workload: Done is
-/// chained on its key `vertex`, Edge and PvWatts declare no key).
+/// chained on its key `vertex`, and PvWatts declares no key). A table
+/// no rule triggers — `Edge` in `dijkstra` and `triangles` — is not a
+/// `HashStore` at all, but a sorted view built once when the table
+/// closes (see [`super::WriteOnceStore`]).
 pub struct HashStore {
     def: Arc<TableDef>,
     /// The columns hashed into the chain index; empty when there is no

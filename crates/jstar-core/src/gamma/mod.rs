@@ -17,6 +17,7 @@ mod cursor;
 mod hash;
 pub(crate) mod leapfrog;
 mod reservation;
+mod write_once;
 
 pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
 pub use cursor::{ColumnCursor, ColumnIndex};
@@ -49,7 +50,9 @@ pub(crate) fn pieces(pool: Option<&ThreadPool>, len: usize) -> usize {
 
 /// Factory closure for [`StoreKind::Custom`].
 pub type StoreFactory = Arc<dyn Fn(Arc<TableDef>) -> Arc<dyn TableStore> + Send + Sync>;
+use cursor::SealReport;
 pub use hash::HashStore;
+pub use write_once::WriteOnceStore;
 
 use crate::query::{Probe, Query};
 use crate::schema::{TableDef, TableId};
@@ -210,6 +213,16 @@ pub trait StagedImport {
     /// and the import should be dropped.
     fn push(&mut self, rows: &mut Vec<Tuple>) -> usize;
 
+    /// Called once every row has been pushed, before any import of the
+    /// snapshot commits: the rows found not `Fresh` by a store that can
+    /// judge them only all together ([`WriteOnceStore`] sorts them
+    /// here, on `pool` when there is one). Non-zero means the snapshot
+    /// is corrupt, as for [`StagedImport::push`].
+    fn check(&mut self, pool: Option<&ThreadPool>) -> usize {
+        let _ = pool;
+        0
+    }
+
     /// Replaces the store's contents with the rows pushed. Returns the
     /// rows found not `Fresh` only now — by a store that could not
     /// check without inserting (such a store has been modified all the
@@ -323,6 +336,9 @@ impl StoreKind {
 /// The Gamma database: one store per table.
 pub struct Gamma {
     stores: Vec<Arc<dyn TableStore>>,
+    /// The stores of the write-once tables, by `TableId` (see
+    /// [`WriteOnceStore`]); `None` for every other table.
+    write_once: Vec<Option<Arc<WriteOnceStore>>>,
     /// Generation-stamped column-view cache shared by every join walk —
     /// see the [`cache`] module docs.
     index_cache: IndexCache,
@@ -332,6 +348,17 @@ impl Gamma {
     /// Builds Gamma from per-table store kinds (indexed by `TableId`),
     /// reporting store misconfiguration as an error.
     pub fn try_new(defs: &[Arc<TableDef>], kinds: &[StoreKind]) -> crate::error::Result<Gamma> {
+        Gamma::with_write_once(defs, kinds, &[], 1)
+    }
+
+    /// [`Gamma::try_new`] with a [`WriteOnceStore`] of `runs` runs for
+    /// every table `write_once` marks, in place of its kind's store.
+    pub(crate) fn with_write_once(
+        defs: &[Arc<TableDef>],
+        kinds: &[StoreKind],
+        write_once: &[bool],
+        runs: usize,
+    ) -> crate::error::Result<Gamma> {
         if defs.len() != kinds.len() {
             return Err(crate::error::JStarError::Other(format!(
                 "Gamma: {} table defs but {} store kinds",
@@ -339,15 +366,73 @@ impl Gamma {
                 kinds.len()
             )));
         }
-        let mut stores = Vec::with_capacity(defs.len());
-        for (d, k) in defs.iter().zip(kinds) {
-            stores.push(k.try_build(Arc::clone(d))?);
+        let mut stores: Vec<Arc<dyn TableStore>> = Vec::with_capacity(defs.len());
+        let mut once = Vec::with_capacity(defs.len());
+        for (i, (d, k)) in defs.iter().zip(kinds).enumerate() {
+            if write_once.get(i) == Some(&true) {
+                let store = Arc::new(WriteOnceStore::new(Arc::clone(d), runs));
+                stores.push(Arc::clone(&store) as Arc<dyn TableStore>);
+                once.push(Some(store));
+            } else {
+                stores.push(k.try_build(Arc::clone(d))?);
+                once.push(None);
+            }
         }
         let index_cache = IndexCache::new(stores.len(), DEFAULT_INDEX_CACHE_MAX_BYTES);
         Ok(Gamma {
             stores,
+            write_once: once,
             index_cache,
         })
+    }
+
+    /// The write-once tables, ascending.
+    pub(crate) fn write_once_tables(&self) -> impl Iterator<Item = TableId> + '_ {
+        (self.write_once.iter().enumerate())
+            .filter(|(_, w)| w.is_some())
+            .map(|(i, _)| TableId(i as u32))
+    }
+
+    /// The store of `table` when it is write-once.
+    pub(crate) fn write_once(&self, table: TableId) -> Option<&WriteOnceStore> {
+        self.write_once[table.index()].as_deref()
+    }
+
+    /// Appends `tuples` to run `run` of `table`'s store when the table is
+    /// write-once (every row counts as fresh until it is sealed); false,
+    /// and nothing done, for any other table.
+    pub(crate) fn append(&self, table: TableId, run: usize, tuples: &[Tuple]) -> bool {
+        match self.write_once(table) {
+            Some(store) => {
+                store.append(run, tuples);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Seals the write-once stores of `tables` that hold rows no seal has
+    /// taken, in one phase on `pool` (see [`WriteOnceStore`]), counting
+    /// the rows each build sorted among the index cache's, and hands back what
+    /// every seal of each of them — these, and any a read made since the
+    /// last call — found.
+    pub(crate) fn seal(
+        &self,
+        tables: &[TableId],
+        pool: Option<&ThreadPool>,
+    ) -> Vec<(TableId, SealReport)> {
+        let stores: Vec<(TableId, &WriteOnceStore)> = (tables.iter())
+            .filter_map(|&t| Some((t, self.write_once(t)?)))
+            .collect();
+        let only: Vec<&WriteOnceStore> = stores.iter().map(|&(_, s)| s).collect();
+        for rows in write_once::seal_all(&only, pool) {
+            if rows > 0 {
+                self.index_cache.count_seal(rows);
+            }
+        }
+        (stores.into_iter())
+            .map(|(t, s)| (t, s.take_report()))
+            .collect()
     }
 
     /// The column-view cache (counter snapshots).

@@ -67,8 +67,8 @@
 //! as slots, a bucket holds little more than the tuples that share the
 //! scanned key, whatever the table has grown to; with fewer heads than
 //! the table has distinct index keys, every scan is a walk over
-//! strangers (16,384 heads under `dijkstra`'s 40,000 edge sources: seven
-//! hops for two matches).
+//! strangers (a head array capped at 16,384 for a table of 40,000
+//! distinct index keys: seven hops for two matches).
 //!
 //! **Import** (snapshot restore, [`SwappableTable::begin_import`]) is
 //! that same batch insert into a fresh table built beside the live one:

@@ -81,6 +81,26 @@ impl TableStats {
         &self.stripes[shard]
     }
 
+    /// Moves `rejected` inserts out of `gamma_fresh` — `dups` of them into
+    /// `gamma_dups`, the rest (`->` conflicts) into neither: what a
+    /// write-once table's seal found among rows its appends counted as
+    /// fresh. Taken from the stripes in order, none below zero; called
+    /// at a quiescent point, when no worker counts.
+    pub(crate) fn unfresh(&self, rejected: u64, dups: u64) {
+        let mut left = rejected;
+        for stripe in self.stripes.iter() {
+            // ord: Relaxed ×2 — statistics counters, and no worker writes
+            // them at a quiescent point.
+            let take = left.min(stripe.gamma_fresh.load(Ordering::Relaxed));
+            stripe.gamma_fresh.fetch_sub(take, Ordering::Relaxed);
+            left -= take;
+        }
+        // ord: Relaxed — as above.
+        self.stripes[0]
+            .gamma_dups
+            .fetch_add(dups, Ordering::Relaxed);
+    }
+
     /// The table's totals: every stripe summed, plus the two
     /// coordinator-side counters.
     pub fn snapshot(&self) -> TableStatsSnapshot {

@@ -66,6 +66,7 @@ pub const SHIM_MANDATED: &[&str] = &[
     "crates/jstar-core/src/gamma/cache.rs",
     "crates/jstar-core/src/gamma/hash.rs",
     "crates/jstar-core/src/gamma/reservation.rs",
+    "crates/jstar-core/src/gamma/write_once.rs",
     "crates/jstar-core/src/relation.rs",
     "crates/jstar-core/src/stats.rs",
     "crates/jstar-core/src/tuple.rs",
