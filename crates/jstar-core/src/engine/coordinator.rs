@@ -424,8 +424,8 @@ impl Engine {
 
             // Close every write-once table whose key the class has
             // passed: no put can reach it any more, so its runs are
-            // sealed — all of them in one phase on the pool — before any
-            // rule of the class can read it.
+            // sealed — one table after another, each on the pool —
+            // before any rule of the class can read it.
             let closing = (closes[closed..].iter())
                 .take_while(|&&(k, _)| *k < key)
                 .count();
@@ -852,9 +852,10 @@ impl Engine {
     }
 
     /// Lowers `j`, opens its views (`A`'s on the column stage 0 seeks
-    /// by, then one per stage, each counted; what must be built is built
-    /// in one phase on the pool), hands `body` the walk's
-    /// root, root checks and stages, and charges the seeks it reports.
+    /// by, then one per stage, each counted; what must be built is
+    /// built on the pool, one view after another), hands `body` the
+    /// walk's root, root checks and stages, and charges the seeks it
+    /// reports.
     fn read_join<J: JoinShape, R>(
         &self,
         j: J,
@@ -867,7 +868,7 @@ impl Engine {
         let columns: Vec<(TableId, usize)> = std::iter::once((ids[0], by))
             .chain(stages.iter().map(JoinStage::column))
             .collect();
-        let (_, views) = open_views(&self.state, None, &columns, self.pool.as_deref());
+        let views = open_views(&self.state, &columns, self.pool.as_deref());
         let walk = walk_stages(&stages, &views[1..]);
         let (out, seeks) = body(&views[0], &root_less, &walk);
         if seeks > 0 {

@@ -111,12 +111,12 @@
 //!   whose inequalities it fails; each full row combination is
 //!   emitted. A class with a table that triggers a join rule runs on
 //!   the coordinator, grouped by table, so each table's share is one
-//!   run and one walk. The root view and every stage view the cache
-//!   must build are built together, in one phase on the pool
-//!   (`Gamma::open_views`), and the walk then fans the root view's rows
-//!   across the pool like class chunks. A run flushed from a staging
-//!   slot, or a chunk of a forked class, is walked without a pool: its
-//!   builds are one piece each.
+//!   run and one walk. The root view, then each stage view the cache
+//!   must build (`Gamma::open_views`), is built on the pool, one view
+//!   per build, and the walk then fans the root view's rows across the
+//!   pool like class chunks. A run flushed from a staging slot, or a
+//!   chunk of a forked class, is walked without a pool: its builds are
+//!   one piece each.
 //!
 //! The walk emits the tuple set a nested loop firing per tuple would:
 //! the run is in Gamma before either fires, and set semantics plus the

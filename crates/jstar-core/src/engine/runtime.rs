@@ -30,7 +30,7 @@
 use crate::delta::ShardedInbox;
 use crate::error::JStarError;
 use crate::gamma::leapfrog::{self, Stage};
-use crate::gamma::{ColumnIndex, Gamma, InsertOutcome};
+use crate::gamma::{self, ColumnIndex, Gamma, InsertOutcome};
 use crate::orderby::{KeyPart, OrderKey, ResolvedComponent, ResolvedOrderBy};
 use crate::program::Program;
 use crate::rule::{JoinPlan, JoinStage, Rule, RuleKind};
@@ -402,9 +402,9 @@ pub(super) fn insert_and_fire(
 }
 
 /// Seals the write-once stores of `tables` that hold rows no seal has
-/// taken, in one phase on `pool` — at a quiescent point: the step
-/// boundary before a class is executed, a checkpoint, the end of a run.
-/// What the seals found is accounted as the batch insert would have:
+/// taken, one after another, each on `pool` — at a quiescent point: the
+/// step boundary before a class is executed, a checkpoint, the end of a
+/// run. What the seals found is accounted as the batch insert would have:
 /// repeats move from `gamma_fresh` to `gamma_dups`, and each `->`
 /// conflict leaves `gamma_fresh` and is recorded as a
 /// [`JStarError::KeyViolation`].
@@ -425,15 +425,14 @@ pub(super) fn seal(state: &RunState, tables: &[TableId], pool: Option<&ThreadPoo
 
 /// Opens one column view per `(table, field)`, each counted as a query
 /// against its table (so `gamma_probes` stays honest) and as a cursor
-/// open, and cuts `root`'s rows into a view on its field — every build
-/// in one phase on `pool` ([`Gamma::open_views`]). The one way a join
-/// walk — rule-side or read-side — reaches Gamma.
+/// open; the views the cache must build are built one after another,
+/// each on `pool` ([`Gamma::open_views`]). The one way a join walk —
+/// rule-side or read-side — reaches Gamma's stores.
 pub(super) fn open_views(
     state: &RunState,
-    root: Option<(&[&Tuple], usize)>,
     columns: &[(TableId, usize)],
     pool: Option<&ThreadPool>,
-) -> (Option<ColumnIndex>, Vec<Arc<ColumnIndex>>) {
+) -> Vec<Arc<ColumnIndex>> {
     for &(table, _) in columns {
         let stripe = state.stats.tables[table.index()].stripe(state.staging_shard());
         // ord: Relaxed ×2 — statistics only, read after the run.
@@ -441,7 +440,7 @@ pub(super) fn open_views(
         let stats = &state.stats;
         stats.join_cursor_opens.fetch_add(1, Ordering::Relaxed);
     }
-    state.gamma.open_views(root, columns, pool)
+    state.gamma.open_views(columns, pool)
 }
 
 /// The walk stages of `stages` over their opened `views`.
@@ -457,9 +456,10 @@ pub(super) fn walk_stages<'a>(
 /// One join rule over a run's fresh tuples — semi-naive evaluation
 /// with the run as the delta.
 ///
-/// The delta is cut into a view on the trigger field stage 0 seeks by
-/// — the builder every Gamma view comes from, so its groups are ordered
-/// by their next column with run order breaking ties — and becomes
+/// The delta is cut into a view of its own on the trigger field stage 0
+/// seeks by ([`gamma::rows_view`], the builder every Gamma view comes
+/// from, so its groups are ordered by their next column with run order
+/// breaking ties), never cached, and becomes
 /// the root of one [`leapfrog`] walk, which drops the tuples failing
 /// the plan's root checks: one column view is opened per stage (one
 /// store pass each, or a cache hit; shared by every worker with private
@@ -467,9 +467,9 @@ pub(super) fn walk_stages<'a>(
 /// stages seek per row, each stage dropping the candidates that fail
 /// its inequalities before the next one seeks. Store work per run is
 /// `stages` cursor opens plus the counted gallops, instead of one probe
-/// per tuple. With a pool, the root view and the stage views the cache
-/// must build are built in one phase on it, and the root's rows are
-/// then split across workers.
+/// per tuple. With a pool, the root view and then each stage view the
+/// cache must build are built on it, one after another, and the root's
+/// rows are then split across workers.
 /// Each emission's context carries `key`, or — for a run flushed from
 /// a staging slot — its trigger tuple's own key.
 ///
@@ -491,9 +491,8 @@ fn walk_join(
     if !(columns.iter()).all(|&(table, _)| state.check_readable(table, &rule.name)) {
         return;
     }
-    let (Some(root), views) = open_views(state, Some((fresh, by)), &columns, pool) else {
-        unreachable!("a root was asked for")
-    };
+    let root = gamma::rows_view(fresh, by, pool);
+    let views = open_views(state, &columns, pool);
     let plans = &state.plans[rule.trigger.index()];
     let (_, seeks) = leapfrog::fan_out(
         &root,

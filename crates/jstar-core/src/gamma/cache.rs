@@ -24,13 +24,15 @@
 //! the one it was built under. Any change — one more claimed row, a
 //! tombstone, a compaction — rebuilds the view by the one cold build: a
 //! walk of the journal from position 0, cut into pieces on the pool,
-//! sorted and cut into groups ([`super::cursor::build_views`]). Every
+//! sorted and cut into groups ([`super::cursor::build_view`]). Every
 //! built-in store keeps a claim journal; only custom stores
 //! ([`super::StoreKind::Custom`]) report no stamp, and their views are
 //! built over [`super::TableStore::for_each`], as one piece, on every
-//! open and never cached. One open asks for every view a walk needs at
-//! once ([`super::Gamma::open_views`]): the builds its misses need run
-//! in one pooled phase, with the join rule's root view beside them.
+//! open and never cached. One open asks for the stage views a walk needs
+//! ([`super::Gamma::open_views`]) and builds its misses one after
+//! another, one view per build, each on the pool. A join rule's root,
+//! cut from its delta, is no column of a store: the walk builds it
+//! itself ([`super::rows_view`]), and the cache never sees it.
 //!
 //! The LRU bound counts what a view owns
 //! ([`ColumnIndex::approx_bytes`]): its five arrays. Tuple payloads
@@ -43,15 +45,15 @@
 //! wins. Openers that race on one miss each build their own copy: no
 //! thread blocks on another's build, so no deadlock can form (a build on
 //! the pool helps run whatever jobs the pool holds, and one of them may
-//! open a view itself), and a build that panics leaves nothing behind. A stale insert costs at most one more rebuild, since
-//! an entry is served only while its stamp equals the store's. Openers
-//! race workers still appending to the journal; the happens-before edge
-//! that makes the journal walk sound is the claim journal's own publish
-//! protocol (see CONCURRENCY.md protocol 6).
+//! open a view itself), and a build that panics leaves nothing behind.
+//! A stale insert costs at most one more rebuild, since an entry is
+//! served only while its stamp equals the store's. Openers race workers
+//! still appending to the journal; the happens-before edge that makes
+//! the journal walk sound is the claim journal's own publish protocol
+//! (see CONCURRENCY.md protocol 6).
 
-use super::cursor::{build_views, ColumnIndex, Source};
+use super::cursor::{build_view, ColumnIndex, Source};
 use super::{TableStore, WriteOnceStore};
-use crate::tuple::Tuple;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
@@ -141,8 +143,6 @@ enum Claim {
     /// Built by this open — off the journal up to the stamp's
     /// generation, or over `for_each` without a stamp.
     Build(Option<IndexStamp>),
-    /// The same column as an earlier one of this open.
-    Same(usize),
 }
 
 impl IndexCache {
@@ -167,109 +167,65 @@ impl IndexCache {
         }
     }
 
+    /// The open path behind [`super::Gamma::open_views`]: the view of
+    /// each `(table, field, store)` column, served or built. The misses
+    /// are built one after another, each on `pool`
+    /// ([`super::cursor::build_view`]) and outside the table locks; a
+    /// column named twice is served the first one's view.
+    pub(super) fn open_views(
+        &self,
+        columns: &[(usize, usize, &dyn TableStore)],
+        pool: Option<&ThreadPool>,
+    ) -> Vec<Arc<ColumnIndex>> {
+        let mut out: Vec<Arc<ColumnIndex>> = Vec::with_capacity(columns.len());
+        for (i, &(table, field, store)) in columns.iter().enumerate() {
+            let earlier = columns[..i]
+                .iter()
+                .position(|&(t, f, _)| (t, f) == (table, field));
+            out.push(match earlier {
+                Some(j) => {
+                    // ord: Relaxed — statistic only. Served by the
+                    // earlier column's view, as a later open would be.
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    Arc::clone(&out[j])
+                }
+                None => self.open(table, field, store, pool),
+            });
+        }
+        out
+    }
+
     /// The open path behind [`super::Gamma::open_cursor`]: one view,
-    /// served straight from its entry on a hit, built as one piece
-    /// otherwise.
+    /// served from its entry on a hit, built on `pool` otherwise (one
+    /// piece without one) and made the entry.
     pub(super) fn open(
         &self,
         table: usize,
         field: usize,
         store: &dyn TableStore,
-    ) -> Arc<ColumnIndex> {
-        let stamp = store.index_stamp();
-        if let Some(view) = stamp.and_then(|s| self.hit(&mut self.tables[table].lock(), field, s)) {
-            return view;
-        }
-        let (_, mut views) = self.open_views(None, &[(table, field, store)], None);
-        views.swap_remove(0)
-    }
-
-    /// The view of `field` when its entry holds one built under `stamp`,
-    /// counted as a hit.
-    fn hit(
-        &self,
-        map: &mut HashMap<usize, CacheEntry>,
-        field: usize,
-        stamp: IndexStamp,
-    ) -> Option<Arc<ColumnIndex>> {
-        let e = map.get_mut(&field).filter(|e| e.stamp == stamp)?;
-        e.last_used = self.tick();
-        // ord: Relaxed — statistic only.
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&e.index))
-    }
-
-    /// The open path behind [`super::Gamma::open_views`]: the view of
-    /// each `(table, field, store)` column, served or built, and the
-    /// view of `root`'s rows, never cached. Every build this open needs
-    /// runs with the root's in one pooled phase
-    /// ([`super::cursor::build_views`]), outside the table locks.
-    pub(super) fn open_views(
-        &self,
-        root: Option<(&[&Tuple], usize)>,
-        columns: &[(usize, usize, &dyn TableStore)],
         pool: Option<&ThreadPool>,
-    ) -> (Option<ColumnIndex>, Vec<Arc<ColumnIndex>>) {
-        let claims: Vec<Claim> = (columns.iter().enumerate())
-            .map(|(i, &(table, field, store))| {
-                match columns[..i]
-                    .iter()
-                    .position(|&(t, f, _)| (t, f) == (table, field))
-                {
-                    Some(j) => {
-                        // ord: Relaxed — statistic only. Served by the
-                        // earlier column's view, as a later open would be.
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        Claim::Same(j)
-                    }
-                    None => self.claim(table, field, store),
-                }
-            })
-            .collect();
-        let misses = claims
-            .iter()
-            .zip(columns)
-            .filter_map(|(claim, &(_, field, store))| {
-                let Claim::Build(stamp) = claim else {
-                    return None;
-                };
-                let source = stamp.map_or(Source::Pass(store), |s| {
-                    Source::Journal(store, s.generation)
-                });
-                Some((source, field))
-            });
-        let root_build = root.map(|(rows, field)| (Source::Rows(rows), field));
-        let builds: Vec<(Source<'_>, usize)> = root_build.into_iter().chain(misses).collect();
-        let mut built = build_views(&builds, pool).into_iter();
-        let root = root.and_then(|_| built.next()).map(|(view, _)| view);
-        let mut out: Vec<Arc<ColumnIndex>> = Vec::with_capacity(columns.len());
-        for (claim, &(table, field, _)) in claims.iter().zip(columns) {
-            let view = match claim {
-                Claim::Hit(index) => Arc::clone(index),
-                Claim::Same(j) => Arc::clone(&out[*j]),
-                Claim::Build(stamp) => {
-                    let Some((view, covered)) = built.next() else {
-                        unreachable!("every miss is built")
-                    };
-                    let view = Arc::new(view);
-                    self.count_build(view.rows.len());
-                    if let Some(stamp) = stamp {
-                        // Stamped with the bound the walk covered: an
-                        // append still in flight leaves the stamp behind
-                        // the store's, so the next open rebuilds and
-                        // reads it.
-                        let stamp = IndexStamp {
-                            generation: covered,
-                            ..*stamp
-                        };
-                        self.insert(table, field, stamp, &view);
-                    }
-                    view
-                }
+    ) -> Arc<ColumnIndex> {
+        let stamp = match self.claim(table, field, store) {
+            Claim::Hit(view) => return view,
+            Claim::Build(stamp) => stamp,
+        };
+        let source = stamp.map_or(Source::Pass(store), |s| {
+            Source::Journal(store, s.generation)
+        });
+        let (view, covered) = build_view(source, field, pool);
+        let view = Arc::new(view);
+        self.count_build(view.rows.len());
+        if let Some(stamp) = stamp {
+            // Stamped with the bound the walk covered: an append still
+            // in flight leaves the stamp behind the store's, so the next
+            // open rebuilds and reads it.
+            let stamp = IndexStamp {
+                generation: covered,
+                ..stamp
             };
-            out.push(view);
+            self.insert(table, field, stamp, &view);
         }
-        (root, out)
+        view
     }
 
     /// A hit while `field`'s entry is stamped as the store is, a build
@@ -285,10 +241,14 @@ impl IndexCache {
         let Some(stamp) = store.index_stamp() else {
             return Claim::Build(None);
         };
-        match self.hit(&mut self.tables[table].lock(), field, stamp) {
-            Some(index) => Claim::Hit(index),
-            None => Claim::Build(Some(stamp)),
-        }
+        let mut map = self.tables[table].lock();
+        let Some(e) = map.get_mut(&field).filter(|e| e.stamp == stamp) else {
+            return Claim::Build(Some(stamp));
+        };
+        e.last_used = self.tick();
+        // ord: Relaxed — statistic only.
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Claim::Hit(Arc::clone(&e.index))
     }
 
     /// Makes `index`, built under `stamp`, the entry of `field`.
@@ -376,8 +336,8 @@ mod tests {
             s.insert(kt(i, i, "v"));
         }
         let cache = IndexCache::new(1, usize::MAX);
-        let a = cache.open(0, 0, &s);
-        let b = cache.open(0, 0, &s);
+        let a = cache.open(0, 0, &s, None);
+        let b = cache.open(0, 0, &s, None);
         assert!(Arc::ptr_eq(&a, &b), "warm open returns the cached Arc");
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (1, 1));
@@ -394,11 +354,11 @@ mod tests {
             s.insert(kt(1000 - i, i, "v"));
         }
         let cache = IndexCache::new(1, usize::MAX);
-        let first = cache.open(0, 0, &s);
+        let first = cache.open(0, 0, &s, None);
         for i in 80..100 {
             s.insert(kt(1000 - i, i, "v"));
         }
-        let reopened = cache.open(0, 0, &s);
+        let reopened = cache.open(0, 0, &s, None);
         assert!(
             !Arc::ptr_eq(&first, &reopened),
             "the grown table is rebuilt"
@@ -434,13 +394,13 @@ mod tests {
                         kt(i, (i * 5) % 7, "v")
                     });
                 }
-                let cached = cache.open(0, 1, &s);
+                let cached = cache.open(0, 1, &s, None);
                 assert_eq!(
                     *cached,
                     cold(&s, 1),
                     "round {round}: cached view diverged from the cold build"
                 );
-                assert!(Arc::ptr_eq(&cached, &cache.open(0, 1, &s)));
+                assert!(Arc::ptr_eq(&cached, &cache.open(0, 1, &s, None)));
                 assert!(cached.int_keys.is_some());
             }
             let st = cache.stats();
@@ -463,7 +423,7 @@ mod tests {
                     s.insert(Tuple::new(TableId(0), vec![Value::Int(x), Value::Int(y)]));
                 }
             }
-            let cached = cache.open(0, 0, &s);
+            let cached = cache.open(0, 0, &s, None);
             assert_eq!(
                 *cached,
                 cold(&s, 0),
@@ -504,7 +464,7 @@ mod tests {
                 ));
             }
             assert_eq!(
-                *cache.open(0, 0, &s),
+                *cache.open(0, 0, &s, None),
                 cold(&s, 0),
                 "round {round}: cached view diverged from the cold build"
             );
@@ -521,9 +481,9 @@ mod tests {
             s.insert(kt(i, i, "v"));
         }
         let cache = IndexCache::new(1, usize::MAX);
-        let _ = cache.open(0, 0, &s);
+        let _ = cache.open(0, 0, &s, None);
         s.retain(&|t| t.int(0) % 2 == 0);
-        let warm = cache.open(0, 0, &s);
+        let warm = cache.open(0, 0, &s, None);
         let st = cache.stats();
         assert_eq!(st.misses, 2, "tombstones changed — full rebuild");
         assert_eq!(*warm, cold(&s, 0));
@@ -536,10 +496,10 @@ mod tests {
             s.insert(kt(i, i, "v"));
         }
         let cache = IndexCache::new(1, usize::MAX);
-        let _ = cache.open(0, 0, &s);
+        let _ = cache.open(0, 0, &s, None);
         s.retain(&|t| t.int(0) < 10);
         assert!(s.maybe_compact(0.1), "compaction must run");
-        let warm = cache.open(0, 0, &s);
+        let warm = cache.open(0, 0, &s, None);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(*warm, cold(&s, 0));
     }
@@ -632,11 +592,7 @@ mod tests {
             let rows = 3 * crate::gamma::MIN_PIECE;
             let store = Gated::new(rows);
             let (cache, pool) = (IndexCache::new(1, usize::MAX), ThreadPool::new(threads));
-            let open = || {
-                cache
-                    .open_views(None, &[(0, 0, &store as &dyn TableStore)], Some(&pool))
-                    .1
-            };
+            let open = || cache.open_views(&[(0, 0, &store as &dyn TableStore)], Some(&pool));
             // A cache that made the second opener wait for the first
             // would hang here: past the deadline the gate opens anyway,
             // and the asserts below fail instead.
@@ -690,8 +646,8 @@ mod tests {
         }
         // Budget of one byte: every insert evicts the other entry.
         let cache = IndexCache::new(1, 1);
-        let _ = cache.open(0, 0, &s);
-        let _ = cache.open(0, 1, &s);
+        let _ = cache.open(0, 0, &s, None);
+        let _ = cache.open(0, 1, &s, None);
         let m = cache.tables[0].lock();
         assert_eq!(m.len(), 1, "over budget — LRU evicted");
         assert!(m.contains_key(&1), "newest entry survives");

@@ -28,18 +28,19 @@
 //! way. Every view — a join rule's root, cut from its delta, and every
 //! view the [`super::IndexCache`] builds, off a claim journal or a
 //! custom store's `for_each` — comes out of one builder,
-//! [`build_views`], which builds all the views one walk needs in one
-//! phase on the pool:
+//! [`build_view`], which builds one view per call, in five rounds on
+//! the pool:
 //!
 //! * **pass** — the input is cut into pieces by position
 //!   ([`super::pieces`]: 4 per worker, none under [`super::MIN_PIECE`]),
 //!   and each piece packs its rows as it reads them — key, next-column
 //!   value, handle — on a worker, noting the span of its integer keys
 //!   and next values as it goes;
-//! * **split** — when every key and next value of a build is an integer
-//!   and their spans pack into one word a row, every piece scatters its
-//!   words into buckets by the high bits of the key, numbering each word
-//!   by its place in the bucket (pieces in order, each in pass order, so
+//! * **split** — when every key and next value of the view is an
+//!   integer and their spans pack into one word a row, every piece
+//!   counts its rows per bucket, then scatters its words into the
+//!   buckets by the high bits of the key, numbering each word by its
+//!   place in the bucket (pieces in order, each in pass order, so
 //!   positions stay global and ties keep journal or run order). A build
 //!   of one piece — without a pool, or of a small input — is one bucket;
 //! * **sort** — each bucket is sorted on a worker, and its groups are
@@ -50,9 +51,9 @@
 //!   share of them: the rows and groups of the buckets before it are
 //!   known once every bucket is sorted, so nothing is appended after.
 //!
-//! A write-once table's seal ([`build_sets`]) is the same build over
-//! runs packed as they were appended, one piece each, and its sort
-//! keeps each bucket a set (see [`Dedup`]).
+//! A write-once table's seal ([`build_set`]) is the same build of one
+//! view over runs packed as they were appended, one piece each, and its
+//! sort keeps each bucket a set (see [`Dedup`]).
 //!
 //! Any other build — of other values, or of integer spans too wide to
 //! pack — gathers its pieces into one bucket of `(key, next, position)`
@@ -365,32 +366,27 @@ fn on_pool<R: Send>(pool: Option<&ThreadPool>, tasks: Vec<impl FnOnce() -> R + S
     }
 }
 
-/// Builds the view of each `(source, field)` in one pooled phase (see
-/// the [module docs](self)), and returns it with the journal bound its
-/// pass covered (see [`TableStore::for_each_journal_suffix`]; rows and a
-/// `for_each` pass cover everything). Five rounds on `pool`, each over
-/// every build at once: the pass; for a build that splits, a count of
-/// each piece's rows per bucket, then a scatter of each piece into its
-/// buckets; the sort of every bucket; and its cut into the view. A
-/// journal piece that an append in flight cut short ends its build: the
-/// pieces after it are dropped, as a one-piece walk would have stopped
-/// there.
+/// Builds the view of `field` over `source` (see the
+/// [module docs](self)), and returns it with the journal bound its pass
+/// covered (see [`TableStore::for_each_journal_suffix`]; rows and a
+/// `for_each` pass cover everything). Five rounds on `pool`: the pass;
+/// when the build splits, a count of each piece's rows per bucket, then
+/// a scatter of each piece into its buckets; the sort of every bucket;
+/// and its cut into the view. A journal piece that an append in flight
+/// cut short ends the build: the pieces after it are dropped, as a
+/// one-piece walk would have stopped there.
 ///
 /// The arrays a round fills on workers are allocated here, on the
 /// calling thread — unwritten, so the workers fault their pages in —
 /// and freed as soon as the next round is done with them: the build's
 /// memory comes and goes in one allocator arena, not one per worker.
-pub(crate) fn build_views(
-    builds: &[(Source<'_>, usize)],
+pub(crate) fn build_view(
+    source: Source<'_>,
+    field: usize,
     pool: Option<&ThreadPool>,
-) -> Vec<(ColumnIndex, usize)> {
-    let builds: Vec<_> = builds
-        .iter()
-        .map(|&(source, field)| (source, field, None))
-        .collect();
-    (build(&builds, pool).into_iter())
-        .map(|(view, covered, _)| (view, covered))
-        .collect()
+) -> (ColumnIndex, usize) {
+    let (view, covered, _) = build(source, field, None, pool);
+    (view, covered)
 }
 
 /// How a build keeps its rows a set: of the rows that share their first
@@ -427,209 +423,90 @@ impl SealReport {
     }
 }
 
-/// The column-0 view of each source's rows, kept a set by its
-/// [`Dedup`] — a write-once table's runs (see [`Source::Runs`]), or the
-/// rows a restore imports — in one phase on `pool`, with what each build
-/// dropped.
-pub(crate) fn build_sets(
-    sets: &[(Source<'_>, Dedup<'_>)],
+/// The column-0 view of `source`'s rows, kept a set by `dedup` — a
+/// write-once table's runs (see [`Source::Runs`]), or the rows a restore
+/// imports — built on `pool`, with what it dropped.
+pub(crate) fn build_set(
+    source: Source<'_>,
+    dedup: Dedup<'_>,
     pool: Option<&ThreadPool>,
-) -> Vec<(ColumnIndex, SealReport)> {
-    let builds: Vec<_> = (sets.iter())
-        .map(|&(source, dedup)| (source, 0, Some(dedup)))
-        .collect();
-    (build(&builds, pool).into_iter())
-        .map(|(view, _, report)| (view, report))
-        .collect()
+) -> (ColumnIndex, SealReport) {
+    let (view, _, report) = build(source, 0, Some(dedup), pool);
+    (view, report)
 }
 
-/// [`build_views`], each build kept a set when it has a [`Dedup`].
+/// [`build_view`], kept a set when there is a [`Dedup`].
 fn build(
-    builds: &[(Source<'_>, usize, Option<Dedup<'_>>)],
+    source: Source<'_>,
+    field: usize,
+    dedup: Option<Dedup<'_>>,
     pool: Option<&ThreadPool>,
-) -> Vec<(ColumnIndex, usize, SealReport)> {
+) -> (ColumnIndex, usize, SealReport) {
     // Round 1: the pass.
-    let cuts: Vec<(usize, usize, usize)> = (builds.iter().enumerate())
-        .flat_map(|(b, (source, _, _))| {
-            let n = source.pieces(pool);
-            (0..n).map(move |i| (b, i, n))
-        })
-        .collect();
-    let tasks = (cuts.iter())
-        .map(|&(b, i, n)| {
-            let (source, field, _) = builds[b];
-            let rows = match source {
-                Source::Runs(_) => 0,
-                source => {
-                    let (lo, hi) = source.cut(i, n);
-                    hi - lo
-                }
-            };
-            let batch = Batch::new(field, rows);
+    let n = source.pieces(pool);
+    let tasks = (0..n)
+        .map(|i| {
+            let (lo, hi) = source.cut(i, n);
+            let batch = Batch::new(field, hi - lo);
             move || source.pass(batch, i, n)
         })
         .collect();
-    let mut pieces: Vec<Vec<Batch>> = builds.iter().map(|_| Vec::new()).collect();
-    let mut covered = vec![0; builds.len()];
-    let mut short = vec![false; builds.len()];
-    for (&(b, _, _), (batch, reached, cut_short)) in cuts.iter().zip(on_pool(pool, tasks)) {
-        if !short[b] {
-            pieces[b].push(batch);
-            (covered[b], short[b]) = (reached, cut_short);
+    let (mut pieces, mut covered) = (Vec::with_capacity(n), 0);
+    for (batch, reached, cut_short) in on_pool(pool, tasks) {
+        pieces.push(batch);
+        covered = reached;
+        if cut_short {
+            break;
         }
     }
-    for pieces in &pieces {
-        assert!(
-            pieces.iter().map(Batch::len).sum::<usize>() < u32::MAX as usize,
-            "ColumnIndex holds at most u32::MAX rows"
-        );
-    }
+    let rows: usize = pieces.iter().map(Batch::len).sum();
+    assert!(
+        rows < u32::MAX as usize,
+        "ColumnIndex holds at most u32::MAX rows"
+    );
 
-    // Round 2: how many rows of each piece of a split build fall in
-    // each of its buckets.
-    let splits: Vec<Option<Split>> = (pieces.iter())
-        .map(|p| {
-            let rows = p.iter().map(Batch::len).sum();
-            Split::of(p, p.len().max(super::pieces(pool, rows)))
-        })
-        .collect();
-    let tasks = (pieces.iter().zip(&splits))
-        .filter_map(|(pieces, split)| Some((pieces, split.as_ref()?)))
-        .flat_map(|(pieces, split)| pieces.iter().map(move |piece| move || split.count(piece)))
-        .collect();
-    let mut counts = on_pool(pool, tasks).into_iter();
-
-    // Round 3: each piece of a split build scattered into its buckets,
-    // which lie end to end in one set of arrays per build.
-    let mut gathered = Vec::with_capacity(builds.len());
-    let mut scatters = Vec::new();
-    for (pieces, split) in pieces.into_iter().zip(splits) {
-        let Some(split) = split else {
-            gathered.push(Gathered::Whole(pieces));
-            continue;
-        };
-        let per_piece: Vec<Vec<usize>> = counts.by_ref().take(pieces.len()).collect();
-        gathered.push(Gathered::Split(split.arrays(&per_piece), split));
-        scatters.push((pieces, per_piece));
-    }
-    let split_builds = gathered.iter_mut().filter_map(|g| match g {
-        Gathered::Split(to, split) => Some((to, &*split)),
-        Gathered::Whole(_) => None,
-    });
-    let mut tasks = Vec::new();
-    for ((pieces, per_piece), (to, split)) in scatters.into_iter().zip(split_builds) {
-        // Bucket by bucket, each piece's share, in piece order.
-        let shares = (0..split.buckets).flat_map(|b| per_piece.iter().map(move |c| c[b]));
-        let total = to.sizes.iter().sum();
-        let words = carve(&mut to.words.spare_capacity_mut()[..total], shares.clone());
-        let rows = carve(&mut to.rows.spare_capacity_mut()[..total], shares.clone());
-        let mut regions: Vec<Vec<Region<'_>>> = pieces.iter().map(|_| Vec::new()).collect();
-        let mut base = 0;
-        for (i, ((words, rows), n)) in words.into_iter().zip(rows).zip(shares).enumerate() {
-            let piece = i % pieces.len();
-            if piece == 0 {
-                base = 0;
-            }
-            regions[piece].push(Region { words, rows, base });
-            base += n as u32;
-        }
-        let scatter = |(piece, regions)| move || split.scatter(piece, regions);
-        tasks.extend(pieces.into_iter().zip(regions).map(scatter));
-    }
-    let filled = on_pool(pool, tasks);
-    assert!(filled.into_iter().all(|f| f), "a scatter fills its regions");
-    for g in gathered.iter_mut() {
-        if let Gathered::Split(to, _) = g {
-            let total = to.sizes.iter().sum();
-            // SAFETY: the regions carved out of `[0, total)` of each
-            // array's spare capacity tile it, and every scatter reported
-            // its regions filled — each slot written exactly once.
-            unsafe {
-                to.words.set_len(total);
-                to.rows.set_len(total);
-            }
-        }
-    }
+    // Rounds 2 and 3, when the build splits: each piece's rows counted
+    // per bucket, then scattered into its buckets.
+    let split = Split::of(&pieces, pieces.len().max(super::pieces(pool, rows)));
+    let mut scattered = split.map(|split| split.gather(std::mem::take(&mut pieces), pool));
 
     // Round 4: each bucket sorted and its groups counted — a build that
     // was not split is one bucket, its pieces gathered in order.
-    let mut buckets: Vec<Bucket<'_>> = Vec::new();
-    let mut per_build = Vec::with_capacity(builds.len());
-    for g in gathered.iter_mut() {
-        let before = buckets.len();
-        match g {
-            Gathered::Whole(pieces) => buckets.push(Bucket::whole(std::mem::take(pieces))),
-            Gathered::Split(to, split) => {
-                let words = carve(&mut to.words, to.sizes.iter().copied());
-                let rows = carve(&mut to.rows, to.sizes.iter().copied());
-                let split = &*split;
-                buckets.extend(
-                    words
-                        .into_iter()
-                        .zip(rows)
-                        .map(|(words, rows)| Bucket::Split {
-                            split,
-                            len: words.len(),
-                            words,
-                            rows,
-                        }),
-                );
-            }
-        }
-        per_build.push(buckets.len() - before);
-    }
-    let dedups =
-        (builds.iter().zip(&per_build)).flat_map(|(&(_, _, d), &n)| (0..n).map(move |_| d));
-    let tasks = (buckets.into_iter().zip(dedups))
-        .map(|(mut bucket, dedup)| {
+    let buckets = match &mut scattered {
+        Some(scattered) => scattered.buckets(),
+        None => vec![Bucket::whole(pieces)],
+    };
+    let tasks = (buckets.into_iter())
+        .map(|mut bucket| {
             move || {
                 let (groups, report) = bucket.sort(dedup);
                 (bucket, groups, report)
             }
         })
         .collect();
-    let mut sorted = on_pool(pool, tasks).into_iter();
-    let mut reports: Vec<SealReport> = builds.iter().map(|_| SealReport::default()).collect();
-    let per_build: Vec<Vec<(Bucket<'_>, usize)>> = (per_build.into_iter().zip(&mut reports))
-        .map(|(n, report)| {
-            (sorted.by_ref().take(n))
-                .map(|(bucket, groups, dropped)| {
-                    report.add(dropped);
-                    (bucket, groups)
-                })
-                .collect()
+    let mut report = SealReport::default();
+    let sorted: Vec<(Bucket<'_>, usize)> = (on_pool(pool, tasks).into_iter())
+        .map(|(bucket, groups, dropped)| {
+            report.add(dropped);
+            (bucket, groups)
         })
         .collect();
 
-    // Round 5: each view's arrays allocated at their final lengths, and
+    // Round 5: the view's arrays allocated at their final lengths, and
     // every bucket cut straight into its share of them — the rows and
     // groups before a bucket are known once the buckets are sorted.
-    let mut arrays: Vec<Arrays> = (per_build.iter())
-        .map(|buckets| {
-            let rows = buckets.iter().map(|(b, _)| b.len()).sum();
-            let groups = buckets.iter().map(|(_, g)| g).sum();
-            Arrays::new(buckets.iter().find_map(|(b, _)| b.next()), groups, rows)
-        })
+    let rows = sorted.iter().map(|(b, _)| b.len()).sum();
+    let groups = sorted.iter().map(|(_, g)| g).sum();
+    let mut arrays = Arrays::new(sorted.iter().find_map(|(b, _)| b.next()), groups, rows);
+    let shares = arrays.shares(sorted.iter().map(|(b, g)| (b.len(), *g)));
+    let tasks = (sorted.into_iter().zip(shares))
+        .map(|((bucket, _), share)| move || bucket.cut(share))
         .collect();
-    let mut tasks = Vec::new();
-    for (buckets, arrays) in per_build.into_iter().zip(&mut arrays) {
-        let shares = arrays.shares(buckets.iter().map(|(b, g)| (b.len(), *g)));
-        tasks.extend((buckets.into_iter().zip(shares)).map(|((b, _), share)| move || b.cut(share)));
-    }
-    let mut dense = on_pool(pool, tasks).into_iter();
-    // Every row has been moved into its view: free the buckets before
-    // the views are assembled.
-    drop(gathered);
-    (arrays.into_iter().zip(covered).zip(reports))
-        .map(|((arrays, covered), report)| (arrays.finish(dense.by_ref()), covered, report))
-        .collect()
-}
-
-/// A build after its pass: its pieces, to be gathered into one bucket,
-/// or the arrays its pieces scatter into, and how it is split.
-enum Gathered {
-    Whole(Vec<Batch>),
-    Split(Scattered, Split),
+    let dense = on_pool(pool, tasks);
+    // Every row has been moved into the view: free the buckets before
+    // it is assembled.
+    drop(scattered);
+    (arrays.finish(dense), covered, report)
 }
 
 /// `slice` cut into consecutive parts of `sizes`.
@@ -642,12 +519,35 @@ fn carve<T>(mut slice: &mut [T], sizes: impl Iterator<Item = usize>) -> Vec<&mut
     sizes.map(part).collect()
 }
 
-/// The arrays a split build's pieces scatter into: its buckets end to
-/// end, `sizes` rows each.
+/// The arrays a split build's pieces are scattered into: its buckets end
+/// to end, `sizes` rows each.
 struct Scattered {
+    split: Split,
     words: Vec<u64>,
     rows: Vec<Option<Tuple>>,
     sizes: Vec<usize>,
+}
+
+impl Scattered {
+    /// The buckets, each to be sorted and cut by a task of its own.
+    fn buckets(&mut self) -> Vec<Bucket<'_>> {
+        let Scattered {
+            split,
+            words,
+            rows,
+            sizes,
+        } = self;
+        let words = carve(words, sizes.iter().copied());
+        let rows = carve(rows, sizes.iter().copied());
+        (words.into_iter().zip(rows))
+            .map(|(words, rows)| Bucket::Split {
+                split,
+                len: words.len(),
+                words,
+                rows,
+            })
+            .collect()
+    }
 }
 
 /// What one task of the last round sorts and cuts.
@@ -689,10 +589,11 @@ impl Bucket<'_> {
         Bucket::Whole { next, rows, values }
     }
 
-    /// Rows in the bucket.
+    /// Rows in the bucket: once a sort has kept it a set, the rows it
+    /// kept.
     fn len(&self) -> usize {
         match self {
-            Bucket::Whole { rows, .. } => rows.len(),
+            Bucket::Whole { values, .. } => values.len(),
             Bucket::Split { len, .. } => *len,
         }
     }
@@ -912,16 +813,53 @@ impl Split {
         word.checked_shr(self.shift).unwrap_or(0) as usize
     }
 
-    /// Empty arrays for the buckets, `per_piece[p][b]` rows of piece
-    /// `p` in bucket `b`.
-    fn arrays(&self, per_piece: &[Vec<usize>]) -> Scattered {
+    /// Rounds 2 and 3 of a build that splits: how many rows of each of
+    /// `pieces` fall in each bucket, then each piece moved into its
+    /// share of every bucket — both on `pool`, one task a piece — into
+    /// arrays allocated here that hold the buckets end to end.
+    fn gather(self, pieces: Vec<Batch>, pool: Option<&ThreadPool>) -> Scattered {
+        let split = &self;
+        let tasks = pieces
+            .iter()
+            .map(|piece| move || split.count(piece))
+            .collect();
+        let per_piece: Vec<Vec<usize>> = on_pool(pool, tasks);
         let sizes: Vec<usize> = (0..self.buckets)
             .map(|b| per_piece.iter().map(|c| c[b]).sum())
             .collect();
-        let rows = sizes.iter().sum();
+        let total = sizes.iter().sum();
+        let (mut words, mut rows) = (Vec::with_capacity(total), Vec::with_capacity(total));
+        // Bucket by bucket, each piece's share, in piece order.
+        let shares = (0..self.buckets).flat_map(|b| per_piece.iter().map(move |c| c[b]));
+        let word_parts = carve(&mut words.spare_capacity_mut()[..total], shares.clone());
+        let row_parts = carve(&mut rows.spare_capacity_mut()[..total], shares.clone());
+        let mut regions: Vec<Vec<Region<'_>>> = pieces.iter().map(|_| Vec::new()).collect();
+        let mut base = 0;
+        let parts = word_parts.into_iter().zip(row_parts).zip(shares);
+        for (i, ((words, rows), n)) in parts.enumerate() {
+            let piece = i % pieces.len();
+            if piece == 0 {
+                base = 0;
+            }
+            regions[piece].push(Region { words, rows, base });
+            base += n as u32;
+        }
+        let tasks = (pieces.into_iter().zip(regions))
+            .map(|(piece, regions)| move || split.scatter(piece, regions))
+            .collect();
+        let filled = on_pool(pool, tasks);
+        assert!(filled.into_iter().all(|f| f), "a scatter fills its regions");
+        // SAFETY: the regions carved out of `[0, total)` of each array's
+        // spare capacity tile it, and every scatter reported its regions
+        // filled — each slot written exactly once.
+        unsafe {
+            words.set_len(total);
+            rows.set_len(total);
+        }
         Scattered {
-            words: Vec::with_capacity(rows),
-            rows: Vec::with_capacity(rows),
+            split: self,
+            words,
+            rows,
             sizes,
         }
     }
@@ -988,8 +926,6 @@ struct Arrays {
     int_next: Vec<i64>,
     /// The view's groups and rows.
     size: (usize, usize),
-    /// How many buckets are cut into the arrays.
-    parts: usize,
 }
 
 /// One bucket's share of a view's [`Arrays`]: its groups' slots, and its
@@ -1022,18 +958,13 @@ impl Arrays {
             next,
             int_next: Vec::with_capacity(if next.is_some() { rows } else { 0 }),
             size: (groups, rows),
-            parts: 0,
         }
     }
 
     /// The arrays cut into one share per `(rows, groups)` part, in order.
     fn shares(&mut self, parts: impl Iterator<Item = (usize, usize)>) -> Vec<Share<'_>> {
-        let (parts, total): (Vec<(usize, usize)>, usize) = {
-            let parts: Vec<_> = parts.collect();
-            let total = parts.iter().map(|&(rows, _)| rows).sum();
-            (parts, total)
-        };
-        self.parts = parts.len();
+        let parts: Vec<(usize, usize)> = parts.collect();
+        let total = parts.iter().map(|&(rows, _)| rows).sum();
         let rows_of = || parts.iter().map(|&(rows, _)| rows);
         let groups_of = || parts.iter().map(|&(_, groups)| groups);
         let with_next = usize::from(self.next.is_some());
@@ -1071,12 +1002,12 @@ impl Arrays {
         .collect()
     }
 
-    /// The view, once every share has been cut; `dense` yields each
+    /// The view, once every share has been cut; `dense` holds each
     /// share's cut's answer to whether its keys, and its next-column
     /// values, were all integers.
-    fn finish(mut self, dense: impl Iterator<Item = (bool, bool)>) -> ColumnIndex {
+    fn finish(mut self, dense: impl IntoIterator<Item = (bool, bool)>) -> ColumnIndex {
         let (dense_keys, dense_next) =
-            (dense.take(self.parts)).fold((true, true), |(k, n), (dk, dn)| (k && dk, n && dn));
+            (dense.into_iter()).fold((true, true), |(k, n), (dk, dn)| (k && dk, n && dn));
         let (groups, rows) = self.size;
         self.starts.spare_capacity_mut()[groups].write(rows as u32);
         // SAFETY: the shares tile `[0, groups)` / `[0, rows)` of the
@@ -1202,6 +1133,19 @@ impl Share<'_> {
 }
 
 impl ColumnIndex {
+    /// The view of no rows, as a build over none returns it: one start,
+    /// and dense keys, all zero of them.
+    pub(crate) fn empty() -> ColumnIndex {
+        ColumnIndex {
+            keys: Vec::new(),
+            starts: vec![0],
+            rows: Vec::new(),
+            int_keys: Some(Box::new([])),
+            next: None,
+            int_next: None,
+        }
+    }
+
     /// Heap bytes this view owns, for the cache's byte-bounded LRU: the
     /// five arrays at their capacities. A row is a handle — the tuple
     /// payload belongs to the store (and a `Str` key's text to its
@@ -1420,8 +1364,7 @@ pub(super) mod tests {
     /// equal key and next-column values keep their order in `rows`.
     pub fn view_of(field: usize, rows: &[Tuple]) -> ColumnIndex {
         let rows: Vec<&Tuple> = rows.iter().collect();
-        let mut built = build_views(&[(Source::Rows(&rows), field)], None);
-        built.swap_remove(0).0
+        build_view(Source::Rows(&rows), field, None).0
     }
 
     /// `(key, payload)` rows in the given order; the key is column 0.
@@ -1713,6 +1656,52 @@ pub(super) mod tests {
     }
 
     #[test]
+    fn three_runs_sealed_without_a_pool_build_the_one_piece_view() {
+        // Three runs of 50 rows, sealed without a pool: for integer rows
+        // the three pieces split into four buckets of packed words, so
+        // each piece scatters into regions carved out of the buckets and
+        // four shares are cut into the view; a `Str` next column is one
+        // bucket of values. The last 30 rows repeat the first 30, and
+        // the seal keeps each row once, as the one-piece view of the set
+        // holds it.
+        let (ints, strs): (Vec<Tuple>, Vec<Tuple>) = (0..150i64)
+            .map(|i| {
+                let (i, key) = (i % 120, (i % 120 * 37) % 101);
+                let int = vec![Value::Int(key - 50), Value::Int(i % 7), Value::Int(i)];
+                let text = vec![Value::Int(key), Value::str(format!("n{}", i % 7))];
+                (Tuple::new(TableId(0), int), Tuple::new(TableId(0), text))
+            })
+            .unzip();
+        for (rows, buckets) in [(ints, Some(4)), (strs, None)] {
+            let pieces: Vec<Batch> = (rows.chunks(50))
+                .map(|run| {
+                    let mut batch = Batch::new(0, run.len());
+                    run.iter().for_each(|t| batch.push(t.clone()));
+                    batch
+                })
+                .collect();
+            assert_eq!(Split::of(&pieces, pieces.len()).map(|s| s.buckets), buckets);
+            let runs: Vec<Mutex<Batch>> = pieces.into_iter().map(Mutex::new).collect();
+            let dedup = Dedup {
+                key: rows[0].arity(),
+                kept: None,
+            };
+            let (view, report) = build_set(Source::Runs(&runs), dedup, None);
+            let mut set = rows.clone();
+            set.sort();
+            set.dedup();
+            assert_eq!(view, view_of(0, &set), "{buckets:?} buckets");
+            assert_eq!(
+                report,
+                SealReport {
+                    dups: 30,
+                    conflicts: Vec::new()
+                }
+            );
+        }
+    }
+
+    #[test]
     fn rebuild_after_new_rows_equals_one_build_over_both_batches() {
         use crate::gamma::testutil::keyless_def;
         use crate::gamma::{HashStore, IndexCache, TableStore};
@@ -1752,11 +1741,11 @@ pub(super) mod tests {
                 for (i, &(k, n)) in old.iter().enumerate() {
                     insert(row(k, n, s(unpacked_in_old, i)));
                 }
-                let cached = cache.open(0, 0, &store);
+                let cached = cache.open(0, 0, &store, None);
                 for (i, &(k, n)) in new.iter().enumerate() {
                     insert(row(k, n, s(unpacked_in_new, i)));
                 }
-                let rebuilt = cache.open(0, 0, &store);
+                let rebuilt = cache.open(0, 0, &store, None);
                 let both = view_of(0, &all);
                 let case = format!("old={unpacked_in_old} new={unpacked_in_new}");
                 assert_eq!(*rebuilt, both, "{case}");
@@ -1771,10 +1760,10 @@ pub(super) mod tests {
         // A view opened over an empty table is rebuilt like any other.
         let store = HashStore::with_first_segment(keyless_def(), vec![0], 256);
         let cache = IndexCache::new(1, usize::MAX);
-        assert!(cache.open(0, 0, &store).is_empty());
+        assert!(cache.open(0, 0, &store, None).is_empty());
         let t = row(3, 0, None);
         store.insert(t.clone());
-        let rebuilt = cache.open(0, 0, &store);
+        let rebuilt = cache.open(0, 0, &store, None);
         assert_eq!(*rebuilt, view_of(0, std::slice::from_ref(&t)));
         assert_eq!(cache.stats().misses, 2);
     }
@@ -1860,7 +1849,7 @@ pub(super) mod tests {
             });
             let entries = store.index_stamp().map_or(0, |s| s.generation);
             let sources = [Source::Rows(&refs), Source::Journal(&store, entries)];
-            let serial = build_views(&[(sources[0], field), (sources[1], field)], None);
+            let serial: Vec<_> = sources.iter().map(|&s| build_view(s, field, None)).collect();
             let next = next_column(field, 3).unwrap_or(0);
             let mut ordered = rows.clone();
             ordered.sort_by(|a, b| (a.get(field), a.get(next)).cmp(&(b.get(field), b.get(next))));
@@ -1872,7 +1861,9 @@ pub(super) mod tests {
             prop_assert_eq!(serial[1].1, entries, "the journal walk covers every entry");
             for threads in [1, 2, 4] {
                 let pool = ThreadPool::new(threads);
-                let pooled = build_views(&[(sources[0], field), (sources[1], field)], Some(&pool));
+                let pooled: Vec<_> = (sources.iter())
+                    .map(|&s| build_view(s, field, Some(&pool)))
+                    .collect();
                 for ((got, covered), (want, want_covered)) in pooled.iter().zip(&serial) {
                     prop_assert_eq!(got, want, "kind {} n {} at {} threads", kind, n, threads);
                     prop_assert_eq!(covered, want_covered);
@@ -1906,5 +1897,7 @@ pub(super) mod tests {
             2 * std::mem::size_of::<Value>() + 3 * 4 + 3 * std::mem::size_of::<Tuple>()
         );
         assert_eq!(index(&[]).approx_bytes(), 4, "one start, nothing else");
+        assert_eq!(ColumnIndex::empty(), view_of(0, &[]));
+        assert_eq!(ColumnIndex::empty().approx_bytes(), 4);
     }
 }

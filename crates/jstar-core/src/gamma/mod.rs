@@ -48,6 +48,13 @@ pub(crate) fn pieces(pool: Option<&ThreadPool>, len: usize) -> usize {
     })
 }
 
+/// The view of `rows` keyed on `field` — a join rule's root, cut from
+/// its delta — built on `pool` (one piece without one) and never cached;
+/// rows equal on key and next column keep their order in `rows`.
+pub(crate) fn rows_view(rows: &[&Tuple], field: usize, pool: Option<&ThreadPool>) -> ColumnIndex {
+    cursor::build_view(cursor::Source::Rows(rows), field, pool).0
+}
+
 /// Factory closure for [`StoreKind::Custom`].
 pub type StoreFactory = Arc<dyn Fn(Arc<TableDef>) -> Arc<dyn TableStore> + Send + Sync>;
 use cursor::SealReport;
@@ -412,27 +419,27 @@ impl Gamma {
     }
 
     /// Seals the write-once stores of `tables` that hold rows no seal has
-    /// taken, in one phase on `pool` (see [`WriteOnceStore`]), counting
-    /// the rows each build sorted among the index cache's, and hands back what
-    /// every seal of each of them — these, and any a read made since the
-    /// last call — found.
+    /// taken, one after another, each on `pool` (see [`WriteOnceStore`]),
+    /// counting the rows each build sorted among the index cache's, and
+    /// hands back what every seal of each of them — this one, and any a
+    /// read made since the last call — found.
     pub(crate) fn seal(
         &self,
         tables: &[TableId],
         pool: Option<&ThreadPool>,
     ) -> Vec<(TableId, SealReport)> {
-        let stores: Vec<(TableId, &WriteOnceStore)> = (tables.iter())
-            .filter_map(|&t| Some((t, self.write_once(t)?)))
-            .collect();
-        let only: Vec<&WriteOnceStore> = stores.iter().map(|&(_, s)| s).collect();
-        for rows in write_once::seal_all(&only, pool) {
+        let mut reports = Vec::with_capacity(tables.len());
+        for &table in tables {
+            let Some(store) = self.write_once(table) else {
+                continue;
+            };
+            let rows = store.seal(pool);
             if rows > 0 {
                 self.index_cache.count_seal(rows);
             }
+            reports.push((table, store.take_report()));
         }
-        (stores.into_iter())
-            .map(|(t, s)| (t, s.take_report()))
-            .collect()
+        reports
     }
 
     /// The column-view cache (counter snapshots).
@@ -499,24 +506,23 @@ impl Gamma {
     /// table (plus a `join_cursor_opens` tick), so the probe ledger
     /// stays honest.
     pub fn open_cursor(&self, table: TableId, field: usize) -> Arc<ColumnIndex> {
-        self.index_cache
-            .open(table.index(), field, self.stores[table.index()].as_ref())
+        let store = self.stores[table.index()].as_ref();
+        self.index_cache.open(table.index(), field, store, None)
     }
 
-    /// [`Gamma::open_cursor`] for each of `columns`, and the view of
-    /// `root`'s rows keyed on its field (never cached): every build the
-    /// opens need runs in one phase on `pool`, cut into pieces (see
-    /// [`cursor`]'s module docs), one piece each without a pool.
+    /// [`Gamma::open_cursor`] for each of `columns`: the views the cache
+    /// must build are built one after another, each on `pool` and cut
+    /// into pieces (see [`cursor`]'s module docs), one piece without a
+    /// pool.
     pub(crate) fn open_views(
         &self,
-        root: Option<(&[&Tuple], usize)>,
         columns: &[(TableId, usize)],
         pool: Option<&ThreadPool>,
-    ) -> (Option<ColumnIndex>, Vec<Arc<ColumnIndex>>) {
+    ) -> Vec<Arc<ColumnIndex>> {
         let stores = (columns.iter())
             .map(|&(table, field)| (table.index(), field, self.stores[table.index()].as_ref()))
             .collect::<Vec<_>>();
-        self.index_cache.open_views(root, &stores, pool)
+        self.index_cache.open_views(&stores, pool)
     }
 
     /// Total number of stored tuples across all tables.
@@ -743,7 +749,7 @@ pub(crate) mod testutil {
 
         // Cursor view through the cache's open path: distinct column
         // values ascending, grouped.
-        let idx = IndexCache::new(1, usize::MAX).open(0, 0, store);
+        let idx = IndexCache::new(1, usize::MAX).open(0, 0, store, None);
         assert_eq!(idx.len(), 2);
         let mut c = idx.cursor();
         assert_eq!(c.key(), Some(&Value::Int(1)));

@@ -24,21 +24,23 @@
 //!
 //! **Seal.** A seal takes every run (and, when rows arrived after an
 //! earlier seal, that seal's rows) as the pieces of one build of the
-//! table's view keyed on column 0 ([`super::cursor::build_sets`], the
+//! table's view keyed on column 0 ([`super::cursor::build_set`], the
 //! view builder with each run as a ready-packed piece), sorted on the
-//! pool. The build keeps the rows a set as it sorts each bucket: rows
-//! with equal key and next column are put in row order, so the view's
-//! rows are sorted as tuples are, and every row that repeats a row kept
-//! beside it, or shares its `->` key with one, is dropped and reported
-//! ([`SealReport`]): the engine turns the repeats into `gamma_dups`, and
-//! each conflict into a `KeyViolation`. Under a `->` key the row an
-//! earlier seal kept stays; otherwise the least row does. The engine
+//! pool, under the table's own seals lock; a seal that finds no rows
+//! appended since the last one builds nothing. The build keeps the rows
+//! a set as it sorts each bucket: rows with equal key and next column
+//! are put in row order, so the view's rows are sorted as tuples are,
+//! and every row that repeats a row kept beside it, or shares its `->`
+//! key with one, is dropped and reported ([`SealReport`]): the engine
+//! turns the repeats into `gamma_dups`, and each conflict into a
+//! `KeyViolation`. Under a `->` key the row an earlier seal kept stays;
+//! otherwise the least row does. The engine
 //! seals at the step boundary where the popped class first passes the
-//! table's order key — every table that closes there in one pooled phase
-//! — and at its other quiescent points (a checkpoint, the end of a run);
-//! a restore builds the imported rows' view before it commits, and a
-//! read finding rows that no seal has taken (a read from outside the
-//! run) seals them first, as one piece.
+//! table's order key — the tables that close there one after another,
+//! one view per build — and at its other quiescent points (a
+//! checkpoint, the end of a run); a restore builds the imported rows'
+//! view before it commits, and a read finding rows that no seal has
+//! taken (a read from outside the run) seals them first, as one piece.
 //!
 //! **Read.** The sealed view is the table's only storage: a query with
 //! an equality on column 0 reads that key's group, any other filters
@@ -53,15 +55,15 @@
 //! still be walking one. Only a table that takes rows after it was
 //! sealed — at a checkpoint before it closed — is sealed twice.
 
-use super::cursor::{build_sets, build_views, Batch, ColumnIndex, Dedup, SealReport, Source};
-use super::{IndexStamp, InsertOutcome, StagedImport, TableStore};
+use super::cursor::{build_set, Batch, ColumnIndex, Dedup, SealReport, Source};
+use super::{rows_view, IndexStamp, InsertOutcome, StagedImport, TableStore};
 use crate::query::Probe;
 use crate::schema::TableDef;
 use crate::tuple::Tuple;
 // Synchronisation comes from the jstar-check shim: real std/parking_lot
 // types in production, instrumented model-checked types under
 // `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
-use jstar_check::sync::{AtomicPtr, AtomicUsize, Mutex, MutexGuard, Ordering};
+use jstar_check::sync::{AtomicPtr, AtomicUsize, Mutex, Ordering};
 use jstar_pool::ThreadPool;
 use std::any::Any;
 use std::sync::Arc;
@@ -112,7 +114,7 @@ impl WriteOnceStore {
     /// engine gives each staging shard its own.
     pub(crate) fn new(def: Arc<TableDef>, runs: usize) -> WriteOnceStore {
         let first = Arc::new(Sealed {
-            view: Arc::new(one_view(&[])),
+            view: Arc::new(ColumnIndex::empty()),
             epoch: 0,
         });
         let current = AtomicPtr::new(Arc::as_ptr(&first).cast_mut());
@@ -150,7 +152,7 @@ impl WriteOnceStore {
     /// The newest seal, sealing first when rows have arrived since.
     fn sealed(&self) -> &Sealed {
         if self.has_pending() {
-            seal_all(&[self], None);
+            self.seal(None);
         }
         self.newest()
     }
@@ -177,6 +179,23 @@ impl WriteOnceStore {
     /// What seals have found since the last call.
     pub(crate) fn take_report(&self) -> SealReport {
         std::mem::take(&mut self.seals.lock().report)
+    }
+
+    /// Seals the rows no seal has taken, if there are any, on `pool`
+    /// (one piece a run without one), under the seals lock; returns the
+    /// rows of the new view (0 with nothing to seal, and no build).
+    pub(crate) fn seal(&self, pool: Option<&ThreadPool>) -> usize {
+        let mut seals = self.seals.lock();
+        if !self.has_pending() {
+            return 0;
+        }
+        let runs = self.take_runs();
+        let kept = Some(self.newest().view.as_ref());
+        let (view, report) = build_set(Source::Runs(&runs), self.dedup(kept), pool);
+        let rows = view.rows.len();
+        seals.report.add(report);
+        self.install(&mut seals, view);
+        rows
     }
 
     /// Every run that holds rows, and a batch of the newest seal's rows
@@ -237,46 +256,6 @@ impl WriteOnceStore {
     }
 }
 
-/// The view of `rows` keyed on column 0, built as one piece (ties in
-/// the order of `rows`).
-fn one_view(rows: &[&Tuple]) -> ColumnIndex {
-    match build_views(&[(Source::Rows(rows), 0)], None).pop() {
-        Some((view, _)) => view,
-        None => unreachable!("a build of one source yields one view"),
-    }
-}
-
-/// Seals every store of `stores` that holds rows no seal has taken, in
-/// one phase on `pool` (one piece a run without one), and returns the
-/// rows of each one's new view (0 for a store with nothing to seal).
-pub(crate) fn seal_all(stores: &[&WriteOnceStore], pool: Option<&ThreadPool>) -> Vec<usize> {
-    let mut locked: Vec<MutexGuard<'_, Seals>> = stores.iter().map(|s| s.seals.lock()).collect();
-    let taken: Vec<Option<Vec<Mutex<Batch>>>> = (stores.iter())
-        .map(|s| s.has_pending().then(|| s.take_runs()))
-        .collect();
-    let sets: Vec<(Source<'_>, Dedup<'_>)> = (stores.iter().zip(&taken))
-        .filter_map(|(store, runs)| {
-            let last = store.newest().view.as_ref();
-            Some((Source::Runs(runs.as_deref()?), store.dedup(Some(last))))
-        })
-        .collect();
-    let mut built = build_sets(&sets, pool).into_iter();
-    let mut rows = Vec::with_capacity(stores.len());
-    for ((store, taken), seals) in stores.iter().zip(&taken).zip(&mut locked) {
-        rows.push(match (taken, taken.as_ref().and_then(|_| built.next())) {
-            (Some(_), Some((view, report))) => {
-                let n = view.rows.len();
-                seals.report.add(report);
-                store.install(seals, view);
-                n
-            }
-            (Some(_), None) => unreachable!("every taken store is built"),
-            (None, _) => 0,
-        });
-    }
-    rows
-}
-
 impl TableStore for WriteOnceStore {
     /// Appends `t` to the last run; always `Fresh` (see the module docs).
     fn insert(&self, t: Tuple) -> InsertOutcome {
@@ -328,7 +307,7 @@ impl TableStore for WriteOnceStore {
         if kept.len() < view.rows.len() {
             // A subset of sorted rows, in order: built as one piece, it
             // is sealed as it stands.
-            self.replace(one_view(&kept));
+            self.replace(rows_view(&kept, 0, None));
         }
     }
 
@@ -377,13 +356,10 @@ impl Import<'_> {
     /// The view of the rows pushed, kept a set, and how many it dropped.
     fn build(&mut self, pool: Option<&ThreadPool>) -> (ColumnIndex, usize) {
         let rows: Vec<&Tuple> = self.rows.iter().collect();
-        let built = build_sets(&[(Source::Rows(&rows), self.store.dedup(None))], pool).pop();
+        let (view, report) = build_set(Source::Rows(&rows), self.store.dedup(None), pool);
         drop(rows);
         self.rows = Vec::new();
-        match built {
-            Some((view, report)) => (view, report.rejected()),
-            None => unreachable!("a build of one source yields one view"),
-        }
+        (view, report.rejected())
     }
 }
 
@@ -674,7 +650,7 @@ mod model_tests {
                 })
                 .collect();
             appenders.into_iter().for_each(|a| a.join());
-            assert_eq!(seal_all(&[&store], None), [3]);
+            assert_eq!(store.seal(None), 3);
             let mut rows = Vec::new();
             store.for_each(&mut |t| {
                 rows.push(t.clone());

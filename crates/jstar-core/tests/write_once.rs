@@ -27,6 +27,24 @@ jstar_core::jstar_table! {
 }
 
 jstar_core::jstar_table! {
+    /// Write-once, closing with `Keyed`: the rows repeat.
+    #[derive(Copy, Eq)]
+    pub Pair(int x, int y) orderby (Out)
+}
+
+jstar_core::jstar_table! {
+    /// Write-once under a `->` key, closing with `Pair`.
+    #[derive(Copy, Eq)]
+    pub Keyed(int k -> int v) orderby (Out)
+}
+
+jstar_core::jstar_table! {
+    /// A write-once table whose next column is text.
+    #[derive(Eq)]
+    pub Named(int x, String s) orderby (Kept)
+}
+
+jstar_core::jstar_table! {
     /// One step of a chain that fills `Kept` a row a step.
     #[derive(Copy, Eq)]
     pub Feed(int i) orderby (Feed, seq i)
@@ -92,6 +110,102 @@ fn a_put_into_a_sealed_write_once_table_names_the_putting_rule() {
             (2 * SRC as u64 + 1, SRC as u64)
         );
         assert_eq!(stats.gamma_dups, SRC as u64);
+    }
+}
+
+#[test]
+fn two_write_once_tables_close_at_one_step_boundary() {
+    // `Pair` and `Keyed` share the stratum `Out`, so both close — are
+    // sealed — at the one step boundary where `Late` is popped. Each
+    // `Src` puts two `Pair` rows, one a repeat of another `Src`'s, and
+    // one `Keyed` row; the last `Src` puts a second row under key 0, a
+    // `->` conflict. `Late` then counts both tables.
+    let mut p = ProgramBuilder::new();
+    p.relation::<Src>();
+    p.relation::<Pair>();
+    p.relation::<Keyed>();
+    p.relation::<Late>();
+    p.order(&["Src", "Out", "Late"]);
+    p.rule_rel("fill", |ctx, s: Src| {
+        ctx.put_rel(Pair { x: s.x, y: 0 });
+        ctx.put_rel(Pair { x: s.x / 2, y: 0 });
+        ctx.put_rel(Keyed { k: s.x, v: 0 });
+        if s.x == SRC - 1 {
+            ctx.put_rel(Keyed { k: 0, v: 1 });
+        }
+        ctx.put_rel(Late { x: 0 });
+    });
+    let seen = Arc::new(AtomicU64::new(0));
+    let counted = Arc::clone(&seen);
+    p.rule_rel("count", move |ctx, _: Late| {
+        let rows = ctx.count_rel(Pair::query()) + ctx.count_rel(Keyed::query());
+        counted.store(rows, Ordering::Relaxed);
+    });
+    (0..SRC).for_each(|x| p.put_rel(Src { x }));
+    let prog = Arc::new(p.build().unwrap());
+    let (pair, keyed) = (prog.handle::<Pair>().id(), prog.handle::<Keyed>().id());
+
+    let mut hashes = Vec::new();
+    for config in configs() {
+        let threads = config.threads;
+        seen.store(0, Ordering::Relaxed);
+        // `-noDelta` on `Pair`: every put reaches it, repeats too.
+        let mut engine = Engine::new(Arc::clone(&prog), config.no_delta(pair));
+        let err = engine.run().expect_err("the conflict fails the run");
+        assert!(
+            matches!(&err, JStarError::KeyViolation { table, .. } if table == "Keyed"),
+            "{threads} threads: {err}"
+        );
+        assert_eq!(
+            seen.load(Ordering::Relaxed),
+            2 * SRC as u64,
+            "{threads} threads: `Late` saw both tables whole"
+        );
+        let stats = |t: TableId| {
+            let s = engine.stats().tables[t.index()].snapshot();
+            (s.gamma_fresh, s.gamma_dups)
+        };
+        assert_eq!(stats(pair), (SRC as u64, SRC as u64), "{threads} threads");
+        assert_eq!(stats(keyed), (SRC as u64, 0), "{threads} threads");
+        hashes.push(engine.content_hash());
+    }
+    assert!(hashes.windows(2).all(|w| w[0] == w[1]), "{hashes:?}");
+}
+
+#[test]
+fn a_write_once_table_with_a_text_column_drops_its_repeats() {
+    // Rows whose next column is not an integer are sorted as values, in
+    // one bucket: the seal drops the repeats and cuts only the rows it
+    // kept.
+    let mut p = ProgramBuilder::new();
+    p.relation::<Src>();
+    p.relation::<Named>();
+    p.relation::<Late>();
+    p.order(&["Src", "Kept", "Late"]);
+    p.rule_rel("fill", |ctx, s: Src| {
+        ctx.put_rel(Named {
+            x: s.x / 2,
+            s: "a".into(),
+        });
+        ctx.put_rel(Late { x: 0 });
+    });
+    (0..SRC).for_each(|x| p.put_rel(Src { x }));
+    let prog = Arc::new(p.build().unwrap());
+    let named = prog.handle::<Named>().id();
+    for config in configs() {
+        let threads = config.threads;
+        // `-noDelta`: every put reaches the table, repeats too.
+        let mut engine = Engine::new(Arc::clone(&prog), config.no_delta(named));
+        engine.run().unwrap();
+        let stats = engine.stats().tables[named.index()].snapshot();
+        let half = SRC as u64 / 2;
+        assert_eq!(
+            (stats.gamma_fresh, stats.gamma_dups),
+            (half, half),
+            "{threads} threads"
+        );
+        let rows = engine.collect_rel(Named::query()).len() as u64;
+        assert_eq!(rows, half, "{threads} threads");
     }
 }
 
