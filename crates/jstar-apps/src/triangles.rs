@@ -468,8 +468,8 @@ mod tests {
                 "the opaque twin walks nothing: {pt:?}"
             );
             assert_eq!(pt.join_cursor_opens, 0, "the opaque twin opens no cursors");
-            // Every cursor open is served by the index cache, as a hit or
-            // as a build; no open catches a view up.
+            // Every cursor open is counted once, as a hit (a sealed or
+            // shared view) or as a build; no open catches a view up.
             for r in [&dj, &fi, &pt] {
                 assert_eq!(
                     r.index_cache_hits + r.index_cache_misses,
@@ -557,7 +557,7 @@ mod tests {
                     .join_cursor_opens
                     .load(std::sync::atomic::Ordering::Relaxed)
             };
-            let misses = |e: &Engine| e.gamma().index_cache().stats().misses;
+            let misses = |e: &Engine| e.gamma().view_counts().1;
             let (before, missed) = (opens(&engine), misses(&engine));
             assert_eq!(count_via_join3(&engine), want, "{threads} threads");
             // The read-side walk opened three cursors and charged them

@@ -600,7 +600,7 @@ impl Engine {
         }
         drop(errors);
 
-        let cache_stats = state.gamma.index_cache().stats();
+        let (view_hits, view_misses, view_build_tuples) = state.gamma.view_counts();
         let stats = &state.stats;
         // ord: Relaxed — statistics counters; the pool's joins have
         // ordered every worker's increment before these loads.
@@ -623,10 +623,10 @@ impl Engine {
             gamma_probes: (stats.tables.iter()).map(|t| t.snapshot().queries).sum(),
             join_seeks: count(&stats.join_seeks),
             join_cursor_opens: count(&stats.join_cursor_opens),
-            index_cache_hits: cache_stats.hits,
-            index_cache_misses: cache_stats.misses,
+            index_cache_hits: view_hits,
+            index_cache_misses: view_misses,
             index_catchup_tuples: 0,
-            index_build_tuples: cache_stats.build_tuples,
+            index_build_tuples: view_build_tuples,
             output: state.output.lock().clone(),
         })
     }

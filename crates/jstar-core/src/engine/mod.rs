@@ -111,7 +111,7 @@
 //!   whose inequalities it fails; each full row combination is
 //!   emitted. A class with a table that triggers a join rule runs on
 //!   the coordinator, grouped by table, so each table's share is one
-//!   run and one walk. The root view, then each stage view the cache
+//!   run and one walk. The root view, then each stage view an open
 //!   must build (`Gamma::open_views`), is built on the pool, one view
 //!   per build, and the walk then fans the root view's rows across the
 //!   pool like class chunks. A run flushed from a staging slot, or a
@@ -133,25 +133,21 @@
 //! `join_free_apps_never_batch_a_class` that join-free programs never
 //! walk.
 //!
-//! ## The index-cache lifecycle
+//! ## The column-view lifecycle
 //!
 //! Leapfrog join walks open sorted per-column views
-//! ([`crate::gamma::Gamma::open_cursor`]); a walk's stages, a read-side
-//! walk after the run and the next class over an unchanged table reopen
-//! the same columns. Each built view is kept in a per-table cache
-//! ([`crate::gamma::IndexCache`]) stamped with the store's
-//! [`crate::gamma::IndexStamp`] — claim-journal **generation**, epoch,
-//! tombstone count — and served again only while the store's stamp
-//! equals it. Any change (a new row, a lifetime-hint `retain`, a
-//! compaction or snapshot import, both of which bump the epoch)
-//! rebuilds the view with the same journal walk from position 0. Custom
-//! stores, which keep no claim journal, build over `for_each` on every
-//! open, and a per-table LRU byte bound
-//! ([`crate::gamma::DEFAULT_INDEX_CACHE_MAX_BYTES`]) caps the memory.
-//! [`RunReport::index_cache_hits`]/[`RunReport::index_cache_misses`]/
-//! [`RunReport::index_build_tuples`] put the saved rebuilds on record,
-//! and the cached views are property-tested against an engine whose
-//! custom store builds every view cold
+//! ([`crate::gamma::Gamma::open_cursor`]), and keep none between opens,
+//! as a semi-naive loop joins over all facts again every round. Column
+//! 0 of a write-once table is its sealed view; a column the same walk
+//! opened before shares that view; any other open builds the view off
+//! the claim journal, from position 0 up to the store's
+//! [`crate::gamma::IndexStamp`] generation, cut into pieces on the
+//! pool. Custom stores, which keep no claim journal, build over
+//! `for_each`. [`RunReport::index_cache_hits`] counts the opens served
+//! a built view, [`RunReport::index_cache_misses`] the builds and
+//! [`RunReport::index_build_tuples`] the rows they sorted; the journal
+//! builds are property-tested against an engine whose custom store
+//! builds every view over `for_each`
 //! (`tests/prop_engine.rs::cached_index_matches_cold_build`).
 //!
 //! ## Hot-path architecture

@@ -70,20 +70,21 @@ pub struct RunReport {
     /// (walk × relation), each also counted in
     /// [`RunReport::gamma_probes`].
     pub join_cursor_opens: u64,
-    /// Cursor opens served from the generation-stamped index cache: the
-    /// view built last, reopened while the table's stamp has not moved
-    /// — see [`crate::gamma::IndexCache`].
+    /// Cursor opens served by a view already built: a write-once
+    /// table's sealed column-0 view, or a column the same walk opened
+    /// before — see [`crate::gamma::Gamma::open_cursor`]. The name is
+    /// kept for `spine/adapter.rs`.
     pub index_cache_hits: u64,
-    /// Cursor opens that built a column view: store without a claim
-    /// journal, first open of a column, or a table that changed since
-    /// the last build (new rows, tombstones, compaction).
+    /// Cursor opens that built a column view: every open of any other
+    /// column, off the claim journal or, for a store without one, over
+    /// `for_each`.
     pub index_cache_misses: u64,
     /// Always zero; kept for `spine/adapter.rs`. A view is never caught
     /// up: a changed table is rebuilt and counted in
     /// [`RunReport::index_build_tuples`].
     pub index_catchup_tuples: u64,
     /// Tuples sorted by view builds — every live tuple of the table
-    /// once per miss, which is the work a hit saves.
+    /// once per miss — and by write-once seals.
     pub index_build_tuples: u64,
     /// Collected `println` output (order not significant).
     pub output: Vec<String>,
@@ -113,7 +114,7 @@ impl RunReport {
         }
     }
 
-    /// Fraction of cursor opens served from the index cache:
+    /// Fraction of cursor opens served by a view already built:
     /// `hits / (hits + misses)`. 0.0 when no join walk opened a cursor.
     pub fn index_cache_hit_rate(&self) -> f64 {
         let total = self.index_cache_hits + self.index_cache_misses;

@@ -425,7 +425,7 @@ pub(super) fn seal(state: &RunState, tables: &[TableId], pool: Option<&ThreadPoo
 
 /// Opens one column view per `(table, field)`, each counted as a query
 /// against its table (so `gamma_probes` stays honest) and as a cursor
-/// open; the views the cache must build are built one after another,
+/// open; the views an open must build are built one after another,
 /// each on `pool` ([`Gamma::open_views`]). The one way a join walk —
 /// rule-side or read-side — reaches Gamma's stores.
 pub(super) fn open_views(

@@ -26,10 +26,10 @@
 //! column holds, once, when the view is built; a view never changes
 //! after that — a table that has grown gets a new view, built the same
 //! way. Every view — a join rule's root, cut from its delta, and every
-//! view the [`super::IndexCache`] builds, off a claim journal or a
-//! custom store's `for_each` — comes out of one builder,
-//! [`build_view`], which builds one view per call, in five rounds on
-//! the pool:
+//! column a cursor open builds, off a claim journal or a custom store's
+//! `for_each` (see [`super::Gamma::open_cursor`]) — comes out of one
+//! builder, [`build_view`], which builds one view per call, in five
+//! rounds on the pool:
 //!
 //! * **pass** — the input is cut into pieces by position
 //!   ([`super::pieces`]: 4 per worker, none under [`super::MIN_PIECE`]),
@@ -61,8 +61,9 @@
 //! cut (property-tested at 1, 2 and 4 threads). Each view is shared —
 //! handed out in an `Arc` — by every worker participating in a walk;
 //! each worker positions its own lightweight [`ColumnCursor`] over it.
-//! The join walks themselves live in [`super::leapfrog`]. The cache
-//! takes no lock while a build runs (see [`super::IndexCache`]).
+//! The join walks themselves live in [`super::leapfrog`]. A build takes
+//! no lock; it races only the appends to the journal it walks (see
+//! CONCURRENCY.md protocol 6).
 //!
 //! The cursor distinguishes the two leapfrog-triejoin motions:
 //!
@@ -329,31 +330,28 @@ impl Source<'_> {
         (self.len() * i / n, self.len() * (i + 1) / n)
     }
 
-    /// Piece `i` of `n` of the pass, packed into `batch`, with the bound
-    /// it covered and whether an append still in flight cut it short.
-    fn pass(&self, mut batch: Batch, i: usize, n: usize) -> (Batch, usize, bool) {
-        if let Source::Runs(runs) = *self {
-            return (std::mem::replace(&mut *runs[i].lock(), batch), 0, false);
-        }
+    /// Piece `i` of `n` of the pass, packed into `batch`, and whether an
+    /// append still in flight cut it short.
+    fn pass(&self, mut batch: Batch, i: usize, n: usize) -> (Batch, bool) {
         let (lo, hi) = self.cut(i, n);
-        let covered = match *self {
+        let cut_short = match *self {
+            Source::Runs(runs) => return (std::mem::replace(&mut *runs[i].lock(), batch), false),
             Source::Rows(rows) => {
                 rows[lo..hi].iter().for_each(|t| batch.push((*t).clone()));
-                hi
+                false
             }
             Source::Journal(store, _) => {
-                store.for_each_journal_suffix(lo, hi, &mut |t| batch.push(t.clone()))
+                store.for_each_journal_suffix(lo, hi, &mut |t| batch.push(t.clone())) < hi
             }
             Source::Pass(store) => {
                 store.for_each(&mut |t| {
                     batch.push(t.clone());
                     true
                 });
-                hi
+                false
             }
-            Source::Runs(_) => unreachable!("taken above"),
         };
-        (batch, covered, covered < hi)
+        (batch, cut_short)
     }
 }
 
@@ -367,14 +365,13 @@ fn on_pool<R: Send>(pool: Option<&ThreadPool>, tasks: Vec<impl FnOnce() -> R + S
 }
 
 /// Builds the view of `field` over `source` (see the
-/// [module docs](self)), and returns it with the journal bound its pass
-/// covered (see [`TableStore::for_each_journal_suffix`]; rows and a
-/// `for_each` pass cover everything). Five rounds on `pool`: the pass;
-/// when the build splits, a count of each piece's rows per bucket, then
-/// a scatter of each piece into its buckets; the sort of every bucket;
-/// and its cut into the view. A journal piece that an append in flight
-/// cut short ends the build: the pieces after it are dropped, as a
-/// one-piece walk would have stopped there.
+/// [module docs](self)). Five rounds on `pool`: the pass; when the build
+/// splits, a count of each piece's rows per bucket, then a scatter of
+/// each piece into its buckets; the sort of every bucket; and its cut
+/// into the view. A journal piece that an append in flight cut short
+/// (see [`TableStore::for_each_journal_suffix`]) ends the build: the
+/// pieces after it are dropped, as a one-piece walk would have stopped
+/// there.
 ///
 /// The arrays a round fills on workers are allocated here, on the
 /// calling thread — unwritten, so the workers fault their pages in —
@@ -384,9 +381,8 @@ pub(crate) fn build_view(
     source: Source<'_>,
     field: usize,
     pool: Option<&ThreadPool>,
-) -> (ColumnIndex, usize) {
-    let (view, covered, _) = build(source, field, None, pool);
-    (view, covered)
+) -> ColumnIndex {
+    build(source, field, None, pool).0
 }
 
 /// How a build keeps its rows a set: of the rows that share their first
@@ -431,8 +427,7 @@ pub(crate) fn build_set(
     dedup: Dedup<'_>,
     pool: Option<&ThreadPool>,
 ) -> (ColumnIndex, SealReport) {
-    let (view, _, report) = build(source, 0, Some(dedup), pool);
-    (view, report)
+    build(source, 0, Some(dedup), pool)
 }
 
 /// [`build_view`], kept a set when there is a [`Dedup`].
@@ -441,7 +436,7 @@ fn build(
     field: usize,
     dedup: Option<Dedup<'_>>,
     pool: Option<&ThreadPool>,
-) -> (ColumnIndex, usize, SealReport) {
+) -> (ColumnIndex, SealReport) {
     // Round 1: the pass.
     let n = source.pieces(pool);
     let tasks = (0..n)
@@ -451,10 +446,9 @@ fn build(
             move || source.pass(batch, i, n)
         })
         .collect();
-    let (mut pieces, mut covered) = (Vec::with_capacity(n), 0);
-    for (batch, reached, cut_short) in on_pool(pool, tasks) {
+    let mut pieces = Vec::with_capacity(n);
+    for (batch, cut_short) in on_pool(pool, tasks) {
         pieces.push(batch);
-        covered = reached;
         if cut_short {
             break;
         }
@@ -506,7 +500,7 @@ fn build(
     // Every row has been moved into the view: free the buckets before
     // it is assembled.
     drop(scattered);
-    (arrays.finish(dense), covered, report)
+    (arrays.finish(dense), report)
 }
 
 /// `slice` cut into consecutive parts of `sizes`.
@@ -1146,20 +1140,6 @@ impl ColumnIndex {
         }
     }
 
-    /// Heap bytes this view owns, for the cache's byte-bounded LRU: the
-    /// five arrays at their capacities. A row is a handle — the tuple
-    /// payload belongs to the store (and a `Str` key's text to its
-    /// tuple), so neither is charged here.
-    pub(crate) fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let dense = |d: &Option<Box<[i64]>>| d.as_ref().map_or(0, |b| b.len() * size_of::<i64>());
-        self.keys.capacity() * size_of::<Value>()
-            + self.starts.capacity() * size_of::<u32>()
-            + self.rows.capacity() * size_of::<Tuple>()
-            + dense(&self.int_keys)
-            + dense(&self.int_next)
-    }
-
     /// Number of distinct values.
     pub fn len(&self) -> usize {
         self.keys.len()
@@ -1364,7 +1344,7 @@ pub(super) mod tests {
     /// equal key and next-column values keep their order in `rows`.
     pub fn view_of(field: usize, rows: &[Tuple]) -> ColumnIndex {
         let rows: Vec<&Tuple> = rows.iter().collect();
-        build_view(Source::Rows(&rows), field, None).0
+        build_view(Source::Rows(&rows), field, None)
     }
 
     /// `(key, payload)` rows in the given order; the key is column 0.
@@ -1703,15 +1683,14 @@ pub(super) mod tests {
 
     #[test]
     fn rebuild_after_new_rows_equals_one_build_over_both_batches() {
-        use crate::gamma::testutil::keyless_def;
-        use crate::gamma::{HashStore, IndexCache, TableStore};
+        use crate::gamma::testutil::{journaled_gamma, keyless_def};
         let row = |k: i64, n: i64, s: Option<&str>| {
             let last = s.map_or(Value::Int(n), |s| Value::str(s.to_string()));
             Tuple::new(TableId(0), vec![Value::Int(k), Value::Int(n), last])
         };
         // A view is opened over the old batch, the new one is inserted,
-        // and the reopen rebuilds: a miss whose view is one build over
-        // both batches in journal order. New keys fall below, between,
+        // and the reopen builds again: a miss whose view is one build
+        // over both batches in journal order. New keys fall below, between,
         // inside and above the old groups; inside a group, new
         // next-column values fall below, between, on and above the old
         // ones, and one new row repeats an old one.
@@ -1729,43 +1708,39 @@ pub(super) mod tests {
         for unpacked_in_old in [false, true] {
             for unpacked_in_new in [false, true] {
                 let s = |on: bool, i: usize| (on && i == 1).then_some("s");
-                let store = HashStore::with_first_segment(keyless_def(), vec![0], 256);
-                let cache = IndexCache::new(1, usize::MAX);
+                let gamma = journaled_gamma(keyless_def());
                 let mut all: Vec<Tuple> = Vec::new();
                 let mut insert = |t: Tuple| {
                     if !all.contains(&t) {
                         all.push(t.clone());
                     }
-                    store.insert(t);
+                    gamma.insert(t);
                 };
                 for (i, &(k, n)) in old.iter().enumerate() {
                     insert(row(k, n, s(unpacked_in_old, i)));
                 }
-                let cached = cache.open(0, 0, &store, None);
+                let first = gamma.open_cursor(TableId(0), 0);
                 for (i, &(k, n)) in new.iter().enumerate() {
                     insert(row(k, n, s(unpacked_in_new, i)));
                 }
-                let rebuilt = cache.open(0, 0, &store, None);
+                let rebuilt = gamma.open_cursor(TableId(0), 0);
                 let both = view_of(0, &all);
                 let case = format!("old={unpacked_in_old} new={unpacked_in_new}");
                 assert_eq!(*rebuilt, both, "{case}");
-                assert!(!Arc::ptr_eq(&cached, &rebuilt), "{case}");
-                let st = cache.stats();
-                assert_eq!((st.misses, st.hits), (2, 0), "{case}");
-                assert_eq!(st.build_tuples, (cached.rows.len() + all.len()) as u64);
+                let (hits, misses, build_tuples) = gamma.view_counts();
+                assert_eq!((misses, hits), (2, 0), "{case}");
+                assert_eq!(build_tuples, (first.rows.len() + all.len()) as u64);
                 assert!(rebuilt.int_next.is_some());
-                assert_eq!(rebuilt.approx_bytes(), both.approx_bytes());
             }
         }
         // A view opened over an empty table is rebuilt like any other.
-        let store = HashStore::with_first_segment(keyless_def(), vec![0], 256);
-        let cache = IndexCache::new(1, usize::MAX);
-        assert!(cache.open(0, 0, &store, None).is_empty());
+        let gamma = journaled_gamma(keyless_def());
+        assert!(gamma.open_cursor(TableId(0), 0).is_empty());
         let t = row(3, 0, None);
-        store.insert(t.clone());
-        let rebuilt = cache.open(0, 0, &store, None);
+        gamma.insert(t.clone());
+        let rebuilt = gamma.open_cursor(TableId(0), 0);
         assert_eq!(*rebuilt, view_of(0, std::slice::from_ref(&t)));
-        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(gamma.view_counts().1, 2);
     }
 
     /// `n` three-field rows of `kind`, keys drawn from `keys` values and
@@ -1854,50 +1829,20 @@ pub(super) mod tests {
             let mut ordered = rows.clone();
             ordered.sort_by(|a, b| (a.get(field), a.get(next)).cmp(&(b.get(field), b.get(next))));
             prop_assert_eq!(
-                &serial[0].0.rows,
+                &serial[0].rows,
                 &ordered,
                 "the one-piece build over rows orders them by key, next column and run order"
             );
-            prop_assert_eq!(serial[1].1, entries, "the journal walk covers every entry");
+            prop_assert_eq!(serial[1].rows.len(), n, "the journal walk covers every entry");
             for threads in [1, 2, 4] {
                 let pool = ThreadPool::new(threads);
                 let pooled: Vec<_> = (sources.iter())
                     .map(|&s| build_view(s, field, Some(&pool)))
                     .collect();
-                for ((got, covered), (want, want_covered)) in pooled.iter().zip(&serial) {
+                for (got, want) in pooled.iter().zip(&serial) {
                     prop_assert_eq!(got, want, "kind {} n {} at {} threads", kind, n, threads);
-                    prop_assert_eq!(covered, want_covered);
-                    prop_assert_eq!(got.approx_bytes(), want.approx_bytes());
                 }
             }
         }
-    }
-
-    #[test]
-    fn approx_bytes_counts_exactly_the_arrays_the_view_owns() {
-        // 3 groups, 5 rows of 2 integer fields: the three flat arrays,
-        // the dense keys and the dense next column.
-        let packed = index(&[1, 1, 2, 3, 3]);
-        let handles = 5 * std::mem::size_of::<Tuple>();
-        let keys = 3 * std::mem::size_of::<Value>();
-        let starts = 4 * 4;
-        assert_eq!(
-            packed.approx_bytes(),
-            keys + starts + handles + 3 * 8 + 5 * 8
-        );
-        // String keys: neither mirror exists, and the text is the tuple's.
-        let generic = index_of(
-            ["a", "a", "b"]
-                .iter()
-                .map(|s| vec![Value::str(s.to_string())])
-                .collect(),
-        );
-        assert_eq!(
-            generic.approx_bytes(),
-            2 * std::mem::size_of::<Value>() + 3 * 4 + 3 * std::mem::size_of::<Tuple>()
-        );
-        assert_eq!(index(&[]).approx_bytes(), 4, "one start, nothing else");
-        assert_eq!(ColumnIndex::empty(), view_of(0, &[]));
-        assert_eq!(ColumnIndex::empty().approx_bytes(), 4);
     }
 }

@@ -32,7 +32,7 @@ use std::sync::Arc;
 /// A chain that is exactly the key prefix `0..k` is the primary walk
 /// already, so such a store keeps no chain heads; an empty chain means
 /// no secondary narrowing. Ordered traversal is not a store's job: a
-/// join walk reads the sorted per-column views the index cache keeps.
+/// join walk reads sorted per-column views built off the claim journal.
 ///
 /// Primary-key (`->`) conflicts are detected on the probe walk, which
 /// visits every tuple sharing the key fields; this is only efficient

@@ -12,15 +12,14 @@
 //! column, a lock-free claim-then-publish reservation table (see the
 //! `reservation` module).
 
-mod cache;
 mod cursor;
 mod hash;
 pub(crate) mod leapfrog;
 mod reservation;
 mod write_once;
 
-pub use cache::{IndexCache, IndexCacheStats, IndexStamp, DEFAULT_INDEX_CACHE_MAX_BYTES};
 pub use cursor::{ColumnCursor, ColumnIndex};
+pub use reservation::IndexStamp;
 
 /// Input positions (rows, journal entries) below which a piece's share
 /// of a fork/join costs more than the piece saves.
@@ -49,10 +48,22 @@ pub(crate) fn pieces(pool: Option<&ThreadPool>, len: usize) -> usize {
 }
 
 /// The view of `rows` keyed on `field` — a join rule's root, cut from
-/// its delta — built on `pool` (one piece without one) and never cached;
-/// rows equal on key and next column keep their order in `rows`.
+/// its delta — built on `pool` (one piece without one); rows equal on
+/// key and next column keep their order in `rows`.
 pub(crate) fn rows_view(rows: &[&Tuple], field: usize, pool: Option<&ThreadPool>) -> ColumnIndex {
-    cursor::build_view(cursor::Source::Rows(rows), field, pool).0
+    cursor::build_view(cursor::Source::Rows(rows), field, pool)
+}
+
+/// The view of `store`'s `field` as it stands, built on `pool` (one
+/// piece without one): off the claim journal up to the stamp's
+/// generation, or over one [`TableStore::for_each`] pass for a store
+/// without a stamp.
+fn store_view(store: &dyn TableStore, field: usize, pool: Option<&ThreadPool>) -> ColumnIndex {
+    let source = match store.index_stamp() {
+        Some(stamp) => cursor::Source::Journal(store, stamp.generation),
+        None => cursor::Source::Pass(store),
+    };
+    cursor::build_view(source, field, pool)
 }
 
 /// Factory closure for [`StoreKind::Custom`].
@@ -64,6 +75,10 @@ pub use write_once::WriteOnceStore;
 use crate::query::{Probe, Query};
 use crate::schema::{TableDef, TableId};
 use crate::tuple::Tuple;
+// Synchronisation comes from the jstar-check shim: real std/parking_lot
+// types in production, instrumented model-checked types under
+// `--features model-check` (see crates/jstar-check and CONCURRENCY.md).
+use jstar_check::sync::{AtomicU64, Ordering};
 use jstar_pool::ThreadPool;
 use std::any::Any;
 use std::sync::{Arc, OnceLock};
@@ -179,9 +194,11 @@ pub trait TableStore: Send + Sync {
 
     /// The current [`IndexStamp`] of this store's backing storage, or
     /// `None` when the store keeps no append-only claim journal (custom
-    /// stores; every built-in store has one) — its column views are then
-    /// built over [`TableStore::for_each`] on every open and never
-    /// cached, and its snapshot sections are encoded every time.
+    /// stores; every built-in store has one). A column view is built off
+    /// the journal up to the stamp's generation, and cut into pieces on
+    /// the pool; without a stamp it is built over one
+    /// [`TableStore::for_each`] pass, and the store's snapshot sections
+    /// are encoded every time.
     /// Returning `Some` commits the store to a working
     /// [`TableStore::for_each_journal_suffix`]: the two hooks describe
     /// the same journal.
@@ -346,9 +363,13 @@ pub struct Gamma {
     /// The stores of the write-once tables, by `TableId` (see
     /// [`WriteOnceStore`]); `None` for every other table.
     write_once: Vec<Option<Arc<WriteOnceStore>>>,
-    /// Generation-stamped column-view cache shared by every join walk —
-    /// see the [`cache`] module docs.
-    index_cache: IndexCache,
+    /// Column-view opens served by a view already built: a write-once
+    /// table's sealed view, or a column the same call opened before.
+    view_hits: AtomicU64,
+    /// Column-view opens that built the view.
+    view_misses: AtomicU64,
+    /// Rows sorted by those builds and by write-once seals.
+    view_build_tuples: AtomicU64,
 }
 
 impl Gamma {
@@ -385,11 +406,12 @@ impl Gamma {
                 once.push(None);
             }
         }
-        let index_cache = IndexCache::new(stores.len(), DEFAULT_INDEX_CACHE_MAX_BYTES);
         Ok(Gamma {
             stores,
             write_once: once,
-            index_cache,
+            view_hits: AtomicU64::new(0),
+            view_misses: AtomicU64::new(0),
+            view_build_tuples: AtomicU64::new(0),
         })
     }
 
@@ -420,7 +442,7 @@ impl Gamma {
 
     /// Seals the write-once stores of `tables` that hold rows no seal has
     /// taken, one after another, each on `pool` (see [`WriteOnceStore`]),
-    /// counting the rows each build sorted among the index cache's, and
+    /// counting the rows each build sorted among the view builds', and
     /// hands back what every seal of each of them — this one, and any a
     /// read made since the last call — found.
     pub(crate) fn seal(
@@ -434,17 +456,27 @@ impl Gamma {
                 continue;
             };
             let rows = store.seal(pool);
-            if rows > 0 {
-                self.index_cache.count_seal(rows);
-            }
+            // ord: Relaxed — statistic only.
+            self.view_build_tuples
+                .fetch_add(rows as u64, Ordering::Relaxed);
             reports.push((table, store.take_report()));
         }
         reports
     }
 
-    /// The column-view cache (counter snapshots).
-    pub fn index_cache(&self) -> &IndexCache {
-        &self.index_cache
+    /// Column-view counters, monotone over Gamma's lifetime: opens served
+    /// by a view already built, opens that built one, and the rows sorted
+    /// by those builds and by write-once seals — the source of
+    /// `RunReport::{index_cache_hits, index_cache_misses,
+    /// index_build_tuples}`.
+    pub fn view_counts(&self) -> (u64, u64, u64) {
+        // ord: Relaxed ×3 — statistics only.
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (
+            count(&self.view_hits),
+            count(&self.view_misses),
+            count(&self.view_build_tuples),
+        )
     }
 
     /// Builds Gamma from per-table store kinds (indexed by `TableId`).
@@ -497,32 +529,54 @@ impl Gamma {
     /// Opens a sorted per-column join view over `table` — every
     /// distinct value of `field` ascending, each with its tuples ordered
     /// by their next column (see [`ColumnIndex`]) — shared (`Arc`) by
-    /// all workers of one walk, each over its own [`ColumnCursor`]. The
-    /// generation-stamped [`IndexCache`] serves the view it built last
-    /// while the store's [`TableStore::index_stamp`] still equals that
-    /// build's, and otherwise builds it again off the claim journal; a
-    /// store with no stamp is built over [`TableStore::for_each`] on
-    /// every open. The engine counts each open as one query against the
-    /// table (plus a `join_cursor_opens` tick), so the probe ledger
-    /// stays honest.
+    /// all workers of one walk, each over its own [`ColumnCursor`].
+    /// Column 0 of a write-once table is its sealed view (see
+    /// [`WriteOnceStore`]); any other column is built on every open, off
+    /// the claim journal ([`TableStore::index_stamp`]) or, for a store
+    /// with no stamp, over [`TableStore::for_each`]. The engine counts
+    /// each open as one query against the table (plus a
+    /// `join_cursor_opens` tick), so the probe ledger stays honest.
     pub fn open_cursor(&self, table: TableId, field: usize) -> Arc<ColumnIndex> {
-        let store = self.stores[table.index()].as_ref();
-        self.index_cache.open(table.index(), field, store, None)
+        self.open_views(&[(table, field)], None).swap_remove(0)
     }
 
-    /// [`Gamma::open_cursor`] for each of `columns`: the views the cache
-    /// must build are built one after another, each on `pool` and cut
-    /// into pieces (see [`cursor`]'s module docs), one piece without a
-    /// pool.
+    /// [`Gamma::open_cursor`] for each of `columns`, each view counted a
+    /// hit or a miss ([`Gamma::view_counts`]): a column named before in
+    /// `columns` shares that view and a write-once table's column 0 is
+    /// its sealed view, both hits; any other column is a miss, built on
+    /// `pool` and cut into pieces (see [`cursor`]'s module docs), one
+    /// piece without a pool, one build after another.
     pub(crate) fn open_views(
         &self,
         columns: &[(TableId, usize)],
         pool: Option<&ThreadPool>,
     ) -> Vec<Arc<ColumnIndex>> {
-        let stores = (columns.iter())
-            .map(|&(table, field)| (table.index(), field, self.stores[table.index()].as_ref()))
-            .collect::<Vec<_>>();
-        self.index_cache.open_views(&stores, pool)
+        let mut out: Vec<Arc<ColumnIndex>> = Vec::with_capacity(columns.len());
+        for (i, &(table, field)) in columns.iter().enumerate() {
+            let built = match columns[..i].iter().position(|&c| c == (table, field)) {
+                Some(j) => Some(Arc::clone(&out[j])),
+                None => (self.write_once(table))
+                    .filter(|_| field == 0)
+                    .map(WriteOnceStore::view),
+            };
+            let view = match built {
+                Some(view) => {
+                    // ord: Relaxed — statistic only.
+                    self.view_hits.fetch_add(1, Ordering::Relaxed);
+                    view
+                }
+                None => {
+                    let view = store_view(self.stores[table.index()].as_ref(), field, pool);
+                    // ord: Relaxed ×2 — statistics only.
+                    self.view_misses.fetch_add(1, Ordering::Relaxed);
+                    self.view_build_tuples
+                        .fetch_add(view.rows.len() as u64, Ordering::Relaxed);
+                    Arc::new(view)
+                }
+            };
+            out.push(view);
+        }
+        out
     }
 
     /// Total number of stored tuples across all tables.
@@ -580,6 +634,16 @@ pub(crate) mod testutil {
             key_arity: b.key_arity,
             orderby: b.orderby,
         })
+    }
+
+    /// Gamma over one table of `def`, kept in a [`HashStore`] chained on
+    /// column 0 whose 256-slot first segment holds every row the view
+    /// tests insert, so journal positions stay append-only (under
+    /// `model-check` too, whose floor is 16 slots).
+    pub fn journaled_gamma(def: Arc<TableDef>) -> Gamma {
+        let store: StoreFactory =
+            Arc::new(|def| Arc::new(HashStore::with_first_segment(def, vec![0], 256)));
+        Gamma::new(&[def], &[StoreKind::Custom(store)])
     }
 
     pub fn kt(a: i64, b: i64, c: &str) -> Tuple {
@@ -673,8 +737,8 @@ pub(crate) mod testutil {
 
     /// A store with nothing but the required methods — what a custom
     /// store gets from the trait's defaults: no journal, no import of
-    /// its own, reads through the default `query`, and column views the
-    /// cache builds over `for_each` on every open.
+    /// its own, reads through the default `query`, and column views
+    /// built over `for_each`.
     pub struct PlainStore(pub HashStore);
 
     impl TableStore for PlainStore {
@@ -747,9 +811,9 @@ pub(crate) mod testutil {
             vec![kt(2, 20, "y")]
         );
 
-        // Cursor view through the cache's open path: distinct column
-        // values ascending, grouped.
-        let idx = IndexCache::new(1, usize::MAX).open(0, 0, store, None);
+        // Cursor view as an open builds it: distinct column values
+        // ascending, grouped.
+        let idx = Arc::new(store_view(store, 0, None));
         assert_eq!(idx.len(), 2);
         let mut c = idx.cursor();
         assert_eq!(c.key(), Some(&Value::Int(1)));
@@ -922,6 +986,207 @@ mod tests {
                 assert_eq!(chunked, sequential, "{kind:?} split into {chunks}");
             }
         }
+    }
+
+    /// The view of `field` over one `for_each` pass of table 0 — what a
+    /// cold build of the table as it stands is.
+    fn cold(gamma: &Gamma, field: usize) -> cursor::ColumnIndex {
+        let mut rows = Vec::new();
+        gamma.store(TableId(0)).for_each(&mut |t| {
+            rows.push(t.clone());
+            true
+        });
+        cursor::tests::view_of(field, &rows)
+    }
+
+    #[test]
+    fn an_open_serves_the_sealed_view_or_builds() {
+        use cursor::tests::view_of;
+        let t0 = TableId(0);
+        let rows: Vec<Tuple> = (0..40)
+            .map(|i| Tuple::new(t0, vec![Value::Int(i % 7), Value::Int(i)]))
+            .collect();
+
+        // A write-once table's column 0 is its sealed view: a hit that
+        // sorts nothing. Its column 1 is built.
+        let once =
+            Gamma::with_write_once(&[set_def()], &[StoreKind::ConcurrentOrdered], &[true], 1)
+                .expect("one table, one kind");
+        assert!(once.append(t0, 0, &rows));
+        once.seal(&[t0], None);
+        assert_eq!(once.view_counts(), (0, 0, 40), "the seal sorted every row");
+        let store = once.write_once(t0).expect("write-once");
+        assert!(Arc::ptr_eq(&once.open_cursor(t0, 0), &store.view()));
+        assert_eq!(once.view_counts(), (1, 0, 40), "a hit, no build");
+        assert_eq!(*once.open_cursor(t0, 1), view_of(1, &rows));
+        assert_eq!(once.view_counts(), (1, 1, 80));
+
+        // An unchanged `HashStore` column is built on every open.
+        let gamma = Gamma::new(&[set_def()], &[StoreKind::ConcurrentOrdered]);
+        rows.iter()
+            .for_each(|t| assert_eq!(gamma.insert(t.clone()), InsertOutcome::Fresh));
+        let (a, b) = (gamma.open_cursor(t0, 1), gamma.open_cursor(t0, 1));
+        assert_eq!(gamma.view_counts(), (0, 2, 80), "two opens, two builds");
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(*a, *b);
+
+        // A column named twice in one call is one build and one hit.
+        let views = gamma.open_views(&[(t0, 0), (t0, 1), (t0, 0)], None);
+        assert!(Arc::ptr_eq(&views[0], &views[2]));
+        assert_eq!(gamma.view_counts(), (1, 4, 160));
+        assert_eq!(*views[0], cold(&gamma, 0));
+
+        assert_eq!(cursor::ColumnIndex::empty(), view_of(0, &[]));
+    }
+
+    #[test]
+    fn a_grown_table_is_rebuilt_whole_and_matches_cold() {
+        // Descending keys: the 20 new rows sort *below* the 80 the first
+        // open saw. The reopen sorts all 100 rows again — never only the
+        // 20 — and equals a cold build of the table.
+        let gamma = journaled_gamma(keyed_def());
+        for i in 0..80 {
+            gamma.insert(kt(1000 - i, i, "v"));
+        }
+        let _ = gamma.open_cursor(TableId(0), 0);
+        for i in 80..100 {
+            gamma.insert(kt(1000 - i, i, "v"));
+        }
+        let reopened = gamma.open_cursor(TableId(0), 0);
+        let (hits, misses, build_tuples) = gamma.view_counts();
+        assert_eq!((hits, misses), (0, 2), "both opens built");
+        assert_eq!(build_tuples, 80 + 100, "the rebuild sorted every row");
+        assert_eq!(*reopened, cold(&gamma, 0), "rebuilt == cold build");
+    }
+
+    #[test]
+    fn cached_view_equals_cold_build_after_every_growth() {
+        // The reference is a cold build over the same store's
+        // `for_each`, compared on every flat array. Field 1 repeats
+        // (i % 7), so every round's rows land inside the groups of the
+        // round before as well as between them — group-internal order
+        // (next column, then journal order) is part of the contract.
+        // Once with a string column and once all-integer; the key
+        // column is dense either way. Each round opens the view twice,
+        // and both opens build it.
+        for packed in [false, true] {
+            let gamma = journaled_gamma(if packed { set_def() } else { keyed_def() });
+            for round in 0..5 {
+                for i in round * 30..(round + 1) * 30 {
+                    gamma.insert(if packed {
+                        Tuple::new(TableId(0), vec![Value::Int(i), Value::Int((i * 5) % 7)])
+                    } else {
+                        kt(i, (i * 5) % 7, "v")
+                    });
+                }
+                let opened = gamma.open_cursor(TableId(0), 1);
+                assert_eq!(
+                    *opened,
+                    cold(&gamma, 1),
+                    "round {round}: the view diverged from the cold build"
+                );
+                assert_eq!(*opened, *gamma.open_cursor(TableId(0), 1));
+                assert!(opened.int_keys.is_some());
+            }
+            let (hits, misses, build_tuples) = gamma.view_counts();
+            assert_eq!((misses, hits), (10, 0), "two builds a round");
+            assert_eq!(build_tuples, 2 * (30 + 60 + 90 + 120 + 150));
+        }
+    }
+
+    #[test]
+    fn rebuild_places_rows_inside_groups_below_old_next_values() {
+        // Groups x = 0, 1, 2 are ordered by y (their next column). Each
+        // round's rows carry y values *below* every one already in their
+        // group, and one above: the rebuilt view places them inside the
+        // groups, as a cold build does, not at their ends.
+        let gamma = journaled_gamma(set_def());
+        for round in 0..4 {
+            for x in 0..3 {
+                for y in [(3 - round) * 10 + x, (3 - round) * 10 + 5, 100 + round] {
+                    gamma.insert(Tuple::new(TableId(0), vec![Value::Int(x), Value::Int(y)]));
+                }
+            }
+            let opened = gamma.open_cursor(TableId(0), 0);
+            assert_eq!(
+                *opened,
+                cold(&gamma, 0),
+                "round {round}: the view diverged from the cold build"
+            );
+            let next = opened
+                .int_next
+                .as_deref()
+                .expect("an all-integer next column");
+            for g in 0..opened.len() {
+                let group = &next[opened.group_range(g)];
+                assert!(
+                    group.windows(2).all(|w| w[0] <= w[1]),
+                    "round {round}: {group:?}"
+                );
+            }
+        }
+        let (hits, misses, build_tuples) = gamma.view_counts();
+        assert_eq!((misses, hits), (4, 0), "every grown round rebuilds");
+        assert_eq!(build_tuples, 9 + 18 + 27 + 36);
+    }
+
+    #[test]
+    fn a_claim_ahead_of_the_journals_end_invalidates_wholesale() {
+        // A 256-slot first segment with 64-slot probe windows: rows spill
+        // into the second segment while the first still takes claims, so
+        // for a stretch new journal entries land *before* positions an
+        // earlier open's walk read. Every reopen after new rows — across
+        // that stretch as on either side of it — walks from position 0
+        // and equals a cold build.
+        let gamma = journaled_gamma(set_def());
+        for round in 0..40 {
+            for i in round * 30..(round + 1) * 30 {
+                gamma.insert(Tuple::new(
+                    TableId(0),
+                    vec![Value::Int(i % 17), Value::Int(i)],
+                ));
+            }
+            assert_eq!(
+                *gamma.open_cursor(TableId(0), 0),
+                cold(&gamma, 0),
+                "round {round}: the view diverged from the cold build"
+            );
+        }
+        let stamp = gamma.store(TableId(0)).index_stamp().expect("journaled");
+        assert_ne!(stamp.interior, 0);
+        assert_eq!(gamma.view_counts().1, 40);
+    }
+
+    #[test]
+    fn retain_invalidates_wholesale() {
+        let gamma = journaled_gamma(keyed_def());
+        for i in 0..50 {
+            gamma.insert(kt(i, i, "v"));
+        }
+        let _ = gamma.open_cursor(TableId(0), 0);
+        gamma.store(TableId(0)).retain(&|t| t.int(0) % 2 == 0);
+        let rebuilt = gamma.open_cursor(TableId(0), 0);
+        assert_eq!(
+            gamma.view_counts().1,
+            2,
+            "tombstones changed — full rebuild"
+        );
+        assert_eq!(*rebuilt, cold(&gamma, 0));
+    }
+
+    #[test]
+    fn compaction_epoch_invalidates_wholesale() {
+        let gamma = journaled_gamma(keyed_def());
+        for i in 0..50 {
+            gamma.insert(kt(i, i, "v"));
+        }
+        let _ = gamma.open_cursor(TableId(0), 0);
+        let store = gamma.store(TableId(0));
+        store.retain(&|t| t.int(0) < 10);
+        assert!(store.maybe_compact(0.1), "compaction must run");
+        let rebuilt = gamma.open_cursor(TableId(0), 0);
+        assert_eq!(gamma.view_counts().1, 2);
+        assert_eq!(*rebuilt, cold(&gamma, 0));
     }
 
     #[test]

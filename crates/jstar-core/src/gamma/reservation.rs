@@ -876,7 +876,7 @@ impl ReservationTable {
     /// position space [`ReservationTable::for_each_journal_range`]
     /// partitions, in-flight and tombstoned entries included (the range
     /// walk skips them) — and, from the same read of each cursor, the
-    /// [`super::cache::IndexStamp::interior`] word: the entries of every
+    /// [`IndexStamp::interior`] word: the entries of every
     /// segment but the newest, under that segment's number. Positions
     /// count through the segments in order and a probe claims the first
     /// empty slot it meets — in an old segment too, long after a newer
@@ -1040,11 +1040,11 @@ impl ReservationTable {
     /// with no append still in flight: the returned bound `s` satisfies
     /// `lo <= s <= hi` and every journal entry in `lo..s` is non-zero —
     /// i.e. its tuple's publish ([`Segment::journal_push`] runs *after*
-    /// the tag's Release store) is visible to this thread. The index
-    /// cache and the snapshot writer stamp what they read with such a
-    /// stable bound, so a tuple whose journal entry was mid-append then
-    /// is read by the next walk (the cache's next rebuild, the writer's
-    /// next append), never skipped.
+    /// the tag's Release store) is visible to this thread. A column-view
+    /// build stops at such a bound, and the snapshot writer stamps what
+    /// it read with one, so a tuple whose journal entry was mid-append
+    /// then is read by the next walk (the next open's build, the
+    /// writer's next append), never skipped.
     pub fn journal_stable_prefix(&self, lo: usize, hi: usize) -> usize {
         let mut base = 0usize;
         for k in 0..MAX_SEGMENTS {
@@ -1071,6 +1071,44 @@ impl ReservationTable {
     }
 }
 
+/// Where a store's claim journal stands
+/// ([`crate::gamma::TableStore::index_stamp`]): a column-view build walks
+/// the journal up to its `generation`, and the snapshot writer
+/// ([`crate::persist::CheckpointWriter`]) reuses what it encoded under an
+/// earlier stamp when [`IndexStamp::extends`] holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexStamp {
+    /// Quiescent-replacement count of the backing table: compaction and
+    /// snapshot import.
+    pub epoch: u64,
+    /// Claim-journal length (an entry *count*; in-flight appends make
+    /// the usable bound smaller — a journal walk returns the bound it
+    /// covered).
+    pub generation: usize,
+    /// Tombstoned-slot count of the backing table: a lifetime-hint
+    /// `retain` kills tuples without touching the journal.
+    pub tombstones: usize,
+    /// Journal entries ahead of the newest segment's, with that
+    /// segment's number above them (bits 56..): unchanged means no entry
+    /// was claimed before a position already handed out (see
+    /// `ReservationTable::journal_shape`).
+    pub interior: u64,
+}
+
+impl IndexStamp {
+    /// True when everything stamped `earlier` still sits at the journal
+    /// positions it had then, so what was read from `[0,
+    /// earlier.generation)` stands and the walk of `[earlier.generation,
+    /// self.generation)` is exactly what is new — the snapshot writer's
+    /// rule for appending to the sections it encoded.
+    pub fn extends(&self, earlier: &IndexStamp) -> bool {
+        self.epoch == earlier.epoch
+            && self.tombstones == earlier.tombstones
+            && self.interior == earlier.interior
+            && self.generation >= earlier.generation
+    }
+}
+
 /// A [`ReservationTable`] slot that supports **quiescent replacement** —
 /// the stores' compaction hook.
 ///
@@ -1087,9 +1125,9 @@ impl ReservationTable {
 pub(crate) struct SwappableTable {
     ptr: AtomicPtr<ReservationTable>,
     /// Bumped by every [`SwappableTable::replace_quiescent`] — both
-    /// compaction and snapshot import. Cached column indexes record the
-    /// epoch they were built under; a mismatch means journal positions
-    /// no longer line up and the index must be rebuilt wholesale.
+    /// compaction and snapshot import. The snapshot writer records the
+    /// epoch it encoded a section under; a mismatch means journal
+    /// positions no longer line up and the section is encoded whole.
     epoch: AtomicU64,
 }
 
@@ -1158,12 +1196,12 @@ impl SwappableTable {
             .insert_batch(def, tuples, hashes, &mut outcomes[at..]);
     }
 
-    /// The current [`super::cache::IndexStamp`] of this table — the
-    /// shared body of the stores' [`crate::gamma::TableStore::index_stamp`].
-    pub fn index_stamp(&self) -> super::cache::IndexStamp {
+    /// The current [`IndexStamp`] of this table — the shared body of the
+    /// stores' [`crate::gamma::TableStore::index_stamp`].
+    pub fn index_stamp(&self) -> IndexStamp {
         let t = self.get();
         let (generation, interior) = t.journal_shape();
-        super::cache::IndexStamp {
+        IndexStamp {
             epoch: self.epoch(),
             generation,
             tombstones: t.tombstones(),

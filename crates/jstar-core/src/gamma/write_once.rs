@@ -44,8 +44,9 @@
 //!
 //! **Read.** The sealed view is the table's only storage: a query with
 //! an equality on column 0 reads that key's group, any other filters
-//! every row; [`super::IndexCache`] serves the view itself for column 0,
-//! and `for_each`, the journal walk and the stamp walk its rows, so
+//! every row; a cursor open of column 0 is served the view itself
+//! ([`super::Gamma::open_cursor`]), and `for_each`, the journal walk and
+//! the stamp walk its rows, so
 //! snapshots and content hashes read it like any store. While the
 //! engine runs, a rule that reads the table before it has closed is an
 //! error (`JStarError::ReadBeforeClose`), checked by the engine.

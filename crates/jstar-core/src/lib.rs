@@ -96,7 +96,7 @@ pub mod prelude {
     pub use crate::causality::{CausalityModel, ModelCtx, PutModel, QueryModel};
     pub use crate::engine::{Engine, EngineConfig, RuleCtx, RunReport};
     pub use crate::error::{JStarError, Result};
-    pub use crate::gamma::{Gamma, IndexCacheStats, InsertOutcome, StoreKind, TableStore};
+    pub use crate::gamma::{Gamma, InsertOutcome, StoreKind, TableStore};
     pub use crate::orderby::{par, seq, strat, OrderKey};
     pub use crate::program::{Program, ProgramBuilder};
     pub use crate::query::{Probe, Query};

@@ -63,8 +63,8 @@ pub const SHIM_MANDATED: &[&str] = &[
     "crates/jstar-core/src/engine/coordinator.rs",
     "crates/jstar-core/src/engine/ctx.rs",
     "crates/jstar-core/src/engine/runtime.rs",
-    "crates/jstar-core/src/gamma/cache.rs",
     "crates/jstar-core/src/gamma/hash.rs",
+    "crates/jstar-core/src/gamma/mod.rs",
     "crates/jstar-core/src/gamma/reservation.rs",
     "crates/jstar-core/src/gamma/write_once.rs",
     "crates/jstar-core/src/relation.rs",
